@@ -21,8 +21,9 @@ test:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Hot-path microbenchmarks only: engine schedule/fire, packet-plane
-# forwarding, multicast replication and the controller's per-interval pass.
+# Hot-path microbenchmarks only: engine schedule/fire and the hold model
+# (BenchmarkHold), packet-plane forwarding, multicast replication and the
+# controller's per-interval pass.
 # COUNT=5 (or any -count value) produces benchstat-ready samples; pipe
 # through scripts/benchdiff.sh to compare commits.
 COUNT ?= 1
@@ -51,9 +52,11 @@ bench-scale:
 # single-threaded baseline plus a $(SHARDS)-worker sharded twin per point —
 # exported to BENCH_shards.json. The speedup column is each sharded run's
 # baseline wall time over its own; the 10^5-receiver point dominates.
+# -parallel 1: on a multi-core box the runner would otherwise time a
+# baseline and a sharded twin side by side, each slowing the other.
 SHARDS ?= 4
 bench-shards:
-	$(GO) run ./cmd/topobench -fig fig_scale -topo tree -shards $(SHARDS) -json BENCH_shards.json
+	$(GO) run ./cmd/topobench -fig fig_scale -topo tree -shards $(SHARDS) -parallel 1 -json BENCH_shards.json
 
 # Control-plane fan-in capture: the fig_scale tree ladder run flat and with
 # the in-network aggregation layer (an "/agg" twin per point), exported to

@@ -130,7 +130,7 @@ func (l *Link) Down() bool { return l.down }
 // Reverse returns the opposite direction of this link's connection
 // (To->From), or nil when the connection is asymmetric. Fault injection
 // uses it to fail both directions of a physical link together.
-func (l *Link) Reverse() *Link { return l.net.nodes[l.To].links[l.From] }
+func (l *Link) Reverse() *Link { return l.net.nodes[l.To].LinkTo(l.From) }
 
 // SetDown fails the link. Everything the link is asked to carry while down
 // is dropped: the waiting queue and the propagation pipeline are discarded

@@ -385,6 +385,46 @@ func TestLinksEnumeration(t *testing.T) {
 	}
 }
 
+// TestOutLinkTableAtEveryDegree checks the sorted out-link table through
+// both lookup regimes (linear scan at router degree, binary search at hub
+// degree), with links added out of neighbor order.
+func TestOutLinkTableAtEveryDegree(t *testing.T) {
+	for _, degree := range []int{1, 8, 9, 17, 100} {
+		n := New(sim.NewEngine(1))
+		hub := n.AddNode("hub")
+		spokes := make([]*Node, 2*degree)
+		for i := range spokes {
+			spokes[i] = n.AddNode("s")
+		}
+		cfg := LinkConfig{Bandwidth: 1e6}
+		// Even-indexed spokes only, highest first, so every insert shifts.
+		for i := len(spokes) - 2; i >= 0; i -= 2 {
+			n.Connect(hub, spokes[i], cfg)
+		}
+		nbs := hub.Neighbors()
+		if len(nbs) != degree || len(hub.Links()) != degree {
+			t.Fatalf("degree %d: %d neighbors, %d links", degree, len(nbs), len(hub.Links()))
+		}
+		for i, l := range hub.Links() {
+			if l.To != nbs[i] || (i > 0 && nbs[i-1] >= nbs[i]) {
+				t.Fatalf("degree %d: table not in ascending neighbor order: %v", degree, nbs)
+			}
+		}
+		for i, s := range spokes {
+			l := hub.LinkTo(s.ID)
+			if connected := i%2 == 0; connected != (l != nil) {
+				t.Fatalf("degree %d: LinkTo(%v) = %v, connected %v", degree, s, l, connected)
+			}
+			if l != nil && (l.To != s.ID || l.Reverse() != s.LinkTo(hub.ID) || l.Reverse().Reverse() != l) {
+				t.Fatalf("degree %d: LinkTo/Reverse mismatch at %v", degree, s)
+			}
+		}
+		if hub.LinkTo(hub.ID) != nil || hub.LinkTo(NoNode) != nil {
+			t.Fatalf("degree %d: lookup of a non-neighbor returned a link", degree)
+		}
+	}
+}
+
 func TestCongestionCollapseBytesConserved(t *testing.T) {
 	// Offered load 2x capacity: delivered + dropped == offered.
 	cfg := LinkConfig{Bandwidth: 1e5, Delay: 10 * sim.Millisecond, QueueLimit: 5}

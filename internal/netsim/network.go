@@ -211,10 +211,9 @@ func (n *Network) AddNode(name string) *Node {
 		panic("netsim: AddNode on a partitioned network")
 	}
 	node := &Node{
-		ID:    NodeID(len(n.nodes)),
-		Name:  name,
-		net:   n,
-		links: make(map[NodeID]*Link),
+		ID:   NodeID(len(n.nodes)),
+		Name: name,
+		net:  n,
 	}
 	n.nodes = append(n.nodes, node)
 	n.nextHop, n.tree = nil, nil // invalidate routes
@@ -267,7 +266,7 @@ func (n *Network) addLink(from, to *Node, cfg LinkConfig) *Link {
 	if cfg.Delay < 0 {
 		panic("netsim: link delay must be nonnegative")
 	}
-	if _, dup := from.links[to.ID]; dup {
+	if from.LinkTo(to.ID) != nil {
 		panic(fmt.Sprintf("netsim: duplicate link %v->%v", from, to))
 	}
 	ql := cfg.QueueLimit
@@ -289,7 +288,7 @@ func (n *Network) addLink(from, to *Node, cfg LinkConfig) *Link {
 	l.deliverFn = l.deliverHead
 	// Single-scheduler default; Partition rebinds these per shard.
 	l.sched, l.dsched, l.recvSched = n.engine, n.engine, n.engine
-	from.links[to.ID] = l
+	from.addLink(l)
 	n.nextHop, n.tree = nil, nil
 	return l
 }
@@ -356,11 +355,11 @@ func (n *Network) OnRouteChange(fn func([]RouteChange)) {
 func (n *Network) reverseAdjacency() [][]NodeID {
 	rev := make([][]NodeID, len(n.nodes))
 	for _, node := range n.nodes {
-		for _, nb := range node.Neighbors() {
-			if node.links[nb].down {
+		for _, ol := range node.links {
+			if ol.link.down {
 				continue
 			}
-			rev[nb] = append(rev[nb], node.ID)
+			rev[ol.to] = append(rev[ol.to], node.ID)
 		}
 	}
 	return rev
@@ -463,7 +462,7 @@ func (n *Network) PathDelay(src, dst NodeID) sim.Time {
 		if next == NoNode {
 			return -1
 		}
-		total += n.nodes[cur].links[next].Delay
+		total += n.nodes[cur].LinkTo(next).Delay
 		cur = next
 	}
 	return total

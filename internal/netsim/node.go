@@ -40,13 +40,21 @@ type Node struct {
 	Name string
 
 	net     *Network
-	links   map[NodeID]*Link // outgoing links keyed by neighbor
+	links   []outLink // outgoing links in ascending neighbor order
 	agents  []Agent
 	mcast   MulticastHandler
 	transit TransitFilter
 
 	// RecvUnicast counts unicast packets delivered locally.
 	RecvUnicast int64
+}
+
+// outLink is one entry of a node's out-link table. The neighbor ID sits
+// beside the pointer so a lookup scans contiguous memory and dereferences
+// only the link it wants.
+type outLink struct {
+	to   NodeID
+	link *Link
 }
 
 func (n *Node) String() string { return fmt.Sprintf("%s(#%d)", n.Name, n.ID) }
@@ -62,30 +70,52 @@ func (n *Node) SetMulticastHandler(h MulticastHandler) { n.mcast = h }
 // exactly the pre-filter code plus a single nil check.
 func (n *Node) SetTransitFilter(f TransitFilter) { n.transit = f }
 
-// LinkTo returns the outgoing link to neighbor, or nil.
-func (n *Node) LinkTo(neighbor NodeID) *Link { return n.links[neighbor] }
-
-// Neighbors returns the IDs of directly connected nodes in ascending order.
-func (n *Node) Neighbors() []NodeID {
-	out := make([]NodeID, 0, len(n.links))
-	for id := range n.links {
-		out = append(out, id)
-	}
-	// Deterministic order matters: replication order affects queueing.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+// LinkTo returns the outgoing link to neighbor, or nil. It runs once per
+// unicast hop: a binary search narrows a high-degree table (a star hub has
+// 10^5 neighbors) to a window the final linear scan covers, and at router
+// degree the scan is the whole lookup.
+func (n *Node) LinkTo(neighbor NodeID) *Link {
+	lo, hi := 0, len(n.links)
+	for hi-lo > 8 {
+		if mid := (lo + hi) / 2; n.links[mid].to <= neighbor {
+			lo = mid
+		} else {
+			hi = mid
 		}
+	}
+	for _, ol := range n.links[lo:hi] {
+		if ol.to == neighbor {
+			return ol.link
+		}
+	}
+	return nil
+}
+
+// addLink inserts l into the out-link table, keeping it sorted.
+func (n *Node) addLink(l *Link) {
+	i := len(n.links)
+	n.links = append(n.links, outLink{})
+	for ; i > 0 && n.links[i-1].to > l.To; i-- {
+		n.links[i] = n.links[i-1]
+	}
+	n.links[i] = outLink{to: l.To, link: l}
+}
+
+// Neighbors returns the IDs of directly connected nodes in ascending order
+// (deterministic order matters: replication order affects queueing).
+func (n *Node) Neighbors() []NodeID {
+	out := make([]NodeID, len(n.links))
+	for i, ol := range n.links {
+		out[i] = ol.to
 	}
 	return out
 }
 
 // Links returns the node's outgoing links in ascending neighbor order.
 func (n *Node) Links() []*Link {
-	ids := n.Neighbors()
-	out := make([]*Link, len(ids))
-	for i, id := range ids {
-		out[i] = n.links[id]
+	out := make([]*Link, len(n.links))
+	for i, ol := range n.links {
+		out[i] = ol.link
 	}
 	return out
 }
@@ -142,5 +172,5 @@ func (n *Node) route(p *Packet) {
 		atomic.AddInt64(&n.net.Unroutable, 1)
 		return
 	}
-	n.links[next].Send(p)
+	n.LinkTo(next).Send(p)
 }

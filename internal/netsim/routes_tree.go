@@ -50,16 +50,15 @@ type treeRoutes struct {
 // cycle) — callers then fall back to dense tables.
 func (n *Network) buildTreeRoutes() *treeRoutes {
 	num := len(n.nodes)
-	// Count directed edges, requiring every link up and symmetric. Map
-	// iteration order does not matter: we only count and compare.
+	// Count directed edges, requiring every link up and symmetric.
 	directed := 0
 	for _, node := range n.nodes {
-		for to, l := range node.links {
-			if l.down {
+		for _, ol := range node.links {
+			if ol.link.down {
 				return nil
 			}
-			back, ok := n.nodes[to].links[node.ID]
-			if !ok || back.down {
+			back := n.nodes[ol.to].LinkTo(node.ID)
+			if back == nil || back.down {
 				return nil
 			}
 			directed++

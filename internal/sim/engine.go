@@ -12,17 +12,14 @@ import (
 // slot with the generation it was issued for, so operations on a handle
 // whose slot has been recycled are safe no-ops.
 type Event struct {
-	at     Time
-	seq    uint64 // tie-breaker: FIFO among events at the same timestamp
-	fn     func()
-	index  int32  // heap index; -1 once popped or cancelled, spilledIndex while parked
-	gen    uint32 // bumped each time the slot is acquired from the free list
-	cancel bool
+	at         Time
+	seq        uint64 // tie-breaker: FIFO among events at the same timestamp
+	fn         func()
+	next, prev *Event // ring-bucket list links (see equeue); nil elsewhere
+	index      int32  // heap position, or 0 in a ring bucket; -1 once popped or cancelled
+	gen        uint32 // bumped each time the slot is acquired from the free list
+	cancel     bool
 }
-
-// spilledIndex marks an event parked in a shard's far-future spill rather
-// than its heap (see shardSched). Still pending, just not heap-resident.
-const spilledIndex int32 = -2
 
 // Handle identifies one scheduled firing. The zero Handle is valid and
 // refers to nothing; all its methods are no-ops. Handles are plain values —
@@ -46,11 +43,8 @@ func (h Handle) live() bool { return h.ev != nil && h.ev.gen == h.gen }
 func (h Handle) Cancelled() bool { return h.live() && h.ev.cancel }
 
 // Active reports whether the event is still queued: scheduled, not yet
-// fired, not cancelled. A spilled event (parked outside a shard's heap
-// until its window) is still queued.
-func (h Handle) Active() bool {
-	return h.live() && !h.ev.cancel && (h.ev.index >= 0 || h.ev.index == spilledIndex)
-}
+// fired, not cancelled.
+func (h Handle) Active() bool { return h.live() && !h.ev.cancel && h.ev.index >= 0 }
 
 // When returns the simulated time the event is scheduled for. It reads 0
 // once the slot has been recycled.
@@ -65,10 +59,11 @@ func (h Handle) When() Time {
 // concurrent use; all model code runs inside event callbacks on the same
 // goroutine, which is what makes the simulation deterministic.
 //
-// The ready queue is an equeue: an indexed 4-ary min-heap ordered by
-// (time, sequence) with a slot free list, so the steady-state schedule/fire
-// cycle performs no allocations. Engine implements Scheduler and Runner; it
-// is the determinism oracle the ShardedEngine is validated against.
+// The ready queue is an equeue: a calendar-tiered store that fires in exact
+// (time, sequence) order, with a slot free list, so the steady-state
+// schedule/fire cycle performs no allocations. Engine implements Scheduler
+// and Runner; it is the determinism oracle the ShardedEngine is validated
+// against.
 type Engine struct {
 	now     Time
 	q       equeue
@@ -193,10 +188,10 @@ func (e *Engine) Stop() { e.stopped = true }
 // empty. The slot is recycled before the callback runs, so a callback that
 // schedules new work reuses it immediately.
 func (e *Engine) step() bool {
-	if e.q.len() == 0 {
+	ev := e.q.pop()
+	if ev == nil {
 		return false
 	}
-	ev := e.q.pop()
 	e.now = ev.at
 	e.fired++
 	fn := ev.fn

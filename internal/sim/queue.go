@@ -1,32 +1,153 @@
 package sim
 
-// equeue is the event store shared by the single-threaded Engine and each
-// shard of the ShardedEngine: an indexed 4-ary min-heap ordered by
-// (time, sequence) with the sift loops inlined (no container/heap interface
-// calls), plus a free list that recycles fired or cancelled Event slots so
-// the steady-state schedule/fire cycle performs no allocations.
+// The ring's geometry is fixed: 16384 buckets of 256 µs give a 4.2 s
+// horizon. Narrow buckets keep the near heap shallow (it holds the current
+// bucket's events); the span keeps per-second timers out of the far heap.
+// Powers of two make bucket and slot a shift and a mask. They are constants
+// on purpose: DESIGN.md §5 records the sweep that chose them.
+const (
+	bucketShift = 8
+	ringSize    = 16384
+	ringMask    = ringSize - 1
+)
+
+// equeue is the event store shared by the single-threaded Engine, each
+// shard of the ShardedEngine and its global barrier queue. Events are
+// ordered by (time, sequence) and kept in three tiers by time bucket
+// (at >> bucketShift) relative to the current bucket cur:
+//
+//   - near: a 4-ary min-heap of every event whose bucket is <= cur. Only
+//     this tier is ever sorted, and everything outside it is strictly
+//     later, so its root is the queue's earliest event: firing order is
+//     exactly the total (time, sequence) order of one big heap.
+//   - ring: buckets cur < b < cur+ringSize, each an unordered intrusive
+//     circular list threaded through Event.next/prev, so scheduling past
+//     the current bucket is an O(1) link, cancelling an O(1) unlink, and
+//     neither allocates.
+//   - far: a second heap for events at or beyond the ring horizon, drained
+//     into the ring as cur advances.
+//
+// When near runs dry, head moves cur to the next non-empty bucket and
+// pushes that bucket's events onto the near heap. A free list recycles
+// fired or cancelled Event slots so the steady-state schedule/fire cycle
+// performs no allocations.
 //
 // An equeue is single-owner: exactly one goroutine may touch it at a time.
 // The Engine owns its queue outright; a shard's queue is owned by the
 // shard's worker during a window and by the barrier goroutine between
 // windows (the window handoff provides the happens-before edge).
 type equeue struct {
-	heap []*Event
-	free []*Event
-	seq  uint64
+	near, far eheap
+	ring      [ringSize]*Event // bucket b's list head lives in slot b&ringMask
+	ringN     int              // events linked in the ring
+	cur       int64            // current bucket; only ever advances
+	free      []*Event
+	seq       uint64
 
 	slotAllocs uint64 // Event structs ever allocated
 	slotReuses uint64 // acquisitions served from the free list
 }
 
-func (q *equeue) len() int { return len(q.heap) }
+func bucketOf(ev *Event) int64 { return int64(ev.at) >> bucketShift }
 
-// head returns the earliest event without removing it, or nil.
+func (q *equeue) len() int { return len(q.near) + q.ringN + len(q.far) }
+
+// head returns the earliest event without removing it, or nil. It may
+// advance the current bucket past an idle gap; a later push into a bucket
+// already passed simply joins the near heap.
 func (q *equeue) head() *Event {
-	if len(q.heap) == 0 {
+	if len(q.near) == 0 && !q.advance() {
 		return nil
 	}
-	return q.heap[0]
+	return q.near[0]
+}
+
+// pop removes and returns the earliest event, or nil.
+func (q *equeue) pop() *Event {
+	if q.head() == nil {
+		return nil
+	}
+	return q.near.pop()
+}
+
+// push files ev under the tier its time bucket belongs to.
+func (q *equeue) push(ev *Event) {
+	switch b := bucketOf(ev); {
+	case b <= q.cur:
+		q.near.push(ev)
+	case b < q.cur+ringSize:
+		// Append to the bucket's circular list (head.prev is the tail), so
+		// advance sees events oldest first and its pushes rarely sift.
+		if h := q.ring[b&ringMask]; h == nil {
+			ev.next, ev.prev = ev, ev
+			q.ring[b&ringMask] = ev
+		} else {
+			ev.next, ev.prev = h, h.prev
+			h.prev.next = ev
+			h.prev = ev
+		}
+		ev.index = 0
+		q.ringN++
+	default:
+		q.far.push(ev)
+	}
+}
+
+// remove takes a queued event out of whichever tier holds it. The tier is
+// implied by the event's bucket because advance keeps the tier bounds exact.
+func (q *equeue) remove(ev *Event) {
+	switch b := bucketOf(ev); {
+	case b <= q.cur:
+		q.near.remove(int(ev.index))
+	case b < q.cur+ringSize:
+		if ev.next == ev {
+			q.ring[b&ringMask] = nil
+		} else {
+			ev.prev.next, ev.next.prev = ev.next, ev.prev
+			if q.ring[b&ringMask] == ev {
+				q.ring[b&ringMask] = ev.next
+			}
+		}
+		ev.next, ev.prev = nil, nil
+		ev.index = -1
+		q.ringN--
+	default:
+		q.far.remove(int(ev.index))
+	}
+}
+
+// advance refills the empty near heap: it moves cur to the next non-empty
+// ring bucket (or, with the ring empty, jumps to far's earliest bucket),
+// empties that bucket into near, and pulls far events that the new horizon
+// now covers into the ring. It reports false when nothing is queued.
+func (q *equeue) advance() bool {
+	b := q.cur + 1
+	switch {
+	case q.ringN > 0:
+		for q.ring[b&ringMask] == nil {
+			b++
+		}
+	case len(q.far) > 0:
+		b = bucketOf(q.far[0])
+	default:
+		return false
+	}
+	q.cur = b
+	if h := q.ring[b&ringMask]; h != nil {
+		q.ring[b&ringMask] = nil
+		h.prev.next = nil // open the circle
+		for ev := h; ev != nil; {
+			next := ev.next
+			ev.next, ev.prev = nil, nil
+			q.ringN--
+			q.near.push(ev)
+			ev = next
+		}
+	}
+	for len(q.far) > 0 && bucketOf(q.far[0]) < b+ringSize {
+		q.push(q.far.pop())
+	}
+	return true
 }
 
 // acquire takes an event slot from the free list (bumping its generation so
@@ -59,6 +180,22 @@ func (q *equeue) release(ev *Event) {
 	q.free = append(q.free, ev)
 }
 
+// cancel implements the generation-checked Cancel contract on this queue.
+// It is safe on a zero handle, a fired handle, and a stale handle.
+func (q *equeue) cancel(h Handle) {
+	ev := h.ev
+	if ev == nil || ev.gen != h.gen || ev.cancel {
+		return
+	}
+	// If it already fired (and was released), only record the cancel so
+	// Cancelled() reads true until the slot is reused.
+	ev.cancel = true
+	if ev.index >= 0 {
+		q.remove(ev)
+		q.release(ev)
+	}
+}
+
 // less orders events by (time, sequence); sequence numbers are unique so
 // the order is total and FIFO among equal timestamps.
 func eventLess(a, b *Event) bool {
@@ -68,44 +205,37 @@ func eventLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// push appends ev and restores the 4-ary heap invariant.
-func (q *equeue) push(ev *Event) {
-	i := len(q.heap)
-	q.heap = append(q.heap, ev)
-	ev.index = int32(i)
-	q.siftUp(i)
+// eheap is an indexed 4-ary min-heap of events ordered by eventLess, with
+// the sift loops inlined (no container/heap interface calls). Each resident
+// event's index field is its position, which makes removal O(log n).
+type eheap []*Event
+
+// push appends ev and restores the heap invariant.
+func (hp *eheap) push(ev *Event) {
+	i := len(*hp)
+	*hp = append(*hp, ev)
+	hp.siftUp(i)
 }
 
 // pop removes and returns the earliest event.
-func (q *equeue) pop() *Event {
-	h := q.heap
-	root := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	q.heap = h[:n]
-	if n > 0 {
-		h[0] = last
-		last.index = 0
-		q.siftDown(0)
-	}
-	root.index = -1
+func (hp *eheap) pop() *Event {
+	root := (*hp)[0]
+	hp.remove(0)
 	return root
 }
 
-// remove removes the event at heap index i (cancellation).
-func (q *equeue) remove(i int) {
-	h := q.heap
+// remove removes the event at heap index i.
+func (hp *eheap) remove(i int) {
+	h := *hp
 	n := len(h) - 1
 	ev := h[i]
 	last := h[n]
 	h[n] = nil
-	q.heap = h[:n]
+	*hp = h[:n]
 	if i < n {
 		h[i] = last
-		last.index = int32(i)
-		if !q.siftDown(i) {
-			q.siftUp(i)
+		if !hp.siftDown(i) {
+			hp.siftUp(i)
 		}
 	}
 	ev.index = -1
@@ -113,73 +243,53 @@ func (q *equeue) remove(i int) {
 
 // siftUp moves the event at index i toward the root until its parent is not
 // later than it.
-func (q *equeue) siftUp(i int) {
-	h := q.heap
-	ev := h[i]
+func (hp eheap) siftUp(i int) {
+	ev := hp[i]
 	for i > 0 {
 		p := (i - 1) >> 2
-		par := h[p]
+		par := hp[p]
 		if !eventLess(ev, par) {
 			break
 		}
-		h[i] = par
+		hp[i] = par
 		par.index = int32(i)
 		i = p
 	}
-	h[i] = ev
+	hp[i] = ev
 	ev.index = int32(i)
 }
 
 // siftDown moves the event at index i toward the leaves, swapping with its
 // earliest child while that child sorts before it. It reports whether the
 // event moved.
-func (q *equeue) siftDown(i0 int) bool {
-	h := q.heap
-	n := len(h)
+func (hp eheap) siftDown(i0 int) bool {
+	n := len(hp)
 	i := i0
-	ev := h[i]
+	ev := hp[i]
 	for {
 		c := i<<2 + 1
 		if c >= n {
 			break
 		}
 		// Earliest of the up-to-four children.
-		m, mc := c, h[c]
+		m, mc := c, hp[c]
 		end := c + 4
 		if end > n {
 			end = n
 		}
 		for j := c + 1; j < end; j++ {
-			if eventLess(h[j], mc) {
-				m, mc = j, h[j]
+			if eventLess(hp[j], mc) {
+				m, mc = j, hp[j]
 			}
 		}
 		if !eventLess(mc, ev) {
 			break
 		}
-		h[i] = mc
+		hp[i] = mc
 		mc.index = int32(i)
 		i = m
 	}
-	h[i] = ev
+	hp[i] = ev
 	ev.index = int32(i)
 	return i > i0
-}
-
-// cancel implements the generation-checked Cancel contract on this queue.
-// It is safe on a zero handle, a fired handle, and a stale handle.
-func (q *equeue) cancel(h Handle) {
-	ev := h.ev
-	if ev == nil || ev.gen != h.gen || ev.cancel {
-		return
-	}
-	if ev.index >= 0 {
-		ev.cancel = true
-		q.remove(int(ev.index))
-		q.release(ev)
-		return
-	}
-	// Already fired (and released); record the cancel so Cancelled() reads
-	// true until the slot is reused, matching the pre-pool semantics.
-	ev.cancel = true
 }

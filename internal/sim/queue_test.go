@@ -1,0 +1,429 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+// Differential testing of the tiered event queue: a byte script is decoded
+// into Schedule/At/Cancel/RunUntil operations and executed twice, once on
+// the real Engine and once on a reference model that keeps one slice sorted
+// by (time, sequence). Fired events themselves schedule children and cancel
+// other events, so the tiers are exercised from inside callbacks too.
+
+// scriptSys is the surface a queue script drives.
+type scriptSys interface {
+	now() Time
+	schedule(id int, delay Time, abs bool)
+	cancel(id int)
+	runUntil(t Time)
+	run()
+}
+
+// scriptRun is one execution of a script against one system. Event ids are
+// handed out in scheduling order, so two runs agree on ids exactly as long
+// as they agree on firing order.
+type scriptRun struct {
+	sys    scriptSys
+	fired  []int
+	nextID int
+}
+
+const maxScriptEvents = 4096 // bounds callback-spawned chains
+
+func (r *scriptRun) spawn(delay Time, abs bool) {
+	id := r.nextID
+	r.nextID++
+	r.sys.schedule(id, delay, abs)
+}
+
+// onFire is every event's callback: log the firing, then, as a pure
+// function of the id, maybe schedule a child and maybe cancel some event.
+func (r *scriptRun) onFire(id int) {
+	r.fired = append(r.fired, id)
+	h := uint64(id+1) * 0x9E3779B97F4A7C15
+	if h%4 == 0 && r.nextID < maxScriptEvents {
+		r.spawn(scriptDelay(byte(h>>8), uint16(h>>16)), h&64 != 0)
+	}
+	if h%5 == 0 {
+		r.sys.cancel(int(h>>32) % r.nextID)
+	}
+}
+
+// scriptDelay maps two script values to a delay in one of the classes that
+// land in different tiers: zero, inside a bucket, a few buckets out, around
+// the ring horizon, and beyond it.
+func scriptDelay(class byte, m uint16) Time {
+	switch class % 5 {
+	case 0:
+		return 0
+	case 1:
+		return 1 + Time(m)%(1<<bucketShift-1)
+	case 2:
+		return (1+Time(m)%40)<<bucketShift + Time(m>>6)
+	case 3:
+		return (ringSize-2+Time(m)%4)<<bucketShift + Time(m>>6)
+	default:
+		return (ringSize+1+Time(m))<<bucketShift + Time(m&1023)
+	}
+}
+
+// step decodes and applies one 4-byte operation.
+func (r *scriptRun) step(op []byte) {
+	class, m := op[1], uint16(op[2])|uint16(op[3])<<8
+	switch op[0] % 8 {
+	case 0, 1, 2:
+		r.spawn(scriptDelay(class, m), false)
+	case 3:
+		r.spawn(scriptDelay(class, m), true)
+	case 4, 5:
+		if r.nextID > 0 {
+			r.sys.cancel(int(m) % r.nextID)
+		}
+	default:
+		r.sys.runUntil(r.sys.now() + scriptDelay(class, m))
+	}
+}
+
+// engineSys runs a script on the real Engine.
+type engineSys struct {
+	e       *Engine
+	r       *scriptRun
+	handles []Handle
+}
+
+func (s *engineSys) now() Time { return s.e.Now() }
+func (s *engineSys) schedule(id int, delay Time, abs bool) {
+	fn := func() { s.r.onFire(id) }
+	if abs {
+		s.handles = append(s.handles, s.e.At(s.e.Now()+delay, fn))
+	} else {
+		s.handles = append(s.handles, s.e.Schedule(delay, fn))
+	}
+}
+func (s *engineSys) cancel(id int)   { s.e.Cancel(s.handles[id]) }
+func (s *engineSys) runUntil(t Time) { s.e.RunUntil(t) }
+func (s *engineSys) run()            { s.e.Run() }
+
+// modelSys is the reference: pending events in one slice sorted by
+// (at, seq). Sequence numbers only grow, so inserting after every event
+// that is not later keeps equal timestamps FIFO.
+type modelEvent struct {
+	at Time
+	id int
+}
+
+const (
+	modelPending = iota
+	modelFired
+	modelCancelled
+)
+
+type modelSys struct {
+	r             *scriptRun
+	clock         Time
+	pending       []modelEvent
+	state         []int  // by id
+	at            []Time // by id
+	everCancelled []bool // by id: Cancel reached it, before or after firing
+}
+
+func (s *modelSys) now() Time { return s.clock }
+func (s *modelSys) schedule(id int, delay Time, _ bool) {
+	at := s.clock + delay
+	i := sort.Search(len(s.pending), func(i int) bool { return s.pending[i].at > at })
+	s.pending = append(s.pending, modelEvent{})
+	copy(s.pending[i+1:], s.pending[i:])
+	s.pending[i] = modelEvent{at: at, id: id}
+	s.state = append(s.state, modelPending)
+	s.at = append(s.at, at)
+	s.everCancelled = append(s.everCancelled, false)
+}
+func (s *modelSys) cancel(id int) {
+	s.everCancelled[id] = true
+	if s.state[id] != modelPending {
+		return
+	}
+	s.state[id] = modelCancelled
+	for i, ev := range s.pending {
+		if ev.id == id {
+			s.pending = append(s.pending[:i], s.pending[i+1:]...)
+			return
+		}
+	}
+}
+func (s *modelSys) fireHead() {
+	ev := s.pending[0]
+	s.pending = s.pending[1:]
+	s.clock = ev.at
+	s.state[ev.id] = modelFired
+	s.r.onFire(ev.id)
+}
+func (s *modelSys) runUntil(t Time) {
+	for len(s.pending) > 0 && s.pending[0].at <= t {
+		s.fireHead()
+	}
+	if s.clock < t {
+		s.clock = t
+	}
+}
+func (s *modelSys) run() {
+	for len(s.pending) > 0 {
+		s.fireHead()
+	}
+}
+
+// runQueueScript executes data on both systems, comparing after every
+// operation: firing order, clock, Pending, and every handle ever issued.
+func runQueueScript(t *testing.T, data []byte) {
+	t.Helper()
+	if len(data) > 4096 {
+		data = data[:4096]
+	}
+	eng := &engineSys{e: NewEngine(1)}
+	er := &scriptRun{sys: eng}
+	eng.r = er
+	model := &modelSys{}
+	mr := &scriptRun{sys: model}
+	model.r = mr
+
+	checked := 0
+	check := func(op int) {
+		t.Helper()
+		if len(er.fired) != len(mr.fired) {
+			t.Fatalf("op %d: engine fired %d events, model %d", op, len(er.fired), len(mr.fired))
+		}
+		for ; checked < len(mr.fired); checked++ {
+			if er.fired[checked] != mr.fired[checked] {
+				t.Fatalf("op %d: firing #%d is event %d, model says %d", op, checked, er.fired[checked], mr.fired[checked])
+			}
+		}
+		if eng.e.Now() != model.clock {
+			t.Fatalf("op %d: Now %v, model %v", op, eng.e.Now(), model.clock)
+		}
+		if got := eng.e.Pending(); got != len(model.pending) {
+			t.Fatalf("op %d: Pending %d, model %d", op, got, len(model.pending))
+		}
+		for id, h := range eng.handles {
+			if model.state[id] == modelPending {
+				if !h.Active() || h.Cancelled() || h.When() != model.at[id] {
+					t.Fatalf("op %d: pending event %d reads Active=%v Cancelled=%v When=%v, want true false %v",
+						op, id, h.Active(), h.Cancelled(), h.When(), model.at[id])
+				}
+			} else if h.Active() || (h.Cancelled() && !model.everCancelled[id]) {
+				t.Fatalf("op %d: finished event %d (state %d) reads Active=%v Cancelled=%v",
+					op, id, model.state[id], h.Active(), h.Cancelled())
+			}
+		}
+	}
+	op := 0
+	for ; len(data) >= 4 && er.nextID < maxScriptEvents; data, op = data[4:], op+1 {
+		er.step(data[:4])
+		mr.step(data[:4])
+		check(op)
+	}
+	eng.run()
+	model.run()
+	check(op)
+}
+
+func TestQueueOrderRandomScripts(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 300; i++ {
+		data := make([]byte, 4*(20+rng.Intn(300)))
+		rng.Read(data)
+		runQueueScript(t, data)
+	}
+}
+
+// FuzzQueueOrder lets the native fuzzer search for a script on which the
+// tiered queue and the sorted-slice model disagree.
+func FuzzQueueOrder(f *testing.F) {
+	f.Add([]byte{0, 2, 9, 0, 6, 2, 1, 0, 0, 2, 2, 0, 6, 4, 0, 0})                         // peek over a gap, then schedule behind it
+	f.Add([]byte{0, 0, 0, 0, 0, 2, 5, 0, 0, 4, 9, 0, 4, 0, 0, 0, 4, 0, 1, 0, 4, 0, 2, 0}) // cancel in each tier
+	f.Add([]byte{0, 3, 0, 0, 0, 3, 1, 0, 0, 3, 2, 0, 0, 3, 3, 0, 6, 4, 0, 1})             // ring horizon, then a jump
+	f.Add([]byte{3, 4, 255, 255, 6, 4, 255, 255, 3, 1, 7, 0, 5, 0, 0, 0, 0, 1, 7, 0})
+	f.Fuzz(runQueueScript)
+}
+
+// bucketTime is the first instant of bucket b.
+func bucketTime(b int64) Time { return Time(b << bucketShift) }
+
+// tiers reports how many events each tier holds.
+func (q *equeue) tiers() string {
+	return fmt.Sprintf("near %d ring %d far %d", len(q.near), q.ringN, len(q.far))
+}
+
+// A RunUntil that stops inside an idle gap has already peeked at the next
+// event and advanced the current bucket to it. Scheduling into the gap
+// afterwards targets a bucket the ring has passed; it must still fire first.
+func TestQueueScheduleIntoPassedBucket(t *testing.T) {
+	e := NewEngine(1)
+	var order []string
+	e.At(bucketTime(10)+5, func() { order = append(order, "late") })
+	e.RunUntil(bucketTime(2))
+	if e.q.cur != 10 {
+		t.Fatalf("RunUntil did not peek ahead: current bucket %d, want 10", e.q.cur)
+	}
+	e.At(bucketTime(10)+1, func() { order = append(order, "same-bucket-earlier") })
+	e.Schedule(bucketTime(1), func() { order = append(order, "passed-bucket") })
+	e.Schedule(0, func() { order = append(order, "now") })
+	if got := e.q.tiers(); got != "near 4 ring 0 far 0" {
+		t.Fatalf("tiers: %s", got)
+	}
+	e.Run()
+	if got := fmt.Sprint(order); got != "[now passed-bucket same-bucket-earlier late]" {
+		t.Fatalf("order %s", got)
+	}
+}
+
+func TestQueueCancelInEachTier(t *testing.T) {
+	e := NewEngine(1)
+	var fired []int
+	at := []Time{3, bucketTime(1) - 1, bucketTime(7), bucketTime(7) + 1, bucketTime(7) + 2, bucketTime(ringSize - 1),
+		bucketTime(ringSize), bucketTime(ringSize) + 9, bucketTime(3 * ringSize)}
+	hs := make([]Handle, len(at))
+	for i, a := range at {
+		i := i
+		hs[i] = e.At(a, func() { fired = append(fired, i) })
+	}
+	if got := e.q.tiers(); got != "near 2 ring 4 far 3" {
+		t.Fatalf("tiers: %s", got)
+	}
+	// One from near; head, middle and a sole occupant from ring buckets; the
+	// root of far.
+	for n, i := range []int{0, 2, 3, 5, 6} {
+		e.Cancel(hs[i])
+		if hs[i].Active() || !hs[i].Cancelled() || e.Pending() != len(at)-n-1 {
+			t.Fatalf("after cancelling %d: Active=%v Cancelled=%v Pending=%d", i, hs[i].Active(), hs[i].Cancelled(), e.Pending())
+		}
+	}
+	if got := e.q.tiers(); got != "near 1 ring 1 far 2" {
+		t.Fatalf("tiers after cancels: %s", got)
+	}
+	e.Run()
+	if got := fmt.Sprint(fired); got != "[1 4 7 8]" {
+		t.Fatalf("fired %s", got)
+	}
+}
+
+// The ring covers buckets cur+1 .. cur+ringSize-1; an event exactly ringSize
+// buckets ahead shares a slot with the current bucket and must wait in far.
+func TestQueueRingWrapAround(t *testing.T) {
+	e := NewEngine(1)
+	e.RunUntil(bucketTime(ringSize-3) + 17) // slots wrap during this test
+	e.Schedule(0, func() {})
+	e.Run() // the current bucket is now the clock's bucket
+	base := e.q.cur
+	var fired []int64
+	for _, ahead := range []int64{ringSize + 1, ringSize, ringSize - 1, 1} {
+		ahead := ahead
+		e.At(bucketTime(base+ahead), func() { fired = append(fired, ahead) })
+	}
+	if got := e.q.tiers(); got != "near 0 ring 2 far 2" {
+		t.Fatalf("tiers: %s", got)
+	}
+	// Firing the first event makes RunUntil peek at the next one, ringSize-1
+	// buckets on; the horizon moves with it and both far events drop into
+	// the slots the first two buckets just vacated.
+	e.RunUntil(bucketTime(base + 1))
+	if got := e.q.tiers(); got != "near 1 ring 2 far 0" || len(fired) != 1 {
+		t.Fatalf("tiers after one bucket: %s, fired %v", got, fired)
+	}
+	e.Run()
+	if got := fmt.Sprint(fired); got != fmt.Sprint([]int64{1, ringSize - 1, ringSize, ringSize + 1}) {
+		t.Fatalf("fired %s", got)
+	}
+	if e.Now() != bucketTime(base+ringSize+1) {
+		t.Fatalf("clock %v", e.Now())
+	}
+}
+
+// With near and ring empty the queue jumps straight to far's earliest
+// bucket instead of walking the ring.
+func TestQueueJumpToFar(t *testing.T) {
+	e := NewEngine(1)
+	var fired []Time
+	rec := func() { fired = append(fired, e.Now()) }
+	want := []Time{10 * Second, 10*Second + 1, 10*Second + bucketTime(2), 20 * Second, 3600 * Second}
+	for i := len(want) - 1; i >= 0; i-- {
+		e.At(want[i], rec)
+	}
+	if got := e.q.tiers(); got != "near 0 ring 0 far 5" {
+		t.Fatalf("tiers: %s", got)
+	}
+	e.RunUntil(10 * Second)
+	if got := e.q.tiers(); got != "near 1 ring 1 far 2" || len(fired) != 1 {
+		t.Fatalf("after the jump: %s, fired %v", got, fired)
+	}
+	e.Schedule(5, rec) // ordinary scheduling keeps working around the new bucket
+	want = append(want[:2], append([]Time{10*Second + 5}, want[2:]...)...)
+	e.Run()
+	if fmt.Sprint(fired) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+}
+
+// A slot cancelled out of a ring bucket is recycled for the next schedule;
+// the old handle must stay inert and cancelling it must not touch the new
+// occupant, whichever tier that one lives in.
+func TestQueueRingCancelSlotReuse(t *testing.T) {
+	for _, reuseAt := range []Time{1, bucketTime(5), bucketTime(2 * ringSize)} {
+		e := NewEngine(1)
+		e.At(bucketTime(5)+1, func() {}) // keeps the bucket's list non-trivial
+		stale := e.At(bucketTime(5)+2, func() { t.Error("cancelled event fired") })
+		e.Cancel(stale)
+		fired := false
+		fresh := e.At(reuseAt, func() { fired = true })
+		if fresh.ev != stale.ev {
+			t.Fatal("slot was not recycled")
+		}
+		if stale.Active() || stale.Cancelled() || stale.When() != 0 {
+			t.Fatalf("stale handle reads Active=%v Cancelled=%v When=%v", stale.Active(), stale.Cancelled(), stale.When())
+		}
+		e.Cancel(stale)
+		if !fresh.Active() || e.Pending() != 2 {
+			t.Fatalf("stale cancel disturbed the new occupant: Active=%v Pending=%d", fresh.Active(), e.Pending())
+		}
+		e.Run()
+		if !fired {
+			t.Fatalf("recycled slot at %v never fired", reuseAt)
+		}
+	}
+}
+
+// BenchmarkHold is the classic hold model, the same one the repository
+// benchmark's sim.hold_ns_per_event drive uses: a standing population of
+// events, each of which re-schedules itself an exponential delay (mean one
+// simulated second) ahead when it fires. One op is one fire + re-schedule.
+func BenchmarkHold(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var delays [4096]Time
+	for i := range delays {
+		delays[i] = Time(rng.ExpFloat64()*float64(Second)) + 1
+	}
+	for _, population := range []int{8_000, 36_000} {
+		b.Run(fmt.Sprintf("pending%d", population), func(b *testing.B) {
+			e := NewEngine(1)
+			n := 0
+			var fire func()
+			fire = func() {
+				n++
+				e.Schedule(delays[n&4095], fire)
+			}
+			for i := 0; i < population; i++ {
+				e.Schedule(delays[i&4095], fire)
+			}
+			for i := 0; i < 4*population; i++ { // settle into the steady-state spread
+				e.step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.step()
+			}
+		})
+	}
+}

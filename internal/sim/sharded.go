@@ -43,11 +43,11 @@ const noEvent = Time(math.MaxInt64)
 // topology partitioners keep every stochastic component (sources, the
 // controller) in partition 0 to honor this.
 type ShardedEngine struct {
-	rng      *rand.Rand
-	workers  int
-	shards   []*shardSched
-	gq       *shardSched // global barrier queue; nil while degenerate
-	now      Time        // committed global time (window start)
+	rng       *rand.Rand
+	workers   int
+	shards    []*shardSched
+	gq        *shardSched // global barrier queue; nil while degenerate
+	now       Time        // committed global time (window start)
 	lookahead Time
 
 	stopped atomic.Bool
@@ -98,8 +98,6 @@ func (se *ShardedEngine) SetPartitions(p int, lookahead Time) {
 	}
 	for _, s := range se.shards {
 		s.out = make([]crossEvents, p)
-		s.spillOn = true
-		s.spillMin = noEvent
 	}
 	se.gq = &shardSched{eng: se, idx: -1, global: true}
 	se.finish = make([]int64, p)
@@ -194,7 +192,7 @@ func (se *ShardedEngine) Fired() uint64 {
 func (se *ShardedEngine) Pending() int {
 	n := 0
 	for _, s := range se.shards {
-		n += s.q.len() + s.pendingSpill()
+		n += s.q.len()
 		for _, mb := range s.out {
 			n += len(mb)
 		}
@@ -238,7 +236,7 @@ func (se *ShardedEngine) Stats() EngineStats {
 		st.Shards[i] = ShardEngineStats{
 			Shard:      i,
 			Fired:      s.fired,
-			Pending:    s.q.len() + s.pendingSpill(),
+			Pending:    s.q.len(),
 			CrossIn:    s.crossIn,
 			Windows:    s.windows,
 			StallNanos: s.stall,
@@ -300,11 +298,6 @@ func (se *ShardedEngine) earliest() Time {
 	for _, s := range se.shards {
 		if h := s.q.head(); h != nil && h.at < t {
 			t = h.at
-		}
-		if len(s.spill) > 0 && s.spillMin < t {
-			// May be a cancelled entry's stale minimum; the worst case is
-			// one empty window whose promote sweep reclaims it.
-			t = s.spillMin
 		}
 	}
 	if h := se.gq.q.head(); h != nil && h.at < t {
@@ -432,7 +425,7 @@ func (se *ShardedEngine) drainMailboxes() {
 		}
 		sort.Sort(buf)
 		for i := range buf {
-			d.enqueue(d.q.acquire(buf[i].at, buf[i].fn))
+			d.q.push(d.q.acquire(buf[i].at, buf[i].fn))
 			buf[i].fn = nil
 		}
 		d.crossIn += uint64(len(buf))
@@ -451,24 +444,6 @@ type shardSched struct {
 	now    Time
 	fired  uint64
 
-	// Far-future spill (partitioned shards only, never the global queue or
-	// a degenerate engine): events due at or beyond the current window's
-	// end are parked here instead of entering the heap, and promoted into
-	// it at the start of the window that covers them. The heap then holds
-	// only the current window's events — a few hundred instead of the
-	// shard's whole pending set — so sift paths touch a cache-resident
-	// array. Entries carry the timestamp by value so the per-window sweep
-	// is a sequential scan that dereferences an *Event only when due.
-	// Promotion preserves the (time, sequence) firing order exactly: seq
-	// is assigned at acquire time, and every event due in a window is in
-	// the heap before that window runs.
-	spillOn  bool
-	spill    []spillEntry
-	spillMin Time // earliest spilled timestamp; noEvent when empty
-	inWindow bool
-	winEnd   Time
-	winIncl  bool
-
 	out    []crossEvents // per-destination mailboxes for the current window
 	outSeq uint64
 	cross  []Scheduler // cached crossScheds, lazily built by the owner
@@ -478,63 +453,6 @@ type shardSched struct {
 	finish  int64 // scratch: nanos into the window when this shard finished
 	stall   int64
 }
-
-// spillEntry parks one far-future event outside the heap.
-type spillEntry struct {
-	at Time
-	ev *Event
-}
-
-// enqueue routes a freshly acquired event to the heap or the spill. Inside
-// a window, events due before the window end must be in the heap (they fire
-// this window); everything else can wait in the spill until the window that
-// covers it promotes it.
-func (s *shardSched) enqueue(ev *Event) {
-	if s.spillOn && (!s.inWindow || ev.at > s.winEnd || (!s.winIncl && ev.at == s.winEnd)) {
-		ev.index = spilledIndex
-		s.spill = append(s.spill, spillEntry{at: ev.at, ev: ev})
-		if ev.at < s.spillMin {
-			s.spillMin = ev.at
-		}
-		return
-	}
-	s.q.push(ev)
-}
-
-// promote moves every spilled event due in the window ending at tStop into
-// the heap, dropping cancelled entries it passes. Entries not yet due are
-// compacted in place without touching their Event.
-func (s *shardSched) promote(tStop Time, incl bool) {
-	if len(s.spill) == 0 || s.spillMin > tStop || (!incl && s.spillMin == tStop) {
-		return
-	}
-	kept := s.spill[:0]
-	min := Time(noEvent)
-	for _, e := range s.spill {
-		if e.at < tStop || (incl && e.at == tStop) {
-			if e.ev.cancel {
-				e.ev.index = -1
-				s.q.release(e.ev)
-				continue
-			}
-			s.q.push(e.ev)
-			continue
-		}
-		kept = append(kept, e)
-		if e.at < min {
-			min = e.at
-		}
-	}
-	for i := len(kept); i < len(s.spill); i++ {
-		s.spill[i] = spillEntry{}
-	}
-	s.spill = kept
-	s.spillMin = min
-}
-
-// pendingSpill counts spilled events (including not-yet-reclaimed cancelled
-// entries, which are dropped when their timestamp comes due).
-func (s *shardSched) pendingSpill() int { return len(s.spill) }
 
 func (s *shardSched) Now() Time { return s.now }
 
@@ -558,27 +476,19 @@ func (s *shardSched) At(t Time, fn func()) Handle {
 		panic("sim: global schedule from inside a shard window; use the shard or cross-shard scheduler")
 	}
 	ev := s.q.acquire(t, fn)
-	s.enqueue(ev)
+	s.q.push(ev)
 	return Handle{ev: ev, gen: ev.gen}
 }
 
-func (s *shardSched) Cancel(h Handle) {
-	if ev := h.ev; ev != nil && ev.gen == h.gen && !ev.cancel && ev.index == spilledIndex {
-		// Spilled: mark only; the slot is reclaimed when the sweep reaches
-		// its timestamp (the spill slice still references it).
-		ev.cancel = true
-		return
-	}
-	s.q.cancel(h)
-}
+func (s *shardSched) Cancel(h Handle) { s.q.cancel(h) }
 
 // step pops and fires the earliest event (degenerate mode and the global
 // queue use plain Engine stepping).
 func (s *shardSched) step() bool {
-	if s.q.len() == 0 {
+	ev := s.q.pop()
+	if ev == nil {
 		return false
 	}
-	ev := s.q.pop()
 	s.now = ev.at
 	s.fired++
 	fn := ev.fn
@@ -590,8 +500,6 @@ func (s *shardSched) step() bool {
 // runWindow executes this shard's events below (or up to, when incl) tStop,
 // then parks the local clock at tStop.
 func (s *shardSched) runWindow(tStop Time, incl bool) {
-	s.inWindow, s.winEnd, s.winIncl = true, tStop, incl
-	s.promote(tStop, incl)
 	for {
 		ev := s.q.head()
 		if ev == nil || ev.at > tStop || (!incl && ev.at == tStop) {
@@ -606,7 +514,6 @@ func (s *shardSched) runWindow(tStop Time, incl bool) {
 	}
 	s.now = tStop
 	s.windows++
-	s.inWindow = false
 }
 
 // crossEvent is a schedule bound for another shard, parked in the source

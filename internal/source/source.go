@@ -166,7 +166,8 @@ func (s *Source) Sent(k int) int64 { return s.sent[k-1] }
 
 // Start begins transmission of every layer. CBR layers emit one packet per
 // fixed inter-packet gap; VBR layers emit a per-interval batch spread evenly
-// across the interval.
+// across the interval. Each layer's per-packet callback is bound once here
+// and rescheduled as is, so steady-state emission allocates nothing.
 func (s *Source) Start() {
 	if s.started {
 		return
@@ -176,16 +177,29 @@ func (s *Source) Start() {
 	for l := 1; l <= s.cfg.layers(); l++ {
 		layer := l
 		if s.cfg.VBR() {
+			emit := func() {
+				if !s.stopped {
+					s.emit(layer)
+				}
+			}
 			// Emit one batch immediately, then every interval.
-			s.emitVBRBatch(layer)
-			tk := sim.Every(e, VBRInterval, func() { s.emitVBRBatch(layer) })
+			s.emitVBRBatch(layer, emit)
+			tk := sim.Every(e, VBRInterval, func() { s.emitVBRBatch(layer, emit) })
 			s.tickers = append(s.tickers, tk)
 		} else {
 			gap := sim.TransmitTime(s.cfg.packetSize(), s.cfg.rate(layer))
+			var emit func()
+			emit = func() {
+				if s.stopped {
+					return
+				}
+				s.emit(layer)
+				s.sched().Schedule(gap, emit)
+			}
 			// Desynchronize layers slightly so all layers do not fire in
 			// the same microsecond (deterministic per seed).
 			offset := sim.Time(e.Rand().Int63n(int64(gap)))
-			e.Schedule(offset, func() { s.emitCBR(layer, gap) })
+			e.Schedule(offset, emit)
 		}
 	}
 }
@@ -199,17 +213,10 @@ func (s *Source) Stop() {
 	s.tickers = nil
 }
 
-func (s *Source) emitCBR(layer int, gap sim.Time) {
-	if s.stopped {
-		return
-	}
-	s.emit(layer)
-	s.sched().Schedule(gap, func() { s.emitCBR(layer, gap) })
-}
-
 // emitVBRBatch draws the per-interval packet count from the peak-to-mean
-// model and spreads the packets evenly across the interval.
-func (s *Source) emitVBRBatch(layer int) {
+// model and spreads the packets evenly across the interval, scheduling the
+// layer's bound emit callback once per packet.
+func (s *Source) emitVBRBatch(layer int, emit func()) {
 	if s.stopped {
 		return
 	}
@@ -228,12 +235,7 @@ func (s *Source) emitVBRBatch(layer int) {
 	}
 	gap := VBRInterval / sim.Time(count)
 	for i := 0; i < count; i++ {
-		delay := sim.Time(i) * gap
-		e.Schedule(delay, func() {
-			if !s.stopped {
-				s.emit(layer)
-			}
-		})
+		e.Schedule(sim.Time(i)*gap, emit)
 	}
 }
 

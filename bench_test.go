@@ -187,7 +187,7 @@ func BenchmarkAlgorithmStep(b *testing.B) {
 // second on a loaded Topology B, the substrate cost under every experiment.
 func BenchmarkSimulation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		w := experiments.NewWorldB(4, experiments.WorldConfig{Seed: int64(i + 1), Traffic: experiments.CBR})
+		w := experiments.NewWorldB(4, 0, experiments.WorldConfig{Seed: int64(i + 1), Traffic: experiments.CBR})
 		w.Run(30 * sim.Second)
 		if i == 0 {
 			b.ReportMetric(float64(w.Engine.Fired()), "events/run")
@@ -264,7 +264,7 @@ func BenchmarkAlgorithmStepScale(b *testing.B) {
 // BenchmarkMulticastForwarding measures raw packet replication through the
 // multicast layer on a 32-receiver tree.
 func BenchmarkMulticastForwarding(b *testing.B) {
-	w := experiments.NewWorldA(16, experiments.WorldConfig{Seed: 1, Traffic: experiments.CBR})
+	w := experiments.NewWorldA(16, 0, experiments.WorldConfig{Seed: 1, Traffic: experiments.CBR})
 	w.Run(30 * sim.Second) // receivers joined and climbing
 	before := w.Engine.Fired()
 	b.ResetTimer()

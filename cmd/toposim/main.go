@@ -16,6 +16,7 @@
 //	toposim -topo tree,depth=3,branch=8,rxleaf=2 -duration 30   # generated large topology
 //	toposim -topo tree,depth=4,branch=10,rxleaf=10 -shards 4    # sharded engine, 4 workers
 //	toposim -topo tree,depth=3,branch=8,rxleaf=2 -aggregate     # in-network report aggregation
+//	toposim -topo tree,depth=3,branch=4,rxleaf=2 -federate -churn 4   # churn under per-domain leaf controllers
 //	toposim -topo list                           # list registered generators and keys
 //	toposim -topology B -sessions 4 -algo rlm    # RLM baseline instead
 //	toposim -topology A -json BENCH_simA.json    # machine-readable result
@@ -33,7 +34,6 @@ import (
 	"strings"
 	"time"
 
-	"toposense/internal/churn"
 	"toposense/internal/controller"
 	"toposense/internal/core"
 	"toposense/internal/experiments"
@@ -43,9 +43,7 @@ import (
 	"toposense/internal/obs"
 	"toposense/internal/prof"
 	"toposense/internal/receiver"
-	"toposense/internal/rlm"
 	"toposense/internal/sim"
-	"toposense/internal/source"
 	"toposense/internal/topology"
 	"toposense/internal/trace"
 )
@@ -172,6 +170,13 @@ func main() {
 		ProbeDiscovery: *probe,
 		Aggregate:      *aggregate,
 	}
+	switch {
+	case algoName == "rlm":
+		cfg.Plane = experiments.PlaneRLM
+		*billing, *explain = false, false // both read the controller RLM does not have
+	case *federate:
+		cfg.Plane = experiments.PlaneFederated
+	}
 	dur := sim.FromSeconds(*duration)
 
 	// The flight recorder lives inside the run's obs bundle; capture it from
@@ -206,9 +211,6 @@ func main() {
 					})
 				}
 			}
-			m.Observe(e, b.Net)
-			runObs = m.Obs()
-
 			var inj *faults.Injector
 			if *failAt > 0 {
 				if len(b.Bottlenecks) == 0 {
@@ -222,210 +224,94 @@ func main() {
 				inj.Outage(sim.FromSeconds(*failAt), sim.FromSeconds(*outage), links...)
 			}
 
-			var traces []*metrics.Trace
-			var optima []int
-			var levels []int
-			var names []string
+			w, err := experiments.AssembleWorld(e, b, cfg)
+			if err != nil {
+				return nil, err
+			}
+			m.ObserveWorld(w)
+			runObs = m.Obs()
+			if *billing {
+				w.Controller.EnableBilling()
+			}
+			if *explain {
+				w.Controller.Algorithm().EnableExplain()
+			}
 			var sampler *trace.Sampler
-			if algoName == "toposense" && *federate {
-				w, err := experiments.NewFedWorld(e, b, cfg)
-				if err != nil {
-					return nil, err
-				}
-				w.Domain.SetObs(m.Obs())
-				for _, l := range w.Leaves {
-					l.Controller().SetObs(m.Obs())
-				}
-				w.Parent.SetObs(m.Obs())
-				if *tsvDir != "" {
-					sampler = trace.NewSampler(e, 500*sim.Millisecond)
-					for s := range w.Receivers {
-						for _, rx := range w.Receivers[s] {
-							rx := rx
-							name := fmt.Sprintf("s%d-%s", s, rx.Node().Name)
-							sampler.Probe(name+".level", func() float64 { return float64(rx.Level()) })
-							sampler.Probe(name+".loss", func() float64 { return rx.LastLoss })
-						}
-					}
-					sampler.Start()
-				}
-				w.Run(dur)
-				traces, optima = w.AllTraces()
-				for s := range w.Receivers {
-					for _, rx := range w.Receivers[s] {
-						levels = append(levels, rx.Level())
-						names = append(names, fmt.Sprintf("s%d/%s", s, rx.Node().Name))
+			if *tsvDir != "" {
+				// Sampled through the slot's live incarnation, so a churned
+				// series reads 0 while departed and follows each rejoin.
+				sampler = trace.NewSampler(e, 500*sim.Millisecond)
+				for _, sl := range w.Slots() {
+					s, i := sl.Session, sl.Index
+					name := fmt.Sprintf("s%d-%s", s, b.Receivers[s][i].Name)
+					sampler.Probe(name+".level", func() float64 { return float64(w.Level(s, i)) })
+					if cfg.Plane != experiments.PlaneRLM {
+						sampler.Probe(name+".loss", func() float64 {
+							if rx, ok := w.Live(s, i).(*receiver.Receiver); ok {
+								return rx.LastLoss
+							}
+							return 0
+						})
 					}
 				}
+				sampler.Start()
+			}
+			// Membership churn: every receiver alternates between joined and
+			// departed; a rejoin is a fresh incarnation feeding the same
+			// trace, so deviations reflect the churn.
+			if *churnPeriod > 0 {
+				w.ChurnSlots(sim.FromSeconds(*churnPeriod), w.Slots())
+			}
+			w.Run(dur)
+
+			if w.Controller != nil {
+				fmt.Printf("controller: %d steps, %d suggestions sent, %d reports received\n",
+					w.Controller.StepsRun, w.Controller.SuggestionsSent, w.Controller.ReportsRecv)
+			}
+			if w.Parent != nil {
 				fmt.Printf("federation: %d domains, %d exports received, %d reconcile passes, %d budget changes\n",
 					len(w.Leaves), w.Parent.ExportsRecv, w.Parent.Reconciles, w.Parent.BudgetChanges)
-				for _, l := range w.Leaves {
-					ctrl := l.Controller()
+				for k, l := range w.Leaves {
+					ctrl := w.Controllers[k]
 					changes, last := w.Parent.ChangesFor(l.Domain)
 					fmt.Printf("  domain %d: ceiling %d, %d exports sent, %d budget entries (last change %.0f s), %d suggestions capped, %d steps\n",
 						l.Domain, w.Parent.Ceiling(l.Domain), l.ExportsSent, changes, last.Seconds(), ctrl.SuggestionsCapped, ctrl.StepsRun)
 				}
-			} else if algoName == "toposense" {
-				w := experiments.NewWorld(e, b, cfg)
-				// m.Observe already attached the packet probe; wire the
-				// control-plane components by hand (SetObs(nil) is a no-op).
-				w.Domain.SetObs(m.Obs())
-				w.Controller.SetObs(m.Obs())
-				if *billing {
-					w.Controller.EnableBilling()
-				}
-				if *explain {
-					w.Controller.Algorithm().EnableExplain()
-				}
-				if *tsvDir != "" {
-					sampler = trace.NewSampler(e, 500*sim.Millisecond)
-					for s := range w.Receivers {
-						for _, rx := range w.Receivers[s] {
-							rx := rx
-							name := fmt.Sprintf("s%d-%s", s, rx.Node().Name)
-							sampler.Probe(name+".level", func() float64 { return float64(rx.Level()) })
-							sampler.Probe(name+".loss", func() float64 { return rx.LastLoss })
-						}
+			}
+			if *churnPeriod > 0 {
+				fmt.Printf("churn: %d joins, %d leaves", w.Churn.Joins, w.Churn.Leaves)
+				if len(w.Controllers) > 0 {
+					var deregs int64
+					registered := 0
+					for _, c := range w.Controllers {
+						deregs += c.DeregistersRecv
+						registered += len(c.RegisteredReceivers())
 					}
-					sampler.Start()
+					fmt.Printf(", %d deregisters consumed, %d receivers registered at end", deregs, registered)
 				}
-				// Membership churn: every receiver alternates between joined
-				// and departed. A departure is the full lifecycle (leave all
-				// layer groups, deregister with the controller); a rejoin is a
-				// fresh incarnation that registers from scratch. cur tracks
-				// the live incarnation per slot; its OnChange feeds the same
-				// trace as the original, so deviations reflect the churn.
-				var cur [][]*receiver.Receiver
-				var drv *churn.Driver
-				if *churnPeriod > 0 {
-					drv = churn.New(b.Net)
-					drv.SetObs(m.Obs())
-					period := sim.FromSeconds(*churnPeriod)
-					cur = make([][]*receiver.Receiver, len(w.Receivers))
-					for s := range w.Receivers {
-						cur[s] = append([]*receiver.Receiver(nil), w.Receivers[s]...)
-						for i := range w.Receivers[s] {
-							s, i := s, i
-							node := b.Receivers[s][i]
-							tr := w.Traces[s][i]
-							drv.Slot(0, period, period,
-								func() {
-									rx := receiver.New(b.Net, w.Domain, node, receiver.Config{
-										Session: s, MaxLayers: source.DefaultLayers,
-										InitialLevel: 1, Controller: b.Controller.ID,
-									})
-									rx.OnChange = func(c receiver.Change) { tr.Set(c.At, c.To) }
-									rx.Start()
-									cur[s][i] = rx
-								},
-								func() {
-									if rx := cur[s][i]; rx != nil {
-										rx.Depart()
-										cur[s][i] = nil
-									}
-								})
-						}
-					}
-				}
-				w.Run(dur)
-				traces, optima = w.AllTraces()
-				for s := range w.Receivers {
-					for i, rx := range w.Receivers[s] {
-						if cur != nil {
-							rx = cur[s][i]
-						}
-						lvl := 0
-						if rx != nil {
-							lvl = rx.Level()
-						}
-						levels = append(levels, lvl)
-						names = append(names, fmt.Sprintf("s%d/%s", s, b.Receivers[s][i].Name))
-					}
-				}
-				fmt.Printf("controller: %d steps, %d suggestions sent, %d reports received\n",
-					w.Controller.StepsRun, w.Controller.SuggestionsSent, w.Controller.ReportsRecv)
-				if drv != nil {
-					fmt.Printf("churn: %d joins, %d leaves, %d deregisters consumed, %d receivers registered at end\n",
-						drv.Joins, drv.Leaves, w.Controller.DeregistersRecv, len(w.Controller.RegisteredReceivers()))
-				}
+				fmt.Println()
+			}
+			if *aggregate {
+				fmt.Printf("aggregation: %d reports absorbed in-network, %d merges, %d flushes, %d sub-batches down\n",
+					w.Aggregator.Absorbed, w.Aggregator.Merged, w.Aggregator.Flushes, w.Aggregator.Batches)
+				fmt.Printf("controller fan-in: %d control msgs (%d modeled bytes), %d aggregates, %d batches out\n",
+					w.Controller.CtlMsgsRecv, w.Controller.CtlBytesRecv, w.Controller.AggregatesRecv, w.Controller.BatchesSent)
+			}
+			if *probe && w.Tool != nil {
+				fmt.Printf("discovery: %d probe packets over %d discoveries\n", w.Tool.ProbePackets, w.Tool.Discoveries)
+			}
+			if *billing {
+				fmt.Println("\nbilling ledger:")
+				fmt.Print(controller.FormatBillingReport(w.Controller.BillingReport()))
+			}
+			if *explain {
+				fmt.Println("\nfinal interval decisions:")
+				fmt.Print(core.FormatDecisions(w.Controller.Algorithm().LastDecisions()))
 				if *aggregate {
-					fmt.Printf("aggregation: %d reports absorbed in-network, %d merges, %d flushes, %d sub-batches down\n",
-						w.Aggregator.Absorbed, w.Aggregator.Merged, w.Aggregator.Flushes, w.Aggregator.Batches)
-					fmt.Printf("controller fan-in: %d control msgs (%d modeled bytes), %d aggregates, %d batches out\n",
-						w.Controller.CtlMsgsRecv, w.Controller.CtlBytesRecv, w.Controller.AggregatesRecv, w.Controller.BatchesSent)
-				}
-				if *probe {
-					fmt.Printf("discovery: %d probe packets over %d discoveries\n", w.Tool.ProbePackets, w.Tool.Discoveries)
-				}
-				if *billing {
-					fmt.Println("\nbilling ledger:")
-					fmt.Print(controller.FormatBillingReport(w.Controller.BillingReport()))
-				}
-				if *explain {
-					fmt.Println("\nfinal interval decisions:")
-					fmt.Print(core.FormatDecisions(w.Controller.Algorithm().LastDecisions()))
-					if *aggregate {
-						fmt.Println("\nfinal interval subtree summaries:")
-						fmt.Print(core.FormatSubtrees(w.Controller.Algorithm().Subtrees()))
-					}
-				}
-			} else {
-				w := experiments.NewRLMWorld(e, b, cfg)
-				w.Domain.SetObs(m.Obs())
-				// RLM baseline under churn: a departure is Stop (leave every
-				// group — RLM has no control plane to deregister from) and a
-				// rejoin is a fresh receiver probing up from the base layer.
-				var cur [][]*rlm.Receiver
-				var drv *churn.Driver
-				if *churnPeriod > 0 {
-					drv = churn.New(b.Net)
-					drv.SetObs(m.Obs())
-					period := sim.FromSeconds(*churnPeriod)
-					cur = make([][]*rlm.Receiver, len(w.Receivers))
-					for s := range w.Receivers {
-						cur[s] = append([]*rlm.Receiver(nil), w.Receivers[s]...)
-						for i := range w.Receivers[s] {
-							s, i := s, i
-							node := b.Receivers[s][i]
-							tr := w.Traces[s][i]
-							drv.Slot(0, period, period,
-								func() {
-									rx := rlm.New(b.Net, w.Domain, node, rlm.Config{
-										Session: s, MaxLayers: source.DefaultLayers,
-									})
-									rx.OnChange = func(c rlm.Change) { tr.Set(c.At, c.To) }
-									rx.Start()
-									cur[s][i] = rx
-								},
-								func() {
-									if rx := cur[s][i]; rx != nil {
-										rx.Stop()
-										cur[s][i] = nil
-									}
-								})
-						}
-					}
-				}
-				w.Run(dur)
-				traces, optima = w.AllTraces()
-				for s := range w.Receivers {
-					for i, rx := range w.Receivers[s] {
-						if cur != nil {
-							rx = cur[s][i]
-						}
-						lvl := 0
-						if rx != nil {
-							lvl = rx.Level()
-						}
-						levels = append(levels, lvl)
-						names = append(names, fmt.Sprintf("s%d/%s", s, b.Receivers[s][i].Name))
-					}
-				}
-				if drv != nil {
-					fmt.Printf("churn: %d joins, %d leaves\n", drv.Joins, drv.Leaves)
+					fmt.Println("\nfinal interval subtree summaries:")
+					fmt.Print(core.FormatSubtrees(w.Controller.Algorithm().Subtrees()))
 				}
 			}
-
 			if inj != nil {
 				fmt.Printf("faults: bottleneck down %.0f-%.0f s (%d link failures, %d repairs, %d packets unroutable)\n",
 					*failAt, *failAt+*outage, inj.Failures, inj.Repairs, b.Net.Unroutable)
@@ -438,14 +324,16 @@ func main() {
 				fmt.Printf("wrote %d series to %s\n", len(sampler.Names()), *tsvDir)
 			}
 
+			traces, optima := w.AllTraces()
 			res := simResult{MeanDev: metrics.MeanRelativeDeviation(traces, optima, 0, dur)}
-			for i, trc := range traces {
+			for k, sl := range w.Slots() {
+				s, i := sl.Session, sl.Index
 				res.Rows = append(res.Rows, receiverRow{
-					Receiver:  names[i],
-					Level:     levels[i],
-					Optimal:   optima[i],
-					Deviation: trc.RelativeDeviation(optima[i], 0, dur),
-					Changes:   trc.Changes(0, dur),
+					Receiver:  fmt.Sprintf("s%d/%s", s, b.Receivers[s][i].Name),
+					Level:     w.Level(s, i),
+					Optimal:   optima[k],
+					Deviation: traces[k].RelativeDeviation(optima[k], 0, dur),
+					Changes:   traces[k].Changes(0, dur),
 				})
 			}
 			return res, nil

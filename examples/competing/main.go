@@ -34,14 +34,14 @@ func main() {
 
 	// RLM baseline on the identical topology and traffic.
 	e2 := sim.NewEngine(3)
-	w2 := experiments.NewRLMWorld(e2,
+	w2 := experiments.NewWorld(e2,
 		topology.MustGenerate(e2, &topology.BConfig{Sessions: sessions}),
-		experiments.WorldConfig{Seed: 3, Traffic: experiments.VBR3})
+		experiments.WorldConfig{Seed: 3, Traffic: experiments.VBR3, Plane: experiments.PlaneRLM})
 	w2.Run(duration)
 
 	fmt.Printf("%-9s  %-10s  %-10s\n", "session", "TopoSense", "RLM")
 	for s := 0; s < sessions; s++ {
-		fmt.Printf("%-9d  %-10d  %-10d\n", s, w1.Receivers[s][0].Level(), w2.Receivers[s][0].Level())
+		fmt.Printf("%-9d  %-10d  %-10d\n", s, w1.Level(s, 0), w2.Level(s, 0))
 	}
 
 	t1, o1 := w1.AllTraces()

@@ -9,9 +9,9 @@ import (
 
 // topologyB builds the controller's image of Topology B: sessions sessions
 // rooted at distinct sources, all funneling through the shared backbone
-// X(0) → Y(1) and fanning out to one receiver each — the same shape
-// topology.BuildB hands the discovery layer, with the dense node numbering
-// a real network produces.
+// X(0) → Y(1) and fanning out to one receiver each — the same shape the
+// Topology B generator hands the discovery layer, with the dense node
+// numbering a real network produces.
 func topologyB(sessions int) ([]*Topology, []ReceiverState) {
 	topos := make([]*Topology, 0, sessions)
 	reports := make([]ReceiverState, 0, sessions)

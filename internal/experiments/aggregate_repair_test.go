@@ -26,7 +26,7 @@ func TestAggregateRidesOutRepair(t *testing.T) {
 		outage   = 40 * sim.Second
 		repairAt = failAt + outage
 	)
-	w := NewWorldB(2, WorldConfig{Seed: 7, Traffic: CBR, Aggregate: true})
+	w := NewWorldB(2, 0, WorldConfig{Seed: 7, Traffic: CBR, Aggregate: true})
 	bl := w.Build.Bottlenecks[0]
 	inj := faults.New(w.Net)
 	inj.Outage(failAt, outage, bl, bl.Reverse())
@@ -75,20 +75,8 @@ func TestAggregateRidesOutRepair(t *testing.T) {
 func TestShutdownPoolBalance(t *testing.T) {
 	aggBefore, batchBefore := report.AggregatesLive(), report.BatchesLive()
 
-	w := NewWorldB(2, WorldConfig{Seed: 1, Traffic: CBR, Aggregate: true})
-	// A congestion-dropped control packet's pooled payload falls to the
-	// garbage collector, never back to the pool — that is the documented
-	// drop contract, not a leak. Count those to exempt them from the
-	// balance below.
-	var aggDropped, batchDropped int64
-	w.Net.AttachProbe(&netsim.FuncProbe{OnDrop: func(l *netsim.Link, p *netsim.Packet) {
-		switch p.Payload.(type) {
-		case *report.Aggregate:
-			aggDropped++
-		case *report.SuggestionBatch:
-			batchDropped++
-		}
-	}})
+	w := NewWorldB(2, 0, WorldConfig{Seed: 1, Traffic: CBR, Aggregate: true})
+	aggDrops, batchDrops := countPooledDrops(w.Net)
 	// A horizon deliberately misaligned with the report/flush cadence so
 	// batches and pending aggregates are in flight when the world stops.
 	w.Run(45*sim.Second + 123*sim.Millisecond)
@@ -105,13 +93,13 @@ func TestShutdownPoolBalance(t *testing.T) {
 	w.Engine.RunUntil(50 * sim.Second)
 	w.Aggregator.Stop()
 
-	if got, want := report.AggregatesLive(), aggBefore+aggDropped; got != want {
+	if got, want := report.AggregatesLive(), aggBefore+aggDrops.Load(); got != want {
 		t.Errorf("aggregates still live after Shutdown: %d, want %d (baseline %d + %d lost to drops)",
-			got, want, aggBefore, aggDropped)
+			got, want, aggBefore, aggDrops.Load())
 	}
-	if got, want := report.BatchesLive(), batchBefore+batchDropped; got != want {
+	if got, want := report.BatchesLive(), batchBefore+batchDrops.Load(); got != want {
 		t.Errorf("suggestion batches still live after Shutdown: %d, want %d (baseline %d + %d lost to drops)",
-			got, want, batchBefore, batchDropped)
+			got, want, batchBefore, batchDrops.Load())
 	}
 }
 
@@ -125,16 +113,8 @@ func TestShutdownPoolBalance(t *testing.T) {
 func TestDepartPurgePoolBalance(t *testing.T) {
 	aggBefore, batchBefore := report.AggregatesLive(), report.BatchesLive()
 
-	w := NewWorldB(2, WorldConfig{Seed: 3, Traffic: CBR, Aggregate: true})
-	var aggDropped, batchDropped int64
-	w.Net.AttachProbe(&netsim.FuncProbe{OnDrop: func(l *netsim.Link, p *netsim.Packet) {
-		switch p.Payload.(type) {
-		case *report.Aggregate:
-			aggDropped++
-		case *report.SuggestionBatch:
-			batchDropped++
-		}
-	}})
+	w := NewWorldB(2, 0, WorldConfig{Seed: 3, Traffic: CBR, Aggregate: true})
+	aggDrops, batchDrops := countPooledDrops(w.Net)
 	// Depart one receiver per session mid-run, deliberately misaligned with
 	// the report/flush cadence so each departing receiver has feedback
 	// pending at upstream aggregation nodes when its Deregister climbs.
@@ -165,13 +145,13 @@ func TestDepartPurgePoolBalance(t *testing.T) {
 	w.Engine.RunUntil(50 * sim.Second)
 	w.Aggregator.Stop()
 
-	if got, want := report.AggregatesLive(), aggBefore+aggDropped; got != want {
+	if got, want := report.AggregatesLive(), aggBefore+aggDrops.Load(); got != want {
 		t.Errorf("aggregates still live after a churn run: %d, want %d (baseline %d + %d lost to drops)",
-			got, want, aggBefore, aggDropped)
+			got, want, aggBefore, aggDrops.Load())
 	}
-	if got, want := report.BatchesLive(), batchBefore+batchDropped; got != want {
+	if got, want := report.BatchesLive(), batchBefore+batchDrops.Load(); got != want {
 		t.Errorf("suggestion batches still live after a churn run: %d, want %d (baseline %d + %d lost to drops)",
-			got, want, batchBefore, batchDropped)
+			got, want, batchBefore, batchDrops.Load())
 	}
 }
 
@@ -186,7 +166,7 @@ func TestShardAggregateDecisionEquivalence(t *testing.T) {
 	}
 	const dur = 120 * sim.Second
 	mk := func(shards int, aggregate bool) *World {
-		w := NewWorldB(4, WorldConfig{Seed: 1, Traffic: CBR, Shards: shards, Aggregate: aggregate})
+		w := NewWorldB(4, shards, WorldConfig{Seed: 1, Traffic: CBR, Aggregate: aggregate})
 		w.Run(dur)
 		return w
 	}

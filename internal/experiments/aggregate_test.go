@@ -33,8 +33,8 @@ func TestAggregateDecisionEquivalence(t *testing.T) {
 		name string
 		mk   func(cfg WorldConfig) *World
 	}{
-		{"topologyA", func(cfg WorldConfig) *World { return NewWorldA(2, cfg) }},
-		{"topologyB", func(cfg WorldConfig) *World { return NewWorldB(4, cfg) }},
+		{"topologyA", func(cfg WorldConfig) *World { return NewWorldA(2, 0, cfg) }},
+		{"topologyB", func(cfg WorldConfig) *World { return NewWorldB(4, 0, cfg) }},
 	}
 	for _, b := range build {
 		t.Run(b.name, func(t *testing.T) {
@@ -141,7 +141,7 @@ func TestScaleSpecsAggregateTwins(t *testing.T) {
 // -federate/-churn matrix: the unsupportable pairs are rejected with errors
 // that name both flags and the fallback, and every other combination — in
 // particular -shards with -aggregate, -failat with -aggregate, -shards
-// with -federate, and -churn with -shards or -failat — passes.
+// with -federate, and -churn with -shards, -failat or -federate — passes.
 func TestValidateEngineFlags(t *testing.T) {
 	cases := []struct {
 		name                string
@@ -164,6 +164,8 @@ func TestValidateEngineFlags(t *testing.T) {
 		{name: "churn sharded", shards: 4, churn: 4, wantErr: false},
 		{name: "churn with faults", failAt: 200, churn: 4, wantErr: false},
 		{name: "churn with aggregate", aggregate: true, churn: 4, wantErr: false},
+		{name: "churn federated", churn: 4, federate: true, wantErr: false},
+		{name: "churn federated sharded", shards: 4, churn: 4, federate: true, wantErr: false},
 
 		{name: "faults on one worker", shards: 1, failAt: 200, wantErr: true,
 			frags: []string{"-failat", "-shards", "serial engine"}},
@@ -175,8 +177,6 @@ func TestValidateEngineFlags(t *testing.T) {
 			frags: []string{"-failat", "-federate", "drop -federate"}},
 		{name: "federate with aggregate", aggregate: true, federate: true, wantErr: true,
 			frags: []string{"-federate", "-aggregate", "drop -aggregate"}},
-		{name: "churn federated", churn: 4, federate: true, wantErr: true,
-			frags: []string{"-churn", "-federate", "drop -federate"}},
 		{name: "negative churn", churn: -1, wantErr: true,
 			frags: []string{"-churn", "positive"}},
 		{name: "everything at once", shards: 4, failAt: 200, aggregate: true, federate: true,

@@ -3,81 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"toposense/internal/mcast"
 	"toposense/internal/metrics"
-	"toposense/internal/rlm"
 	"toposense/internal/sim"
-	"toposense/internal/source"
-	"toposense/internal/topology"
 )
-
-// RLMWorld is a simulation using uncoordinated receiver-driven (RLM-style)
-// receivers instead of a TopoSense controller — the baseline class of
-// approaches the paper contrasts with.
-type RLMWorld struct {
-	Engine    sim.Runner
-	Build     *topology.Build
-	Domain    *mcast.Domain
-	Sources   []*source.Source
-	Receivers [][]*rlm.Receiver
-	Traces    [][]*metrics.Trace
-	Optimal   [][]int
-	started   bool
-}
-
-// NewRLMWorld assembles an RLM world on a built topology.
-func NewRLMWorld(e sim.Runner, b *topology.Build, cfg WorldConfig) *RLMWorld {
-	layers := cfg.Layers
-	if layers == 0 {
-		layers = source.DefaultLayers
-	}
-	d := mcast.NewDomain(b.Net)
-	w := &RLMWorld{Engine: e, Build: b, Domain: d, Optimal: b.Optimal}
-	for i, srcNode := range b.Sources {
-		w.Sources = append(w.Sources, source.New(b.Net, d, srcNode, source.Config{
-			Session: i, Layers: layers, PeakToMean: cfg.Traffic.PeakToMean,
-		}))
-	}
-	for s := range b.Receivers {
-		var rxs []*rlm.Receiver
-		var trs []*metrics.Trace
-		for _, node := range b.Receivers[s] {
-			rx := rlm.New(b.Net, d, node, rlm.Config{Session: s, MaxLayers: layers})
-			tr := metrics.NewTrace(0, 0)
-			rx.OnChange = func(c rlm.Change) { tr.Set(c.At, c.To) }
-			rxs = append(rxs, rx)
-			trs = append(trs, tr)
-		}
-		w.Receivers = append(w.Receivers, rxs)
-		w.Traces = append(w.Traces, trs)
-	}
-	return w
-}
-
-// Run starts everything and advances to the given time.
-func (w *RLMWorld) Run(until sim.Time) {
-	if !w.started {
-		w.started = true
-		for _, s := range w.Sources {
-			s.Start()
-		}
-		for _, rxs := range w.Receivers {
-			for _, rx := range rxs {
-				rx.Start()
-			}
-		}
-	}
-	w.Engine.RunUntil(until)
-}
-
-// AllTraces flattens traces with their optima.
-func (w *RLMWorld) AllTraces() (traces []*metrics.Trace, optima []int) {
-	for s := range w.Traces {
-		traces = append(traces, w.Traces[s]...)
-		optima = append(optima, w.Optimal[s]...)
-	}
-	return traces, optima
-}
 
 // BaselineRow compares TopoSense and RLM on the same scenario.
 type BaselineRow struct {
@@ -119,10 +47,10 @@ func (c *BaselineConfig) normalize() {
 func BaselineSpecs(cfg BaselineConfig) []Spec {
 	cfg.normalize()
 	var specs []Spec
-	add := func(scenario string, tr Traffic, topoSense bool) {
-		algo := "RLM"
-		if topoSense {
-			algo = "TopoSense"
+	add := func(scenario string, tr Traffic, plane Plane) {
+		algo := "TopoSense"
+		if plane == PlaneRLM {
+			algo = "RLM"
 		}
 		scenarioName := fmt.Sprintf("Topology %s", scenario)
 		if scenario == "A" {
@@ -135,26 +63,16 @@ func BaselineSpecs(cfg BaselineConfig) []Spec {
 			fmt.Sprintf("baseline/topo=%s/%s/%s", scenario, tr.Name, algo),
 			cfg.Seed, cfg.Duration,
 			func(m *Meter) (any, error) {
-				e := sim.NewEngine(cfg.Seed)
-				var b *topology.Build
+				wc := WorldConfig{Seed: cfg.Seed, Traffic: tr, Plane: plane}
+				var w *World
 				if scenario == "A" {
-					b = topology.MustGenerate(e, &topology.AConfig{ReceiversPerSet: cfg.PerSet})
+					w = NewWorldA(cfg.PerSet, 0, wc)
 				} else {
-					b = topology.MustGenerate(e, &topology.BConfig{Sessions: cfg.Sessions})
+					w = NewWorldB(cfg.Sessions, 0, wc)
 				}
-				m.Observe(e, b.Net)
-				var traces []*metrics.Trace
-				var optima []int
-				wc := WorldConfig{Seed: cfg.Seed, Traffic: tr}
-				if topoSense {
-					w := NewWorld(e, b, wc)
-					w.Run(cfg.Duration)
-					traces, optima = w.AllTraces()
-				} else {
-					w := NewRLMWorld(e, b, wc)
-					w.Run(cfg.Duration)
-					traces, optima = w.AllTraces()
-				}
+				m.ObserveWorld(w)
+				w.Run(cfg.Duration)
+				traces, optima := w.AllTraces()
 				return []BaselineRow{{
 					Scenario:   scenarioName,
 					Algo:       algo,
@@ -165,8 +83,8 @@ func BaselineSpecs(cfg BaselineConfig) []Spec {
 	}
 	for _, scenario := range []string{"A", "B"} {
 		for _, tr := range cfg.Traffics {
-			add(scenario, tr, true)
-			add(scenario, tr, false)
+			add(scenario, tr, PlaneFlat)
+			add(scenario, tr, PlaneRLM)
 		}
 	}
 	return specs

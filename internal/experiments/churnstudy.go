@@ -3,25 +3,19 @@ package experiments
 import (
 	"fmt"
 
-	"toposense/internal/churn"
-	"toposense/internal/metrics"
 	"toposense/internal/netsim"
-	"toposense/internal/receiver"
-	"toposense/internal/rlm"
 	"toposense/internal/sim"
-	"toposense/internal/source"
 	"toposense/internal/topology"
 	"toposense/internal/trace"
 )
 
 // fig_churn: the full receiver leave lifecycle under Poisson join/leave
-// churn. Where the legacy "churn" study only stops churning receivers (and
-// leans on registration expiry to clean up), this study exercises the
-// explicit departure path end to end — Depart() tears down every layer
-// group, the Deregister control packet removes the controller's entry the
-// moment it lands, and the multicast tree prunes behind the last member —
-// sweeping the churn period around the decision interval on Topology B
-// (TopoSense vs RLM) plus one large tree-ladder point at ~1% churn.
+// churn. The study exercises the explicit departure path end to end —
+// Depart() tears down every layer group, the Deregister control packet
+// removes the controller's entry the moment it lands, and the multicast
+// tree prunes behind the last member — sweeping the churn period around the
+// decision interval on Topology B (TopoSense vs RLM) plus one large
+// tree-ladder point at ~1% churn.
 
 // churnSettleWindow is the tail window settled receivers are judged over:
 // a settled receiver must track its optimum regardless of the churn around
@@ -106,14 +100,11 @@ func (c *ChurnStudyConfig) normalize() {
 	}
 }
 
-// churnSlotRef names one churning receiver: an index into Build.Receivers.
-type churnSlotRef struct{ session, idx int }
-
 // addChurnNodesB grows a Topology B build by one churn receiver per
 // session, hung off Y over the same fat link as the session's settled
 // receiver, and returns the slot references. Must run before the world is
 // built (and so before any partitioning).
-func addChurnNodesB(b *topology.Build) []churnSlotRef {
+func addChurnNodesB(b *topology.Build) []Slot {
 	var y *netsim.Node
 	for _, n := range b.Net.Nodes() {
 		if n.Name == "Y" {
@@ -129,60 +120,83 @@ func addChurnNodesB(b *topology.Build) []churnSlotRef {
 		Delay:      topology.DefaultDelay,
 		QueueLimit: topology.DefaultQueueLimit,
 	}
-	refs := make([]churnSlotRef, 0, len(b.Receivers))
+	refs := make([]Slot, 0, len(b.Receivers))
 	for s := range b.Receivers {
 		node := b.Net.AddNode(fmt.Sprintf("churn%d", s))
 		b.Net.Connect(y, node, fat)
 		b.Receivers[s] = append(b.Receivers[s], node)
 		// Same bottleneck as the settled receiver, same optimum.
 		b.Optimal[s] = append(b.Optimal[s], b.Optimal[s][0])
-		refs = append(refs, churnSlotRef{session: s, idx: len(b.Receivers[s]) - 1})
+		refs = append(refs, Slot{s, len(b.Receivers[s]) - 1})
 	}
 	return refs
 }
 
 // treeChurnSlots picks ~1% of a single-session build's receivers (at least
 // one), evenly spaced, as churn slots.
-func treeChurnSlots(b *topology.Build) []churnSlotRef {
+func treeChurnSlots(b *topology.Build) []Slot {
 	n := len(b.Receivers[0])
 	slots := n / 100
 	if slots < 1 {
 		slots = 1
 	}
-	refs := make([]churnSlotRef, 0, slots)
+	refs := make([]Slot, 0, slots)
 	for i := 0; i < slots; i++ {
-		refs = append(refs, churnSlotRef{session: 0, idx: i * n / slots})
+		refs = append(refs, Slot{0, i * n / slots})
 	}
 	return refs
 }
 
-// churnMetrics fills the post-run half of a row from the shared pieces of
-// both worlds.
-func churnMetrics(row *ChurnStudyRow, drv *churn.Driver, grafts, prunes int64,
-	sp *trace.Sampler, traces [][]*metrics.Trace, optimal [][]int,
-	refs []churnSlotRef, dur sim.Time) {
-	row.Joins, row.Leaves = drv.Joins, drv.Leaves
-	row.GraftsPerSec = float64(grafts) / dur.Seconds()
-	row.PrunesPerSec = float64(prunes) / dur.Seconds()
+// runChurn is one arm of the study: build the world on the given plane,
+// churn its slots — through the full departure lifecycle (Depart ->
+// Deregister -> prune) under TopoSense, silent Stops under RLM, which has no
+// controller to notify — and reduce. mkBuild must emit the build with churn
+// nodes already in place.
+func runChurn(topo string, plane Plane, seed int64, dur, period sim.Time, shards int,
+	mkBuild func(e sim.Runner) (*topology.Build, []Slot), m *Meter) []ChurnStudyRow {
+	e := NewRunEngine(seed, shards)
+	b, slots := mkBuild(e)
+	w := NewWorld(e, b, WorldConfig{Seed: seed, Plane: plane})
+	m.ObserveWorld(w)
+	drv := w.ChurnSlots(period, slots)
+
+	sp := trace.NewSampler(e, 2*sim.Second)
+	sp.Probe("tree_cost", func() float64 { return float64(w.Domain.TreeCost()) })
+	sp.Start()
+	w.Run(dur)
+	sp.Stop()
+
+	row := ChurnStudyRow{Topo: topo, Algo: "TopoSense", PeriodS: period.Seconds(),
+		Slots: len(slots), Sharded: shards >= 1,
+		Joins: drv.Joins, Leaves: drv.Leaves,
+		GraftsPerSec: float64(w.Domain.Grafts) / dur.Seconds(),
+		PrunesPerSec: float64(w.Domain.Prunes) / dur.Seconds(),
+	}
+	if plane == PlaneRLM {
+		row.Algo = "RLM"
+	} else {
+		row.Deregisters = w.Controller.DeregistersRecv
+		row.FinalRegistered = len(w.Controller.RegisteredReceivers())
+	}
 	tc := sp.Series("tree_cost")
 	row.TreeCostMean = tc.Mean()
 	row.TreeCostStart = tc.Window(0, dur/3).Mean()
 	row.TreeCostEnd = tc.Window(dur-dur/3, dur).Mean()
 
-	churning := make(map[churnSlotRef]bool, len(refs))
-	for _, r := range refs {
-		churning[r] = true
+	churning := make(map[Slot]bool, len(slots))
+	for _, sl := range slots {
+		churning[sl] = true
 	}
 	from := dur - churnSettleWindow
 	if from < dur/2 {
 		from = dur / 2
 	}
-	for s := range traces {
-		for i, tr := range traces[s] {
-			if churning[churnSlotRef{session: s, idx: i}] {
+	for s := range w.Traces {
+		for i, tr := range w.Traces[s] {
+			if churning[Slot{s, i}] {
 				continue
 			}
-			dev := tr.RelativeDeviation(optimal[s][i], from, dur)
+			dev := tr.RelativeDeviation(w.Optimal[s][i], from, dur)
 			row.SettledDev += dev
 			row.SettledTotal++
 			if dev <= 0.25 {
@@ -193,102 +207,7 @@ func churnMetrics(row *ChurnStudyRow, drv *churn.Driver, grafts, prunes int64,
 	if row.SettledTotal > 0 {
 		row.SettledDev /= float64(row.SettledTotal)
 	}
-}
-
-// runChurnTopoSense is one TopoSense arm: build the world, drive churn
-// through the full departure lifecycle (Depart -> Deregister -> prune), and
-// reduce. mkBuild must emit the build with churn nodes already in place.
-func runChurnTopoSense(topo string, seed int64, dur, period sim.Time, shards int,
-	mkBuild func(e sim.Runner) (*topology.Build, []churnSlotRef), m *Meter) (ChurnStudyRow, error) {
-	e := NewRunEngine(seed, shards)
-	b, refs := mkBuild(e)
-	w := NewWorld(e, b, WorldConfig{Seed: seed})
-	m.ObserveWorld(w)
-	row := ChurnStudyRow{Topo: topo, Algo: "TopoSense", PeriodS: period.Seconds(),
-		Slots: len(refs), Sharded: shards >= 1}
-
-	drv := churn.New(w.Net)
-	drv.SetObs(m.Obs())
-	layers := source.DefaultLayers
-	cur := make(map[churnSlotRef]*receiver.Receiver, len(refs))
-	for _, ref := range refs {
-		ref := ref
-		node := b.Receivers[ref.session][ref.idx]
-		cur[ref] = w.Receivers[ref.session][ref.idx]
-		drv.Slot(0, period, period,
-			func() { // join: a fresh incarnation registers from scratch
-				rx := receiver.New(w.Net, w.Domain, node, receiver.Config{
-					Session:      ref.session,
-					MaxLayers:    layers,
-					InitialLevel: 1,
-					Controller:   b.Controller.ID,
-				})
-				rx.Start()
-				cur[ref] = rx
-			},
-			func() { // leave: the full teardown under test
-				if rx := cur[ref]; rx != nil {
-					rx.Depart()
-					cur[ref] = nil
-				}
-			})
-	}
-
-	sp := trace.NewSampler(e, 2*sim.Second)
-	sp.Probe("tree_cost", func() float64 { return float64(w.Domain.TreeCost()) })
-	sp.Start()
-	w.Run(dur)
-	sp.Stop()
-
-	row.Deregisters = w.Controller.DeregistersRecv
-	row.FinalRegistered = len(w.Controller.RegisteredReceivers())
-	churnMetrics(&row, drv, w.Domain.Grafts, w.Domain.Prunes, sp, w.Traces, w.Optimal, refs, dur)
-	return row, nil
-}
-
-// runChurnRLM is the receiver-driven arm: churn slots Stop (silent leave —
-// RLM has no controller to notify) and restart as fresh rlm receivers.
-// Always serial: NewRLMWorld does not partition.
-func runChurnRLM(topo string, seed int64, dur, period sim.Time,
-	mkBuild func(e sim.Runner) (*topology.Build, []churnSlotRef), m *Meter) (ChurnStudyRow, error) {
-	e := sim.NewEngine(seed)
-	b, refs := mkBuild(e)
-	w := NewRLMWorld(e, b, WorldConfig{Seed: seed})
-	m.Observe(e, b.Net)
-	row := ChurnStudyRow{Topo: topo, Algo: "RLM", PeriodS: period.Seconds(), Slots: len(refs)}
-
-	drv := churn.New(b.Net)
-	drv.SetObs(m.Obs())
-	layers := source.DefaultLayers
-	cur := make(map[churnSlotRef]*rlm.Receiver, len(refs))
-	for _, ref := range refs {
-		ref := ref
-		node := b.Receivers[ref.session][ref.idx]
-		cur[ref] = w.Receivers[ref.session][ref.idx]
-		drv.Slot(0, period, period,
-			func() {
-				rx := rlm.New(b.Net, w.Domain, node, rlm.Config{
-					Session: ref.session, MaxLayers: layers,
-				})
-				rx.Start()
-				cur[ref] = rx
-			},
-			func() {
-				if rx := cur[ref]; rx != nil {
-					rx.Stop()
-					cur[ref] = nil
-				}
-			})
-	}
-
-	sp := trace.NewSampler(e, 2*sim.Second)
-	sp.Probe("tree_cost", func() float64 { return float64(w.Domain.TreeCost()) })
-	sp.Start()
-	w.Run(dur)
-	sp.Stop()
-
-	churnMetrics(&row, drv, w.Domain.Grafts, w.Domain.Prunes, sp, w.Traces, w.Optimal, refs, dur)
-	return row, nil
+	return []ChurnStudyRow{row}
 }
 
 // ChurnStudySpecs enumerates the fig_churn sweep: TopoSense-vs-RLM pairs on
@@ -296,36 +215,30 @@ func runChurnRLM(topo string, seed int64, dur, period sim.Time,
 // at ~1% churn.
 func ChurnStudySpecs(cfg ChurnStudyConfig) []Spec {
 	cfg.normalize()
-	mkB := func(e sim.Runner) (*topology.Build, []churnSlotRef) {
+	mkB := func(e sim.Runner) (*topology.Build, []Slot) {
 		b := topology.MustGenerate(e, &topology.BConfig{Sessions: cfg.Sessions})
 		return b, addChurnNodesB(b)
 	}
 	var specs []Spec
 	for _, period := range cfg.Periods {
-		period := period
-		specs = append(specs, NewSpec("fig_churn",
-			fmt.Sprintf("fig_churn/topo=B/period=%gs/TopoSense", period.Seconds()),
-			cfg.Seed, cfg.Duration,
-			func(m *Meter) (any, error) {
-				row, err := runChurnTopoSense("B", cfg.Seed, cfg.Duration, period, cfg.Shards, mkB, m)
-				if err != nil {
-					return nil, err
-				}
-				return []ChurnStudyRow{row}, nil
-			}))
-		specs = append(specs, NewSpec("fig_churn",
-			fmt.Sprintf("fig_churn/topo=B/period=%gs/RLM", period.Seconds()),
-			cfg.Seed, cfg.Duration,
-			func(m *Meter) (any, error) {
-				row, err := runChurnRLM("B", cfg.Seed, cfg.Duration, period, mkB, m)
-				if err != nil {
-					return nil, err
-				}
-				return []ChurnStudyRow{row}, nil
-			}))
+		for _, arm := range []struct {
+			plane  Plane
+			shards int // the RLM arm is always serial
+		}{{PlaneFlat, cfg.Shards}, {PlaneRLM, 0}} {
+			algo := "TopoSense"
+			if arm.plane == PlaneRLM {
+				algo = "RLM"
+			}
+			specs = append(specs, NewSpec("fig_churn",
+				fmt.Sprintf("fig_churn/topo=B/period=%gs/%s", period.Seconds(), algo),
+				cfg.Seed, cfg.Duration,
+				func(m *Meter) (any, error) {
+					return runChurn("B", arm.plane, cfg.Seed, cfg.Duration, period, arm.shards, mkB, m), nil
+				}))
+		}
 	}
 	treePeriod := 4 * sim.Second
-	mkTree := func(e sim.Runner) (*topology.Build, []churnSlotRef) {
+	mkTree := func(e sim.Runner) (*topology.Build, []Slot) {
 		_, tc, err := topology.Parse(cfg.TreeTopo)
 		if err != nil {
 			panic("fig_churn: " + err.Error())
@@ -337,11 +250,7 @@ func ChurnStudySpecs(cfg ChurnStudyConfig) []Spec {
 		fmt.Sprintf("fig_churn/topo=%s/period=%gs/TopoSense", cfg.TreeTopo, treePeriod.Seconds()),
 		cfg.Seed, cfg.TreeDuration,
 		func(m *Meter) (any, error) {
-			row, err := runChurnTopoSense(cfg.TreeTopo, cfg.Seed, cfg.TreeDuration, treePeriod, cfg.Shards, mkTree, m)
-			if err != nil {
-				return nil, err
-			}
-			return []ChurnStudyRow{row}, nil
+			return runChurn(cfg.TreeTopo, PlaneFlat, cfg.Seed, cfg.TreeDuration, treePeriod, cfg.Shards, mkTree, m), nil
 		}))
 	return specs
 }

@@ -2,17 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
-	"toposense/internal/controller"
-	"toposense/internal/core"
-	"toposense/internal/mcast"
 	"toposense/internal/metrics"
 	"toposense/internal/netsim"
-	"toposense/internal/receiver"
 	"toposense/internal/sim"
 	"toposense/internal/source"
-	"toposense/internal/topodisc"
+	"toposense/internal/topology"
 )
 
 // This file reproduces the paper's Figure 3 architecture: "multiple
@@ -51,136 +46,81 @@ func (c *DomainsConfig) normalize() {
 	}
 }
 
-// domainsWorld is the two-domain topology:
+// domainsTopology emits the two-domain topology as a Build whose domain
+// labels put the source and backbone in domain 0 and each gateway subtree
+// in its own domain:
 //
 //	src ── bb ── gw1 ──(100 Kbps)── d1r ── domain-1 receivers
 //	        └─── gw2 ──(500 Kbps)── d2r ── domain-2 receivers
-type domainsWorld struct {
-	engine      sim.Runner
-	net         *netsim.Network
-	domain      *mcast.Domain
-	src         *netsim.Node
-	gw          [2]*netsim.Node
-	rxNodes     [2][]*netsim.Node
-	scope       [2]map[netsim.NodeID]bool
-	receivers   [2][]*receiver.Receiver
-	traces      [2][]*metrics.Trace
-	optimal     [2]int
-	controllers []*controller.Controller
-}
-
-func buildDomainsWorld(cfg DomainsConfig) *domainsWorld {
-	e := sim.NewEngine(cfg.Seed)
+func domainsTopology(e sim.Scheduler, receiversPer int) *topology.Build {
 	n := netsim.New(e)
-	w := &domainsWorld{engine: e, net: n}
 	fat := netsim.LinkConfig{Bandwidth: 100e6, Delay: 200 * sim.Millisecond}
-	w.src = n.AddNode("src")
+	src := n.AddNode("src")
 	bb := n.AddNode("backbone")
-	n.Connect(w.src, bb, fat)
-	bandwidth := [2]float64{100e3, 500e3}
-	for d := 0; d < 2; d++ {
+	n.Connect(src, bb, fat)
+	b := &topology.Build{
+		Net: n, Sources: []*netsim.Node{src}, Controller: src,
+		Receivers: make([][]*netsim.Node, 1), Optimal: make([][]int, 1),
+		Domains: []int{0, 0},
+	}
+	for d, bandwidth := range []float64{100e3, 500e3} {
 		gw := n.AddNode(fmt.Sprintf("gw%d", d+1))
 		n.Connect(bb, gw, fat)
 		agg := n.AddNode(fmt.Sprintf("d%dr", d+1))
-		n.Connect(gw, agg, netsim.LinkConfig{Bandwidth: bandwidth[d], Delay: 200 * sim.Millisecond})
-		w.gw[d] = gw
-		w.scope[d] = map[netsim.NodeID]bool{gw.ID: true, agg.ID: true}
-		for i := 0; i < cfg.ReceiversPer; i++ {
+		n.Connect(gw, agg, netsim.LinkConfig{Bandwidth: bandwidth, Delay: 200 * sim.Millisecond})
+		b.Domains = append(b.Domains, d+1, d+1)
+		for i := 0; i < receiversPer; i++ {
 			rx := n.AddNode(fmt.Sprintf("d%d-rx%d", d+1, i))
 			n.Connect(agg, rx, fat)
-			w.rxNodes[d] = append(w.rxNodes[d], rx)
-			w.scope[d][rx.ID] = true
+			b.Domains = append(b.Domains, d+1)
+			b.Receivers[0] = append(b.Receivers[0], rx)
+			b.Optimal[0] = append(b.Optimal[0], source.LevelForBandwidth(source.Rates(source.DefaultLayers), bandwidth))
 		}
-		w.optimal[d] = source.LevelForBandwidth(source.Rates(6), bandwidth[d])
 	}
-	w.domain = mcast.NewDomain(n)
-	return w
+	return b
 }
 
-// wire attaches sources, controllers (global or per-domain) and receivers.
-func (w *domainsWorld) wire(cfg DomainsConfig, perDomain bool) {
-	src := source.New(w.net, w.domain, w.src, source.Config{Session: 0, PeakToMean: cfg.Traffic.PeakToMean})
-	src.Start()
-
-	newController := func(at *netsim.Node, scope map[netsim.NodeID]bool, seedOff int64) *controller.Controller {
-		tool := topodisc.NewTool(w.net, w.domain, []int{0})
-		tool.Scope = scope
-		alg := core.New(core.NewConfig(source.Rates(6)), rand.New(rand.NewSource(cfg.Seed+seedOff)))
-		ctrl := controller.New(w.net, w.domain, at, tool, alg)
-		ctrl.Start()
-		return ctrl
-	}
-
-	var ctrlFor [2]*netsim.Node
-	if perDomain {
-		// One agent per domain, stationed at the domain gateway, seeing
-		// only its own subtree — unaware of the other domain.
-		for d := 0; d < 2; d++ {
-			w.controllers = append(w.controllers, newController(w.gw[d], w.scope[d], int64(d+1)))
-			ctrlFor[d] = w.gw[d]
-		}
-	} else {
-		// A single global controller at the source, seeing everything.
-		w.controllers = append(w.controllers, newController(w.src, nil, 1))
-		ctrlFor[0], ctrlFor[1] = w.src, w.src
-	}
-
-	for d := 0; d < 2; d++ {
-		for _, node := range w.rxNodes[d] {
-			rx := receiver.New(w.net, w.domain, node, receiver.Config{
-				Session: 0, MaxLayers: 6, InitialLevel: 1, Controller: ctrlFor[d].ID,
-			})
-			tr := metrics.NewTrace(0, 0)
-			rx.OnChange = func(c receiver.Change) { tr.Set(c.At, c.To) }
-			rx.Start()
-			w.receivers[d] = append(w.receivers[d], rx)
-			w.traces[d] = append(w.traces[d], tr)
-		}
-	}
-}
-
-// DomainsSpecs enumerates both control architectures as one run per
-// (variant, seed); each run reports its own per-domain DomainRows with that
-// seed's deviation. ReduceDomains averages them back into the table the
-// report prints.
+// DomainsSpecs enumerates both control architectures — one global agent at
+// the source seeing everything, or one agent per domain stationed at its
+// gateway and seeing only its own subtree — as one run per (variant, seed);
+// each run reports its own per-domain DomainRows with that seed's
+// deviation. ReduceDomains averages them back into the table the report
+// prints.
 func DomainsSpecs(cfg DomainsConfig) []Spec {
 	cfg.normalize()
 	var specs []Spec
-	for _, perDomain := range []bool{false, true} {
-		perDomain := perDomain
+	for _, plane := range []Plane{PlaneFlat, PlanePerDomain} {
 		variant := "global"
-		if perDomain {
+		if plane == PlanePerDomain {
 			variant = "per-domain"
 		}
 		for s := 0; s < cfg.Seeds; s++ {
-			runCfg := cfg
-			runCfg.Seed = cfg.Seed + int64(s)
+			seed := cfg.Seed + int64(s)
 			specs = append(specs, NewSpec("domains",
-				fmt.Sprintf("domains/%s/seed=%d", variant, runCfg.Seed),
-				runCfg.Seed, cfg.Duration,
+				fmt.Sprintf("domains/%s/seed=%d", variant, seed),
+				seed, cfg.Duration,
 				func(m *Meter) (any, error) {
-					w := buildDomainsWorld(runCfg)
-					w.wire(runCfg, perDomain)
-					m.Observe(w.engine, w.net)
-					w.engine.RunUntil(cfg.Duration)
+					wc := WorldConfig{Seed: seed, Traffic: cfg.Traffic, Plane: plane}
+					if plane == PlanePerDomain {
+						// The assembler seeds domain d's algorithm RNG with
+						// Seed+1+d; this study's recorded numbers were drawn
+						// with seed+1 and seed+2 for domains 1 and 2.
+						wc.Seed--
+					}
+					e := NewRunEngine(seed, 0)
+					w := NewWorld(e, domainsTopology(e, cfg.ReceiversPer), wc)
+					m.ObserveWorld(w)
+					w.Run(cfg.Duration)
 					var rows []DomainRow
-					for d := 0; d < 2; d++ {
-						optima := make([]int, len(w.traces[d]))
-						for i := range optima {
-							optima[i] = w.optimal[d]
-						}
-						ok := true
-						for _, rx := range w.receivers[d] {
-							if diff := rx.Level() - w.optimal[d]; diff < -1 || diff > 1 {
-								ok = false
-							}
-						}
+					doms, byDom := receiversByDomain(w.Build)
+					for _, d := range doms {
+						traces, optima, ok := sessionGroup(w, byDom[d])
 						rows = append(rows, DomainRow{
 							Variant:    variant,
-							Domain:     fmt.Sprintf("domain %d (opt %d)", d+1, w.optimal[d]),
-							Deviation:  metrics.MeanRelativeDeviation(w.traces[d], optima, 0, cfg.Duration),
+							Domain:     fmt.Sprintf("domain %d (opt %d)", d, optima[0]),
+							Deviation:  metrics.MeanRelativeDeviation(traces, optima, 0, cfg.Duration),
 							FinalOK:    ok,
-							MaxChanges: metrics.MaxChanges(w.traces[d], 0, cfg.Duration),
+							MaxChanges: metrics.MaxChanges(traces, 0, cfg.Duration),
 						})
 					}
 					return rows, nil

@@ -12,7 +12,7 @@ import (
 // cmd/topobench and the benchmarks.
 
 func TestWorldAssemblyA(t *testing.T) {
-	w := NewWorldA(2, WorldConfig{Seed: 1, Traffic: CBR})
+	w := NewWorldA(2, 0, WorldConfig{Seed: 1, Traffic: CBR})
 	if len(w.Sources) != 1 || len(w.Receivers[0]) != 4 {
 		t.Fatalf("world shape: %d sources, %d receivers", len(w.Sources), len(w.Receivers[0]))
 	}
@@ -29,7 +29,7 @@ func TestWorldAssemblyA(t *testing.T) {
 }
 
 func TestWorldAssemblyB(t *testing.T) {
-	w := NewWorldB(3, WorldConfig{Seed: 1, Traffic: VBR3})
+	w := NewWorldB(3, 0, WorldConfig{Seed: 1, Traffic: VBR3})
 	if len(w.Sources) != 3 {
 		t.Fatalf("sources = %d", len(w.Sources))
 	}
@@ -188,16 +188,17 @@ func TestRunBaselineScaled(t *testing.T) {
 }
 
 func TestRLMWorld(t *testing.T) {
-	e := sim.NewEngine(1)
-	b := buildTestB(e, 2)
-	w := NewRLMWorld(e, b, WorldConfig{Seed: 1, Traffic: CBR})
+	w := NewWorldB(2, 0, WorldConfig{Seed: 1, Traffic: CBR, Plane: PlaneRLM})
 	w.Run(60 * sim.Second)
 	traces, optima := w.AllTraces()
 	if len(traces) != 2 || len(optima) != 2 {
 		t.Fatalf("traces = %d", len(traces))
 	}
-	for s, rxs := range w.Receivers {
-		if rxs[0].Level() < 1 {
+	if len(w.Controllers) != 0 || w.Receivers != nil {
+		t.Errorf("RLM world has %d controllers and TopoSense receivers %v", len(w.Controllers), w.Receivers)
+	}
+	for s := range w.Traces {
+		if w.Level(s, 0) < 1 {
 			t.Errorf("session %d rlm receiver never joined", s)
 		}
 	}
@@ -307,42 +308,22 @@ func TestRunDomainsScaled(t *testing.T) {
 func TestPerDomainControllersAreIndependent(t *testing.T) {
 	// The per-domain variant runs two controllers that never exchange a
 	// message; both must have actually worked (steps and suggestions).
-	cfg := DomainsConfig{Seed: 2, Seeds: 1, Duration: 120 * sim.Second, ReceiversPer: 2}
-	cfg.normalize()
-	w := buildDomainsWorld(cfg)
-	w.wire(cfg, true)
-	w.engine.RunUntil(cfg.Duration)
-	if len(w.controllers) != 2 {
-		t.Fatalf("controllers = %d", len(w.controllers))
+	e := NewRunEngine(2, 0)
+	w := NewWorld(e, domainsTopology(e, 2), WorldConfig{Seed: 2, Traffic: CBR, Plane: PlanePerDomain})
+	w.Run(120 * sim.Second)
+	if len(w.Controllers) != 2 {
+		t.Fatalf("controllers = %d", len(w.Controllers))
 	}
-	for i, c := range w.controllers {
+	if w.Parent != nil || w.Leaves != nil {
+		t.Error("per-domain agents must not be federated: nothing may connect them")
+	}
+	for i, c := range w.Controllers {
 		if c.StepsRun == 0 || c.SuggestionsSent == 0 {
 			t.Errorf("controller %d idle: steps=%d sugg=%d", i, c.StepsRun, c.SuggestionsSent)
 		}
-	}
-}
-
-func TestRunChurnScaled(t *testing.T) {
-	rows := RunChurn(ChurnConfig{Seed: 1, Duration: 180 * sim.Second, Slots: 2})
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Arrivals == 0 {
-			t.Errorf("no arrivals at %v/%v", r.MeanOn, r.MeanOff)
+		if n := w.CrossDomainRegs(i); n != 0 {
+			t.Errorf("controller %d registered %d receivers from another domain", i, n)
 		}
-		// The always-on reference receiver must stay near its optimum no
-		// matter the churn around it.
-		if r.RefDeviation > 0.25 {
-			t.Errorf("reference receiver disturbed by churn: %.3f at %v/%v", r.RefDeviation, r.MeanOn, r.MeanOff)
-		}
-		// Every churner in an on-period at the end must be subscribed.
-		if r.FinalActive != r.FinalTotal {
-			t.Errorf("wedged churners: %d/%d", r.FinalActive, r.FinalTotal)
-		}
-	}
-	if !strings.Contains(ChurnTable(rows).String(), "arrivals") {
-		t.Error("churn table broken")
 	}
 }
 

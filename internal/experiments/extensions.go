@@ -119,7 +119,7 @@ func GranularitySpecs(cfg ExtensionConfig) []Spec {
 						Layers:          len(g.rates),
 					})
 					w := NewWorld(e, b, WorldConfig{Seed: seed, Traffic: cfg.Traffic, Rates: g.rates})
-					m.Observe(e, b.Net)
+					m.ObserveWorld(w)
 					optimal := source.LevelForBandwidth(g.rates, g.bottle)
 					w.Run(cfg.Duration)
 					traces, _ := w.AllTraces()
@@ -169,7 +169,7 @@ func LeaveLatencySpecs(cfg ExtensionConfig) []Spec {
 				fmt.Sprintf("extensions/leave/%s/seed=%d", name, seed),
 				seed, cfg.Duration,
 				func(m *Meter) (any, error) {
-					w := worldBWithOverrides(seed, WorldConfig{Seed: seed, Traffic: traffic, LeaveLatency: ll}, m)
+					w := worldBWithOverrides(WorldConfig{Seed: seed, Traffic: traffic, LeaveLatency: ll}, m)
 					w.Run(cfg.Duration)
 					traces, optima := w.AllTraces()
 					return []ExtensionRow{{
@@ -203,7 +203,7 @@ func IntervalSizeSpecs(cfg ExtensionConfig) []Spec {
 				fmt.Sprintf("extensions/interval/%s/seed=%d", iv, seed),
 				seed, cfg.Duration,
 				func(m *Meter) (any, error) {
-					w := worldBWithOverrides(seed, WorldConfig{
+					w := worldBWithOverrides(WorldConfig{
 						Seed:    seed,
 						Traffic: cfg.Traffic,
 						Alg:     core.Config{Interval: iv},
@@ -227,11 +227,10 @@ func RunIntervalSize(cfg ExtensionConfig) []ExtensionRow {
 	return reduceExtension(mustGather[ExtensionRow](ExecuteAll(IntervalSizeSpecs(cfg))))
 }
 
-func worldBWithOverrides(seed int64, wc WorldConfig, m *Meter) *World {
-	e := sim.NewEngine(seed)
-	b := topology.MustGenerate(e, &topology.BConfig{Sessions: 4})
-	m.Observe(e, b.Net)
-	return NewWorld(e, b, wc)
+func worldBWithOverrides(wc WorldConfig, m *Meter) *World {
+	w := NewWorldB(4, 0, wc)
+	m.ObserveWorld(w)
+	return w
 }
 
 // firstTimeAt returns the first instant the trace reaches level target, or

@@ -103,7 +103,7 @@ func FailureSpecs(cfg FailureConfig) []Spec {
 		fmt.Sprintf("fig_failure/sessions=%d/%s/outage=%.0fs", cfg.Sessions, cfg.Traffic.Name, cfg.Outage.Seconds()),
 		cfg.Seed, cfg.Duration,
 		func(m *Meter) (any, error) {
-			w := NewWorldB(cfg.Sessions, WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic})
+			w := NewWorldB(cfg.Sessions, 0, WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic})
 			m.ObserveWorld(w)
 
 			// Cut both directions of the shared bottleneck, as a physical

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 
 	"toposense/internal/metrics"
 	"toposense/internal/sim"
@@ -65,9 +66,9 @@ type FederationRow struct {
 	Capped        int64   `json:"capped_suggestions,omitempty"`
 }
 
-// federationGroups splits session-0 receiver indices by domain label, in
+// receiversByDomain splits session-0 receiver indices by domain label, in
 // ascending domain order.
-func federationGroups(b *topology.Build) (doms []int, byDom map[int][]int) {
+func receiversByDomain(b *topology.Build) (doms []int, byDom map[int][]int) {
 	byDom = make(map[int][]int)
 	for i, node := range b.Receivers[0] {
 		d := b.Domains[node.ID]
@@ -76,130 +77,90 @@ func federationGroups(b *topology.Build) (doms []int, byDom map[int][]int) {
 		}
 		byDom[d] = append(byDom[d], i)
 	}
-	// Insertion order follows node creation, which is already ascending by
-	// domain for the tiered generator; sort defensively anyway.
-	for i := 1; i < len(doms); i++ {
-		for j := i; j > 0 && doms[j] < doms[j-1]; j-- {
-			doms[j], doms[j-1] = doms[j-1], doms[j]
-		}
-	}
+	sort.Ints(doms)
 	return doms, byDom
 }
 
-// federationQuality reduces one receiver group to (deviation, finalOK).
-func federationQuality(traces []*metrics.Trace, optima []int, finals []int, idx []int, dur sim.Time) (float64, bool) {
-	var trs []*metrics.Trace
-	var opts []int
-	ok := true
+// sessionGroup picks the session-0 receivers idx out of a finished world:
+// their traces and optima, and whether every one of them ended within one
+// layer of its optimum.
+func sessionGroup(w *World, idx []int) (traces []*metrics.Trace, optima []int, finalOK bool) {
+	finalOK = true
 	for _, i := range idx {
-		trs = append(trs, traces[i])
-		opts = append(opts, optima[i])
-		if diff := finals[i] - optima[i]; diff < -1 || diff > 1 {
-			ok = false
+		traces = append(traces, w.Traces[0][i])
+		optima = append(optima, w.Optimal[0][i])
+		if diff := w.Level(0, i) - w.Optimal[0][i]; diff < -1 || diff > 1 {
+			finalOK = false
 		}
 	}
-	return metrics.MeanRelativeDeviation(trs, opts, 0, dur), ok
+	return traces, optima, finalOK
 }
 
 // FederationSpecs enumerates the experiment: one flat run and one federated
 // run on the identical topology and seed.
 func FederationSpecs(cfg FederationConfig) []Spec {
 	cfg.normalize()
-	wcfg := WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic}
-
-	flat := NewSpec("fig_federation",
-		fmt.Sprintf("fig_federation/flat/%s/seed=%d", cfg.Traffic.Name, cfg.Seed),
-		cfg.Seed, cfg.Duration,
-		func(m *Meter) (any, error) {
-			e := NewRunEngine(cfg.Seed, 0)
-			b := federationTopology(e, cfg.Seed, cfg.ReceiversPerLeaf)
-			w := NewWorld(e, b, wcfg)
-			m.ObserveWorld(w)
-			w.Run(cfg.Duration)
-			traces, optima := w.AllTraces()
-			finals := make([]int, len(w.Receivers[0]))
-			for i, rx := range w.Receivers[0] {
-				finals[i] = rx.Level()
-			}
-			doms, byDom := federationGroups(b)
-			var rows []FederationRow
-			all := make([]int, len(traces))
-			for i := range all {
-				all[i] = i
-			}
-			dev, ok := federationQuality(traces, optima, finals, all, cfg.Duration)
-			rows = append(rows, FederationRow{Variant: "flat", Domain: -1, Receivers: len(all), MeanDev: dev, FinalOK: ok})
-			for _, d := range doms {
-				dev, ok := federationQuality(traces, optima, finals, byDom[d], cfg.Duration)
-				rows = append(rows, FederationRow{Variant: "flat", Domain: d, Receivers: len(byDom[d]), MeanDev: dev, FinalOK: ok})
-			}
-			return rows, nil
-		})
-
-	fed := NewSpec("fig_federation",
-		fmt.Sprintf("fig_federation/federated/%s/seed=%d", cfg.Traffic.Name, cfg.Seed),
-		cfg.Seed, cfg.Duration,
-		func(m *Meter) (any, error) {
-			e := NewRunEngine(cfg.Seed, 0)
-			b := federationTopology(e, cfg.Seed, cfg.ReceiversPerLeaf)
-			w, err := NewFedWorld(e, b, wcfg)
-			if err != nil {
-				return nil, err
-			}
-			m.Observe(w.Engine, w.Net)
-			w.Run(cfg.Duration)
-			traces, optima := w.AllTraces()
-			finals := make([]int, len(w.Receivers[0]))
-			for i, rx := range w.Receivers[0] {
-				finals[i] = rx.Level()
-			}
-			doms, byDom := federationGroups(b)
-			var rows []FederationRow
-			all := make([]int, len(traces))
-			for i := range all {
-				all[i] = i
-			}
-			dev, ok := federationQuality(traces, optima, finals, all, cfg.Duration)
-			allRow := FederationRow{Variant: "federated", Domain: -1, Receivers: len(all), MeanDev: dev, FinalOK: ok}
-			for _, d := range doms {
-				dev, ok := federationQuality(traces, optima, finals, byDom[d], cfg.Duration)
-				row := FederationRow{Variant: "federated", Domain: d, Receivers: len(byDom[d]), MeanDev: dev, FinalOK: ok}
-				leaf := w.LeafFor[d]
-				if leaf != nil {
-					changes, last := w.Parent.ChangesFor(d)
-					row.Ceiling = w.Parent.Ceiling(d)
-					row.EndBudget = w.Parent.Budget(d, 0)
-					row.BudgetChanges = changes
-					row.LastChangeS = last.Seconds()
-					// Converged: budgets were granted and none moved in the
-					// final third of the run.
-					row.Converged = changes > 0 && last <= cfg.Duration-cfg.Duration/3
-					row.Capped = leaf.Controller().SuggestionsCapped
-					// Domain isolation: every receiver the leaf ever
-					// registered lies inside its scope.
-					scope := w.ScopeFor[d]
-					for _, r := range leaf.Controller().RegisteredReceivers() {
-						if !scope[r.Node] {
-							row.CrossDomain++
-						}
-					}
-					allRow.BudgetChanges += changes
-					allRow.Capped += row.Capped
-					allRow.CrossDomain += row.CrossDomain
+	var specs []Spec
+	for _, plane := range []Plane{PlaneFlat, PlaneFederated} {
+		variant := plane.String()
+		specs = append(specs, NewSpec("fig_federation",
+			fmt.Sprintf("fig_federation/%s/%s/seed=%d", variant, cfg.Traffic.Name, cfg.Seed),
+			cfg.Seed, cfg.Duration,
+			func(m *Meter) (any, error) {
+				e := NewRunEngine(cfg.Seed, 0)
+				b := federationTopology(e, cfg.Seed, cfg.ReceiversPerLeaf)
+				w, err := AssembleWorld(e, b, WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic, Plane: plane})
+				if err != nil {
+					return nil, err
 				}
-				rows = append(rows, row)
-			}
-			// The all-domains row converged only if every domain did.
-			allRow.Converged = true
-			for _, r := range rows {
-				if !r.Converged {
-					allRow.Converged = false
-				}
-			}
-			return append([]FederationRow{allRow}, rows...), nil
-		})
+				m.ObserveWorld(w)
+				w.Run(cfg.Duration)
+				return federationRows(w, variant, cfg.Duration), nil
+			}))
+	}
+	return specs
+}
 
-	return []Spec{flat, fed}
+// federationRows reduces a finished run to its all-domains row followed by
+// one row per domain; under the federated plane each domain row carries the
+// parent's view of it and the all row their sums.
+func federationRows(w *World, variant string, dur sim.Time) []FederationRow {
+	doms, byDom := receiversByDomain(w.Build)
+	quality := func(d int, idx []int) FederationRow {
+		traces, optima, ok := sessionGroup(w, idx)
+		return FederationRow{Variant: variant, Domain: d, Receivers: len(idx), FinalOK: ok,
+			MeanDev: metrics.MeanRelativeDeviation(traces, optima, 0, dur)}
+	}
+	all := make([]int, len(w.Traces[0]))
+	for i := range all {
+		all[i] = i
+	}
+	rows := []FederationRow{quality(-1, all)}
+	rows[0].Converged = w.Parent != nil
+	for _, d := range doms {
+		row := quality(d, byDom[d])
+		if k := sort.SearchInts(w.Scopes, d); w.Parent != nil && k < len(w.Scopes) && w.Scopes[k] == d {
+			changes, last := w.Parent.ChangesFor(d)
+			row.Ceiling = w.Parent.Ceiling(d)
+			row.EndBudget = w.Parent.Budget(d, 0)
+			row.BudgetChanges = changes
+			row.LastChangeS = last.Seconds()
+			// Converged: budgets were granted and none moved in the
+			// final third of the run.
+			row.Converged = changes > 0 && last <= dur-dur/3
+			row.Capped = w.Controllers[k].SuggestionsCapped
+			// Domain isolation: every receiver the leaf has registered
+			// lies inside its own domain.
+			row.CrossDomain = w.CrossDomainRegs(k)
+			rows[0].BudgetChanges += changes
+			rows[0].Capped += row.Capped
+			rows[0].CrossDomain += row.CrossDomain
+		}
+		// The all-domains row converged only if every domain did.
+		rows[0].Converged = rows[0].Converged && row.Converged
+		rows = append(rows, row)
+	}
+	return rows
 }
 
 // RunFederation executes both variants and returns their rows.

@@ -74,7 +74,7 @@ func TestFederationConvergenceAndIsolation(t *testing.T) {
 
 // newFedRunWorld builds a federated world on a parsed topology spec with the
 // requested engine flavour.
-func newFedRunWorld(t *testing.T, specStr string, seed int64, shards int) *FedWorld {
+func newFedRunWorld(t *testing.T, specStr string, seed int64, shards int) *World {
 	t.Helper()
 	_, tcfg, err := topology.Parse(specStr)
 	if err != nil {
@@ -85,7 +85,7 @@ func newFedRunWorld(t *testing.T, specStr string, seed int64, shards int) *FedWo
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewFedWorld(e, b, WorldConfig{Seed: seed, Traffic: CBR})
+	w, err := AssembleWorld(e, b, WorldConfig{Seed: seed, Traffic: CBR, Plane: PlaneFederated})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func newFedRunWorld(t *testing.T, specStr string, seed int64, shards int) *FedWo
 // fedCanonical reduces a federated run to its model-visible outcomes: every
 // receiver's full subscription trace, the parent's budget state per domain,
 // each leaf's export/cap counters, and the events-fired meter.
-func fedCanonical(w *FedWorld) string {
+func fedCanonical(w *World) string {
 	var sb strings.Builder
 	traces, optima := w.AllTraces()
 	for i, tr := range traces {
@@ -128,7 +128,7 @@ func TestFederationShardEquivalence(t *testing.T) {
 	}
 	const spec = "tiered,fanout=2:2,rxleaf=2"
 	const dur = 60 * sim.Second
-	serial := fedCanonical(func() *FedWorld { w := newFedRunWorld(t, spec, 1, 0); w.Run(dur); return w }())
+	serial := fedCanonical(func() *World { w := newFedRunWorld(t, spec, 1, 0); w.Run(dur); return w }())
 	for _, shards := range []int{2, 4} {
 		w := newFedRunWorld(t, spec, 1, shards)
 		w.Run(dur)
@@ -138,8 +138,9 @@ func TestFederationShardEquivalence(t *testing.T) {
 	}
 }
 
-// TestFedWorldRejects pins NewFedWorld's input contract: no domain labels and
-// the -aggregate combination are errors, not silent fallbacks.
+// TestFedWorldRejects pins AssembleWorld's input contract for the scoped
+// planes: no domain labels and the -aggregate combination are errors, not
+// silent fallbacks, and NewWorld — the must-form — panics on them.
 func TestFedWorldRejects(t *testing.T) {
 	e := NewRunEngine(1, 0)
 	_, tcfg, err := topology.Parse("tiered,fanout=2:2,rxleaf=2")
@@ -150,13 +151,25 @@ func TestFedWorldRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewFedWorld(e, b, WorldConfig{Seed: 1, Aggregate: true}); err == nil {
-		t.Error("NewFedWorld accepted Aggregate: true")
+	for _, plane := range []Plane{PlaneFederated, PlanePerDomain, PlaneRLM} {
+		if _, err := AssembleWorld(e, b, WorldConfig{Seed: 1, Plane: plane, Aggregate: true}); err == nil {
+			t.Errorf("%v plane accepted Aggregate: true", plane)
+		}
 	}
 	saved := b.Domains
 	b.Domains = nil
-	if _, err := NewFedWorld(e, b, WorldConfig{Seed: 1}); err == nil {
-		t.Error("NewFedWorld accepted a build without domain labels")
+	for _, plane := range []Plane{PlaneFederated, PlanePerDomain} {
+		if _, err := AssembleWorld(e, b, WorldConfig{Seed: 1, Plane: plane}); err == nil {
+			t.Errorf("%v plane accepted a build without domain labels", plane)
+		}
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("NewWorld did not panic on a configuration AssembleWorld rejects")
+			}
+		}()
+		NewWorld(e, b, WorldConfig{Seed: 1, Plane: PlaneFederated})
+	}()
 	b.Domains = saved
 }

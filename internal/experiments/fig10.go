@@ -60,7 +60,7 @@ func Fig10Specs(cfg Fig10Config) []Spec {
 				fmt.Sprintf("fig10/rx=%d/stale=%.0fs", 2*per, stale.Seconds()),
 				cfg.Seed, cfg.Duration,
 				func(m *Meter) (any, error) {
-					w := NewWorldA(per, WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic, Staleness: stale})
+					w := NewWorldA(per, 0, WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic, Staleness: stale})
 					m.ObserveWorld(w)
 					sampler := trace.NewSampler(w.Engine, sim.Second)
 					for i, rx := range w.Receivers[0] {

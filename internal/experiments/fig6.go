@@ -48,7 +48,7 @@ func Fig6Specs(cfg Fig6Config) []Spec {
 				fmt.Sprintf("fig6/rx=%d/%s", 2*per, tr.Name),
 				cfg.Seed, cfg.Duration,
 				func(m *Meter) (any, error) {
-					w := NewWorldA(per, WorldConfig{Seed: cfg.Seed, Traffic: tr, Shards: cfg.Shards})
+					w := NewWorldA(per, cfg.Shards, WorldConfig{Seed: cfg.Seed, Traffic: tr})
 					m.ObserveWorld(w)
 					w.Run(cfg.Duration)
 					traces, _ := w.AllTraces()

@@ -38,7 +38,7 @@ func Fig7Specs(cfg Fig7Config) []Spec {
 				fmt.Sprintf("fig7/sessions=%d/%s", sessions, tr.Name),
 				cfg.Seed, cfg.Duration,
 				func(m *Meter) (any, error) {
-					w := NewWorldB(sessions, WorldConfig{Seed: cfg.Seed, Traffic: tr, Shards: cfg.Shards})
+					w := NewWorldB(sessions, cfg.Shards, WorldConfig{Seed: cfg.Seed, Traffic: tr})
 					m.ObserveWorld(w)
 					w.Run(cfg.Duration)
 					traces, _ := w.AllTraces()

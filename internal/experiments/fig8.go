@@ -54,7 +54,7 @@ func Fig8Specs(cfg Fig8Config) []Spec {
 				fmt.Sprintf("fig8/sessions=%d/%s", sessions, tr.Name),
 				cfg.Seed, cfg.Duration,
 				func(m *Meter) (any, error) {
-					w := NewWorldB(sessions, WorldConfig{Seed: cfg.Seed, Traffic: tr})
+					w := NewWorldB(sessions, 0, WorldConfig{Seed: cfg.Seed, Traffic: tr})
 					m.ObserveWorld(w)
 					w.Run(cfg.Duration)
 					traces, optima := w.AllTraces()

@@ -60,7 +60,7 @@ func Fig9Specs(cfg Fig9Config) []Spec {
 		fmt.Sprintf("fig9/sessions=%d/%s", cfg.Sessions, cfg.Traffic.Name),
 		cfg.Seed, cfg.Duration,
 		func(m *Meter) (any, error) {
-			w := NewWorldB(cfg.Sessions, WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic})
+			w := NewWorldB(cfg.Sessions, 0, WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic})
 			m.ObserveWorld(w)
 			sampler := trace.NewSampler(w.Engine, cfg.Sample)
 			res := &Fig9Result{}

@@ -27,17 +27,13 @@ import "fmt"
 //     plane already folds reports per domain at its leaf controllers, so
 //     the two layers cannot serve the same world.
 //
-//   - -churn with -federate: CLI-driven churn cycles every receiver, so
-//     whole leaf-controller domains drain and refill mid-run. The
-//     drained-domain budget-hold is exercised by the federation tests; the
-//     CLI churn sweep runs on the flat control plane, where the departure
-//     lifecycle (Deregister, purge, prune) is the thing under study.
-//
 // Everything else composes: -shards with -aggregate (decision-equivalent to
 // the serial flat run), -shards with -federate (leaf passes and reconciles
 // run at global barriers), -aggregate with -failat (the aggregation layer
-// re-resolves routes at flush time across repairs), and -churn with -shards
-// (the churn driver runs entirely at stop-the-world barriers).
+// re-resolves routes at flush time across repairs), -churn with -shards
+// (the churn driver runs entirely at stop-the-world barriers), and -churn
+// with -federate (a rejoin registers with its slot's own leaf, and the
+// parent holds a drained domain's learned budget until it refills).
 //
 // shards is the -shards flag value (0 = the single-threaded engine), failAt
 // the -failat seconds (0 = no fault injection), aggregate/federate the
@@ -57,12 +53,6 @@ func ValidateEngineFlags(shards int, failAt float64, aggregate, federate bool, c
 			"federated leaf controller's fixed scope; "+
 			"drop -federate to fall back to the flat control plane",
 			failAt)
-	}
-	if churn > 0 && federate {
-		return fmt.Errorf("-churn %g is not supported with -federate: "+
-			"churning every receiver drains whole leaf-controller domains mid-run; "+
-			"drop -federate to study the departure lifecycle on the flat control plane",
-			churn)
 	}
 	if churn < 0 {
 		return fmt.Errorf("-churn %g: the mean join/leave period must be positive (0 = no churn)", churn)

@@ -14,7 +14,7 @@ import (
 
 func TestIntegrationDeterminism(t *testing.T) {
 	run := func() []int {
-		w := NewWorldB(3, WorldConfig{Seed: 99, Traffic: VBR3})
+		w := NewWorldB(3, 0, WorldConfig{Seed: 99, Traffic: VBR3})
 		w.Run(90 * sim.Second)
 		var levels []int
 		for s := range w.Receivers {
@@ -37,9 +37,9 @@ func TestIntegrationDeterminism(t *testing.T) {
 func TestIntegrationSeedsDiffer(t *testing.T) {
 	// Different seeds must actually change the run (the RNG is wired
 	// through): compare event counts.
-	w1 := NewWorldB(2, WorldConfig{Seed: 1, Traffic: VBR3})
+	w1 := NewWorldB(2, 0, WorldConfig{Seed: 1, Traffic: VBR3})
 	w1.Run(60 * sim.Second)
-	w2 := NewWorldB(2, WorldConfig{Seed: 2, Traffic: VBR3})
+	w2 := NewWorldB(2, 0, WorldConfig{Seed: 2, Traffic: VBR3})
 	w2.Run(60 * sim.Second)
 	if w1.Engine.Fired() == w2.Engine.Fired() {
 		t.Skip("identical event counts are possible but astronomically unlikely; rerun with other seeds if this ever fails twice")
@@ -47,7 +47,7 @@ func TestIntegrationSeedsDiffer(t *testing.T) {
 }
 
 func TestIntegrationLevelsAlwaysInRange(t *testing.T) {
-	w := NewWorldB(4, WorldConfig{Seed: 5, Traffic: VBR6})
+	w := NewWorldB(4, 0, WorldConfig{Seed: 5, Traffic: VBR6})
 	w.Run(300 * sim.Second)
 	for s := range w.Traces {
 		for _, tr := range w.Traces[s] {
@@ -63,7 +63,7 @@ func TestIntegrationLevelsAlwaysInRange(t *testing.T) {
 func TestIntegrationReceiverStopMidRun(t *testing.T) {
 	// One of two receivers in the fast set leaves mid-run; the session
 	// keeps serving the others and nothing wedges.
-	w := NewWorldA(2, WorldConfig{Seed: 3, Traffic: CBR})
+	w := NewWorldA(2, 0, WorldConfig{Seed: 3, Traffic: CBR})
 	w.Start()
 	w.Engine.RunUntil(60 * sim.Second)
 	leaver := w.Receivers[0][2] // first receiver of set 2
@@ -85,7 +85,7 @@ func TestIntegrationReceiverStopMidRun(t *testing.T) {
 func TestIntegrationLateJoiner(t *testing.T) {
 	// A world built with a receiver that only starts at t=120s: it must
 	// register, climb, and converge like the others.
-	w := NewWorldB(2, WorldConfig{Seed: 8, Traffic: CBR})
+	w := NewWorldB(2, 0, WorldConfig{Seed: 8, Traffic: CBR})
 	// Start everything except session 1's receiver.
 	for _, s := range w.Sources {
 		s.Start()
@@ -126,7 +126,7 @@ func TestIntegrationTieredTopologyConverges(t *testing.T) {
 func TestIntegrationExtremeStalenessStillSafe(t *testing.T) {
 	// Even with absurdly stale topology (60 s) nothing crashes and
 	// receivers keep at least the base layer.
-	w := NewWorldA(2, WorldConfig{Seed: 4, Traffic: VBR3, Staleness: 60 * sim.Second})
+	w := NewWorldA(2, 0, WorldConfig{Seed: 4, Traffic: VBR3, Staleness: 60 * sim.Second})
 	w.Run(240 * sim.Second)
 	for _, rxs := range w.Receivers {
 		for _, rx := range rxs {
@@ -142,7 +142,7 @@ func TestIntegrationControlTrafficIsLinear(t *testing.T) {
 	// interval is linear with respect to the number of receivers and
 	// sessions." Doubling receivers must not quadruple suggestions.
 	count := func(per int) int64 {
-		w := NewWorldA(per, WorldConfig{Seed: 2, Traffic: CBR})
+		w := NewWorldA(per, 0, WorldConfig{Seed: 2, Traffic: CBR})
 		w.Run(120 * sim.Second)
 		return w.Controller.SuggestionsSent
 	}
@@ -158,7 +158,7 @@ func TestIntegrationAlgorithmOverrides(t *testing.T) {
 		PThreshold: 0.2,
 		Interval:   8 * sim.Second,
 	}
-	w := NewWorldB(2, WorldConfig{Seed: 1, Traffic: CBR, Alg: alg})
+	w := NewWorldB(2, 0, WorldConfig{Seed: 1, Traffic: CBR, Alg: alg})
 	w.Run(65 * sim.Second)
 	if got := w.Controller.Algorithm().Config().Interval; got != 8*sim.Second {
 		t.Errorf("interval override lost: %v", got)
@@ -173,7 +173,7 @@ func TestIntegrationBottleneckDropsObserved(t *testing.T) {
 	// The instrumented bottleneck links must actually drop packets during
 	// the exploration phase — otherwise the whole control problem is
 	// vacuous.
-	w := NewWorldB(4, WorldConfig{Seed: 1, Traffic: CBR})
+	w := NewWorldB(4, 0, WorldConfig{Seed: 1, Traffic: CBR})
 	w.Run(60 * sim.Second)
 	if w.Build.Bottlenecks[0].Stats().Dropped == 0 {
 		t.Error("no drops on the shared bottleneck during exploration")
@@ -183,7 +183,7 @@ func TestIntegrationBottleneckDropsObserved(t *testing.T) {
 func TestIntegrationProbeDiscoveryConverges(t *testing.T) {
 	// The full control loop works when topology comes from hop-by-hop
 	// mtrace-style probes instead of the oracle.
-	w := NewWorldB(2, WorldConfig{Seed: 6, Traffic: CBR, ProbeDiscovery: true})
+	w := NewWorldB(2, 0, WorldConfig{Seed: 6, Traffic: CBR, ProbeDiscovery: true})
 	w.Run(240 * sim.Second)
 	for s := range w.Receivers {
 		if got := w.Receivers[s][0].Level(); got < 3 || got > 5 {
@@ -197,7 +197,7 @@ func TestIntegrationProbeDiscoveryConverges(t *testing.T) {
 
 func TestIntegrationProbeVsOracleSimilar(t *testing.T) {
 	run := func(probe bool) float64 {
-		w := NewWorldA(2, WorldConfig{Seed: 7, Traffic: CBR, ProbeDiscovery: probe})
+		w := NewWorldA(2, 0, WorldConfig{Seed: 7, Traffic: CBR, ProbeDiscovery: probe})
 		w.Run(300 * sim.Second)
 		traces, optima := w.AllTraces()
 		return metrics.MeanRelativeDeviation(traces, optima, 0, 300*sim.Second)

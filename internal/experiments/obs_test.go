@@ -14,7 +14,7 @@ import (
 func obsSpec(seed int64) Spec {
 	const dur = 30 * sim.Second
 	return NewSpec("obstest", "obstest/B", seed, dur, func(m *Meter) (any, error) {
-		w := NewWorldB(2, WorldConfig{Seed: seed, Traffic: VBR3})
+		w := NewWorldB(2, 0, WorldConfig{Seed: seed, Traffic: VBR3})
 		m.ObserveWorld(w)
 		w.Run(dur)
 		var levels []int

@@ -6,7 +6,6 @@ import (
 	"toposense/internal/metrics"
 	"toposense/internal/netsim"
 	"toposense/internal/sim"
-	"toposense/internal/topology"
 )
 
 // Queue-policy comparison: the paper cites router-based priority
@@ -51,44 +50,37 @@ func QueuePolicySpecs(cfg QueueConfig) []Spec {
 	type variant struct {
 		key, name string
 		policy    netsim.DropPolicy
-		toposense bool
+		plane     Plane
 	}
 	variants := []variant{
-		{"droptail+toposense", "drop-tail + TopoSense (paper)", netsim.DropTail, true},
-		{"priority+toposense", "priority + TopoSense", netsim.DropPriority, true},
-		{"droptail+rlm", "drop-tail + RLM", netsim.DropTail, false},
-		{"priority+rlm", "priority + RLM", netsim.DropPriority, false},
+		{"droptail+toposense", "drop-tail + TopoSense (paper)", netsim.DropTail, PlaneFlat},
+		{"priority+toposense", "priority + TopoSense", netsim.DropPriority, PlaneFlat},
+		{"droptail+rlm", "drop-tail + RLM", netsim.DropTail, PlaneRLM},
+		{"priority+rlm", "priority + RLM", netsim.DropPriority, PlaneRLM},
 	}
 	var specs []Spec
 	for _, v := range variants {
 		specs = append(specs, NewSpec("queues",
 			"queues/"+v.key, cfg.Seed, cfg.Duration,
 			func(m *Meter) (any, error) {
-				e := sim.NewEngine(cfg.Seed)
-				b := topology.MustGenerate(e, &topology.BConfig{Sessions: cfg.Sessions})
-				m.Observe(e, b.Net)
-				for _, l := range b.Net.Links() {
+				w := NewWorldB(cfg.Sessions, 0, WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic, Plane: v.plane})
+				m.ObserveWorld(w)
+				for _, l := range w.Net.Links() {
 					l.Policy = v.policy
 				}
-				wc := WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic}
-				var traces []*metrics.Trace
-				var optima []int
+				// Base-layer loss is read off the TopoSense receivers' own
+				// reports; RLM receivers keep no comparable figure.
 				lossSum, lossN := 0.0, 0
-				if v.toposense {
-					w := NewWorld(e, b, wc)
+				if v.plane != PlaneRLM {
 					sim.Every(sim.GlobalOf(w.Engine), sim.Second, func() {
 						for _, rxs := range w.Receivers {
 							lossSum += rxs[0].LastLoss
 							lossN++
 						}
 					})
-					w.Run(cfg.Duration)
-					traces, optima = w.AllTraces()
-				} else {
-					w := NewRLMWorld(e, b, wc)
-					w.Run(cfg.Duration)
-					traces, optima = w.AllTraces()
 				}
+				w.Run(cfg.Duration)
+				traces, optima := w.AllTraces()
 				row := QueueRow{
 					Config:     v.name,
 					Deviation:  metrics.MeanRelativeDeviation(traces, optima, 0, cfg.Duration),

@@ -284,16 +284,6 @@ func Registry() []Experiment {
 			},
 		},
 		{
-			Name:  "churn",
-			Title: "Receiver churn on Topology A's fast set",
-			Specs: func(cfg SweepConfig) []Spec {
-				return ChurnSpecs(ChurnConfig{Seed: cfg.Seed, Duration: quickDur(cfg)})
-			},
-			Render: func(results []Result) (string, error) {
-				return table(results, ChurnTable)
-			},
-		},
-		{
 			Name:  "domains",
 			Title: "Per-domain controller agents vs one global agent",
 			Specs: func(cfg SweepConfig) []Spec {

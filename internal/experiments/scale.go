@@ -216,47 +216,33 @@ func scaleSpec(cfg ScaleConfig, point string, shards int, aggregate, federate bo
 				Aggregate: aggregate,
 				Federate:  federate,
 			}
-			var passWall, passWallMax int64
-			var traces []*metrics.Trace
-			var optima []int
+			wc := WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic, Aggregate: aggregate}
 			if federate {
-				w, err := NewFedWorld(e, b, WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic})
-				if err != nil {
-					return nil, err
-				}
-				m.Observe(w.Engine, w.Net)
-				w.Run(cfg.Duration)
-				row.Groups = w.Domain.NumGroups()
-				st := w.Domain.StateStats()
-				row.TableEntries, row.TableBytes, row.DenseNodes = st.Entries, st.Bytes, st.DenseNodes
-				// Fan-in and pass latency sum over every leaf controller —
-				// the hierarchy's point is that each leaf's own fan-in is a
-				// domain-sized fraction of the flat controller's.
-				for _, l := range w.Leaves {
-					c := l.Controller()
-					row.Passes += c.StepsRun
-					row.CtlMsgs += c.CtlMsgsRecv
-					row.CtlBytes += c.CtlBytesRecv
-					passWall += c.PassWallNanos
-					if c.PassWallMaxNanos > passWallMax {
-						passWallMax = c.PassWallMaxNanos
-					}
-				}
-				traces, optima = w.AllTraces()
-			} else {
-				w := NewWorld(e, b, WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic, Aggregate: aggregate})
-				m.ObserveWorld(w)
-				w.Run(cfg.Duration)
-				row.Groups = w.Domain.NumGroups()
-				st := w.Domain.StateStats()
-				row.TableEntries, row.TableBytes, row.DenseNodes = st.Entries, st.Bytes, st.DenseNodes
-				row.Passes = w.Controller.StepsRun
-				row.CtlMsgs = w.Controller.CtlMsgsRecv
-				row.CtlBytes = w.Controller.CtlBytesRecv
-				passWall = w.Controller.PassWallNanos
-				passWallMax = w.Controller.PassWallMaxNanos
-				traces, optima = w.AllTraces()
+				wc.Plane = PlaneFederated
 			}
+			w, err := AssembleWorld(e, b, wc)
+			if err != nil {
+				return nil, err
+			}
+			m.ObserveWorld(w)
+			w.Run(cfg.Duration)
+			row.Groups = w.Domain.NumGroups()
+			st := w.Domain.StateStats()
+			row.TableEntries, row.TableBytes, row.DenseNodes = st.Entries, st.Bytes, st.DenseNodes
+			// Fan-in and pass latency sum over every controller — under the
+			// hierarchy each leaf's own fan-in is a domain-sized fraction of
+			// the flat controller's.
+			var passWall, passWallMax int64
+			for _, c := range w.Controllers {
+				row.Passes += c.StepsRun
+				row.CtlMsgs += c.CtlMsgsRecv
+				row.CtlBytes += c.CtlBytesRecv
+				passWall += c.PassWallNanos
+				if c.PassWallMaxNanos > passWallMax {
+					passWallMax = c.PassWallMaxNanos
+				}
+			}
+			traces, optima := w.AllTraces()
 			row.DenseEquivBytes = row.Nodes * row.Groups * 8
 			if row.Passes > 0 {
 				row.PassMeanMs = float64(passWall) / float64(row.Passes) / 1e6

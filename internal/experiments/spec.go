@@ -70,13 +70,30 @@ type Meter struct {
 // be passed along unguarded.
 func (m *Meter) Obs() *obs.Obs { return m.obs }
 
-// Observe registers an engine and/or network with the meter. Either
-// argument may be nil; bodies that run several worlds call it once per
-// world.
+// Observe registers an engine and/or network that is not part of a World
+// with the meter. Either argument may be nil; bodies that run several
+// hand-built rigs call it once per rig. Worlds go through ObserveWorld.
 func (m *Meter) Observe(e sim.Runner, n *netsim.Network) {
+	m.track(e, n)
+	m.obs.ObserveEngine(e)
+	if n != nil && m.obs != nil {
+		n.AttachProbe(obs.NewNetProbe(m.obs))
+	}
+}
+
+// ObserveWorld registers a World's engine and network and — when the run
+// has observability enabled — wires the bundle into every component of the
+// world through World.WireObs.
+func (m *Meter) ObserveWorld(w *World) {
+	m.track(w.Engine, w.Net)
+	w.WireObs(m.obs)
+}
+
+// track records what the executor reads run metadata from, and arms the
+// wall-clock watchdog when a timeout is set.
+func (m *Meter) track(e sim.Runner, n *netsim.Network) {
 	if e != nil {
 		m.engines = append(m.engines, e)
-		m.obs.ObserveEngine(e)
 		if m.deadline > 0 {
 			// The watchdog runs on the global context: on a sharded engine
 			// it fires at barriers with every shard parked, so Stop is a
@@ -91,21 +108,6 @@ func (m *Meter) Observe(e sim.Runner, n *netsim.Network) {
 	}
 	if n != nil {
 		m.nets = append(m.nets, n)
-		if m.obs != nil {
-			n.AttachProbe(obs.NewNetProbe(m.obs))
-		}
-	}
-}
-
-// ObserveWorld registers a World's engine and network, and — when the run
-// has observability enabled — wires the bundle into the world's multicast
-// domain and controller as well (the packet probe and engine registration
-// come from Observe).
-func (m *Meter) ObserveWorld(w *World) {
-	m.Observe(w.Engine, w.Net)
-	if m.obs != nil {
-		w.Domain.SetObs(m.obs)
-		w.Controller.SetObs(m.obs)
 	}
 }
 

@@ -60,7 +60,7 @@ func VarianceSpecs(cfg VarianceConfig) []Spec {
 				fmt.Sprintf("variance/%s/seed=%d", tr.Name, seed),
 				seed, cfg.Duration,
 				func(m *Meter) (any, error) {
-					w := NewWorldB(cfg.Sessions, WorldConfig{Seed: seed, Traffic: tr})
+					w := NewWorldB(cfg.Sessions, 0, WorldConfig{Seed: seed, Traffic: tr})
 					m.ObserveWorld(w)
 					w.Run(cfg.Duration)
 					traces, optima := w.AllTraces()

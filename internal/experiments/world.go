@@ -10,15 +10,20 @@
 package experiments
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 
+	"toposense/internal/churn"
 	"toposense/internal/controller"
 	"toposense/internal/core"
+	"toposense/internal/federation"
 	"toposense/internal/mcast"
 	"toposense/internal/metrics"
 	"toposense/internal/netsim"
 	"toposense/internal/obs"
 	"toposense/internal/receiver"
+	"toposense/internal/rlm"
 	"toposense/internal/sim"
 	"toposense/internal/source"
 	"toposense/internal/topodisc"
@@ -44,26 +49,79 @@ var AllTraffic = []Traffic{CBR, VBR3, VBR6}
 // Duration of every paper run.
 const PaperDuration = 1200 * sim.Second
 
-// World is an assembled TopoSense simulation.
+// Plane selects a world's control plane: who, if anyone, tells receivers
+// what to subscribe to.
+type Plane int
+
+const (
+	// PlaneFlat is one controller at Build.Controller seeing every
+	// receiver — the set-up of the paper's evaluation.
+	PlaneFlat Plane = iota
+	// PlanePerDomain is one scoped controller per receiver-holding domain,
+	// each unaware of the others — the paper's Figure 3.
+	PlanePerDomain
+	// PlaneFederated is PlanePerDomain's controllers as federation leaves
+	// under a budget-reconciling parent at Build.Controller.
+	PlaneFederated
+	// PlaneRLM has no controller: every receiver runs uncoordinated
+	// RLM-style join experiments, the baseline the paper contrasts with.
+	PlaneRLM
+)
+
+func (p Plane) String() string {
+	return [...]string{"flat", "per-domain", "federated", "rlm"}[p]
+}
+
+// Member is one live incarnation of a receiver slot: a *receiver.Receiver
+// under a controller plane, an *rlm.Receiver under PlaneRLM.
+type Member interface {
+	Level() int
+	Start()
+	Stop()
+}
+
+// Slot names one receiver position: an index into Build.Receivers.
+type Slot struct{ Session, Index int }
+
+// World is an assembled simulation.
 type World struct {
-	Engine     sim.Runner
-	Net        *netsim.Network
-	Domain     *mcast.Domain
-	Build      *topology.Build
-	Sources    []*source.Source
-	Receivers  [][]*receiver.Receiver // [session][i]
+	Engine  sim.Runner
+	Net     *netsim.Network
+	Domain  *mcast.Domain
+	Build   *topology.Build
+	Sources []*source.Source
+	// Receivers holds each slot's initial incarnation, [session][i]; nil
+	// under PlaneRLM. Under ChurnSlots read the current one through Live.
+	Receivers [][]*receiver.Receiver
+	Traces    [][]*metrics.Trace // parallel to Build.Receivers
+	Optimal   [][]int            // parallel to Build.Receivers
+	// Controllers lists every controller agent — one on the flat plane, one
+	// per receiver-holding domain (ascending label, parallel to Scopes and
+	// Leaves) on a scoped plane, none under PlaneRLM.
+	Controllers []*controller.Controller
+	Scopes      []int // domain label of each scoped controller; nil when flat
+	// Controller and Tool are the flat plane's single agent and its
+	// discovery tool; nil on every other plane.
 	Controller *controller.Controller
-	Aggregator *mcast.Aggregator // non-nil when WorldConfig.Aggregate is set
 	Tool       *topodisc.Tool
-	Traces     [][]*metrics.Trace // parallel to Receivers
-	Optimal    [][]int            // parallel to Receivers
-	started    bool
+	Aggregator *mcast.Aggregator  // non-nil when WorldConfig.Aggregate is set
+	Parent     *federation.Parent // PlaneFederated only
+	Leaves     []*federation.Leaf // PlaneFederated only
+	Churn      *churn.Driver      // nil until ChurnSlots or WireObs needs it
+
+	cfg       WorldConfig           // as given, with Layers and Alg resolved
+	sessions  []int                 // every session id, shared by the discovery tools
+	agentNode map[int]netsim.NodeID // domain label -> its controller's node; nil when flat
+	live      [][]Member            // current incarnation per slot; nil while departed
+	started   bool
 }
 
 // WorldConfig carries the knobs shared by all experiments.
 type WorldConfig struct {
-	Seed      int64
-	Traffic   Traffic
+	Seed    int64
+	Traffic Traffic
+	// Plane selects the control plane; the zero value is the flat one.
+	Plane     Plane
 	Staleness sim.Time
 	Layers    int // 0 = source.DefaultLayers
 	// Rates overrides the default doubling layer rates (granularity
@@ -75,24 +133,28 @@ type WorldConfig struct {
 	// ProbeDiscovery switches topology discovery to the mtrace-style
 	// hop-by-hop probe mode instead of the instantaneous oracle.
 	ProbeDiscovery bool
-	// Shards selects the engine the NewWorldA/NewWorldB helpers build: 0
-	// or 1 is the single-threaded oracle, N > 1 the conservative sharded
-	// engine with N workers. Results are byte-identical either way — only
-	// wall-clock changes. Ignored by NewWorld, which takes the engine.
-	Shards int
 	// Aggregate installs the in-network feedback aggregation layer: tree
 	// nodes fold upward loss reports into per-subtree report.Aggregates and
 	// the controller fans suggestions out as batched per-next-hop packets.
 	// Off (the default) the control plane is byte-identical to the flat
-	// report path.
+	// report path. The layer routes toward exactly one controller node, so
+	// it needs PlaneFlat.
 	Aggregate bool
 	// Algorithm overrides; zero values take core defaults.
 	Alg core.Config
 }
 
-// NewWorld assembles a world on a built topology. One source per session is
-// placed at Build.Sources[i]; the controller at Build.Controller; one
-// receiver per entry of Build.Receivers.
+// AssembleWorld assembles a world on a built topology: one source per
+// session at Build.Sources[i], the configured control plane, and one
+// receiver per entry of Build.Receivers. It rejects the combinations the
+// model cannot honour — a scoped plane on a build without domain labels,
+// aggregation on anything but the flat plane.
+//
+// Construction order is part of the determinism contract (event sequence
+// numbers are assigned at Schedule, agents deliver in attach order):
+// sources, then per controller its discovery tool, algorithm RNG
+// (Seed+1, per-domain Seed+1+label) and agent, then receivers, then the
+// aggregator.
 //
 // When e is a ShardedEngine the network is partitioned across e's shards
 // before any component is wired, so every subsequently created timer lands
@@ -100,7 +162,14 @@ type WorldConfig struct {
 // (Topology A/B, mesh) fall back to the min-cut heuristic; if that finds
 // no usable cut either, the sharded engine degenerates to one partition —
 // same results, no parallelism.
-func NewWorld(e sim.Runner, b *topology.Build, cfg WorldConfig) *World {
+func AssembleWorld(e sim.Runner, b *topology.Build, cfg WorldConfig) (*World, error) {
+	scoped := cfg.Plane == PlanePerDomain || cfg.Plane == PlaneFederated
+	if scoped && b.Domains == nil {
+		return nil, fmt.Errorf("%v control plane: topology family emits no domain labels; use tiered/tree/star/linear", cfg.Plane)
+	}
+	if cfg.Aggregate && cfg.Plane != PlaneFlat {
+		return nil, fmt.Errorf("%v control plane: -aggregate serves a single flat controller; drop one of the two", cfg.Plane)
+	}
 	if se, ok := e.(*sim.ShardedEngine); ok {
 		doms := b.Domains
 		if doms == nil {
@@ -108,66 +177,54 @@ func NewWorld(e sim.Runner, b *topology.Build, cfg WorldConfig) *World {
 		}
 		b.Net.Partition(se, doms)
 	}
-	layers := cfg.Layers
 	if len(cfg.Rates) > 0 {
-		layers = len(cfg.Rates)
-	} else if layers == 0 {
-		layers = source.DefaultLayers
+		cfg.Layers = len(cfg.Rates)
+	} else if cfg.Layers == 0 {
+		cfg.Layers = source.DefaultLayers
 	}
+	if cfg.Alg.LayerRates == nil {
+		if len(cfg.Rates) > 0 {
+			cfg.Alg.LayerRates = append([]float64(nil), cfg.Rates...)
+		} else {
+			cfg.Alg.LayerRates = source.Rates(cfg.Layers)
+		}
+	}
+	cfg.Alg.Normalize()
 	d := mcast.NewDomain(b.Net)
 	if cfg.LeaveLatency != 0 {
 		d.LeaveLatency = cfg.LeaveLatency
 	}
 
-	w := &World{Engine: e, Net: b.Net, Domain: d, Build: b, Optimal: b.Optimal}
-	sessions := make([]int, len(b.Sources))
+	w := &World{Engine: e, Net: b.Net, Domain: d, Build: b, Optimal: b.Optimal,
+		cfg: cfg, sessions: make([]int, len(b.Sources))}
 	for i, srcNode := range b.Sources {
-		sessions[i] = i
+		w.sessions[i] = i
 		w.Sources = append(w.Sources, source.New(b.Net, d, srcNode, source.Config{
 			Session:    i,
-			Layers:     layers,
+			Layers:     cfg.Layers,
 			PeakToMean: cfg.Traffic.PeakToMean,
 			Rates:      cfg.Rates,
 		}))
 	}
 
-	tool := topodisc.NewTool(b.Net, d, sessions)
-	tool.Staleness = cfg.Staleness
-	tool.ProbeMode = cfg.ProbeDiscovery
-	w.Tool = tool
-
-	algCfg := cfg.Alg
-	if algCfg.LayerRates == nil {
-		if len(cfg.Rates) > 0 {
-			algCfg.LayerRates = append([]float64(nil), cfg.Rates...)
-		} else {
-			algCfg.LayerRates = source.Rates(layers)
-		}
+	switch {
+	case scoped:
+		w.scopedControllers()
+	case cfg.Plane == PlaneFlat:
+		w.Controller, w.Tool = w.newController(b.Controller, nil, 0)
+		w.Controllers = []*controller.Controller{w.Controller}
 	}
-	algCfg.Normalize()
-	alg := core.New(algCfg, rand.New(rand.NewSource(cfg.Seed+1)))
-	w.Controller = controller.New(b.Net, d, b.Controller, tool, alg)
-	// The paper's staleness experiments age both halves of the
-	// controller's input: the discovered topology and the loss reports.
-	w.Controller.Staleness = cfg.Staleness
 
-	for s := range b.Receivers {
-		var rxs []*receiver.Receiver
-		var trs []*metrics.Trace
-		for _, node := range b.Receivers[s] {
-			rx := receiver.New(b.Net, d, node, receiver.Config{
-				Session:      s,
-				MaxLayers:    layers,
-				InitialLevel: 1,
-				Controller:   b.Controller.ID,
-			})
-			tr := metrics.NewTrace(0, 0)
-			rx.OnChange = func(c receiver.Change) { tr.Set(c.At, c.To) }
-			rxs = append(rxs, rx)
-			trs = append(trs, tr)
+	for s, nodes := range b.Receivers {
+		w.Traces = append(w.Traces, make([]*metrics.Trace, len(nodes)))
+		w.live = append(w.live, make([]Member, len(nodes)))
+		if cfg.Plane != PlaneRLM {
+			w.Receivers = append(w.Receivers, make([]*receiver.Receiver, len(nodes)))
 		}
-		w.Receivers = append(w.Receivers, rxs)
-		w.Traces = append(w.Traces, trs)
+		for i := range nodes {
+			w.Traces[s][i] = metrics.NewTrace(0, 0)
+			w.join(s, i)
+		}
 	}
 	if cfg.Aggregate {
 		// Installed after the receivers so each node's delivery order is
@@ -176,27 +233,241 @@ func NewWorld(e sim.Runner, b *topology.Build, cfg WorldConfig) *World {
 		w.Aggregator = mcast.NewAggregator(b.Net, b.Controller.ID, 0)
 		w.Controller.EnableAggregation()
 	}
+	return w, nil
+}
+
+// NewWorld is AssembleWorld for configurations known to be valid; it panics
+// on the ones AssembleWorld rejects.
+func NewWorld(e sim.Runner, b *topology.Build, cfg WorldConfig) *World {
+	w, err := AssembleWorld(e, b, cfg)
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
 	return w
+}
+
+// newController builds the controller agent for one scope — a domain's
+// node set, or nil for the whole network — stationed at node `at`, with its
+// own discovery tool and an algorithm RNG stream derived from the run seed
+// and the domain label.
+func (w *World) newController(at *netsim.Node, scope map[netsim.NodeID]bool, dom int) (*controller.Controller, *topodisc.Tool) {
+	cfg := w.cfg
+	tool := topodisc.NewTool(w.Net, w.Domain, w.sessions)
+	tool.Scope = scope
+	tool.Staleness = cfg.Staleness
+	tool.ProbeMode = cfg.ProbeDiscovery
+	alg := core.New(cfg.Alg, rand.New(rand.NewSource(cfg.Seed+1+int64(dom))))
+	ctrl := controller.New(w.Net, w.Domain, at, tool, alg)
+	// The paper's staleness experiments age both halves of the
+	// controller's input: the discovered topology and the loss reports.
+	ctrl.Staleness = cfg.Staleness
+	return ctrl, tool
+}
+
+// scopedControllers builds one controller per domain that holds receivers,
+// each seeing only its own domain's nodes and stationed at the domain's top
+// node — the lowest node id carrying the label, which is the domain's
+// ingress since generators emit parents before children. Under
+// PlaneFederated each becomes a federation leaf of a parent at
+// Build.Controller that budgets it against its border bandwidth.
+func (w *World) scopedControllers() {
+	b, cfg := w.Build, w.cfg
+	nodeSet := make(map[int]map[netsim.NodeID]bool)
+	w.agentNode = make(map[int]netsim.NodeID)
+	for id, dom := range b.Domains {
+		nid := netsim.NodeID(id)
+		if nodeSet[dom] == nil {
+			nodeSet[dom] = make(map[netsim.NodeID]bool)
+			w.agentNode[dom] = nid
+		}
+		nodeSet[dom][nid] = true
+		if nid < w.agentNode[dom] {
+			w.agentNode[dom] = nid
+		}
+	}
+	// Domain 0 holds the backbone; any receivers there are controlled from
+	// Build.Controller (co-resident with the federation parent).
+	w.agentNode[0] = b.Controller.ID
+	held := make(map[int]bool)
+	for _, nodes := range b.Receivers {
+		for _, node := range nodes {
+			held[b.Domains[node.ID]] = true
+		}
+	}
+	for dom := range held {
+		w.Scopes = append(w.Scopes, dom)
+	}
+	sort.Ints(w.Scopes)
+
+	if cfg.Plane == PlaneFederated {
+		w.Parent = federation.NewParent(b.Net, b.Controller, cfg.Alg.LayerRates, cfg.Alg.Interval)
+	}
+	for _, dom := range w.Scopes {
+		at := w.agentNode[dom]
+		ctrl, _ := w.newController(b.Net.Node(at), nodeSet[dom], dom)
+		w.Controllers = append(w.Controllers, ctrl)
+		if w.Parent != nil {
+			w.Leaves = append(w.Leaves, federation.NewLeaf(ctrl, dom, b.Controller.ID))
+			w.Parent.AddDomain(federation.DomainConfig{
+				Domain:          dom,
+				Leaf:            at,
+				BorderBandwidth: borderBandwidth(b, dom),
+			})
+		}
+	}
+}
+
+// borderBandwidth returns the tightest link capacity crossing from outside
+// into domain dom — the border the parent budgets against. 0 (uncapped)
+// when the domain has no inbound border link (domain 0, the backbone).
+func borderBandwidth(b *topology.Build, dom int) float64 {
+	if dom == 0 {
+		return 0
+	}
+	best := 0.0
+	for _, l := range b.Net.Links() {
+		if b.Domains[l.To] == dom && b.Domains[l.From] != dom {
+			if best == 0 || l.Bandwidth < best {
+				best = l.Bandwidth
+			}
+		}
+	}
+	return best
+}
+
+// join brings slot (s, i) to life as a fresh incarnation that feeds the
+// slot's trace and — under a controller plane — registers with the slot's
+// own controller: Build.Controller when flat, its domain's agent when
+// scoped. The initial population and every churn rejoin come through here.
+func (w *World) join(s, i int) {
+	node, tr := w.Build.Receivers[s][i], w.Traces[s][i]
+	var m Member
+	if w.cfg.Plane == PlaneRLM {
+		rx := rlm.New(w.Net, w.Domain, node, rlm.Config{Session: s, MaxLayers: w.cfg.Layers})
+		rx.OnChange = func(c rlm.Change) { tr.Set(c.At, c.To) }
+		m = rx
+	} else {
+		at := w.Build.Controller.ID
+		if w.agentNode != nil {
+			at = w.agentNode[w.Build.Domains[node.ID]]
+		}
+		rx := receiver.New(w.Net, w.Domain, node, receiver.Config{
+			Session:      s,
+			MaxLayers:    w.cfg.Layers,
+			InitialLevel: 1,
+			Controller:   at,
+		})
+		rx.OnChange = func(c receiver.Change) { tr.Set(c.At, c.To) }
+		if !w.started {
+			w.Receivers[s][i] = rx
+		}
+		m = rx
+	}
+	w.live[s][i] = m
+	if w.started {
+		m.Start()
+	}
+}
+
+// leave departs slot (s, i)'s live incarnation: the full lifecycle for a
+// TopoSense receiver (leave every layer group, Deregister with its
+// controller), a silent Stop under RLM, which has no control plane to
+// notify.
+func (w *World) leave(s, i int) {
+	switch m := w.live[s][i].(type) {
+	case *receiver.Receiver:
+		m.Depart()
+	case *rlm.Receiver:
+		m.Stop()
+	}
+	w.live[s][i] = nil
+}
+
+// Live returns slot (s, i)'s current incarnation, nil while it is departed.
+func (w *World) Live(s, i int) Member { return w.live[s][i] }
+
+// Level returns slot (s, i)'s current subscription level, 0 while departed.
+func (w *World) Level(s, i int) int {
+	if m := w.live[s][i]; m != nil {
+		return m.Level()
+	}
+	return 0
+}
+
+// Slots lists every receiver slot, session-major.
+func (w *World) Slots() []Slot {
+	var out []Slot
+	for s := range w.live {
+		for i := range w.live[s] {
+			out = append(out, Slot{s, i})
+		}
+	}
+	return out
+}
+
+// churnDriver returns the world's churn driver, creating the (inert until
+// it has slots) driver on first use.
+func (w *World) churnDriver() *churn.Driver {
+	if w.Churn == nil {
+		w.Churn = churn.New(w.Net)
+	}
+	return w.Churn
+}
+
+// ChurnSlots puts the given slots under Poisson membership churn: each
+// alternates between joined and departed with the given mean period, a
+// departure being leave and a rejoin a fresh join incarnation. Call before
+// Start — registration draws each slot's first dwell from the run-wide RNG,
+// in the order given.
+func (w *World) ChurnSlots(period sim.Time, slots []Slot) *churn.Driver {
+	drv := w.churnDriver()
+	for _, sl := range slots {
+		s, i := sl.Session, sl.Index
+		drv.Slot(0, period, period, func() { w.join(s, i) }, func() { w.leave(s, i) })
+	}
+	return drv
+}
+
+// CrossDomainRegs counts the receivers scoped controller k currently has
+// registered from outside its own domain — zero by construction, since join
+// registers every incarnation with its own domain's agent.
+func (w *World) CrossDomainRegs(k int) int {
+	n := 0
+	for _, r := range w.Controllers[k].RegisteredReceivers() {
+		if w.Build.Domains[r.Node] != w.Scopes[k] {
+			n++
+		}
+	}
+	return n
 }
 
 // WireObs attaches an observability bundle to every component of the
 // world: a packet-plane probe on all links, the multicast domain's tree
-// events, the controller's pass audit, and the engine's scheduler stats.
-// A nil bundle is a no-op — the world then runs the exact pre-obs hot
-// path, with no probe installed at all. Call before Start, at most once
-// per bundle (probes accumulate).
+// events, every controller's pass audit, the aggregation layer, the
+// federation parent, the churn driver and the engine's scheduler stats. A
+// nil bundle is a no-op — the world then runs the exact pre-obs hot path,
+// with no probe installed at all. Call before Start, at most once per
+// bundle (probes accumulate).
 func (w *World) WireObs(o *obs.Obs) {
 	if o == nil {
 		return
 	}
 	w.Net.AttachProbe(obs.NewNetProbe(o))
 	w.Domain.SetObs(o)
-	w.Controller.SetObs(o)
+	for _, c := range w.Controllers {
+		c.SetObs(o)
+	}
 	w.Aggregator.SetObs(o)
+	if w.Parent != nil {
+		w.Parent.SetObs(o)
+	}
+	w.churnDriver().SetObs(o)
 	o.ObserveEngine(w.Engine)
 }
 
-// Start launches sources, controller and receivers.
+// Start launches sources, controllers, the federation parent and receivers,
+// in that order (part of the determinism contract: receivers draw their
+// report-timer offsets from the run-wide RNG as they start).
 func (w *World) Start() {
 	if w.started {
 		return
@@ -205,10 +476,15 @@ func (w *World) Start() {
 	for _, s := range w.Sources {
 		s.Start()
 	}
-	w.Controller.Start()
-	for _, rxs := range w.Receivers {
-		for _, rx := range rxs {
-			rx.Start()
+	for _, c := range w.Controllers {
+		c.Start()
+	}
+	if w.Parent != nil {
+		w.Parent.Start()
+	}
+	for _, ms := range w.live {
+		for _, m := range ms {
+			m.Start()
 		}
 	}
 }
@@ -222,10 +498,20 @@ func (w *World) Shutdown() {
 	for _, s := range w.Sources {
 		s.Stop()
 	}
-	w.Controller.Stop()
-	for _, rxs := range w.Receivers {
-		for _, rx := range rxs {
-			rx.Stop()
+	for _, c := range w.Controllers {
+		c.Stop()
+	}
+	if w.Parent != nil {
+		w.Parent.Stop()
+	}
+	if w.Churn != nil {
+		w.Churn.Stop()
+	}
+	for _, ms := range w.live {
+		for _, m := range ms {
+			if m != nil {
+				m.Stop()
+			}
 		}
 	}
 	w.Aggregator.Stop()
@@ -263,22 +549,18 @@ func NewRunEngine(seed int64, shards int) sim.Runner {
 	return sim.NewEngine(seed)
 }
 
-// NewWorldA builds the paper's Topology A world.
-func NewWorldA(receiversPerSet int, cfg WorldConfig) *World {
-	e := NewRunEngine(cfg.Seed, cfg.Shards)
+// NewWorldA builds the paper's Topology A world on the engine NewRunEngine
+// gives for shards.
+func NewWorldA(receiversPerSet, shards int, cfg WorldConfig) *World {
+	e := NewRunEngine(cfg.Seed, shards)
 	b := topology.MustGenerate(e, &topology.AConfig{ReceiversPerSet: receiversPerSet})
 	return NewWorld(e, b, cfg)
 }
 
 // NewWorldB builds the paper's Topology B world with the given number of
-// competing sessions.
-func NewWorldB(sessions int, cfg WorldConfig) *World {
-	e := NewRunEngine(cfg.Seed, cfg.Shards)
+// competing sessions on the engine NewRunEngine gives for shards.
+func NewWorldB(sessions, shards int, cfg WorldConfig) *World {
+	e := NewRunEngine(cfg.Seed, shards)
 	b := topology.MustGenerate(e, &topology.BConfig{Sessions: sessions})
 	return NewWorld(e, b, cfg)
-}
-
-// buildTestB is a tiny helper for tests that need a raw Build.
-func buildTestB(e *sim.Engine, sessions int) *topology.Build {
-	return topology.MustGenerate(e, &topology.BConfig{Sessions: sessions})
 }

@@ -7,8 +7,7 @@
 //
 // Every family is a Config registered behind the Generator registry
 // (generator.go): construct a config, Validate it, Generate the Build — or
-// resolve a "name,key=val,..." spec string with Parse. The historical
-// BuildA/BuildB/BuildTiered entry points remain as thin wrappers.
+// resolve a "name,key=val,..." spec string with Parse.
 //
 // All links default to the paper's parameters: 200 ms propagation delay and
 // drop-tail queues. The canonical topologies keep the source-to-receiver
@@ -172,14 +171,6 @@ func (c *AConfig) Generate(e sim.Scheduler) (*Build, error) {
 	return b, nil
 }
 
-// BuildA constructs Topology A.
-//
-// Deprecated: use Generate (or the registry's "a" entry) and handle the
-// error; BuildA panics on an invalid config.
-func BuildA(e *sim.Engine, cfg AConfig) *Build {
-	return MustGenerate(e, &cfg)
-}
-
 // BConfig parameterizes Topology B: Sessions independent sessions, one
 // receiver each, all crossing one shared link sized PerSession × Sessions.
 type BConfig struct {
@@ -260,14 +251,6 @@ func (c *BConfig) Generate(e sim.Scheduler) (*Build, error) {
 	}
 	b.Controller = b.Sources[0]
 	return b, nil
-}
-
-// BuildB constructs Topology B.
-//
-// Deprecated: use Generate (or the registry's "b" entry) and handle the
-// error; BuildB panics on an invalid config.
-func BuildB(e *sim.Engine, cfg BConfig) *Build {
-	return MustGenerate(e, &cfg)
 }
 
 // TieredConfig parameterizes the tiered-Internet generator (Figure 2): a
@@ -393,14 +376,6 @@ func (c *TieredConfig) Generate(e sim.Scheduler) (*Build, error) {
 		}
 	}
 	return b, nil
-}
-
-// BuildTiered constructs a random tiered topology.
-//
-// Deprecated: use Generate (or the registry's "tiered" entry) and handle
-// the error; BuildTiered panics on an invalid config.
-func BuildTiered(e *sim.Engine, cfg TieredConfig) *Build {
-	return MustGenerate(e, &cfg)
 }
 
 func init() {

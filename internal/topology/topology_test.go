@@ -9,7 +9,7 @@ import (
 
 func TestBuildADefaults(t *testing.T) {
 	e := sim.NewEngine(1)
-	b := BuildA(e, AConfig{ReceiversPerSet: 3})
+	b := MustGenerate(e, &AConfig{ReceiversPerSet: 3})
 	if len(b.Sources) != 1 || b.Controller != b.Sources[0] {
 		t.Fatal("source/controller wiring wrong")
 	}
@@ -39,7 +39,7 @@ func TestBuildADefaults(t *testing.T) {
 
 func TestBuildACustomBandwidths(t *testing.T) {
 	e := sim.NewEngine(1)
-	b := BuildA(e, AConfig{ReceiversPerSet: 1, Set1Bandwidth: 32e3, Set2Bandwidth: 2100e3})
+	b := MustGenerate(e, &AConfig{ReceiversPerSet: 1, Set1Bandwidth: 32e3, Set2Bandwidth: 2100e3})
 	if b.Optimal[0][0] != 1 {
 		t.Errorf("32 Kbps optimal = %d, want 1", b.Optimal[0][0])
 	}
@@ -50,7 +50,7 @@ func TestBuildACustomBandwidths(t *testing.T) {
 
 func TestBuildB(t *testing.T) {
 	e := sim.NewEngine(1)
-	b := BuildB(e, BConfig{Sessions: 4})
+	b := MustGenerate(e, &BConfig{Sessions: 4})
 	if len(b.Sources) != 4 || len(b.Receivers) != 4 {
 		t.Fatalf("sessions = %d/%d", len(b.Sources), len(b.Receivers))
 	}
@@ -76,7 +76,7 @@ func TestBuildB(t *testing.T) {
 
 func TestBuildBSharedQueueScales(t *testing.T) {
 	e := sim.NewEngine(1)
-	b := BuildB(e, BConfig{Sessions: 8})
+	b := MustGenerate(e, &BConfig{Sessions: 8})
 	if got := b.Bottlenecks[0].QueueLimit; got != 8*DefaultQueueLimit {
 		t.Errorf("shared queue = %d, want %d", got, 8*DefaultQueueLimit)
 	}
@@ -84,7 +84,7 @@ func TestBuildBSharedQueueScales(t *testing.T) {
 
 func TestBuildTiered(t *testing.T) {
 	e := sim.NewEngine(1)
-	b := BuildTiered(e, TieredConfig{
+	b := MustGenerate(e, &TieredConfig{
 		Seed:             7,
 		FanOut:           []int{2, 3},
 		Bandwidth:        []float64{10e6, 400e3},
@@ -112,7 +112,7 @@ func TestBuildTiered(t *testing.T) {
 func TestBuildTieredDeterministic(t *testing.T) {
 	build := func() []int {
 		e := sim.NewEngine(1)
-		b := BuildTiered(e, TieredConfig{Seed: 42, FanOut: []int{2, 2}, Bandwidth: []float64{5e6, 300e3}, ReceiversPerLeaf: 1})
+		b := MustGenerate(e, &TieredConfig{Seed: 42, FanOut: []int{2, 2}, Bandwidth: []float64{5e6, 300e3}, ReceiversPerLeaf: 1})
 		return b.Optimal[0]
 	}
 	a, b := build(), build()
@@ -130,7 +130,7 @@ func TestBuildTieredValidation(t *testing.T) {
 			t.Fatal("expected panic on mismatched config")
 		}
 	}()
-	BuildTiered(e, TieredConfig{FanOut: []int{2}, Bandwidth: nil})
+	MustGenerate(e, &TieredConfig{FanOut: []int{2}, Bandwidth: nil})
 }
 
 func TestBuildsAreRoutable(t *testing.T) {

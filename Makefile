@@ -43,8 +43,9 @@ bench-json:
 	$(GO) run ./cmd/topobench -quick -json BENCH_quick.json
 
 # Scaling curve toward the 10^5-receiver north star: the fig_scale tree
-# ladder, exported to BENCH_scale.json for cross-commit tracking. The
-# largest point is a few minutes of wall clock on one core.
+# ladder, exported to BENCH_scale.json — a local capture, not committed
+# (.gitignore keeps only BENCH_shards.json). The largest point is a few
+# minutes of wall clock on one core.
 bench-scale:
 	$(GO) run ./cmd/topobench -fig fig_scale -json BENCH_scale.json
 
@@ -60,10 +61,10 @@ bench-shards:
 
 # Control-plane fan-in capture: the fig_scale tree ladder run flat and with
 # the in-network aggregation layer (an "/agg" twin per point), exported to
-# BENCH_fanin.json. The rendered table carries controller messages per
-# pass, control bytes per receiver and the aggregation reduction factor;
-# the 10^5-receiver point demonstrates the O(receivers) -> O(branching)
-# collapse.
+# BENCH_fanin.json (local, not committed). The rendered table carries
+# controller messages per pass, control bytes per receiver and the
+# aggregation reduction factor; the 10^5-receiver point demonstrates the
+# O(receivers) -> O(branching) collapse.
 bench-fanin:
 	$(GO) run ./cmd/topobench -fig fig_scale -topo tree -aggregate -json BENCH_fanin.json
 

@@ -17,7 +17,7 @@
 //	topobench -quick                # scaled-down sweep (~20x faster)
 //	topobench -seed 7               # different random seed
 //	topobench -parallel 8           # 8 worker goroutines (0 = GOMAXPROCS)
-//	topobench -shards 4             # sharded engine, 4 workers per run (figs 6, 7, fig_scale)
+//	topobench -fig 7 -shards 4      # sharded engine, 4 workers per run (figs 6, 7, fig_scale)
 //	topobench -fig fig_scale -aggregate  # fig_scale with in-network aggregation twins
 //	topobench -fig fig_churn -churn 4    # membership churn study, period pinned to 4 s
 //	topobench -json BENCH_full.json # machine-readable results + run metadata
@@ -27,10 +27,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -41,157 +43,163 @@ import (
 	"toposense/internal/topology"
 )
 
-func main() {
-	fig := flag.String("fig", "all", "which experiment to run: all or one of "+strings.Join(experiments.Names(), ", "))
-	topoFlag := flag.String("topo", "", "topology selection for experiments that take one (fig_scale): a registered family ("+strings.Join(topology.Names(), ", ")+") for its ladder, or a full name,key=val spec for a single point")
-	quick := flag.Bool("quick", false, "scaled-down runs (shorter duration, fewer points)")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	parallel := flag.Int("parallel", 0, "concurrent runs (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "engine workers per run: 0 = single-threaded engine, N >= 1 = sharded engine with N workers (honoured by figures 6, 7 and fig_scale; fig_scale then adds a speedup column)")
-	aggregate := flag.Bool("aggregate", false, "fig_scale: run an in-network-aggregation twin of every ladder point (control fan-in columns both ways)")
-	federate := flag.Bool("federate", false, "fig_scale: run a hierarchical-control-plane twin of every ladder point (fig_federation always runs federated)")
-	churnFlag := flag.Float64("churn", 0, "fig_churn: pin the mean join/leave period to this many simulated seconds instead of the default sweep around the decision interval (0 = default sweep)")
-	jsonPath := flag.String("json", "", "write results + run metadata to this file (e.g. BENCH_full.json)")
-	timeout := flag.Duration("timeout", 0, "per-run wall-clock budget (0 = none)")
-	obsOn := flag.Bool("obs", false, "enable per-run observability; each result then carries an obs export (see -json)")
-	progress := flag.Bool("progress", true, "report per-run completion on stderr")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile after the sweep to this file")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
+// options is a parsed command line: which experiments to run, the sweep
+// modifiers they take, and how to run and report them.
+type options struct {
+	selected               []experiments.Experiment
+	cfg                    experiments.SweepConfig
+	parallel               int
+	timeout                time.Duration
+	obs, progress          bool
+	jsonPath               string
+	cpuprofile, memprofile string
+}
+
+// parse turns args into options, or reports on stderr why it cannot and
+// returns the error — the only kind run answers with exit 2. The sweep
+// modifiers land in one run description — the default run with the
+// modifiers applied — so a combination is judged by the same
+// Scenario.Validate as a toposim run.
+func parse(args []string, stderr io.Writer) (*options, error) {
+	o := &options{selected: experiments.Registry()}
+	sc := experiments.DefaultScenario()
+	fs := flag.NewFlagSet("topobench", flag.ContinueOnError)
+	fig := fs.String("fig", "all", "which experiment to run: all or one of "+strings.Join(experiments.Names(), ", "))
+	fs.StringVar(&o.cfg.Topo, "topo", "", "topology selection for experiments that take one (fig_scale): a registered family ("+strings.Join(topology.Names(), ", ")+") for its ladder, or a full name,key=val spec for a single point")
+	fs.BoolVar(&o.cfg.Quick, "quick", false, "scaled-down runs (shorter duration, fewer points)")
+	fs.Int64Var(&sc.Seed, "seed", sc.Seed, "simulation seed")
+	fs.IntVar(&o.parallel, "parallel", 0, "concurrent runs (0 = GOMAXPROCS)")
+	fs.IntVar(&sc.Shards, "shards", 0, "engine workers per run: 0 = single-threaded engine, N >= 1 = sharded engine with N workers (honoured by figures 6, 7 and fig_scale; fig_scale then adds a speedup column)")
+	fs.BoolVar(&sc.Aggregate, "aggregate", false, "fig_scale: run an in-network-aggregation twin of every ladder point (control fan-in columns both ways)")
+	fs.BoolVar(&sc.Federate, "federate", false, "fig_scale: run a hierarchical-control-plane twin of every ladder point (fig_federation always runs federated)")
+	fs.Float64Var(&sc.Churn, "churn", 0, "fig_churn: pin the mean join/leave period to this many simulated seconds instead of the default sweep around the decision interval (0 = default sweep)")
+	fs.StringVar(&o.jsonPath, "json", "", "write results + run metadata to this file (e.g. BENCH_full.json)")
+	fs.DurationVar(&o.timeout, "timeout", 0, "per-run wall-clock budget (0 = none)")
+	fs.BoolVar(&o.obs, "obs", false, "enable per-run observability; each result then carries an obs export (see -json)")
+	fs.BoolVar(&o.progress, "progress", true, "report per-run completion on stderr")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a pprof heap profile after the sweep to this file")
+	fs.SetOutput(stderr)
+	err := fs.Parse(args)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return nil, err // the flag package has reported it
 	}
-
-	var selected []experiments.Experiment
-	if *fig == "all" {
-		selected = experiments.Registry()
-	} else {
+	if *fig != "all" {
 		ex, ok := experiments.Lookup(*fig)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown figure %q; valid names: all, %s\n",
-				*fig, strings.Join(experiments.Names(), ", "))
-			os.Exit(2)
+			err = fmt.Errorf("unknown figure %q; valid names: all, %s", *fig, strings.Join(experiments.Names(), ", "))
 		}
-		selected = []experiments.Experiment{ex}
+		o.selected = []experiments.Experiment{ex}
 	}
+	if o.cfg.Topo != "" {
+		sc.Topo = o.cfg.Topo
+	}
+	if err == nil {
+		err = sc.Validate()
+	}
+	// fig_failure hosts fault injection internally, so selecting it stands in
+	// for a -failat: with -shards or -federate it must be rejected up front
+	// instead of silently running that experiment on the serial flat control
+	// plane while the rest of the sweep shards.
+	if err == nil && slices.ContainsFunc(o.selected, func(ex experiments.Experiment) bool { return ex.Name == "fig_failure" }) {
+		sc.FailAt = 1
+		if err = sc.Validate(); err != nil {
+			err = fmt.Errorf("%w\n(fig_failure injects faults mid-run; run it separately without the conflicting flag)", err)
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return nil, err
+	}
+	o.cfg.Seed, o.cfg.Shards, o.cfg.Aggregate, o.cfg.Federate, o.cfg.Churn = sc.Seed, sc.Shards, sc.Aggregate, sc.Federate, sc.Churn
+	return o, nil
+}
 
-	// Enforce the engine-flag matrix exactly like toposim does. fig_failure
-	// hosts fault injection internally, so selecting it stands in for a
-	// -failat: the combination with -shards (or -federate) must be rejected
-	// up front instead of silently running that experiment on the serial
-	// flat control plane while the rest of the sweep shards.
-	failAt := 0.0
-	if *shards >= 1 || *federate {
-		for _, ex := range selected {
-			if ex.Name == "fig_failure" {
-				failAt = 1
-			}
+// run is the whole command. It returns the process exit code — 2 for a
+// usage error, reported before any run starts; 1 when a run or an output
+// file failed.
+func run(args []string, stdout, stderr io.Writer) int {
+	o, err := parse(args, stderr)
+	if err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
+		return 2
 	}
-	if err := experiments.ValidateEngineFlags(*shards, failAt, *aggregate, *federate, *churnFlag); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		if failAt > 0 {
-			fmt.Fprintln(os.Stderr, "(fig_failure injects faults mid-run; run it separately without the conflicting flag)")
-		}
-		os.Exit(2)
+	stopProf, err := prof.Start(o.cpuprofile, o.memprofile)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	// Enumerate every selected experiment's specs into one flat work list,
 	// remembering each experiment's slice so results can be rendered per
 	// experiment afterwards.
-	// A non-family -topo must be a parseable generator spec; reject it
-	// before burning sweep time.
-	if *topoFlag != "" {
-		if _, ok := topology.Get(strings.SplitN(*topoFlag, ",", 2)[0]); !ok {
-			fmt.Fprintf(os.Stderr, "unknown -topo generator %q; registered: %s\n",
-				*topoFlag, strings.Join(topology.Names(), ", "))
-			os.Exit(2)
-		}
-	}
-	cfg := experiments.SweepConfig{Seed: *seed, Quick: *quick, Topo: *topoFlag, Shards: *shards, Aggregate: *aggregate, Federate: *federate, Churn: *churnFlag}
 	var specs []experiments.Spec
 	type slice struct{ lo, hi int }
-	slices := make([]slice, len(selected))
-	for i, ex := range selected {
-		s := ex.Specs(cfg)
+	slices := make([]slice, len(o.selected))
+	for i, ex := range o.selected {
+		s := ex.Specs(o.cfg)
 		slices[i] = slice{len(specs), len(specs) + len(s)}
 		specs = append(specs, s...)
 	}
-	if *obsOn {
+	if o.obs {
 		for i := range specs {
 			specs[i].Obs = &obs.Options{}
 		}
 	}
 
-	opts := runner.Options{Parallelism: *parallel, Timeout: *timeout}
-	if *progress {
+	opts := runner.Options{Parallelism: o.parallel, Timeout: o.timeout}
+	if o.progress {
 		opts.OnProgress = func(done, total int, r experiments.Result) {
 			status := fmt.Sprintf("%.1fs", r.WallSeconds)
 			if r.Failed() {
 				status = "FAILED: " + r.Err
 			}
-			fmt.Fprintf(os.Stderr, "[%d/%d] %s (%s)\n", done, total, r.Name, status)
+			fmt.Fprintf(stderr, "[%d/%d] %s (%s)\n", done, total, r.Name, status)
 		}
 	}
 
-	var memBefore runtime.MemStats
-	runtime.ReadMemStats(&memBefore)
-	start := time.Now()
-	results := runner.Run(specs, opts)
-	wall := time.Since(start)
-	var memAfter runtime.MemStats
-	runtime.ReadMemStats(&memAfter)
+	export := experiments.Measure("topobench", o.cfg.Seed, func() []experiments.Result {
+		return runner.Run(specs, opts)
+	})
+	export.Quick = o.cfg.Quick
+	export.Parallelism = runner.Workers(o.parallel, len(specs))
+	results := export.Results
 
 	exitCode := 0
 	// Profiles cover the sweep only; stop before rendering so report
-	// formatting does not pollute them (and before any os.Exit).
+	// formatting does not pollute them.
 	if err := stopProf(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		exitCode = 1
 	}
-	for i, ex := range selected {
+	for i, ex := range o.selected {
 		out, err := ex.Render(results[slices[i].lo:slices[i].hi])
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiment %s: %v\n", ex.Name, err)
+			fmt.Fprintf(stderr, "experiment %s: %v\n", ex.Name, err)
 			exitCode = 1
 			continue
 		}
-		fmt.Print(out)
+		fmt.Fprint(stdout, out)
 	}
-	fmt.Printf("total wall time: %v\n", wall.Round(time.Millisecond))
-	var totalEvents uint64
-	for _, r := range results {
-		totalEvents += r.Events
-	}
-	if wall > 0 && totalEvents > 0 {
+	wall := time.Duration(export.WallSeconds * float64(time.Second))
+	fmt.Fprintf(stdout, "total wall time: %v\n", wall.Round(time.Millisecond))
+	if wall > 0 && export.TotalEvents > 0 {
 		// Stderr, like progress: stdout stays deterministic up to the wall-time line.
-		fmt.Fprintf(os.Stderr, "throughput: %d events, %.0f events/s aggregate, %.2f allocs/event\n",
-			totalEvents,
-			float64(totalEvents)/wall.Seconds(),
-			float64(memAfter.Mallocs-memBefore.Mallocs)/float64(totalEvents))
+		fmt.Fprintf(stderr, "throughput: %d events, %.0f events/s aggregate, %.2f allocs/event\n",
+			export.TotalEvents, export.EventsPerSecond, export.AllocsPerEvent)
 	}
 
-	if *jsonPath != "" {
-		export := experiments.Export{
-			Tool:        "topobench",
-			GeneratedAt: start.UTC().Format(time.RFC3339),
-			GoMaxProcs:  runtime.GOMAXPROCS(0),
-			Parallelism: runner.Workers(*parallel, len(specs)),
-			Seed:        *seed,
-			Quick:       *quick,
-			WallSeconds: wall.Seconds(),
-			Results:     results,
-		}
-		export.FillAggregates(memAfter.Mallocs - memBefore.Mallocs)
-		if err := experiments.WriteJSONFile(*jsonPath, export); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonPath, err)
+	if o.jsonPath != "" {
+		if err := experiments.WriteFile(o.jsonPath, export.WriteJSON); err != nil {
+			fmt.Fprintf(stderr, "writing %s: %v\n", o.jsonPath, err)
 			exitCode = 1
 		} else {
-			fmt.Fprintf(os.Stderr, "wrote %d results to %s\n", len(results), *jsonPath)
+			fmt.Fprintf(stderr, "wrote %d results to %s\n", len(results), o.jsonPath)
 		}
 	}
-	os.Exit(exitCode)
+	return exitCode
 }

@@ -3,43 +3,43 @@
 // deviation, change count and loss summary. Useful for exploring parameter
 // choices interactively.
 //
-// The run executes as one experiments.Spec, so it gets the same panic
-// containment and run metadata (wall time, events, packets) as the
-// topobench sweeps, and -json writes the same BENCH_*.json schema.
+// The flags that describe the run bind to one experiments.Scenario, which
+// validates them and assembles the world; the run executes as one
+// experiments.Spec, so it gets the same panic containment and run metadata
+// (wall time, events, packets) as the topobench sweeps, and -json writes
+// the same BENCH_*.json schema.
 //
 // Usage:
 //
-//	toposim -topology A -receivers 4 -traffic vbr3 -duration 600
-//	toposim -topology B -sessions 8 -staleness 6
-//	toposim -topology B -failat 200 -outage 60   # cut the bottleneck mid-run
-//	toposim -topology tiered -seed 3
+//	toposim -topo a,rxset=4 -traffic vbr3 -duration 600
+//	toposim -topo b,sessions=8 -staleness 6
+//	toposim -topo b,sessions=4 -failat 200 -outage 60   # cut the bottleneck mid-run
+//	toposim -topo tiered,seed=3
 //	toposim -topo tree,depth=3,branch=8,rxleaf=2 -duration 30   # generated large topology
 //	toposim -topo tree,depth=4,branch=10,rxleaf=10 -shards 4    # sharded engine, 4 workers
 //	toposim -topo tree,depth=3,branch=8,rxleaf=2 -aggregate     # in-network report aggregation
 //	toposim -topo tree,depth=3,branch=4,rxleaf=2 -federate -churn 4   # churn under per-domain leaf controllers
 //	toposim -topo list                           # list registered generators and keys
-//	toposim -topology B -sessions 4 -algo rlm    # RLM baseline instead
-//	toposim -topology A -json BENCH_simA.json    # machine-readable result
-//	toposim -topology B -obs OBS_sim.json        # observability export (.json or .csv)
-//	toposim -topology B -flightrec               # dump the flight recorder after the run
-//	toposim -topology B -cpuprofile cpu.pprof -memprofile mem.pprof
+//	toposim -topo b,sessions=4 -algo rlm         # RLM baseline instead
+//	toposim -topo a -json BENCH_simA.json        # machine-readable result
+//	toposim -topo b -obs OBS_sim.json            # observability export (.json or .csv)
+//	toposim -topo b -flightrec                   # dump the flight recorder after the run
+//	toposim -topo b -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"time"
 
 	"toposense/internal/controller"
 	"toposense/internal/core"
 	"toposense/internal/experiments"
-	"toposense/internal/faults"
 	"toposense/internal/metrics"
-	"toposense/internal/netsim"
 	"toposense/internal/obs"
 	"toposense/internal/prof"
 	"toposense/internal/receiver"
@@ -64,264 +64,94 @@ type simResult struct {
 	MeanDev float64       `json:"mean_rel_deviation"`
 }
 
-func main() {
-	topo := flag.String("topology", "A", "A, B or tiered")
-	topoSpec := flag.String("topo", "", "topology generator spec name[,key=val,...] resolved against the registry ("+strings.Join(topology.Names(), ", ")+"); overrides -topology; \"list\" prints every generator and its keys")
-	receivers := flag.Int("receivers", 2, "topology A: receivers per set; tiered: receivers per leaf")
-	sessions := flag.Int("sessions", 4, "topology B: number of competing sessions")
-	traffic := flag.String("traffic", "cbr", "cbr, vbr3 or vbr6")
-	duration := flag.Float64("duration", 1200, "simulated seconds")
-	staleness := flag.Float64("staleness", 0, "topology information staleness in seconds")
-	failAt := flag.Float64("failat", 0, "cut the topology's bottleneck link at this simulated second (0 = no failure)")
-	outage := flag.Float64("outage", 60, "with -failat: seconds until the link is repaired")
-	churnPeriod := flag.Float64("churn", 0, "Poisson membership churn: every receiver alternates joined/departed with this mean period in simulated seconds (0 = no churn)")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	shards := flag.Int("shards", 0, "engine workers: 0 = single-threaded engine, N >= 1 = sharded engine with N workers")
-	aggregate := flag.Bool("aggregate", false, "install the in-network feedback aggregation layer (toposense only)")
-	federate := flag.Bool("federate", false, "run the hierarchical control plane: per-domain leaf controllers under a federation parent (toposense only; needs a domain-labelled topology)")
-	algo := flag.String("algo", "toposense", "toposense or rlm")
-	probe := flag.Bool("probe", false, "use mtrace-style probe-based topology discovery")
-	billing := flag.Bool("billing", false, "print the controller's billing ledger (toposense only)")
-	tsvDir := flag.String("tsv", "", "directory to write per-receiver level/loss time series as TSV")
-	explain := flag.Bool("explain", false, "print the algorithm's per-node decisions for the final interval")
-	jsonPath := flag.String("json", "", "write the result + run metadata to this file (e.g. BENCH_sim.json)")
-	obsPath := flag.String("obs", "", "enable observability and write its export to this file (.json or .csv)")
-	flightrec := flag.Bool("flightrec", false, "enable observability and dump the flight recorder to stderr after the run")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile after the run to this file")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
+// options is a parsed command line: the run description plus where its
+// outputs go.
+type options struct {
+	sc                                                experiments.Scenario
+	tsvDir, jsonPath, obsPath, cpuprofile, memprofile string
+	flightrec                                         bool
+}
+
+// parse turns args into options, or reports on stderr why it cannot and
+// returns the error — the only kind run answers with exit 2. `-topo list`
+// is returned as is, unvalidated.
+func parse(args []string, stderr io.Writer) (*options, error) {
+	o := &options{sc: experiments.DefaultScenario()}
+	fs := flag.NewFlagSet("toposim", flag.ContinueOnError)
+	o.sc.Bind(fs)
+	fs.StringVar(&o.tsvDir, "tsv", "", "directory to write per-receiver level/loss time series as TSV")
+	fs.StringVar(&o.jsonPath, "json", "", "write the result + run metadata to this file (e.g. BENCH_sim.json)")
+	fs.StringVar(&o.obsPath, "obs", "", "enable observability and write its export to this file (.json or .csv)")
+	fs.BoolVar(&o.flightrec, "flightrec", false, "enable observability and dump the flight recorder to stderr after the run")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a pprof heap profile after the run to this file")
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil || o.sc.Topo == "list" {
+		return o, err // the flag package has reported its own error
+	}
+	err := o.sc.Validate()
+	ext := strings.ToLower(filepath.Ext(o.obsPath))
+	if err == nil && o.obsPath != "" && ext != ".json" && ext != ".csv" {
+		err = fmt.Errorf("-obs %q: extension must be .json or .csv", o.obsPath)
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
 	}
+	return o, err
+}
 
-	var tr experiments.Traffic
-	switch strings.ToLower(*traffic) {
-	case "cbr":
-		tr = experiments.CBR
-	case "vbr3":
-		tr = experiments.VBR3
-	case "vbr6":
-		tr = experiments.VBR6
-	default:
-		fmt.Fprintf(os.Stderr, "unknown traffic %q\n", *traffic)
-		os.Exit(2)
-	}
-	if *topoSpec == "list" {
-		fmt.Print(topology.Usage())
-		return
-	}
-	var topoCfg topology.Config
-	topoName := strings.ToUpper(*topo)
-	if *topoSpec != "" {
-		var err error
-		if _, topoCfg, err = topology.Parse(*topoSpec); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		topoName = *topoSpec
-	} else {
-		switch topoName {
-		case "A", "B", "TIERED":
-		default:
-			fmt.Fprintf(os.Stderr, "unknown topology %q\n", *topo)
-			os.Exit(2)
-		}
-	}
-	algoName := strings.ToLower(*algo)
-	switch algoName {
-	case "toposense", "rlm":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown algo %q\n", *algo)
-		os.Exit(2)
-	}
-	if *failAt > 0 && *outage <= 0 {
-		fmt.Fprintln(os.Stderr, "-outage must be positive when -failat is set")
-		os.Exit(2)
-	}
-	if err := experiments.ValidateEngineFlags(*shards, *failAt, *aggregate, *federate, *churnPeriod); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *aggregate && algoName != "toposense" {
-		fmt.Fprintln(os.Stderr, "-aggregate: the aggregation layer serves the toposense controller; it has no meaning under -algo rlm")
-		os.Exit(2)
-	}
-	if *federate && algoName != "toposense" {
-		fmt.Fprintln(os.Stderr, "-federate: the hierarchical control plane federates toposense controllers; it has no meaning under -algo rlm")
-		os.Exit(2)
-	}
-	if *federate && (*billing || *explain) {
-		fmt.Fprintln(os.Stderr, "-federate: -billing and -explain read the single flat controller; drop them to run federated")
-		os.Exit(2)
-	}
-	obsExt := strings.ToLower(filepath.Ext(*obsPath))
-	if *obsPath != "" && obsExt != ".json" && obsExt != ".csv" {
-		fmt.Fprintf(os.Stderr, "-obs %q: extension must be .json or .csv\n", *obsPath)
-		os.Exit(2)
-	}
-
-	cfg := experiments.WorldConfig{
-		Seed:           *seed,
-		Traffic:        tr,
-		Staleness:      sim.FromSeconds(*staleness),
-		ProbeDiscovery: *probe,
-		Aggregate:      *aggregate,
-	}
+// run is the whole command: parse, validate, assemble, simulate, print. It
+// returns the process exit code — 2 for a usage error, reported before any
+// simulator event fires; 1 for a run or output failure.
+func run(args []string, stdout, stderr io.Writer) int {
+	o, err := parse(args, stderr)
 	switch {
-	case algoName == "rlm":
-		cfg.Plane = experiments.PlaneRLM
-		*billing, *explain = false, false // both read the controller RLM does not have
-	case *federate:
-		cfg.Plane = experiments.PlaneFederated
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != nil:
+		return 2
+	case o.sc.Topo == "list":
+		fmt.Fprint(stdout, topology.Usage())
+		return 0
 	}
-	dur := sim.FromSeconds(*duration)
-
+	sc := o.sc
+	stopProf, err := prof.Start(o.cpuprofile, o.memprofile)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	algo := "toposense"
+	if sc.RLM {
+		algo = "rlm"
+	}
+	dur := sim.FromSeconds(sc.Duration)
+	runName := fmt.Sprintf("toposim/topo=%s/%s/%s", sc.Topo, sc.Traffic.Name, algo)
+	if sc.Federate {
+		runName += "/fed"
+	}
 	// The flight recorder lives inside the run's obs bundle; capture it from
 	// the body so -flightrec can dump it after Execute returns.
 	var runObs *obs.Obs
-	runName := fmt.Sprintf("toposim/topo=%s/%s/%s", topoName, tr.Name, algoName)
-	if *federate {
-		runName += "/fed"
-	}
-	spec := experiments.NewSpec("toposim", runName,
-		*seed, dur,
+	spec := experiments.NewSpec("toposim", runName, sc.Seed, dur,
 		func(m *experiments.Meter) (any, error) {
-			e := experiments.NewRunEngine(*seed, *shards)
-			var b *topology.Build
-			if topoCfg != nil {
-				var err error
-				if b, err = topology.Generate(e, topoCfg); err != nil {
-					return nil, err
-				}
-			} else {
-				switch topoName {
-				case "A":
-					b = topology.MustGenerate(e, &topology.AConfig{ReceiversPerSet: *receivers})
-				case "B":
-					b = topology.MustGenerate(e, &topology.BConfig{Sessions: *sessions})
-				case "TIERED":
-					b = topology.MustGenerate(e, &topology.TieredConfig{
-						Seed:             *seed,
-						FanOut:           []int{2, 3},
-						Bandwidth:        []float64{10e6, 600e3},
-						ReceiversPerLeaf: *receivers,
-					})
-				}
-			}
-			var inj *faults.Injector
-			if *failAt > 0 {
-				if len(b.Bottlenecks) == 0 {
-					return nil, fmt.Errorf("topology %s exposes no bottleneck link to fail", topoName)
-				}
-				inj = faults.New(b.Net)
-				links := []*netsim.Link{b.Bottlenecks[0]}
-				if rev := b.Bottlenecks[0].Reverse(); rev != nil {
-					links = append(links, rev)
-				}
-				inj.Outage(sim.FromSeconds(*failAt), sim.FromSeconds(*outage), links...)
-			}
-
-			w, err := experiments.AssembleWorld(e, b, cfg)
+			w, err := sc.Assemble(m)
 			if err != nil {
 				return nil, err
 			}
-			m.ObserveWorld(w)
 			runObs = m.Obs()
-			if *billing {
-				w.Controller.EnableBilling()
-			}
-			if *explain {
-				w.Controller.Algorithm().EnableExplain()
-			}
 			var sampler *trace.Sampler
-			if *tsvDir != "" {
-				// Sampled through the slot's live incarnation, so a churned
-				// series reads 0 while departed and follows each rejoin.
-				sampler = trace.NewSampler(e, 500*sim.Millisecond)
-				for _, sl := range w.Slots() {
-					s, i := sl.Session, sl.Index
-					name := fmt.Sprintf("s%d-%s", s, b.Receivers[s][i].Name)
-					sampler.Probe(name+".level", func() float64 { return float64(w.Level(s, i)) })
-					if cfg.Plane != experiments.PlaneRLM {
-						sampler.Probe(name+".loss", func() float64 {
-							if rx, ok := w.Live(s, i).(*receiver.Receiver); ok {
-								return rx.LastLoss
-							}
-							return 0
-						})
-					}
-				}
-				sampler.Start()
-			}
-			// Membership churn: every receiver alternates between joined and
-			// departed; a rejoin is a fresh incarnation feeding the same
-			// trace, so deviations reflect the churn.
-			if *churnPeriod > 0 {
-				w.ChurnSlots(sim.FromSeconds(*churnPeriod), w.Slots())
+			if o.tsvDir != "" {
+				sampler = sampleSlots(w)
 			}
 			w.Run(dur)
-
-			if w.Controller != nil {
-				fmt.Printf("controller: %d steps, %d suggestions sent, %d reports received\n",
-					w.Controller.StepsRun, w.Controller.SuggestionsSent, w.Controller.ReportsRecv)
-			}
-			if w.Parent != nil {
-				fmt.Printf("federation: %d domains, %d exports received, %d reconcile passes, %d budget changes\n",
-					len(w.Leaves), w.Parent.ExportsRecv, w.Parent.Reconciles, w.Parent.BudgetChanges)
-				for k, l := range w.Leaves {
-					ctrl := w.Controllers[k]
-					changes, last := w.Parent.ChangesFor(l.Domain)
-					fmt.Printf("  domain %d: ceiling %d, %d exports sent, %d budget entries (last change %.0f s), %d suggestions capped, %d steps\n",
-						l.Domain, w.Parent.Ceiling(l.Domain), l.ExportsSent, changes, last.Seconds(), ctrl.SuggestionsCapped, ctrl.StepsRun)
-				}
-			}
-			if *churnPeriod > 0 {
-				fmt.Printf("churn: %d joins, %d leaves", w.Churn.Joins, w.Churn.Leaves)
-				if len(w.Controllers) > 0 {
-					var deregs int64
-					registered := 0
-					for _, c := range w.Controllers {
-						deregs += c.DeregistersRecv
-						registered += len(c.RegisteredReceivers())
-					}
-					fmt.Printf(", %d deregisters consumed, %d receivers registered at end", deregs, registered)
-				}
-				fmt.Println()
-			}
-			if *aggregate {
-				fmt.Printf("aggregation: %d reports absorbed in-network, %d merges, %d flushes, %d sub-batches down\n",
-					w.Aggregator.Absorbed, w.Aggregator.Merged, w.Aggregator.Flushes, w.Aggregator.Batches)
-				fmt.Printf("controller fan-in: %d control msgs (%d modeled bytes), %d aggregates, %d batches out\n",
-					w.Controller.CtlMsgsRecv, w.Controller.CtlBytesRecv, w.Controller.AggregatesRecv, w.Controller.BatchesSent)
-			}
-			if *probe && w.Tool != nil {
-				fmt.Printf("discovery: %d probe packets over %d discoveries\n", w.Tool.ProbePackets, w.Tool.Discoveries)
-			}
-			if *billing {
-				fmt.Println("\nbilling ledger:")
-				fmt.Print(controller.FormatBillingReport(w.Controller.BillingReport()))
-			}
-			if *explain {
-				fmt.Println("\nfinal interval decisions:")
-				fmt.Print(core.FormatDecisions(w.Controller.Algorithm().LastDecisions()))
-				if *aggregate {
-					fmt.Println("\nfinal interval subtree summaries:")
-					fmt.Print(core.FormatSubtrees(w.Controller.Algorithm().Subtrees()))
-				}
-			}
-			if inj != nil {
-				fmt.Printf("faults: bottleneck down %.0f-%.0f s (%d link failures, %d repairs, %d packets unroutable)\n",
-					*failAt, *failAt+*outage, inj.Failures, inj.Repairs, b.Net.Unroutable)
-			}
-
+			printSummary(stdout, sc, w)
 			if sampler != nil {
-				if err := writeTSVs(*tsvDir, sampler); err != nil {
+				if err := writeTSVs(o.tsvDir, sampler); err != nil {
 					return nil, fmt.Errorf("tsv: %w", err)
 				}
-				fmt.Printf("wrote %d series to %s\n", len(sampler.Names()), *tsvDir)
+				fmt.Fprintf(stdout, "wrote %d series to %s\n", len(sampler.Names()), o.tsvDir)
 			}
 
 			traces, optima := w.AllTraces()
@@ -329,7 +159,7 @@ func main() {
 			for k, sl := range w.Slots() {
 				s, i := sl.Session, sl.Index
 				res.Rows = append(res.Rows, receiverRow{
-					Receiver:  fmt.Sprintf("s%d/%s", s, b.Receivers[s][i].Name),
+					Receiver:  fmt.Sprintf("s%d/%s", s, w.Build.Receivers[s][i].Name),
 					Level:     w.Level(s, i),
 					Optimal:   optima[k],
 					Deviation: traces[k].RelativeDeviation(optima[k], 0, dur),
@@ -338,40 +168,42 @@ func main() {
 			}
 			return res, nil
 		})
-	if *obsPath != "" || *flightrec {
+	if o.obsPath != "" || o.flightrec {
 		spec.Obs = &obs.Options{}
 	}
 
-	var memBefore runtime.MemStats
-	runtime.ReadMemStats(&memBefore)
-	start := time.Now()
-	result := spec.Execute(0)
-	var memAfter runtime.MemStats
-	runtime.ReadMemStats(&memAfter)
-	// Profiles cover the simulation itself, not report formatting; stop
-	// here so the later os.Exit paths cannot lose them.
+	export := experiments.Measure("toposim", sc.Seed, func() []experiments.Result {
+		return []experiments.Result{spec.Execute(0)}
+	})
+	export.Parallelism = 1
+	result := export.Results[0]
+	// Profiles cover the simulation itself, not report formatting.
 	if err := stopProf(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	if *flightrec && runObs != nil {
-		runObs.Rec.WriteLog(os.Stderr)
+	if o.flightrec && runObs != nil {
+		runObs.Rec.WriteLog(stderr)
 	}
 	if result.Failed() {
-		fmt.Fprintf(os.Stderr, "run failed: %s\n", result.Err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "run failed: %s\n", result.Err)
+		return 1
 	}
-	if *obsPath != "" {
-		if err := writeObs(*obsPath, obsExt, result.Obs); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *obsPath, err)
-			os.Exit(1)
+	if o.obsPath != "" {
+		write := result.Obs.WriteJSON
+		if strings.EqualFold(filepath.Ext(o.obsPath), ".csv") {
+			write = result.Obs.WriteCSV
 		}
-		fmt.Fprintf(os.Stderr, "wrote observability export to %s\n", *obsPath)
+		if err := experiments.WriteFile(o.obsPath, write); err != nil {
+			fmt.Fprintf(stderr, "writing %s: %v\n", o.obsPath, err)
+			return 1
+		}
+		fmt.Fprintf(stderr, "wrote observability export to %s\n", o.obsPath)
 	}
 	res := result.Rows.(simResult)
 
 	t := &experiments.Table{
-		Title:  fmt.Sprintf("Topology %s, %s, %s, %.0f s", topoName, tr.Name, algoName, *duration),
+		Title:  fmt.Sprintf("Topology %s, %s, %s, %.0f s", sc.Topo, sc.Traffic.Name, algo, sc.Duration),
 		Header: []string{"receiver", "final level", "optimal", "rel deviation", "changes"},
 	}
 	for _, r := range res.Rows {
@@ -383,45 +215,99 @@ func main() {
 			fmt.Sprintf("%d", r.Changes),
 		)
 	}
-	fmt.Print(t)
-	fmt.Printf("mean relative deviation: %.3f\n", res.MeanDev)
-	fmt.Printf("run: %.2fs wall, %d events (%.0f events/s), %d packets forwarded\n",
+	fmt.Fprint(stdout, t)
+	fmt.Fprintf(stdout, "mean relative deviation: %.3f\n", res.MeanDev)
+	fmt.Fprintf(stdout, "run: %.2fs wall, %d events (%.0f events/s), %d packets forwarded\n",
 		result.WallSeconds, result.Events, result.EventsPerSecond, result.Packets)
 
-	if *jsonPath != "" {
-		export := experiments.Export{
-			Tool:        "toposim",
-			GeneratedAt: start.UTC().Format(time.RFC3339),
-			GoMaxProcs:  runtime.GOMAXPROCS(0),
-			Parallelism: 1,
-			Seed:        *seed,
-			WallSeconds: time.Since(start).Seconds(),
-			Results:     []experiments.Result{result},
+	if o.jsonPath != "" {
+		if err := experiments.WriteFile(o.jsonPath, export.WriteJSON); err != nil {
+			fmt.Fprintf(stderr, "writing %s: %v\n", o.jsonPath, err)
+			return 1
 		}
-		export.FillAggregates(memAfter.Mallocs - memBefore.Mallocs)
-		if err := experiments.WriteJSONFile(*jsonPath, export); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote result to %s\n", *jsonPath)
+		fmt.Fprintf(stderr, "wrote result to %s\n", o.jsonPath)
 	}
+	return 0
 }
 
-// writeObs writes the observability export as JSON or CSV, by extension.
-func writeObs(path, ext string, d *obs.Dump) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// sampleSlots starts a 500 ms sampler over every slot's level (and, under a
+// controller plane, last reported loss). It samples through the slot's live
+// incarnation, so a churned series reads 0 while departed and follows each
+// rejoin.
+func sampleSlots(w *experiments.World) *trace.Sampler {
+	sampler := trace.NewSampler(w.Engine, 500*sim.Millisecond)
+	for _, sl := range w.Slots() {
+		s, i := sl.Session, sl.Index
+		name := fmt.Sprintf("s%d-%s", s, w.Build.Receivers[s][i].Name)
+		sampler.Probe(name+".level", func() float64 { return float64(w.Level(s, i)) })
+		if w.Receivers != nil {
+			sampler.Probe(name+".loss", func() float64 {
+				if rx, ok := w.Live(s, i).(*receiver.Receiver); ok {
+					return rx.LastLoss
+				}
+				return 0
+			})
+		}
 	}
-	if ext == ".csv" {
-		err = d.WriteCSV(f)
-	} else {
-		err = d.WriteJSON(f)
+	sampler.Start()
+	return sampler
+}
+
+// printSummary prints one line (or block) per subsystem the scenario
+// switched on, from the finished world's counters.
+func printSummary(out io.Writer, sc experiments.Scenario, w *experiments.World) {
+	if w.Controller != nil {
+		fmt.Fprintf(out, "controller: %d steps, %d suggestions sent, %d reports received\n",
+			w.Controller.StepsRun, w.Controller.SuggestionsSent, w.Controller.ReportsRecv)
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	if w.Parent != nil {
+		fmt.Fprintf(out, "federation: %d domains, %d exports received, %d reconcile passes, %d budget changes\n",
+			len(w.Leaves), w.Parent.ExportsRecv, w.Parent.Reconciles, w.Parent.BudgetChanges)
+		for k, l := range w.Leaves {
+			ctrl := w.Controllers[k]
+			changes, last := w.Parent.ChangesFor(l.Domain)
+			fmt.Fprintf(out, "  domain %d: ceiling %d, %d exports sent, %d budget entries (last change %.0f s), %d suggestions capped, %d steps\n",
+				l.Domain, w.Parent.Ceiling(l.Domain), l.ExportsSent, changes, last.Seconds(), ctrl.SuggestionsCapped, ctrl.StepsRun)
+		}
 	}
-	return err
+	if sc.Churn > 0 {
+		fmt.Fprintf(out, "churn: %d joins, %d leaves", w.Churn.Joins, w.Churn.Leaves)
+		if len(w.Controllers) > 0 {
+			var deregs int64
+			registered := 0
+			for _, c := range w.Controllers {
+				deregs += c.DeregistersRecv
+				registered += len(c.RegisteredReceivers())
+			}
+			fmt.Fprintf(out, ", %d deregisters consumed, %d receivers registered at end", deregs, registered)
+		}
+		fmt.Fprintln(out)
+	}
+	if sc.Aggregate {
+		fmt.Fprintf(out, "aggregation: %d reports absorbed in-network, %d merges, %d flushes, %d sub-batches down\n",
+			w.Aggregator.Absorbed, w.Aggregator.Merged, w.Aggregator.Flushes, w.Aggregator.Batches)
+		fmt.Fprintf(out, "controller fan-in: %d control msgs (%d modeled bytes), %d aggregates, %d batches out\n",
+			w.Controller.CtlMsgsRecv, w.Controller.CtlBytesRecv, w.Controller.AggregatesRecv, w.Controller.BatchesSent)
+	}
+	if sc.Probe && w.Tool != nil {
+		fmt.Fprintf(out, "discovery: %d probe packets over %d discoveries\n", w.Tool.ProbePackets, w.Tool.Discoveries)
+	}
+	if sc.Billing {
+		fmt.Fprintln(out, "\nbilling ledger:")
+		fmt.Fprint(out, controller.FormatBillingReport(w.Controller.BillingReport()))
+	}
+	if sc.Explain {
+		fmt.Fprintln(out, "\nfinal interval decisions:")
+		fmt.Fprint(out, core.FormatDecisions(w.Controller.Algorithm().LastDecisions()))
+		if sc.Aggregate {
+			fmt.Fprintln(out, "\nfinal interval subtree summaries:")
+			fmt.Fprint(out, core.FormatSubtrees(w.Controller.Algorithm().Subtrees()))
+		}
+	}
+	if w.Faults != nil {
+		fmt.Fprintf(out, "faults: bottleneck down %.0f-%.0f s (%d link failures, %d repairs, %d packets unroutable)\n",
+			sc.FailAt, sc.FailAt+sc.Outage, w.Faults.Failures, w.Faults.Repairs, w.Net.Unroutable)
+	}
 }
 
 // writeTSVs dumps every sampled series as <name>.tsv under dir.
@@ -430,15 +316,7 @@ func writeTSVs(dir string, sampler *trace.Sampler) error {
 		return err
 	}
 	for _, name := range sampler.Names() {
-		f, err := os.Create(filepath.Join(dir, name+".tsv"))
-		if err != nil {
-			return err
-		}
-		if err := sampler.Series(name).WriteTSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := experiments.WriteFile(filepath.Join(dir, name+".tsv"), sampler.Series(name).WriteTSV); err != nil {
 			return err
 		}
 	}

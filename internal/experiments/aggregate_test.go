@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"toposense/internal/sim"
@@ -134,67 +133,5 @@ func TestScaleSpecsAggregateTwins(t *testing.T) {
 	}
 	if flat != 2 || agg != 2 {
 		t.Errorf("quick tree ladder: %d flat / %d agg specs, want 2/2", flat, agg)
-	}
-}
-
-// TestValidateEngineFlags covers the full -shards/-failat/-aggregate/
-// -federate/-churn matrix: the unsupportable pairs are rejected with errors
-// that name both flags and the fallback, and every other combination — in
-// particular -shards with -aggregate, -failat with -aggregate, -shards
-// with -federate, and -churn with -shards, -failat or -federate — passes.
-func TestValidateEngineFlags(t *testing.T) {
-	cases := []struct {
-		name                string
-		shards              int
-		failAt              float64
-		aggregate, federate bool
-		churn               float64
-		wantErr             bool
-		frags               []string // fragments the error must contain
-	}{
-		{name: "all off", wantErr: false},
-		{name: "serial faults", failAt: 200, wantErr: false},
-		{name: "sharded clean", shards: 4, wantErr: false},
-		{name: "aggregate alone", aggregate: true, wantErr: false},
-		{name: "federate alone", federate: true, wantErr: false},
-		{name: "sharded aggregate", shards: 4, aggregate: true, wantErr: false},
-		{name: "sharded federate", shards: 4, federate: true, wantErr: false},
-		{name: "faults with aggregate", failAt: 200, aggregate: true, wantErr: false},
-		{name: "churn alone", churn: 4, wantErr: false},
-		{name: "churn sharded", shards: 4, churn: 4, wantErr: false},
-		{name: "churn with faults", failAt: 200, churn: 4, wantErr: false},
-		{name: "churn with aggregate", aggregate: true, churn: 4, wantErr: false},
-		{name: "churn federated", churn: 4, federate: true, wantErr: false},
-		{name: "churn federated sharded", shards: 4, churn: 4, federate: true, wantErr: false},
-
-		{name: "faults on one worker", shards: 1, failAt: 200, wantErr: true,
-			frags: []string{"-failat", "-shards", "serial engine"}},
-		{name: "faults sharded", shards: 4, failAt: 200, wantErr: true,
-			frags: []string{"-failat", "-shards", "serial engine"}},
-		{name: "faults sharded small failat", shards: 8, failAt: 0.5, wantErr: true,
-			frags: []string{"-failat", "-shards", "serial engine"}},
-		{name: "faults federated", failAt: 200, federate: true, wantErr: true,
-			frags: []string{"-failat", "-federate", "drop -federate"}},
-		{name: "federate with aggregate", aggregate: true, federate: true, wantErr: true,
-			frags: []string{"-federate", "-aggregate", "drop -aggregate"}},
-		{name: "negative churn", churn: -1, wantErr: true,
-			frags: []string{"-churn", "positive"}},
-		{name: "everything at once", shards: 4, failAt: 200, aggregate: true, federate: true,
-			wantErr: true, frags: []string{"-failat"}},
-	}
-	for _, c := range cases {
-		err := ValidateEngineFlags(c.shards, c.failAt, c.aggregate, c.federate, c.churn)
-		if (err != nil) != c.wantErr {
-			t.Errorf("%s: ValidateEngineFlags(shards=%d, failat=%g, agg=%v, fed=%v) error = %v, want error %v",
-				c.name, c.shards, c.failAt, c.aggregate, c.federate, err, c.wantErr)
-			continue
-		}
-		if err != nil {
-			for _, frag := range c.frags {
-				if !strings.Contains(err.Error(), frag) {
-					t.Errorf("%s: error %q does not mention %q", c.name, err, frag)
-				}
-			}
-		}
 	}
 }

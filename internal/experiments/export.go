@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"runtime"
+	"time"
 )
 
 // Export is the schema of the machine-readable result file the -json
@@ -40,38 +42,55 @@ type Export struct {
 	Results []Result `json:"results"`
 }
 
-// FillAggregates computes TotalEvents, EventsPerSecond and AllocsPerEvent
-// from Results, WallSeconds and the process-wide heap allocation count
-// (runtime.MemStats.Mallocs delta) observed around the sweep.
-func (ex *Export) FillAggregates(mallocs uint64) {
-	ex.TotalEvents = 0
-	for _, r := range ex.Results {
+// Measure runs sweep between two reads of the process-wide heap allocation
+// count (runtime.MemStats.Mallocs) and returns the export describing it:
+// creation time, GOMAXPROCS, wall clock, the results, and the totals
+// derived from them. The caller fills in Parallelism and Quick.
+func Measure(tool string, seed int64, sweep func() []Result) Export {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	results := sweep()
+	wall := time.Since(start)
+	runtime.ReadMemStats(&after)
+	ex := Export{
+		Tool:        tool,
+		GeneratedAt: start.UTC().Format(time.RFC3339),
+		GoMaxProcs:  runtime.GOMAXPROCS(0),
+		Seed:        seed,
+		WallSeconds: wall.Seconds(),
+		Results:     results,
+	}
+	for _, r := range results {
 		ex.TotalEvents += r.Events
 	}
 	if ex.WallSeconds > 0 {
 		ex.EventsPerSecond = float64(ex.TotalEvents) / ex.WallSeconds
 	}
 	if ex.TotalEvents > 0 {
-		ex.AllocsPerEvent = float64(mallocs) / float64(ex.TotalEvents)
+		ex.AllocsPerEvent = float64(after.Mallocs-before.Mallocs) / float64(ex.TotalEvents)
 	}
+	return ex
 }
 
 // WriteJSON writes the export to w as indented JSON.
-func WriteJSON(w io.Writer, ex Export) error {
+func (ex Export) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(ex)
 }
 
-// WriteJSONFile writes the export to path, creating or truncating it.
-func WriteJSONFile(path string, ex Export) error {
+// WriteFile creates or truncates path, hands it to write — an export's,
+// obs dump's or series' writer method — and closes it, reporting the first
+// error.
+func WriteFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := WriteJSON(f, ex); err != nil {
-		f.Close()
-		return err
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	return err
 }

@@ -6,7 +6,6 @@ import (
 
 	"toposense/internal/metrics"
 	"toposense/internal/sim"
-	"toposense/internal/topology"
 )
 
 // The fig_scale experiment is not a paper figure: it tracks how far toward
@@ -63,12 +62,11 @@ type ScaleRow struct {
 	Receivers int    `json:"receivers"` // session receivers
 	Groups    int    `json:"groups"`    // registered multicast groups
 
-	// Forwarding-state memory after the run, against what the old dense
-	// [node][group] pointer table would have held.
+	// Forwarding-state memory after the run, against what a fully allocated
+	// [node][group] pointer table would hold.
 	TableEntries    int `json:"table_entries"`
 	TableBytes      int `json:"table_bytes"`
 	DenseEquivBytes int `json:"dense_equiv_bytes"`
-	DenseNodes      int `json:"dense_nodes"` // nodes promoted to dense form
 
 	// Controller pass wall-clock latency (host time; reporting only).
 	Passes     int64   `json:"passes"`
@@ -166,69 +164,58 @@ func ScaleSpecs(cfg ScaleConfig) []Spec {
 	cfg.normalize()
 	var specs []Spec
 	for _, point := range scalePoints(cfg) {
-		specs = append(specs, scaleSpec(cfg, point, 0, false, false))
+		flat := Scenario{Topo: point, Traffic: cfg.Traffic, Seed: cfg.Seed, Duration: cfg.Duration.Seconds()}
+		sharded, agg, fed := flat, flat, flat
+		sharded.Shards, agg.Aggregate, fed.Federate = cfg.Shards, true, true
+		specs = append(specs, scaleSpec(flat))
 		if cfg.Shards > 1 {
-			specs = append(specs, scaleSpec(cfg, point, cfg.Shards, false, false))
+			specs = append(specs, scaleSpec(sharded))
 		}
 		if cfg.Aggregate {
-			specs = append(specs, scaleSpec(cfg, point, 0, true, false))
+			specs = append(specs, scaleSpec(agg))
 		}
 		if cfg.Federate {
-			specs = append(specs, scaleSpec(cfg, point, 0, false, true))
+			specs = append(specs, scaleSpec(fed))
 		}
 	}
 	return specs
 }
 
-// scaleSpec builds the Spec for one ladder point on one engine flavour
-// (shards == 0 for the single-threaded oracle), optionally with the
-// in-network aggregation layer or the hierarchical (federated) control
-// plane installed.
-func scaleSpec(cfg ScaleConfig, point string, shards int, aggregate, federate bool) Spec {
-	name := "fig_scale/" + point
-	if shards > 1 {
-		name = fmt.Sprintf("%s/shards=%d", name, shards)
+// scaleSpec builds the Spec that runs one ladder point as described by sc:
+// on the single-threaded oracle or the sharded engine, optionally with the
+// in-network aggregation layer or the federated control plane installed.
+func scaleSpec(sc Scenario) Spec {
+	name := "fig_scale/" + sc.Topo
+	if sc.Shards > 1 {
+		name = fmt.Sprintf("%s/shards=%d", name, sc.Shards)
 	}
-	if aggregate {
+	if sc.Aggregate {
 		name += "/agg"
 	}
-	if federate {
+	if sc.Federate {
 		name += "/fed"
 	}
-	return NewSpec("fig_scale", name,
-		cfg.Seed, cfg.Duration,
+	dur := sim.FromSeconds(sc.Duration)
+	return NewSpec("fig_scale", name, sc.Seed, dur,
 		func(m *Meter) (any, error) {
-			_, tcfg, err := topology.Parse(point)
+			w, err := sc.Assemble(m)
 			if err != nil {
 				return nil, err
 			}
-			e := NewRunEngine(cfg.Seed, shards)
-			b, err := topology.Generate(e, tcfg)
-			if err != nil {
-				return nil, err
-			}
+			b := w.Build
 			row := ScaleRow{
-				Topo:      point,
+				Topo:      sc.Topo,
 				Nodes:     b.Net.NumNodes(),
 				Links:     len(b.Net.Links()),
 				Receivers: len(b.AllReceivers()),
-				Shards:    shards,
-				Aggregate: aggregate,
-				Federate:  federate,
+				Shards:    sc.Shards,
+				Aggregate: sc.Aggregate,
+				Federate:  sc.Federate,
 			}
-			wc := WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic, Aggregate: aggregate}
-			if federate {
-				wc.Plane = PlaneFederated
-			}
-			w, err := AssembleWorld(e, b, wc)
-			if err != nil {
-				return nil, err
-			}
-			m.ObserveWorld(w)
-			w.Run(cfg.Duration)
+			w.Run(dur)
 			row.Groups = w.Domain.NumGroups()
 			st := w.Domain.StateStats()
-			row.TableEntries, row.TableBytes, row.DenseNodes = st.Entries, st.Bytes, st.DenseNodes
+			row.TableEntries, row.TableBytes = st.Entries, st.Bytes
 			// Fan-in and pass latency sum over every controller — under the
 			// hierarchy each leaf's own fan-in is a domain-sized fraction of
 			// the flat controller's.
@@ -260,7 +247,7 @@ func scaleSpec(cfg ScaleConfig, point string, shards int, aggregate, federate bo
 				row.BytesPerReceiver = float64(row.RxBytes) / float64(row.Receivers)
 				row.CtlBytesPerRx = float64(row.CtlBytes) / float64(row.Receivers)
 			}
-			row.MeanDev = metrics.MeanRelativeDeviation(traces, optima, 0, cfg.Duration)
+			row.MeanDev = metrics.MeanRelativeDeviation(traces, optima, 0, dur)
 			return []ScaleRow{row}, nil
 		})
 }

@@ -1,0 +1,101 @@
+package experiments
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestScenarioValidate is the one rejection table's test: every row of
+// Scenario.Validate fires with an error naming the flag to change (and, for
+// the three model pairs, the fallback), and every other combination — in
+// particular -shards with -aggregate, -failat with -aggregate, -shards with
+// -federate, and -churn with -shards, -failat or -federate — passes.
+func TestScenarioValidate(t *testing.T) {
+	cases := []struct {
+		name  string
+		edit  func(s *Scenario)
+		frags []string // nil = must validate; else fragments the error must contain
+	}{
+		{name: "default run", edit: func(s *Scenario) {}},
+		{name: "serial faults", edit: func(s *Scenario) { s.FailAt = 200 }},
+		{name: "sharded clean", edit: func(s *Scenario) { s.Shards = 4 }},
+		{name: "aggregate alone", edit: func(s *Scenario) { s.Aggregate = true }},
+		{name: "federate alone", edit: func(s *Scenario) { s.Federate = true }},
+		{name: "sharded aggregate", edit: func(s *Scenario) { s.Shards, s.Aggregate = 4, true }},
+		{name: "sharded federate", edit: func(s *Scenario) { s.Shards, s.Federate = 4, true }},
+		{name: "faults with aggregate", edit: func(s *Scenario) { s.FailAt, s.Aggregate = 200, true }},
+		{name: "churn alone", edit: func(s *Scenario) { s.Churn = 4 }},
+		{name: "churn sharded", edit: func(s *Scenario) { s.Shards, s.Churn = 4, 4 }},
+		{name: "churn with faults", edit: func(s *Scenario) { s.FailAt, s.Churn = 200, 4 }},
+		{name: "churn with aggregate", edit: func(s *Scenario) { s.Aggregate, s.Churn = true, 4 }},
+		{name: "churn federated", edit: func(s *Scenario) { s.Federate, s.Churn = true, 4 }},
+		{name: "churn federated sharded", edit: func(s *Scenario) { s.Shards, s.Federate, s.Churn = 4, true, 4 }},
+		{name: "rlm alone", edit: func(s *Scenario) { s.RLM = true }},
+		{name: "rlm churn", edit: func(s *Scenario) { s.RLM, s.Churn = true, 4 }},
+		{name: "flat billing and explain", edit: func(s *Scenario) { s.Billing, s.Explain = true, true }},
+		{name: "family name alone", edit: func(s *Scenario) { s.Topo = "tree" }},
+		{name: "stale and probed", edit: func(s *Scenario) { s.Staleness, s.Probe = 6, true }},
+
+		{name: "faults on one worker", edit: func(s *Scenario) { s.Shards, s.FailAt = 1, 200 },
+			frags: []string{"-failat", "-shards", "serial engine"}},
+		{name: "faults sharded", edit: func(s *Scenario) { s.Shards, s.FailAt = 4, 200 },
+			frags: []string{"-failat", "-shards", "serial engine"}},
+		{name: "faults sharded small failat", edit: func(s *Scenario) { s.Shards, s.FailAt = 8, 0.5 },
+			frags: []string{"-failat 0.5", "-shards 8", "serial engine"}},
+		{name: "faults federated", edit: func(s *Scenario) { s.FailAt, s.Federate = 200, true },
+			frags: []string{"-failat", "-federate", "drop -federate"}},
+		{name: "federate with aggregate", edit: func(s *Scenario) { s.Aggregate, s.Federate = true, true },
+			frags: []string{"-federate", "-aggregate", "drop -aggregate"}},
+		{name: "negative churn", edit: func(s *Scenario) { s.Churn = -1 },
+			frags: []string{"-churn -1", "positive"}},
+		{name: "everything at once", edit: func(s *Scenario) { s.Shards, s.FailAt, s.Aggregate, s.Federate = 4, 200, true, true },
+			frags: []string{"-failat"}},
+		{name: "zero duration", edit: func(s *Scenario) { s.Duration = 0 },
+			frags: []string{"-duration 0", "positive"}},
+		{name: "negative duration", edit: func(s *Scenario) { s.Duration = -5 },
+			frags: []string{"-duration -5"}},
+		{name: "negative staleness", edit: func(s *Scenario) { s.Staleness = -3 },
+			frags: []string{"-staleness -3"}},
+		{name: "faults without outage", edit: func(s *Scenario) { s.FailAt, s.Outage = 200, 0 },
+			frags: []string{"-outage", "-failat"}},
+		{name: "unknown generator", edit: func(s *Scenario) { s.Topo = "bogus" },
+			frags: []string{"-topo", "unknown generator"}},
+		{name: "unknown topology key", edit: func(s *Scenario) { s.Topo = "tree,bogus=1" },
+			frags: []string{"-topo", "no key"}},
+		{name: "malformed topology value", edit: func(s *Scenario) { s.Topo = "tree,depth=x" },
+			frags: []string{"-topo", "depth"}},
+		{name: "empty topology", edit: func(s *Scenario) { s.Topo = "" },
+			frags: []string{"-topo"}},
+		{name: "rlm aggregate", edit: func(s *Scenario) { s.RLM, s.Aggregate = true, true },
+			frags: []string{"-aggregate", "-algo rlm"}},
+		{name: "rlm federate", edit: func(s *Scenario) { s.RLM, s.Federate = true, true },
+			frags: []string{"-federate", "-algo rlm"}},
+		{name: "rlm billing", edit: func(s *Scenario) { s.RLM, s.Billing = true, true },
+			frags: []string{"-algo rlm", "-billing"}},
+		{name: "rlm explain", edit: func(s *Scenario) { s.RLM, s.Explain = true, true },
+			frags: []string{"-algo rlm", "-explain"}},
+		{name: "federated billing", edit: func(s *Scenario) { s.Topo, s.Federate, s.Billing = "tiered", true, true },
+			frags: []string{"-federate", "-billing"}},
+	}
+	for _, c := range cases {
+		s := DefaultScenario()
+		c.edit(&s)
+		err := s.Validate()
+		if (err != nil) != (c.frags != nil) {
+			t.Errorf("%s: Validate(%+v) = %v, want error %v", c.name, s, err, c.frags != nil)
+			continue
+		}
+		for _, frag := range c.frags {
+			if !strings.Contains(err.Error(), frag) {
+				t.Errorf("%s: error %q does not mention %q", c.name, err, frag)
+			}
+		}
+		// Assemble goes through the same gate: a rejected scenario never
+		// builds an engine.
+		if err != nil {
+			if w, aerr := s.Assemble(&Meter{}); w != nil || aerr == nil || aerr.Error() != err.Error() {
+				t.Errorf("%s: Assemble = (%v, %v), want (nil, %v)", c.name, w, aerr, err)
+			}
+		}
+	}
+}

@@ -202,8 +202,7 @@ func TestShardDeterminismScaleRows(t *testing.T) {
 
 func scaleRowCanonical(t *testing.T, point string, shards int) string {
 	t.Helper()
-	cfg := ScaleConfig{Seed: 1, Duration: 15 * sim.Second, Topo: point, Traffic: CBR}
-	res := scaleSpec(cfg, point, shards, false, false).Execute(0)
+	res := scaleSpec(Scenario{Topo: point, Traffic: CBR, Seed: 1, Shards: shards, Duration: 15}).Execute(0)
 	if res.Failed() {
 		t.Fatalf("run %s failed: %s", res.Name, res.Err)
 	}

@@ -147,7 +147,7 @@ func TestExportJSONRoundTrip(t *testing.T) {
 		Results:     ExecuteAll(specs),
 	}
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, ex); err != nil {
+	if err := ex.WriteJSON(&buf); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	var back map[string]any

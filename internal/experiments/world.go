@@ -17,6 +17,7 @@ import (
 	"toposense/internal/churn"
 	"toposense/internal/controller"
 	"toposense/internal/core"
+	"toposense/internal/faults"
 	"toposense/internal/federation"
 	"toposense/internal/mcast"
 	"toposense/internal/metrics"
@@ -108,6 +109,7 @@ type World struct {
 	Parent     *federation.Parent // PlaneFederated only
 	Leaves     []*federation.Leaf // PlaneFederated only
 	Churn      *churn.Driver      // nil until ChurnSlots or WireObs needs it
+	Faults     *faults.Injector   // nil unless Scenario.Assemble scheduled an outage
 
 	cfg       WorldConfig           // as given, with Layers and Alg resolved
 	sessions  []int                 // every session id, shared by the discovery tools

@@ -17,16 +17,11 @@
 // keeps congesting the bottleneck for a while after the receiver drops it.
 // The paper calls this out as a core difficulty of layered multicast.
 //
-// Forwarding state is a sparse-dense hybrid. A router in a large topology
-// touches only the handful of groups whose trees cross it, so a dense
-// [node][group] table would waste nodes×groups pointer slots — the memory
-// wall at 10^5 receivers. Instead each node holds a short sorted list of
-// (group, entry) pairs, answered by binary search, and is promoted to a
-// dense group-indexed slice only once it joins enough trees (a source or a
-// hub router). Either way the data path does no map access and no
-// allocation — one slice index plus at worst a few comparisons — and each
-// entry caches its downstream children as a sorted slice with the outgoing
-// links resolved alongside, rebuilt only on graft and prune.
+// Forwarding state is one group-indexed slice of entries per node, grown
+// on the control path to the highest group whose tree has crossed the node.
+// The data path does no map access and no allocation — two slice indexes —
+// and each entry caches its downstream children as a sorted slice with the
+// outgoing links resolved alongside, rebuilt only on graft and prune.
 package mcast
 
 import (
@@ -116,74 +111,6 @@ func (s *nodeGroupState) removeChild(c netsim.NodeID) {
 	}
 }
 
-// denseGroupsPerNode is the promotion threshold: once a node carries state
-// for this many groups, its sorted-list container is promoted to a dense
-// group-indexed slice. Sources and hub routers cross it quickly; leaf
-// routers in a large topology never do.
-const denseGroupsPerNode = 32
-
-// nodeGroups holds one node's forwarding entries across groups: sorted
-// (ids, sts) pairs while sparse, a group-indexed slice once promoted.
-type nodeGroups struct {
-	ids   []netsim.GroupID  // sorted group IDs (sparse form)
-	sts   []*nodeGroupState // sts[i] is the entry for ids[i]
-	dense []*nodeGroupState // non-nil once promoted; indexed by GroupID
-}
-
-// get returns the node's entry for g, or nil. Zero allocations: the data
-// path calls it per packet per hop.
-func (ng *nodeGroups) get(g netsim.GroupID) *nodeGroupState {
-	if ng.dense != nil {
-		if int(g) >= len(ng.dense) {
-			return nil
-		}
-		return ng.dense[g]
-	}
-	lo, hi := uint(0), uint(len(ng.ids))
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ng.ids[mid] < g {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < uint(len(ng.ids)) && ng.ids[lo] == g {
-		return ng.sts[lo]
-	}
-	return nil
-}
-
-// put installs st as the entry for g (which must not be present) and
-// promotes the container to dense form past the threshold.
-func (ng *nodeGroups) put(g netsim.GroupID, st *nodeGroupState) {
-	if ng.dense != nil {
-		for int(g) >= len(ng.dense) {
-			ng.dense = append(ng.dense, nil)
-		}
-		ng.dense[g] = st
-		return
-	}
-	i := 0
-	for i < len(ng.ids) && ng.ids[i] < g {
-		i++
-	}
-	ng.ids = append(ng.ids, 0)
-	ng.sts = append(ng.sts, nil)
-	copy(ng.ids[i+1:], ng.ids[i:])
-	copy(ng.sts[i+1:], ng.sts[i:])
-	ng.ids[i] = g
-	ng.sts[i] = st
-	if len(ng.ids) >= denseGroupsPerNode {
-		max := int(ng.ids[len(ng.ids)-1]) // ids are sorted
-		dense := make([]*nodeGroupState, max+1)
-		for k, id := range ng.ids {
-			dense[id] = ng.sts[k]
-		}
-		ng.ids, ng.sts, ng.dense = nil, nil, dense
-	}
-}
-
 // Domain manages multicast state for an entire network. It installs itself
 // as the MulticastHandler on every node.
 type Domain struct {
@@ -193,11 +120,11 @@ type Domain struct {
 	groups []groupInfo                 // indexed by GroupID
 	byKey  map[groupKey]netsim.GroupID // (session,layer) -> id
 
-	// state[node] holds the node's forwarding entries across groups —
-	// sparse (sorted pairs) for the common leaf router, dense past the
-	// promotion threshold. It grows lazily on the control path
-	// (graft/join); the data path only reads.
-	state []nodeGroups
+	// state[node][group] is the node's forwarding entry for the group, nil
+	// (or beyond the slice) when the group's tree never crossed the node.
+	// Each node's slice grows lazily on the control path (graft/join); the
+	// data path only reads.
+	state [][]*nodeGroupState
 
 	// Grafts and Prunes count tree maintenance operations (for tests and
 	// reporting). Repairs counts nodes re-homed (or orphaned) by route
@@ -251,16 +178,16 @@ func NewDomain(net *netsim.Network) *Domain {
 		net:          net,
 		LeaveLatency: DefaultLeaveLatency,
 		byKey:        make(map[groupKey]netsim.GroupID),
-		// Preallocate one container per node: on a partitioned network each
-		// shard touches only its own nodes' containers, but a lazy append
-		// of the backing slice itself would race across shards.
-		state: make([]nodeGroups, net.NumNodes()),
+		// Preallocate one slot per node: on a partitioned network each
+		// shard touches only its own nodes' slices, but a lazy append of
+		// the outer slice itself would race across shards.
+		state: make([][]*nodeGroupState, net.NumNodes()),
 	}
 	d.Install()
 	net.OnAddNode = func(n *netsim.Node) {
 		n.SetMulticastHandler(d)
 		for int(n.ID) >= len(d.state) {
-			d.state = append(d.state, nodeGroups{})
+			d.state = append(d.state, nil)
 		}
 	}
 	net.OnRouteChange(d.onRouteChange)
@@ -313,22 +240,24 @@ func (d *Domain) NumGroups() int { return len(d.groups) }
 
 func (d *Domain) stateOf(n netsim.NodeID, g netsim.GroupID) *nodeGroupState {
 	for int(n) >= len(d.state) {
-		d.state = append(d.state, nodeGroups{})
+		d.state = append(d.state, nil)
 	}
-	ng := &d.state[n]
-	if st := ng.get(g); st != nil {
-		return st
+	for int(g) >= len(d.state[n]) {
+		d.state[n] = append(d.state[n], nil)
 	}
-	st := &nodeGroupState{parent: netsim.NoNode}
-	ng.put(g, st)
-	return st
+	if d.state[n][g] == nil {
+		d.state[n][g] = &nodeGroupState{parent: netsim.NoNode}
+	}
+	return d.state[n][g]
 }
 
+// lookup returns n's entry for g, or nil. Zero allocations: the data path
+// calls it per packet per hop.
 func (d *Domain) lookup(n netsim.NodeID, g netsim.GroupID) *nodeGroupState {
-	if int(n) >= len(d.state) {
+	if int(n) >= len(d.state) || int(g) >= len(d.state[n]) {
 		return nil
 	}
-	return d.state[n].get(g)
+	return d.state[n][g]
 }
 
 // upstream returns the next hop from n toward the group source, or NoNode
@@ -606,21 +535,11 @@ func (d *Domain) OnTree(n netsim.NodeID, g netsim.GroupID) bool {
 // call while the engine is quiescent (a sampler barrier), cost O(entries).
 func (d *Domain) TreeCost() int {
 	cost := 0
-	count := func(st *nodeGroupState) {
-		if st != nil {
-			cost += len(st.children)
-		}
-	}
-	for i := range d.state {
-		ng := &d.state[i]
-		if ng.dense != nil {
-			for _, st := range ng.dense {
-				count(st)
+	for _, sts := range d.state {
+		for _, st := range sts {
+			if st != nil {
+				cost += len(st.children)
 			}
-			continue
-		}
-		for _, st := range ng.sts {
-			count(st)
 		}
 	}
 	return cost
@@ -629,10 +548,9 @@ func (d *Domain) TreeCost() int {
 // StateStats sizes the forwarding state — the numbers the fig_scale study
 // tracks to show memory stays sublinear in nodes×groups.
 type StateStats struct {
-	Nodes      int // nodes with any forwarding container
-	Entries    int // live (node, group) forwarding entries
-	DenseNodes int // nodes promoted to the dense container
-	Bytes      int // approximate resident bytes of all containers and entries
+	Nodes   int // nodes with a forwarding-state slot
+	Entries int // live (node, group) forwarding entries
+	Bytes   int // approximate resident bytes of all slices and entries
 }
 
 // StateStats walks the forwarding state and reports its size. Control-path
@@ -640,36 +558,23 @@ type StateStats struct {
 func (d *Domain) StateStats() StateStats {
 	const (
 		ptrSize   = int(unsafe.Sizeof((*nodeGroupState)(nil)))
-		idSize    = int(unsafe.Sizeof(netsim.GroupID(0)))
 		nodeSize  = int(unsafe.Sizeof(netsim.NodeID(0)))
 		entrySize = int(unsafe.Sizeof(nodeGroupState{}))
 		ifaceSize = int(unsafe.Sizeof(Member(nil)))
-		ngSize    = int(unsafe.Sizeof(nodeGroups{}))
+		sliceSize = int(unsafe.Sizeof([]*nodeGroupState(nil)))
 	)
-	s := StateStats{Nodes: len(d.state), Bytes: cap(d.state) * ngSize}
-	count := func(st *nodeGroupState) {
-		if st == nil {
-			return
-		}
-		s.Entries++
-		s.Bytes += entrySize +
-			cap(st.children)*nodeSize +
-			cap(st.links)*ptrSize +
-			cap(st.members)*ifaceSize
-	}
-	for i := range d.state {
-		ng := &d.state[i]
-		if ng.dense != nil {
-			s.DenseNodes++
-			s.Bytes += cap(ng.dense) * ptrSize
-			for _, st := range ng.dense {
-				count(st)
+	s := StateStats{Nodes: len(d.state), Bytes: cap(d.state) * sliceSize}
+	for _, sts := range d.state {
+		s.Bytes += cap(sts) * ptrSize
+		for _, st := range sts {
+			if st == nil {
+				continue
 			}
-			continue
-		}
-		s.Bytes += cap(ng.ids)*idSize + cap(ng.sts)*ptrSize
-		for _, st := range ng.sts {
-			count(st)
+			s.Entries++
+			s.Bytes += entrySize +
+				cap(st.children)*nodeSize +
+				cap(st.links)*ptrSize +
+				cap(st.members)*ifaceSize
 		}
 	}
 	return s

@@ -11,8 +11,8 @@ type nullMember struct{}
 
 func (nullMember) RecvMulticast(*netsim.Packet) {}
 
-// buildStarDomain joins one member per (arm, group): the hub crosses the
-// dense-promotion threshold while every arm stays sparse.
+// buildStarDomain joins one member per (arm, group): the hub carries every
+// group while each arm carries exactly one.
 func buildStarDomain(t *testing.T, groups int) (*Domain, *netsim.Network) {
 	t.Helper()
 	e := sim.NewEngine(1)
@@ -30,32 +30,22 @@ func buildStarDomain(t *testing.T, groups int) (*Domain, *netsim.Network) {
 	return d, net
 }
 
-func TestStatePromotionAtSource(t *testing.T) {
-	const groups = 2 * denseGroupsPerNode
+func TestStateEntriesAtSourceHub(t *testing.T) {
+	const groups = 64
 	d, net := buildStarDomain(t, groups)
 	stats := d.StateStats()
-	if stats.DenseNodes != 1 {
-		t.Errorf("DenseNodes = %d, want 1 (only the source hub)", stats.DenseNodes)
-	}
 	// Source carries all groups; each arm exactly one.
 	if want := 2 * groups; stats.Entries != want {
 		t.Errorf("Entries = %d, want %d", stats.Entries, want)
 	}
-	// Every entry still answers, through both container forms.
 	for g := 0; g < groups; g++ {
 		id := d.GroupOf(g, 1)
 		if !d.OnTree(0, id) {
-			t.Fatalf("source off tree for group %d after promotion", g)
+			t.Fatalf("source off tree for group %d", g)
 		}
 		if kids := d.ForwardingChildren(0, id); len(kids) != 1 {
 			t.Fatalf("source children for group %d = %v, want one arm", g, kids)
 		}
-	}
-	// Memory must be far below the dense nodes×groups table the old layout
-	// kept: with one sparse entry per arm it is O(entries), not O(N×G).
-	denseEquiv := net.NumNodes() * groups * 8
-	if stats.Bytes >= denseEquiv {
-		t.Errorf("Bytes = %d, not sublinear vs dense nodes×groups = %d", stats.Bytes, denseEquiv)
 	}
 	if stats.Nodes != net.NumNodes() {
 		t.Errorf("Nodes = %d, want %d", stats.Nodes, net.NumNodes())
@@ -65,7 +55,7 @@ func TestStatePromotionAtSource(t *testing.T) {
 func TestStateSparseLookupMisses(t *testing.T) {
 	d, _ := buildStarDomain(t, 4)
 	// Arm node 1 joined exactly one group; other group IDs must miss
-	// cleanly in the sparse container (below, between, above its ID).
+	// cleanly (nil slots below its ID, past the end of its slice above).
 	for g := netsim.GroupID(0); g < 4; g++ {
 		st := d.lookup(1, g)
 		if (st != nil) != d.OnTree(1, g) {
@@ -81,20 +71,19 @@ func TestStateSparseLookupMisses(t *testing.T) {
 }
 
 func TestStateDenseContainerGrowsForNewGroups(t *testing.T) {
-	const groups = denseGroupsPerNode + 3
+	const groups = 35
 	d, net := buildStarDomain(t, groups)
-	// The source promoted mid-way; groups registered after promotion must
-	// land in the grown dense container.
+	// The source's slice grew one group at a time as each tree reached it;
+	// the last-registered group must have landed in the grown slice.
 	src := netsim.NodeID(0)
 	last := d.GroupOf(groups-1, 1)
 	if !d.OnTree(src, last) {
-		t.Fatal("post-promotion group missing at the promoted node")
+		t.Fatal("last-registered group missing at the source")
 	}
-	stats := d.StateStats()
-	if stats.DenseNodes != 1 {
-		t.Errorf("DenseNodes = %d, want 1", stats.DenseNodes)
+	if got := len(d.state[src]); got != groups {
+		t.Errorf("source slice holds %d slots, want %d", got, groups)
 	}
-	if stats.Nodes != net.NumNodes() {
+	if stats := d.StateStats(); stats.Nodes != net.NumNodes() {
 		t.Errorf("Nodes = %d, want %d", stats.Nodes, net.NumNodes())
 	}
 }

@@ -46,6 +46,29 @@ func benchInjectPaced(e *sim.Engine, n int, mk func(i int)) {
 	e.Run()
 }
 
+// linkEventsPerHop is the scheduler events the links spent per packet-hop
+// after benchInjectPaced drove n packets across hops links: everything the
+// engine fired less the n injection events.
+func linkEventsPerHop(e *sim.Engine, n, hops int) float64 {
+	return float64(e.Fired()-uint64(n)) / float64(n*hops)
+}
+
+// reportChain checks that every packet crossed the chain and that an
+// uncongested hop still costs one event, then reports the benchmark's
+// metrics.
+func reportChain(b *testing.B, e *sim.Engine, dst *Node, hops int) {
+	b.Helper()
+	if got := dst.RecvUnicast; got != int64(b.N) {
+		b.Fatalf("delivered %d packets, want %d", got, b.N)
+	}
+	perHop := linkEventsPerHop(e, b.N, hops)
+	if perHop > 1 {
+		b.Fatalf("%.3f link events per hop on an uncongested chain, want 1", perHop)
+	}
+	b.ReportMetric(perHop, "events/hop")
+	b.ReportMetric(float64(b.N*hops)/b.Elapsed().Seconds(), "hops/s")
+}
+
 // BenchmarkChainForward pushes packets through an 8-hop chain and reports
 // per-packet cost of the full forwarding plane: queueing, serialization,
 // propagation and per-hop delivery. This is the packet-plane counterpart of
@@ -61,10 +84,7 @@ func BenchmarkChainForward(b *testing.B) {
 		src.SendUnicast(&Packet{Kind: Control, Src: src.ID, Dst: dst.ID, Group: NoGroup, Size: 1000})
 	})
 	b.StopTimer()
-	if got := dst.RecvUnicast; got != int64(b.N) {
-		b.Fatalf("delivered %d packets, want %d", got, b.N)
-	}
-	b.ReportMetric(float64(b.N*hops)/b.Elapsed().Seconds(), "hops/s")
+	reportChain(b, e, dst, hops)
 }
 
 // BenchmarkChainForwardPooled is BenchmarkChainForward with packets drawn
@@ -88,8 +108,5 @@ func BenchmarkChainForwardPooled(b *testing.B) {
 		p.Release()
 	})
 	b.StopTimer()
-	if got := dst.RecvUnicast; got != int64(b.N) {
-		b.Fatalf("delivered %d packets, want %d", got, b.N)
-	}
-	b.ReportMetric(float64(b.N*hops)/b.Elapsed().Seconds(), "hops/s")
+	reportChain(b, e, dst, hops)
 }

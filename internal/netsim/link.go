@@ -48,11 +48,16 @@ func (s LinkStats) DropRate() float64 {
 // (bits/s), propagation delay, and a drop-tail FIFO queue of queueLimit
 // packets. A bidirectional connection is a pair of Links.
 //
-// The forwarding hot path is allocation-free: the serialization-done and
-// delivery callbacks are bound once per link at construction, the waiting
-// queue and the propagation pipeline are head-indexed slices whose backing
-// arrays are reused, and pooled packets move through on reference counts
-// instead of garbage.
+// A packet offered to an idle transmitter costs one scheduler event: transmit
+// books the whole hop — serialization until freeAt, then the propagation
+// delay — and schedules the delivery at once. Only a packet that has to wait
+// behind a busy transmitter adds a second event, the drain that starts it.
+//
+// The forwarding hot path is allocation-free: the drain and delivery
+// callbacks are bound once per link at construction, the waiting queue and
+// the propagation pipeline are head-indexed slices whose backing arrays are
+// reused, and pooled packets move through on reference counts instead of
+// garbage.
 type Link struct {
 	net        *Network
 	From, To   NodeID
@@ -64,31 +69,39 @@ type Link struct {
 	// queue[qhead:] holds the packets waiting behind the transmitter.
 	queue []*Packet
 	qhead int
-	busy  bool
-	// txp is the packet currently being serialized (valid while busy).
-	txp *Packet
-	// inflight[ifhead:] holds serialized packets riding the propagation
-	// delay, in arrival order (the delay is constant, so FIFO holds).
+	// freeAt is when the transmitter finishes the packet it is serializing
+	// (txSize bytes); the link is busy while now < freeAt. drainEv is the
+	// one event armed at freeAt while the queue is non-empty.
+	freeAt  sim.Time
+	txSize  int
+	drainEv sim.Handle
+	// inflight[ifhead:] holds the packets on the link from the start of
+	// their serialization to their delivery, in delivery order (per-link
+	// delivery times are strictly increasing, so FIFO holds).
 	inflight []*Packet
 	ifhead   int
 
 	// down marks a failed link: everything it is asked to carry is
-	// dropped until SetUp. squelch counts delivery events already
-	// scheduled for in-flight packets that SetDown discarded; deliverHead
-	// swallows that many firings instead of indexing an emptied pipeline.
+	// dropped until SetUp. The delivery events of in-flight packets SetDown
+	// discarded still fire, and deliverHead swallows them. squelch counts
+	// those whose packet had left the transmitter: they all fire before
+	// anything sent later can arrive. aborted holds the due times of those
+	// whose packet was still on it: a shorter packet sent after the repair
+	// overtakes them, so they are matched by time, not by count.
 	down    bool
 	squelch int
+	aborted []sim.Time
 
 	stats  LinkStats
 	probes []Probe
 
 	// Bound once in addLink so the per-hop Schedule calls allocate no
 	// closures.
-	txDoneFn  func()
+	drainFn   func()
 	deliverFn func()
 	deliver   func(*Packet, *Link)
 
-	// sched owns the transmitter side (Send/transmit/txDone run in From's
+	// sched owns the transmitter side (Send/transmit/drain run in From's
 	// context); dsched carries the delivery schedule to the receiving side;
 	// recvSched is the receiving context itself (its clock is the one probes
 	// must read at delivery). All three are the network engine until
@@ -111,15 +124,24 @@ func (l *Link) NowTx() sim.Time { return l.sched.Now() }
 // probe callbacks must read.
 func (l *Link) NowRx() sim.Time { return l.recvSched.Now() }
 
-// Stats returns a copy of the link's counters.
-func (l *Link) Stats() LinkStats { return l.stats }
+// Stats returns a copy of the link's counters. transmit books a packet as
+// Delivered when its serialization starts; the copy is net of the packet
+// still being serialized, so it reads as if counted when the last bit left.
+func (l *Link) Stats() LinkStats {
+	s := l.stats
+	if l.Busy() {
+		s.Delivered--
+		s.TxBytes -= int64(l.txSize)
+	}
+	return s
+}
 
 // QueueLen returns the number of packets waiting (not counting the one being
 // serialized).
 func (l *Link) QueueLen() int { return len(l.queue) - l.qhead }
 
 // Busy reports whether a packet is currently being serialized.
-func (l *Link) Busy() bool { return l.busy }
+func (l *Link) Busy() bool { return l.sched.Now() < l.freeAt }
 
 // Attach registers a probe observing this link's packet events.
 func (l *Link) Attach(p Probe) { l.probes = append(l.probes, p) }
@@ -165,8 +187,9 @@ func (l *Link) SetUp() {
 }
 
 // dropCarried discards everything the link is currently carrying: queued
-// packets, the packet mid-serialization, and serialized packets riding the
-// propagation delay. Each loss is counted and announced like a queue drop.
+// packets and the in-flight pipeline, from the packet mid-serialization to
+// those riding the propagation delay. Each loss is counted and announced
+// like a queue drop.
 func (l *Link) dropCarried() {
 	for i := l.qhead; i < len(l.queue); i++ {
 		p := l.queue[i]
@@ -177,34 +200,40 @@ func (l *Link) dropCarried() {
 	}
 	l.queue = l.queue[:0]
 	l.qhead = 0
-	if l.txp != nil {
-		// Abort the serialization in progress. The already-scheduled
-		// txDone still fires; it finds txp nil and just advances the
-		// transmitter.
-		p := l.txp
-		l.txp = nil
-		l.stats.Dropped++
-		l.noteDrop(p)
-		p.unref()
-	}
+	l.sched.Cancel(l.drainEv)
+	orphaned := len(l.inflight) - l.ifhead // delivery events left to fire
 	for i := l.ifhead; i < len(l.inflight); i++ {
 		p := l.inflight[i]
 		l.inflight[i] = nil
-		// These finished serialization and were counted Delivered in
-		// txDone; move them to Dropped so the ledger reflects that they
-		// never reached the far end.
+		// transmit counted these Delivered; move them to Dropped so the
+		// ledger reflects that they never reached the far end.
 		l.stats.Delivered--
 		l.stats.Dropped++
-		l.squelch++
 		l.noteDrop(p)
 		p.unref()
 	}
+	if l.Busy() {
+		// The newest of them was still being serialized: its bytes never
+		// made it onto the wire, its delivery event is matched by time, and
+		// the transmitter is idle from this instant.
+		l.stats.TxBytes -= int64(l.txSize)
+		orphaned--
+		l.aborted = append(l.aborted, l.freeAt+l.Delay)
+		l.freeAt = l.sched.Now()
+	}
+	l.squelch += orphaned
 	l.inflight = l.inflight[:0]
 	l.ifhead = 0
 }
 
-// ResetStats zeroes the counters (used between measurement intervals).
-func (l *Link) ResetStats() { l.stats = LinkStats{} }
+// ResetStats zeroes the counters (used between measurement intervals). A
+// packet mid-serialization stays booked, so it counts once it finishes.
+func (l *Link) ResetStats() {
+	l.stats = LinkStats{}
+	if l.Busy() {
+		l.stats.Delivered, l.stats.TxBytes = 1, int64(l.txSize)
+	}
+}
 
 func (l *Link) String() string {
 	return fmt.Sprintf("link %d->%d %.0fbps %v", l.From, l.To, l.Bandwidth, l.Delay)
@@ -237,23 +266,24 @@ func (l *Link) noteDeliver(p *Packet) {
 	}
 }
 
-// Send offers a packet to the link. If the transmitter is idle the packet
-// goes straight to the wire; otherwise it queues, and when the queue is at
-// its limit the Policy picks the victim: the arrival (drop-tail) or the
-// highest-layer packet in queue (priority dropping). An accepted packet
-// holds one reference until the link delivers (or drops) it. A down link
-// accepts nothing: the packet is dropped on arrival.
+// Send offers a packet to the link. If the transmitter is idle — nothing
+// queued and the last serialization over — the packet goes straight to the
+// wire; otherwise it queues, and when the queue is at its limit the Policy
+// picks the victim: the arrival (drop-tail) or the highest-layer packet in
+// queue (priority dropping). An accepted packet holds one reference until
+// the link delivers (or drops) it. A down link accepts nothing: the packet
+// is dropped on arrival.
 func (l *Link) Send(p *Packet) {
 	if l.down {
 		l.stats.Dropped++
 		l.noteDrop(p)
 		return
 	}
-	if !l.busy {
+	if now := l.sched.Now(); l.QueueLen() == 0 && now >= l.freeAt {
 		l.stats.Enqueued++
 		p.ref()
 		l.noteEnqueue(p)
-		l.transmit(p)
+		l.transmit(p, now)
 		return
 	}
 	if l.QueueLen() >= l.QueueLimit {
@@ -287,42 +317,23 @@ func (l *Link) Send(p *Packet) {
 	p.ref()
 	l.noteEnqueue(p)
 	l.queue = append(l.queue, p)
-	if qlen := l.QueueLen(); qlen > l.stats.PeakQueue {
+	qlen := l.QueueLen()
+	if qlen == 1 {
+		l.drainEv = l.sched.At(l.freeAt, l.drainFn)
+	}
+	if qlen > l.stats.PeakQueue {
 		l.stats.PeakQueue = qlen
 	}
 }
 
-// transmit starts serializing p; txDone fires when the last bit is on the
-// wire.
-func (l *Link) transmit(p *Packet) {
-	l.busy = true
-	l.txp = p
-	l.sched.Schedule(sim.TransmitTime(p.Size, l.Bandwidth), l.txDoneFn)
-}
-
-// txDone finishes serialization: the packet enters the propagation pipeline
-// and the transmitter moves on to the next queued packet.
-func (l *Link) txDone() {
-	p := l.txp
-	if p == nil {
-		// The serialization was aborted by SetDown; just advance the
-		// transmitter (the queue is normally empty here, but packets may
-		// have queued if the link came back up mid-abort).
-		if l.qhead < len(l.queue) {
-			next := l.queue[l.qhead]
-			l.queue[l.qhead] = nil
-			l.qhead++
-			if l.qhead == len(l.queue) {
-				l.queue = l.queue[:0]
-				l.qhead = 0
-			}
-			l.transmit(next)
-		} else {
-			l.busy = false
-		}
-		return
-	}
-	l.txp = nil
+// transmit starts serializing p at now (the transmitter is idle) and books
+// the rest of the hop: the link is busy until freeAt, and the delivery fires
+// one propagation delay after that. The delivery event takes its tie-break
+// sequence here, when serialization starts.
+func (l *Link) transmit(p *Packet, now sim.Time) {
+	tx := sim.TransmitTime(p.Size, l.Bandwidth)
+	l.freeAt = now + tx
+	l.txSize = p.Size
 	l.stats.Delivered++
 	l.stats.TxBytes += int64(p.Size)
 	if l.mu != nil {
@@ -332,25 +343,34 @@ func (l *Link) txDone() {
 	} else {
 		l.inflight = append(l.inflight, p)
 	}
-	l.dsched.Schedule(l.Delay, l.deliverFn)
-	if l.qhead < len(l.queue) {
-		next := l.queue[l.qhead]
-		l.queue[l.qhead] = nil
-		l.qhead++
-		if l.qhead == len(l.queue) {
-			l.queue = l.queue[:0]
-			l.qhead = 0
-		}
-		l.transmit(next)
-	} else {
-		l.busy = false
+	l.dsched.Schedule(tx+l.Delay, l.deliverFn)
+}
+
+// drain fires at freeAt while packets wait: the transmitter has just gone
+// idle, so the head of the queue goes on the wire, and the event re-arms
+// behind it for as long as the queue is non-empty.
+func (l *Link) drain() {
+	next := l.queue[l.qhead]
+	l.queue[l.qhead] = nil
+	l.qhead++
+	if l.qhead == len(l.queue) {
+		l.queue = l.queue[:0]
+		l.qhead = 0
+	}
+	l.transmit(next, l.freeAt)
+	if l.QueueLen() > 0 {
+		l.drainEv = l.sched.At(l.freeAt, l.drainFn)
 	}
 }
 
 // deliverHead hands the oldest in-flight packet to the receiving node and
-// drops the link's reference to it. Propagation delay is constant per link,
-// so deliveries complete in exactly the order txDone pushed them.
+// drops the link's reference to it. Per-link delivery times are strictly
+// increasing (every serialization takes at least a microsecond), so
+// deliveries complete in exactly the order transmit pushed them.
 func (l *Link) deliverHead() {
+	if len(l.aborted) > 0 && l.abortedDueNow() {
+		return
+	}
 	if l.squelch > 0 {
 		// This firing belonged to an in-flight packet a SetDown discarded.
 		l.squelch--
@@ -367,6 +387,20 @@ func (l *Link) deliverHead() {
 	l.noteDeliver(p)
 	l.deliver(p, l)
 	p.unref()
+}
+
+// abortedDueNow reports whether this delivery firing belongs to a
+// serialization SetDown aborted, and forgets it if so. A live packet due the
+// same microsecond has a firing of its own, so either may stand for it.
+func (l *Link) abortedDueNow() bool {
+	now := l.recvSched.Now()
+	for i, due := range l.aborted {
+		if due == now {
+			l.aborted = append(l.aborted[:i], l.aborted[i+1:]...)
+			return true
+		}
+	}
+	return false
 }
 
 // popInflight removes and returns the oldest in-flight packet. Boundary

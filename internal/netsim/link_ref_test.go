@@ -1,0 +1,555 @@
+package netsim
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"toposense/internal/sim"
+)
+
+// refLink is the two-event link the one-event Link replaced, kept as the
+// reference model: every packet costs a txDone event when its serialization
+// ends and a deliver event one propagation delay later, the transmitter is a
+// busy flag, and counters move when the events fire. Send, transmit, txDone
+// and the delivery are the old link's line for line, less the reference
+// counting and the boundary-link mutex, with a probe hook in place of the
+// Probe lists. One thing is deliberately not the old code: each event carries
+// its packet and the outage epoch it was scheduled in, so setDown invalidates
+// what it discards by bumping the epoch and the transmitter is idle at once.
+// The old link counted anonymous events instead and stayed busy until the
+// aborted txDone fired (the ghost serialization
+// TestSetUpInsideAbortedSerialization pins as fixed).
+type refLink struct {
+	e          *sim.Engine
+	bandwidth  float64
+	delay      sim.Time
+	queueLimit int
+	policy     DropPolicy
+
+	queue    []*Packet
+	busy     bool
+	txp      *Packet  // packet being serialized (valid while busy)
+	txEnd    sim.Time // when its txDone fires
+	inflight []*Packet
+	down     bool
+	epoch    int // bumped by setDown
+	stats    LinkStats
+
+	note func(kind probeKind, p *Packet)
+	tick func() // called first thing in every event
+}
+
+func (l *refLink) send(p *Packet) {
+	if l.down {
+		l.stats.Dropped++
+		l.note(probeDrop, p)
+		return
+	}
+	if !l.busy {
+		l.stats.Enqueued++
+		l.note(probeEnqueue, p)
+		l.transmit(p)
+		return
+	}
+	if len(l.queue) >= l.queueLimit {
+		victim := p
+		if l.policy == DropPriority {
+			vIdx := -1
+			for i, q := range l.queue {
+				if q.Layer > victim.Layer {
+					victim, vIdx = q, i
+				}
+			}
+			if vIdx >= 0 {
+				l.queue[vIdx] = p
+				l.stats.Dropped++
+				l.note(probeDrop, victim)
+				return
+			}
+		}
+		l.stats.Dropped++
+		l.note(probeDrop, victim)
+		return
+	}
+	l.stats.Enqueued++
+	l.note(probeEnqueue, p)
+	l.queue = append(l.queue, p)
+	if len(l.queue) > l.stats.PeakQueue {
+		l.stats.PeakQueue = len(l.queue)
+	}
+}
+
+func (l *refLink) transmit(p *Packet) {
+	l.busy = true
+	l.txp = p
+	tx := sim.TransmitTime(p.Size, l.bandwidth)
+	l.txEnd = l.e.Now() + tx
+	epoch := l.epoch
+	l.e.Schedule(tx, func() { l.txDone(epoch) })
+}
+
+func (l *refLink) txDone(epoch int) {
+	l.tick()
+	if epoch != l.epoch {
+		return // aborted by setDown
+	}
+	p := l.txp
+	l.txp = nil
+	l.stats.Delivered++
+	l.stats.TxBytes += int64(p.Size)
+	l.inflight = append(l.inflight, p)
+	l.e.Schedule(l.delay, func() { l.deliver(p, epoch) })
+	if len(l.queue) > 0 {
+		next := l.queue[0]
+		l.queue = l.queue[1:]
+		l.transmit(next)
+	} else {
+		l.busy = false
+	}
+}
+
+func (l *refLink) deliver(p *Packet, epoch int) {
+	l.tick()
+	if epoch != l.epoch {
+		return // discarded in flight by setDown
+	}
+	if l.inflight[0] != p {
+		panic("refLink: deliveries out of order")
+	}
+	l.inflight = l.inflight[1:]
+	l.note(probeDeliver, p)
+}
+
+func (l *refLink) setDown() {
+	if l.down {
+		return
+	}
+	l.down = true
+	l.epoch++
+	for _, p := range l.queue {
+		l.stats.Dropped++
+		l.note(probeDrop, p)
+	}
+	l.queue = nil
+	if p := l.txp; p != nil {
+		l.txp, l.busy = nil, false
+		l.stats.Dropped++
+		l.note(probeDrop, p)
+	}
+	for _, p := range l.inflight {
+		l.stats.Delivered--
+		l.stats.Dropped++
+		l.note(probeDrop, p)
+	}
+	l.inflight = nil
+}
+
+type probeKind uint8
+
+const (
+	probeEnqueue probeKind = iota
+	probeDrop
+	probeDeliver
+)
+
+func (k probeKind) String() string { return [...]string{"enqueue", "drop", "deliver"}[k] }
+
+// probeEvent is one probe callback: what happened to a packet and when.
+type probeEvent struct {
+	kind probeKind
+	at   sim.Time
+}
+
+func (ev probeEvent) String() string { return fmt.Sprintf("%v@%v", ev.kind, ev.at) }
+
+// linkState is everything the two links must agree on at the end of an
+// instant.
+type linkState struct {
+	stats       LinkStats
+	queueLen    int
+	serializing bool
+}
+
+type opKind uint8
+
+const (
+	opSend opKind = iota
+	opDown
+	opUp
+	opResetStats
+)
+
+type linkOp struct {
+	at    sim.Time
+	kind  opKind
+	size  int
+	layer int
+	skip  bool // decided by the reference run; see runLinkScript
+}
+
+// linkScript is a link configuration and a timed operation schedule decoded
+// from fuzz bytes: four header bytes, then four bytes per operation.
+type linkScript struct {
+	bandwidth  float64
+	delay      sim.Time
+	queueLimit int
+	policy     DropPolicy
+	ops        []linkOp
+}
+
+const maxLinkOps = 400
+
+func parseLinkScript(data []byte) (sc linkScript, ok bool) {
+	if len(data) < 8 {
+		return sc, false
+	}
+	// 64 kbit/s .. 1 Gbit/s, log-spaced.
+	bws := [...]float64{64e3, 128e3, 500e3, 1e6, 1.5e6, 10e6, 100e6, 1e9}
+	sc.bandwidth = bws[int(data[0])%len(bws)]
+	delays := [...]sim.Time{0, 1, 50, sim.Millisecond, 10 * sim.Millisecond, 200 * sim.Millisecond}
+	sc.delay = delays[int(data[1])%len(delays)]
+	sc.queueLimit = int(data[2]) % 21
+	sc.policy = DropPolicy(data[3] & 1)
+	// Gaps are drawn on the scale of one serialization so arrivals land
+	// before, inside and after the previous packet's time on the wire.
+	unit := sim.TransmitTime(500, sc.bandwidth)
+	var at sim.Time
+	for data = data[4:]; len(data) >= 4 && len(sc.ops) < maxLinkOps; data = data[4:] {
+		mode, g, size, kind, layer := data[0]&3, sim.Time(data[1]), int(data[2]), data[3]>>3, int(data[3]&7)%6
+		switch mode {
+		case 0: // same-microsecond burst
+		case 1:
+			at += g
+		case 2:
+			at += unit * g / 64
+		case 3:
+			at += unit * g / 16
+		}
+		op := linkOp{at: at, kind: opSend, size: 40 + size*6, layer: layer}
+		switch kind {
+		case 0:
+			op.kind = opDown
+		case 1, 2:
+			op.kind = opUp
+		case 3:
+			op.kind = opResetStats
+		}
+		sc.ops = append(sc.ops, op)
+	}
+	return sc, len(sc.ops) > 0
+}
+
+// ledger checks packet conservation on one link: every packet the link
+// accepted and has not finished serializing or lost to an outage is either
+// waiting in the queue or on the transmitter,
+//
+//	Enqueued - Delivered - discarded == QueueLen + (serializing ? 1 : 0)
+//
+// where discarded counts what SetDown threw away (the counters file those
+// under Dropped next to arrivals the queue refused). ResetStats zeroes the
+// counters under the packets still carried; base keeps the books straight.
+type ledger struct{ discarded, base int64 }
+
+func (st linkState) carried() int64 {
+	if st.serializing {
+		return int64(st.queueLen) + 1
+	}
+	return int64(st.queueLen)
+}
+
+func (g *ledger) reset(before linkState) { g.base = g.discarded + before.carried() }
+
+func (g *ledger) check(st linkState) error {
+	if got := st.stats.Enqueued - st.stats.Delivered - (g.discarded - g.base); got != st.carried() {
+		return fmt.Errorf("Enqueued-Delivered-discarded = %d, queue+serializing = %d (%+v)", got, st.carried(), st)
+	}
+	return nil
+}
+
+// runLinkScript drives the reference link and the real Link, each on its own
+// engine, through the same schedule and requires identical per-packet probe
+// times and — at the end of every instant at which the reference fires an
+// event — identical Stats(), QueueLen and serializing state, plus packet
+// conservation on both.
+//
+// One kind of instant is kept out of the schedule, because there the two
+// links are allowed to differ: an operation in the very microsecond a
+// serialization ends. The two-event link's answer depends on whether txDone
+// or the operation holds the earlier sequence number; the real link has a
+// rule instead (empty queue and now >= freeAt means idle), which
+// TestLinkIdleRule pins. The reference run decides which operations those
+// are (op.skip); the real link then runs the same filtered schedule.
+func runLinkScript(t *testing.T, data []byte) {
+	t.Helper()
+	sc, ok := parseLinkScript(data)
+	if !ok {
+		return
+	}
+	desc := fmt.Sprintf("bw %.0f delay %v qlimit %d policy %d", sc.bandwidth, sc.delay, sc.queueLimit, sc.policy)
+
+	// Reference run: filters the schedule and snapshots the end of every
+	// instant.
+	re := sim.NewEngine(1)
+	ref := &refLink{e: re, bandwidth: sc.bandwidth, delay: sc.delay, queueLimit: sc.queueLimit, policy: sc.policy}
+	refLog := map[int64][]probeEvent{}
+	ref.note = func(k probeKind, p *Packet) { refLog[p.Seq] = append(refLog[p.Seq], probeEvent{k, re.Now()}) }
+	refState := func() linkState {
+		return linkState{stats: ref.stats, queueLen: len(ref.queue), serializing: ref.txp != nil}
+	}
+	type snap struct {
+		at sim.Time
+		st linkState
+	}
+	var (
+		snaps  []snap
+		refLed ledger
+		last   sim.Time
+	)
+	endInstant := func() {
+		st := refState()
+		if err := refLed.check(st); err != nil {
+			t.Fatalf("%s: reference at %v: %v", desc, last, err)
+		}
+		snaps = append(snaps, snap{last, st})
+	}
+	ref.tick = func() {
+		if now := re.Now(); now != last {
+			endInstant()
+			last = now
+		}
+	}
+	for i := range sc.ops {
+		op := &sc.ops[i]
+		id := int64(i)
+		re.At(op.at, func() {
+			ref.tick()
+			if ref.busy && ref.txEnd == re.Now() {
+				op.skip = true // a serialization ends this very microsecond
+				return
+			}
+			switch op.kind {
+			case opSend:
+				ref.send(&Packet{Size: op.size, Layer: op.layer, Seq: id})
+			case opDown:
+				before := ref.stats.Dropped
+				ref.setDown()
+				refLed.discarded += ref.stats.Dropped - before
+			case opUp:
+				ref.down = false
+			case opResetStats:
+				refLed.reset(refState())
+				ref.stats = LinkStats{}
+			}
+		})
+	}
+	re.Run()
+	endInstant()
+
+	// Real link, same filtered schedule, pooled packets so the reference
+	// counts are exercised too.
+	e := sim.NewEngine(1)
+	net := New(e)
+	a, b := net.AddNode("a"), net.AddNode("b")
+	l := net.ConnectAsym(a, b, LinkConfig{Bandwidth: sc.bandwidth, Delay: sc.delay, Policy: sc.policy})
+	l.QueueLimit = sc.queueLimit
+	log := map[int64][]probeEvent{}
+	l.Attach(&FuncProbe{
+		OnEnqueue: func(l *Link, p *Packet) { log[p.Seq] = append(log[p.Seq], probeEvent{probeEnqueue, l.NowTx()}) },
+		OnDrop:    func(l *Link, p *Packet) { log[p.Seq] = append(log[p.Seq], probeEvent{probeDrop, l.NowTx()}) },
+		OnDeliver: func(l *Link, p *Packet) { log[p.Seq] = append(log[p.Seq], probeEvent{probeDeliver, l.NowRx()}) },
+	})
+	state := func() linkState {
+		return linkState{stats: l.Stats(), queueLen: l.QueueLen(), serializing: l.Busy()}
+	}
+	var led ledger
+	for i, op := range sc.ops {
+		if op.skip {
+			continue
+		}
+		op, id := op, int64(i)
+		e.At(op.at, func() {
+			switch op.kind {
+			case opSend:
+				p := net.NewPacket()
+				p.Kind, p.Src, p.Dst, p.Group = Data, a.ID, b.ID, NoGroup
+				p.Size, p.Layer, p.Seq = op.size, op.layer, id
+				l.Send(p)
+				p.Release()
+			case opDown:
+				before := l.Stats().Dropped
+				l.SetDown()
+				led.discarded += l.Stats().Dropped - before
+			case opUp:
+				l.SetUp()
+			case opResetStats:
+				led.reset(state())
+				l.ResetStats()
+			}
+		})
+	}
+	for _, s := range snaps {
+		e.RunUntil(s.at)
+		got := state()
+		if got != s.st {
+			t.Fatalf("%s: end of instant %v:\n link %+v\n  ref %+v", desc, s.at, got, s.st)
+		}
+		if err := led.check(got); err != nil {
+			t.Fatalf("%s: link at %v: %v", desc, s.at, err)
+		}
+	}
+	// All that may be left are deliveries SetDown discarded, and they are
+	// inert.
+	e.Run()
+	if got, want := state(), snaps[len(snaps)-1].st; got != want {
+		t.Fatalf("%s: events after the reference finished changed the link:\n link %+v\n  ref %+v", desc, got, want)
+	}
+	for i := range sc.ops {
+		id := int64(i)
+		if got, want := fmt.Sprint(log[id]), fmt.Sprint(refLog[id]); got != want {
+			t.Fatalf("%s: packet %d (%+v):\n link %s\n  ref %s", desc, id, sc.ops[i], got, want)
+		}
+	}
+	if free, allocs := len(net.pktFree), net.PacketAllocs(); uint64(free) != allocs {
+		t.Fatalf("%s: %d of %d pooled packets came back", desc, free, allocs)
+	}
+}
+
+// TestLinkTimingRandomScripts is the differential test over a table of
+// seeds: short scripts on every bandwidth/delay/queue/policy combination
+// the decoder can draw.
+func TestLinkTimingRandomScripts(t *testing.T) {
+	for seed := int64(1); seed <= 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 4+4*(10+rng.Intn(maxLinkOps)))
+		rng.Read(data)
+		runLinkScript(t, data)
+	}
+}
+
+// FuzzLinkTiming lets the native fuzzer search for a schedule on which the
+// one-event link and the two-event reference disagree.
+func FuzzLinkTiming(f *testing.F) {
+	// Byte 3 of an operation is kind<<3 | layer: kind 0 down, 1 up, 3 reset,
+	// 4 and above send.
+	const send, up, reset = 4 << 3, 1 << 3, 3 << 3
+	for _, seed := range [][]byte{
+		// burst into a short queue
+		{3, 3, 2, 0, 0, 0, 100, send, 0, 0, 100, send | 1, 0, 0, 100, send | 2, 0, 0, 100, send | 3, 0, 0, 100, send | 4},
+		// priority replacement
+		{1, 4, 1, 1, 0, 0, 200, send | 5, 0, 0, 200, send | 4, 2, 9, 200, send, 2, 9, 200, send | 1, 2, 9, 200, send},
+		// down mid-serialization, up inside what was left of it, short packet
+		{2, 5, 20, 0, 0, 0, 160, send, 0, 0, 160, send, 2, 40, 0, 0, 3, 9, 0, up, 2, 1, 10, send},
+		// queue limit 0, reset and down mid-serialization
+		{0, 3, 0, 0, 0, 0, 10, send, 1, 200, 10, send, 2, 30, 0, reset, 2, 90, 10, send, 2, 3, 0, 0},
+		// 1 Gbit/s, microsecond gaps
+		{7, 1, 20, 0, 1, 1, 255, send, 1, 13, 255, send, 1, 12, 255, send, 0, 0, 1, send, 1, 2, 0, 0, 1, 0, 0, up},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(runLinkScript)
+}
+
+// TestLinkIdleRule pins what the differential test keeps its schedules away
+// from: an arrival in the very microsecond a serialization ends. The rule is
+// "empty queue and now >= freeAt means idle", whatever order the instant's
+// events fire in. 125 B at 1 Mbit/s serialize in 1 ms; propagation is 1 ms.
+func TestLinkIdleRule(t *testing.T) {
+	const tx, delay = sim.Millisecond, sim.Millisecond
+	cases := []struct {
+		name       string
+		queueLimit int
+		preload    int      // packets offered at t=0: one on the wire, the rest queued
+		at         sim.Time // the arrival under test
+		late       bool     // arrival ordered after the link's own events of that instant
+		deliver    sim.Time // expected delivery; 0 = dropped
+	}{
+		{"idle link", 20, 0, 0, false, tx + delay},
+		{"last microsecond of a serialization: queues", 20, 1, tx - 1, false, 2*tx + delay},
+		{"serialization ends now: on the wire at once", 20, 1, tx, false, 2*tx + delay},
+		{"QueueLimit 0, last microsecond: dropped", 0, 1, tx - 1, false, 0},
+		{"QueueLimit 0, serialization ends now: on the wire", 0, 1, tx, false, 2*tx + delay},
+		{"full queue still waiting for its drain: dropped", 1, 2, tx, false, 0},
+		{"drain already fired this instant: queues behind it", 1, 2, tx, true, 3*tx + delay},
+	}
+	for _, tc := range cases {
+		e := sim.NewEngine(1)
+		net := New(e)
+		a, b := net.AddNode("a"), net.AddNode("b")
+		l := net.ConnectAsym(a, b, LinkConfig{Bandwidth: 1e6, Delay: delay})
+		l.QueueLimit = tc.queueLimit
+		var delivered sim.Time
+		dropped := false
+		l.Attach(&FuncProbe{
+			OnDrop: func(_ *Link, p *Packet) { dropped = dropped || p.Seq == 99 },
+			OnDeliver: func(l *Link, p *Packet) {
+				if p.Seq == 99 {
+					delivered = l.NowRx()
+				}
+			},
+		})
+		mk := func(seq int64) *Packet {
+			return &Packet{Kind: Data, Src: a.ID, Dst: b.ID, Group: NoGroup, Size: 125, Seq: seq}
+		}
+		arrive := func() {
+			idle := l.QueueLen() == 0 && !l.Busy()
+			l.Send(mk(99))
+			if onWire := l.QueueLen() == 0 && l.Busy() && !dropped; idle != onWire {
+				t.Errorf("%s: idle before = %v, on the wire after = %v", tc.name, idle, onWire)
+			}
+		}
+		if tc.late {
+			// Scheduled during the run, so it takes a later sequence number
+			// than the drain armed at t=0.
+			e.At(tc.at-1, func() { e.Schedule(1, arrive) })
+		} else {
+			e.At(tc.at, arrive)
+		}
+		for i := 0; i < tc.preload; i++ {
+			l.Send(mk(int64(i)))
+		}
+		e.Run()
+		if dropped != (tc.deliver == 0) || delivered != tc.deliver {
+			t.Errorf("%s: dropped %v, delivered at %v; want delivery at %v (0 = dropped)", tc.name, dropped, delivered, tc.deliver)
+		}
+	}
+}
+
+// TestLinkEventsPerHop pins the event budget: a packet that finds the
+// transmitter idle costs one scheduler event for the hop, and only a packet
+// that waits behind a busy transmitter costs a second (the drain that starts
+// it).
+func TestLinkEventsPerHop(t *testing.T) {
+	t.Run("idle link", func(t *testing.T) {
+		e := sim.NewEngine(1)
+		_, src, dst := benchChain(e, 1, 64)
+		src.SendUnicast(&Packet{Kind: Control, Src: src.ID, Dst: dst.ID, Group: NoGroup, Size: 1000})
+		e.Run()
+		if got := e.Fired(); got != 1 || dst.RecvUnicast != 1 {
+			t.Errorf("fired %d events for 1 hop (delivered %d), want 1", got, dst.RecvUnicast)
+		}
+	})
+	t.Run("burst", func(t *testing.T) {
+		const k = 10
+		e := sim.NewEngine(1)
+		_, src, dst := benchChain(e, 1, 64)
+		for i := 0; i < k; i++ {
+			src.SendUnicast(&Packet{Kind: Control, Src: src.ID, Dst: dst.ID, Group: NoGroup, Size: 1000})
+		}
+		e.Run()
+		if got := e.Fired(); got != 2*k-1 || dst.RecvUnicast != k {
+			t.Errorf("fired %d events for a burst of %d (delivered %d), want %d", got, k, dst.RecvUnicast, 2*k-1)
+		}
+	})
+	t.Run("paced chain", func(t *testing.T) {
+		const hops, n = 8, 100
+		e := sim.NewEngine(1)
+		_, src, dst := benchChain(e, hops, 64)
+		benchInjectPaced(e, n, func(int) {
+			src.SendUnicast(&Packet{Kind: Control, Src: src.ID, Dst: dst.ID, Group: NoGroup, Size: 1000})
+		})
+		if got := linkEventsPerHop(e, n, hops); got != 1 || dst.RecvUnicast != n {
+			t.Errorf("%v link events per hop (delivered %d), want 1", got, dst.RecvUnicast)
+		}
+	})
+}

@@ -47,7 +47,7 @@ func TestSetDownDiscardsCarriedTraffic(t *testing.T) {
 	}
 	l := a.LinkTo(b.ID)
 	e.Schedule(25*sim.Millisecond, func() { l.SetDown() })
-	e.Run() // must drain cleanly: squelched deliveries, aborted txDone
+	e.Run() // must drain cleanly: inert deliveries, cancelled drain
 	if len(sink.got) != 0 {
 		t.Fatalf("delivered %d packets, want 0 (all discarded by failure)", len(sink.got))
 	}
@@ -60,6 +60,45 @@ func TestSetDownDiscardsCarriedTraffic(t *testing.T) {
 	}
 	if l.Busy() || l.QueueLen() != 0 {
 		t.Errorf("link not idle after discard: busy=%v queue=%d", l.Busy(), l.QueueLen())
+	}
+}
+
+// An outage shorter than one packet time must not leave a ghost behind: the
+// aborted serialization frees the transmitter at once, so the first packet
+// after the repair goes straight to the wire — and, being shorter than what
+// was left of the aborted one, is delivered before the aborted packet's
+// (now inert) delivery event fires.
+func TestSetUpInsideAbortedSerialization(t *testing.T) {
+	// 1000B at 8e5 bps = 10ms serialization, 50ms propagation. Down at 5ms
+	// (half-way), up at 7.5ms, then 100B (1ms) at once.
+	cfg := LinkConfig{Bandwidth: 8e5, Delay: 50 * sim.Millisecond}
+	e, _, a, b, _ := lineNetwork(t, cfg)
+	l := a.LinkTo(b.ID)
+	var deliveredAt []sim.Time
+	l.Attach(&FuncProbe{OnDeliver: func(l *Link, p *Packet) { deliveredAt = append(deliveredAt, l.NowRx()) }})
+	a.SendUnicast(&Packet{Kind: Data, Src: a.ID, Dst: b.ID, Group: NoGroup, Size: 1000})
+	e.Schedule(5*sim.Millisecond, func() {
+		l.SetDown()
+		if l.Busy() {
+			t.Error("transmitter still busy after SetDown aborted its packet")
+		}
+	})
+	e.Schedule(7500, func() {
+		l.SetUp()
+		if l.Busy() {
+			t.Error("repaired link busy with a transmission that no longer exists")
+		}
+		a.SendUnicast(&Packet{Kind: Data, Src: a.ID, Dst: b.ID, Group: NoGroup, Size: 100})
+		if !l.Busy() || l.QueueLen() != 0 {
+			t.Errorf("first packet after the repair not on the wire: busy=%v queue=%d", l.Busy(), l.QueueLen())
+		}
+	})
+	e.Run()
+	if want := []sim.Time{7500 + 1000 + 50*sim.Millisecond}; !reflect.DeepEqual(deliveredAt, want) {
+		t.Errorf("deliveries at %v, want %v", deliveredAt, want)
+	}
+	if st, want := l.Stats(), (LinkStats{Enqueued: 2, Delivered: 1, Dropped: 1, TxBytes: 100}); st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
 	}
 }
 

@@ -284,7 +284,7 @@ func (n *Network) addLink(from, to *Node, cfg LinkConfig) *Link {
 	}
 	// Bind the hot-path callbacks once so forwarding allocates no closures.
 	l.deliver = func(p *Packet, via *Link) { n.nodes[via.To].deliver(p, via) }
-	l.txDoneFn = l.txDone
+	l.drainFn = l.drain
 	l.deliverFn = l.deliverHead
 	// Single-scheduler default; Partition rebinds these per shard.
 	l.sched, l.dsched, l.recvSched = n.engine, n.engine, n.engine

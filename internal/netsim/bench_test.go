@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"runtime"
 	"testing"
 
 	"toposense/internal/sim"
@@ -109,4 +110,30 @@ func BenchmarkChainForwardPooled(b *testing.B) {
 	})
 	b.StopTimer()
 	reportChain(b, e, dst, hops)
+}
+
+// BenchmarkSaturatedLink offers one link packets at twice its bandwidth: the
+// queue is full, the transmitter never idles, and every op is one offered
+// packet (half are drop-tailed, half cross the link on a drain and a delivery
+// event). It reports the pipeline ring's capacity and fails when that exceeds
+// the link's bandwidth-delay bound or when the steady state allocates: a
+// saturated link's memory must not depend on how long it has been saturated.
+func BenchmarkSaturatedLink(b *testing.B) {
+	_, l, offer, bound := saturatedLink(b)
+	offer(2000) // rings, packet pool and event slots reach their steady size
+	b.ReportAllocs()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	offer(b.N)
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	if perOp := (m1.TotalAlloc - m0.TotalAlloc) / uint64(b.N); perOp > 0 {
+		b.Fatalf("%d B/op on a saturated link in steady state, want 0", perOp)
+	}
+	pipeline := cap(l.inflight.buf)
+	if pipeline > bound {
+		b.Fatalf("pipeline capacity %d after %d packets, want at most %d", pipeline, 2000+b.N, bound)
+	}
+	b.ReportMetric(float64(pipeline), "pipeline-cap")
 }

@@ -55,9 +55,10 @@ func (s LinkStats) DropRate() float64 {
 //
 // The forwarding hot path is allocation-free: the drain and delivery
 // callbacks are bound once per link at construction, the waiting queue and
-// the propagation pipeline are head-indexed slices whose backing arrays are
-// reused, and pooled packets move through on reference counts instead of
-// garbage.
+// the propagation pipeline are rings that grow only when full — so a link
+// that never idles holds at most QueueLimit waiting and a bandwidth-delay
+// product in flight, however long it runs — and pooled packets move through
+// on reference counts instead of garbage.
 type Link struct {
 	net        *Network
 	From, To   NodeID
@@ -66,20 +67,20 @@ type Link struct {
 	QueueLimit int
 	Policy     DropPolicy
 
-	// queue[qhead:] holds the packets waiting behind the transmitter.
-	queue []*Packet
-	qhead int
+	// queue holds the packets waiting behind the transmitter, at most
+	// QueueLimit of them.
+	queue pktRing
 	// freeAt is when the transmitter finishes the packet it is serializing
 	// (txSize bytes); the link is busy while now < freeAt. drainEv is the
 	// one event armed at freeAt while the queue is non-empty.
 	freeAt  sim.Time
 	txSize  int
 	drainEv sim.Handle
-	// inflight[ifhead:] holds the packets on the link from the start of
-	// their serialization to their delivery, in delivery order (per-link
-	// delivery times are strictly increasing, so FIFO holds).
-	inflight []*Packet
-	ifhead   int
+	// inflight holds the packets on the link from the start of their
+	// serialization to their delivery, in delivery order (per-link delivery
+	// times are strictly increasing, so FIFO holds): at most the link's
+	// bandwidth-delay product plus the one being serialized.
+	inflight pktRing
 
 	// down marks a failed link: everything it is asked to carry is
 	// dropped until SetUp. The delivery events of in-flight packets SetDown
@@ -99,7 +100,6 @@ type Link struct {
 	// closures.
 	drainFn   func()
 	deliverFn func()
-	deliver   func(*Packet, *Link)
 
 	// sched owns the transmitter side (Send/transmit/drain run in From's
 	// context); dsched carries the delivery schedule to the receiving side;
@@ -110,7 +110,7 @@ type Link struct {
 	sched     sim.Scheduler
 	dsched    sim.Scheduler
 	recvSched sim.Scheduler
-	// mu guards inflight/ifhead on partition-boundary links, where the
+	// mu guards inflight on partition-boundary links, where the
 	// transmitting shard pushes and the receiving shard pops concurrently.
 	// nil everywhere else: single-shard links never pay for it.
 	mu *sync.Mutex
@@ -138,7 +138,7 @@ func (l *Link) Stats() LinkStats {
 
 // QueueLen returns the number of packets waiting (not counting the one being
 // serialized).
-func (l *Link) QueueLen() int { return len(l.queue) - l.qhead }
+func (l *Link) QueueLen() int { return l.queue.n }
 
 // Busy reports whether a packet is currently being serialized.
 func (l *Link) Busy() bool { return l.sched.Now() < l.freeAt }
@@ -191,20 +191,16 @@ func (l *Link) SetUp() {
 // those riding the propagation delay. Each loss is counted and announced
 // like a queue drop.
 func (l *Link) dropCarried() {
-	for i := l.qhead; i < len(l.queue); i++ {
-		p := l.queue[i]
-		l.queue[i] = nil
+	for l.queue.n > 0 {
+		p := l.queue.pop()
 		l.stats.Dropped++
 		l.noteDrop(p)
 		p.unref()
 	}
-	l.queue = l.queue[:0]
-	l.qhead = 0
 	l.sched.Cancel(l.drainEv)
-	orphaned := len(l.inflight) - l.ifhead // delivery events left to fire
-	for i := l.ifhead; i < len(l.inflight); i++ {
-		p := l.inflight[i]
-		l.inflight[i] = nil
+	orphaned := l.inflight.n // delivery events left to fire
+	for l.inflight.n > 0 {
+		p := l.inflight.pop()
 		// transmit counted these Delivered; move them to Dropped so the
 		// ledger reflects that they never reached the far end.
 		l.stats.Delivered--
@@ -222,8 +218,6 @@ func (l *Link) dropCarried() {
 		l.freeAt = l.sched.Now()
 	}
 	l.squelch += orphaned
-	l.inflight = l.inflight[:0]
-	l.ifhead = 0
 }
 
 // ResetStats zeroes the counters (used between measurement intervals). A
@@ -291,17 +285,17 @@ func (l *Link) Send(p *Packet) {
 		if l.Policy == DropPriority {
 			// Highest layer among queued packets and the arrival loses;
 			// ties favour dropping the arrival (cheapest).
-			vIdx := -1
-			for i := l.qhead; i < len(l.queue); i++ {
-				if q := l.queue[i]; q.Layer > victim.Layer {
-					victim, vIdx = q, i
+			var slot **Packet
+			for i := 0; i < l.queue.n; i++ {
+				if q := l.queue.at(i); (*q).Layer > victim.Layer {
+					victim, slot = *q, q
 				}
 			}
-			if vIdx >= 0 {
+			if slot != nil {
 				// Replace the queued victim with the arrival; the victim's
 				// Enqueued count (and queue reference) transfer to the
 				// arrival, which delivers in its place.
-				l.queue[vIdx] = p
+				*slot = p
 				p.ref()
 				l.stats.Dropped++
 				l.noteDrop(victim)
@@ -316,7 +310,7 @@ func (l *Link) Send(p *Packet) {
 	l.stats.Enqueued++
 	p.ref()
 	l.noteEnqueue(p)
-	l.queue = append(l.queue, p)
+	l.queue.push(p)
 	qlen := l.QueueLen()
 	if qlen == 1 {
 		l.drainEv = l.sched.At(l.freeAt, l.drainFn)
@@ -338,10 +332,10 @@ func (l *Link) transmit(p *Packet, now sim.Time) {
 	l.stats.TxBytes += int64(p.Size)
 	if l.mu != nil {
 		l.mu.Lock()
-		l.inflight = append(l.inflight, p)
+		l.inflight.push(p)
 		l.mu.Unlock()
 	} else {
-		l.inflight = append(l.inflight, p)
+		l.inflight.push(p)
 	}
 	l.dsched.Schedule(tx+l.Delay, l.deliverFn)
 }
@@ -350,14 +344,7 @@ func (l *Link) transmit(p *Packet, now sim.Time) {
 // idle, so the head of the queue goes on the wire, and the event re-arms
 // behind it for as long as the queue is non-empty.
 func (l *Link) drain() {
-	next := l.queue[l.qhead]
-	l.queue[l.qhead] = nil
-	l.qhead++
-	if l.qhead == len(l.queue) {
-		l.queue = l.queue[:0]
-		l.qhead = 0
-	}
-	l.transmit(next, l.freeAt)
+	l.transmit(l.queue.pop(), l.freeAt)
 	if l.QueueLen() > 0 {
 		l.drainEv = l.sched.At(l.freeAt, l.drainFn)
 	}
@@ -379,13 +366,13 @@ func (l *Link) deliverHead() {
 	var p *Packet
 	if l.mu != nil {
 		l.mu.Lock()
-		p = l.popInflight()
+		p = l.inflight.pop()
 		l.mu.Unlock()
 	} else {
-		p = l.popInflight()
+		p = l.inflight.pop()
 	}
 	l.noteDeliver(p)
-	l.deliver(p, l)
+	l.net.nodes[l.To].deliver(p, l)
 	p.unref()
 }
 
@@ -403,15 +390,36 @@ func (l *Link) abortedDueNow() bool {
 	return false
 }
 
-// popInflight removes and returns the oldest in-flight packet. Boundary
-// links call it under l.mu.
-func (l *Link) popInflight() *Packet {
-	p := l.inflight[l.ifhead]
-	l.inflight[l.ifhead] = nil
-	l.ifhead++
-	if l.ifhead == len(l.inflight) {
-		l.inflight = l.inflight[:0]
-		l.ifhead = 0
+// pktRing is a FIFO of packets on a power-of-two backing array that is
+// reused in place and doubles only when every slot is occupied, so its
+// capacity is bounded by the most packets it ever held at once.
+type pktRing struct {
+	buf  []*Packet
+	head int // slot of the oldest packet
+	n    int // packets held
+}
+
+// at returns the slot of the i-th oldest packet.
+func (r *pktRing) at(i int) **Packet { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+func (r *pktRing) push(p *Packet) {
+	if r.n == len(r.buf) {
+		// Full (or never used): unwrap into an array twice the size.
+		buf := make([]*Packet, max(4, 2*len(r.buf)))
+		k := copy(buf, r.buf[r.head:])
+		copy(buf[k:], r.buf[:r.head])
+		r.buf, r.head = buf, 0
 	}
+	*r.at(r.n) = p
+	r.n++
+}
+
+// pop removes and returns the oldest packet; the ring must not be empty.
+func (r *pktRing) pop() *Packet {
+	slot := r.at(0)
+	p := *slot
+	*slot = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
 	return p
 }

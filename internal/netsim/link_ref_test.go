@@ -280,11 +280,11 @@ func (g *ledger) check(st linkState) error {
 // rule instead (empty queue and now >= freeAt means idle), which
 // TestLinkIdleRule pins. The reference run decides which operations those
 // are (op.skip); the real link then runs the same filtered schedule.
-func runLinkScript(t *testing.T, data []byte) {
+func runLinkScript(t *testing.T, data []byte) *Link {
 	t.Helper()
 	sc, ok := parseLinkScript(data)
 	if !ok {
-		return
+		return nil
 	}
 	desc := fmt.Sprintf("bw %.0f delay %v qlimit %d policy %d", sc.bandwidth, sc.delay, sc.queueLimit, sc.policy)
 
@@ -413,6 +413,40 @@ func runLinkScript(t *testing.T, data []byte) {
 	if free, allocs := len(net.pktFree), net.PacketAllocs(); uint64(free) != allocs {
 		t.Fatalf("%s: %d of %d pooled packets came back", desc, free, allocs)
 	}
+	return l
+}
+
+// saturationScript is the long-saturation script family: a full-length
+// schedule on a fast link with a 200 ms pipe that keeps the transmitter busy
+// throughout — large packets offered a third faster than they serialize, so
+// the queue fills gradually behind a moving head, then small ones, so the
+// pipeline has to hold many times more packets than it did when deliveries
+// began. Both rings therefore wrap, and grow while wrapped. Outages (some
+// with the repair inside the aborted serialization), stats resets and mixed
+// layers for DropPriority are sprinkled over it.
+func saturationScript(rng *rand.Rand) []byte {
+	const send, down, up, reset = 4 << 3, 0, 1 << 3, 3 << 3
+	data := []byte{byte(3 + rng.Intn(5)), 5, byte(4 + rng.Intn(17)), byte(rng.Intn(2))}
+	for op := 0; op < maxLinkOps; op++ {
+		kind := byte(send)
+		switch rng.Intn(100) {
+		case 0:
+			kind = down
+		case 1, 2, 3, 4:
+			kind = up
+		case 5:
+			kind = reset
+		}
+		kind |= byte(rng.Intn(6))
+		if op < maxLinkOps/3 {
+			// 1240..1570 B (2.5..3.1 units of 500 B) every 1.6..2.5 units.
+			data = append(data, 3, byte(25+rng.Intn(16)), byte(200+rng.Intn(56)), kind)
+		} else {
+			// 40..100 B every 0.06..0.16 units.
+			data = append(data, 2, byte(4+rng.Intn(7)), byte(rng.Intn(11)), kind)
+		}
+	}
+	return data
 }
 
 // TestLinkTimingRandomScripts is the differential test over a table of
@@ -424,6 +458,23 @@ func TestLinkTimingRandomScripts(t *testing.T) {
 		data := make([]byte, 4+4*(10+rng.Intn(maxLinkOps)))
 		rng.Read(data)
 		runLinkScript(t, data)
+	}
+	// Outages cut some scripts short, but in most far more packets must ride
+	// the pipe at once than it had room for when the first delivery moved
+	// its head, and the queue must fill to its limit: both rings grow past
+	// their first arrays, wrapped.
+	deep, full := 0, 0
+	for seed := int64(1); seed <= 100; seed++ {
+		l := runLinkScript(t, saturationScript(rand.New(rand.NewSource(seed))))
+		if len(l.inflight.buf) >= 64 {
+			deep++
+		}
+		if len(l.queue.buf) == nextPow2(l.QueueLimit) {
+			full++
+		}
+	}
+	if deep < 75 || full < 75 {
+		t.Errorf("of 100 saturation scripts %d grew the pipeline ring to 64 and %d the queue ring to its limit; want 75 each", deep, full)
 	}
 }
 
@@ -447,7 +498,10 @@ func FuzzLinkTiming(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
-	f.Fuzz(runLinkScript)
+	for seed := int64(1); seed <= 3; seed++ {
+		f.Add(saturationScript(rand.New(rand.NewSource(seed))))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { runLinkScript(t, data) })
 }
 
 // TestLinkIdleRule pins what the differential test keeps its schedules away

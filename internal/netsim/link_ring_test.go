@@ -1,0 +1,138 @@
+package netsim
+
+import (
+	"math/bits"
+	"math/rand"
+	"testing"
+
+	"toposense/internal/sim"
+)
+
+func nextPow2(n int) int { return 1 << bits.Len(uint(n-1)) }
+
+// TestPktRing drives the ring and a plain slice through the same random
+// pushes, pops and in-place replacements. Bursts of pushes between pops make
+// the ring double while its contents straddle the end of the backing array;
+// it must stay FIFO, address the i-th oldest packet correctly, clear what it
+// pops, and never hold more slots than the next power of two above the most
+// packets it held at once.
+func TestPktRing(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var r pktRing
+		var model []*Packet
+		peak, grewWrapped := 0, false
+		for op := 0; op < 2000; op++ {
+			switch k := rng.Intn(10); {
+			case k < 5 || len(model) == 0:
+				for burst := 1 + rng.Intn(1+op/100); burst > 0; burst-- {
+					if r.n == len(r.buf) && r.head != 0 {
+						grewWrapped = true
+					}
+					p := &Packet{Seq: int64(op)}
+					r.push(p)
+					model = append(model, p)
+				}
+			case k < 9:
+				slot := r.at(0)
+				if got := r.pop(); got != model[0] {
+					t.Fatalf("seed %d op %d: popped %v, want %v", seed, op, got, model[0])
+				}
+				if *slot != nil {
+					t.Fatalf("seed %d op %d: pop left its slot holding the packet", seed, op)
+				}
+				model = model[1:]
+			default:
+				i := rng.Intn(len(model))
+				p := &Packet{Seq: -int64(op)}
+				*r.at(i), model[i] = p, p
+			}
+			if len(model) > peak {
+				peak = len(model)
+			}
+			if r.n != len(model) {
+				t.Fatalf("seed %d op %d: ring holds %d, model %d", seed, op, r.n, len(model))
+			}
+			for i, want := range model {
+				if got := *r.at(i); got != want {
+					t.Fatalf("seed %d op %d: at(%d) = %v, want %v", seed, op, i, got, want)
+				}
+			}
+		}
+		if want := max(4, nextPow2(peak)); len(r.buf) != want {
+			t.Errorf("seed %d: %d slots for a peak of %d packets, want %d", seed, len(r.buf), peak, want)
+		}
+		if !grewWrapped {
+			t.Errorf("seed %d: the ring never grew while wrapped", seed)
+		}
+	}
+}
+
+// saturator returns a function that offers l n more size-byte packets, one
+// every gap, and returns once the last is delivered or dropped. The link
+// must be busy at every arrival but the first of a call. Everything the
+// offers need is bound here, so calls after the first allocate nothing unless
+// the link does.
+func saturator(tb testing.TB, e *sim.Engine, net *Network, l *Link, size int, gap sim.Time) func(n int) {
+	sent, first, target := 0, 0, 0
+	var offer func()
+	offer = func() {
+		if sent > first && !l.Busy() {
+			tb.Fatalf("link idle at packet %d", sent)
+		}
+		p := net.NewPacket()
+		p.Kind, p.Src, p.Dst, p.Group, p.Size = Data, l.From, l.To, NoGroup, size
+		l.Send(p)
+		p.Release()
+		if sent++; sent < target {
+			e.Schedule(gap, offer)
+		}
+	}
+	return func(n int) {
+		first, target = sent, sent+n
+		e.Schedule(0, offer)
+		e.Run()
+	}
+}
+
+// saturatedLink is the link TestLinkMemoryBounded and BenchmarkSaturatedLink
+// share: 1000-byte packets into 10 Mbit/s with a 10 ms pipe, offered at twice
+// the bandwidth. It returns the offer function and the pipeline's bound: the
+// next power of two above the bandwidth-delay product in packets, plus the
+// one being serialized and one at the boundary instant.
+func saturatedLink(tb testing.TB) (net *Network, l *Link, offer func(n int), pipelineBound int) {
+	const (
+		size  = 1000
+		bw    = 10e6
+		delay = 10 * sim.Millisecond
+	)
+	e := sim.NewEngine(1)
+	net = New(e)
+	l = net.ConnectAsym(net.AddNode("a"), net.AddNode("b"), LinkConfig{Bandwidth: bw, Delay: delay})
+	tx := sim.TransmitTime(size, bw)
+	bdp := int((delay + tx - 1) / tx)
+	return net, l, saturator(tb, e, net, l, size, tx/2), nextPow2(bdp + 2)
+}
+
+// TestLinkMemoryBounded offers a link 10⁵ packets at twice its bandwidth, so
+// it never idles and its queue stays full. The pipeline must end within its
+// bandwidth-delay bound and the queue ring no larger than QueueLimit rounded
+// up — not, as the head-indexed slices they replace did, as long as the run.
+func TestLinkMemoryBounded(t *testing.T) {
+	const n = 100_000
+	net, l, offer, bound := saturatedLink(t)
+	offer(n)
+	st := l.Stats()
+	if st.Delivered+st.Dropped != n || st.Dropped < n/3 || st.PeakQueue != DefaultQueueLimit {
+		t.Fatalf("not the saturated run intended: %+v", st)
+	}
+	if got := cap(l.inflight.buf); got > bound {
+		t.Errorf("pipeline capacity %d after %d packets, want at most %d", got, n, bound)
+	}
+	if got, want := cap(l.queue.buf), nextPow2(DefaultQueueLimit); got > want {
+		t.Errorf("queue capacity %d, want at most %d", got, want)
+	}
+	if free, allocs := len(net.pktFree), net.PacketAllocs(); uint64(free) != allocs {
+		t.Errorf("%d of %d pooled packets came back", free, allocs)
+	}
+}

@@ -31,9 +31,9 @@ type Network struct {
 	nextHop [][]NodeID
 
 	// tree is O(N) tree-mode routing, used instead of the O(N²) nextHop
-	// table when the network is large and the live graph is a symmetric
-	// forest (see routes_tree.go). denseOnly pins the network to the dense
-	// tables once fault injection has been used.
+	// table whenever the live graph is a symmetric forest (see
+	// routes_tree.go). denseOnly pins the network to the dense tables once
+	// fault injection has been used.
 	tree      *treeRoutes
 	denseOnly bool
 
@@ -283,7 +283,6 @@ func (n *Network) addLink(from, to *Node, cfg LinkConfig) *Link {
 		Policy:     cfg.Policy,
 	}
 	// Bind the hot-path callbacks once so forwarding allocates no closures.
-	l.deliver = func(p *Packet, via *Link) { n.nodes[via.To].deliver(p, via) }
 	l.drainFn = l.drain
 	l.deliverFn = l.deliverHead
 	// Single-scheduler default; Partition rebinds these per shard.
@@ -314,16 +313,15 @@ func (n *Network) NextHop(src, dst NodeID) NodeID {
 }
 
 // ensureRoutes materializes routing state if a topology change invalidated
-// it: tree mode for large forests, the dense all-pairs tables otherwise.
+// it: tree mode for symmetric forests, the dense all-pairs tables otherwise.
 // On trees the two answer identically (paths are unique and both tie-break
 // toward the lowest node ID), so which mode serves a query is invisible.
 func (n *Network) ensureRoutes() {
 	if n.nextHop != nil || n.tree != nil {
 		return
 	}
-	if !n.denseOnly && len(n.nodes) >= treeRouteMinNodes {
-		if t := n.buildTreeRoutes(); t != nil {
-			n.tree = t
+	if !n.denseOnly {
+		if n.tree = n.buildTreeRoutes(); n.tree != nil {
 			return
 		}
 	}
@@ -369,30 +367,26 @@ func (n *Network) reverseAdjacency() [][]NodeID {
 // toward dst: one BFS from dst along reversed links, so paths follow link
 // direction. The first hop discovered from a node toward dst is recorded;
 // rev lists are in node order, so ties break deterministically by node ID.
-func (n *Network) computeColumn(dst NodeID, rev [][]NodeID, col []NodeID) {
-	num := len(n.nodes)
+// queue is BFS scratch with room for every node, lent by the caller so a
+// whole table build reuses one work list.
+func (n *Network) computeColumn(dst NodeID, rev [][]NodeID, col, queue []NodeID) {
 	for i := range col {
 		col[i] = NoNode
 	}
-	dist := make([]int, num)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[dst] = 0
-	queue := []NodeID{dst}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	// A node is discovered exactly when its column entry is set, so col
+	// doubles as the visited set.
+	col[dst] = dst
+	queue = append(queue[:0], dst)
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
 		for _, prev := range rev[cur] {
-			if dist[prev] == -1 {
-				dist[prev] = dist[cur] + 1
+			if col[prev] == NoNode {
 				// prev's shortest path runs prev -> cur -> ... -> dst.
 				col[prev] = cur
 				queue = append(queue, prev)
 			}
 		}
 	}
-	col[dst] = dst
 }
 
 // computeRoutes builds all-pairs next-hop tables, one BFS per destination.
@@ -403,9 +397,9 @@ func (n *Network) computeRoutes() {
 	for dst := 0; dst < num; dst++ {
 		n.nextHop[dst] = make([]NodeID, num)
 	}
-	col := make([]NodeID, num)
+	col, queue := make([]NodeID, num), make([]NodeID, 0, num)
 	for dst := 0; dst < num; dst++ {
-		n.computeColumn(NodeID(dst), rev, col)
+		n.computeColumn(NodeID(dst), rev, col, queue)
 		for src := 0; src < num; src++ {
 			n.nextHop[src][dst] = col[src]
 		}
@@ -422,13 +416,13 @@ func (n *Network) computeRoutes() {
 func (n *Network) linkStateChanged(l *Link, wentDown bool) {
 	num := len(n.nodes)
 	rev := n.reverseAdjacency()
-	col := make([]NodeID, num)
+	col, queue := make([]NodeID, num), make([]NodeID, 0, num)
 	var changes []RouteChange
 	for dst := 0; dst < num; dst++ {
 		if wentDown && n.nextHop[l.From][dst] != l.To {
 			continue // this destination's tree never crossed the link
 		}
-		n.computeColumn(NodeID(dst), rev, col)
+		n.computeColumn(NodeID(dst), rev, col, queue)
 		var changed []NodeID
 		for src := 0; src < num; src++ {
 			if n.nextHop[src][dst] != col[src] {

@@ -16,16 +16,11 @@ import (
 //	otherwise            → parent[src]
 
 // with the child found by binary search over src's tin-ordered children.
-// Networks at or above treeRouteMinNodes nodes try this mode first and fall
-// back to the dense tables when the graph is not a symmetric forest.
-// Fault injection (Link.SetDown/SetUp) needs column diffs over dense
-// tables, so it forces dense mode — see ensureDenseRoutes.
-
-// treeRouteMinNodes is the node count at which ensureRoutes prefers tree
-// routing over the dense all-pairs table. Every canonical paper topology is
-// far below it, so golden figures keep routing through the dense tables.
-// Variable, not constant, so white-box tests can lower it.
-var treeRouteMinNodes = 2048
+// Every network tries this mode first — building it is one O(N) pass, and a
+// multicast session is a tree more often than not — and falls back to the
+// dense tables when the graph is not a symmetric forest. Fault injection
+// (Link.SetDown/SetUp) needs column diffs over dense tables, so it forces
+// dense mode — see ensureDenseRoutes.
 
 // maxDenseNodes bounds the dense all-pairs table: above it, the table
 // would exceed ~8 GB and materializing one is a configuration error.

@@ -2,67 +2,16 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"toposense/internal/sim"
 )
 
-// withTreeThreshold lowers the tree-mode threshold so small test
-// topologies exercise it, restoring the default afterwards.
-func withTreeThreshold(t *testing.T, min int) {
-	t.Helper()
-	old := treeRouteMinNodes
-	treeRouteMinNodes = min
-	t.Cleanup(func() { treeRouteMinNodes = old })
-}
-
 var flatCfg = LinkConfig{Bandwidth: 1e6, Delay: sim.Millisecond}
-
-// buildRandomTree grows a random tree of n nodes: each new node attaches
-// to a uniformly random earlier one.
-func buildRandomTree(e *sim.Engine, n int, seed int64) *Network {
-	rng := rand.New(rand.NewSource(seed))
-	net := New(e)
-	nodes := make([]*Node, n)
-	nodes[0] = net.AddNode("n0")
-	for i := 1; i < n; i++ {
-		nodes[i] = net.AddNode(fmt.Sprintf("n%d", i))
-		net.Connect(nodes[rng.Intn(i)], nodes[i], flatCfg)
-	}
-	return net
-}
-
-// TestTreeRoutesMatchDense checks that tree-mode NextHop answers exactly
-// what the dense BFS tables would, for every (src, dst) pair, on a batch
-// of random trees.
-func TestTreeRoutesMatchDense(t *testing.T) {
-	withTreeThreshold(t, 2)
-	for seed := int64(1); seed <= 5; seed++ {
-		net := buildRandomTree(sim.NewEngine(seed), 60, seed)
-		net.ensureRoutes()
-		if net.tree == nil {
-			t.Fatalf("seed %d: tree mode not selected for a %d-node tree", seed, net.NumNodes())
-		}
-		// Dense tables on an identical twin.
-		dense := buildRandomTree(sim.NewEngine(seed), 60, seed)
-		dense.denseOnly = true
-		for src := 0; src < net.NumNodes(); src++ {
-			for dst := 0; dst < net.NumNodes(); dst++ {
-				got := net.NextHop(NodeID(src), NodeID(dst))
-				want := dense.NextHop(NodeID(src), NodeID(dst))
-				if got != want {
-					t.Fatalf("seed %d: NextHop(%d,%d) = %d, dense says %d", seed, src, dst, got, want)
-				}
-			}
-		}
-	}
-}
 
 // TestTreeRoutesDisconnected checks component handling: no route between
 // trees of a forest, normal routes within each.
 func TestTreeRoutesDisconnected(t *testing.T) {
-	withTreeThreshold(t, 2)
 	e := sim.NewEngine(1)
 	net := New(e)
 	a0, a1 := net.AddNode("a0"), net.AddNode("a1")
@@ -87,7 +36,6 @@ func TestTreeRoutesDisconnected(t *testing.T) {
 // TestTreeRoutesCycleFallsBack checks that a graph with a cycle rejects
 // tree mode and routes through the dense tables.
 func TestTreeRoutesCycleFallsBack(t *testing.T) {
-	withTreeThreshold(t, 2)
 	e := sim.NewEngine(1)
 	net := New(e)
 	var nodes []*Node
@@ -113,7 +61,6 @@ func TestTreeRoutesCycleFallsBack(t *testing.T) {
 // TestTreeRoutesAsymmetryFallsBack checks that a one-way link disqualifies
 // tree mode (tree queries assume symmetric reachability).
 func TestTreeRoutesAsymmetryFallsBack(t *testing.T) {
-	withTreeThreshold(t, 2)
 	e := sim.NewEngine(1)
 	net := New(e)
 	a, b, c := net.AddNode("a"), net.AddNode("b"), net.AddNode("c")
@@ -129,7 +76,6 @@ func TestTreeRoutesAsymmetryFallsBack(t *testing.T) {
 // network materializes dense tables, reroutes, and that SetUp restores
 // the original next hops — with route-change listeners firing.
 func TestTreeRoutesFaultInjection(t *testing.T) {
-	withTreeThreshold(t, 2)
 	e := sim.NewEngine(1)
 	net := New(e)
 	// src - mid - leaf plus a spare path src - alt - leaf would be a cycle;
@@ -169,7 +115,6 @@ func TestTreeRoutesFaultInjection(t *testing.T) {
 // TestTreeRoutesPathHelpers checks PathDelay/PathHops work through tree
 // mode (they walk NextHop hop by hop).
 func TestTreeRoutesPathHelpers(t *testing.T) {
-	withTreeThreshold(t, 2)
 	e := sim.NewEngine(1)
 	net := New(e)
 	a, b, c := net.AddNode("a"), net.AddNode("b"), net.AddNode("c")

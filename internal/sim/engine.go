@@ -16,10 +16,17 @@ type Event struct {
 	seq        uint64 // tie-breaker: FIFO among events at the same timestamp
 	fn         func()
 	next, prev *Event // ring-bucket list links (see equeue); nil elsewhere
-	index      int32  // heap position, or 0 in a ring bucket; -1 once popped or cancelled
+	index      int32  // heap position, or 0 in a ring bucket; idxFired or idxCancelled once out of the queue
 	gen        uint32 // bumped each time the slot is acquired from the free list
-	cancel     bool
 }
+
+// Out-of-queue values of Event.index. The cancelled state lives here rather
+// than in a flag of its own so that an Event is 48 bytes and a slab of them
+// fills its allocation size class exactly.
+const (
+	idxFired     = -1 // popped to fire, or removed on its way to idxCancelled
+	idxCancelled = -2 // Cancel was called; holds until the slot is reused
+)
 
 // Handle identifies one scheduled firing. The zero Handle is valid and
 // refers to nothing; all its methods are no-ops. Handles are plain values —
@@ -40,11 +47,11 @@ func (h Handle) live() bool { return h.ev != nil && h.ev.gen == h.gen }
 // Cancelled reports whether Cancel was called on this handle's event before
 // it fired. After the engine recycles the slot for a new event the report
 // reverts to false (the old firing is history either way).
-func (h Handle) Cancelled() bool { return h.live() && h.ev.cancel }
+func (h Handle) Cancelled() bool { return h.live() && h.ev.index == idxCancelled }
 
 // Active reports whether the event is still queued: scheduled, not yet
 // fired, not cancelled.
-func (h Handle) Active() bool { return h.live() && !h.ev.cancel && h.ev.index >= 0 }
+func (h Handle) Active() bool { return h.live() && h.ev.index >= 0 }
 
 // When returns the simulated time the event is scheduled for. It reads 0
 // once the slot has been recycled.

@@ -11,6 +11,9 @@ const (
 	ringMask    = ringSize - 1
 )
 
+// eventSlab is how many Event slots one allocation provides.
+const eventSlab = 128
+
 // equeue is the event store shared by the single-threaded Engine, each
 // shard of the ShardedEngine and its global barrier queue. Events are
 // ordered by (time, sequence) and kept in three tiers by time bucket
@@ -30,7 +33,9 @@ const (
 // When near runs dry, head moves cur to the next non-empty bucket and
 // pushes that bucket's events onto the near heap. A free list recycles
 // fired or cancelled Event slots so the steady-state schedule/fire cycle
-// performs no allocations.
+// performs no allocations; slots the free list cannot supply are carved
+// from eventSlab-sized arrays, so a burst of new events (a world's start-up
+// timers) costs one allocation per slab and its slots sit side by side.
 //
 // An equeue is single-owner: exactly one goroutine may touch it at a time.
 // The Engine owns its queue outright; a shard's queue is owned by the
@@ -42,9 +47,10 @@ type equeue struct {
 	ringN     int              // events linked in the ring
 	cur       int64            // current bucket; only ever advances
 	free      []*Event
+	slab      []Event // slots of the newest slab not handed out yet
 	seq       uint64
 
-	slotAllocs uint64 // Event structs ever allocated
+	slotAllocs uint64 // Event structs ever handed out fresh (slots, not slabs)
 	slotReuses uint64 // acquisitions served from the free list
 }
 
@@ -109,7 +115,7 @@ func (q *equeue) remove(ev *Event) {
 			}
 		}
 		ev.next, ev.prev = nil, nil
-		ev.index = -1
+		ev.index = idxFired
 		q.ringN--
 	default:
 		q.far.remove(int(ev.index))
@@ -151,7 +157,7 @@ func (q *equeue) advance() bool {
 }
 
 // acquire takes an event slot from the free list (bumping its generation so
-// stale handles go inert) or allocates a fresh one.
+// stale handles go inert) or carves a fresh one from the current slab.
 func (q *equeue) acquire(t Time, fn func()) *Event {
 	var ev *Event
 	if n := len(q.free); n > 0 {
@@ -159,10 +165,12 @@ func (q *equeue) acquire(t Time, fn func()) *Event {
 		q.free[n-1] = nil
 		q.free = q.free[:n-1]
 		ev.gen++
-		ev.cancel = false
 		q.slotReuses++
 	} else {
-		ev = &Event{}
+		if len(q.slab) == 0 {
+			q.slab = make([]Event, eventSlab)
+		}
+		ev, q.slab = &q.slab[0], q.slab[1:]
 		q.slotAllocs++
 	}
 	ev.at = t
@@ -184,16 +192,16 @@ func (q *equeue) release(ev *Event) {
 // It is safe on a zero handle, a fired handle, and a stale handle.
 func (q *equeue) cancel(h Handle) {
 	ev := h.ev
-	if ev == nil || ev.gen != h.gen || ev.cancel {
+	if ev == nil || ev.gen != h.gen || ev.index == idxCancelled {
 		return
 	}
 	// If it already fired (and was released), only record the cancel so
 	// Cancelled() reads true until the slot is reused.
-	ev.cancel = true
 	if ev.index >= 0 {
 		q.remove(ev)
 		q.release(ev)
 	}
+	ev.index = idxCancelled
 }
 
 // less orders events by (time, sequence); sequence numbers are unique so
@@ -238,7 +246,7 @@ func (hp *eheap) remove(i int) {
 			hp.siftUp(i)
 		}
 	}
-	ev.index = -1
+	ev.index = idxFired
 }
 
 // siftUp moves the event at index i toward the root until its parent is not

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // Differential testing of the tiered event queue: a byte script is decoded
@@ -425,5 +426,92 @@ func BenchmarkHold(b *testing.B) {
 				e.step()
 			}
 		})
+	}
+}
+
+// TestEventSlabs runs a fixed schedule/cancel/fire script that takes slots
+// out of several slabs. EventAllocs must count Event structs as it did when
+// each was an allocation of its own (so sim.event_slot_allocs does not move):
+// one per acquisition the free list could not serve. Handles to neighbouring
+// slots on either side of a slab boundary must stay independent, and a slot's
+// stale handle inert, exactly as for individually allocated slots.
+func TestEventSlabs(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 48 {
+		t.Errorf("Event is %d bytes; 48 makes a %d-slot slab fill its 6144-byte size class", got, eventSlab)
+	}
+	e := NewEngine(1)
+	fired := 0
+	count := func() { fired++ }
+	wantAllocs, free := uint64(0), 0 // the free-list model
+	schedule := func(at Time) Handle {
+		if free > 0 {
+			free--
+		} else {
+			wantAllocs++
+		}
+		return e.At(at, count)
+	}
+	// 300 events: slots 0..299, the last ones in a third slab.
+	var hs []Handle
+	for i := 0; i < 300; i++ {
+		hs = append(hs, schedule(Time(i+1)*Millisecond))
+	}
+	last, first := hs[eventSlab-1], hs[eventSlab] // last slot of slab 0, first of slab 1
+	if last.ev == first.ev || !last.Active() || !first.Active() {
+		t.Fatal("slots on either side of the slab boundary are not distinct live events")
+	}
+	e.Cancel(last)
+	free++
+	if !last.Cancelled() || last.Active() || first.Cancelled() || !first.Active() {
+		t.Fatalf("cancel across the boundary: last Cancelled=%v Active=%v, first Cancelled=%v Active=%v",
+			last.Cancelled(), last.Active(), first.Cancelled(), first.Active())
+	}
+	for i := 0; i < 300; i += 3 { // cancel every third (slot 127 is not among them)
+		e.Cancel(hs[i])
+		free++
+	}
+	e.RunUntil(150 * Millisecond) // fires what is left of the first 150
+	free += fired
+	if want := 150 - 50 - 1; fired != want {
+		t.Fatalf("fired %d of the first 150, want %d", fired, want)
+	}
+	// The free list now serves 200 acquisitions; 250 more than that spill
+	// into fresh slabs.
+	for i := 0; i < 450; i++ {
+		h := schedule(Second + Time(i))
+		if h.ev != last.ev {
+			continue
+		}
+		// last's slot, recycled: its old handle is inert and cancelling
+		// through it leaves the new occupant alone.
+		e.Cancel(last)
+		if last.Cancelled() || last.Active() || last.When() != 0 || !h.Active() {
+			t.Fatalf("stale handle after reuse: Cancelled=%v Active=%v When=%v; new occupant Active=%v",
+				last.Cancelled(), last.Active(), last.When(), h.Active())
+		}
+		last = Handle{}
+	}
+	if !last.IsZero() {
+		t.Fatal("the slot cancelled at the slab boundary was never recycled")
+	}
+	if got := e.EventAllocs(); got != wantAllocs || got != 550 {
+		t.Errorf("EventAllocs = %d, free-list model says %d, the one-struct-per-miss engine counted 550", got, wantAllocs)
+	}
+	if got := e.EventReuses(); got != 200 {
+		t.Errorf("EventReuses = %d, want 200", got)
+	}
+	e.Run()
+	if want := 99 + 100 + 450; fired != want {
+		t.Errorf("fired %d events in all, want %d", fired, want)
+	}
+	// One slab allocation serves eventSlab schedules.
+	mallocs := testing.AllocsPerRun(10, func() {
+		e := NewEngine(1)
+		for i := 0; i < 1000; i++ {
+			e.At(Time(i), count)
+		}
+	})
+	if engine := testing.AllocsPerRun(10, func() { NewEngine(1) }); mallocs-engine > 1000/eventSlab+1+12 {
+		t.Errorf("scheduling 1000 events on a fresh engine cost %.0f mallocs beyond the engine's own %.0f; want one per %d-slot slab plus the heap's and free list's growth", mallocs-engine, engine, eventSlab)
 	}
 }

@@ -217,8 +217,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprint(stdout, t)
 	fmt.Fprintf(stdout, "mean relative deviation: %.3f\n", res.MeanDev)
-	fmt.Fprintf(stdout, "run: %.2fs wall, %d events (%.0f events/s), %d packets forwarded\n",
-		result.WallSeconds, result.Events, result.EventsPerSecond, result.Packets)
+	fmt.Fprintf(stdout, "run: %.2fs wall, %d events (%.0f events/s), %d packets forwarded, %.0f%% of events chained\n",
+		result.WallSeconds, result.Events, result.EventsPerSecond, result.Packets,
+		100*float64(result.EventsChained)/float64(max(result.Events, 1)))
 
 	if o.jsonPath != "" {
 		if err := experiments.WriteFile(o.jsonPath, export.WriteJSON); err != nil {

@@ -134,6 +134,9 @@ type Result struct {
 	// Events is the number of simulator events executed across the run's
 	// observed engines.
 	Events uint64 `json:"events"`
+	// EventsChained is how many of those were scheduled behind another
+	// event for the same instant and never cost a queue entry of their own.
+	EventsChained uint64 `json:"events_chained"`
 	// Packets is the number of packets forwarded across all links of the
 	// run's observed networks.
 	Packets int64 `json:"packets_forwarded"`
@@ -191,6 +194,7 @@ func (s Spec) Execute(timeout time.Duration) Result {
 	res.WallSeconds = time.Since(m.start).Seconds()
 	for _, e := range m.engines {
 		res.Events += e.Fired()
+		res.EventsChained += e.Stats().Chained
 	}
 	for _, n := range m.nets {
 		for _, l := range n.Links() {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -15,8 +16,8 @@ type Event struct {
 	at         Time
 	seq        uint64 // tie-breaker: FIFO among events at the same timestamp
 	fn         func()
-	next, prev *Event // ring-bucket list links (see equeue); nil elsewhere
-	index      int32  // heap position, or 0 in a ring bucket; idxFired or idxCancelled once out of the queue
+	next, prev *Event // ring-bucket list and train links (see equeue); nil out of the queue
+	index      int32  // heap position, 0 in a ring bucket, or idxMember; idxFired or idxCancelled once out of the queue
 	gen        uint32 // bumped each time the slot is acquired from the free list
 }
 
@@ -27,6 +28,11 @@ const (
 	idxFired     = -1 // popped to fire, or removed on its way to idxCancelled
 	idxCancelled = -2 // Cancel was called; holds until the slot is reused
 )
+
+// idxMember marks an event queued behind its train's leader rather than in
+// a tier. It is positive (and no heap grows that deep) so that a member
+// reads as queued wherever index >= 0 asks.
+const idxMember = math.MaxInt32
 
 // Handle identifies one scheduled firing. The zero Handle is valid and
 // refers to nothing; all its methods are no-ops. Handles are plain values —
@@ -137,6 +143,9 @@ type EngineStats struct {
 	Pending     int     `json:"events_pending"`
 	EventAllocs uint64  `json:"event_allocs"`
 	EventReuses uint64  `json:"event_reuses"`
+	// Chained counts schedules that joined a same-instant train behind an
+	// event already queued, and so never cost a queue entry of their own.
+	Chained uint64 `json:"events_chained"`
 
 	// Sharded-engine extensions (zero / absent on the plain Engine).
 	LookaheadSeconds float64            `json:"lookahead_seconds,omitempty"`
@@ -156,6 +165,7 @@ func (e *Engine) Stats() EngineStats {
 		Pending:     e.q.len(),
 		EventAllocs: e.q.slotAllocs,
 		EventReuses: e.q.slotReuses,
+		Chained:     e.q.chained,
 	}
 }
 
@@ -176,9 +186,7 @@ func (e *Engine) At(t Time, fn func()) Handle {
 	if fn == nil {
 		panic("sim: At with nil callback")
 	}
-	ev := e.q.acquire(t, fn)
-	e.q.push(ev)
-	return Handle{ev: ev, gen: ev.gen}
+	return e.q.schedule(t, fn)
 }
 
 // Cancel removes the event from the queue if it has not fired yet. It is

@@ -12,7 +12,10 @@ import (
 // into Schedule/At/Cancel/RunUntil operations and executed twice, once on
 // the real Engine and once on a reference model that keeps one slice sorted
 // by (time, sequence). Fired events themselves schedule children and cancel
-// other events, so the tiers are exercised from inside callbacks too.
+// other events, so the tiers are exercised from inside callbacks too. Burst
+// operations put many events on one instant, so the same scripts drive the
+// queue's trains: append, eviction, cancel of leader/member/tail, Stop
+// inside a train, and trains migrating between tiers.
 
 // scriptSys is the surface a queue script drives.
 type scriptSys interface {
@@ -21,6 +24,7 @@ type scriptSys interface {
 	cancel(id int)
 	runUntil(t Time)
 	run()
+	stop()
 }
 
 // scriptRun is one execution of a script against one system. Event ids are
@@ -30,6 +34,8 @@ type scriptRun struct {
 	sys    scriptSys
 	fired  []int
 	nextID int
+	when   []Time       // by id: the instant it was scheduled for
+	stops  map[int]bool // ids that call Stop when they fire
 }
 
 const maxScriptEvents = 4096 // bounds callback-spawned chains
@@ -37,13 +43,22 @@ const maxScriptEvents = 4096 // bounds callback-spawned chains
 func (r *scriptRun) spawn(delay Time, abs bool) {
 	id := r.nextID
 	r.nextID++
+	r.when = append(r.when, r.sys.now()+delay)
 	r.sys.schedule(id, delay, abs)
 }
+
+// recent picks one of the last few events scheduled: the tail of the newest
+// train, one of its members, or (after a short burst) its leader.
+func (r *scriptRun) recent(m uint16) int { return r.nextID - 1 - int(m)%min(r.nextID, 6) }
 
 // onFire is every event's callback: log the firing, then, as a pure
 // function of the id, maybe schedule a child and maybe cancel some event.
 func (r *scriptRun) onFire(id int) {
 	r.fired = append(r.fired, id)
+	if r.stops[id] {
+		delete(r.stops, id)
+		r.sys.stop()
+	}
 	h := uint64(id+1) * 0x9E3779B97F4A7C15
 	if h%4 == 0 && r.nextID < maxScriptEvents {
 		r.spawn(scriptDelay(byte(h>>8), uint16(h>>16)), h&64 != 0)
@@ -74,7 +89,45 @@ func scriptDelay(class byte, m uint16) Time {
 // step decodes and applies one 4-byte operation.
 func (r *scriptRun) step(op []byte) {
 	class, m := op[1], uint16(op[2])|uint16(op[3])<<8
-	switch op[0] % 8 {
+	switch op[0] % 16 {
+	case 8, 9:
+		// A burst on one instant, interleaved with a second instant so both
+		// remembered tails are appended to, and now and then a third so one
+		// of them is evicted mid-train.
+		d := scriptDelay(class, m)
+		for i, n := 0, 2+int(m>>4)%63; i < n && r.nextID < maxScriptEvents-2; i++ {
+			r.spawn(d, false)
+			if i%3 == 2 {
+				r.spawn(scriptDelay(class+1, m), i%2 == 0)
+			}
+			if i%7 == 6 {
+				r.spawn(d+1, false)
+			}
+		}
+	case 10:
+		if r.nextID > 0 {
+			r.sys.cancel(r.recent(m))
+		}
+	case 11:
+		// Cancel, then append to the instant the cancelled event had.
+		if r.nextID > 0 {
+			id := r.recent(m)
+			r.sys.cancel(id)
+			if at := r.when[id]; at >= r.sys.now() {
+				r.spawn(at-r.sys.now(), true)
+			}
+		}
+	case 12:
+		// Stop from inside a recent event's callback, run up to it, then
+		// finish its instant.
+		if r.nextID > 0 {
+			id := r.recent(m)
+			if at := r.when[id]; at >= r.sys.now() {
+				r.stops[id] = true
+				r.sys.runUntil(at)
+				r.sys.runUntil(at)
+			}
+		}
 	case 0, 1, 2:
 		r.spawn(scriptDelay(class, m), false)
 	case 3:
@@ -107,6 +160,7 @@ func (s *engineSys) schedule(id int, delay Time, abs bool) {
 func (s *engineSys) cancel(id int)   { s.e.Cancel(s.handles[id]) }
 func (s *engineSys) runUntil(t Time) { s.e.RunUntil(t) }
 func (s *engineSys) run()            { s.e.Run() }
+func (s *engineSys) stop()           { s.e.Stop() }
 
 // modelSys is the reference: pending events in one slice sorted by
 // (at, seq). Sequence numbers only grow, so inserting after every event
@@ -125,6 +179,7 @@ const (
 type modelSys struct {
 	r             *scriptRun
 	clock         Time
+	stopped       bool
 	pending       []modelEvent
 	state         []int  // by id
 	at            []Time // by id
@@ -163,7 +218,7 @@ func (s *modelSys) fireHead() {
 	s.r.onFire(ev.id)
 }
 func (s *modelSys) runUntil(t Time) {
-	for len(s.pending) > 0 && s.pending[0].at <= t {
+	for s.stopped = false; !s.stopped && len(s.pending) > 0 && s.pending[0].at <= t; {
 		s.fireHead()
 	}
 	if s.clock < t {
@@ -171,10 +226,11 @@ func (s *modelSys) runUntil(t Time) {
 	}
 }
 func (s *modelSys) run() {
-	for len(s.pending) > 0 {
+	for s.stopped = false; !s.stopped && len(s.pending) > 0; {
 		s.fireHead()
 	}
 }
+func (s *modelSys) stop() { s.stopped = true }
 
 // runQueueScript executes data on both systems, comparing after every
 // operation: firing order, clock, Pending, and every handle ever issued.
@@ -184,10 +240,10 @@ func runQueueScript(t *testing.T, data []byte) {
 		data = data[:4096]
 	}
 	eng := &engineSys{e: NewEngine(1)}
-	er := &scriptRun{sys: eng}
+	er := &scriptRun{sys: eng, stops: map[int]bool{}}
 	eng.r = er
 	model := &modelSys{}
-	mr := &scriptRun{sys: model}
+	mr := &scriptRun{sys: model, stops: map[int]bool{}}
 	model.r = mr
 
 	checked := 0
@@ -203,6 +259,9 @@ func runQueueScript(t *testing.T, data []byte) {
 		}
 		if eng.e.Now() != model.clock {
 			t.Fatalf("op %d: Now %v, model %v", op, eng.e.Now(), model.clock)
+		}
+		if got := eng.e.Fired(); got != uint64(len(mr.fired)) {
+			t.Fatalf("op %d: Fired %d, model %d", op, got, len(mr.fired))
 		}
 		if got := eng.e.Pending(); got != len(model.pending) {
 			t.Fatalf("op %d: Pending %d, model %d", op, got, len(model.pending))
@@ -246,16 +305,36 @@ func FuzzQueueOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 2, 5, 0, 0, 4, 9, 0, 4, 0, 0, 0, 4, 0, 1, 0, 4, 0, 2, 0}) // cancel in each tier
 	f.Add([]byte{0, 3, 0, 0, 0, 3, 1, 0, 0, 3, 2, 0, 0, 3, 3, 0, 6, 4, 0, 1})             // ring horizon, then a jump
 	f.Add([]byte{3, 4, 255, 255, 6, 4, 255, 255, 3, 1, 7, 0, 5, 0, 0, 0, 0, 1, 7, 0})
+	// Trains: a five-wide burst in near, ring and far, each losing its leader.
+	f.Add([]byte{8, 0, 0x30, 0, 10, 0, 5, 0, 8, 2, 0x30, 0, 10, 0, 5, 0, 8, 4, 0x30, 0, 10, 0, 5, 0, 6, 4, 255, 255})
+	// A bucket holding instant d, then d+1, then a second train for d (its
+	// tail was evicted), which loses its leader.
+	f.Add([]byte{8, 2, 0x60, 0, 0, 2, 0x60, 0, 4, 0, 10, 0, 6, 4, 0, 0})
+	// A train's tail is cancelled, another slot is freed on top of it, then
+	// its instant is scheduled for again.
+	f.Add([]byte{0, 4, 1, 0, 8, 2, 0x10, 0, 4, 0, 3, 0, 4, 0, 4, 0, 0, 2, 0x10, 0, 6, 4, 0, 0})
+	// A remembered tail is cancelled and its slot reused for another
+	// instant before the first instant is scheduled for again.
+	f.Add([]byte{0, 2, 5, 0, 4, 0, 0, 0, 0, 2, 9, 0, 0, 2, 5, 0, 6, 4, 0, 0})
+	// Stop inside a ring train's member, zero-delay work behind the rest.
+	f.Add([]byte{8, 2, 0x30, 0, 12, 0, 1, 0, 0, 0, 0, 0, 6, 4, 0, 0})
+	// Cancel the tail, then a middle member, each followed by an append.
+	f.Add([]byte{8, 2, 0x30, 0, 11, 0, 0, 0, 11, 0, 3, 0, 6, 3, 0, 0})
+	// A nine-wide far train migrates far -> ring -> near, cancelled on the way.
+	f.Add([]byte{8, 4, 0x70, 0, 6, 3, 0, 0, 10, 0, 2, 0, 9, 4, 0x70, 0, 6, 2, 255, 0, 6, 4, 0, 0})
 	f.Fuzz(runQueueScript)
 }
 
 // bucketTime is the first instant of bucket b.
 func bucketTime(b int64) Time { return Time(b << bucketShift) }
 
-// tiers reports how many events each tier holds.
+// tiers reports how many entries (lone events and train leaders) each tier
+// holds; entries is their sum.
 func (q *equeue) tiers() string {
 	return fmt.Sprintf("near %d ring %d far %d", len(q.near), q.ringN, len(q.far))
 }
+
+func (q *equeue) entries() int { return len(q.near) + q.ringN + len(q.far) }
 
 // A RunUntil that stops inside an idle gap has already peeked at the next
 // event and advanced the current bucket to it. Scheduling into the gap

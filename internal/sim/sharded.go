@@ -216,6 +216,7 @@ func (se *ShardedEngine) Stats() EngineStats {
 			Pending:     s.q.len(),
 			EventAllocs: s.q.slotAllocs,
 			EventReuses: s.q.slotReuses,
+			Chained:     s.q.chained,
 		}
 	}
 	st := EngineStats{
@@ -232,6 +233,7 @@ func (se *ShardedEngine) Stats() EngineStats {
 	for i, s := range se.shards {
 		st.EventAllocs += s.q.slotAllocs
 		st.EventReuses += s.q.slotReuses
+		st.Chained += s.q.chained
 		st.BarrierStall += s.stall
 		st.Shards[i] = ShardEngineStats{
 			Shard:      i,
@@ -244,6 +246,7 @@ func (se *ShardedEngine) Stats() EngineStats {
 	}
 	st.EventAllocs += se.gq.q.slotAllocs
 	st.EventReuses += se.gq.q.slotReuses
+	st.Chained += se.gq.q.chained
 	return st
 }
 
@@ -425,7 +428,7 @@ func (se *ShardedEngine) drainMailboxes() {
 		}
 		sort.Sort(buf)
 		for i := range buf {
-			d.q.push(d.q.acquire(buf[i].at, buf[i].fn))
+			d.q.schedule(buf[i].at, buf[i].fn)
 			buf[i].fn = nil
 		}
 		d.crossIn += uint64(len(buf))
@@ -475,9 +478,7 @@ func (s *shardSched) At(t Time, fn func()) Handle {
 	if s.global && s.eng.running.Load() {
 		panic("sim: global schedule from inside a shard window; use the shard or cross-shard scheduler")
 	}
-	ev := s.q.acquire(t, fn)
-	s.q.push(ev)
-	return Handle{ev: ev, gen: ev.gen}
+	return s.q.schedule(t, fn)
 }
 
 func (s *shardSched) Cancel(h Handle) { s.q.cancel(h) }

@@ -1,0 +1,289 @@
+package sim
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+)
+
+// Same-instant trains (see equeue): events scheduled for a remembered
+// instant queue behind that instant's newest event and cost no tier entry.
+// The random scripts in queue_test.go check the contract differentially;
+// the tests here pin each rule on a script short enough to read.
+
+// trainTiers are instants that park a train in each tier of a fresh engine.
+var trainTiers = []struct {
+	name string
+	at   Time
+	held string // tiers() with one train queued there
+}{
+	{"near", 5, "near 1 ring 0 far 0"},
+	{"ring", bucketTime(7) + 3, "near 0 ring 1 far 0"},
+	{"far", bucketTime(2*ringSize) + 3, "near 0 ring 0 far 1"},
+}
+
+// burst schedules n events at instant at, logging ids base.. as they fire.
+func burst(e *Engine, log *[]int, at Time, base, n int) []Handle {
+	hs := make([]Handle, n)
+	for i := range hs {
+		id := base + i
+		hs[i] = e.At(at, func() { *log = append(*log, id) })
+	}
+	return hs
+}
+
+func TestTrainOneEntryPerInstant(t *testing.T) {
+	for _, tier := range trainTiers {
+		t.Run(tier.name, func(t *testing.T) {
+			e := NewEngine(1)
+			var log []int
+			// Two instants interleaved: both remembered tails take appends.
+			var hs []Handle
+			for i := 0; i < 8; i++ {
+				hs = append(hs, burst(e, &log, tier.at, 2*i, 1)[0], burst(e, &log, tier.at+1, 2*i+1, 1)[0])
+			}
+			if e.Pending() != 16 || e.Stats().Chained != 14 {
+				t.Fatalf("Pending %d, Chained %d; want 16 events, 14 of them chained", e.Pending(), e.Stats().Chained)
+			}
+			if e.q.entries() != 2 {
+				t.Fatalf("two instants are queued as %s", e.q.tiers())
+			}
+			for i, h := range hs {
+				if !h.Active() || h.Cancelled() || h.When() != tier.at+Time(i%2) {
+					t.Fatalf("event %d reads Active=%v Cancelled=%v When=%v", i, h.Active(), h.Cancelled(), h.When())
+				}
+			}
+			// A third instant evicts the older tail; its instant's next event
+			// starts a second train behind the first.
+			burst(e, &log, tier.at+2, 100, 1)
+			burst(e, &log, tier.at, 16, 2)
+			if e.Stats().Chained != 15 {
+				t.Fatalf("Chained %d after an eviction, want 15", e.Stats().Chained)
+			}
+			e.RunUntil(tier.at)
+			if got, want := fmt.Sprint(log), "[0 2 4 6 8 10 12 14 16 17]"; got != want {
+				t.Fatalf("fired %s at the first instant, want %s", got, want)
+			}
+			if e.Pending() != 9 || e.Fired() != 10 {
+				t.Fatalf("Pending %d Fired %d, want 9 and 10", e.Pending(), e.Fired())
+			}
+			e.Run()
+			if got, want := fmt.Sprint(log[10:]), "[1 3 5 7 9 11 13 15 100]"; got != want {
+				t.Fatalf("then fired %s, want %s", got, want)
+			}
+		})
+	}
+}
+
+// Cancelling a member unlinks it; cancelling the leader promotes its first
+// member into the leader's queue entry; a cancelled tail is forgotten, so
+// an append after it still lands in sequence order.
+func TestTrainCancel(t *testing.T) {
+	for _, tier := range trainTiers {
+		t.Run(tier.name, func(t *testing.T) {
+			e := NewEngine(1)
+			var log []int
+			hs := burst(e, &log, tier.at, 0, 6)
+			slots := e.EventAllocs()
+			for n, i := range []int{0, 2, 5, 1} { // leader, middle, tail, promoted leader
+				e.Cancel(hs[i])
+				if hs[i].Active() || !hs[i].Cancelled() || e.Pending() != 5-n {
+					t.Fatalf("cancel %d: Active=%v Cancelled=%v Pending=%d", i, hs[i].Active(), hs[i].Cancelled(), e.Pending())
+				}
+				if got := e.q.tiers(); got != tier.held {
+					t.Fatalf("cancel %d: %s, want the train still queued as %s", i, got, tier.held)
+				}
+			}
+			hs = append(hs, burst(e, &log, tier.at, 6, 2)...) // cancel-then-append
+			if e.EventAllocs() != slots {
+				t.Fatal("cancelled members' slots were not released at once")
+			}
+			e.Cancel(hs[3]) // the leader again, now with the appended train behind it
+			e.Run()
+			if got := fmt.Sprint(log); got != "[4 6 7]" {
+				t.Fatalf("fired %s, want [4 6 7]", got)
+			}
+			e.Cancel(hs[4]) // already fired: recorded, nothing to unlink
+			if !hs[4].Cancelled() || e.Pending() != 0 {
+				t.Fatalf("cancel after fire: Cancelled=%v Pending=%d", hs[4].Cancelled(), e.Pending())
+			}
+		})
+	}
+}
+
+// A remembered tail whose slot has been recycled for an event at another
+// instant is not a tail any more: the next event for the old instant must
+// not ride in the new occupant's train.
+func TestTrainTailSlotReused(t *testing.T) {
+	e := NewEngine(1)
+	var log []int
+	stale := burst(e, &log, 2*Second, 0, 1)[0]
+	e.Cancel(stale)
+	fresh := burst(e, &log, 3*Second, 1, 1)[0]
+	if fresh.ev != stale.ev {
+		t.Fatal("slot was not recycled")
+	}
+	burst(e, &log, 2*Second, 2, 1)
+	e.RunUntil(2 * Second)
+	if got := fmt.Sprint(log); got != "[2]" || e.Pending() != 1 || e.Stats().Chained != 0 {
+		t.Fatalf("by 2 s fired %s with Pending %d, Chained %d; want [2], 1 and 0", got, e.Pending(), e.Stats().Chained)
+	}
+}
+
+// A callback inside a train may cancel members that have not fired yet,
+// including the very next one.
+func TestTrainCancelFromInside(t *testing.T) {
+	e := NewEngine(1)
+	var log []int
+	var hs []Handle
+	e.At(Second, func() { e.Cancel(hs[0]); e.Cancel(hs[2]); log = append(log, -1) })
+	hs = burst(e, &log, Second, 0, 4)
+	e.Run()
+	if got := fmt.Sprint(log); got != "[-1 1 3]" {
+		t.Fatalf("fired %s, want [-1 1 3]", got)
+	}
+}
+
+// Stop inside a train leaves the unfired rest queued, ahead of anything
+// scheduled for the same instant afterwards; the next Run resumes there.
+func TestTrainStop(t *testing.T) {
+	e := NewEngine(1)
+	var log []int
+	hs := burst(e, &log, Second, 0, 2)
+	e.At(Second, func() { log = append(log, 2); e.Stop() })
+	hs = append(hs, Handle{})
+	hs = append(hs, burst(e, &log, Second, 3, 3)...)
+	e.Run()
+	if got := fmt.Sprint(log); got != "[0 1 2]" || e.Pending() != 3 || e.Now() != Second {
+		t.Fatalf("stopped after %s with Pending %d at %v", got, e.Pending(), e.Now())
+	}
+	for _, h := range hs[3:] {
+		if !h.Active() || h.When() != Second {
+			t.Fatalf("unfired member reads Active=%v When=%v", h.Active(), h.When())
+		}
+	}
+	e.Cancel(hs[3]) // the head of the unfired rest
+	burst(e, &log, Second, 6, 2)
+	e.RunUntil(Second)
+	if got := fmt.Sprint(log); got != "[0 1 2 4 5 6 7]" || e.Pending() != 0 {
+		t.Fatalf("resumed to %s with Pending %d", got, e.Pending())
+	}
+}
+
+// Zero-delay work scheduled from inside a train queues behind the train's
+// tail while that is still waiting to fire; once the tail has fired it is no
+// longer a place to link to, and a later schedule for the same instant must
+// start a train of its own.
+func TestTrainZeroDelayFromMember(t *testing.T) {
+	e := NewEngine(1)
+	var log []int
+	child := func(id int) func() {
+		return func() {
+			log = append(log, id)
+			e.Schedule(0, func() { log = append(log, 10+id) })
+		}
+	}
+	for i := 0; i < 3; i++ {
+		e.At(Second, child(i))
+	}
+	e.Run()
+	if got := fmt.Sprint(log); got != "[0 1 2 10 11 12]" || e.Pending() != 0 || e.Fired() != 6 {
+		t.Fatalf("fired %s, Pending %d, Fired %d", got, e.Pending(), e.Fired())
+	}
+	if e.Stats().Chained != 5 {
+		t.Fatalf("Chained %d: all three children should have joined the train they were scheduled from", e.Stats().Chained)
+	}
+	burst(e, &log, e.Now(), 20, 2)
+	e.Run()
+	if got := fmt.Sprint(log[6:]); got != "[20 21]" || e.Pending() != 0 {
+		t.Fatalf("after the instant's trains fired, two more events for it fired as %s, Pending %d", got, e.Pending())
+	}
+}
+
+// A train parked beyond the ring horizon moves far -> ring -> near as one
+// entry, members attached, and still takes appends and cancels on the way.
+func TestTrainMigratesAcrossTiers(t *testing.T) {
+	e := NewEngine(1)
+	var log []int
+	nop := func() {}
+	at := bucketTime(ringSize+40) + 9
+	e.At(bucketTime(50), nop)
+	e.At(bucketTime(60), nop)
+	e.At(bucketTime(ringSize+40), nop) // shares the train's bucket
+	hs := burst(e, &log, at, 0, 4)
+	if got := e.q.tiers(); got != "near 0 ring 2 far 2" {
+		t.Fatalf("tiers: %s", got)
+	}
+	e.RunUntil(bucketTime(50)) // peeks at bucket 60; the horizon now covers the train
+	if got := e.q.tiers(); got != "near 1 ring 2 far 0" || e.Pending() != 6 {
+		t.Fatalf("after the horizon moved: %s, Pending %d", got, e.Pending())
+	}
+	e.Cancel(hs[1])
+	burst(e, &log, at, 4, 1)
+	e.RunUntil(at - 1) // the train's bucket becomes current
+	if got := e.q.tiers(); got != "near 1 ring 0 far 0" || e.Pending() != 4 {
+		t.Fatalf("in the current bucket: %s, Pending %d", got, e.Pending())
+	}
+	e.Cancel(hs[0])
+	burst(e, &log, at, 5, 1)
+	if e.Stats().Chained != 5 {
+		t.Fatalf("Chained %d: both appends should have found the migrated train's tail", e.Stats().Chained)
+	}
+	e.Run()
+	if got := fmt.Sprint(log); got != "[2 3 4 5]" {
+		t.Fatalf("fired %s, want [2 3 4 5]", got)
+	}
+}
+
+// BenchmarkFanoutTrain is the tree fan-out's scheduling pattern in steady
+// state: 64 bursts in flight, each k events on one instant, and the last
+// event of a burst schedules the next burst k copies wide. One op is one
+// fired event. With trains a burst costs one queue entry however wide it
+// is, and the cycle still allocates nothing.
+func BenchmarkFanoutTrain(b *testing.B) {
+	for _, k := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
+			e := NewEngine(1)
+			n := 0
+			var member, last func()
+			member = func() {}
+			last = func() {
+				n++
+				d := Time(200 + n%64*97) // bursts land in different buckets
+				for i := 1; i < k; i++ {
+					e.Schedule(d, member)
+				}
+				e.Schedule(d, last)
+			}
+			for i := 0; i < 64; i++ {
+				last()
+			}
+			for i := 0; i < 64*k*4; i++ { // slots and heaps reach their steady size
+				e.step()
+			}
+			b.ReportAllocs()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.step()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&m1)
+			if perOp := (m1.TotalAlloc - m0.TotalAlloc) / uint64(b.N); perOp > 0 {
+				b.Fatalf("%d B/op in steady state, want 0", perOp)
+			}
+			// Over everything scheduled since the engine was made, warm-up
+			// included, so that a one-op smoke run checks it too. Bursts are
+			// scheduled whole, so the ratio is exact wherever b.N ends.
+			st := e.Stats()
+			scheduled := st.Fired + uint64(st.Pending)
+			entries := float64(scheduled-st.Chained) / float64(scheduled)
+			if entries > 1/float64(k)+1e-9 {
+				b.Fatalf("%.4f queue entries per event with %d-wide bursts, want %.4f", entries, k, 1/float64(k))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+			b.ReportMetric(entries, "queue-entries/event")
+		})
+	}
+}

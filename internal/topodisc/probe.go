@@ -74,7 +74,7 @@ func (t *Tool) traceHop(session int, base netsim.GroupID, source, n netsim.NodeI
 	}
 	t.ProbePackets++
 	// Read this hop's state at visit time.
-	if ml := t.maxLayerAt(session, n); ml > snap.MaxLayer[n] {
+	if ml := t.maxLayerAt(t.layerGroups(session), n); ml > snap.MaxLayer[n] {
 		snap.MaxLayer[n] = ml
 	}
 	if t.domain.HasLocalMembers(n, base) {

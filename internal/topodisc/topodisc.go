@@ -95,6 +95,7 @@ type Tool struct {
 
 	sessions []int
 	history  map[int][]*Snapshot
+	groups   []netsim.GroupID // layerGroups' buffer
 	ticker   *sim.Ticker
 
 	// pendingTraces counts probe traces launched but not yet finished;
@@ -171,22 +172,29 @@ func (t *Tool) record(session int, snap *Snapshot) {
 // SnapshotNow discovers the current topology of a session directly from
 // routing state (no staleness). It walks the base-layer tree from the
 // source and overlays the higher layers' trees to get per-node MaxLayer.
+// The maps and the walk's queue are sized from the session's newest
+// recorded snapshot: a tree changes little between two discoveries.
 func (t *Tool) SnapshotNow(session int) *Snapshot {
 	t.Discoveries++
 	e := t.net.Engine()
-	base := t.domain.GroupOf(session, 1)
+	groups := t.layerGroups(session)
+	var prev Snapshot
+	if h := t.history[session]; len(h) > 0 {
+		prev = *h[len(h)-1]
+	}
 	snap := &Snapshot{
 		At:        e.Now(),
 		Session:   session,
 		Root:      netsim.NoNode,
-		Parent:    make(map[netsim.NodeID]netsim.NodeID),
-		Children:  make(map[netsim.NodeID][]netsim.NodeID),
-		MaxLayer:  make(map[netsim.NodeID]int),
-		Receivers: make(map[netsim.NodeID]bool),
+		Parent:    make(map[netsim.NodeID]netsim.NodeID, len(prev.Parent)),
+		Children:  make(map[netsim.NodeID][]netsim.NodeID, len(prev.Children)),
+		MaxLayer:  make(map[netsim.NodeID]int, len(prev.MaxLayer)),
+		Receivers: make(map[netsim.NodeID]bool, len(prev.Receivers)),
 	}
-	if base == netsim.NoGroup {
+	if len(groups) == 0 {
 		return snap
 	}
+	base := groups[0]
 	source := t.domain.Source(base)
 	root := source
 	if t.Scope != nil && !t.Scope[source] {
@@ -201,25 +209,28 @@ func (t *Tool) SnapshotNow(session int) *Snapshot {
 	}
 	snap.Root = root
 	// BFS down the base-layer tree, confined to the scope.
-	queue := []netsim.NodeID{root}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		snap.MaxLayer[n] = t.maxLayerAt(session, n)
+	queue := append(make([]netsim.NodeID, 0, len(prev.Parent)+1), root)
+	for i := 0; i < len(queue); i++ {
+		n := queue[i]
+		snap.MaxLayer[n] = t.maxLayerAt(groups, n)
 		if t.domain.HasLocalMembers(n, base) {
 			snap.Receivers[n] = true
 		}
-		var kids []netsim.NodeID
-		for _, c := range t.domain.ForwardingChildren(n, base) {
-			if t.Scope == nil || t.Scope[c] {
-				kids = append(kids, c)
+		kids := t.domain.ForwardingChildren(n, base) // a copy, the snapshot's to keep
+		if t.Scope != nil {
+			all := kids
+			kids = nil
+			for _, c := range all {
+				if t.Scope[c] {
+					kids = append(kids, c)
+				}
 			}
 		}
 		snap.Children[n] = kids
 		for _, c := range kids {
 			snap.Parent[c] = n
-			queue = append(queue, c)
 		}
+		queue = append(queue, kids...)
 	}
 	return snap
 }
@@ -240,16 +251,26 @@ func (t *Tool) findIngress(session int, from netsim.NodeID) netsim.NodeID {
 	return netsim.NoNode
 }
 
-// maxLayerAt returns the highest layer whose tree covers node n.
-func (t *Tool) maxLayerAt(session int, n netsim.NodeID) int {
-	max := 0
+// layerGroups resolves a session's groups, layer 1 first, into a buffer
+// that the next call reuses.
+func (t *Tool) layerGroups(session int) []netsim.GroupID {
+	t.groups = t.groups[:0]
 	for l := 1; ; l++ {
 		g := t.domain.GroupOf(session, l)
 		if g == netsim.NoGroup {
-			break
+			return t.groups
 		}
+		t.groups = append(t.groups, g)
+	}
+}
+
+// maxLayerAt returns the highest layer, of those whose groups are given in
+// layer order, whose tree covers node n.
+func (t *Tool) maxLayerAt(groups []netsim.GroupID, n netsim.NodeID) int {
+	max := 0
+	for i, g := range groups {
 		if t.domain.OnTree(n, g) || t.domain.HasLocalMembers(n, g) {
-			max = l
+			max = i + 1
 		}
 	}
 	return max

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-micro bench-json bench-scale bench-shards bench-fanin bench-federation bench-churn obs-gate fanin-gate repro repro-quick cover examples clean
+.PHONY: all build test vet bench bench-micro hotlines bench-json bench-scale bench-shards bench-fanin bench-federation bench-churn obs-gate fanin-gate repro repro-quick cover examples clean
 
 all: build vet test
 
@@ -29,6 +29,12 @@ bench:
 COUNT ?= 1
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchmem -count $(COUNT) ./internal/sim ./internal/netsim ./internal/mcast ./internal/core ./internal/obs
+
+# Where the time goes, line by line: the four repository-benchmark workload
+# specs run under toposim -cpuprofile, ten hottest source lines of each
+# (WORKLOADS="tree1k-agg" for one; RUNS, TOP, FOCUS as in the script).
+hotlines:
+	scripts/hotlines.sh $(WORKLOADS)
 
 # Zero-allocation gate for the observability layer: every obs benchmark
 # (instruments, recorder, probed and unprobed forwarding) must report

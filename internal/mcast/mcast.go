@@ -505,15 +505,19 @@ func (d *Domain) HandleMulticast(n *netsim.Node, p *netsim.Packet, from *netsim.
 }
 
 // ForwardingChildren returns the downstream children of node n for group g,
-// sorted. Used by the topology discovery tool.
+// sorted, in a slice of the caller's own (nil when there are none).
 func (d *Domain) ForwardingChildren(n netsim.NodeID, g netsim.GroupID) []netsim.NodeID {
-	st := d.lookup(n, g)
-	if st == nil || len(st.children) == 0 {
-		return nil
+	return d.AppendForwardingChildren(nil, n, g)
+}
+
+// AppendForwardingChildren appends the downstream children of node n for
+// group g, sorted, to dst. The topology discovery tool walks a tree with it
+// without allocating a slice per node.
+func (d *Domain) AppendForwardingChildren(dst []netsim.NodeID, n netsim.NodeID, g netsim.GroupID) []netsim.NodeID {
+	if st := d.lookup(n, g); st != nil {
+		dst = append(dst, st.children...)
 	}
-	out := make([]netsim.NodeID, len(st.children))
-	copy(out, st.children)
-	return out
+	return dst
 }
 
 // HasLocalMembers reports whether any member is attached at node n for g.

@@ -1,0 +1,78 @@
+package netsim
+
+import (
+	"testing"
+	"unsafe"
+)
+
+// A packet-hop's cost is first touches of its link and of the node it
+// arrives at, so what the hop reads is packed at the front of both structs.
+// These pins keep a new field from splitting that prefix silently: add cold
+// state below the hot block, or move the limit knowingly.
+
+// TestLinkHotLayout: everything Send, transmit and deliverHead read on the
+// no-outage, no-full-queue path ends inside the link's first four cache
+// lines. Before the packing the same fields were spread over all 344 bytes.
+func TestLinkHotLayout(t *testing.T) {
+	var l Link
+	end := func(off, size uintptr) uintptr { return off + size }
+	hot := map[string]uintptr{
+		"sched":     end(unsafe.Offsetof(l.sched), unsafe.Sizeof(l.sched)),
+		"freeAt":    end(unsafe.Offsetof(l.freeAt), unsafe.Sizeof(l.freeAt)),
+		"down":      end(unsafe.Offsetof(l.down), unsafe.Sizeof(l.down)),
+		"orphans":   end(unsafe.Offsetof(l.orphans), unsafe.Sizeof(l.orphans)),
+		"queue":     end(unsafe.Offsetof(l.queue), unsafe.Sizeof(l.queue)),
+		"stats":     end(unsafe.Offsetof(l.stats), unsafe.Sizeof(l.stats)),
+		"Bandwidth": end(unsafe.Offsetof(l.Bandwidth), unsafe.Sizeof(l.Bandwidth)),
+		"Delay":     end(unsafe.Offsetof(l.Delay), unsafe.Sizeof(l.Delay)),
+		"txSize":    end(unsafe.Offsetof(l.txSize), unsafe.Sizeof(l.txSize)),
+		"mu":        end(unsafe.Offsetof(l.mu), unsafe.Sizeof(l.mu)),
+		"inflight":  end(unsafe.Offsetof(l.inflight), unsafe.Sizeof(l.inflight)),
+		"dsched":    end(unsafe.Offsetof(l.dsched), unsafe.Sizeof(l.dsched)),
+		"deliverFn": end(unsafe.Offsetof(l.deliverFn), unsafe.Sizeof(l.deliverFn)),
+		"to":        end(unsafe.Offsetof(l.to), unsafe.Sizeof(l.to)),
+		"probes":    end(unsafe.Offsetof(l.probes), unsafe.Sizeof(l.probes)),
+		"net":       end(unsafe.Offsetof(l.net), unsafe.Sizeof(l.net)),
+	}
+	for name, e := range hot {
+		if e > 256 {
+			t.Errorf("Link.%s ends at byte %d, outside the 256-byte hot block", name, e)
+		}
+	}
+	// The cold tail must not sit in front of anything hot either.
+	for name, off := range map[string]uintptr{
+		"From":      unsafe.Offsetof(l.From),
+		"drainEv":   unsafe.Offsetof(l.drainEv),
+		"squelch":   unsafe.Offsetof(l.squelch),
+		"aborted":   unsafe.Offsetof(l.aborted),
+		"recvSched": unsafe.Offsetof(l.recvSched),
+	} {
+		if off < 248 {
+			t.Errorf("cold field Link.%s at byte %d sits inside the hot block", name, off)
+		}
+	}
+	if got := unsafe.Sizeof(l); got > 352 {
+		t.Errorf("Link is %d bytes; above 352 it moves up an allocation size class", got)
+	}
+}
+
+// TestNodeHotLayout: the five fields deliver, route and the multicast
+// handler read are in the node's first cache line (a slice's capacity word
+// is never read by a hop, so links counts up to its length).
+func TestNodeHotLayout(t *testing.T) {
+	var n Node
+	for name, e := range map[string]uintptr{
+		"ID":      unsafe.Offsetof(n.ID) + unsafe.Sizeof(n.ID),
+		"net":     unsafe.Offsetof(n.net) + unsafe.Sizeof(n.net),
+		"mcast":   unsafe.Offsetof(n.mcast) + unsafe.Sizeof(n.mcast),
+		"transit": unsafe.Offsetof(n.transit) + unsafe.Sizeof(n.transit),
+		"links":   unsafe.Offsetof(n.links) + 2*unsafe.Sizeof(uintptr(0)), // pointer and length
+	} {
+		if e > 64 {
+			t.Errorf("Node.%s ends at byte %d, outside the first cache line", name, e)
+		}
+	}
+	if unsafe.Offsetof(n.Name) < 64 {
+		t.Errorf("Node.Name at byte %d pushes hot state out of the first cache line", unsafe.Offsetof(n.Name))
+	}
+}

@@ -60,46 +60,10 @@ func (s LinkStats) DropRate() float64 {
 // product in flight, however long it runs — and pooled packets move through
 // on reference counts instead of garbage.
 type Link struct {
-	net        *Network
-	From, To   NodeID
-	Bandwidth  float64 // bits per second
-	Delay      sim.Time
-	QueueLimit int
-	Policy     DropPolicy
-
-	// queue holds the packets waiting behind the transmitter, at most
-	// QueueLimit of them.
-	queue pktRing
-	// freeAt is when the transmitter finishes the packet it is serializing
-	// (txSize bytes); the link is busy while now < freeAt. drainEv is the
-	// one event armed at freeAt while the queue is non-empty.
-	freeAt  sim.Time
-	txSize  int
-	drainEv sim.Handle
-	// inflight holds the packets on the link from the start of their
-	// serialization to their delivery, in delivery order (per-link delivery
-	// times are strictly increasing, so FIFO holds): at most the link's
-	// bandwidth-delay product plus the one being serialized.
-	inflight pktRing
-
-	// down marks a failed link: everything it is asked to carry is
-	// dropped until SetUp. The delivery events of in-flight packets SetDown
-	// discarded still fire, and deliverHead swallows them. squelch counts
-	// those whose packet had left the transmitter: they all fire before
-	// anything sent later can arrive. aborted holds the due times of those
-	// whose packet was still on it: a shorter packet sent after the repair
-	// overtakes them, so they are matched by time, not by count.
-	down    bool
-	squelch int
-	aborted []sim.Time
-
-	stats  LinkStats
-	probes []Probe
-
-	// Bound once in addLink so the per-hop Schedule calls allocate no
-	// closures.
-	drainFn   func()
-	deliverFn func()
+	// The first 248 bytes are everything Send, transmit and deliverHead read
+	// for a packet that meets no outage and no full queue, side by side so a
+	// hop touches four cache lines of its link instead of all six
+	// (TestLinkHotLayout pins it). Configuration and outage state follow.
 
 	// sched owns the transmitter side (Send/transmit/drain run in From's
 	// context); dsched carries the delivery schedule to the receiving side;
@@ -107,13 +71,55 @@ type Link struct {
 	// must read at delivery). All three are the network engine until
 	// Partition rebinds them, and dsched differs from recvSched only on a
 	// partition-boundary link, where it is a cross-shard channel.
-	sched     sim.Scheduler
-	dsched    sim.Scheduler
-	recvSched sim.Scheduler
+	sched sim.Scheduler
+	// freeAt is when the transmitter finishes the packet it is serializing
+	// (txSize bytes); the link is busy while now < freeAt. drainEv is the
+	// one event armed at freeAt while the queue is non-empty.
+	freeAt sim.Time
+	// down marks a failed link: everything it is asked to carry is
+	// dropped until SetUp. The delivery events of in-flight packets SetDown
+	// discarded still fire, and deliverHead swallows them: orphans counts
+	// the ones still to come, squelch + len(aborted), so a link that never
+	// failed pays one compare.
+	down    bool
+	Policy  DropPolicy
+	orphans int32
+	// queue holds the packets waiting behind the transmitter, at most
+	// QueueLimit of them.
+	queue     pktRing
+	stats     LinkStats
+	Bandwidth float64 // bits per second
+	Delay     sim.Time
+	txSize    int
 	// mu guards inflight on partition-boundary links, where the
 	// transmitting shard pushes and the receiving shard pops concurrently.
 	// nil everywhere else: single-shard links never pay for it.
 	mu *sync.Mutex
+	// inflight holds the packets on the link from the start of their
+	// serialization to their delivery, in delivery order (per-link delivery
+	// times are strictly increasing, so FIFO holds): at most the link's
+	// bandwidth-delay product plus the one being serialized.
+	inflight pktRing
+	dsched   sim.Scheduler
+	// Bound once in addLink so the per-hop Schedule calls allocate no
+	// closures.
+	deliverFn func()
+	to        *Node // net.nodes[To]
+	probes    []Probe
+	net       *Network
+
+	From, To   NodeID
+	QueueLimit int
+	drainEv    sim.Handle
+	drainFn    func()
+	// squelch counts the orphaned delivery events whose packet had left the
+	// transmitter: they all fire before anything sent later can arrive.
+	// aborted holds the due times of those whose packet was still on it: a
+	// shorter packet sent after the repair overtakes them, so they are
+	// matched by time, not by count.
+	squelch   int
+	aborted   []sim.Time
+	recvSched sim.Scheduler
 }
 
 // NowTx returns the transmitting side's current time: the clock Send-path
@@ -152,7 +158,7 @@ func (l *Link) Down() bool { return l.down }
 // Reverse returns the opposite direction of this link's connection
 // (To->From), or nil when the connection is asymmetric. Fault injection
 // uses it to fail both directions of a physical link together.
-func (l *Link) Reverse() *Link { return l.net.nodes[l.To].LinkTo(l.From) }
+func (l *Link) Reverse() *Link { return l.to.LinkTo(l.From) }
 
 // SetDown fails the link. Everything the link is asked to carry while down
 // is dropped: the waiting queue and the propagation pipeline are discarded
@@ -218,6 +224,7 @@ func (l *Link) dropCarried() {
 		l.freeAt = l.sched.Now()
 	}
 	l.squelch += orphaned
+	l.orphans = int32(l.squelch + len(l.aborted))
 }
 
 // ResetStats zeroes the counters (used between measurement intervals). A
@@ -355,12 +362,7 @@ func (l *Link) drain() {
 // increasing (every serialization takes at least a microsecond), so
 // deliveries complete in exactly the order transmit pushed them.
 func (l *Link) deliverHead() {
-	if len(l.aborted) > 0 && l.abortedDueNow() {
-		return
-	}
-	if l.squelch > 0 {
-		// This firing belonged to an in-flight packet a SetDown discarded.
-		l.squelch--
+	if l.orphans > 0 && l.orphanDueNow() {
 		return
 	}
 	var p *Packet
@@ -372,20 +374,28 @@ func (l *Link) deliverHead() {
 		p = l.inflight.pop()
 	}
 	l.noteDeliver(p)
-	l.net.nodes[l.To].deliver(p, l)
+	l.to.deliver(p, l)
 	p.unref()
 }
 
-// abortedDueNow reports whether this delivery firing belongs to a
-// serialization SetDown aborted, and forgets it if so. A live packet due the
-// same microsecond has a firing of its own, so either may stand for it.
-func (l *Link) abortedDueNow() bool {
+// orphanDueNow reports whether this delivery firing belongs to an in-flight
+// packet a SetDown discarded, and forgets it if so: a serialization it
+// aborted, matched by due time (a live packet due the same microsecond has a
+// firing of its own, so either may stand for it), else the oldest squelched
+// one.
+func (l *Link) orphanDueNow() bool {
 	now := l.recvSched.Now()
 	for i, due := range l.aborted {
 		if due == now {
 			l.aborted = append(l.aborted[:i], l.aborted[i+1:]...)
+			l.orphans--
 			return true
 		}
+	}
+	if l.squelch > 0 {
+		l.squelch--
+		l.orphans--
+		return true
 	}
 	return false
 }

@@ -275,6 +275,7 @@ func (n *Network) addLink(from, to *Node, cfg LinkConfig) *Link {
 	}
 	l := &Link{
 		net:        n,
+		to:         to,
 		From:       from.ID,
 		To:         to.ID,
 		Bandwidth:  cfg.Bandwidth,

@@ -36,17 +36,18 @@ type TransitFilter interface {
 // Node is a network element: a router, a source host or a receiver host —
 // the distinction is only in which agents and handlers are attached.
 type Node struct {
-	ID   NodeID
-	Name string
-
+	// What a packet arriving or leaving reads comes first, inside the
+	// node's first cache line (TestNodeHotLayout pins it).
+	ID      NodeID
 	net     *Network
-	links   []outLink // outgoing links in ascending neighbor order
-	agents  []Agent
 	mcast   MulticastHandler
 	transit TransitFilter
+	links   []outLink // outgoing links in ascending neighbor order
+	agents  []Agent
 
 	// RecvUnicast counts unicast packets delivered locally.
 	RecvUnicast int64
+	Name        string
 }
 
 // outLink is one entry of a node's out-link table. The neighbor ID sits

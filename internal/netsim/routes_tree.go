@@ -70,8 +70,9 @@ func (n *Network) buildTreeRoutes() *treeRoutes {
 		t.parent[i] = NoNode
 		t.comp[i] = -1
 	}
-	// BFS forest from ascending roots; Neighbors() is ascending, so parent
-	// assignment matches the dense BFS tie-break (lowest ID wins).
+	// BFS forest from ascending roots; out-link tables are ascending by
+	// neighbor, so parent assignment matches the dense BFS tie-break (lowest
+	// ID wins).
 	comps := int32(0)
 	queue := make([]NodeID, 0, num)
 	for root := 0; root < num; root++ {
@@ -82,7 +83,8 @@ func (n *Network) buildTreeRoutes() *treeRoutes {
 		queue = append(queue[:0], NodeID(root))
 		for head := 0; head < len(queue); head++ {
 			cur := queue[head]
-			for _, nb := range n.nodes[cur].Neighbors() {
+			for _, ol := range n.nodes[cur].links {
+				nb := ol.to
 				if t.comp[nb] != -1 {
 					continue
 				}

@@ -16,14 +16,15 @@ type Event struct {
 	at         Time
 	seq        uint64 // tie-breaker: FIFO among events at the same timestamp
 	fn         func()
-	next, prev *Event // ring-bucket list and train links (see equeue); nil out of the queue
+	next, prev *Event // ring-bucket list of leaders; prev is also a member's back-link (see equeue)
+	mem        *Event // the next event of my train, nil at its tail and out of the queue
 	index      int32  // heap position, 0 in a ring bucket, or idxMember; idxFired or idxCancelled once out of the queue
 	gen        uint32 // bumped each time the slot is acquired from the free list
 }
 
 // Out-of-queue values of Event.index. The cancelled state lives here rather
-// than in a flag of its own so that an Event is 48 bytes and a slab of them
-// fills its allocation size class exactly.
+// than in a flag of its own so that an Event is 56 bytes and eventSlab of
+// them fit the allocation size class a slab has always used.
 const (
 	idxFired     = -1 // popped to fire, or removed on its way to idxCancelled
 	idxCancelled = -2 // Cancel was called; holds until the slot is reused

@@ -11,8 +11,9 @@ const (
 	ringMask    = ringSize - 1
 )
 
-// eventSlab is how many Event slots one allocation provides.
-const eventSlab = 128
+// eventSlab is how many Event slots one allocation provides: 109 slots of 56
+// bytes are 6104, the most that fit the 6144-byte size class.
+const eventSlab = 109
 
 // trainWays is how many instants schedule remembers the newest event of. Two,
 // because a fan-out burst alternates between this level's arrivals and the
@@ -31,9 +32,9 @@ const trainWays = 2
 //     later, so its root is the queue's earliest event: firing order is
 //     exactly the total (time, sequence) order of one big heap.
 //   - ring: buckets cur < b < cur+ringSize, each an unordered intrusive
-//     circular list threaded through Event.next/prev, so scheduling past
-//     the current bucket is an O(1) link, cancelling an O(1) unlink, and
-//     neither allocates.
+//     circular list of leaders threaded through Event.next/prev, so
+//     scheduling past the current bucket is an O(1) link, cancelling an O(1)
+//     unlink, and neither allocates.
 //   - far: a second heap for events at or beyond the ring horizon, drained
 //     into the ring as cur advances.
 //
@@ -43,16 +44,18 @@ const trainWays = 2
 // of entering a tier; only the train's first event, its leader, is a queue
 // entry. Nothing else at that instant can have a sequence number between
 // tail and newcomer, so leader-then-members is (time, sequence) order. A
-// heap leader hangs its members off next (prev points back); a ring leader
-// keeps them directly behind it in the bucket's list. When pop takes a
-// leader, its first member becomes the leader in its place.
+// train is the same shape in every tier: Event.mem points at the next event
+// of the train (nil at its tail), a member's prev at the one before it. When
+// pop or remove takes a leader, its first member becomes the leader in its
+// place by stores alone: mem already points at the rest of the train.
 //
-// When near runs dry, head moves cur to the next non-empty bucket and
-// pushes that bucket's leaders onto the near heap. A free list recycles
-// fired or cancelled Event slots so the steady-state schedule/fire cycle
-// performs no allocations; slots the free list cannot supply are carved
-// from eventSlab-sized arrays, so a burst of new events (a world's start-up
-// timers) costs one allocation per slab and its slots sit side by side.
+// When near runs dry, head moves cur to the next non-empty bucket and pushes
+// that bucket's list onto the near heap. The list holds leaders only, so the
+// walk never touches a member. A free list recycles fired or cancelled Event
+// slots so the steady-state schedule/fire cycle performs no allocations;
+// slots the free list cannot supply are carved from eventSlab-sized arrays,
+// so a burst of new events (a world's start-up timers) costs one allocation
+// per slab and its slots sit side by side.
 //
 // An equeue is single-owner: exactly one goroutine may touch it at a time.
 // The Engine owns its queue outright; a shard's queue is owned by the
@@ -75,6 +78,7 @@ type equeue struct {
 	slotAllocs uint64 // Event structs ever handed out fresh (slots, not slabs)
 	slotReuses uint64 // acquisitions served from the free list
 	chained    uint64 // schedules that joined a train instead of a tier
+	visited    uint64 // bucket-list nodes advance has walked: leaders, never members
 }
 
 func bucketOf(ev *Event) int64 { return int64(ev.at) >> bucketShift }
@@ -99,12 +103,7 @@ func (q *equeue) schedule(t Time, fn func()) Handle {
 		}
 	}
 	tail := w.tail.ev
-	ev.prev, ev.next = tail, tail.next
-	if tail.next != nil {
-		tail.next.prev = ev
-	}
-	tail.next = ev
-	ev.index = idxMember
+	ev.prev, ev.index, tail.mem = tail, idxMember, ev
 	w.tail = h
 	q.chained++
 	return h
@@ -128,8 +127,8 @@ func (q *equeue) pop() *Event {
 	if ev == nil {
 		return nil
 	}
-	if m := ev.next; m != nil {
-		m.prev, m.index, ev.next = nil, 0, nil
+	if m := ev.mem; m != nil {
+		m.prev, m.index, ev.mem = nil, 0, nil
 		q.near[0] = m
 		ev.index = idxFired
 	} else {
@@ -139,26 +138,22 @@ func (q *equeue) pop() *Event {
 	return ev
 }
 
-// push files leader ev, and the members a far leader brings along, under
-// the tier its time bucket belongs to.
+// push files leader ev, whatever train hangs off it, under the tier its time
+// bucket belongs to.
 func (q *equeue) push(ev *Event) {
 	switch b := bucketOf(ev); {
 	case b <= q.cur:
 		q.near.push(ev)
 	case b < q.cur+ringSize:
 		// Append to the bucket's circular list (head.prev is the tail), so
-		// advance sees events oldest first and its pushes rarely sift.
-		last := ev
-		for last.next != nil {
-			last = last.next
-		}
+		// advance sees leaders oldest first and its pushes rarely sift.
 		if h := q.ring[b&ringMask]; h == nil {
-			ev.prev, last.next = last, ev
+			ev.next, ev.prev = ev, ev
 			q.ring[b&ringMask] = ev
 		} else {
-			ev.prev, last.next = h.prev, h
+			ev.next, ev.prev = h, h.prev
 			h.prev.next = ev
-			h.prev = last
+			h.prev = ev
 		}
 		ev.index = 0
 		q.ringN++
@@ -172,25 +167,30 @@ func (q *equeue) push(ev *Event) {
 // bounds exact. A leader's first member is promoted into its place: it is
 // the next event in (time, sequence) order, so a heap needs no sift.
 func (q *equeue) remove(ev *Event) {
-	switch b, m := bucketOf(ev), ev.next; {
+	switch b, m := bucketOf(ev), ev.mem; {
 	case ev.index == idxMember:
-		if ev.prev.next = m; m != nil {
+		if ev.prev.mem = m; m != nil {
 			m.prev = ev.prev
 		}
 	case b > q.cur && b < q.cur+ringSize:
-		slot := &q.ring[b&ringMask]
-		if m == ev {
-			m = nil
-		} else {
-			ev.prev.next, m.prev = m, ev.prev
-		}
-		if *slot == ev {
-			*slot = m
-		}
-		if m != nil && m.index == idxMember {
-			m.index = 0
+		// after is what stands where ev stood in the bucket's circle: its
+		// first member, else the next leader, else nothing.
+		after, before := ev.next, ev.prev
+		if m != nil {
+			if after == ev { // a circle of one
+				after, before = m, m
+			}
+			m.next, m.prev, m.index = after, before, 0
+			before.next, after.prev = m, m
+			after = m
 		} else {
 			q.ringN--
+			if before.next, after.prev = after, before; after == ev {
+				after = nil
+			}
+		}
+		if slot := &q.ring[b&ringMask]; *slot == ev {
+			*slot = after
 		}
 	default:
 		hp := &q.near
@@ -204,7 +204,7 @@ func (q *equeue) remove(ev *Event) {
 			hp.remove(int(ev.index))
 		}
 	}
-	ev.next, ev.prev = nil, nil
+	ev.next, ev.prev, ev.mem = nil, nil, nil
 	ev.index = idxFired
 	q.n--
 }
@@ -231,11 +231,10 @@ func (q *equeue) advance() bool {
 		h.prev.next = nil // open the circle
 		for ev := h; ev != nil; {
 			next := ev.next
-			if ev.index != idxMember { // cut in front of each leader
-				ev.prev.next, ev.prev = nil, nil
-				q.ringN--
-				q.near.push(ev)
-			}
+			ev.next, ev.prev = nil, nil
+			q.ringN--
+			q.visited++
+			q.near.push(ev)
 			ev = next
 		}
 	}

@@ -15,7 +15,8 @@ import (
 // other events, so the tiers are exercised from inside callbacks too. Burst
 // operations put many events on one instant, so the same scripts drive the
 // queue's trains: append, eviction, cancel of leader/member/tail, Stop
-// inside a train, and trains migrating between tiers.
+// inside a train, trains migrating between tiers, and several trains sharing
+// one bucket while one of them loses its leader or its first member.
 
 // scriptSys is the surface a queue script drives.
 type scriptSys interface {
@@ -128,6 +129,35 @@ func (r *scriptRun) step(op []byte) {
 				r.sys.runUntil(at)
 			}
 		}
+	case 13:
+		// Up to four trains on consecutive instants of one bucket — the
+		// current one, a ring bucket or one beyond the horizon — then one of
+		// them (first, middle, last, or alone) loses its leader, its first
+		// member, or both, and its instant is appended to: behind the tail
+		// just promoted to leader when the train was two long and one of the
+		// newest two.
+		trains, width := 1+int(m)%4, 2+int(m>>2)%3
+		if r.nextID+trains*width+1 >= maxScriptEvents {
+			return
+		}
+		d := Time(0)
+		if class%5 != 0 {
+			d = (scriptDelay(class, m)+r.sys.now()+1<<bucketShift-1)&^(1<<bucketShift-1) - r.sys.now()
+		}
+		base := r.nextID
+		for i := 0; i < trains*width; i++ {
+			r.spawn(d+Time(i/width), i%2 == 0)
+		}
+		j := int(m>>4) % trains
+		if what := m >> 6 % 3; what != 1 {
+			r.sys.cancel(base + j*width) // the leader
+			if what == 2 {
+				r.sys.cancel(base + j*width + 1) // the member promoted in its place
+			}
+		} else {
+			r.sys.cancel(base + j*width + 1) // the first member: its prev is the leader
+		}
+		r.spawn(d+Time(j), true)
 	case 0, 1, 2:
 		r.spawn(scriptDelay(class, m), false)
 	case 3:
@@ -266,6 +296,11 @@ func runQueueScript(t *testing.T, data []byte) {
 		if got := eng.e.Pending(); got != len(model.pending) {
 			t.Fatalf("op %d: Pending %d, model %d", op, got, len(model.pending))
 		}
+		// Every node advance walks is a train's queue entry on its one trip
+		// from the ring to near; a member in a bucket list would break this.
+		if entries := uint64(er.nextID) - eng.e.Stats().Chained; eng.e.q.visited > entries {
+			t.Fatalf("op %d: advance walked %d bucket nodes, only %d events ever led a train", op, eng.e.q.visited, entries)
+		}
 		for id, h := range eng.handles {
 			if model.state[id] == modelPending {
 				if !h.Active() || h.Cancelled() || h.When() != model.at[id] {
@@ -322,6 +357,20 @@ func FuzzQueueOrder(f *testing.F) {
 	f.Add([]byte{8, 2, 0x30, 0, 11, 0, 0, 0, 11, 0, 3, 0, 6, 3, 0, 0})
 	// A nine-wide far train migrates far -> ring -> near, cancelled on the way.
 	f.Add([]byte{8, 4, 0x70, 0, 6, 3, 0, 0, 10, 0, 2, 0, 9, 4, 0x70, 0, 6, 2, 255, 0, 6, 4, 0, 0})
+	// Leaders-only buckets (op 13; m = trains-1 | (width-2)<<2 | victim<<4 |
+	// what<<6). Four trains in one ring bucket, three times over: the first,
+	// a middle and the last lose their leader; then a train alone in its
+	// bucket does.
+	f.Add([]byte{13, 2, 0x07, 0, 13, 2, 0x17, 0, 13, 2, 0x37, 0, 13, 2, 0x04, 0, 6, 4, 0, 0})
+	// The first member of a train is cancelled in near, ring and far.
+	f.Add([]byte{13, 0, 0x45, 0, 13, 2, 0x55, 0, 13, 4, 0x65, 0, 6, 3, 0, 0, 6, 4, 255, 255})
+	// Two-long trains: the leader goes, the tail is promoted and appended
+	// to — in the current bucket, the ring and far; the far one then
+	// migrates far -> ring -> near with its new chain.
+	f.Add([]byte{13, 0, 0x01, 0, 13, 2, 0x31, 0, 13, 4, 0x01, 0, 6, 3, 0, 0, 10, 0, 1, 0, 6, 2, 255, 0, 6, 4, 255, 255})
+	// Leader and promoted member both cancelled, in a bucket with two other
+	// leaders, then the run stops inside what is left.
+	f.Add([]byte{13, 2, 0x9a, 0, 12, 0, 2, 0, 6, 4, 0, 0})
 	f.Fuzz(runQueueScript)
 }
 
@@ -515,8 +564,11 @@ func BenchmarkHold(b *testing.B) {
 // slots on either side of a slab boundary must stay independent, and a slot's
 // stale handle inert, exactly as for individually allocated slots.
 func TestEventSlabs(t *testing.T) {
-	if got := unsafe.Sizeof(Event{}); got != 48 {
-		t.Errorf("Event is %d bytes; 48 makes a %d-slot slab fill its 6144-byte size class", got, eventSlab)
+	if got := unsafe.Sizeof(Event{}); got != 56 {
+		t.Errorf("Event is %d bytes, want 56", got)
+	}
+	if slab := eventSlab * unsafe.Sizeof(Event{}); slab > 6144 || slab+unsafe.Sizeof(Event{}) <= 6144 {
+		t.Errorf("a %d-slot slab is %d bytes; it should fill the 6144-byte size class to within one slot", eventSlab, slab)
 	}
 	e := NewEngine(1)
 	fired := 0
@@ -545,7 +597,7 @@ func TestEventSlabs(t *testing.T) {
 		t.Fatalf("cancel across the boundary: last Cancelled=%v Active=%v, first Cancelled=%v Active=%v",
 			last.Cancelled(), last.Active(), first.Cancelled(), first.Active())
 	}
-	for i := 0; i < 300; i += 3 { // cancel every third (slot 127 is not among them)
+	for i := 1; i < 300; i += 3 { // cancel every third (slot eventSlab-1 = 108 is not among them)
 		e.Cancel(hs[i])
 		free++
 	}

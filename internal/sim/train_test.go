@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 )
@@ -235,6 +236,159 @@ func TestTrainMigratesAcrossTiers(t *testing.T) {
 	}
 }
 
+// A ring bucket's list holds leaders only. Cancelling a leader that has
+// members puts its first member in its place — at the head, in the middle or
+// at the tail of the list, or alone in it — and advance, when the bucket
+// comes up, walks exactly the leaders: q.visited never counts a member.
+func TestTrainSharedBucketLeaderCancel(t *testing.T) {
+	const width = 3
+	for _, tc := range []struct {
+		name   string
+		trains int
+		victim int
+	}{{"first", 4, 0}, {"middle", 4, 2}, {"last", 4, 3}, {"alone", 1, 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(1)
+			var log []int
+			var hs []Handle
+			for j := 0; j < tc.trains; j++ {
+				hs = append(hs, burst(e, &log, bucketTime(7)+Time(j), j*width, width)...)
+			}
+			slot := &e.q.ring[7&ringMask]
+			e.Cancel(hs[tc.victim*width])
+			promoted := hs[tc.victim*width+1].ev
+			if promoted.index != 0 || promoted.prev.next != promoted || promoted.next.prev != promoted {
+				t.Fatalf("promoted member is not linked into the bucket list: index %d", promoted.index)
+			}
+			if wantHead := hs[0].ev; tc.victim == 0 && *slot != promoted || tc.victim != 0 && *slot != wantHead {
+				t.Fatal("bucket head does not point at the bucket's oldest leader")
+			}
+			n := 0
+			for ev := *slot; n == 0 || ev != *slot; ev, n = ev.next, n+1 {
+				if ev.index == idxMember {
+					t.Fatal("a member sits in the bucket list")
+				}
+			}
+			if n != tc.trains || e.q.ringN != tc.trains || e.Pending() != tc.trains*width-1 {
+				t.Fatalf("bucket list holds %d nodes, ringN %d, Pending %d; want %d leaders", n, e.q.ringN, e.Pending(), tc.trains)
+			}
+			// Promoted twice over, down to a lone tail, which then goes too.
+			e.Cancel(hs[tc.victim*width+1])
+			e.Cancel(hs[tc.victim*width+2])
+			if e.q.ringN != tc.trains-1 || (tc.trains == 1) != (*slot == nil) {
+				t.Fatalf("after cancelling the whole train: %s", e.q.tiers())
+			}
+			e.Run()
+			var want []int
+			for id := 0; id < tc.trains*width; id++ {
+				if id/width != tc.victim {
+					want = append(want, id)
+				}
+			}
+			if fmt.Sprint(log) != fmt.Sprint(want) {
+				t.Fatalf("fired %v, want %v", log, want)
+			}
+			if e.q.visited != uint64(tc.trains-1) {
+				t.Fatalf("advance walked %d nodes for %d leaders", e.q.visited, tc.trains-1)
+			}
+		})
+	}
+}
+
+// advance walks one node per leader queued in the bucket it opens, whatever
+// hangs behind each: members are never in a bucket list, whether their train
+// was scheduled into the ring, promoted there by a cancel, or dropped in from
+// far with its chain attached.
+func TestAdvanceVisitsLeadersOnly(t *testing.T) {
+	e := NewEngine(1)
+	var log []int
+	burst(e, &log, bucketTime(7), 0, 40)
+	lone := burst(e, &log, bucketTime(7)+1, 40, 1)
+	hs := burst(e, &log, bucketTime(7)+2, 41, 9)
+	burst(e, &log, bucketTime(9), 50, 30)
+	burst(e, &log, bucketTime(60), 80, 1)
+	burst(e, &log, bucketTime(ringSize+20), 81, 20) // far
+	e.Cancel(lone[0])
+	e.Cancel(hs[0])
+	for _, step := range []struct {
+		until   Time
+		visited uint64
+		fired   uint64
+		tiers   string
+	}{
+		// Each RunUntil ends by peeking at the next event, which opens its bucket.
+		{bucketTime(7) - 1, 2, 0, "near 2 ring 2 far 1"},
+		{bucketTime(7) + 2, 3, 48, "near 1 ring 1 far 1"},
+		{bucketTime(9), 4, 78, "near 1 ring 1 far 0"}, // the horizon now covers far's train: into the ring, chain attached
+		{bucketTime(60), 5, 79, "near 1 ring 0 far 0"},
+		{bucketTime(ringSize + 20), 5, 99, "near 0 ring 0 far 0"},
+	} {
+		e.RunUntil(step.until)
+		if e.q.visited != step.visited || e.Fired() != step.fired || e.q.tiers() != step.tiers {
+			t.Fatalf("by %v: advance walked %d nodes, %d events fired, %s; want %d, %d, %s",
+				step.until, e.q.visited, e.Fired(), e.q.tiers(), step.visited, step.fired, step.tiers)
+		}
+	}
+	if e.Pending() != 0 || len(log) != 99 {
+		t.Fatalf("Pending %d, %d fired", e.Pending(), len(log))
+	}
+}
+
+// The first member's back-link is the leader itself; cancelling it must
+// rewire the leader's mem, in whichever tier the leader sits, and leave the
+// rest of the train behind the leader.
+func TestTrainCancelFirstMember(t *testing.T) {
+	for _, tier := range trainTiers {
+		t.Run(tier.name, func(t *testing.T) {
+			e := NewEngine(1)
+			var log []int
+			hs := burst(e, &log, tier.at, 0, 4)
+			e.Cancel(hs[1])
+			if hs[0].ev.mem != hs[2].ev || hs[2].ev.prev != hs[0].ev || hs[1].ev.mem != nil || hs[1].ev.prev != nil {
+				t.Fatal("the leader's train link does not skip the cancelled first member")
+			}
+			if got := e.q.tiers(); got != tier.held || e.Pending() != 3 {
+				t.Fatalf("%s, Pending %d", got, e.Pending())
+			}
+			e.Cancel(hs[2])
+			e.Cancel(hs[3]) // first member and tail at once: the leader is alone again
+			if hs[0].ev.mem != nil {
+				t.Fatal("leader still links to a cancelled member")
+			}
+			burst(e, &log, tier.at, 4, 1) // the tail was cancelled: a train of its own
+			e.Run()
+			if got := fmt.Sprint(log); got != "[0 4]" {
+				t.Fatalf("fired %s, want [0 4]", got)
+			}
+		})
+	}
+}
+
+// A two-event train loses its leader: the tail is promoted into the
+// leader's queue entry and is still the remembered tail of its instant, so
+// the next event for that instant chains behind a leader, not a member.
+func TestTrainAppendBehindPromotedTail(t *testing.T) {
+	for _, tier := range trainTiers {
+		t.Run(tier.name, func(t *testing.T) {
+			e := NewEngine(1)
+			var log []int
+			hs := burst(e, &log, tier.at, 0, 2)
+			e.Cancel(hs[0])
+			if tail := hs[1].ev; tail.index == idxMember || tail.mem != nil || e.q.tiers() != tier.held {
+				t.Fatalf("tail not promoted: index %d, %s", tail.index, e.q.tiers())
+			}
+			more := burst(e, &log, tier.at, 2, 2)
+			if e.Stats().Chained != 3 || hs[1].ev.mem != more[0].ev || more[0].ev.prev != hs[1].ev || e.q.tiers() != tier.held {
+				t.Fatalf("append did not chain behind the promoted tail: Chained %d, %s", e.Stats().Chained, e.q.tiers())
+			}
+			e.Run()
+			if got := fmt.Sprint(log); got != "[1 2 3]" || e.Pending() != 0 {
+				t.Fatalf("fired %s, Pending %d", got, e.Pending())
+			}
+		})
+	}
+}
+
 // BenchmarkFanoutTrain is the tree fan-out's scheduling pattern in steady
 // state: 64 bursts in flight, each k events on one instant, and the last
 // event of a burst schedules the next burst k copies wide. One op is one
@@ -284,6 +438,61 @@ func BenchmarkFanoutTrain(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
 			b.ReportMetric(entries, "queue-entries/event")
+		})
+	}
+}
+
+// BenchmarkColdTrains is the queue under the memory pressure of a large run,
+// which BenchmarkHold and BenchmarkFanoutTrain (a few hundred slots, always
+// in cache) cannot show: 2^17 events pending in bursts of k on one instant,
+// each re-scheduling itself one simulated second on — a ring bucket — when
+// it fires, as every copy of a fanned-out packet schedules its own next hop.
+// Slots are handed out in an order unrelated to instants, so the events of
+// one burst are scattered over 7 MB and every one the queue touches is a
+// cache miss. One op is one fired event. advance must walk one node per
+// burst, never a member, and the cycle must not allocate.
+func BenchmarkColdTrains(b *testing.B) {
+	const pending, delay = 1 << 17, Second
+	for _, k := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
+			e := NewEngine(1)
+			var again func()
+			again = func() { e.Schedule(delay, again) }
+			for _, i := range rand.New(rand.NewSource(1)).Perm(pending) {
+				e.At(Time(i/k)*delay/Time(pending/k), again)
+			}
+			// Two full cycles. In the first each burst fires back to back and
+			// so re-queues itself as one train, and heaps and free list reach
+			// their steady size; from the second on advance opens trains, and
+			// what it walks is counted (so a one-op smoke run checks it too)
+			// against the trains there are to open: those queued when the
+			// second cycle starts and those queued after.
+			leaders := func() uint64 { st := e.Stats(); return st.Fired + uint64(st.Pending) - st.Chained }
+			var budget0, visited0, fired0 uint64
+			for i := 0; i < 2*pending; i++ {
+				if i == pending {
+					budget0, visited0, fired0 = leaders()-uint64(e.q.entries()), e.q.visited, e.Fired()
+				}
+				e.step()
+			}
+			b.ReportAllocs()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.step()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&m1)
+			if perOp := (m1.TotalAlloc - m0.TotalAlloc) / uint64(b.N); perOp > 0 {
+				b.Fatalf("%d B/op in steady state, want 0", perOp)
+			}
+			visited := e.q.visited - visited0
+			if trains := leaders() - budget0; visited > trains {
+				b.Fatalf("advance walked %d bucket nodes with only %d trains to open: it visited members", visited, trains)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+			b.ReportMetric(float64(visited)/float64(e.Fired()-fired0), "visited/advance-event")
 		})
 	}
 }

@@ -102,6 +102,13 @@ func TestSnapshotMatchesReference(t *testing.T) {
 						t.Fatalf("%s at %d s, session %d, scoped %v: snapshot differs from the reference walk\n got %+v\nwant %+v",
 							topo, s, session, tool.Scope != nil, got, want)
 					}
+					// Child lists share the walk's queue: each must be capped
+					// so that growing one cannot overwrite its neighbour.
+					for n, kids := range got.Children {
+						if cap(kids) != len(kids) {
+							t.Fatalf("%s: node %d's child list has len %d cap %d", topo, n, len(kids), cap(kids))
+						}
+					}
 					compared++
 					nodes += len(got.MaxLayer)
 				}

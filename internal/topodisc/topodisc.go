@@ -27,7 +27,9 @@ type Snapshot struct {
 	Root    netsim.NodeID
 	// Parent maps each on-tree node (except the root) to its parent.
 	Parent map[netsim.NodeID]netsim.NodeID
-	// Children maps each on-tree node to its children, sorted.
+	// Children maps each on-tree node to its children, sorted. One
+	// snapshot's lists may be windows of a shared array, capacity-capped so
+	// that appending to one never writes into another.
 	Children map[netsim.NodeID][]netsim.NodeID
 	// MaxLayer is the highest layer whose tree includes the node, i.e. the
 	// layers traversing the link from its parent.
@@ -208,29 +210,44 @@ func (t *Tool) SnapshotNow(session int) *Snapshot {
 		}
 	}
 	snap.Root = root
-	// BFS down the base-layer tree, confined to the scope.
+	// BFS down the base-layer tree, confined to the scope. The walk's queue
+	// holds every node's children side by side, in the order the nodes are
+	// visited, so the child lists are cut out of it afterwards (it may move
+	// while it grows): node queue[i]'s end at ends[i] and start where the
+	// node before it left off.
 	queue := append(make([]netsim.NodeID, 0, len(prev.Parent)+1), root)
+	ends := make([]int, 0, cap(queue))
 	for i := 0; i < len(queue); i++ {
 		n := queue[i]
 		snap.MaxLayer[n] = t.maxLayerAt(groups, n)
 		if t.domain.HasLocalMembers(n, base) {
 			snap.Receivers[n] = true
 		}
-		kids := t.domain.ForwardingChildren(n, base) // a copy, the snapshot's to keep
+		start := len(queue)
+		queue = t.domain.AppendForwardingChildren(queue, n, base)
 		if t.Scope != nil {
-			all := kids
-			kids = nil
-			for _, c := range all {
+			kept := queue[:start]
+			for _, c := range queue[start:] {
 				if t.Scope[c] {
-					kids = append(kids, c)
+					kept = append(kept, c)
 				}
 			}
+			queue = kept
 		}
-		snap.Children[n] = kids
-		for _, c := range kids {
+		for _, c := range queue[start:] {
 			snap.Parent[c] = n
 		}
-		queue = append(queue, kids...)
+		ends = append(ends, len(queue))
+	}
+	start := 1
+	for i, end := range ends {
+		// Capacity capped: appending to one list must not run into the next.
+		var kids []netsim.NodeID
+		if end > start {
+			kids = queue[start:end:end]
+		}
+		snap.Children[queue[i]] = kids
+		start = end
 	}
 	return snap
 }
@@ -246,7 +263,7 @@ func (t *Tool) findIngress(session int, from netsim.NodeID) netsim.NodeID {
 		if t.Scope[n] {
 			return n
 		}
-		queue = append(queue, t.domain.ForwardingChildren(n, base)...)
+		queue = t.domain.AppendForwardingChildren(queue, n, base)
 	}
 	return netsim.NoNode
 }

@@ -22,13 +22,14 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Hot-path microbenchmarks only: engine schedule/fire and the hold model
-# (BenchmarkHold), packet-plane forwarding, multicast replication and the
-# controller's per-interval pass.
+# (BenchmarkHold), packet-plane forwarding, multicast replication, the
+# controller's per-interval pass and the flat control plane's report and
+# suggestion paths (BenchmarkFlatReportPath, BenchmarkFlatSuggestionFanout).
 # COUNT=5 (or any -count value) produces benchstat-ready samples; pipe
 # through scripts/benchdiff.sh to compare commits.
 COUNT ?= 1
 bench-micro:
-	$(GO) test -run '^$$' -bench . -benchmem -count $(COUNT) ./internal/sim ./internal/netsim ./internal/mcast ./internal/core ./internal/obs
+	$(GO) test -run '^$$' -bench . -benchmem -count $(COUNT) ./internal/sim ./internal/netsim ./internal/mcast ./internal/core ./internal/obs ./internal/controller
 
 # Where the time goes, line by line: the four repository-benchmark workload
 # specs run under toposim -cpuprofile, ten hottest source lines of each
@@ -74,8 +75,9 @@ bench-shards:
 bench-fanin:
 	$(GO) run ./cmd/topobench -fig fig_scale -topo tree -aggregate -json BENCH_fanin.json
 
-# Zero-allocation gate for the aggregation hot paths: the report-merge and
-# suggestion fan-out benchmarks must report 0 allocs/op at steady state.
+# Allocation gate for the control plane's hot paths: report merge, batched
+# suggestion fan-out and the flat report path must report 0 allocs/op at
+# steady state, the per-receiver fan-out at most 1 (its resend closure).
 fanin-gate:
 	scripts/benchdiff.sh fanin-gate
 

@@ -115,8 +115,8 @@ func TestAggregateConsumeEquivalence(t *testing.T) {
 
 	// Flat path: every report consumed individually.
 	_, flat, _ := benchFanWorld(t, 1, 2)
-	for _, r := range reports {
-		flat.consume(r)
+	for i := range reports {
+		flat.consume(&reports[i])
 	}
 	flatStates := capture(flat)
 
@@ -167,7 +167,7 @@ func TestBatchedFanoutDelivery(t *testing.T) {
 	gens := make([]uint64, len(sugs))
 	for i, sg := range sugs {
 		c.consume(report.Register{Node: sg.Node, Session: sg.Session, Level: 1})
-		gens[i] = c.registered[receiverKey{sg.Session, sg.Node}]
+		gens[i] = c.view(sg.Session, sg.Node).gen
 	}
 	c.sendBatched(sugs, gens, false)
 	if c.BatchesSent != 3 {

@@ -94,7 +94,7 @@ func TestBillingReportFormatting(t *testing.T) {
 func TestBillingReportIsACopy(t *testing.T) {
 	w := buildChainWorld(t, 500e3, 0)
 	w.ctrl.EnableBilling()
-	w.ctrl.Recv(&netsim.Packet{Payload: report.LossReport{
+	w.ctrl.Recv(&netsim.Packet{Payload: &report.LossReport{
 		Node: 5, Session: 0, Level: 2, Bytes: 1000, Interval: sim.Second,
 	}})
 	r1 := w.ctrl.BillingReport()
@@ -113,7 +113,7 @@ func TestBillingSortedOutput(t *testing.T) {
 		{Node: 2, Session: 0, Level: 1, Bytes: 10, Interval: sim.Second},
 		{Node: 7, Session: 0, Level: 1, Bytes: 10, Interval: sim.Second},
 	} {
-		w.ctrl.Recv(&netsim.Packet{Payload: in})
+		w.ctrl.Recv(&netsim.Packet{Payload: &in})
 	}
 	entries := w.ctrl.BillingReport()
 	if len(entries) != 3 {

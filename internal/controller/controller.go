@@ -21,12 +21,6 @@ import (
 	"toposense/internal/topodisc"
 )
 
-// receiverKey identifies one registered receiver of one session.
-type receiverKey struct {
-	session int
-	node    netsim.NodeID
-}
-
 // subtreeKey identifies one controller-adjacent subtree's aggregate stream.
 type subtreeKey struct {
 	session int
@@ -49,6 +43,28 @@ type accum struct {
 	lossN    int
 	level    int
 	reported bool
+}
+
+// rxSlot is everything the controller keeps about one (session, receiver):
+// one report touches one slot. A slot is created the first time the pair is
+// heard from and never moves or goes away; unregistering clears it.
+type rxSlot struct {
+	session int
+	node    netsim.NodeID
+	// gen is the registration generation, 0 while unregistered. It is bumped
+	// every time the receiver (re-)registers, so a pending mid-interval
+	// resend — computed for the previous incarnation — can tell that the
+	// receiver it targets is not the one it was meant for, even when expiry
+	// and re-registration happen within one pass.
+	gen   uint64
+	heard sim.Time
+	acc   accum
+	// last is the most recent completed aggregate (valid when hasLast), used
+	// when a receiver goes silent for a whole interval (its reports were
+	// lost): the algorithm then sees the stale numbers, like a real
+	// controller would.
+	last    core.ReceiverState
+	hasLast bool
 }
 
 // Controller is the controller agent.
@@ -77,26 +93,22 @@ type Controller struct {
 	// for the topology half.
 	Staleness sim.Time
 
-	// registered maps each live receiver to its registration generation.
-	// The generation is bumped every time the receiver (re-)registers, so a
-	// pending mid-interval resend — computed for the previous incarnation —
-	// can tell that the receiver it targets is not the one it was meant
-	// for, even when expiry and re-registration happen within one pass.
-	registered map[receiverKey]uint64
+	// slots is the receiver table; slotOf[session][node] is a slot's index
+	// plus one (0 = none), grown on demand — node IDs are dense per network,
+	// so a report finds its slot with two slice indexes and no hashing. order
+	// lists the slots in (session, node) order, the order a pass visits
+	// them in; it is rebuilt only after a slot was added (orderStale).
+	slots      []rxSlot
+	slotOf     [][]int32
+	order      []int32
+	orderStale bool
 	regSeq     uint64
-	lastHeard  map[receiverKey]sim.Time
-	acc        map[receiverKey]*accum
 	// departed counts, per session, the receivers unregistered since the
 	// last decision pass. It is read during OnStep (the federation leaf
 	// folds departures into its export) and cleared at the end of every
 	// step. Lazily allocated: without churn it stays nil and costs nothing.
 	departed map[int]int
-	billing    *ledger // non-nil once EnableBilling is called
-	// last holds the most recent completed aggregate per receiver, used
-	// when a receiver goes silent for a whole interval (its reports were
-	// lost): the algorithm then sees the stale numbers, like a real
-	// controller would.
-	last map[receiverKey]core.ReceiverState
+	billing  *ledger // non-nil once EnableBilling is called
 
 	// levelCap caps the level the controller may suggest per session — the
 	// enforcement half of the hierarchical control plane: a parent
@@ -159,16 +171,12 @@ type Controller struct {
 // algorithm. The algorithm's configured Interval drives the decision timer.
 func New(net *netsim.Network, domain *mcast.Domain, node *netsim.Node, tool *topodisc.Tool, alg *core.Algorithm) *Controller {
 	c := &Controller{
-		net:        net,
-		domain:     domain,
-		node:       node,
-		tool:       tool,
-		alg:        alg,
-		interval:   alg.Config().Interval,
-		registered: make(map[receiverKey]uint64),
-		lastHeard:  make(map[receiverKey]sim.Time),
-		acc:        make(map[receiverKey]*accum),
-		last:       make(map[receiverKey]core.ReceiverState),
+		net:      net,
+		domain:   domain,
+		node:     node,
+		tool:     tool,
+		alg:      alg,
+		interval: alg.Config().Interval,
 	}
 	node.AttachAgent(c)
 	return c
@@ -224,17 +232,87 @@ func (c *Controller) LevelCap(session int) int { return c.levelCap[session] }
 // experiment uses it to prove domain isolation: a leaf controller must
 // never have consumed a report from outside its domain.
 func (c *Controller) RegisteredReceivers() []ReceiverID {
-	out := make([]ReceiverID, 0, len(c.registered))
-	for k := range c.registered {
-		out = append(out, ReceiverID{Session: k.session, Node: k.node})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Session != out[j].Session {
-			return out[i].Session < out[j].Session
+	var out []ReceiverID
+	for _, i := range c.visitOrder() {
+		if s := &c.slots[i]; s.gen != 0 {
+			out = append(out, ReceiverID{Session: s.session, Node: s.node})
 		}
-		return out[i].Node < out[j].Node
-	})
+	}
 	return out
+}
+
+// lookup returns the slot index of (session, node), or -1 when the pair was
+// never heard from.
+func (c *Controller) lookup(session int, node netsim.NodeID) int {
+	if session >= len(c.slotOf) || int(node) >= len(c.slotOf[session]) {
+		return -1
+	}
+	return int(c.slotOf[session][node]) - 1
+}
+
+// registration returns the slot index and registration generation of
+// (session, node); generation 0 means not registered (slot may be -1).
+func (c *Controller) registration(session int, node netsim.NodeID) (slot int, gen uint64) {
+	if slot = c.lookup(session, node); slot >= 0 {
+		gen = c.slots[slot].gen
+	}
+	return slot, gen
+}
+
+// slot returns the slot of (session, node), creating it unregistered. The
+// pointer is good until the next call.
+func (c *Controller) slot(session int, node netsim.NodeID) *rxSlot {
+	i := c.lookup(session, node)
+	if i < 0 {
+		i = c.addSlot(session, node)
+	}
+	return &c.slots[i]
+}
+
+// addSlot appends the slot of a pair first heard from and indexes it.
+func (c *Controller) addSlot(session int, node netsim.NodeID) int {
+	for session >= len(c.slotOf) {
+		c.slotOf = append(c.slotOf, nil)
+	}
+	for int(node) >= len(c.slotOf[session]) {
+		c.slotOf[session] = append(c.slotOf[session], 0)
+	}
+	c.slots = append(c.slots, rxSlot{session: session, node: node})
+	c.slotOf[session][node] = int32(len(c.slots))
+	c.orderStale = true
+	return len(c.slots) - 1
+}
+
+// heardFrom returns the slot of (session, node) marked as heard now. Feedback
+// implies registration (the Register packet may be lost), but feedback from
+// an already-registered receiver is the same incarnation — it must not open
+// a new generation, or every report would invalidate the pending
+// mid-interval resend.
+func (c *Controller) heardFrom(session int, node netsim.NodeID, now sim.Time) *rxSlot {
+	s := c.slot(session, node)
+	if s.gen == 0 {
+		c.regSeq++
+		s.gen = c.regSeq
+	}
+	s.heard = now
+	return s
+}
+
+// visitOrder returns the slot indexes in (session, node) order. slotOf is
+// already laid out that way, so a rebuild is one walk over it, no sort.
+func (c *Controller) visitOrder() []int32 {
+	if c.orderStale {
+		c.orderStale = false
+		c.order = c.order[:0]
+		for _, byNode := range c.slotOf {
+			for _, i := range byNode {
+				if i != 0 {
+					c.order = append(c.order, i-1)
+				}
+			}
+		}
+	}
+	return c.order
 }
 
 // ReceiverID identifies one registered receiver of one session.
@@ -243,32 +321,27 @@ type ReceiverID struct {
 	Node    netsim.NodeID
 }
 
-// Unregister forgets a receiver immediately: it is removed from the
-// registration tables (which invalidates any pending mid-interval
-// suggestion resend through the registration-generation check — the key's
-// absence fails the recheck) and evicted from the next algorithm pass. A
-// later Register from the same node is a fresh incarnation and opens a new
-// generation, exactly like a re-registration after expiry. Unknown
-// receivers are ignored.
+// Unregister forgets a receiver immediately: its slot is cleared (which
+// invalidates any pending mid-interval suggestion resend through the
+// registration-generation check — generation 0 fails the recheck) and it is
+// evicted from the next algorithm pass. A later Register from the same node
+// is a fresh incarnation and opens a new generation, exactly like a
+// re-registration after expiry. Unknown receivers are ignored.
 func (c *Controller) Unregister(session int, node netsim.NodeID) {
-	c.unregister(receiverKey{session, node})
-}
-
-// unregister drops one receiver's state — the same four tables the
-// expiry sweep in step() clears — and records the departure for this pass.
-func (c *Controller) unregister(k receiverKey) {
-	if _, ok := c.registered[k]; !ok {
+	slot, gen := c.registration(session, node)
+	if gen == 0 {
 		return
 	}
-	delete(c.registered, k)
-	delete(c.lastHeard, k)
-	delete(c.acc, k)
-	delete(c.last, k)
+	c.slots[slot].clear()
 	if c.departed == nil {
 		c.departed = make(map[int]int)
 	}
-	c.departed[k.session]++
+	c.departed[session]++
 }
+
+// clear returns the slot to the unregistered state: nothing of the old
+// incarnation — accumulator, last state, generation — survives.
+func (s *rxSlot) clear() { *s = rxSlot{session: s.session, node: s.node} }
 
 // PassDepartures returns how many receivers of session have deregistered
 // since the last decision pass. Valid during OnStep; the count resets when
@@ -317,6 +390,12 @@ func (c *Controller) Recv(p *netsim.Packet) {
 	c.CtlBytesRecv += int64(p.Size)
 	if c.Staleness > 0 {
 		payload := p.Payload
+		if rep, ok := payload.(*report.LossReport); ok {
+			// The report is the packet's storage, recycled when this
+			// callback returns; the deferred consume needs its own copy.
+			cp := *rep
+			payload = &cp
+		}
 		c.nodeSched().Schedule(c.Staleness, func() { c.consume(payload) })
 		return
 	}
@@ -328,38 +407,20 @@ func (c *Controller) consume(payload any) {
 	switch pl := payload.(type) {
 	case report.Register:
 		c.RegistersRecv++
-		k := receiverKey{pl.Session, pl.Node}
 		// Every Register is a (re)start of the receiver, so it opens a new
 		// registration generation — pending resends aimed at the previous
 		// incarnation go inert.
+		sl := c.slot(pl.Session, pl.Node)
 		c.regSeq++
-		c.registered[k] = c.regSeq
-		c.lastHeard[k] = now
-		if a := c.acc[k]; a == nil {
-			c.acc[k] = &accum{level: pl.Level}
-		} else {
-			// A re-registration is a receiver restarting, possibly at a
-			// different level; tracking it at the stale level until its
-			// first loss report would mis-steer the next step.
-			a.level = pl.Level
-		}
-	case report.LossReport:
+		sl.gen = c.regSeq
+		sl.heard = now
+		// A re-registration is a receiver restarting, possibly at a
+		// different level; tracking it at the stale level until its first
+		// loss report would mis-steer the next step.
+		sl.acc.level = pl.Level
+	case *report.LossReport:
 		c.ReportsRecv++
-		k := receiverKey{pl.Session, pl.Node}
-		// Reports imply registration (the Register packet may be lost), but
-		// a report from an already-registered receiver is the same
-		// incarnation — it must not open a new generation, or every report
-		// would invalidate the pending mid-interval resend.
-		if _, ok := c.registered[k]; !ok {
-			c.regSeq++
-			c.registered[k] = c.regSeq
-		}
-		c.lastHeard[k] = now
-		a := c.acc[k]
-		if a == nil {
-			a = &accum{}
-			c.acc[k] = a
-		}
+		a := &c.heardFrom(pl.Session, pl.Node, now).acc
 		a.bytes += pl.Bytes
 		a.lossSum += pl.LossRate
 		a.lossN++
@@ -370,7 +431,7 @@ func (c *Controller) consume(payload any) {
 		}
 	case report.Deregister:
 		c.DeregistersRecv++
-		c.unregister(receiverKey{pl.Session, pl.Node})
+		c.Unregister(pl.Session, pl.Node)
 	case *report.Aggregate:
 		// An in-network merge of many receivers' reports. Each entry carries
 		// the exact sums of its receiver's folded reports, so folding it here
@@ -380,17 +441,7 @@ func (c *Controller) consume(payload any) {
 		c.ReportsRecv += pl.ReportCount
 		for i := range pl.Entries {
 			e := &pl.Entries[i]
-			k := receiverKey{pl.Session, e.Node}
-			if _, ok := c.registered[k]; !ok {
-				c.regSeq++
-				c.registered[k] = c.regSeq
-			}
-			c.lastHeard[k] = now
-			a := c.acc[k]
-			if a == nil {
-				a = &accum{}
-				c.acc[k] = a
-			}
+			a := &c.heardFrom(pl.Session, e.Node, now).acc
 			a.bytes += e.Bytes
 			a.lossSum += e.LossSum
 			a.lossN += int(e.Reports)
@@ -435,12 +486,9 @@ func (c *Controller) step() {
 	// demand. Generosity scales with staleness, since reports are consumed
 	// late on purpose.
 	horizon := 5*c.interval + c.Staleness
-	for k, heard := range c.lastHeard {
-		if now-heard > horizon {
-			delete(c.registered, k)
-			delete(c.lastHeard, k)
-			delete(c.acc, k)
-			delete(c.last, k)
+	for i := range c.slots {
+		if s := &c.slots[i]; s.gen != 0 && now-s.heard > horizon {
+			s.clear()
 		}
 	}
 
@@ -463,51 +511,48 @@ func (c *Controller) step() {
 	// assembled — the audit records exactly what the algorithm consumed.
 	auditing := c.obs != nil && c.obs.Audit != nil
 	var audit []obs.AuditEntry
-	var auditIdx map[receiverKey]int
+	var auditIdx []int32 // slot index -> audit index + 1
 	var reports []core.ReceiverState
-	keys := make([]receiverKey, 0, len(c.registered))
-	for k := range c.registered {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].session != keys[j].session {
-			return keys[i].session < keys[j].session
-		}
-		return keys[i].node < keys[j].node
-	})
+	order := c.visitOrder()
 	if auditing {
-		audit = make([]obs.AuditEntry, 0, len(keys))
-		auditIdx = make(map[receiverKey]int, len(keys))
+		audit = make([]obs.AuditEntry, 0, len(order))
+		auditIdx = make([]int32, len(c.slots))
 	}
-	for _, k := range keys {
-		a := c.acc[k]
-		stale := a == nil || !a.reported
-		var st core.ReceiverState
+	registered, reported := 0, 0
+	for _, i := range order {
+		s := &c.slots[i]
+		if s.gen == 0 {
+			continue
+		}
+		registered++
+		stale := !s.acc.reported
 		if stale {
 			// Silent interval: reuse the last known state if any.
-			var ok bool
-			if st, ok = c.last[k]; !ok {
+			if !s.hasLast {
 				continue
 			}
 		} else {
-			st = core.ReceiverState{
-				Node:     k.node,
-				Session:  k.session,
+			reported++
+			a := &s.acc
+			s.last = core.ReceiverState{
+				Node:     s.node,
+				Session:  s.session,
 				Level:    a.level,
 				LossRate: a.lossSum / float64(a.lossN),
 				Bytes:    a.bytes,
 			}
-			c.last[k] = st
+			s.hasLast = true
 			*a = accum{level: a.level}
 		}
+		st := s.last
 		reports = append(reports, st)
 		if auditing {
-			auditIdx[k] = len(audit)
 			audit = append(audit, obs.AuditEntry{
-				Node: int(k.node), Session: k.session,
+				Node: int(s.node), Session: s.session,
 				Level: st.Level, Loss: st.LossRate, Bytes: st.Bytes,
 				Stale: stale, Parent: -1, Prescribed: -1,
 			})
+			auditIdx[i] = int32(len(audit))
 		}
 	}
 	if auditing {
@@ -554,7 +599,7 @@ func (c *Controller) step() {
 	// slice is safely mutable until its next Step).
 	if len(c.levelCap) > 0 {
 		for i := range out {
-			if _, ok := c.registered[receiverKey{out[i].Session, out[i].Node}]; !ok {
+			if _, gen := c.registration(out[i].Session, out[i].Node); gen == 0 {
 				// A receiver that deregistered mid-interval: the fan-out below
 				// skips it, so clamping it here would only inflate the capped
 				// counter with ghost bookkeeping.
@@ -570,6 +615,13 @@ func (c *Controller) step() {
 		}
 	}
 
+	if auditing {
+		for _, sg := range out {
+			if i := c.lookup(sg.Session, sg.Node); i >= 0 && auditIdx[i] != 0 {
+				audit[auditIdx[i]-1].Prescribed = sg.Level
+			}
+		}
+	}
 	sent := 0
 	if c.aggregated {
 		// Batched fan-out: filter to registered receivers into the per-pass
@@ -579,14 +631,8 @@ func (c *Controller) step() {
 		c.batchSugs = c.batchSugs[:0]
 		c.batchGens = c.batchGens[:0]
 		for _, sg := range out {
-			k := receiverKey{sg.Session, sg.Node}
-			if auditing {
-				if i, ok := auditIdx[k]; ok {
-					audit[i].Prescribed = sg.Level
-				}
-			}
-			rgen, ok := c.registered[k]
-			if !ok {
+			_, rgen := c.registration(sg.Session, sg.Node)
+			if rgen == 0 {
 				continue // never instruct an unregistered receiver
 			}
 			c.batchSugs = append(c.batchSugs, sg)
@@ -607,47 +653,19 @@ func (c *Controller) step() {
 		}
 	} else {
 		for _, sg := range out {
-			k := receiverKey{sg.Session, sg.Node}
-			if auditing {
-				if i, ok := auditIdx[k]; ok {
-					audit[i].Prescribed = sg.Level
-				}
-			}
-			rgen, ok := c.registered[k]
-			if !ok {
+			slot, rgen := c.registration(sg.Session, sg.Node)
+			if rgen == 0 {
 				continue // never instruct an unregistered receiver
 			}
-			send := func() {
-				at := c.global().Now()
-				pkt := report.NewControlPacket(c.node.ID, sg.Node, report.SuggestionSize, at,
-					report.Suggestion{Node: sg.Node, Session: sg.Session, Level: sg.Level, Sent: at})
-				c.node.SendUnicast(pkt)
-				c.SuggestionsSent++
-			}
-			send()
+			c.suggest(sg, slot, rgen)
 			sent++
-			// Suggestions cross the congested links they are trying to relieve
-			// and are routinely lost exactly when they matter most; a single
-			// mid-interval repeat makes the control loop robust without
-			// meaningful extra traffic. The repeat is dropped if the controller
-			// stopped, the receiver expired, or the receiver re-registered as a
-			// new incarnation (even within this same pass), in the meantime.
-			if !c.DisableResend {
-				gen := c.gen
-				c.global().Schedule(c.interval/2, func() {
-					if c.ticker == nil || c.gen != gen {
-						return
-					}
-					if cur, ok := c.registered[k]; !ok || cur != rgen {
-						return
-					}
-					send()
-				})
-			}
 		}
 	}
 	if c.obs != nil {
 		c.obs.FanIn.Observe(float64(c.CtlMsgsRecv - c.lastPassMsgs))
+		if registered > 0 {
+			c.obs.ReportCoverage.Observe(float64(reported) / float64(registered))
+		}
 		c.lastPassMsgs = c.CtlMsgsRecv
 		var fired uint64
 		// Schedulers expose the fired-event counter only through their
@@ -680,6 +698,37 @@ func (c *Controller) step() {
 	}
 }
 
+// suggest instructs one registered receiver: the suggestion now and one
+// repeat half an interval on. Suggestions cross the congested links they are
+// trying to relieve and are routinely lost exactly when they matter most; a
+// single mid-interval repeat makes the control loop robust without
+// meaningful extra traffic. The repeat is dropped if the controller stopped,
+// the receiver expired, or the receiver re-registered as a new incarnation
+// (even within this same pass), in the meantime.
+func (c *Controller) suggest(sg core.Suggestion, slot int, rgen uint64) {
+	c.sendSuggestion(sg)
+	if c.DisableResend {
+		return
+	}
+	gen := c.gen
+	c.global().Schedule(c.interval/2, func() {
+		if c.ticker == nil || c.gen != gen || c.slots[slot].gen != rgen {
+			return
+		}
+		c.sendSuggestion(sg)
+	})
+}
+
+// sendSuggestion unicasts one suggestion on a pooled packet.
+func (c *Controller) sendSuggestion(sg core.Suggestion) {
+	at := c.global().Now()
+	pkt := report.NewSuggestionPacket(c.net, c.node.ID, sg.Node, at,
+		report.Suggestion{Node: sg.Node, Session: sg.Session, Level: sg.Level, Sent: at})
+	c.node.SendUnicast(pkt)
+	pkt.Release()
+	c.SuggestionsSent++
+}
+
 // sendBatched sends the suggestions in sugs as one pooled SuggestionBatch
 // per next hop from the controller; the in-network aggregation layer splits
 // each batch further down the tree. With recheck set (the mid-interval
@@ -692,17 +741,14 @@ func (c *Controller) sendBatched(sugs []core.Suggestion, gens []uint64, recheck 
 	groups := c.fanGroups[:0]
 	for i, sg := range sugs {
 		if recheck {
-			if cur, ok := c.registered[receiverKey{sg.Session, sg.Node}]; !ok || cur != gens[i] {
+			if _, gen := c.registration(sg.Session, sg.Node); gen != gens[i] {
 				continue
 			}
 		}
 		if sg.Node == c.node.ID {
 			// A receiver co-located with the controller: no hop to batch
 			// over, deliver the plain suggestion locally.
-			pkt := report.NewControlPacket(c.node.ID, sg.Node, report.SuggestionSize, at,
-				report.Suggestion{Node: sg.Node, Session: sg.Session, Level: sg.Level, Sent: at})
-			c.node.SendUnicast(pkt)
-			c.SuggestionsSent++
+			c.sendSuggestion(sg)
 			continue
 		}
 		next := c.net.NextHop(c.node.ID, sg.Node)
@@ -726,13 +772,7 @@ func (c *Controller) sendBatched(sugs []core.Suggestion, gens []uint64, recheck 
 	}
 	for i := range groups {
 		g := &groups[i]
-		pkt := c.net.NewPacket()
-		pkt.Kind = netsim.Control
-		pkt.Src = c.node.ID
-		pkt.Dst = g.next
-		pkt.Group = netsim.NoGroup
-		pkt.Size = g.batch.WireSize()
-		pkt.Sent = at
+		pkt := report.NewPooledPacket(c.net, c.node.ID, g.next, g.batch.WireSize(), at)
 		pkt.Payload = g.batch
 		c.node.SendUnicast(pkt)
 		pkt.Release()
@@ -742,24 +782,15 @@ func (c *Controller) sendBatched(sugs []core.Suggestion, gens []uint64, recheck 
 	c.fanGroups = groups
 }
 
-// SnapshotToTopology converts a discovery snapshot into the algorithm's
-// topology type.
+// SnapshotToTopology presents a discovery snapshot as the algorithm's
+// topology type. The maps are the snapshot's own: a recorded snapshot is
+// immutable and core only reads a Topology, so nothing is copied.
 func SnapshotToTopology(s *topodisc.Snapshot) *core.Topology {
-	t := &core.Topology{
+	return &core.Topology{
 		Session:   s.Session,
 		Root:      s.Root,
-		Parent:    make(map[core.NodeID]core.NodeID, len(s.Parent)),
-		Children:  make(map[core.NodeID][]core.NodeID, len(s.Children)),
-		Receivers: make(map[core.NodeID]bool, len(s.Receivers)),
+		Parent:    s.Parent,
+		Children:  s.Children,
+		Receivers: s.Receivers,
 	}
-	for k, v := range s.Parent {
-		t.Parent[k] = v
-	}
-	for k, v := range s.Children {
-		t.Children[k] = append([]core.NodeID(nil), v...)
-	}
-	for k, v := range s.Receivers {
-		t.Receivers[k] = v
-	}
-	return t
 }

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"toposense/internal/core"
@@ -201,14 +202,17 @@ func TestControllerVBRConverges(t *testing.T) {
 }
 
 func TestSnapshotToTopology(t *testing.T) {
-	snap := &topodisc.Snapshot{
-		Session:   3,
-		Root:      0,
-		Parent:    map[netsim.NodeID]netsim.NodeID{1: 0, 2: 1},
-		Children:  map[netsim.NodeID][]netsim.NodeID{0: {1}, 1: {2}},
-		MaxLayer:  map[netsim.NodeID]int{0: 2, 1: 2, 2: 2},
-		Receivers: map[netsim.NodeID]bool{2: true},
+	newSnap := func() *topodisc.Snapshot {
+		return &topodisc.Snapshot{
+			Session:   3,
+			Root:      0,
+			Parent:    map[netsim.NodeID]netsim.NodeID{1: 0, 2: 1, 3: 1},
+			Children:  map[netsim.NodeID][]netsim.NodeID{0: {1}, 1: {2, 3}, 2: nil, 3: nil},
+			MaxLayer:  map[netsim.NodeID]int{0: 2, 1: 2, 2: 2, 3: 1},
+			Receivers: map[netsim.NodeID]bool{2: true, 3: true},
+		}
 	}
+	snap, before := newSnap(), newSnap()
 	topo := SnapshotToTopology(snap)
 	if err := topo.Validate(); err != nil {
 		t.Fatalf("converted topology invalid: %v", err)
@@ -216,10 +220,21 @@ func TestSnapshotToTopology(t *testing.T) {
 	if topo.Session != 3 || topo.Root != 0 || !topo.Receivers[2] {
 		t.Errorf("conversion lost fields: %+v", topo)
 	}
-	// Mutating the copy must not touch the snapshot.
-	topo.Children[0][0] = 9
-	if snap.Children[0][0] != 1 {
-		t.Error("conversion aliases the snapshot")
+	// The topology shares the snapshot's maps, and a recorded snapshot is
+	// immutable: nothing the controller does with the topology may write it.
+	alg := core.New(core.NewConfig(source.Rates(6)), rand.New(rand.NewSource(7)))
+	for pass := 1; pass <= 3; pass++ {
+		alg.Step(core.Input{
+			Now:        sim.Time(pass) * 4 * sim.Second,
+			Topologies: []*core.Topology{topo},
+			Reports: []core.ReceiverState{
+				{Node: 2, Session: 3, Level: 2, LossRate: 0.2, Bytes: 40000},
+				{Node: 3, Session: 3, Level: 1, LossRate: 0, Bytes: 16000},
+			},
+		})
+	}
+	if !reflect.DeepEqual(snap, before) {
+		t.Errorf("Validate + Step wrote through to the snapshot:\n got  %+v\n want %+v", snap, before)
 	}
 }
 
@@ -233,13 +248,13 @@ func TestReportsImplyRegistration(t *testing.T) {
 	if w.ctrl.ReportsRecv != 1 {
 		t.Fatal("report not consumed")
 	}
-	if len(w.ctrl.registered) != 1 {
+	if len(w.ctrl.RegisteredReceivers()) != 1 {
 		t.Error("report did not register the receiver")
 	}
 }
 
 func mustReport() any {
-	return report.LossReport{Node: 5, Session: 0, Level: 2, LossRate: 0.1, Bytes: 1000, Interval: sim.Second}
+	return &report.LossReport{Node: 5, Session: 0, Level: 2, LossRate: 0.1, Bytes: 1000, Interval: sim.Second}
 }
 
 func TestStalenessDelaysReports(t *testing.T) {
@@ -258,19 +273,45 @@ func TestStalenessDelaysReports(t *testing.T) {
 	}
 }
 
+func TestStalenessKeepsItsOwnCopyOfReports(t *testing.T) {
+	// Receiver reports ride pooled packets whose payload storage is recycled
+	// when the delivery callback returns. The staleness path consumes a
+	// report Staleness later, so it must have copied it: what the algorithm
+	// sees 5 s on is what the receiver sent, not whatever the packet struct
+	// carries by then (in a test binary: poison).
+	w := buildChainWorld(t, 10e6, 0)
+	w.ctrl.Staleness = 5 * sim.Second
+	rx := w.rxs[0].Node().ID
+	var seen int
+	w.ctrl.OnStep = func(_ sim.Time, in core.Input, _ []core.Suggestion) {
+		for _, r := range in.Reports {
+			seen++
+			if r.Node != rx || r.Session != 0 || r.Level < 1 || r.Level > 6 ||
+				!(r.LossRate >= 0 && r.LossRate <= 1) || r.Bytes < 0 {
+				t.Fatalf("stale report consumed from recycled storage: %+v", r)
+			}
+		}
+	}
+	w.start()
+	w.e.RunUntil(30 * sim.Second)
+	if seen == 0 || w.ctrl.ReportsRecv == 0 {
+		t.Fatal("no report reached the algorithm")
+	}
+}
+
 func TestRegistrationExpiresAfterSilence(t *testing.T) {
 	w := buildChainWorld(t, 10e6, 0)
 	w.start()
 	w.e.RunUntil(20 * sim.Second)
-	if len(w.ctrl.registered) == 0 {
+	if len(w.ctrl.RegisteredReceivers()) == 0 {
 		t.Fatal("receiver never registered")
 	}
 	// Silence the receiver; after 5 intervals it must be forgotten and
 	// suggestions must stop.
 	w.rxs[0].Stop()
 	w.e.RunUntil(60 * sim.Second)
-	if len(w.ctrl.registered) != 0 {
-		t.Errorf("ghost registrations: %d", len(w.ctrl.registered))
+	if got := len(w.ctrl.RegisteredReceivers()); got != 0 {
+		t.Errorf("ghost registrations: %d", got)
 	}
 	sent := w.ctrl.SuggestionsSent
 	w.e.RunUntil(80 * sim.Second)
@@ -311,9 +352,7 @@ func TestNoResendToExpiredReceiver(t *testing.T) {
 	// registration before the 22s repeat, as the expiry sweep would.
 	w.e.Schedule(20*sim.Second+200*sim.Millisecond, func() { w.rxs[0].Stop() })
 	w.e.Schedule(21*sim.Second+500*sim.Millisecond, func() {
-		k := receiverKey{0, w.rxs[0].Node().ID}
-		delete(w.ctrl.registered, k)
-		delete(w.ctrl.lastHeard, k)
+		w.ctrl.expire(0, w.rxs[0].Node().ID)
 		sentAtExpiry = w.ctrl.SuggestionsSent
 	})
 	w.e.RunUntil(23 * sim.Second) // past the repeat at 22s, before the next step
@@ -329,15 +368,14 @@ func TestReRegisterResetsTrackedLevel(t *testing.T) {
 	// A receiver that restarts re-registers at its new level; the controller
 	// must not keep tracking the stale one until the next loss report.
 	w := buildChainWorld(t, 500e3, 0)
-	k := receiverKey{0, 5}
 	w.ctrl.Recv(&netsim.Packet{Payload: report.Register{Node: 5, Session: 0, Level: 2}})
-	w.ctrl.Recv(&netsim.Packet{Payload: report.LossReport{Node: 5, Session: 0, Level: 3, LossRate: 0, Bytes: 100, Interval: sim.Second}})
-	if w.ctrl.acc[k].level != 3 {
-		t.Fatalf("accumulator level = %d after report, want 3", w.ctrl.acc[k].level)
+	w.ctrl.Recv(&netsim.Packet{Payload: &report.LossReport{Node: 5, Session: 0, Level: 3, LossRate: 0, Bytes: 100, Interval: sim.Second}})
+	if got := w.ctrl.view(0, 5).level; got != 3 {
+		t.Fatalf("accumulator level = %d after report, want 3", got)
 	}
 	w.ctrl.Recv(&netsim.Packet{Payload: report.Register{Node: 5, Session: 0, Level: 5}})
-	if w.ctrl.acc[k].level != 5 {
-		t.Errorf("accumulator level = %d after re-register, want 5", w.ctrl.acc[k].level)
+	if got := w.ctrl.view(0, 5).level; got != 5 {
+		t.Errorf("accumulator level = %d after re-register, want 5", got)
 	}
 }
 
@@ -370,12 +408,8 @@ func TestNoResendToReRegisteredReceiver(t *testing.T) {
 	var sentAtSwap int64
 	w.e.Schedule(20*sim.Second+200*sim.Millisecond, func() { w.rxs[0].Stop() })
 	w.e.Schedule(21*sim.Second+500*sim.Millisecond, func() {
-		k := receiverKey{0, w.rxs[0].Node().ID}
 		// Expiry sweep drops the old incarnation...
-		delete(w.ctrl.registered, k)
-		delete(w.ctrl.lastHeard, k)
-		delete(w.ctrl.acc, k)
-		delete(w.ctrl.last, k)
+		w.ctrl.expire(0, w.rxs[0].Node().ID)
 		// ...and a restarted receiver on the same node registers at once,
 		// before the 22s repeat fires.
 		w.ctrl.Recv(&netsim.Packet{Payload: report.Register{
@@ -398,23 +432,16 @@ func TestDepartThenReRegisterGetsFreshLevel(t *testing.T) {
 	// new generation and tracks the registered level, not the stale level
 	// the departed incarnation last reported.
 	w := buildChainWorld(t, 500e3, 0)
-	k := receiverKey{0, 5}
 	w.ctrl.Recv(&netsim.Packet{Payload: report.Register{Node: 5, Session: 0, Level: 2}})
-	w.ctrl.Recv(&netsim.Packet{Payload: report.LossReport{Node: 5, Session: 0, Level: 4, LossRate: 0, Bytes: 100, Interval: sim.Second}})
-	gen := w.ctrl.registered[k]
+	w.ctrl.Recv(&netsim.Packet{Payload: &report.LossReport{Node: 5, Session: 0, Level: 4, LossRate: 0, Bytes: 100, Interval: sim.Second}})
+	gen := w.ctrl.view(0, 5).gen
 
 	w.ctrl.Recv(&netsim.Packet{Payload: report.Deregister{Node: 5, Session: 0}})
 	if w.ctrl.DeregistersRecv != 1 {
 		t.Fatalf("DeregistersRecv = %d, want 1", w.ctrl.DeregistersRecv)
 	}
-	if _, ok := w.ctrl.registered[k]; ok {
-		t.Error("receiver still registered after Deregister")
-	}
-	if _, ok := w.ctrl.acc[k]; ok {
-		t.Error("accumulator survived the Deregister")
-	}
-	if _, ok := w.ctrl.last[k]; ok {
-		t.Error("stale aggregate survived the Deregister")
+	if v := w.ctrl.view(0, 5); v != (rxView{}) {
+		t.Errorf("state survived the Deregister: %+v", v)
 	}
 	if got := w.ctrl.PassDepartures(0); got != 1 {
 		t.Errorf("PassDepartures(0) = %d, want 1", got)
@@ -429,10 +456,10 @@ func TestDepartThenReRegisterGetsFreshLevel(t *testing.T) {
 	}
 
 	w.ctrl.Recv(&netsim.Packet{Payload: report.Register{Node: 5, Session: 0, Level: 1}})
-	if got := w.ctrl.acc[k].level; got != 1 {
+	if got := w.ctrl.view(0, 5).level; got != 1 {
 		t.Errorf("accumulator level after re-register = %d, want the fresh 1, not the stale 4", got)
 	}
-	if w.ctrl.registered[k] == gen {
+	if w.ctrl.view(0, 5).gen == gen {
 		t.Error("re-register after Deregister did not open a new generation")
 	}
 }
@@ -472,15 +499,14 @@ func TestLossReportDoesNotBumpGeneration(t *testing.T) {
 	// Reports from a live receiver must keep the registration generation:
 	// bumping it would cancel every pending mid-interval repeat.
 	w := buildChainWorld(t, 500e3, 0)
-	k := receiverKey{0, 5}
 	w.ctrl.Recv(&netsim.Packet{Payload: report.Register{Node: 5, Session: 0, Level: 2}})
-	gen := w.ctrl.registered[k]
-	w.ctrl.Recv(&netsim.Packet{Payload: report.LossReport{Node: 5, Session: 0, Level: 2, Interval: sim.Second}})
-	if w.ctrl.registered[k] != gen {
-		t.Errorf("loss report changed generation %d -> %d", gen, w.ctrl.registered[k])
+	gen := w.ctrl.view(0, 5).gen
+	w.ctrl.Recv(&netsim.Packet{Payload: &report.LossReport{Node: 5, Session: 0, Level: 2, Interval: sim.Second}})
+	if got := w.ctrl.view(0, 5).gen; got != gen {
+		t.Errorf("loss report changed generation %d -> %d", gen, got)
 	}
 	w.ctrl.Recv(&netsim.Packet{Payload: report.Register{Node: 5, Session: 0, Level: 3}})
-	if w.ctrl.registered[k] == gen {
+	if w.ctrl.view(0, 5).gen == gen {
 		t.Error("re-register did not open a new generation")
 	}
 }
@@ -497,6 +523,12 @@ func TestControllerObsAudit(t *testing.T) {
 	}
 	if o.PassEvents.Count() != o.Passes.Value() {
 		t.Errorf("pass-events observations = %d, passes = %d", o.PassEvents.Count(), o.Passes.Value())
+	}
+	// One receiver, reporting twice a second: every pass that had it
+	// registered heard from it, so coverage is observed at exactly 1.
+	if n := o.ReportCoverage.Count(); n == 0 || n > o.Passes.Value() || o.ReportCoverage.Mean() != 1 {
+		t.Errorf("report coverage: %d observations over %d passes, mean %g; want every one at 1",
+			n, o.Passes.Value(), o.ReportCoverage.Mean())
 	}
 	passes := o.Audit.Passes()
 	if int64(len(passes)) != o.Audit.Total() || len(passes) == 0 {

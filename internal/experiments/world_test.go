@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -128,6 +129,11 @@ func TestWorldMatrix(t *testing.T) {
 				if got, want := report.BatchesLive(), batchBefore+batchDropped.Load(); got != want {
 					t.Errorf("%s: %d suggestion batches live after Shutdown, want %d", name, got, want)
 				}
+				// Every pooled packet — media, reports, suggestions, batches —
+				// is back in the free list: no Release leaked, none doubled.
+				if live := w.Net.PacketsLive(); live != 0 {
+					t.Errorf("%s: %d pooled packets live after Shutdown and drain", name, live)
+				}
 
 				if shards == 0 {
 					serial = sb.String()
@@ -245,4 +251,44 @@ func TestWorldStartMallocs(t *testing.T) {
 		t.Errorf("generate + assemble + start of b,sessions=16 VBR: %.0f mallocs, want at most 4000", got)
 	}
 	t.Logf("%.0f mallocs", got)
+}
+
+// TestFlatPlaneSteadyStateMallocs pins the flat control plane's allocation
+// contract end to end, in a whole running world rather than a
+// microbenchmark: between two controller passes — media flowing, every
+// receiver reporting twice a second over pooled packets into the
+// controller's table, discovery re-recording an unchanged tree — the run
+// allocates next to nothing per report consumed. (The passes themselves
+// keep one closure per suggestion, the mid-interval repeat.)
+func TestFlatPlaneSteadyStateMallocs(t *testing.T) {
+	e := NewRunEngine(1, 0)
+	w := NewWorld(e, parsedBuild(t, e, matrixTopo), WorldConfig{Seed: 1, Traffic: CBR})
+	c := w.Controller
+	interval := c.Algorithm().Config().Interval
+	w.Run(15*interval + 100*sim.Millisecond) // settled, and just past a pass
+	var worst float64
+	for round := 0; round < 3; round++ {
+		next := e.Now() - 100*sim.Millisecond + interval
+		steps, reports := c.StepsRun, c.ReportsRecv
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e.RunUntil(next - 100*sim.Millisecond)
+		runtime.ReadMemStats(&after)
+		if c.StepsRun != steps {
+			t.Fatal("a controller pass ran inside the measured window")
+		}
+		got := c.ReportsRecv - reports
+		if got < int64(len(w.Slots())) {
+			t.Fatalf("only %d reports consumed between two passes", got)
+		}
+		per := float64(after.Mallocs-before.Mallocs) / float64(got)
+		t.Logf("round %d: %d mallocs over %d reports (%.3f per report)", round, after.Mallocs-before.Mallocs, got, per)
+		if per > worst {
+			worst = per
+		}
+		e.RunUntil(next + 100*sim.Millisecond)
+	}
+	if worst > 0.05 {
+		t.Errorf("%.3f mallocs per report between two passes, want at most 0.05", worst)
+	}
 }

@@ -171,8 +171,8 @@ func (a *Aggregator) FilterTransit(n *netsim.Node, p *netsim.Packet) bool {
 		return false
 	}
 	switch pl := p.Payload.(type) {
-	case report.LossReport:
-		a.pending(n.ID, pl.Session).Fold(pl)
+	case *report.LossReport:
+		a.pending(n.ID, pl.Session).Fold(*pl)
 		atomic.AddInt64(&a.Absorbed, 1)
 		if a.obs != nil {
 			a.obs.AggAbsorbed.Inc()
@@ -299,14 +299,8 @@ func (a *Aggregator) flushNode(id netsim.NodeID) {
 		nd.pending[i].agg = nil
 		ag.Sent = now
 		ag.Interval = a.flush
-		pkt := a.net.NewPacket()
-		pkt.Kind = netsim.Control
-		pkt.Src = id
-		pkt.Dst = a.ctrl
-		pkt.Group = netsim.NoGroup
+		pkt := report.NewPooledPacket(a.net, id, a.ctrl, ag.WireSize(), now)
 		pkt.Session = ag.Session
-		pkt.Size = ag.WireSize()
-		pkt.Sent = now
 		pkt.Payload = ag
 		node.SendUnicast(pkt)
 		pkt.Release()
@@ -369,13 +363,7 @@ func (a *Aggregator) redistribute(id netsim.NodeID, b *report.SuggestionBatch) {
 	now := a.net.SchedulerFor(id).Now()
 	for i := range groups {
 		g := &groups[i]
-		pkt := a.net.NewPacket()
-		pkt.Kind = netsim.Control
-		pkt.Src = id
-		pkt.Dst = g.next
-		pkt.Group = netsim.NoGroup
-		pkt.Size = g.batch.WireSize()
-		pkt.Sent = now
+		pkt := report.NewPooledPacket(a.net, id, g.next, g.batch.WireSize(), now)
 		pkt.Payload = g.batch
 		node.SendUnicast(pkt)
 		pkt.Release()

@@ -60,7 +60,7 @@ func TestAggregatorAbsorbsAndMergesUpward(t *testing.T) {
 		switch pl := pl.(type) {
 		case *report.Aggregate:
 			aggs = append(aggs, pl)
-		case report.LossReport:
+		case *report.LossReport:
 			t.Errorf("flat report leaked past the aggregation layer: %v", pl)
 		}
 	}

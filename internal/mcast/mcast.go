@@ -120,6 +120,12 @@ type Domain struct {
 	groups []groupInfo                 // indexed by GroupID
 	byKey  map[groupKey]netsim.GroupID // (session,layer) -> id
 
+	// version[g] counts the changes to any router's children or members for
+	// group g — everything a tree walk reads. Bumped atomically, like Grafts:
+	// the changes land on any shard. One counter per group on its own slot
+	// of a slice that only RegisterGroup (set-up) grows.
+	version []atomic.Uint64
+
 	// state[node][group] is the node's forwarding entry for the group, nil
 	// (or beyond the slice) when the group's tree never crossed the node.
 	// Each node's slice grows lazily on the control path (graft/join); the
@@ -214,9 +220,18 @@ func (d *Domain) RegisterGroup(session, layer int, source netsim.NodeID) netsim.
 	}
 	id := netsim.GroupID(len(d.groups))
 	d.groups = append(d.groups, groupInfo{id: id, key: key, source: source})
+	d.version = append(d.version, atomic.Uint64{})
 	d.byKey[key] = id
 	return id
 }
+
+// Version returns group g's tree version: it differs between two reads
+// exactly when some router's forwarding children or local members for g
+// changed in between. Read it only while the engine is quiescent.
+func (d *Domain) Version(g netsim.GroupID) uint64 { return d.version[g].Load() }
+
+// touch records one change to group g's tree.
+func (d *Domain) touch(g netsim.GroupID) { d.version[g].Add(1) }
 
 // GroupOf returns the GroupID for (session, layer), or netsim.NoGroup.
 func (d *Domain) GroupOf(session, layer int) netsim.GroupID {
@@ -283,6 +298,7 @@ func (d *Domain) Join(n netsim.NodeID, g netsim.GroupID, m Member) {
 	}
 	wasActive := st.active()
 	st.members = append(st.members, m)
+	d.touch(g)
 	d.cancelPrune(n, st)
 	if !wasActive {
 		d.graftUpstream(n, g)
@@ -324,6 +340,7 @@ func (d *Domain) graftUpstream(n netsim.NodeID, g netsim.GroupID) {
 		upSt := d.stateOf(up, g)
 		wasActive := upSt.active()
 		upSt.addChild(n, d.net.Node(up).LinkTo(n))
+		d.touch(g)
 		d.cancelPrune(up, upSt)
 		if !wasActive {
 			d.graftUpstream(up, g)
@@ -342,6 +359,7 @@ func (d *Domain) Leave(n netsim.NodeID, g netsim.GroupID, m Member) {
 	for i, existing := range st.members {
 		if existing == m {
 			st.members = append(st.members[:i], st.members[i+1:]...)
+			d.touch(g)
 			break
 		}
 	}
@@ -391,6 +409,7 @@ func (d *Domain) pruneFromParent(n netsim.NodeID, g netsim.GroupID) {
 			return
 		}
 		upSt.removeChild(n)
+		d.touch(g)
 		if d.obs != nil && idle > 0 {
 			// Departure-to-prune latency: last member left at idle, the
 			// prune just landed upstream. Cascade prunes (idle == 0) are
@@ -461,6 +480,7 @@ func (d *Domain) repair(n netsim.NodeID, g netsim.GroupID) {
 					return
 				}
 				upSt.removeChild(n)
+				d.touch(g)
 				if !upSt.active() && upSt.pruneTimer.IsZero() {
 					d.pruneFromParent(old, g)
 				}

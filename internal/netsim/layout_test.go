@@ -76,3 +76,12 @@ func TestNodeHotLayout(t *testing.T) {
 		t.Errorf("Node.Name at byte %d pushes hot state out of the first cache line", unsafe.Offsetof(n.Name))
 	}
 }
+
+// TestPacketSize pins Packet to the 112-byte allocation class it had before
+// the side-car: every literal and pooled packet is one of these, and one
+// more word would round each up to 128.
+func TestPacketSize(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got > 112 {
+		t.Errorf("Packet is %d bytes, want at most 112", got)
+	}
+}

@@ -556,3 +556,46 @@ func TestDropPriorityProtectsControl(t *testing.T) {
 		t.Error("control packet lost despite priority dropping")
 	}
 }
+
+// poisonCount is a Sidecar that counts how often it was poisoned.
+type poisonCount struct{ n int }
+
+func (p *poisonCount) Poison() { p.n++ }
+
+// TestSidecarStaysWithRecycledPacket pins the side-car contract: storage
+// parked on a pooled packet survives the recycle that clears every other
+// field, and (in a test binary) is poisoned on the way when the packet
+// carried a payload — and only then, so media packets never pay.
+func TestSidecarStaysWithRecycledPacket(t *testing.T) {
+	n := New(sim.NewEngine(1))
+	side := &poisonCount{}
+	p := n.NewPacket()
+	if p.Sidecar() != nil {
+		t.Fatal("fresh packet has a side-car")
+	}
+	p.SetSidecar(side)
+	p.Payload, p.Size, p.Dst = side, 64, 3
+	if n.PacketsLive() != 1 {
+		t.Errorf("PacketsLive = %d with one packet out", n.PacketsLive())
+	}
+	p.Release()
+	if n.PacketsLive() != 0 || side.n != 1 {
+		t.Errorf("after release: %d live, poisoned %d times; want 0, 1", n.PacketsLive(), side.n)
+	}
+	q := n.NewPacket()
+	if q != p || q.Sidecar() != Sidecar(side) {
+		t.Fatal("recycled packet lost its struct or its side-car")
+	}
+	if q.Payload != nil || q.Size != 0 || q.Dst != 0 {
+		t.Errorf("recycled packet not cleared: %+v", q)
+	}
+	q.Release() // carried no payload: media
+	if side.n != 1 {
+		t.Errorf("payload-free recycle poisoned the side-car (%d)", side.n)
+	}
+	// A literal packet is not pooled: nothing is kept, nothing counted.
+	(&Packet{}).Release()
+	if n.PacketsLive() != 0 || n.PacketAllocs() != 1 {
+		t.Errorf("live %d, allocs %d; want 0, 1", n.PacketsLive(), n.PacketAllocs())
+	}
+}

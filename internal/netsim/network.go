@@ -205,6 +205,12 @@ func (n *Network) NewPacket() *Packet {
 // in steady state this stops growing.
 func (n *Network) PacketAllocs() uint64 { return n.pktAllocs }
 
+// PacketsLive returns how many pooled packets are out of the free list:
+// referenced by a producer or a link. It is zero once every agent has
+// stopped and the engine has drained, or a Release was leaked or doubled.
+// Read it only while the engine is quiescent.
+func (n *Network) PacketsLive() int { return int(n.pktAllocs) - len(n.pktFree) }
+
 // AddNode creates a node with a human-readable name and returns it.
 func (n *Network) AddNode(name string) *Node {
 	if n.se != nil {

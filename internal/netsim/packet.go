@@ -13,6 +13,7 @@ package netsim
 import (
 	"fmt"
 	"sync/atomic"
+	"testing"
 
 	"toposense/internal/sim"
 )
@@ -65,9 +66,15 @@ func (k PacketKind) String() string {
 // that accepts it takes a reference, the originator holds one until its Send
 // call returns, and when the last reference drops the struct goes back to the
 // pool. Handlers and probes must therefore never retain a *Packet beyond the
-// callback that delivered it — copy the fields instead.
+// callback that delivered it — copy the fields instead. The same holds for a
+// Payload that points into the packet's side-car: it is the next packet's
+// storage as soon as this one is recycled.
 type Packet struct {
-	Kind    PacketKind
+	Kind PacketKind
+	// refs counts outstanding references (pooled packets only). It shares
+	// Kind's word, which keeps the struct in the 112-byte size class with
+	// the side-car added.
+	refs    int32
 	Src     NodeID  // originating node
 	Dst     NodeID  // unicast destination; NoNode for multicast packets
 	Group   GroupID // multicast group; NoGroup for unicast packets
@@ -78,8 +85,42 @@ type Packet struct {
 	Sent    sim.Time
 	Payload any // typed control payloads; nil for media
 
+	// side is payload storage that stays with the struct across recycles, so
+	// a pooled control packet can point Payload into it and allocate nothing.
+	// Whoever first sends a payload of its kind on this packet allocates it
+	// (SetSidecar); media packets never do.
+	side Sidecar
+
 	pool *Network // owning pool; nil for literal packets
-	refs int32    // outstanding references (pooled packets only)
+}
+
+// Sidecar is payload storage parked on a Packet (see Packet.side). The
+// payload's package defines it; netsim only keeps it across recycles.
+type Sidecar interface {
+	// Poison overwrites the storage with values no consumer can take for
+	// data. Test binaries call it on every recycle, so a payload pointer
+	// kept beyond the delivery callback fails loudly instead of reading the
+	// next packet's numbers.
+	Poison()
+}
+
+// poisonRecycled is on in test binaries only.
+var poisonRecycled = testing.Testing()
+
+// Sidecar returns the packet's retained payload storage, nil until set.
+func (p *Packet) Sidecar() Sidecar { return p.side }
+
+// SetSidecar parks payload storage on the packet; it outlives recycling.
+func (p *Packet) SetSidecar(s Sidecar) { p.side = s }
+
+// recycle clears every field but the side-car (notably Payload, so nothing
+// leaks via the pool). The caller holds the last reference.
+func (p *Packet) recycle() {
+	side := p.side
+	if poisonRecycled && side != nil && p.Payload != nil {
+		side.Poison()
+	}
+	*p = Packet{side: side}
 }
 
 // Multicast reports whether the packet is addressed to a group.
@@ -117,7 +158,7 @@ func (p *Packet) unref() {
 		}
 		// r == 0: this was the last holder; the struct is exclusively ours.
 		pool := p.pool
-		*p = Packet{}
+		p.recycle()
 		pool.poolMu.Lock()
 		pool.pktFree = append(pool.pktFree, p)
 		pool.poolMu.Unlock()
@@ -131,7 +172,7 @@ func (p *Packet) unref() {
 		panic(fmt.Sprintf("netsim: packet %v released below zero references", p))
 	}
 	pool := p.pool
-	*p = Packet{} // clear fields (notably Payload) so nothing leaks via the pool
+	p.recycle()
 	pool.pktFree = append(pool.pktFree, p)
 }
 

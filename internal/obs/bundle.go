@@ -40,9 +40,13 @@ type Obs struct {
 	// engine-events distance between consecutive passes; FanIn the control
 	// messages the controller consumed per pass — the fan-in the in-network
 	// aggregation layer collapses from O(receivers) to O(branching).
-	Passes     *Counter
-	PassEvents *Histogram
-	FanIn      *Histogram
+	// ReportCoverage observes, per pass, the fraction of registered receivers
+	// heard from since the previous pass (the rest are steered on stale
+	// numbers).
+	Passes         *Counter
+	PassEvents     *Histogram
+	FanIn          *Histogram
+	ReportCoverage *Histogram
 
 	// In-network feedback aggregation (mcast.Aggregator).
 	AggAbsorbed *Counter // loss reports absorbed at tree nodes
@@ -115,6 +119,8 @@ func New(opt Options) *Obs {
 		[]float64{100, 300, 1000, 3000, 10000, 30000, 100000, 300000})
 	o.FanIn = o.Reg.Histogram("controller_fanin",
 		[]float64{1, 3, 10, 30, 100, 300, 1000, 3000, 10000, 30000, 100000})
+	o.ReportCoverage = o.Reg.Histogram("controller_report_coverage",
+		[]float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1})
 
 	o.AggAbsorbed = o.Reg.Counter("agg_reports_absorbed")
 	o.AggMerges = o.Reg.Counter("agg_merges")

@@ -264,7 +264,7 @@ func (r *Receiver) RecvMulticast(p *netsim.Packet) {
 // last hop is this node.
 func (r *Receiver) Recv(p *netsim.Packet) {
 	switch pl := p.Payload.(type) {
-	case report.Suggestion:
+	case *report.Suggestion:
 		if r.stopped || pl.Node != r.node.ID || pl.Session != r.cfg.Session {
 			return
 		}
@@ -364,7 +364,7 @@ func (r *Receiver) tick() {
 	}
 	r.LastLoss = loss
 
-	rep := report.LossReport{
+	pkt := report.NewLossReportPacket(r.net, r.node.ID, r.cfg.Controller, e.Now(), report.LossReport{
 		Node:     r.node.ID,
 		Session:  r.cfg.Session,
 		Level:    r.level,
@@ -372,8 +372,9 @@ func (r *Receiver) tick() {
 		Bytes:    bytes,
 		Interval: r.cfg.ReportInterval,
 		Sent:     e.Now(),
-	}
-	r.node.SendUnicast(report.NewControlPacket(r.node.ID, r.cfg.Controller, report.LossReportSize, e.Now(), rep))
+	})
+	r.node.SendUnicast(pkt)
+	pkt.Release()
 	r.ReportsSent++
 
 	// Unilateral fallback: the controller has gone quiet and we are losing

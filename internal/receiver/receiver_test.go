@@ -23,8 +23,8 @@ func (c *ctrlStub) Recv(p *netsim.Packet) {
 	switch pl := p.Payload.(type) {
 	case report.Register:
 		c.registers = append(c.registers, pl)
-	case report.LossReport:
-		c.reports = append(c.reports, pl)
+	case *report.LossReport:
+		c.reports = append(c.reports, *pl) // the report is the packet's: copy it
 	case report.Deregister:
 		c.deregisters = append(c.deregisters, pl)
 	}

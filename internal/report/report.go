@@ -5,10 +5,15 @@
 // netsim.Packet.Payload on Control packets, so they share links and queues
 // with media traffic and can be lost to congestion — as in the paper's
 // simulations.
+//
+// Consumers switch on one form per kind: Register and Deregister by value;
+// *LossReport, *Suggestion, *Aggregate and *SuggestionBatch by pointer. A
+// *LossReport or *Suggestion is recycled with the packet that delivered it.
 package report
 
 import (
 	"fmt"
+	"math"
 
 	"toposense/internal/netsim"
 	"toposense/internal/sim"
@@ -84,10 +89,13 @@ func (s Suggestion) String() string {
 	return fmt.Sprintf("suggest node=%d s=%d lvl=%d", s.Node, s.Session, s.Level)
 }
 
-// NewControlPacket wraps a payload in a unicast control packet from src to
-// dst with the given wire size.
+// NewControlPacket wraps a payload in a literal (garbage-collected) unicast
+// control packet from src to dst with the given wire size: the path of the
+// cold kinds (Register, Deregister, federation traffic) and of tests. A
+// LossReport or Suggestion passed by value travels as a pointer like the
+// pooled ones, allocated together with its packet.
 func NewControlPacket(src, dst netsim.NodeID, size int, now sim.Time, payload any) *netsim.Packet {
-	return &netsim.Packet{
+	hdr := netsim.Packet{
 		Kind:    netsim.Control,
 		Src:     src,
 		Dst:     dst,
@@ -96,4 +104,81 @@ func NewControlPacket(src, dst netsim.NodeID, size int, now sim.Time, payload an
 		Sent:    now,
 		Payload: payload,
 	}
+	switch pl := payload.(type) {
+	case LossReport:
+		return literal(hdr, pl)
+	case Suggestion:
+		return literal(hdr, pl)
+	}
+	p := new(netsim.Packet) // not &hdr: hdr must stay on the stack for literal
+	*p = hdr
+	return p
+}
+
+// literal allocates a packet and the payload it points at as one object.
+func literal[T any](hdr netsim.Packet, v T) *netsim.Packet {
+	l := &struct {
+		pkt netsim.Packet
+		v   T
+	}{hdr, v}
+	l.pkt.Payload = &l.v
+	return &l.pkt
+}
+
+// NewPooledPacket returns a pooled unicast control packet from src to dst
+// with no payload yet. The caller sets Payload, sends, then calls Release.
+func NewPooledPacket(net *netsim.Network, src, dst netsim.NodeID, size int, now sim.Time) *netsim.Packet {
+	p := net.NewPacket()
+	p.Kind = netsim.Control
+	p.Src = src
+	p.Dst = dst
+	p.Group = netsim.NoGroup
+	p.Size = size
+	p.Sent = now
+	return p
+}
+
+// body is a pooled packet's side-car: storage for the two per-interval
+// payloads (a packet carries one at a time), so neither stream allocates.
+type body struct {
+	rep LossReport
+	sug Suggestion
+}
+
+// Poison implements netsim.Sidecar: a node far outside any network and a
+// NaN loss rate make a consumer that kept the pointer panic or fail.
+func (b *body) Poison() {
+	const junk = -1 << 40
+	b.rep = LossReport{Node: junk, Session: junk, Level: junk, LossRate: math.NaN(), Bytes: junk, Interval: junk, Sent: junk}
+	b.sug = Suggestion{Node: junk, Session: junk, Level: junk, Sent: junk}
+}
+
+// bodyOf returns p's storage, allocated the first time p carries either.
+func bodyOf(p *netsim.Packet) *body {
+	b, _ := p.Sidecar().(*body)
+	if b == nil {
+		b = new(body)
+		p.SetSidecar(b)
+	}
+	return b
+}
+
+// NewLossReportPacket returns a pooled packet from src to dst carrying r as
+// a *LossReport. Send it, then Release it. The report lives in the packet:
+// consumers copy what they keep before their delivery callback returns.
+func NewLossReportPacket(net *netsim.Network, src, dst netsim.NodeID, now sim.Time, r LossReport) *netsim.Packet {
+	p := NewPooledPacket(net, src, dst, LossReportSize, now)
+	b := bodyOf(p)
+	b.rep = r
+	p.Payload = &b.rep
+	return p
+}
+
+// NewSuggestionPacket is NewLossReportPacket for a *Suggestion.
+func NewSuggestionPacket(net *netsim.Network, src, dst netsim.NodeID, now sim.Time, s Suggestion) *netsim.Packet {
+	p := NewPooledPacket(net, src, dst, SuggestionSize, now)
+	b := bodyOf(p)
+	b.sug = s
+	p.Payload = &b.sug
+	return p
 }

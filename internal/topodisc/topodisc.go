@@ -21,6 +21,10 @@ const DefaultPeriod = 1 * sim.Second
 // Snapshot is one session's discovered topology at one instant. Because
 // layers are cumulative, the session topology equals the base layer's tree;
 // MaxLayer records the highest layer flowing to each on-tree node.
+//
+// A snapshot is immutable once the tool has recorded it: consecutive
+// discoveries of an unchanged tree share one set of maps (only At differs),
+// and the controller hands the same maps to the algorithm.
 type Snapshot struct {
 	At      sim.Time
 	Session int
@@ -98,6 +102,7 @@ type Tool struct {
 	sessions []int
 	history  map[int][]*Snapshot
 	groups   []netsim.GroupID // layerGroups' buffer
+	walked   map[int]walk     // per session: the last periodic oracle walk
 	ticker   *sim.Ticker
 
 	// pendingTraces counts probe traces launched but not yet finished;
@@ -108,6 +113,12 @@ type Tool struct {
 	Discoveries int64
 }
 
+// walk is a recorded snapshot and the tree version it was read at.
+type walk struct {
+	snap    *Snapshot
+	version uint64
+}
+
 // NewTool creates a discovery tool for the given sessions.
 func NewTool(net *netsim.Network, domain *mcast.Domain, sessions []int) *Tool {
 	t := &Tool{
@@ -116,6 +127,7 @@ func NewTool(net *netsim.Network, domain *mcast.Domain, sessions []int) *Tool {
 		Period:   DefaultPeriod,
 		sessions: append([]int(nil), sessions...),
 		history:  make(map[int][]*Snapshot),
+		walked:   make(map[int]walk),
 	}
 	return t
 }
@@ -147,8 +159,31 @@ func (t *Tool) snapshotAll() {
 			t.probeSnapshot(session, func(snap *Snapshot) { t.record(session, snap) })
 			continue
 		}
-		t.record(s, t.SnapshotNow(s))
+		// A settled group's tree rarely differs between two periods: walk it
+		// only if a graft, prune, join or leave touched one of its layers,
+		// else record the last walk again, maps shared, under the new time.
+		v := t.treeVersion(s)
+		if w, ok := t.walked[s]; ok && w.version == v {
+			t.Discoveries++
+			again := *w.snap
+			again.At = t.net.Engine().Now()
+			t.record(s, &again)
+			continue
+		}
+		snap := t.SnapshotNow(s)
+		t.walked[s] = walk{snap, v}
+		t.record(s, snap)
 	}
+}
+
+// treeVersion sums the versions of the session's layer groups. Versions only
+// grow, so the sum holds still exactly when every one of them does.
+func (t *Tool) treeVersion(session int) uint64 {
+	var v uint64
+	for _, g := range t.layerGroups(session) {
+		v += t.domain.Version(g)
+	}
+	return v
 }
 
 // record inserts a completed snapshot into history, ordered by At. Probe

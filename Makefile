@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-micro hotlines bench-json bench-scale bench-shards bench-fanin bench-federation bench-churn obs-gate fanin-gate repro repro-quick cover examples clean
+.PHONY: all build test vet bench bench-micro hotlines hotallocs bench-json bench-scale bench-shards bench-fanin bench-federation bench-churn obs-gate fanin-gate repro repro-quick cover examples clean
 
 all: build vet test
 
@@ -36,6 +36,12 @@ bench-micro:
 # (WORKLOADS="tree1k-agg" for one; RUNS, TOP, FOCUS as in the script).
 hotlines:
 	scripts/hotlines.sh $(WORKLOADS)
+
+# Where the allocations go: the same four specs under toposim -memprofile,
+# the top run-phase allocation sites of each (the difference of the heap
+# profiles written after World.Start and after the run).
+hotallocs:
+	scripts/hotallocs.sh $(WORKLOADS)
 
 # Zero-allocation gate for the observability layer: every obs benchmark
 # (instruments, recorder, probed and unprobed forwarding) must report
@@ -76,8 +82,10 @@ bench-fanin:
 	$(GO) run ./cmd/topobench -fig fig_scale -topo tree -aggregate -json BENCH_fanin.json
 
 # Allocation gate for the control plane's hot paths: report merge, batched
-# suggestion fan-out and the flat report path must report 0 allocs/op at
-# steady state, the per-receiver fan-out at most 1 (its resend closure).
+# suggestion fan-out, the flat report path and a TopoSense pass over a known
+# tree must report 0 allocs/op at steady state, the per-receiver fan-out at
+# most 1 (its resend closure), a first-sight pass over a 21 111-node tree at
+# most 64.
 fanin-gate:
 	scripts/benchdiff.sh fanin-gate
 

@@ -24,7 +24,7 @@
 //	toposim -topo a -json BENCH_simA.json        # machine-readable result
 //	toposim -topo b -obs OBS_sim.json            # observability export (.json or .csv)
 //	toposim -topo b -flightrec                   # dump the flight recorder after the run
-//	toposim -topo b -cpuprofile cpu.pprof -memprofile mem.pprof
+//	toposim -topo b -cpuprofile cpu.pprof -memprofile mem.pprof   # also mem.pprof.start
 package main
 
 import (
@@ -34,6 +34,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 
 	"toposense/internal/controller"
@@ -86,7 +87,7 @@ func parse(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&o.obsPath, "obs", "", "enable observability and write its export to this file (.json or .csv)")
 	fs.BoolVar(&o.flightrec, "flightrec", false, "enable observability and dump the flight recorder to stderr after the run")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	fs.StringVar(&o.memprofile, "memprofile", "", "write a pprof heap profile after the run to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "record every allocation; write pprof heap profiles to this file after the run and to FILE.start after set-up")
 	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil || o.sc.Topo == "list" {
 		return o, err // the flag package has reported its own error
@@ -117,7 +118,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	sc := o.sc
-	stopProf, err := prof.Start(o.cpuprofile, o.memprofile)
+	if o.memprofile != "" {
+		// Sample every allocation, so the run phase's count is exact: the
+		// difference of the profile written after World.Start and the one
+		// written after the run (scripts/hotallocs.sh).
+		defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+		runtime.MemProfileRate = 1
+	}
+	stopProf, err := prof.Start(o.cpuprofile, "")
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -141,11 +149,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return nil, err
 			}
 			runObs = m.Obs()
+			if o.memprofile != "" {
+				w.Start()
+				if err := prof.WriteHeap(o.memprofile + ".start"); err != nil {
+					return nil, err
+				}
+			}
 			var sampler *trace.Sampler
 			if o.tsvDir != "" {
 				sampler = sampleSlots(w)
 			}
 			w.Run(dur)
+			if o.memprofile != "" {
+				if err := prof.WriteHeap(o.memprofile); err != nil {
+					return nil, err
+				}
+			}
 			printSummary(stdout, sc, w)
 			if sampler != nil {
 				if err := writeTSVs(o.tsvDir, sampler); err != nil {

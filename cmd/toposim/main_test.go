@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -123,4 +125,37 @@ func TestRunMatchesFixture(t *testing.T) {
 			t.Errorf("toposim %s: stdout differs from testdata/tree_agg_churn.txt:\n%s", args, got)
 		}
 	}
+}
+
+// TestMemProfileMarksSetUp: -memprofile FILE writes FILE.start after set-up
+// beside FILE after the run, leaves the simulation's output alone and
+// restores the process's sampling rate.
+func TestMemProfileMarksSetUp(t *testing.T) {
+	args := strings.Fields("-topo b,sessions=2 -duration 20")
+	plain := runStdout(t, args)
+	rate := runtime.MemProfileRate
+	path := filepath.Join(t.TempDir(), "mem.pprof")
+	profiled := runStdout(t, append(args, "-memprofile", path))
+	for _, f := range []string{path + ".start", path} {
+		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+			t.Errorf("%s: %v", f, err)
+		}
+	}
+	if runtime.MemProfileRate != rate {
+		t.Errorf("MemProfileRate left at %d, was %d", runtime.MemProfileRate, rate)
+	}
+	if profiled != plain {
+		t.Errorf("-memprofile changed the run's output:\n%s\nwant\n%s", profiled, plain)
+	}
+}
+
+// runStdout runs toposim and returns its stdout without the wall-clock
+// `run:` line.
+func runStdout(t *testing.T, args []string) string {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("toposim %s: exit %d, stderr %q", strings.Join(args, " "), code, stderr.String())
+	}
+	return regexp.MustCompile(`(?m)^run: .*\n`).ReplaceAllString(stdout.String(), "")
 }

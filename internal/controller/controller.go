@@ -130,12 +130,15 @@ type Controller struct {
 	batchGens  []uint64
 	fanGroups  []fanGroup
 
-	// Stats.
-	StepsRun        int64
-	SuggestionsSent int64
-	ReportsRecv     int64
-	RegistersRecv   int64
-	DeregistersRecv int64
+	// Stats. TopologiesRejected counts discovered session trees that failed
+	// core.Topology.Validate, a torn or inconsistent snapshot: that session
+	// sits the pass out.
+	StepsRun           int64
+	TopologiesRejected int64
+	SuggestionsSent    int64
+	ReportsRecv        int64
+	RegistersRecv      int64
+	DeregistersRecv    int64
 	// Control-plane fan-in, counted at packet delivery: every control
 	// message (and its modeled wire bytes) the controller's node handed to
 	// the agent. With aggregation on, AggregatesRecv of those were compact
@@ -501,6 +504,7 @@ func (c *Controller) step() {
 		}
 		topo := SnapshotToTopology(snap)
 		if err := topo.Validate(); err != nil {
+			c.TopologiesRejected++
 			continue // a torn snapshot is skipped, not acted on
 		}
 		topos = append(topos, topo)

@@ -182,6 +182,28 @@ func TestControllerOnStepObserver(t *testing.T) {
 	}
 }
 
+func TestControllerCountsRejectedTopologies(t *testing.T) {
+	w := buildChainWorld(t, 500e3, 0)
+	w.start()
+	w.e.RunUntil(10 * sim.Second)
+	if w.ctrl.TopologiesRejected != 0 {
+		t.Fatalf("consistent snapshots rejected: %d", w.ctrl.TopologiesRejected)
+	}
+	// From now on every snapshot a pass reads claims a child its parent does
+	// not list: the pass must skip the session and say so.
+	tick := w.e.Every(500*sim.Millisecond, func() {
+		if snap := w.tool.Discover(0); snap != nil {
+			snap.Parent[99] = snap.Root
+		}
+	})
+	defer tick.Stop()
+	steps := w.ctrl.StepsRun
+	w.e.RunUntil(30 * sim.Second)
+	if got, want := w.ctrl.TopologiesRejected, w.ctrl.StepsRun-steps; got != want || got == 0 {
+		t.Errorf("TopologiesRejected = %d over %d passes of one torn session", got, want)
+	}
+}
+
 func TestControllerWorksWithStaleness(t *testing.T) {
 	w := buildChainWorld(t, 500e3, 0)
 	w.tool.Staleness = 4 * sim.Second

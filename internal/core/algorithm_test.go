@@ -255,15 +255,15 @@ func TestStepStateGC(t *testing.T) {
 	st := newStepper(cfg)
 	topo := chain(0, 3)
 	st.step([]*Topology{topo}, []ReceiverState{{Node: 2, Session: 0, Level: 1, Bytes: 100}})
-	if len(st.a.nodes) == 0 {
+	if st.a.nodeStates() == 0 {
 		t.Fatal("no node state created")
 	}
 	// Session disappears; state must be GC'd after ~10 intervals.
 	for i := 0; i < 12; i++ {
 		st.step(nil, nil)
 	}
-	if len(st.a.nodes) != 0 {
-		t.Errorf("%d node states survived GC", len(st.a.nodes))
+	if st.a.nodeStates() != 0 {
+		t.Errorf("%d node states survived GC", st.a.nodeStates())
 	}
 	if len(st.a.links) != 0 {
 		t.Errorf("%d link states survived GC", len(st.a.links))

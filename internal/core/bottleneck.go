@@ -14,11 +14,7 @@ func (a *Algorithm) computeBottlenecks(p *sessionPass) {
 			p.bneck[i] = math.Inf(1)
 			continue
 		}
-		cap := math.Inf(1)
-		if ls := a.links[Edge{From: p.nodes[par], To: p.nodes[i]}]; ls != nil {
-			cap = ls.capacity
-		}
-		p.bneck[i] = math.Min(p.bneck[par], cap)
+		p.bneck[i] = math.Min(p.bneck[par], a.edgeLink(p, i).capacity)
 	}
 	for i := int32(len(p.nodes)) - 1; i >= 0; i-- { // bottom-up
 		kids := p.children(i)

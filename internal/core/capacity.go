@@ -31,65 +31,37 @@ func (a *Algorithm) estimateCapacities(now sim.Time, passes []*sessionPass) {
 	// infinity after CapacityResetPeriod plus a random fraction, so that
 	// independent subtrees re-explore at different times instead of
 	// crashing in lockstep.
-	for _, ls := range a.links {
-		if !math.IsInf(ls.capacity, 1) && now >= ls.resetAt {
+	for k := range a.links {
+		if ls := &a.links[k]; !math.IsInf(ls.capacity, 1) && now >= ls.resetAt {
 			ls.capacity = math.Inf(1)
 		}
 	}
 
-	// Collect per-edge observations across sessions into the scratch arena:
-	// index map, observation entries and the edge worklist all persist from
-	// step to step and are reset, not rebuilt.
+	// Fold every session's observation of an edge into the edge's row.
 	s := &a.scratch
-	if s.capIdx == nil {
-		s.capIdx = make(map[Edge]int32)
-	} else {
-		clear(s.capIdx)
-	}
-	s.capEdges = s.capEdges[:0]
 	for _, p := range passes {
 		for i := 1; i < len(p.nodes); i++ { // every node but the root has an edge
-			e := Edge{From: p.nodes[p.parent[i]], To: p.nodes[i]}
-			oi, ok := s.capIdx[e]
-			if !ok {
-				oi = int32(len(s.capEdges))
-				if int(oi) == len(s.capObs) {
-					s.capObs = append(s.capObs, capObs{})
-				}
-				s.capObs[oi].reset()
-				s.capIdx[e] = oi
-				s.capEdges = append(s.capEdges, e)
-			}
-			o := &s.capObs[oi]
-			o.losses = append(o.losses, p.loss[i])
-			o.bytes = append(o.bytes, p.subBytes[i])
-			o.receivers += p.recvCount[i]
-			if p.congest[i] {
-				o.congested = true
-			}
+			e := &s.edges[p.edge[i]]
+			bytes := float64(p.subBytes[i])
+			e.bits += bytes * 8
+			e.weighted += p.loss[i] * bytes
+			e.volume += bytes
+			e.quiet = e.quiet || p.loss[i] <= a.cfg.PThreshold
+			e.receivers += p.recvCount[i]
+			e.congested = e.congested || p.congest[i]
 		}
 	}
-	s.edgeSorter.s = s.capEdges
-	sort.Sort(&s.edgeSorter)
 
 	interval := a.cfg.Interval.Seconds()
-	for _, e := range s.capEdges {
-		o := &s.capObs[s.capIdx[e]]
-		ls := a.links[e]
-		if ls == nil {
-			ls = &linkState{capacity: math.Inf(1)}
-			a.links[e] = ls
-		}
-		ls.lastSeen = now
+	s.pins = s.pins[:0]
+	for k := range s.edges {
+		e := &s.edges[k]
+		ls := &a.links[e.link]
 
 		// Record this interval's observed throughput: what the receivers
 		// demonstrably got through the link, summed over sessions (each
 		// session contributes its best subtree receiver).
-		var bits float64
-		for _, b := range o.bytes {
-			bits += float64(b) * 8
-		}
-		ls.recordObserved(bits / interval)
+		ls.recordObserved(e.bits / interval)
 
 		// Grow an existing finite estimate. A finite estimate is kept until
 		// the periodic reset: the interval right after a drop observes the
@@ -107,27 +79,13 @@ func (a *Algorithm) estimateCapacities(now sim.Time, passes []*sessionPass) {
 		// to this subtree. A single observer cannot localize its loss to
 		// any particular edge of its path, and a wrong pin would starve it
 		// until the next reset.
-		if !a.cfg.PinSingleObserver && len(o.losses) < 2 && (o.receivers < 2 || !o.congested) {
+		if !a.cfg.PinSingleObserver && e.users < 2 && (e.receivers < 2 || !e.congested) {
 			continue
 		}
 
 		// Conditions: every session's loss above threshold, and the
 		// volume-weighted aggregate loss above threshold too.
-		all := true
-		var weighted, volume float64
-		for i, l := range o.losses {
-			if l <= a.cfg.PThreshold {
-				all = false
-			}
-			w := float64(o.bytes[i])
-			weighted += l * w
-			volume += w
-		}
-		if !all || volume == 0 {
-			continue
-		}
-		aggregate := weighted / volume
-		if aggregate <= a.cfg.PThreshold {
+		if e.quiet || e.volume == 0 || e.weighted/e.volume <= a.cfg.PThreshold {
 			continue
 		}
 		// Pin to the best recent throughput: the loss conditions often
@@ -140,7 +98,14 @@ func (a *Algorithm) estimateCapacities(now sim.Time, passes []*sessionPass) {
 			continue
 		}
 		ls.capacity = observed
+		s.pins = append(s.pins, e.link)
+	}
+
+	// Each pin draws its reset jitter, in ascending (From, To) order.
+	s.pinSorter.links, s.pinSorter.s = a.links, s.pins
+	sort.Sort(&s.pinSorter)
+	for _, k := range s.pins {
 		jitter := sim.Time(a.rng.Int63n(int64(a.cfg.CapacityResetPeriod)/2 + 1))
-		ls.resetAt = now + a.cfg.CapacityResetPeriod + jitter
+		a.links[k].resetAt = now + a.cfg.CapacityResetPeriod + jitter
 	}
 }

@@ -20,11 +20,9 @@ import (
 //     we arm every dropped layer, which is equivalent under one-at-a-time
 //     adds and also robust when a reduction sheds several layers at once.)
 func (a *Algorithm) computeDemand(now sim.Time, p *sessionPass) {
-	session := p.topo.Session
 	for i := int32(len(p.nodes)) - 1; i >= 0; i-- {
-		n := p.nodes[i]
 		level := p.level[i]
-		st := a.peekState(session, n)
+		st := &p.sess.nodes[p.state[i]]
 		hist, rel := a.tableInputs(st, p, i)
 
 		par := p.parent[i]
@@ -60,10 +58,10 @@ func (a *Algorithm) computeDemand(now sim.Time, p *sessionPass) {
 		}
 
 		if p.decisions != nil {
-			p.decisions[i] = &Decision{
+			p.decisions[i] = Decision{
 				At:        now,
-				Session:   session,
-				Node:      n,
+				Session:   p.topo.Session,
+				Node:      p.nodes[i],
 				Leaf:      leaf,
 				Congested: p.congest[i],
 				Hist:      hist,
@@ -82,26 +80,17 @@ func (a *Algorithm) computeDemand(now sim.Time, p *sessionPass) {
 // congestion history ending with the current interval, and the BW relation
 // between the two preceding intervals' byte counts.
 func (a *Algorithm) tableInputs(st *nodeState, p *sessionPass, i int32) (uint8, BWRel) {
-	var prevHist uint8
-	var bwOld int64
-	if st != nil {
-		prevHist = st.hist
-		bwOld = st.bwPrev
-	}
 	bit := uint8(0)
 	if p.congest[i] {
 		bit = 1
 	}
-	hist := ((prevHist << 1) | bit) & 7
-	rel := CompareBW(bwOld, p.subBytes[i], a.cfg.BWEqualTol)
+	hist := ((st.hist << 1) | bit) & 7
+	rel := CompareBW(st.bwPrev, p.subBytes[i], a.cfg.BWEqualTol)
 	return hist, rel
 }
 
 // supplies returns the old (T0–Tn) and recent (Tn–T2n) allocated levels.
 func supplies(st *nodeState) (old, recent int) {
-	if st == nil {
-		return 0, 0
-	}
 	return st.supplyPrev2, st.supplyPrev
 }
 
@@ -112,15 +101,13 @@ func supplies(st *nodeState) (old, recent int) {
 // inside that window would compound reductions on stale feedback and
 // overshoot far below the sustainable level.
 func (a *Algorithm) coolingDown(now sim.Time, st *nodeState) bool {
-	if a.cfg.DisableCooldown || st == nil || st.lastReduce == 0 {
+	if a.cfg.DisableCooldown || st.lastReduce == 0 {
 		return false
 	}
 	return now-st.lastReduce < 2*a.cfg.Interval+a.cfg.Interval/2
 }
 
 func (a *Algorithm) leafDemand(now sim.Time, p *sessionPass, i int32, level int, st *nodeState, act Action) int {
-	session := p.topo.Session
-	n := p.nodes[i]
 	oldSupply, _ := supplies(st)
 	if a.coolingDown(now, st) && act != ActAdd && act != ActMaintain {
 		return level
@@ -131,7 +118,7 @@ func (a *Algorithm) leafDemand(now sim.Time, p *sessionPass, i int32, level int,
 		if next > a.cfg.MaxLevel() {
 			return level
 		}
-		if a.backingOff(now, p, n, next) {
+		if a.backingOff(now, p, i, next) {
 			return level
 		}
 		return next
@@ -142,14 +129,14 @@ func (a *Algorithm) leafDemand(now sim.Time, p *sessionPass, i int32, level int,
 			return level
 		}
 		d := clampLevel(level-1, level)
-		a.armBackoffs(now, session, n, d, level)
+		a.armBackoffs(now, st, d, level)
 		return d
 	case ActReduceToSupplyOld:
 		d := clampLevel(oldSupply, level)
 		return d
 	case ActHalveSupplyOld:
 		d := clampLevel(a.halfLevel(oldSupply), level)
-		a.armBackoffs(now, session, n, d, level)
+		a.armBackoffs(now, st, d, level)
 		return d
 	case ActHalveSupplyOldIfVeryHigh:
 		if p.loss[i] <= a.cfg.VeryHighLoss {
@@ -162,8 +149,6 @@ func (a *Algorithm) leafDemand(now sim.Time, p *sessionPass, i int32, level int,
 }
 
 func (a *Algorithm) internalDemand(now sim.Time, p *sessionPass, i int32, level, agg int, st *nodeState, act Action) int {
-	session := p.topo.Session
-	n := p.nodes[i]
 	oldSupply, recentSupply := supplies(st)
 	if a.coolingDown(now, st) && (act == ActHalveSupplyRecent || act == ActHalveSupplyOld) {
 		return agg
@@ -180,11 +165,11 @@ func (a *Algorithm) internalDemand(now sim.Time, p *sessionPass, i int32, level,
 		return agg
 	case ActHalveSupplyRecent:
 		d := minInt(agg, clampLevel(a.halfLevel(recentSupply), agg))
-		a.armBackoffs(now, session, n, d, level)
+		a.armBackoffs(now, st, d, level)
 		return d
 	case ActHalveSupplyOld:
 		d := minInt(agg, clampLevel(a.halfLevel(oldSupply), agg))
-		a.armBackoffs(now, session, n, d, level)
+		a.armBackoffs(now, st, d, level)
 		return d
 	default:
 		return agg
@@ -219,9 +204,9 @@ func clampLevel(target, current int) int {
 // layer is not subscribed to by another receiver in the near future."
 // Lower dropped layers stay free to be re-added (one at a time), so a
 // too-deep reduction recovers quickly while the probing layer stays barred.
-func (a *Algorithm) armBackoffs(now sim.Time, session int, n NodeID, d, level int) {
+func (a *Algorithm) armBackoffs(now sim.Time, st *nodeState, d, level int) {
 	if d < level {
-		a.setBackoff(now, session, n, level)
+		a.setBackoff(now, st, level)
 	}
 }
 
@@ -230,8 +215,7 @@ func (a *Algorithm) armBackoffs(now sim.Time, session int, n NodeID, d, level in
 // what the link from its parent can carry — the estimated capacity, further
 // restricted to the session's fair share where the link is shared. Receiver
 // nodes are never allocated below the base layer.
-func (a *Algorithm) allocateSupply(p *sessionPass, shares map[shareKey]float64) {
-	session := p.topo.Session
+func (a *Algorithm) allocateSupply(p *sessionPass) {
 	for i := range p.nodes {
 		par := p.parent[i]
 		if par < 0 {
@@ -241,14 +225,7 @@ func (a *Algorithm) allocateSupply(p *sessionPass, shares map[shareKey]float64) 
 			}
 			continue
 		}
-		e := Edge{From: p.nodes[par], To: p.nodes[i]}
-		bw := math.Inf(1)
-		if ls := a.links[e]; ls != nil {
-			bw = ls.capacity
-		}
-		if share, ok := shares[shareKey{edge: e, session: session}]; ok && share < bw {
-			bw = share
-		}
+		bw := min(a.edgeLink(p, i).capacity, p.share[i])
 		allowed := a.cfg.MaxLevel()
 		if !math.IsInf(bw, 1) {
 			allowed = a.cfg.LevelFor(bw)

@@ -132,10 +132,10 @@ func TestDemandUnknownActionDefaultsSafe(t *testing.T) {
 	// not panic and must behave like maintain/accept.
 	a := New(testConfig(), nil)
 	p := newPass(a, chain(0, 3), nil)
-	if got := a.leafDemand(0, p, 2, 3, nil, Action(99)); got != 3 {
+	if got := a.leafDemand(0, p, 2, 3, &nodeState{}, Action(99)); got != 3 {
 		t.Errorf("leaf unknown action -> %d, want 3", got)
 	}
-	if got := a.internalDemand(0, p, 1, 3, 4, nil, Action(99)); got != 4 {
+	if got := a.internalDemand(0, p, 1, 3, 4, &nodeState{}, Action(99)); got != 4 {
 		t.Errorf("internal unknown action -> %d, want agg 4", got)
 	}
 }
@@ -173,8 +173,8 @@ func TestHalfLevel(t *testing.T) {
 }
 
 func TestSuppliesHelper(t *testing.T) {
-	if o, r := supplies(nil); o != 0 || r != 0 {
-		t.Errorf("nil state supplies = %d, %d", o, r)
+	if o, r := supplies(&nodeState{}); o != 0 || r != 0 {
+		t.Errorf("first-sight supplies = %d, %d", o, r)
 	}
 	st := &nodeState{supplyPrev: 3, supplyPrev2: 5}
 	if o, r := supplies(st); o != 5 || r != 3 {
@@ -221,12 +221,13 @@ func TestSupplyNeverExceedsDemandOrParent(t *testing.T) {
 	for i := 1; i <= 6; i++ {
 		now := sim.Time(i) * a.cfg.Interval
 		p := newPass(a, topo, reports)
+		ps := a.passes(now, p)
 		a.computeCongestion(p)
-		a.estimateCapacities(now, []*sessionPass{p})
+		a.estimateCapacities(now, ps)
 		a.computeBottlenecks(p)
-		shares := a.shareBandwidth([]*sessionPass{p})
+		a.shareBandwidth(ps)
 		a.computeDemand(now, p)
-		a.allocateSupply(p, shares)
+		a.allocateSupply(p)
 		for _, n := range p.nodes {
 			if p.supplyAt(n) > p.demandAt(n) && !(p.topo.Receivers[n] && p.supplyAt(n) == 1) {
 				t.Fatalf("interval %d: supply %d > demand %d at node %d", i, p.supplyAt(n), p.demandAt(n), n)
@@ -242,6 +243,6 @@ func TestSupplyNeverExceedsDemandOrParent(t *testing.T) {
 				}
 			}
 		}
-		a.rollState(now, []*sessionPass{p})
+		a.rollState(now, ps)
 	}
 }

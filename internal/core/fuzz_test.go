@@ -143,8 +143,8 @@ func TestFuzzChangingTopologyBetweenSteps(t *testing.T) {
 	}
 	// GC horizon is 10 intervals over trees of <= 20 nodes: state must be
 	// bounded, not grow with the 200 steps.
-	if len(a.nodes) > 20*12 {
-		t.Errorf("node state leaked: %d entries", len(a.nodes))
+	if a.nodeStates() > 20*12 {
+		t.Errorf("node state leaked: %d entries", a.nodeStates())
 	}
 	if len(a.links) > 20*12 {
 		t.Errorf("link state leaked: %d entries", len(a.links))

@@ -1,15 +1,6 @@
 package core
 
-import (
-	"math"
-	"sort"
-)
-
-// shareKey addresses one session's share on one shared edge.
-type shareKey struct {
-	edge    Edge
-	session int
-}
+import "math"
 
 // shareBandwidth implements stage 4: on every link carrying more than one
 // session and having a finite capacity estimate, split the capacity among
@@ -21,60 +12,24 @@ type shareKey struct {
 // the base-layer rate. Weights are taken in bandwidth units (the cumulative
 // rate of the possible demand) rather than raw layer counts, since layers
 // double in rate and a layer-count ratio would starve high-rate sessions.
-// The returned map lives in the scratch arena and is valid until the next
-// Step.
-func (a *Algorithm) shareBandwidth(passes []*sessionPass) map[shareKey]float64 {
-	// Which sessions use each edge, gathered into the scratch arena.
+// Each pass's share column receives its session's share of the edge above
+// every node, +Inf where the edge is unshared or unpinned.
+func (a *Algorithm) shareBandwidth(passes []*sessionPass) {
 	s := &a.scratch
-	if s.useIdx == nil {
-		s.useIdx = make(map[Edge]int32)
-	} else {
-		clear(s.useIdx)
-	}
-	s.useEdges = s.useEdges[:0]
-	for pi, p := range passes {
-		for i := 1; i < len(p.nodes); i++ {
-			e := Edge{From: p.nodes[p.parent[i]], To: p.nodes[i]}
-			ui, ok := s.useIdx[e]
-			if !ok {
-				ui = int32(len(s.useEdges))
-				if int(ui) == len(s.uses) {
-					s.uses = append(s.uses, edgeUse{})
-				}
-				s.uses[ui].reset()
-				s.useIdx[e] = ui
-				s.useEdges = append(s.useEdges, e)
-			}
-			u := &s.uses[ui]
-			u.sessions = append(u.sessions, int32(pi))
-			u.children = append(u.children, int32(i))
-		}
-	}
-
 	base := a.cfg.LayerRates[0]
 
 	// Per session: top-down "available if others at base" bandwidth.
-	for pi, p := range passes {
+	for _, p := range passes {
 		for i := range p.nodes {
 			par := p.parent[i]
 			if par < 0 {
 				p.avail[i] = math.Inf(1)
 				continue
 			}
-			e := Edge{From: p.nodes[par], To: p.nodes[i]}
 			bw := math.Inf(1)
-			if ls := a.links[e]; ls != nil && !math.IsInf(ls.capacity, 1) {
-				bw = ls.capacity
-				// Subtract the base layers of the other sessions on e.
-				if ui, ok := s.useIdx[e]; ok {
-					others := 0
-					for _, si := range s.uses[ui].sessions {
-						if int(si) != pi {
-							others++
-						}
-					}
-					bw -= float64(others) * base
-				}
+			if c := a.edgeLink(p, i).capacity; !math.IsInf(c, 1) {
+				// Subtract the base layers of the other sessions on the edge.
+				bw = c - float64(s.edges[p.edge[i]].users-1)*base
 				if bw < base {
 					bw = base // a session is never assumed below its base layer
 				}
@@ -106,42 +61,37 @@ func (a *Algorithm) shareBandwidth(passes []*sessionPass) map[shareKey]float64 {
 		}
 	}
 
-	// Fair shares on shared, finitely-estimated edges.
-	if s.shares == nil {
-		s.shares = make(map[shareKey]float64)
-	} else {
-		clear(s.shares)
-	}
-	s.edgeSorter.s = s.useEdges
-	sort.Sort(&s.edgeSorter)
-	for _, e := range s.useEdges {
-		u := &s.uses[s.useIdx[e]]
-		if len(u.sessions) < 2 {
-			continue
-		}
-		ls := a.links[e]
-		if ls == nil || math.IsInf(ls.capacity, 1) {
-			continue
-		}
-		var total float64
-		weights := s.weights[:0]
-		for k, si := range u.sessions {
-			x := passes[si].possible[u.children[k]]
-			if x < 1 {
-				x = 1
+	// Fair shares on shared, finitely-estimated edges: the weights are
+	// summed in pass order before any share is taken.
+	for _, p := range passes {
+		for i := 1; i < len(p.nodes); i++ {
+			if e := &s.edges[p.edge[i]]; a.sharedEdge(e) {
+				e.weights += a.shareWeight(p, i)
 			}
-			w := a.cfg.CumRate(x)
-			weights = append(weights, w)
-			total += w
-		}
-		s.weights = weights
-		for k, si := range u.sessions {
-			share := ls.capacity * weights[k] / total
-			if share < base {
-				share = base
-			}
-			s.shares[shareKey{edge: e, session: passes[si].topo.Session}] = share
 		}
 	}
-	return s.shares
+	for _, p := range passes {
+		for i := 1; i < len(p.nodes); i++ {
+			share := math.Inf(1)
+			if e := &s.edges[p.edge[i]]; a.sharedEdge(e) {
+				share = a.links[e.link].capacity * a.shareWeight(p, i) / e.weights
+				if share < base {
+					share = base
+				}
+			}
+			p.share[i] = share
+		}
+	}
+}
+
+// sharedEdge reports whether stage 4 splits the edge: two or more sessions
+// cross it and its capacity is estimated.
+func (a *Algorithm) sharedEdge(e *edgeRow) bool {
+	return e.users >= 2 && !math.IsInf(a.links[e.link].capacity, 1)
+}
+
+// shareWeight is the fair-share weight of local node i's session on the
+// edge above i: the rate of its possible demand there, at least one layer.
+func (a *Algorithm) shareWeight(p *sessionPass, i int) float64 {
+	return a.cfg.CumRate(max(p.possible[i], 1))
 }

@@ -80,6 +80,27 @@ func TestValidateRejectsAsymmetry(t *testing.T) {
 	}
 }
 
+func TestValidateRejectsChildWithoutParentEntry(t *testing.T) {
+	// A child listed under its parent must have a Parent entry naming it —
+	// also when the parent is node 0, the zero value of a missing entry.
+	for _, root := range []NodeID{0, 1} {
+		topo := &Topology{Root: root, Children: map[NodeID][]NodeID{root: {5}},
+			Parent: map[NodeID]NodeID{}, Receivers: map[NodeID]bool{5: true}}
+		if topo.Validate() == nil {
+			t.Errorf("root %d: child 5 without a Parent entry accepted", root)
+		}
+	}
+}
+
+func TestValidateRejectsNegativeIDs(t *testing.T) {
+	topo := chain(0, 3)
+	topo.Parent[-4] = 2
+	topo.Children[2] = []NodeID{-4}
+	if topo.Validate() == nil {
+		t.Error("negative node id accepted")
+	}
+}
+
 func TestValidateRejectsUnreachable(t *testing.T) {
 	topo := chain(0, 3)
 	// Island: 5 -> 6 disconnected from the root.

@@ -47,17 +47,20 @@ type Topology struct {
 	Receivers map[NodeID]bool
 }
 
-// Validate checks tree invariants: a real root, parent/child symmetry, no
-// cycles, connectivity. The controller calls this on every discovered
-// topology before feeding it to the algorithm.
+// Validate checks tree invariants: a real root, non-negative node IDs,
+// parent/child symmetry, no cycles, connectivity. The controller calls this
+// on every discovered topology before feeding it to the algorithm.
 func (t *Topology) Validate() error {
-	if t.Root == netsim.NoNode {
+	if t.Root < 0 {
 		return fmt.Errorf("core: topology for session %d has no root", t.Session)
 	}
 	if _, hasParent := t.Parent[t.Root]; hasParent {
 		return fmt.Errorf("core: root %d has a parent", t.Root)
 	}
 	for child, parent := range t.Parent {
+		if child < 0 || parent < 0 {
+			return fmt.Errorf("core: edge %d->%d has a negative node id", parent, child)
+		}
 		found := false
 		for _, c := range t.Children[parent] {
 			if c == child {
@@ -71,8 +74,8 @@ func (t *Topology) Validate() error {
 	}
 	for parent, kids := range t.Children {
 		for _, c := range kids {
-			if t.Parent[c] != parent {
-				return fmt.Errorf("core: node %d is child of %d but Parent says %d", c, parent, t.Parent[c])
+			if p, ok := t.Parent[c]; !ok || p != parent {
+				return fmt.Errorf("core: node %d is child of %d but Parent does not say so", c, parent)
 			}
 		}
 	}

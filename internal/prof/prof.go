@@ -43,17 +43,27 @@ func Start(cpuPath, memPath string) (stop func() error, err error) {
 			}
 		}
 		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				return fmt.Errorf("heap profile: %w", err)
-			}
-			runtime.GC() // settle allocation statistics before the snapshot
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				f.Close()
-				return fmt.Errorf("heap profile: %w", err)
-			}
-			return f.Close()
+			return WriteHeap(memPath)
 		}
 		return nil
 	}, nil
+}
+
+// WriteHeap writes a heap profile to path. Its allocation counts are
+// cumulative since the process started, so the difference of two profiles
+// (go tool pprof -diff_base) is what was allocated between them.
+func WriteHeap(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("heap profile: %w", err)
+	}
+	runtime.GC() // settle allocation statistics before the snapshot
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return fmt.Errorf("heap profile: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("heap profile: %w", err)
+	}
+	return nil
 }

@@ -77,16 +77,23 @@ obs-gate)
 fanin-gate)
 	# The control plane promises zero allocations on its steady-state hot
 	# paths: folding a loss report into an aggregate, merging a child
-	# aggregate, the controller's batched suggestion fan-out, and a flat
-	# report from the receiver's tick through two hops into the controller's
-	# table. The per-receiver fan-out may keep one: the closure of the
-	# suggestion's mid-interval repeat. Run those benchmarks with -benchmem
-	# and fail on anything above that.
+	# aggregate, the controller's batched suggestion fan-out, a flat report
+	# from the receiver's tick through two hops into the controller's table,
+	# and a TopoSense pass over a tree it has seen. The per-receiver fan-out
+	# may keep one: the closure of the suggestion's mid-interval repeat. A
+	# pass over a 21 111-node tree seen for the first time may allocate once
+	# per column, 64 times at most. Run those benchmarks with -benchmem and
+	# fail on anything above that.
 	[ $# -eq 0 ] || usage
 	out=$(go test -run '^$' -bench 'BenchmarkAggregate|BenchmarkSuggestionFanout|BenchmarkFlat' \
 		-benchmem -benchtime 1000x ./internal/report ./internal/controller)
+	out="$out
+$(go test -run '^$' -bench 'BenchmarkStepTree|BenchmarkStepTopologyB/steady' \
+		-benchmem -benchtime 20x ./internal/core)"
 	echo "$out"
-	bad=$(echo "$out" | awk '/^Benchmark/ { max = ($1 ~ /^BenchmarkFlatSuggestionFanout/) ? 1 : 0
+	bad=$(echo "$out" | awk '/^Benchmark/ { max = 0
+		if ($1 ~ /^BenchmarkFlatSuggestionFanout/) max = 1
+		if ($1 ~ /^BenchmarkStepTree\/first-sight/) max = 64
 		if ($(NF-1) + 0 > max) print "  " $1 ": " $(NF-1) " allocs/op, at most " max " allowed" }')
 	if [ -n "$bad" ]; then
 		echo "fanin-gate FAILED: control-plane hot-path benchmarks allocated:" >&2

@@ -5,7 +5,7 @@
 #   scripts/hotlines.sh [WORKLOAD...]     default: all four
 #
 # Runs the toposim spec behind each repository-benchmark workload
-# (benchmark/workloads.go) with -cpuprofile and prints, per workload, the
+# (scripts/workloads.sh) with -cpuprofile and prints, per workload, the
 # ten source lines with the most flat CPU samples, read out of
 # `go tool pprof -list`. Per-line evidence is what tells a cache miss (one
 # line, one load) from an algorithm (a whole function), so capture it before
@@ -24,17 +24,10 @@ focus=${FOCUS:-'sim\.\(\*(equeue|eheap|Engine)\)'}
 mkdir -p "$out"
 go build -o "$out/toposim" ./cmd/toposim
 
-spec() {
-	case "$1" in
-	paperB16-vbr) echo "-topo b,sessions=16 -traffic vbr3 -duration 800" ;;
-	tree1k-agg) echo "-topo tree,depth=3,branch=8,rxleaf=2 -aggregate -duration 40" ;;
-	tree10k-flat) echo "-topo tree,depth=4,branch=10,rxleaf=1 -duration 10" ;;
-	tree1k-churn) echo "-topo tree,depth=3,branch=8,rxleaf=2 -aggregate -churn 8 -duration 100" ;;
-	*) echo "hotlines.sh: unknown workload $1" >&2; exit 2 ;;
-	esac
-}
+. scripts/workloads.sh
 
-[ $# -gt 0 ] || set -- paperB16-vbr tree1k-agg tree10k-flat tree1k-churn
+# shellcheck disable=SC2086 # the default is a word list
+[ $# -gt 0 ] || set -- $WORKLOADS
 for w in "$@"; do
 	args=$(spec "$w")
 	rm -f "$out/$w".*.pprof

@@ -24,7 +24,7 @@ bench:
 # Hot-path microbenchmarks only: engine schedule/fire and the hold model
 # (BenchmarkHold), packet-plane forwarding, multicast replication, the
 # controller's per-interval pass and the flat control plane's report and
-# suggestion paths (BenchmarkFlatReportPath, BenchmarkFlatSuggestionFanout).
+# suggestion paths (BenchmarkFlatReportPath, BenchmarkFlatResend).
 # COUNT=5 (or any -count value) produces benchstat-ready samples; pipe
 # through scripts/benchdiff.sh to compare commits.
 COUNT ?= 1
@@ -82,10 +82,10 @@ bench-fanin:
 	$(GO) run ./cmd/topobench -fig fig_scale -topo tree -aggregate -json BENCH_fanin.json
 
 # Allocation gate for the control plane's hot paths: report merge, batched
-# suggestion fan-out, the flat report path and a TopoSense pass over a known
-# tree must report 0 allocs/op at steady state, the per-receiver fan-out at
-# most 1 (its resend closure), a first-sight pass over a 21 111-node tree at
-# most 64.
+# suggestion fan-out, the flat report path, a flat suggestion with its
+# repeat, a join/leave cycle and a TopoSense pass over a known tree must
+# report 0 allocs/op at steady state, a first-sight pass over a 21 111-node
+# tree at most 64.
 fanin-gate:
 	scripts/benchdiff.sh fanin-gate
 

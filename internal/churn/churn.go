@@ -43,8 +43,8 @@ type Driver struct {
 	// idle (setup or after the run).
 	Joins, Leaves int64
 
-	slots   int
-	handles []sim.Handle
+	// pending[i] is slot i's one scheduled transition.
+	pending []sim.Handle
 	stopped bool
 }
 
@@ -58,7 +58,7 @@ func New(net *netsim.Network) *Driver {
 func (d *Driver) SetObs(o *obs.Obs) { d.o = o }
 
 // Slots returns how many membership slots are registered.
-func (d *Driver) Slots() int { return d.slots }
+func (d *Driver) Slots() int { return len(d.pending) }
 
 // Slot registers one membership position. The slot is joined at start and
 // departs after an Exp(meanOn) dwell; thereafter it alternates, rejoining
@@ -72,6 +72,7 @@ func (d *Driver) Slot(start, meanOn, meanOff sim.Time, join, leave func()) {
 	if join == nil || leave == nil {
 		panic("churn: Slot with nil callback")
 	}
+	slot := len(d.pending)
 	var up, down func()
 	down = func() {
 		if d.stopped {
@@ -82,7 +83,7 @@ func (d *Driver) Slot(start, meanOn, meanOff sim.Time, join, leave func()) {
 		if d.o != nil {
 			d.o.ChurnLeaves.Inc()
 		}
-		d.track(d.sched.Schedule(d.exp(meanOff), up))
+		d.pending[slot] = d.sched.Schedule(d.exp(meanOff), up)
 	}
 	up = func() {
 		if d.stopped {
@@ -93,10 +94,9 @@ func (d *Driver) Slot(start, meanOn, meanOff sim.Time, join, leave func()) {
 		if d.o != nil {
 			d.o.ChurnJoins.Inc()
 		}
-		d.track(d.sched.Schedule(d.exp(meanOn), down))
+		d.pending[slot] = d.sched.Schedule(d.exp(meanOn), down)
 	}
-	d.slots++
-	d.track(d.sched.At(start+d.exp(meanOn), down))
+	d.pending = append(d.pending, d.sched.At(start+d.exp(meanOn), down))
 }
 
 // Stop cancels every pending transition. Slots stay in whatever membership
@@ -106,14 +106,9 @@ func (d *Driver) Stop() {
 		return
 	}
 	d.stopped = true
-	for _, h := range d.handles {
+	for _, h := range d.pending {
 		d.sched.Cancel(h)
 	}
-	d.handles = nil
-}
-
-func (d *Driver) track(h sim.Handle) {
-	d.handles = append(d.handles, h)
 }
 
 // exp draws an exponential interval with the given mean from the run-wide

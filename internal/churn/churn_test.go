@@ -160,3 +160,30 @@ func TestSlotPanics(t *testing.T) {
 	expectPanic("nil join", func() { d.Slot(0, sim.Second, sim.Second, nil, func() {}) })
 	expectPanic("nil leave", func() { d.Slot(0, sim.Second, sim.Second, func() {}, nil) })
 }
+
+// TestOneHandlePerSlot: only each slot's pending transition is kept,
+// however many the slot has made, and Stop still cancels them.
+func TestOneHandlePerSlot(t *testing.T) {
+	eng := sim.NewEngine(13)
+	var log []event
+	d := rig(eng, 3, &log)
+	eng.RunUntil(300 * sim.Second)
+	if d.Joins+d.Leaves < 20 {
+		t.Fatalf("only %d transitions in 300 s", d.Joins+d.Leaves)
+	}
+	if len(d.pending) != d.Slots() || d.Slots() != 3 {
+		t.Fatalf("%d handles kept for %d slots after %d transitions", len(d.pending), d.Slots(), d.Joins+d.Leaves)
+	}
+	for i, h := range d.pending {
+		if !h.Active() {
+			t.Errorf("slot %d's kept handle is not its pending transition", i)
+		}
+	}
+	if eng.Pending() != 3 {
+		t.Fatalf("%d events queued, want one per slot", eng.Pending())
+	}
+	d.Stop()
+	if eng.Pending() != 0 {
+		t.Errorf("%d events still queued after Stop", eng.Pending())
+	}
+}

@@ -166,7 +166,7 @@ func TestBatchedFanoutDelivery(t *testing.T) {
 	e, c, sugs := benchFanWorld(t, 3, 4)
 	gens := make([]uint64, len(sugs))
 	for i, sg := range sugs {
-		c.consume(report.Register{Node: sg.Node, Session: sg.Session, Level: 1})
+		c.consume(&report.Register{Node: sg.Node, Session: sg.Session, Level: 1})
 		gens[i] = c.view(sg.Session, sg.Node).gen
 	}
 	c.sendBatched(sugs, gens, false)
@@ -179,7 +179,7 @@ func TestBatchedFanoutDelivery(t *testing.T) {
 	e.Run()
 
 	// Recheck mode with a re-registered receiver: its stale entry is skipped.
-	c.consume(report.Register{Node: sugs[0].Node, Session: 0, Level: 1})
+	c.consume(&report.Register{Node: sugs[0].Node, Session: 0, Level: 1})
 	before := c.SuggestionsSent
 	c.sendBatched(sugs, gens, true)
 	if got := c.SuggestionsSent - before; got != int64(len(sugs)-1) {

@@ -67,6 +67,51 @@ type rxSlot struct {
 	hasLast bool
 }
 
+// resend is one pending mid-interval suggestion repeat, an event record
+// (sim.FreeList): of one suggestion, or on the batched plane of the pass.
+type resend struct {
+	c       *Controller
+	gen     uint64 // the controller's generation at the pass
+	batched bool
+	sg      core.Suggestion
+	slot    int
+	rgen    uint64 // the receiver's registration generation at the pass
+	fire    func() // run, bound once
+}
+
+// run repeats the suggestions, unless the controller stopped or — per
+// entry — the receiver expired or re-registered since the pass.
+func (r *resend) run() {
+	c := r.c
+	if c.ticker != nil && c.gen == r.gen {
+		if r.batched {
+			// The scratch is only rewritten by the next pass, a half
+			// interval after this fires; recheck generations per entry.
+			c.sendBatched(c.batchSugs, c.batchGens, true)
+		} else if c.slots[r.slot].gen == r.rgen {
+			c.sendSuggestion(r.sg)
+		}
+	}
+	c.resends.Put(r)
+}
+
+// staleMsg is one control message held back by Staleness, an event record
+// holding a copy of a payload that lived in its packet's storage.
+type staleMsg struct {
+	c       *Controller
+	payload any
+	rep     report.LossReport
+	reg     report.Register
+	dereg   report.Deregister
+	fire    func() // run, bound once
+}
+
+func (m *staleMsg) run() {
+	m.c.consume(m.payload)
+	m.payload = nil
+	m.c.stale.Put(m)
+}
+
 // Controller is the controller agent.
 type Controller struct {
 	net    *netsim.Network
@@ -168,6 +213,10 @@ type Controller struct {
 	obs           *obs.Obs
 	lastPassFired uint64
 	lastPassMsgs  int64
+
+	// Event records: pending suggestion repeats and Staleness deferrals.
+	resends sim.FreeList[resend]
+	stale   sim.FreeList[staleMsg]
 }
 
 // New creates a controller at node using the given discovery tool and
@@ -181,6 +230,8 @@ func New(net *netsim.Network, domain *mcast.Domain, node *netsim.Node, tool *top
 		alg:      alg,
 		interval: alg.Config().Interval,
 	}
+	c.resends.Bind = func(r *resend) { r.c, r.fire = c, r.run }
+	c.stale.Bind = func(m *staleMsg) { m.c, m.fire = c, m.run }
 	node.AttachAgent(c)
 	return c
 }
@@ -392,14 +443,21 @@ func (c *Controller) Recv(p *netsim.Packet) {
 	c.CtlMsgsRecv++
 	c.CtlBytesRecv += int64(p.Size)
 	if c.Staleness > 0 {
-		payload := p.Payload
-		if rep, ok := payload.(*report.LossReport); ok {
-			// The report is the packet's storage, recycled when this
-			// callback returns; the deferred consume needs its own copy.
-			cp := *rep
-			payload = &cp
+		m := c.stale.Get()
+		switch pl := p.Payload.(type) {
+		case *report.LossReport:
+			m.rep = *pl
+			m.payload = &m.rep
+		case *report.Register:
+			m.reg = *pl
+			m.payload = &m.reg
+		case *report.Deregister:
+			m.dereg = *pl
+			m.payload = &m.dereg
+		default:
+			m.payload = p.Payload // an *Aggregate is the consumer's own
 		}
-		c.nodeSched().Schedule(c.Staleness, func() { c.consume(payload) })
+		c.nodeSched().Schedule(c.Staleness, m.fire)
 		return
 	}
 	c.consume(p.Payload)
@@ -408,7 +466,7 @@ func (c *Controller) Recv(p *netsim.Packet) {
 func (c *Controller) consume(payload any) {
 	now := c.nodeSched().Now()
 	switch pl := payload.(type) {
-	case report.Register:
+	case *report.Register:
 		c.RegistersRecv++
 		// Every Register is a (re)start of the receiver, so it opens a new
 		// registration generation — pending resends aimed at the previous
@@ -432,7 +490,7 @@ func (c *Controller) consume(payload any) {
 		if c.billing != nil {
 			c.billing.meter(pl.Session, pl.Node, pl.Bytes, pl.Level, pl.Interval)
 		}
-	case report.Deregister:
+	case *report.Deregister:
 		c.DeregistersRecv++
 		c.Unregister(pl.Session, pl.Node)
 	case *report.Aggregate:
@@ -630,7 +688,7 @@ func (c *Controller) step() {
 	if c.aggregated {
 		// Batched fan-out: filter to registered receivers into the per-pass
 		// scratch (with registration generations for the resend recheck),
-		// then send one pooled batch per next hop — and one resend closure
+		// then send one pooled batch per next hop — and one resend record
 		// per pass instead of one per receiver.
 		c.batchSugs = c.batchSugs[:0]
 		c.batchGens = c.batchGens[:0]
@@ -645,15 +703,9 @@ func (c *Controller) step() {
 		}
 		c.sendBatched(c.batchSugs, c.batchGens, false)
 		if !c.DisableResend && sent > 0 {
-			gen := c.gen
-			c.global().Schedule(c.interval/2, func() {
-				if c.ticker == nil || c.gen != gen {
-					return
-				}
-				// The scratch is only rewritten by the next pass, a half
-				// interval after this fires; recheck generations per entry.
-				c.sendBatched(c.batchSugs, c.batchGens, true)
-			})
+			r := c.newResend()
+			r.batched = true
+			c.global().Schedule(c.interval/2, r.fire)
 		}
 	} else {
 		for _, sg := range out {
@@ -714,13 +766,16 @@ func (c *Controller) suggest(sg core.Suggestion, slot int, rgen uint64) {
 	if c.DisableResend {
 		return
 	}
-	gen := c.gen
-	c.global().Schedule(c.interval/2, func() {
-		if c.ticker == nil || c.gen != gen || c.slots[slot].gen != rgen {
-			return
-		}
-		c.sendSuggestion(sg)
-	})
+	r := c.newResend()
+	r.sg, r.slot, r.rgen = sg, slot, rgen
+	c.global().Schedule(c.interval/2, r.fire)
+}
+
+// newResend takes a resend record for the current pass.
+func (c *Controller) newResend() *resend {
+	r := c.resends.Get()
+	r.gen, r.batched = c.gen, false
+	return r
 }
 
 // sendSuggestion unicasts one suggestion on a pooled packet.

@@ -390,12 +390,12 @@ func TestReRegisterResetsTrackedLevel(t *testing.T) {
 	// A receiver that restarts re-registers at its new level; the controller
 	// must not keep tracking the stale one until the next loss report.
 	w := buildChainWorld(t, 500e3, 0)
-	w.ctrl.Recv(&netsim.Packet{Payload: report.Register{Node: 5, Session: 0, Level: 2}})
+	w.ctrl.Recv(&netsim.Packet{Payload: &report.Register{Node: 5, Session: 0, Level: 2}})
 	w.ctrl.Recv(&netsim.Packet{Payload: &report.LossReport{Node: 5, Session: 0, Level: 3, LossRate: 0, Bytes: 100, Interval: sim.Second}})
 	if got := w.ctrl.view(0, 5).level; got != 3 {
 		t.Fatalf("accumulator level = %d after report, want 3", got)
 	}
-	w.ctrl.Recv(&netsim.Packet{Payload: report.Register{Node: 5, Session: 0, Level: 5}})
+	w.ctrl.Recv(&netsim.Packet{Payload: &report.Register{Node: 5, Session: 0, Level: 5}})
 	if got := w.ctrl.view(0, 5).level; got != 5 {
 		t.Errorf("accumulator level = %d after re-register, want 5", got)
 	}
@@ -434,7 +434,7 @@ func TestNoResendToReRegisteredReceiver(t *testing.T) {
 		w.ctrl.expire(0, w.rxs[0].Node().ID)
 		// ...and a restarted receiver on the same node registers at once,
 		// before the 22s repeat fires.
-		w.ctrl.Recv(&netsim.Packet{Payload: report.Register{
+		w.ctrl.Recv(&netsim.Packet{Payload: &report.Register{
 			Node: w.rxs[0].Node().ID, Session: 0, Level: 1}})
 		sentAtSwap = w.ctrl.SuggestionsSent
 	})
@@ -454,11 +454,11 @@ func TestDepartThenReRegisterGetsFreshLevel(t *testing.T) {
 	// new generation and tracks the registered level, not the stale level
 	// the departed incarnation last reported.
 	w := buildChainWorld(t, 500e3, 0)
-	w.ctrl.Recv(&netsim.Packet{Payload: report.Register{Node: 5, Session: 0, Level: 2}})
+	w.ctrl.Recv(&netsim.Packet{Payload: &report.Register{Node: 5, Session: 0, Level: 2}})
 	w.ctrl.Recv(&netsim.Packet{Payload: &report.LossReport{Node: 5, Session: 0, Level: 4, LossRate: 0, Bytes: 100, Interval: sim.Second}})
 	gen := w.ctrl.view(0, 5).gen
 
-	w.ctrl.Recv(&netsim.Packet{Payload: report.Deregister{Node: 5, Session: 0}})
+	w.ctrl.Recv(&netsim.Packet{Payload: &report.Deregister{Node: 5, Session: 0}})
 	if w.ctrl.DeregistersRecv != 1 {
 		t.Fatalf("DeregistersRecv = %d, want 1", w.ctrl.DeregistersRecv)
 	}
@@ -472,12 +472,12 @@ func TestDepartThenReRegisterGetsFreshLevel(t *testing.T) {
 		t.Errorf("DepartedSessions() = %v, want [0]", got)
 	}
 	// Deregistering an unknown receiver is a no-op, not a double count.
-	w.ctrl.Recv(&netsim.Packet{Payload: report.Deregister{Node: 5, Session: 0}})
+	w.ctrl.Recv(&netsim.Packet{Payload: &report.Deregister{Node: 5, Session: 0}})
 	if got := w.ctrl.PassDepartures(0); got != 1 {
 		t.Errorf("PassDepartures(0) after duplicate Deregister = %d, want 1", got)
 	}
 
-	w.ctrl.Recv(&netsim.Packet{Payload: report.Register{Node: 5, Session: 0, Level: 1}})
+	w.ctrl.Recv(&netsim.Packet{Payload: &report.Register{Node: 5, Session: 0, Level: 1}})
 	if got := w.ctrl.view(0, 5).level; got != 1 {
 		t.Errorf("accumulator level after re-register = %d, want the fresh 1, not the stale 4", got)
 	}
@@ -521,13 +521,13 @@ func TestLossReportDoesNotBumpGeneration(t *testing.T) {
 	// Reports from a live receiver must keep the registration generation:
 	// bumping it would cancel every pending mid-interval repeat.
 	w := buildChainWorld(t, 500e3, 0)
-	w.ctrl.Recv(&netsim.Packet{Payload: report.Register{Node: 5, Session: 0, Level: 2}})
+	w.ctrl.Recv(&netsim.Packet{Payload: &report.Register{Node: 5, Session: 0, Level: 2}})
 	gen := w.ctrl.view(0, 5).gen
 	w.ctrl.Recv(&netsim.Packet{Payload: &report.LossReport{Node: 5, Session: 0, Level: 2, Interval: sim.Second}})
 	if got := w.ctrl.view(0, 5).gen; got != gen {
 		t.Errorf("loss report changed generation %d -> %d", gen, got)
 	}
-	w.ctrl.Recv(&netsim.Packet{Payload: report.Register{Node: 5, Session: 0, Level: 3}})
+	w.ctrl.Recv(&netsim.Packet{Payload: &report.Register{Node: 5, Session: 0, Level: 3}})
 	if w.ctrl.view(0, 5).gen == gen {
 		t.Error("re-register did not open a new generation")
 	}

@@ -72,12 +72,15 @@ func BenchmarkFlatReportPath(b *testing.B) {
 	}
 }
 
-// BenchmarkFlatSuggestionFanout is the per-receiver fan-out: one op is one
-// suggestion on a pooled packet plus its scheduled mid-interval repeat. The
-// repeat's closure is the one allocation left.
-func BenchmarkFlatSuggestionFanout(b *testing.B) {
+// BenchmarkFlatResend is the per-receiver fan-out: one op is one suggestion
+// on a pooled packet plus its mid-interval repeat, a pooled record that
+// fires and sends again half an interval later. A decision timer far in the
+// future keeps the repeats live without running a pass. Nothing on the path
+// may allocate.
+func BenchmarkFlatResend(b *testing.B) {
 	const rxs = 256
 	e, c, receivers := flatWorld(b, rxs)
+	c.ticker = sim.Every(e, 1000*sim.Second, func() {})
 	e.RunUntil(2 * receiver.DefaultReportInterval)
 	type tgt struct {
 		sg   core.Suggestion
@@ -97,25 +100,18 @@ func BenchmarkFlatSuggestionFanout(b *testing.B) {
 		for _, t := range tgts[:k] {
 			c.suggest(t.sg, t.slot, t.gen)
 		}
+		e.RunUntil(e.Now() + c.interval)
 	}
-	round(rxs)
-	e.RunUntil(e.Now() + c.interval) // warm the pools; the repeats fire inert
-	before := receivers[0].SuggestionsRecv
+	round(rxs) // warm the pools
+	sent := c.SuggestionsSent
 	b.ReportAllocs()
 	b.ResetTimer()
 	for done := 0; done < b.N; done += rxs {
-		k := rxs
-		if b.N-done < k {
-			k = b.N - done
-		}
-		round(k)
-		b.StopTimer()
-		e.RunUntil(e.Now() + c.interval)
-		b.StartTimer()
+		round(min(rxs, b.N-done))
 	}
 	b.StopTimer()
-	if receivers[0].SuggestionsRecv == before {
-		b.Fatal("suggestions never reached the receivers")
+	if got := c.SuggestionsSent - sent; got != 2*int64(b.N) {
+		b.Fatalf("%d suggestions sent for %d ops, want each sent and repeated", got, b.N)
 	}
 }
 

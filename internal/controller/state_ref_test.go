@@ -96,7 +96,7 @@ func (r *refState) drop(k receiverKey) {
 // consume mirrors Controller.consume; it only reads the payload.
 func (r *refState) consume(payload any, now sim.Time) {
 	switch pl := payload.(type) {
-	case report.Register:
+	case *report.Register:
 		k := receiverKey{pl.Session, pl.Node}
 		r.regSeq++
 		r.registered[k] = r.regSeq
@@ -113,7 +113,7 @@ func (r *refState) consume(payload any, now sim.Time) {
 		a.lossN++
 		a.level = pl.Level
 		a.reported = true
-	case report.Deregister:
+	case *report.Deregister:
 		k := receiverKey{pl.Session, pl.Node}
 		if _, ok := r.registered[k]; ok {
 			r.drop(k)
@@ -308,7 +308,7 @@ func stateScript(t *testing.T, label string, script []byte, batched bool) (stats
 		switch kind {
 		case 0:
 			size, payload = report.RegisterSize, func() any {
-				return report.Register{Node: node, Session: session, Level: par%6 + 1}
+				return &report.Register{Node: node, Session: session, Level: par%6 + 1}
 			}
 		case 1, 2, 3:
 			size, payload = report.LossReportSize, func() any { r := lr(node); return &r }
@@ -322,7 +322,7 @@ func stateScript(t *testing.T, label string, script []byte, batched bool) (stats
 			}
 		case 5:
 			size, payload = report.DeregisterSize, func() any {
-				return report.Deregister{Node: node, Session: session}
+				return &report.Deregister{Node: node, Session: session}
 			}
 		case 6:
 			at += 6 * c.interval // everyone falls silent past the horizon

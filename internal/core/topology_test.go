@@ -111,6 +111,50 @@ func TestValidateRejectsUnreachable(t *testing.T) {
 	}
 }
 
+func TestValidateRejectsDuplicateChild(t *testing.T) {
+	topo := star(0, 3)
+	topo.Children[1] = append(topo.Children[1], 3) // 3 listed twice under 1
+	if err := topo.Validate(); err == nil {
+		t.Error("duplicate child listing accepted")
+	}
+	// A walk counting 3 twice would make up for an island it never reaches.
+	topo.Parent[9] = 8
+	topo.Children[8] = []NodeID{9}
+	if err := topo.Validate(); err == nil {
+		t.Error("duplicate child plus an unreachable node accepted")
+	}
+}
+
+func TestValidateRejectsCycleOffRoot(t *testing.T) {
+	// 5 -> 6 -> 5: symmetric parent/child entries, but the root reaches
+	// neither.
+	topo := chain(0, 3)
+	topo.Parent[5], topo.Parent[6] = 6, 5
+	topo.Children[5], topo.Children[6] = []NodeID{6}, []NodeID{5}
+	if err := topo.Validate(); err == nil {
+		t.Error("cycle off the root accepted")
+	}
+}
+
+// TestValidateAllocs: the controller validates every discovered tree every
+// pass, so accepting one must not allocate.
+func TestValidateAllocs(t *testing.T) {
+	topo := star(0, 200)
+	for i := NodeID(300); i < 340; i++ { // a deep tail below leaf 2
+		topo.Parent[i] = i - 1
+		if i == 300 {
+			topo.Parent[i] = 2
+		}
+		topo.Children[topo.Parent[i]] = append(topo.Children[topo.Parent[i]], i)
+	}
+	if err := topo.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(20, func() { _ = topo.Validate() }); got != 0 {
+		t.Errorf("Validate of a valid tree allocates %v times, want 0", got)
+	}
+}
+
 func TestBFSOrderParentsFirst(t *testing.T) {
 	topo := star(0, 5)
 	order := topo.BFSOrder()

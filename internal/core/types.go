@@ -49,7 +49,10 @@ type Topology struct {
 
 // Validate checks tree invariants: a real root, non-negative node IDs,
 // parent/child symmetry, no cycles, connectivity. The controller calls this
-// on every discovered topology before feeding it to the algorithm.
+// on every discovered topology before feeding it to the algorithm, so it
+// allocates nothing on a valid tree: once Parent and Children agree, a
+// child count equal to len(Parent) rules out a duplicate listing, and a
+// walk from the root that reaches len(Parent) children proves the rest.
 func (t *Topology) Validate() error {
 	if t.Root < 0 {
 		return fmt.Errorf("core: topology for session %d has no root", t.Session)
@@ -72,33 +75,35 @@ func (t *Topology) Validate() error {
 			return fmt.Errorf("core: node %d has parent %d but is not its child", child, parent)
 		}
 	}
+	listed := 0
 	for parent, kids := range t.Children {
 		for _, c := range kids {
 			if p, ok := t.Parent[c]; !ok || p != parent {
 				return fmt.Errorf("core: node %d is child of %d but Parent does not say so", c, parent)
 			}
 		}
+		listed += len(kids)
 	}
-	// Reachability from the root must cover every node in Parent.
-	seen := map[NodeID]bool{t.Root: true}
-	stack := []NodeID{t.Root}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, c := range t.Children[n] {
-			if seen[c] {
-				return fmt.Errorf("core: node %d reached twice (cycle or diamond)", c)
-			}
-			seen[c] = true
-			stack = append(stack, c)
-		}
+	// Each node is now listed only under its one parent, and the root under
+	// none, so a walk from the root meets no node twice — unless a parent
+	// lists a child twice.
+	if listed != len(t.Parent) {
+		return fmt.Errorf("core: session %d's tree lists a child twice", t.Session)
 	}
-	for child := range t.Parent {
-		if !seen[child] {
-			return fmt.Errorf("core: node %d unreachable from root", child)
-		}
+	if n := t.reach(t.Root); n != len(t.Parent) {
+		return fmt.Errorf("core: %d of %d nodes unreachable from root %d", len(t.Parent)-n, len(t.Parent), t.Root)
 	}
 	return nil
+}
+
+// reach counts the nodes below n. Recursion, not a work list: it keeps a
+// pass allocation-free, and the depth is the tree's.
+func (t *Topology) reach(n NodeID) int {
+	k := 0
+	for _, c := range t.Children[n] {
+		k += 1 + t.reach(c)
+	}
+	return k
 }
 
 // BFSOrder returns the nodes top-down: the root first, every parent before

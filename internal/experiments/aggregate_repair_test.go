@@ -71,7 +71,9 @@ func TestAggregateRidesOutRepair(t *testing.T) {
 // downward splitter hands each node's consumed batch over with a one-batch
 // delay, so stopping a world mid-interval used to strand the final batch of
 // every node (and any unflushed upward aggregates). Shutdown must return all
-// of it: live pooled-payload counts return to their pre-world baseline.
+// of it: live pooled-payload counts return to their pre-world baseline. The
+// world is congested on purpose — Topology B's shared bottleneck drops
+// aggregates and batches — and a dropped payload goes back to its pool too.
 func TestShutdownPoolBalance(t *testing.T) {
 	aggBefore, batchBefore := report.AggregatesLive(), report.BatchesLive()
 
@@ -93,13 +95,16 @@ func TestShutdownPoolBalance(t *testing.T) {
 	w.Engine.RunUntil(50 * sim.Second)
 	w.Aggregator.Stop()
 
-	if got, want := report.AggregatesLive(), aggBefore+aggDrops.Load(); got != want {
-		t.Errorf("aggregates still live after Shutdown: %d, want %d (baseline %d + %d lost to drops)",
-			got, want, aggBefore, aggDrops.Load())
+	if aggDrops.Load()+batchDrops.Load() == 0 {
+		t.Fatal("no pooled payload was dropped — the drop path was not exercised")
 	}
-	if got, want := report.BatchesLive(), batchBefore+batchDrops.Load(); got != want {
-		t.Errorf("suggestion batches still live after Shutdown: %d, want %d (baseline %d + %d lost to drops)",
-			got, want, batchBefore, batchDrops.Load())
+	if got := report.AggregatesLive(); got != aggBefore {
+		t.Errorf("aggregates still live after Shutdown: %d, want the baseline %d (%d dropped)",
+			got, aggBefore, aggDrops.Load())
+	}
+	if got := report.BatchesLive(); got != batchBefore {
+		t.Errorf("suggestion batches still live after Shutdown: %d, want the baseline %d (%d dropped)",
+			got, batchBefore, batchDrops.Load())
 	}
 }
 
@@ -109,12 +114,11 @@ func TestShutdownPoolBalance(t *testing.T) {
 // folded feedback from its pending aggregate, so no stale entry rides a
 // later flush into the controller and re-registers the ghost. The purge
 // releases emptied aggregates back to the pool, so the balance invariant
-// (live == baseline + congestion-dropped) must survive a run with churn.
+// (live == baseline) must survive a run with churn.
 func TestDepartPurgePoolBalance(t *testing.T) {
 	aggBefore, batchBefore := report.AggregatesLive(), report.BatchesLive()
 
 	w := NewWorldB(2, 0, WorldConfig{Seed: 3, Traffic: CBR, Aggregate: true})
-	aggDrops, batchDrops := countPooledDrops(w.Net)
 	// Depart one receiver per session mid-run, deliberately misaligned with
 	// the report/flush cadence so each departing receiver has feedback
 	// pending at upstream aggregation nodes when its Deregister climbs.
@@ -145,13 +149,11 @@ func TestDepartPurgePoolBalance(t *testing.T) {
 	w.Engine.RunUntil(50 * sim.Second)
 	w.Aggregator.Stop()
 
-	if got, want := report.AggregatesLive(), aggBefore+aggDrops.Load(); got != want {
-		t.Errorf("aggregates still live after a churn run: %d, want %d (baseline %d + %d lost to drops)",
-			got, want, aggBefore, aggDrops.Load())
+	if got := report.AggregatesLive(); got != aggBefore {
+		t.Errorf("aggregates still live after a churn run: %d, want the baseline %d", got, aggBefore)
 	}
-	if got, want := report.BatchesLive(), batchBefore+batchDrops.Load(); got != want {
-		t.Errorf("suggestion batches still live after a churn run: %d, want %d (baseline %d + %d lost to drops)",
-			got, want, batchBefore, batchDrops.Load())
+	if got := report.BatchesLive(); got != batchBefore {
+		t.Errorf("suggestion batches still live after a churn run: %d, want the baseline %d", got, batchBefore)
 	}
 }
 

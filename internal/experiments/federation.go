@@ -57,12 +57,12 @@ type FederationRow struct {
 	FinalOK   bool    `json:"final_within_1"` // every receiver within 1 layer of optimal at the end
 
 	// Federated-only: the parent's view of the domain.
-	Ceiling       int     `json:"ceiling,omitempty"`         // border-bandwidth level ceiling
-	EndBudget     int     `json:"end_budget,omitempty"`      // session-0 budget in force at the end
-	BudgetChanges int64   `json:"budget_changes,omitempty"`  // budget entries pushed over the run
-	LastChangeS   float64 `json:"last_change_s,omitempty"`   // when the last budget push happened
-	Converged     bool    `json:"converged,omitempty"`       // no budget churn in the final third
-	CrossDomain   int     `json:"cross_domain_regs"`         // receivers registered outside their leaf's scope (must be 0)
+	Ceiling       int     `json:"ceiling,omitempty"`        // border-bandwidth level ceiling
+	EndBudget     int     `json:"end_budget,omitempty"`     // session-0 budget in force at the end
+	BudgetChanges int64   `json:"budget_changes,omitempty"` // budget entries pushed over the run
+	LastChangeS   float64 `json:"last_change_s,omitempty"`  // when the last budget push happened
+	Converged     bool    `json:"converged,omitempty"`      // no budget churn in the final third
+	CrossDomain   int     `json:"cross_domain_regs"`        // receivers registered outside their leaf's scope (must be 0)
 	Capped        int64   `json:"capped_suggestions,omitempty"`
 }
 

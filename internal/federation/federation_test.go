@@ -72,8 +72,8 @@ func TestCeilingFromBorderBandwidth(t *testing.T) {
 	r := newParentRig(t, rates)
 	p := r.parent
 	p.AddDomain(DomainConfig{Domain: 1, Leaf: r.b.ID, BorderBandwidth: 600e3})
-	p.AddDomain(DomainConfig{Domain: 2, Leaf: r.b.ID})                            // uncapped
-	p.AddDomain(DomainConfig{Domain: 3, Leaf: r.b.ID, BorderBandwidth: 1})        // starvation floor
+	p.AddDomain(DomainConfig{Domain: 2, Leaf: r.b.ID})                                      // uncapped
+	p.AddDomain(DomainConfig{Domain: 3, Leaf: r.b.ID, BorderBandwidth: 1})                  // starvation floor
 	p.AddDomain(DomainConfig{Domain: 4, Leaf: r.b.ID, BorderBandwidth: 1200e3, Share: 0.5}) // share applies
 
 	if got, want := p.Ceiling(1), source.LevelForBandwidth(rates, 600e3); got != want {

@@ -187,7 +187,7 @@ func (a *Aggregator) FilterTransit(n *netsim.Node, p *netsim.Packet) bool {
 		if a.obs != nil {
 			a.obs.AggMerges.Inc()
 		}
-	case report.Deregister:
+	case *report.Deregister:
 		// Pass through — the controller must still consume it — but purge
 		// the departed receiver's pending entries at this hop. The packet
 		// retraces the receiver's report path, so every node holding folded

@@ -98,7 +98,7 @@ func TestAggregatorPassesUnrelatedControl(t *testing.T) {
 	e.RunUntil(sim.Second)
 	found := false
 	for _, pl := range rec.payloads {
-		if _, ok := pl.(report.Register); ok {
+		if _, ok := pl.(*report.Register); ok {
 			found = true
 		}
 	}

@@ -85,11 +85,12 @@ func BenchmarkReplicationFanout(b *testing.B) {
 	}
 }
 
-// BenchmarkGraftPruneChurn measures tree maintenance: a member joining and
-// leaving behind an off-tree router, so every cycle grafts two hops up to
-// the source's router, waits out the leave latency and prunes back down.
-// This is the control path that rebuilds the replication fan-out cache.
-func BenchmarkGraftPruneChurn(b *testing.B) {
+// BenchmarkJoinLeaveCycle measures tree maintenance on a warmed domain: a
+// member behind an off-tree router joins (grafting two hops up to the
+// source), leaves, re-joins inside the leave latency (cancelling the prune
+// timer), leaves again and waits out the prune cascade. One op is one
+// cycle; nothing on it may allocate.
+func BenchmarkJoinLeaveCycle(b *testing.B) {
 	e := sim.NewEngine(1)
 	net := netsim.New(e)
 	d := NewDomain(net)
@@ -101,29 +102,27 @@ func BenchmarkGraftPruneChurn(b *testing.B) {
 	net.Connect(r, leaf, cfg)
 	g := d.RegisterGroup(0, 1, src.ID)
 	m := &countMember{}
+	cycle := func() {
+		d.Join(leaf.ID, g, m)
+		e.RunUntil(e.Now() + d.LeaveLatency/4)
+		d.Leave(leaf.ID, g, m)
+		e.RunUntil(e.Now() + d.LeaveLatency/4)
+		d.Join(leaf.ID, g, m)
+		d.Leave(leaf.ID, g, m)
+		e.RunUntil(e.Now() + 2*d.LeaveLatency)
+	}
+	cycle() // forwarding entries, event slots and records
+	grafts, prunes := d.Grafts, d.Prunes
 	b.ReportAllocs()
 	b.ResetTimer()
-	// Each cycle: join, let the graft settle, leave, let the prune timer
-	// expire and the prune propagate, then start over.
-	cycle := 0
-	var step func()
-	step = func() {
-		d.Join(leaf.ID, g, m)
-		e.Schedule(d.LeaveLatency/4, func() {
-			d.Leave(leaf.ID, g, m)
-			e.Schedule(2*d.LeaveLatency, func() {
-				cycle++
-				if cycle < b.N {
-					step()
-				}
-			})
-		})
+	for i := 0; i < b.N; i++ {
+		cycle()
 	}
-	e.Schedule(0, step)
-	e.Run()
 	b.StopTimer()
-	if got := d.Grafts; got < int64(b.N) {
-		b.Fatalf("only %d grafts over %d cycles", got, b.N)
+	// Grafts: leaf and r on the join, leaf again on the re-join; prunes:
+	// leaf and r at the end.
+	if d.Grafts-grafts != 3*int64(b.N) || d.Prunes-prunes != 2*int64(b.N) {
+		b.Fatalf("%d grafts and %d prunes over %d cycles, want 3 and 2 per cycle", d.Grafts-grafts, d.Prunes-prunes, b.N)
 	}
 	if d.OnTree(r.ID, g) {
 		b.Fatal("router still on tree after final prune")

@@ -63,19 +63,13 @@ type nodeGroupState struct {
 	children   []netsim.NodeID // downstream children, ascending
 	links      []*netsim.Link  // links[i] carries traffic to children[i]; lazily resolved
 	members    []Member        // locally attached members
-	pruneTimer sim.Handle      // pending leave-latency expiry, if any
+	pruneTimer *treeEvent      // pending leave-latency expiry, nil if none
 
 	// parent is the upstream node this router grafted toward, or NoNode
 	// when off-tree (or orphaned by a failure). Tree repair needs it to
 	// detach from the *old* parent after a reroute, which the routing
 	// table can no longer answer.
 	parent netsim.NodeID
-
-	// idleSince is when the router last went idle (no members, no
-	// children) and scheduled its leave-latency timer; zero otherwise. It
-	// feeds the departure-to-prune latency histogram: the gap between the
-	// last member leaving and the prune landing at the parent.
-	idleSince sim.Time
 }
 
 func (s *nodeGroupState) active() bool {
@@ -111,6 +105,30 @@ func (s *nodeGroupState) removeChild(c netsim.NodeID) {
 	}
 }
 
+// treeEventKind says what a pending tree-maintenance event does.
+type treeEventKind uint8
+
+const (
+	evGraft  treeEventKind = iota // n's graft lands at up
+	evPrune                       // n's prune lands at up
+	evDetach                      // a repaired n's detach lands at its old parent up
+	evLeave                       // n's leave-latency timer expires
+)
+
+// treeEvent is one pending tree-maintenance event, kept as an event record
+// (sim.FreeList): it goes back to Domain.events when it fires, a leave
+// timer also when it is cancelled.
+type treeEvent struct {
+	d     *Domain
+	kind  treeEventKind
+	cross bool // graft: n and up are in different shards
+	n, up netsim.NodeID
+	g     netsim.GroupID
+	idle  sim.Time   // when n's last member left; 0 for a cascade prune
+	h     sim.Handle // leave timer: cancels it
+	fire  func()     // run, bound once
+}
+
 // Domain manages multicast state for an entire network. It installs itself
 // as the MulticastHandler on every node.
 type Domain struct {
@@ -138,6 +156,8 @@ type Domain struct {
 	// shard of a partitioned network, so the counters move atomically;
 	// read them only while the engine is quiescent.
 	Grafts, Prunes, Repairs int64
+
+	events sim.FreeList[treeEvent] // pending grafts, prunes, detaches, leave timers
 
 	// obs, when set, mirrors the tree-maintenance counters into the
 	// observability registry and records graft/prune/repair events in the
@@ -189,6 +209,7 @@ func NewDomain(net *netsim.Network) *Domain {
 		// the outer slice itself would race across shards.
 		state: make([][]*nodeGroupState, net.NumNodes()),
 	}
+	d.events.Bind = func(ev *treeEvent) { ev.d, ev.fire = d, ev.run }
 	d.Install()
 	net.OnAddNode = func(n *netsim.Node) {
 		n.SetMulticastHandler(d)
@@ -326,26 +347,9 @@ func (d *Domain) graftUpstream(n netsim.NodeID, g netsim.GroupID) {
 	st.parent = up
 	atomic.AddInt64(&d.Grafts, 1)
 	d.noteTree(obs.EvGraft, n, up, g)
-	// A graft crossing a partition boundary executes in up's shard, where
-	// reading n's state back would race. The reroute guard exists only for
-	// link-failure repair, and faults are unsupported on partitioned
-	// networks, so across a boundary the guard is provably never needed.
-	cross := d.net.CrossPartition(n, up)
-	d.net.SchedulerBetween(n, up).Schedule(link.Delay, func() {
-		if !cross {
-			if cur := d.lookup(n, g); cur == nil || cur.parent != up {
-				return // rerouted while the graft was in flight
-			}
-		}
-		upSt := d.stateOf(up, g)
-		wasActive := upSt.active()
-		upSt.addChild(n, d.net.Node(up).LinkTo(n))
-		d.touch(g)
-		d.cancelPrune(up, upSt)
-		if !wasActive {
-			d.graftUpstream(up, g)
-		}
-	})
+	ev := d.newEvent(evGraft, n, up, g)
+	ev.cross = d.net.CrossPartition(n, up)
+	d.net.SchedulerBetween(n, up).Schedule(link.Delay, ev.fire)
 }
 
 // Leave detaches m from group g at node n. If that leaves the router with
@@ -367,19 +371,16 @@ func (d *Domain) Leave(n netsim.NodeID, g netsim.GroupID, m Member) {
 }
 
 func (d *Domain) maybeSchedulePrune(n netsim.NodeID, g netsim.GroupID, st *nodeGroupState) {
-	if st.active() || !st.pruneTimer.IsZero() {
+	if st.active() || st.pruneTimer != nil {
 		return
 	}
-	st.idleSince = d.net.SchedulerFor(n).Now()
 	// The timer fires in n's own context, so it lives on n's shard — which
 	// also keeps the handle cancellable (cross-shard schedules are not).
-	st.pruneTimer = d.net.SchedulerFor(n).Schedule(d.LeaveLatency, func() {
-		st.pruneTimer = sim.Handle{}
-		if st.active() {
-			return // re-joined during the leave-latency window
-		}
-		d.pruneFromParent(n, g)
-	})
+	sched := d.net.SchedulerFor(n)
+	ev := d.newEvent(evLeave, n, netsim.NoNode, g)
+	ev.idle = sched.Now()
+	ev.h = sched.Schedule(d.LeaveLatency, ev.fire)
+	st.pruneTimer = ev
 }
 
 // pruneFromParent tells n's grafted parent to stop forwarding to n. The
@@ -387,23 +388,82 @@ func (d *Domain) maybeSchedulePrune(n netsim.NodeID, g netsim.GroupID, st *nodeG
 // whether it too has gone idle. The parent is taken from the forwarding
 // entry, not recomputed from routing: after a failure the two can differ,
 // and the prune must reach the router that is actually forwarding to n.
-func (d *Domain) pruneFromParent(n netsim.NodeID, g netsim.GroupID) {
+// idle is when n's last member left, 0 for a cascade.
+func (d *Domain) pruneFromParent(n netsim.NodeID, g netsim.GroupID, idle sim.Time) {
 	st := d.lookup(n, g)
 	if st == nil || st.parent == netsim.NoNode {
 		return
 	}
 	up := st.parent
 	st.parent = netsim.NoNode
-	idle := st.idleSince
-	st.idleSince = 0
 	link := d.net.Node(n).LinkTo(up)
 	if link == nil {
 		return
 	}
 	atomic.AddInt64(&d.Prunes, 1)
 	d.noteTree(obs.EvPrune, n, up, g)
-	sched := d.net.SchedulerBetween(n, up)
-	sched.Schedule(link.Delay, func() {
+	ev := d.newEvent(evPrune, n, up, g)
+	ev.idle = idle
+	d.net.SchedulerBetween(n, up).Schedule(link.Delay, ev.fire)
+}
+
+// cancelPrune clears n's pending leave-latency expiry. The handle must be
+// cancelled on the scheduler that owns it — n's shard.
+func (d *Domain) cancelPrune(n netsim.NodeID, st *nodeGroupState) {
+	if ev := st.pruneTimer; ev != nil {
+		d.net.SchedulerFor(n).Cancel(ev.h)
+		st.pruneTimer = nil
+		d.events.Put(ev)
+	}
+}
+
+// newEvent takes a tree-event record and sets its arguments.
+func (d *Domain) newEvent(kind treeEventKind, n, up netsim.NodeID, g netsim.GroupID) *treeEvent {
+	ev := d.events.Get()
+	ev.kind, ev.n, ev.up, ev.g = kind, n, up, g
+	ev.cross, ev.idle, ev.h = false, 0, sim.Handle{}
+	return ev
+}
+
+// run fires the event: a graft, prune or detach lands at up, or n's leave
+// timer expires. The record goes back to the pool first, so what the event
+// sets off reuses it.
+func (ev *treeEvent) run() {
+	d, kind, cross, n, up, g, idle := ev.d, ev.kind, ev.cross, ev.n, ev.up, ev.g, ev.idle
+	if kind == evLeave {
+		d.lookup(n, g).pruneTimer = nil // entries are never freed
+	}
+	d.events.Put(ev)
+	switch kind {
+	case evGraft:
+		// A graft crossing a partition boundary executes in up's shard, where
+		// reading n's state back would race. The reroute guard exists only for
+		// link-failure repair, and faults are unsupported on partitioned
+		// networks, so across a boundary the guard is provably never needed.
+		if !cross {
+			if cur := d.lookup(n, g); cur == nil || cur.parent != up {
+				return // rerouted while the graft was in flight
+			}
+		}
+		upSt := d.stateOf(up, g)
+		wasActive := upSt.active()
+		upSt.addChild(n, d.net.Node(up).LinkTo(n))
+		d.touch(g)
+		d.cancelPrune(up, upSt)
+		if !wasActive {
+			d.graftUpstream(up, g)
+		}
+	case evLeave:
+		if d.lookup(n, g).active() {
+			return // re-joined during the leave-latency window
+		}
+		d.pruneFromParent(n, g, idle)
+	case evDetach:
+		if cur := d.lookup(n, g); cur != nil && cur.parent == up {
+			return // flapped back to the old parent before the detach landed
+		}
+		fallthrough // a detach lands like a cascade prune (idle 0)
+	case evPrune:
 		upSt := d.lookup(up, g)
 		if upSt == nil {
 			return
@@ -414,23 +474,13 @@ func (d *Domain) pruneFromParent(n netsim.NodeID, g netsim.GroupID) {
 			// Departure-to-prune latency: last member left at idle, the
 			// prune just landed upstream. Cascade prunes (idle == 0) are
 			// not re-counted — the latency was paid at the last-hop router.
-			d.obs.DeparturePrune.Observe((sched.Now() - idle).Seconds() * 1e3)
+			d.obs.DeparturePrune.Observe((d.net.SchedulerFor(up).Now() - idle).Seconds() * 1e3)
 		}
-		if !upSt.active() && upSt.pruneTimer.IsZero() {
+		if !upSt.active() && upSt.pruneTimer == nil {
 			// Upstream prunes promptly: the leave-latency cost was already
 			// paid at the last-hop router.
-			d.pruneFromParent(up, g)
+			d.pruneFromParent(up, g, 0)
 		}
-	})
-}
-
-// cancelPrune clears n's pending leave-latency expiry. The handle must be
-// cancelled on the scheduler that owns it — n's shard.
-func (d *Domain) cancelPrune(n netsim.NodeID, st *nodeGroupState) {
-	if !st.pruneTimer.IsZero() {
-		d.net.SchedulerFor(n).Cancel(st.pruneTimer)
-		st.pruneTimer = sim.Handle{}
-		st.idleSince = 0
 	}
 }
 
@@ -471,20 +521,7 @@ func (d *Domain) repair(n netsim.NodeID, g netsim.GroupID) {
 	st.parent = netsim.NoNode
 	if old != netsim.NoNode {
 		if link := d.net.Node(n).LinkTo(old); link != nil {
-			d.net.SchedulerBetween(n, old).Schedule(link.Delay, func() {
-				if cur := d.lookup(n, g); cur != nil && cur.parent == old {
-					return // flapped back to the old parent before the detach landed
-				}
-				upSt := d.lookup(old, g)
-				if upSt == nil {
-					return
-				}
-				upSt.removeChild(n)
-				d.touch(g)
-				if !upSt.active() && upSt.pruneTimer.IsZero() {
-					d.pruneFromParent(old, g)
-				}
-			})
+			d.net.SchedulerBetween(n, old).Schedule(link.Delay, d.newEvent(evDetach, n, old, g).fire)
 		}
 	}
 	if newUp == netsim.NoNode {

@@ -199,8 +199,7 @@ func (l *Link) SetUp() {
 func (l *Link) dropCarried() {
 	for l.queue.n > 0 {
 		p := l.queue.pop()
-		l.stats.Dropped++
-		l.noteDrop(p)
+		l.drop(p)
 		p.unref()
 	}
 	l.sched.Cancel(l.drainEv)
@@ -210,8 +209,7 @@ func (l *Link) dropCarried() {
 		// transmit counted these Delivered; move them to Dropped so the
 		// ledger reflects that they never reached the far end.
 		l.stats.Delivered--
-		l.stats.Dropped++
-		l.noteDrop(p)
+		l.drop(p)
 		p.unref()
 	}
 	if l.Busy() {
@@ -249,6 +247,15 @@ func (l *Link) noteEnqueue(p *Packet) {
 	}
 }
 
+// drop books p as lost on this link: counted, shown to the probes, then
+// its payload let go (Packet.dropped). The caller still owns the link's
+// reference, if it took one.
+func (l *Link) drop(p *Packet) {
+	l.stats.Dropped++
+	l.noteDrop(p)
+	p.dropped()
+}
+
 func (l *Link) noteDrop(p *Packet) {
 	for _, pr := range l.probes {
 		pr.Drop(l, p)
@@ -276,8 +283,7 @@ func (l *Link) noteDeliver(p *Packet) {
 // is dropped on arrival.
 func (l *Link) Send(p *Packet) {
 	if l.down {
-		l.stats.Dropped++
-		l.noteDrop(p)
+		l.drop(p)
 		return
 	}
 	if now := l.sched.Now(); l.QueueLen() == 0 && now >= l.freeAt {
@@ -304,14 +310,12 @@ func (l *Link) Send(p *Packet) {
 				// arrival, which delivers in its place.
 				*slot = p
 				p.ref()
-				l.stats.Dropped++
-				l.noteDrop(victim)
+				l.drop(victim)
 				victim.unref()
 				return
 			}
 		}
-		l.stats.Dropped++
-		l.noteDrop(victim)
+		l.drop(victim)
 		return
 	}
 	l.stats.Enqueued++

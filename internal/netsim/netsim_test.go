@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 
 	"toposense/internal/sim"
@@ -597,5 +598,161 @@ func TestSidecarStaysWithRecycledPacket(t *testing.T) {
 	(&Packet{}).Release()
 	if n.PacketsLive() != 0 || n.PacketAllocs() != 1 {
 		t.Errorf("live %d, allocs %d; want 0, 1", n.PacketsLive(), n.PacketAllocs())
+	}
+}
+
+// TestDetachAgent: a detached agent gets no more packets; the rest keep
+// their order, also when the detach happens inside the node's own delivery
+// loop (nested deliveries included) — no sibling skipped or called twice.
+func TestDetachAgent(t *testing.T) {
+	e, _, a, b, _ := lineNetwork(t, LinkConfig{Bandwidth: 1e6, Delay: sim.Millisecond})
+	var calls []string
+	mk := func(name string, then func()) Agent {
+		// A pointer, not an agentFunc: DetachAgent compares agents.
+		return &struct{ agentFunc }{func(p *Packet) {
+			calls = append(calls, name)
+			if then != nil {
+				then()
+			}
+		}}
+	}
+	send := func(n *Node) {
+		calls = nil
+		n.SendUnicast(&Packet{Kind: Control, Src: n.ID, Dst: n.ID, Group: NoGroup, Size: 100})
+	}
+	var w, x, y, z Agent
+	x = mk("x", nil)
+	y = mk("y", func() { b.DetachAgent(y); b.DetachAgent(x) }) // itself and an earlier sibling
+	z = mk("z", nil)
+	w = mk("w", nil)
+	for _, ag := range []Agent{x, y, z, w} {
+		b.AttachAgent(ag)
+	}
+	send(b)
+	if got := fmt.Sprint(calls); got != "[x y z w]" {
+		t.Errorf("delivery with detaches inside it called %s, want [x y z w]", got)
+	}
+	send(b)
+	if got := fmt.Sprint(calls); got != "[z w]" || b.NumAgents() != 2 {
+		t.Errorf("after the detaches: called %s with %d agents, want [z w] and 2", got, b.NumAgents())
+	}
+	b.DetachAgent(z) // outside any delivery
+	b.DetachAgent(z) // unknown agents are ignored
+	send(b)
+	if got := fmt.Sprint(calls); got != "[w]" || b.NumAgents() != 1 {
+		t.Errorf("after detaching z: called %s with %d agents", got, b.NumAgents())
+	}
+
+	// A nested delivery (an agent sending to its own node) detaching a
+	// sibling the outer loop has yet to reach: that sibling is skipped by
+	// both loops, everyone else runs once per delivery.
+	var p, q, r Agent
+	nested := false
+	p = mk("p", func() {
+		if !nested {
+			nested = true
+			a.SendUnicast(&Packet{Kind: Control, Src: a.ID, Dst: a.ID, Group: NoGroup, Size: 100})
+		}
+	})
+	q = mk("q", func() {
+		if nested {
+			a.DetachAgent(r)
+		}
+	})
+	r = mk("r", nil)
+	for _, ag := range []Agent{p, q, r} {
+		a.AttachAgent(ag)
+	}
+	send(a)
+	if got := fmt.Sprint(calls); got != "[p p q q]" || a.NumAgents() != 2 {
+		t.Errorf("nested delivery called %s with %d agents left, want [p p q q] and 2", got, a.NumAgents())
+	}
+	e.Run()
+}
+
+// released counts Release calls: a payload with pooled storage of its own.
+type released struct{ n int }
+
+func (r *released) Release() { r.n++ }
+
+// TestDropReleasesUnicastPayload: every way the network discards a unicast
+// packet hands a Release-able payload back exactly once, after the probes
+// saw it; a dropped multicast packet's shared payload is left alone.
+func TestDropReleasesUnicastPayload(t *testing.T) {
+	ctl := func(src, dst *Node, pl *released) *Packet {
+		return &Packet{Kind: Control, Src: src.ID, Dst: dst.ID, Group: NoGroup, Size: 1000, Payload: pl}
+	}
+
+	// Queue overflow, drop-tail: the arrival.
+	e, _, a, b, _ := lineNetwork(t, LinkConfig{Bandwidth: 8e5, QueueLimit: 1})
+	seen := 0
+	a.LinkTo(b.ID).Attach(&FuncProbe{OnDrop: func(_ *Link, p *Packet) {
+		if p.Payload.(*released).n == 0 {
+			seen++ // the probe sees the payload before its release
+		}
+	}})
+	pls := make([]*released, 4)
+	for i := range pls {
+		pls[i] = &released{}
+		a.SendUnicast(ctl(a, b, pls[i]))
+	}
+	e.Run()
+	if pls[0].n != 0 || pls[1].n != 0 || pls[2].n != 1 || pls[3].n != 1 || seen != 2 {
+		t.Errorf("drop-tail: releases %d %d %d %d, %d seen by the probe first", pls[0].n, pls[1].n, pls[2].n, pls[3].n, seen)
+	}
+
+	// Queue overflow, priority dropping: the queued media victim.
+	e, _, a, b, _ = lineNetwork(t, LinkConfig{Bandwidth: 8e5, QueueLimit: 1, Policy: DropPriority})
+	media := &released{}
+	a.SendUnicast(ctl(a, b, &released{}))                                                                          // on the wire
+	a.SendUnicast(&Packet{Kind: Data, Src: a.ID, Dst: b.ID, Group: NoGroup, Layer: 3, Size: 1000, Payload: media}) // queued
+	arrival := &released{}
+	a.SendUnicast(ctl(a, b, arrival)) // evicts the layer-3 packet
+	e.Run()
+	if media.n != 1 || arrival.n != 0 {
+		t.Errorf("priority drop: victim released %d times, arrival %d", media.n, arrival.n)
+	}
+
+	// A failed link: what it queued and carried, and what arrives after.
+	e, _, a, b, _ = lineNetwork(t, LinkConfig{Bandwidth: 8e5, Delay: 50 * sim.Millisecond, QueueLimit: 4})
+	pls = pls[:0]
+	for i := 0; i < 4; i++ {
+		pls = append(pls, &released{})
+		a.SendUnicast(ctl(a, b, pls[i]))
+	}
+	e.RunUntil(15 * sim.Millisecond) // one in flight, one serializing, two queued
+	a.LinkTo(b.ID).SetDown()
+	late := &released{}
+	a.SendUnicast(ctl(a, b, late))
+	e.Run()
+	for i, pl := range pls {
+		if pl.n != 1 {
+			t.Errorf("down link: carried packet %d released %d times", i, pl.n)
+		}
+	}
+	if late.n != 1 {
+		t.Errorf("down link: arrival released %d times", late.n)
+	}
+
+	// Unroutable.
+	e = sim.NewEngine(1)
+	n := New(e)
+	x, y := n.AddNode("x"), n.AddNode("y")
+	lost := &released{}
+	x.SendUnicast(ctl(x, y, lost))
+	if lost.n != 1 {
+		t.Errorf("unroutable: released %d times", lost.n)
+	}
+
+	// Multicast: never released by the network.
+	e, _, a, b, _ = lineNetwork(t, LinkConfig{Bandwidth: 8e5, QueueLimit: 1})
+	shared := &released{}
+	l := a.LinkTo(b.ID)
+	for i := 0; i < 4; i++ {
+		l.Send(&Packet{Kind: Data, Src: a.ID, Dst: NoNode, Group: 0, Size: 1000, Payload: shared})
+	}
+	e.Run()
+	if l.Stats().Dropped != 2 || shared.n != 0 {
+		t.Errorf("multicast: %d drops released the shared payload %d times", l.Stats().Dropped, shared.n)
 	}
 }

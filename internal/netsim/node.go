@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -48,6 +49,11 @@ type Node struct {
 	// RecvUnicast counts unicast packets delivered locally.
 	RecvUnicast int64
 	Name        string
+
+	// delivering counts the local deliveries in progress (an agent may send
+	// to its own node); holes marks agent slots DetachAgent blanked meanwhile.
+	delivering int32
+	holes      bool
 }
 
 // outLink is one entry of a node's out-link table. The neighbor ID sits
@@ -62,6 +68,28 @@ func (n *Node) String() string { return fmt.Sprintf("%s(#%d)", n.Name, n.ID) }
 
 // AttachAgent registers an agent for local unicast delivery.
 func (n *Node) AttachAgent(a Agent) { n.agents = append(n.agents, a) }
+
+// DetachAgent ends local unicast delivery to a; the other agents keep their
+// order. Inside this node's own delivery loop it only blanks a's slot, so no
+// sibling is skipped or called twice; the loop closes the gap when it ends.
+func (n *Node) DetachAgent(a Agent) {
+	if i := slices.Index(n.agents, a); i >= 0 {
+		n.agents[i], n.holes = nil, true
+		n.compactAgents()
+	}
+}
+
+// compactAgents closes DetachAgent's gaps once no delivery is running.
+func (n *Node) compactAgents() {
+	if n.holes && n.delivering == 0 {
+		n.agents = slices.DeleteFunc(n.agents, func(a Agent) bool { return a == nil })
+		n.holes = false
+	}
+}
+
+// NumAgents returns how many agents are attached for local delivery. Read
+// it outside a delivery.
+func (n *Node) NumAgents() int { return len(n.agents) }
 
 // SetMulticastHandler installs the multicast forwarding logic.
 func (n *Node) SetMulticastHandler(h MulticastHandler) { n.mcast = h }
@@ -158,9 +186,14 @@ func (n *Node) deliver(p *Packet, from *Link) {
 func (n *Node) route(p *Packet) {
 	if p.Dst == n.ID {
 		n.RecvUnicast++
+		n.delivering++
 		for _, a := range n.agents {
-			a.Recv(p)
+			if a != nil {
+				a.Recv(p)
+			}
 		}
+		n.delivering--
+		n.compactAgents()
 		return
 	}
 	if n.transit != nil && n.transit.FilterTransit(n, p) {
@@ -171,6 +204,7 @@ func (n *Node) route(p *Packet) {
 		// Unroutable packets are silently dropped, like in a real network.
 		// Any shard can hit this; the counter is cold, so always atomic.
 		atomic.AddInt64(&n.net.Unroutable, 1)
+		p.dropped()
 		return
 	}
 	n.LinkTo(next).Send(p)

@@ -123,6 +123,23 @@ func (p *Packet) recycle() {
 	*p = Packet{side: side}
 }
 
+// releaser is a payload that owns pooled storage of its own
+// (report.Aggregate, report.SuggestionBatch) and hands it back with Release.
+type releaser interface{ Release() }
+
+// dropped is called once the network has discarded p, after the probes saw
+// it. A unicast packet travels one path, so no one else will consume its
+// payload: one with pooled storage goes back to its pool. A multicast
+// packet's payload is shared by every branch and is left alone.
+func (p *Packet) dropped() {
+	if p.Multicast() {
+		return
+	}
+	if r, ok := p.Payload.(releaser); ok {
+		r.Release()
+	}
+}
+
 // Multicast reports whether the packet is addressed to a group.
 func (p *Packet) Multicast() bool { return p.Group != NoGroup }
 

@@ -30,8 +30,8 @@ const (
 	DefaultUnilateralLoss = 0.10
 )
 
-// Change records one subscription-level change, for stability analysis
-// (paper Figures 6 and 7).
+// Change is one subscription-level change, reported to OnChange for
+// stability analysis (paper Figures 6 and 7).
 type Change struct {
 	At       sim.Time
 	From, To int
@@ -73,10 +73,13 @@ type Receiver struct {
 	layers []layerState // index 0 = layer 1
 
 	lastSuggestion sim.Time
-	changes        []Change
-	reportTicker   *sim.Ticker
-	started        bool
-	stopped        bool
+	// timer is the one pending report-timer event, timerFn its callback
+	// (onTimer, bound once); ticking is set once the start offset is over.
+	timer   sim.Handle
+	timerFn func()
+	ticking bool
+	started bool
+	stopped bool
 
 	// Counters for analysis.
 	ReportsSent     int64
@@ -138,9 +141,6 @@ func (r *Receiver) Session() int { return r.cfg.Session }
 // Level returns the current subscription level (number of layers).
 func (r *Receiver) Level() int { return r.level }
 
-// Changes returns the history of subscription changes.
-func (r *Receiver) Changes() []Change { return r.changes }
-
 // Start joins the initial layers, registers with the controller, and begins
 // the report/watchdog timers.
 func (r *Receiver) Start() {
@@ -152,30 +152,49 @@ func (r *Receiver) Start() {
 	r.lastSuggestion = e.Now()
 	r.setLevel(r.cfg.InitialLevel)
 	if r.cfg.Controller != netsim.NoNode {
-		reg := report.Register{Node: r.node.ID, Session: r.cfg.Session, Level: r.level}
-		r.node.SendUnicast(report.NewControlPacket(r.node.ID, r.cfg.Controller, report.RegisterSize, e.Now(), reg))
+		pkt := report.NewRegisterPacket(r.net, r.node.ID, r.cfg.Controller, e.Now(),
+			report.Register{Node: r.node.ID, Session: r.cfg.Session, Level: r.level})
+		r.node.SendUnicast(pkt)
+		pkt.Release()
 		// Desynchronize report timers across receivers (RTCP randomizes
 		// report times for the same reason): starting every receiver at
 		// t=0 would otherwise fire all reports in the same instant, and
 		// the synchronized control burst itself perturbs queues.
 		offset := sim.Time(e.Rand().Int63n(int64(r.cfg.ReportInterval)))
-		e.Schedule(offset, func() {
-			if r.stopped {
-				return
-			}
-			r.reportTicker = sim.Every(e, r.cfg.ReportInterval, r.tick)
-		})
+		r.timerFn = r.onTimer
+		r.timer = e.Schedule(offset, r.timerFn)
 	}
 }
 
-// Stop leaves all layers and halts reporting. A stopped receiver ignores
-// any further controller suggestions (they may still be in flight, or keep
-// coming until the controller notices the silence); it cannot be restarted.
+// onTimer is the report timer: its first firing ends the start offset,
+// every later one closes a measurement interval, and each re-arms it one
+// ReportInterval on until the receiver stops.
+func (r *Receiver) onTimer() {
+	if r.stopped {
+		return
+	}
+	if r.ticking {
+		r.tick()
+		if r.stopped {
+			return
+		}
+	}
+	r.ticking = true
+	r.timer = r.sched().Schedule(r.cfg.ReportInterval, r.timerFn)
+}
+
+// Stop leaves all layers, halts reporting and detaches the receiver from
+// its node. A stopped receiver ignores any further controller suggestions
+// (they may still be in flight, or keep coming until the controller
+// notices the silence); it cannot be restarted. A Stop during the start
+// offset leaves the offset event to fire and return; a later one cancels
+// the pending tick.
 func (r *Receiver) Stop() {
 	r.stopped = true
-	if r.reportTicker != nil {
-		r.reportTicker.Stop()
-		r.reportTicker = nil
+	r.node.DetachAgent(r)
+	if r.ticking {
+		r.sched().Cancel(r.timer)
+		r.ticking = false
 	}
 	r.setLevel(0)
 }
@@ -194,8 +213,10 @@ func (r *Receiver) Depart() {
 	e := r.sched()
 	r.Stop()
 	if r.cfg.Controller != netsim.NoNode {
-		d := report.Deregister{Node: r.node.ID, Session: r.cfg.Session}
-		r.node.SendUnicast(report.NewControlPacket(r.node.ID, r.cfg.Controller, report.DeregisterSize, e.Now(), d))
+		pkt := report.NewDeregisterPacket(r.net, r.node.ID, r.cfg.Controller, e.Now(),
+			report.Deregister{Node: r.node.ID, Session: r.cfg.Session})
+		r.node.SendUnicast(pkt)
+		pkt.Release()
 	}
 }
 
@@ -325,10 +346,8 @@ func (r *Receiver) setLevel(lvl int) {
 		r.layers[l-1].joined = false
 	}
 	r.level = lvl
-	ch := Change{At: r.sched().Now(), From: from, To: lvl}
-	r.changes = append(r.changes, ch)
 	if r.OnChange != nil {
-		r.OnChange(ch)
+		r.OnChange(Change{At: r.sched().Now(), From: from, To: lvl})
 	}
 }
 

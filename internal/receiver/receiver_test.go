@@ -21,12 +21,12 @@ type ctrlStub struct {
 
 func (c *ctrlStub) Recv(p *netsim.Packet) {
 	switch pl := p.Payload.(type) {
-	case report.Register:
-		c.registers = append(c.registers, pl)
+	case *report.Register:
+		c.registers = append(c.registers, *pl)
 	case *report.LossReport:
 		c.reports = append(c.reports, *pl) // the report is the packet's: copy it
-	case report.Deregister:
-		c.deregisters = append(c.deregisters, pl)
+	case *report.Deregister:
+		c.deregisters = append(c.deregisters, *pl)
 	}
 }
 
@@ -286,23 +286,22 @@ func TestNoUnilateralDropWhileSuggestionsFlow(t *testing.T) {
 
 func TestChangesRecorded(t *testing.T) {
 	r := newRig(t, 10e6, Config{InitialLevel: 2})
-	var observed []Change
-	r.rx.OnChange = func(c Change) { observed = append(observed, c) }
+	var ch []Change
+	r.rx.OnChange = func(c Change) { ch = append(ch, c) }
 	r.rx.Start()
 	r.e.RunUntil(sim.Second)
 	r.ctrl.suggest(r.e, r.rx, 3)
 	r.e.RunUntil(2 * sim.Second)
 	r.ctrl.suggest(r.e, r.rx, 1)
 	r.e.RunUntil(3 * sim.Second)
-	ch := r.rx.Changes()
 	if len(ch) != 3 { // 0->2 at start, 2->3, 3->1
 		t.Fatalf("changes = %v", ch)
 	}
-	if ch[0].From != 0 || ch[0].To != 2 || ch[1].To != 3 || ch[2].To != 1 {
+	if ch[0].From != 0 || ch[0].To != 2 || ch[0].At != 0 || ch[1].To != 3 || ch[2].From != 3 || ch[2].To != 1 {
 		t.Errorf("changes = %v", ch)
 	}
-	if len(observed) != len(ch) {
-		t.Errorf("OnChange observed %d, recorded %d", len(observed), len(ch))
+	if ch[1].At <= sim.Second || ch[2].At <= ch[1].At {
+		t.Errorf("change times out of order: %v", ch)
 	}
 }
 
@@ -371,5 +370,76 @@ func TestReportRateHelper(t *testing.T) {
 	}
 	if rep.String() == "" || (report.Suggestion{}).String() == "" {
 		t.Error("empty payload String")
+	}
+}
+
+// TestReportTimer: the one report timer ends its start offset, then ticks
+// every interval; a Stop during the offset leaves the offset event to fire
+// and return, a later Stop cancels the pending tick. Either way nothing of
+// the receiver stays queued.
+func TestReportTimer(t *testing.T) {
+	r := newRig(t, 10e6, Config{InitialLevel: 1})
+	r.rx.Start()
+	r.rx.Stop() // inside the offset
+	if !r.rx.timer.Active() {
+		t.Error("a Stop inside the start offset cancelled the offset event")
+	}
+	r.e.RunUntil(5 * sim.Second)
+	if r.rx.ReportsSent != 0 || r.e.Pending() != 0 {
+		t.Errorf("stopped in its offset: %d reports, %d events queued", r.rx.ReportsSent, r.e.Pending())
+	}
+
+	r = newRig(t, 10e6, Config{InitialLevel: 1})
+	r.rx.Start()
+	r.e.RunUntil(5 * sim.Second)
+	if got := r.rx.ReportsSent; got < 9 || got > 10 {
+		t.Errorf("%d reports in 5 s at a 500 ms interval", got)
+	}
+	pending := r.rx.timer
+	if !pending.Active() {
+		t.Fatal("no tick pending before Stop")
+	}
+	r.rx.Stop()
+	if pending.Active() {
+		t.Error("a Stop while ticking left the pending tick queued")
+	}
+	sent := r.rx.ReportsSent
+	r.e.RunUntil(10 * sim.Second)
+	if r.rx.ReportsSent != sent || r.e.Pending() != 0 {
+		t.Errorf("stopped while ticking: %d more reports, %d events queued", r.rx.ReportsSent-sent, r.e.Pending())
+	}
+}
+
+// TestDepartedIncarnationsLeaveTheirNode: a node that saw many incarnations
+// come and go holds exactly the live one, and only it hears a suggestion.
+func TestDepartedIncarnationsLeaveTheirNode(t *testing.T) {
+	r := newRig(t, 10e6, Config{InitialLevel: 1})
+	node := r.rx.Node()
+	live := r.rx
+	live.Start()
+	var gone []*Receiver
+	for i := 0; i < 25; i++ {
+		r.e.RunUntil(r.e.Now() + 700*sim.Millisecond)
+		live.Depart()
+		gone = append(gone, live)
+		live = New(r.n, r.d, node, Config{Session: 0, MaxLayers: 6, InitialLevel: 1, Controller: r.ctrl.node.ID})
+		live.Start()
+	}
+	if got := node.NumAgents(); got != 1 {
+		t.Fatalf("node holds %d agents after 25 join/leave cycles, want the 1 live one", got)
+	}
+	r.e.RunUntil(r.e.Now() + sim.Second)
+	r.ctrl.suggest(r.e, live, 2)
+	r.e.RunUntil(r.e.Now() + sim.Second)
+	if live.SuggestionsRecv != 1 || live.Level() != 2 {
+		t.Errorf("live incarnation: %d suggestions, level %d", live.SuggestionsRecv, live.Level())
+	}
+	for _, rx := range gone {
+		if rx.SuggestionsRecv != 0 {
+			t.Fatal("a departed incarnation still hears its node's packets")
+		}
+	}
+	if len(r.ctrl.registers) != 26 || len(r.ctrl.deregisters) != 25 {
+		t.Errorf("controller heard %d registers and %d deregisters, want 26 and 25", len(r.ctrl.registers), len(r.ctrl.deregisters))
 	}
 }

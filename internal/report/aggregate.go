@@ -2,7 +2,6 @@ package report
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"toposense/internal/netsim"
@@ -57,10 +56,10 @@ type Aggregate struct {
 	Sent     sim.Time      // when the origin emitted it
 
 	// Subtree summary, maintained incrementally by Fold/Merge.
-	ReportCount int64   // loss reports represented
-	ByteTotal   int64   // sum of reported byte counts
-	LossTotal   float64 // sum of reported loss rates (mean = LossTotal/ReportCount)
-	MaxLoss     float64 // worst single reported loss rate
+	ReportCount int64         // loss reports represented
+	ByteTotal   int64         // sum of reported byte counts
+	LossTotal   float64       // sum of reported loss rates (mean = LossTotal/ReportCount)
+	MaxLoss     float64       // worst single reported loss rate
 	Worst       netsim.NodeID // receiver that reported MaxLoss (NoNode when empty)
 	// Per-level loss histogram over folded reports: LevelReports[l] reports
 	// arrived at (clamped) level l, summing LevelLoss[l] loss rate.
@@ -71,15 +70,16 @@ type Aggregate struct {
 	Entries []AggEntry
 }
 
-var aggPool = sync.Pool{New: func() any { return new(Aggregate) }}
+// The pools are free lists, not sync.Pools: a sync.Pool may drop what it
+// holds (at a collection, and at random under the race detector), and a
+// payload made afresh regrows its entries.
+var aggPool sim.FreeList[Aggregate]
 
 // Pool balance accounting: every New* bumps the live count, every Release
-// drops it. sync.Pool has no accounting of its own, so these atomics are the
-// only way a test can assert that a run returned every payload it took —
-// the contract a deferred-release holder (mcast.Aggregator's lastBatch) is
-// easiest to break. A payload on a packet that congestion drops is released
-// by no one and falls to the garbage collector; it stays counted as live,
-// so balance assertions belong in drop-free scenarios.
+// drops it, so a test can assert that a run returned every payload it took
+// — the contract a deferred-release holder (mcast.Aggregator's lastBatch) is
+// easiest to break. A payload whose packet the network drops is released
+// there (netsim), so live returns to its baseline once a run has drained.
 var aggLive, batchLive int64
 
 // AggregatesLive returns how many pooled Aggregates are currently checked
@@ -92,7 +92,7 @@ func BatchesLive() int64 { return atomic.LoadInt64(&batchLive) }
 
 // NewAggregate takes a reset Aggregate from the pool.
 func NewAggregate(session int, origin netsim.NodeID) *Aggregate {
-	a := aggPool.Get().(*Aggregate)
+	a := aggPool.Get()
 	atomic.AddInt64(&aggLive, 1)
 	a.Reset()
 	a.Session = session
@@ -329,11 +329,11 @@ type SuggestionBatch struct {
 	Entries []SugEntry
 }
 
-var batchPool = sync.Pool{New: func() any { return new(SuggestionBatch) }}
+var batchPool sim.FreeList[SuggestionBatch]
 
 // NewSuggestionBatch takes an empty batch from the pool.
 func NewSuggestionBatch() *SuggestionBatch {
-	b := batchPool.Get().(*SuggestionBatch)
+	b := batchPool.Get()
 	atomic.AddInt64(&batchLive, 1)
 	b.Sent = 0
 	b.Entries = b.Entries[:0]

@@ -6,9 +6,9 @@
 // with media traffic and can be lost to congestion — as in the paper's
 // simulations.
 //
-// Consumers switch on one form per kind: Register and Deregister by value;
-// *LossReport, *Suggestion, *Aggregate and *SuggestionBatch by pointer. A
-// *LossReport or *Suggestion is recycled with the packet that delivered it.
+// Consumers switch on one form per kind, always a pointer: *Register,
+// *Deregister, *LossReport, *Suggestion, *Aggregate and *SuggestionBatch.
+// The first four are recycled with the packet that delivered them.
 package report
 
 import (
@@ -90,10 +90,10 @@ func (s Suggestion) String() string {
 }
 
 // NewControlPacket wraps a payload in a literal (garbage-collected) unicast
-// control packet from src to dst with the given wire size: the path of the
-// cold kinds (Register, Deregister, federation traffic) and of tests. A
-// LossReport or Suggestion passed by value travels as a pointer like the
-// pooled ones, allocated together with its packet.
+// control packet from src to dst with the given wire size: the path of
+// federation traffic and of tests. A Register, Deregister, LossReport or
+// Suggestion passed by value travels as a pointer like the pooled ones,
+// allocated together with its packet.
 func NewControlPacket(src, dst netsim.NodeID, size int, now sim.Time, payload any) *netsim.Packet {
 	hdr := netsim.Packet{
 		Kind:    netsim.Control,
@@ -105,6 +105,10 @@ func NewControlPacket(src, dst netsim.NodeID, size int, now sim.Time, payload an
 		Payload: payload,
 	}
 	switch pl := payload.(type) {
+	case Register:
+		return literal(hdr, pl)
+	case Deregister:
+		return literal(hdr, pl)
 	case LossReport:
 		return literal(hdr, pl)
 	case Suggestion:
@@ -138,11 +142,13 @@ func NewPooledPacket(net *netsim.Network, src, dst netsim.NodeID, size int, now 
 	return p
 }
 
-// body is a pooled packet's side-car: storage for the two per-interval
-// payloads (a packet carries one at a time), so neither stream allocates.
+// body is a pooled packet's side-car: storage for the receiver-controller
+// payloads (a packet carries one at a time), so none of them allocates.
 type body struct {
-	rep LossReport
-	sug Suggestion
+	rep   LossReport
+	sug   Suggestion
+	reg   Register
+	dereg Deregister
 }
 
 // Poison implements netsim.Sidecar: a node far outside any network and a
@@ -151,9 +157,11 @@ func (b *body) Poison() {
 	const junk = -1 << 40
 	b.rep = LossReport{Node: junk, Session: junk, Level: junk, LossRate: math.NaN(), Bytes: junk, Interval: junk, Sent: junk}
 	b.sug = Suggestion{Node: junk, Session: junk, Level: junk, Sent: junk}
+	b.reg = Register{Node: junk, Session: junk, Level: junk}
+	b.dereg = Deregister{Node: junk, Session: junk}
 }
 
-// bodyOf returns p's storage, allocated the first time p carries either.
+// bodyOf returns p's storage, allocated the first time p carries a payload.
 func bodyOf(p *netsim.Packet) *body {
 	b, _ := p.Sidecar().(*body)
 	if b == nil {
@@ -180,5 +188,23 @@ func NewSuggestionPacket(net *netsim.Network, src, dst netsim.NodeID, now sim.Ti
 	b := bodyOf(p)
 	b.sug = s
 	p.Payload = &b.sug
+	return p
+}
+
+// NewRegisterPacket is NewLossReportPacket for a *Register.
+func NewRegisterPacket(net *netsim.Network, src, dst netsim.NodeID, now sim.Time, r Register) *netsim.Packet {
+	p := NewPooledPacket(net, src, dst, RegisterSize, now)
+	b := bodyOf(p)
+	b.reg = r
+	p.Payload = &b.reg
+	return p
+}
+
+// NewDeregisterPacket is NewLossReportPacket for a *Deregister.
+func NewDeregisterPacket(net *netsim.Network, src, dst netsim.NodeID, now sim.Time, d Deregister) *netsim.Packet {
+	p := NewPooledPacket(net, src, dst, DeregisterSize, now)
+	b := bodyOf(p)
+	b.dereg = d
+	p.Payload = &b.dereg
 	return p
 }

@@ -59,8 +59,8 @@ func TestNewControlPacket(t *testing.T) {
 	if p.Size != SuggestionSize || p.Sent != 5*sim.Second {
 		t.Errorf("size/time: %d, %v", p.Size, p.Sent)
 	}
-	// Suggestions and loss reports travel as pointers, whichever way the
-	// packet was made; the cold kinds stay values.
+	// Every receiver-controller payload travels as a pointer, whichever way
+	// the packet was made.
 	if got, ok := p.Payload.(*Suggestion); !ok || *got != payload {
 		t.Errorf("payload round trip: %#v", p.Payload)
 	}
@@ -74,8 +74,12 @@ func TestNewControlPacket(t *testing.T) {
 		t.Errorf("literal loss-report packet costs %v allocations, want at most 2", got)
 	}
 	reg := Register{Node: 3, Level: 1}
-	if got, ok := NewControlPacket(3, 0, RegisterSize, 0, reg).Payload.(Register); !ok || got != reg {
-		t.Errorf("register payload changed form: %#v", got)
+	if got, ok := NewControlPacket(3, 0, RegisterSize, 0, reg).Payload.(*Register); !ok || *got != reg {
+		t.Errorf("register not normalised to a pointer: %#v", got)
+	}
+	dereg := Deregister{Node: 3, Session: 1}
+	if got, ok := NewControlPacket(3, 0, DeregisterSize, 0, dereg).Payload.(*Deregister); !ok || *got != dereg {
+		t.Errorf("deregister not normalised to a pointer: %#v", got)
 	}
 }
 
@@ -135,6 +139,27 @@ func TestPooledControlPackets(t *testing.T) {
 		e.Run()
 	}); got != 0 {
 		t.Errorf("steady-state pooled report costs %v allocs, want 0", got)
+	}
+
+	// Register and Deregister ride the same storage, as pointers.
+	reg := Register{Node: a.ID, Session: 2, Level: 1}
+	dereg := Deregister{Node: a.ID, Session: 2}
+	if got := testing.AllocsPerRun(100, func() {
+		p := NewRegisterPacket(n, a.ID, b.ID, e.Now(), reg)
+		if got, ok := p.Payload.(*Register); !ok || *got != reg || p.Size != RegisterSize {
+			t.Errorf("register packet: %+v", p)
+		}
+		a.SendUnicast(p)
+		p.Release()
+		p = NewDeregisterPacket(n, a.ID, b.ID, e.Now(), dereg)
+		if got, ok := p.Payload.(*Deregister); !ok || *got != dereg || p.Size != DeregisterSize {
+			t.Errorf("deregister packet: %+v", p)
+		}
+		a.SendUnicast(p)
+		p.Release()
+		e.Run()
+	}); got != 0 {
+		t.Errorf("steady-state pooled register + deregister cost %v allocs, want 0", got)
 	}
 }
 

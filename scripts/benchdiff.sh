@@ -79,20 +79,19 @@ fanin-gate)
 	# paths: folding a loss report into an aggregate, merging a child
 	# aggregate, the controller's batched suggestion fan-out, a flat report
 	# from the receiver's tick through two hops into the controller's table,
-	# and a TopoSense pass over a tree it has seen. The per-receiver fan-out
-	# may keep one: the closure of the suggestion's mid-interval repeat. A
-	# pass over a 21 111-node tree seen for the first time may allocate once
-	# per column, 64 times at most. Run those benchmarks with -benchmem and
-	# fail on anything above that.
+	# a flat suggestion with its mid-interval repeat, a join/leave cycle's
+	# grafts, prunes and leave timer, and a TopoSense pass over a tree it has
+	# seen. A pass over a 21 111-node tree seen for the first time may
+	# allocate once per column, 64 times at most. Run those benchmarks with
+	# -benchmem and fail on anything above that.
 	[ $# -eq 0 ] || usage
-	out=$(go test -run '^$' -bench 'BenchmarkAggregate|BenchmarkSuggestionFanout|BenchmarkFlat' \
-		-benchmem -benchtime 1000x ./internal/report ./internal/controller)
+	out=$(go test -run '^$' -bench 'BenchmarkAggregate|BenchmarkSuggestionFanout|BenchmarkFlat|BenchmarkJoinLeaveCycle' \
+		-benchmem -benchtime 1000x ./internal/report ./internal/controller ./internal/mcast)
 	out="$out
 $(go test -run '^$' -bench 'BenchmarkStepTree|BenchmarkStepTopologyB/steady' \
 		-benchmem -benchtime 20x ./internal/core)"
 	echo "$out"
 	bad=$(echo "$out" | awk '/^Benchmark/ { max = 0
-		if ($1 ~ /^BenchmarkFlatSuggestionFanout/) max = 1
 		if ($1 ~ /^BenchmarkStepTree\/first-sight/) max = 64
 		if ($(NF-1) + 0 > max) print "  " $1 ": " $(NF-1) " allocs/op, at most " max " allowed" }')
 	if [ -n "$bad" ]; then

@@ -27,16 +27,27 @@ import (
 // 1200 s so the whole suite stays interactive.
 const benchDuration = 300 * sim.Second
 
+// gather executes specs serially and returns their typed rows, failing the
+// benchmark on the first failed run.
+func gather[T any](b *testing.B, specs []experiments.Spec) []T {
+	b.Helper()
+	rows, err := experiments.GatherRows[T](experiments.ExecuteAll(specs))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rows
+}
+
 // BenchmarkFig6Stability: Topology A, stability of the busiest receiver.
 func BenchmarkFig6Stability(b *testing.B) {
 	var lastMax, lastBetween float64
 	for i := 0; i < b.N; i++ {
-		rows := experiments.RunFig6(experiments.Fig6Config{
+		rows := gather[experiments.StabilityRow](b, experiments.Fig6Specs(experiments.Fig6Config{
 			Seed:     int64(i + 1),
 			Duration: benchDuration,
 			PerSet:   []int{2},
 			Traffic:  []experiments.Traffic{experiments.CBR},
-		})
+		}))
 		lastMax = float64(rows[0].MaxChanges)
 		lastBetween = rows[0].MeanBetween.Seconds()
 	}
@@ -48,12 +59,12 @@ func BenchmarkFig6Stability(b *testing.B) {
 func BenchmarkFig7Stability(b *testing.B) {
 	var lastMax, lastBetween float64
 	for i := 0; i < b.N; i++ {
-		rows := experiments.RunFig7(experiments.Fig7Config{
+		rows := gather[experiments.StabilityRow](b, experiments.Fig7Specs(experiments.Fig7Config{
 			Seed:     int64(i + 1),
 			Duration: benchDuration,
 			Sessions: []int{4},
 			Traffic:  []experiments.Traffic{experiments.VBR3},
-		})
+		}))
 		lastMax = float64(rows[0].MaxChanges)
 		lastBetween = rows[0].MeanBetween.Seconds()
 	}
@@ -65,12 +76,12 @@ func BenchmarkFig7Stability(b *testing.B) {
 func BenchmarkFig8Fairness(b *testing.B) {
 	var d1, d2 float64
 	for i := 0; i < b.N; i++ {
-		rows := experiments.RunFig8(experiments.Fig8Config{
+		rows := gather[experiments.FairnessRow](b, experiments.Fig8Specs(experiments.Fig8Config{
 			Seed:     int64(i + 1),
 			Duration: benchDuration,
 			Sessions: []int{4},
 			Traffic:  []experiments.Traffic{experiments.CBR},
-		})
+		}))
 		d1, d2 = rows[0].DevFirst, rows[0].DevSecond
 	}
 	b.ReportMetric(d1, "dev1")
@@ -81,10 +92,14 @@ func BenchmarkFig8Fairness(b *testing.B) {
 func BenchmarkFig9Trace(b *testing.B) {
 	var over float64
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig9(experiments.Fig9Config{
+		run := experiments.Fig9Specs(experiments.Fig9Config{
 			Seed:     int64(i + 1),
 			Duration: benchDuration,
-		})
+		})[0].Execute(0)
+		if run.Failed() {
+			b.Fatal(run.Err)
+		}
+		res := run.Rows.(*experiments.Fig9Result)
 		count, total := 0, 0
 		for _, lv := range res.Levels {
 			for j := 0; j < lv.Len(); j++ {
@@ -106,12 +121,12 @@ func BenchmarkFig9Trace(b *testing.B) {
 func BenchmarkFig10Staleness(b *testing.B) {
 	var fresh, stale float64
 	for i := 0; i < b.N; i++ {
-		rows := experiments.RunFig10(experiments.Fig10Config{
+		rows := gather[experiments.StaleRow](b, experiments.Fig10Specs(experiments.Fig10Config{
 			Seed:      int64(i + 1),
 			Duration:  benchDuration,
 			PerSet:    []int{2},
 			Staleness: []sim.Time{0, 8 * sim.Second},
-		})
+		}))
 		fresh, stale = rows[0].Deviation, rows[1].Deviation
 	}
 	b.ReportMetric(fresh, "dev0")
@@ -122,12 +137,12 @@ func BenchmarkFig10Staleness(b *testing.B) {
 func BenchmarkBaselineRLM(b *testing.B) {
 	var ts, rlm float64
 	for i := 0; i < b.N; i++ {
-		rows := experiments.RunBaseline(experiments.BaselineConfig{
+		rows := gather[experiments.BaselineRow](b, experiments.BaselineSpecs(experiments.BaselineConfig{
 			Seed:     int64(i + 1),
 			Duration: benchDuration,
 			PerSet:   2,
 			Sessions: 2,
-		})
+		}))
 		for _, r := range rows {
 			if r.Algo == "TopoSense" {
 				ts = r.Deviation
@@ -214,11 +229,11 @@ func BenchmarkMetricReduction(b *testing.B) {
 func BenchmarkAblation(b *testing.B) {
 	varDev := map[string]float64{}
 	for i := 0; i < b.N; i++ {
-		rows := experiments.RunAblation(experiments.AblationConfig{
+		rows := gather[experiments.AblationRow](b, experiments.AblationSpecs(experiments.AblationConfig{
 			Seed:     int64(i + 1),
 			Duration: benchDuration,
 			Sessions: 2,
-		})
+		}))
 		for _, r := range rows {
 			varDev[r.Variant] = r.Deviation
 		}

@@ -37,7 +37,6 @@ import (
 	"runtime"
 	"strings"
 
-	"toposense/internal/controller"
 	"toposense/internal/core"
 	"toposense/internal/experiments"
 	"toposense/internal/metrics"
@@ -311,10 +310,6 @@ func printSummary(out io.Writer, sc experiments.Scenario, w *experiments.World) 
 	}
 	if sc.Probe && w.Tool != nil {
 		fmt.Fprintf(out, "discovery: %d probe packets over %d discoveries\n", w.Tool.ProbePackets, w.Tool.Discoveries)
-	}
-	if sc.Billing {
-		fmt.Fprintln(out, "\nbilling ledger:")
-		fmt.Fprint(out, controller.FormatBillingReport(w.Controller.BillingReport()))
 	}
 	if sc.Explain {
 		fmt.Fprintln(out, "\nfinal interval decisions:")

@@ -25,9 +25,8 @@ func TestUsageErrors(t *testing.T) {
 		{"-topo tree,badkey=1", "-topo"},
 		{"-topo tree,depth=x", "-topo"},
 		{"-topo nope", "-topo"},
-		{"-algo rlm -billing", "-billing"},
 		{"-algo rlm -explain", "-explain"},
-		{"-topo tiered -federate -billing", "-billing"},
+		{"-topo tiered -federate -explain", "-explain"},
 		{"-failat 60 -shards 4", "-shards"},
 		{"-topo tiered -failat 60 -federate", "-federate"},
 		{"-topo tiered -federate -aggregate", "-aggregate"},
@@ -39,6 +38,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-algo foo", "-algo"},
 		{"-obs out.txt", "-obs"},
 		{"-receivers 4", "-receivers"}, // removed with -topology and -sessions
+		{"-billing", "-billing"},       // removed with the controller's ledger
 		{"-shards many", "-shards"},
 	}
 	for _, c := range cases {

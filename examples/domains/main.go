@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"toposense/internal/experiments"
 	"toposense/internal/sim"
@@ -22,11 +23,16 @@ func main() {
 	fmt.Println("(600 simulated seconds x 2 architectures x 3 seeds)...")
 	fmt.Println()
 
-	rows := experiments.RunDomains(experiments.DomainsConfig{
+	results := experiments.ExecuteAll(experiments.DomainsSpecs(experiments.DomainsConfig{
 		Seed:     21,
 		Duration: 600 * sim.Second,
-	})
-	fmt.Print(experiments.DomainsTable(rows))
+	}))
+	rows, err := experiments.GatherRows[experiments.DomainRow](results)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	fmt.Print(experiments.DomainsTable(experiments.ReduceDomains(rows)))
 
 	fmt.Println()
 	fmt.Println("both architectures steer every receiver to its domain's optimum;")

@@ -153,7 +153,6 @@ type Controller struct {
 	// folds departures into its export) and cleared at the end of every
 	// step. Lazily allocated: without churn it stays nil and costs nothing.
 	departed map[int]int
-	billing  *ledger // non-nil once EnableBilling is called
 
 	// levelCap caps the level the controller may suggest per session — the
 	// enforcement half of the hierarchical control plane: a parent
@@ -487,9 +486,6 @@ func (c *Controller) consume(payload any) {
 		a.lossN++
 		a.level = pl.Level
 		a.reported = true
-		if c.billing != nil {
-			c.billing.meter(pl.Session, pl.Node, pl.Bytes, pl.Level, pl.Interval)
-		}
 	case *report.Deregister:
 		c.DeregistersRecv++
 		c.Unregister(pl.Session, pl.Node)
@@ -508,9 +504,6 @@ func (c *Controller) consume(payload any) {
 			a.lossN += int(e.Reports)
 			a.level = e.Level
 			a.reported = true
-			if c.billing != nil {
-				c.billing.meter(pl.Session, e.Node, e.Bytes, e.Level, pl.Interval)
-			}
 		}
 		if c.subtrees == nil {
 			c.subtrees = make(map[subtreeKey]core.SubtreeSummary)

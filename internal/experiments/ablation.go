@@ -99,11 +99,6 @@ func AblationSpecs(cfg AblationConfig) []Spec {
 	return specs
 }
 
-// RunAblation runs the ablation sweep by executing its specs serially.
-func RunAblation(cfg AblationConfig) []AblationRow {
-	return mustGather[AblationRow](ExecuteAll(AblationSpecs(cfg)))
-}
-
 // AblationTable renders the ablation sweep.
 func AblationTable(rows []AblationRow) *Table {
 	t := &Table{

@@ -90,11 +90,6 @@ func BaselineSpecs(cfg BaselineConfig) []Spec {
 	return specs
 }
 
-// RunBaseline runs the comparison by executing its specs serially.
-func RunBaseline(cfg BaselineConfig) []BaselineRow {
-	return mustGather[BaselineRow](ExecuteAll(BaselineSpecs(cfg)))
-}
-
 // BaselineTable renders the comparison.
 func BaselineTable(rows []BaselineRow) *Table {
 	t := &Table{

@@ -255,11 +255,6 @@ func ChurnStudySpecs(cfg ChurnStudyConfig) []Spec {
 	return specs
 }
 
-// RunChurnStudy runs the sweep by executing its specs serially.
-func RunChurnStudy(cfg ChurnStudyConfig) []ChurnStudyRow {
-	return mustGather[ChurnStudyRow](ExecuteAll(ChurnStudySpecs(cfg)))
-}
-
 // ChurnStudyTable renders the sweep.
 func ChurnStudyTable(rows []ChurnStudyRow) *Table {
 	t := &Table{

@@ -68,13 +68,6 @@ func ConvergenceSpecs(cfg ConvergenceConfig) []Spec {
 		})}
 }
 
-// RunConvergence builds a K-set heterogeneous topology (set k's access link
-// sized for exactly k layers plus headroom) and measures convergence and
-// intra-session fairness per set.
-func RunConvergence(cfg ConvergenceConfig) []ConvergenceRow {
-	return mustGather[ConvergenceRow](ExecuteAll(ConvergenceSpecs(cfg)))
-}
-
 func runConvergence(cfg ConvergenceConfig, m *Meter) []ConvergenceRow {
 	e := sim.NewEngine(cfg.Seed)
 	n := netsim.New(e)

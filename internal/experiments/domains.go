@@ -164,13 +164,6 @@ func ReduceDomains(perSeed []DomainRow) []DomainRow {
 	return rows
 }
 
-// RunDomains runs both control architectures on the identical two-domain
-// topology and reports per-domain quality. The paper's scalability claim
-// holds if per-domain local controllers match the global one.
-func RunDomains(cfg DomainsConfig) []DomainRow {
-	return ReduceDomains(mustGather[DomainRow](ExecuteAll(DomainsSpecs(cfg))))
-}
-
 // DomainsTable renders the comparison.
 func DomainsTable(rows []DomainRow) *Table {
 	t := &Table{

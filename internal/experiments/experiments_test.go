@@ -42,12 +42,12 @@ func TestWorldAssemblyB(t *testing.T) {
 }
 
 func TestRunFig6Scaled(t *testing.T) {
-	rows := RunFig6(Fig6Config{
+	rows := gather[StabilityRow](t, Fig6Specs(Fig6Config{
 		Seed:     1,
 		Duration: 120 * sim.Second,
 		PerSet:   []int{1, 2},
 		Traffic:  []Traffic{CBR},
-	})
+	}))
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -72,12 +72,12 @@ func TestRunFig6Scaled(t *testing.T) {
 }
 
 func TestRunFig7Scaled(t *testing.T) {
-	rows := RunFig7(Fig7Config{
+	rows := gather[StabilityRow](t, Fig7Specs(Fig7Config{
 		Seed:     1,
 		Duration: 120 * sim.Second,
 		Sessions: []int{2},
 		Traffic:  []Traffic{CBR, VBR3},
-	})
+	}))
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -89,12 +89,12 @@ func TestRunFig7Scaled(t *testing.T) {
 }
 
 func TestRunFig8Scaled(t *testing.T) {
-	rows := RunFig8(Fig8Config{
+	rows := gather[FairnessRow](t, Fig8Specs(Fig8Config{
 		Seed:     1,
 		Duration: 300 * sim.Second,
 		Sessions: []int{2},
 		Traffic:  []Traffic{CBR},
-	})
+	}))
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -113,11 +113,11 @@ func TestRunFig8Scaled(t *testing.T) {
 }
 
 func TestRunFig9Scaled(t *testing.T) {
-	res := RunFig9(Fig9Config{
+	res := runSingle[*Fig9Result](t, Fig9Specs(Fig9Config{
 		Seed:     1,
 		Sessions: 2,
 		Duration: 120 * sim.Second,
-	})
+	}))
 	if len(res.Levels) != 2 || len(res.Losses) != 2 {
 		t.Fatalf("series count wrong")
 	}
@@ -139,12 +139,12 @@ func TestRunFig9Scaled(t *testing.T) {
 }
 
 func TestRunFig10Scaled(t *testing.T) {
-	rows := RunFig10(Fig10Config{
+	rows := gather[StaleRow](t, Fig10Specs(Fig10Config{
 		Seed:      1,
 		Duration:  120 * sim.Second,
 		PerSet:    []int{1},
 		Staleness: []sim.Time{0, 8 * sim.Second},
-	})
+	}))
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -162,13 +162,13 @@ func TestRunFig10Scaled(t *testing.T) {
 }
 
 func TestRunBaselineScaled(t *testing.T) {
-	rows := RunBaseline(BaselineConfig{
+	rows := gather[BaselineRow](t, BaselineSpecs(BaselineConfig{
 		Seed:     1,
 		Duration: 120 * sim.Second,
 		Traffics: []Traffic{CBR},
 		PerSet:   1,
 		Sessions: 2,
-	})
+	}))
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -228,7 +228,7 @@ func TestTrafficDefinitions(t *testing.T) {
 }
 
 func TestRunAblationScaled(t *testing.T) {
-	rows := RunAblation(AblationConfig{Seed: 1, Duration: 120 * sim.Second, Sessions: 2})
+	rows := gather[AblationRow](t, AblationSpecs(AblationConfig{Seed: 1, Duration: 120 * sim.Second, Sessions: 2}))
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d, want 5 variants", len(rows))
 	}
@@ -251,7 +251,7 @@ func TestRunAblationScaled(t *testing.T) {
 
 func TestRunExtensionsScaled(t *testing.T) {
 	cfg := ExtensionConfig{Seed: 1, Seeds: 1, Duration: 120 * sim.Second}
-	gran := RunGranularity(cfg)
+	gran := reduceExtension(gather[ExtensionRow](t, GranularitySpecs(cfg)))
 	if len(gran) != 3 {
 		t.Fatalf("granularity rows = %d", len(gran))
 	}
@@ -267,11 +267,11 @@ func TestRunExtensionsScaled(t *testing.T) {
 			gran[2].TimeToOptimal, gran[0].TimeToOptimal)
 	}
 
-	ll := RunLeaveLatency(cfg)
+	ll := reduceExtension(gather[ExtensionRow](t, LeaveLatencySpecs(cfg)))
 	if len(ll) != 5 {
 		t.Fatalf("leave-latency rows = %d", len(ll))
 	}
-	iv := RunIntervalSize(cfg)
+	iv := reduceExtension(gather[ExtensionRow](t, IntervalSizeSpecs(cfg)))
 	if len(iv) != 4 {
 		t.Fatalf("interval rows = %d", len(iv))
 	}
@@ -281,7 +281,7 @@ func TestRunExtensionsScaled(t *testing.T) {
 }
 
 func TestRunDomainsScaled(t *testing.T) {
-	rows := RunDomains(DomainsConfig{Seed: 1, Seeds: 1, Duration: 240 * sim.Second, ReceiversPer: 2})
+	rows := ReduceDomains(gather[DomainRow](t, DomainsSpecs(DomainsConfig{Seed: 1, Seeds: 1, Duration: 240 * sim.Second, ReceiversPer: 2})))
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d, want 4 (2 variants x 2 domains)", len(rows))
 	}
@@ -328,7 +328,7 @@ func TestPerDomainControllersAreIndependent(t *testing.T) {
 }
 
 func TestRunConvergenceScaled(t *testing.T) {
-	rows := RunConvergence(ConvergenceConfig{Seed: 1, Duration: 240 * sim.Second, Sets: 3, PerSet: 2})
+	rows := gather[ConvergenceRow](t, ConvergenceSpecs(ConvergenceConfig{Seed: 1, Duration: 240 * sim.Second, Sets: 3, PerSet: 2}))
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -358,20 +358,8 @@ func TestRunConvergenceScaled(t *testing.T) {
 	}
 }
 
-func TestFig9Plots(t *testing.T) {
-	res := RunFig9(Fig9Config{Seed: 1, Sessions: 2, Duration: 60 * sim.Second})
-	full := res.Plot(60, 6)
-	if !strings.Contains(full, "*") || !strings.Contains(full, "session0/level") {
-		t.Errorf("full plot broken:\n%s", full)
-	}
-	win := res.PlotWindow(60, 6)
-	if !strings.Contains(win, "subscription level:") || !strings.Contains(win, "loss rate:") {
-		t.Errorf("window plot broken:\n%s", win)
-	}
-}
-
 func TestRunQueuePoliciesScaled(t *testing.T) {
-	rows := RunQueuePolicies(QueueConfig{Seed: 1, Duration: 180 * sim.Second, Sessions: 2})
+	rows := gather[QueueRow](t, QueuePolicySpecs(QueueConfig{Seed: 1, Duration: 180 * sim.Second, Sessions: 2}))
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -395,7 +383,7 @@ func TestRunQueuePoliciesScaled(t *testing.T) {
 }
 
 func TestRunVarianceScaled(t *testing.T) {
-	rows := RunVariance(VarianceConfig{Seed: 1, Seeds: 2, Duration: 120 * sim.Second, Sessions: 2})
+	rows := ReduceVariance(gather[VarianceSample](t, VarianceSpecs(VarianceConfig{Seed: 1, Seeds: 2, Duration: 120 * sim.Second, Sessions: 2})))
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -416,7 +404,7 @@ func TestRunVarianceScaled(t *testing.T) {
 }
 
 func TestRunLastMileScaled(t *testing.T) {
-	rows := RunLastMile(LastMileConfig{Seed: 1, Duration: 240 * sim.Second})
+	rows := gather[LastMileRow](t, LastMileSpecs(LastMileConfig{Seed: 1, Duration: 240 * sim.Second}))
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}

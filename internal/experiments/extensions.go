@@ -139,11 +139,6 @@ func GranularitySpecs(cfg ExtensionConfig) []Spec {
 	return specs
 }
 
-// RunGranularity runs the granularity sweep serially and averages seeds.
-func RunGranularity(cfg ExtensionConfig) []ExtensionRow {
-	return reduceExtension(mustGather[ExtensionRow](ExecuteAll(GranularitySpecs(cfg))))
-}
-
 // LeaveLatencySpecs sweeps the multicast group-leave latency on Topology B,
 // one run per (latency, seed): the longer pruning takes, the longer a
 // dropped layer keeps congesting the bottleneck after the decision, and the
@@ -184,11 +179,6 @@ func LeaveLatencySpecs(cfg ExtensionConfig) []Spec {
 	return specs
 }
 
-// RunLeaveLatency runs the leave-latency sweep serially and averages seeds.
-func RunLeaveLatency(cfg ExtensionConfig) []ExtensionRow {
-	return reduceExtension(mustGather[ExtensionRow](ExecuteAll(LeaveLatencySpecs(cfg))))
-}
-
 // IntervalSizeSpecs sweeps the controller's decision interval, one run per
 // (interval, seed): short intervals react fast but see bursty noise and
 // drain transients; long intervals smooth the noise but react slowly — the
@@ -220,11 +210,6 @@ func IntervalSizeSpecs(cfg ExtensionConfig) []Spec {
 		}
 	}
 	return specs
-}
-
-// RunIntervalSize runs the interval sweep serially and averages seeds.
-func RunIntervalSize(cfg ExtensionConfig) []ExtensionRow {
-	return reduceExtension(mustGather[ExtensionRow](ExecuteAll(IntervalSizeSpecs(cfg))))
 }
 
 func worldBWithOverrides(wc WorldConfig, m *Meter) *World {

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"toposense/internal/faults"
-	"toposense/internal/plot"
 	"toposense/internal/sim"
 	"toposense/internal/trace"
 )
@@ -68,17 +67,12 @@ type FailureRow struct {
 	Recovered bool `json:"recovered"`
 }
 
-// FailureResult carries the rows plus the event bookkeeping and sampled
-// series the report plots.
+// FailureResult carries the rows plus the event bookkeeping the report
+// prints.
 type FailureResult struct {
 	FailAt   sim.Time
 	RepairAt sim.Time
 	Rows     []FailureRow
-
-	// Levels[s] is session s's sampled subscription level; Throughput is
-	// the bottleneck's delivered rate in Mbit/s per sample.
-	Levels     []*trace.Series
-	Throughput *trace.Series
 
 	// Control-plane work the event caused.
 	TreeRepairs  int64 `json:"tree_repairs"`
@@ -132,13 +126,13 @@ func FailureSpecs(cfg FailureConfig) []Spec {
 
 			for s := 0; s < cfg.Sessions; s++ {
 				lv := sampler.Series(fmt.Sprintf("session%d/level", s))
-				res.Levels = append(res.Levels, lv)
 				res.Rows = append(res.Rows, failureRow(s, lv, res.FailAt, res.RepairAt, cfg.Duration))
 			}
-			res.Throughput = sampler.Series("bottleneck/mbps")
-			res.ThroughputPre = res.Throughput.Window(res.FailAt-settleWindow, res.FailAt).Mean()
-			res.ThroughputDuring = res.Throughput.Window(res.FailAt+sim.Second, res.RepairAt).Mean()
-			res.ThroughputPost = res.Throughput.Window(cfg.Duration-settleWindow, cfg.Duration).Mean()
+			// The bottleneck's delivered rate in Mbit/s per sample.
+			tput := sampler.Series("bottleneck/mbps")
+			res.ThroughputPre = tput.Window(res.FailAt-settleWindow, res.FailAt).Mean()
+			res.ThroughputDuring = tput.Window(res.FailAt+sim.Second, res.RepairAt).Mean()
+			res.ThroughputPost = tput.Window(cfg.Duration-settleWindow, cfg.Duration).Mean()
 			res.TreeRepairs = w.Domain.Repairs
 			res.Grafts = w.Domain.Grafts
 			res.Prunes = w.Domain.Prunes
@@ -186,15 +180,6 @@ func failureRow(session int, lv *trace.Series, failAt, repairAt, duration sim.Ti
 	return row
 }
 
-// RunFailure executes the experiment and returns its result.
-func RunFailure(cfg FailureConfig) *FailureResult {
-	res := FailureSpecs(cfg)[0].Execute(0)
-	if res.Failed() {
-		panic("experiments: " + res.Err)
-	}
-	return res.Rows.(*FailureResult)
-}
-
 // Table renders the per-session recovery summary.
 func (r *FailureResult) Table() *Table {
 	t := &Table{
@@ -217,11 +202,6 @@ func (r *FailureResult) Table() *Table {
 	return t
 }
 
-// Plot renders the sessions' subscription levels over the full run.
-func (r *FailureResult) Plot(width, height int) string {
-	return plot.Line(r.Levels, width, height)
-}
-
 // Summary reports the event bookkeeping and throughput through the outage.
 func (r *FailureResult) Summary() string {
 	var b strings.Builder
@@ -232,8 +212,8 @@ func (r *FailureResult) Summary() string {
 	return b.String()
 }
 
-// MarshalJSON exports the outage window, rows and scalar stats; the raw
-// sampled series stay out of the JSON (they are plot inputs, not results).
+// MarshalJSON exports the outage window in seconds, the rows and the scalar
+// stats.
 func (r *FailureResult) MarshalJSON() ([]byte, error) {
 	return json.Marshal(struct {
 		FailAtS          float64      `json:"fail_at_s"`

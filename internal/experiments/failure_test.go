@@ -28,7 +28,7 @@ func TestFailureDeterministicPerSeed(t *testing.T) {
 		t.Skip("full failure/repair run")
 	}
 	marshal := func() []byte {
-		res := RunFailure(shortFailureConfig(42))
+		res := runSingle[*FailureResult](t, FailureSpecs(shortFailureConfig(42)))
 		b, err := json.Marshal(res)
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
@@ -48,7 +48,7 @@ func TestFailureSessionsRecover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full failure/repair run")
 	}
-	res := RunFailure(shortFailureConfig(7))
+	res := runSingle[*FailureResult](t, FailureSpecs(shortFailureConfig(7)))
 
 	if res.LinkFailures != 2 || res.LinkRepairs != 2 {
 		t.Fatalf("outage did not execute: %d failures, %d repairs (want 2 each: both directions)",

@@ -163,11 +163,6 @@ func federationRows(w *World, variant string, dur sim.Time) []FederationRow {
 	return rows
 }
 
-// RunFederation executes both variants and returns their rows.
-func RunFederation(cfg FederationConfig) []FederationRow {
-	return mustGather[FederationRow](ExecuteAll(FederationSpecs(cfg)))
-}
-
 // FederationTable renders the comparison.
 func FederationTable(rows []FederationRow) *Table {
 	t := &Table{

@@ -89,11 +89,6 @@ func Fig10Specs(cfg Fig10Config) []Spec {
 	return specs
 }
 
-// RunFig10 reproduces Figure 10 by executing its specs serially.
-func RunFig10(cfg Fig10Config) []StaleRow {
-	return mustGather[StaleRow](ExecuteAll(Fig10Specs(cfg)))
-}
-
 // StaleTable renders Figure 10 rows.
 func StaleTable(rows []StaleRow) *Table {
 	t := &Table{

@@ -64,11 +64,6 @@ func Fig6Specs(cfg Fig6Config) []Spec {
 	return specs
 }
 
-// RunFig6 reproduces Figure 6 by executing its specs serially.
-func RunFig6(cfg Fig6Config) []StabilityRow {
-	return mustGather[StabilityRow](ExecuteAll(Fig6Specs(cfg)))
-}
-
 // StabilityTable renders stability rows as the two panels the paper plots.
 func StabilityTable(title, xLabel string, rows []StabilityRow) *Table {
 	t := &Table{

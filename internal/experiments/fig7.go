@@ -53,8 +53,3 @@ func Fig7Specs(cfg Fig7Config) []Spec {
 	}
 	return specs
 }
-
-// RunFig7 reproduces Figure 7 by executing its specs serially.
-func RunFig7(cfg Fig7Config) []StabilityRow {
-	return mustGather[StabilityRow](ExecuteAll(Fig7Specs(cfg)))
-}

@@ -73,11 +73,6 @@ func Fig8Specs(cfg Fig8Config) []Spec {
 	return specs
 }
 
-// RunFig8 reproduces Figure 8 by executing its specs serially.
-func RunFig8(cfg Fig8Config) []FairnessRow {
-	return mustGather[FairnessRow](ExecuteAll(Fig8Specs(cfg)))
-}
-
 // FairnessTable renders Figure 8 rows.
 func FairnessTable(rows []FairnessRow) *Table {
 	t := &Table{

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"toposense/internal/plot"
 	"toposense/internal/sim"
 	"toposense/internal/trace"
 )
@@ -84,16 +83,6 @@ func Fig9Specs(cfg Fig9Config) []Spec {
 		})}
 }
 
-// RunFig9 reproduces Figure 9: run Topology B and record each session's
-// subscription level and loss rate.
-func RunFig9(cfg Fig9Config) *Fig9Result {
-	res := Fig9Specs(cfg)[0].Execute(0)
-	if res.Failed() {
-		panic("experiments: " + res.Err)
-	}
-	return res.Rows.(*Fig9Result)
-}
-
 // WindowTable renders the paper's 10-second window sample by sample.
 func (r *Fig9Result) WindowTable() *Table {
 	t := &Table{
@@ -124,24 +113,6 @@ func (r *Fig9Result) WindowTable() *Table {
 		t.AddRow(row...)
 	}
 	return t
-}
-
-// Plot renders the sessions' subscription levels over the full run as an
-// ASCII chart — the upper panel of the paper's Figure 9.
-func (r *Fig9Result) Plot(width, height int) string {
-	return plot.Line(r.Levels, width, height)
-}
-
-// PlotWindow renders the configured window only, level and loss stacked —
-// both panels of the paper's Figure 9.
-func (r *Fig9Result) PlotWindow(width, height int) string {
-	var lv, ls []*trace.Series
-	for s := range r.Levels {
-		lv = append(lv, r.Levels[s].Window(r.Window.From, r.Window.To))
-		ls = append(ls, r.Losses[s].Window(r.Window.From, r.Window.To))
-	}
-	return "subscription level:\n" + plot.Line(lv, width, height) +
-		"loss rate:\n" + plot.Line(ls, width, height)
 }
 
 // Fig9Summary is the JSON-friendly reduction of one session's series —
@@ -178,7 +149,7 @@ func (r *Fig9Result) SummaryRows() []Fig9Summary {
 }
 
 // MarshalJSON exports the window bounds and per-session summaries; the raw
-// sampled series stay out of the JSON (they are plot inputs, not results).
+// sampled series stay out of the JSON (they are table inputs, not results).
 func (r *Fig9Result) MarshalJSON() ([]byte, error) {
 	return json.Marshal(struct {
 		WindowFromS float64       `json:"window_from_s"`

@@ -66,11 +66,6 @@ func LastMileSpecs(cfg LastMileConfig) []Spec {
 	return specs
 }
 
-// RunLastMile runs the depth study by executing its specs serially.
-func RunLastMile(cfg LastMileConfig) []LastMileRow {
-	return mustGather[LastMileRow](ExecuteAll(LastMileSpecs(cfg)))
-}
-
 func runLastMileDepth(cfg LastMileConfig, di int, where string, m *Meter) LastMileRow {
 	e := sim.NewEngine(cfg.Seed)
 	n := netsim.New(e)

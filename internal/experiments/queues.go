@@ -95,11 +95,6 @@ func QueuePolicySpecs(cfg QueueConfig) []Spec {
 	return specs
 }
 
-// RunQueuePolicies runs the comparison by executing its specs serially.
-func RunQueuePolicies(cfg QueueConfig) []QueueRow {
-	return mustGather[QueueRow](ExecuteAll(QueuePolicySpecs(cfg)))
-}
-
 // QueueTable renders the comparison.
 func QueueTable(rows []QueueRow) *Table {
 	t := &Table{

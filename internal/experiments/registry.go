@@ -67,6 +67,24 @@ func table[T any](results []Result, render func([]T) *Table) (string, error) {
 	return render(rows).String() + "\n", nil
 }
 
+// single returns the rows of a one-run sweep whose body returns one typed
+// result instead of a row slice (figure 9, fig_failure).
+func single[T any](results []Result) (T, error) {
+	var zero T
+	if len(results) != 1 {
+		return zero, fmt.Errorf("want 1 result with %T rows, got %d", zero, len(results))
+	}
+	r := results[0]
+	if r.Failed() {
+		return zero, fmt.Errorf("run %s failed: %s", r.Name, r.Err)
+	}
+	rows, ok := r.Rows.(T)
+	if !ok {
+		return zero, fmt.Errorf("run %s: rows are %T, want %T", r.Name, r.Rows, zero)
+	}
+	return rows, nil
+}
+
 // Registry returns every experiment in report order. The slice is freshly
 // built per call, so callers may not mutate shared state through it.
 func Registry() []Experiment {
@@ -128,25 +146,11 @@ func Registry() []Experiment {
 				return Fig9Specs(Fig9Config{Seed: cfg.Seed, Duration: quickDur(cfg)})
 			},
 			Render: func(results []Result) (string, error) {
-				if len(results) != 1 {
-					return "", fmt.Errorf("figure 9: want 1 result, got %d", len(results))
+				res, err := single[*Fig9Result](results)
+				if err != nil {
+					return "", err
 				}
-				if results[0].Failed() {
-					return "", fmt.Errorf("run %s failed: %s", results[0].Name, results[0].Err)
-				}
-				res, ok := results[0].Rows.(*Fig9Result)
-				if !ok {
-					return "", fmt.Errorf("run %s: rows are %T, want *Fig9Result", results[0].Name, results[0].Rows)
-				}
-				var b strings.Builder
-				b.WriteString("Figure 9 (full run, subscription levels):\n")
-				b.WriteString(res.Plot(100, 9))
-				b.WriteString("\n")
-				b.WriteString(res.WindowTable().String())
-				b.WriteString("\n")
-				b.WriteString(res.Summary())
-				b.WriteString("\n")
-				return b.String(), nil
+				return res.WindowTable().String() + "\n" + res.Summary() + "\n", nil
 			},
 		},
 		{
@@ -178,25 +182,11 @@ func Registry() []Experiment {
 				return FailureSpecs(c)
 			},
 			Render: func(results []Result) (string, error) {
-				if len(results) != 1 {
-					return "", fmt.Errorf("fig_failure: want 1 result, got %d", len(results))
+				res, err := single[*FailureResult](results)
+				if err != nil {
+					return "", err
 				}
-				if results[0].Failed() {
-					return "", fmt.Errorf("run %s failed: %s", results[0].Name, results[0].Err)
-				}
-				res, ok := results[0].Rows.(*FailureResult)
-				if !ok {
-					return "", fmt.Errorf("run %s: rows are %T, want *FailureResult", results[0].Name, results[0].Rows)
-				}
-				var b strings.Builder
-				b.WriteString("Failure/repair (subscription levels through the outage):\n")
-				b.WriteString(res.Plot(100, 9))
-				b.WriteString("\n")
-				b.WriteString(res.Table().String())
-				b.WriteString("\n")
-				b.WriteString(res.Summary())
-				b.WriteString("\n")
-				return b.String(), nil
+				return res.Table().String() + "\n" + res.Summary() + "\n", nil
 			},
 		},
 		{

@@ -252,11 +252,6 @@ func scaleSpec(sc Scenario) Spec {
 		})
 }
 
-// RunScale executes the scaling sweep serially.
-func RunScale(cfg ScaleConfig) []ScaleRow {
-	return mustGather[ScaleRow](ExecuteAll(ScaleSpecs(cfg)))
-}
-
 // ScaleTable renders the curve, joining each row with its run's event
 // throughput from the Result (events/s and wall seconds live there, not in
 // the row, so the renderer takes both). When the sweep ran points on both

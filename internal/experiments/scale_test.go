@@ -34,7 +34,10 @@ func TestScaleSmoke(t *testing.T) {
 		t.Fatalf("specs = %d, want 1", len(specs))
 	}
 	results := ExecuteAll(specs)
-	rows := mustGather[ScaleRow](results)
+	rows, err := GatherRows[ScaleRow](results)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(rows))
 	}

@@ -28,7 +28,6 @@ type Scenario struct {
 	Aggregate bool // in-network report aggregation toward the flat controller
 	Probe     bool // mtrace-style probe discovery instead of the oracle
 	Staleness float64
-	Billing   bool // meter usage at the flat controller
 	Explain   bool // keep the flat controller's per-node decisions
 
 	Shards   int // 0 = the single-threaded engine, N >= 1 = N sharded workers
@@ -69,7 +68,6 @@ func (s *Scenario) Bind(fs *flag.FlagSet) {
 	fs.BoolVar(&s.Aggregate, "aggregate", s.Aggregate, "install the in-network feedback aggregation layer (toposense only)")
 	fs.BoolVar(&s.Probe, "probe", s.Probe, "use mtrace-style probe-based topology discovery")
 	fs.Float64Var(&s.Staleness, "staleness", s.Staleness, "topology information staleness in seconds")
-	fs.BoolVar(&s.Billing, "billing", s.Billing, "print the controller's billing ledger (flat toposense plane only)")
 	fs.BoolVar(&s.Explain, "explain", s.Explain, "print the algorithm's per-node decisions for the final interval (flat toposense plane only)")
 	fs.IntVar(&s.Shards, "shards", s.Shards, "engine workers: 0 = single-threaded engine, N >= 1 = sharded engine with N workers")
 	fs.Float64Var(&s.Duration, "duration", s.Duration, "simulated seconds")
@@ -106,7 +104,7 @@ func (s Scenario) Validate() error {
 			"drop -aggregate to run the hierarchical control plane, or drop -federate to keep flat-controller aggregation"},
 		{s.Aggregate && s.RLM, "-aggregate: the aggregation layer serves the toposense controller; it has no meaning under -algo rlm"},
 		{s.Federate && s.RLM, "-federate: the hierarchical control plane federates toposense controllers; it has no meaning under -algo rlm"},
-		{(s.Billing || s.Explain) && (s.Federate || s.RLM), "-billing and -explain read the single flat controller, which neither -federate nor -algo rlm runs; drop them"},
+		{s.Explain && (s.Federate || s.RLM), "-explain reads the single flat controller, which neither -federate nor -algo rlm runs; drop it"},
 	} {
 		if r.bad {
 			return errors.New(r.why)
@@ -118,8 +116,8 @@ func (s Scenario) Validate() error {
 // Assemble validates the scenario and builds its world, in the order that is
 // part of the determinism contract (event sequence numbers are assigned at
 // Schedule, the run-wide RNG is drawn at churn registration): engine,
-// topology, fault schedule, AssembleWorld, the meter's observers, billing
-// and explain switches, churn slots. The world is ready for Run; a
+// topology, fault schedule, AssembleWorld, the meter's observers, the explain
+// switch, churn slots. The world is ready for Run; a
 // scheduled outage's injector is World.Faults.
 func (s Scenario) Assemble(m *Meter) (*World, error) {
 	if err := s.Validate(); err != nil {
@@ -156,9 +154,6 @@ func (s Scenario) Assemble(m *Meter) (*World, error) {
 	}
 	w.Faults = inj
 	m.ObserveWorld(w)
-	if s.Billing {
-		w.Controller.EnableBilling()
-	}
 	if s.Explain {
 		w.Controller.Algorithm().EnableExplain()
 	}

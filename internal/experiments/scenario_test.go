@@ -32,7 +32,7 @@ func TestScenarioValidate(t *testing.T) {
 		{name: "churn federated sharded", edit: func(s *Scenario) { s.Shards, s.Federate, s.Churn = 4, true, 4 }},
 		{name: "rlm alone", edit: func(s *Scenario) { s.RLM = true }},
 		{name: "rlm churn", edit: func(s *Scenario) { s.RLM, s.Churn = true, 4 }},
-		{name: "flat billing and explain", edit: func(s *Scenario) { s.Billing, s.Explain = true, true }},
+		{name: "flat explain", edit: func(s *Scenario) { s.Explain = true }},
 		{name: "family name alone", edit: func(s *Scenario) { s.Topo = "tree" }},
 		{name: "stale and probed", edit: func(s *Scenario) { s.Staleness, s.Probe = 6, true }},
 
@@ -70,12 +70,10 @@ func TestScenarioValidate(t *testing.T) {
 			frags: []string{"-aggregate", "-algo rlm"}},
 		{name: "rlm federate", edit: func(s *Scenario) { s.RLM, s.Federate = true, true },
 			frags: []string{"-federate", "-algo rlm"}},
-		{name: "rlm billing", edit: func(s *Scenario) { s.RLM, s.Billing = true, true },
-			frags: []string{"-algo rlm", "-billing"}},
 		{name: "rlm explain", edit: func(s *Scenario) { s.RLM, s.Explain = true, true },
 			frags: []string{"-algo rlm", "-explain"}},
-		{name: "federated billing", edit: func(s *Scenario) { s.Topo, s.Federate, s.Billing = "tiered", true, true },
-			frags: []string{"-federate", "-billing"}},
+		{name: "federated explain", edit: func(s *Scenario) { s.Topo, s.Federate, s.Explain = "tiered", true, true },
+			frags: []string{"-federate", "-explain"}},
 	}
 	for _, c := range cases {
 		s := DefaultScenario()

@@ -237,15 +237,3 @@ func GatherRows[T any](results []Result) ([]T, error) {
 	}
 	return out, nil
 }
-
-// mustGather backs the legacy RunFigN entry points, which predate error
-// returns: their specs' bodies only fail by panicking, and ExecuteAll has
-// already converted any panic into a failed Result, so re-raising keeps
-// the old contract.
-func mustGather[T any](results []Result) []T {
-	rows, err := GatherRows[T](results)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	return rows
-}

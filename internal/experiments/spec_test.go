@@ -79,6 +79,42 @@ func TestGatherRowsErrors(t *testing.T) {
 	if _, err := GatherRows[StabilityRow](mismatch); err == nil || !strings.Contains(err.Error(), "want") {
 		t.Errorf("type mismatch not surfaced: %v", err)
 	}
+	// single, the one-run form behind figure 9 and fig_failure.
+	for _, c := range []struct {
+		results []Result
+		frag    string
+	}{
+		{failed, "boom"},
+		{mismatch, "want *experiments.Fig9Result"},
+		{nil, "got 0"},
+		{append(failed, failed...), "got 2"},
+	} {
+		if _, err := single[*Fig9Result](c.results); err == nil || !strings.Contains(err.Error(), c.frag) {
+			t.Errorf("single(%d results): error %v, want it to mention %q", len(c.results), err, c.frag)
+		}
+	}
+}
+
+// gather executes specs serially and returns their typed rows, failing the
+// test on the first failed run.
+func gather[T any](t testing.TB, specs []Spec) []T {
+	t.Helper()
+	rows, err := GatherRows[T](ExecuteAll(specs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// runSingle executes a one-run sweep and returns its typed result, failing
+// the test if the run failed.
+func runSingle[T any](t testing.TB, specs []Spec) T {
+	t.Helper()
+	res, err := single[T](ExecuteAll(specs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestRegistry(t *testing.T) {
@@ -170,7 +206,7 @@ func TestExportJSONRoundTrip(t *testing.T) {
 }
 
 func TestFig9ResultMarshalJSON(t *testing.T) {
-	res := RunFig9(Fig9Config{Seed: 1, Duration: 60 * sim.Second, Sessions: 2})
+	res := runSingle[*Fig9Result](t, Fig9Specs(Fig9Config{Seed: 1, Duration: 60 * sim.Second, Sessions: 2}))
 	data, err := json.Marshal(res)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)

@@ -93,12 +93,6 @@ func ReduceVariance(samples []VarianceSample) []VarianceRow {
 	return rows
 }
 
-// RunVariance measures the across-seed spread of the mean relative
-// deviation on Topology B for each traffic model.
-func RunVariance(cfg VarianceConfig) []VarianceRow {
-	return ReduceVariance(mustGather[VarianceSample](ExecuteAll(VarianceSpecs(cfg))))
-}
-
 func summarize(name string, xs []float64) VarianceRow {
 	row := VarianceRow{Traffic: name, Seeds: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
 	for _, x := range xs {

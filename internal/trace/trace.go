@@ -1,13 +1,13 @@
-// Package trace provides lightweight time-series recording for experiment
-// output — the subscription-level and loss-rate traces behind the paper's
-// Figure 9 — plus a typed event log useful when debugging simulations.
+// Package trace records time series for experiment output: Series holds
+// (time, value) samples and Sampler fills named series from probes on a
+// fixed period — the subscription-level and loss-rate traces behind the
+// paper's Figure 9 and toposim's -tsv export.
 package trace
 
 import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"toposense/internal/sim"
 )
@@ -154,55 +154,4 @@ func (sp *Sampler) Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Event is one entry of the event log.
-type Event struct {
-	At   sim.Time
-	Kind string
-	Msg  string
-}
-
-// Log is an append-only event log. Callers on a sharded engine must only
-// Addf from the global context (the clock read and the append both assume
-// single-threaded access).
-type Log struct {
-	engine sim.Scheduler
-	events []Event
-	// KindFilter, when non-empty, records only these kinds.
-	KindFilter map[string]bool
-}
-
-// NewLog creates a log bound to the scheduler's clock.
-func NewLog(engine sim.Scheduler) *Log { return &Log{engine: sim.GlobalOf(engine)} }
-
-// Addf records a formatted event.
-func (l *Log) Addf(kind, format string, args ...any) {
-	if l.KindFilter != nil && !l.KindFilter[kind] {
-		return
-	}
-	l.events = append(l.events, Event{At: l.engine.Now(), Kind: kind, Msg: fmt.Sprintf(format, args...)})
-}
-
-// Events returns all recorded events.
-func (l *Log) Events() []Event { return l.events }
-
-// OfKind returns the events of one kind.
-func (l *Log) OfKind(kind string) []Event {
-	var out []Event
-	for _, e := range l.events {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// String renders the log, one event per line.
-func (l *Log) String() string {
-	var b strings.Builder
-	for _, e := range l.events {
-		fmt.Fprintf(&b, "%10.3f  %-10s %s\n", e.At.Seconds(), e.Kind, e.Msg)
-	}
-	return b.String()
 }

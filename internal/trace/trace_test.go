@@ -97,34 +97,6 @@ func TestSampler(t *testing.T) {
 	}
 }
 
-func TestLog(t *testing.T) {
-	e := sim.NewEngine(1)
-	l := NewLog(e)
-	l.Addf("join", "receiver %d joined layer %d", 3, 2)
-	e.Schedule(sim.Second, func() { l.Addf("drop", "packet lost") })
-	e.Run()
-	if len(l.Events()) != 2 {
-		t.Fatalf("events = %v", l.Events())
-	}
-	if got := l.OfKind("join"); len(got) != 1 || got[0].At != 0 {
-		t.Errorf("OfKind(join) = %v", got)
-	}
-	if !strings.Contains(l.String(), "receiver 3 joined layer 2") {
-		t.Errorf("String = %q", l.String())
-	}
-}
-
-func TestLogKindFilter(t *testing.T) {
-	e := sim.NewEngine(1)
-	l := NewLog(e)
-	l.KindFilter = map[string]bool{"keep": true}
-	l.Addf("keep", "a")
-	l.Addf("discard", "b")
-	if len(l.Events()) != 1 || l.Events()[0].Kind != "keep" {
-		t.Errorf("filter failed: %v", l.Events())
-	}
-}
-
 func TestSeriesWindowClipped(t *testing.T) {
 	full := NewSeries("x")
 	for i := 0; i < 10; i++ {

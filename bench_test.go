@@ -23,9 +23,28 @@ import (
 	"toposense/internal/sim"
 )
 
-// benchDuration keeps a single simulation around a quarter of the paper's
-// 1200 s so the whole suite stays interactive.
-const benchDuration = 300 * sim.Second
+// quickSpecs returns a registry experiment's quick sweep at seed — 240 s
+// runs — narrowed to the named specs, in the order given.
+func quickSpecs(b *testing.B, figure string, seed int64, names ...string) []experiments.Spec {
+	b.Helper()
+	ex, ok := experiments.Lookup(figure)
+	if !ok {
+		b.Fatalf("%s not in the registry", figure)
+	}
+	byName := map[string]experiments.Spec{}
+	for _, s := range ex.Specs(experiments.SweepConfig{Seed: seed, Quick: true}) {
+		byName[s.Name] = s
+	}
+	var specs []experiments.Spec
+	for _, n := range names {
+		s, ok := byName[n]
+		if !ok {
+			b.Fatalf("%s has no spec %q", figure, n)
+		}
+		specs = append(specs, s)
+	}
+	return specs
+}
 
 // gather executes specs serially and returns their typed rows, failing the
 // benchmark on the first failed run.
@@ -42,12 +61,7 @@ func gather[T any](b *testing.B, specs []experiments.Spec) []T {
 func BenchmarkFig6Stability(b *testing.B) {
 	var lastMax, lastBetween float64
 	for i := 0; i < b.N; i++ {
-		rows := gather[experiments.StabilityRow](b, experiments.Fig6Specs(experiments.Fig6Config{
-			Seed:     int64(i + 1),
-			Duration: benchDuration,
-			PerSet:   []int{2},
-			Traffic:  []experiments.Traffic{experiments.CBR},
-		}))
+		rows := gather[experiments.StabilityRow](b, quickSpecs(b, "6", int64(i+1), "fig6/rx=4/CBR"))
 		lastMax = float64(rows[0].MaxChanges)
 		lastBetween = rows[0].MeanBetween.Seconds()
 	}
@@ -59,12 +73,7 @@ func BenchmarkFig6Stability(b *testing.B) {
 func BenchmarkFig7Stability(b *testing.B) {
 	var lastMax, lastBetween float64
 	for i := 0; i < b.N; i++ {
-		rows := gather[experiments.StabilityRow](b, experiments.Fig7Specs(experiments.Fig7Config{
-			Seed:     int64(i + 1),
-			Duration: benchDuration,
-			Sessions: []int{4},
-			Traffic:  []experiments.Traffic{experiments.VBR3},
-		}))
+		rows := gather[experiments.StabilityRow](b, quickSpecs(b, "7", int64(i+1), "fig7/sessions=4/VBR(P=3)"))
 		lastMax = float64(rows[0].MaxChanges)
 		lastBetween = rows[0].MeanBetween.Seconds()
 	}
@@ -76,12 +85,7 @@ func BenchmarkFig7Stability(b *testing.B) {
 func BenchmarkFig8Fairness(b *testing.B) {
 	var d1, d2 float64
 	for i := 0; i < b.N; i++ {
-		rows := gather[experiments.FairnessRow](b, experiments.Fig8Specs(experiments.Fig8Config{
-			Seed:     int64(i + 1),
-			Duration: benchDuration,
-			Sessions: []int{4},
-			Traffic:  []experiments.Traffic{experiments.CBR},
-		}))
+		rows := gather[experiments.FairnessRow](b, quickSpecs(b, "8", int64(i+1), "fig8/sessions=4/CBR"))
 		d1, d2 = rows[0].DevFirst, rows[0].DevSecond
 	}
 	b.ReportMetric(d1, "dev1")
@@ -92,10 +96,7 @@ func BenchmarkFig8Fairness(b *testing.B) {
 func BenchmarkFig9Trace(b *testing.B) {
 	var over float64
 	for i := 0; i < b.N; i++ {
-		run := experiments.Fig9Specs(experiments.Fig9Config{
-			Seed:     int64(i + 1),
-			Duration: benchDuration,
-		})[0].Execute(0)
+		run := quickSpecs(b, "9", int64(i+1), "fig9/sessions=4/VBR(P=3)")[0].Execute(0)
 		if run.Failed() {
 			b.Fatal(run.Err)
 		}
@@ -121,35 +122,22 @@ func BenchmarkFig9Trace(b *testing.B) {
 func BenchmarkFig10Staleness(b *testing.B) {
 	var fresh, stale float64
 	for i := 0; i < b.N; i++ {
-		rows := gather[experiments.StaleRow](b, experiments.Fig10Specs(experiments.Fig10Config{
-			Seed:      int64(i + 1),
-			Duration:  benchDuration,
-			PerSet:    []int{2},
-			Staleness: []sim.Time{0, 8 * sim.Second},
-		}))
+		rows := gather[experiments.StaleRow](b, quickSpecs(b, "10", int64(i+1),
+			"fig10/rx=4/stale=0s", "fig10/rx=4/stale=8s"))
 		fresh, stale = rows[0].Deviation, rows[1].Deviation
 	}
 	b.ReportMetric(fresh, "dev0")
 	b.ReportMetric(stale, "dev8")
 }
 
-// BenchmarkBaselineRLM: TopoSense vs the receiver-driven baseline.
+// BenchmarkBaselineRLM: TopoSense vs the receiver-driven baseline on
+// Topology B under VBR(P=3).
 func BenchmarkBaselineRLM(b *testing.B) {
 	var ts, rlm float64
 	for i := 0; i < b.N; i++ {
-		rows := gather[experiments.BaselineRow](b, experiments.BaselineSpecs(experiments.BaselineConfig{
-			Seed:     int64(i + 1),
-			Duration: benchDuration,
-			PerSet:   2,
-			Sessions: 2,
-		}))
-		for _, r := range rows {
-			if r.Algo == "TopoSense" {
-				ts = r.Deviation
-			} else {
-				rlm = r.Deviation
-			}
-		}
+		rows := gather[experiments.BaselineRow](b, quickSpecs(b, "baseline", int64(i+1),
+			"baseline/topo=B/VBR(P=3)/TopoSense", "baseline/topo=B/VBR(P=3)/RLM"))
+		ts, rlm = rows[0].Deviation, rows[1].Deviation
 	}
 	b.ReportMetric(ts, "dev_toposense")
 	b.ReportMetric(rlm, "dev_rlm")
@@ -229,11 +217,8 @@ func BenchmarkMetricReduction(b *testing.B) {
 func BenchmarkAblation(b *testing.B) {
 	varDev := map[string]float64{}
 	for i := 0; i < b.N; i++ {
-		rows := gather[experiments.AblationRow](b, experiments.AblationSpecs(experiments.AblationConfig{
-			Seed:     int64(i + 1),
-			Duration: benchDuration,
-			Sessions: 2,
-		}))
+		rows := gather[experiments.AblationRow](b, quickSpecs(b, "ablation", int64(i+1),
+			"ablation/full", "ablation/no-backoff", "ablation/pin-any-link"))
 		for _, r := range rows {
 			varDev[r.Variant] = r.Deviation
 		}

@@ -12,7 +12,6 @@ import (
 	"os"
 
 	"toposense/internal/experiments"
-	"toposense/internal/sim"
 )
 
 func main() {
@@ -23,10 +22,8 @@ func main() {
 	fmt.Println("(600 simulated seconds x 2 architectures x 3 seeds)...")
 	fmt.Println()
 
-	results := experiments.ExecuteAll(experiments.DomainsSpecs(experiments.DomainsConfig{
-		Seed:     21,
-		Duration: 600 * sim.Second,
-	}))
+	ex, _ := experiments.Lookup("domains")
+	results := experiments.ExecuteAll(ex.Specs(experiments.SweepConfig{Seed: 21}))
 	rows, err := experiments.GatherRows[experiments.DomainRow](results)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -277,9 +277,6 @@ func (c *Controller) SetLevelCap(session, max int) {
 	c.levelCap[session] = max
 }
 
-// LevelCap returns the session's budget cap (0 = uncapped).
-func (c *Controller) LevelCap(session int) int { return c.levelCap[session] }
-
 // RegisteredReceivers returns every currently registered (session, node)
 // pair, sorted — the controller's membership view. The federation
 // experiment uses it to prove domain isolation: a leaf controller must

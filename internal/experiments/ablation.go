@@ -19,23 +19,8 @@ type AblationRow struct {
 	MeanLoss   float64
 }
 
-// AblationConfig parameterizes the ablation sweep.
-type AblationConfig struct {
-	Seed     int64
-	Duration sim.Time // 0 = the paper's 1200 s
-	Sessions int      // 0 = 4
-	Traffic  Traffic  // zero = VBR(P=3)
-}
-
-func (c *AblationConfig) normalize() {
-	d := PaperDefaults()
-	d.Traffic = VBR3
-	c.Duration = d.Dur(c.Duration)
-	c.Traffic = d.Tr(c.Traffic)
-	if c.Sessions == 0 {
-		c.Sessions = 4
-	}
-}
+// ablationSessions is the standard scenario's Topology B session count.
+const ablationSessions = 4
 
 // ablationVariant describes one toggled configuration.
 type ablationVariant struct {
@@ -44,7 +29,7 @@ type ablationVariant struct {
 	disableResend bool
 }
 
-// AblationSpecs quantifies the contribution of each engineering decision
+// ablationSpecs quantifies the contribution of each engineering decision
 // documented in DESIGN.md by disabling them one at a time, one run per
 // variant:
 //
@@ -53,8 +38,8 @@ type ablationVariant struct {
 //	no-backoff      — dropped layers may be re-probed immediately
 //	pin-any-link    — capacity pinning without the two-observer guard
 //	no-resend       — suggestions sent once per interval only
-func AblationSpecs(cfg AblationConfig) []Spec {
-	cfg.normalize()
+func ablationSpecs(cfg SweepConfig) []Spec {
+	dur := scaled(cfg, PaperDuration, QuickDuration)
 	variants := []ablationVariant{
 		{name: "full"},
 		{name: "no-cooldown", alg: func(c *core.Config) { c.DisableCooldown = true }},
@@ -65,15 +50,15 @@ func AblationSpecs(cfg AblationConfig) []Spec {
 	var specs []Spec
 	for _, v := range variants {
 		specs = append(specs, NewSpec("ablation",
-			"ablation/"+v.name, cfg.Seed, cfg.Duration,
+			"ablation/"+v.name, cfg.Seed, dur,
 			func(m *Meter) (any, error) {
 				algCfg := core.Config{}
 				if v.alg != nil {
 					v.alg(&algCfg)
 				}
 				e := sim.NewEngine(cfg.Seed)
-				b := topology.MustGenerate(e, &topology.BConfig{Sessions: cfg.Sessions})
-				w := NewWorld(e, b, WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic, Alg: algCfg})
+				b := topology.MustGenerate(e, &topology.BConfig{Sessions: ablationSessions})
+				w := NewWorld(e, b, WorldConfig{Seed: cfg.Seed, Traffic: VBR3, Alg: algCfg})
 				m.ObserveWorld(w)
 				w.Controller.DisableResend = v.disableResend
 				lossSum, lossN := 0.0, 0
@@ -83,12 +68,12 @@ func AblationSpecs(cfg AblationConfig) []Spec {
 						lossN++
 					}
 				})
-				w.Run(cfg.Duration)
+				w.Run(dur)
 				traces, optima := w.AllTraces()
 				row := AblationRow{
 					Variant:    v.name,
-					Deviation:  metrics.MeanRelativeDeviation(traces, optima, 0, cfg.Duration),
-					MaxChanges: metrics.MaxChanges(traces, 0, cfg.Duration),
+					Deviation:  metrics.MeanRelativeDeviation(traces, optima, 0, dur),
+					MaxChanges: metrics.MaxChanges(traces, 0, dur),
 				}
 				if lossN > 0 {
 					row.MeanLoss = lossSum / float64(lossN)

@@ -122,7 +122,7 @@ func TestAggregateFanInReduction(t *testing.T) {
 // TestScaleSpecsAggregateTwins: the fig_scale sweep emits an "/agg" twin
 // per ladder point when asked.
 func TestScaleSpecsAggregateTwins(t *testing.T) {
-	specs := ScaleSpecs(ScaleConfig{Seed: 1, Quick: true, Topo: "tree", Aggregate: true})
+	specs := scaleSpecs(SweepConfig{Seed: 1, Quick: true, Topo: "tree", Aggregate: true})
 	var flat, agg int
 	for _, s := range specs {
 		if len(s.Name) > 4 && s.Name[len(s.Name)-4:] == "/agg" {

@@ -54,51 +54,8 @@ type ChurnStudyRow struct {
 	Sharded bool
 }
 
-// ChurnStudyConfig parameterizes the fig_churn sweep.
-type ChurnStudyConfig struct {
-	Seed     int64
-	Duration sim.Time // 0 = 600 s
-	Quick    bool
-	Sessions int        // Topology B sessions; 0 = 4 (quick 2)
-	Periods  []sim.Time // churn mean on/off periods; nil = sweep around the interval
-	Shards   int        // engine for the TopoSense B arms (RLM is always serial)
-
-	// TreeTopo is the tree-ladder point's generator spec and TreeDuration
-	// its (shorter) run length; zero values take the defaults.
-	TreeTopo     string
-	TreeDuration sim.Time
-}
-
-func (c *ChurnStudyConfig) normalize() {
-	d := ShortDefaults()
-	c.Duration = d.Dur(c.Duration)
-	if c.Sessions == 0 {
-		c.Sessions = 4
-		if c.Quick {
-			c.Sessions = 2
-		}
-	}
-	if c.Periods == nil {
-		// The decision interval is 4 s: sweep churn faster than, at, and
-		// well above it.
-		c.Periods = []sim.Time{2 * sim.Second, 4 * sim.Second, 16 * sim.Second}
-		if c.Quick {
-			c.Periods = []sim.Time{4 * sim.Second}
-		}
-	}
-	if c.TreeTopo == "" {
-		c.TreeTopo = "tree,depth=4,branch=10,rxleaf=1"
-		if c.Quick {
-			c.TreeTopo = "tree,depth=3,branch=4,rxleaf=2"
-		}
-	}
-	if c.TreeDuration == 0 {
-		c.TreeDuration = 30 * sim.Second
-		if c.Quick {
-			c.TreeDuration = 12 * sim.Second
-		}
-	}
-}
+// churnTreePeriod is the tree-ladder point's mean join/leave period.
+const churnTreePeriod = 4 * sim.Second
 
 // addChurnNodesB grows a Topology B build by one churn receiver per
 // session, hung off Y over the same fat link as the session's settled
@@ -210,17 +167,28 @@ func runChurn(topo string, plane Plane, seed int64, dur, period sim.Time, shards
 	return []ChurnStudyRow{row}
 }
 
-// ChurnStudySpecs enumerates the fig_churn sweep: TopoSense-vs-RLM pairs on
+// churnStudySpecs enumerates the fig_churn sweep: TopoSense-vs-RLM pairs on
 // Topology B across the period sweep, plus one TopoSense tree-ladder point
-// at ~1% churn.
-func ChurnStudySpecs(cfg ChurnStudyConfig) []Spec {
-	cfg.normalize()
+// at ~1% churn. The decision interval is 4 s, so the full sweep churns
+// faster than, at, and well above it; cfg.Churn > 0 pins it to one period.
+// cfg.Shards selects the engine of the TopoSense arms (RLM is always serial).
+func churnStudySpecs(cfg SweepConfig) []Spec {
+	const s = sim.Second
+	dur := scaled(cfg, studyDuration, QuickDuration)
+	sessions := scaled(cfg, 4, 2) // Topology B sessions
+	periods := scaled(cfg, []sim.Time{2 * s, 4 * s, 16 * s}, []sim.Time{4 * s})
+	if cfg.Churn > 0 {
+		periods = []sim.Time{sim.FromSeconds(cfg.Churn)}
+	}
+	treeTopo := scaled(cfg, "tree,depth=4,branch=10,rxleaf=1", "tree,depth=3,branch=4,rxleaf=2")
+	treeDur := scaled(cfg, 30*s, 12*s)
+
 	mkB := func(e sim.Runner) (*topology.Build, []Slot) {
-		b := topology.MustGenerate(e, &topology.BConfig{Sessions: cfg.Sessions})
+		b := topology.MustGenerate(e, &topology.BConfig{Sessions: sessions})
 		return b, addChurnNodesB(b)
 	}
 	var specs []Spec
-	for _, period := range cfg.Periods {
+	for _, period := range periods {
 		for _, arm := range []struct {
 			plane  Plane
 			shards int // the RLM arm is always serial
@@ -231,15 +199,14 @@ func ChurnStudySpecs(cfg ChurnStudyConfig) []Spec {
 			}
 			specs = append(specs, NewSpec("fig_churn",
 				fmt.Sprintf("fig_churn/topo=B/period=%gs/%s", period.Seconds(), algo),
-				cfg.Seed, cfg.Duration,
+				cfg.Seed, dur,
 				func(m *Meter) (any, error) {
-					return runChurn("B", arm.plane, cfg.Seed, cfg.Duration, period, arm.shards, mkB, m), nil
+					return runChurn("B", arm.plane, cfg.Seed, dur, period, arm.shards, mkB, m), nil
 				}))
 		}
 	}
-	treePeriod := 4 * sim.Second
 	mkTree := func(e sim.Runner) (*topology.Build, []Slot) {
-		_, tc, err := topology.Parse(cfg.TreeTopo)
+		_, tc, err := topology.Parse(treeTopo)
 		if err != nil {
 			panic("fig_churn: " + err.Error())
 		}
@@ -247,10 +214,10 @@ func ChurnStudySpecs(cfg ChurnStudyConfig) []Spec {
 		return b, treeChurnSlots(b)
 	}
 	specs = append(specs, NewSpec("fig_churn",
-		fmt.Sprintf("fig_churn/topo=%s/period=%gs/TopoSense", cfg.TreeTopo, treePeriod.Seconds()),
-		cfg.Seed, cfg.TreeDuration,
+		fmt.Sprintf("fig_churn/topo=%s/period=%gs/TopoSense", treeTopo, churnTreePeriod.Seconds()),
+		cfg.Seed, treeDur,
 		func(m *Meter) (any, error) {
-			return runChurn(cfg.TreeTopo, PlaneFlat, cfg.Seed, cfg.TreeDuration, treePeriod, cfg.Shards, mkTree, m), nil
+			return runChurn(treeTopo, PlaneFlat, cfg.Seed, treeDur, churnTreePeriod, cfg.Shards, mkTree, m), nil
 		}))
 	return specs
 }

@@ -35,41 +35,34 @@ type ConvergenceRow struct {
 	Deviation float64
 }
 
-// ConvergenceConfig parameterizes the heterogeneous convergence run.
-type ConvergenceConfig struct {
-	Seed     int64
-	Duration sim.Time // 0 = 600 s
-	Sets     int      // receiver sets; 0 = 4 (optimal levels 1..4)
-	PerSet   int      // receivers per set; 0 = 2
-	Traffic  Traffic  // zero = CBR
-}
+// The heterogeneous session: convergenceSets receiver sets with optimal
+// levels 1..convergenceSets, convergencePerSet receivers each.
+const (
+	convergenceSets   = 4
+	convergencePerSet = 2
+)
 
-func (c *ConvergenceConfig) normalize() {
-	d := ShortDefaults()
-	c.Duration = d.Dur(c.Duration)
-	c.Traffic = d.Tr(c.Traffic)
-	if c.Sets == 0 {
-		c.Sets = 4
+// convergenceTraffics are the traffic models the study runs, one spec and
+// one report section each, in print order.
+var convergenceTraffics = []Traffic{CBR, VBR3}
+
+// convergenceSpecs enumerates the heterogeneous convergence run once per
+// traffic model.
+func convergenceSpecs(cfg SweepConfig) []Spec {
+	dur := scaled(cfg, studyDuration, QuickDuration)
+	var specs []Spec
+	for _, tr := range convergenceTraffics {
+		specs = append(specs, NewSpec("convergence",
+			"convergence/"+tr.Name, cfg.Seed, dur,
+			func(m *Meter) (any, error) {
+				return runConvergence(cfg.Seed, dur, tr, m), nil
+			}))
 	}
-	if c.PerSet == 0 {
-		c.PerSet = 2
-	}
+	return specs
 }
 
-// ConvergenceSpecs enumerates the heterogeneous convergence run as a single
-// spec for the configured traffic model (sweep traffic by building specs
-// from several configs).
-func ConvergenceSpecs(cfg ConvergenceConfig) []Spec {
-	cfg.normalize()
-	return []Spec{NewSpec("convergence",
-		"convergence/"+cfg.Traffic.Name, cfg.Seed, cfg.Duration,
-		func(m *Meter) (any, error) {
-			return runConvergence(cfg, m), nil
-		})}
-}
-
-func runConvergence(cfg ConvergenceConfig, m *Meter) []ConvergenceRow {
-	e := sim.NewEngine(cfg.Seed)
+func runConvergence(seed int64, dur sim.Time, traffic Traffic, m *Meter) []ConvergenceRow {
+	e := sim.NewEngine(seed)
 	n := netsim.New(e)
 	fat := netsim.LinkConfig{Bandwidth: topology.FatBandwidth, Delay: topology.DefaultDelay}
 	src := n.AddNode("src")
@@ -84,13 +77,13 @@ func runConvergence(cfg ConvergenceConfig, m *Meter) []ConvergenceRow {
 		Receivers:  [][]*netsim.Node{nil},
 		Optimal:    [][]int{nil},
 	}
-	for set := 1; set <= cfg.Sets; set++ {
+	for set := 1; set <= convergenceSets; set++ {
 		// Capacity: cumulative rate of `set` layers plus 4% headroom, so
 		// the optimum is exactly `set`.
 		bw := source.CumulativeRate(set) * 1.04
 		gw := n.AddNode(fmt.Sprintf("set%d", set))
 		n.Connect(hub, gw, netsim.LinkConfig{Bandwidth: bw, Delay: topology.DefaultDelay})
-		for i := 0; i < cfg.PerSet; i++ {
+		for i := 0; i < convergencePerSet; i++ {
 			rx := n.AddNode(fmt.Sprintf("set%d-rx%d", set, i))
 			n.Connect(gw, rx, fat)
 			b.Receivers[0] = append(b.Receivers[0], rx)
@@ -98,21 +91,21 @@ func runConvergence(cfg ConvergenceConfig, m *Meter) []ConvergenceRow {
 		}
 	}
 
-	w := NewWorld(e, b, WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic})
+	w := NewWorld(e, b, WorldConfig{Seed: seed, Traffic: traffic})
 	m.Observe(e, n)
-	w.Run(cfg.Duration)
+	w.Run(dur)
 
 	var rows []ConvergenceRow
-	half := cfg.Duration / 2
-	for set := 1; set <= cfg.Sets; set++ {
-		lo := (set - 1) * cfg.PerSet
-		hi := lo + cfg.PerSet
+	half := dur / 2
+	for set := 1; set <= convergenceSets; set++ {
+		lo := (set - 1) * convergencePerSet
+		hi := lo + convergencePerSet
 		traces := w.Traces[0][lo:hi]
 		optimal := b.Optimal[0][lo]
 
-		row := ConvergenceRow{Set: set, Optimal: optimal, TimeToOptimal: cfg.Duration}
+		row := ConvergenceRow{Set: set, Optimal: optimal, TimeToOptimal: dur}
 		for _, tr := range traces {
-			if at := firstTimeAt(tr, optimal, cfg.Duration); at < row.TimeToOptimal {
+			if at := firstTimeAt(tr, optimal, dur); at < row.TimeToOptimal {
 				row.TimeToOptimal = at
 			}
 		}
@@ -120,7 +113,7 @@ func runConvergence(cfg ConvergenceConfig, m *Meter) []ConvergenceRow {
 		// set is intra-fair when all modes agree.
 		mode := func(tr *metrics.Trace) int {
 			counts := map[int]int{}
-			for at := half; at <= cfg.Duration; at += sim.Second {
+			for at := half; at <= dur; at += sim.Second {
 				counts[tr.LevelAt(at)]++
 			}
 			best, bestN := 0, -1
@@ -144,7 +137,7 @@ func runConvergence(cfg ConvergenceConfig, m *Meter) []ConvergenceRow {
 		for i := range optima {
 			optima[i] = optimal
 		}
-		row.Deviation = metrics.MeanRelativeDeviation(traces, optima, 0, cfg.Duration)
+		row.Deviation = metrics.MeanRelativeDeviation(traces, optima, 0, dur)
 		rows = append(rows, row)
 	}
 	return rows

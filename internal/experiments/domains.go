@@ -27,24 +27,8 @@ type DomainRow struct {
 	MaxChanges int
 }
 
-// DomainsConfig parameterizes the multi-domain experiment.
-type DomainsConfig struct {
-	Seed         int64
-	Seeds        int      // runs averaged per variant; 0 = 3
-	Duration     sim.Time // 0 = 600 s
-	ReceiversPer int      // receivers per domain; 0 = 3
-	Traffic      Traffic  // zero = CBR
-}
-
-func (c *DomainsConfig) normalize() {
-	d := ShortDefaults()
-	c.Duration = d.Dur(c.Duration)
-	c.Traffic = d.Tr(c.Traffic)
-	c.Seeds = d.SeedCount(c.Seeds)
-	if c.ReceiversPer == 0 {
-		c.ReceiversPer = 3
-	}
-}
+// domainsReceivers is the receiver count of each domain.
+const domainsReceivers = 3
 
 // domainsTopology emits the two-domain topology as a Build whose domain
 // labels put the source and backbone in domain 0 and each gateway subtree
@@ -80,27 +64,28 @@ func domainsTopology(e sim.Scheduler, receiversPer int) *topology.Build {
 	return b
 }
 
-// DomainsSpecs enumerates both control architectures — one global agent at
+// domainsSpecs enumerates both control architectures — one global agent at
 // the source seeing everything, or one agent per domain stationed at its
-// gateway and seeing only its own subtree — as one run per (variant, seed);
-// each run reports its own per-domain DomainRows with that seed's
+// gateway and seeing only its own subtree — as one CBR run per (variant,
+// seed); each run reports its own per-domain DomainRows with that seed's
 // deviation. ReduceDomains averages them back into the table the report
 // prints.
-func DomainsSpecs(cfg DomainsConfig) []Spec {
-	cfg.normalize()
+func domainsSpecs(cfg SweepConfig) []Spec {
+	dur := scaled(cfg, studyDuration, QuickDuration)
+	seeds := scaled(cfg, 3, 1) // runs averaged per variant
 	var specs []Spec
 	for _, plane := range []Plane{PlaneFlat, PlanePerDomain} {
 		variant := "global"
 		if plane == PlanePerDomain {
 			variant = "per-domain"
 		}
-		for s := 0; s < cfg.Seeds; s++ {
+		for s := 0; s < seeds; s++ {
 			seed := cfg.Seed + int64(s)
 			specs = append(specs, NewSpec("domains",
 				fmt.Sprintf("domains/%s/seed=%d", variant, seed),
-				seed, cfg.Duration,
+				seed, dur,
 				func(m *Meter) (any, error) {
-					wc := WorldConfig{Seed: seed, Traffic: cfg.Traffic, Plane: plane}
+					wc := WorldConfig{Seed: seed, Traffic: CBR, Plane: plane}
 					if plane == PlanePerDomain {
 						// The assembler seeds domain d's algorithm RNG with
 						// Seed+1+d; this study's recorded numbers were drawn
@@ -108,9 +93,9 @@ func DomainsSpecs(cfg DomainsConfig) []Spec {
 						wc.Seed--
 					}
 					e := NewRunEngine(seed, 0)
-					w := NewWorld(e, domainsTopology(e, cfg.ReceiversPer), wc)
+					w := NewWorld(e, domainsTopology(e, domainsReceivers), wc)
 					m.ObserveWorld(w)
-					w.Run(cfg.Duration)
+					w.Run(dur)
 					var rows []DomainRow
 					doms, byDom := receiversByDomain(w.Build)
 					for _, d := range doms {
@@ -118,9 +103,9 @@ func DomainsSpecs(cfg DomainsConfig) []Spec {
 						rows = append(rows, DomainRow{
 							Variant:    variant,
 							Domain:     fmt.Sprintf("domain %d (opt %d)", d, optima[0]),
-							Deviation:  metrics.MeanRelativeDeviation(traces, optima, 0, cfg.Duration),
+							Deviation:  metrics.MeanRelativeDeviation(traces, optima, 0, dur),
 							FinalOK:    ok,
-							MaxChanges: metrics.MaxChanges(traces, 0, cfg.Duration),
+							MaxChanges: metrics.MaxChanges(traces, 0, dur),
 						})
 					}
 					return rows, nil

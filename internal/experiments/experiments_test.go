@@ -7,9 +7,10 @@ import (
 	"toposense/internal/sim"
 )
 
-// Scaled-down configs keep test runtime reasonable while exercising every
-// code path of the harness; the full paper-scale sweeps run in
-// cmd/topobench and the benchmarks.
+// The TestRunXScaled tests run each experiment's quick registry form — what
+// `topobench -quick` executes — and check the behaviour its rows must show;
+// the full paper-scale sweeps run in cmd/topobench, and
+// TestRegistrySpecList pins what they enumerate.
 
 func TestWorldAssemblyA(t *testing.T) {
 	w := NewWorldA(2, 0, WorldConfig{Seed: 1, Traffic: CBR})
@@ -42,27 +43,22 @@ func TestWorldAssemblyB(t *testing.T) {
 }
 
 func TestRunFig6Scaled(t *testing.T) {
-	rows := gather[StabilityRow](t, Fig6Specs(Fig6Config{
-		Seed:     1,
-		Duration: 120 * sim.Second,
-		PerSet:   []int{1, 2},
-		Traffic:  []Traffic{CBR},
-	}))
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
+	rows := gather[StabilityRow](t, quickSpecs(t, "6"))
+	if len(rows) != 6 {
+		t.Fatalf("rows = %d, want 2 set sizes x 3 traffic models", len(rows))
 	}
-	for _, r := range rows {
+	for i, r := range rows {
 		if r.MaxChanges <= 0 {
 			t.Errorf("receivers never changed subscription: %+v", r)
 		}
 		if r.MeanBetween <= 0 {
 			t.Errorf("non-positive mean time between changes: %+v", r)
 		}
-		if r.Traffic != "CBR" {
-			t.Errorf("traffic label %q", r.Traffic)
+		if want := AllTraffic[i%3].Name; r.Traffic != want {
+			t.Errorf("row %d traffic label %q, want %q", i, r.Traffic, want)
 		}
 	}
-	if rows[0].X != 2 || rows[1].X != 4 {
+	if rows[0].X != 2 || rows[3].X != 4 {
 		t.Errorf("receiver counts: %+v", rows)
 	}
 	table := StabilityTable("Figure 6", "receivers", rows)
@@ -72,40 +68,31 @@ func TestRunFig6Scaled(t *testing.T) {
 }
 
 func TestRunFig7Scaled(t *testing.T) {
-	rows := gather[StabilityRow](t, Fig7Specs(Fig7Config{
-		Seed:     1,
-		Duration: 120 * sim.Second,
-		Sessions: []int{2},
-		Traffic:  []Traffic{CBR, VBR3},
-	}))
-	if len(rows) != 2 {
+	rows := gather[StabilityRow](t, quickSpecs(t, "7"))
+	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	for _, r := range rows {
-		if r.X != 2 || r.MaxChanges <= 0 {
+	for i, r := range rows {
+		if r.X != 2+2*(i/3) || r.MaxChanges <= 0 {
 			t.Errorf("row %+v", r)
 		}
 	}
 }
 
 func TestRunFig8Scaled(t *testing.T) {
-	rows := gather[FairnessRow](t, Fig8Specs(Fig8Config{
-		Seed:     1,
-		Duration: 300 * sim.Second,
-		Sessions: []int{2},
-		Traffic:  []Traffic{CBR},
-	}))
-	if len(rows) != 1 {
+	rows := gather[FairnessRow](t, quickSpecs(t, "8"))
+	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	r := rows[0]
+	for _, r := range rows {
+		if r.DevFirst < 0 || r.DevSecond < 0 {
+			t.Errorf("negative deviation: %+v", r)
+		}
+	}
 	// CBR at 2 sessions should track the optimum closely even in a short
 	// run — the headline fairness result.
-	if r.DevFirst > 0.30 || r.DevSecond > 0.20 {
+	if r := rows[0]; r.Sessions != 2 || r.Traffic != "CBR" || r.DevFirst > 0.30 || r.DevSecond > 0.20 {
 		t.Errorf("deviation too large: %+v", r)
-	}
-	if r.DevFirst < 0 || r.DevSecond < 0 {
-		t.Errorf("negative deviation: %+v", r)
 	}
 	if !strings.Contains(FairnessTable(rows).String(), "sessions") {
 		t.Error("fairness table broken")
@@ -113,12 +100,8 @@ func TestRunFig8Scaled(t *testing.T) {
 }
 
 func TestRunFig9Scaled(t *testing.T) {
-	res := runSingle[*Fig9Result](t, Fig9Specs(Fig9Config{
-		Seed:     1,
-		Sessions: 2,
-		Duration: 120 * sim.Second,
-	}))
-	if len(res.Levels) != 2 || len(res.Losses) != 2 {
+	res := runSingle[*Fig9Result](t, quickSpecs(t, "9"))
+	if len(res.Levels) != 4 || len(res.Losses) != 4 {
 		t.Fatalf("series count wrong")
 	}
 	for s := range res.Levels {
@@ -139,21 +122,16 @@ func TestRunFig9Scaled(t *testing.T) {
 }
 
 func TestRunFig10Scaled(t *testing.T) {
-	rows := gather[StaleRow](t, Fig10Specs(Fig10Config{
-		Seed:      1,
-		Duration:  120 * sim.Second,
-		PerSet:    []int{1},
-		Staleness: []sim.Time{0, 8 * sim.Second},
-	}))
-	if len(rows) != 2 {
+	rows := gather[StaleRow](t, quickSpecs(t, "10"))
+	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	for _, r := range rows {
+	for i, r := range rows {
 		if r.Deviation < 0 {
 			t.Errorf("negative deviation: %+v", r)
 		}
-		if r.Receivers != 2 {
-			t.Errorf("receivers = %d", r.Receivers)
+		if want := 2 + 2*(i/3); r.Receivers != want {
+			t.Errorf("receivers = %d, want %d", r.Receivers, want)
 		}
 	}
 	if !strings.Contains(StaleTable(rows).String(), "staleness") {
@@ -162,14 +140,8 @@ func TestRunFig10Scaled(t *testing.T) {
 }
 
 func TestRunBaselineScaled(t *testing.T) {
-	rows := gather[BaselineRow](t, BaselineSpecs(BaselineConfig{
-		Seed:     1,
-		Duration: 120 * sim.Second,
-		Traffics: []Traffic{CBR},
-		PerSet:   1,
-		Sessions: 2,
-	}))
-	if len(rows) != 4 {
+	rows := gather[BaselineRow](t, quickSpecs(t, "baseline"))
+	if len(rows) != 8 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	algos := map[string]int{}
@@ -179,7 +151,7 @@ func TestRunBaselineScaled(t *testing.T) {
 			t.Errorf("negative deviation: %+v", r)
 		}
 	}
-	if algos["TopoSense"] != 2 || algos["RLM"] != 2 {
+	if algos["TopoSense"] != 4 || algos["RLM"] != 4 {
 		t.Errorf("algo mix: %v", algos)
 	}
 	if !strings.Contains(BaselineTable(rows).String(), "RLM") {
@@ -228,7 +200,7 @@ func TestTrafficDefinitions(t *testing.T) {
 }
 
 func TestRunAblationScaled(t *testing.T) {
-	rows := gather[AblationRow](t, AblationSpecs(AblationConfig{Seed: 1, Duration: 120 * sim.Second, Sessions: 2}))
+	rows := gather[AblationRow](t, quickSpecs(t, "ablation"))
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d, want 5 variants", len(rows))
 	}
@@ -250,8 +222,21 @@ func TestRunAblationScaled(t *testing.T) {
 }
 
 func TestRunExtensionsScaled(t *testing.T) {
-	cfg := ExtensionConfig{Seed: 1, Seeds: 1, Duration: 120 * sim.Second}
-	gran := reduceExtension(gather[ExtensionRow](t, GranularitySpecs(cfg)))
+	results := ExecuteAll(quickSpecs(t, "extensions"))
+	sweep := func(prefix string) []ExtensionRow {
+		var section []Result
+		for _, r := range results {
+			if strings.HasPrefix(r.Name, "extensions/"+prefix+"/") {
+				section = append(section, r)
+			}
+		}
+		rows, err := GatherRows[ExtensionRow](section)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reduceExtension(rows)
+	}
+	gran := sweep("granularity")
 	if len(gran) != 3 {
 		t.Fatalf("granularity rows = %d", len(gran))
 	}
@@ -267,11 +252,11 @@ func TestRunExtensionsScaled(t *testing.T) {
 			gran[2].TimeToOptimal, gran[0].TimeToOptimal)
 	}
 
-	ll := reduceExtension(gather[ExtensionRow](t, LeaveLatencySpecs(cfg)))
+	ll := sweep("leave")
 	if len(ll) != 5 {
 		t.Fatalf("leave-latency rows = %d", len(ll))
 	}
-	iv := reduceExtension(gather[ExtensionRow](t, IntervalSizeSpecs(cfg)))
+	iv := sweep("interval")
 	if len(iv) != 4 {
 		t.Fatalf("interval rows = %d", len(iv))
 	}
@@ -281,7 +266,7 @@ func TestRunExtensionsScaled(t *testing.T) {
 }
 
 func TestRunDomainsScaled(t *testing.T) {
-	rows := ReduceDomains(gather[DomainRow](t, DomainsSpecs(DomainsConfig{Seed: 1, Seeds: 1, Duration: 240 * sim.Second, ReceiversPer: 2})))
+	rows := ReduceDomains(gather[DomainRow](t, quickSpecs(t, "domains")))
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d, want 4 (2 variants x 2 domains)", len(rows))
 	}
@@ -328,14 +313,18 @@ func TestPerDomainControllersAreIndependent(t *testing.T) {
 }
 
 func TestRunConvergenceScaled(t *testing.T) {
-	rows := gather[ConvergenceRow](t, ConvergenceSpecs(ConvergenceConfig{Seed: 1, Duration: 240 * sim.Second, Sets: 3, PerSet: 2}))
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
+	// Two runs of four sets each: CBR first, then VBR(P=3).
+	both := gather[ConvergenceRow](t, quickSpecs(t, "convergence"))
+	if len(both) != 8 {
+		t.Fatalf("rows = %d", len(both))
 	}
-	for i, r := range rows {
-		if r.Set != i+1 || r.Optimal != i+1 {
+	for i, r := range both {
+		if r.Set != i%4+1 || r.Optimal != i%4+1 {
 			t.Errorf("set %d: optimal %d (capacities sized for exactly k layers)", r.Set, r.Optimal)
 		}
+	}
+	rows := both[:4]
+	for _, r := range rows {
 		// CBR heterogeneous convergence is the prior work's headline: the
 		// steady-state (modal) level must be the optimum and set-mates
 		// must agree.
@@ -345,13 +334,16 @@ func TestRunConvergenceScaled(t *testing.T) {
 		if !r.IntraFair {
 			t.Errorf("set %d not intra-fair", r.Set)
 		}
-		if r.TimeToOptimal >= 240*sim.Second && r.Optimal > 1 {
+		if r.TimeToOptimal >= QuickDuration && r.Optimal > 1 {
 			t.Errorf("set %d never reached optimal", r.Set)
 		}
 	}
 	// Convergence time grows with the target level (one layer at a time).
-	if rows[2].TimeToOptimal < rows[1].TimeToOptimal {
-		t.Errorf("set 3 converged before set 2: %v < %v", rows[2].TimeToOptimal, rows[1].TimeToOptimal)
+	for k := 2; k < len(rows); k++ {
+		if rows[k].TimeToOptimal < rows[k-1].TimeToOptimal {
+			t.Errorf("set %d converged before set %d: %v < %v",
+				k+1, k, rows[k].TimeToOptimal, rows[k-1].TimeToOptimal)
+		}
 	}
 	if !strings.Contains(ConvergenceTable(rows).String(), "intra-fair") {
 		t.Error("convergence table broken")
@@ -359,7 +351,7 @@ func TestRunConvergenceScaled(t *testing.T) {
 }
 
 func TestRunQueuePoliciesScaled(t *testing.T) {
-	rows := gather[QueueRow](t, QueuePolicySpecs(QueueConfig{Seed: 1, Duration: 180 * sim.Second, Sessions: 2}))
+	rows := gather[QueueRow](t, quickSpecs(t, "queues"))
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -383,12 +375,12 @@ func TestRunQueuePoliciesScaled(t *testing.T) {
 }
 
 func TestRunVarianceScaled(t *testing.T) {
-	rows := ReduceVariance(gather[VarianceSample](t, VarianceSpecs(VarianceConfig{Seed: 1, Seeds: 2, Duration: 120 * sim.Second, Sessions: 2})))
+	rows := ReduceVariance(gather[VarianceSample](t, quickSpecs(t, "variance")))
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
-		if r.Seeds != 2 {
+		if r.Seeds != 3 {
 			t.Errorf("seeds = %d", r.Seeds)
 		}
 		if r.Min > r.Mean || r.Mean > r.Max {
@@ -404,7 +396,7 @@ func TestRunVarianceScaled(t *testing.T) {
 }
 
 func TestRunLastMileScaled(t *testing.T) {
-	rows := gather[LastMileRow](t, LastMileSpecs(LastMileConfig{Seed: 1, Duration: 240 * sim.Second}))
+	rows := gather[LastMileRow](t, quickSpecs(t, "lastmile"))
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}

@@ -32,21 +32,6 @@ type ExtensionRow struct {
 	TimeToOptimal sim.Time
 }
 
-// ExtensionConfig parameterizes the Section V sweeps.
-type ExtensionConfig struct {
-	Seed     int64
-	Seeds    int      // runs averaged per point; 0 = 3
-	Duration sim.Time // 0 = 600 s (each sweep runs several worlds)
-	Traffic  Traffic  // zero = CBR (isolates the swept parameter)
-}
-
-func (c *ExtensionConfig) normalize() {
-	d := ShortDefaults()
-	c.Duration = d.Dur(c.Duration)
-	c.Traffic = d.Tr(c.Traffic)
-	c.Seeds = d.SeedCount(c.Seeds)
-}
-
 // reduceExtension folds per-seed rows into one averaged row per parameter.
 // Rows for the same parameter are consecutive (spec enumeration order), so
 // a linear grouping pass suffices and keeps the sweep order.
@@ -91,131 +76,92 @@ type granularity struct {
 	bottle float64 // bottleneck sized so the optimum is mid-range
 }
 
-// GranularitySpecs sweeps layer granularity on a single-receiver bottleneck
-// chain, one run per (scheme, seed): the paper's 6 doubling layers versus
-// finer geometric layerings covering a similar range. Finer layers bound
-// the over-subscription overshoot (each add risks less bandwidth) at the
-// price of slower convergence (adds happen one layer at a time).
-func GranularitySpecs(cfg ExtensionConfig) []Spec {
-	cfg.normalize()
-	schemes := []granularity{
+// extensionSpecs enumerates the three Section V sweeps, one run per (point,
+// seed) over consecutive seeds from cfg.Seed, in report order:
+//
+//   - granularity, on a single-receiver-per-set bottleneck chain: the
+//     paper's 6 doubling layers versus finer geometric layerings covering a
+//     similar range. Finer layers bound the over-subscription overshoot
+//     (each add risks less bandwidth) at the price of slower convergence
+//     (adds happen one layer at a time).
+//   - group-leave latency on Topology B: the longer pruning takes, the
+//     longer a dropped layer keeps congesting the bottleneck after the
+//     decision, and the worse the post-drop transients. A latency of ~0
+//     models the "expedited group-leaves" the paper proposes. This sweep
+//     runs VBR(P=3): under CBR the system converges and rarely drops
+//     layers, so there is nothing for the prune latency to act on.
+//   - the controller's decision interval on Topology B: short intervals
+//     react fast but see bursty noise and drain transients; long intervals
+//     smooth the noise but react slowly — the trade-off of the paper's
+//     final Section V bullet.
+//
+// The other two sweeps run CBR traffic, which isolates the swept parameter.
+func extensionSpecs(cfg SweepConfig) []Spec {
+	dur := scaled(cfg, studyDuration, QuickDuration)
+	seeds := scaled(cfg, 3, 1) // runs averaged per point
+	var specs []Spec
+	// point appends one run per seed of a sweep point. world builds the
+	// seed's world; optimal, when positive, replaces every receiver's
+	// optimum in the reduction.
+	point := func(name, param string, optimal int, world func(seed int64) *World) {
+		for s := 0; s < seeds; s++ {
+			seed := cfg.Seed + int64(s)
+			specs = append(specs, NewSpec("extensions",
+				fmt.Sprintf("extensions/%s/seed=%d", name, seed),
+				seed, dur,
+				func(m *Meter) (any, error) {
+					w := world(seed)
+					m.ObserveWorld(w)
+					w.Run(dur)
+					traces, optima := w.AllTraces()
+					if optimal > 0 {
+						for i := range optima {
+							optima[i] = optimal
+						}
+					}
+					return []ExtensionRow{{
+						Param:         param,
+						Deviation:     metrics.MeanRelativeDeviation(traces, optima, 0, dur),
+						MaxChanges:    metrics.MaxChanges(traces, 0, dur),
+						TimeToOptimal: firstTimeAt(traces[0], optima[0], dur),
+					}}, nil
+				}))
+		}
+	}
+
+	for _, g := range []granularity{
 		{name: "6 layers x2.0 (paper)", rates: source.RatesGeometric(6, 32e3, 2), bottle: 500e3},
 		{name: "9 layers x1.5", rates: source.RatesGeometric(9, 32e3, 1.5), bottle: 500e3},
 		{name: "12 layers x1.35", rates: source.RatesGeometric(12, 24e3, 1.35), bottle: 500e3},
+	} {
+		point(fmt.Sprintf("granularity/%d-layers", len(g.rates)), g.name,
+			source.LevelForBandwidth(g.rates, g.bottle),
+			func(seed int64) *World {
+				e := sim.NewEngine(seed)
+				b := topology.MustGenerate(e, &topology.AConfig{
+					ReceiversPerSet: 2,
+					Set1Bandwidth:   g.bottle,
+					Set2Bandwidth:   g.bottle,
+					Layers:          len(g.rates),
+				})
+				return NewWorld(e, b, WorldConfig{Seed: seed, Traffic: CBR, Rates: g.rates})
+			})
 	}
-	var specs []Spec
-	for _, g := range schemes {
-		for s := 0; s < cfg.Seeds; s++ {
-			seed := cfg.Seed + int64(s)
-			specs = append(specs, NewSpec("extensions",
-				fmt.Sprintf("extensions/granularity/%d-layers/seed=%d", len(g.rates), seed),
-				seed, cfg.Duration,
-				func(m *Meter) (any, error) {
-					e := sim.NewEngine(seed)
-					b := topology.MustGenerate(e, &topology.AConfig{
-						ReceiversPerSet: 2,
-						Set1Bandwidth:   g.bottle,
-						Set2Bandwidth:   g.bottle,
-						Layers:          len(g.rates),
-					})
-					w := NewWorld(e, b, WorldConfig{Seed: seed, Traffic: cfg.Traffic, Rates: g.rates})
-					m.ObserveWorld(w)
-					optimal := source.LevelForBandwidth(g.rates, g.bottle)
-					w.Run(cfg.Duration)
-					traces, _ := w.AllTraces()
-					optima := make([]int, len(traces))
-					for i := range optima {
-						optima[i] = optimal
-					}
-					return []ExtensionRow{{
-						Param:         g.name,
-						Deviation:     metrics.MeanRelativeDeviation(traces, optima, 0, cfg.Duration),
-						MaxChanges:    metrics.MaxChanges(traces, 0, cfg.Duration),
-						TimeToOptimal: firstTimeAt(traces[0], optimal, cfg.Duration),
-					}}, nil
-				}))
-		}
-	}
-	return specs
-}
-
-// LeaveLatencySpecs sweeps the multicast group-leave latency on Topology B,
-// one run per (latency, seed): the longer pruning takes, the longer a
-// dropped layer keeps congesting the bottleneck after the decision, and the
-// worse the post-drop transients. LeaveLatency ~0 models the "expedited
-// group-leaves" the paper proposes. The sweep always runs VBR traffic:
-// under CBR the system converges and rarely drops layers, so there is
-// nothing for the prune latency to act on.
-func LeaveLatencySpecs(cfg ExtensionConfig) []Spec {
-	cfg.normalize()
-	traffic := cfg.Traffic
-	if traffic.PeakToMean <= 1 {
-		traffic = VBR3
-	}
-	var specs []Spec
 	for _, ll := range []sim.Time{1, 500 * sim.Millisecond, sim.Second, 2 * sim.Second, 4 * sim.Second} {
-		name := ll.String()
+		param := ll.String()
 		if ll == 1 {
-			name = "~0 (expedited)"
+			param = "~0 (expedited)"
 		}
-		for s := 0; s < cfg.Seeds; s++ {
-			seed := cfg.Seed + int64(s)
-			specs = append(specs, NewSpec("extensions",
-				fmt.Sprintf("extensions/leave/%s/seed=%d", name, seed),
-				seed, cfg.Duration,
-				func(m *Meter) (any, error) {
-					w := worldBWithOverrides(WorldConfig{Seed: seed, Traffic: traffic, LeaveLatency: ll}, m)
-					w.Run(cfg.Duration)
-					traces, optima := w.AllTraces()
-					return []ExtensionRow{{
-						Param:         name,
-						Deviation:     metrics.MeanRelativeDeviation(traces, optima, 0, cfg.Duration),
-						MaxChanges:    metrics.MaxChanges(traces, 0, cfg.Duration),
-						TimeToOptimal: firstTimeAt(traces[0], optima[0], cfg.Duration),
-					}}, nil
-				}))
-		}
+		point("leave/"+param, param, 0, func(seed int64) *World {
+			return NewWorldB(4, 0, WorldConfig{Seed: seed, Traffic: VBR3, LeaveLatency: ll})
+		})
 	}
-	return specs
-}
-
-// IntervalSizeSpecs sweeps the controller's decision interval, one run per
-// (interval, seed): short intervals react fast but see bursty noise and
-// drain transients; long intervals smooth the noise but react slowly — the
-// trade-off of the paper's final Section V bullet.
-func IntervalSizeSpecs(cfg ExtensionConfig) []Spec {
-	cfg.normalize()
-	var specs []Spec
 	for _, iv := range []sim.Time{2 * sim.Second, 4 * sim.Second, 8 * sim.Second, 16 * sim.Second} {
-		for s := 0; s < cfg.Seeds; s++ {
-			seed := cfg.Seed + int64(s)
-			specs = append(specs, NewSpec("extensions",
-				fmt.Sprintf("extensions/interval/%s/seed=%d", iv, seed),
-				seed, cfg.Duration,
-				func(m *Meter) (any, error) {
-					w := worldBWithOverrides(WorldConfig{
-						Seed:    seed,
-						Traffic: cfg.Traffic,
-						Alg:     core.Config{Interval: iv},
-					}, m)
-					w.Run(cfg.Duration)
-					traces, optima := w.AllTraces()
-					return []ExtensionRow{{
-						Param:         iv.String(),
-						Deviation:     metrics.MeanRelativeDeviation(traces, optima, 0, cfg.Duration),
-						MaxChanges:    metrics.MaxChanges(traces, 0, cfg.Duration),
-						TimeToOptimal: firstTimeAt(traces[0], optima[0], cfg.Duration),
-					}}, nil
-				}))
-		}
+		point("interval/"+iv.String(), iv.String(), 0, func(seed int64) *World {
+			return NewWorldB(4, 0, WorldConfig{Seed: seed, Traffic: CBR, Alg: core.Config{Interval: iv}})
+		})
 	}
 	return specs
-}
-
-func worldBWithOverrides(wc WorldConfig, m *Meter) *World {
-	w := NewWorldB(4, 0, wc)
-	m.ObserveWorld(w)
-	return w
 }
 
 // firstTimeAt returns the first instant the trace reaches level target, or

@@ -11,38 +11,14 @@ import (
 	"toposense/internal/trace"
 )
 
-// FailureConfig parameterizes the link failure/repair experiment: Topology
-// B with the shared bottleneck cut for a fixed outage window mid-run. The
-// paper varies only how stale the controller's information is; this run
-// varies the network itself and measures how long the sessions take to
-// return to their pre-failure subscription levels.
-type FailureConfig struct {
-	Seed     int64
-	Sessions int      // 0 = the paper's 4 competing sessions
-	Traffic  Traffic  // zero = CBR
-	Duration sim.Time // 0 = 600 s
-	FailAt   sim.Time // when the bottleneck fails; 0 = Duration/3
-	Outage   sim.Time // how long it stays down; 0 = 60 s
-	Sample   sim.Time // sampling period; 0 = 500 ms
-}
+// The link failure/repair experiment: Topology B carrying CBR sessions with
+// the shared bottleneck cut a third of the way into the run. The paper
+// varies only how stale the controller's information is; this run varies
+// the network itself and measures how long the sessions take to return to
+// their pre-failure subscription levels.
 
-func (c *FailureConfig) normalize() {
-	d := ShortDefaults()
-	c.Duration = d.Dur(c.Duration)
-	c.Traffic = d.Tr(c.Traffic)
-	if c.Sessions == 0 {
-		c.Sessions = 4
-	}
-	if c.FailAt == 0 {
-		c.FailAt = c.Duration / 3
-	}
-	if c.Outage == 0 {
-		c.Outage = 60 * sim.Second
-	}
-	if c.Sample == 0 {
-		c.Sample = 500 * sim.Millisecond
-	}
-}
+// failureSample is the level and throughput sampling period.
+const failureSample = 500 * sim.Millisecond
 
 // settleWindow is the span used to average levels before the failure and at
 // the end of the run, and to window throughput comparisons.
@@ -89,31 +65,35 @@ type FailureResult struct {
 	ThroughputPost   float64 `json:"throughput_post_mbps"`
 }
 
-// FailureSpecs enumerates the experiment as a single run whose rows are the
-// *FailureResult.
-func FailureSpecs(cfg FailureConfig) []Spec {
-	cfg.normalize()
+// failureSpecs enumerates the experiment as a single run whose rows are the
+// *FailureResult. The quick form runs fewer sessions through a shorter
+// outage: it must still leave them room to climb back before it ends.
+func failureSpecs(cfg SweepConfig) []Spec {
+	dur := scaled(cfg, studyDuration, QuickDuration)
+	sessions := scaled(cfg, 4, 2)
+	outage := scaled(cfg, 60*sim.Second, 30*sim.Second)
+	failAt := dur / 3
 	return []Spec{NewSpec("fig_failure",
-		fmt.Sprintf("fig_failure/sessions=%d/%s/outage=%.0fs", cfg.Sessions, cfg.Traffic.Name, cfg.Outage.Seconds()),
-		cfg.Seed, cfg.Duration,
+		fmt.Sprintf("fig_failure/sessions=%d/%s/outage=%.0fs", sessions, CBR.Name, outage.Seconds()),
+		cfg.Seed, dur,
 		func(m *Meter) (any, error) {
-			w := NewWorldB(cfg.Sessions, 0, WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic})
+			w := NewWorldB(sessions, 0, WorldConfig{Seed: cfg.Seed, Traffic: CBR})
 			m.ObserveWorld(w)
 
 			// Cut both directions of the shared bottleneck, as a physical
 			// link failure would.
 			bl := w.Build.Bottlenecks[0]
 			inj := faults.New(w.Net)
-			inj.Outage(cfg.FailAt, cfg.Outage, bl, bl.Reverse())
+			inj.Outage(failAt, outage, bl, bl.Reverse())
 
-			res := &FailureResult{FailAt: cfg.FailAt, RepairAt: cfg.FailAt + cfg.Outage}
-			sampler := trace.NewSampler(w.Engine, cfg.Sample)
+			res := &FailureResult{FailAt: failAt, RepairAt: failAt + outage}
+			sampler := trace.NewSampler(w.Engine, failureSample)
 			for s := range w.Receivers {
 				rx := w.Receivers[s][0]
 				sampler.Probe(fmt.Sprintf("session%d/level", s), func() float64 { return float64(rx.Level()) })
 			}
 			var lastTx int64
-			perSample := cfg.Sample.Seconds()
+			perSample := failureSample.Seconds()
 			sampler.Probe("bottleneck/mbps", func() float64 {
 				tx := bl.Stats().TxBytes
 				mbps := float64(tx-lastTx) * 8 / perSample / 1e6
@@ -121,18 +101,18 @@ func FailureSpecs(cfg FailureConfig) []Spec {
 				return mbps
 			})
 			sampler.Start()
-			w.Run(cfg.Duration)
+			w.Run(dur)
 			sampler.Stop()
 
-			for s := 0; s < cfg.Sessions; s++ {
+			for s := 0; s < sessions; s++ {
 				lv := sampler.Series(fmt.Sprintf("session%d/level", s))
-				res.Rows = append(res.Rows, failureRow(s, lv, res.FailAt, res.RepairAt, cfg.Duration))
+				res.Rows = append(res.Rows, failureRow(s, lv, res.FailAt, res.RepairAt, dur))
 			}
 			// The bottleneck's delivered rate in Mbit/s per sample.
 			tput := sampler.Series("bottleneck/mbps")
 			res.ThroughputPre = tput.Window(res.FailAt-settleWindow, res.FailAt).Mean()
 			res.ThroughputDuring = tput.Window(res.FailAt+sim.Second, res.RepairAt).Mean()
-			res.ThroughputPost = tput.Window(cfg.Duration-settleWindow, cfg.Duration).Mean()
+			res.ThroughputPost = tput.Window(dur-settleWindow, dur).Mean()
 			res.TreeRepairs = w.Domain.Repairs
 			res.Grafts = w.Domain.Grafts
 			res.Prunes = w.Domain.Prunes

@@ -3,21 +3,13 @@ package experiments
 import (
 	"encoding/json"
 	"testing"
-
-	"toposense/internal/sim"
 )
 
-// shortFailureConfig keeps the fault-injection end-to-end runs affordable:
-// converge, fail the bottleneck, repair it, and leave room to recover.
-func shortFailureConfig(seed int64) FailureConfig {
-	return FailureConfig{
-		Seed:     seed,
-		Sessions: 2,
-		Traffic:  CBR,
-		Duration: 300 * sim.Second,
-		FailAt:   100 * sim.Second,
-		Outage:   40 * sim.Second,
-	}
+// quickFailureSpecs is fig_failure's quick form at seed: two sessions
+// converge, the bottleneck fails and is repaired, and the run leaves them
+// room to recover.
+func quickFailureSpecs(seed int64) []Spec {
+	return failureSpecs(SweepConfig{Seed: seed, Quick: true})
 }
 
 // TestFailureDeterministicPerSeed runs fig_failure twice under the same seed
@@ -28,7 +20,7 @@ func TestFailureDeterministicPerSeed(t *testing.T) {
 		t.Skip("full failure/repair run")
 	}
 	marshal := func() []byte {
-		res := runSingle[*FailureResult](t, FailureSpecs(shortFailureConfig(42)))
+		res := runSingle[*FailureResult](t, quickFailureSpecs(42))
 		b, err := json.Marshal(res)
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
@@ -48,7 +40,7 @@ func TestFailureSessionsRecover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full failure/repair run")
 	}
-	res := runSingle[*FailureResult](t, FailureSpecs(shortFailureConfig(7)))
+	res := runSingle[*FailureResult](t, quickFailureSpecs(7))
 
 	if res.LinkFailures != 2 || res.LinkRepairs != 2 {
 		t.Fatalf("outage did not execute: %d failures, %d repairs (want 2 each: both directions)",

@@ -18,33 +18,16 @@ import (
 // matches the flat controller per domain, with the leaves provably never
 // consuming feedback from outside their own domain.
 
-// FederationConfig parameterizes the experiment.
-type FederationConfig struct {
-	Seed             int64
-	Duration         sim.Time // 0 = 600 s
-	ReceiversPerLeaf int      // 0 = 2
-	Traffic          Traffic  // zero = CBR
-}
-
-func (c *FederationConfig) normalize() {
-	d := ShortDefaults()
-	c.Duration = d.Dur(c.Duration)
-	c.Traffic = d.Tr(c.Traffic)
-	if c.ReceiversPerLeaf == 0 {
-		c.ReceiversPerLeaf = 2
-	}
-}
-
 // federationTopology builds the experiment's tiered-Internet instance: two
 // tier-1 domains behind ~2 Mbit/s border links (tight enough that the
 // derived domain ceilings sit inside the 6-layer stack), three tier-2
-// leaves each behind ~600 Kbit/s last hops.
-func federationTopology(e sim.Scheduler, seed int64, rxPerLeaf int) *topology.Build {
+// leaves each behind ~600 Kbit/s last hops, two receivers per leaf.
+func federationTopology(e sim.Scheduler, seed int64) *topology.Build {
 	return topology.MustGenerate(e, &topology.TieredConfig{
 		Seed:             seed,
 		FanOut:           []int{2, 3},
 		Bandwidth:        []float64{2e6, 600e3},
-		ReceiversPerLeaf: rxPerLeaf,
+		ReceiversPerLeaf: 2,
 	})
 }
 
@@ -96,26 +79,26 @@ func sessionGroup(w *World, idx []int) (traces []*metrics.Trace, optima []int, f
 	return traces, optima, finalOK
 }
 
-// FederationSpecs enumerates the experiment: one flat run and one federated
-// run on the identical topology and seed.
-func FederationSpecs(cfg FederationConfig) []Spec {
-	cfg.normalize()
+// federationSpecs enumerates the experiment: one flat run and one federated
+// run of CBR sessions on the identical topology and seed.
+func federationSpecs(cfg SweepConfig) []Spec {
+	dur := scaled(cfg, studyDuration, QuickDuration)
 	var specs []Spec
 	for _, plane := range []Plane{PlaneFlat, PlaneFederated} {
 		variant := plane.String()
 		specs = append(specs, NewSpec("fig_federation",
-			fmt.Sprintf("fig_federation/%s/%s/seed=%d", variant, cfg.Traffic.Name, cfg.Seed),
-			cfg.Seed, cfg.Duration,
+			fmt.Sprintf("fig_federation/%s/%s/seed=%d", variant, CBR.Name, cfg.Seed),
+			cfg.Seed, dur,
 			func(m *Meter) (any, error) {
 				e := NewRunEngine(cfg.Seed, 0)
-				b := federationTopology(e, cfg.Seed, cfg.ReceiversPerLeaf)
-				w, err := AssembleWorld(e, b, WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic, Plane: plane})
+				b := federationTopology(e, cfg.Seed)
+				w, err := AssembleWorld(e, b, WorldConfig{Seed: cfg.Seed, Traffic: CBR, Plane: plane})
 				if err != nil {
 					return nil, err
 				}
 				m.ObserveWorld(w)
-				w.Run(cfg.Duration)
-				return federationRows(w, variant, cfg.Duration), nil
+				w.Run(dur)
+				return federationRows(w, variant, dur), nil
 			}))
 	}
 	return specs

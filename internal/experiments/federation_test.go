@@ -34,7 +34,7 @@ func TestFederationConvergenceAndIsolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full flat + federated runs")
 	}
-	rows := gather[FederationRow](t, FederationSpecs(FederationConfig{Seed: 1, Duration: QuickDuration}))
+	rows := gather[FederationRow](t, quickSpecs(t, "fig_federation"))
 
 	var flat, fed int
 	for _, r := range rows {

@@ -22,45 +22,27 @@ type StaleRow struct {
 	MaxChanges int     // busiest receiver's subscription changes
 }
 
-// Fig10Config parameterizes the stale-information experiment.
-type Fig10Config struct {
-	Seed      int64
-	Duration  sim.Time   // 0 = the paper's 1200 s
-	Traffic   Traffic    // zero = VBR(P=3), as in the paper
-	PerSet    []int      // receivers per set; nil = {1, 2, 4} (2/4/8 total)
-	Staleness []sim.Time // nil = {0, 2, ..., 18} seconds
-}
-
-func (c *Fig10Config) normalize() {
-	d := PaperDefaults()
-	d.Traffic = VBR3
-	c.Duration = d.Dur(c.Duration)
-	c.Traffic = d.Tr(c.Traffic)
-	if c.PerSet == nil {
-		c.PerSet = []int{1, 2, 4}
-	}
-	if c.Staleness == nil {
-		for s := 0; s <= 18; s += 2 {
-			c.Staleness = append(c.Staleness, sim.Time(s)*sim.Second)
-		}
-	}
-}
-
-// Fig10Specs enumerates Figure 10 ("Impact of stale information on Topology
+// fig10Specs enumerates Figure 10 ("Impact of stale information on Topology
 // A subscription with VBR traffic") as independent runs, one per (set size,
 // staleness) point: sweep the discovery tool's staleness and measure the
 // mean relative deviation from the optimal subscription, plus the mean loss
-// rate and change count the deviation metric partially hides.
-func Fig10Specs(cfg Fig10Config) []Spec {
-	cfg.normalize()
+// rate and change count the deviation metric partially hides. The paper
+// runs VBR(P=3) traffic.
+func fig10Specs(cfg SweepConfig) []Spec {
+	const s = sim.Second
+	dur := scaled(cfg, PaperDuration, QuickDuration)
+	perSets := scaled(cfg, []int{1, 2, 4}, []int{1, 2}) // receivers per set
+	staleness := scaled(cfg,
+		[]sim.Time{0, 2 * s, 4 * s, 6 * s, 8 * s, 10 * s, 12 * s, 14 * s, 16 * s, 18 * s},
+		[]sim.Time{0, 4 * s, 8 * s})
 	var specs []Spec
-	for _, per := range cfg.PerSet {
-		for _, stale := range cfg.Staleness {
+	for _, per := range perSets {
+		for _, stale := range staleness {
 			specs = append(specs, NewSpec("10",
 				fmt.Sprintf("fig10/rx=%d/stale=%.0fs", 2*per, stale.Seconds()),
-				cfg.Seed, cfg.Duration,
+				cfg.Seed, dur,
 				func(m *Meter) (any, error) {
-					w := NewWorldA(per, 0, WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic, Staleness: stale})
+					w := NewWorldA(per, 0, WorldConfig{Seed: cfg.Seed, Traffic: VBR3, Staleness: stale})
 					m.ObserveWorld(w)
 					sampler := trace.NewSampler(w.Engine, sim.Second)
 					for i, rx := range w.Receivers[0] {
@@ -68,7 +50,7 @@ func Fig10Specs(cfg Fig10Config) []Spec {
 						sampler.Probe(fmt.Sprintf("loss%d", i), func() float64 { return rx.LastLoss })
 					}
 					sampler.Start()
-					w.Run(cfg.Duration)
+					w.Run(dur)
 					sampler.Stop()
 					traces, optima := w.AllTraces()
 					meanLoss := 0.0
@@ -79,9 +61,9 @@ func Fig10Specs(cfg Fig10Config) []Spec {
 					return []StaleRow{{
 						Staleness:  stale,
 						Receivers:  2 * per,
-						Deviation:  metrics.MeanRelativeDeviation(traces, optima, 0, cfg.Duration),
+						Deviation:  metrics.MeanRelativeDeviation(traces, optima, 0, dur),
 						MeanLoss:   meanLoss,
-						MaxChanges: metrics.MaxChanges(traces, 0, cfg.Duration),
+						MaxChanges: metrics.MaxChanges(traces, 0, dur),
 					}}, nil
 				}))
 		}

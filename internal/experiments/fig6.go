@@ -18,45 +18,28 @@ type StabilityRow struct {
 	MeanBetween sim.Time
 }
 
-// Fig6Config parameterizes the Topology A stability experiment.
-type Fig6Config struct {
-	Seed     int64
-	Duration sim.Time  // 0 = the paper's 1200 s
-	PerSet   []int     // receivers per set; nil = {1, 2, 4, 8}
-	Traffic  []Traffic // nil = AllTraffic
-	Shards   int       // engine worker count; <= 1 = single-threaded
-}
-
-func (c *Fig6Config) normalize() {
-	d := PaperDefaults()
-	c.Duration = d.Dur(c.Duration)
-	c.Traffic = d.TrafficSweep(c.Traffic)
-	if c.PerSet == nil {
-		c.PerSet = []int{1, 2, 4, 8}
-	}
-}
-
-// Fig6Specs enumerates Figure 6 ("Stability in Topology A") as independent
+// fig6Specs enumerates Figure 6 ("Stability in Topology A") as independent
 // runs, one per (receiver-set size, traffic model) point; each run yields
 // one StabilityRow for the busiest receiver.
-func Fig6Specs(cfg Fig6Config) []Spec {
-	cfg.normalize()
+func fig6Specs(cfg SweepConfig) []Spec {
+	dur := scaled(cfg, PaperDuration, QuickDuration)
+	perSets := scaled(cfg, []int{1, 2, 4, 8}, []int{1, 2}) // receivers per set
 	var specs []Spec
-	for _, per := range cfg.PerSet {
-		for _, tr := range cfg.Traffic {
+	for _, per := range perSets {
+		for _, tr := range AllTraffic {
 			specs = append(specs, NewSpec("6",
 				fmt.Sprintf("fig6/rx=%d/%s", 2*per, tr.Name),
-				cfg.Seed, cfg.Duration,
+				cfg.Seed, dur,
 				func(m *Meter) (any, error) {
 					w := NewWorldA(per, cfg.Shards, WorldConfig{Seed: cfg.Seed, Traffic: tr})
 					m.ObserveWorld(w)
-					w.Run(cfg.Duration)
+					w.Run(dur)
 					traces, _ := w.AllTraces()
 					return []StabilityRow{{
 						X:           2 * per, // total receivers in the session
 						Traffic:     tr.Name,
-						MaxChanges:  metrics.MaxChanges(traces, 0, cfg.Duration),
-						MeanBetween: metrics.MeanTimeBetweenChangesOfBusiest(traces, 0, cfg.Duration),
+						MaxChanges:  metrics.MaxChanges(traces, 0, dur),
+						MeanBetween: metrics.MeanTimeBetweenChangesOfBusiest(traces, 0, dur),
 					}}, nil
 				}))
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"toposense/internal/metrics"
-	"toposense/internal/sim"
 )
 
 // FairnessRow is one point of Figure 8: the mean relative deviation from
@@ -22,49 +21,32 @@ type FairnessRow struct {
 	Utilization float64
 }
 
-// Fig8Config parameterizes the inter-session fairness experiment.
-type Fig8Config struct {
-	Seed     int64
-	Duration sim.Time  // 0 = the paper's 1200 s (halved into two windows)
-	Sessions []int     // nil = {2, 4, 8, 16}
-	Traffic  []Traffic // nil = AllTraffic
-}
-
-func (c *Fig8Config) normalize() {
-	d := PaperDefaults()
-	c.Duration = d.Dur(c.Duration)
-	c.Traffic = d.TrafficSweep(c.Traffic)
-	if c.Sessions == nil {
-		c.Sessions = []int{2, 4, 8, 16}
-	}
-}
-
-// Fig8Specs enumerates Figure 8 ("Fairness in Topology B") as independent
+// fig8Specs enumerates Figure 8 ("Fairness in Topology B") as independent
 // runs, one per (session count, traffic model) point: the mean relative
 // deviation from the optimal 4-layer subscription over both halves of the
 // run. Small values in both windows mean TopoSense shares the link fairly
 // regardless of when you look.
-func Fig8Specs(cfg Fig8Config) []Spec {
-	cfg.normalize()
-	half := cfg.Duration / 2
+func fig8Specs(cfg SweepConfig) []Spec {
+	dur := scaled(cfg, PaperDuration, QuickDuration)
+	half := dur / 2
 	var specs []Spec
-	for _, sessions := range cfg.Sessions {
-		for _, tr := range cfg.Traffic {
+	for _, sessions := range scaled(cfg, []int{2, 4, 8, 16}, []int{2, 4}) {
+		for _, tr := range AllTraffic {
 			specs = append(specs, NewSpec("8",
 				fmt.Sprintf("fig8/sessions=%d/%s", sessions, tr.Name),
-				cfg.Seed, cfg.Duration,
+				cfg.Seed, dur,
 				func(m *Meter) (any, error) {
 					w := NewWorldB(sessions, 0, WorldConfig{Seed: cfg.Seed, Traffic: tr})
 					m.ObserveWorld(w)
-					w.Run(cfg.Duration)
+					w.Run(dur)
 					traces, optima := w.AllTraces()
 					shared := w.Build.Bottlenecks[0]
-					capacityBits := shared.Bandwidth * cfg.Duration.Seconds()
+					capacityBits := shared.Bandwidth * dur.Seconds()
 					return []FairnessRow{{
 						Sessions:    sessions,
 						Traffic:     tr.Name,
 						DevFirst:    metrics.MeanRelativeDeviation(traces, optima, 0, half),
-						DevSecond:   metrics.MeanRelativeDeviation(traces, optima, half, cfg.Duration),
+						DevSecond:   metrics.MeanRelativeDeviation(traces, optima, half, dur),
 						Utilization: float64(shared.Stats().TxBytes) * 8 / capacityBits,
 					}}, nil
 				}))

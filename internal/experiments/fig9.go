@@ -9,37 +9,13 @@ import (
 	"toposense/internal/trace"
 )
 
-// Fig9Config parameterizes the subscription/loss trace experiment.
-type Fig9Config struct {
-	Seed       int64
-	Sessions   int      // 0 = the paper's 4 competing sessions
-	Traffic    Traffic  // zero = VBR(P=3), as in the paper
-	Duration   sim.Time // 0 = the paper's 1200 s
-	Sample     sim.Time // sampling period; 0 = 500 ms
-	WindowFrom sim.Time // displayed window start; 0 = auto (after warmup)
-	WindowLen  sim.Time // displayed window length; 0 = the paper's 10 s
-}
-
-func (c *Fig9Config) normalize() {
-	d := PaperDefaults()
-	d.Traffic = VBR3
-	c.Duration = d.Dur(c.Duration)
-	c.Traffic = d.Tr(c.Traffic)
-	if c.Sessions == 0 {
-		c.Sessions = 4
-	}
-	if c.Sample == 0 {
-		c.Sample = 500 * sim.Millisecond
-	}
-	if c.WindowLen == 0 {
-		c.WindowLen = 10 * sim.Second
-	}
-	if c.WindowFrom == 0 {
-		// A window straddling a capacity re-estimation cycle shows the
-		// over-subscription bursts the paper highlights.
-		c.WindowFrom = c.Duration/2 - c.WindowLen/2
-	}
-}
+// Figure 9's fixed parameters, as in the paper: four competing VBR(P=3)
+// sessions sampled every 500 ms, shown through a 10 s window.
+const (
+	fig9Sessions  = 4
+	fig9Sample    = 500 * sim.Millisecond
+	fig9WindowLen = 10 * sim.Second
+)
 
 // Fig9Result carries the sampled series: per session, the subscription
 // level and the observed loss rate over time.
@@ -51,20 +27,23 @@ type Fig9Result struct {
 	}
 }
 
-// Fig9Specs enumerates Figure 9 ("Layer Subscription and Loss History")
+// fig9Specs enumerates Figure 9 ("Layer Subscription and Loss History")
 // as a single run whose rows are the *Fig9Result sampled series.
-func Fig9Specs(cfg Fig9Config) []Spec {
-	cfg.normalize()
+func fig9Specs(cfg SweepConfig) []Spec {
+	dur := scaled(cfg, PaperDuration, QuickDuration)
+	// A window straddling a capacity re-estimation cycle shows the
+	// over-subscription bursts the paper highlights.
+	windowFrom := dur/2 - fig9WindowLen/2
 	return []Spec{NewSpec("9",
-		fmt.Sprintf("fig9/sessions=%d/%s", cfg.Sessions, cfg.Traffic.Name),
-		cfg.Seed, cfg.Duration,
+		fmt.Sprintf("fig9/sessions=%d/%s", fig9Sessions, VBR3.Name),
+		cfg.Seed, dur,
 		func(m *Meter) (any, error) {
-			w := NewWorldB(cfg.Sessions, 0, WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic})
+			w := NewWorldB(fig9Sessions, 0, WorldConfig{Seed: cfg.Seed, Traffic: VBR3})
 			m.ObserveWorld(w)
-			sampler := trace.NewSampler(w.Engine, cfg.Sample)
+			sampler := trace.NewSampler(w.Engine, fig9Sample)
 			res := &Fig9Result{}
-			res.Window.From = cfg.WindowFrom
-			res.Window.To = cfg.WindowFrom + cfg.WindowLen
+			res.Window.From = windowFrom
+			res.Window.To = windowFrom + fig9WindowLen
 			for s := range w.Receivers {
 				rx := w.Receivers[s][0]
 				lvl := fmt.Sprintf("session%d/level", s)
@@ -73,9 +52,9 @@ func Fig9Specs(cfg Fig9Config) []Spec {
 				sampler.Probe(lss, func() float64 { return rx.LastLoss })
 			}
 			sampler.Start()
-			w.Run(cfg.Duration)
+			w.Run(dur)
 			sampler.Stop()
-			for s := 0; s < cfg.Sessions; s++ {
+			for s := 0; s < fig9Sessions; s++ {
 				res.Levels = append(res.Levels, sampler.Series(fmt.Sprintf("session%d/level", s)))
 				res.Losses = append(res.Losses, sampler.Series(fmt.Sprintf("session%d/loss", s)))
 			}

@@ -31,25 +31,12 @@ type LastMileRow struct {
 	MaxChanges    int
 }
 
-// LastMileConfig parameterizes the depth study.
-type LastMileConfig struct {
-	Seed     int64
-	Duration sim.Time // 0 = 600 s
-	Traffic  Traffic  // zero = CBR
-}
-
-func (c *LastMileConfig) normalize() {
-	d := ShortDefaults()
-	c.Duration = d.Dur(c.Duration)
-	c.Traffic = d.Tr(c.Traffic)
-}
-
-// LastMileSpecs builds, per depth, a binary three-tier tree with 4
+// lastMileSpecs builds, per depth, a binary three-tier tree with 4
 // receivers and a single 224 Kbps (3-layer) constraint at the chosen tier,
 // everything else fat. Receivers behind the constraint have optimum 3; the
-// rest 6. One run per depth.
-func LastMileSpecs(cfg LastMileConfig) []Spec {
-	cfg.normalize()
+// rest 6. One CBR run per depth.
+func lastMileSpecs(cfg SweepConfig) []Spec {
+	dur := scaled(cfg, studyDuration, QuickDuration)
 	depths := []struct{ key, label string }{
 		{"backbone", "backbone (tier 1)"},
 		{"regional", "regional (tier 2)"},
@@ -58,16 +45,16 @@ func LastMileSpecs(cfg LastMileConfig) []Spec {
 	var specs []Spec
 	for di, depth := range depths {
 		specs = append(specs, NewSpec("lastmile",
-			"lastmile/"+depth.key, cfg.Seed, cfg.Duration,
+			"lastmile/"+depth.key, cfg.Seed, dur,
 			func(m *Meter) (any, error) {
-				return []LastMileRow{runLastMileDepth(cfg, di, depth.label, m)}, nil
+				return []LastMileRow{runLastMileDepth(cfg.Seed, dur, di, depth.label, m)}, nil
 			}))
 	}
 	return specs
 }
 
-func runLastMileDepth(cfg LastMileConfig, di int, where string, m *Meter) LastMileRow {
-	e := sim.NewEngine(cfg.Seed)
+func runLastMileDepth(seed int64, dur sim.Time, di int, where string, m *Meter) LastMileRow {
+	e := sim.NewEngine(seed)
 	n := netsim.New(e)
 	fat := netsim.LinkConfig{Bandwidth: topology.FatBandwidth, Delay: topology.DefaultDelay}
 	narrow := netsim.LinkConfig{Bandwidth: 240e3, Delay: topology.DefaultDelay} // 3 layers (224k) + headroom
@@ -111,9 +98,9 @@ func runLastMileDepth(cfg LastMileConfig, di int, where string, m *Meter) LastMi
 		}
 	}
 
-	w := NewWorld(e, b, WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic})
+	w := NewWorld(e, b, WorldConfig{Seed: seed, Traffic: CBR})
 	m.Observe(e, n)
-	w.Run(cfg.Duration)
+	w.Run(dur)
 	traces, optima := w.AllTraces()
 	var conTr, freeTr []*metrics.Trace
 	var conOpt, freeOpt []int
@@ -128,11 +115,11 @@ func runLastMileDepth(cfg LastMileConfig, di int, where string, m *Meter) LastMi
 	}
 	row := LastMileRow{
 		Where:      where,
-		Deviation:  metrics.MeanRelativeDeviation(conTr, conOpt, 0, cfg.Duration),
-		MaxChanges: metrics.MaxChanges(traces, 0, cfg.Duration),
+		Deviation:  metrics.MeanRelativeDeviation(conTr, conOpt, 0, dur),
+		MaxChanges: metrics.MaxChanges(traces, 0, dur),
 	}
 	if len(freeTr) > 0 {
-		row.UnaffectedDev = metrics.MeanRelativeDeviation(freeTr, freeOpt, 0, cfg.Duration)
+		row.UnaffectedDev = metrics.MeanRelativeDeviation(freeTr, freeOpt, 0, dur)
 	}
 	return row
 }

@@ -25,28 +25,14 @@ type QueueRow struct {
 	MaxChanges int
 }
 
-// QueueConfig parameterizes the queue-policy comparison.
-type QueueConfig struct {
-	Seed     int64
-	Duration sim.Time // 0 = 600 s
-	Sessions int      // 0 = 4
-	Traffic  Traffic  // zero = VBR(P=3): burstiness is where policies differ
-}
+// queueSessions is the Topology B session count.
+const queueSessions = 4
 
-func (c *QueueConfig) normalize() {
-	d := ShortDefaults()
-	d.Traffic = VBR3
-	c.Duration = d.Dur(c.Duration)
-	c.Traffic = d.Tr(c.Traffic)
-	if c.Sessions == 0 {
-		c.Sessions = 4
-	}
-}
-
-// QueuePolicySpecs compares drop-tail vs priority dropping, with and
-// without the TopoSense controller — one run per configuration.
-func QueuePolicySpecs(cfg QueueConfig) []Spec {
-	cfg.normalize()
+// queuePolicySpecs compares drop-tail vs priority dropping, with and
+// without the TopoSense controller — one run per configuration, under
+// VBR(P=3) traffic: burstiness is where the policies differ.
+func queuePolicySpecs(cfg SweepConfig) []Spec {
+	dur := scaled(cfg, studyDuration, QuickDuration)
 	type variant struct {
 		key, name string
 		policy    netsim.DropPolicy
@@ -61,9 +47,9 @@ func QueuePolicySpecs(cfg QueueConfig) []Spec {
 	var specs []Spec
 	for _, v := range variants {
 		specs = append(specs, NewSpec("queues",
-			"queues/"+v.key, cfg.Seed, cfg.Duration,
+			"queues/"+v.key, cfg.Seed, dur,
 			func(m *Meter) (any, error) {
-				w := NewWorldB(cfg.Sessions, 0, WorldConfig{Seed: cfg.Seed, Traffic: cfg.Traffic, Plane: v.plane})
+				w := NewWorldB(queueSessions, 0, WorldConfig{Seed: cfg.Seed, Traffic: VBR3, Plane: v.plane})
 				m.ObserveWorld(w)
 				for _, l := range w.Net.Links() {
 					l.Policy = v.policy
@@ -79,12 +65,12 @@ func QueuePolicySpecs(cfg QueueConfig) []Spec {
 						}
 					})
 				}
-				w.Run(cfg.Duration)
+				w.Run(dur)
 				traces, optima := w.AllTraces()
 				row := QueueRow{
 					Config:     v.name,
-					Deviation:  metrics.MeanRelativeDeviation(traces, optima, 0, cfg.Duration),
-					MaxChanges: metrics.MaxChanges(traces, 0, cfg.Duration),
+					Deviation:  metrics.MeanRelativeDeviation(traces, optima, 0, dur),
+					MaxChanges: metrics.MaxChanges(traces, 0, dur),
 				}
 				if lossN > 0 {
 					row.MeanLoss = lossSum / float64(lossN)

@@ -50,12 +50,22 @@ type Experiment struct {
 	Render func(results []Result) (string, error)
 }
 
-// quickDur returns the quick-sweep duration or 0 (= figure default).
-func quickDur(cfg SweepConfig) sim.Time {
+// QuickDuration is the scaled-down run length the -quick sweeps use.
+const QuickDuration = 240 * sim.Second
+
+// studyDuration is the full run length of the secondary studies (failure,
+// federation, churn, convergence, domains, queues, last-mile, variance,
+// extensions); the paper's own figures run PaperDuration.
+const studyDuration = 600 * sim.Second
+
+// scaled returns full, or quick when cfg asks for the scaled-down sweep.
+// Every experiment reads each parameter that differs between its two forms
+// through it, so the quick value sits beside the full one.
+func scaled[T any](cfg SweepConfig, full, quick T) T {
 	if cfg.Quick {
-		return QuickDuration
+		return quick
 	}
-	return 0
+	return full
 }
 
 // table renders results as a single table via a typed gather.
@@ -92,13 +102,7 @@ func Registry() []Experiment {
 		{
 			Name:  "6",
 			Title: "Figure 6: stability in Topology A",
-			Specs: func(cfg SweepConfig) []Spec {
-				c := Fig6Config{Seed: cfg.Seed, Duration: quickDur(cfg), Shards: cfg.Shards}
-				if cfg.Quick {
-					c.PerSet = []int{1, 2}
-				}
-				return Fig6Specs(c)
-			},
+			Specs: fig6Specs,
 			Render: func(results []Result) (string, error) {
 				return table(results, func(rows []StabilityRow) *Table {
 					return StabilityTable(
@@ -110,13 +114,7 @@ func Registry() []Experiment {
 		{
 			Name:  "7",
 			Title: "Figure 7: stability in Topology B",
-			Specs: func(cfg SweepConfig) []Spec {
-				c := Fig7Config{Seed: cfg.Seed, Duration: quickDur(cfg), Shards: cfg.Shards}
-				if cfg.Quick {
-					c.Sessions = []int{2, 4}
-				}
-				return Fig7Specs(c)
-			},
+			Specs: fig7Specs,
 			Render: func(results []Result) (string, error) {
 				return table(results, func(rows []StabilityRow) *Table {
 					return StabilityTable(
@@ -128,13 +126,7 @@ func Registry() []Experiment {
 		{
 			Name:  "8",
 			Title: "Figure 8: inter-session fairness in Topology B",
-			Specs: func(cfg SweepConfig) []Spec {
-				c := Fig8Config{Seed: cfg.Seed, Duration: quickDur(cfg)}
-				if cfg.Quick {
-					c.Sessions = []int{2, 4}
-				}
-				return Fig8Specs(c)
-			},
+			Specs: fig8Specs,
 			Render: func(results []Result) (string, error) {
 				return table(results, FairnessTable)
 			},
@@ -142,9 +134,7 @@ func Registry() []Experiment {
 		{
 			Name:  "9",
 			Title: "Figure 9: layer subscription and loss history",
-			Specs: func(cfg SweepConfig) []Spec {
-				return Fig9Specs(Fig9Config{Seed: cfg.Seed, Duration: quickDur(cfg)})
-			},
+			Specs: fig9Specs,
 			Render: func(results []Result) (string, error) {
 				res, err := single[*Fig9Result](results)
 				if err != nil {
@@ -156,14 +146,7 @@ func Registry() []Experiment {
 		{
 			Name:  "10",
 			Title: "Figure 10: impact of stale information",
-			Specs: func(cfg SweepConfig) []Spec {
-				c := Fig10Config{Seed: cfg.Seed, Duration: quickDur(cfg)}
-				if cfg.Quick {
-					c.PerSet = []int{1, 2}
-					c.Staleness = []sim.Time{0, 4 * sim.Second, 8 * sim.Second}
-				}
-				return Fig10Specs(c)
-			},
+			Specs: fig10Specs,
 			Render: func(results []Result) (string, error) {
 				return table(results, StaleTable)
 			},
@@ -171,16 +154,7 @@ func Registry() []Experiment {
 		{
 			Name:  "fig_failure",
 			Title: "Bottleneck link failure and repair in Topology B",
-			Specs: func(cfg SweepConfig) []Spec {
-				c := FailureConfig{Seed: cfg.Seed, Duration: quickDur(cfg)}
-				if cfg.Quick {
-					// Shorter outage: a quick run must still leave the
-					// sessions room to climb back before it ends.
-					c.Sessions = 2
-					c.Outage = 30 * sim.Second
-				}
-				return FailureSpecs(c)
-			},
+			Specs: failureSpecs,
 			Render: func(results []Result) (string, error) {
 				res, err := single[*FailureResult](results)
 				if err != nil {
@@ -190,19 +164,15 @@ func Registry() []Experiment {
 			},
 		},
 		{
-			Name:  "fig_scale",
-			Title: "Scaling curve: receivers vs events/s, memory, pass latency",
-			Specs: func(cfg SweepConfig) []Spec {
-				return ScaleSpecs(ScaleConfig{Seed: cfg.Seed, Quick: cfg.Quick, Topo: cfg.Topo, Shards: cfg.Shards, Aggregate: cfg.Aggregate, Federate: cfg.Federate})
-			},
+			Name:   "fig_scale",
+			Title:  "Scaling curve: receivers vs events/s, memory, pass latency",
+			Specs:  scaleSpecs,
 			Render: ScaleTable,
 		},
 		{
 			Name:  "fig_federation",
 			Title: "Hierarchical control plane on a tiered topology: flat vs federated",
-			Specs: func(cfg SweepConfig) []Spec {
-				return FederationSpecs(FederationConfig{Seed: cfg.Seed, Duration: quickDur(cfg)})
-			},
+			Specs: federationSpecs,
 			Render: func(results []Result) (string, error) {
 				return table(results, FederationTable)
 			},
@@ -210,13 +180,7 @@ func Registry() []Experiment {
 		{
 			Name:  "fig_churn",
 			Title: "Membership churn: Poisson join/leave vs the decision interval",
-			Specs: func(cfg SweepConfig) []Spec {
-				c := ChurnStudyConfig{Seed: cfg.Seed, Duration: quickDur(cfg), Quick: cfg.Quick, Shards: cfg.Shards}
-				if cfg.Churn > 0 {
-					c.Periods = []sim.Time{sim.Time(cfg.Churn * float64(sim.Second))}
-				}
-				return ChurnStudySpecs(c)
-			},
+			Specs: churnStudySpecs,
 			Render: func(results []Result) (string, error) {
 				return table(results, ChurnStudyTable)
 			},
@@ -224,9 +188,7 @@ func Registry() []Experiment {
 		{
 			Name:  "baseline",
 			Title: "TopoSense vs receiver-driven (RLM-style) baseline",
-			Specs: func(cfg SweepConfig) []Spec {
-				return BaselineSpecs(BaselineConfig{Seed: cfg.Seed, Duration: quickDur(cfg)})
-			},
+			Specs: baselineSpecs,
 			Render: func(results []Result) (string, error) {
 				return table(results, BaselineTable)
 			},
@@ -234,9 +196,7 @@ func Registry() []Experiment {
 		{
 			Name:  "ablation",
 			Title: "Each mechanism disabled in isolation",
-			Specs: func(cfg SweepConfig) []Spec {
-				return AblationSpecs(AblationConfig{Seed: cfg.Seed, Duration: quickDur(cfg)})
-			},
+			Specs: ablationSpecs,
 			Render: func(results []Result) (string, error) {
 				return table(results, AblationTable)
 			},
@@ -244,15 +204,7 @@ func Registry() []Experiment {
 		{
 			Name:  "convergence",
 			Title: "Heterogeneous convergence and intra-session fairness",
-			Specs: func(cfg SweepConfig) []Spec {
-				var specs []Spec
-				for _, tr := range convergenceTraffics {
-					specs = append(specs, ConvergenceSpecs(ConvergenceConfig{
-						Seed: cfg.Seed, Duration: quickDur(cfg), Traffic: tr,
-					})...)
-				}
-				return specs
-			},
+			Specs: convergenceSpecs,
 			Render: func(results []Result) (string, error) {
 				var b strings.Builder
 				for _, tr := range convergenceTraffics {
@@ -276,13 +228,7 @@ func Registry() []Experiment {
 		{
 			Name:  "domains",
 			Title: "Per-domain controller agents vs one global agent",
-			Specs: func(cfg SweepConfig) []Spec {
-				c := DomainsConfig{Seed: cfg.Seed, Duration: quickDur(cfg)}
-				if cfg.Quick {
-					c.Seeds = 1
-				}
-				return DomainsSpecs(c)
-			},
+			Specs: domainsSpecs,
 			Render: func(results []Result) (string, error) {
 				rows, err := GatherRows[DomainRow](results)
 				if err != nil {
@@ -294,9 +240,7 @@ func Registry() []Experiment {
 		{
 			Name:  "queues",
 			Title: "Drop-tail vs router-based priority dropping",
-			Specs: func(cfg SweepConfig) []Spec {
-				return QueuePolicySpecs(QueueConfig{Seed: cfg.Seed, Duration: quickDur(cfg)})
-			},
+			Specs: queuePolicySpecs,
 			Render: func(results []Result) (string, error) {
 				return table(results, QueueTable)
 			},
@@ -304,9 +248,7 @@ func Registry() []Experiment {
 		{
 			Name:  "lastmile",
 			Title: "The same bottleneck at each tier of a tiered tree",
-			Specs: func(cfg SweepConfig) []Spec {
-				return LastMileSpecs(LastMileConfig{Seed: cfg.Seed, Duration: quickDur(cfg)})
-			},
+			Specs: lastMileSpecs,
 			Render: func(results []Result) (string, error) {
 				return table(results, LastMileTable)
 			},
@@ -314,13 +256,7 @@ func Registry() []Experiment {
 		{
 			Name:  "variance",
 			Title: "Across-seed variance of the Figure 8 headline",
-			Specs: func(cfg SweepConfig) []Spec {
-				c := VarianceConfig{Seed: cfg.Seed, Duration: quickDur(cfg)}
-				if cfg.Quick {
-					c.Seeds = 3
-				}
-				return VarianceSpecs(c)
-			},
+			Specs: varianceSpecs,
 			Render: func(results []Result) (string, error) {
 				rows, err := GatherRows[VarianceSample](results)
 				if err != nil {
@@ -332,17 +268,7 @@ func Registry() []Experiment {
 		{
 			Name:  "extensions",
 			Title: "Section V sweeps: granularity, leave latency, interval",
-			Specs: func(cfg SweepConfig) []Spec {
-				c := ExtensionConfig{Seed: cfg.Seed, Duration: quickDur(cfg)}
-				if cfg.Quick {
-					c.Seeds = 1
-				}
-				var specs []Spec
-				specs = append(specs, GranularitySpecs(c)...)
-				specs = append(specs, LeaveLatencySpecs(c)...)
-				specs = append(specs, IntervalSizeSpecs(c)...)
-				return specs
-			},
+			Specs: extensionSpecs,
 			Render: func(results []Result) (string, error) {
 				sections := []struct{ prefix, title, param string }{
 					{"extensions/granularity/", "Extension: layer granularity (Section V)", "scheme"},
@@ -369,10 +295,6 @@ func Registry() []Experiment {
 		},
 	}
 }
-
-// convergenceTraffics are the traffic models the convergence report
-// sections cover, in print order.
-var convergenceTraffics = []Traffic{CBR, VBR3}
 
 // Lookup finds a registry entry by name.
 func Lookup(name string) (Experiment, bool) {

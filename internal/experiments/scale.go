@@ -101,53 +101,18 @@ type ScaleRow struct {
 	MeanDev          float64 `json:"mean_dev"` // mean relative deviation from optimal
 }
 
-// ScaleConfig parameterizes the scaling study.
-type ScaleConfig struct {
-	Seed     int64
-	Duration sim.Time // 0 = DefaultScaleDuration
-	// Topo selects what to sweep: "" or a family name ("tree", "star",
-	// "linear", "mesh") runs that family's ladder; any other generator spec
-	// string runs as a single point.
-	Topo    string
-	Quick   bool // first two ladder points at QuickScaleDuration
-	Traffic Traffic
-	// Shards > 1 runs every ladder point twice — once on the
-	// single-threaded engine, once on the sharded engine with that many
-	// workers — so ScaleTable can report the wall-clock speedup next to
-	// each point. 0 or 1 runs the single-threaded engine only.
-	Shards int
-	// Aggregate adds an in-network-aggregation twin of every ladder point
-	// (named "<point>/agg"), so the table and BENCH capture carry control
-	// fan-in, control bytes and pass latency both ways, plus the
-	// agg-speedup column against the flat twin.
-	Aggregate bool
-	// Federate adds a hierarchical-control-plane twin of every ladder point
-	// (named "<point>/fed"): per-domain leaf controllers under a federation
-	// parent. Needs a domain-labelled family (tree, star, linear, tiered —
-	// not mesh).
-	Federate bool
-}
-
-func (c *ScaleConfig) normalize() {
-	if c.Duration == 0 {
-		c.Duration = DefaultScaleDuration
-		if c.Quick {
-			c.Duration = QuickScaleDuration
-		}
+// scalePoints resolves cfg.Topo into generator spec strings: "" or a family
+// name ("tree", "star", "linear", "mesh") is that family's ladder — its
+// first two points in the quick form — and any other generator spec string
+// is a single point.
+func scalePoints(cfg SweepConfig) []string {
+	topo := cfg.Topo
+	if topo == "" {
+		topo = "tree"
 	}
-	if c.Topo == "" {
-		c.Topo = "tree"
-	}
-	if c.Traffic.Name == "" {
-		c.Traffic = CBR
-	}
-}
-
-// scalePoints resolves the configured sweep into generator spec strings.
-func scalePoints(cfg ScaleConfig) []string {
-	points, ok := scaleLadders[cfg.Topo]
+	points, ok := scaleLadders[topo]
 	if !ok {
-		return []string{cfg.Topo} // a single explicit generator spec
+		return []string{topo} // a single explicit generator spec
 	}
 	if cfg.Quick && len(points) > 2 {
 		points = points[:2]
@@ -155,16 +120,23 @@ func scalePoints(cfg ScaleConfig) []string {
 	return points
 }
 
-// ScaleSpecs enumerates the scaling curve: one run per topology point,
-// plus — when cfg.Shards > 1 — a second run of each point on the sharded
-// engine, named "<point>/shards=N", so the rendered table and the
-// BENCH_*.json capture carry events/s at both shard counts and the
-// wall-clock speedup.
-func ScaleSpecs(cfg ScaleConfig) []Spec {
-	cfg.normalize()
+// scaleSpecs enumerates the scaling curve: one CBR run per topology point,
+// plus twins of each point that let the table compare:
+//
+//   - cfg.Shards > 1: the point on the sharded engine with that many
+//     workers, named "<point>/shards=N" — events/s at both shard counts and
+//     the wall-clock speedup;
+//   - cfg.Aggregate: the point with in-network aggregation, named
+//     "<point>/agg" — control fan-in, control bytes and pass latency both
+//     ways, plus the agg-gain column against the flat twin;
+//   - cfg.Federate: the point under the hierarchical control plane, named
+//     "<point>/fed" — per-domain leaf controllers under a federation parent.
+//     Needs a domain-labelled family (tree, star, linear, tiered — not mesh).
+func scaleSpecs(cfg SweepConfig) []Spec {
+	dur := scaled(cfg, DefaultScaleDuration, QuickScaleDuration)
 	var specs []Spec
 	for _, point := range scalePoints(cfg) {
-		flat := Scenario{Topo: point, Traffic: cfg.Traffic, Seed: cfg.Seed, Duration: cfg.Duration.Seconds()}
+		flat := Scenario{Topo: point, Traffic: CBR, Seed: cfg.Seed, Duration: dur.Seconds()}
 		sharded, agg, fed := flat, flat, flat
 		sharded.Shards, agg.Aggregate, fed.Federate = cfg.Shards, true, true
 		specs = append(specs, scaleSpec(flat))
@@ -255,7 +227,7 @@ func scaleSpec(sc Scenario) Spec {
 // ScaleTable renders the curve, joining each row with its run's event
 // throughput from the Result (events/s and wall seconds live there, not in
 // the row, so the renderer takes both). When the sweep ran points on both
-// engines (ScaleConfig.Shards > 1), the sharded run's speedup column is
+// engines (SweepConfig.Shards > 1), the sharded run's speedup column is
 // its single-threaded twin's wall time divided by its own.
 func ScaleTable(results []Result) (string, error) {
 	// Wall time and fan-in of each point's flat single-threaded run, for

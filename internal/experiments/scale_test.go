@@ -3,33 +3,24 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"toposense/internal/sim"
 )
 
 func TestScalePointsResolution(t *testing.T) {
-	full := ScaleConfig{Topo: "tree"}
-	full.normalize()
-	if got := scalePoints(full); len(got) != 4 {
+	if got := scalePoints(SweepConfig{Topo: "tree"}); len(got) != 4 {
 		t.Errorf("tree ladder = %d points, want 4", len(got))
 	}
-	quick := ScaleConfig{Quick: true}
-	quick.normalize()
-	if got := scalePoints(quick); len(got) != 2 {
-		t.Errorf("quick ladder = %d points, want 2", len(got))
+	if got := scalePoints(SweepConfig{Quick: true}); len(got) != 2 || got[0] != scaleLadders["tree"][0] {
+		t.Errorf("quick default ladder = %v, want the first two tree points", got)
 	}
-	single := ScaleConfig{Topo: "star,arms=3,rxarm=2"}
-	single.normalize()
-	if got := scalePoints(single); len(got) != 1 || got[0] != "star,arms=3,rxarm=2" {
+	if got := scalePoints(SweepConfig{Topo: "star,arms=3,rxarm=2"}); len(got) != 1 || got[0] != "star,arms=3,rxarm=2" {
 		t.Errorf("explicit spec = %v, want itself as the single point", got)
 	}
 }
 
-// TestScaleSmoke runs one tiny point end to end and sanity-checks every
-// column of the row.
+// TestScaleSmoke runs one tiny point end to end, at the full form's 30 s,
+// and sanity-checks every column of the row.
 func TestScaleSmoke(t *testing.T) {
-	cfg := ScaleConfig{Seed: 1, Duration: 20 * sim.Second, Topo: "star,arms=3,rxarm=2,delay=0.05"}
-	specs := ScaleSpecs(cfg)
+	specs := scaleSpecs(SweepConfig{Seed: 1, Topo: "star,arms=3,rxarm=2,delay=0.05"})
 	if len(specs) != 1 {
 		t.Fatalf("specs = %d, want 1", len(specs))
 	}

@@ -38,16 +38,9 @@ type Spec struct {
 	Obs *obs.Options
 }
 
-// NewSpec constructs a Spec, applying the shared Defaults: a zero duration
-// becomes the paper's 1200 s.
+// NewSpec constructs a Spec.
 func NewSpec(figure, name string, seed int64, duration sim.Time, body func(*Meter) (any, error)) Spec {
-	return Spec{
-		Figure:   figure,
-		Name:     name,
-		Seed:     seed,
-		Duration: PaperDefaults().Dur(duration),
-		Body:     body,
-	}
+	return Spec{Figure: figure, Name: name, Seed: seed, Duration: duration, Body: body}
 }
 
 // Meter is handed to every Spec body. The body registers the engine(s) and
@@ -110,9 +103,6 @@ func (m *Meter) track(e sim.Runner, n *netsim.Network) {
 		m.nets = append(m.nets, n)
 	}
 }
-
-// TimedOut reports whether the watchdog stopped an observed engine.
-func (m *Meter) TimedOut() bool { return m.timedOut }
 
 // Result is the outcome of executing one Spec: the run's typed rows plus
 // machine-readable run metadata. Results marshal to the BENCH_*.json

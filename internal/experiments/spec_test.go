@@ -5,51 +5,10 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"toposense/internal/sim"
 )
 
-func TestDefaults(t *testing.T) {
-	d := PaperDefaults()
-	if got := d.Dur(0); got != PaperDuration {
-		t.Errorf("Dur(0) = %v, want %v", got, PaperDuration)
-	}
-	if got := d.Dur(7 * sim.Second); got != 7*sim.Second {
-		t.Errorf("Dur(7s) = %v", got)
-	}
-	if got := d.Tr(Traffic{}); got.Name != CBR.Name {
-		t.Errorf("Tr(zero) = %q, want CBR", got.Name)
-	}
-	if got := d.Tr(VBR6); got.Name != VBR6.Name {
-		t.Errorf("Tr(VBR6) = %q", got.Name)
-	}
-	if got := d.TrafficSweep(nil); len(got) != len(AllTraffic) {
-		t.Errorf("TrafficSweep(nil) has %d entries", len(got))
-	}
-	if got := d.SeedCount(0); got != 3 {
-		t.Errorf("SeedCount(0) = %d, want 3", got)
-	}
-	if got := d.SeedCount(9); got != 9 {
-		t.Errorf("SeedCount(9) = %d", got)
-	}
-	if got := ShortDefaults().Duration; got != 600*sim.Second {
-		t.Errorf("ShortDefaults duration = %v", got)
-	}
-}
-
-func TestNewSpecAppliesDefaultDuration(t *testing.T) {
-	s := NewSpec("test", "t", 1, 0, func(m *Meter) (any, error) { return nil, nil })
-	if s.Duration != PaperDuration {
-		t.Errorf("zero duration not defaulted: %v", s.Duration)
-	}
-}
-
 func TestExecuteFillsMetadata(t *testing.T) {
-	spec := Fig6Specs(Fig6Config{
-		Seed: 1, Duration: 30 * sim.Second,
-		PerSet: []int{1}, Traffic: []Traffic{CBR},
-	})[0]
-	res := spec.Execute(0)
+	res := quickSpecs(t, "6")[0].Execute(0)
 	if res.Failed() {
 		t.Fatalf("run failed: %s", res.Err)
 	}
@@ -62,8 +21,8 @@ func TestExecuteFillsMetadata(t *testing.T) {
 	if res.WallSeconds <= 0 || res.EventsPerSecond <= 0 {
 		t.Errorf("wall metadata missing: %+v", res)
 	}
-	if res.SimSeconds != 30 {
-		t.Errorf("SimSeconds = %v, want 30", res.SimSeconds)
+	if res.SimSeconds != QuickDuration.Seconds() {
+		t.Errorf("SimSeconds = %v, want %v", res.SimSeconds, QuickDuration.Seconds())
 	}
 	if rows, ok := res.Rows.([]StabilityRow); !ok || len(rows) != 1 {
 		t.Errorf("rows: %#v", res.Rows)
@@ -93,6 +52,17 @@ func TestGatherRowsErrors(t *testing.T) {
 			t.Errorf("single(%d results): error %v, want it to mention %q", len(c.results), err, c.frag)
 		}
 	}
+}
+
+// quickSpecs returns the named registry experiment's quick form at seed 1 —
+// what `topobench -fig NAME -quick` runs.
+func quickSpecs(t testing.TB, name string) []Spec {
+	t.Helper()
+	ex, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("%s not in the registry", name)
+	}
+	return ex.Specs(SweepConfig{Seed: 1, Quick: true})
 }
 
 // gather executes specs serially and returns their typed rows, failing the
@@ -151,11 +121,7 @@ func TestRegistryRender(t *testing.T) {
 	if !ok {
 		t.Fatal("no figure 6")
 	}
-	specs := Fig6Specs(Fig6Config{
-		Seed: 1, Duration: 30 * sim.Second,
-		PerSet: []int{1}, Traffic: []Traffic{CBR},
-	})
-	out, err := ex.Render(ExecuteAll(specs))
+	out, err := ex.Render(ExecuteAll(ex.Specs(SweepConfig{Seed: 1, Quick: true})))
 	if err != nil {
 		t.Fatalf("render: %v", err)
 	}
@@ -169,10 +135,7 @@ func TestRegistryRender(t *testing.T) {
 }
 
 func TestExportJSONRoundTrip(t *testing.T) {
-	specs := Fig6Specs(Fig6Config{
-		Seed: 1, Duration: 30 * sim.Second,
-		PerSet: []int{1}, Traffic: []Traffic{CBR},
-	})
+	specs := quickSpecs(t, "6")[:1]
 	ex := Export{
 		Tool:        "topobench",
 		GeneratedAt: "2026-01-01T00:00:00Z",
@@ -206,7 +169,7 @@ func TestExportJSONRoundTrip(t *testing.T) {
 }
 
 func TestFig9ResultMarshalJSON(t *testing.T) {
-	res := runSingle[*Fig9Result](t, Fig9Specs(Fig9Config{Seed: 1, Duration: 60 * sim.Second, Sessions: 2}))
+	res := runSingle[*Fig9Result](t, quickSpecs(t, "9"))
 	data, err := json.Marshal(res)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
@@ -218,8 +181,8 @@ func TestFig9ResultMarshalJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if len(back.Sessions) != 2 {
-		t.Errorf("sessions in JSON: %d, want 2", len(back.Sessions))
+	if len(back.Sessions) != fig9Sessions {
+		t.Errorf("sessions in JSON: %d, want %d", len(back.Sessions), fig9Sessions)
 	}
 	for _, s := range back.Sessions {
 		if s.MeanLevel <= 0 {

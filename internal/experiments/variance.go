@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"toposense/internal/metrics"
-	"toposense/internal/sim"
 )
 
 // Seed-variance study: every number in the reproduction is deterministic
@@ -22,52 +21,39 @@ type VarianceRow struct {
 	Min, Max float64
 }
 
-// VarianceConfig parameterizes the study.
-type VarianceConfig struct {
-	Seed     int64 // first seed; Seeds consecutive values are used
-	Seeds    int   // 0 = 5
-	Duration sim.Time
-	Sessions int // 0 = 4
-}
+// varianceSessions is the Figure 8 point the study repeats.
+const varianceSessions = 4
 
-func (c *VarianceConfig) normalize() {
-	d := ShortDefaults()
-	d.Seeds = 5
-	c.Seeds = d.SeedCount(c.Seeds)
-	c.Duration = d.Dur(c.Duration)
-	if c.Sessions == 0 {
-		c.Sessions = 4
-	}
-}
-
-// VarianceSample is one run's headline deviation — what VarianceSpecs rows
-// carry before ReduceVariance folds them into per-traffic summaries.
+// VarianceSample is one run's headline deviation — what the variance
+// sweep's rows carry before ReduceVariance folds them into per-traffic
+// summaries.
 type VarianceSample struct {
 	Traffic   string  `json:"traffic"`
 	Seed      int64   `json:"seed"`
 	Deviation float64 `json:"deviation"`
 }
 
-// VarianceSpecs enumerates one run per (traffic model, seed), each
-// producing a single VarianceSample.
-func VarianceSpecs(cfg VarianceConfig) []Spec {
-	cfg.normalize()
+// varianceSpecs enumerates one run per (traffic model, seed) — consecutive
+// seeds from cfg.Seed — each producing a single VarianceSample.
+func varianceSpecs(cfg SweepConfig) []Spec {
+	dur := scaled(cfg, studyDuration, QuickDuration)
+	seeds := scaled(cfg, 5, 3)
 	var specs []Spec
 	for _, tr := range AllTraffic {
-		for s := 0; s < cfg.Seeds; s++ {
+		for s := 0; s < seeds; s++ {
 			seed := cfg.Seed + int64(s)
 			specs = append(specs, NewSpec("variance",
 				fmt.Sprintf("variance/%s/seed=%d", tr.Name, seed),
-				seed, cfg.Duration,
+				seed, dur,
 				func(m *Meter) (any, error) {
-					w := NewWorldB(cfg.Sessions, 0, WorldConfig{Seed: seed, Traffic: tr})
+					w := NewWorldB(varianceSessions, 0, WorldConfig{Seed: seed, Traffic: tr})
 					m.ObserveWorld(w)
-					w.Run(cfg.Duration)
+					w.Run(dur)
 					traces, optima := w.AllTraces()
 					return []VarianceSample{{
 						Traffic:   tr.Name,
 						Seed:      seed,
-						Deviation: metrics.MeanRelativeDeviation(traces, optima, 0, cfg.Duration),
+						Deviation: metrics.MeanRelativeDeviation(traces, optima, 0, dur),
 					}}, nil
 				}))
 		}

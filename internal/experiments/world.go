@@ -111,7 +111,8 @@ type World struct {
 	Churn      *churn.Driver      // nil until ChurnSlots or WireObs needs it
 	Faults     *faults.Injector   // nil unless Scenario.Assemble scheduled an outage
 
-	cfg       WorldConfig           // as given, with Layers and Alg resolved
+	cfg       WorldConfig           // as given, with Alg resolved
+	layers    int                   // layer count: len(cfg.Rates), else source.DefaultLayers
 	sessions  []int                 // every session id, shared by the discovery tools
 	agentNode map[int]netsim.NodeID // domain label -> its controller's node; nil when flat
 	live      [][]Member            // current incarnation per slot; nil while departed
@@ -125,7 +126,6 @@ type WorldConfig struct {
 	// Plane selects the control plane; the zero value is the flat one.
 	Plane     Plane
 	Staleness sim.Time
-	Layers    int // 0 = source.DefaultLayers
 	// Rates overrides the default doubling layer rates (granularity
 	// extension experiments); determines the layer count when set.
 	Rates []float64
@@ -179,16 +179,15 @@ func AssembleWorld(e sim.Runner, b *topology.Build, cfg WorldConfig) (*World, er
 		}
 		b.Net.Partition(se, doms)
 	}
+	layers := source.DefaultLayers
 	if len(cfg.Rates) > 0 {
-		cfg.Layers = len(cfg.Rates)
-	} else if cfg.Layers == 0 {
-		cfg.Layers = source.DefaultLayers
+		layers = len(cfg.Rates)
 	}
 	if cfg.Alg.LayerRates == nil {
 		if len(cfg.Rates) > 0 {
 			cfg.Alg.LayerRates = append([]float64(nil), cfg.Rates...)
 		} else {
-			cfg.Alg.LayerRates = source.Rates(cfg.Layers)
+			cfg.Alg.LayerRates = source.Rates(layers)
 		}
 	}
 	cfg.Alg.Normalize()
@@ -198,12 +197,12 @@ func AssembleWorld(e sim.Runner, b *topology.Build, cfg WorldConfig) (*World, er
 	}
 
 	w := &World{Engine: e, Net: b.Net, Domain: d, Build: b, Optimal: b.Optimal,
-		cfg: cfg, sessions: make([]int, len(b.Sources))}
+		cfg: cfg, layers: layers, sessions: make([]int, len(b.Sources))}
 	for i, srcNode := range b.Sources {
 		w.sessions[i] = i
 		w.Sources = append(w.Sources, source.New(b.Net, d, srcNode, source.Config{
 			Session:    i,
-			Layers:     cfg.Layers,
+			Layers:     layers,
 			PeakToMean: cfg.Traffic.PeakToMean,
 			Rates:      cfg.Rates,
 		}))
@@ -345,7 +344,7 @@ func (w *World) join(s, i int) {
 	node, tr := w.Build.Receivers[s][i], w.Traces[s][i]
 	var m Member
 	if w.cfg.Plane == PlaneRLM {
-		rx := rlm.New(w.Net, w.Domain, node, rlm.Config{Session: s, MaxLayers: w.cfg.Layers})
+		rx := rlm.New(w.Net, w.Domain, node, rlm.Config{Session: s, MaxLayers: w.layers})
 		rx.OnChange = func(c rlm.Change) { tr.Set(c.At, c.To) }
 		m = rx
 	} else {
@@ -355,7 +354,7 @@ func (w *World) join(s, i int) {
 		}
 		rx := receiver.New(w.Net, w.Domain, node, receiver.Config{
 			Session:      s,
-			MaxLayers:    w.cfg.Layers,
+			MaxLayers:    w.layers,
 			InitialLevel: 1,
 			Controller:   at,
 		})

@@ -129,9 +129,6 @@ func (a *Aggregator) SetObs(o *obs.Obs) {
 	a.obs = o
 }
 
-// FlushInterval returns the per-node flush cadence.
-func (a *Aggregator) FlushInterval() sim.Time { return a.flush }
-
 // Stop retires the aggregation layer and returns every payload it holds to
 // the report pools: each node's pending (unflushed) aggregates and its
 // deferred-release lastBatch. Without it, stopping a session mid-interval

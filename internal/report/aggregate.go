@@ -21,11 +21,6 @@ const (
 	BatchEntrySize     = 6
 )
 
-// MaxAggLevel caps the per-level histogram carried by an Aggregate; levels
-// above it are clamped into the top slot. Sessions run far fewer layers in
-// practice (the paper uses 6).
-const MaxAggLevel = 15
-
 // AggEntry is one receiver's folded feedback inside an Aggregate. The fields
 // are sums over the folded reports, so folding N reports into an entry and
 // consuming the entry is arithmetically identical to consuming the N reports
@@ -41,8 +36,8 @@ type AggEntry struct {
 
 // Aggregate is the in-network merge of many LossReports flowing up one
 // subtree toward the controller: per-receiver exact entries plus the compact
-// subtree summary (receiver count, per-level loss histogram, max/mean loss,
-// byte totals, worst-receiver pointer) the hierarchical control plane reads
+// subtree summary (receiver count, max/mean loss, byte totals,
+// worst-receiver pointer) the hierarchical control plane reads
 // without touching entries at all.
 //
 // Aggregates are pooled: producers call NewAggregate, consumers Release.
@@ -61,10 +56,6 @@ type Aggregate struct {
 	LossTotal   float64       // sum of reported loss rates (mean = LossTotal/ReportCount)
 	MaxLoss     float64       // worst single reported loss rate
 	Worst       netsim.NodeID // receiver that reported MaxLoss (NoNode when empty)
-	// Per-level loss histogram over folded reports: LevelReports[l] reports
-	// arrived at (clamped) level l, summing LevelLoss[l] loss rate.
-	LevelReports [MaxAggLevel + 1]int32
-	LevelLoss    [MaxAggLevel + 1]float64
 
 	// Entries holds one exact record per receiver, sorted by Node.
 	Entries []AggEntry
@@ -134,17 +125,6 @@ func (a *Aggregate) String() string {
 		a.Session, a.Origin, len(a.Entries), a.ReportCount, a.MeanLoss(), a.MaxLoss, a.Worst)
 }
 
-// clampLevel folds out-of-range levels into the histogram's edge slots.
-func clampLevel(l int) int {
-	if l < 0 {
-		return 0
-	}
-	if l > MaxAggLevel {
-		return MaxAggLevel
-	}
-	return l
-}
-
 // noteLoss updates the worst-receiver pointer. Strictly higher loss wins;
 // ties break toward the lower node ID, which keeps the choice independent of
 // fold/merge order.
@@ -202,16 +182,6 @@ func (a *Aggregate) RemoveEntry(node netsim.NodeID) bool {
 	a.ReportCount -= int64(e.Reports)
 	a.ByteTotal -= e.Bytes
 	a.LossTotal -= e.LossSum
-	l := clampLevel(e.Level)
-	if a.LevelReports[l] -= e.Reports; a.LevelReports[l] < 0 {
-		// Level can drift across folds (the histogram buckets by each
-		// report's level, the entry keeps only the latest); clamp rather
-		// than exporting a negative count.
-		a.LevelReports[l] = 0
-	}
-	if a.LevelLoss[l] -= e.LossSum; a.LevelLoss[l] < 0 {
-		a.LevelLoss[l] = 0
-	}
 	a.Entries = append(a.Entries[:lo], a.Entries[lo+1:]...)
 	if a.Worst == node {
 		a.MaxLoss = 0
@@ -237,9 +207,6 @@ func (a *Aggregate) Fold(r LossReport) {
 	a.ReportCount++
 	a.ByteTotal += r.Bytes
 	a.LossTotal += r.LossRate
-	l := clampLevel(r.Level)
-	a.LevelReports[l]++
-	a.LevelLoss[l] += r.LossRate
 	a.noteLoss(r.LossRate, r.Node)
 }
 
@@ -253,10 +220,6 @@ func (a *Aggregate) Merge(b *Aggregate) {
 	a.ReportCount += b.ReportCount
 	a.ByteTotal += b.ByteTotal
 	a.LossTotal += b.LossTotal
-	for i := range b.LevelReports {
-		a.LevelReports[i] += b.LevelReports[i]
-		a.LevelLoss[i] += b.LevelLoss[i]
-	}
 	if b.Worst != netsim.NoNode {
 		a.noteLoss(b.MaxLoss, b.Worst)
 	}

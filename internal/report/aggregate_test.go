@@ -16,11 +16,6 @@ func aggCanonical(a *Aggregate) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "s=%d reports=%d bytes=%d loss=%.9f max=%.9f worst=%d\n",
 		a.Session, a.ReportCount, a.ByteTotal, a.LossTotal, a.MaxLoss, a.Worst)
-	for l := range a.LevelReports {
-		if a.LevelReports[l] != 0 || a.LevelLoss[l] != 0 {
-			fmt.Fprintf(&sb, "level %d: %d %.9f\n", l, a.LevelReports[l], a.LevelLoss[l])
-		}
-	}
 	for _, e := range a.Entries {
 		fmt.Fprintf(&sb, "entry %d: lvl=%d n=%d loss=%.9f bytes=%d\n",
 			e.Node, e.Level, e.Reports, e.LossSum, e.Bytes)
@@ -78,19 +73,6 @@ func TestAggregateFoldSummary(t *testing.T) {
 	}
 	if e := a.Entries[1]; e.Level != 4 || e.Reports != 2 || e.LossSum != 1.0 || e.Bytes != 3000 {
 		t.Errorf("node 4 entry: %+v", e)
-	}
-	if a.LevelReports[3] != 1 || a.LevelReports[4] != 1 || a.LevelReports[1] != 1 {
-		t.Errorf("level histogram: %v", a.LevelReports)
-	}
-}
-
-func TestAggregateLevelClamp(t *testing.T) {
-	a := NewAggregate(0, 1)
-	defer a.Release()
-	a.Fold(LossReport{Node: 1, Level: -3, LossRate: 0.1})
-	a.Fold(LossReport{Node: 2, Level: MaxAggLevel + 7, LossRate: 0.2})
-	if a.LevelReports[0] != 1 || a.LevelReports[MaxAggLevel] != 1 {
-		t.Errorf("clamp failed: %v", a.LevelReports)
 	}
 }
 

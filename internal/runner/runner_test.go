@@ -12,24 +12,14 @@ import (
 	"toposense/internal/sim"
 )
 
-// mixedSpecs is a small cross-section of the real sweeps, short enough for
-// a unit test but exercising several world shapes.
+// mixedSpecs is a cross-section of the real sweeps — the quick forms of
+// figures 6, 7, 8 and 10 — exercising several world shapes.
 func mixedSpecs() []experiments.Spec {
-	short := 60 * sim.Second
-	cbr := []experiments.Traffic{experiments.CBR}
 	var specs []experiments.Spec
-	specs = append(specs, experiments.Fig6Specs(experiments.Fig6Config{
-		Seed: 1, Duration: short, PerSet: []int{1, 2}, Traffic: cbr,
-	})...)
-	specs = append(specs, experiments.Fig7Specs(experiments.Fig7Config{
-		Seed: 1, Duration: short, Sessions: []int{2}, Traffic: cbr,
-	})...)
-	specs = append(specs, experiments.Fig8Specs(experiments.Fig8Config{
-		Seed: 1, Duration: short, Sessions: []int{2}, Traffic: cbr,
-	})...)
-	specs = append(specs, experiments.Fig10Specs(experiments.Fig10Config{
-		Seed: 1, Duration: short, PerSet: []int{1}, Staleness: []sim.Time{0, 4 * sim.Second},
-	})...)
+	for _, name := range []string{"6", "7", "8", "10"} {
+		ex, _ := experiments.Lookup(name)
+		specs = append(specs, ex.Specs(experiments.SweepConfig{Seed: 1, Quick: true})...)
+	}
 	return specs
 }
 

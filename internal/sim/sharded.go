@@ -106,12 +106,6 @@ func (se *ShardedEngine) SetPartitions(p int, lookahead Time) {
 // degenerate reports whether the engine runs as a single plain queue.
 func (se *ShardedEngine) degenerate() bool { return se.gq == nil }
 
-// NumShards returns the partition count (1 while degenerate).
-func (se *ShardedEngine) NumShards() int { return len(se.shards) }
-
-// Lookahead returns the conservative window size (0 while degenerate).
-func (se *ShardedEngine) Lookahead() Time { return se.lookahead }
-
 // Workers returns the configured worker-goroutine cap.
 func (se *ShardedEngine) Workers() int { return se.workers }
 

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-micro hotlines hotallocs bench-json bench-scale bench-shards bench-fanin bench-federation bench-churn obs-gate fanin-gate repro repro-quick cover examples clean
+.PHONY: all build test vet bench bench-micro hotlines hotallocs bench-json bench-scale bench-shards bench-fanin bench-federation bench-churn obs-gate fanin-gate repro repro-quick same-output cover examples clean
 
 all: build vet test
 
@@ -113,6 +113,12 @@ repro:
 # Scaled-down regeneration (~15 seconds).
 repro-quick:
 	$(GO) run ./cmd/topobench -quick
+
+# Byte-identity check against another checkout, typically a `git clone` of
+# the parent commit: toposim over a fixed spec list and topobench -quick
+# -json on both sides, host-time fields removed; fails on any difference.
+same-output:
+	scripts/sameoutput.sh $(PARENT)
 
 cover:
 	$(GO) test -cover ./...

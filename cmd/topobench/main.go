@@ -27,6 +27,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -60,7 +61,8 @@ type options struct {
 // parse turns args into options, or reports on stderr why it cannot and
 // returns the error — the only kind run answers with exit 2. The sweep
 // modifiers land in one run description — the default run with the
-// modifiers applied — so a combination is judged by the same
+// modifiers applied, on the topology they shape: fig_scale's -topo, else its
+// default tree ladder — so a combination is judged by the same
 // Scenario.Validate as a toposim run.
 func parse(args []string, stderr io.Writer) (*options, error) {
 	o := &options{selected: experiments.Registry()}
@@ -73,7 +75,7 @@ func parse(args []string, stderr io.Writer) (*options, error) {
 	fs.IntVar(&o.parallel, "parallel", 0, "concurrent runs (0 = GOMAXPROCS)")
 	fs.IntVar(&sc.Shards, "shards", 0, "engine workers per run: 0 = single-threaded engine, N >= 1 = sharded engine with N workers (honoured by figures 6, 7 and fig_scale; fig_scale then adds a speedup column)")
 	fs.BoolVar(&sc.Aggregate, "aggregate", false, "fig_scale: run an in-network-aggregation twin of every ladder point (control fan-in columns both ways)")
-	fs.BoolVar(&sc.Federate, "federate", false, "fig_scale: run a hierarchical-control-plane twin of every ladder point (fig_federation always runs federated)")
+	fs.BoolVar(&o.cfg.Federate, "federate", false, "fig_scale: run a hierarchical-control-plane twin of every ladder point (fig_federation always runs federated)")
 	fs.Float64Var(&sc.Churn, "churn", 0, "fig_churn: pin the mean join/leave period to this many simulated seconds instead of the default sweep around the decision interval (0 = default sweep)")
 	fs.StringVar(&o.jsonPath, "json", "", "write results + run metadata to this file (e.g. BENCH_full.json)")
 	fs.DurationVar(&o.timeout, "timeout", 0, "per-run wall-clock budget (0 = none)")
@@ -93,8 +95,9 @@ func parse(args []string, stderr io.Writer) (*options, error) {
 		}
 		o.selected = []experiments.Experiment{ex}
 	}
-	if o.cfg.Topo != "" {
-		sc.Topo = o.cfg.Topo
+	sc.Topo = cmp.Or(o.cfg.Topo, "tree")
+	if o.cfg.Federate {
+		sc.Plane = experiments.PlaneFederated
 	}
 	if err == nil {
 		err = sc.Validate()
@@ -113,7 +116,7 @@ func parse(args []string, stderr io.Writer) (*options, error) {
 		fmt.Fprintln(stderr, err)
 		return nil, err
 	}
-	o.cfg.Seed, o.cfg.Shards, o.cfg.Aggregate, o.cfg.Federate, o.cfg.Churn = sc.Seed, sc.Shards, sc.Aggregate, sc.Federate, sc.Churn
+	o.cfg.Seed, o.cfg.Shards, o.cfg.Aggregate, o.cfg.Churn = sc.Seed, sc.Shards, sc.Aggregate, sc.Churn
 	return o, nil
 }
 

@@ -25,6 +25,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-aggregate -federate", "-aggregate"}, // the pair itself, not fig_failure's stand-in
 		{"-fig fig_failure -shards 2", "fig_failure"},
 		{"-fig fig_failure -federate", "fig_failure"},
+		{"-fig fig_scale -topo mesh -federate", "-federate"},
 		{"-shards 2", "-shards"}, // -fig all includes fig_failure
 		{"-parallel many", "-parallel"},
 		{"-duration 5", "-duration"}, // not a topobench flag

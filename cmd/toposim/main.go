@@ -130,12 +130,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	algo := "toposense"
-	if sc.RLM {
+	if sc.Plane == experiments.PlaneRLM {
 		algo = "rlm"
 	}
 	dur := sim.FromSeconds(sc.Duration)
 	runName := fmt.Sprintf("toposim/topo=%s/%s/%s", sc.Topo, sc.Traffic.Name, algo)
-	if sc.Federate {
+	if sc.Plane == experiments.PlaneFederated {
 		runName += "/fed"
 	}
 	// The flight recorder lives inside the run's obs bundle; capture it from
@@ -308,7 +308,7 @@ func printSummary(out io.Writer, sc experiments.Scenario, w *experiments.World) 
 		fmt.Fprintf(out, "controller fan-in: %d control msgs (%d modeled bytes), %d aggregates, %d batches out\n",
 			w.Controller.CtlMsgsRecv, w.Controller.CtlBytesRecv, w.Controller.AggregatesRecv, w.Controller.BatchesSent)
 	}
-	if sc.Probe && w.Tool != nil {
+	if sc.ProbeDiscovery && w.Tool != nil {
 		fmt.Fprintf(out, "discovery: %d probe packets over %d discoveries\n", w.Tool.ProbePackets, w.Tool.Discoveries)
 	}
 	if sc.Explain {

@@ -34,6 +34,9 @@ func TestUsageErrors(t *testing.T) {
 		{"-failat 60 -outage 0", "-outage"},
 		{"-algo rlm -aggregate", "-aggregate"},
 		{"-algo rlm -topo tiered -federate", "-federate"},
+		{"-federate -algo rlm", "-federate"}, // the same pair, flag order flipped
+		{"-topo a,rxset=2 -federate", "-federate"},
+		{"-topo mesh -federate", "-topo"},
 		{"-traffic foo", "-traffic"},
 		{"-algo foo", "-algo"},
 		{"-obs out.txt", "-obs"},

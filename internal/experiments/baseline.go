@@ -34,9 +34,10 @@ func baselineSpecs(cfg SweepConfig) []Spec {
 		if plane == PlaneRLM {
 			algo = "RLM"
 		}
-		scenarioName := fmt.Sprintf("Topology %s", scenario)
+		scenarioName, topo := fmt.Sprintf("Topology %s", scenario), fmt.Sprintf("b,sessions=%d", baselineSessions)
 		if scenario == "A" {
 			scenarioName += fmt.Sprintf(" (%d receivers)", 2*baselinePerSet)
+			topo = fmt.Sprintf("a,rxset=%d", baselinePerSet)
 		} else {
 			scenarioName += fmt.Sprintf(" (%d sessions)", baselineSessions)
 		}
@@ -45,14 +46,10 @@ func baselineSpecs(cfg SweepConfig) []Spec {
 			fmt.Sprintf("baseline/topo=%s/%s/%s", scenario, tr.Name, algo),
 			cfg.Seed, dur,
 			func(m *Meter) (any, error) {
-				wc := WorldConfig{Seed: cfg.Seed, Traffic: tr, Plane: plane}
-				var w *World
-				if scenario == "A" {
-					w = NewWorldA(baselinePerSet, 0, wc)
-				} else {
-					w = NewWorldB(baselineSessions, 0, wc)
+				w, err := Scenario{WorldConfig: WorldConfig{Seed: cfg.Seed, Traffic: tr, Plane: plane}, Topo: topo, Duration: dur.Seconds()}.Assemble(m)
+				if err != nil {
+					return nil, err
 				}
-				m.ObserveWorld(w)
 				w.Run(dur)
 				traces, optima := w.AllTraces()
 				return []BaselineRow{{

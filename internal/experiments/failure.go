@@ -6,7 +6,6 @@ import (
 	"math"
 	"strings"
 
-	"toposense/internal/faults"
 	"toposense/internal/sim"
 	"toposense/internal/trace"
 )
@@ -77,14 +76,12 @@ func failureSpecs(cfg SweepConfig) []Spec {
 		fmt.Sprintf("fig_failure/sessions=%d/%s/outage=%.0fs", sessions, CBR.Name, outage.Seconds()),
 		cfg.Seed, dur,
 		func(m *Meter) (any, error) {
-			w := NewWorldB(sessions, 0, WorldConfig{Seed: cfg.Seed, Traffic: CBR})
-			m.ObserveWorld(w)
-
-			// Cut both directions of the shared bottleneck, as a physical
-			// link failure would.
-			bl := w.Build.Bottlenecks[0]
-			inj := faults.New(w.Net)
-			inj.Outage(failAt, outage, bl, bl.Reverse())
+			w, err := Scenario{WorldConfig: WorldConfig{Seed: cfg.Seed, Traffic: CBR}, Topo: fmt.Sprintf("b,sessions=%d", sessions),
+				Duration: dur.Seconds(), FailAt: failAt.Seconds(), Outage: outage.Seconds()}.Assemble(m)
+			if err != nil {
+				return nil, err
+			}
+			bl, inj := w.Build.Bottlenecks[0], w.Faults
 
 			res := &FailureResult{FailAt: failAt, RepairAt: failAt + outage}
 			sampler := trace.NewSampler(w.Engine, failureSample)

@@ -18,18 +18,11 @@ import (
 // matches the flat controller per domain, with the leaves provably never
 // consuming feedback from outside their own domain.
 
-// federationTopology builds the experiment's tiered-Internet instance: two
-// tier-1 domains behind ~2 Mbit/s border links (tight enough that the
-// derived domain ceilings sit inside the 6-layer stack), three tier-2
+// federationTopo is the experiment's tiered-Internet instance, seeded by the
+// sweep: two tier-1 domains behind ~2 Mbit/s border links (tight enough that
+// the derived domain ceilings sit inside the 6-layer stack), three tier-2
 // leaves each behind ~600 Kbit/s last hops, two receivers per leaf.
-func federationTopology(e sim.Scheduler, seed int64) *topology.Build {
-	return topology.MustGenerate(e, &topology.TieredConfig{
-		Seed:             seed,
-		FanOut:           []int{2, 3},
-		Bandwidth:        []float64{2e6, 600e3},
-		ReceiversPerLeaf: 2,
-	})
-}
+const federationTopo = "tiered,seed=%d,fanout=2:3,bw=2e6:600e3,rxleaf=2"
 
 // FederationRow is one (variant, domain) outcome.
 type FederationRow struct {
@@ -90,13 +83,11 @@ func federationSpecs(cfg SweepConfig) []Spec {
 			fmt.Sprintf("fig_federation/%s/%s/seed=%d", variant, CBR.Name, cfg.Seed),
 			cfg.Seed, dur,
 			func(m *Meter) (any, error) {
-				e := NewRunEngine(cfg.Seed, 0)
-				b := federationTopology(e, cfg.Seed)
-				w, err := AssembleWorld(e, b, WorldConfig{Seed: cfg.Seed, Traffic: CBR, Plane: plane})
+				w, err := Scenario{WorldConfig: WorldConfig{Seed: cfg.Seed, Traffic: CBR, Plane: plane},
+					Topo: fmt.Sprintf(federationTopo, cfg.Seed), Duration: dur.Seconds()}.Assemble(m)
 				if err != nil {
 					return nil, err
 				}
-				m.ObserveWorld(w)
 				w.Run(dur)
 				return federationRows(w, variant, dur), nil
 			}))

@@ -136,9 +136,9 @@ func scaleSpecs(cfg SweepConfig) []Spec {
 	dur := scaled(cfg, DefaultScaleDuration, QuickScaleDuration)
 	var specs []Spec
 	for _, point := range scalePoints(cfg) {
-		flat := Scenario{Topo: point, Traffic: CBR, Seed: cfg.Seed, Duration: dur.Seconds()}
+		flat := Scenario{WorldConfig: WorldConfig{Seed: cfg.Seed, Traffic: CBR}, Topo: point, Duration: dur.Seconds()}
 		sharded, agg, fed := flat, flat, flat
-		sharded.Shards, agg.Aggregate, fed.Federate = cfg.Shards, true, true
+		sharded.Shards, agg.Aggregate, fed.Plane = cfg.Shards, true, PlaneFederated
 		specs = append(specs, scaleSpec(flat))
 		if cfg.Shards > 1 {
 			specs = append(specs, scaleSpec(sharded))
@@ -164,7 +164,7 @@ func scaleSpec(sc Scenario) Spec {
 	if sc.Aggregate {
 		name += "/agg"
 	}
-	if sc.Federate {
+	if sc.Plane == PlaneFederated {
 		name += "/fed"
 	}
 	dur := sim.FromSeconds(sc.Duration)
@@ -182,7 +182,7 @@ func scaleSpec(sc Scenario) Spec {
 				Receivers: len(b.AllReceivers()),
 				Shards:    sc.Shards,
 				Aggregate: sc.Aggregate,
-				Federate:  sc.Federate,
+				Federate:  sc.Plane == PlaneFederated,
 			}
 			w.Run(dur)
 			row.Groups = w.Domain.NumGroups()

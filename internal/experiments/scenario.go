@@ -4,6 +4,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"toposense/internal/faults"
@@ -11,24 +13,17 @@ import (
 	"toposense/internal/topology"
 )
 
-// Scenario describes one run: a point in the topology × traffic × staleness
-// × control plane space the paper's evaluation sweeps, plus the engine and
-// the membership/fault schedule. It is a plain value — copy it, compare it,
-// draw it at random — with three behaviours: Bind ties it to command-line
-// flags, Validate is the one place a run description is accepted or
-// rejected, and Assemble turns an accepted one into a World. Times are in
-// simulated seconds, as the flags give them.
+// Scenario describes one run: the WorldConfig it assembles plus the run
+// around that world — the registry topology, the explain switch, the engine
+// and the membership/fault schedule, in simulated seconds as the flags give
+// them. It is a plain value (copy it, draw it at random; not ==-comparable,
+// WorldConfig carries slices) with three behaviours: Bind ties it to
+// command-line flags, Validate is the one place a run description is
+// accepted or rejected, and Assemble turns an accepted one into a World.
 type Scenario struct {
+	WorldConfig
 	Topo    string // registry topology spec, name[,key=val,...]
-	Traffic Traffic
-	Seed    int64
-
-	RLM       bool // -algo rlm: uncoordinated RLM receivers, no controller
-	Federate  bool // per-domain leaf controllers under a federation parent
-	Aggregate bool // in-network report aggregation toward the flat controller
-	Probe     bool // mtrace-style probe discovery instead of the oracle
-	Staleness float64
-	Explain   bool // keep the flat controller's per-node decisions
+	Explain bool   // keep the flat controller's per-node decisions
 
 	Shards   int // 0 = the single-threaded engine, N >= 1 = N sharded workers
 	Duration float64
@@ -40,12 +35,23 @@ type Scenario struct {
 // DefaultScenario is the run a bare `toposim` performs: the paper's
 // Topology A with two receivers per set, CBR, 1200 s on the flat plane.
 func DefaultScenario() Scenario {
-	return Scenario{Topo: "a,rxset=2", Traffic: CBR, Seed: 1, Duration: PaperDuration.Seconds(), Outage: 60}
+	return Scenario{WorldConfig: WorldConfig{Seed: 1, Traffic: CBR}, Topo: "a,rxset=2", Duration: PaperDuration.Seconds(), Outage: 60}
 }
 
-// Bind registers one flag per field on fs; each flag's default is the
-// field's current value.
+// Bind registers the run's flags on fs, each defaulting to its field's
+// current value; -algo and -federate both write Plane.
 func (s *Scenario) Bind(fs *flag.FlagSet) {
+	plane := func(p Plane, on bool) error { // on is false for "-algo toposense", "-federate=false"
+		switch {
+		case on && s.Plane != PlaneFlat && s.Plane != p:
+			return fmt.Errorf("%s and %s name different control planes; keep one", s.Plane.flag(), p.flag())
+		case on:
+			s.Plane = p
+		case s.Plane == p:
+			s.Plane = PlaneFlat
+		}
+		return nil
+	}
 	fs.StringVar(&s.Topo, "topo", s.Topo, "topology generator spec name[,key=val,...] resolved against the registry ("+strings.Join(topology.Names(), ", ")+"); \"list\" prints every generator and its keys")
 	fs.Func("traffic", "cbr, vbr3 or vbr6 (default cbr)", func(v string) error {
 		t, ok := map[string]Traffic{"cbr": CBR, "vbr3": VBR3, "vbr6": VBR6}[strings.ToLower(v)]
@@ -60,14 +66,23 @@ func (s *Scenario) Bind(fs *flag.FlagSet) {
 		if v != "toposense" && v != "rlm" {
 			return fmt.Errorf("unknown algo %q", v)
 		}
-		s.RLM = v == "rlm"
-		return nil
+		return plane(PlaneRLM, v == "rlm")
 	})
 	fs.Int64Var(&s.Seed, "seed", s.Seed, "simulation seed")
-	fs.BoolVar(&s.Federate, "federate", s.Federate, "run the hierarchical control plane: per-domain leaf controllers under a federation parent (toposense only; needs a domain-labelled topology)")
+	fs.BoolFunc("federate", "run the hierarchical control plane: per-domain leaf controllers under a federation parent (toposense only; needs a domain-labelled topology)", func(v string) error {
+		on, err := strconv.ParseBool(v)
+		if err != nil {
+			return err
+		}
+		return plane(PlaneFederated, on)
+	})
 	fs.BoolVar(&s.Aggregate, "aggregate", s.Aggregate, "install the in-network feedback aggregation layer (toposense only)")
-	fs.BoolVar(&s.Probe, "probe", s.Probe, "use mtrace-style probe-based topology discovery")
-	fs.Float64Var(&s.Staleness, "staleness", s.Staleness, "topology information staleness in seconds")
+	fs.BoolVar(&s.ProbeDiscovery, "probe", s.ProbeDiscovery, "use mtrace-style probe-based topology discovery")
+	fs.Func("staleness", "topology information staleness in seconds", func(v string) error {
+		sec, err := strconv.ParseFloat(v, 64)
+		s.Staleness = sim.FromSeconds(sec)
+		return err
+	})
 	fs.BoolVar(&s.Explain, "explain", s.Explain, "print the algorithm's per-node decisions for the final interval (flat toposense plane only)")
 	fs.IntVar(&s.Shards, "shards", s.Shards, "engine workers: 0 = single-threaded engine, N >= 1 = sharded engine with N workers")
 	fs.Float64Var(&s.Duration, "duration", s.Duration, "simulated seconds")
@@ -77,40 +92,35 @@ func (s *Scenario) Bind(fs *flag.FlagSet) {
 }
 
 // Validate reports the first reason the scenario cannot run, naming the
-// flag to change, or nil. The table below is the whole rejection list;
-// everything else composes (DESIGN.md §5 "Flag matrix").
+// flag to change, or nil. The table below and the plane gate are the whole
+// rejection list; everything else composes (DESIGN.md §5 "Flag matrix").
 func (s Scenario) Validate() error {
-	if _, _, err := topology.Parse(s.Topo); err != nil {
+	gen, _, err := topology.Parse(s.Topo)
+	if err != nil {
 		return fmt.Errorf("-topo %q: %w", s.Topo, err)
 	}
-	// The three model pairs, each waiting on one mechanism: tree repair
-	// rebuilds routes across the whole network, which no single partition may
-	// do; a repair can re-home a receiver out of every fixed leaf scope; the
-	// aggregation layer routes reports toward exactly one controller node.
+	// The two fault pairs each wait on one mechanism: tree repair rebuilds
+	// routes across the whole network, which no single partition may do, and
+	// a repair can re-home a receiver out of every fixed domain scope.
 	for _, r := range []struct {
 		bad bool
 		why string
 	}{
 		{s.Duration <= 0, fmt.Sprintf("-duration %g: the simulated run length must be positive", s.Duration)},
-		{s.Staleness < 0, fmt.Sprintf("-staleness %g: topology information cannot be younger than now (0 = fresh)", s.Staleness)},
+		{s.Staleness < 0, fmt.Sprintf("-staleness %g: topology information cannot be younger than now (0 = fresh)", s.Staleness.Seconds())},
 		{s.FailAt > 0 && s.Outage <= 0, "-outage must be positive when -failat is set"},
 		{s.FailAt > 0 && s.Shards >= 1, fmt.Sprintf("-failat %g is not supported with -shards %d: fault injection needs the whole network in one partition for tree repair, "+
 			"which only the single-threaded serial engine guarantees; drop -shards (or set -shards 0) to fall back to the serial engine", s.FailAt, s.Shards)},
-		{s.FailAt > 0 && s.Federate, fmt.Sprintf("-failat %g is not supported with -federate: tree repair can re-home receivers across domain boundaries, "+
-			"outside every federated leaf controller's fixed scope; drop -federate to fall back to the flat control plane", s.FailAt)},
+		{s.FailAt > 0 && s.Plane.scoped(), fmt.Sprintf("-failat %g is not supported with %s: tree repair can re-home receivers across domain boundaries, "+
+			"outside every scoped controller's fixed domain; drop %[2]s to fall back to the flat control plane", s.FailAt, s.Plane.flag())},
 		{s.Churn < 0, fmt.Sprintf("-churn %g: the mean join/leave period must be positive (0 = no churn)", s.Churn)},
-		{s.Federate && s.Aggregate, "-federate is not supported with -aggregate: the in-network aggregation layer serves a single flat controller node, " +
-			"and the federated plane already folds reports per domain at its leaf controllers; " +
-			"drop -aggregate to run the hierarchical control plane, or drop -federate to keep flat-controller aggregation"},
-		{s.Aggregate && s.RLM, "-aggregate: the aggregation layer serves the toposense controller; it has no meaning under -algo rlm"},
-		{s.Federate && s.RLM, "-federate: the hierarchical control plane federates toposense controllers; it has no meaning under -algo rlm"},
-		{s.Explain && (s.Federate || s.RLM), "-explain reads the single flat controller, which neither -federate nor -algo rlm runs; drop it"},
+		{s.Explain && s.Plane != PlaneFlat, fmt.Sprintf("-explain reads the single flat controller, which %s does not run; drop -explain", s.Plane.flag())},
 	} {
 		if r.bad {
 			return errors.New(r.why)
 		}
 	}
-	return nil
+	return s.checkPlane(slices.Contains(labelledFamilies, gen.Name))
 }
 
 // Assemble validates the scenario and builds its world, in the order that is
@@ -140,15 +150,7 @@ func (s Scenario) Assemble(m *Meter) (*World, error) {
 		bl := b.Bottlenecks[0]
 		inj.Outage(sim.FromSeconds(s.FailAt), sim.FromSeconds(s.Outage), bl, bl.Reverse())
 	}
-	cfg := WorldConfig{Seed: s.Seed, Traffic: s.Traffic, Aggregate: s.Aggregate,
-		Staleness: sim.FromSeconds(s.Staleness), ProbeDiscovery: s.Probe}
-	switch {
-	case s.RLM:
-		cfg.Plane = PlaneRLM
-	case s.Federate:
-		cfg.Plane = PlaneFederated
-	}
-	w, err := AssembleWorld(e, b, cfg)
+	w, err := AssembleWorld(e, b, s.WorldConfig)
 	if err != nil {
 		return nil, err
 	}

@@ -202,7 +202,7 @@ func TestShardDeterminismScaleRows(t *testing.T) {
 
 func scaleRowCanonical(t *testing.T, point string, shards int) string {
 	t.Helper()
-	res := scaleSpec(Scenario{Topo: point, Traffic: CBR, Seed: 1, Shards: shards, Duration: 15}).Execute(0)
+	res := scaleSpec(Scenario{WorldConfig: WorldConfig{Seed: 1, Traffic: CBR}, Topo: point, Shards: shards, Duration: 15}).Execute(0)
 	if res.Failed() {
 		t.Fatalf("run %s failed: %s", res.Name, res.Err)
 	}

@@ -73,6 +73,29 @@ func (p Plane) String() string {
 	return [...]string{"flat", "per-domain", "federated", "rlm"}[p]
 }
 
+// scoped reports whether p runs one controller per domain.
+func (p Plane) scoped() bool { return p == PlanePerDomain || p == PlaneFederated }
+
+// flag names the command-line choice that selects p, for error messages.
+func (p Plane) flag() string {
+	return [...]string{"the flat control plane", "the per-domain control plane", "-federate", "-algo rlm"}[p]
+}
+
+// labelledFamilies emit Build.Domains; TestValidateAgreesWithAssemble pins it.
+var labelledFamilies = []string{"linear", "star", "tiered", "tree"}
+
+// checkPlane is the one gate on the control plane, run by Scenario.Validate
+// before any engine exists and by AssembleWorld on the built topology.
+func (c WorldConfig) checkPlane(labelled bool) error {
+	switch {
+	case c.Aggregate && c.Plane != PlaneFlat:
+		return fmt.Errorf("-aggregate serves a single flat toposense controller, which %s does not run; drop -aggregate or %[1]s", c.Plane.flag())
+	case c.Plane.scoped() && !labelled:
+		return fmt.Errorf("%s needs a -topo family that emits domain labels, one of %v", c.Plane.flag(), labelledFamilies)
+	}
+	return nil
+}
+
 // Member is one live incarnation of a receiver slot: a *receiver.Receiver
 // under a controller plane, an *rlm.Receiver under PlaneRLM.
 type Member interface {
@@ -148,9 +171,9 @@ type WorldConfig struct {
 
 // AssembleWorld assembles a world on a built topology: one source per
 // session at Build.Sources[i], the configured control plane, and one
-// receiver per entry of Build.Receivers. It rejects the combinations the
-// model cannot honour — a scoped plane on a build without domain labels,
-// aggregation on anything but the flat plane.
+// receiver per entry of Build.Receivers. It rejects what the plane gate
+// rejects — aggregation on anything but the flat plane, a scoped plane on a
+// build without domain labels.
 //
 // Construction order is part of the determinism contract (event sequence
 // numbers are assigned at Schedule, agents deliver in attach order):
@@ -165,12 +188,8 @@ type WorldConfig struct {
 // no usable cut either, the sharded engine degenerates to one partition —
 // same results, no parallelism.
 func AssembleWorld(e sim.Runner, b *topology.Build, cfg WorldConfig) (*World, error) {
-	scoped := cfg.Plane == PlanePerDomain || cfg.Plane == PlaneFederated
-	if scoped && b.Domains == nil {
-		return nil, fmt.Errorf("%v control plane: topology family emits no domain labels; use tiered/tree/star/linear", cfg.Plane)
-	}
-	if cfg.Aggregate && cfg.Plane != PlaneFlat {
-		return nil, fmt.Errorf("%v control plane: -aggregate serves a single flat controller; drop one of the two", cfg.Plane)
+	if err := cfg.checkPlane(b.Domains != nil); err != nil {
+		return nil, err
 	}
 	if se, ok := e.(*sim.ShardedEngine); ok {
 		doms := b.Domains
@@ -209,7 +228,7 @@ func AssembleWorld(e sim.Runner, b *topology.Build, cfg WorldConfig) (*World, er
 	}
 
 	switch {
-	case scoped:
+	case cfg.Plane.scoped():
 		w.scopedControllers()
 	case cfg.Plane == PlaneFlat:
 		w.Controller, w.Tool = w.newController(b.Controller, nil, 0)

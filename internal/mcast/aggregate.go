@@ -295,7 +295,6 @@ func (a *Aggregator) flushNode(id netsim.NodeID) {
 		}
 		nd.pending[i].agg = nil
 		ag.Sent = now
-		ag.Interval = a.flush
 		pkt := report.NewPooledPacket(a.net, id, a.ctrl, ag.WireSize(), now)
 		pkt.Session = ag.Session
 		pkt.Payload = ag

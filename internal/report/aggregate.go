@@ -45,10 +45,9 @@ type AggEntry struct {
 // happens at Get, not at Put), so a consumer may Release inside the
 // delivery callback and finish reading afterwards.
 type Aggregate struct {
-	Session  int
-	Origin   netsim.NodeID // tree node whose flush produced this aggregate
-	Interval sim.Time      // flush interval the aggregate covers
-	Sent     sim.Time      // when the origin emitted it
+	Session int
+	Origin  netsim.NodeID // tree node whose flush produced this aggregate
+	Sent    sim.Time      // when the origin emitted it
 
 	// Subtree summary, maintained incrementally by Fold/Merge.
 	ReportCount int64         // loss reports represented

@@ -26,7 +26,6 @@ import (
 	"fmt"
 
 	"toposense/internal/netsim"
-	"toposense/internal/obs"
 	"toposense/internal/sim"
 )
 
@@ -36,7 +35,6 @@ import (
 // partitioned networks: every transition runs at a window barrier.
 type Driver struct {
 	sched sim.Scheduler // global (stop-the-world) context
-	o     *obs.Obs
 
 	// Joins and Leaves count transitions applied. All mutation happens in
 	// the single-threaded global context; read them while the engine is
@@ -52,10 +50,6 @@ type Driver struct {
 func New(net *netsim.Network) *Driver {
 	return &Driver{sched: sim.GlobalOf(net.Engine())}
 }
-
-// SetObs wires the observability bundle; churn transitions then feed the
-// churn_joins / churn_leaves counters.
-func (d *Driver) SetObs(o *obs.Obs) { d.o = o }
 
 // Slots returns how many membership slots are registered.
 func (d *Driver) Slots() int { return len(d.pending) }
@@ -80,9 +74,6 @@ func (d *Driver) Slot(start, meanOn, meanOff sim.Time, join, leave func()) {
 		}
 		leave()
 		d.Leaves++
-		if d.o != nil {
-			d.o.ChurnLeaves.Inc()
-		}
 		d.pending[slot] = d.sched.Schedule(d.exp(meanOff), up)
 	}
 	up = func() {
@@ -91,9 +82,6 @@ func (d *Driver) Slot(start, meanOn, meanOff sim.Time, join, leave func()) {
 		}
 		join()
 		d.Joins++
-		if d.o != nil {
-			d.o.ChurnJoins.Inc()
-		}
 		d.pending[slot] = d.sched.Schedule(d.exp(meanOn), down)
 	}
 	d.pending = append(d.pending, d.sched.At(start+d.exp(meanOn), down))

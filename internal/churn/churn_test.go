@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"toposense/internal/netsim"
-	"toposense/internal/obs"
 	"toposense/internal/sim"
 )
 
@@ -125,21 +124,27 @@ func TestInertWithoutSlots(t *testing.T) {
 	d.Stop()
 }
 
+// TestObsCounters: Joins and Leaves are the counts the obs export reads
+// (churn_joins, churn_leaves), so each must match the transitions the
+// callbacks saw.
 func TestObsCounters(t *testing.T) {
 	eng := sim.NewEngine(5)
 	var log []event
 	d := rig(eng, 2, &log)
-	o := obs.New(obs.Options{FlightRecorder: -1, AuditPasses: -1})
-	d.SetObs(o)
 	eng.RunUntil(200 * sim.Second)
-	if d.Joins == 0 {
-		t.Fatal("no joins in 200s")
+	var joins, leaves int64
+	for _, ev := range log {
+		if ev.join {
+			joins++
+		} else {
+			leaves++
+		}
 	}
-	if got := o.ChurnJoins.Value(); got != d.Joins {
-		t.Fatalf("churn_joins counter %d, driver %d", got, d.Joins)
+	if joins == 0 || leaves == 0 {
+		t.Fatalf("%d joins and %d leaves in 200s", joins, leaves)
 	}
-	if got := o.ChurnLeaves.Value(); got != d.Leaves {
-		t.Fatalf("churn_leaves counter %d, driver %d", got, d.Leaves)
+	if d.Joins != joins || d.Leaves != leaves {
+		t.Fatalf("driver counted %d joins, %d leaves; callbacks saw %d, %d", d.Joins, d.Leaves, joins, leaves)
 	}
 }
 

@@ -206,8 +206,8 @@ type Controller struct {
 	// the duration of the call; copy it to retain.
 	OnStep func(now sim.Time, in core.Input, out []core.Suggestion)
 
-	// obs, when set via SetObs, receives the pass counter, the
-	// pass-distance histogram, flight-recorder pass events, and the
+	// obs, when set via SetObs, receives the pass-distance, fan-in and
+	// report-coverage histograms, flight-recorder pass events, and the
 	// per-pass decision audit.
 	obs           *obs.Obs
 	lastPassFired uint64
@@ -660,9 +660,6 @@ func (c *Controller) step() {
 			if lim, ok := c.levelCap[out[i].Session]; ok && out[i].Level > lim {
 				out[i].Level = lim
 				c.SuggestionsCapped++
-				if c.obs != nil {
-					c.obs.FedCapped.Inc()
-				}
 			}
 		}
 	}
@@ -721,7 +718,6 @@ func (c *Controller) step() {
 		}
 		since := fired - c.lastPassFired
 		c.lastPassFired = fired
-		c.obs.Passes.Inc()
 		c.obs.PassEvents.Observe(float64(since))
 		c.obs.Rec.Record(obs.Event{
 			At: now, Kind: obs.EvPass,

@@ -92,7 +92,7 @@ func runConvergence(seed int64, dur sim.Time, traffic Traffic, m *Meter) []Conve
 	}
 
 	w := NewWorld(e, b, WorldConfig{Seed: seed, Traffic: traffic})
-	m.Observe(e, n)
+	m.ObserveWorld(w)
 	w.Run(dur)
 
 	var rows []ConvergenceRow

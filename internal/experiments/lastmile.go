@@ -99,7 +99,7 @@ func runLastMileDepth(seed int64, dur sim.Time, di int, where string, m *Meter) 
 	}
 
 	w := NewWorld(e, b, WorldConfig{Seed: seed, Traffic: CBR})
-	m.Observe(e, n)
+	m.ObserveWorld(w)
 	w.Run(dur)
 	traces, optima := w.AllTraces()
 	var conTr, freeTr []*metrics.Trace

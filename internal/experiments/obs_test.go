@@ -36,48 +36,91 @@ func marshalIndent(t *testing.T, v any) []byte {
 	return b
 }
 
+// fedObsSpec is a small federated run on the tiered family: leaf
+// controllers under a federation parent, whose reconcile loop is the one
+// obs source that once read the host clock.
+func fedObsSpec(seed int64) Spec {
+	const dur = 60 * sim.Second
+	return NewSpec("obstest", "obstest/tiered-federated", seed, dur, func(m *Meter) (any, error) {
+		w, err := Scenario{WorldConfig: WorldConfig{Seed: seed, Traffic: CBR, Plane: PlaneFederated},
+			Topo: "tiered,fanout=2:2,rxleaf=2", Duration: dur.Seconds()}.Assemble(m)
+		if err != nil {
+			return nil, err
+		}
+		w.Run(dur)
+		return w.Parent.Reconciles, nil
+	})
+}
+
 // TestObsExportDeterministic: two runs from the same seed must produce
 // byte-identical observability exports — counters, histograms, flight
-// recorder and audit log included. This is what makes the export citable
-// next to a figure.
+// recorder and audit log included — on the flat plane and on the federated
+// one. This is what makes the export citable next to a figure.
 func TestObsExportDeterministic(t *testing.T) {
-	var dumps [][]byte
-	for i := 0; i < 2; i++ {
-		s := obsSpec(3)
+	for _, mk := range []func(int64) Spec{obsSpec, fedObsSpec} {
+		name := mk(3).Name
+		var dumps [][]byte
+		for i := 0; i < 2; i++ {
+			s := mk(3)
+			s.Obs = &obs.Options{}
+			r := s.Execute(0)
+			if r.Failed() {
+				t.Fatalf("%s: run %d failed: %s", name, i, r.Err)
+			}
+			if r.Obs == nil {
+				t.Fatalf("%s: Spec.Obs set but Result.Obs is nil", name)
+			}
+			dumps = append(dumps, marshalIndent(t, r.Obs))
+		}
+		if !bytes.Equal(dumps[0], dumps[1]) {
+			t.Errorf("%s: identical seeds produced different obs exports\n%s", name, firstDiff(string(dumps[0]), string(dumps[1])))
+		}
+
+		// The export must actually contain signal, or determinism is vacuous.
+		var d obs.Dump
+		if err := json.Unmarshal(dumps[0], &d); err != nil {
+			t.Fatal(err)
+		}
+		nonZero := 0
+		for _, c := range d.Counters {
+			if c.Value > 0 {
+				nonZero++
+			}
+		}
+		if nonZero < 4 {
+			t.Errorf("%s: only %d non-zero counters in export; wiring looks incomplete:\n%s", name, nonZero, dumps[0])
+		}
+		if d.FlightTotal == 0 || len(d.Flight) == 0 {
+			t.Errorf("%s: flight recorder captured nothing", name)
+		}
+		if d.AuditTotal == 0 || len(d.Audit) == 0 {
+			t.Errorf("%s: controller audit log captured nothing", name)
+		}
+	}
+}
+
+// TestObsReachesHandBuiltWorlds: the convergence and lastmile studies build
+// their own topology, but their worlds must still be wired through
+// ObserveWorld, so an -obs export carries their controllers' passes and
+// audit.
+func TestObsReachesHandBuiltWorlds(t *testing.T) {
+	for _, name := range []string{"convergence", "lastmile"} {
+		s := quickSpecs(t, name)[0]
 		s.Obs = &obs.Options{}
 		r := s.Execute(0)
 		if r.Failed() {
-			t.Fatalf("run %d failed: %s", i, r.Err)
+			t.Fatalf("%s: %s", s.Name, r.Err)
 		}
-		if r.Obs == nil {
-			t.Fatal("Spec.Obs set but Result.Obs is nil")
+		var passes int64
+		for _, c := range r.Obs.Counters {
+			if c.Name == "controller_passes" {
+				passes = c.Value
+			}
 		}
-		dumps = append(dumps, marshalIndent(t, r.Obs))
-	}
-	if !bytes.Equal(dumps[0], dumps[1]) {
-		t.Errorf("identical seeds produced different obs exports:\n--- run 0 ---\n%s\n--- run 1 ---\n%s",
-			dumps[0], dumps[1])
-	}
-
-	// The export must actually contain signal, or determinism is vacuous.
-	var d obs.Dump
-	if err := json.Unmarshal(dumps[0], &d); err != nil {
-		t.Fatal(err)
-	}
-	nonZero := 0
-	for _, c := range d.Counters {
-		if c.Value > 0 {
-			nonZero++
+		if passes == 0 || r.Obs.AuditTotal == 0 || len(r.Obs.Audit) == 0 {
+			t.Errorf("%s: export has controller_passes %d and %d audited passes; the world was not wired",
+				s.Name, passes, r.Obs.AuditTotal)
 		}
-	}
-	if nonZero < 4 {
-		t.Errorf("only %d non-zero counters in export; wiring looks incomplete:\n%s", nonZero, dumps[0])
-	}
-	if d.FlightTotal == 0 || len(d.Flight) == 0 {
-		t.Error("flight recorder captured nothing")
-	}
-	if d.AuditTotal == 0 || len(d.Audit) == 0 {
-		t.Error("controller audit log captured nothing")
 	}
 }
 

@@ -131,7 +131,7 @@ type World struct {
 	Aggregator *mcast.Aggregator  // non-nil when WorldConfig.Aggregate is set
 	Parent     *federation.Parent // PlaneFederated only
 	Leaves     []*federation.Leaf // PlaneFederated only
-	Churn      *churn.Driver      // nil until ChurnSlots or WireObs needs it
+	Churn      *churn.Driver      // nil until ChurnSlots
 	Faults     *faults.Injector   // nil unless Scenario.Assemble scheduled an outage
 
 	cfg       WorldConfig           // as given, with Alg resolved
@@ -425,27 +425,20 @@ func (w *World) Slots() []Slot {
 	return out
 }
 
-// churnDriver returns the world's churn driver, creating the (inert until
-// it has slots) driver on first use.
-func (w *World) churnDriver() *churn.Driver {
-	if w.Churn == nil {
-		w.Churn = churn.New(w.Net)
-	}
-	return w.Churn
-}
-
 // ChurnSlots puts the given slots under Poisson membership churn: each
 // alternates between joined and departed with the given mean period, a
 // departure being leave and a rejoin a fresh join incarnation. Call before
 // Start — registration draws each slot's first dwell from the run-wide RNG,
 // in the order given.
 func (w *World) ChurnSlots(period sim.Time, slots []Slot) *churn.Driver {
-	drv := w.churnDriver()
+	if w.Churn == nil {
+		w.Churn = churn.New(w.Net)
+	}
 	for _, sl := range slots {
 		s, i := sl.Session, sl.Index
-		drv.Slot(0, period, period, func() { w.join(s, i) }, func() { w.leave(s, i) })
+		w.Churn.Slot(0, period, period, func() { w.join(s, i) }, func() { w.leave(s, i) })
 	}
-	return drv
+	return w.Churn
 }
 
 // CrossDomainRegs counts the receivers scoped controller k currently has
@@ -463,11 +456,14 @@ func (w *World) CrossDomainRegs(k int) int {
 
 // WireObs attaches an observability bundle to every component of the
 // world: a packet-plane probe on all links, the multicast domain's tree
-// events, every controller's pass audit, the aggregation layer, the
-// federation parent, the churn driver and the engine's scheduler stats. A
-// nil bundle is a no-op — the world then runs the exact pre-obs hot path,
-// with no probe installed at all. Call before Start, at most once per
-// bundle (probes accumulate).
+// events, every controller's pass audit, the federation parent's budget
+// levels and the engine's scheduler stats. The counts the components
+// already keep are registered as CounterFuncs that read the world when the
+// bundle dumps — the churn driver included, which ChurnSlots may create
+// after this call. A nil bundle is a no-op — the world then runs the exact
+// pre-obs hot path, with no probe installed at all. Call before Start, and
+// give each world its own bundle: wiring a second world to one bundle
+// registers its counts twice, which panics.
 func (w *World) WireObs(o *obs.Obs) {
 	if o == nil {
 		return
@@ -477,12 +473,51 @@ func (w *World) WireObs(o *obs.Obs) {
 	for _, c := range w.Controllers {
 		c.SetObs(o)
 	}
-	w.Aggregator.SetObs(o)
 	if w.Parent != nil {
 		w.Parent.SetObs(o)
 	}
-	w.churnDriver().SetObs(o)
 	o.ObserveEngine(w.Engine)
+
+	ctl := func(count func(*controller.Controller) int64) func() int64 {
+		return func() (n int64) {
+			for _, c := range w.Controllers {
+				n += count(c)
+			}
+			return n
+		}
+	}
+	for _, c := range []struct {
+		name string
+		read func() int64
+	}{
+		{"mcast_grafts", func() int64 { return w.Domain.Grafts }},
+		{"mcast_prunes", func() int64 { return w.Domain.Prunes }},
+		{"mcast_repairs", func() int64 { return w.Domain.Repairs }},
+		{"controller_passes", ctl(func(c *controller.Controller) int64 { return c.StepsRun })},
+		{"federation_capped_suggestions", ctl(func(c *controller.Controller) int64 { return c.SuggestionsCapped })},
+		{"agg_reports_absorbed", orZero(&w.Aggregator, func(a *mcast.Aggregator) int64 { return a.Absorbed })},
+		{"agg_merges", orZero(&w.Aggregator, func(a *mcast.Aggregator) int64 { return a.Merged })},
+		{"agg_flushes", orZero(&w.Aggregator, func(a *mcast.Aggregator) int64 { return a.Flushes })},
+		{"agg_batches", orZero(&w.Aggregator, func(a *mcast.Aggregator) int64 { return a.Batches })},
+		{"churn_joins", orZero(&w.Churn, func(d *churn.Driver) int64 { return d.Joins })},
+		{"churn_leaves", orZero(&w.Churn, func(d *churn.Driver) int64 { return d.Leaves })},
+		{"federation_exports", orZero(&w.Parent, func(p *federation.Parent) int64 { return p.ExportsRecv })},
+		{"federation_reconciles", orZero(&w.Parent, func(p *federation.Parent) int64 { return p.Reconciles })},
+		{"federation_budget_churn", orZero(&w.Parent, func(p *federation.Parent) int64 { return p.BudgetChanges })},
+	} {
+		o.Reg.CounterFunc(c.name, c.read)
+	}
+}
+
+// orZero reads count from the component *p holds when called, and 0 while
+// it holds none.
+func orZero[T any](p **T, count func(*T) int64) func() int64 {
+	return func() int64 {
+		if *p == nil {
+			return 0
+		}
+		return count(*p)
+	}
 }
 
 // Start launches sources, controllers, the federation parent and receivers,

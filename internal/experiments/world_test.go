@@ -146,8 +146,9 @@ func TestWorldMatrix(t *testing.T) {
 
 // TestObsWiringReachesEveryComponent is the regression for the obs wiring
 // that used to exist four times and skip a different component each time:
-// through a Spec with Obs set, an aggregated run must export what its
-// aggregator counted, and a federated run what its leaves and parent did.
+// through a Spec with Obs set, every count the export reads from a
+// component must equal that component's own field, on an aggregated and on
+// a federated run, both under churn.
 func TestObsWiringReachesEveryComponent(t *testing.T) {
 	const dur = 20 * sim.Second
 	run := func(cfg WorldConfig) (*World, map[string]int64) {
@@ -171,26 +172,59 @@ func TestObsWiringReachesEveryComponent(t *testing.T) {
 		}
 		return w, counters
 	}
+	check := func(name string, c map[string]int64, want map[string]int64, nonZero ...string) {
+		t.Helper()
+		for k, v := range want {
+			if got, ok := c[k]; !ok || got != v {
+				t.Errorf("%s: %s exported %d (present %v), component counted %d", name, k, got, ok, v)
+			}
+		}
+		for _, k := range nonZero {
+			if c[k] == 0 {
+				t.Errorf("%s: %s is 0; the run never exercised it", name, k)
+			}
+		}
+	}
+	derived := func(w *World) map[string]int64 {
+		var steps, capped int64
+		for _, ctrl := range w.Controllers {
+			steps += ctrl.StepsRun
+			capped += ctrl.SuggestionsCapped
+		}
+		m := map[string]int64{
+			"mcast_grafts":                  w.Domain.Grafts,
+			"mcast_prunes":                  w.Domain.Prunes,
+			"mcast_repairs":                 w.Domain.Repairs,
+			"controller_passes":             steps,
+			"federation_capped_suggestions": capped,
+			"churn_joins":                   w.Churn.Joins,
+			"churn_leaves":                  w.Churn.Leaves,
+			"agg_reports_absorbed":          0,
+			"agg_merges":                    0,
+			"agg_flushes":                   0,
+			"agg_batches":                   0,
+			"federation_exports":            0,
+			"federation_reconciles":         0,
+			"federation_budget_churn":       0,
+		}
+		if a := w.Aggregator; a != nil {
+			m["agg_reports_absorbed"], m["agg_merges"], m["agg_flushes"], m["agg_batches"] =
+				a.Absorbed, a.Merged, a.Flushes, a.Batches
+		}
+		if p := w.Parent; p != nil {
+			m["federation_exports"], m["federation_reconciles"], m["federation_budget_churn"] =
+				p.ExportsRecv, p.Reconciles, p.BudgetChanges
+		}
+		return m
+	}
 
 	w, c := run(WorldConfig{Seed: 1, Traffic: CBR, Aggregate: true})
-	if got := c["agg_reports_absorbed"]; got == 0 || got != w.Aggregator.Absorbed {
-		t.Errorf("agg_reports_absorbed exported %d, aggregator absorbed %d", got, w.Aggregator.Absorbed)
-	}
-	if got := c["churn_leaves"]; got == 0 || got != w.Churn.Leaves {
-		t.Errorf("churn_leaves exported %d, driver applied %d", got, w.Churn.Leaves)
-	}
+	check("aggregated", c, derived(w), "mcast_grafts", "mcast_prunes", "controller_passes",
+		"churn_joins", "churn_leaves", "agg_reports_absorbed", "agg_merges", "agg_flushes", "agg_batches")
 
 	w, c = run(WorldConfig{Seed: 1, Traffic: CBR, Plane: PlaneFederated})
-	if c["federation_exports"] == 0 {
-		t.Error("federated run exported federation_exports 0: the parent was never wired")
-	}
-	var steps int64
-	for _, ctrl := range w.Controllers {
-		steps += ctrl.StepsRun
-	}
-	if got := c["controller_passes"]; got == 0 || got != steps {
-		t.Errorf("controller_passes exported %d, leaves ran %d passes", got, steps)
-	}
+	check("federated", c, derived(w), "mcast_grafts", "mcast_prunes", "controller_passes",
+		"churn_joins", "churn_leaves", "federation_exports", "federation_reconciles", "federation_budget_churn")
 }
 
 // TestChurnSamplingFollowsLiveIncarnation pins the live-incarnation

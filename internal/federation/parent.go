@@ -2,7 +2,6 @@ package federation
 
 import (
 	"sort"
-	"time"
 
 	"toposense/internal/netsim"
 	"toposense/internal/obs"
@@ -90,10 +89,9 @@ type Parent struct {
 	byDomain map[int]*domainState
 
 	// Stats.
-	ExportsRecv        int64
-	Reconciles         int64
-	BudgetChanges      int64 // budget entries pushed down (the churn number)
-	ReconcileWallNanos int64 // host wall time inside reconcile (reporting only)
+	ExportsRecv   int64
+	Reconciles    int64
+	BudgetChanges int64 // budget entries pushed down (the churn number)
 
 	obs *obs.Obs
 }
@@ -214,19 +212,13 @@ func (p *Parent) Recv(pkt *netsim.Packet) {
 		return // an unregistered domain's export is dropped, not acted on
 	}
 	p.ExportsRecv++
-	if p.obs != nil {
-		p.obs.FedExports.Inc()
-	}
 	ds.latest = e
 }
 
 // reconcile runs one declarative pass: compare each domain's observed state
 // (its freshest export) against the desired state (budgets within the
-// domain ceiling) and push the per-session deltas. Decisions read only
-// simulated state; the host clock below feeds the latency histogram and
-// nothing else.
+// domain ceiling) and push the per-session deltas.
 func (p *Parent) reconcile() {
-	start := time.Now()
 	now := sim.GlobalOf(p.net.Engine()).Now()
 	for _, ds := range p.domains {
 		e := ds.latest
@@ -313,7 +305,6 @@ func (p *Parent) reconcile() {
 			p.BudgetChanges += int64(len(changed))
 			if p.obs != nil {
 				for _, cb := range changed {
-					p.obs.FedBudgetChurn.Inc()
 					p.obs.FedBudgetLevel.Observe(float64(cb.MaxLevel))
 				}
 			}
@@ -322,10 +313,4 @@ func (p *Parent) reconcile() {
 		}
 	}
 	p.Reconciles++
-	wall := int64(time.Since(start))
-	p.ReconcileWallNanos += wall
-	if p.obs != nil {
-		p.obs.FedReconciles.Inc()
-		p.obs.FedReconcileUs.Observe(float64(wall) / 1e3)
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"toposense/internal/netsim"
-	"toposense/internal/obs"
 	"toposense/internal/report"
 	"toposense/internal/sim"
 )
@@ -59,8 +58,6 @@ type Aggregator struct {
 	Purged int64
 
 	stopped bool
-
-	obs *obs.Obs
 }
 
 // pendingAgg is one session's accumulating aggregate at one node. The slot
@@ -120,15 +117,6 @@ func (a *Aggregator) install(n *netsim.Node) {
 	n.AttachAgent(a)
 }
 
-// SetObs attaches an observability bundle; nil detaches it. Safe on a nil
-// receiver, so worlds can wire it unconditionally.
-func (a *Aggregator) SetObs(o *obs.Obs) {
-	if a == nil {
-		return
-	}
-	a.obs = o
-}
-
 // Stop retires the aggregation layer and returns every payload it holds to
 // the report pools: each node's pending (unflushed) aggregates and its
 // deferred-release lastBatch. Without it, stopping a session mid-interval
@@ -171,9 +159,6 @@ func (a *Aggregator) FilterTransit(n *netsim.Node, p *netsim.Packet) bool {
 	case *report.LossReport:
 		a.pending(n.ID, pl.Session).Fold(*pl)
 		atomic.AddInt64(&a.Absorbed, 1)
-		if a.obs != nil {
-			a.obs.AggAbsorbed.Inc()
-		}
 	case *report.Aggregate:
 		if pl.Origin == n.ID {
 			return false // our own flush leaving this node
@@ -181,9 +166,6 @@ func (a *Aggregator) FilterTransit(n *netsim.Node, p *netsim.Packet) bool {
 		a.pending(n.ID, pl.Session).Merge(pl)
 		pl.Release()
 		atomic.AddInt64(&a.Merged, 1)
-		if a.obs != nil {
-			a.obs.AggMerges.Inc()
-		}
 	case *report.Deregister:
 		// Pass through — the controller must still consume it — but purge
 		// the departed receiver's pending entries at this hop. The packet
@@ -301,9 +283,6 @@ func (a *Aggregator) flushNode(id netsim.NodeID) {
 		node.SendUnicast(pkt)
 		pkt.Release()
 		atomic.AddInt64(&a.Flushes, 1)
-		if a.obs != nil {
-			a.obs.AggFlushes.Inc()
-		}
 	}
 }
 
@@ -365,9 +344,6 @@ func (a *Aggregator) redistribute(id netsim.NodeID, b *report.SuggestionBatch) {
 		pkt.Release()
 		g.batch = nil
 		atomic.AddInt64(&a.Batches, 1)
-		if a.obs != nil {
-			a.obs.AggBatches.Inc()
-		}
 	}
 	nd.groups = groups
 	// Deferred hand-over: the batch just consumed stays alive until this

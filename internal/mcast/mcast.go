@@ -159,10 +159,9 @@ type Domain struct {
 
 	events sim.FreeList[treeEvent] // pending grafts, prunes, detaches, leave timers
 
-	// obs, when set, mirrors the tree-maintenance counters into the
-	// observability registry and records graft/prune/repair events in the
-	// flight recorder. All hooks sit on the control path; HandleMulticast
-	// is untouched.
+	// obs, when set, records graft/prune/repair events in the flight
+	// recorder and departure-to-prune latencies. All hooks sit on the
+	// control path; HandleMulticast is untouched.
 	obs *obs.Obs
 }
 
@@ -175,14 +174,6 @@ func (d *Domain) SetObs(o *obs.Obs) { d.obs = o }
 func (d *Domain) noteTree(kind obs.EventKind, n, to netsim.NodeID, g netsim.GroupID) {
 	if d.obs == nil {
 		return
-	}
-	switch kind {
-	case obs.EvGraft:
-		d.obs.Grafts.Inc()
-	case obs.EvPrune:
-		d.obs.Prunes.Inc()
-	case obs.EvRepair:
-		d.obs.Repairs.Inc()
 	}
 	session, layer := d.SessionLayer(g)
 	d.obs.Rec.Record(obs.Event{

@@ -25,16 +25,14 @@ type Options struct {
 // instruments the core pipeline updates. Components hold the typed
 // pointers directly — no registry lookup ever happens on a hot path — and
 // every instrument is nil-safe, so a component wired with a nil *Obs pays
-// exactly one pointer comparison.
+// exactly one pointer comparison. A count a component already keeps (tree
+// grafts, controller passes, aggregation and federation stats) has no
+// instrument here: whoever wires the bundle registers it with
+// Registry.CounterFunc, and the registry reads it at Dump.
 type Obs struct {
 	Reg   *Registry
 	Rec   *Recorder
 	Audit *Audit
-
-	// Multicast tree maintenance (internal/mcast).
-	Grafts  *Counter
-	Prunes  *Counter
-	Repairs *Counter
 
 	// Controller passes (internal/controller). PassEvents observes the
 	// engine-events distance between consecutive passes; FanIn the control
@@ -43,37 +41,18 @@ type Obs struct {
 	// ReportCoverage observes, per pass, the fraction of registered receivers
 	// heard from since the previous pass (the rest are steered on stale
 	// numbers).
-	Passes         *Counter
 	PassEvents     *Histogram
 	FanIn          *Histogram
 	ReportCoverage *Histogram
 
-	// In-network feedback aggregation (mcast.Aggregator).
-	AggAbsorbed *Counter // loss reports absorbed at tree nodes
-	AggMerges   *Counter // child aggregates merged on the way up
-	AggFlushes  *Counter // aggregate packets emitted toward the controller
-	AggBatches  *Counter // suggestion sub-batches forwarded down the tree
-
-	// Membership churn (internal/churn driver + the departure lifecycle).
 	// DeparturePrune observes the departure-to-prune latency in
 	// milliseconds: the last member leaving a last-hop router to the prune
 	// landing at its parent (leave latency + one link delay, typically).
-	ChurnJoins     *Counter
-	ChurnLeaves    *Counter
 	DeparturePrune *Histogram
 
-	// Hierarchical control plane (internal/federation). FedReconcileUs
-	// observes each parent reconcile pass's host wall latency in
-	// microseconds (reporting only — the simulation never reads it);
-	// FedBudgetChurn counts per-(domain, session) budget changes the
-	// reconcile loop pushed down, the stability number of the declarative
-	// loop (churn -> 0 is budget convergence).
-	FedExports     *Counter // domain summaries received from leaf controllers
-	FedReconciles  *Counter // parent reconcile passes run
-	FedBudgetChurn *Counter // budget changes pushed down to leaves
-	FedCapped      *Counter // suggestions clamped to a budget at the leaves
-	FedReconcileUs *Histogram
-	FedBudgetLevel *Histogram // budget levels in force after each reconcile
+	// FedBudgetLevel observes the budget levels the federation parent's
+	// reconcile loop pushed down to its leaves (internal/federation).
+	FedBudgetLevel *Histogram
 
 	// Packet plane (via the NetProbe).
 	Enqueues     *Counter
@@ -110,34 +89,14 @@ func New(opt Options) *Obs {
 		o.Audit = NewAudit(opt.AuditPasses)
 	}
 
-	o.Grafts = o.Reg.Counter("mcast_grafts")
-	o.Prunes = o.Reg.Counter("mcast_prunes")
-	o.Repairs = o.Reg.Counter("mcast_repairs")
-
-	o.Passes = o.Reg.Counter("controller_passes")
 	o.PassEvents = o.Reg.Histogram("controller_pass_events",
 		[]float64{100, 300, 1000, 3000, 10000, 30000, 100000, 300000})
 	o.FanIn = o.Reg.Histogram("controller_fanin",
 		[]float64{1, 3, 10, 30, 100, 300, 1000, 3000, 10000, 30000, 100000})
 	o.ReportCoverage = o.Reg.Histogram("controller_report_coverage",
 		[]float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1})
-
-	o.AggAbsorbed = o.Reg.Counter("agg_reports_absorbed")
-	o.AggMerges = o.Reg.Counter("agg_merges")
-	o.AggFlushes = o.Reg.Counter("agg_flushes")
-	o.AggBatches = o.Reg.Counter("agg_batches")
-
-	o.ChurnJoins = o.Reg.Counter("churn_joins")
-	o.ChurnLeaves = o.Reg.Counter("churn_leaves")
 	o.DeparturePrune = o.Reg.Histogram("churn_departure_prune_ms",
 		[]float64{100, 250, 500, 1000, 1500, 2000, 3000, 5000})
-
-	o.FedExports = o.Reg.Counter("federation_exports")
-	o.FedReconciles = o.Reg.Counter("federation_reconciles")
-	o.FedBudgetChurn = o.Reg.Counter("federation_budget_churn")
-	o.FedCapped = o.Reg.Counter("federation_capped_suggestions")
-	o.FedReconcileUs = o.Reg.Histogram("federation_reconcile_us",
-		[]float64{1, 5, 10, 25, 50, 100, 250, 500, 1000, 5000})
 	o.FedBudgetLevel = o.Reg.Histogram("federation_budget_level",
 		[]float64{1, 2, 3, 4, 5, 6, 8, 12, 15})
 

@@ -34,10 +34,12 @@ import (
 // Counter is a monotonically increasing int64 counter. The zero value is
 // ready to use; all methods are no-ops on a nil receiver so wiring can be
 // left unconditioned. Counts move atomically: on a sharded engine the same
-// instrument is hit from every shard's worker.
+// instrument is hit from every shard's worker. A counter registered with
+// Registry.CounterFunc holds no count of its own: Value calls its reader.
 type Counter struct {
 	name string
 	v    int64
+	read func() int64 // non-nil for a CounterFunc counter
 }
 
 // Inc adds one.
@@ -58,6 +60,9 @@ func (c *Counter) Add(n int64) {
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
+	}
+	if c.read != nil {
+		return c.read()
 	}
 	return atomic.LoadInt64(&c.v)
 }
@@ -181,12 +186,31 @@ func (r *Registry) Counter(name string) *Counter {
 		if i >= histBase {
 			panic(fmt.Sprintf("obs: %q already registered as a histogram", name))
 		}
+		if r.counters[i].read != nil {
+			panic(fmt.Sprintf("obs: %q already registered as a CounterFunc", name))
+		}
 		return r.counters[i]
 	}
 	c := &Counter{name: name}
 	r.byName[name] = len(r.counters)
 	r.counters = append(r.counters, c)
 	return c
+}
+
+// CounterFunc registers name as a counter that owns no count: every Value
+// (and so every Dump) calls read, which returns a count a component already
+// keeps. It exports beside the pushed counters, sorted with them. Dump only
+// while the simulation is quiescent — read runs on the dumping goroutine.
+// Registering a name twice panics.
+func (r *Registry) CounterFunc(name string, read func() int64) {
+	if r == nil {
+		return
+	}
+	if _, ok := r.byName[name]; ok {
+		panic(fmt.Sprintf("obs: %q already registered", name))
+	}
+	r.byName[name] = len(r.counters)
+	r.counters = append(r.counters, &Counter{name: name, read: read})
 }
 
 // Histogram registers (or returns the existing) histogram under name with

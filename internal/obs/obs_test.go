@@ -93,10 +93,15 @@ func TestRegistryCrossTypePanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a")
 	r.Histogram("b", []float64{1})
+	r.CounterFunc("d", func() int64 { return 0 })
 	for _, f := range []func(){
 		func() { r.Histogram("a", []float64{1}) },
 		func() { r.Counter("b") },
 		func() { r.Histogram("c", []float64{2, 1}) },
+		func() { r.CounterFunc("a", func() int64 { return 0 }) },
+		func() { r.CounterFunc("d", func() int64 { return 0 }) },
+		func() { r.Counter("d") },
+		func() { r.Histogram("d", []float64{1}) },
 	} {
 		func() {
 			defer func() {
@@ -112,11 +117,18 @@ func TestRegistryCrossTypePanics(t *testing.T) {
 func TestRegistrySortedEnumeration(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("zeta")
+	var kept int64
+	r.CounterFunc("beta", func() int64 { return kept })
 	r.Counter("alpha")
 	r.Histogram("mid", []float64{1})
 	cs := r.Counters()
-	if len(cs) != 2 || cs[0].Name() != "alpha" || cs[1].Name() != "zeta" {
-		t.Errorf("counters not sorted: %v, %v", cs[0].Name(), cs[1].Name())
+	if len(cs) != 3 || cs[0].Name() != "alpha" || cs[1].Name() != "beta" || cs[2].Name() != "zeta" {
+		t.Errorf("counters not sorted: %v, %v, %v", cs[0].Name(), cs[1].Name(), cs[2].Name())
+	}
+	// A CounterFunc is read when asked, not when registered.
+	kept = 7
+	if got := cs[1].Value(); got != 7 {
+		t.Errorf("CounterFunc Value = %d, want the owner's current count 7", got)
 	}
 }
 
@@ -187,7 +199,7 @@ func TestDumpJSONAndCSV(t *testing.T) {
 	e := sim.NewEngine(7)
 	o := New(Options{FlightRecorder: 8, AuditPasses: 4})
 	o.ObserveEngine(e)
-	o.Grafts.Add(3)
+	o.Reg.CounterFunc("mcast_grafts", func() int64 { return 3 })
 	o.QueueDepth.Observe(2)
 	o.QueueDepth.Observe(100)
 	o.Rec.Record(Event{At: sim.Second, Kind: EvGraft, From: 1, To: 2, Session: 0, Seq: 5})
@@ -365,7 +377,7 @@ func TestNetProbeLinkDownCause(t *testing.T) {
 
 func TestZeroAllocHotPath(t *testing.T) {
 	o := New(Options{FlightRecorder: 16, AuditPasses: -1})
-	c := o.Grafts
+	c := o.Enqueues
 	h := o.QueueDepth
 	rec := o.Rec
 	ev := Event{Kind: EvGraft, From: 1, To: 2}

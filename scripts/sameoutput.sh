@@ -9,14 +9,16 @@
 #   - toposim over a fixed spec list: the four repository-benchmark workload
 #     specs (scripts/workloads.sh) plus one run per switch -- RLM, federated
 #     churn, aggregation with explain, probe discovery, staleness, a
-#     bottleneck outage, churn on two shards;
+#     bottleneck outage, churn on two shards -- each also writing its -obs
+#     export;
 #   - topobench -quick -json.
 # It then diffs the two sides with the host-dependent parts removed:
 # toposim's `run:` line, topobench's `total wall time:` line, fig_scale's
-# host-time columns (events/s, wall s, speedup, pass mean/max ms) and the
-# JSON's wall-clock, throughput, allocation and pass-latency fields. Exits 1
-# on any difference, printing it; the captures stay in
-# $BENCH_DIR/sameoutput/{new,parent}.
+# host-time columns (events/s, wall s, speedup, pass mean/max ms), the
+# JSON's wall-clock, throughput, allocation and pass-latency fields, the obs
+# exports' barrier-stall times and, on sharded runs, their flight-recorder
+# tail (shards record into it in host order). Exits 1 on any difference,
+# printing it; the captures stay in $BENCH_DIR/sameoutput/{new,parent}.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -56,15 +58,36 @@ strip_bench() {
 		{ print }'
 }
 
+# strip_obs ARGS drops an obs export's host-dependent parts: barrier-stall
+# times, and the flight recorder when ARGS runs on shards.
+strip_obs() {
+	case "$1" in
+	*-shards*) flight=1 ;;
+	*) flight=0 ;;
+	esac
+	awk -v flight="$flight" '
+		/"barrier_stall_nanos":/ { next }
+		flight && /^  "flight": \[/ { skip = 1; next }
+		skip { if (/^  \],?$/) skip = 0; next }
+		{ print }'
+}
+
 # capture DIR SIDE builds DIR's commands and writes SIDE's stripped outputs.
+# toposim runs inside SIDE so the export path it echoes is the same on both.
 capture() {
 	side=$out/$2
-	mkdir -p "$side"
+	rm -rf "$side"
+	mkdir -p "$side/obs"
 	(cd "$1" && go build -o "$side/toposim" ./cmd/toposim && go build -o "$side/topobench" ./cmd/topobench)
+	n=0
 	specs | while read -r args; do
+		n=$((n + 1))
 		echo "== toposim $args"
 		# shellcheck disable=SC2086 # the spec is a flag list
-		{ "$side/toposim" $args 2>&1 || echo "exit $?"; } | grep -v '^run: '
+		{ (cd "$side" && ./toposim $args -obs "obs/$n.json") 2>&1 || echo "exit $?"; } | grep -v '^run: '
+		if [ -f "$side/obs/$n.json" ]; then
+			strip_obs "$args" <"$side/obs/$n.json" >"$side/obs/$n.stripped.json"
+		fi
 	done >"$side/toposim.txt"
 	{ "$side/topobench" -quick -progress=false -json "$side/quick.json" 2>/dev/null || echo "exit $?"; } | strip_bench >"$side/topobench.txt"
 	grep -v -E '"(generated_at|gomaxprocs|parallelism|wall_seconds|events_per_second|allocs_per_event|pass_mean_ms|pass_max_ms)":' \
@@ -77,7 +100,10 @@ status=0
 for f in toposim.txt topobench.txt quick.stripped.json; do
 	diff -u "$out/parent/$f" "$out/new/$f" || status=1
 done
+for f in "$out"/parent/obs/*.stripped.json; do
+	diff -u "$f" "$out/new/obs/${f##*/}" || status=1
+done
 if [ "$status" -eq 0 ]; then
-	echo "sameoutput OK: $(specs | wc -l) toposim runs and topobench -quick match $parent"
+	echo "sameoutput OK: $(specs | wc -l) toposim runs, their obs exports and topobench -quick match $parent"
 fi
 exit "$status"

@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"toposense/internal/experiments"
-	"toposense/internal/obs"
 	"toposense/internal/prof"
 	"toposense/internal/runner"
 	"toposense/internal/topology"
@@ -150,7 +149,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if o.obs {
 		for i := range specs {
-			specs[i].Obs = &obs.Options{}
+			specs[i].Obs = true
 		}
 	}
 

@@ -187,7 +187,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return res, nil
 		})
 	if o.obsPath != "" || o.flightrec {
-		spec.Obs = &obs.Options{}
+		spec.Obs = true
 	}
 
 	export := experiments.Measure("toposim", sc.Seed, func() []experiments.Result {
@@ -314,10 +314,6 @@ func printSummary(out io.Writer, sc experiments.Scenario, w *experiments.World) 
 	if sc.Explain {
 		fmt.Fprintln(out, "\nfinal interval decisions:")
 		fmt.Fprint(out, core.FormatDecisions(w.Controller.Algorithm().LastDecisions()))
-		if sc.Aggregate {
-			fmt.Fprintln(out, "\nfinal interval subtree summaries:")
-			fmt.Fprint(out, core.FormatSubtrees(w.Controller.Algorithm().Subtrees()))
-		}
 	}
 	if w.Faults != nil {
 		fmt.Fprintf(out, "faults: bottleneck down %.0f-%.0f s (%d link failures, %d repairs, %d packets unroutable)\n",

@@ -21,12 +21,6 @@ import (
 	"toposense/internal/topodisc"
 )
 
-// subtreeKey identifies one controller-adjacent subtree's aggregate stream.
-type subtreeKey struct {
-	session int
-	origin  netsim.NodeID
-}
-
 // fanGroup is the batched fan-out's scratch: one outgoing SuggestionBatch
 // per next hop from the controller.
 type fanGroup struct {
@@ -164,12 +158,10 @@ type Controller struct {
 	levelCap map[int]int
 
 	// aggregated switches the suggestion fan-out to pooled per-next-hop
-	// SuggestionBatch packets (see EnableAggregation); subtrees collects the
-	// latest aggregate summary per (session, origin) for the algorithm's
-	// aggregate-aware input, and the batch*/fan* slices are per-pass scratch
-	// reused so the steady-state fan-out allocates nothing.
+	// SuggestionBatch packets (see EnableAggregation); the batch*/fan*
+	// slices are per-pass scratch reused so the steady-state fan-out
+	// allocates nothing.
 	aggregated bool
-	subtrees   map[subtreeKey]core.SubtreeSummary
 	batchSugs  []core.Suggestion
 	batchGens  []uint64
 	fanGroups  []fanGroup
@@ -492,28 +484,15 @@ func (c *Controller) consume(payload any) {
 		// reproduces the flat path's accumulator state bit for bit; that is
 		// the decision-equivalence contract the aggregation layer keeps.
 		c.AggregatesRecv++
-		c.ReportsRecv += pl.ReportCount
 		for i := range pl.Entries {
 			e := &pl.Entries[i]
+			c.ReportsRecv += int64(e.Reports)
 			a := &c.heardFrom(pl.Session, e.Node, now).acc
 			a.bytes += e.Bytes
 			a.lossSum += e.LossSum
 			a.lossN += int(e.Reports)
 			a.level = e.Level
 			a.reported = true
-		}
-		if c.subtrees == nil {
-			c.subtrees = make(map[subtreeKey]core.SubtreeSummary)
-		}
-		c.subtrees[subtreeKey{pl.Session, pl.Origin}] = core.SubtreeSummary{
-			Session:   pl.Session,
-			Origin:    pl.Origin,
-			Receivers: pl.Receivers(),
-			Reports:   pl.ReportCount,
-			Bytes:     pl.ByteTotal,
-			MeanLoss:  pl.MeanLoss(),
-			MaxLoss:   pl.MaxLoss,
-			Worst:     pl.Worst,
 		}
 		pl.Release()
 	}
@@ -623,26 +602,7 @@ func (c *Controller) step() {
 		}
 	}
 
-	// Subtree summaries from consumed aggregates: the latest per (session,
-	// origin), sorted for determinism, cleared each pass like the accums.
-	var subs []core.SubtreeSummary
-	if len(c.subtrees) > 0 {
-		subs = make([]core.SubtreeSummary, 0, len(c.subtrees))
-		for _, s := range c.subtrees {
-			subs = append(subs, s)
-		}
-		sort.Slice(subs, func(i, j int) bool {
-			if subs[i].Session != subs[j].Session {
-				return subs[i].Session < subs[j].Session
-			}
-			return subs[i].Origin < subs[j].Origin
-		})
-		for k := range c.subtrees {
-			delete(c.subtrees, k)
-		}
-	}
-
-	in := core.Input{Now: now, Topologies: topos, Reports: reports, Subtrees: subs}
+	in := core.Input{Now: now, Topologies: topos, Reports: reports}
 	out := c.alg.Step(in)
 	c.StepsRun++
 

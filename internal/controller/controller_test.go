@@ -535,7 +535,7 @@ func TestLossReportDoesNotBumpGeneration(t *testing.T) {
 
 func TestControllerObsAudit(t *testing.T) {
 	w := buildChainWorld(t, 500e3, 0)
-	o := obs.New(obs.Options{})
+	o := obs.New()
 	w.ctrl.SetObs(o)
 	w.start()
 	w.e.RunUntil(30 * sim.Second)

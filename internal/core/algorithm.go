@@ -141,10 +141,6 @@ type Algorithm struct {
 
 	steps   int64
 	explain *explainState // non-nil once EnableExplain is called
-	// lastSubtrees retains the most recent Step's aggregate summaries for
-	// Subtrees(); the controller owns the slice and never mutates it after
-	// the call.
-	lastSubtrees []SubtreeSummary
 }
 
 // New creates an algorithm instance. The rng drives back-off randomization;
@@ -357,7 +353,6 @@ func (x *pinSorter) Less(i, j int) bool {
 func (a *Algorithm) Step(in Input) []Suggestion {
 	a.steps++
 	a.resetExplain()
-	a.lastSubtrees = in.Subtrees
 
 	s := &a.scratch
 	// Bind per-session passes in the scratch arena; skip sessions with no

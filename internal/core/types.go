@@ -164,9 +164,4 @@ type Input struct {
 	Now        sim.Time
 	Topologies []*Topology
 	Reports    []ReceiverState
-	// Subtrees carries per-subtree congestion summaries when the controller
-	// consumes in-network aggregates; empty on the flat report path. The
-	// decision pipeline reads Reports either way — summaries are the
-	// O(branching) view kept for hierarchical control and explain output.
-	Subtrees []SubtreeSummary
 }

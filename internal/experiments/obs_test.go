@@ -62,7 +62,7 @@ func TestObsExportDeterministic(t *testing.T) {
 		var dumps [][]byte
 		for i := 0; i < 2; i++ {
 			s := mk(3)
-			s.Obs = &obs.Options{}
+			s.Obs = true
 			r := s.Execute(0)
 			if r.Failed() {
 				t.Fatalf("%s: run %d failed: %s", name, i, r.Err)
@@ -106,7 +106,7 @@ func TestObsExportDeterministic(t *testing.T) {
 func TestObsReachesHandBuiltWorlds(t *testing.T) {
 	for _, name := range []string{"convergence", "lastmile"} {
 		s := quickSpecs(t, name)[0]
-		s.Obs = &obs.Options{}
+		s.Obs = true
 		r := s.Execute(0)
 		if r.Failed() {
 			t.Fatalf("%s: %s", s.Name, r.Err)
@@ -130,7 +130,7 @@ func TestObsReachesHandBuiltWorlds(t *testing.T) {
 func TestObsDoesNotPerturbRun(t *testing.T) {
 	plain := obsSpec(5).Execute(0)
 	observed := obsSpec(5)
-	observed.Obs = &obs.Options{}
+	observed.Obs = true
 	obsRes := observed.Execute(0)
 	for _, r := range []Result{plain, obsRes} {
 		if r.Failed() {

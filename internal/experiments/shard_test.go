@@ -49,7 +49,8 @@ func runShardWorld(t *testing.T, specStr string, seed int64, shards int, dur sim
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := obs.New(obs.Options{FlightRecorder: -1})
+	o := obs.New()
+	o.Rec = nil
 	w := NewWorld(e, b, WorldConfig{Seed: seed, Traffic: VBR3})
 	w.WireObs(o)
 	w.Run(dur)

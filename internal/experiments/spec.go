@@ -31,11 +31,11 @@ type Spec struct {
 	// its engine and network with the Meter so the runner can report run
 	// metadata and enforce wall-clock timeouts.
 	Body func(m *Meter) (any, error)
-	// Obs, when non-nil, enables the observability layer for this run:
-	// Execute builds an obs bundle with these options, the Meter wires it
-	// into whatever the body registers, and the Result carries the export.
-	// Nil (the default) runs the pre-obs hot path with no probe attached.
-	Obs *obs.Options
+	// Obs enables the observability layer for this run: Execute builds an
+	// obs bundle, the Meter wires it into whatever the body registers, and
+	// the Result carries the export. False (the default) runs the pre-obs
+	// hot path with no probe attached.
+	Obs bool
 }
 
 // NewSpec constructs a Spec.
@@ -156,8 +156,8 @@ func (s Spec) Execute(timeout time.Duration) Result {
 		SimSeconds: s.Duration.Seconds(),
 	}
 	m := &Meter{start: time.Now(), deadline: timeout}
-	if s.Obs != nil {
-		m.obs = obs.New(*s.Obs)
+	if s.Obs {
+		m.obs = obs.New()
 	}
 	func() {
 		defer func() {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"toposense/internal/netsim"
-	"toposense/internal/obs"
 	"toposense/internal/report"
 	"toposense/internal/sim"
 	"toposense/internal/source"
@@ -161,7 +160,7 @@ func TestObsWiringReachesEveryComponent(t *testing.T) {
 			w.Run(dur)
 			return nil, nil
 		})
-		spec.Obs = &obs.Options{}
+		spec.Obs = true
 		res := spec.Execute(0)
 		if res.Failed() {
 			t.Fatal(res.Err)

@@ -10,10 +10,9 @@ import (
 
 // Leaf adapts one domain's controller to the hierarchical control plane. It
 // hooks the controller's pass observer to export a DomainExport after every
-// decision pass — folding the pass's receiver states through a pooled
-// report.Aggregate per session, so the summary arithmetic is exactly the
-// aggregation layer's — and consumes BudgetUpdate packets from the parent,
-// applying each granted budget as a level cap on the controller.
+// decision pass — reducing the pass's receiver states to one SessionSummary
+// per session — and consumes BudgetUpdate packets from the parent, applying
+// each granted budget as a level cap on the controller.
 //
 // The leaf is a second agent on the controller's node: exports and budget
 // updates travel as ordinary unicast control packets across the simulated
@@ -28,7 +27,6 @@ type Leaf struct {
 
 	// Stats.
 	ExportsSent int64
-	BudgetsRecv int64
 	CapsApplied int64 // level caps installed (SetLevelCap calls)
 }
 
@@ -46,10 +44,10 @@ func NewLeaf(ctrl *controller.Controller, domain int, parent netsim.NodeID) *Lea
 func (l *Leaf) Controller() *controller.Controller { return l.ctrl }
 
 // export builds and sends the domain summary for one completed pass. The
-// input slice is sorted session-major, so each session's run folds into one
-// aggregate whose summary fields are copied out; the aggregate itself is
-// released immediately — pooled payloads never ride a federation packet, so
-// a congestion-dropped export costs the pools nothing.
+// input slice is sorted session-major, so each session's run reduces to one
+// summary in a single loop. The controller keeps one slot per (session,
+// receiver), so a run holds one state per receiver and its length is the
+// receiver count.
 func (l *Leaf) export(now sim.Time, in core.Input, out []core.Suggestion) {
 	l.pass++
 	exp := &DomainExport{Domain: l.Domain, Leaf: l.node.ID, Pass: l.pass, Sent: now}
@@ -66,7 +64,6 @@ func (l *Leaf) export(now sim.Time, in core.Input, out []core.Suggestion) {
 			s := departed[di]
 			exp.Sessions = append(exp.Sessions, SessionSummary{
 				Session:    s,
-				Worst:      netsim.NoNode,
 				Departures: l.ctrl.PassDepartures(s),
 			})
 			di++
@@ -75,30 +72,18 @@ func (l *Leaf) export(now sim.Time, in core.Input, out []core.Suggestion) {
 	for i := 0; i < len(in.Reports); {
 		s := in.Reports[i].Session
 		drain(s, false)
-		ag := report.NewAggregate(s, l.node.ID)
-		top := 0
+		sum := SessionSummary{Session: s, MaxLoss: in.Reports[i].LossRate}
+		var lossSum float64
 		for ; i < len(in.Reports) && in.Reports[i].Session == s; i++ {
-			st := in.Reports[i]
-			ag.Fold(report.LossReport{
-				Node: st.Node, Session: s, Level: st.Level,
-				LossRate: st.LossRate, Bytes: st.Bytes,
-			})
-			if st.Level > top {
-				top = st.Level
-			}
+			st := &in.Reports[i]
+			sum.Receivers++
+			lossSum += st.LossRate
+			sum.MaxLoss = max(sum.MaxLoss, st.LossRate)
+			sum.TopLevel = max(sum.TopLevel, st.Level)
 		}
-		exp.Sessions = append(exp.Sessions, SessionSummary{
-			Session:    s,
-			Receivers:  ag.Receivers(),
-			Reports:    ag.ReportCount,
-			Bytes:      ag.ByteTotal,
-			MeanLoss:   ag.MeanLoss(),
-			MaxLoss:    ag.MaxLoss,
-			Worst:      ag.Worst,
-			TopLevel:   top,
-			Departures: l.ctrl.PassDepartures(s),
-		})
-		ag.Release()
+		sum.MeanLoss = lossSum / float64(sum.Receivers)
+		sum.Departures = l.ctrl.PassDepartures(s)
+		exp.Sessions = append(exp.Sessions, sum)
 		if di < len(departed) && departed[di] == s {
 			di++ // folded into the live summary above
 		}
@@ -117,7 +102,6 @@ func (l *Leaf) Recv(p *netsim.Packet) {
 	if !ok || bu.Domain != l.Domain {
 		return
 	}
-	l.BudgetsRecv++
 	for _, b := range bu.Budgets {
 		l.ctrl.SetLevelCap(b.Session, b.MaxLevel)
 		l.CapsApplied++

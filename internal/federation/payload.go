@@ -10,12 +10,12 @@
 // hard cap on the levels the core algorithm may suggest.
 //
 // Determinism contract: every reconcile decision reads only simulated state
-// (exports that arrived as simulated packets, budgets, configured shares).
-// Host wall clocks are measured around the reconcile pass for reporting
-// only — identical seeds produce identical budget sequences on the serial
-// and sharded engines alike, because exports are consumed in node context
-// and the reconcile pass runs as a stop-the-world global event, exactly
-// like a leaf controller's decision pass.
+// (exports that arrived as simulated packets, budgets, configured shares),
+// and nothing in the package reads a host clock. Identical seeds produce
+// identical budget sequences on the serial and sharded engines alike,
+// because exports are consumed in node context and the reconcile pass runs
+// as a stop-the-world global event, exactly like a leaf controller's
+// decision pass.
 package federation
 
 import (
@@ -38,20 +38,15 @@ const (
 	BudgetEntrySize   = 6
 )
 
-// SessionSummary is one session's congestion digest inside a DomainExport:
-// the associative subtree summary of a report.Aggregate (the leaf folds its
-// pass input through one and copies these fields out) plus the highest
-// subscription level any receiver in the domain reported. The parent reads
-// nothing finer — per-receiver entries never leave a domain.
+// SessionSummary is one session's congestion digest inside a DomainExport,
+// reduced by the leaf from its pass's receiver states. The parent reads
+// nothing finer — per-receiver states never leave a domain.
 type SessionSummary struct {
 	Session   int
-	Receivers int           // distinct receivers folded in
-	Reports   int64         // loss reports represented
-	Bytes     int64         // sum of reported byte counts
-	MeanLoss  float64       // mean reported loss rate
-	MaxLoss   float64       // worst single reported loss rate
-	Worst     netsim.NodeID // receiver that reported MaxLoss (NoNode when empty)
-	TopLevel  int           // highest level any receiver reported
+	Receivers int     // receivers with a state this pass
+	MeanLoss  float64 // mean of their loss rates
+	MaxLoss   float64 // worst single loss rate
+	TopLevel  int     // highest level any receiver reported
 	// Departures is how many receivers deregistered from this session since
 	// the previous pass. A summary with Receivers == 0 and Departures > 0 is
 	// a drained session: the parent must hold its budget rather than treat

@@ -70,23 +70,19 @@ func TestAggregatorAbsorbsAndMergesUpward(t *testing.T) {
 	// Across all arriving aggregates the two reports appear exactly once.
 	var reports int64
 	var bytes int64
-	worst := netsim.NoNode
-	var maxLoss float64
+	var lossSum float64
 	for _, ag := range aggs {
-		reports += ag.ReportCount
-		bytes += ag.ByteTotal
-		if ag.MaxLoss > maxLoss {
-			maxLoss, worst = ag.MaxLoss, ag.Worst
+		for _, e := range ag.Entries {
+			reports += int64(e.Reports)
+			bytes += e.Bytes
+			lossSum += e.LossSum
 		}
 		if ag.Origin != 1 { // mid is the controller's only child
 			t.Errorf("aggregate origin = %d, want mid (1)", ag.Origin)
 		}
 	}
-	if reports != 2 || bytes != 3000 {
-		t.Errorf("reports=%d bytes=%d, want 2/3000", reports, bytes)
-	}
-	if maxLoss != 0.5 || worst != leaves[1].ID {
-		t.Errorf("worst = %.2f@%d, want 0.50@%d", maxLoss, worst, leaves[1].ID)
+	if reports != 2 || bytes != 3000 || lossSum != 0.75 {
+		t.Errorf("reports=%d bytes=%d loss=%g, want 2/3000/0.75", reports, bytes, lossSum)
 	}
 }
 

@@ -75,7 +75,7 @@ func benchForward(b *testing.B, probed bool) {
 	dst := n.AddNode("dst")
 	n.Connect(src, dst, netsim.LinkConfig{Bandwidth: 1e9, Delay: sim.Millisecond, QueueLimit: 64})
 	if probed {
-		o := New(Options{})
+		o := New()
 		n.AttachProbe(NewNetProbe(o))
 	}
 	inject := func(count int) {

@@ -4,21 +4,12 @@ import (
 	"toposense/internal/sim"
 )
 
-// Default capacities for the bounded recorders.
+// Capacities of the bounded recorders: the flight recorder's event ring and
+// the number of controller passes the audit log retains.
 const (
 	DefaultFlightRecorder = 4096
 	DefaultAuditPasses    = 256
 )
-
-// Options sizes an Obs instance. The zero value takes the defaults.
-type Options struct {
-	// FlightRecorder is the event ring capacity (0 = DefaultFlightRecorder,
-	// < 0 disables the recorder entirely).
-	FlightRecorder int
-	// AuditPasses is how many controller passes the audit log retains
-	// (0 = DefaultAuditPasses, < 0 disables the audit log).
-	AuditPasses int
-}
 
 // Obs bundles one simulation's observability state: the instrument
 // registry, the flight recorder, the audit log, and the pre-registered
@@ -73,20 +64,14 @@ type EngineSource interface {
 	Stats() sim.EngineStats
 }
 
-// New builds an Obs with every core instrument registered.
-func New(opt Options) *Obs {
-	o := &Obs{Reg: NewRegistry()}
-	switch {
-	case opt.FlightRecorder == 0:
-		o.Rec = NewRecorder(DefaultFlightRecorder)
-	case opt.FlightRecorder > 0:
-		o.Rec = NewRecorder(opt.FlightRecorder)
-	}
-	switch {
-	case opt.AuditPasses == 0:
-		o.Audit = NewAudit(DefaultAuditPasses)
-	case opt.AuditPasses > 0:
-		o.Audit = NewAudit(opt.AuditPasses)
+// New builds an Obs with every core instrument registered and both bounded
+// recorders at their default capacities. A test that wants a smaller ring,
+// or none, assigns Rec or Audit itself.
+func New() *Obs {
+	o := &Obs{
+		Reg:   NewRegistry(),
+		Rec:   NewRecorder(DefaultFlightRecorder),
+		Audit: NewAudit(DefaultAuditPasses),
 	}
 
 	o.PassEvents = o.Reg.Histogram("controller_pass_events",

@@ -197,7 +197,8 @@ func TestEventKindStrings(t *testing.T) {
 
 func TestDumpJSONAndCSV(t *testing.T) {
 	e := sim.NewEngine(7)
-	o := New(Options{FlightRecorder: 8, AuditPasses: 4})
+	o := New()
+	o.Rec, o.Audit = NewRecorder(8), NewAudit(4)
 	o.ObserveEngine(e)
 	o.Reg.CounterFunc("mcast_grafts", func() int64 { return 3 })
 	o.QueueDepth.Observe(2)
@@ -253,7 +254,8 @@ func TestBucketDumpRoundTrip(t *testing.T) {
 }
 
 func TestDumpCumulativeBuckets(t *testing.T) {
-	o := New(Options{FlightRecorder: -1, AuditPasses: -1})
+	o := New()
+	o.Rec, o.Audit = nil, nil
 	for _, v := range []float64{0, 1, 3, 9, 1e9} {
 		o.QueueDepth.Observe(v)
 	}
@@ -291,7 +293,8 @@ func netProbeRig(t *testing.T) (*sim.Engine, *Obs, *netsim.Link) {
 	// 1000B at 8e5 bps = 10ms serialization; queue limit 2.
 	n.Connect(a, b, netsim.LinkConfig{Bandwidth: 8e5, Delay: 5 * sim.Millisecond, QueueLimit: 2})
 
-	o := New(Options{FlightRecorder: 64, AuditPasses: -1})
+	o := New()
+	o.Rec, o.Audit = NewRecorder(64), nil
 	n.AttachProbe(NewNetProbe(o))
 	o.ObserveEngine(e)
 
@@ -355,7 +358,8 @@ func TestNetProbeLinkDownCause(t *testing.T) {
 	a := n.AddNode("a")
 	b := n.AddNode("b")
 	l, _ := n.Connect(a, b, netsim.LinkConfig{Bandwidth: 8e5, Delay: 0})
-	o := New(Options{FlightRecorder: 8, AuditPasses: -1})
+	o := New()
+	o.Rec, o.Audit = NewRecorder(8), nil
 	n.AttachProbe(NewNetProbe(o))
 	l.SetDown()
 	// Offer the packet straight to the failed link, as cached multicast
@@ -376,7 +380,8 @@ func TestNetProbeLinkDownCause(t *testing.T) {
 }
 
 func TestZeroAllocHotPath(t *testing.T) {
-	o := New(Options{FlightRecorder: 16, AuditPasses: -1})
+	o := New()
+	o.Rec, o.Audit = NewRecorder(16), nil
 	c := o.Enqueues
 	h := o.QueueDepth
 	rec := o.Rec

@@ -35,10 +35,8 @@ type AggEntry struct {
 }
 
 // Aggregate is the in-network merge of many LossReports flowing up one
-// subtree toward the controller: per-receiver exact entries plus the compact
-// subtree summary (receiver count, max/mean loss, byte totals,
-// worst-receiver pointer) the hierarchical control plane reads
-// without touching entries at all.
+// subtree toward the controller: one exact entry per receiver, and nothing
+// else — any subtree-wide figure is a reduction over the entries.
 //
 // Aggregates are pooled: producers call NewAggregate, consumers Release.
 // A released Aggregate stays readable until the pool reuses it (reset
@@ -48,13 +46,6 @@ type Aggregate struct {
 	Session int
 	Origin  netsim.NodeID // tree node whose flush produced this aggregate
 	Sent    sim.Time      // when the origin emitted it
-
-	// Subtree summary, maintained incrementally by Fold/Merge.
-	ReportCount int64         // loss reports represented
-	ByteTotal   int64         // sum of reported byte counts
-	LossTotal   float64       // sum of reported loss rates (mean = LossTotal/ReportCount)
-	MaxLoss     float64       // worst single reported loss rate
-	Worst       netsim.NodeID // receiver that reported MaxLoss (NoNode when empty)
 
 	// Entries holds one exact record per receiver, sorted by Node.
 	Entries []AggEntry
@@ -100,19 +91,11 @@ func (a *Aggregate) Release() {
 // Reset clears the aggregate, keeping the entry slice's capacity.
 func (a *Aggregate) Reset() {
 	entries := a.Entries[:0]
-	*a = Aggregate{Entries: entries, Worst: netsim.NoNode}
+	*a = Aggregate{Entries: entries}
 }
 
 // Receivers returns the number of distinct receivers folded in.
 func (a *Aggregate) Receivers() int { return len(a.Entries) }
-
-// MeanLoss returns the mean reported loss rate (0 when empty).
-func (a *Aggregate) MeanLoss() float64 {
-	if a.ReportCount == 0 {
-		return 0
-	}
-	return a.LossTotal / float64(a.ReportCount)
-}
 
 // WireSize returns the modeled wire cost in bytes.
 func (a *Aggregate) WireSize() int {
@@ -120,18 +103,7 @@ func (a *Aggregate) WireSize() int {
 }
 
 func (a *Aggregate) String() string {
-	return fmt.Sprintf("aggregate s=%d origin=%d rx=%d reports=%d meanloss=%.3f maxloss=%.3f@%d",
-		a.Session, a.Origin, len(a.Entries), a.ReportCount, a.MeanLoss(), a.MaxLoss, a.Worst)
-}
-
-// noteLoss updates the worst-receiver pointer. Strictly higher loss wins;
-// ties break toward the lower node ID, which keeps the choice independent of
-// fold/merge order.
-func (a *Aggregate) noteLoss(rate float64, node netsim.NodeID) {
-	if a.Worst == netsim.NoNode || rate > a.MaxLoss || (rate == a.MaxLoss && node < a.Worst) {
-		a.MaxLoss = rate
-		a.Worst = node
-	}
+	return fmt.Sprintf("aggregate s=%d origin=%d rx=%d", a.Session, a.Origin, len(a.Entries))
 }
 
 // entry returns the record for node, inserting one in sorted position if
@@ -157,13 +129,9 @@ func (a *Aggregate) entry(node netsim.NodeID) *AggEntry {
 	return &a.Entries[lo]
 }
 
-// RemoveEntry drops node's folded record, debiting every summary field it
-// contributed to, and reports whether the node was present. When the removed
-// node was the worst receiver, the pointer is recomputed from the survivors
-// using each entry's mean loss — exact for single-report entries and a
-// conservative stand-in otherwise. RemoveEntry only runs on the departure
-// path (a receiver that deregistered mid-flush), so it carries no
-// fold-order-equivalence contract the way Fold/Merge do.
+// RemoveEntry drops node's folded record and reports whether the node was
+// present. It only runs on the departure path (a receiver that deregistered
+// mid-flush).
 func (a *Aggregate) RemoveEntry(node netsim.NodeID) bool {
 	lo, hi := 0, len(a.Entries)
 	for lo < hi {
@@ -177,21 +145,7 @@ func (a *Aggregate) RemoveEntry(node netsim.NodeID) bool {
 	if lo >= len(a.Entries) || a.Entries[lo].Node != node {
 		return false
 	}
-	e := a.Entries[lo]
-	a.ReportCount -= int64(e.Reports)
-	a.ByteTotal -= e.Bytes
-	a.LossTotal -= e.LossSum
 	a.Entries = append(a.Entries[:lo], a.Entries[lo+1:]...)
-	if a.Worst == node {
-		a.MaxLoss = 0
-		a.Worst = netsim.NoNode
-		for i := range a.Entries {
-			s := &a.Entries[i]
-			if s.Reports > 0 {
-				a.noteLoss(s.LossSum/float64(s.Reports), s.Node)
-			}
-		}
-	}
 	return true
 }
 
@@ -202,27 +156,15 @@ func (a *Aggregate) Fold(r LossReport) {
 	e.Reports++
 	e.LossSum += r.LossRate
 	e.Bytes += r.Bytes
-
-	a.ReportCount++
-	a.ByteTotal += r.Bytes
-	a.LossTotal += r.LossRate
-	a.noteLoss(r.LossRate, r.Node)
 }
 
-// Merge absorbs a child subtree's aggregate into a. All summary fields are
-// sums (or order-independent maxima), so Merge is associative, and over
-// disjoint receiver sets — the only case a tree produces, since a receiver
-// reports up exactly one path — commutative as well. When the same node does
-// appear on both sides its sums combine and b's Level wins (b is the later
-// arrival under in-order delivery), which keeps Merge associative even then.
+// Merge absorbs a child subtree's aggregate into a. Every entry field but
+// Level is a sum, so Merge is associative, and over disjoint receiver sets —
+// the only case a tree produces, since a receiver reports up exactly one
+// path — commutative as well. When the same node does appear on both sides
+// its sums combine and b's Level wins (b is the later arrival under in-order
+// delivery), which keeps Merge associative even then.
 func (a *Aggregate) Merge(b *Aggregate) {
-	a.ReportCount += b.ReportCount
-	a.ByteTotal += b.ByteTotal
-	a.LossTotal += b.LossTotal
-	if b.Worst != netsim.NoNode {
-		a.noteLoss(b.MaxLoss, b.Worst)
-	}
-
 	n, m := len(a.Entries), len(b.Entries)
 	if m == 0 {
 		return

@@ -14,8 +14,7 @@ import (
 // in the algebra tests.
 func aggCanonical(a *Aggregate) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "s=%d reports=%d bytes=%d loss=%.9f max=%.9f worst=%d\n",
-		a.Session, a.ReportCount, a.ByteTotal, a.LossTotal, a.MaxLoss, a.Worst)
+	fmt.Fprintf(&sb, "s=%d\n", a.Session)
 	for _, e := range a.Entries {
 		fmt.Fprintf(&sb, "entry %d: lvl=%d n=%d loss=%.9f bytes=%d\n",
 			e.Node, e.Level, e.Reports, e.LossSum, e.Bytes)
@@ -53,37 +52,31 @@ func TestAggregateFoldSummary(t *testing.T) {
 	a.Fold(LossReport{Node: 4, Session: 2, Level: 4, LossRate: 0.75, Bytes: 2000})
 	a.Fold(LossReport{Node: 2, Session: 2, Level: 1, LossRate: 0.75, Bytes: 500})
 
-	if a.Receivers() != 2 || a.ReportCount != 3 {
-		t.Fatalf("receivers=%d reports=%d, want 2/3", a.Receivers(), a.ReportCount)
-	}
-	if a.ByteTotal != 3500 || a.LossTotal != 1.75 {
-		t.Errorf("bytes=%d losstotal=%g", a.ByteTotal, a.LossTotal)
-	}
-	if got := a.MeanLoss(); got != 1.75/3 {
-		t.Errorf("MeanLoss = %g", got)
-	}
-	// Max loss 0.75 is shared by nodes 4 and 2: the tie must break toward
-	// the lower node ID regardless of fold order.
-	if a.MaxLoss != 0.75 || a.Worst != 2 {
-		t.Errorf("worst = %.2f@%d, want 0.75@2", a.MaxLoss, a.Worst)
+	if a.Receivers() != 2 {
+		t.Fatalf("receivers=%d, want 2", a.Receivers())
 	}
 	// Entries sorted by node, later report's level winning.
 	if a.Entries[0].Node != 2 || a.Entries[1].Node != 4 {
 		t.Errorf("entries unsorted: %+v", a.Entries)
+	}
+	if e := a.Entries[0]; e.Level != 1 || e.Reports != 1 || e.LossSum != 0.75 || e.Bytes != 500 {
+		t.Errorf("node 2 entry: %+v", e)
 	}
 	if e := a.Entries[1]; e.Level != 4 || e.Reports != 2 || e.LossSum != 1.0 || e.Bytes != 3000 {
 		t.Errorf("node 4 entry: %+v", e)
 	}
 }
 
+// TestAggregateMeanLossEmpty: a fresh aggregate holds no receivers and costs
+// only its header on the wire.
 func TestAggregateMeanLossEmpty(t *testing.T) {
 	a := NewAggregate(0, 1)
 	defer a.Release()
-	if a.MeanLoss() != 0 {
-		t.Errorf("MeanLoss on empty = %g", a.MeanLoss())
+	if a.Receivers() != 0 {
+		t.Errorf("Receivers on empty = %d", a.Receivers())
 	}
-	if a.Worst != netsim.NoNode {
-		t.Errorf("Worst on empty = %d", a.Worst)
+	if a.WireSize() != AggregateBaseSize {
+		t.Errorf("WireSize on empty = %d, want %d", a.WireSize(), AggregateBaseSize)
 	}
 }
 
@@ -230,7 +223,7 @@ func TestPoolReuseResets(t *testing.T) {
 	a.Release()
 	for i := 0; i < 10; i++ {
 		b := NewAggregate(9, 9)
-		if b.ReportCount != 0 || len(b.Entries) != 0 || b.MaxLoss != 0 || b.Worst != netsim.NoNode {
+		if b.Session != 9 || b.Origin != 9 || b.Sent != 0 || len(b.Entries) != 0 {
 			t.Fatalf("pooled aggregate not reset: %+v", b)
 		}
 		b.Release()

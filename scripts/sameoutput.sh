@@ -97,7 +97,9 @@ capture() {
 capture . new
 capture "$parent" parent
 status=0
-for f in toposim.txt topobench.txt quick.stripped.json; do
+# Each toposim hunk header names the spec it falls in.
+diff -u -F '^== toposim ' "$out/parent/toposim.txt" "$out/new/toposim.txt" || status=1
+for f in topobench.txt quick.stripped.json; do
 	diff -u "$out/parent/$f" "$out/new/$f" || status=1
 done
 for f in "$out"/parent/obs/*.stripped.json; do

@@ -53,6 +53,7 @@ type groupInfo struct {
 	id     netsim.GroupID
 	key    groupKey
 	source netsim.NodeID
+	onTree []func() // run when the source node's entry becomes active
 }
 
 // nodeGroupState is one router's forwarding entry for one group. The
@@ -237,6 +238,27 @@ func (d *Domain) RegisterGroup(session, layer int, source netsim.NodeID) netsim.
 	return id
 }
 
+// OnSourceReached registers fn to run each time group g's tree comes to
+// reach its source node: the source node's entry goes from inactive to
+// active, on a Join at the source node or when a graft lands there. fn runs
+// in the source node's context (or at a barrier, for a Join made there).
+// Register during set-up.
+func (d *Domain) OnSourceReached(g netsim.GroupID, fn func()) {
+	d.groups[g].onTree = append(d.groups[g].onTree, fn)
+}
+
+// activated follows n's entry for g going from inactive to active: graft
+// toward the source or, at the source node itself, run the group's
+// OnSourceReached hooks.
+func (d *Domain) activated(n netsim.NodeID, g netsim.GroupID) {
+	if gi := &d.groups[g]; n == gi.source {
+		for _, fn := range gi.onTree {
+			fn()
+		}
+	}
+	d.graftUpstream(n, g)
+}
+
 // Version returns group g's tree version: it differs between two reads
 // exactly when some router's forwarding children or local members for g
 // changed in between. Read it only while the engine is quiescent.
@@ -313,7 +335,7 @@ func (d *Domain) Join(n netsim.NodeID, g netsim.GroupID, m Member) {
 	d.touch(g)
 	d.cancelPrune(n, st)
 	if !wasActive {
-		d.graftUpstream(n, g)
+		d.activated(n, g)
 	}
 }
 
@@ -442,7 +464,7 @@ func (ev *treeEvent) run() {
 		d.touch(g)
 		d.cancelPrune(up, upSt)
 		if !wasActive {
-			d.graftUpstream(up, g)
+			d.activated(up, g)
 		}
 	case evLeave:
 		if d.lookup(n, g).active() {

@@ -356,3 +356,40 @@ func TestPacketToUnjoinedGroupVanishes(t *testing.T) {
 		t.Errorf("packet forwarded to empty tree: %d", got)
 	}
 }
+
+// The OnSourceReached hook runs exactly when the source node's entry goes
+// from inactive to active: a graft landing there, or a Join at the source
+// node. A second branch grafting onto a tree that already reaches the
+// source, a second member, and a prune do not run it.
+func TestOnSourceReached(t *testing.T) {
+	f := newFixture(t)
+	g := f.d.RegisterGroup(0, 1, f.src.ID)
+	var at []sim.Time
+	f.d.OnSourceReached(g, func() { at = append(at, f.e.Now()) })
+	a, b, c := &memberRec{}, &memberRec{}, &memberRec{}
+
+	f.d.Join(f.leafA.ID, g, a) // grafts leafA -> r2 -> r1 -> src: lands at 30 ms
+	f.e.RunUntil(sim.Second)
+	f.d.Join(f.leafC.ID, g, b) // r1 is on the tree already
+	f.d.Join(f.leafB.ID, g, c)
+	f.e.RunUntil(2 * sim.Second)
+	if len(at) != 1 || at[0] != 30*sim.Millisecond {
+		t.Fatalf("hook ran at %v, want once at 30ms", at)
+	}
+	for _, m := range []struct {
+		n *netsim.Node
+		m Member
+	}{{f.leafA, a}, {f.leafB, c}, {f.leafC, b}} {
+		f.d.Leave(m.n.ID, g, m.m)
+	}
+	f.e.RunUntil(5 * sim.Second) // leave latency, then the prune cascade
+	if f.d.OnTree(f.src.ID, g) || len(at) != 1 {
+		t.Fatalf("after the prunes: source on tree %v, hook ran %d times", f.d.OnTree(f.src.ID, g), len(at))
+	}
+	src := &memberRec{}
+	f.d.Join(f.src.ID, g, src)
+	f.d.Join(f.src.ID, g, &memberRec{}) // a second member: already active
+	if len(at) != 2 || at[1] != 5*sim.Second {
+		t.Fatalf("hook ran at %v, want a second time at 5s for the Join at the source node", at)
+	}
+}

@@ -75,9 +75,9 @@ func (h Handle) When() Time {
 //
 // The ready queue is an equeue: a calendar-tiered store that fires in exact
 // (time, sequence) order, with a slot free list, so the steady-state
-// schedule/fire cycle performs no allocations. Engine implements Scheduler
-// and Runner; it is the determinism oracle the ShardedEngine is validated
-// against.
+// schedule/fire cycle performs no allocations. Engine implements Scheduler,
+// Reserver and Runner; it is the determinism oracle the ShardedEngine is
+// validated against.
 type Engine struct {
 	now     Time
 	q       equeue
@@ -190,6 +190,20 @@ func (e *Engine) At(t Time, fn func()) Handle {
 	return e.q.schedule(t, fn)
 }
 
+// Reserve takes n consecutive sequence numbers now, for events AtReserved
+// queues later, and returns the first of them.
+func (e *Engine) Reserve(n int) uint64 { return e.q.reserve(n) }
+
+// AtReserved queues fn at t under seq, a number Reserve handed out: the
+// event fires exactly where one scheduled at t when seq was reserved would
+// have. It panics unless (t, seq) is still ahead (see Passed).
+func (e *Engine) AtReserved(t Time, seq uint64, fn func()) Handle { return e.q.backdate(t, seq, fn) }
+
+// Passed reports whether an event keyed (t, seq) would already have fired:
+// it sorts before the event now firing, or, between runs, at or before the
+// last instant RunUntil completed.
+func (e *Engine) Passed(t Time, seq uint64) bool { return e.q.passed(t, seq) }
+
 // Cancel removes the event from the queue if it has not fired yet. It is
 // safe to cancel a zero handle, a handle whose event already fired or was
 // already cancelled, and — because handles carry the slot generation — a
@@ -232,6 +246,9 @@ func (e *Engine) RunUntil(deadline Time) {
 			break
 		}
 		e.step()
+	}
+	if !e.stopped {
+		e.q.complete(deadline)
 	}
 	if e.now < deadline {
 		e.now = deadline

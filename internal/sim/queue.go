@@ -1,5 +1,10 @@
 package sim
 
+import (
+	"fmt"
+	"math"
+)
+
 // The ring's geometry is fixed: 16384 buckets of 256 µs give a 4.2 s
 // horizon. Narrow buckets keep the near heap shallow (it holds the current
 // bucket's events); the span keeps per-second timers out of the far heap.
@@ -51,11 +56,26 @@ const trainWays = 2
 //
 // When near runs dry, head moves cur to the next non-empty bucket and pushes
 // that bucket's list onto the near heap. The list holds leaders only, so the
-// walk never touches a member. A free list recycles fired or cancelled Event
-// slots so the steady-state schedule/fire cycle performs no allocations;
-// slots the free list cannot supply are carved from eventSlab-sized arrays,
-// so a burst of new events (a world's start-up timers) costs one allocation
-// per slab and its slots sit side by side.
+// walk never touches a member.
+//
+// A caller may also take a run of sequence numbers now (reserve) and queue
+// an event under one of them later (backdate): the event keeps the place in
+// (time, sequence) order that scheduling it at reservation time would have
+// given it, so firing order stays the total order of one big heap. Such an
+// event is a leader of its own, never a member or a remembered tail, since
+// its number may sort before a train's tail. It may also sort between a
+// leader and that leader's first member, which breaks the promote-by-stores
+// rule above; so while a back-dated event may be queued (its instant is
+// before backEnd), pop and remove sift the promoted member. Otherwise the
+// promotion stays stores alone. The queue also keeps the key of the last
+// event it popped (or of an instant a run completed), so its owner can tell
+// whether a reserved key has already gone by.
+//
+// A free list recycles fired or cancelled Event slots so the steady-state
+// schedule/fire cycle performs no allocations; slots the free list cannot
+// supply are carved from eventSlab-sized arrays, so a burst of new events
+// (a world's start-up timers) costs one allocation per slab and its slots
+// sit side by side.
 //
 // An equeue is single-owner: exactly one goroutine may touch it at a time.
 // The Engine owns its queue outright; a shard's queue is owned by the
@@ -75,6 +95,12 @@ type equeue struct {
 	slab []Event // slots of the newest slab not handed out yet
 	seq  uint64
 
+	// Every event keyed before (doneAt, doneSeq) has fired: the last popped
+	// event's key plus one, or (t, MaxUint64) once a run has completed t.
+	doneAt  Time
+	doneSeq uint64
+	backEnd Time // one past the latest instant a back-dated event was queued for
+
 	slotAllocs uint64 // Event structs ever handed out fresh (slots, not slabs)
 	slotReuses uint64 // acquisitions served from the free list
 	chained    uint64 // schedules that joined a train instead of a tier
@@ -90,7 +116,8 @@ func (q *equeue) len() int { return q.n }
 // fired, was cancelled or has been reused is not Active), else as a new
 // leader whose instant takes the older way.
 func (q *equeue) schedule(t Time, fn func()) Handle {
-	ev := q.acquire(t, fn)
+	ev := q.acquire(t, q.seq, fn)
+	q.seq++
 	h := Handle{ev: ev, gen: ev.gen}
 	q.n++
 	w := &q.tails[0]
@@ -109,6 +136,44 @@ func (q *equeue) schedule(t Time, fn func()) Handle {
 	return h
 }
 
+// reserve takes n sequence numbers for events not queued yet and returns
+// the first of them.
+func (q *equeue) reserve(n int) uint64 {
+	first := q.seq
+	q.seq += uint64(n)
+	return first
+}
+
+// backdate queues fn at t under seq, a number reserve handed out, as a
+// leader of its own. The key must still be ahead: (t, seq) not passed.
+func (q *equeue) backdate(t Time, seq uint64, fn func()) Handle {
+	if fn == nil {
+		panic("sim: AtReserved with nil callback")
+	}
+	if seq >= q.seq || q.passed(t, seq) {
+		panic(fmt.Sprintf("sim: back-dated event (%v, %d) was not reserved or has gone by", t, seq))
+	}
+	ev := q.acquire(t, seq, fn)
+	if t >= q.backEnd {
+		q.backEnd = t + 1
+	}
+	q.n++
+	q.push(ev)
+	return Handle{ev: ev, gen: ev.gen}
+}
+
+// passed reports whether an event keyed (t, seq) would already have fired.
+func (q *equeue) passed(t Time, seq uint64) bool {
+	return t < q.doneAt || t == q.doneAt && seq < q.doneSeq
+}
+
+// complete records that every event at or before t has fired.
+func (q *equeue) complete(t Time) {
+	if t >= q.doneAt {
+		q.doneAt, q.doneSeq = t, math.MaxUint64
+	}
+}
+
 // head returns the earliest event without removing it, or nil. It may
 // advance the current bucket past an idle gap; a later push into a bucket
 // already passed simply joins the near heap.
@@ -121,7 +186,8 @@ func (q *equeue) head() *Event {
 
 // pop removes and returns the earliest event, or nil. A leader's first
 // member takes over its place at the root: it is the next event in (time,
-// sequence) order, so the rest of a train fires without touching the heap.
+// sequence) order, so the rest of a train fires without touching the heap
+// (bar a sift while a back-dated event may sort before it).
 func (q *equeue) pop() *Event {
 	ev := q.head()
 	if ev == nil {
@@ -130,11 +196,15 @@ func (q *equeue) pop() *Event {
 	if m := ev.mem; m != nil {
 		m.prev, m.index, ev.mem = nil, 0, nil
 		q.near[0] = m
+		if ev.at < q.backEnd {
+			q.near.siftDown(0)
+		}
 		ev.index = idxFired
 	} else {
 		q.near.pop()
 	}
 	q.n--
+	q.doneAt, q.doneSeq = ev.at, ev.seq+1
 	return ev
 }
 
@@ -165,7 +235,8 @@ func (q *equeue) push(ev *Event) {
 // remove takes a queued event out of its train or whichever tier holds it.
 // The tier is implied by the event's bucket because advance keeps the tier
 // bounds exact. A leader's first member is promoted into its place: it is
-// the next event in (time, sequence) order, so a heap needs no sift.
+// the next event in (time, sequence) order, so a heap needs no sift unless
+// a back-dated event may sort before it.
 func (q *equeue) remove(ev *Event) {
 	switch b, m := bucketOf(ev), ev.mem; {
 	case ev.index == idxMember:
@@ -200,6 +271,9 @@ func (q *equeue) remove(ev *Event) {
 		if m != nil {
 			m.prev, m.index = nil, ev.index
 			(*hp)[ev.index] = m
+			if ev.at < q.backEnd {
+				hp.siftDown(int(ev.index))
+			}
 		} else {
 			hp.remove(int(ev.index))
 		}
@@ -246,7 +320,7 @@ func (q *equeue) advance() bool {
 
 // acquire takes an event slot from the free list (bumping its generation so
 // stale handles go inert) or carves a fresh one from the current slab.
-func (q *equeue) acquire(t Time, fn func()) *Event {
+func (q *equeue) acquire(t Time, seq uint64, fn func()) *Event {
 	var ev *Event
 	if n := len(q.free); n > 0 {
 		ev = q.free[n-1]
@@ -262,9 +336,8 @@ func (q *equeue) acquire(t Time, fn func()) *Event {
 		q.slotAllocs++
 	}
 	ev.at = t
-	ev.seq = q.seq
+	ev.seq = seq
 	ev.fn = fn
-	q.seq++
 	return ev
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -16,7 +17,9 @@ import (
 // operations put many events on one instant, so the same scripts drive the
 // queue's trains: append, eviction, cancel of leader/member/tail, Stop
 // inside a train, trains migrating between tiers, and several trains sharing
-// one bucket while one of them loses its leader or its first member.
+// one bucket while one of them loses its leader or its first member. Two
+// more operations reserve sequence numbers and queue an event under one of
+// them later (a back-dated insert), which the model files by its number.
 
 // scriptSys is the surface a queue script drives.
 type scriptSys interface {
@@ -26,6 +29,8 @@ type scriptSys interface {
 	runUntil(t Time)
 	run()
 	stop()
+	reserve(n int)
+	insert(id int, at Time, seq uint64)
 }
 
 // scriptRun is one execution of a script against one system. Event ids are
@@ -37,6 +42,16 @@ type scriptRun struct {
 	nextID int
 	when   []Time       // by id: the instant it was scheduled for
 	stops  map[int]bool // ids that call Stop when they fire
+
+	// The queue's numbering, mirrored: the next sequence number, each id's,
+	// the reserved numbers not used yet, and the key every fired event
+	// sorts before (see equeue.passed).
+	seq      uint64
+	seqOf    []uint64
+	reserved []uint64
+	doneAt   Time
+	doneSeq  uint64
+	stopped  bool // a callback called Stop during the current run
 }
 
 const maxScriptEvents = 4096 // bounds callback-spawned chains
@@ -45,7 +60,23 @@ func (r *scriptRun) spawn(delay Time, abs bool) {
 	id := r.nextID
 	r.nextID++
 	r.when = append(r.when, r.sys.now()+delay)
+	r.seqOf = append(r.seqOf, r.seq)
+	r.seq++
 	r.sys.schedule(id, delay, abs)
+}
+
+// passed mirrors equeue.passed.
+func (r *scriptRun) passed(at Time, seq uint64) bool {
+	return at < r.doneAt || at == r.doneAt && seq < r.doneSeq
+}
+
+// runUntil runs to t; a run no callback stopped has fired everything up to t.
+func (r *scriptRun) runUntil(t Time) {
+	r.stopped = false
+	r.sys.runUntil(t)
+	if !r.stopped && t >= r.doneAt {
+		r.doneAt, r.doneSeq = t, math.MaxUint64
+	}
 }
 
 // recent picks one of the last few events scheduled: the tail of the newest
@@ -56,8 +87,10 @@ func (r *scriptRun) recent(m uint16) int { return r.nextID - 1 - int(m)%min(r.ne
 // function of the id, maybe schedule a child and maybe cancel some event.
 func (r *scriptRun) onFire(id int) {
 	r.fired = append(r.fired, id)
+	r.doneAt, r.doneSeq = r.when[id], r.seqOf[id]+1
 	if r.stops[id] {
 		delete(r.stops, id)
+		r.stopped = true
 		r.sys.stop()
 	}
 	h := uint64(id+1) * 0x9E3779B97F4A7C15
@@ -125,8 +158,8 @@ func (r *scriptRun) step(op []byte) {
 			id := r.recent(m)
 			if at := r.when[id]; at >= r.sys.now() {
 				r.stops[id] = true
-				r.sys.runUntil(at)
-				r.sys.runUntil(at)
+				r.runUntil(at)
+				r.runUntil(at)
 			}
 		}
 	case 13:
@@ -158,6 +191,40 @@ func (r *scriptRun) step(op []byte) {
 			r.sys.cancel(base + j*width + 1) // the first member: its prev is the leader
 		}
 		r.spawn(d+Time(j), true)
+	case 14:
+		// Reserve a few sequence numbers for later inserts.
+		n := 1 + int(m)%4
+		for i := 0; i < n; i++ {
+			r.reserved = append(r.reserved, r.seq+uint64(i))
+		}
+		r.seq += uint64(n)
+		r.sys.reserve(n)
+	case 15:
+		// Queue an event under a reserved number: at a recent event's
+		// instant (beside a train, between its leader and its first member
+		// when the number was reserved in between) or at a delay from now.
+		// A key that has gone by is skipped.
+		if len(r.reserved) == 0 {
+			return
+		}
+		k := int(m>>8) % len(r.reserved)
+		seq := r.reserved[k]
+		at := r.sys.now() + scriptDelay(class>>1, m)
+		if class&1 == 0 {
+			if r.nextID == 0 {
+				return
+			}
+			at = r.when[r.recent(m)]
+		}
+		if r.passed(at, seq) || r.nextID >= maxScriptEvents {
+			return
+		}
+		r.reserved = append(r.reserved[:k], r.reserved[k+1:]...)
+		id := r.nextID
+		r.nextID++
+		r.when = append(r.when, at)
+		r.seqOf = append(r.seqOf, seq)
+		r.sys.insert(id, at, seq)
 	case 0, 1, 2:
 		r.spawn(scriptDelay(class, m), false)
 	case 3:
@@ -167,7 +234,7 @@ func (r *scriptRun) step(op []byte) {
 			r.sys.cancel(int(m) % r.nextID)
 		}
 	default:
-		r.sys.runUntil(r.sys.now() + scriptDelay(class, m))
+		r.runUntil(r.sys.now() + scriptDelay(class, m))
 	}
 }
 
@@ -187,17 +254,21 @@ func (s *engineSys) schedule(id int, delay Time, abs bool) {
 		s.handles = append(s.handles, s.e.Schedule(delay, fn))
 	}
 }
+func (s *engineSys) insert(id int, at Time, seq uint64) {
+	s.handles = append(s.handles, s.e.AtReserved(at, seq, func() { s.r.onFire(id) }))
+}
+func (s *engineSys) reserve(n int)   { s.e.Reserve(n) }
 func (s *engineSys) cancel(id int)   { s.e.Cancel(s.handles[id]) }
 func (s *engineSys) runUntil(t Time) { s.e.RunUntil(t) }
 func (s *engineSys) run()            { s.e.Run() }
 func (s *engineSys) stop()           { s.e.Stop() }
 
 // modelSys is the reference: pending events in one slice sorted by
-// (at, seq). Sequence numbers only grow, so inserting after every event
-// that is not later keeps equal timestamps FIFO.
+// (at, seq), numbered the way the queue numbers them.
 type modelEvent struct {
-	at Time
-	id int
+	at  Time
+	seq uint64
+	id  int
 }
 
 const (
@@ -209,6 +280,7 @@ const (
 type modelSys struct {
 	r             *scriptRun
 	clock         Time
+	seq           uint64
 	stopped       bool
 	pending       []modelEvent
 	state         []int  // by id
@@ -218,11 +290,18 @@ type modelSys struct {
 
 func (s *modelSys) now() Time { return s.clock }
 func (s *modelSys) schedule(id int, delay Time, _ bool) {
-	at := s.clock + delay
-	i := sort.Search(len(s.pending), func(i int) bool { return s.pending[i].at > at })
+	s.insert(id, s.clock+delay, s.seq)
+	s.seq++
+}
+func (s *modelSys) reserve(n int) { s.seq += uint64(n) }
+func (s *modelSys) insert(id int, at Time, seq uint64) {
+	i := sort.Search(len(s.pending), func(i int) bool {
+		p := s.pending[i]
+		return p.at > at || p.at == at && p.seq > seq
+	})
 	s.pending = append(s.pending, modelEvent{})
 	copy(s.pending[i+1:], s.pending[i:])
-	s.pending[i] = modelEvent{at: at, id: id}
+	s.pending[i] = modelEvent{at: at, seq: seq, id: id}
 	s.state = append(s.state, modelPending)
 	s.at = append(s.at, at)
 	s.everCancelled = append(s.everCancelled, false)
@@ -301,6 +380,13 @@ func runQueueScript(t *testing.T, data []byte) {
 		if entries := uint64(er.nextID) - eng.e.Stats().Chained; eng.e.q.visited > entries {
 			t.Fatalf("op %d: advance walked %d bucket nodes, only %d events ever led a train", op, eng.e.q.visited, entries)
 		}
+		for _, seq := range er.reserved {
+			for _, at := range []Time{er.doneAt - 1, er.doneAt, er.doneAt + 1} {
+				if got, want := eng.e.Passed(at, seq), er.passed(at, seq); got != want {
+					t.Fatalf("op %d: Passed(%v, %d) = %v, want %v", op, at, seq, got, want)
+				}
+			}
+		}
 		for id, h := range eng.handles {
 			if model.state[id] == modelPending {
 				if !h.Active() || h.Cancelled() || h.When() != model.at[id] {
@@ -371,6 +457,17 @@ func FuzzQueueOrder(f *testing.F) {
 	// Leader and promoted member both cancelled, in a bucket with two other
 	// leaders, then the run stops inside what is left.
 	f.Add([]byte{13, 2, 0x9a, 0, 12, 0, 2, 0, 6, 4, 0, 0})
+	// A back-dated event between a train's leader and its first member
+	// (schedule, reserve, schedule behind it, insert under the reserved
+	// number) in near, ring and far; then each with the leader cancelled
+	// while it waits there, and the ring one with itself cancelled there.
+	f.Add([]byte{0, 1, 4, 0, 14, 0, 0, 0, 0, 1, 4, 0, 15, 0, 0, 0})
+	f.Add([]byte{0, 2, 4, 0, 14, 0, 0, 0, 0, 2, 4, 0, 15, 0, 0, 0})
+	f.Add([]byte{0, 4, 4, 0, 14, 0, 0, 0, 0, 4, 4, 0, 15, 0, 0, 0})
+	f.Add([]byte{0, 1, 4, 0, 14, 0, 0, 0, 0, 1, 4, 0, 15, 0, 0, 0, 10, 0, 2, 0})
+	f.Add([]byte{0, 2, 4, 0, 14, 0, 0, 0, 0, 2, 4, 0, 15, 0, 0, 0, 10, 0, 2, 0})
+	f.Add([]byte{0, 4, 4, 0, 14, 0, 0, 0, 0, 4, 4, 0, 15, 0, 0, 0, 10, 0, 2, 0})
+	f.Add([]byte{0, 2, 4, 0, 14, 0, 0, 0, 0, 2, 4, 0, 15, 0, 0, 0, 10, 0, 0, 0})
 	f.Fuzz(runQueueScript)
 }
 

@@ -28,6 +28,23 @@ type Scheduler interface {
 	Rand() *rand.Rand
 }
 
+// Reserver is a Scheduler whose events can be numbered before they are
+// queued. A producer that may never need a run of events (a source whose
+// packets nobody downstream would receive) takes their sequence numbers
+// with Reserve at the instant it would have scheduled them, and queues
+// only the ones it turns out to need with AtReserved; each fires exactly
+// where it would have, so the (time, sequence) order of every event that
+// does fire is the one scheduling them all would have produced. Passed
+// says which reserved keys have gone by. The Engine, its shard schedulers
+// and the ShardedEngine's own context implement it; cross-shard channels
+// do not.
+type Reserver interface {
+	Scheduler
+	Reserve(n int) uint64
+	AtReserved(t Time, seq uint64, fn func()) Handle
+	Passed(t Time, seq uint64) bool
+}
+
 // Runner is a Scheduler that owns a run loop: the top-level engine handle
 // held by harness code (experiments.World, Meter, cmds). Engine and
 // ShardedEngine both implement it.
@@ -44,6 +61,10 @@ type Runner interface {
 var (
 	_ Runner = (*Engine)(nil)
 	_ Runner = (*ShardedEngine)(nil)
+
+	_ Reserver = (*Engine)(nil)
+	_ Reserver = (*ShardedEngine)(nil)
+	_ Reserver = (*shardSched)(nil)
 
 	_ Scheduler = (*shardSched)(nil)
 	_ Scheduler = (*crossSched)(nil)

@@ -116,7 +116,9 @@ func (se *ShardedEngine) Shard(i int) Scheduler { return se.shards[i] }
 
 // Global returns the stop-the-world scheduler (see GlobalOf). While
 // degenerate it is the single queue itself.
-func (se *ShardedEngine) Global() Scheduler {
+func (se *ShardedEngine) Global() Scheduler { return se.global() }
+
+func (se *ShardedEngine) global() *shardSched {
 	if se.gq == nil {
 		return se.shards[0]
 	}
@@ -163,6 +165,17 @@ func (se *ShardedEngine) At(t Time, fn func()) Handle { return se.Global().At(t,
 
 // Cancel cancels a handle issued by the global context.
 func (se *ShardedEngine) Cancel(h Handle) { se.Global().Cancel(h) }
+
+// Reserve takes sequence numbers on the global context (see Reserver).
+func (se *ShardedEngine) Reserve(n int) uint64 { return se.global().Reserve(n) }
+
+// AtReserved queues a back-dated event on the global context.
+func (se *ShardedEngine) AtReserved(t Time, seq uint64, fn func()) Handle {
+	return se.global().AtReserved(t, seq, fn)
+}
+
+// Passed reports whether (t, seq) has gone by on the global context.
+func (se *ShardedEngine) Passed(t Time, seq uint64) bool { return se.global().Passed(t, seq) }
 
 // Stop makes Run/RunUntil return at the next barrier (or after the current
 // event while degenerate).
@@ -268,6 +281,9 @@ func (se *ShardedEngine) RunUntil(deadline Time) {
 				break
 			}
 			s.step()
+		}
+		if !se.stopped.Load() {
+			s.q.complete(deadline)
 		}
 		if s.now < deadline {
 			s.now = deadline
@@ -477,6 +493,20 @@ func (s *shardSched) At(t Time, fn func()) Handle {
 
 func (s *shardSched) Cancel(h Handle) { s.q.cancel(h) }
 
+func (s *shardSched) Reserve(n int) uint64 { return s.q.reserve(n) }
+
+func (s *shardSched) AtReserved(t Time, seq uint64, fn func()) Handle {
+	if s.global && s.eng.running.Load() {
+		panic("sim: global schedule from inside a shard window; use the shard or cross-shard scheduler")
+	}
+	return s.q.backdate(t, seq, fn)
+}
+
+// Passed reports whether (t, seq) has gone by in this context: it sorts
+// before the event now firing, or before the end of the last window (the
+// window's bound itself included when the window was).
+func (s *shardSched) Passed(t Time, seq uint64) bool { return s.q.passed(t, seq) }
+
 // step pops and fires the earliest event (degenerate mode and the global
 // queue use plain Engine stepping).
 func (s *shardSched) step() bool {
@@ -506,6 +536,11 @@ func (s *shardSched) runWindow(tStop Time, incl bool) {
 		fn := ev.fn
 		s.q.release(ev)
 		fn()
+	}
+	if incl {
+		s.q.complete(tStop)
+	} else {
+		s.q.complete(tStop - 1)
 	}
 	s.now = tStop
 	s.windows++

@@ -7,6 +7,12 @@
 // source emits n packets per layer-unit, where n = 1 with probability
 // 1 - 1/P and n = P·A + 1 - P with probability 1/P (A = average packets per
 // interval, P = peak-to-mean ratio).
+//
+// Every layer is numbered and counted; a layer whose tree does not reach
+// the source node queues no events. A VBR batch drawn while its layer is
+// silent is parked on reserved sequence numbers and wakes where the tree
+// comes to reach the source node: a Join at the source node, or a graft
+// landing there.
 package source
 
 import (
@@ -112,9 +118,14 @@ func (c Config) packetSize() int {
 // VBR reports whether the config selects the variable-bit-rate model.
 func (c Config) VBR() bool { return c.PeakToMean > 1 }
 
-// Source transmits one layered session from a network node. All layers are
-// always transmitted; receivers control what they get by joining and
-// leaving the per-layer groups.
+// Source transmits one layered session from a network node; receivers
+// control what they get by joining and leaving the per-layer groups. Every
+// layer is numbered and counted; a layer whose tree does not reach the
+// source node queues no events: its packets are counted and dropped before
+// they are built, and a VBR batch drawn while it is silent is parked (see
+// vbrBatch). The batch wakes at the two points where the tree comes to
+// reach the source node: a Join at the source node, and a graft landing
+// there.
 type Source struct {
 	cfg    Config
 	net    *netsim.Network
@@ -123,11 +134,32 @@ type Source struct {
 
 	groups  []netsim.GroupID // index 0 = layer 1
 	seq     []int64          // next sequence number per layer
-	sent    []int64          // packets sent per layer
+	sent    []int64          // packets sent per layer, parked positions aside
+	vbr     []vbrLayer       // per layer under the VBR model, else nil
 	started bool
 	stopped bool
 	tickers []*sim.Ticker
 }
+
+// vbrLayer is one VBR layer's callbacks, bound once in New, and its parked
+// batch.
+type vbrLayer struct {
+	emit, batch func()
+	parked      vbrBatch
+}
+
+// vbrBatch is the batch a VBR layer drew while its tree did not reach the
+// source node. Its i-th packet belongs at start+i*gap under sequence number
+// seq+i, numbers reserved when the batch was drawn; positions from next on
+// are not yet in Source.seq and Source.sent. count is 0 when nothing is
+// parked.
+type vbrBatch struct {
+	start, gap  sim.Time
+	seq         uint64
+	next, count int
+}
+
+func (b *vbrBatch) at(i int) sim.Time { return b.start + sim.Time(i)*b.gap }
 
 // New creates a source for cfg at node, registering one multicast group per
 // layer. Call Start to begin transmission.
@@ -139,6 +171,20 @@ func New(net *netsim.Network, domain *mcast.Domain, node *netsim.Node, cfg Confi
 	s.sent = make([]int64, n)
 	for l := 1; l <= n; l++ {
 		s.groups[l-1] = domain.RegisterGroup(cfg.Session, l, node.ID)
+	}
+	if cfg.VBR() {
+		s.vbr = make([]vbrLayer, n)
+		for l := 1; l <= n; l++ {
+			layer := l
+			v := &s.vbr[l-1]
+			v.emit = func() {
+				if !s.stopped {
+					s.emit(layer)
+				}
+			}
+			v.batch = func() { s.emitVBRBatch(layer) }
+			domain.OnSourceReached(s.groups[l-1], func() { s.wake(layer) })
+		}
 	}
 	return s
 }
@@ -161,13 +207,20 @@ func (s *Source) Layers() int { return s.cfg.layers() }
 // Group returns the multicast group of layer k (1-based).
 func (s *Source) Group(k int) netsim.GroupID { return s.groups[k-1] }
 
-// Sent returns packets transmitted so far on layer k (1-based).
-func (s *Source) Sent(k int) int64 { return s.sent[k-1] }
+// Sent returns packets transmitted so far on layer k (1-based), the
+// positions a parked batch has gone by included.
+func (s *Source) Sent(k int) int64 {
+	if s.vbr == nil {
+		return s.sent[k-1]
+	}
+	return s.sent[k-1] + int64(s.ahead(k)-s.vbr[k-1].parked.next)
+}
 
 // Start begins transmission of every layer. CBR layers emit one packet per
 // fixed inter-packet gap; VBR layers emit a per-interval batch spread evenly
-// across the interval. Each layer's per-packet callback is bound once here
-// and rescheduled as is, so steady-state emission allocates nothing.
+// across the interval. Each layer's per-packet callback is bound once (in
+// New for VBR) and rescheduled as is, so steady-state emission allocates
+// nothing.
 func (s *Source) Start() {
 	if s.started {
 		return
@@ -177,15 +230,9 @@ func (s *Source) Start() {
 	for l := 1; l <= s.cfg.layers(); l++ {
 		layer := l
 		if s.cfg.VBR() {
-			emit := func() {
-				if !s.stopped {
-					s.emit(layer)
-				}
-			}
 			// Emit one batch immediately, then every interval.
-			s.emitVBRBatch(layer, emit)
-			tk := sim.Every(e, VBRInterval, func() { s.emitVBRBatch(layer, emit) })
-			s.tickers = append(s.tickers, tk)
+			s.emitVBRBatch(layer)
+			s.tickers = append(s.tickers, sim.Every(e, VBRInterval, s.vbr[layer-1].batch))
 		} else {
 			gap := sim.TransmitTime(s.cfg.packetSize(), s.cfg.rate(layer))
 			var emit func()
@@ -204,22 +251,34 @@ func (s *Source) Start() {
 	}
 }
 
-// Stop halts all transmission.
+// Stop halts all transmission. A parked batch's positions that have gone
+// by are counted; the rest are dropped, as the emit events they stand for
+// would have found the source stopped.
 func (s *Source) Stop() {
 	s.stopped = true
 	for _, tk := range s.tickers {
 		tk.Stop()
 	}
 	s.tickers = nil
+	for l := 1; l <= len(s.vbr); l++ {
+		s.settle(l, s.ahead(l))
+		s.vbr[l-1].parked = vbrBatch{}
+	}
 }
 
 // emitVBRBatch draws the per-interval packet count from the peak-to-mean
 // model and spreads the packets evenly across the interval, scheduling the
-// layer's bound emit callback once per packet.
-func (s *Source) emitVBRBatch(layer int, emit func()) {
+// layer's bound emit callback once per packet. While the layer's tree does
+// not reach the source node it parks the batch instead: it reserves the
+// packets' sequence numbers and queues nothing until wake.
+func (s *Source) emitVBRBatch(layer int) {
 	if s.stopped {
 		return
 	}
+	v := &s.vbr[layer-1]
+	// The last batch's positions all lie before this instant.
+	s.settle(layer, v.parked.count)
+	v.parked = vbrBatch{}
 	e := s.sched()
 	p := s.cfg.PeakToMean
 	avg := s.cfg.rate(layer) / (float64(s.cfg.packetSize()) * 8) // A: packets per second
@@ -234,16 +293,73 @@ func (s *Source) emitVBRBatch(layer int, emit func()) {
 		count = 1
 	}
 	gap := VBRInterval / sim.Time(count)
+	if !s.domain.OnTree(s.node.ID, s.groups[layer-1]) {
+		v.parked = vbrBatch{start: e.Now(), gap: gap, seq: s.reserver().Reserve(count), count: count}
+		return
+	}
 	for i := 0; i < count; i++ {
-		e.Schedule(sim.Time(i)*gap, emit)
+		e.Schedule(sim.Time(i)*gap, v.emit)
 	}
 }
 
+// wake resumes layer's parked batch once the layer's tree reaches the
+// source node: the positions that have gone by are counted, and each later
+// one is queued under its reserved number, so it fires exactly where the
+// batch would have put it.
+func (s *Source) wake(layer int) {
+	v := &s.vbr[layer-1]
+	b := &v.parked
+	if b.count == 0 || s.stopped {
+		return
+	}
+	r := s.reserver()
+	from := s.ahead(layer)
+	s.settle(layer, from)
+	for i := from; i < b.count; i++ {
+		r.AtReserved(b.at(i), b.seq+uint64(i), v.emit)
+	}
+	*b = vbrBatch{}
+}
+
+// ahead returns the index of layer's first parked position that has not
+// gone by: the parked batch's count when all have, its next when none is
+// parked.
+func (s *Source) ahead(layer int) int {
+	b := &s.vbr[layer-1].parked
+	r := s.reserver()
+	i := b.next
+	for i < b.count && r.Passed(b.at(i), b.seq+uint64(i)) {
+		i++
+	}
+	return i
+}
+
+// settle counts layer's parked positions before through as sent, the way
+// their emit events would have.
+func (s *Source) settle(layer, through int) {
+	b := &s.vbr[layer-1].parked
+	n := int64(through - b.next)
+	s.seq[layer-1] += n
+	s.sent[layer-1] += n
+	b.next = through
+}
+
+// reserver is the source node's scheduler as a sim.Reserver.
+func (s *Source) reserver() sim.Reserver { return s.sched().(sim.Reserver) }
+
 // emit transmits one media packet on layer. Media packets are the hot path
 // — they come from the network's pool and are recycled as soon as every
-// tree branch has delivered or dropped them.
+// tree branch has delivered or dropped them. While the layer's tree does
+// not reach the source node the packet is counted and never built: the
+// source node would drop it.
 func (s *Source) emit(layer int) {
 	idx := layer - 1
+	seq := s.seq[idx]
+	s.seq[idx]++
+	s.sent[idx]++
+	if !s.domain.OnTree(s.node.ID, s.groups[idx]) {
+		return
+	}
 	p := s.net.NewPacket()
 	p.Kind = netsim.Data
 	p.Src = s.node.ID
@@ -251,11 +367,9 @@ func (s *Source) emit(layer int) {
 	p.Group = s.groups[idx]
 	p.Session = s.cfg.Session
 	p.Layer = layer
-	p.Seq = s.seq[idx]
+	p.Seq = seq
 	p.Size = s.cfg.packetSize()
 	p.Sent = s.sched().Now()
-	s.seq[idx]++
-	s.sent[idx]++
 	s.node.SendMulticastLocal(p)
 	p.Release()
 }

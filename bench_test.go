@@ -168,12 +168,7 @@ func BenchmarkAlgorithmStep(b *testing.B) {
 	for s := 0; s < sessions; s++ {
 		src := core.NodeID(100 + s)
 		rx := core.NodeID(200 + s)
-		topos = append(topos, &core.Topology{
-			Session: s, Root: src,
-			Parent:    map[core.NodeID]core.NodeID{0: src, 1: 0, rx: 1},
-			Children:  map[core.NodeID][]core.NodeID{src: {0}, 0: {1}, 1: {rx}},
-			Receivers: map[core.NodeID]bool{rx: true},
-		})
+		topos = append(topos, core.NewTopology(s, src, map[core.NodeID]core.NodeID{0: src, 1: 0, rx: 1}, map[core.NodeID]bool{rx: true}))
 		reports = append(reports, core.ReceiverState{
 			Node: rx, Session: s, Level: 4, LossRate: 0.08, Bytes: 240_000,
 		})
@@ -242,12 +237,7 @@ func BenchmarkAlgorithmStepScale(b *testing.B) {
 			for s := 0; s < sessions; s++ {
 				src := core.NodeID(10_000 + s)
 				rx := core.NodeID(20_000 + s)
-				topos = append(topos, &core.Topology{
-					Session: s, Root: src,
-					Parent:    map[core.NodeID]core.NodeID{0: src, 1: 0, rx: 1},
-					Children:  map[core.NodeID][]core.NodeID{src: {0}, 0: {1}, 1: {rx}},
-					Receivers: map[core.NodeID]bool{rx: true},
-				})
+				topos = append(topos, core.NewTopology(s, src, map[core.NodeID]core.NodeID{0: src, 1: 0, rx: 1}, map[core.NodeID]bool{rx: true}))
 				reports = append(reports, core.ReceiverState{
 					Node: rx, Session: s, Level: 4, LossRate: 0.08, Bytes: 240_000,
 				})

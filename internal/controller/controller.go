@@ -166,9 +166,14 @@ type Controller struct {
 	batchGens  []uint64
 	fanGroups  []fanGroup
 
-	// Stats. TopologiesRejected counts discovered session trees that failed
-	// core.Topology.Validate, a torn or inconsistent snapshot: that session
-	// sits the pass out.
+	// topos and reports are the pass's algorithm input, reused from pass
+	// to pass.
+	topos   []*core.Topology
+	reports []core.ReceiverState
+
+	// Stats. TopologiesRejected counts discovered session trees that were
+	// torn (topodisc.Snapshot.Torn) or failed core.Topology.Validate: that
+	// session sits the pass out.
 	StepsRun           int64
 	TopologiesRejected int64
 	SuggestionsSent    int64
@@ -522,20 +527,21 @@ func (c *Controller) step() {
 		}
 	}
 
-	// Topologies from the discovery tool (respecting its staleness).
-	var topos []*core.Topology
+	// Topologies from the discovery tool (respecting its staleness): each
+	// snapshot is the algorithm's form already, read in place.
+	topos := c.topos[:0]
 	for _, s := range c.tool.Sessions() {
 		snap := c.tool.Discover(s)
 		if snap == nil || snap.Empty() {
 			continue
 		}
-		topo := SnapshotToTopology(snap)
-		if err := topo.Validate(); err != nil {
+		if snap.Torn || snap.Validate() != nil {
 			c.TopologiesRejected++
 			continue // a torn snapshot is skipped, not acted on
 		}
-		topos = append(topos, topo)
+		topos = append(topos, &snap.Topology)
 	}
+	c.topos = topos
 
 	// Fold accumulated receiver reports into per-interval states. When the
 	// audit log is live, mirror each state into an audit entry as it is
@@ -543,7 +549,7 @@ func (c *Controller) step() {
 	auditing := c.obs != nil && c.obs.Audit != nil
 	var audit []obs.AuditEntry
 	var auditIdx []int32 // slot index -> audit index + 1
-	var reports []core.ReceiverState
+	reports := c.reports[:0]
 	order := c.visitOrder()
 	if auditing {
 		audit = make([]obs.AuditEntry, 0, len(order))
@@ -586,17 +592,16 @@ func (c *Controller) step() {
 			auditIdx[i] = int32(len(audit))
 		}
 	}
+	c.reports = reports
 	if auditing {
 		// Topology evidence: each receiver's parent in its session's
 		// validated discovered tree, when one covered it this pass.
 		for _, topo := range topos {
-			for i := range audit {
-				if audit[i].Session != topo.Session {
-					continue
-				}
-				if p, ok := topo.Parent[core.NodeID(audit[i].Node)]; ok {
-					audit[i].OnTree = true
-					audit[i].Parent = int(p)
+			for i := 1; i < len(topo.Node); i++ {
+				if k := c.lookup(topo.Session, topo.Node[i]); k >= 0 && auditIdx[k] != 0 {
+					e := &audit[auditIdx[k]-1]
+					e.OnTree = true
+					e.Parent = int(topo.Node[topo.Parent[i]])
 				}
 			}
 		}
@@ -785,17 +790,4 @@ func (c *Controller) sendBatched(sugs []core.Suggestion, gens []uint64, recheck 
 		c.BatchesSent++
 	}
 	c.fanGroups = groups
-}
-
-// SnapshotToTopology presents a discovery snapshot as the algorithm's
-// topology type. The maps are the snapshot's own: a recorded snapshot is
-// immutable and core only reads a Topology, so nothing is copied.
-func SnapshotToTopology(s *topodisc.Snapshot) *core.Topology {
-	return &core.Topology{
-		Session:   s.Session,
-		Root:      s.Root,
-		Parent:    s.Parent,
-		Children:  s.Children,
-		Receivers: s.Receivers,
-	}
 }

@@ -189,11 +189,12 @@ func TestControllerCountsRejectedTopologies(t *testing.T) {
 	if w.ctrl.TopologiesRejected != 0 {
 		t.Fatalf("consistent snapshots rejected: %d", w.ctrl.TopologiesRejected)
 	}
-	// From now on every snapshot a pass reads claims a child its parent does
-	// not list: the pass must skip the session and say so.
+	// From now on every snapshot a pass reads has its last node claim the
+	// root as parent, though it sits in another node's child range: the pass
+	// must skip the session and say so.
 	tick := w.e.Every(500*sim.Millisecond, func() {
-		if snap := w.tool.Discover(0); snap != nil {
-			snap.Parent[99] = snap.Root
+		if snap := w.tool.Discover(0); snap != nil && len(snap.Node) > 2 {
+			snap.Parent[len(snap.Parent)-1] = 0
 		}
 	})
 	defer tick.Stop()
@@ -223,27 +224,22 @@ func TestControllerVBRConverges(t *testing.T) {
 	}
 }
 
+// TestSnapshotToTopology: the controller hands a snapshot's own topology
+// to the algorithm, with nothing copied, and a recorded snapshot is
+// immutable: nothing Validate and Step do with it may write it.
 func TestSnapshotToTopology(t *testing.T) {
 	newSnap := func() *topodisc.Snapshot {
-		return &topodisc.Snapshot{
-			Session:   3,
-			Root:      0,
-			Parent:    map[netsim.NodeID]netsim.NodeID{1: 0, 2: 1, 3: 1},
-			Children:  map[netsim.NodeID][]netsim.NodeID{0: {1}, 1: {2, 3}, 2: nil, 3: nil},
-			MaxLayer:  map[netsim.NodeID]int{0: 2, 1: 2, 2: 2, 3: 1},
-			Receivers: map[netsim.NodeID]bool{2: true, 3: true},
-		}
+		topo := core.NewTopology(3, 0, map[netsim.NodeID]netsim.NodeID{1: 0, 2: 1, 3: 1}, map[netsim.NodeID]bool{2: true, 3: true})
+		return &topodisc.Snapshot{Topology: *topo, At: sim.Second}
 	}
 	snap, before := newSnap(), newSnap()
-	topo := SnapshotToTopology(snap)
+	topo := &snap.Topology
 	if err := topo.Validate(); err != nil {
-		t.Fatalf("converted topology invalid: %v", err)
+		t.Fatalf("snapshot topology invalid: %v", err)
 	}
-	if topo.Session != 3 || topo.Root != 0 || !topo.Receivers[2] {
-		t.Errorf("conversion lost fields: %+v", topo)
+	if topo.Session != 3 || topo.Node[0] != 0 || !topo.Receiver[2] {
+		t.Errorf("snapshot lost fields: %+v", topo)
 	}
-	// The topology shares the snapshot's maps, and a recorded snapshot is
-	// immutable: nothing the controller does with the topology may write it.
 	alg := core.New(core.NewConfig(source.Rates(6)), rand.New(rand.NewSource(7)))
 	for pass := 1; pass <= 3; pass++ {
 		alg.Step(core.Input{
@@ -570,8 +566,8 @@ func TestControllerObsAudit(t *testing.T) {
 	if ent.Node != int(w.rxs[0].Node().ID) || ent.Session != 0 {
 		t.Errorf("audit entry identity = %+v", ent)
 	}
-	if !ent.OnTree || ent.Parent < 0 {
-		t.Errorf("audit entry lacks topology evidence: %+v", ent)
+	if up := int(w.n.NextHop(w.rxs[0].Node().ID, w.ctrl.Node().ID)); !ent.OnTree || ent.Parent != up {
+		t.Errorf("audit entry's topology evidence = %+v, want on tree under r1 (%d)", ent, up)
 	}
 	if ent.Prescribed < 0 {
 		t.Errorf("audit entry lacks prescription: %+v", ent)

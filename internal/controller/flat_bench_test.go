@@ -136,3 +136,29 @@ func TestPooledSuggestionReachesReceiver(t *testing.T) {
 		t.Errorf("%d pooled packets still live after delivery", live)
 	}
 }
+
+// BenchmarkSteadyDiscoveryPass is one decision interval of the flat plane
+// over a tree that holds still: each discovery period records the last walk
+// again, and the pass validates that snapshot and hands it to the algorithm
+// as it is, with the reports in and the suggestions out. One op is one
+// interval; nothing on it may allocate.
+func BenchmarkSteadyDiscoveryPass(b *testing.B) {
+	const rxs = 256
+	e, c, _ := flatWorld(b, rxs)
+	c.Start()
+	// Registrations, grafts, the first walks, pool and slab growth.
+	e.RunUntil(10 * c.interval)
+	snap, passes := c.tool.Discover(0), c.StepsRun
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.RunUntil(e.Now() + c.interval)
+	}
+	b.StopTimer()
+	if got := c.tool.Discover(0); got != snap || snap.Empty() {
+		b.Fatalf("the tree was walked again during the benchmark (empty %v)", snap.Empty())
+	}
+	if got := c.StepsRun - passes; got != int64(b.N) {
+		b.Fatalf("%d passes in %d intervals", got, b.N)
+	}
+}

@@ -160,24 +160,24 @@ func (a *Algorithm) Config() Config { return a.cfg }
 func (a *Algorithm) Steps() int64 { return a.steps }
 
 // sessionPass holds one session's per-step working state, flattened onto
-// dense local indices: node i is the i-th node of the session tree in BFS
-// order, so a parent's index is always smaller than its children's. The
-// localized tree and every per-node column are plain slices owned by the
-// Algorithm's scratch arena; bind rebuilds them in place each Step.
+// dense local indices: node i is the topology's position i, so a parent's
+// index is always smaller than its children's. The localized tree is the
+// topology's own arrays, read in place; every per-node column is a plain
+// slice owned by the Algorithm's scratch arena, which bind rebuilds in
+// place each Step.
 type sessionPass struct {
 	topo *Topology
 	sess *sessionState
 
-	// Localized tree, rebuilt by bind.
+	// Localized tree: the topology's arrays, and an index bind rebuilds.
 	nodes    []NodeID // local index -> NodeID, BFS order
 	index    []int32  // NodeID -> local index + 1; bind clears the previous tree's entries
 	maxID    NodeID   // largest NodeID in the tree
 	parent   []int32  // local parent index; -1 at the root
-	kidStart []int32  // children of i are kids[kidStart[i]:kidStart[i+1]]
-	kids     []int32
-	recv     []bool  // node has an attached receiver
-	state    []int32 // index of the node's entry in sess.nodes
-	edge     []int32 // row of the edge from the node's parent in the step's edge table (not at the root)
+	kidStart []int32  // children of i are kidStart[i] up to kidStart[i+1]
+	recv     []bool   // node has an attached receiver
+	state    []int32  // index of the node's entry in sess.nodes
+	edge     []int32  // row of the edge from the node's parent in the step's edge table (not at the root)
 
 	// Per-node columns, indexed by local index.
 	report    []*ReceiverState
@@ -196,9 +196,9 @@ type sessionPass struct {
 	decisions []Decision // explain records, nil unless enabled
 }
 
-// children returns the local indices of node i's children.
-func (p *sessionPass) children(i int32) []int32 {
-	return p.kids[p.kidStart[i]:p.kidStart[i+1]]
+// children returns the local index range [lo, hi) of node i's children.
+func (p *sessionPass) children(i int32) (lo, hi int32) {
+	return p.kidStart[i], p.kidStart[i+1]
 }
 
 // isLeaf reports whether local node i has no children in this topology.
@@ -212,43 +212,26 @@ func (p *sessionPass) local(n NodeID) int32 {
 	return p.index[n] - 1
 }
 
-// bind points the pass at a topology and rebuilds the localized tree and
+// bind points the pass at a topology, indexes its node IDs and resets the
 // per-node columns in place, creating session state for nodes seen for the
-// first time. Every slice is sized once from the tree, so a first sight
-// allocates per column, not per node, and a tree no larger than one seen
-// before allocates nothing.
+// first time. The tree itself is the topology's arrays, taken as they are.
+// Every slice is sized once from the tree, so a first sight allocates per
+// column, not per node, and a tree no larger than one seen before
+// allocates nothing.
 func (p *sessionPass) bind(topo *Topology, sess *sessionState) {
 	p.topo, p.sess = topo, sess
 	for _, n := range p.nodes {
 		p.index[n] = 0
 	}
-	n := len(topo.Parent) + 1
-	p.nodes = append(slices.Grow(p.nodes[:0], n), topo.Root)
-	p.parent = append(slices.Grow(p.parent[:0], n), -1)
-	p.kidStart = slices.Grow(p.kidStart[:0], n+1)
-	p.kids = slices.Grow(p.kids[:0], n)
-	p.maxID = topo.Root
-	// BFS using p.nodes itself as the queue; children of node i land
-	// contiguously in p.kids, forming the CSR layout as a side effect.
-	for i := 0; i < len(p.nodes); i++ {
-		p.kidStart = append(p.kidStart, int32(len(p.kids)))
-		for _, c := range topo.Children[p.nodes[i]] {
-			p.kids = append(p.kids, int32(len(p.nodes)))
-			p.nodes = append(p.nodes, c)
-			p.parent = append(p.parent, int32(i))
-			p.maxID = max(p.maxID, c)
-		}
-	}
-	p.kidStart = append(p.kidStart, int32(len(p.kids)))
+	p.nodes, p.parent, p.kidStart, p.recv = topo.Node, topo.Parent, topo.KidStart, topo.Receiver
+	p.maxID = slices.Max(p.nodes)
 
-	n = len(p.nodes)
+	n := len(p.nodes)
 	p.index = growTo(p.index, int(p.maxID)+1)
-	p.recv = resetSlice(p.recv, n)
 	p.state = resetSlice(p.state, n)
 	sess.reserve(p.nodes, p.maxID)
 	for i, id := range p.nodes {
 		p.index[id] = int32(i) + 1
-		p.recv[i] = topo.Receivers[id]
 		p.state[i] = sess.stateOf(id)
 	}
 	p.edge = resetSlice(p.edge, n)
@@ -349,7 +332,7 @@ func (x *pinSorter) Less(i, j int) bool {
 // per-receiver subscription suggestions, sorted by (session, node). The
 // returned slice is backed by the algorithm's scratch arena and is only
 // valid until the next Step call; callers that need to keep it must copy.
-// Node IDs must be non-negative (Topology.Validate checks).
+// Node IDs must be non-negative (Topology.Validate checks) and unique.
 func (a *Algorithm) Step(in Input) []Suggestion {
 	a.steps++
 	a.resetExplain()
@@ -363,7 +346,7 @@ func (a *Algorithm) Step(in Input) []Suggestion {
 	s.passPtrs = s.passPtrs[:0]
 	nodes := 0
 	for _, topo := range in.Topologies {
-		if topo == nil || topo.Root == NodeIDNone {
+		if topo == nil || len(topo.Node) == 0 {
 			continue
 		}
 		p := &s.passes[len(s.passPtrs)]

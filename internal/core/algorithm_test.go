@@ -243,7 +243,7 @@ func TestStepMultipleSessionsSortedOutput(t *testing.T) {
 
 func TestStepSkipsNilAndEmptyTopologies(t *testing.T) {
 	st := newStepper(testConfig())
-	empty := &Topology{Session: 0, Root: NodeIDNone}
+	empty := &Topology{Session: 0}
 	sgs := st.step([]*Topology{nil, empty}, nil)
 	if len(sgs) != 0 {
 		t.Errorf("suggestions from nil topologies: %v", sgs)
@@ -297,14 +297,8 @@ func TestStepFairnessTwoSessionsSharedLink(t *testing.T) {
 	// be equal (inter-session fairness).
 	cfg := testConfig()
 	st := newStepper(cfg)
-	t0 := &Topology{Session: 0, Root: 0,
-		Parent:    map[NodeID]NodeID{1: 0, 2: 1},
-		Children:  map[NodeID][]NodeID{0: {1}, 1: {2}},
-		Receivers: map[NodeID]bool{2: true}}
-	t1 := &Topology{Session: 1, Root: 0,
-		Parent:    map[NodeID]NodeID{1: 0, 3: 1},
-		Children:  map[NodeID][]NodeID{0: {1}, 1: {3}},
-		Receivers: map[NodeID]bool{3: true}}
+	t0 := NewTopology(0, 0, map[NodeID]NodeID{1: 0, 2: 1}, map[NodeID]bool{2: true})
+	t1 := NewTopology(1, 0, map[NodeID]NodeID{1: 0, 3: 1}, map[NodeID]bool{3: true})
 	topos := []*Topology{t0, t1}
 	// Warm up clean at level 4, then joint loss at level 5.
 	bytes := int64(cfg.CumRate(4) / 8 * cfg.Interval.Seconds())

@@ -19,13 +19,7 @@ func topologyB(sessions int) ([]*Topology, []ReceiverState) {
 	for s := 0; s < sessions; s++ {
 		src := NodeID(2 + 2*s)
 		rx := NodeID(3 + 2*s)
-		topos = append(topos, &Topology{
-			Session:   s,
-			Root:      src,
-			Parent:    map[NodeID]NodeID{x: src, y: x, rx: y},
-			Children:  map[NodeID][]NodeID{src: {x}, x: {y}, y: {rx}},
-			Receivers: map[NodeID]bool{rx: true},
-		})
+		topos = append(topos, NewTopology(s, src, map[NodeID]NodeID{x: src, y: x, rx: y}, map[NodeID]bool{rx: true}))
 		reports = append(reports, ReceiverState{
 			Node: rx, Session: s, Level: 4, LossRate: 0.0, Bytes: 240_000,
 		})
@@ -74,16 +68,15 @@ func BenchmarkStepTopologyB(b *testing.B) {
 // hosts behind every leaf router numbered after the routers, and a clean
 // report from every receiver — 21 111 nodes at depth 4, branch 10, rxleaf 1.
 func treeImage(depth, branch, rxleaf int) (*Topology, []ReceiverState) {
-	topo := &Topology{Root: 0, Parent: map[NodeID]NodeID{},
-		Children: map[NodeID][]NodeID{}, Receivers: map[NodeID]bool{}}
+	parent := map[NodeID]NodeID{}
+	receivers := map[NodeID]bool{}
 	level := []NodeID{0}
 	next := NodeID(1)
 	for d := 0; d < depth; d++ {
 		var below []NodeID
 		for _, n := range level {
 			for k := 0; k < branch; k++ {
-				topo.Parent[next] = n
-				topo.Children[n] = append(topo.Children[n], next)
+				parent[next] = n
 				below = append(below, next)
 				next++
 			}
@@ -93,14 +86,13 @@ func treeImage(depth, branch, rxleaf int) (*Topology, []ReceiverState) {
 	var reports []ReceiverState
 	for _, n := range level {
 		for k := 0; k < rxleaf; k++ {
-			topo.Parent[next] = n
-			topo.Children[n] = append(topo.Children[n], next)
-			topo.Receivers[next] = true
+			parent[next] = n
+			receivers[next] = true
 			reports = append(reports, ReceiverState{Node: next, Level: 1, Bytes: 16_000})
 			next++
 		}
 	}
-	return topo, reports
+	return NewTopology(0, 0, parent, receivers), reports
 }
 
 // BenchmarkStepTree measures one controller interval over the 21 111-node

@@ -17,13 +17,13 @@ func (a *Algorithm) computeBottlenecks(p *sessionPass) {
 		p.bneck[i] = math.Min(p.bneck[par], a.edgeLink(p, i).capacity)
 	}
 	for i := int32(len(p.nodes)) - 1; i >= 0; i-- { // bottom-up
-		kids := p.children(i)
-		if len(kids) == 0 {
+		lo, hi := p.children(i)
+		if lo == hi {
 			p.maxBW[i] = p.bneck[i]
 			continue
 		}
 		max := 0.0
-		for _, c := range kids {
+		for c := lo; c < hi; c++ {
 			if p.maxBW[c] > max {
 				max = p.maxBW[c]
 			}

@@ -14,11 +14,11 @@ func (a *Algorithm) computeCongestion(p *sessionPass) {
 	// Bottom-up: leaves first. BFS order puts every child after its parent,
 	// so walking the local indices backwards visits children first.
 	for i := int32(len(p.nodes)) - 1; i >= 0; i-- {
-		kids := p.children(i)
+		lo, hi := p.children(i)
 		loss := math.Inf(1)
 		var bytes int64
 		level := 0
-		for _, c := range kids {
+		for c := lo; c < hi; c++ {
 			if p.loss[c] < loss {
 				loss = p.loss[c]
 			}
@@ -54,12 +54,12 @@ func (a *Algorithm) computeCongestion(p *sessionPass) {
 		if p.recv[i] {
 			count = 1
 		}
-		for _, c := range kids {
+		for c := lo; c < hi; c++ {
 			count += p.recvCount[c]
 		}
 		p.recvCount[i] = count
 
-		if len(kids) == 0 {
+		if lo == hi {
 			// "A leaf node is congested if the packet loss rate at that
 			// node is higher than a threshold."
 			p.congest[i] = p.loss[i] > a.cfg.PThreshold
@@ -86,23 +86,23 @@ func (a *Algorithm) computeCongestion(p *sessionPass) {
 // the shared upstream link rather than at independent downstream
 // bottlenecks.
 func (a *Algorithm) internalSelfCongested(p *sessionPass, i int32) bool {
-	kids := p.children(i)
-	if len(kids) == 0 {
+	lo, hi := p.children(i)
+	if lo == hi {
 		return false
 	}
 	mean := 0.0
-	for _, c := range kids {
+	for c := lo; c < hi; c++ {
 		if p.loss[c] <= a.cfg.PThreshold {
 			return false
 		}
 		mean += p.loss[c]
 	}
-	mean /= float64(len(kids))
+	mean /= float64(hi - lo)
 	similar := 0
-	for _, c := range kids {
+	for c := lo; c < hi; c++ {
 		if math.Abs(p.loss[c]-mean) <= a.cfg.SimilarBand*mean {
 			similar++
 		}
 	}
-	return float64(similar) >= a.cfg.EtaSimilar*float64(len(kids))
+	return float64(similar) >= a.cfg.EtaSimilar*float64(hi-lo)
 }

@@ -41,7 +41,7 @@ func (a *Algorithm) computeDemand(now sim.Time, p *sessionPass) {
 		} else {
 			// Internal: aggregate children (plus a co-located receiver).
 			agg := 0
-			for _, c := range p.children(i) {
+			for c, end := p.children(i); c < end; c++ {
 				if p.demand[c] > agg {
 					agg = p.demand[c]
 				}

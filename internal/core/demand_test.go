@@ -229,10 +229,10 @@ func TestSupplyNeverExceedsDemandOrParent(t *testing.T) {
 		a.computeDemand(now, p)
 		a.allocateSupply(p)
 		for _, n := range p.nodes {
-			if p.supplyAt(n) > p.demandAt(n) && !(p.topo.Receivers[n] && p.supplyAt(n) == 1) {
+			if p.supplyAt(n) > p.demandAt(n) && !(topo.isReceiver(n) && p.supplyAt(n) == 1) {
 				t.Fatalf("interval %d: supply %d > demand %d at node %d", i, p.supplyAt(n), p.demandAt(n), n)
 			}
-			if parent, ok := p.topo.Parent[n]; ok {
+			if parent, ok := topo.parentOf(n); ok {
 				limit := p.supplyAt(parent)
 				if limit < 1 {
 					limit = 1 // receivers keep the base layer

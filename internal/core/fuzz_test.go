@@ -15,36 +15,36 @@ import (
 // every leaf is a receiver, and some internal nodes may be too.
 func randTopology(rng *rand.Rand, session, maxNodes int) *Topology {
 	n := rng.Intn(maxNodes-1) + 2
-	topo := &Topology{
-		Session:   session,
-		Root:      NodeID(session * 1000),
-		Parent:    map[NodeID]NodeID{},
-		Children:  map[NodeID][]NodeID{},
-		Receivers: map[NodeID]bool{},
-	}
-	ids := []NodeID{topo.Root}
+	root := NodeID(session * 1000)
+	parent := map[NodeID]NodeID{}
+	hasKids := map[NodeID]bool{}
+	ids := []NodeID{root}
 	for i := 1; i < n; i++ {
 		id := NodeID(session*1000 + i)
-		parent := ids[rng.Intn(len(ids))]
-		topo.Parent[id] = parent
-		topo.Children[parent] = append(topo.Children[parent], id)
+		p := ids[rng.Intn(len(ids))]
+		parent[id] = p
+		hasKids[p] = true
 		ids = append(ids, id)
 	}
+	receivers := map[NodeID]bool{}
 	for _, id := range ids {
-		if topo.IsLeaf(id) || rng.Intn(5) == 0 {
-			if id != topo.Root {
-				topo.Receivers[id] = true
+		if !hasKids[id] || rng.Intn(5) == 0 {
+			if id != root {
+				receivers[id] = true
 			}
 		}
 	}
-	return topo
+	return NewTopology(session, root, parent, receivers)
 }
 
 // randReports produces reports for a random subset of a topology's
 // receivers with arbitrary (but type-valid) values.
 func randReports(rng *rand.Rand, topo *Topology, maxLevel int) []ReceiverState {
 	var out []ReceiverState
-	for node := range topo.Receivers {
+	for i, node := range topo.Node {
+		if !topo.Receiver[i] {
+			continue
+		}
 		if rng.Intn(4) == 0 {
 			continue // silent receiver
 		}
@@ -87,7 +87,7 @@ func TestFuzzStepInvariants(t *testing.T) {
 				}
 				found := false
 				for _, topo := range topos {
-					if topo.Session == sg.Session && topo.Receivers[sg.Node] {
+					if topo.Session == sg.Session && topo.isReceiver(sg.Node) {
 						found = true
 					}
 				}

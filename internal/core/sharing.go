@@ -41,13 +41,13 @@ func (a *Algorithm) shareBandwidth(passes []*sessionPass) {
 	// Per session: bottom-up "maximum possible demand" in layers.
 	for _, p := range passes {
 		for i := int32(len(p.nodes)) - 1; i >= 0; i-- {
-			kids := p.children(i)
-			if len(kids) == 0 {
+			lo, hi := p.children(i)
+			if lo == hi {
 				p.possible[i] = a.cfg.LevelFor(p.avail[i])
 				continue
 			}
 			max := 0
-			for _, c := range kids {
+			for c := lo; c < hi; c++ {
 				if p.possible[c] > max {
 					max = p.possible[c]
 				}

@@ -146,12 +146,11 @@ func TestCongestionInternalDissimilarChildren(t *testing.T) {
 	cfg := testConfig()
 	cfg.SimilarBand = 0.2 // tight band
 	a := New(cfg, nil)
-	topo := star(0, 3)
-	// A healthy sibling branch keeps the root itself uncongested, so node
-	// 1's state reflects only the similarity rule.
-	topo.Parent[9] = 0
-	topo.Children[0] = append(topo.Children[0], 9)
-	topo.Receivers[9] = true
+	// star(0, 3) plus a healthy sibling branch 9 under the root, which keeps
+	// the root itself uncongested, so node 1's state reflects only the
+	// similarity rule.
+	topo := NewTopology(0, 0, map[NodeID]NodeID{1: 0, 2: 1, 3: 1, 4: 1, 9: 0},
+		map[NodeID]bool{2: true, 3: true, 4: true, 9: true})
 	// All of node 1's children above threshold, but wildly different:
 	// points at separate downstream bottlenecks, not the shared link.
 	p := newPass(a, topo, []ReceiverState{
@@ -170,12 +169,7 @@ func TestCongestionPropagatesFromParent(t *testing.T) {
 	a := New(testConfig(), nil)
 	// chain 0 -> 1 -> 2 -> 3(receiver); plus a second receiver branch at
 	// 1 so node 1 is internal with two congested children.
-	topo := &Topology{
-		Session: 0, Root: 0,
-		Parent:    map[NodeID]NodeID{1: 0, 2: 1, 3: 2, 4: 1},
-		Children:  map[NodeID][]NodeID{0: {1}, 1: {2, 4}, 2: {3}},
-		Receivers: map[NodeID]bool{3: true, 4: true},
-	}
+	topo := NewTopology(0, 0, map[NodeID]NodeID{1: 0, 2: 1, 3: 2, 4: 1}, map[NodeID]bool{3: true, 4: true})
 	p := newPass(a, topo, []ReceiverState{
 		{Node: 3, Session: 0, LossRate: 0.20, Bytes: 100},
 		{Node: 4, Session: 0, LossRate: 0.21, Bytes: 100},
@@ -382,19 +376,17 @@ func TestQuickBottleneckMonotone(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := New(cfg, nil)
 		n := rng.Intn(20) + 2
-		topo := &Topology{Session: 0, Root: 0,
-			Parent: map[NodeID]NodeID{}, Children: map[NodeID][]NodeID{}, Receivers: map[NodeID]bool{}}
+		parents := map[NodeID]NodeID{}
 		for i := 1; i < n; i++ {
 			p := NodeID(rng.Intn(i))
-			topo.Parent[NodeID(i)] = p
-			topo.Children[p] = append(topo.Children[p], NodeID(i))
+			parents[NodeID(i)] = p
 			if rng.Intn(2) == 0 {
 				a.setCapacity(Edge{From: p, To: NodeID(i)}, float64(rng.Intn(900)+100)*1e3)
 			}
 		}
-		p := newPass(a, topo, nil)
+		p := newPass(a, NewTopology(0, 0, parents, nil), nil)
 		a.computeBottlenecks(p)
-		for child, parent := range topo.Parent {
+		for child, parent := range parents {
 			if p.bneckAt(child) > p.bneckAt(parent) {
 				return false
 			}
@@ -445,14 +437,8 @@ func TestShareBandwidthRespectsDownstreamBottleneck(t *testing.T) {
 	// (edge 1->2 pinned in ITS topology only is impossible — edges are
 	// physical) so model it via distinct leaf edges: session 0 leaf at 2,
 	// session 1 leaf at 3.
-	t0 := &Topology{Session: 0, Root: 0,
-		Parent:    map[NodeID]NodeID{1: 0, 2: 1},
-		Children:  map[NodeID][]NodeID{0: {1}, 1: {2}},
-		Receivers: map[NodeID]bool{2: true}}
-	t1 := &Topology{Session: 1, Root: 0,
-		Parent:    map[NodeID]NodeID{1: 0, 3: 1},
-		Children:  map[NodeID][]NodeID{0: {1}, 1: {3}},
-		Receivers: map[NodeID]bool{3: true}}
+	t0 := NewTopology(0, 0, map[NodeID]NodeID{1: 0, 2: 1}, map[NodeID]bool{2: true})
+	t1 := NewTopology(1, 0, map[NodeID]NodeID{1: 0, 3: 1}, map[NodeID]bool{3: true})
 	a.setCapacity(Edge{From: 0, To: 1}, 992e3)
 	a.setCapacity(Edge{From: 1, To: 3}, 32e3) // session 1 pinched
 	p0 := newPass(a, t0, []ReceiverState{{Node: 2, Session: 0, Level: 4, Bytes: 1}})

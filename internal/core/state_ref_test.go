@@ -94,32 +94,54 @@ func newRefAlgorithm(cfg Config, rng *rand.Rand) *refAlgorithm {
 
 // refPass is one session's pass: the localized tree and per-node columns of
 // a sessionPass (only the fields the old code had are used) plus the map
-// index and one heap-allocated decision per node.
+// index, the parent map, the child lists and one heap-allocated decision
+// per node.
 type refPass struct {
 	sessionPass
 	index     map[NodeID]int32
+	up        map[NodeID]NodeID
+	kids      []int32 // children of i are kids[kidOff[i]:kidOff[i+1]]
+	kidOff    []int32
 	decisions []*Decision
 }
 
+// kidList returns the local indices of node i's children.
+func (p *refPass) kidList(i int32) []int32 { return p.kids[p.kidOff[i]:p.kidOff[i+1]] }
+
+// bind reads the topology back into the maps the old code walked and
+// localizes it the old way.
 func (r *refAlgorithm) bind(topo *Topology) *refPass {
-	p := &refPass{index: make(map[NodeID]int32)}
+	p := &refPass{index: make(map[NodeID]int32), up: make(map[NodeID]NodeID)}
 	p.topo = topo
-	p.nodes = append(p.nodes, topo.Root)
-	p.index[topo.Root] = 0
+	children := map[NodeID][]NodeID{}
+	receivers := map[NodeID]bool{}
+	for i, id := range topo.Node {
+		if i > 0 {
+			par := topo.Node[topo.Parent[i]]
+			p.up[id] = par
+			children[par] = append(children[par], id)
+		}
+		receivers[id] = topo.Receiver[i]
+	}
+	root := topo.Node[0]
+	p.nodes = append(p.nodes, root)
+	p.index[root] = 0
 	p.parent = append(p.parent, -1)
-	p.recv = append(p.recv, topo.Receivers[topo.Root])
+	p.recv = append(p.recv, receivers[root])
 	for i := 0; i < len(p.nodes); i++ {
-		p.kidStart = append(p.kidStart, int32(len(p.kids)))
-		for _, c := range topo.Children[p.nodes[i]] {
+		p.kidOff = append(p.kidOff, int32(len(p.kids)))
+		p.kidStart = append(p.kidStart, int32(len(p.nodes)))
+		for _, c := range children[p.nodes[i]] {
 			ci := int32(len(p.nodes))
 			p.index[c] = ci
 			p.nodes = append(p.nodes, c)
 			p.parent = append(p.parent, int32(i))
-			p.recv = append(p.recv, topo.Receivers[c])
+			p.recv = append(p.recv, receivers[c])
 			p.kids = append(p.kids, ci)
 		}
 	}
-	p.kidStart = append(p.kidStart, int32(len(p.kids)))
+	p.kidOff = append(p.kidOff, int32(len(p.kids)))
+	p.kidStart = append(p.kidStart, int32(len(p.nodes)))
 	n := len(p.nodes)
 	p.report = make([]*ReceiverState, n)
 	p.loss = make([]float64, n)
@@ -144,7 +166,7 @@ func (r *refAlgorithm) Step(in Input) []Suggestion {
 	r.decisions = r.decisions[:0]
 	var passes []*refPass
 	for _, topo := range in.Topologies {
-		if topo == nil || topo.Root == NodeIDNone {
+		if topo == nil || len(topo.Node) == 0 {
 			continue
 		}
 		passes = append(passes, r.bind(topo))
@@ -351,7 +373,7 @@ func (r *refAlgorithm) computeBottlenecks(p *refPass) {
 		p.bneck[i] = math.Min(p.bneck[par], cap)
 	}
 	for i := int32(len(p.nodes)) - 1; i >= 0; i-- {
-		kids := p.children(i)
+		kids := p.kidList(i)
 		if len(kids) == 0 {
 			p.maxBW[i] = p.bneck[i]
 			continue
@@ -416,7 +438,7 @@ func (r *refAlgorithm) shareBandwidth(passes []*refPass) map[refShareKey]float64
 	}
 	for _, p := range passes {
 		for i := int32(len(p.nodes)) - 1; i >= 0; i-- {
-			kids := p.children(i)
+			kids := p.kidList(i)
 			if len(kids) == 0 {
 				p.possible[i] = r.cfg.LevelFor(p.avail[i])
 				continue
@@ -493,7 +515,7 @@ func (r *refAlgorithm) computeDemand(now sim.Time, p *refPass) {
 			}
 		} else {
 			agg := 0
-			for _, c := range p.children(i) {
+			for _, c := range p.kidList(i) {
 				if p.demand[c] > agg {
 					agg = p.demand[c]
 				}
@@ -634,7 +656,7 @@ func (r *refAlgorithm) backingOff(now sim.Time, p *refPass, n NodeID, layer int)
 		if until, ok := r.backoffs[refBackoffKey{p.topo.Session, cur, layer}]; ok && until > now {
 			return true
 		}
-		parent, ok := p.topo.Parent[cur]
+		parent, ok := p.up[cur]
 		if !ok {
 			return false
 		}
@@ -793,24 +815,20 @@ func runStateScript(t *testing.T, label string, b []byte) (st stateScriptStats) 
 					}
 				}
 			}
-			topo := &Topology{Session: sessID[s], Root: id(0),
-				Parent: map[NodeID]NodeID{}, Children: map[NodeID][]NodeID{}, Receivers: map[NodeID]bool{}}
+			root, up, receivers := id(0), map[NodeID]NodeID{}, map[NodeID]bool{}
 			if topoB {
-				src := id(physical + s)
-				topo.Root = src
-				topo.Parent[id(0)] = src
-				topo.Children[src] = []NodeID{id(0)}
+				root = id(physical + s)
+				up[id(0)] = root
 			}
 			for v := 1; v < physical; v++ {
 				if !on[v] {
 					continue
 				}
-				topo.Parent[id(v)] = id(parent[v])
-				topo.Children[id(parent[v])] = append(topo.Children[id(parent[v])], id(v))
+				up[id(v)] = id(parent[v])
 				if !member[s][v] {
 					continue
 				}
-				topo.Receivers[id(v)] = true
+				receivers[id(v)] = true
 				if sc.next(6) == 0 {
 					continue // silent this interval
 				}
@@ -833,10 +851,11 @@ func runStateScript(t *testing.T, label string, b []byte) (st stateScriptStats) 
 				reports = append(reports, ReceiverState{Node: id(v), Session: sessID[s],
 					Level: lv, LossRate: loss, Bytes: int64(rate / 8 * cfg.Interval.Seconds())})
 			}
+			topo := NewTopology(sessID[s], root, up, receivers)
 			if err := topo.Validate(); err != nil {
 				t.Fatalf("%s: generated an invalid tree: %v", label, err)
 			}
-			for c, p := range topo.Parent {
+			for c, p := range up {
 				seen[Edge{From: p, To: c}] = true
 			}
 			topos = append(topos, topo)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -9,38 +10,45 @@ import (
 // chain builds a linear topology 0 -> 1 -> ... -> n-1 with the last node a
 // receiver.
 func chain(session, n int) *Topology {
-	t := &Topology{
-		Session:   session,
-		Root:      0,
-		Parent:    map[NodeID]NodeID{},
-		Children:  map[NodeID][]NodeID{},
-		Receivers: map[NodeID]bool{},
-	}
+	parent := map[NodeID]NodeID{}
 	for i := 1; i < n; i++ {
-		t.Parent[NodeID(i)] = NodeID(i - 1)
-		t.Children[NodeID(i-1)] = []NodeID{NodeID(i)}
+		parent[NodeID(i)] = NodeID(i - 1)
 	}
-	t.Receivers[NodeID(n-1)] = true
-	return t
+	return NewTopology(session, 0, parent, map[NodeID]bool{NodeID(n - 1): true})
 }
 
 // star builds root 0 with an intermediate node 1 and k receiver leaves
 // 2..k+1 under it.
 func star(session, k int) *Topology {
-	t := &Topology{
-		Session:   session,
-		Root:      0,
-		Parent:    map[NodeID]NodeID{1: 0},
-		Children:  map[NodeID][]NodeID{0: {1}},
-		Receivers: map[NodeID]bool{},
-	}
+	parent := map[NodeID]NodeID{1: 0}
+	receivers := map[NodeID]bool{}
 	for i := 0; i < k; i++ {
 		leaf := NodeID(2 + i)
-		t.Parent[leaf] = 1
-		t.Children[1] = append(t.Children[1], leaf)
-		t.Receivers[leaf] = true
+		parent[leaf] = 1
+		receivers[leaf] = true
 	}
-	return t
+	return NewTopology(session, 0, parent, receivers)
+}
+
+// parentOf returns the ID of node n's parent, and false for the root or a
+// node not in the tree.
+func (t *Topology) parentOf(n NodeID) (NodeID, bool) {
+	for i, id := range t.Node {
+		if id == n && t.Parent[i] >= 0 {
+			return t.Node[t.Parent[i]], true
+		}
+	}
+	return NodeIDNone, false
+}
+
+// isReceiver reports whether node n is in the tree with a receiver.
+func (t *Topology) isReceiver(n NodeID) bool {
+	for i, id := range t.Node {
+		if id == n {
+			return t.Receiver[i]
+		}
+	}
+	return false
 }
 
 func TestValidateGoodTrees(t *testing.T) {
@@ -53,9 +61,12 @@ func TestValidateGoodTrees(t *testing.T) {
 
 func TestValidateRejectsNoRoot(t *testing.T) {
 	topo := chain(0, 3)
-	topo.Root = NodeIDNone
+	topo.Node[0] = NodeIDNone
 	if topo.Validate() == nil {
 		t.Error("no-root tree accepted")
+	}
+	if (&Topology{}).Validate() == nil {
+		t.Error("empty tree accepted")
 	}
 }
 
@@ -68,34 +79,38 @@ func TestValidateRejectsRootWithParent(t *testing.T) {
 }
 
 func TestValidateRejectsAsymmetry(t *testing.T) {
-	topo := chain(0, 3)
-	topo.Parent[9] = 0 // 9 claims parent 0, but 0 does not list it
+	topo := star(0, 3)
+	topo.Parent[3] = 0 // leaf 3 claims the root as parent, but sits in node 1's range
 	if topo.Validate() == nil {
 		t.Error("parent/child asymmetry accepted")
 	}
 	topo2 := chain(0, 3)
-	topo2.Children[2] = append(topo2.Children[2], 1) // cycle back to 1
+	topo2.Parent[1] = 2 // cycle: 1 claims 2, which hangs below 1
 	if topo2.Validate() == nil {
 		t.Error("cycle accepted")
+	}
+	topo3 := chain(0, 3)
+	topo3.Receiver = topo3.Receiver[:2] // a flag short
+	if topo3.Validate() == nil {
+		t.Error("arrays of different lengths accepted")
 	}
 }
 
 func TestValidateRejectsChildWithoutParentEntry(t *testing.T) {
-	// A child listed under its parent must have a Parent entry naming it —
-	// also when the parent is node 0, the zero value of a missing entry.
-	for _, root := range []NodeID{0, 1} {
-		topo := &Topology{Root: root, Children: map[NodeID][]NodeID{root: {5}},
-			Parent: map[NodeID]NodeID{}, Receivers: map[NodeID]bool{5: true}}
+	// A child in its parent's range must have a Parent entry naming it —
+	// also when the parent is the root, position 0, the zero value.
+	for _, at := range []int{1, 2} {
+		topo := star(0, 2)
+		topo.Parent[at] = -1
 		if topo.Validate() == nil {
-			t.Errorf("root %d: child 5 without a Parent entry accepted", root)
+			t.Errorf("child at position %d without a Parent entry accepted", at)
 		}
 	}
 }
 
 func TestValidateRejectsNegativeIDs(t *testing.T) {
 	topo := chain(0, 3)
-	topo.Parent[-4] = 2
-	topo.Children[2] = []NodeID{-4}
+	topo.Node[2] = -4
 	if topo.Validate() == nil {
 		t.Error("negative node id accepted")
 	}
@@ -103,9 +118,11 @@ func TestValidateRejectsNegativeIDs(t *testing.T) {
 
 func TestValidateRejectsUnreachable(t *testing.T) {
 	topo := chain(0, 3)
-	// Island: 5 -> 6 disconnected from the root.
-	topo.Parent[6] = 5
-	topo.Children[5] = []NodeID{6}
+	// Island: a fourth position that no child range covers.
+	topo.Node = append(topo.Node, 6)
+	topo.Parent = append(topo.Parent, 2)
+	topo.Receiver = append(topo.Receiver, false)
+	topo.KidStart = append(topo.KidStart, 3)
 	if topo.Validate() == nil {
 		t.Error("unreachable island accepted")
 	}
@@ -113,24 +130,27 @@ func TestValidateRejectsUnreachable(t *testing.T) {
 
 func TestValidateRejectsDuplicateChild(t *testing.T) {
 	topo := star(0, 3)
-	topo.Children[1] = append(topo.Children[1], 3) // 3 listed twice under 1
+	topo.KidStart[3] = 3 // leaf 3's range re-lists leaves 3 and 4, node 1's children
 	if err := topo.Validate(); err == nil {
 		t.Error("duplicate child listing accepted")
 	}
-	// A walk counting 3 twice would make up for an island it never reaches.
-	topo.Parent[9] = 8
-	topo.Children[8] = []NodeID{9}
+	// A node listing itself among its children.
+	topo = star(0, 3)
+	topo.KidStart[1] = 1
 	if err := topo.Validate(); err == nil {
-		t.Error("duplicate child plus an unreachable node accepted")
+		t.Error("node listed as its own child accepted")
 	}
 }
 
 func TestValidateRejectsCycleOffRoot(t *testing.T) {
-	// 5 -> 6 -> 5: symmetric parent/child entries, but the root reaches
-	// neither.
+	// Nodes 5 and 6, at positions 3 and 4, name each other as parent: a
+	// cycle the root never reaches. Whichever range holds them, one of them
+	// names the wrong parent.
 	topo := chain(0, 3)
-	topo.Parent[5], topo.Parent[6] = 6, 5
-	topo.Children[5], topo.Children[6] = []NodeID{6}, []NodeID{5}
+	topo.Node = append(topo.Node, 5, 6)
+	topo.Parent = append(topo.Parent, 4, 3)
+	topo.Receiver = append(topo.Receiver, false, false)
+	topo.KidStart = []int32{1, 2, 3, 4, 5, 5}
 	if err := topo.Validate(); err == nil {
 		t.Error("cycle off the root accepted")
 	}
@@ -139,14 +159,17 @@ func TestValidateRejectsCycleOffRoot(t *testing.T) {
 // TestValidateAllocs: the controller validates every discovered tree every
 // pass, so accepting one must not allocate.
 func TestValidateAllocs(t *testing.T) {
-	topo := star(0, 200)
-	for i := NodeID(300); i < 340; i++ { // a deep tail below leaf 2
-		topo.Parent[i] = i - 1
-		if i == 300 {
-			topo.Parent[i] = 2
-		}
-		topo.Children[topo.Parent[i]] = append(topo.Children[topo.Parent[i]], i)
+	parent := map[NodeID]NodeID{1: 0}
+	for i := NodeID(2); i < 202; i++ {
+		parent[i] = 1
 	}
+	for i := NodeID(300); i < 340; i++ { // a deep tail below leaf 2
+		parent[i] = i - 1
+		if i == 300 {
+			parent[i] = 2
+		}
+	}
+	topo := NewTopology(0, 0, parent, map[NodeID]bool{339: true})
 	if err := topo.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -155,61 +178,51 @@ func TestValidateAllocs(t *testing.T) {
 	}
 }
 
+// TestBFSOrderParentsFirst: NewTopology lays the tree out root first, every
+// parent before its children, siblings side by side in ID order.
 func TestBFSOrderParentsFirst(t *testing.T) {
-	topo := star(0, 5)
-	order := topo.BFSOrder()
-	pos := map[NodeID]int{}
-	for i, n := range order {
-		pos[n] = i
+	topo := NewTopology(0, 0, map[NodeID]NodeID{1: 0, 7: 1, 3: 1, 5: 0, 2: 5}, map[NodeID]bool{7: true, 2: true})
+	want := []NodeID{0, 1, 5, 3, 7, 2}
+	if !slices.Equal(topo.Node, want) {
+		t.Fatalf("order %v, want %v", topo.Node, want)
 	}
-	if len(order) != 7 {
-		t.Fatalf("order %v", order)
+	if err := topo.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	for child, parent := range topo.Parent {
-		if pos[parent] >= pos[child] {
-			t.Errorf("parent %d after child %d in %v", parent, child, order)
+	for i := 1; i < len(topo.Node); i++ {
+		if topo.Parent[i] >= int32(i) {
+			t.Errorf("parent of %d after it in %v", topo.Node[i], topo.Node)
 		}
 	}
-	if order[0] != topo.Root {
-		t.Errorf("root not first: %v", order)
+	if !topo.isReceiver(7) || topo.isReceiver(3) {
+		t.Errorf("receiver flags %v", topo.Receiver)
 	}
 }
 
 // Property: random trees (built by attaching each node to a random earlier
-// node) validate and BFS order visits every node exactly once, parents
-// before children.
+// node) validate, and the layout visits every node exactly once, parents
+// before children, each under the parent it was attached to.
 func TestQuickRandomTreeInvariants(t *testing.T) {
 	f := func(seed int64, sz uint8) bool {
 		n := int(sz%30) + 1
 		rng := rand.New(rand.NewSource(seed))
-		topo := &Topology{
-			Session:   0,
-			Root:      0,
-			Parent:    map[NodeID]NodeID{},
-			Children:  map[NodeID][]NodeID{},
-			Receivers: map[NodeID]bool{},
-		}
+		parent := map[NodeID]NodeID{}
 		for i := 1; i < n; i++ {
-			p := NodeID(rng.Intn(i))
-			topo.Parent[NodeID(i)] = p
-			topo.Children[p] = append(topo.Children[p], NodeID(i))
+			parent[NodeID(i)] = NodeID(rng.Intn(i))
 		}
-		if err := topo.Validate(); err != nil {
-			return false
-		}
-		order := topo.BFSOrder()
-		if len(order) != n {
+		topo := NewTopology(0, 0, parent, nil)
+		if err := topo.Validate(); err != nil || len(topo.Node) != n {
 			return false
 		}
 		pos := map[NodeID]int{}
-		for i, id := range order {
+		for i, id := range topo.Node {
 			if _, dup := pos[id]; dup {
 				return false
 			}
 			pos[id] = i
 		}
-		for child, parent := range topo.Parent {
-			if pos[parent] >= pos[child] {
+		for child, p := range parent {
+			if int(topo.Parent[pos[child]]) != pos[p] || pos[p] >= pos[child] {
 				return false
 			}
 		}
@@ -220,20 +233,34 @@ func TestQuickRandomTreeInvariants(t *testing.T) {
 	}
 }
 
+// TestIsLeafAndEdgeTo: NewTopology keeps the part of the edges the root
+// reaches (a dangling hop and an edge into the root are dropped), a leaf's
+// child range is empty, and an Edge prints as From->To.
 func TestIsLeafAndEdgeTo(t *testing.T) {
-	topo := star(0, 2)
-	if !topo.IsLeaf(2) || topo.IsLeaf(1) || topo.IsLeaf(0) {
-		t.Error("IsLeaf misclassifies")
+	topo := NewTopology(4, 0, map[NodeID]NodeID{0: 2, 1: 0, 2: 1, 8: 9}, map[NodeID]bool{2: true, 8: true})
+	if !slices.Equal(topo.Node, []NodeID{0, 1, 2}) || topo.Session != 4 {
+		t.Fatalf("nodes %v of session %d, want [0 1 2] of 4", topo.Node, topo.Session)
 	}
-	e, ok := topo.EdgeTo(2)
-	if !ok || e.From != 1 || e.To != 2 {
-		t.Errorf("EdgeTo(2) = %v, %v", e, ok)
+	if err := topo.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := topo.EdgeTo(0); ok {
+	if topo.KidStart[2] != topo.KidStart[3] || topo.KidStart[1] == topo.KidStart[2] {
+		t.Errorf("leaf 2 has children or node 1 none: %v", topo.KidStart)
+	}
+	if p, ok := topo.parentOf(2); !ok || p != 1 {
+		t.Errorf("parent of 2 = %d, %v", p, ok)
+	}
+	if _, ok := topo.parentOf(0); ok {
 		t.Error("root has an incoming edge")
 	}
-	if e.String() != "1->2" {
+	if topo.isReceiver(8) {
+		t.Error("unreachable receiver kept")
+	}
+	if e := (Edge{From: 1, To: 2}); e.String() != "1->2" {
 		t.Errorf("Edge.String = %q", e.String())
+	}
+	if empty := NewTopology(1, NodeIDNone, map[NodeID]NodeID{3: 2}, nil); len(empty.Node) != 0 {
+		t.Errorf("rootless topology not empty: %+v", empty)
 	}
 }
 

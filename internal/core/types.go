@@ -24,7 +24,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"toposense/internal/netsim"
 	"toposense/internal/sim"
@@ -35,94 +37,106 @@ type NodeID = netsim.NodeID
 
 // Topology is the controller's image of one session's multicast tree: the
 // overlay of the per-layer distribution trees (a tree, because layers are
-// cumulative).
+// cumulative), laid out breadth-first. Position 0 is the root; every parent
+// comes before its children, and a node's children sit side by side, so a
+// subtree's bottom-up pass is a walk backwards over the positions. The
+// discovery tool writes this form during its walk and core reads it as it
+// is: nothing in core writes through a Topology.
 type Topology struct {
 	Session int
-	Root    NodeID
-	// Parent maps every non-root on-tree node to its parent.
-	Parent map[NodeID]NodeID
-	// Children maps every on-tree node to its children.
-	Children map[NodeID][]NodeID
-	// Receivers marks the nodes with attached receivers (report sources).
-	Receivers map[NodeID]bool
+	// Node holds the node ID at each position; node IDs are unique.
+	Node []NodeID
+	// Parent holds the position of each node's parent; -1 at the root.
+	Parent []int32
+	// KidStart holds, per position, the position of the node's first
+	// child: the children of position i are positions KidStart[i] up to
+	// KidStart[i+1]. It has one entry more than Node.
+	KidStart []int32
+	// Receiver marks the positions with attached receivers (report
+	// sources).
+	Receiver []bool
 }
 
-// Validate checks tree invariants: a real root, non-negative node IDs,
-// parent/child symmetry, no cycles, connectivity. The controller calls this
-// on every discovered topology before feeding it to the algorithm, so it
-// allocates nothing on a valid tree: once Parent and Children agree, a
-// child count equal to len(Parent) rules out a duplicate listing, and a
-// walk from the root that reaches len(Parent) children proves the rest.
+// NewTopology builds a session's topology from child -> parent edges and
+// the set of receiver nodes: the tree that root reaches, siblings in ID
+// order. Edges the root does not reach (a torn trace's dangling hops) and
+// an edge into the root itself are left out; a root of NodeIDNone gives the
+// empty topology.
+func NewTopology(session int, root NodeID, parent map[NodeID]NodeID, receivers map[NodeID]bool) *Topology {
+	t := &Topology{Session: session}
+	if root == NodeIDNone {
+		return t
+	}
+	edges := make([]Edge, 0, len(parent))
+	for c, p := range parent {
+		if c != root {
+			edges = append(edges, Edge{From: p, To: c})
+		}
+	}
+	slices.SortFunc(edges, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	})
+	// Each node has one parent and the root none, so the walk meets no node
+	// twice.
+	t.Node, t.Parent = []NodeID{root}, []int32{-1}
+	for i := 0; i < len(t.Node); i++ {
+		t.KidStart = append(t.KidStart, int32(len(t.Node)))
+		k, _ := slices.BinarySearchFunc(edges, t.Node[i], func(e Edge, n NodeID) int { return cmp.Compare(e.From, n) })
+		for ; k < len(edges) && edges[k].From == t.Node[i]; k++ {
+			t.Node = append(t.Node, edges[k].To)
+			t.Parent = append(t.Parent, int32(i))
+		}
+	}
+	t.KidStart = append(t.KidStart, int32(len(t.Node)))
+	t.Receiver = make([]bool, len(t.Node))
+	for i, n := range t.Node {
+		t.Receiver[i] = receivers[n]
+	}
+	return t
+}
+
+// Validate checks the layout's invariants: a real root, non-negative node
+// IDs, arrays of matching length, child ranges that follow their parent
+// and together cover every position but the root exactly once, and a
+// Parent entry that names the range each node sits in. Together they make
+// the arrays a tree: every node's parent comes before it, so parent links
+// lead to the root. Node IDs are not checked for repeats; the discovery
+// walk and NewTopology never repeat one. The controller calls this on every
+// discovered topology before feeding it to the algorithm, so it allocates
+// nothing on a valid tree.
 func (t *Topology) Validate() error {
-	if t.Root < 0 {
+	n := len(t.Node)
+	if n == 0 || t.Node[0] < 0 {
 		return fmt.Errorf("core: topology for session %d has no root", t.Session)
 	}
-	if _, hasParent := t.Parent[t.Root]; hasParent {
-		return fmt.Errorf("core: root %d has a parent", t.Root)
+	if len(t.Parent) != n || len(t.Receiver) != n || len(t.KidStart) != n+1 {
+		return fmt.Errorf("core: session %d's topology arrays disagree: %d nodes, %d parents, %d receiver flags, %d child starts",
+			t.Session, n, len(t.Parent), len(t.Receiver), len(t.KidStart))
 	}
-	for child, parent := range t.Parent {
-		if child < 0 || parent < 0 {
-			return fmt.Errorf("core: edge %d->%d has a negative node id", parent, child)
+	if t.Parent[0] != -1 {
+		return fmt.Errorf("core: root %d has a parent", t.Node[0])
+	}
+	// The ranges run from position 1 to the end without gap or overlap:
+	// every position but the root is some node's child exactly once.
+	if t.KidStart[0] != 1 || t.KidStart[n] != int32(n) {
+		return fmt.Errorf("core: session %d's child ranges span %d..%d, not 1..%d", t.Session, t.KidStart[0], t.KidStart[n], n)
+	}
+	for i, id := range t.Node {
+		if id < 0 {
+			return fmt.Errorf("core: node at position %d has a negative id %d", i, id)
 		}
-		found := false
-		for _, c := range t.Children[parent] {
-			if c == child {
-				found = true
-				break
+		lo, hi := t.KidStart[i], t.KidStart[i+1]
+		if lo <= int32(i) || hi < lo || hi > int32(n) {
+			return fmt.Errorf("core: node %d's children at positions %d..%d are out of order", id, lo, hi)
+		}
+		for c := lo; c < hi; c++ {
+			if t.Parent[c] != int32(i) {
+				return fmt.Errorf("core: node %d is child of %d but its parent entry says position %d", t.Node[c], id, t.Parent[c])
 			}
 		}
-		if !found {
-			return fmt.Errorf("core: node %d has parent %d but is not its child", child, parent)
-		}
-	}
-	listed := 0
-	for parent, kids := range t.Children {
-		for _, c := range kids {
-			if p, ok := t.Parent[c]; !ok || p != parent {
-				return fmt.Errorf("core: node %d is child of %d but Parent does not say so", c, parent)
-			}
-		}
-		listed += len(kids)
-	}
-	// Each node is now listed only under its one parent, and the root under
-	// none, so a walk from the root meets no node twice — unless a parent
-	// lists a child twice.
-	if listed != len(t.Parent) {
-		return fmt.Errorf("core: session %d's tree lists a child twice", t.Session)
-	}
-	if n := t.reach(t.Root); n != len(t.Parent) {
-		return fmt.Errorf("core: %d of %d nodes unreachable from root %d", len(t.Parent)-n, len(t.Parent), t.Root)
 	}
 	return nil
 }
-
-// reach counts the nodes below n. Recursion, not a work list: it keeps a
-// pass allocation-free, and the depth is the tree's.
-func (t *Topology) reach(n NodeID) int {
-	k := 0
-	for _, c := range t.Children[n] {
-		k += 1 + t.reach(c)
-	}
-	return k
-}
-
-// BFSOrder returns the nodes top-down: the root first, every parent before
-// its children. Reversing it yields a valid bottom-up order. Sibling order
-// follows the Children slices, so it is deterministic.
-func (t *Topology) BFSOrder() []NodeID {
-	order := make([]NodeID, 0, len(t.Parent)+1)
-	queue := []NodeID{t.Root}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
-		queue = append(queue, t.Children[n]...)
-	}
-	return order
-}
-
-// IsLeaf reports whether the node has no children in this topology.
-func (t *Topology) IsLeaf(n NodeID) bool { return len(t.Children[n]) == 0 }
 
 // Edge identifies a directed physical link from Parent to Child. The same
 // Edge appearing in several session topologies is a shared link.
@@ -131,15 +145,6 @@ type Edge struct {
 }
 
 func (e Edge) String() string { return fmt.Sprintf("%d->%d", e.From, e.To) }
-
-// EdgeTo returns the edge from n's parent to n, and false for the root.
-func (t *Topology) EdgeTo(n NodeID) (Edge, bool) {
-	p, ok := t.Parent[n]
-	if !ok {
-		return Edge{}, false
-	}
-	return Edge{From: p, To: n}, true
-}
 
 // ReceiverState is the controller's latest view of one receiver in one
 // session, assembled from loss reports.

@@ -130,6 +130,10 @@ type Result struct {
 	// Packets is the number of packets forwarded across all links of the
 	// run's observed networks.
 	Packets int64 `json:"packets_forwarded"`
+	// BarrierStallNanos is the host wall time sharded engines' shards spent
+	// waiting at barriers for slower ones, summed; 0 on plain engines. Host
+	// time varies between runs of one seed, so it stays out of the JSON.
+	BarrierStallNanos int64 `json:"-"`
 	// EventsPerSecond is Events / WallSeconds — the run's event
 	// throughput, the regression-tracking number.
 	EventsPerSecond float64 `json:"events_per_second"`
@@ -184,7 +188,9 @@ func (s Spec) Execute(timeout time.Duration) Result {
 	res.WallSeconds = time.Since(m.start).Seconds()
 	for _, e := range m.engines {
 		res.Events += e.Fired()
-		res.EventsChained += e.Stats().Chained
+		st := e.Stats()
+		res.EventsChained += st.Chained
+		res.BarrierStallNanos += st.BarrierStall
 	}
 	for _, n := range m.nets {
 		for _, l := range n.Links() {

@@ -128,8 +128,10 @@ type ShardEngineStats struct {
 	// analog of a null message.
 	Windows uint64 `json:"windows"`
 	// StallNanos is wall-clock time the shard spent finished-and-waiting at
-	// barriers for slower shards. Wall-clock: nondeterministic across runs.
-	StallNanos int64 `json:"barrier_stall_nanos"`
+	// barriers for slower shards. Wall-clock: nondeterministic across runs,
+	// so it stays out of JSON exports, which two runs of one seed must
+	// write byte for byte.
+	StallNanos int64 `json:"-"`
 }
 
 // EngineStats is a point-in-time snapshot of the scheduler's meters, in
@@ -153,7 +155,7 @@ type EngineStats struct {
 	Windows          uint64             `json:"windows,omitempty"`
 	CrossEvents      uint64             `json:"cross_events,omitempty"`
 	GlobalFired      uint64             `json:"global_events_fired,omitempty"`
-	BarrierStall     int64              `json:"barrier_stall_nanos,omitempty"`
+	BarrierStall     int64              `json:"-"` // sum of the shards' StallNanos, host wall time
 	Shards           []ShardEngineStats `json:"shards,omitempty"`
 }
 

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -45,5 +47,33 @@ func TestShardTrainAcrossBarrier(t *testing.T) {
 		if len(log) != 6 || log[5] != 4 {
 			t.Fatalf("workers %d: fired %v in all", workers, log)
 		}
+	}
+}
+
+// TestShardStatsJSONHasNoHostTime: barrier stalls are host wall time, so a
+// sharded engine's stats keep them (summed into BarrierStall) but leave
+// them out of their JSON, which observability exports embed and two runs
+// of one seed must write byte for byte.
+func TestShardStatsJSONHasNoHostTime(t *testing.T) {
+	se := NewShardedEngine(1, 2)
+	se.SetPartitions(2, Millisecond)
+	for i := 0; i < 100; i++ {
+		se.Shard(i%2).At(Time(i)*Millisecond, func() {})
+	}
+	se.Run()
+	st := se.Stats()
+	var sum int64
+	for _, s := range st.Shards {
+		sum += s.StallNanos
+	}
+	if st.BarrierStall != sum {
+		t.Errorf("BarrierStall %d, shards' stalls sum to %d", st.BarrierStall, sum)
+	}
+	data, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "stall") || !strings.Contains(string(data), `"windows"`) {
+		t.Errorf("engine stats JSON: %s", data)
 	}
 }

@@ -1,8 +1,12 @@
 package topodisc
 
 import (
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
+	"toposense/internal/core"
 	"toposense/internal/netsim"
 	"toposense/internal/sim"
 )
@@ -20,12 +24,12 @@ func TestRecordKeepsHistorySortedByAt(t *testing.T) {
 	// Completion order: the round stamped At=5s (slow, started earlier,
 	// finished late) is recorded after the round stamped At=3s... and a
 	// fast round stamped At=5s arrives before the slow one stamped At=3s.
-	f.tool.record(0, &Snapshot{At: 5 * sim.Second, Session: 0})
-	f.tool.record(0, &Snapshot{At: 3 * sim.Second, Session: 0})
+	f.tool.record(0, 5*sim.Second, &Snapshot{At: 5 * sim.Second})
+	f.tool.record(0, 3*sim.Second, &Snapshot{At: 3 * sim.Second})
 
 	h := f.tool.history[0]
-	if len(h) != 2 || h[0].At != 3*sim.Second || h[1].At != 5*sim.Second {
-		t.Fatalf("history not sorted by At: %v, %v", h[0].At, h[1].At)
+	if len(h) != 2 || h[0].at != 3*sim.Second || h[1].at != 5*sim.Second {
+		t.Fatalf("history not sorted by At: %v", historyAts(f))
 	}
 
 	// At now=8s with staleness 4s the cutoff is 4s: only the At=3s
@@ -49,29 +53,105 @@ func TestRecordTrimsAgainstNewest(t *testing.T) {
 	f.tool.Staleness = 0
 	f.tool.Period = sim.Second // horizon = 5s
 
-	f.tool.record(0, &Snapshot{At: 1 * sim.Second})
-	f.tool.record(0, &Snapshot{At: 10 * sim.Second})
+	f.tool.record(0, 1*sim.Second, &Snapshot{At: 1 * sim.Second})
+	f.tool.record(0, 10*sim.Second, &Snapshot{At: 10 * sim.Second})
 	// A stale straggler completes after the 10s round: it must not be
 	// allowed to both enter history out of order and reprieve the 1s entry.
-	f.tool.record(0, &Snapshot{At: 9 * sim.Second})
-	for _, s := range f.tool.history[0] {
-		if s.At == 1*sim.Second {
+	f.tool.record(0, 9*sim.Second, &Snapshot{At: 9 * sim.Second})
+	for _, r := range f.tool.history[0] {
+		if r.at == 1*sim.Second {
 			t.Fatalf("entry beyond the horizon survived: %v", historyAts(f))
 		}
 	}
 }
 
+// TestSnapshotTornByRepairInFlight re-homes a receiver from a slow link to
+// a fast one: the graft under the new parent lands long before the detach
+// from the old one, and a walk in between meets the receiver under both.
+// That snapshot is torn, its tree listing the receiver once; once the
+// detach lands the walk is whole again.
+func TestSnapshotTornByRepairInFlight(t *testing.T) {
+	e := sim.NewEngine(1)
+	n := netsim.New(e)
+	src := n.AddNode("src")
+	b := n.AddNode("b") // the lower ID: preferred once its path is up
+	a := n.AddNode("a")
+	rx := n.AddNode("rx")
+	fast := netsim.LinkConfig{Bandwidth: 10e6, Delay: sim.Millisecond}
+	n.Connect(src, a, fast)
+	n.Connect(src, b, fast)
+	n.Connect(a, rx, netsim.LinkConfig{Bandwidth: 10e6, Delay: 50 * sim.Millisecond})
+	n.Connect(b, rx, fast)
+	d := newDomainWithGroups(n, src)
+	bSrc, srcB := n.Node(b.ID).LinkTo(src.ID), n.Node(src.ID).LinkTo(b.ID)
+	n.NextHop(rx.ID, src.ID) // materialize the routes before the cut
+	bSrc.SetDown()
+	srcB.SetDown()
+	d.Join(rx.ID, d.GroupOf(0, 1), &member{})
+	e.RunUntil(200 * sim.Millisecond)
+
+	tool := NewTool(n, d, []int{0})
+	if s := tool.SnapshotNow(0); s.Torn || !slices.Equal(s.Node, []netsim.NodeID{src.ID, a.ID, rx.ID}) {
+		t.Fatalf("before the repair: torn %v, nodes %v", s.Torn, s.Node)
+	}
+	bSrc.SetUp()
+	srcB.SetUp()
+	e.RunUntil(e.Now() + 20*sim.Millisecond)
+	s := tool.SnapshotNow(0)
+	if !s.Torn {
+		t.Fatalf("receiver listed under a and b, snapshot not torn: %v", s.Node)
+	}
+	if err := s.Validate(); err != nil || !slices.Equal(s.Node, []netsim.NodeID{src.ID, b.ID, a.ID, rx.ID}) {
+		t.Errorf("torn walk: nodes %v, %v", s.Node, err)
+	}
+	e.RunUntil(e.Now() + 100*sim.Millisecond)
+	s = tool.SnapshotNow(0)
+	if p, _ := parentOf(s, rx.ID); s.Torn || p != b.ID {
+		t.Errorf("after the detach: torn %v, rx under %d, want b %d", s.Torn, p, b.ID)
+	}
+}
+
+// TestTrimmedSnapshotUnreachable: a snapshot trimmed from history must not
+// stay reachable through the history's backing array, or every trim would
+// keep a tree's arrays alive until the next reallocation.
+func TestTrimmedSnapshotUnreachable(t *testing.T) {
+	f := newFixture(t)
+	f.tool.Staleness = 0
+	f.tool.Period = sim.Second // horizon = 5s
+
+	freed := make(chan struct{})
+	old := &Snapshot{At: sim.Second, Topology: core.Topology{Node: make([]netsim.NodeID, 1<<10)}}
+	runtime.SetFinalizer(old, func(*Snapshot) { close(freed) })
+	f.tool.record(0, sim.Second, old)
+	old = nil
+	f.tool.record(0, 2*sim.Second, &Snapshot{At: 2 * sim.Second})
+	f.tool.record(0, 10*sim.Second, &Snapshot{At: 10 * sim.Second}) // trims both
+	if got := historyAts(f); len(got) != 1 {
+		t.Fatalf("history after the trim: %v", got)
+	}
+	defer runtime.KeepAlive(f.tool) // the history must stay live through the check
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Error("a snapshot trimmed from history is still reachable")
+}
+
 func historyAts(f *fixture) []sim.Time {
 	var out []sim.Time
-	for _, s := range f.tool.history[0] {
-		out = append(out, s.At)
+	for _, r := range f.tool.history[0] {
+		out = append(out, r.at)
 	}
 	return out
 }
 
 // TestProbeTraceSurvivesMidTraceReroute fails the traced path while probe
 // traces are walking it: the traces must complete against the rerouted
-// tables — possibly recording torn edges, which rebuildChildren reconciles
+// tables — possibly recording torn edges, which core.NewTopology reconciles
 // — without panicking or leaking pending traces.
 func TestProbeTraceSurvivesMidTraceReroute(t *testing.T) {
 	e := sim.NewEngine(1)
@@ -109,11 +189,11 @@ func TestProbeTraceSurvivesMidTraceReroute(t *testing.T) {
 	if s == nil || s.Empty() {
 		t.Fatal("no snapshot recorded after the reroute")
 	}
-	if s.Root != src.ID {
-		t.Errorf("trace did not reach the source over the rerouted path: root %d", s.Root)
+	if rootOf(s) != src.ID {
+		t.Errorf("trace did not reach the source over the rerouted path: root %d", rootOf(s))
 	}
-	if s.Parent[rx.ID] != y.ID {
-		t.Errorf("rerouted edge not recorded: Parent[rx] = %d, want y %d", s.Parent[rx.ID], y.ID)
+	if p, _ := parentOf(s, rx.ID); p != y.ID {
+		t.Errorf("rerouted edge not recorded: parent of rx = %d, want y %d", p, y.ID)
 	}
 }
 

@@ -8,8 +8,9 @@
 package topodisc
 
 import (
-	"sort"
+	"slices"
 
+	"toposense/internal/core"
 	"toposense/internal/mcast"
 	"toposense/internal/netsim"
 	"toposense/internal/sim"
@@ -18,53 +19,38 @@ import (
 // DefaultPeriod is how often the tool re-discovers each tree.
 const DefaultPeriod = 1 * sim.Second
 
-// Snapshot is one session's discovered topology at one instant. Because
-// layers are cumulative, the session topology equals the base layer's tree;
-// MaxLayer records the highest layer flowing to each on-tree node.
+// Snapshot is one session's discovered topology: the tree of the base
+// layer, which, because layers are cumulative, is the session topology. It
+// is the algorithm's own breadth-first form, written during the walk, so the
+// controller hands it to core as it is.
 //
-// A snapshot is immutable once the tool has recorded it: consecutive
-// discoveries of an unchanged tree share one set of maps (only At differs),
-// and the controller hands the same maps to the algorithm.
+// A snapshot is immutable once the tool has recorded it: a period that
+// finds the tree unchanged records the same snapshot again.
 type Snapshot struct {
-	At      sim.Time
-	Session int
-	Root    netsim.NodeID
-	// Parent maps each on-tree node (except the root) to its parent.
-	Parent map[netsim.NodeID]netsim.NodeID
-	// Children maps each on-tree node to its children, sorted. One
-	// snapshot's lists may be windows of a shared array, capacity-capped so
-	// that appending to one never writes into another.
-	Children map[netsim.NodeID][]netsim.NodeID
-	// MaxLayer is the highest layer whose tree includes the node, i.e. the
-	// layers traversing the link from its parent.
-	MaxLayer map[netsim.NodeID]int
-	// Receivers marks nodes with locally attached members of the base layer.
-	Receivers map[netsim.NodeID]bool
+	core.Topology
+	// At is when the tree was read: the walk's instant, or when the slowest
+	// trace of a probe round returned. A snapshot recorded again by a later
+	// period keeps the At of its walk.
+	At sim.Time
+	// Torn reports that the walk met a node a second time: a repair in
+	// flight had it grafted under its new parent before the old one let
+	// go. The second listing is not walked; the controller does not act on
+	// a torn snapshot.
+	Torn bool
 }
 
 // Nodes returns all on-tree nodes (root included), sorted by ID.
 func (s *Snapshot) Nodes() []netsim.NodeID {
-	out := []netsim.NodeID{s.Root}
-	for n := range s.Parent {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(s.Node)
+	slices.Sort(out)
 	return out
 }
 
-// Leaves returns the on-tree nodes with no children, sorted by ID.
-func (s *Snapshot) Leaves() []netsim.NodeID {
-	var out []netsim.NodeID
-	for _, n := range s.Nodes() {
-		if len(s.Children[n]) == 0 {
-			out = append(out, n)
-		}
-	}
-	return out
+// Empty reports whether the tree has no receivers at all: no node below
+// the root, and none at it.
+func (s *Snapshot) Empty() bool {
+	return len(s.Node) == 0 || len(s.Node) == 1 && !s.Receiver[0]
 }
-
-// Empty reports whether the tree has no receivers at all.
-func (s *Snapshot) Empty() bool { return len(s.Parent) == 0 && len(s.Receivers) == 0 }
 
 // Tool periodically discovers session topologies and serves them with a
 // staleness lag.
@@ -100,10 +86,12 @@ type Tool struct {
 	ProbePackets int64
 
 	sessions []int
-	history  map[int][]*Snapshot
-	groups   []netsim.GroupID // layerGroups' buffer
-	walked   map[int]walk     // per session: the last periodic oracle walk
+	history  map[int][]discovery
+	walked   map[int]walk // per session: the last periodic oracle walk
 	ticker   *sim.Ticker
+	// onWalk marks the nodes the running walk has met, by node ID; the
+	// walk clears its marks when it ends.
+	onWalk []bool
 
 	// pendingTraces counts probe traces launched but not yet finished;
 	// it must drain to zero once the engine goes idle (leak check).
@@ -111,6 +99,13 @@ type Tool struct {
 
 	// Discoveries counts snapshot operations (control-plane load).
 	Discoveries int64
+}
+
+// discovery is one entry of a session's history: a snapshot, and when it
+// was discovered.
+type discovery struct {
+	at   sim.Time
+	snap *Snapshot
 }
 
 // walk is a recorded snapshot and the tree version it was read at.
@@ -126,7 +121,7 @@ func NewTool(net *netsim.Network, domain *mcast.Domain, sessions []int) *Tool {
 		domain:   domain,
 		Period:   DefaultPeriod,
 		sessions: append([]int(nil), sessions...),
-		history:  make(map[int][]*Snapshot),
+		history:  make(map[int][]discovery),
 		walked:   make(map[int]walk),
 	}
 	return t
@@ -156,133 +151,127 @@ func (t *Tool) snapshotAll() {
 	for _, s := range t.sessions {
 		if t.ProbeMode {
 			session := s
-			t.probeSnapshot(session, func(snap *Snapshot) { t.record(session, snap) })
+			t.probeSnapshot(session, func(snap *Snapshot) { t.record(session, snap.At, snap) })
 			continue
 		}
 		// A settled group's tree rarely differs between two periods: walk it
-		// only if a graft, prune, join or leave touched one of its layers,
-		// else record the last walk again, maps shared, under the new time.
+		// only if a graft, prune, join or leave touched its base layer, else
+		// record the last walk again under the new time.
+		now := t.net.Engine().Now()
 		v := t.treeVersion(s)
 		if w, ok := t.walked[s]; ok && w.version == v {
 			t.Discoveries++
-			again := *w.snap
-			again.At = t.net.Engine().Now()
-			t.record(s, &again)
+			t.record(s, now, w.snap)
 			continue
 		}
 		snap := t.SnapshotNow(s)
 		t.walked[s] = walk{snap, v}
-		t.record(s, snap)
+		t.record(s, now, snap)
 	}
 }
 
-// treeVersion sums the versions of the session's layer groups. Versions only
-// grow, so the sum holds still exactly when every one of them does.
+// treeVersion is the version of the session's base-layer group, the one
+// tree a walk reads: it holds still exactly when the tree does. A session
+// without groups has version 0 for good.
 func (t *Tool) treeVersion(session int) uint64 {
-	var v uint64
-	for _, g := range t.layerGroups(session) {
-		v += t.domain.Version(g)
+	base := t.domain.GroupOf(session, 1)
+	if base == netsim.NoGroup {
+		return 0
 	}
-	return v
+	return t.domain.Version(base)
 }
 
-// record inserts a completed snapshot into history, ordered by At. Probe
-// rounds complete out of order when a slow round outlives a faster later
-// one, and Discover's scan (and the trim below) depend on the ordering.
-// History older than the staleness horizon relative to the newest held
-// snapshot (with a generous margin of 2x plus a few periods) can never be
-// served again and is trimmed.
-func (t *Tool) record(session int, snap *Snapshot) {
-	h := append(t.history[session], snap)
-	for i := len(h) - 1; i > 0 && h[i-1].At > h[i].At; i-- {
+// record inserts a completed snapshot, discovered at `at`, into history,
+// ordered by discovery time. Probe rounds complete out of order when a slow
+// round outlives a faster later one, and Discover's scan (and the trim
+// below) depend on the ordering. History older than the staleness horizon
+// relative to the newest held snapshot (with a generous margin of 2x plus a
+// few periods) can never be served again and is trimmed: copied down over,
+// with the vacated tail cleared so that the backing array does not keep the
+// trimmed snapshots alive.
+func (t *Tool) record(session int, at sim.Time, snap *Snapshot) {
+	h := append(t.history[session], discovery{at, snap})
+	for i := len(h) - 1; i > 0 && h[i-1].at > h[i].at; i-- {
 		h[i-1], h[i] = h[i], h[i-1]
 	}
 	horizon := t.Staleness*2 + 5*t.Period
-	newest := h[len(h)-1].At
+	newest := h[len(h)-1].at
 	cut := 0
-	for cut < len(h)-1 && newest-h[cut].At > horizon {
+	for cut < len(h)-1 && newest-h[cut].at > horizon {
 		cut++
 	}
-	t.history[session] = h[cut:]
+	if cut > 0 {
+		n := copy(h, h[cut:])
+		clear(h[n:])
+		h = h[:n]
+	}
+	t.history[session] = h
 }
 
 // SnapshotNow discovers the current topology of a session directly from
-// routing state (no staleness). It walks the base-layer tree from the
-// source and overlays the higher layers' trees to get per-node MaxLayer.
-// The maps and the walk's queue are sized from the session's newest
-// recorded snapshot: a tree changes little between two discoveries.
+// routing state (no staleness): it walks the base-layer tree breadth-first
+// from the source, or from the domain's ingress when scoped, straight into
+// the snapshot's arrays. The walk's queue is the snapshot's Node array:
+// the children of the node at position i are appended as it is visited, so
+// they sit side by side and each position's parent is known as it lands.
+// The arrays are sized from the session's newest recorded snapshot: a tree
+// changes little between two discoveries.
 func (t *Tool) SnapshotNow(session int) *Snapshot {
 	t.Discoveries++
-	e := t.net.Engine()
-	groups := t.layerGroups(session)
-	var prev Snapshot
-	if h := t.history[session]; len(h) > 0 {
-		prev = *h[len(h)-1]
-	}
-	snap := &Snapshot{
-		At:        e.Now(),
-		Session:   session,
-		Root:      netsim.NoNode,
-		Parent:    make(map[netsim.NodeID]netsim.NodeID, len(prev.Parent)),
-		Children:  make(map[netsim.NodeID][]netsim.NodeID, len(prev.Children)),
-		MaxLayer:  make(map[netsim.NodeID]int, len(prev.MaxLayer)),
-		Receivers: make(map[netsim.NodeID]bool, len(prev.Receivers)),
-	}
-	if len(groups) == 0 {
+	snap := &Snapshot{At: t.net.Engine().Now(), Topology: core.Topology{Session: session}}
+	base := t.domain.GroupOf(session, 1)
+	if base == netsim.NoGroup {
 		return snap
 	}
-	base := groups[0]
-	source := t.domain.Source(base)
-	root := source
-	if t.Scope != nil && !t.Scope[source] {
+	root := t.domain.Source(base)
+	if t.Scope != nil && !t.Scope[root] {
 		// Find the domain ingress: descend the tree until a scoped node
 		// appears. A domain is assumed contiguous with a single ingress
 		// per session (the shape of real administrative domains); if the
 		// session does not enter the domain, the snapshot stays empty.
-		root = t.findIngress(session, source)
+		root = t.findIngress(session, root)
 		if root == netsim.NoNode {
 			return snap
 		}
 	}
-	snap.Root = root
-	// BFS down the base-layer tree, confined to the scope. The walk's queue
-	// holds every node's children side by side, in the order the nodes are
-	// visited, so the child lists are cut out of it afterwards (it may move
-	// while it grows): node queue[i]'s end at ends[i] and start where the
-	// node before it left off.
-	queue := append(make([]netsim.NodeID, 0, len(prev.Parent)+1), root)
-	ends := make([]int, 0, cap(queue))
-	for i := 0; i < len(queue); i++ {
-		n := queue[i]
-		snap.MaxLayer[n] = t.maxLayerAt(groups, n)
-		if t.domain.HasLocalMembers(n, base) {
-			snap.Receivers[n] = true
-		}
-		start := len(queue)
-		queue = t.domain.AppendForwardingChildren(queue, n, base)
-		if t.Scope != nil {
-			kept := queue[:start]
-			for _, c := range queue[start:] {
-				if t.Scope[c] {
-					kept = append(kept, c)
-				}
-			}
-			queue = kept
-		}
-		for _, c := range queue[start:] {
-			snap.Parent[c] = n
-		}
-		ends = append(ends, len(queue))
+	size := 16
+	if h := t.history[session]; len(h) > 0 {
+		n := len(h[len(h)-1].snap.Node)
+		size += n + n/16
 	}
-	start := 1
-	for i, end := range ends {
-		// Capacity capped: appending to one list must not run into the next.
-		var kids []netsim.NodeID
-		if end > start {
-			kids = queue[start:end:end]
+	tp := &snap.Topology
+	tp.Node = append(make([]netsim.NodeID, 0, size), root)
+	tp.Parent = append(make([]int32, 0, size), -1)
+	tp.KidStart = make([]int32, 0, size+1)
+	tp.Receiver = make([]bool, 0, size)
+	if len(t.onWalk) < t.net.NumNodes() {
+		t.onWalk = make([]bool, t.net.NumNodes())
+	}
+	t.onWalk[root] = true
+	for i := 0; i < len(tp.Node); i++ {
+		n := tp.Node[i]
+		tp.Receiver = append(tp.Receiver, t.domain.HasLocalMembers(n, base))
+		start := len(tp.Node)
+		tp.KidStart = append(tp.KidStart, int32(start))
+		tp.Node = t.domain.AppendForwardingChildren(tp.Node, n, base)
+		kept := tp.Node[:start]
+		for _, c := range tp.Node[start:] {
+			if t.Scope != nil && !t.Scope[c] {
+				continue
+			}
+			if t.onWalk[c] {
+				snap.Torn = true
+				continue
+			}
+			t.onWalk[c] = true
+			kept = append(kept, c)
+			tp.Parent = append(tp.Parent, int32(i))
 		}
-		snap.Children[queue[i]] = kids
-		start = end
+		tp.Node = kept
+	}
+	tp.KidStart = append(tp.KidStart, int32(len(tp.Node)))
+	for _, n := range tp.Node {
+		t.onWalk[n] = false
 	}
 	return snap
 }
@@ -303,48 +292,18 @@ func (t *Tool) findIngress(session int, from netsim.NodeID) netsim.NodeID {
 	return netsim.NoNode
 }
 
-// layerGroups resolves a session's groups, layer 1 first, into a buffer
-// that the next call reuses.
-func (t *Tool) layerGroups(session int) []netsim.GroupID {
-	t.groups = t.groups[:0]
-	for l := 1; ; l++ {
-		g := t.domain.GroupOf(session, l)
-		if g == netsim.NoGroup {
-			return t.groups
-		}
-		t.groups = append(t.groups, g)
-	}
-}
-
-// maxLayerAt returns the highest layer, of those whose groups are given in
-// layer order, whose tree covers node n.
-func (t *Tool) maxLayerAt(groups []netsim.GroupID, n netsim.NodeID) int {
-	max := 0
-	for i, g := range groups {
-		if t.domain.OnTree(n, g) || t.domain.HasLocalMembers(n, g) {
-			max = i + 1
-		}
-	}
-	return max
-}
-
 // Discover returns the session topology as the controller sees it: the
 // newest snapshot taken at or before now-Staleness. With Staleness 0 this
 // is simply the latest snapshot. Returns nil when no snapshot is old
 // enough yet (early in a run with a large staleness).
 func (t *Tool) Discover(session int) *Snapshot {
-	h := t.history[session]
-	if len(h) == 0 {
-		return nil
-	}
 	cutoff := t.net.Engine().Now() - t.Staleness
 	var best *Snapshot
-	for _, s := range h {
-		if s.At <= cutoff {
-			best = s
-		} else {
+	for _, r := range t.history[session] {
+		if r.at > cutoff {
 			break
 		}
+		best = r.snap
 	}
 	return best
 }

@@ -70,23 +70,66 @@ func (f *fixture) joinAll() {
 	f.e.RunUntil(200 * sim.Millisecond) // grafts settle
 }
 
+// rootOf returns s's root, or NoNode for an empty snapshot.
+func rootOf(s *Snapshot) netsim.NodeID {
+	if len(s.Node) == 0 {
+		return netsim.NoNode
+	}
+	return s.Node[0]
+}
+
+// parentOf returns node n's parent in s, and false for the root or a node
+// not in the tree.
+func parentOf(s *Snapshot, n netsim.NodeID) (netsim.NodeID, bool) {
+	for i, id := range s.Node {
+		if id == n && s.Parent[i] >= 0 {
+			return s.Node[s.Parent[i]], true
+		}
+	}
+	return netsim.NoNode, false
+}
+
+// childrenOf returns node n's children in s, in walk order.
+func childrenOf(s *Snapshot, n netsim.NodeID) []netsim.NodeID {
+	for i, id := range s.Node {
+		if id == n {
+			return s.Node[s.KidStart[i]:s.KidStart[i+1]]
+		}
+	}
+	return nil
+}
+
+// isReceiver reports whether node n is in s with a receiver.
+func isReceiver(s *Snapshot, n netsim.NodeID) bool {
+	for i, id := range s.Node {
+		if id == n {
+			return s.Receiver[i]
+		}
+	}
+	return false
+}
+
 func TestSnapshotTreeShape(t *testing.T) {
 	f := newFixture(t)
 	f.joinAll()
 	s := f.tool.SnapshotNow(0)
-	if s.Root != f.src.ID {
-		t.Fatalf("root = %d", s.Root)
+	if rootOf(s) != f.src.ID {
+		t.Fatalf("root = %d", rootOf(s))
 	}
-	if s.Parent[f.leafA.ID] != f.r2.ID || s.Parent[f.leafB.ID] != f.r2.ID {
-		t.Errorf("leaf parents wrong: %v", s.Parent)
+	if err := s.Validate(); err != nil || s.Torn {
+		t.Fatalf("walked tree invalid (torn %v): %v", s.Torn, err)
 	}
-	if s.Parent[f.r2.ID] != f.r1.ID || s.Parent[f.r1.ID] != f.src.ID {
-		t.Errorf("router parents wrong: %v", s.Parent)
+	parent := func(n netsim.NodeID) netsim.NodeID { p, _ := parentOf(s, n); return p }
+	if parent(f.leafA.ID) != f.r2.ID || parent(f.leafB.ID) != f.r2.ID {
+		t.Errorf("leaf parents wrong: %v %v", s.Node, s.Parent)
 	}
-	if s.Parent[f.leafC.ID] != f.r1.ID {
-		t.Errorf("leafC parent = %d", s.Parent[f.leafC.ID])
+	if parent(f.r2.ID) != f.r1.ID || parent(f.r1.ID) != f.src.ID {
+		t.Errorf("router parents wrong: %v %v", s.Node, s.Parent)
 	}
-	kids := s.Children[f.r1.ID]
+	if parent(f.leafC.ID) != f.r1.ID {
+		t.Errorf("leafC parent = %d", parent(f.leafC.ID))
+	}
+	kids := childrenOf(s, f.r1.ID)
 	if len(kids) != 2 || kids[0] != f.r2.ID || kids[1] != f.leafC.ID {
 		t.Errorf("r1 children = %v", kids)
 	}
@@ -94,31 +137,17 @@ func TestSnapshotTreeShape(t *testing.T) {
 	if len(nodes) != 6 {
 		t.Errorf("Nodes = %v, want all 6", nodes)
 	}
-	leaves := s.Leaves()
-	if len(leaves) != 3 {
-		t.Errorf("Leaves = %v", leaves)
+	leaves := 0
+	for i := range s.Node {
+		if s.KidStart[i] == s.KidStart[i+1] {
+			leaves++
+		}
+	}
+	if leaves != 3 {
+		t.Errorf("%d leaves in %v", leaves, s.Node)
 	}
 	if s.Empty() {
 		t.Error("non-empty tree reported Empty")
-	}
-}
-
-func TestSnapshotMaxLayer(t *testing.T) {
-	f := newFixture(t)
-	f.joinAll()
-	s := f.tool.SnapshotNow(0)
-	want := map[netsim.NodeID]int{
-		f.leafA.ID: 3,
-		f.leafB.ID: 2,
-		f.leafC.ID: 1,
-		f.r2.ID:    3, // carries A's layer 3
-		f.r1.ID:    3,
-		f.src.ID:   3,
-	}
-	for n, w := range want {
-		if got := s.MaxLayer[n]; got != w {
-			t.Errorf("MaxLayer[%d] = %d, want %d", n, got, w)
-		}
 	}
 }
 
@@ -127,11 +156,11 @@ func TestSnapshotReceivers(t *testing.T) {
 	f.joinAll()
 	s := f.tool.SnapshotNow(0)
 	for _, leaf := range []netsim.NodeID{f.leafA.ID, f.leafB.ID, f.leafC.ID} {
-		if !s.Receivers[leaf] {
+		if !isReceiver(s, leaf) {
 			t.Errorf("leaf %d not marked receiver", leaf)
 		}
 	}
-	if s.Receivers[f.r1.ID] || s.Receivers[f.src.ID] {
+	if isReceiver(s, f.r1.ID) || isReceiver(s, f.src.ID) {
 		t.Error("transit node marked receiver")
 	}
 }
@@ -144,7 +173,7 @@ func TestSnapshotEmptySession(t *testing.T) {
 	}
 	// Unregistered session is also empty with no root.
 	s2 := f.tool.SnapshotNow(42)
-	if !s2.Empty() || s2.Root != netsim.NoNode {
+	if !s2.Empty() || rootOf(s2) != netsim.NoNode {
 		t.Errorf("unregistered session snapshot: %+v", s2)
 	}
 }
@@ -214,17 +243,22 @@ func TestSnapshotReflectsLeave(t *testing.T) {
 	f := newFixture(t)
 	f.d.LeaveLatency = 100 * sim.Millisecond
 	f.joinAll()
-	// leafA drops to 1 layer: r2/r1 MaxLayer falls to 2 after prune.
+	// leafA leaves every layer: once its prune lands it is off the tree,
+	// and r2 stays on it for leafB.
 	m := f.members[f.leafA.ID]
-	f.d.Leave(f.leafA.ID, f.d.GroupOf(0, 3), m)
-	f.d.Leave(f.leafA.ID, f.d.GroupOf(0, 2), m)
+	for l := 3; l >= 1; l-- {
+		f.d.Leave(f.leafA.ID, f.d.GroupOf(0, l), m)
+	}
 	f.e.RunUntil(2 * sim.Second)
 	s := f.tool.SnapshotNow(0)
-	if got := s.MaxLayer[f.leafA.ID]; got != 1 {
-		t.Errorf("leafA MaxLayer = %d, want 1", got)
+	if _, on := parentOf(s, f.leafA.ID); on {
+		t.Errorf("leafA still on the tree after leaving: %v", s.Node)
 	}
-	if got := s.MaxLayer[f.r2.ID]; got != 2 {
-		t.Errorf("r2 MaxLayer = %d, want 2 (leafB still at 2)", got)
+	if p, _ := parentOf(s, f.leafB.ID); p != f.r2.ID {
+		t.Errorf("leafB's parent = %d, want r2 %d", p, f.r2.ID)
+	}
+	if len(s.Node) != 5 {
+		t.Errorf("nodes %v, want the 5 left", s.Node)
 	}
 }
 
@@ -253,8 +287,8 @@ func TestScopedDiscovery(t *testing.T) {
 		f.r2.ID: true, f.leafA.ID: true, f.leafB.ID: true,
 	}
 	s := f.tool.SnapshotNow(0)
-	if s.Root != f.r2.ID {
-		t.Fatalf("scoped root = %d, want r2 %d", s.Root, f.r2.ID)
+	if rootOf(s) != f.r2.ID {
+		t.Fatalf("scoped root = %d, want r2 %d", rootOf(s), f.r2.ID)
 	}
 	nodes := s.Nodes()
 	if len(nodes) != 3 {
@@ -266,15 +300,11 @@ func TestScopedDiscovery(t *testing.T) {
 		}
 	}
 	// leafC (outside the domain) is invisible.
-	if s.Receivers[f.leafC.ID] {
+	if isReceiver(s, f.leafC.ID) {
 		t.Error("out-of-domain receiver visible")
 	}
-	if !s.Receivers[f.leafA.ID] || !s.Receivers[f.leafB.ID] {
+	if !isReceiver(s, f.leafA.ID) || !isReceiver(s, f.leafB.ID) {
 		t.Error("in-domain receivers missing")
-	}
-	// MaxLayer still reflects the layers flowing through the domain.
-	if s.MaxLayer[f.r2.ID] != 3 {
-		t.Errorf("scoped MaxLayer[r2] = %d, want 3", s.MaxLayer[f.r2.ID])
 	}
 }
 
@@ -302,7 +332,7 @@ func TestScopedDiscoverySourceInside(t *testing.T) {
 		f.leafA.ID: true, f.leafB.ID: true, f.leafC.ID: true,
 	}
 	s := f.tool.SnapshotNow(0)
-	if s.Root != f.src.ID || len(s.Nodes()) != 6 {
-		t.Errorf("full-scope snapshot wrong: root %d, %d nodes", s.Root, len(s.Nodes()))
+	if rootOf(s) != f.src.ID || len(s.Nodes()) != 6 {
+		t.Errorf("full-scope snapshot wrong: root %d, %d nodes", rootOf(s), len(s.Nodes()))
 	}
 }

@@ -80,19 +80,25 @@ fanin-gate)
 	# aggregate, the controller's batched suggestion fan-out, a flat report
 	# from the receiver's tick through two hops into the controller's table,
 	# a flat suggestion with its mid-interval repeat, a join/leave cycle's
-	# grafts, prunes and leave timer, and a TopoSense pass over a tree it has
-	# seen. A pass over a 21 111-node tree seen for the first time may
-	# allocate once per column, 64 times at most. Run those benchmarks with
+	# grafts, prunes and leave timer, a decision interval over a tree that
+	# holds still (discovery records the last walk again, the pass reads it
+	# in place), and a TopoSense pass over a tree it has seen. A pass over a
+	# 21 111-node tree seen for the first time may allocate once per column,
+	# 64 times at most; a discovery walk of that tree that changed allocates
+	# the snapshot and its arrays, 8 times at most. Run those benchmarks with
 	# -benchmem and fail on anything above that.
 	[ $# -eq 0 ] || usage
-	out=$(go test -run '^$' -bench 'BenchmarkAggregate|BenchmarkSuggestionFanout|BenchmarkFlat|BenchmarkJoinLeaveCycle' \
+	out=$(go test -run '^$' -bench 'BenchmarkAggregate|BenchmarkSuggestionFanout|BenchmarkFlat|BenchmarkJoinLeaveCycle|BenchmarkSteadyDiscoveryPass' \
 		-benchmem -benchtime 1000x ./internal/report ./internal/controller ./internal/mcast)
 	out="$out
 $(go test -run '^$' -bench 'BenchmarkStepTree|BenchmarkStepTopologyB/steady' \
 		-benchmem -benchtime 20x ./internal/core)"
+	out="$out
+$(go test -run '^$' -bench 'BenchmarkSnapshotWalk' -benchmem -benchtime 20x ./internal/topodisc)"
 	echo "$out"
 	bad=$(echo "$out" | awk '/^Benchmark/ { max = 0
 		if ($1 ~ /^BenchmarkStepTree\/first-sight/) max = 64
+		if ($1 ~ /^BenchmarkSnapshotWalk/) max = 8
 		if ($(NF-1) + 0 > max) print "  " $1 ": " $(NF-1) " allocs/op, at most " max " allowed" }')
 	if [ -n "$bad" ]; then
 		echo "fanin-gate FAILED: control-plane hot-path benchmarks allocated:" >&2

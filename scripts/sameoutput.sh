@@ -15,9 +15,9 @@
 # It then diffs the two sides with the host-dependent parts removed:
 # toposim's `run:` line, topobench's `total wall time:` line, fig_scale's
 # host-time columns (events/s, wall s, speedup, pass mean/max ms), the
-# JSON's wall-clock, throughput, allocation and pass-latency fields, the obs
-# exports' barrier-stall times and, on sharded runs, their flight-recorder
-# tail (shards record into it in host order). Exits 1 on any difference,
+# JSON's wall-clock, throughput, allocation and pass-latency fields, and,
+# on sharded runs, the obs exports' flight-recorder tail (shards record
+# into it in host order). Exits 1 on any difference,
 # printing it; the captures stay in $BENCH_DIR/sameoutput/{new,parent}.
 set -eu
 
@@ -58,15 +58,14 @@ strip_bench() {
 		{ print }'
 }
 
-# strip_obs ARGS drops an obs export's host-dependent parts: barrier-stall
-# times, and the flight recorder when ARGS runs on shards.
+# strip_obs ARGS drops an obs export's host-dependent part: the flight
+# recorder when ARGS runs on shards.
 strip_obs() {
 	case "$1" in
 	*-shards*) flight=1 ;;
 	*) flight=0 ;;
 	esac
 	awk -v flight="$flight" '
-		/"barrier_stall_nanos":/ { next }
 		flight && /^  "flight": \[/ { skip = 1; next }
 		skip { if (/^  \],?$/) skip = 0; next }
 		{ print }'

@@ -185,7 +185,11 @@ func BenchmarkAlgorithmStep(b *testing.B) {
 // second on a loaded Topology B, the substrate cost under every experiment.
 func BenchmarkSimulation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		w := experiments.NewWorldB(4, 0, experiments.WorldConfig{Seed: int64(i + 1), Traffic: experiments.CBR})
+		w, err := experiments.Scenario{WorldConfig: experiments.WorldConfig{Seed: int64(i + 1), Traffic: experiments.CBR},
+			Topo: "b,sessions=4", Duration: 30}.Assemble(&experiments.Meter{})
+		if err != nil {
+			b.Fatal(err)
+		}
 		w.Run(30 * sim.Second)
 		if i == 0 {
 			b.ReportMetric(float64(w.Engine.Fired()), "events/run")
@@ -254,7 +258,11 @@ func BenchmarkAlgorithmStepScale(b *testing.B) {
 // BenchmarkMulticastForwarding measures raw packet replication through the
 // multicast layer on a 32-receiver tree.
 func BenchmarkMulticastForwarding(b *testing.B) {
-	w := experiments.NewWorldA(16, 0, experiments.WorldConfig{Seed: 1, Traffic: experiments.CBR})
+	w, err := experiments.Scenario{WorldConfig: experiments.WorldConfig{Seed: 1, Traffic: experiments.CBR},
+		Topo: "a,rxset=16", Duration: 30}.Assemble(&experiments.Meter{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	w.Run(30 * sim.Second) // receivers joined and climbing
 	before := w.Engine.Fired()
 	b.ResetTimer()

@@ -91,7 +91,7 @@ func TestTopoListPrintsRegistry(t *testing.T) {
 	if code := run([]string{"-topo", "list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, stderr.String())
 	}
-	for _, name := range []string{"a", "b", "tiered", "tree", "star", "linear", "mesh"} {
+	for _, name := range []string{"a", "b", "tiered", "tree", "star", "linear", "mesh", "ladder", "lastmile", "domains"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("registry listing lacks generator %q:\n%s", name, stdout.String())
 		}

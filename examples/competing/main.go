@@ -9,11 +9,11 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"toposense/internal/experiments"
 	"toposense/internal/metrics"
 	"toposense/internal/sim"
-	"toposense/internal/topology"
 )
 
 const (
@@ -25,19 +25,22 @@ func main() {
 	fmt.Printf("%d sessions share a %d Kbps link; each can ideally take 4 layers (480 Kbps)\n\n",
 		sessions, sessions*500)
 
-	// TopoSense.
-	e1 := sim.NewEngine(3)
-	w1 := experiments.NewWorld(e1,
-		topology.MustGenerate(e1, &topology.BConfig{Sessions: sessions}),
-		experiments.WorldConfig{Seed: 3, Traffic: experiments.VBR3})
-	w1.Run(duration)
-
-	// RLM baseline on the identical topology and traffic.
-	e2 := sim.NewEngine(3)
-	w2 := experiments.NewWorld(e2,
-		topology.MustGenerate(e2, &topology.BConfig{Sessions: sessions}),
-		experiments.WorldConfig{Seed: 3, Traffic: experiments.VBR3, Plane: experiments.PlaneRLM})
-	w2.Run(duration)
+	// run builds the scenario on one control plane and runs it.
+	run := func(plane experiments.Plane) *experiments.World {
+		w, err := experiments.Scenario{
+			WorldConfig: experiments.WorldConfig{Seed: 3, Traffic: experiments.VBR3, Plane: plane},
+			Topo:        fmt.Sprintf("b,sessions=%d", sessions),
+			Duration:    duration.Seconds(),
+		}.Assemble(&experiments.Meter{})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		w.Run(duration)
+		return w
+	}
+	w1 := run(experiments.PlaneFlat) // TopoSense
+	w2 := run(experiments.PlaneRLM)  // RLM baseline on the identical topology and traffic
 
 	fmt.Printf("%-9s  %-10s  %-10s\n", "session", "TopoSense", "RLM")
 	for s := 0; s < sessions; s++ {

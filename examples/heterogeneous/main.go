@@ -10,23 +10,23 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"toposense/internal/experiments"
 	"toposense/internal/sim"
-	"toposense/internal/topology"
 )
 
 func main() {
-	engine := sim.NewEngine(7)
-	build := topology.MustGenerate(engine, &topology.AConfig{
-		ReceiversPerSet: 3,
-		Set1Bandwidth:   100e3, // ~2 layers
-		Set2Bandwidth:   500e3, // ~4 layers
-	})
-	world := experiments.NewWorld(engine, build, experiments.WorldConfig{
-		Seed:    7,
-		Traffic: experiments.CBR,
-	})
+	world, err := experiments.Scenario{
+		WorldConfig: experiments.WorldConfig{Seed: 7, Traffic: experiments.CBR},
+		// Set 1 at 100 Kbps (~2 layers), set 2 at 500 Kbps (~4 layers).
+		Topo:     "a,rxset=3,bw1=100e3,bw2=500e3",
+		Duration: 300,
+	}.Assemble(&experiments.Meter{})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	fmt.Println("one session, 6 receivers: 3 behind 100 Kbps, 3 behind 500 Kbps")
 	fmt.Println("running 300 simulated seconds...")

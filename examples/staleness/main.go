@@ -9,24 +9,26 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"toposense/internal/experiments"
 	"toposense/internal/metrics"
 	"toposense/internal/sim"
-	"toposense/internal/topology"
 )
 
 func main() {
 	fmt.Println("Topology A, VBR(P=3), 600 s runs; sweeping topology staleness")
 	fmt.Printf("\n%-14s  %-20s\n", "staleness (s)", "mean rel. deviation")
 	for _, stale := range []float64{0, 2, 4, 8, 12, 18} {
-		e := sim.NewEngine(11)
-		b := topology.MustGenerate(e, &topology.AConfig{ReceiversPerSet: 2})
-		w := experiments.NewWorld(e, b, experiments.WorldConfig{
-			Seed:      11,
-			Traffic:   experiments.VBR3,
-			Staleness: sim.FromSeconds(stale),
-		})
+		w, err := experiments.Scenario{
+			WorldConfig: experiments.WorldConfig{Seed: 11, Traffic: experiments.VBR3, Staleness: sim.FromSeconds(stale)},
+			Topo:        "a,rxset=2",
+			Duration:    600,
+		}.Assemble(&experiments.Meter{})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		w.Run(600 * sim.Second)
 		traces, optima := w.AllTraces()
 		dev := metrics.MeanRelativeDeviation(traces, optima, 0, 600*sim.Second)

@@ -6,7 +6,6 @@ import (
 	"toposense/internal/core"
 	"toposense/internal/metrics"
 	"toposense/internal/sim"
-	"toposense/internal/topology"
 )
 
 // AblationRow reports one system variant's quality on the standard
@@ -56,10 +55,11 @@ func ablationSpecs(cfg SweepConfig) []Spec {
 				if v.alg != nil {
 					v.alg(&algCfg)
 				}
-				e := sim.NewEngine(cfg.Seed)
-				b := topology.MustGenerate(e, &topology.BConfig{Sessions: ablationSessions})
-				w := NewWorld(e, b, WorldConfig{Seed: cfg.Seed, Traffic: VBR3, Alg: algCfg})
-				m.ObserveWorld(w)
+				w, err := Scenario{WorldConfig: WorldConfig{Seed: cfg.Seed, Traffic: VBR3, Alg: algCfg},
+					Topo: fmt.Sprintf("b,sessions=%d", ablationSessions), Duration: dur.Seconds()}.Assemble(m)
+				if err != nil {
+					return nil, err
+				}
 				w.Controller.DisableResend = v.disableResend
 				lossSum, lossN := 0.0, 0
 				sim.Every(sim.GlobalOf(w.Engine), sim.Second, func() {

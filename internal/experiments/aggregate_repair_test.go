@@ -3,7 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"toposense/internal/faults"
 	"toposense/internal/netsim"
 	"toposense/internal/report"
 	"toposense/internal/sim"
@@ -26,10 +25,9 @@ func TestAggregateRidesOutRepair(t *testing.T) {
 		outage   = 40 * sim.Second
 		repairAt = failAt + outage
 	)
-	w := NewWorldB(2, 0, WorldConfig{Seed: 7, Traffic: CBR, Aggregate: true})
-	bl := w.Build.Bottlenecks[0]
-	inj := faults.New(w.Net)
-	inj.Outage(failAt, outage, bl, bl.Reverse())
+	w := assemble(t, Scenario{WorldConfig: WorldConfig{Seed: 7, Traffic: CBR, Aggregate: true}, Topo: "b,sessions=2",
+		Duration: dur.Seconds(), FailAt: failAt.Seconds(), Outage: outage.Seconds()})
+	inj := w.Faults
 
 	// Snapshot the controller's aggregate fan-in at the repair: the
 	// difference to the end of the run proves feedback flows again on the
@@ -77,7 +75,7 @@ func TestAggregateRidesOutRepair(t *testing.T) {
 func TestShutdownPoolBalance(t *testing.T) {
 	aggBefore, batchBefore := report.AggregatesLive(), report.BatchesLive()
 
-	w := NewWorldB(2, 0, WorldConfig{Seed: 1, Traffic: CBR, Aggregate: true})
+	w := assemble(t, Scenario{WorldConfig: WorldConfig{Seed: 1, Traffic: CBR, Aggregate: true}, Topo: "b,sessions=2", Duration: 50})
 	aggDrops, batchDrops := countPooledDrops(w.Net)
 	// A horizon deliberately misaligned with the report/flush cadence so
 	// batches and pending aggregates are in flight when the world stops.
@@ -118,7 +116,7 @@ func TestShutdownPoolBalance(t *testing.T) {
 func TestDepartPurgePoolBalance(t *testing.T) {
 	aggBefore, batchBefore := report.AggregatesLive(), report.BatchesLive()
 
-	w := NewWorldB(2, 0, WorldConfig{Seed: 3, Traffic: CBR, Aggregate: true})
+	w := assemble(t, Scenario{WorldConfig: WorldConfig{Seed: 3, Traffic: CBR, Aggregate: true}, Topo: "b,sessions=2", Duration: 50})
 	// Depart one receiver per session mid-run, deliberately misaligned with
 	// the report/flush cadence so each departing receiver has feedback
 	// pending at upstream aggregation nodes when its Deregister climbs.
@@ -168,7 +166,7 @@ func TestShardAggregateDecisionEquivalence(t *testing.T) {
 	}
 	const dur = 120 * sim.Second
 	mk := func(shards int, aggregate bool) *World {
-		w := NewWorldB(4, shards, WorldConfig{Seed: 1, Traffic: CBR, Aggregate: aggregate})
+		w := assemble(t, Scenario{WorldConfig: WorldConfig{Seed: 1, Traffic: CBR, Aggregate: aggregate}, Topo: "b,sessions=4", Shards: shards, Duration: dur.Seconds()})
 		w.Run(dur)
 		return w
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"toposense/internal/sim"
-	"toposense/internal/topology"
 )
 
 // finalLevels flattens every receiver's final subscription level,
@@ -28,18 +27,17 @@ func finalLevels(w *World) []int {
 // where the flat control plane is not itself overloaded.
 func TestAggregateDecisionEquivalence(t *testing.T) {
 	const dur = 120 * sim.Second
-	build := []struct {
-		name string
-		mk   func(cfg WorldConfig) *World
-	}{
-		{"topologyA", func(cfg WorldConfig) *World { return NewWorldA(2, 0, cfg) }},
-		{"topologyB", func(cfg WorldConfig) *World { return NewWorldB(4, 0, cfg) }},
+	build := []struct{ name, topo string }{
+		{"topologyA", "a,rxset=2"},
+		{"topologyB", "b,sessions=4"},
 	}
 	for _, b := range build {
 		t.Run(b.name, func(t *testing.T) {
-			flat := b.mk(WorldConfig{Seed: 1, Traffic: CBR})
+			sc := Scenario{WorldConfig: WorldConfig{Seed: 1, Traffic: CBR}, Topo: b.topo, Duration: dur.Seconds()}
+			flat := assemble(t, sc)
 			flat.Run(dur)
-			agg := b.mk(WorldConfig{Seed: 1, Traffic: CBR, Aggregate: true})
+			sc.Aggregate = true
+			agg := assemble(t, sc)
 			agg.Run(dur)
 
 			if agg.Aggregator == nil || agg.Aggregator.Absorbed == 0 {
@@ -63,16 +61,7 @@ func TestAggregateDecisionEquivalence(t *testing.T) {
 func TestAggregateFanInReduction(t *testing.T) {
 	const point = "tree,depth=2,branch=5,rxleaf=4" // 100 receivers
 	run := func(aggregate bool) *World {
-		_, tcfg, err := topology.Parse(point)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := NewRunEngine(1, 0)
-		b, err := topology.Generate(e, tcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := NewWorld(e, b, WorldConfig{Seed: 1, Traffic: CBR, Aggregate: aggregate})
+		w := assemble(t, Scenario{WorldConfig: WorldConfig{Seed: 1, Traffic: CBR, Aggregate: aggregate}, Topo: point, Duration: 30})
 		w.Run(30 * sim.Second)
 		return w
 	}

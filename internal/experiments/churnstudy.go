@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"toposense/internal/netsim"
 	"toposense/internal/sim"
 	"toposense/internal/topology"
 	"toposense/internal/trace"
@@ -57,34 +56,12 @@ type ChurnStudyRow struct {
 // churnTreePeriod is the tree-ladder point's mean join/leave period.
 const churnTreePeriod = 4 * sim.Second
 
-// addChurnNodesB grows a Topology B build by one churn receiver per
-// session, hung off Y over the same fat link as the session's settled
-// receiver, and returns the slot references. Must run before the world is
-// built (and so before any partitioning).
-func addChurnNodesB(b *topology.Build) []Slot {
-	var y *netsim.Node
-	for _, n := range b.Net.Nodes() {
-		if n.Name == "Y" {
-			y = n
-			break
-		}
-	}
-	if y == nil {
-		panic("fig_churn: Topology B build has no node Y")
-	}
-	fat := netsim.LinkConfig{
-		Bandwidth:  topology.FatBandwidth,
-		Delay:      topology.DefaultDelay,
-		QueueLimit: topology.DefaultQueueLimit,
-	}
+// bChurnSlots picks each session's second receiver, the churn receiver
+// b,churnrx=true adds beside the settled one.
+func bChurnSlots(b *topology.Build) []Slot {
 	refs := make([]Slot, 0, len(b.Receivers))
 	for s := range b.Receivers {
-		node := b.Net.AddNode(fmt.Sprintf("churn%d", s))
-		b.Net.Connect(y, node, fat)
-		b.Receivers[s] = append(b.Receivers[s], node)
-		// Same bottleneck as the settled receiver, same optimum.
-		b.Optimal[s] = append(b.Optimal[s], b.Optimal[s][0])
-		refs = append(refs, Slot{s, len(b.Receivers[s]) - 1})
+		refs = append(refs, Slot{s, 1})
 	}
 	return refs
 }
@@ -104,20 +81,20 @@ func treeChurnSlots(b *topology.Build) []Slot {
 	return refs
 }
 
-// runChurn is one arm of the study: build the world on the given plane,
-// churn its slots — through the full departure lifecycle (Depart ->
+// runChurn is one arm of the study: assemble sc, churn the slots pick
+// chooses on its build — through the full departure lifecycle (Depart ->
 // Deregister -> prune) under TopoSense, silent Stops under RLM, which has no
-// controller to notify — and reduce. mkBuild must emit the build with churn
-// nodes already in place.
-func runChurn(topo string, plane Plane, seed int64, dur, period sim.Time, shards int,
-	mkBuild func(e sim.Runner) (*topology.Build, []Slot), m *Meter) []ChurnStudyRow {
-	e := NewRunEngine(seed, shards)
-	b, slots := mkBuild(e)
-	w := NewWorld(e, b, WorldConfig{Seed: seed, Plane: plane})
-	m.ObserveWorld(w)
+// controller to notify — and reduce. topo labels the row.
+func runChurn(topo string, sc Scenario, period sim.Time, pick func(*topology.Build) []Slot, m *Meter) ([]ChurnStudyRow, error) {
+	w, err := sc.Assemble(m)
+	if err != nil {
+		return nil, err
+	}
+	plane, shards, dur := sc.Plane, sc.Shards, sim.FromSeconds(sc.Duration)
+	slots := pick(w.Build)
 	drv := w.ChurnSlots(period, slots)
 
-	sp := trace.NewSampler(e, 2*sim.Second)
+	sp := trace.NewSampler(w.Engine, 2*sim.Second)
 	sp.Probe("tree_cost", func() float64 { return float64(w.Domain.TreeCost()) })
 	sp.Start()
 	w.Run(dur)
@@ -164,7 +141,7 @@ func runChurn(topo string, plane Plane, seed int64, dur, period sim.Time, shards
 	if row.SettledTotal > 0 {
 		row.SettledDev /= float64(row.SettledTotal)
 	}
-	return []ChurnStudyRow{row}
+	return []ChurnStudyRow{row}, nil
 }
 
 // churnStudySpecs enumerates the fig_churn sweep: TopoSense-vs-RLM pairs on
@@ -183,10 +160,6 @@ func churnStudySpecs(cfg SweepConfig) []Spec {
 	treeTopo := scaled(cfg, "tree,depth=4,branch=10,rxleaf=1", "tree,depth=3,branch=4,rxleaf=2")
 	treeDur := scaled(cfg, 30*s, 12*s)
 
-	mkB := func(e sim.Runner) (*topology.Build, []Slot) {
-		b := topology.MustGenerate(e, &topology.BConfig{Sessions: sessions})
-		return b, addChurnNodesB(b)
-	}
 	var specs []Spec
 	for _, period := range periods {
 		for _, arm := range []struct {
@@ -201,23 +174,19 @@ func churnStudySpecs(cfg SweepConfig) []Spec {
 				fmt.Sprintf("fig_churn/topo=B/period=%gs/%s", period.Seconds(), algo),
 				cfg.Seed, dur,
 				func(m *Meter) (any, error) {
-					return runChurn("B", arm.plane, cfg.Seed, dur, period, arm.shards, mkB, m), nil
+					return runChurn("B", Scenario{WorldConfig: WorldConfig{Seed: cfg.Seed, Plane: arm.plane},
+						Topo: fmt.Sprintf("b,sessions=%d,churnrx=true", sessions), Shards: arm.shards, Duration: dur.Seconds()},
+						period, bChurnSlots, m)
 				}))
 		}
-	}
-	mkTree := func(e sim.Runner) (*topology.Build, []Slot) {
-		_, tc, err := topology.Parse(treeTopo)
-		if err != nil {
-			panic("fig_churn: " + err.Error())
-		}
-		b := topology.MustGenerate(e, tc)
-		return b, treeChurnSlots(b)
 	}
 	specs = append(specs, NewSpec("fig_churn",
 		fmt.Sprintf("fig_churn/topo=%s/period=%gs/TopoSense", treeTopo, churnTreePeriod.Seconds()),
 		cfg.Seed, treeDur,
 		func(m *Meter) (any, error) {
-			return runChurn(treeTopo, PlaneFlat, cfg.Seed, treeDur, churnTreePeriod, cfg.Shards, mkTree, m), nil
+			return runChurn(treeTopo, Scenario{WorldConfig: WorldConfig{Seed: cfg.Seed},
+				Topo: treeTopo, Shards: cfg.Shards, Duration: treeDur.Seconds()},
+				churnTreePeriod, treeChurnSlots, m)
 		}))
 	return specs
 }

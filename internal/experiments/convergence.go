@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"toposense/internal/metrics"
-	"toposense/internal/netsim"
 	"toposense/internal/sim"
-	"toposense/internal/source"
 	"toposense/internal/topology"
 )
 
@@ -35,13 +33,6 @@ type ConvergenceRow struct {
 	Deviation float64
 }
 
-// The heterogeneous session: convergenceSets receiver sets with optimal
-// levels 1..convergenceSets, convergencePerSet receivers each.
-const (
-	convergenceSets   = 4
-	convergencePerSet = 2
-)
-
 // convergenceTraffics are the traffic models the study runs, one spec and
 // one report section each, in print order.
 var convergenceTraffics = []Traffic{CBR, VBR3}
@@ -55,53 +46,29 @@ func convergenceSpecs(cfg SweepConfig) []Spec {
 		specs = append(specs, NewSpec("convergence",
 			"convergence/"+tr.Name, cfg.Seed, dur,
 			func(m *Meter) (any, error) {
-				return runConvergence(cfg.Seed, dur, tr, m), nil
+				w, err := Scenario{WorldConfig: WorldConfig{Seed: cfg.Seed, Traffic: tr},
+					Topo: "ladder", Duration: dur.Seconds()}.Assemble(m)
+				if err != nil {
+					return nil, err
+				}
+				w.Run(dur)
+				return convergenceRows(w, dur), nil
 			}))
 	}
 	return specs
 }
 
-func runConvergence(seed int64, dur sim.Time, traffic Traffic, m *Meter) []ConvergenceRow {
-	e := sim.NewEngine(seed)
-	n := netsim.New(e)
-	fat := netsim.LinkConfig{Bandwidth: topology.FatBandwidth, Delay: topology.DefaultDelay}
-	src := n.AddNode("src")
-	hub := n.AddNode("hub")
-	n.Connect(src, hub, fat)
-
-	rates := source.Rates(source.DefaultLayers)
-	b := &topology.Build{
-		Net:        n,
-		Sources:    []*netsim.Node{src},
-		Controller: src,
-		Receivers:  [][]*netsim.Node{nil},
-		Optimal:    [][]int{nil},
-	}
-	for set := 1; set <= convergenceSets; set++ {
-		// Capacity: cumulative rate of `set` layers plus 4% headroom, so
-		// the optimum is exactly `set`.
-		bw := source.CumulativeRate(set) * 1.04
-		gw := n.AddNode(fmt.Sprintf("set%d", set))
-		n.Connect(hub, gw, netsim.LinkConfig{Bandwidth: bw, Delay: topology.DefaultDelay})
-		for i := 0; i < convergencePerSet; i++ {
-			rx := n.AddNode(fmt.Sprintf("set%d-rx%d", set, i))
-			n.Connect(gw, rx, fat)
-			b.Receivers[0] = append(b.Receivers[0], rx)
-			b.Optimal[0] = append(b.Optimal[0], source.LevelForBandwidth(rates, bw))
-		}
-	}
-
-	w := NewWorld(e, b, WorldConfig{Seed: seed, Traffic: traffic})
-	m.ObserveWorld(w)
-	w.Run(dur)
-
+// convergenceRows reduces a layer-ladder run to one row per receiver set:
+// the heterogeneous session of LadderSets sets with optimal levels
+// 1..LadderSets, LadderReceiversPerSet receivers each.
+func convergenceRows(w *World, dur sim.Time) []ConvergenceRow {
 	var rows []ConvergenceRow
 	half := dur / 2
-	for set := 1; set <= convergenceSets; set++ {
-		lo := (set - 1) * convergencePerSet
-		hi := lo + convergencePerSet
+	for set := 1; set <= topology.LadderSets; set++ {
+		lo := (set - 1) * topology.LadderReceiversPerSet
+		hi := lo + topology.LadderReceiversPerSet
 		traces := w.Traces[0][lo:hi]
-		optimal := b.Optimal[0][lo]
+		optimal := w.Optimal[0][lo]
 
 		row := ConvergenceRow{Set: set, Optimal: optimal, TimeToOptimal: dur}
 		for _, tr := range traces {

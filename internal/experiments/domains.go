@@ -4,10 +4,6 @@ import (
 	"fmt"
 
 	"toposense/internal/metrics"
-	"toposense/internal/netsim"
-	"toposense/internal/sim"
-	"toposense/internal/source"
-	"toposense/internal/topology"
 )
 
 // This file reproduces the paper's Figure 3 architecture: "multiple
@@ -27,49 +23,12 @@ type DomainRow struct {
 	MaxChanges int
 }
 
-// domainsReceivers is the receiver count of each domain.
-const domainsReceivers = 3
-
-// domainsTopology emits the two-domain topology as a Build whose domain
-// labels put the source and backbone in domain 0 and each gateway subtree
-// in its own domain:
-//
-//	src ── bb ── gw1 ──(100 Kbps)── d1r ── domain-1 receivers
-//	        └─── gw2 ──(500 Kbps)── d2r ── domain-2 receivers
-func domainsTopology(e sim.Scheduler, receiversPer int) *topology.Build {
-	n := netsim.New(e)
-	fat := netsim.LinkConfig{Bandwidth: 100e6, Delay: 200 * sim.Millisecond}
-	src := n.AddNode("src")
-	bb := n.AddNode("backbone")
-	n.Connect(src, bb, fat)
-	b := &topology.Build{
-		Net: n, Sources: []*netsim.Node{src}, Controller: src,
-		Receivers: make([][]*netsim.Node, 1), Optimal: make([][]int, 1),
-		Domains: []int{0, 0},
-	}
-	for d, bandwidth := range []float64{100e3, 500e3} {
-		gw := n.AddNode(fmt.Sprintf("gw%d", d+1))
-		n.Connect(bb, gw, fat)
-		agg := n.AddNode(fmt.Sprintf("d%dr", d+1))
-		n.Connect(gw, agg, netsim.LinkConfig{Bandwidth: bandwidth, Delay: 200 * sim.Millisecond})
-		b.Domains = append(b.Domains, d+1, d+1)
-		for i := 0; i < receiversPer; i++ {
-			rx := n.AddNode(fmt.Sprintf("d%d-rx%d", d+1, i))
-			n.Connect(agg, rx, fat)
-			b.Domains = append(b.Domains, d+1)
-			b.Receivers[0] = append(b.Receivers[0], rx)
-			b.Optimal[0] = append(b.Optimal[0], source.LevelForBandwidth(source.Rates(source.DefaultLayers), bandwidth))
-		}
-	}
-	return b
-}
-
-// domainsSpecs enumerates both control architectures — one global agent at
-// the source seeing everything, or one agent per domain stationed at its
-// gateway and seeing only its own subtree — as one CBR run per (variant,
-// seed); each run reports its own per-domain DomainRows with that seed's
-// deviation. ReduceDomains averages them back into the table the report
-// prints.
+// domainsSpecs enumerates both control architectures on the domains
+// family's two-domain tree — one global agent at the source seeing
+// everything, or one agent per domain stationed at its gateway and seeing
+// only its own subtree — as one CBR run per (variant, seed); each run
+// reports its own per-domain DomainRows with that seed's deviation.
+// ReduceDomains averages them back into the table the report prints.
 func domainsSpecs(cfg SweepConfig) []Spec {
 	dur := scaled(cfg, studyDuration, QuickDuration)
 	seeds := scaled(cfg, 3, 1) // runs averaged per variant
@@ -85,16 +44,11 @@ func domainsSpecs(cfg SweepConfig) []Spec {
 				fmt.Sprintf("domains/%s/seed=%d", variant, seed),
 				seed, dur,
 				func(m *Meter) (any, error) {
-					wc := WorldConfig{Seed: seed, Traffic: CBR, Plane: plane}
-					if plane == PlanePerDomain {
-						// The assembler seeds domain d's algorithm RNG with
-						// Seed+1+d; this study's recorded numbers were drawn
-						// with seed+1 and seed+2 for domains 1 and 2.
-						wc.Seed--
+					w, err := Scenario{WorldConfig: WorldConfig{Seed: seed, Traffic: CBR, Plane: plane},
+						Topo: "domains", Duration: dur.Seconds()}.Assemble(m)
+					if err != nil {
+						return nil, err
 					}
-					e := NewRunEngine(seed, 0)
-					w := NewWorld(e, domainsTopology(e, domainsReceivers), wc)
-					m.ObserveWorld(w)
 					w.Run(dur)
 					var rows []DomainRow
 					doms, byDom := receiversByDomain(w.Build)

@@ -13,7 +13,7 @@ import (
 // TestRegistrySpecList pins what they enumerate.
 
 func TestWorldAssemblyA(t *testing.T) {
-	w := NewWorldA(2, 0, WorldConfig{Seed: 1, Traffic: CBR})
+	w := assemble(t, Scenario{WorldConfig: WorldConfig{Seed: 1, Traffic: CBR}, Topo: "a,rxset=2", Duration: 10})
 	if len(w.Sources) != 1 || len(w.Receivers[0]) != 4 {
 		t.Fatalf("world shape: %d sources, %d receivers", len(w.Sources), len(w.Receivers[0]))
 	}
@@ -30,7 +30,7 @@ func TestWorldAssemblyA(t *testing.T) {
 }
 
 func TestWorldAssemblyB(t *testing.T) {
-	w := NewWorldB(3, 0, WorldConfig{Seed: 1, Traffic: VBR3})
+	w := assemble(t, Scenario{WorldConfig: WorldConfig{Seed: 1, Traffic: VBR3}, Topo: "b,sessions=3", Duration: 10})
 	if len(w.Sources) != 3 {
 		t.Fatalf("sources = %d", len(w.Sources))
 	}
@@ -160,7 +160,7 @@ func TestRunBaselineScaled(t *testing.T) {
 }
 
 func TestRLMWorld(t *testing.T) {
-	w := NewWorldB(2, 0, WorldConfig{Seed: 1, Traffic: CBR, Plane: PlaneRLM})
+	w := assemble(t, Scenario{WorldConfig: WorldConfig{Seed: 1, Traffic: CBR, Plane: PlaneRLM}, Topo: "b,sessions=2", Duration: 60})
 	w.Run(60 * sim.Second)
 	traces, optima := w.AllTraces()
 	if len(traces) != 2 || len(optima) != 2 {
@@ -293,8 +293,7 @@ func TestRunDomainsScaled(t *testing.T) {
 func TestPerDomainControllersAreIndependent(t *testing.T) {
 	// The per-domain variant runs two controllers that never exchange a
 	// message; both must have actually worked (steps and suggestions).
-	e := NewRunEngine(2, 0)
-	w := NewWorld(e, domainsTopology(e, 2), WorldConfig{Seed: 2, Traffic: CBR, Plane: PlanePerDomain})
+	w := assemble(t, Scenario{WorldConfig: WorldConfig{Seed: 2, Traffic: CBR, Plane: PlanePerDomain}, Topo: "domains", Duration: 120})
 	w.Run(120 * sim.Second)
 	if len(w.Controllers) != 2 {
 		t.Fatalf("controllers = %d", len(w.Controllers))

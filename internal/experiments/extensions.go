@@ -7,7 +7,6 @@ import (
 	"toposense/internal/metrics"
 	"toposense/internal/sim"
 	"toposense/internal/source"
-	"toposense/internal/topology"
 )
 
 // This file implements the "challenges" of the paper's Section V as
@@ -100,18 +99,22 @@ func extensionSpecs(cfg SweepConfig) []Spec {
 	dur := scaled(cfg, studyDuration, QuickDuration)
 	seeds := scaled(cfg, 3, 1) // runs averaged per point
 	var specs []Spec
-	// point appends one run per seed of a sweep point. world builds the
-	// seed's world; optimal, when positive, replaces every receiver's
-	// optimum in the reduction.
-	point := func(name, param string, optimal int, world func(seed int64) *World) {
+	// point appends one run per seed of a sweep point: sc with the seed and
+	// the duration filled in. optimal, when positive, replaces every
+	// receiver's optimum in the reduction.
+	point := func(name, param string, optimal int, sc Scenario) {
 		for s := 0; s < seeds; s++ {
 			seed := cfg.Seed + int64(s)
+			sc := sc
+			sc.Seed, sc.Duration = seed, dur.Seconds()
 			specs = append(specs, NewSpec("extensions",
 				fmt.Sprintf("extensions/%s/seed=%d", name, seed),
 				seed, dur,
 				func(m *Meter) (any, error) {
-					w := world(seed)
-					m.ObserveWorld(w)
+					w, err := sc.Assemble(m)
+					if err != nil {
+						return nil, err
+					}
 					w.Run(dur)
 					traces, optima := w.AllTraces()
 					if optimal > 0 {
@@ -136,30 +139,20 @@ func extensionSpecs(cfg SweepConfig) []Spec {
 	} {
 		point(fmt.Sprintf("granularity/%d-layers", len(g.rates)), g.name,
 			source.LevelForBandwidth(g.rates, g.bottle),
-			func(seed int64) *World {
-				e := sim.NewEngine(seed)
-				b := topology.MustGenerate(e, &topology.AConfig{
-					ReceiversPerSet: 2,
-					Set1Bandwidth:   g.bottle,
-					Set2Bandwidth:   g.bottle,
-					Layers:          len(g.rates),
-				})
-				return NewWorld(e, b, WorldConfig{Seed: seed, Traffic: CBR, Rates: g.rates})
-			})
+			Scenario{WorldConfig: WorldConfig{Traffic: CBR, Rates: g.rates},
+				Topo: fmt.Sprintf("a,rxset=2,bw1=%g,bw2=%[1]g,layers=%d", g.bottle, len(g.rates))})
 	}
 	for _, ll := range []sim.Time{1, 500 * sim.Millisecond, sim.Second, 2 * sim.Second, 4 * sim.Second} {
 		param := ll.String()
 		if ll == 1 {
 			param = "~0 (expedited)"
 		}
-		point("leave/"+param, param, 0, func(seed int64) *World {
-			return NewWorldB(4, 0, WorldConfig{Seed: seed, Traffic: VBR3, LeaveLatency: ll})
-		})
+		point("leave/"+param, param, 0,
+			Scenario{WorldConfig: WorldConfig{Traffic: VBR3, LeaveLatency: ll}, Topo: "b,sessions=4"})
 	}
 	for _, iv := range []sim.Time{2 * sim.Second, 4 * sim.Second, 8 * sim.Second, 16 * sim.Second} {
-		point("interval/"+iv.String(), iv.String(), 0, func(seed int64) *World {
-			return NewWorldB(4, 0, WorldConfig{Seed: seed, Traffic: CBR, Alg: core.Config{Interval: iv}})
-		})
+		point("interval/"+iv.String(), iv.String(), 0,
+			Scenario{WorldConfig: WorldConfig{Traffic: CBR, Alg: core.Config{Interval: iv}}, Topo: "b,sessions=4"})
 	}
 	return specs
 }

@@ -72,26 +72,6 @@ func TestFederationConvergenceAndIsolation(t *testing.T) {
 	}
 }
 
-// newFedRunWorld builds a federated world on a parsed topology spec with the
-// requested engine flavour.
-func newFedRunWorld(t *testing.T, specStr string, seed int64, shards int) *World {
-	t.Helper()
-	_, tcfg, err := topology.Parse(specStr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewRunEngine(seed, shards)
-	b, err := topology.Generate(e, tcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := AssembleWorld(e, b, WorldConfig{Seed: seed, Traffic: CBR, Plane: PlaneFederated})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
-}
-
 // fedCanonical reduces a federated run to its model-visible outcomes: every
 // receiver's full subscription trace, the parent's budget state per domain,
 // each leaf's export/cap counters, and the events-fired meter.
@@ -128,11 +108,15 @@ func TestFederationShardEquivalence(t *testing.T) {
 	}
 	const spec = "tiered,fanout=2:2,rxleaf=2"
 	const dur = 60 * sim.Second
-	serial := fedCanonical(func() *World { w := newFedRunWorld(t, spec, 1, 0); w.Run(dur); return w }())
-	for _, shards := range []int{2, 4} {
-		w := newFedRunWorld(t, spec, 1, shards)
+	run := func(shards int) string {
+		w := assemble(t, Scenario{WorldConfig: WorldConfig{Seed: 1, Traffic: CBR, Plane: PlaneFederated},
+			Topo: spec, Shards: shards, Duration: dur.Seconds()})
 		w.Run(dur)
-		if got := fedCanonical(w); got != serial {
+		return fedCanonical(w)
+	}
+	serial := run(0)
+	for _, shards := range []int{2, 4} {
+		if got := run(shards); got != serial {
 			t.Errorf("shards=%d diverges from the serial engine\n%s", shards, firstDiff(serial, got))
 		}
 	}

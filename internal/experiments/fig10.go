@@ -42,8 +42,11 @@ func fig10Specs(cfg SweepConfig) []Spec {
 				fmt.Sprintf("fig10/rx=%d/stale=%.0fs", 2*per, stale.Seconds()),
 				cfg.Seed, dur,
 				func(m *Meter) (any, error) {
-					w := NewWorldA(per, 0, WorldConfig{Seed: cfg.Seed, Traffic: VBR3, Staleness: stale})
-					m.ObserveWorld(w)
+					w, err := Scenario{WorldConfig: WorldConfig{Seed: cfg.Seed, Traffic: VBR3, Staleness: stale},
+						Topo: fmt.Sprintf("a,rxset=%d", per), Duration: dur.Seconds()}.Assemble(m)
+					if err != nil {
+						return nil, err
+					}
 					sampler := trace.NewSampler(w.Engine, sim.Second)
 					for i, rx := range w.Receivers[0] {
 						rx := rx

@@ -31,8 +31,11 @@ func fig6Specs(cfg SweepConfig) []Spec {
 				fmt.Sprintf("fig6/rx=%d/%s", 2*per, tr.Name),
 				cfg.Seed, dur,
 				func(m *Meter) (any, error) {
-					w := NewWorldA(per, cfg.Shards, WorldConfig{Seed: cfg.Seed, Traffic: tr})
-					m.ObserveWorld(w)
+					w, err := Scenario{WorldConfig: WorldConfig{Seed: cfg.Seed, Traffic: tr},
+						Topo: fmt.Sprintf("a,rxset=%d", per), Shards: cfg.Shards, Duration: dur.Seconds()}.Assemble(m)
+					if err != nil {
+						return nil, err
+					}
 					w.Run(dur)
 					traces, _ := w.AllTraces()
 					return []StabilityRow{{

@@ -19,8 +19,11 @@ func fig7Specs(cfg SweepConfig) []Spec {
 				fmt.Sprintf("fig7/sessions=%d/%s", sessions, tr.Name),
 				cfg.Seed, dur,
 				func(m *Meter) (any, error) {
-					w := NewWorldB(sessions, cfg.Shards, WorldConfig{Seed: cfg.Seed, Traffic: tr})
-					m.ObserveWorld(w)
+					w, err := Scenario{WorldConfig: WorldConfig{Seed: cfg.Seed, Traffic: tr},
+						Topo: fmt.Sprintf("b,sessions=%d", sessions), Shards: cfg.Shards, Duration: dur.Seconds()}.Assemble(m)
+					if err != nil {
+						return nil, err
+					}
 					w.Run(dur)
 					traces, _ := w.AllTraces()
 					return []StabilityRow{{

@@ -36,8 +36,11 @@ func fig8Specs(cfg SweepConfig) []Spec {
 				fmt.Sprintf("fig8/sessions=%d/%s", sessions, tr.Name),
 				cfg.Seed, dur,
 				func(m *Meter) (any, error) {
-					w := NewWorldB(sessions, 0, WorldConfig{Seed: cfg.Seed, Traffic: tr})
-					m.ObserveWorld(w)
+					w, err := Scenario{WorldConfig: WorldConfig{Seed: cfg.Seed, Traffic: tr},
+						Topo: fmt.Sprintf("b,sessions=%d", sessions), Duration: dur.Seconds()}.Assemble(m)
+					if err != nil {
+						return nil, err
+					}
 					w.Run(dur)
 					traces, optima := w.AllTraces()
 					shared := w.Build.Bottlenecks[0]

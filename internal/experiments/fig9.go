@@ -38,8 +38,11 @@ func fig9Specs(cfg SweepConfig) []Spec {
 		fmt.Sprintf("fig9/sessions=%d/%s", fig9Sessions, VBR3.Name),
 		cfg.Seed, dur,
 		func(m *Meter) (any, error) {
-			w := NewWorldB(fig9Sessions, 0, WorldConfig{Seed: cfg.Seed, Traffic: VBR3})
-			m.ObserveWorld(w)
+			w, err := Scenario{WorldConfig: WorldConfig{Seed: cfg.Seed, Traffic: VBR3},
+				Topo: fmt.Sprintf("b,sessions=%d", fig9Sessions), Duration: dur.Seconds()}.Assemble(m)
+			if err != nil {
+				return nil, err
+			}
 			sampler := trace.NewSampler(w.Engine, fig9Sample)
 			res := &Fig9Result{}
 			res.Window.From = windowFrom

@@ -14,8 +14,10 @@ import (
 func obsSpec(seed int64) Spec {
 	const dur = 30 * sim.Second
 	return NewSpec("obstest", "obstest/B", seed, dur, func(m *Meter) (any, error) {
-		w := NewWorldB(2, 0, WorldConfig{Seed: seed, Traffic: VBR3})
-		m.ObserveWorld(w)
+		w, err := Scenario{WorldConfig: WorldConfig{Seed: seed, Traffic: VBR3}, Topo: "b,sessions=2", Duration: dur.Seconds()}.Assemble(m)
+		if err != nil {
+			return nil, err
+		}
 		w.Run(dur)
 		var levels []int
 		for s := range w.Receivers {
@@ -99,12 +101,13 @@ func TestObsExportDeterministic(t *testing.T) {
 	}
 }
 
-// TestObsReachesHandBuiltWorlds: the convergence and lastmile studies build
-// their own topology, but their worlds must still be wired through
-// ObserveWorld, so an -obs export carries their controllers' passes and
+// TestObsReachesHandBuiltWorlds: the studies whose topologies were once
+// built by hand — convergence, lastmile, domains and fig_churn, which also
+// puts slots under churn after assembly — run on registry families through
+// Scenario.Assemble, so an -obs export carries their controllers' passes and
 // audit.
 func TestObsReachesHandBuiltWorlds(t *testing.T) {
-	for _, name := range []string{"convergence", "lastmile"} {
+	for _, name := range []string{"convergence", "lastmile", "domains", "fig_churn"} {
 		s := quickSpecs(t, name)[0]
 		s.Obs = true
 		r := s.Execute(0)

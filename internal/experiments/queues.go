@@ -49,8 +49,11 @@ func queuePolicySpecs(cfg SweepConfig) []Spec {
 		specs = append(specs, NewSpec("queues",
 			"queues/"+v.key, cfg.Seed, dur,
 			func(m *Meter) (any, error) {
-				w := NewWorldB(queueSessions, 0, WorldConfig{Seed: cfg.Seed, Traffic: VBR3, Plane: v.plane})
-				m.ObserveWorld(w)
+				w, err := Scenario{WorldConfig: WorldConfig{Seed: cfg.Seed, Traffic: VBR3, Plane: v.plane},
+					Topo: fmt.Sprintf("b,sessions=%d", queueSessions), Duration: dur.Seconds()}.Assemble(m)
+				if err != nil {
+					return nil, err
+				}
 				for _, l := range w.Net.Links() {
 					l.Policy = v.policy
 				}

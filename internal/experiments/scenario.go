@@ -4,7 +4,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -120,7 +119,7 @@ func (s Scenario) Validate() error {
 			return errors.New(r.why)
 		}
 	}
-	return s.checkPlane(slices.Contains(labelledFamilies, gen.Name))
+	return s.checkPlane(gen.Labelled)
 }
 
 // Assemble validates the scenario and builds its world, in the order that is

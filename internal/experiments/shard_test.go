@@ -18,13 +18,16 @@ import (
 // TestShardDeterminismCoversRegistry fails when a new family is registered
 // without an entry here.
 var shardFamilySpecs = map[string]string{
-	"a":      "a,rxset=2",
-	"b":      "b,sessions=3",
-	"tiered": "tiered,fanout=2:2,rxleaf=2",
-	"star":   "star,arms=3,rxarm=2",
-	"mesh":   "mesh,routers=6,rxrouter=2",
-	"tree":   "tree,depth=2,branch=3,rxleaf=2",
-	"linear": "linear,chains=3,length=3,rxhop=2",
+	"a":        "a,rxset=2",
+	"b":        "b,sessions=3",
+	"tiered":   "tiered,fanout=2:2,rxleaf=2",
+	"star":     "star,arms=3,rxarm=2",
+	"mesh":     "mesh,routers=6,rxrouter=2",
+	"tree":     "tree,depth=2,branch=3,rxleaf=2",
+	"linear":   "linear,chains=3,length=3,rxhop=2",
+	"ladder":   "ladder",
+	"lastmile": "lastmile,tier=2",
+	"domains":  "domains",
 }
 
 func TestShardDeterminismCoversRegistry(t *testing.T) {
@@ -40,18 +43,9 @@ func TestShardDeterminismCoversRegistry(t *testing.T) {
 // recorder off (its retained tail is scheduling-dependent across engines).
 func runShardWorld(t *testing.T, specStr string, seed int64, shards int, dur sim.Time) (*World, *obs.Obs) {
 	t.Helper()
-	_, tcfg, err := topology.Parse(specStr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewRunEngine(seed, shards)
-	b, err := topology.Generate(e, tcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := assemble(t, Scenario{WorldConfig: WorldConfig{Seed: seed, Traffic: VBR3}, Topo: specStr, Shards: shards, Duration: dur.Seconds()})
 	o := obs.New()
 	o.Rec = nil
-	w := NewWorld(e, b, WorldConfig{Seed: seed, Traffic: VBR3})
 	w.WireObs(o)
 	w.Run(dur)
 	return w, o

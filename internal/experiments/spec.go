@@ -27,9 +27,10 @@ type Spec struct {
 	// Duration is the simulated run length.
 	Duration sim.Time
 	// Body builds the world, runs it, and returns the run's typed rows
-	// (conventionally a slice such as []StabilityRow). It must register
-	// its engine and network with the Meter so the runner can report run
-	// metadata and enforce wall-clock timeouts.
+	// (conventionally a slice such as []StabilityRow). It builds the world
+	// through Scenario.Assemble with the Meter it is handed, which registers
+	// the world so the runner can report run metadata and enforce
+	// wall-clock timeouts.
 	Body func(m *Meter) (any, error)
 	// Obs enables the observability layer for this run: Execute builds an
 	// obs bundle, the Meter wires it into whatever the body registers, and
@@ -43,11 +44,12 @@ func NewSpec(figure, name string, seed int64, duration sim.Time, body func(*Mete
 	return Spec{Figure: figure, Name: name, Seed: seed, Duration: duration, Body: body}
 }
 
-// Meter is handed to every Spec body. The body registers the engine(s) and
-// network(s) it builds; after the run the executor reads events fired and
-// packets forwarded from them, and — when a timeout is set — a watchdog
-// checks the wall clock as simulated time advances and stops the engine
-// cooperatively, keeping everything on the simulation goroutine.
+// Meter is handed to every Spec body, whose Scenario.Assemble registers each
+// world's engine and network with it; after the run the executor reads
+// events fired and packets forwarded from them, and — when a timeout is
+// set — a watchdog checks the wall clock as simulated time advances and
+// stops the engine cooperatively, keeping everything on the simulation
+// goroutine.
 type Meter struct {
 	start    time.Time
 	deadline time.Duration // 0 = no timeout
@@ -58,50 +60,32 @@ type Meter struct {
 }
 
 // Obs returns the run's observability bundle, or nil when the Spec did not
-// enable one. Bodies that build components outside a World can wire it by
-// hand; every instrument and recorder is nil-safe, so the return value can
-// be passed along unguarded.
+// enable one. Scenario.Assemble wires it into the world; a body reads it to
+// reach the bundle itself, such as its flight recorder. Every instrument and
+// recorder is nil-safe, so the return value can be passed along unguarded.
 func (m *Meter) Obs() *obs.Obs { return m.obs }
 
-// Observe registers an engine and/or network that is not part of a World
-// with the meter. Either argument may be nil; bodies that run several
-// hand-built rigs call it once per rig. Worlds go through ObserveWorld.
-func (m *Meter) Observe(e sim.Runner, n *netsim.Network) {
-	m.track(e, n)
-	m.obs.ObserveEngine(e)
-	if n != nil && m.obs != nil {
-		n.AttachProbe(obs.NewNetProbe(m.obs))
-	}
-}
-
-// ObserveWorld registers a World's engine and network and — when the run
-// has observability enabled — wires the bundle into every component of the
-// world through World.WireObs.
+// ObserveWorld registers a World's engine and network — what the executor
+// reads run metadata from — arms the wall-clock watchdog when a timeout is
+// set, and, when the run has observability enabled, wires the bundle into
+// every component of the world through World.WireObs. Scenario.Assemble
+// calls it for every world it builds.
 func (m *Meter) ObserveWorld(w *World) {
-	m.track(w.Engine, w.Net)
+	e := w.Engine
+	m.engines = append(m.engines, e)
+	m.nets = append(m.nets, w.Net)
+	if m.deadline > 0 {
+		// The watchdog runs on the global context: on a sharded engine it
+		// fires at barriers with every shard parked, so Stop is a plain
+		// store no shard races with.
+		sim.Every(sim.GlobalOf(e), sim.Second, func() {
+			if !m.timedOut && time.Since(m.start) > m.deadline {
+				m.timedOut = true
+				e.Stop()
+			}
+		})
+	}
 	w.WireObs(m.obs)
-}
-
-// track records what the executor reads run metadata from, and arms the
-// wall-clock watchdog when a timeout is set.
-func (m *Meter) track(e sim.Runner, n *netsim.Network) {
-	if e != nil {
-		m.engines = append(m.engines, e)
-		if m.deadline > 0 {
-			// The watchdog runs on the global context: on a sharded engine
-			// it fires at barriers with every shard parked, so Stop is a
-			// plain store no shard races with.
-			sim.Every(sim.GlobalOf(e), sim.Second, func() {
-				if !m.timedOut && time.Since(m.start) > m.deadline {
-					m.timedOut = true
-					e.Stop()
-				}
-			})
-		}
-	}
-	if n != nil {
-		m.nets = append(m.nets, n)
-	}
 }
 
 // Result is the outcome of executing one Spec: the run's typed rows plus

@@ -46,8 +46,11 @@ func varianceSpecs(cfg SweepConfig) []Spec {
 				fmt.Sprintf("variance/%s/seed=%d", tr.Name, seed),
 				seed, dur,
 				func(m *Meter) (any, error) {
-					w := NewWorldB(varianceSessions, 0, WorldConfig{Seed: seed, Traffic: tr})
-					m.ObserveWorld(w)
+					w, err := Scenario{WorldConfig: WorldConfig{Seed: seed, Traffic: tr},
+						Topo: fmt.Sprintf("b,sessions=%d", varianceSessions), Duration: dur.Seconds()}.Assemble(m)
+					if err != nil {
+						return nil, err
+					}
 					w.Run(dur)
 					traces, optima := w.AllTraces()
 					return []VarianceSample{{

@@ -81,9 +81,6 @@ func (p Plane) flag() string {
 	return [...]string{"the flat control plane", "the per-domain control plane", "-federate", "-algo rlm"}[p]
 }
 
-// labelledFamilies emit Build.Domains; TestValidateAgreesWithAssemble pins it.
-var labelledFamilies = []string{"linear", "star", "tiered", "tree"}
-
 // checkPlane is the one gate on the control plane, run by Scenario.Validate
 // before any engine exists and by AssembleWorld on the built topology.
 func (c WorldConfig) checkPlane(labelled bool) error {
@@ -91,7 +88,13 @@ func (c WorldConfig) checkPlane(labelled bool) error {
 	case c.Aggregate && c.Plane != PlaneFlat:
 		return fmt.Errorf("-aggregate serves a single flat toposense controller, which %s does not run; drop -aggregate or %[1]s", c.Plane.flag())
 	case c.Plane.scoped() && !labelled:
-		return fmt.Errorf("%s needs a -topo family that emits domain labels, one of %v", c.Plane.flag(), labelledFamilies)
+		var names []string
+		for _, g := range topology.Generators() {
+			if g.Labelled {
+				names = append(names, g.Name)
+			}
+		}
+		return fmt.Errorf("%s needs a -topo family that emits domain labels, one of %v", c.Plane.flag(), names)
 	}
 	return nil
 }
@@ -257,7 +260,9 @@ func AssembleWorld(e sim.Runner, b *topology.Build, cfg WorldConfig) (*World, er
 }
 
 // NewWorld is AssembleWorld for configurations known to be valid; it panics
-// on the ones AssembleWorld rejects.
+// on the ones AssembleWorld rejects. It stays exported only for the
+// repository benchmark (benchmark/assemble.go), which builds its worlds
+// through it; everything else assembles through Scenario.Assemble.
 func NewWorld(e sim.Runner, b *topology.Build, cfg WorldConfig) *World {
 	w, err := AssembleWorld(e, b, cfg)
 	if err != nil {
@@ -602,20 +607,4 @@ func NewRunEngine(seed int64, shards int) sim.Runner {
 		return sim.NewShardedEngine(seed, shards)
 	}
 	return sim.NewEngine(seed)
-}
-
-// NewWorldA builds the paper's Topology A world on the engine NewRunEngine
-// gives for shards.
-func NewWorldA(receiversPerSet, shards int, cfg WorldConfig) *World {
-	e := NewRunEngine(cfg.Seed, shards)
-	b := topology.MustGenerate(e, &topology.AConfig{ReceiversPerSet: receiversPerSet})
-	return NewWorld(e, b, cfg)
-}
-
-// NewWorldB builds the paper's Topology B world with the given number of
-// competing sessions on the engine NewRunEngine gives for shards.
-func NewWorldB(sessions, shards int, cfg WorldConfig) *World {
-	e := NewRunEngine(cfg.Seed, shards)
-	b := topology.MustGenerate(e, &topology.BConfig{Sessions: sessions})
-	return NewWorld(e, b, cfg)
 }

@@ -11,7 +11,6 @@ import (
 	"toposense/internal/report"
 	"toposense/internal/sim"
 	"toposense/internal/source"
-	"toposense/internal/topology"
 	"toposense/internal/trace"
 )
 
@@ -19,17 +18,14 @@ import (
 // domain labels, so every plane and both engines assemble on it.
 const matrixTopo = "tree,depth=3,branch=4,rxleaf=2"
 
-func parsedBuild(t *testing.T, e sim.Runner, spec string) *topology.Build {
+// assemble builds sc's world outside any Spec, failing the test on error.
+func assemble(t testing.TB, sc Scenario) *World {
 	t.Helper()
-	_, tcfg, err := topology.Parse(spec)
+	w, err := sc.Assemble(&Meter{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := topology.Generate(e, tcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return w
 }
 
 // countPooledDrops counts the pooled control payloads a network drops. The
@@ -73,10 +69,9 @@ func TestWorldMatrix(t *testing.T) {
 				name := fmt.Sprintf("%s/churn=%v/shards=%d", p.name, period, shards)
 				aggBefore, batchBefore := report.AggregatesLive(), report.BatchesLive()
 
-				e := NewRunEngine(1, shards)
 				cfg := p.cfg
 				cfg.Seed, cfg.Traffic = 1, CBR
-				w, err := AssembleWorld(e, parsedBuild(t, e, matrixTopo), cfg)
+				w, err := Scenario{WorldConfig: cfg, Topo: matrixTopo, Shards: shards, Duration: dur.Seconds()}.Assemble(&Meter{})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -153,9 +148,10 @@ func TestObsWiringReachesEveryComponent(t *testing.T) {
 	run := func(cfg WorldConfig) (*World, map[string]int64) {
 		var w *World
 		spec := NewSpec("obswiring", "obswiring/"+cfg.Plane.String(), 1, dur, func(m *Meter) (any, error) {
-			e := NewRunEngine(1, 0)
-			w = NewWorld(e, parsedBuild(t, e, matrixTopo), cfg)
-			m.ObserveWorld(w)
+			var err error
+			if w, err = (Scenario{WorldConfig: cfg, Topo: matrixTopo, Duration: dur.Seconds()}).Assemble(m); err != nil {
+				return nil, err
+			}
 			w.ChurnSlots(4*sim.Second, w.Slots()[:4])
 			w.Run(dur)
 			return nil, nil
@@ -233,7 +229,7 @@ func TestObsWiringReachesEveryComponent(t *testing.T) {
 // first incarnation's level frozen at its departure.
 func TestChurnSamplingFollowsLiveIncarnation(t *testing.T) {
 	const dur = 120 * sim.Second
-	w := NewWorldB(2, 0, WorldConfig{Seed: 1, Traffic: CBR})
+	w := assemble(t, Scenario{WorldConfig: WorldConfig{Seed: 1, Traffic: CBR}, Topo: "b,sessions=2", Duration: dur.Seconds()})
 	sp := trace.NewSampler(w.Engine, 500*sim.Millisecond)
 	for _, sl := range w.Slots() {
 		s, i := sl.Session, sl.Index
@@ -266,18 +262,14 @@ func TestChurnSamplingFollowsLiveIncarnation(t *testing.T) {
 }
 
 // TestWorldStartMallocs pins what setting a paper world up costs the
-// allocator: generating Topology B with 16 VBR sessions, assembling the
-// world and starting it. Most of it used to be one malloc per start-up timer
+// allocator: Scenario.Assemble of Topology B with 16 VBR sessions (spec
+// parse, generation, assembly) and starting the world. Most of it used to be one malloc per start-up timer
 // (7 004 in all, 73 % of them event slots); the queue now carves slots from
 // slabs.
 func TestWorldStartMallocs(t *testing.T) {
-	_, tcfg, err := topology.Parse("b,sessions=16")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := Scenario{WorldConfig: WorldConfig{Seed: 1, Traffic: VBR3}, Topo: "b,sessions=16", Duration: 1}
 	got := testing.AllocsPerRun(5, func() {
-		e := NewRunEngine(1, 0)
-		NewWorld(e, topology.MustGenerate(e, tcfg), WorldConfig{Seed: 1, Traffic: VBR3}).Start()
+		assemble(t, sc).Start()
 	})
 	if got > 4000 {
 		t.Errorf("generate + assemble + start of b,sessions=16 VBR: %.0f mallocs, want at most 4000", got)
@@ -292,9 +284,8 @@ func TestWorldStartMallocs(t *testing.T) {
 // controller's table, discovery re-recording an unchanged tree — the run
 // allocates next to nothing per report consumed.
 func TestFlatPlaneSteadyStateMallocs(t *testing.T) {
-	e := NewRunEngine(1, 0)
-	w := NewWorld(e, parsedBuild(t, e, matrixTopo), WorldConfig{Seed: 1, Traffic: CBR})
-	c := w.Controller
+	w := assemble(t, Scenario{WorldConfig: WorldConfig{Seed: 1, Traffic: CBR}, Topo: matrixTopo, Duration: 75})
+	e, c := w.Engine, w.Controller
 	interval := c.Algorithm().Config().Interval
 	w.Run(15*interval + 100*sim.Millisecond) // settled, and just past a pass
 	var worst float64
@@ -337,9 +328,9 @@ func TestFlatPlaneSteadyStateMallocs(t *testing.T) {
 // pair.
 func TestChurnSteadyStateAllocs(t *testing.T) {
 	const T = 40 * sim.Second
-	e := NewRunEngine(1, 0)
-	w := NewWorld(e, parsedBuild(t, e, matrixTopo), WorldConfig{Seed: 1, Traffic: CBR, Aggregate: true})
-	w.ChurnSlots(sim.Second, w.Slots())
+	w := assemble(t, Scenario{WorldConfig: WorldConfig{Seed: 1, Traffic: CBR, Aggregate: true},
+		Topo: matrixTopo, Churn: 1, Duration: (2 * T).Seconds()})
+	e := w.Engine
 	w.Run(T)
 	joins, leaves := w.Churn.Joins, w.Churn.Leaves
 	tree := w.Domain.Grafts + w.Domain.Prunes

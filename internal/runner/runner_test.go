@@ -92,12 +92,14 @@ func TestPanicContainment(t *testing.T) {
 func TestTimeout(t *testing.T) {
 	slow := experiments.NewSpec("test", "slow", 1, 3600*sim.Second,
 		func(m *experiments.Meter) (any, error) {
-			e := sim.NewEngine(1)
+			w, err := experiments.Scenario{WorldConfig: experiments.WorldConfig{Seed: 1}, Topo: "b", Duration: 3600}.Assemble(m)
+			if err != nil {
+				return nil, err
+			}
 			// Each simulated second costs ~50 ms of wall clock, so the
 			// full hour would take minutes; the watchdog must cut in.
-			e.Every(100*sim.Millisecond, func() { time.Sleep(5 * time.Millisecond) })
-			m.Observe(e, nil)
-			e.RunUntil(3600 * sim.Second)
+			sim.Every(sim.GlobalOf(w.Engine), 100*sim.Millisecond, func() { time.Sleep(5 * time.Millisecond) })
+			w.Run(3600 * sim.Second)
 			return []string{"done"}, nil
 		})
 

@@ -500,6 +500,7 @@ func init() {
 			key("queue", "drop-tail queue limit in packets (default 20)", func(c *StarConfig, v string) error { return parseInt(&c.QueueLimit, v) }),
 			key("layers", "session layers (default 6)", func(c *StarConfig, v string) error { return parseInt(&c.Layers, v) }),
 		},
+		Labelled: true,
 	})
 	Register(Generator{
 		Name:  "mesh",
@@ -532,6 +533,7 @@ func init() {
 			key("queue", "drop-tail queue limit in packets (default 20)", func(c *TreeConfig, v string) error { return parseInt(&c.QueueLimit, v) }),
 			key("layers", "session layers (default 6)", func(c *TreeConfig, v string) error { return parseInt(&c.Layers, v) }),
 		},
+		Labelled: true,
 	})
 	Register(Generator{
 		Name:  "linear",
@@ -546,5 +548,6 @@ func init() {
 			key("queue", "drop-tail queue limit in packets (default 20)", func(c *LinearConfig, v string) error { return parseInt(&c.QueueLimit, v) }),
 			key("layers", "session layers (default 6)", func(c *LinearConfig, v string) error { return parseInt(&c.Layers, v) }),
 		},
+		Labelled: true,
 	})
 }

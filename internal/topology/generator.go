@@ -42,6 +42,9 @@ type Generator struct {
 	New func() Config
 	// Keys lists the parameters settable through a spec string.
 	Keys []Key
+	// Labelled reports that the family emits Build.Domains, the labels the
+	// scoped control planes build one controller per domain from.
+	Labelled bool
 }
 
 // registry holds every registered generator by name.
@@ -198,6 +201,15 @@ func parseInt64(dst *int64, val string) error {
 	v, err := strconv.ParseInt(val, 10, 64)
 	if err != nil {
 		return fmt.Errorf("want an integer, got %q", val)
+	}
+	*dst = v
+	return nil
+}
+
+func parseBool(dst *bool, val string) error {
+	v, err := strconv.ParseBool(val)
+	if err != nil {
+		return fmt.Errorf("want true or false, got %q", val)
 	}
 	*dst = v
 	return nil

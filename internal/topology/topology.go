@@ -2,8 +2,9 @@
 // — Topology A (one session, two receiver sets with different bandwidth
 // constraints) and Topology B (N sessions, one receiver each, competing on
 // a shared bottleneck link) — plus a tiered-Internet generator in the shape
-// of the paper's Figure 2, and the large-scale star / ring-mesh / k-ary
-// tree / linear-chain families (families.go) used by the fig_scale study.
+// of the paper's Figure 2, the large-scale star / ring-mesh / k-ary
+// tree / linear-chain families (families.go) used by the fig_scale study,
+// and the fixed shapes of three secondary studies (studies.go).
 //
 // Every family is a Config registered behind the Generator registry
 // (generator.go): construct a config, Validate it, Generate the Build — or
@@ -179,6 +180,10 @@ type BConfig struct {
 	Delay      sim.Time // 0 means DefaultDelay
 	QueueLimit int      // 0 means DefaultQueueLimit
 	Layers     int      // 0 means source.DefaultLayers
+	// ChurnReceivers gives every session a second receiver, churn<i> off Y,
+	// for the membership-churn study to put under churn beside the settled
+	// one.
+	ChurnReceivers bool
 }
 
 // Validate implements Config.
@@ -221,6 +226,7 @@ func (c BConfig) withDefaults() BConfig {
 // Generate constructs Topology B:
 //
 //	src_i ── X ══(shared link, Sessions × PerSession)══ Y ── rx_i
+//	                                                    └── churn_i (ChurnReceivers)
 //
 // The shared link's capacity is scaled with the number of sessions so each
 // session can ideally receive PerSession (4 layers at the default 500 Kbps),
@@ -248,6 +254,16 @@ func (c *BConfig) Generate(e sim.Scheduler) (*Build, error) {
 		b.Sources = append(b.Sources, src)
 		b.Receivers = append(b.Receivers, []*netsim.Node{rx})
 		b.Optimal = append(b.Optimal, []int{opt})
+	}
+	if cfg.ChurnReceivers {
+		// Created after every session's own nodes: same bottleneck as the
+		// settled receiver, same optimum.
+		for s := range b.Receivers {
+			rx := n.AddNode(fmt.Sprintf("churn%d", s))
+			n.Connect(y, rx, fat)
+			b.Receivers[s] = append(b.Receivers[s], rx)
+			b.Optimal[s] = append(b.Optimal[s], opt)
+		}
 	}
 	b.Controller = b.Sources[0]
 	return b, nil
@@ -402,6 +418,7 @@ func init() {
 			key("delay", "per-link propagation delay in seconds (default 0.2)", func(c *BConfig, v string) error { return parseSeconds(&c.Delay, v) }),
 			key("queue", "per-session queue limit in packets (default 20)", func(c *BConfig, v string) error { return parseInt(&c.QueueLimit, v) }),
 			key("layers", "session layers (default 6)", func(c *BConfig, v string) error { return parseInt(&c.Layers, v) }),
+			key("churnrx", "add a second receiver per session off Y, for churn studies (default false)", func(c *BConfig, v string) error { return parseBool(&c.ChurnReceivers, v) }),
 		},
 	})
 	Register(Generator{
@@ -417,5 +434,6 @@ func init() {
 			key("queue", "drop-tail queue limit in packets (default 20)", func(c *TieredConfig, v string) error { return parseInt(&c.QueueLimit, v) }),
 			key("layers", "session layers (default 6)", func(c *TieredConfig, v string) error { return parseInt(&c.Layers, v) }),
 		},
+		Labelled: true,
 	})
 }

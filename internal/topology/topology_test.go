@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 
 	"toposense/internal/netsim"
@@ -181,14 +182,19 @@ func TestBuildsAreRoutable(t *testing.T) {
 	}
 }
 
-// TestBuildsDeterministic builds every registered generator twice at its
-// defaults and demands identical node naming/ordering and optima — the
-// property seeded experiments rely on.
+// TestBuildsDeterministic builds every registered generator at its
+// defaults, and the keys that change a family's shape, twice each and
+// demands identical node naming/ordering and optima — the property seeded
+// experiments rely on.
 func TestBuildsDeterministic(t *testing.T) {
-	for _, gen := range Generators() {
-		t.Run(gen.Name, func(t *testing.T) {
+	for _, spec := range append(Names(), "b,sessions=2,churnrx=true", "lastmile,tier=1", "lastmile,tier=2") {
+		t.Run(spec, func(t *testing.T) {
+			_, cfg, err := Parse(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
 			snapshot := func() ([]string, []int) {
-				b := MustGenerate(sim.NewEngine(1), gen.New())
+				b := MustGenerate(sim.NewEngine(1), cfg)
 				var names []string
 				for _, n := range b.Net.Nodes() {
 					names = append(names, n.Name)
@@ -220,16 +226,27 @@ func TestBuildsDeterministic(t *testing.T) {
 
 func TestParseSpecs(t *testing.T) {
 	// A valid spec with keys round-trips into a validated config.
-	gen, cfg, err := Parse("tree,depth=2,branch=3,rxleaf=4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen.Name != "tree" {
-		t.Errorf("generator = %q, want tree", gen.Name)
-	}
-	tc, ok := cfg.(*TreeConfig)
-	if !ok || tc.Depth != 2 || tc.Branch != 3 || tc.ReceiversPerLeaf != 4 {
-		t.Errorf("parsed config = %+v", cfg)
+	for _, good := range []struct {
+		spec, name string
+		want       Config
+	}{
+		{"tree,depth=2,branch=3,rxleaf=4", "tree", &TreeConfig{Depth: 2, Branch: 3, ReceiversPerLeaf: 4}},
+		{"b,sessions=2,churnrx=true", "b", &BConfig{Sessions: 2, ChurnReceivers: true}},
+		{"ladder", "ladder", &LadderConfig{}},
+		{"lastmile,tier=1", "lastmile", &LastMileConfig{Tier: 1}},
+		{"domains", "domains", &DomainsConfig{}},
+	} {
+		gen, cfg, err := Parse(good.spec)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", good.spec, err)
+			continue
+		}
+		if gen.Name != good.name {
+			t.Errorf("Parse(%q): generator = %q, want %s", good.spec, gen.Name, good.name)
+		}
+		if fmt.Sprintf("%#v", cfg) != fmt.Sprintf("%#v", good.want) {
+			t.Errorf("Parse(%q): config = %#v, want %#v", good.spec, cfg, good.want)
+		}
 	}
 	for _, bad := range []string{
 		"nosuch",           // unknown generator
@@ -239,6 +256,9 @@ func TestParseSpecs(t *testing.T) {
 		"star,jitter=2",    // fails Validate
 		"mesh,routers=2",   // fails Validate (ring needs 3)
 		"tiered,fanout=2",  // fails Validate (bandwidth mismatch)
+		"b,churnrx=maybe",  // unparseable boolean
+		"lastmile,tier=4",  // fails Validate (three tiers)
+		"ladder,sets=5",    // fixed shape: no keys
 	} {
 		if _, _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", bad)

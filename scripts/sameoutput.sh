@@ -11,14 +11,17 @@
 #     churn, aggregation with explain, probe discovery, staleness, a
 #     bottleneck outage, churn on two shards -- each also writing its -obs
 #     export;
-#   - topobench -quick -json.
+#   - topobench -quick -obs -json, so every experiment's result carries
+#     its world's obs export;
+#   - make examples.
 # It then diffs the two sides with the host-dependent parts removed:
 # toposim's `run:` line, topobench's `total wall time:` line, fig_scale's
 # host-time columns (events/s, wall s, speedup, pass mean/max ms), the
 # JSON's wall-clock, throughput, allocation and pass-latency fields, and,
 # on sharded runs, the obs exports' flight-recorder tail (shards record
-# into it in host order). Exits 1 on any difference,
-# printing it; the captures stay in $BENCH_DIR/sameoutput/{new,parent}.
+# into it in host order; the default quick sweep runs no shards). Exits 1
+# on any difference, printing it; the captures stay in
+# $BENCH_DIR/sameoutput/{new,parent}.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -88,7 +91,8 @@ capture() {
 			strip_obs "$args" <"$side/obs/$n.json" >"$side/obs/$n.stripped.json"
 		fi
 	done >"$side/toposim.txt"
-	{ "$side/topobench" -quick -progress=false -json "$side/quick.json" 2>/dev/null || echo "exit $?"; } | strip_bench >"$side/topobench.txt"
+	{ "$side/topobench" -quick -progress=false -obs -json "$side/quick.json" 2>/dev/null || echo "exit $?"; } | strip_bench >"$side/topobench.txt"
+	{ (cd "$1" && make -s --no-print-directory examples) 2>&1 || echo "exit $?"; } >"$side/examples.txt"
 	grep -v -E '"(generated_at|gomaxprocs|parallelism|wall_seconds|events_per_second|allocs_per_event|pass_mean_ms|pass_max_ms)":' \
 		"$side/quick.json" >"$side/quick.stripped.json"
 }
@@ -98,13 +102,13 @@ capture "$parent" parent
 status=0
 # Each toposim hunk header names the spec it falls in.
 diff -u -F '^== toposim ' "$out/parent/toposim.txt" "$out/new/toposim.txt" || status=1
-for f in topobench.txt quick.stripped.json; do
+for f in topobench.txt quick.stripped.json examples.txt; do
 	diff -u "$out/parent/$f" "$out/new/$f" || status=1
 done
 for f in "$out"/parent/obs/*.stripped.json; do
 	diff -u "$f" "$out/new/obs/${f##*/}" || status=1
 done
 if [ "$status" -eq 0 ]; then
-	echo "sameoutput OK: $(specs | wc -l) toposim runs, their obs exports and topobench -quick match $parent"
+	echo "sameoutput OK: $(specs | wc -l) toposim runs, their obs exports, topobench -quick -obs and make examples match $parent"
 fi
 exit "$status"

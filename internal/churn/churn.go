@@ -74,7 +74,7 @@ func (d *Driver) Slot(start, meanOn, meanOff sim.Time, join, leave func()) {
 		}
 		leave()
 		d.Leaves++
-		d.pending[slot] = d.sched.Schedule(d.exp(meanOff), up)
+		d.pending[slot] = d.sched.After(d.exp(meanOff), sim.Func(up))
 	}
 	up = func() {
 		if d.stopped {
@@ -82,9 +82,9 @@ func (d *Driver) Slot(start, meanOn, meanOff sim.Time, join, leave func()) {
 		}
 		join()
 		d.Joins++
-		d.pending[slot] = d.sched.Schedule(d.exp(meanOn), down)
+		d.pending[slot] = d.sched.After(d.exp(meanOn), sim.Func(down))
 	}
-	d.pending = append(d.pending, d.sched.At(start+d.exp(meanOn), down))
+	d.pending = append(d.pending, d.sched.At(start+d.exp(meanOn), sim.Func(down)))
 }
 
 // Stop cancels every pending transition. Slots stay in whatever membership

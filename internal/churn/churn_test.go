@@ -97,7 +97,7 @@ func TestStopCancelsPending(t *testing.T) {
 	eng := sim.NewEngine(11)
 	var log []event
 	d := rig(eng, 4, &log)
-	eng.At(60*sim.Second, d.Stop)
+	eng.At(60*sim.Second, sim.Func(d.Stop))
 	eng.RunUntil(300 * sim.Second)
 	for _, ev := range log {
 		if ev.at > 60*sim.Second {

@@ -62,7 +62,8 @@ type rxSlot struct {
 }
 
 // resend is one pending mid-interval suggestion repeat, an event record
-// (sim.FreeList): of one suggestion, or on the batched plane of the pass.
+// (sim.FreeList) that is its own sim.Action: of one suggestion, or on the
+// batched plane of the pass.
 type resend struct {
 	c       *Controller
 	gen     uint64 // the controller's generation at the pass
@@ -70,12 +71,11 @@ type resend struct {
 	sg      core.Suggestion
 	slot    int
 	rgen    uint64 // the receiver's registration generation at the pass
-	fire    func() // run, bound once
 }
 
-// run repeats the suggestions, unless the controller stopped or — per
+// Fire repeats the suggestions, unless the controller stopped or — per
 // entry — the receiver expired or re-registered since the pass.
-func (r *resend) run() {
+func (r *resend) Fire() {
 	c := r.c
 	if c.ticker != nil && c.gen == r.gen {
 		if r.batched {
@@ -97,10 +97,10 @@ type staleMsg struct {
 	rep     report.LossReport
 	reg     report.Register
 	dereg   report.Deregister
-	fire    func() // run, bound once
 }
 
-func (m *staleMsg) run() {
+// Fire hands the held-back message to the controller.
+func (m *staleMsg) Fire() {
 	m.c.consume(m.payload)
 	m.payload = nil
 	m.c.stale.Put(m)
@@ -226,8 +226,6 @@ func New(net *netsim.Network, domain *mcast.Domain, node *netsim.Node, tool *top
 		alg:      alg,
 		interval: alg.Config().Interval,
 	}
-	c.resends.Bind = func(r *resend) { r.c, r.fire = c, r.run }
-	c.stale.Bind = func(m *staleMsg) { m.c, m.fire = c, m.run }
 	node.AttachAgent(c)
 	return c
 }
@@ -437,6 +435,7 @@ func (c *Controller) Recv(p *netsim.Packet) {
 	c.CtlBytesRecv += int64(p.Size)
 	if c.Staleness > 0 {
 		m := c.stale.Get()
+		m.c = c
 		switch pl := p.Payload.(type) {
 		case *report.LossReport:
 			m.rep = *pl
@@ -450,7 +449,7 @@ func (c *Controller) Recv(p *netsim.Packet) {
 		default:
 			m.payload = p.Payload // an *Aggregate is the consumer's own
 		}
-		c.nodeSched().Schedule(c.Staleness, m.fire)
+		c.nodeSched().After(c.Staleness, m)
 		return
 	}
 	c.consume(p.Payload)
@@ -657,7 +656,7 @@ func (c *Controller) step() {
 		if !c.DisableResend && sent > 0 {
 			r := c.newResend()
 			r.batched = true
-			c.global().Schedule(c.interval/2, r.fire)
+			c.global().After(c.interval/2, r)
 		}
 	} else {
 		for _, sg := range out {
@@ -719,13 +718,13 @@ func (c *Controller) suggest(sg core.Suggestion, slot int, rgen uint64) {
 	}
 	r := c.newResend()
 	r.sg, r.slot, r.rgen = sg, slot, rgen
-	c.global().Schedule(c.interval/2, r.fire)
+	c.global().After(c.interval/2, r)
 }
 
 // newResend takes a resend record for the current pass.
 func (c *Controller) newResend() *resend {
 	r := c.resends.Get()
-	r.gen, r.batched = c.gen, false
+	r.c, r.gen, r.batched = c, c.gen, false
 	return r
 }
 

@@ -332,11 +332,11 @@ func stateScript(t *testing.T, label string, script []byte, batched bool) (stats
 			continue // a gap
 		}
 		when := at
-		e.At(when, func() {
+		e.At(when, sim.Func(func() {
 			pl := payload()
 			ref.consume(pl, when) // first: the controller releases aggregates
 			c.Recv(report.NewControlPacket(node, hub.ID, size, when, pl))
-		})
+		}))
 	}
 	c.Start()
 	e.RunUntil(at + 2*c.interval)

@@ -33,9 +33,9 @@ func TestAggregateRidesOutRepair(t *testing.T) {
 	// difference to the end of the run proves feedback flows again on the
 	// repaired route.
 	var atRepair int64
-	sim.GlobalOf(w.Engine).Schedule(repairAt+sim.Second, func() {
+	sim.GlobalOf(w.Engine).After(repairAt+sim.Second, sim.Func(func() {
 		atRepair = w.Controller.AggregatesRecv
-	})
+	}))
 	w.Run(dur)
 
 	if inj.Failures != 2 || inj.Repairs != 2 {
@@ -121,12 +121,12 @@ func TestDepartPurgePoolBalance(t *testing.T) {
 	// the report/flush cadence so each departing receiver has feedback
 	// pending at upstream aggregation nodes when its Deregister climbs.
 	var departed []netsim.NodeID
-	sim.GlobalOf(w.Engine).Schedule(20*sim.Second+777*sim.Millisecond, func() {
+	sim.GlobalOf(w.Engine).After(20*sim.Second+777*sim.Millisecond, sim.Func(func() {
 		for s := range w.Receivers {
 			departed = append(departed, w.Receivers[s][0].Node().ID)
 			w.Receivers[s][0].Depart()
 		}
-	})
+	}))
 	w.Run(45*sim.Second + 123*sim.Millisecond)
 
 	if w.Aggregator.Purged == 0 {

@@ -123,8 +123,8 @@ func (s Scenario) Validate() error {
 }
 
 // Assemble validates the scenario and builds its world, in the order that is
-// part of the determinism contract (event sequence numbers are assigned at
-// Schedule, the run-wide RNG is drawn at churn registration): engine,
+// part of the determinism contract (event sequence numbers are assigned as
+// events are scheduled, the run-wide RNG is drawn at churn registration): engine,
 // topology, fault schedule, AssembleWorld, the meter's observers, the explain
 // switch, churn slots. The world is ready for Run; a
 // scheduled outage's injector is World.Faults.

@@ -118,6 +118,14 @@ type Result struct {
 	// waiting at barriers for slower ones, summed; 0 on plain engines. Host
 	// time varies between runs of one seed, so it stays out of the JSON.
 	BarrierStallNanos int64 `json:"-"`
+	// Windows is how many lookahead windows sharded engines ran, one
+	// barrier each; 0, and absent from the JSON, on plain engines.
+	Windows uint64 `json:"windows,omitempty"`
+	// BarrierStallShare is BarrierStallNanos over the shards' whole time
+	// (shards × WallSeconds): the share of it they spent finished and
+	// waiting at barriers. Host time, like WallSeconds; 0, and absent from
+	// the JSON, on plain engines.
+	BarrierStallShare float64 `json:"barrier_stall_share,omitempty"`
 	// EventsPerSecond is Events / WallSeconds — the run's event
 	// throughput, the regression-tracking number.
 	EventsPerSecond float64 `json:"events_per_second"`
@@ -170,11 +178,17 @@ func (s Spec) Execute(timeout time.Duration) Result {
 		}
 	}()
 	res.WallSeconds = time.Since(m.start).Seconds()
+	shardNanos := 0.0
 	for _, e := range m.engines {
 		res.Events += e.Fired()
 		st := e.Stats()
 		res.EventsChained += st.Chained
 		res.BarrierStallNanos += st.BarrierStall
+		res.Windows += st.Windows
+		shardNanos += float64(len(st.Shards)) * res.WallSeconds * 1e9
+	}
+	if shardNanos > 0 {
+		res.BarrierStallShare = float64(res.BarrierStallNanos) / shardNanos
 	}
 	for _, n := range m.nets {
 		for _, l := range n.Links() {

@@ -179,8 +179,8 @@ type WorldConfig struct {
 // build without domain labels.
 //
 // Construction order is part of the determinism contract (event sequence
-// numbers are assigned at Schedule, agents deliver in attach order):
-// sources, then per controller its discovery tool, algorithm RNG
+// numbers are assigned as events are scheduled, agents deliver in attach
+// order): sources, then per controller its discovery tool, algorithm RNG
 // (Seed+1, per-domain Seed+1+label) and agent, then receivers, then the
 // aggregator.
 //

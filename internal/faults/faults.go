@@ -74,12 +74,12 @@ func (in *Injector) apply(l *netsim.Link, down bool) {
 
 // FailAt schedules the link to go down at absolute simulation time t.
 func (in *Injector) FailAt(t sim.Time, l *netsim.Link) {
-	in.track(in.engine.At(t, func() { in.apply(l, true) }))
+	in.track(in.engine.At(t, sim.Func(func() { in.apply(l, true) })))
 }
 
 // RepairAt schedules the link to come back up at absolute time t.
 func (in *Injector) RepairAt(t sim.Time, l *netsim.Link) {
-	in.track(in.engine.At(t, func() { in.apply(l, false) }))
+	in.track(in.engine.At(t, sim.Func(func() { in.apply(l, false) })))
 }
 
 // Outage schedules one down/up cycle: the link fails at start and is
@@ -108,19 +108,19 @@ func (in *Injector) Flap(start sim.Time, mtbf, mttr sim.Time, l *netsim.Link) {
 	var up, down func()
 	up = func() {
 		wait := sim.Time(in.engine.Rand().ExpFloat64() * float64(mtbf))
-		in.track(in.engine.Schedule(wait, func() {
+		in.track(in.engine.After(wait, sim.Func(func() {
 			in.apply(l, true)
 			down()
-		}))
+		})))
 	}
 	down = func() {
 		wait := sim.Time(in.engine.Rand().ExpFloat64() * float64(mttr))
-		in.track(in.engine.Schedule(wait, func() {
+		in.track(in.engine.After(wait, sim.Func(func() {
 			in.apply(l, false)
 			up()
-		}))
+		})))
 	}
-	in.track(in.engine.At(start, up))
+	in.track(in.engine.At(start, sim.Func(up)))
 }
 
 // Stop cancels every event the injector still has pending. Links keep

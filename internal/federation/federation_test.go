@@ -46,11 +46,11 @@ func newParentRig(t *testing.T, rates []float64) *parentRig {
 func (r *parentRig) export(at sim.Time, s SessionSummary) {
 	r.pass++
 	pass := r.pass
-	r.e.At(at, func() {
+	r.e.At(at, sim.Func(func() {
 		exp := &DomainExport{Domain: 1, Leaf: r.b.ID, Pass: pass, Sent: r.e.Now(),
 			Sessions: []SessionSummary{s}}
 		r.b.SendUnicast(report.NewControlPacket(r.b.ID, r.a.ID, exp.WireSize(), r.e.Now(), exp))
-	})
+	}))
 }
 
 func TestWireSizes(t *testing.T) {
@@ -276,11 +276,11 @@ func TestUnknownDomainDropped(t *testing.T) {
 	r.parent.AddDomain(DomainConfig{Domain: 1, Leaf: r.b.ID})
 	r.parent.Start()
 
-	r.e.At(100*sim.Millisecond, func() {
+	r.e.At(100*sim.Millisecond, sim.Func(func() {
 		exp := &DomainExport{Domain: 42, Leaf: r.b.ID, Pass: 1, Sent: r.e.Now(),
 			Sessions: []SessionSummary{{Session: 0, TopLevel: 6}}}
 		r.b.SendUnicast(report.NewControlPacket(r.b.ID, r.a.ID, exp.WireSize(), r.e.Now(), exp))
-	})
+	}))
 	r.e.RunUntil(3 * sim.Second)
 
 	if r.parent.ExportsRecv != 0 {

@@ -75,11 +75,15 @@ type splitGroup struct {
 	batch *report.SuggestionBatch
 }
 
-// aggNode is the Aggregator's per-node state.
+// aggNode is the Aggregator's per-node state, and the Action of the node's
+// flush timer: a and id are set once by install, so arming allocates
+// nothing. An event may hold a copy a later install has moved (a.nodes
+// grew); Fire reads only those two fields and finds the live state by id.
 type aggNode struct {
 	pending []pendingAgg
-	armed   bool   // a flush timer is outstanding
-	flushFn func() // prebound once so arming allocates nothing
+	armed   bool  // a flush timer is outstanding
+	id      int32 // the node's ID
+	a       *Aggregator
 	// lastBatch keeps the most recently consumed downward batch alive until
 	// the next one arrives: agents attached after the Aggregator (and the
 	// local receivers) still read it during the delivery that handed it over.
@@ -113,6 +117,7 @@ func (a *Aggregator) install(n *netsim.Node) {
 	for int(n.ID) >= len(a.nodes) {
 		a.nodes = append(a.nodes, aggNode{})
 	}
+	a.nodes[n.ID].a, a.nodes[n.ID].id = a, int32(n.ID)
 	n.SetTransitFilter(a)
 	n.AttachAgent(a)
 }
@@ -234,12 +239,11 @@ func (a *Aggregator) arm(id netsim.NodeID) {
 		return
 	}
 	nd.armed = true
-	if nd.flushFn == nil {
-		node := id
-		nd.flushFn = func() { a.flushNode(node) }
-	}
-	a.net.SchedulerFor(id).Schedule(a.flush, nd.flushFn)
+	a.net.SchedulerFor(id).After(a.flush, nd)
 }
+
+// Fire is the node's flush timer.
+func (nd *aggNode) Fire() { nd.a.flushNode(netsim.NodeID(nd.id)) }
 
 // flushNode emits every pending aggregate at the node toward the controller,
 // one pooled packet per session, handing each aggregate's ownership to its

@@ -117,8 +117,8 @@ const (
 )
 
 // treeEvent is one pending tree-maintenance event, kept as an event record
-// (sim.FreeList): it goes back to Domain.events when it fires, a leave
-// timer also when it is cancelled.
+// (sim.FreeList) that is its own sim.Action: it goes back to Domain.events
+// when it fires, a leave timer also when it is cancelled.
 type treeEvent struct {
 	d     *Domain
 	kind  treeEventKind
@@ -127,7 +127,6 @@ type treeEvent struct {
 	g     netsim.GroupID
 	idle  sim.Time   // when n's last member left; 0 for a cascade prune
 	h     sim.Handle // leave timer: cancels it
-	fire  func()     // run, bound once
 }
 
 // Domain manages multicast state for an entire network. It installs itself
@@ -201,7 +200,6 @@ func NewDomain(net *netsim.Network) *Domain {
 		// the outer slice itself would race across shards.
 		state: make([][]*nodeGroupState, net.NumNodes()),
 	}
-	d.events.Bind = func(ev *treeEvent) { ev.d, ev.fire = d, ev.run }
 	d.Install()
 	net.OnAddNode = func(n *netsim.Node) {
 		n.SetMulticastHandler(d)
@@ -362,7 +360,7 @@ func (d *Domain) graftUpstream(n netsim.NodeID, g netsim.GroupID) {
 	d.noteTree(obs.EvGraft, n, up, g)
 	ev := d.newEvent(evGraft, n, up, g)
 	ev.cross = d.net.CrossPartition(n, up)
-	d.net.SchedulerBetween(n, up).Schedule(link.Delay, ev.fire)
+	d.net.SchedulerBetween(n, up).After(link.Delay, ev)
 }
 
 // Leave detaches m from group g at node n. If that leaves the router with
@@ -392,7 +390,7 @@ func (d *Domain) maybeSchedulePrune(n netsim.NodeID, g netsim.GroupID, st *nodeG
 	sched := d.net.SchedulerFor(n)
 	ev := d.newEvent(evLeave, n, netsim.NoNode, g)
 	ev.idle = sched.Now()
-	ev.h = sched.Schedule(d.LeaveLatency, ev.fire)
+	ev.h = sched.After(d.LeaveLatency, ev)
 	st.pruneTimer = ev
 }
 
@@ -417,7 +415,7 @@ func (d *Domain) pruneFromParent(n netsim.NodeID, g netsim.GroupID, idle sim.Tim
 	d.noteTree(obs.EvPrune, n, up, g)
 	ev := d.newEvent(evPrune, n, up, g)
 	ev.idle = idle
-	d.net.SchedulerBetween(n, up).Schedule(link.Delay, ev.fire)
+	d.net.SchedulerBetween(n, up).After(link.Delay, ev)
 }
 
 // cancelPrune clears n's pending leave-latency expiry. The handle must be
@@ -433,15 +431,15 @@ func (d *Domain) cancelPrune(n netsim.NodeID, st *nodeGroupState) {
 // newEvent takes a tree-event record and sets its arguments.
 func (d *Domain) newEvent(kind treeEventKind, n, up netsim.NodeID, g netsim.GroupID) *treeEvent {
 	ev := d.events.Get()
-	ev.kind, ev.n, ev.up, ev.g = kind, n, up, g
+	ev.d, ev.kind, ev.n, ev.up, ev.g = d, kind, n, up, g
 	ev.cross, ev.idle, ev.h = false, 0, sim.Handle{}
 	return ev
 }
 
-// run fires the event: a graft, prune or detach lands at up, or n's leave
+// Fire runs the event: a graft, prune or detach lands at up, or n's leave
 // timer expires. The record goes back to the pool first, so what the event
 // sets off reuses it.
-func (ev *treeEvent) run() {
+func (ev *treeEvent) Fire() {
 	d, kind, cross, n, up, g, idle := ev.d, ev.kind, ev.cross, ev.n, ev.up, ev.g, ev.idle
 	if kind == evLeave {
 		d.lookup(n, g).pruneTimer = nil // entries are never freed
@@ -534,7 +532,7 @@ func (d *Domain) repair(n netsim.NodeID, g netsim.GroupID) {
 	st.parent = netsim.NoNode
 	if old != netsim.NoNode {
 		if link := d.net.Node(n).LinkTo(old); link != nil {
-			d.net.SchedulerBetween(n, old).Schedule(link.Delay, d.newEvent(evDetach, n, old, g).fire)
+			d.net.SchedulerBetween(n, old).After(link.Delay, d.newEvent(evDetach, n, old, g))
 		}
 	}
 	if newUp == netsim.NoNode {

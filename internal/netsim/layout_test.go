@@ -11,8 +11,8 @@ import (
 // state below the hot block, or move the limit knowingly.
 
 // TestLinkHotLayout: everything Send, transmit and deliverHead read on the
-// no-outage, no-full-queue path ends inside the link's first four cache
-// lines. Before the packing the same fields were spread over all 344 bytes.
+// no-outage, no-full-queue path — the inline pipeline slots included — ends
+// inside the link's first four cache lines.
 func TestLinkHotLayout(t *testing.T) {
 	var l Link
 	end := func(off, size uintptr) uintptr { return off + size }
@@ -28,8 +28,8 @@ func TestLinkHotLayout(t *testing.T) {
 		"txSize":    end(unsafe.Offsetof(l.txSize), unsafe.Sizeof(l.txSize)),
 		"mu":        end(unsafe.Offsetof(l.mu), unsafe.Sizeof(l.mu)),
 		"inflight":  end(unsafe.Offsetof(l.inflight), unsafe.Sizeof(l.inflight)),
+		"pipe":      end(unsafe.Offsetof(l.pipe), unsafe.Sizeof(l.pipe)),
 		"dsched":    end(unsafe.Offsetof(l.dsched), unsafe.Sizeof(l.dsched)),
-		"deliverFn": end(unsafe.Offsetof(l.deliverFn), unsafe.Sizeof(l.deliverFn)),
 		"to":        end(unsafe.Offsetof(l.to), unsafe.Sizeof(l.to)),
 		"probes":    end(unsafe.Offsetof(l.probes), unsafe.Sizeof(l.probes)),
 		"net":       end(unsafe.Offsetof(l.net), unsafe.Sizeof(l.net)),
@@ -47,7 +47,7 @@ func TestLinkHotLayout(t *testing.T) {
 		"aborted":   unsafe.Offsetof(l.aborted),
 		"recvSched": unsafe.Offsetof(l.recvSched),
 	} {
-		if off < 248 {
+		if off < 256 {
 			t.Errorf("cold field Link.%s at byte %d sits inside the hot block", name, off)
 		}
 	}

@@ -53,14 +53,16 @@ func (s LinkStats) DropRate() float64 {
 // delay — and schedules the delivery at once. Only a packet that has to wait
 // behind a busy transmitter adds a second event, the drain that starts it.
 //
-// The forwarding hot path is allocation-free: the drain and delivery
-// callbacks are bound once per link at construction, the waiting queue and
-// the propagation pipeline are rings that grow only when full — so a link
-// that never idles holds at most QueueLimit waiting and a bandwidth-delay
-// product in flight, however long it runs — and pooled packets move through
-// on reference counts instead of garbage.
+// The forwarding hot path is allocation-free: the drain and delivery events'
+// Actions are the link itself (linkDrain, linkDeliver), the waiting queue
+// and the propagation pipeline are rings that grow only when full — so a
+// link that never idles holds at most QueueLimit waiting and a
+// bandwidth-delay product in flight, however long it runs — and pooled
+// packets move through on reference counts instead of garbage. The
+// pipeline's first two slots are inside the link (pipe), so a link that
+// never has a third packet in flight owns no ring of its own.
 type Link struct {
-	// The first 248 bytes are everything Send, transmit and deliverHead read
+	// The first 256 bytes are everything Send, transmit and deliverHead read
 	// for a packet that meets no outage and no full queue, side by side so a
 	// hop touches four cache lines of its link instead of all six
 	// (TestLinkHotLayout pins it). Configuration and outage state follow.
@@ -98,20 +100,19 @@ type Link struct {
 	// inflight holds the packets on the link from the start of their
 	// serialization to their delivery, in delivery order (per-link delivery
 	// times are strictly increasing, so FIFO holds): at most the link's
-	// bandwidth-delay product plus the one being serialized.
+	// bandwidth-delay product plus the one being serialized. Its ring
+	// starts on pipe and moves to the heap the first time a third packet
+	// is in flight.
 	inflight pktRing
+	pipe     [2]*Packet
 	dsched   sim.Scheduler
-	// Bound once in addLink so the per-hop Schedule calls allocate no
-	// closures.
-	deliverFn func()
-	to        *Node // net.nodes[To]
-	probes    []Probe
-	net       *Network
+	to       *Node // net.nodes[To]
+	probes   []Probe
+	net      *Network
 
 	From, To   NodeID
 	QueueLimit int
 	drainEv    sim.Handle
-	drainFn    func()
 	// squelch counts the orphaned delivery events whose packet had left the
 	// transmitter: they all fire before anything sent later can arrive.
 	// aborted holds the due times of those whose packet was still on it: a
@@ -324,7 +325,7 @@ func (l *Link) Send(p *Packet) {
 	l.queue.push(p)
 	qlen := l.QueueLen()
 	if qlen == 1 {
-		l.drainEv = l.sched.At(l.freeAt, l.drainFn)
+		l.drainEv = l.sched.At(l.freeAt, (*linkDrain)(l))
 	}
 	if qlen > l.stats.PeakQueue {
 		l.stats.PeakQueue = qlen
@@ -348,18 +349,27 @@ func (l *Link) transmit(p *Packet, now sim.Time) {
 	} else {
 		l.inflight.push(p)
 	}
-	l.dsched.Schedule(tx+l.Delay, l.deliverFn)
+	l.dsched.After(tx+l.Delay, (*linkDeliver)(l))
 }
 
-// drain fires at freeAt while packets wait: the transmitter has just gone
-// idle, so the head of the queue goes on the wire, and the event re-arms
-// behind it for as long as the queue is non-empty.
-func (l *Link) drain() {
+// linkDrain is a link's drain event: it fires at freeAt while packets wait.
+// The transmitter has just gone idle, so the head of the queue goes on the
+// wire, and the event re-arms behind it for as long as the queue is
+// non-empty.
+type linkDrain Link
+
+func (d *linkDrain) Fire() {
+	l := (*Link)(d)
 	l.transmit(l.queue.pop(), l.freeAt)
 	if l.QueueLen() > 0 {
-		l.drainEv = l.sched.At(l.freeAt, l.drainFn)
+		l.drainEv = l.sched.At(l.freeAt, d)
 	}
 }
+
+// linkDeliver is a link's delivery event: it fires deliverHead.
+type linkDeliver Link
+
+func (d *linkDeliver) Fire() { (*Link)(d).deliverHead() }
 
 // deliverHead hands the oldest in-flight packet to the receiving node and
 // drops the link's reference to it. Per-link delivery times are strictly
@@ -406,7 +416,9 @@ func (l *Link) orphanDueNow() bool {
 
 // pktRing is a FIFO of packets on a power-of-two backing array that is
 // reused in place and doubles only when every slot is occupied, so its
-// capacity is bounded by the most packets it ever held at once.
+// capacity is bounded by the most packets it ever held at once. A ring may
+// start on an array its owner holds (a link's pipe); the first doubling
+// moves it to the heap.
 type pktRing struct {
 	buf  []*Packet
 	head int // slot of the oldest packet

@@ -322,7 +322,7 @@ func runLinkScript(t *testing.T, data []byte) *Link {
 	for i := range sc.ops {
 		op := &sc.ops[i]
 		id := int64(i)
-		re.At(op.at, func() {
+		re.At(op.at, sim.Func(func() {
 			ref.tick()
 			if ref.busy && ref.txEnd == re.Now() {
 				op.skip = true // a serialization ends this very microsecond
@@ -341,7 +341,7 @@ func runLinkScript(t *testing.T, data []byte) *Link {
 				refLed.reset(refState())
 				ref.stats = LinkStats{}
 			}
-		})
+		}))
 	}
 	re.Run()
 	endInstant()
@@ -368,7 +368,7 @@ func runLinkScript(t *testing.T, data []byte) *Link {
 			continue
 		}
 		op, id := op, int64(i)
-		e.At(op.at, func() {
+		e.At(op.at, sim.Func(func() {
 			switch op.kind {
 			case opSend:
 				p := net.NewPacket()
@@ -386,7 +386,7 @@ func runLinkScript(t *testing.T, data []byte) *Link {
 				led.reset(state())
 				l.ResetStats()
 			}
-		})
+		}))
 	}
 	for _, s := range snaps {
 		e.RunUntil(s.at)
@@ -449,6 +449,36 @@ func saturationScript(rng *rand.Rand) []byte {
 	return data
 }
 
+// pipelineScripts walk a link's in-flight pipeline off its two inline slots
+// and back: 10 Mbit/s, a 10 ms pipe and 100-byte packets (80 µs each), so a
+// burst of five has all five in flight at once, the ring spills to the heap
+// at the third, and two 6.4 ms waits (no-op SetUp calls) drain it to zero
+// before the next burst refills it.
+var pipelineScripts = func() [][]byte {
+	const send, down, up = 4 << 3, 0, 1 << 3
+	burst := func(n int) (ops []byte) {
+		for i := 0; i < n; i++ {
+			ops = append(ops, 0, 0, 10, send|byte(i%6))
+		}
+		return ops
+	}
+	drain := []byte{3, 255, 0, up, 3, 255, 0, up}
+	cat := func(parts ...[]byte) (out []byte) {
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	return [][]byte{
+		// five in flight, drain to 0, refill with four, drain, one more
+		cat([]byte{5, 4, 20, 0}, burst(5), drain, burst(4), drain, burst(1)),
+		// SetDown at 200 µs with three in flight (the third serializing)
+		// and two queued, repair 1 ms later, refill while the discarded
+		// deliveries are still due, drain, one more
+		cat([]byte{5, 4, 20, 1}, burst(5), []byte{1, 200, 0, down, 3, 40, 0, up}, burst(4), drain, burst(1)),
+	}
+}()
+
 // TestLinkTimingRandomScripts is the differential test over a table of
 // seeds: short scripts on every bandwidth/delay/queue/policy combination
 // the decoder can draw.
@@ -458,6 +488,12 @@ func TestLinkTimingRandomScripts(t *testing.T) {
 		data := make([]byte, 4+4*(10+rng.Intn(maxLinkOps)))
 		rng.Read(data)
 		runLinkScript(t, data)
+	}
+	// The pipeline scripts leave the inline slots and end empty.
+	for i, data := range pipelineScripts {
+		if l := runLinkScript(t, data); len(l.inflight.buf) < 4 || l.inflight.n != 0 {
+			t.Errorf("pipeline script %d: ring of %d slots holding %d at the end; want a spilled ring, drained", i, len(l.inflight.buf), l.inflight.n)
+		}
 	}
 	// Outages cut some scripts short, but in most far more packets must ride
 	// the pipe at once than it had room for when the first delivery moved
@@ -500,6 +536,9 @@ func FuzzLinkTiming(f *testing.F) {
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		f.Add(saturationScript(rand.New(rand.NewSource(seed))))
+	}
+	for _, data := range pipelineScripts {
+		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) { runLinkScript(t, data) })
 }
@@ -555,9 +594,9 @@ func TestLinkIdleRule(t *testing.T) {
 		if tc.late {
 			// Scheduled during the run, so it takes a later sequence number
 			// than the drain armed at t=0.
-			e.At(tc.at-1, func() { e.Schedule(1, arrive) })
+			e.At(tc.at-1, sim.Func(func() { e.Schedule(1, arrive) }))
 		} else {
-			e.At(tc.at, arrive)
+			e.At(tc.at, sim.Func(arrive))
 		}
 		for i := 0; i < tc.preload; i++ {
 			l.Send(mk(int64(i)))

@@ -136,3 +136,31 @@ func TestLinkMemoryBounded(t *testing.T) {
 		t.Errorf("%d of %d pooled packets came back", free, allocs)
 	}
 }
+
+// TestPipelineStartsInline: a link's first two packets in flight ride in
+// the link's own slots, and the third moves the pipeline to a 4-slot heap
+// ring. 100 B at 1 Mbit/s serialize in 800 µs; the pipe is 1 s long.
+func TestPipelineStartsInline(t *testing.T) {
+	e := sim.NewEngine(1)
+	net := New(e)
+	a, b := net.AddNode("a"), net.AddNode("b")
+	l := net.ConnectAsym(a, b, LinkConfig{Bandwidth: 1e6, Delay: sim.Second})
+	inline := func() bool { return &l.inflight.buf[0] == &l.pipe[0] }
+	for k, want := range []bool{true, true, false} {
+		p := net.NewPacket()
+		p.Kind, p.Src, p.Dst, p.Group, p.Size = Control, a.ID, b.ID, NoGroup, 100
+		l.Send(p)
+		p.Release()
+		e.RunUntil(sim.Time(k+1) * sim.Millisecond)
+		if l.inflight.n != k+1 || inline() != want {
+			t.Fatalf("%d in flight (want %d), inline %v (want %v), ring of %d", l.inflight.n, k+1, inline(), want, len(l.inflight.buf))
+		}
+	}
+	if len(l.inflight.buf) != 4 {
+		t.Errorf("spilled ring has %d slots, want 4", len(l.inflight.buf))
+	}
+	e.Run()
+	if l.Stats().Delivered != 3 || l.inflight.n != 0 {
+		t.Errorf("delivered %d, %d left in flight", l.Stats().Delivered, l.inflight.n)
+	}
+}

@@ -232,3 +232,67 @@ func TestReverseLink(t *testing.T) {
 		t.Error("Reverse of an asymmetric link should be nil")
 	}
 }
+
+// arrivalLog records when each unicast packet reached its node, on that
+// node's own clock.
+type arrivalLog struct {
+	sched sim.Scheduler
+	at    []sim.Time
+}
+
+func (a *arrivalLog) Recv(*Packet) { a.at = append(a.at, a.sched.Now()) }
+
+// TestBoundaryLinkDeliveryCrossesShards: on a partition-boundary link the
+// delivery event's Action — the link itself — rides the cross-shard mailbox
+// (crossEvent) into the receiving shard, while the transmitting shard keeps
+// pushing onto a pipeline spilled past its two inline slots. Both directions
+// run at once on two workers (run it under -race), and every arrival lands
+// when it does on the plain engine.
+func TestBoundaryLinkDeliveryCrossesShards(t *testing.T) {
+	run := func(sharded bool) (arrivals [2][]sim.Time, cross uint64) {
+		var eng sim.Runner = sim.NewEngine(1)
+		se := sim.NewShardedEngine(1, 2)
+		if sharded {
+			eng = se
+		}
+		net := New(eng)
+		a, b := net.AddNode("a"), net.AddNode("b")
+		ab, ba := net.Connect(a, b, LinkConfig{Bandwidth: 10e6, Delay: sim.Millisecond, QueueLimit: 64})
+		if sharded {
+			net.Partition(se, []int{0, 1})
+		}
+		logs := [2]*arrivalLog{{sched: net.SchedulerFor(b.ID)}, {sched: net.SchedulerFor(a.ID)}}
+		b.AttachAgent(logs[0])
+		a.AttachAgent(logs[1])
+		for dir, ends := range [2][2]*Node{{a, b}, {b, a}} {
+			from, to := ends[0], ends[1]
+			s := net.SchedulerFor(from.ID)
+			for k := 0; k < 60; k++ {
+				// 100 B take 80 µs on the wire: a dozen ride the 1 ms pipe.
+				s.At(sim.Time(k)*(20+sim.Time(dir)*30)*sim.Microsecond, sim.Func(func() {
+					p := net.NewPacket()
+					p.Kind, p.Src, p.Dst, p.Group, p.Size = Control, from.ID, to.ID, NoGroup, 100
+					from.SendUnicast(p)
+					p.Release()
+				}))
+			}
+		}
+		eng.Run()
+		for _, l := range []*Link{ab, ba} {
+			if len(l.inflight.buf) < 4 || l.inflight.n != 0 {
+				t.Errorf("sharded=%v %v: pipeline ring of %d slots holding %d; want spilled and drained", sharded, l, len(l.inflight.buf), l.inflight.n)
+			}
+		}
+		return [2][]sim.Time{logs[0].at, logs[1].at}, se.Stats().CrossEvents
+	}
+	want, _ := run(false)
+	got, cross := run(true)
+	if cross != 120 {
+		t.Errorf("%d events crossed shards; want 120, one delivery per packet", cross)
+	}
+	for dir := range want {
+		if len(want[dir]) != 60 || !reflect.DeepEqual(got[dir], want[dir]) {
+			t.Errorf("direction %d: sharded arrivals %v\nplain engine %v", dir, got[dir], want[dir])
+		}
+	}
+}

@@ -302,6 +302,26 @@ func TestQueueLimitDefault(t *testing.T) {
 	}
 }
 
+// TestConnectAllocs: connecting two fresh nodes allocates the two Links and
+// each node's out-link table, nothing else — a link's events need no bound
+// callbacks, and its pipeline starts on the link's own two slots.
+func TestConnectAllocs(t *testing.T) {
+	net := New(sim.NewEngine(1))
+	const runs = 100
+	nodes := make([]*Node, 2*(runs+1)) // AllocsPerRun makes one warm-up call
+	for i := range nodes {
+		nodes[i] = net.AddNode("n")
+	}
+	i := 0
+	got := testing.AllocsPerRun(runs, func() {
+		net.Connect(nodes[i], nodes[i+1], LinkConfig{Bandwidth: 1e6, Delay: sim.Millisecond})
+		i += 2
+	})
+	if got != 4 {
+		t.Errorf("Connect allocated %v objects; want 4: two Links and two out-link tables", got)
+	}
+}
+
 func TestSendUnicastRejectsMulticast(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := New(e)

@@ -289,9 +289,7 @@ func (n *Network) addLink(from, to *Node, cfg LinkConfig) *Link {
 		QueueLimit: ql,
 		Policy:     cfg.Policy,
 	}
-	// Bind the hot-path callbacks once so forwarding allocates no closures.
-	l.drainFn = l.drain
-	l.deliverFn = l.deliverHead
+	l.inflight.buf = l.pipe[:]
 	// Single-scheduler default; Partition rebinds these per shard.
 	l.sched, l.dsched, l.recvSched = n.engine, n.engine, n.engine
 	from.addLink(l)

@@ -73,10 +73,10 @@ type Receiver struct {
 	layers []layerState // index 0 = layer 1
 
 	lastSuggestion sim.Time
-	// timer is the one pending report-timer event, timerFn its callback
-	// (onTimer, bound once); ticking is set once the start offset is over.
+	// timer is the one pending report-timer event, whose Action is the
+	// receiver itself (reportTimer); ticking is set once the start offset
+	// is over.
 	timer   sim.Handle
-	timerFn func()
 	ticking bool
 	started bool
 	stopped bool
@@ -135,6 +135,9 @@ func (r *Receiver) sched() sim.Scheduler { return r.net.SchedulerFor(r.node.ID) 
 // Node returns the node the receiver is attached to.
 func (r *Receiver) Node() *netsim.Node { return r.node }
 
+// Config returns the receiver's configuration, defaults filled in.
+func (r *Receiver) Config() Config { return r.cfg }
+
 // Session returns the session this receiver subscribes to.
 func (r *Receiver) Session() int { return r.cfg.Session }
 
@@ -161,15 +164,17 @@ func (r *Receiver) Start() {
 		// t=0 would otherwise fire all reports in the same instant, and
 		// the synchronized control burst itself perturbs queues.
 		offset := sim.Time(e.Rand().Int63n(int64(r.cfg.ReportInterval)))
-		r.timerFn = r.onTimer
-		r.timer = e.Schedule(offset, r.timerFn)
+		r.timer = e.After(offset, (*reportTimer)(r))
 	}
 }
 
-// onTimer is the report timer: its first firing ends the start offset,
-// every later one closes a measurement interval, and each re-arms it one
-// ReportInterval on until the receiver stops.
-func (r *Receiver) onTimer() {
+// reportTimer is a receiver's report timer: its first firing ends the start
+// offset, every later one closes a measurement interval, and each re-arms it
+// one ReportInterval on until the receiver stops.
+type reportTimer Receiver
+
+func (k *reportTimer) Fire() {
+	r := (*Receiver)(k)
 	if r.stopped {
 		return
 	}
@@ -180,7 +185,7 @@ func (r *Receiver) onTimer() {
 		}
 	}
 	r.ticking = true
-	r.timer = r.sched().Schedule(r.cfg.ReportInterval, r.timerFn)
+	r.timer = r.sched().After(r.cfg.ReportInterval, k)
 }
 
 // Stop leaves all layers, halts reporting and detaches the receiver from

@@ -6,16 +6,32 @@ import (
 	"math/rand"
 )
 
+// Action is what an event does when it fires. A hot caller makes its own
+// state the Action — a pointer type whose Fire method is the callback —
+// so scheduling it stores two words in the event and allocates nothing;
+// Func adapts a closure.
+type Action interface{ Fire() }
+
+// Func adapts a closure to an Action. Converting one allocates nothing
+// beyond the closure itself: a func value is one pointer, which an
+// interface holds as is.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
 // Event is one slot of the engine's scheduler. Slots are owned and recycled
 // by their queue: after an event fires or is cancelled its struct returns to
-// a free list and is reused by a later Schedule/At call. User code never
-// holds *Event directly — Schedule and At return a Handle, which pairs the
+// a free list and is reused by a later After/At call. User code never
+// holds *Event directly — After and At return a Handle, which pairs the
 // slot with the generation it was issued for, so operations on a handle
-// whose slot has been recycled are safe no-ops.
+// whose slot has been recycled are safe no-ops. An Event is 64 bytes, one
+// cache line: slabs of eventSlab slots start on a line boundary, so no slot
+// straddles two.
 type Event struct {
 	at         Time
 	seq        uint64 // tie-breaker: FIFO among events at the same timestamp
-	fn         func()
+	act        Action
 	next, prev *Event // ring-bucket list of leaders; prev is also a member's back-link (see equeue)
 	mem        *Event // the next event of my train, nil at its tail and out of the queue
 	index      int32  // heap position, 0 in a ring bucket, or idxMember; idxFired or idxCancelled once out of the queue
@@ -23,8 +39,7 @@ type Event struct {
 }
 
 // Out-of-queue values of Event.index. The cancelled state lives here rather
-// than in a flag of its own so that an Event is 56 bytes and eventSlab of
-// them fit the allocation size class a slab has always used.
+// than in a flag of its own so that an Event stays one 64-byte line.
 const (
 	idxFired     = -1 // popped to fire, or removed on its way to idxCancelled
 	idxCancelled = -2 // Cancel was called; holds until the slot is reused
@@ -172,34 +187,44 @@ func (e *Engine) Stats() EngineStats {
 	}
 }
 
-// Schedule runs fn after delay. A negative delay panics: models must never
+// After fires a after delay. A negative delay panics: models must never
 // schedule into the past.
-func (e *Engine) Schedule(delay Time, fn func()) Handle {
+func (e *Engine) After(delay Time, a Action) Handle {
 	if delay < 0 {
-		panic(fmt.Sprintf("sim: Schedule with negative delay %v at %v", delay, e.now))
+		panic(fmt.Sprintf("sim: After with negative delay %v at %v", delay, e.now))
 	}
-	return e.At(e.now+delay, fn)
+	return e.At(e.now+delay, a)
 }
 
-// At runs fn at absolute time t (>= Now).
-func (e *Engine) At(t Time, fn func()) Handle {
+// Schedule runs the closure fn after delay: After(delay, Func(fn)), for
+// callers holding a concrete Engine (the repository benchmark's hold
+// model, tests).
+func (e *Engine) Schedule(delay Time, fn func()) Handle {
+	if fn == nil {
+		panic("sim: Schedule with nil callback")
+	}
+	return e.After(delay, Func(fn))
+}
+
+// At fires a at absolute time t (>= Now).
+func (e *Engine) At(t Time, a Action) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: At(%v) is in the past (now %v)", t, e.now))
 	}
-	if fn == nil {
-		panic("sim: At with nil callback")
+	if a == nil {
+		panic("sim: At with nil Action")
 	}
-	return e.q.schedule(t, fn)
+	return e.q.schedule(t, a)
 }
 
 // Reserve takes n consecutive sequence numbers now, for events AtReserved
 // queues later, and returns the first of them.
 func (e *Engine) Reserve(n int) uint64 { return e.q.reserve(n) }
 
-// AtReserved queues fn at t under seq, a number Reserve handed out: the
+// AtReserved queues a at t under seq, a number Reserve handed out: the
 // event fires exactly where one scheduled at t when seq was reserved would
 // have. It panics unless (t, seq) is still ahead (see Passed).
-func (e *Engine) AtReserved(t Time, seq uint64, fn func()) Handle { return e.q.backdate(t, seq, fn) }
+func (e *Engine) AtReserved(t Time, seq uint64, a Action) Handle { return e.q.backdate(t, seq, a) }
 
 // Passed reports whether an event keyed (t, seq) would already have fired:
 // it sorts before the event now firing, or, between runs, at or before the
@@ -217,7 +242,7 @@ func (e *Engine) Cancel(h Handle) { e.q.cancel(h) }
 func (e *Engine) Stop() { e.stopped = true }
 
 // step pops and fires the earliest event. It reports false when the queue is
-// empty. The slot is recycled before the callback runs, so a callback that
+// empty. The slot is recycled before the Action fires, so an Action that
 // schedules new work reuses it immediately.
 func (e *Engine) step() bool {
 	ev := e.q.pop()
@@ -226,9 +251,9 @@ func (e *Engine) step() bool {
 	}
 	e.now = ev.at
 	e.fired++
-	fn := ev.fn
+	a := ev.act
 	e.q.release(ev)
-	fn()
+	a.Fire()
 	return true
 }
 
@@ -273,26 +298,29 @@ func Every(s Scheduler, period Time, fn func()) *Ticker {
 		panic("sim: Every requires a positive period")
 	}
 	t := &Ticker{sched: s, period: period, fn: fn}
-	t.tick = t.onTick // bound once; re-arming reuses it
 	t.arm()
 	return t
 }
 
-// Ticker repeats a callback at a fixed period on one Scheduler.
+// Ticker repeats a callback at a fixed period on one Scheduler. Its own
+// event's Action is the ticker (tick), so re-arming allocates nothing.
 type Ticker struct {
 	sched   Scheduler
 	period  Time
 	fn      func()
-	tick    func()
 	ev      Handle
 	stopped bool
 }
 
 func (t *Ticker) arm() {
-	t.ev = t.sched.Schedule(t.period, t.tick)
+	t.ev = t.sched.After(t.period, (*tick)(t))
 }
 
-func (t *Ticker) onTick() {
+// tick is a Ticker's firing.
+type tick Ticker
+
+func (k *tick) Fire() {
+	t := (*Ticker)(k)
 	if t.stopped {
 		return
 	}

@@ -268,7 +268,7 @@ func TestAtInPastPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	e.At(Second, func() {})
+	e.At(Second, Func(func() {}))
 }
 
 func TestNilCallbackPanics(t *testing.T) {

@@ -7,13 +7,11 @@ const freeListChunk = 64
 
 // FreeList recycles records, chiefly event records (DESIGN.md §5): instead
 // of a closure per scheduled message, a record carrying the message's
-// arguments and a callback Bind ties to its own fire method once. A record
-// goes back with Put when it fires, a cancellable one also when cancelled,
-// and is not touched after. Get and Put lock, so a record taken in one
-// shard and fired in another stays race-free.
+// arguments whose pointer type is the event's Action. A record goes back
+// with Put when it fires, a cancellable one also when cancelled, and is not
+// touched after. Get and Put lock, so a record taken in one shard and fired
+// in another stays race-free.
 type FreeList[T any] struct {
-	Bind func(*T) // readies a record the list makes; nil for none
-
 	mu   sync.Mutex
 	free []*T
 }
@@ -31,13 +29,8 @@ func (f *FreeList[T]) Get() *T {
 	}
 	f.mu.Unlock()
 	chunk := make([]T, freeListChunk)
-	for i := range chunk {
-		if f.Bind != nil {
-			f.Bind(&chunk[i])
-		}
-		if i > 0 {
-			f.Put(&chunk[i])
-		}
+	for i := 1; i < len(chunk); i++ {
+		f.Put(&chunk[i])
 	}
 	return &chunk[0]
 }

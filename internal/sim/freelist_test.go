@@ -5,25 +5,21 @@ import (
 	"testing"
 )
 
-type rec struct {
-	n    int
-	fire func()
-}
+type rec struct{ n int }
 
-func (r *rec) run() { r.n++ }
+func (r *rec) Fire() { r.n++ }
 
-// TestFreeListRecycles: records are bound once when the list makes them,
-// come back in LIFO order, and the steady state allocates nothing — the
-// whole point of scheduling a record instead of a closure.
+// TestFreeListRecycles: an empty list makes a chunk of records at once,
+// records come back in LIFO order, and the steady state allocates nothing —
+// the whole point of scheduling a record (its own Action) instead of a
+// closure.
 func TestFreeListRecycles(t *testing.T) {
 	var f FreeList[rec]
-	bound := 0
-	f.Bind = func(r *rec) { r.fire = r.run; bound++ }
 	a := f.Get()
-	if a.fire == nil || bound != freeListChunk {
-		t.Fatalf("first Get bound %d records, fire set %v", bound, a.fire != nil)
+	if n := len(f.free); n != freeListChunk-1 {
+		t.Fatalf("first Get left %d records on the list, want %d", n, freeListChunk-1)
 	}
-	a.fire()
+	a.Fire()
 	f.Put(a)
 	if b := f.Get(); b != a || b.n != 1 {
 		t.Errorf("Get after Put returned another record (or reset it)")
@@ -31,14 +27,15 @@ func TestFreeListRecycles(t *testing.T) {
 	e := NewEngine(1)
 	if got := testing.AllocsPerRun(100, func() {
 		r := f.Get()
-		e.Schedule(1, r.fire)
+		e.After(1, r)
 		e.Run()
 		f.Put(r)
 	}); got != 0 {
 		t.Errorf("get, schedule, fire, put: %v allocs, want 0", got)
 	}
-	if bound != freeListChunk {
-		t.Errorf("%d records made for at most two in use", bound)
+	f.Put(a)
+	if n := len(f.free); n != freeListChunk {
+		t.Errorf("%d records on the list for one chunk made", n)
 	}
 }
 

@@ -16,9 +16,20 @@ const (
 	ringMask    = ringSize - 1
 )
 
-// eventSlab is how many Event slots one allocation provides: 109 slots of 56
-// bytes are 6104, the most that fit the 6144-byte size class.
-const eventSlab = 109
+// eventSlab is how many Event slots one allocation provides. A slab is an
+// eventSlabMem: objects of the 6144-byte size class sit at multiples of
+// 6144 (96 lines) from a page-aligned span start, and the allocator writes
+// an 8-byte type header in front of every pointerful object above 512
+// bytes, so 56 bytes of padding put slot 0 — and with it every slot — on a
+// line boundary, and 95 slots fill the class exactly. (96 slots would need
+// 6152 bytes: the next class, with every slot straddling two lines.)
+const eventSlab = 95
+
+// eventSlabMem is one slab allocation; TestEventSlabs pins its alignment.
+type eventSlabMem struct {
+	_     [56]byte
+	slots [eventSlab]Event
+}
 
 // trainWays is how many instants schedule remembers the newest event of. Two,
 // because a fan-out burst alternates between this level's arrivals and the
@@ -111,12 +122,12 @@ func bucketOf(ev *Event) int64 { return int64(ev.at) >> bucketShift }
 
 func (q *equeue) len() int { return q.n }
 
-// schedule queues fn at t and returns its handle: behind the remembered
+// schedule queues a at t and returns its handle: behind the remembered
 // tail of t's train while that is still queued (a handle to a slot that
 // fired, was cancelled or has been reused is not Active), else as a new
 // leader whose instant takes the older way.
-func (q *equeue) schedule(t Time, fn func()) Handle {
-	ev := q.acquire(t, q.seq, fn)
+func (q *equeue) schedule(t Time, a Action) Handle {
+	ev := q.acquire(t, q.seq, a)
 	q.seq++
 	h := Handle{ev: ev, gen: ev.gen}
 	q.n++
@@ -144,16 +155,16 @@ func (q *equeue) reserve(n int) uint64 {
 	return first
 }
 
-// backdate queues fn at t under seq, a number reserve handed out, as a
+// backdate queues a at t under seq, a number reserve handed out, as a
 // leader of its own. The key must still be ahead: (t, seq) not passed.
-func (q *equeue) backdate(t Time, seq uint64, fn func()) Handle {
-	if fn == nil {
-		panic("sim: AtReserved with nil callback")
+func (q *equeue) backdate(t Time, seq uint64, a Action) Handle {
+	if a == nil {
+		panic("sim: AtReserved with nil Action")
 	}
 	if seq >= q.seq || q.passed(t, seq) {
 		panic(fmt.Sprintf("sim: back-dated event (%v, %d) was not reserved or has gone by", t, seq))
 	}
-	ev := q.acquire(t, seq, fn)
+	ev := q.acquire(t, seq, a)
 	if t >= q.backEnd {
 		q.backEnd = t + 1
 	}
@@ -320,7 +331,7 @@ func (q *equeue) advance() bool {
 
 // acquire takes an event slot from the free list (bumping its generation so
 // stale handles go inert) or carves a fresh one from the current slab.
-func (q *equeue) acquire(t Time, seq uint64, fn func()) *Event {
+func (q *equeue) acquire(t Time, seq uint64, a Action) *Event {
 	var ev *Event
 	if n := len(q.free); n > 0 {
 		ev = q.free[n-1]
@@ -330,14 +341,14 @@ func (q *equeue) acquire(t Time, seq uint64, fn func()) *Event {
 		q.slotReuses++
 	} else {
 		if len(q.slab) == 0 {
-			q.slab = make([]Event, eventSlab)
+			q.slab = new(eventSlabMem).slots[:]
 		}
 		ev, q.slab = &q.slab[0], q.slab[1:]
 		q.slotAllocs++
 	}
 	ev.at = t
 	ev.seq = seq
-	ev.fn = fn
+	ev.act = a
 	return ev
 }
 
@@ -345,7 +356,7 @@ func (q *equeue) acquire(t Time, seq uint64, fn func()) *Event {
 // next acquire, not here, so handles to the completed event still read
 // their Cancelled state until the slot is reused.
 func (q *equeue) release(ev *Event) {
-	ev.fn = nil // drop the closure reference immediately
+	ev.act = nil // drop the Action's reference immediately
 	q.free = append(q.free, ev)
 }
 

@@ -249,13 +249,13 @@ func (s *engineSys) now() Time { return s.e.Now() }
 func (s *engineSys) schedule(id int, delay Time, abs bool) {
 	fn := func() { s.r.onFire(id) }
 	if abs {
-		s.handles = append(s.handles, s.e.At(s.e.Now()+delay, fn))
+		s.handles = append(s.handles, s.e.At(s.e.Now()+delay, Func(fn)))
 	} else {
 		s.handles = append(s.handles, s.e.Schedule(delay, fn))
 	}
 }
 func (s *engineSys) insert(id int, at Time, seq uint64) {
-	s.handles = append(s.handles, s.e.AtReserved(at, seq, func() { s.r.onFire(id) }))
+	s.handles = append(s.handles, s.e.AtReserved(at, seq, Func(func() { s.r.onFire(id) })))
 }
 func (s *engineSys) reserve(n int)   { s.e.Reserve(n) }
 func (s *engineSys) cancel(id int)   { s.e.Cancel(s.handles[id]) }
@@ -488,12 +488,12 @@ func (q *equeue) entries() int { return len(q.near) + q.ringN + len(q.far) }
 func TestQueueScheduleIntoPassedBucket(t *testing.T) {
 	e := NewEngine(1)
 	var order []string
-	e.At(bucketTime(10)+5, func() { order = append(order, "late") })
+	e.At(bucketTime(10)+5, Func(func() { order = append(order, "late") }))
 	e.RunUntil(bucketTime(2))
 	if e.q.cur != 10 {
 		t.Fatalf("RunUntil did not peek ahead: current bucket %d, want 10", e.q.cur)
 	}
-	e.At(bucketTime(10)+1, func() { order = append(order, "same-bucket-earlier") })
+	e.At(bucketTime(10)+1, Func(func() { order = append(order, "same-bucket-earlier") }))
 	e.Schedule(bucketTime(1), func() { order = append(order, "passed-bucket") })
 	e.Schedule(0, func() { order = append(order, "now") })
 	if got := e.q.tiers(); got != "near 4 ring 0 far 0" {
@@ -513,7 +513,7 @@ func TestQueueCancelInEachTier(t *testing.T) {
 	hs := make([]Handle, len(at))
 	for i, a := range at {
 		i := i
-		hs[i] = e.At(a, func() { fired = append(fired, i) })
+		hs[i] = e.At(a, Func(func() { fired = append(fired, i) }))
 	}
 	if got := e.q.tiers(); got != "near 2 ring 4 far 3" {
 		t.Fatalf("tiers: %s", got)
@@ -546,7 +546,7 @@ func TestQueueRingWrapAround(t *testing.T) {
 	var fired []int64
 	for _, ahead := range []int64{ringSize + 1, ringSize, ringSize - 1, 1} {
 		ahead := ahead
-		e.At(bucketTime(base+ahead), func() { fired = append(fired, ahead) })
+		e.At(bucketTime(base+ahead), Func(func() { fired = append(fired, ahead) }))
 	}
 	if got := e.q.tiers(); got != "near 0 ring 2 far 2" {
 		t.Fatalf("tiers: %s", got)
@@ -575,7 +575,7 @@ func TestQueueJumpToFar(t *testing.T) {
 	rec := func() { fired = append(fired, e.Now()) }
 	want := []Time{10 * Second, 10*Second + 1, 10*Second + bucketTime(2), 20 * Second, 3600 * Second}
 	for i := len(want) - 1; i >= 0; i-- {
-		e.At(want[i], rec)
+		e.At(want[i], Func(rec))
 	}
 	if got := e.q.tiers(); got != "near 0 ring 0 far 5" {
 		t.Fatalf("tiers: %s", got)
@@ -598,11 +598,11 @@ func TestQueueJumpToFar(t *testing.T) {
 func TestQueueRingCancelSlotReuse(t *testing.T) {
 	for _, reuseAt := range []Time{1, bucketTime(5), bucketTime(2 * ringSize)} {
 		e := NewEngine(1)
-		e.At(bucketTime(5)+1, func() {}) // keeps the bucket's list non-trivial
-		stale := e.At(bucketTime(5)+2, func() { t.Error("cancelled event fired") })
+		e.At(bucketTime(5)+1, Func(func() {})) // keeps the bucket's list non-trivial
+		stale := e.At(bucketTime(5)+2, Func(func() { t.Error("cancelled event fired") }))
 		e.Cancel(stale)
 		fired := false
-		fresh := e.At(reuseAt, func() { fired = true })
+		fresh := e.At(reuseAt, Func(func() { fired = true }))
 		if fresh.ev != stale.ev {
 			t.Fatal("slot was not recycled")
 		}
@@ -659,13 +659,14 @@ func BenchmarkHold(b *testing.B) {
 // each was an allocation of its own (so sim.event_slot_allocs does not move):
 // one per acquisition the free list could not serve. Handles to neighbouring
 // slots on either side of a slab boundary must stay independent, and a slot's
-// stale handle inert, exactly as for individually allocated slots.
+// stale handle inert, exactly as for individually allocated slots. Every
+// slot is one 64-byte cache line of its own.
 func TestEventSlabs(t *testing.T) {
-	if got := unsafe.Sizeof(Event{}); got != 56 {
-		t.Errorf("Event is %d bytes, want 56", got)
+	if got := unsafe.Sizeof(Event{}); got != 64 {
+		t.Errorf("Event is %d bytes, want 64", got)
 	}
-	if slab := eventSlab * unsafe.Sizeof(Event{}); slab > 6144 || slab+unsafe.Sizeof(Event{}) <= 6144 {
-		t.Errorf("a %d-slot slab is %d bytes; it should fill the 6144-byte size class to within one slot", eventSlab, slab)
+	if got := unsafe.Sizeof(eventSlabMem{}); eventSlab != 95 || got+8 != 6144 {
+		t.Errorf("a %d-slot slab is %d bytes; want 95 slots filling the 6144-byte size class with the allocator's 8-byte header", eventSlab, got)
 	}
 	e := NewEngine(1)
 	fired := 0
@@ -677,12 +678,17 @@ func TestEventSlabs(t *testing.T) {
 		} else {
 			wantAllocs++
 		}
-		return e.At(at, count)
+		return e.At(at, Func(count))
 	}
 	// 300 events: slots 0..299, the last ones in a third slab.
 	var hs []Handle
 	for i := 0; i < 300; i++ {
 		hs = append(hs, schedule(Time(i+1)*Millisecond))
+	}
+	for i, h := range hs {
+		if a := uintptr(unsafe.Pointer(h.ev)); a%64 != 0 {
+			t.Fatalf("slot %d at %#x is not 64-byte aligned", i, a)
+		}
 	}
 	last, first := hs[eventSlab-1], hs[eventSlab] // last slot of slab 0, first of slab 1
 	if last.ev == first.ev || !last.Active() || !first.Active() {
@@ -694,7 +700,7 @@ func TestEventSlabs(t *testing.T) {
 		t.Fatalf("cancel across the boundary: last Cancelled=%v Active=%v, first Cancelled=%v Active=%v",
 			last.Cancelled(), last.Active(), first.Cancelled(), first.Active())
 	}
-	for i := 1; i < 300; i += 3 { // cancel every third (slot eventSlab-1 = 108 is not among them)
+	for i := 0; i < 300; i += 3 { // cancel every third (slot eventSlab-1 = 94 is not among them)
 		e.Cancel(hs[i])
 		free++
 	}
@@ -736,7 +742,7 @@ func TestEventSlabs(t *testing.T) {
 	mallocs := testing.AllocsPerRun(10, func() {
 		e := NewEngine(1)
 		for i := 0; i < 1000; i++ {
-			e.At(Time(i), count)
+			e.At(Time(i), Func(count))
 		}
 	})
 	if engine := testing.AllocsPerRun(10, func() { NewEngine(1) }); mallocs-engine > 1000/eventSlab+1+12 {

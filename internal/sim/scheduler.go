@@ -3,7 +3,7 @@ package sim
 import "math/rand"
 
 // Scheduler is the narrow scheduling surface model components program
-// against: read the clock, schedule and cancel callbacks, draw deterministic
+// against: read the clock, schedule and cancel Actions, draw deterministic
 // randomness. Both the single-threaded Engine and every execution context of
 // the ShardedEngine (per-shard schedulers, cross-shard channels, the global
 // barrier queue) implement it, so a component wired to a Scheduler runs
@@ -11,7 +11,7 @@ import "math/rand"
 //
 // Contract notes:
 //
-//   - Now/Schedule/At are relative to the calling context: inside a sharded
+//   - Now/After/At are relative to the calling context: inside a sharded
 //     run, a shard scheduler's clock is that shard's local clock, which may
 //     lead the committed global time by up to the lookahead.
 //   - Rand returns the one run-wide deterministic stream. Under a sharded
@@ -22,8 +22,8 @@ import "math/rand"
 //     Cross-shard schedules return the zero Handle and are not cancellable.
 type Scheduler interface {
 	Now() Time
-	Schedule(delay Time, fn func()) Handle
-	At(t Time, fn func()) Handle
+	After(delay Time, a Action) Handle
+	At(t Time, a Action) Handle
 	Cancel(h Handle)
 	Rand() *rand.Rand
 }
@@ -41,7 +41,7 @@ type Scheduler interface {
 type Reserver interface {
 	Scheduler
 	Reserve(n int) uint64
-	AtReserved(t Time, seq uint64, fn func()) Handle
+	AtReserved(t Time, seq uint64, a Action) Handle
 	Passed(t Time, seq uint64) bool
 }
 

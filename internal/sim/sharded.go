@@ -155,13 +155,11 @@ func (se *ShardedEngine) Now() Time { return se.Global().Now() }
 // comment for the sharded-draw contract).
 func (se *ShardedEngine) Rand() *rand.Rand { return se.rng }
 
-// Schedule queues fn on the global (stop-the-world) context after delay.
-func (se *ShardedEngine) Schedule(delay Time, fn func()) Handle {
-	return se.Global().Schedule(delay, fn)
-}
+// After queues a on the global (stop-the-world) context after delay.
+func (se *ShardedEngine) After(delay Time, a Action) Handle { return se.Global().After(delay, a) }
 
-// At queues fn on the global (stop-the-world) context at absolute time t.
-func (se *ShardedEngine) At(t Time, fn func()) Handle { return se.Global().At(t, fn) }
+// At queues a on the global (stop-the-world) context at absolute time t.
+func (se *ShardedEngine) At(t Time, a Action) Handle { return se.Global().At(t, a) }
 
 // Cancel cancels a handle issued by the global context.
 func (se *ShardedEngine) Cancel(h Handle) { se.Global().Cancel(h) }
@@ -170,8 +168,8 @@ func (se *ShardedEngine) Cancel(h Handle) { se.Global().Cancel(h) }
 func (se *ShardedEngine) Reserve(n int) uint64 { return se.global().Reserve(n) }
 
 // AtReserved queues a back-dated event on the global context.
-func (se *ShardedEngine) AtReserved(t Time, seq uint64, fn func()) Handle {
-	return se.global().AtReserved(t, seq, fn)
+func (se *ShardedEngine) AtReserved(t Time, seq uint64, a Action) Handle {
+	return se.global().AtReserved(t, seq, a)
 }
 
 // Passed reports whether (t, seq) has gone by on the global context.
@@ -427,7 +425,7 @@ func (se *ShardedEngine) drainMailboxes() {
 			if mb := src.out[dst]; len(mb) > 0 {
 				buf = append(buf, mb...)
 				for k := range mb {
-					mb[k].fn = nil
+					mb[k].act = nil
 				}
 				src.out[dst] = mb[:0]
 			}
@@ -438,8 +436,8 @@ func (se *ShardedEngine) drainMailboxes() {
 		}
 		sort.Sort(buf)
 		for i := range buf {
-			d.q.schedule(buf[i].at, buf[i].fn)
-			buf[i].fn = nil
+			d.q.schedule(buf[i].at, buf[i].act)
+			buf[i].act = nil
 		}
 		d.crossIn += uint64(len(buf))
 		se.crossTotal += uint64(len(buf))
@@ -471,35 +469,35 @@ func (s *shardSched) Now() Time { return s.now }
 
 func (s *shardSched) Rand() *rand.Rand { return s.eng.rng }
 
-func (s *shardSched) Schedule(delay Time, fn func()) Handle {
+func (s *shardSched) After(delay Time, a Action) Handle {
 	if delay < 0 {
-		panic(fmt.Sprintf("sim: Schedule with negative delay %v at %v", delay, s.now))
+		panic(fmt.Sprintf("sim: After with negative delay %v at %v", delay, s.now))
 	}
-	return s.At(s.now+delay, fn)
+	return s.At(s.now+delay, a)
 }
 
-func (s *shardSched) At(t Time, fn func()) Handle {
+func (s *shardSched) At(t Time, a Action) Handle {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: At(%v) is in the past (now %v)", t, s.now))
 	}
-	if fn == nil {
-		panic("sim: At with nil callback")
+	if a == nil {
+		panic("sim: At with nil Action")
 	}
 	if s.global && s.eng.running.Load() {
 		panic("sim: global schedule from inside a shard window; use the shard or cross-shard scheduler")
 	}
-	return s.q.schedule(t, fn)
+	return s.q.schedule(t, a)
 }
 
 func (s *shardSched) Cancel(h Handle) { s.q.cancel(h) }
 
 func (s *shardSched) Reserve(n int) uint64 { return s.q.reserve(n) }
 
-func (s *shardSched) AtReserved(t Time, seq uint64, fn func()) Handle {
+func (s *shardSched) AtReserved(t Time, seq uint64, a Action) Handle {
 	if s.global && s.eng.running.Load() {
 		panic("sim: global schedule from inside a shard window; use the shard or cross-shard scheduler")
 	}
-	return s.q.backdate(t, seq, fn)
+	return s.q.backdate(t, seq, a)
 }
 
 // Passed reports whether (t, seq) has gone by in this context: it sorts
@@ -516,9 +514,9 @@ func (s *shardSched) step() bool {
 	}
 	s.now = ev.at
 	s.fired++
-	fn := ev.fn
+	a := ev.act
 	s.q.release(ev)
-	fn()
+	a.Fire()
 	return true
 }
 
@@ -533,9 +531,9 @@ func (s *shardSched) runWindow(tStop Time, incl bool) {
 		s.q.pop()
 		s.now = ev.at
 		s.fired++
-		fn := ev.fn
+		a := ev.act
 		s.q.release(ev)
-		fn()
+		a.Fire()
 	}
 	if incl {
 		s.q.complete(tStop)
@@ -552,7 +550,7 @@ type crossEvent struct {
 	at  Time
 	seq uint64 // source-shard schedule order
 	src int32
-	fn  func()
+	act Action
 }
 
 type crossEvents []crossEvent
@@ -582,23 +580,23 @@ func (c *crossSched) Now() Time { return c.src.now }
 
 func (c *crossSched) Rand() *rand.Rand { return c.src.eng.rng }
 
-func (c *crossSched) Schedule(delay Time, fn func()) Handle {
+func (c *crossSched) After(delay Time, a Action) Handle {
 	if delay < 0 {
-		panic(fmt.Sprintf("sim: Schedule with negative delay %v at %v", delay, c.src.now))
+		panic(fmt.Sprintf("sim: After with negative delay %v at %v", delay, c.src.now))
 	}
-	return c.At(c.src.now+delay, fn)
+	return c.At(c.src.now+delay, a)
 }
 
-func (c *crossSched) At(t Time, fn func()) Handle {
+func (c *crossSched) At(t Time, a Action) Handle {
 	s := c.src
 	if t-s.now < s.eng.lookahead {
 		panic(fmt.Sprintf("sim: cross-shard At(%v) violates lookahead %v (now %v)",
 			t, s.eng.lookahead, s.now))
 	}
-	if fn == nil {
-		panic("sim: At with nil callback")
+	if a == nil {
+		panic("sim: At with nil Action")
 	}
-	s.out[c.dst] = append(s.out[c.dst], crossEvent{at: t, seq: s.outSeq, src: int32(s.idx), fn: fn})
+	s.out[c.dst] = append(s.out[c.dst], crossEvent{at: t, seq: s.outSeq, src: int32(s.idx), act: a})
 	s.outSeq++
 	return Handle{}
 }

@@ -19,16 +19,16 @@ func TestShardTrainAcrossBarrier(t *testing.T) {
 		se := NewShardedEngine(1, workers)
 		se.SetPartitions(2, Millisecond)
 		var log []int
-		se.Shard(0).At(0, func() {
+		se.Shard(0).At(0, Func(func() {
 			x := se.Cross(0, 1)
 			for i := 0; i < 4; i++ {
-				x.At(at, func() { log = append(log, i) })
+				x.At(at, Func(func() { log = append(log, i) }))
 			}
-			x.At(at+1, func() { log = append(log, 4) })
-		})
-		se.Shard(1).At(at, func() { log = append(log, -1) })
+			x.At(at+1, Func(func() { log = append(log, 4) }))
+		}))
+		se.Shard(1).At(at, Func(func() { log = append(log, -1) }))
 		atBound := -1
-		se.Global().At(at, func() { atBound = len(log) })
+		se.Global().At(at, Func(func() { atBound = len(log) }))
 
 		se.RunUntil(at - 1)
 		st, q := se.Stats(), &se.shards[1].q
@@ -58,7 +58,7 @@ func TestShardStatsJSONHasNoHostTime(t *testing.T) {
 	se := NewShardedEngine(1, 2)
 	se.SetPartitions(2, Millisecond)
 	for i := 0; i < 100; i++ {
-		se.Shard(i%2).At(Time(i)*Millisecond, func() {})
+		se.Shard(i%2).At(Time(i)*Millisecond, Func(func() {}))
 	}
 	se.Run()
 	st := se.Stats()

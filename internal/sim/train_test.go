@@ -28,7 +28,7 @@ func burst(e *Engine, log *[]int, at Time, base, n int) []Handle {
 	hs := make([]Handle, n)
 	for i := range hs {
 		id := base + i
-		hs[i] = e.At(at, func() { *log = append(*log, id) })
+		hs[i] = e.At(at, Func(func() { *log = append(*log, id) }))
 	}
 	return hs
 }
@@ -137,7 +137,7 @@ func TestTrainCancelFromInside(t *testing.T) {
 	e := NewEngine(1)
 	var log []int
 	var hs []Handle
-	e.At(Second, func() { e.Cancel(hs[0]); e.Cancel(hs[2]); log = append(log, -1) })
+	e.At(Second, Func(func() { e.Cancel(hs[0]); e.Cancel(hs[2]); log = append(log, -1) }))
 	hs = burst(e, &log, Second, 0, 4)
 	e.Run()
 	if got := fmt.Sprint(log); got != "[-1 1 3]" {
@@ -151,7 +151,7 @@ func TestTrainStop(t *testing.T) {
 	e := NewEngine(1)
 	var log []int
 	hs := burst(e, &log, Second, 0, 2)
-	e.At(Second, func() { log = append(log, 2); e.Stop() })
+	e.At(Second, Func(func() { log = append(log, 2); e.Stop() }))
 	hs = append(hs, Handle{})
 	hs = append(hs, burst(e, &log, Second, 3, 3)...)
 	e.Run()
@@ -185,7 +185,7 @@ func TestTrainZeroDelayFromMember(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		e.At(Second, child(i))
+		e.At(Second, Func(child(i)))
 	}
 	e.Run()
 	if got := fmt.Sprint(log); got != "[0 1 2 10 11 12]" || e.Pending() != 0 || e.Fired() != 6 {
@@ -208,9 +208,9 @@ func TestTrainMigratesAcrossTiers(t *testing.T) {
 	var log []int
 	nop := func() {}
 	at := bucketTime(ringSize+40) + 9
-	e.At(bucketTime(50), nop)
-	e.At(bucketTime(60), nop)
-	e.At(bucketTime(ringSize+40), nop) // shares the train's bucket
+	e.At(bucketTime(50), Func(nop))
+	e.At(bucketTime(60), Func(nop))
+	e.At(bucketTime(ringSize+40), Func(nop)) // shares the train's bucket
 	hs := burst(e, &log, at, 0, 4)
 	if got := e.q.tiers(); got != "near 0 ring 2 far 2" {
 		t.Fatalf("tiers: %s", got)
@@ -459,7 +459,7 @@ func BenchmarkColdTrains(b *testing.B) {
 			var again func()
 			again = func() { e.Schedule(delay, again) }
 			for _, i := range rand.New(rand.NewSource(1)).Perm(pending) {
-				e.At(Time(i/k)*delay/Time(pending/k), again)
+				e.At(Time(i/k)*delay/Time(pending/k), Func(again))
 			}
 			// Two full cycles. In the first each burst fires back to back and
 			// so re-queues itself as one train, and heaps and free list reach

@@ -141,11 +141,35 @@ type Source struct {
 	tickers []*sim.Ticker
 }
 
-// vbrLayer is one VBR layer's callbacks, bound once in New, and its parked
-// batch.
+// vbrLayer is one VBR layer's parked batch, and the Action of the layer's
+// per-packet emit events.
 type vbrLayer struct {
-	emit, batch func()
-	parked      vbrBatch
+	s      *Source
+	layer  int
+	parked vbrBatch
+}
+
+// Fire emits one of the layer's packets.
+func (v *vbrLayer) Fire() {
+	if !v.s.stopped {
+		v.s.emit(v.layer)
+	}
+}
+
+// cbrEmit is a CBR layer's emit event: it sends one packet and re-arms
+// itself one gap on.
+type cbrEmit struct {
+	s     *Source
+	layer int
+	gap   sim.Time
+}
+
+func (c *cbrEmit) Fire() {
+	if c.s.stopped {
+		return
+	}
+	c.s.emit(c.layer)
+	c.s.sched().After(c.gap, c)
 }
 
 // vbrBatch is the batch a VBR layer drew while its tree did not reach the
@@ -176,13 +200,7 @@ func New(net *netsim.Network, domain *mcast.Domain, node *netsim.Node, cfg Confi
 		s.vbr = make([]vbrLayer, n)
 		for l := 1; l <= n; l++ {
 			layer := l
-			v := &s.vbr[l-1]
-			v.emit = func() {
-				if !s.stopped {
-					s.emit(layer)
-				}
-			}
-			v.batch = func() { s.emitVBRBatch(layer) }
+			s.vbr[l-1].s, s.vbr[l-1].layer = s, l
 			domain.OnSourceReached(s.groups[l-1], func() { s.wake(layer) })
 		}
 	}
@@ -218,9 +236,9 @@ func (s *Source) Sent(k int) int64 {
 
 // Start begins transmission of every layer. CBR layers emit one packet per
 // fixed inter-packet gap; VBR layers emit a per-interval batch spread evenly
-// across the interval. Each layer's per-packet callback is bound once (in
-// New for VBR) and rescheduled as is, so steady-state emission allocates
-// nothing.
+// across the interval. Each layer's per-packet event has one Action (the
+// vbrLayer, or a cbrEmit made here) that is rescheduled as is, so
+// steady-state emission allocates nothing.
 func (s *Source) Start() {
 	if s.started {
 		return
@@ -232,21 +250,13 @@ func (s *Source) Start() {
 		if s.cfg.VBR() {
 			// Emit one batch immediately, then every interval.
 			s.emitVBRBatch(layer)
-			s.tickers = append(s.tickers, sim.Every(e, VBRInterval, s.vbr[layer-1].batch))
+			s.tickers = append(s.tickers, sim.Every(e, VBRInterval, func() { s.emitVBRBatch(layer) }))
 		} else {
 			gap := sim.TransmitTime(s.cfg.packetSize(), s.cfg.rate(layer))
-			var emit func()
-			emit = func() {
-				if s.stopped {
-					return
-				}
-				s.emit(layer)
-				s.sched().Schedule(gap, emit)
-			}
 			// Desynchronize layers slightly so all layers do not fire in
 			// the same microsecond (deterministic per seed).
 			offset := sim.Time(e.Rand().Int63n(int64(gap)))
-			e.Schedule(offset, emit)
+			e.After(offset, &cbrEmit{s: s, layer: layer, gap: gap})
 		}
 	}
 }
@@ -268,7 +278,7 @@ func (s *Source) Stop() {
 
 // emitVBRBatch draws the per-interval packet count from the peak-to-mean
 // model and spreads the packets evenly across the interval, scheduling the
-// layer's bound emit callback once per packet. While the layer's tree does
+// layer's emit Action once per packet. While the layer's tree does
 // not reach the source node it parks the batch instead: it reserves the
 // packets' sequence numbers and queues nothing until wake.
 func (s *Source) emitVBRBatch(layer int) {
@@ -298,7 +308,7 @@ func (s *Source) emitVBRBatch(layer int) {
 		return
 	}
 	for i := 0; i < count; i++ {
-		e.Schedule(sim.Time(i)*gap, v.emit)
+		e.After(sim.Time(i)*gap, v)
 	}
 }
 
@@ -316,7 +326,7 @@ func (s *Source) wake(layer int) {
 	from := s.ahead(layer)
 	s.settle(layer, from)
 	for i := from; i < b.count; i++ {
-		r.AtReserved(b.at(i), b.seq+uint64(i), v.emit)
+		r.AtReserved(b.at(i), b.seq+uint64(i), v)
 	}
 	*b = vbrBatch{}
 }

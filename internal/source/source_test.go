@@ -256,10 +256,10 @@ func TestStopHaltsTransmission(t *testing.T) {
 	}
 }
 
-// TestSteadyStateEmitIsAllocationFree pins the per-layer bound callbacks:
-// once the engine's event slots and the packet pool have warmed up, a CBR
-// and a VBR source emit without allocating (the per-packet closure used to
-// be 95 % of all objects on the paper's VBR workload).
+// TestSteadyStateEmitIsAllocationFree pins the per-layer emit Actions: once
+// the engine's event slots and the packet pool have warmed up, a CBR and a
+// VBR source emit without allocating (the per-packet closure used to be
+// 95 % of all objects on the paper's VBR workload).
 func TestSteadyStateEmitIsAllocationFree(t *testing.T) {
 	for _, p := range []float64{0, 3} {
 		e, s, _ := rig(5, Config{Session: 0, PeakToMean: p}, 0)
@@ -400,7 +400,7 @@ func (s *Source) refEmitVBRBatch(layer int, emit func()) {
 	}
 	gap := VBRInterval / sim.Time(count)
 	for i := 0; i < count; i++ {
-		e.Schedule(sim.Time(i)*gap, emit)
+		e.After(sim.Time(i)*gap, sim.Func(emit))
 	}
 }
 
@@ -529,9 +529,9 @@ func (w *parkWorld) schedule(acts []parkAction) {
 			sched = sim.GlobalOf(w.run)
 		}
 		if a.late && a.at >= 1 {
-			sched.At(a.at-1, func() { sched.At(a.at, fn) })
+			sched.At(a.at-1, sim.Func(func() { sched.At(a.at, sim.Func(fn)) }))
 		} else {
-			sched.At(a.at, fn)
+			sched.At(a.at, sim.Func(fn))
 		}
 	}
 }

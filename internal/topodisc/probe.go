@@ -114,9 +114,9 @@ func (t *Tool) traceHop(base netsim.GroupID, source, n netsim.NodeID, round *pro
 	}
 	// Each hop reads an arbitrary router's state, so the walk stays on the
 	// global scheduler (stop-the-world between shard windows).
-	sim.GlobalOf(t.net.Engine()).Schedule(delay, func() {
+	sim.GlobalOf(t.net.Engine()).After(delay, sim.Func(func() {
 		t.traceHop(base, source, up, round, finish, hops+1)
-	})
+	}))
 }
 
 func (t *Tool) inScope(n netsim.NodeID) bool {

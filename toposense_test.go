@@ -1,8 +1,11 @@
 package toposense
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"toposense/internal/experiments"
 )
 
 func TestScenarioQuickstartConverges(t *testing.T) {
@@ -134,5 +137,84 @@ func TestScenarioAccessors(t *testing.T) {
 	sc.ConnectWith(a, b, LinkConfig{Bandwidth: 1e6, Delay: Millisecond})
 	if a.LinkTo(b.ID) == nil {
 		t.Error("ConnectWith did not link")
+	}
+}
+
+// TestFacadeWiringMatchesScenario builds Topology A twice — through this
+// package's Scenario builder, replaying the registry's node and link list,
+// and as experiments.Scenario{Topo: "a"} — and requires the same control
+// wiring: the algorithm's configuration, each receiver's receiver.Config,
+// and, by running both for 300 s and comparing every receiver's level each
+// second and the controller's pass and suggestion counts, the discovery
+// sessions and the algorithm's seed offset (its RNG draws the back-off
+// jitter, so a different seed moves a decision). Intended differences, none
+// of which the model sees:
+//   - sourceLayers: the builder leaves source.Config.Layers 0 (the default,
+//     6) where the world writes 6;
+//   - traces: the world records each receiver's levels in a metrics.Trace
+//     through Receiver.OnChange; the builder sets no OnChange.
+func TestFacadeWiringMatchesScenario(t *testing.T) {
+	const seed = 3
+	w, err := experiments.Scenario{WorldConfig: experiments.WorldConfig{Seed: seed, Traffic: experiments.CBR}, Topo: "a", Duration: 300}.Assemble(&experiments.Meter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := w.Build
+
+	sc := NewScenario(seed)
+	nodes := make([]*Node, b.Net.NumNodes())
+	for i, n := range b.Net.Nodes() {
+		if nodes[i] = sc.AddNode(n.Name); nodes[i].ID != n.ID {
+			t.Fatalf("node %s: ID %d in the builder, %d in the registry build", n.Name, nodes[i].ID, n.ID)
+		}
+	}
+	for _, l := range b.Net.Links() {
+		if l.From < l.To {
+			sc.ConnectWith(nodes[l.From], nodes[l.To], LinkConfig{Bandwidth: l.Bandwidth, Delay: l.Delay, QueueLimit: l.QueueLimit, Policy: l.Policy})
+		}
+	}
+	for i, src := range b.Sources {
+		sc.SourceWith(nodes[src.ID], SourceConfig{Session: i})
+	}
+	ctrl := sc.MustController(nodes[b.Controller.ID])
+	var rxs []*Receiver
+	for s, ns := range b.Receivers {
+		for _, n := range ns {
+			rxs = append(rxs, sc.MustReceiverWith(nodes[n.ID], ReceiverConfig{Session: s}))
+		}
+	}
+
+	if got, want := ctrl.Algorithm().Config(), w.Controller.Algorithm().Config(); !reflect.DeepEqual(got, want) {
+		t.Errorf("algorithm config:\n builder %+v\n   world %+v", got, want)
+	}
+	var wrxs []*Receiver
+	for _, rs := range w.Receivers {
+		wrxs = append(wrxs, rs...)
+	}
+	if len(rxs) != len(wrxs) || len(rxs) == 0 {
+		t.Fatalf("%d receivers in the builder, %d in the world", len(rxs), len(wrxs))
+	}
+	for i := range rxs {
+		if got, want := rxs[i].Config(), wrxs[i].Config(); got != want {
+			t.Errorf("receiver %d config:\n builder %+v\n   world %+v", i, got, want)
+		}
+	}
+
+	w.Start()
+	for at := Second; at <= 300*Second; at += Second {
+		sc.MustRun(at)
+		w.Run(at)
+		for i := range rxs {
+			if got, want := rxs[i].Level(), wrxs[i].Level(); got != want {
+				t.Fatalf("at %v receiver %d (node %d) is at level %d in the builder, %d in the world", at, i, rxs[i].Node().ID, got, want)
+			}
+		}
+	}
+	if ctrl.StepsRun != w.Controller.StepsRun || ctrl.SuggestionsSent != w.Controller.SuggestionsSent {
+		t.Errorf("controller passes/suggestions: builder %d/%d, world %d/%d",
+			ctrl.StepsRun, ctrl.SuggestionsSent, w.Controller.StepsRun, w.Controller.SuggestionsSent)
+	}
+	if w.Controller.Algorithm().Backoffs() == 0 && ctrl.SuggestionsSent == 0 {
+		t.Error("the run made no decisions; it checks nothing")
 	}
 }

@@ -44,7 +44,7 @@ func fig8Specs(cfg SweepConfig) []Spec {
 					w.Run(dur)
 					traces, optima := w.AllTraces()
 					shared := w.Build.Bottlenecks[0]
-					capacityBits := shared.Bandwidth * dur.Seconds()
+					capacityBits := shared.Bandwidth() * dur.Seconds()
 					return []FairnessRow{{
 						Sessions:    sessions,
 						Traffic:     tr.Name,

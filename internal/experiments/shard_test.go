@@ -39,13 +39,12 @@ func TestShardDeterminismCoversRegistry(t *testing.T) {
 }
 
 // runShardWorld executes one world on the given engine flavour (shards 0 =
-// the plain single-threaded engine) with observability on and the flight
-// recorder off (its retained tail is scheduling-dependent across engines).
+// the plain single-threaded engine) with observability on, the flight
+// recorder included.
 func runShardWorld(t *testing.T, specStr string, seed int64, shards int, dur sim.Time) (*World, *obs.Obs) {
 	t.Helper()
 	w := assemble(t, Scenario{WorldConfig: WorldConfig{Seed: seed, Traffic: VBR3}, Topo: specStr, Shards: shards, Duration: dur.Seconds()})
 	o := obs.New()
-	o.Rec = nil
 	w.WireObs(o)
 	w.Run(dur)
 	return w, o
@@ -88,10 +87,9 @@ func modelCanonical(t *testing.T, w *World, o *obs.Obs) string {
 }
 
 // exportCanonical is the full observability export: everything in
-// modelCanonical plus histogram bucket distributions and the audit log.
-// Histogram float sums and means are zeroed (their accumulation order is
-// partition-dependent) and the per-engine stats section is dropped (it
-// reports the execution, not the model). Byte-identical across worker
+// modelCanonical plus histogram buckets, sums and means, the flight
+// recorder and the audit log. Only the per-engine stats section is dropped
+// (it reports the execution, not the model). Byte-identical across worker
 // counts of the same logical partitioning.
 func exportCanonical(t *testing.T, w *World, o *obs.Obs) string {
 	t.Helper()
@@ -99,10 +97,6 @@ func exportCanonical(t *testing.T, w *World, o *obs.Obs) string {
 	sb.WriteString(modelCanonical(t, w, o))
 	d := o.Dump()
 	d.Engines = nil
-	for i := range d.Histograms {
-		d.Histograms[i].Sum = 0
-		d.Histograms[i].Mean = 0
-	}
 	dump, err := json.MarshalIndent(d, "", " ")
 	if err != nil {
 		t.Fatal(err)

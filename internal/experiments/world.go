@@ -352,8 +352,8 @@ func borderBandwidth(b *topology.Build, dom int) float64 {
 	best := 0.0
 	for _, l := range b.Net.Links() {
 		if b.Domains[l.To] == dom && b.Domains[l.From] != dom {
-			if best == 0 || l.Bandwidth < best {
-				best = l.Bandwidth
+			if best == 0 || l.Bandwidth() < best {
+				best = l.Bandwidth()
 			}
 		}
 	}
@@ -460,7 +460,8 @@ func (w *World) CrossDomainRegs(k int) int {
 }
 
 // WireObs attaches an observability bundle to every component of the
-// world: a packet-plane probe on all links, the multicast domain's tree
+// world, split by execution context on a sharded world (Obs.Partition): a
+// packet-plane probe on all links, the multicast domain's tree
 // events, every controller's pass audit, the federation parent's budget
 // levels and the engine's scheduler stats. The counts the components
 // already keep are registered as CounterFuncs that read the world when the
@@ -473,6 +474,7 @@ func (w *World) WireObs(o *obs.Obs) {
 	if o == nil {
 		return
 	}
+	o.Partition(w.Net)
 	w.Net.AttachProbe(obs.NewNetProbe(o))
 	w.Domain.SetObs(o)
 	for _, c := range w.Controllers {

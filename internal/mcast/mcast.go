@@ -176,7 +176,7 @@ func (d *Domain) noteTree(kind obs.EventKind, n, to netsim.NodeID, g netsim.Grou
 		return
 	}
 	session, layer := d.SessionLayer(g)
-	d.obs.Rec.Record(obs.Event{
+	d.obs.Rec.RecordIn(d.obs.Context(n), obs.Event{
 		At:      d.net.SchedulerFor(n).Now(),
 		Kind:    kind,
 		From:    int32(n),
@@ -485,7 +485,7 @@ func (ev *treeEvent) Fire() {
 			// Departure-to-prune latency: last member left at idle, the
 			// prune just landed upstream. Cascade prunes (idle == 0) are
 			// not re-counted — the latency was paid at the last-hop router.
-			d.obs.DeparturePrune.Observe((d.net.SchedulerFor(up).Now() - idle).Seconds() * 1e3)
+			d.obs.DeparturePrune.ObserveIn(d.obs.Context(up), (d.net.SchedulerFor(up).Now()-idle).Seconds()*1e3)
 		}
 		if !upSt.active() && upSt.pruneTimer == nil {
 			// Upstream prunes promptly: the leave-latency cost was already

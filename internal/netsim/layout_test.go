@@ -11,8 +11,9 @@ import (
 // state below the hot block, or move the limit knowingly.
 
 // TestLinkHotLayout: everything Send, transmit and deliverHead read on the
-// no-outage, no-full-queue path — the inline pipeline slots included — ends
-// inside the link's first four cache lines.
+// no-outage, no-full-queue path — the inline pipeline slots and the
+// serialization-time memo included — ends inside the link's first four
+// cache lines.
 func TestLinkHotLayout(t *testing.T) {
 	var l Link
 	end := func(off, size uintptr) uintptr { return off + size }
@@ -23,9 +24,10 @@ func TestLinkHotLayout(t *testing.T) {
 		"orphans":   end(unsafe.Offsetof(l.orphans), unsafe.Sizeof(l.orphans)),
 		"queue":     end(unsafe.Offsetof(l.queue), unsafe.Sizeof(l.queue)),
 		"stats":     end(unsafe.Offsetof(l.stats), unsafe.Sizeof(l.stats)),
-		"Bandwidth": end(unsafe.Offsetof(l.Bandwidth), unsafe.Sizeof(l.Bandwidth)),
+		"bandwidth": end(unsafe.Offsetof(l.bandwidth), unsafe.Sizeof(l.bandwidth)),
 		"Delay":     end(unsafe.Offsetof(l.Delay), unsafe.Sizeof(l.Delay)),
 		"txSize":    end(unsafe.Offsetof(l.txSize), unsafe.Sizeof(l.txSize)),
+		"txTime":    end(unsafe.Offsetof(l.txTime), unsafe.Sizeof(l.txTime)),
 		"mu":        end(unsafe.Offsetof(l.mu), unsafe.Sizeof(l.mu)),
 		"inflight":  end(unsafe.Offsetof(l.inflight), unsafe.Sizeof(l.inflight)),
 		"pipe":      end(unsafe.Offsetof(l.pipe), unsafe.Sizeof(l.pipe)),
@@ -33,6 +35,9 @@ func TestLinkHotLayout(t *testing.T) {
 		"to":        end(unsafe.Offsetof(l.to), unsafe.Sizeof(l.to)),
 		"probes":    end(unsafe.Offsetof(l.probes), unsafe.Sizeof(l.probes)),
 		"net":       end(unsafe.Offsetof(l.net), unsafe.Sizeof(l.net)),
+		// The multicast handler's no-echo check reads From on every
+		// multicast arrival.
+		"From": end(unsafe.Offsetof(l.From), unsafe.Sizeof(l.From)),
 	}
 	for name, e := range hot {
 		if e > 256 {
@@ -41,7 +46,6 @@ func TestLinkHotLayout(t *testing.T) {
 	}
 	// The cold tail must not sit in front of anything hot either.
 	for name, off := range map[string]uintptr{
-		"From":      unsafe.Offsetof(l.From),
 		"drainEv":   unsafe.Offsetof(l.drainEv),
 		"squelch":   unsafe.Offsetof(l.squelch),
 		"aborted":   unsafe.Offsetof(l.aborted),
@@ -56,24 +60,27 @@ func TestLinkHotLayout(t *testing.T) {
 	}
 }
 
-// TestNodeHotLayout: the five fields deliver, route and the multicast
-// handler read are in the node's first cache line (a slice's capacity word
-// is never read by a hop, so links counts up to its length).
+// TestNodeHotLayout: what deliver, route and the multicast handler read —
+// the next-hop memo included — is in the node's first cache line, and the
+// node stays in the 144-byte allocation size class. The out-link table sits
+// below: only the memo's miss path reads it.
 func TestNodeHotLayout(t *testing.T) {
 	var n Node
 	for name, e := range map[string]uintptr{
-		"ID":      unsafe.Offsetof(n.ID) + unsafe.Sizeof(n.ID),
-		"net":     unsafe.Offsetof(n.net) + unsafe.Sizeof(n.net),
-		"mcast":   unsafe.Offsetof(n.mcast) + unsafe.Sizeof(n.mcast),
-		"transit": unsafe.Offsetof(n.transit) + unsafe.Sizeof(n.transit),
-		"links":   unsafe.Offsetof(n.links) + 2*unsafe.Sizeof(uintptr(0)), // pointer and length
+		"ID":         unsafe.Offsetof(n.ID) + unsafe.Sizeof(n.ID),
+		"routeDst":   unsafe.Offsetof(n.routeDst) + unsafe.Sizeof(n.routeDst),
+		"net":        unsafe.Offsetof(n.net) + unsafe.Sizeof(n.net),
+		"mcast":      unsafe.Offsetof(n.mcast) + unsafe.Sizeof(n.mcast),
+		"transit":    unsafe.Offsetof(n.transit) + unsafe.Sizeof(n.transit),
+		"routeLink":  unsafe.Offsetof(n.routeLink) + unsafe.Sizeof(n.routeLink),
+		"routeEpoch": unsafe.Offsetof(n.routeEpoch) + unsafe.Sizeof(n.routeEpoch),
 	} {
 		if e > 64 {
 			t.Errorf("Node.%s ends at byte %d, outside the first cache line", name, e)
 		}
 	}
-	if unsafe.Offsetof(n.Name) < 64 {
-		t.Errorf("Node.Name at byte %d pushes hot state out of the first cache line", unsafe.Offsetof(n.Name))
+	if got := unsafe.Sizeof(n); got > 144 {
+		t.Errorf("Node is %d bytes; above 144 it moves up an allocation size class", got)
 	}
 }
 

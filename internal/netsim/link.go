@@ -90,9 +90,13 @@ type Link struct {
 	// QueueLimit of them.
 	queue     pktRing
 	stats     LinkStats
-	Bandwidth float64 // bits per second
+	bandwidth float64 // bits per second; fixed at Connect
 	Delay     sim.Time
-	txSize    int
+	// txSize is the size of the packet serialized last and txTime its
+	// serialization time, sim.TransmitTime(txSize, bandwidth): the memo
+	// transmit reuses while packet sizes repeat.
+	txSize int
+	txTime sim.Time
 	// mu guards inflight on partition-boundary links, where the
 	// transmitting shard pushes and the receiving shard pops concurrently.
 	// nil everywhere else: single-shard links never pay for it.
@@ -110,6 +114,8 @@ type Link struct {
 	probes   []Probe
 	net      *Network
 
+	// From closes the hot block: the multicast handler's no-echo check
+	// reads it on every arrival.
 	From, To   NodeID
 	QueueLimit int
 	drainEv    sim.Handle
@@ -145,7 +151,7 @@ func (l *Link) Stats() LinkStats {
 
 // QueueLen returns the number of packets waiting (not counting the one being
 // serialized).
-func (l *Link) QueueLen() int { return l.queue.n }
+func (l *Link) QueueLen() int { return int(l.queue.n) }
 
 // Busy reports whether a packet is currently being serialized.
 func (l *Link) Busy() bool { return l.sched.Now() < l.freeAt }
@@ -204,7 +210,7 @@ func (l *Link) dropCarried() {
 		p.unref()
 	}
 	l.sched.Cancel(l.drainEv)
-	orphaned := l.inflight.n // delivery events left to fire
+	orphaned := int(l.inflight.n) // delivery events left to fire
 	for l.inflight.n > 0 {
 		p := l.inflight.pop()
 		// transmit counted these Delivered; move them to Dropped so the
@@ -236,8 +242,13 @@ func (l *Link) ResetStats() {
 }
 
 func (l *Link) String() string {
-	return fmt.Sprintf("link %d->%d %.0fbps %v", l.From, l.To, l.Bandwidth, l.Delay)
+	return fmt.Sprintf("link %d->%d %.0fbps %v", l.From, l.To, l.bandwidth, l.Delay)
 }
+
+// Bandwidth returns the link's rate in bits per second. It is fixed when
+// the link is created, which is what lets transmit keep its
+// serialization-time memo without ever revalidating it.
+func (l *Link) Bandwidth() float64 { return l.bandwidth }
 
 func (l *Link) noteEnqueue(p *Packet) {
 	for _, pr := range l.probes {
@@ -300,7 +311,7 @@ func (l *Link) Send(p *Packet) {
 			// Highest layer among queued packets and the arrival loses;
 			// ties favour dropping the arrival (cheapest).
 			var slot **Packet
-			for i := 0; i < l.queue.n; i++ {
+			for i := 0; i < int(l.queue.n); i++ {
 				if q := l.queue.at(i); (*q).Layer > victim.Layer {
 					victim, slot = *q, q
 				}
@@ -335,11 +346,14 @@ func (l *Link) Send(p *Packet) {
 // transmit starts serializing p at now (the transmitter is idle) and books
 // the rest of the hop: the link is busy until freeAt, and the delivery fires
 // one propagation delay after that. The delivery event takes its tie-break
-// sequence here, when serialization starts.
+// sequence here, when serialization starts. A packet the size of the last
+// one reuses its serialization time; only a new size pays TransmitTime.
 func (l *Link) transmit(p *Packet, now sim.Time) {
-	tx := sim.TransmitTime(p.Size, l.Bandwidth)
+	if p.Size != l.txSize {
+		l.txSize, l.txTime = p.Size, sim.TransmitTime(p.Size, l.bandwidth)
+	}
+	tx := l.txTime
 	l.freeAt = now + tx
-	l.txSize = p.Size
 	l.stats.Delivered++
 	l.stats.TxBytes += int64(p.Size)
 	if l.mu != nil {
@@ -421,22 +435,22 @@ func (l *Link) orphanDueNow() bool {
 // moves it to the heap.
 type pktRing struct {
 	buf  []*Packet
-	head int // slot of the oldest packet
-	n    int // packets held
+	head int32 // slot of the oldest packet
+	n    int32 // packets held
 }
 
 // at returns the slot of the i-th oldest packet.
-func (r *pktRing) at(i int) **Packet { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
+func (r *pktRing) at(i int) **Packet { return &r.buf[(int(r.head)+i)&(len(r.buf)-1)] }
 
 func (r *pktRing) push(p *Packet) {
-	if r.n == len(r.buf) {
+	if int(r.n) == len(r.buf) {
 		// Full (or never used): unwrap into an array twice the size.
 		buf := make([]*Packet, max(4, 2*len(r.buf)))
 		k := copy(buf, r.buf[r.head:])
 		copy(buf[k:], r.buf[:r.head])
 		r.buf, r.head = buf, 0
 	}
-	*r.at(r.n) = p
+	*r.at(int(r.n)) = p
 	r.n++
 }
 
@@ -445,7 +459,7 @@ func (r *pktRing) pop() *Packet {
 	slot := r.at(0)
 	p := *slot
 	*slot = nil
-	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.head = (r.head + 1) & int32(len(r.buf)-1)
 	r.n--
 	return p
 }

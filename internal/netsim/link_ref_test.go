@@ -479,6 +479,43 @@ var pipelineScripts = func() [][]byte {
 	}
 }()
 
+// txMemoScripts aim at transmit's serialization-time memo, which reuses the
+// last packet's time while sizes repeat: the reference recomputes it for
+// every packet, so a memo that misses a size change shows as a late or
+// early delivery.
+var txMemoScripts = func() [][]byte {
+	const send, down, up = 4 << 3, 0, 1 << 3
+	run := func(n int, mode, gap, size, layer byte) (ops []byte) {
+		for i := 0; i < n; i++ {
+			ops = append(ops, mode, gap, size, send|layer)
+		}
+		return ops
+	}
+	cat := func(parts ...[]byte) (out []byte) {
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	return [][]byte{
+		// 1 Mbit/s: 1000-byte packets, queued and then on an idle link, a
+		// 100-byte one between them, then 1000 bytes again both ways.
+		cat([]byte{3, 3, 20, 0}, run(4, 0, 0, 160, 0), run(2, 3, 40, 160, 0),
+			run(1, 0, 0, 10, 0), run(1, 3, 40, 10, 0),
+			run(3, 0, 0, 160, 0), run(2, 3, 40, 160, 0)),
+		// 500 kbit/s, 200 ms pipe: SetDown aborts a 1000-byte serialization,
+		// the repair follows inside it, and the next packets are 1000, 100
+		// and 1000 bytes.
+		cat([]byte{2, 5, 20, 0}, run(2, 0, 0, 160, 0), []byte{2, 40, 0, down, 2, 10, 0, up},
+			run(1, 1, 1, 160, 0), run(1, 0, 0, 10, 0), run(1, 0, 0, 160, 0)),
+		// 128 kbit/s, priority dropping into a one-slot queue: a 100-byte
+		// layer-0 arrival replaces a queued 1000-byte layer-4 victim and is
+		// serialized at its own size, after a 1240-byte layer-5 packet.
+		cat([]byte{1, 4, 1, 1}, run(1, 0, 0, 200, 5), run(1, 0, 0, 160, 4),
+			run(1, 0, 0, 10, 0), run(2, 3, 200, 160, 3)),
+	}
+}()
+
 // TestLinkTimingRandomScripts is the differential test over a table of
 // seeds: short scripts on every bandwidth/delay/queue/policy combination
 // the decoder can draw.
@@ -487,6 +524,9 @@ func TestLinkTimingRandomScripts(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		data := make([]byte, 4+4*(10+rng.Intn(maxLinkOps)))
 		rng.Read(data)
+		runLinkScript(t, data)
+	}
+	for _, data := range txMemoScripts {
 		runLinkScript(t, data)
 	}
 	// The pipeline scripts leave the inline slots and end empty.
@@ -538,6 +578,9 @@ func FuzzLinkTiming(f *testing.F) {
 		f.Add(saturationScript(rand.New(rand.NewSource(seed))))
 	}
 	for _, data := range pipelineScripts {
+		f.Add(data)
+	}
+	for _, data := range txMemoScripts {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) { runLinkScript(t, data) })

@@ -26,7 +26,7 @@ func TestPktRing(t *testing.T) {
 			switch k := rng.Intn(10); {
 			case k < 5 || len(model) == 0:
 				for burst := 1 + rng.Intn(1+op/100); burst > 0; burst-- {
-					if r.n == len(r.buf) && r.head != 0 {
+					if int(r.n) == len(r.buf) && r.head != 0 {
 						grewWrapped = true
 					}
 					p := &Packet{Seq: int64(op)}
@@ -50,7 +50,7 @@ func TestPktRing(t *testing.T) {
 			if len(model) > peak {
 				peak = len(model)
 			}
-			if r.n != len(model) {
+			if int(r.n) != len(model) {
 				t.Fatalf("seed %d op %d: ring holds %d, model %d", seed, op, r.n, len(model))
 			}
 			for i, want := range model {
@@ -152,7 +152,7 @@ func TestPipelineStartsInline(t *testing.T) {
 		l.Send(p)
 		p.Release()
 		e.RunUntil(sim.Time(k+1) * sim.Millisecond)
-		if l.inflight.n != k+1 || inline() != want {
+		if int(l.inflight.n) != k+1 || inline() != want {
 			t.Fatalf("%d in flight (want %d), inline %v (want %v), ring of %d", l.inflight.n, k+1, inline(), want, len(l.inflight.buf))
 		}
 	}

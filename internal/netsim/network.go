@@ -36,6 +36,10 @@ type Network struct {
 	// fault injection has been used.
 	tree      *treeRoutes
 	denseOnly bool
+	// epoch numbers the routes: every change to what NextHop answers bumps
+	// it, which retires every node's next-hop memo at once (Node.route). A
+	// memo could only come back to life after 2^32 topology changes.
+	epoch uint32
 
 	// Unroutable counts unicast packets dropped for lack of a route.
 	Unroutable int64
@@ -103,6 +107,15 @@ func (n *Network) SchedulerBetween(from, to NodeID) sim.Scheduler {
 // context than the caller's, so it must not touch the caller's shard state.
 func (n *Network) CrossPartition(a, b NodeID) bool {
 	return n.parallel && n.doms[a] != n.doms[b]
+}
+
+// ShardOf returns the shard that runs id's events on a partitioned network,
+// and 0 otherwise.
+func (n *Network) ShardOf(id NodeID) int {
+	if n.doms == nil {
+		return 0
+	}
+	return n.doms[id]
 }
 
 // Partition maps each node onto a shard of se according to domains (one
@@ -222,7 +235,7 @@ func (n *Network) AddNode(name string) *Node {
 		net:  n,
 	}
 	n.nodes = append(n.nodes, node)
-	n.nextHop, n.tree = nil, nil // invalidate routes
+	n.invalidateRoutes()
 	if n.OnAddNode != nil {
 		n.OnAddNode(node)
 	}
@@ -284,7 +297,8 @@ func (n *Network) addLink(from, to *Node, cfg LinkConfig) *Link {
 		to:         to,
 		From:       from.ID,
 		To:         to.ID,
-		Bandwidth:  cfg.Bandwidth,
+		bandwidth:  cfg.Bandwidth,
+		txTime:     sim.TransmitTime(0, cfg.Bandwidth),
 		Delay:      cfg.Delay,
 		QueueLimit: ql,
 		Policy:     cfg.Policy,
@@ -293,8 +307,15 @@ func (n *Network) addLink(from, to *Node, cfg LinkConfig) *Link {
 	// Single-scheduler default; Partition rebinds these per shard.
 	l.sched, l.dsched, l.recvSched = n.engine, n.engine, n.engine
 	from.addLink(l)
-	n.nextHop, n.tree = nil, nil
+	n.invalidateRoutes()
 	return l
+}
+
+// invalidateRoutes drops the routing state after a topology change; the
+// next NextHop rebuilds it.
+func (n *Network) invalidateRoutes() {
+	n.nextHop, n.tree = nil, nil
+	n.epoch++
 }
 
 // Links returns every link in the network in (From, To) order.
@@ -417,8 +438,10 @@ func (n *Network) computeRoutes() {
 // destinations whose shortest-path tree crossed it (the tree uses edge
 // From->To exactly when From's next hop is To); when a link comes up any
 // path may improve, so every column is rechecked. The caller (SetDown /
-// SetUp) guarantees the tables were materialized before the flip.
+// SetUp) guarantees the tables were materialized before the flip. The route
+// epoch moves first, so no node's next-hop memo outlives the old tables.
 func (n *Network) linkStateChanged(l *Link, wentDown bool) {
+	n.epoch++
 	num := len(n.nodes)
 	rev := n.reverseAdjacency()
 	col, queue := make([]NodeID, num), make([]NodeID, 0, num)

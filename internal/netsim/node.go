@@ -38,13 +38,23 @@ type TransitFilter interface {
 // the distinction is only in which agents and handlers are attached.
 type Node struct {
 	// What a packet arriving or leaving reads comes first, inside the
-	// node's first cache line (TestNodeHotLayout pins it).
-	ID      NodeID
-	net     *Network
-	mcast   MulticastHandler
-	transit TransitFilter
-	links   []outLink // outgoing links in ascending neighbor order
-	agents  []Agent
+	// node's first cache line (TestNodeHotLayout pins it): a multicast
+	// arrival reads ID and mcast, a unicast hop the memo answers reads
+	// ID, net, transit and the memo.
+	ID NodeID
+	// routeDst and routeLink are the next-hop memo: the last destination
+	// route forwarded a packet toward and the link it left on. They hold
+	// while routeEpoch equals the network's route epoch (Network.epoch).
+	// Both halves of the first word are 32 bits so the memo fits the line.
+	routeDst   int32
+	routeEpoch uint32
+	net        *Network
+	mcast      MulticastHandler
+	transit    TransitFilter
+	routeLink  *Link
+
+	links  []outLink // outgoing links in ascending neighbor order
+	agents []Agent
 
 	// RecvUnicast counts unicast packets delivered locally.
 	RecvUnicast int64
@@ -183,6 +193,10 @@ func (n *Node) deliver(p *Packet, from *Link) {
 }
 
 // route advances a unicast packet one step: local delivery or next hop.
+// The next hop is the memo's when it holds the packet's destination, and
+// NextHop plus LinkTo otherwise, which refill the memo; an unroutable
+// packet leaves it as it was. The memo answers exactly what they would:
+// every change to the routes bumps the epoch it was filled in.
 func (n *Node) route(p *Packet) {
 	if p.Dst == n.ID {
 		n.RecvUnicast++
@@ -199,6 +213,10 @@ func (n *Node) route(p *Packet) {
 	if n.transit != nil && n.transit.FilterTransit(n, p) {
 		return // consumed in-network (report aggregation)
 	}
+	if p.Dst == NodeID(n.routeDst) && n.routeEpoch == n.net.epoch {
+		n.routeLink.Send(p)
+		return
+	}
 	next := n.net.NextHop(n.ID, p.Dst)
 	if next == NoNode {
 		// Unroutable packets are silently dropped, like in a real network.
@@ -207,5 +225,7 @@ func (n *Node) route(p *Packet) {
 		p.dropped()
 		return
 	}
-	n.LinkTo(next).Send(p)
+	l := n.LinkTo(next)
+	n.routeDst, n.routeLink, n.routeEpoch = int32(p.Dst), l, n.net.epoch
+	l.Send(p)
 }

@@ -180,9 +180,13 @@ func (t *treeRoutes) nextHop(src, dst NodeID) NodeID {
 // ensureDenseRoutes forces the dense all-pairs tables, permanently for
 // this network: fault injection diffs whole columns, which tree mode
 // cannot answer. Called by Link.SetDown/SetUp before flipping state.
+// Dropping tree mode bumps the route epoch like any other invalidation.
 func (n *Network) ensureDenseRoutes() {
 	n.denseOnly = true
-	n.tree = nil
+	if n.tree != nil {
+		n.tree = nil
+		n.epoch++
+	}
 	if n.nextHop != nil {
 		return
 	}

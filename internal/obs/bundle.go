@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"toposense/internal/netsim"
 	"toposense/internal/sim"
 )
 
@@ -56,6 +57,9 @@ type Obs struct {
 	LinkLatency  *Histogram // per-link queuing+serialization+propagation, in milliseconds
 
 	engines []EngineSource
+	// net is the partitioned network Partition split the bundle for; nil
+	// while there is one execution context.
+	net *netsim.Network
 }
 
 // EngineSource is anything whose scheduler statistics a Dump can snapshot
@@ -105,4 +109,34 @@ func (o *Obs) ObserveEngine(e EngineSource) {
 		return
 	}
 	o.engines = append(o.engines, e)
+}
+
+// Partition splits the bundle's order-sensitive state by execution context
+// for a run on net's shards: the flight recorder into one ring per context,
+// every histogram's sum into one partial per context. Context 0 is the
+// global (stop-the-world) context and shard s is context s+1. A sharded
+// run's export is then the same bytes however the shards' workers
+// interleaved, and so across runs and worker counts. On a network that is
+// not partitioned it does nothing, and the export is the unsplit one. Call
+// it after net.Partition and before the run.
+func (o *Obs) Partition(net *netsim.Network) {
+	if o == nil || !net.Partitioned() {
+		return
+	}
+	shards := 0
+	for _, n := range net.Nodes() {
+		shards = max(shards, net.ShardOf(n.ID)+1)
+	}
+	o.net = net
+	o.Rec.split(1 + shards)
+	o.Reg.split(1 + shards)
+}
+
+// Context returns the execution context that runs node id's events, for
+// RecordIn and ObserveIn: its shard's on a partitioned bundle, 0 otherwise.
+func (o *Obs) Context(id netsim.NodeID) int {
+	if o == nil || o.net == nil {
+		return 0
+	}
+	return 1 + o.net.ShardOf(id)
 }

@@ -108,7 +108,7 @@ func (o *Obs) Dump() *Dump {
 		hd := HistogramDump{
 			Name:  h.Name(),
 			Count: h.count,
-			Sum:   h.sum,
+			Sum:   h.Sum(),
 			Mean:  h.Mean(),
 			Min:   h.min,
 			Max:   h.max,

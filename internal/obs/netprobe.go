@@ -20,8 +20,9 @@ import (
 // The probe carries no engine handle: on a sharded engine there is no one
 // clock, so each callback reads the observed link's own context — the
 // sending side's clock for Enqueue/Drop, the receiving side's for Deliver
-// (Link.NowTx / Link.NowRx). A mutex guards the latency-matching map,
-// which links in different shards touch concurrently.
+// (Link.NowTx / Link.NowRx) — and records into that side's context
+// (Obs.Context). A mutex guards the latency-matching map, which links in
+// different shards touch concurrently.
 //
 // Latency is measured by remembering, per (link, packet), when the link
 // accepted the packet. Two edge cases lose the enqueue timestamp and are
@@ -50,14 +51,14 @@ func NewNetProbe(o *Obs) *NetProbe {
 
 // Enqueue implements netsim.Probe.
 func (np *NetProbe) Enqueue(l *netsim.Link, p *netsim.Packet) {
-	now := l.NowTx()
+	now, ctx := l.NowTx(), np.o.Context(l.From)
 	depth := l.QueueLen() // depth the arrival saw (it is not queued yet)
 	np.o.Enqueues.Inc()
-	np.o.QueueDepth.Observe(float64(depth))
+	np.o.QueueDepth.ObserveIn(ctx, float64(depth))
 	np.mu.Lock()
 	np.pending[pendKey{l, p}] = now
 	np.mu.Unlock()
-	np.o.Rec.Record(Event{
+	np.o.Rec.RecordIn(ctx, Event{
 		At: now, Kind: EvEnqueue,
 		From: int32(l.From), To: int32(l.To),
 		Session: int32(p.Session), Layer: int32(p.Layer),
@@ -83,7 +84,7 @@ func (np *NetProbe) Drop(l *netsim.Link, p *netsim.Packet) {
 	np.mu.Lock()
 	delete(np.pending, pendKey{l, p})
 	np.mu.Unlock()
-	np.o.Rec.Record(Event{
+	np.o.Rec.RecordIn(np.o.Context(l.From), Event{
 		At: now, Kind: EvDrop,
 		From: int32(l.From), To: int32(l.To),
 		Session: int32(p.Session), Layer: int32(p.Layer),
@@ -93,7 +94,7 @@ func (np *NetProbe) Drop(l *netsim.Link, p *netsim.Packet) {
 
 // Deliver implements netsim.Probe.
 func (np *NetProbe) Deliver(l *netsim.Link, p *netsim.Packet) {
-	now := l.NowRx()
+	now, ctx := l.NowRx(), np.o.Context(l.To)
 	np.o.Delivers.Inc()
 	lat := int64(-1)
 	k := pendKey{l, p}
@@ -105,9 +106,9 @@ func (np *NetProbe) Deliver(l *netsim.Link, p *netsim.Packet) {
 	np.mu.Unlock()
 	if ok {
 		lat = int64(now - t)
-		np.o.LinkLatency.Observe(float64(now-t) / float64(sim.Millisecond))
+		np.o.LinkLatency.ObserveIn(ctx, float64(now-t)/float64(sim.Millisecond))
 	}
-	np.o.Rec.Record(Event{
+	np.o.Rec.RecordIn(ctx, Event{
 		At: now, Kind: EvDeliver,
 		From: int32(l.From), To: int32(l.To),
 		Session: int32(p.Session), Layer: int32(p.Layer),

@@ -79,23 +79,29 @@ func (c *Counter) Name() string {
 // v <= Bounds[i] (and greater than Bounds[i-1]); one overflow bucket counts
 // values above the last bound. Bounds are fixed at registration, so
 // Observe never allocates. All methods are no-ops on a nil receiver.
-// Observations are serialized by a mutex (min/max/sum update together);
-// note the sum of float observations arriving from different shards is
-// order-dependent in the last bits, so cross-shard comparisons should key
-// on counts, not sums.
+// Observations are serialized by a mutex (min/max/sum update together).
+// A float sum depends on the order of its terms in the last bits, so on a
+// sharded engine each execution context keeps a partial sum of its own
+// (ObserveIn; Obs.Partition sets them up) and Sum adds the partials in
+// context order: the total is the same however the shards interleaved.
 type Histogram struct {
 	name   string
 	mu     sync.Mutex
 	bounds []float64 // ascending upper bounds; counts has len(bounds)+1
 	counts []int64
 	count  int64
-	sum    float64
+	sums   []float64 // partial sums by execution context
 	min    float64
 	max    float64
 }
 
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
+// Observe records one value in context 0: the only one, or the global
+// context.
+func (h *Histogram) Observe(v float64) { h.ObserveIn(0, v) }
+
+// ObserveIn records one value observed in execution context ctx (see
+// Obs.Context).
+func (h *Histogram) ObserveIn(ctx int, v float64) {
 	if h == nil {
 		return
 	}
@@ -108,7 +114,7 @@ func (h *Histogram) Observe(v float64) {
 		h.max = v
 	}
 	h.count++
-	h.sum += v
+	h.sums[ctx] += v
 	// Linear scan: bucket lists are short (≤ ~16) and branch-predictable,
 	// which beats binary search at this size and keeps the code alloc-free.
 	for i, b := range h.bounds {
@@ -137,7 +143,16 @@ func (h *Histogram) Sum() float64 {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.sum
+	return h.sum()
+}
+
+// sum adds the partial sums in context order; h.mu must be held.
+func (h *Histogram) sum() float64 {
+	s := h.sums[0]
+	for _, p := range h.sums[1:] {
+		s += p
+	}
+	return s
 }
 
 // Mean returns the arithmetic mean (0 with no observations).
@@ -150,7 +165,7 @@ func (h *Histogram) Mean() float64 {
 	if h.count == 0 {
 		return 0
 	}
-	return h.sum / float64(h.count)
+	return h.sum() / float64(h.count)
 }
 
 // Name returns the registered name.
@@ -170,11 +185,25 @@ type Registry struct {
 	counters []*Counter
 	hists    []*Histogram
 	byName   map[string]int // name -> index (counters and histograms share the namespace)
+	contexts int            // partial sums per histogram (split)
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]int)}
+	return &Registry{byName: make(map[string]int), contexts: 1}
+}
+
+// split gives every histogram, present and future, one partial sum per
+// execution context; ObserveIn's ctx picks one. Call it before anything is
+// observed.
+func (r *Registry) split(contexts int) {
+	if r == nil || contexts <= r.contexts {
+		return
+	}
+	r.contexts = contexts
+	for _, h := range r.hists {
+		h.sums = make([]float64, contexts)
+	}
 }
 
 // Counter registers (or returns the existing) counter under name.
@@ -237,6 +266,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 		name:   name,
 		bounds: append([]float64(nil), bounds...),
 		counts: make([]int64, len(bounds)+1),
+		sums:   make([]float64, r.contexts),
 	}
 	r.byName[name] = histBase + len(r.hists)
 	r.hists = append(r.hists, h)

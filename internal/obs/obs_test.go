@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -402,5 +403,79 @@ func TestZeroAllocHotPath(t *testing.T) {
 	var nr *Recorder
 	if n := testing.AllocsPerRun(1000, func() { nc.Inc(); nh.Observe(1); nr.Record(ev) }); n != 0 {
 		t.Errorf("nil instrument path allocates %g/op", n)
+	}
+}
+
+// TestSplitRecorderMerge: a split recorder's export depends only on what
+// each context recorded, not on how the contexts interleaved. Events merge
+// by time, then context, then order within the context, and the merge keeps
+// the newest Cap of them.
+func TestSplitRecorderMerge(t *testing.T) {
+	type rec struct {
+		ctx int
+		ev  Event
+	}
+	// Context 0 (global) and two shards; shard 2 runs ahead of shard 1.
+	script := []rec{
+		{1, Event{At: 1, Seq: 10}}, {1, Event{At: 3, Seq: 11}}, {1, Event{At: 3, Seq: 12}},
+		{2, Event{At: 2, Seq: 20}}, {2, Event{At: 3, Seq: 21}}, {2, Event{At: 5, Seq: 22}},
+		{0, Event{At: 3, Seq: 0}}, {1, Event{At: 6, Seq: 13}},
+	}
+	want := []int64{20, 0, 11, 12, 21, 22, 13} // the newest 7 of 8
+	for _, order := range [][]int{
+		{0, 1, 2, 3, 4, 5, 6, 7},
+		{3, 4, 5, 0, 1, 2, 6, 7},
+		{6, 3, 0, 4, 1, 5, 2, 7},
+	} {
+		r := NewRecorder(7)
+		r.split(3)
+		for _, i := range order {
+			r.RecordIn(script[i].ctx, script[i].ev)
+		}
+		var got []int64
+		for _, ev := range r.Events() {
+			got = append(got, ev.Seq)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) || r.Total() != 8 {
+			t.Errorf("order %v: events %v of %d recorded, want %v of 8", order, got, r.Total(), want)
+		}
+	}
+}
+
+// TestSplitHistogramSum: a split histogram adds its partial sums in
+// context order, so the total does not depend on how the contexts'
+// observations interleaved, while an unsplit one keeps the plain running
+// sum.
+func TestSplitHistogramSum(t *testing.T) {
+	vals := [][]float64{{0.1, 1e16}, {0.7, -1e16, 0.3}}
+	sum := func(split bool, ctxFirst int) float64 {
+		reg := NewRegistry()
+		h := reg.Histogram("h", []float64{1})
+		if split {
+			reg.split(3)
+		}
+		for _, c := range []int{ctxFirst, 1 - ctxFirst} {
+			for _, v := range vals[c] {
+				if split {
+					h.ObserveIn(1+c, v)
+				} else {
+					h.Observe(v)
+				}
+			}
+		}
+		return h.Sum()
+	}
+	if a, b := sum(true, 0), sum(true, 1); a != b {
+		t.Errorf("split sums differ by interleaving: %v vs %v", a, b)
+	}
+	running := 0.0
+	for _, v := range append(vals[0][:len(vals[0]):len(vals[0])], vals[1]...) {
+		running += v
+	}
+	if got, want := sum(false, 0), running; got != want {
+		t.Errorf("unsplit sum = %v, want the running sum %v", got, want)
+	}
+	if a, b := sum(false, 0), sum(false, 1); a == b {
+		t.Errorf("unsplit sums agree (%v) on a script chosen to make them differ", a)
 	}
 }

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"toposense/internal/sim"
@@ -85,11 +87,20 @@ type Event struct {
 // Recorder is a fixed-capacity ring buffer of the most recent events — a
 // flight recorder: always on once enabled, never growing, dumpable after
 // the fact to reconstruct what led up to an anomaly. Record on a nil
-// Recorder is a no-op, so call sites need no guard. A mutex serializes the
-// ring: shards of a parallel engine record concurrently, so the retained
-// interleaving (not the per-link event streams) is scheduling-dependent
-// there — disable the recorder when comparing exports across shard counts.
+// Recorder is a no-op, so call sites need no guard.
+//
+// On a sharded engine each execution context records into a ring of its
+// own (Obs.Partition sets it up), so what a ring holds and in which
+// order depends only on the model, never on how the shards' workers
+// interleaved; Events merges the rings by (time, context, order within the
+// context). A recorder that was not split keeps the one ring.
 type Recorder struct {
+	rings []ring // [0] alone, or [0] the global context and [1+s] shard s
+}
+
+// ring is one context's share of a Recorder. Its mutex is uncontended on a
+// split recorder; it keeps an unsplit one shared by shards race-free.
+type ring struct {
 	mu    sync.Mutex
 	buf   []Event
 	next  int
@@ -101,26 +112,45 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		panic("obs: recorder capacity must be positive")
 	}
-	return &Recorder{buf: make([]Event, 0, capacity)}
+	return &Recorder{rings: []ring{{buf: make([]Event, 0, capacity)}}}
 }
 
-// Record appends ev, evicting the oldest entry once the ring is full.
-func (r *Recorder) Record(ev Event) {
+// split gives each of contexts execution contexts a ring of the recorder's
+// capacity; RecordIn's ctx picks one. Call it before anything is recorded.
+func (r *Recorder) split(contexts int) {
+	if r == nil || contexts <= len(r.rings) {
+		return
+	}
+	rings := make([]ring, contexts)
+	for i := range rings {
+		rings[i].buf = make([]Event, 0, r.Cap())
+	}
+	r.rings = rings
+}
+
+// Record appends ev to context 0's ring: the only one, or the global
+// context's.
+func (r *Recorder) Record(ev Event) { r.RecordIn(0, ev) }
+
+// RecordIn appends ev to context ctx's ring (see Obs.Context), evicting
+// that ring's oldest entry once it is full.
+func (r *Recorder) RecordIn(ctx int, ev Event) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, ev)
+	g := &r.rings[ctx]
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.buf) < cap(g.buf) {
+		g.buf = append(g.buf, ev)
 	} else {
-		r.buf[r.next] = ev
+		g.buf[g.next] = ev
 	}
-	r.next++
-	if r.next == cap(r.buf) {
-		r.next = 0
+	g.next++
+	if g.next == cap(g.buf) {
+		g.next = 0
 	}
-	r.total++
+	g.total++
 }
 
 // Total returns how many events were ever recorded (including evicted).
@@ -128,37 +158,53 @@ func (r *Recorder) Total() uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
+	var n uint64
+	for i := range r.rings {
+		g := &r.rings[i]
+		g.mu.Lock()
+		n += g.total
+		g.mu.Unlock()
+	}
+	return n
 }
 
-// Cap returns the ring capacity.
+// Cap returns the ring capacity: how many events Events returns at most.
 func (r *Recorder) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return cap(r.buf)
+	return cap(r.rings[0].buf)
 }
 
-// Events returns the retained events oldest-first, as a copy.
+// Events returns the retained events oldest-first, as a copy. A split
+// recorder's rings merge by time, then context index, then recording order
+// within the context, and the merge keeps the newest Cap events. A context
+// records in time order, so its ring's newest Cap are all the merge can
+// keep from it.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.buf) == 0 {
-		return nil
+	var out []Event
+	for i := range r.rings {
+		out = r.rings[i].appendEvents(out)
 	}
-	out := make([]Event, 0, len(r.buf))
-	if len(r.buf) == cap(r.buf) {
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-	} else {
-		out = append(out, r.buf...)
+	if len(r.rings) > 1 {
+		slices.SortStableFunc(out, func(a, b Event) int { return cmp.Compare(a.At, b.At) })
+		out = out[max(0, len(out)-r.Cap()):]
 	}
 	return out
+}
+
+// appendEvents appends the ring's events oldest-first to out.
+func (g *ring) appendEvents(out []Event) []Event {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.buf) == cap(g.buf) {
+		out = append(out, g.buf[g.next:]...)
+		return append(out, g.buf[:g.next]...)
+	}
+	return append(out, g.buf...)
 }
 
 // WriteLog renders the retained events oldest-first, one per line, in a
@@ -168,10 +214,11 @@ func (r *Recorder) WriteLog(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	if _, err := fmt.Fprintf(w, "flight recorder: %d events retained of %d recorded\n", len(r.buf), r.total); err != nil {
+	evs := r.Events()
+	if _, err := fmt.Fprintf(w, "flight recorder: %d events retained of %d recorded\n", len(evs), r.Total()); err != nil {
 		return err
 	}
-	for _, ev := range r.Events() {
+	for _, ev := range evs {
 		if _, err := fmt.Fprintf(w, "%12.6f %-8s from=%d to=%d s=%d l=%d seq=%d aux=%d\n",
 			ev.At.Seconds(), ev.Kind, ev.From, ev.To, ev.Session, ev.Layer, ev.Seq, ev.Aux); err != nil {
 			return err

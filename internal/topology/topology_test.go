@@ -67,7 +67,7 @@ func TestBuildB(t *testing.T) {
 		}
 	}
 	// Shared link capacity = 4 x 500 Kbps.
-	if got := b.Bottlenecks[0].Bandwidth; got != 2e6 {
+	if got := b.Bottlenecks[0].Bandwidth(); got != 2e6 {
 		t.Errorf("shared capacity = %g, want 2e6", got)
 	}
 	if len(b.AllReceivers()) != 4 {

@@ -16,11 +16,12 @@
 #   - make examples.
 # It then diffs the two sides with the host-dependent parts removed:
 # toposim's `run:` line, topobench's `total wall time:` line, fig_scale's
-# host-time columns (events/s, wall s, speedup, pass mean/max ms), the
-# JSON's wall-clock, throughput, allocation and pass-latency fields, and,
-# on sharded runs, the obs exports' flight-recorder tail (shards record
-# into it in host order; the default quick sweep runs no shards). Exits 1
-# on any difference, printing it; the captures stay in
+# host-time columns (events/s, wall s, speedup, pass mean/max ms) and the
+# JSON's wall-clock, throughput, allocation and pass-latency fields. The
+# obs exports are compared whole, sharded ones included: each shard records
+# into its own flight-recorder ring and histogram partial sums, so the
+# export does not depend on how the shards interleaved. Exits 1 on any
+# difference, printing it; the captures stay in
 # $BENCH_DIR/sameoutput/{new,parent}.
 set -eu
 
@@ -61,19 +62,6 @@ strip_bench() {
 		{ print }'
 }
 
-# strip_obs ARGS drops an obs export's host-dependent part: the flight
-# recorder when ARGS runs on shards.
-strip_obs() {
-	case "$1" in
-	*-shards*) flight=1 ;;
-	*) flight=0 ;;
-	esac
-	awk -v flight="$flight" '
-		flight && /^  "flight": \[/ { skip = 1; next }
-		skip { if (/^  \],?$/) skip = 0; next }
-		{ print }'
-}
-
 # capture DIR SIDE builds DIR's commands and writes SIDE's stripped outputs.
 # toposim runs inside SIDE so the export path it echoes is the same on both.
 capture() {
@@ -87,9 +75,6 @@ capture() {
 		echo "== toposim $args"
 		# shellcheck disable=SC2086 # the spec is a flag list
 		{ (cd "$side" && ./toposim $args -obs "obs/$n.json") 2>&1 || echo "exit $?"; } | grep -v '^run: '
-		if [ -f "$side/obs/$n.json" ]; then
-			strip_obs "$args" <"$side/obs/$n.json" >"$side/obs/$n.stripped.json"
-		fi
 	done >"$side/toposim.txt"
 	{ "$side/topobench" -quick -progress=false -obs -json "$side/quick.json" 2>/dev/null || echo "exit $?"; } | strip_bench >"$side/topobench.txt"
 	{ (cd "$1" && make -s --no-print-directory examples) 2>&1 || echo "exit $?"; } >"$side/examples.txt"
@@ -105,7 +90,7 @@ diff -u -F '^== toposim ' "$out/parent/toposim.txt" "$out/new/toposim.txt" || st
 for f in topobench.txt quick.stripped.json examples.txt; do
 	diff -u "$out/parent/$f" "$out/new/$f" || status=1
 done
-for f in "$out"/parent/obs/*.stripped.json; do
+for f in "$out"/parent/obs/*.json; do
 	diff -u "$f" "$out/new/obs/${f##*/}" || status=1
 done
 if [ "$status" -eq 0 ]; then

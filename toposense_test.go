@@ -170,7 +170,7 @@ func TestFacadeWiringMatchesScenario(t *testing.T) {
 	}
 	for _, l := range b.Net.Links() {
 		if l.From < l.To {
-			sc.ConnectWith(nodes[l.From], nodes[l.To], LinkConfig{Bandwidth: l.Bandwidth, Delay: l.Delay, QueueLimit: l.QueueLimit, Policy: l.Policy})
+			sc.ConnectWith(nodes[l.From], nodes[l.To], LinkConfig{Bandwidth: l.Bandwidth(), Delay: l.Delay, QueueLimit: l.QueueLimit, Policy: l.Policy})
 		}
 	}
 	for i, src := range b.Sources {

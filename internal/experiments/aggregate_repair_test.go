@@ -155,6 +155,33 @@ func TestDepartPurgePoolBalance(t *testing.T) {
 	}
 }
 
+// TestAggregatedPoolArraysSteady is the world-level guard on the payload
+// entry pools: once an aggregated world has carried three decision
+// intervals, every subtree's working set is pooled, so a further 20
+// simulated seconds of folds, merges, flushes and batch splits must take
+// every entry array from the pools and make none.
+func TestAggregatedPoolArraysSteady(t *testing.T) {
+	w := assemble(t, Scenario{WorldConfig: WorldConfig{Seed: 1, Traffic: CBR, Aggregate: true},
+		Topo: "tree,depth=3,branch=8,rxleaf=2", Duration: 60})
+	warm := 3 * w.Controller.Algorithm().Config().Interval
+	w.Run(warm)
+	aggMade, batchMade := report.AggregateArraysMade(), report.BatchArraysMade()
+	merged, batches := w.Aggregator.Merged, w.Aggregator.Batches
+	w.Engine.RunUntil(warm + 20*sim.Second)
+	t.Logf("after the %v warm-up the pools had made %d aggregate and %d batch arrays; the next 20 s merged %d aggregates and split %d batches",
+		warm, aggMade, batchMade, w.Aggregator.Merged-merged, w.Aggregator.Batches-batches)
+	if w.Aggregator.Merged == merged || w.Aggregator.Batches == batches {
+		t.Fatal("no aggregates merged or batches split after the warm-up — the pools were not exercised")
+	}
+	if got := report.AggregateArraysMade() - aggMade; got != 0 {
+		t.Errorf("aggregate entry pool made %d arrays after the warm-up, want 0", got)
+	}
+	if got := report.BatchArraysMade() - batchMade; got != 0 {
+		t.Errorf("suggestion batch entry pool made %d arrays after the warm-up, want 0", got)
+	}
+	w.Shutdown()
+}
+
 // TestShardAggregateDecisionEquivalence is the combined-flags acceptance:
 // -shards N -aggregate must land every receiver on the same final level as
 // the serial flat-report baseline. Aggregation changes the control plane's

@@ -63,7 +63,9 @@ type Aggregator struct {
 // pendingAgg is one session's accumulating aggregate at one node. The slot
 // survives its aggregate being handed off (agg goes nil until the session's
 // next absorption), keeping the per-node slice sorted by session so flush
-// emission order is deterministic.
+// emission order is deterministic. The aggregate's entries sit in an array
+// from report's class pools sized for what this node's subtree reported, so
+// a leaf's pending state stays a leaf's size.
 type pendingAgg struct {
 	session int
 	agg     *report.Aggregate
@@ -188,7 +190,7 @@ func (a *Aggregator) FilterTransit(n *netsim.Node, p *netsim.Packet) bool {
 // purge removes node's folded feedback from id's pending aggregate for
 // session, releasing the aggregate back to the pool when it empties (the
 // armed flush then skips the nil slot, keeping the balance invariant
-// live == baseline + congestion-dropped).
+// live == baseline once a run has drained).
 func (a *Aggregator) purge(id netsim.NodeID, session int, node netsim.NodeID) {
 	nd := &a.nodes[id]
 	for i := range nd.pending {
@@ -247,8 +249,10 @@ func (nd *aggNode) Fire() { nd.a.flushNode(netsim.NodeID(nd.id)) }
 
 // flushNode emits every pending aggregate at the node toward the controller,
 // one pooled packet per session, handing each aggregate's ownership to its
-// packet (the controller releases it on consumption; if congestion drops the
-// packet the aggregate falls to the garbage collector instead of the pool).
+// packet: the controller releases it on consumption, an aggregating hop
+// once merged, and the network if congestion drops the packet
+// (netsim.Packet.dropped), so it and its entry array go back to their pools
+// either way.
 //
 // The route toward the controller is re-resolved here, at flush time, not
 // frozen at absorb time: a PR 4 tree repair between absorption and flush
@@ -256,10 +260,9 @@ func (nd *aggNode) Fire() { nd.a.flushNode(netsim.NodeID(nd.id)) }
 // rather than the one the reports arrived on. When no route exists at all —
 // the controller is on the far side of a failed link that has not been
 // repaired yet — emitting would feed every pending aggregate into a
-// guaranteed routing drop (losing the feedback and leaking the pooled
-// aggregate to the garbage collector). Instead the pending state is kept
-// and the flush re-armed, so the accumulated feedback rides out the outage
-// and reaches the controller on the post-repair route.
+// guaranteed routing drop, losing the feedback. Instead the pending state
+// is kept and the flush re-armed, so the accumulated feedback rides out the
+// outage and reaches the controller on the post-repair route.
 func (a *Aggregator) flushNode(id netsim.NodeID) {
 	nd := &a.nodes[id]
 	nd.armed = false

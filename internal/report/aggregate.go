@@ -38,22 +38,25 @@ type AggEntry struct {
 // subtree toward the controller: one exact entry per receiver, and nothing
 // else — any subtree-wide figure is a reduction over the entries.
 //
-// Aggregates are pooled: producers call NewAggregate, consumers Release.
-// A released Aggregate stays readable until the pool reuses it (reset
-// happens at Get, not at Put), so a consumer may Release inside the
-// delivery callback and finish reading afterwards.
+// Aggregates are pooled: producers call NewAggregate, consumers Release. An
+// Aggregate is readable until Release and not after: Release hands its entry
+// array back to the class pool (pool.go), and in test binaries leaves junk
+// behind for any reader that comes late.
 type Aggregate struct {
 	Session int
 	Origin  netsim.NodeID // tree node whose flush produced this aggregate
 	Sent    sim.Time      // when the origin emitted it
 
-	// Entries holds one exact record per receiver, sorted by Node.
+	// Entries holds one exact record per receiver, sorted by Node. Its array
+	// comes from the class pool sized for what it holds: a leaf's aggregate
+	// holds a leaf's worth, whatever the struct carried last time.
 	Entries []AggEntry
 }
 
-// The pools are free lists, not sync.Pools: a sync.Pool may drop what it
-// holds (at a collection, and at random under the race detector), and a
-// payload made afresh regrows its entries.
+// The struct pools are free lists, not sync.Pools: a sync.Pool may drop
+// what it holds (at a collection, and at random under the race detector).
+// A pooled struct holds no array; the entry arrays live in their own class
+// pools.
 var aggPool sim.FreeList[Aggregate]
 
 // Pool balance accounting: every New* bumps the live count, every Release
@@ -71,27 +74,23 @@ func AggregatesLive() int64 { return atomic.LoadInt64(&aggLive) }
 // checked out (NewSuggestionBatch calls minus Release calls).
 func BatchesLive() int64 { return atomic.LoadInt64(&batchLive) }
 
-// NewAggregate takes a reset Aggregate from the pool.
+// NewAggregate takes an empty Aggregate from the pool.
 func NewAggregate(session int, origin netsim.NodeID) *Aggregate {
 	a := aggPool.Get()
 	atomic.AddInt64(&aggLive, 1)
-	a.Reset()
-	a.Session = session
-	a.Origin = origin
+	*a = Aggregate{Session: session, Origin: origin}
 	return a
 }
 
-// Release returns the aggregate to the pool. The caller must be the last
-// holder; the contents stay readable only until the pool hands it out again.
+// Release returns the aggregate and its entry array to their pools. The
+// caller must be the last holder and reads nothing after.
 func (a *Aggregate) Release() {
 	atomic.AddInt64(&aggLive, -1)
+	a.Entries = aggArrays.release(a.Entries)
+	if poisonReleased {
+		a.Session, a.Origin, a.Sent = junkNode, junkNode, junkNode
+	}
 	aggPool.Put(a)
-}
-
-// Reset clears the aggregate, keeping the entry slice's capacity.
-func (a *Aggregate) Reset() {
-	entries := a.Entries[:0]
-	*a = Aggregate{Entries: entries}
 }
 
 // Receivers returns the number of distinct receivers folded in.
@@ -108,8 +107,8 @@ func (a *Aggregate) String() string {
 
 // entry returns the record for node, inserting one in sorted position if
 // missing. Binary search + shifted insert: entry counts are bounded by the
-// subtree's receiver population, and the slice's capacity is reused across
-// pool cycles, so the steady state allocates nothing.
+// subtree's receiver population, and a full array is swapped for one of the
+// next class from the pool, so the steady state allocates nothing.
 func (a *Aggregate) entry(node netsim.NodeID) *AggEntry {
 	lo, hi := 0, len(a.Entries)
 	for lo < hi {
@@ -123,7 +122,7 @@ func (a *Aggregate) entry(node netsim.NodeID) *AggEntry {
 	if lo < len(a.Entries) && a.Entries[lo].Node == node {
 		return &a.Entries[lo]
 	}
-	a.Entries = append(a.Entries, AggEntry{})
+	a.Entries = append(aggArrays.grow(a.Entries, len(a.Entries)+1), AggEntry{})
 	copy(a.Entries[lo+1:], a.Entries[lo:])
 	a.Entries[lo] = AggEntry{Node: node}
 	return &a.Entries[lo]
@@ -170,11 +169,12 @@ func (a *Aggregate) Merge(b *Aggregate) {
 		return
 	}
 	if n == 0 {
-		a.Entries = append(a.Entries, b.Entries...)
+		a.Entries = append(aggArrays.grow(a.Entries, m), b.Entries...)
 		return
 	}
-	// Size the merged slice exactly (two-pointer duplicate count), then
-	// merge from the back so nothing is overwritten before it is read.
+	// Size the merged slice exactly (two-pointer duplicate count), take the
+	// class for that size at once, then merge from the back so nothing is
+	// overwritten before it is read.
 	dups := 0
 	for i, j := 0, 0; i < n && j < m; {
 		switch {
@@ -189,9 +189,7 @@ func (a *Aggregate) Merge(b *Aggregate) {
 		}
 	}
 	total := n + m - dups
-	for len(a.Entries) < total {
-		a.Entries = append(a.Entries, AggEntry{})
-	}
+	a.Entries = aggArrays.grow(a.Entries, total)[:total]
 	i, j, k := n-1, m-1, total-1
 	for j >= 0 {
 		switch {
@@ -227,7 +225,8 @@ type SugEntry struct {
 // reached through one next hop, replacing per-receiver Suggestion unicasts.
 // Interior nodes split it per next hop as it travels down the tree;
 // receivers on a batch's stop read their own entry with Find. Batches are
-// pooled like Aggregates: reset at Get, readable until reuse after Release.
+// pooled like Aggregates: readable until Release, entries in a class-pool
+// array.
 type SuggestionBatch struct {
 	Sent    sim.Time
 	Entries []SugEntry
@@ -239,20 +238,24 @@ var batchPool sim.FreeList[SuggestionBatch]
 func NewSuggestionBatch() *SuggestionBatch {
 	b := batchPool.Get()
 	atomic.AddInt64(&batchLive, 1)
-	b.Sent = 0
-	b.Entries = b.Entries[:0]
+	*b = SuggestionBatch{}
 	return b
 }
 
-// Release returns the batch to the pool.
+// Release returns the batch and its entry array to their pools; the caller
+// reads nothing after.
 func (b *SuggestionBatch) Release() {
 	atomic.AddInt64(&batchLive, -1)
+	b.Entries = sugArrays.release(b.Entries)
+	if poisonReleased {
+		b.Sent = junkNode
+	}
 	batchPool.Put(b)
 }
 
 // Add appends one prescription.
 func (b *SuggestionBatch) Add(node netsim.NodeID, session, level int) {
-	b.Entries = append(b.Entries, SugEntry{Node: node, Session: session, Level: level})
+	b.Entries = append(sugArrays.grow(b.Entries, len(b.Entries)+1), SugEntry{Node: node, Session: session, Level: level})
 }
 
 // Find returns the prescribed level for (node, session). Linear scan: by the

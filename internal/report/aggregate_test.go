@@ -300,3 +300,72 @@ func BenchmarkAggregateMerge(b *testing.B) {
 		a.Merge(kids[i%children])
 	}
 }
+
+// BenchmarkAggregateCycle runs the aggregated plane's real payload life
+// cycle through the shared pools: 64 leaf aggregates of 2 receivers each
+// are folded, merged eight at a time into interior aggregates of 16, those
+// into a top aggregate of 128, and every one is released once merged; then
+// a 128-entry suggestion batch is split per next hop into 8 batches of 16
+// and those into 64 of 2, all released. Every payload starts empty, as
+// NewAggregate and NewSuggestionBatch hand them out, so once the pools hold
+// the working set a cycle must allocate nothing.
+func BenchmarkAggregateCycle(b *testing.B) {
+	const fan, leafRx = 8, 2
+	r := LossReport{Level: 3, LossRate: 0.125, Bytes: 1000}
+	cycle := func() {
+		top := NewAggregate(0, 0)
+		for i := 0; i < fan; i++ {
+			mid := NewAggregate(0, netsim.NodeID(1+i))
+			for j := 0; j < fan; j++ {
+				leaf := NewAggregate(0, netsim.NodeID(100+fan*i+j))
+				for k := 0; k < leafRx; k++ {
+					r.Node = netsim.NodeID(((fan*i+j)*leafRx + k) * 3)
+					leaf.Fold(r)
+				}
+				mid.Merge(leaf)
+				leaf.Release()
+			}
+			top.Merge(mid)
+			mid.Release()
+		}
+		if top.Receivers() != fan*fan*leafRx {
+			b.Fatalf("top aggregate holds %d receivers", top.Receivers())
+		}
+		top.Release()
+
+		all := NewSuggestionBatch()
+		for n := 0; n < fan*fan*leafRx; n++ {
+			all.Add(netsim.NodeID(n), 0, n%8)
+		}
+		var mids [fan]*SuggestionBatch
+		for i := range mids {
+			mids[i] = NewSuggestionBatch()
+		}
+		for _, e := range all.Entries {
+			mids[int(e.Node)/(fan*leafRx)].Add(e.Node, e.Session, e.Level)
+		}
+		all.Release()
+		for _, mid := range mids {
+			var leaves [fan]*SuggestionBatch
+			for j := range leaves {
+				leaves[j] = NewSuggestionBatch()
+			}
+			for _, e := range mid.Entries {
+				leaves[int(e.Node)/leafRx%fan].Add(e.Node, e.Session, e.Level)
+			}
+			mid.Release()
+			for _, leaf := range leaves {
+				leaf.Release()
+			}
+		}
+	}
+	// Time the production path: test binaries poison every released array.
+	defer func(on bool) { poisonReleased = on }(poisonReleased)
+	poisonReleased = false
+	cycle() // fill the pools with the working set
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+}

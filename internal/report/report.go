@@ -8,7 +8,8 @@
 //
 // Consumers switch on one form per kind, always a pointer: *Register,
 // *Deregister, *LossReport, *Suggestion, *Aggregate and *SuggestionBatch.
-// The first four are recycled with the packet that delivered them.
+// The first four are recycled with the packet that delivered them; the last
+// two are pooled on their own and readable until their consumer's Release.
 package report
 
 import (

@@ -77,7 +77,9 @@ obs-gate)
 fanin-gate)
 	# The control plane promises zero allocations on its steady-state hot
 	# paths: folding a loss report into an aggregate, merging a child
-	# aggregate, the controller's batched suggestion fan-out, a flat report
+	# aggregate, a whole flush cycle of pooled payloads (new, fold, merge and
+	# release at leaf, interior and top sizes, and a two-level batch split),
+	# the controller's batched suggestion fan-out, a flat report
 	# from the receiver's tick through two hops into the controller's table,
 	# a flat suggestion with its mid-interval repeat, a join/leave cycle's
 	# grafts, prunes and leave timer, a decision interval over a tree that

@@ -74,7 +74,7 @@ func TestConvergesToBottleneckOptimal(t *testing.T) {
 	// the time (probes may briefly visit 5).
 	at4 := 0
 	samples := 0
-	tick := w.e.Every(sim.Second, func() {
+	tick := sim.Every(w.e, sim.Second, func() {
 		samples++
 		if rx.Level() == 4 {
 			at4++
@@ -192,7 +192,7 @@ func TestControllerCountsRejectedTopologies(t *testing.T) {
 	// From now on every snapshot a pass reads has its last node claim the
 	// root as parent, though it sits in another node's child range: the pass
 	// must skip the session and say so.
-	tick := w.e.Every(500*sim.Millisecond, func() {
+	tick := sim.Every(w.e, 500*sim.Millisecond, func() {
 		if snap := w.tool.Discover(0); snap != nil && len(snap.Node) > 2 {
 			snap.Parent[len(snap.Parent)-1] = 0
 		}

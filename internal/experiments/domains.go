@@ -73,32 +73,16 @@ func domainsSpecs(cfg SweepConfig) []Spec {
 // (variant, domain): deviations averaged, change counts maxed, and FinalOK
 // true only when every seed finished within one layer of optimal.
 func ReduceDomains(perSeed []DomainRow) []DomainRow {
-	type key struct{ variant, domain string }
-	var order []key
-	acc := map[key]*DomainRow{}
-	count := map[key]int{}
-	for _, r := range perSeed {
-		k := key{r.Variant, r.Domain}
-		a, seen := acc[k]
-		if !seen {
-			order = append(order, k)
-			cp := r
-			acc[k] = &cp
-			count[k] = 1
-			continue
-		}
-		a.Deviation += r.Deviation
-		a.FinalOK = a.FinalOK && r.FinalOK
-		if r.MaxChanges > a.MaxChanges {
-			a.MaxChanges = r.MaxChanges
-		}
-		count[k]++
-	}
 	var rows []DomainRow
-	for _, k := range order {
-		a := acc[k]
-		a.Deviation /= float64(count[k])
-		rows = append(rows, *a)
+	for _, g := range groupBy(perSeed, func(r DomainRow) [2]string { return [2]string{r.Variant, r.Domain} }) {
+		a := g[0]
+		for _, r := range g[1:] {
+			a.Deviation += r.Deviation
+			a.FinalOK = a.FinalOK && r.FinalOK
+			a.MaxChanges = max(a.MaxChanges, r.MaxChanges)
+		}
+		a.Deviation /= float64(len(g))
+		rows = append(rows, a)
 	}
 	return rows
 }

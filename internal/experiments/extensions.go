@@ -31,18 +31,12 @@ type ExtensionRow struct {
 	TimeToOptimal sim.Time
 }
 
-// reduceExtension folds per-seed rows into one averaged row per parameter.
-// Rows for the same parameter are consecutive (spec enumeration order), so
-// a linear grouping pass suffices and keeps the sweep order.
+// reduceExtension folds per-seed rows into one averaged row per parameter,
+// in sweep order.
 func reduceExtension(perSeed []ExtensionRow) []ExtensionRow {
 	var rows []ExtensionRow
-	for i := 0; i < len(perSeed); {
-		j := i
-		for j < len(perSeed) && perSeed[j].Param == perSeed[i].Param {
-			j++
-		}
-		rows = append(rows, average(perSeed[i:j]))
-		i = j
+	for _, g := range groupBy(perSeed, func(r ExtensionRow) string { return r.Param }) {
+		rows = append(rows, average(g))
 	}
 	return rows
 }

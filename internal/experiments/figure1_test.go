@@ -92,7 +92,7 @@ func TestFigure1MotivatingExample(t *testing.T) {
 	// instant the clock stops does not flake the test.
 	lvl3 := trace.NewSeries("lvl3")
 	lvl4 := trace.NewSeries("lvl4")
-	lvlTick := e.Every(sim.Second, func() {
+	lvlTick := sim.Every(e, sim.Second, func() {
 		lvl3.Add(e.Now(), float64(rx3.Level()))
 		lvl4.Add(e.Now(), float64(rx4.Level()))
 	})

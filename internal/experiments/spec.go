@@ -231,3 +231,22 @@ func GatherRows[T any](results []Result) ([]T, error) {
 	}
 	return out, nil
 }
+
+// groupBy splits per-seed rows into groups of equal key, in the order each
+// key first appears; a group keeps its rows in their order. The studies'
+// reducers fold each group into one row.
+func groupBy[T any, K comparable](rows []T, key func(T) K) [][]T {
+	index := map[K]int{}
+	var groups [][]T
+	for _, r := range rows {
+		k := key(r)
+		i, seen := index[k]
+		if !seen {
+			i = len(groups)
+			index[k] = i
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], r)
+	}
+	return groups
+}

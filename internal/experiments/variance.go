@@ -67,34 +67,27 @@ func varianceSpecs(cfg SweepConfig) []Spec {
 // ReduceVariance folds per-seed samples into one VarianceRow per traffic
 // model, preserving first-seen traffic order.
 func ReduceVariance(samples []VarianceSample) []VarianceRow {
-	var order []string
-	byTraffic := map[string][]float64{}
-	for _, s := range samples {
-		if _, seen := byTraffic[s.Traffic]; !seen {
-			order = append(order, s.Traffic)
-		}
-		byTraffic[s.Traffic] = append(byTraffic[s.Traffic], s.Deviation)
-	}
 	var rows []VarianceRow
-	for _, name := range order {
-		rows = append(rows, summarize(name, byTraffic[name]))
+	for _, g := range groupBy(samples, func(s VarianceSample) string { return s.Traffic }) {
+		rows = append(rows, summarize(g))
 	}
 	return rows
 }
 
-func summarize(name string, xs []float64) VarianceRow {
-	row := VarianceRow{Traffic: name, Seeds: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	for _, x := range xs {
-		row.Mean += x
-		row.Min = math.Min(row.Min, x)
-		row.Max = math.Max(row.Max, x)
+// summarize folds one traffic model's samples into its row.
+func summarize(samples []VarianceSample) VarianceRow {
+	row := VarianceRow{Traffic: samples[0].Traffic, Seeds: len(samples), Min: math.Inf(1), Max: math.Inf(-1)}
+	for _, s := range samples {
+		row.Mean += s.Deviation
+		row.Min = math.Min(row.Min, s.Deviation)
+		row.Max = math.Max(row.Max, s.Deviation)
 	}
-	row.Mean /= float64(len(xs))
-	for _, x := range xs {
-		row.StdDev += (x - row.Mean) * (x - row.Mean)
+	row.Mean /= float64(len(samples))
+	for _, s := range samples {
+		row.StdDev += (s.Deviation - row.Mean) * (s.Deviation - row.Mean)
 	}
-	if len(xs) > 1 {
-		row.StdDev = math.Sqrt(row.StdDev / float64(len(xs)-1))
+	if len(samples) > 1 {
+		row.StdDev = math.Sqrt(row.StdDev / float64(len(samples)-1))
 	}
 	return row
 }

@@ -274,7 +274,7 @@ func TestNoUnilateralDropWhileSuggestionsFlow(t *testing.T) {
 	r.rx.Start()
 	// Inject suggestions directly every second (bypassing the congested
 	// bottleneck, which would lose them): the watchdog must never fire.
-	r.e.Every(sim.Second, func() {
+	sim.Every(r.e, sim.Second, func() {
 		r.rx.Recv(report.NewControlPacket(r.ctrl.node.ID, r.rx.Node().ID, report.SuggestionSize, r.e.Now(),
 			report.Suggestion{Node: r.rx.Node().ID, Session: 0, Level: 4, Sent: r.e.Now()}))
 	})

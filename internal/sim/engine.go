@@ -282,12 +282,6 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 }
 
-// Every schedules fn to run every period on this engine. It is equivalent
-// to the package-level Every(e, period, fn).
-func (e *Engine) Every(period Time, fn func()) *Ticker {
-	return Every(e, period, fn)
-}
-
 // Every schedules fn to run every period on s, starting after the first
 // period, until the returned Ticker is stopped or the scheduler drains.
 // Period must be positive. The ticker lives entirely on s, so on a

@@ -283,7 +283,7 @@ func TestNilCallbackPanics(t *testing.T) {
 func TestTicker(t *testing.T) {
 	e := NewEngine(1)
 	var ticks []Time
-	tk := e.Every(Second, func() { ticks = append(ticks, e.Now()) })
+	tk := Every(e, Second, func() { ticks = append(ticks, e.Now()) })
 	e.RunUntil(5 * Second)
 	tk.Stop()
 	e.RunUntil(10 * Second)
@@ -301,7 +301,7 @@ func TestTickerStopInsideCallback(t *testing.T) {
 	e := NewEngine(1)
 	count := 0
 	var tk *Ticker
-	tk = e.Every(Second, func() {
+	tk = Every(e, Second, func() {
 		count++
 		if count == 3 {
 			tk.Stop()
@@ -320,7 +320,7 @@ func TestTickerZeroPeriodPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewEngine(1).Every(0, func() {})
+	Every(NewEngine(1), 0, func() {})
 }
 
 func TestDeterminismAcrossRuns(t *testing.T) {

@@ -184,7 +184,7 @@ func TestVBRIsBursty(t *testing.T) {
 	e, s, m := rig(4, Config{Session: 0, PeakToMean: 6}, 1)
 	perSecond := make([]int, 0, 60)
 	last := 0
-	tick := e.Every(sim.Second, func() {
+	tick := sim.Every(e, sim.Second, func() {
 		perSecond = append(perSecond, m.packets-last)
 		last = m.packets
 	})

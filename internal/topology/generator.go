@@ -2,34 +2,25 @@ package topology
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
+	"reflect"
+	"slices"
 	"strings"
 
 	"toposense/internal/sim"
 )
 
-// Config is a validated, buildable topology parameterization. Every
-// generator family (Topology A, B, the tiered Internet, and the large-scale
-// star/mesh/tree/linear families) exposes one Config type. Zero-valued
-// fields always mean "use the documented default" and are valid; Validate
-// rejects everything else that cannot be built, loudly, instead of the old
-// normalize() behaviour of silently clamping bad values.
+// Config is one generator family's parameterization: Topology A, B, the
+// tiered Internet, the large-scale star/mesh/tree/linear families and the
+// studies' fixed shapes each have one Config type. A zero field means the
+// default its family's key table lists (`toposim -topo list`); Generate
+// rejects any other value outside the table's ranges, loudly.
 type Config interface {
-	// Validate reports the first problem with the configuration, or nil.
-	Validate() error
-	// Generate builds the topology on the scheduler — a plain sim.Engine
-	// or a sim.ShardedEngine. Call it only after a successful Validate
-	// (the package-level Generate does both).
-	Generate(e sim.Scheduler) (*Build, error)
-}
-
-// Key is one CLI-settable parameter of a generator, used by the -topo
-// name,key=val,... syntax. Set parses val into the matching field of cfg.
-type Key struct {
-	Name  string
-	Usage string
-	Set   func(cfg Config, val string) error
+	// keys is the family's key table, bound to this config's fields.
+	keys() []key
+	// generate builds the topology from a settled config (every zero field
+	// at its default, every field in range) on the scheduler — a plain
+	// sim.Engine or a sim.ShardedEngine.
+	generate(e sim.Scheduler) *Build
 }
 
 // Generator is one named topology family in the registry.
@@ -40,66 +31,64 @@ type Generator struct {
 	Title string
 	// New returns a zero config of the family's Config type.
 	New func() Config
-	// Keys lists the parameters settable through a spec string.
-	Keys []Key
 	// Labelled reports that the family emits Build.Domains, the labels the
 	// scoped control planes build one controller per domain from.
 	Labelled bool
 }
 
-// registry holds every registered generator by name.
-var registry = map[string]Generator{}
-
-// Register adds a generator to the registry. It panics on an empty or
-// duplicate name or a nil constructor — registration happens in init and a
-// bad entry is a programming error.
-func Register(g Generator) {
-	if g.Name == "" || g.New == nil {
-		panic("topology: Register needs a name and a New constructor")
-	}
-	if _, dup := registry[g.Name]; dup {
-		panic(fmt.Sprintf("topology: generator %q registered twice", g.Name))
-	}
-	registry[g.Name] = g
-}
-
-// Get looks up a registered generator by name.
-func Get(name string) (Generator, bool) {
-	g, ok := registry[name]
-	return g, ok
+// registry holds every generator in name order, the order Names,
+// Generators and Usage report.
+var registry = []Generator{
+	{Name: "a", Title: "Topology A: two receiver sets behind different bottlenecks (paper Fig. 5)",
+		New: func() Config { return &AConfig{} }},
+	{Name: "b", Title: "Topology B: N sessions competing on one shared link (paper Fig. 5)",
+		New: func() Config { return &BConfig{} }},
+	{Name: "domains", Title: "Two domains behind one backbone, 100 and 500 Kbps, 3 receivers each (paper Fig. 3)",
+		New: func() Config { return &DomainsConfig{} }, Labelled: true},
+	{Name: "ladder", Title: "Layer ladder: hub arms sized for exactly 1..4 layers, 2 receivers each (convergence study)",
+		New: func() Config { return &LadderConfig{} }},
+	{Name: "lastmile", Title: "1-2-2 tree with one 3-layer link at a chosen tier (bottleneck-depth study)",
+		New: func() Config { return &LastMileConfig{} }},
+	{Name: "linear", Title: "Linear: parallel chains of routers, receivers at every hop",
+		New: func() Config { return &LinearConfig{} }, Labelled: true},
+	{Name: "mesh", Title: "Mesh: router ring with cross-chords, receivers on access links",
+		New: func() Config { return &MeshConfig{} }},
+	{Name: "star", Title: "Star: hub fanning into per-arm bottleneck access links",
+		New: func() Config { return &StarConfig{} }, Labelled: true},
+	{Name: "tiered", Title: "Tiered Internet: backbone fanning into slower tiers (paper Fig. 2)",
+		New: func() Config { return &TieredConfig{} }, Labelled: true},
+	{Name: "tree", Title: "Deep k-ary tree: bottleneck links at the deepest tier",
+		New: func() Config { return &TreeConfig{} }, Labelled: true},
 }
 
 // Names returns the registered generator names, sorted.
 func Names() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
+	out := make([]string, len(registry))
+	for i, g := range registry {
+		out[i] = g.Name
 	}
-	sort.Strings(out)
 	return out
 }
 
 // Generators returns every registered generator, sorted by name.
 func Generators() []Generator {
-	names := Names()
-	out := make([]Generator, 0, len(names))
-	for _, name := range names {
-		out = append(out, registry[name])
-	}
-	return out
+	return slices.Clone(registry)
 }
 
 // Parse resolves a spec string of the form "name" or "name,key=val,..."
-// against the registry, returning the generator and a validated config.
-// List-valued keys separate elements with ':' (e.g. "fanout=2:3").
+// against the registry, returning the generator and a validated config
+// holding exactly the keys the spec sets. List-valued keys separate
+// elements with ':' (e.g. "fanout=2:3").
 func Parse(spec string) (Generator, Config, error) {
 	parts := strings.Split(spec, ",")
 	name := strings.TrimSpace(parts[0])
-	gen, ok := Get(name)
-	if !ok {
+	i := slices.IndexFunc(registry, func(g Generator) bool { return g.Name == name })
+	if i < 0 {
 		return Generator{}, nil, fmt.Errorf("topology: unknown generator %q (have %s)", name, strings.Join(Names(), ", "))
 	}
+	gen := registry[i]
 	cfg := gen.New()
+	keys := cfg.keys()
 	for _, part := range parts[1:] {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -109,152 +98,78 @@ func Parse(spec string) (Generator, Config, error) {
 		if len(kv) != 2 {
 			return Generator{}, nil, fmt.Errorf("topology: %s: %q is not key=val", name, part)
 		}
-		key, ok := gen.key(strings.TrimSpace(kv[0]))
-		if !ok {
-			return Generator{}, nil, fmt.Errorf("topology: %s has no key %q (have %s)", name, kv[0], gen.keyNames())
+		k := lookup(keys, strings.TrimSpace(kv[0]))
+		if k == nil && len(keys) == 0 {
+			return Generator{}, nil, fmt.Errorf("topology: %s is a fixed shape and takes no keys (got %q)", name, kv[0])
 		}
-		if err := key.Set(cfg, strings.TrimSpace(kv[1])); err != nil {
+		if k == nil {
+			names := make([]string, len(keys))
+			for i, k := range keys {
+				names[i] = k.name()
+			}
+			return Generator{}, nil, fmt.Errorf("topology: %s has no key %q (have %s)", name, kv[0], strings.Join(names, ", "))
+		}
+		if err := k.set(strings.TrimSpace(kv[1])); err != nil {
 			return Generator{}, nil, fmt.Errorf("topology: %s,%s: %w", name, part, err)
 		}
 	}
-	if err := cfg.Validate(); err != nil {
-		return Generator{}, nil, err
+	if _, err := settle(cfg); err != nil {
+		return Generator{}, nil, fmt.Errorf("topology %s: %w", name, err)
 	}
 	return gen, cfg, nil
 }
 
-func (g Generator) key(name string) (Key, bool) {
-	for _, k := range g.Keys {
-		if k.Name == name {
-			return k, true
-		}
-	}
-	return Key{}, false
-}
-
-func (g Generator) keyNames() string {
-	names := make([]string, len(g.Keys))
-	for i, k := range g.Keys {
-		names[i] = k.Name
-	}
-	return strings.Join(names, ", ")
-}
-
 // Generate validates cfg and builds the topology on e.
 func Generate(e sim.Scheduler, cfg Config) (*Build, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	s, err := settle(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("topology: %T: %w", cfg, err)
 	}
-	return cfg.Generate(e)
+	return s.generate(e), nil
 }
 
 // MustGenerate is Generate panicking on error — the Must* convention the
-// Scenario builder uses. The deprecated Build* wrappers funnel through it,
-// so a config the old normalize() would have silently clamped now fails
-// loudly.
+// Scenario builder uses.
 func MustGenerate(e sim.Scheduler, cfg Config) *Build {
 	b, err := Generate(e, cfg)
 	if err != nil {
-		panic("topology: " + err.Error())
+		panic(err.Error())
 	}
 	return b
 }
 
+// settle returns the config a family builds from: a copy of cfg with every
+// zero field at its table default, every field checked against its row's
+// range and the family's cross-key rules, if it has any. cfg itself is left
+// as it is.
+func settle(cfg Config) (Config, error) {
+	v := reflect.ValueOf(cfg).Elem()
+	cp := reflect.New(v.Type())
+	cp.Elem().Set(v)
+	s := cp.Interface().(Config)
+	for _, k := range s.keys() {
+		k.fill()
+		if err := k.check(); err != nil {
+			return nil, err
+		}
+	}
+	if r, ok := s.(interface{ rules() error }); ok {
+		if err := r.rules(); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
 // Usage renders every registered generator with its keys — the CLI's
-// `-topo list` output, built from the registry itself.
+// `-topo list` output, built from the key tables themselves.
 func Usage() string {
 	var b strings.Builder
-	for _, g := range Generators() {
+	for _, g := range registry {
 		fmt.Fprintf(&b, "%-8s %s\n", g.Name, g.Title)
-		for _, k := range g.Keys {
-			fmt.Fprintf(&b, "  %-14s %s\n", k.Name, k.Usage)
+		for _, k := range g.New().keys() {
+			fmt.Fprintf(&b, "  %-14s %s\n", k.name(), k.usage())
 		}
 	}
 	return b.String()
-}
-
-// key builds a Key whose setter only accepts the generator's own Config
-// type; a mismatch means the registry entry was assembled wrong.
-func key[C Config](name, usage string, set func(c C, val string) error) Key {
-	return Key{Name: name, Usage: usage, Set: func(cfg Config, val string) error {
-		c, ok := cfg.(C)
-		if !ok {
-			return fmt.Errorf("key %s: config is %T, want %T", name, cfg, *new(C))
-		}
-		return set(c, val)
-	}}
-}
-
-// The spec-string field parsers. Bandwidths accept scientific notation
-// ("600e3"); durations are decimal seconds; lists are ':'-separated.
-
-func parseInt(dst *int, val string) error {
-	v, err := strconv.Atoi(val)
-	if err != nil {
-		return fmt.Errorf("want an integer, got %q", val)
-	}
-	*dst = v
-	return nil
-}
-
-func parseInt64(dst *int64, val string) error {
-	v, err := strconv.ParseInt(val, 10, 64)
-	if err != nil {
-		return fmt.Errorf("want an integer, got %q", val)
-	}
-	*dst = v
-	return nil
-}
-
-func parseBool(dst *bool, val string) error {
-	v, err := strconv.ParseBool(val)
-	if err != nil {
-		return fmt.Errorf("want true or false, got %q", val)
-	}
-	*dst = v
-	return nil
-}
-
-func parseFloat(dst *float64, val string) error {
-	v, err := strconv.ParseFloat(val, 64)
-	if err != nil {
-		return fmt.Errorf("want a number, got %q", val)
-	}
-	*dst = v
-	return nil
-}
-
-func parseSeconds(dst *sim.Time, val string) error {
-	v, err := strconv.ParseFloat(val, 64)
-	if err != nil {
-		return fmt.Errorf("want seconds as a number, got %q", val)
-	}
-	*dst = sim.FromSeconds(v)
-	return nil
-}
-
-func parseInts(dst *[]int, val string) error {
-	var out []int
-	for _, part := range strings.Split(val, ":") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return fmt.Errorf("want ':'-separated integers, got %q", val)
-		}
-		out = append(out, v)
-	}
-	*dst = out
-	return nil
-}
-
-func parseFloats(dst *[]float64, val string) error {
-	var out []float64
-	for _, part := range strings.Split(val, ":") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return fmt.Errorf("want ':'-separated numbers, got %q", val)
-		}
-		out = append(out, v)
-	}
-	*dst = out
-	return nil
 }

@@ -27,11 +27,9 @@ const (
 // exactly k. Receivers are listed set by set.
 type LadderConfig struct{}
 
-// Validate implements Config.
-func (c *LadderConfig) Validate() error { return nil }
+func (c *LadderConfig) keys() []key { return nil }
 
-// Generate implements Config.
-func (c *LadderConfig) Generate(e sim.Scheduler) (*Build, error) {
+func (c *LadderConfig) generate(e sim.Scheduler) *Build {
 	n := netsim.New(e)
 	fat := netsim.LinkConfig{Bandwidth: FatBandwidth, Delay: DefaultDelay}
 	src := n.AddNode("src")
@@ -58,7 +56,7 @@ func (c *LadderConfig) Generate(e sim.Scheduler) (*Build, error) {
 			b.Optimal[0] = append(b.Optimal[0], source.LevelForBandwidth(rates, bw))
 		}
 	}
-	return b, nil
+	return b
 }
 
 // lastMileNarrow is the depth study's one constrained link: 3 layers
@@ -77,23 +75,15 @@ const lastMileNarrow = 240e3
 // At tier 1 every receiver is behind it, at tier 2 the reg0 subtree, at
 // tier 3 rx0 alone. Receivers behind it have optimum 3, the rest 6.
 type LastMileConfig struct {
-	Tier int // tier of the narrow link: 1 backbone, 2 regional, 3 last mile; 0 means 3
+	Tier int // tier of the narrow link: 1 backbone, 2 regional, 3 last mile
 }
 
-// Validate implements Config.
-func (c *LastMileConfig) Validate() error {
-	if c.Tier < 0 || c.Tier > 3 {
-		return fmt.Errorf("topology lastmile: Tier %d out of range [1, 3]", c.Tier)
-	}
-	return nil
+func (c *LastMileConfig) keys() []key {
+	return []key{row(&c.Tier, "tier", 3, "tier of the narrow link: 1 backbone, 2 regional, 3 last mile", ints(1, 3))}
 }
 
-// Generate implements Config.
-func (c *LastMileConfig) Generate(e sim.Scheduler) (*Build, error) {
+func (c *LastMileConfig) generate(e sim.Scheduler) *Build {
 	tier := c.Tier
-	if tier == 0 {
-		tier = 3
-	}
 	n := netsim.New(e)
 	fat := netsim.LinkConfig{Bandwidth: FatBandwidth, Delay: DefaultDelay}
 	narrow := netsim.LinkConfig{Bandwidth: lastMileNarrow, Delay: DefaultDelay}
@@ -130,7 +120,7 @@ func (c *LastMileConfig) Generate(e sim.Scheduler) (*Build, error) {
 			}
 		}
 	}
-	return b, nil
+	return b
 }
 
 // domainsReceivers is the receiver count of each domain of DomainsConfig.
@@ -144,11 +134,9 @@ const domainsReceivers = 3
 //	           └────── gw2 ──(500 Kbps)── d2r ── domain-2 receivers
 type DomainsConfig struct{}
 
-// Validate implements Config.
-func (c *DomainsConfig) Validate() error { return nil }
+func (c *DomainsConfig) keys() []key { return nil }
 
-// Generate implements Config.
-func (c *DomainsConfig) Generate(e sim.Scheduler) (*Build, error) {
+func (c *DomainsConfig) generate(e sim.Scheduler) *Build {
 	n := netsim.New(e)
 	fat := netsim.LinkConfig{Bandwidth: FatBandwidth, Delay: DefaultDelay}
 	src := n.AddNode("src")
@@ -174,27 +162,5 @@ func (c *DomainsConfig) Generate(e sim.Scheduler) (*Build, error) {
 			b.Optimal[0] = append(b.Optimal[0], source.LevelForBandwidth(source.Rates(source.DefaultLayers), bandwidth))
 		}
 	}
-	return b, nil
-}
-
-func init() {
-	Register(Generator{
-		Name:  "ladder",
-		Title: "Layer ladder: hub arms sized for exactly 1..4 layers, 2 receivers each (convergence study)",
-		New:   func() Config { return &LadderConfig{} },
-	})
-	Register(Generator{
-		Name:  "lastmile",
-		Title: "1-2-2 tree with one 3-layer link at a chosen tier (bottleneck-depth study)",
-		New:   func() Config { return &LastMileConfig{} },
-		Keys: []Key{
-			key("tier", "tier of the narrow link: 1 backbone, 2 regional, 3 last mile (default 3)", func(c *LastMileConfig, v string) error { return parseInt(&c.Tier, v) }),
-		},
-	})
-	Register(Generator{
-		Name:     "domains",
-		Title:    "Two domains behind one backbone, 100 and 500 Kbps, 3 receivers each (paper Fig. 3)",
-		New:      func() Config { return &DomainsConfig{} },
-		Labelled: true,
-	})
+	return b
 }

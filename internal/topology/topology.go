@@ -7,8 +7,9 @@
 // and the fixed shapes of three secondary studies (studies.go).
 //
 // Every family is a Config registered behind the Generator registry
-// (generator.go): construct a config, Validate it, Generate the Build — or
-// resolve a "name,key=val,..." spec string with Parse.
+// (generator.go) and declares its keys once, in a key table (keys.go):
+// construct a config and Generate the Build, or resolve a
+// "name,key=val,..." spec string with Parse.
 //
 // All links default to the paper's parameters: 200 ms propagation delay and
 // drop-tail queues. The canonical topologies keep the source-to-receiver
@@ -70,67 +71,26 @@ func (b *Build) AllReceivers() []*netsim.Node {
 	return out
 }
 
-// validLayers rejects layer counts the source model cannot express.
-func validLayers(layers int) error {
-	if layers < 0 || layers > 62 {
-		return fmt.Errorf("Layers %d out of range [0, 62]", layers)
-	}
-	return nil
-}
-
 // AConfig parameterizes Topology A: one session; receiver set 1 sits behind
 // a slow access link, set 2 behind a faster one.
 type AConfig struct {
-	ReceiversPerSet int      // 0 means 1
-	Set1Bandwidth   float64  // bits/s; 0 means 100 Kbps (optimal: 2 layers)
-	Set2Bandwidth   float64  // bits/s; 0 means 500 Kbps (optimal: 4 layers)
-	Delay           sim.Time // 0 means DefaultDelay
-	QueueLimit      int      // 0 means DefaultQueueLimit
-	Layers          int      // 0 means source.DefaultLayers
+	ReceiversPerSet int
+	Set1Bandwidth   float64 // bits/s; the default's optimum is 2 layers
+	Set2Bandwidth   float64 // bits/s; the default's optimum is 4 layers
+	Delay           sim.Time
+	QueueLimit      int
+	Layers          int
 }
 
-// Validate implements Config: zero means default, anything else must be
-// buildable.
-func (c *AConfig) Validate() error {
-	switch {
-	case c.ReceiversPerSet < 0:
-		return fmt.Errorf("topology a: ReceiversPerSet %d is negative", c.ReceiversPerSet)
-	case c.Set1Bandwidth < 0 || c.Set2Bandwidth < 0:
-		return fmt.Errorf("topology a: bandwidths must be positive (got %g, %g)", c.Set1Bandwidth, c.Set2Bandwidth)
-	case c.Delay < 0:
-		return fmt.Errorf("topology a: Delay %v is negative", c.Delay)
-	case c.QueueLimit < 0:
-		return fmt.Errorf("topology a: QueueLimit %d is negative", c.QueueLimit)
-	}
-	if err := validLayers(c.Layers); err != nil {
-		return fmt.Errorf("topology a: %w", err)
-	}
-	return nil
+func (c *AConfig) keys() []key {
+	return append([]key{
+		row(&c.ReceiversPerSet, "rxset", 1, "receivers per set", counts),
+		row(&c.Set1Bandwidth, "bw1", 100e3, "set-1 access bandwidth", bitrates),
+		row(&c.Set2Bandwidth, "bw2", 500e3, "set-2 access bandwidth", bitrates),
+	}, linkKeys(&c.Delay, &c.QueueLimit, &c.Layers, DefaultDelay, "drop-tail")...)
 }
 
-func (c AConfig) withDefaults() AConfig {
-	if c.ReceiversPerSet == 0 {
-		c.ReceiversPerSet = 1
-	}
-	if c.Set1Bandwidth == 0 {
-		c.Set1Bandwidth = 100e3
-	}
-	if c.Set2Bandwidth == 0 {
-		c.Set2Bandwidth = 500e3
-	}
-	if c.Delay == 0 {
-		c.Delay = DefaultDelay
-	}
-	if c.QueueLimit == 0 {
-		c.QueueLimit = DefaultQueueLimit
-	}
-	if c.Layers == 0 {
-		c.Layers = source.DefaultLayers
-	}
-	return c
-}
-
-// Generate constructs Topology A:
+// generate constructs Topology A:
 //
 //	src ── hub ──(set1 bottleneck)── g1 ── set-1 receivers
 //	            └(set2 bottleneck)── g2 ── set-2 receivers
@@ -139,15 +99,14 @@ func (c AConfig) withDefaults() AConfig {
 // each once, so every receiver in a set shares the set's constraint — the
 // paper's "two sets of receivers, each having different bandwidth
 // constraints".
-func (c *AConfig) Generate(e sim.Scheduler) (*Build, error) {
-	cfg := c.withDefaults()
+func (c *AConfig) generate(e sim.Scheduler) *Build {
 	n := netsim.New(e)
-	fat := netsim.LinkConfig{Bandwidth: FatBandwidth, Delay: cfg.Delay, QueueLimit: cfg.QueueLimit}
+	fat := netsim.LinkConfig{Bandwidth: FatBandwidth, Delay: c.Delay, QueueLimit: c.QueueLimit}
 	src := n.AddNode("src")
 	hub := n.AddNode("hub")
 	n.Connect(src, hub, fat)
 
-	rates := source.Rates(cfg.Layers)
+	rates := source.Rates(c.Layers)
 	b := &Build{
 		Net:        n,
 		Sources:    []*netsim.Node{src},
@@ -157,73 +116,44 @@ func (c *AConfig) Generate(e sim.Scheduler) (*Build, error) {
 	}
 	addSet := func(name string, bw float64) {
 		gw := n.AddNode(name)
-		down, _ := n.Connect(hub, gw, netsim.LinkConfig{Bandwidth: bw, Delay: cfg.Delay, QueueLimit: cfg.QueueLimit})
+		down, _ := n.Connect(hub, gw, netsim.LinkConfig{Bandwidth: bw, Delay: c.Delay, QueueLimit: c.QueueLimit})
 		b.Bottlenecks = append(b.Bottlenecks, down)
 		opt := source.LevelForBandwidth(rates, bw)
-		for i := 0; i < cfg.ReceiversPerSet; i++ {
+		for i := 0; i < c.ReceiversPerSet; i++ {
 			rx := n.AddNode(fmt.Sprintf("%s-rx%d", name, i))
 			n.Connect(gw, rx, fat)
 			b.Receivers[0] = append(b.Receivers[0], rx)
 			b.Optimal[0] = append(b.Optimal[0], opt)
 		}
 	}
-	addSet("set1", cfg.Set1Bandwidth)
-	addSet("set2", cfg.Set2Bandwidth)
-	return b, nil
+	addSet("set1", c.Set1Bandwidth)
+	addSet("set2", c.Set2Bandwidth)
+	return b
 }
 
 // BConfig parameterizes Topology B: Sessions independent sessions, one
 // receiver each, all crossing one shared link sized PerSession × Sessions.
 type BConfig struct {
-	Sessions   int      // 0 means 1
-	PerSession float64  // bits/s of shared capacity per session; 0 means 500 Kbps
-	Delay      sim.Time // 0 means DefaultDelay
-	QueueLimit int      // 0 means DefaultQueueLimit
-	Layers     int      // 0 means source.DefaultLayers
+	Sessions   int
+	PerSession float64 // bits/s of shared capacity per session
+	Delay      sim.Time
+	QueueLimit int // per session: the shared link's queue is Sessions times this
+	Layers     int
 	// ChurnReceivers gives every session a second receiver, churn<i> off Y,
 	// for the membership-churn study to put under churn beside the settled
 	// one.
 	ChurnReceivers bool
 }
 
-// Validate implements Config.
-func (c *BConfig) Validate() error {
-	switch {
-	case c.Sessions < 0:
-		return fmt.Errorf("topology b: Sessions %d is negative", c.Sessions)
-	case c.PerSession < 0:
-		return fmt.Errorf("topology b: PerSession %g is negative", c.PerSession)
-	case c.Delay < 0:
-		return fmt.Errorf("topology b: Delay %v is negative", c.Delay)
-	case c.QueueLimit < 0:
-		return fmt.Errorf("topology b: QueueLimit %d is negative", c.QueueLimit)
-	}
-	if err := validLayers(c.Layers); err != nil {
-		return fmt.Errorf("topology b: %w", err)
-	}
-	return nil
+func (c *BConfig) keys() []key {
+	return append(append([]key{
+		row(&c.Sessions, "sessions", 1, "competing sessions", counts),
+		row(&c.PerSession, "persession", 500e3, "shared capacity per session", bitrates),
+	}, linkKeys(&c.Delay, &c.QueueLimit, &c.Layers, DefaultDelay, "per-session")...),
+		row(&c.ChurnReceivers, "churnrx", false, "add a second receiver per session off Y, for churn studies", flags))
 }
 
-func (c BConfig) withDefaults() BConfig {
-	if c.Sessions == 0 {
-		c.Sessions = 1
-	}
-	if c.PerSession == 0 {
-		c.PerSession = 500e3
-	}
-	if c.Delay == 0 {
-		c.Delay = DefaultDelay
-	}
-	if c.QueueLimit == 0 {
-		c.QueueLimit = DefaultQueueLimit
-	}
-	if c.Layers == 0 {
-		c.Layers = source.DefaultLayers
-	}
-	return c
-}
-
-// Generate constructs Topology B:
+// generate constructs Topology B:
 //
 //	src_i ── X ══(shared link, Sessions × PerSession)══ Y ── rx_i
 //	                                                    └── churn_i (ChurnReceivers)
@@ -231,22 +161,21 @@ func (c BConfig) withDefaults() BConfig {
 // The shared link's capacity is scaled with the number of sessions so each
 // session can ideally receive PerSession (4 layers at the default 500 Kbps),
 // exactly as in the paper's inter-session fairness experiments.
-func (c *BConfig) Generate(e sim.Scheduler) (*Build, error) {
-	cfg := c.withDefaults()
+func (c *BConfig) generate(e sim.Scheduler) *Build {
 	n := netsim.New(e)
-	fat := netsim.LinkConfig{Bandwidth: FatBandwidth, Delay: cfg.Delay, QueueLimit: cfg.QueueLimit}
+	fat := netsim.LinkConfig{Bandwidth: FatBandwidth, Delay: c.Delay, QueueLimit: c.QueueLimit}
 	x := n.AddNode("X")
 	y := n.AddNode("Y")
-	shared := cfg.PerSession * float64(cfg.Sessions)
+	shared := c.PerSession * float64(c.Sessions)
 	// The shared queue scales with session count so that per-session
 	// buffering stays comparable as competition grows.
-	sharedQ := cfg.QueueLimit * cfg.Sessions
-	down, _ := n.Connect(x, y, netsim.LinkConfig{Bandwidth: shared, Delay: cfg.Delay, QueueLimit: sharedQ})
+	sharedQ := c.QueueLimit * c.Sessions
+	down, _ := n.Connect(x, y, netsim.LinkConfig{Bandwidth: shared, Delay: c.Delay, QueueLimit: sharedQ})
 
-	rates := source.Rates(cfg.Layers)
-	opt := source.LevelForBandwidth(rates, cfg.PerSession)
+	rates := source.Rates(c.Layers)
+	opt := source.LevelForBandwidth(rates, c.PerSession)
 	b := &Build{Net: n, Bottlenecks: []*netsim.Link{down}}
-	for s := 0; s < cfg.Sessions; s++ {
+	for s := 0; s < c.Sessions; s++ {
 		src := n.AddNode(fmt.Sprintf("src%d", s))
 		n.Connect(src, x, fat)
 		rx := n.AddNode(fmt.Sprintf("rx%d", s))
@@ -255,7 +184,7 @@ func (c *BConfig) Generate(e sim.Scheduler) (*Build, error) {
 		b.Receivers = append(b.Receivers, []*netsim.Node{rx})
 		b.Optimal = append(b.Optimal, []int{opt})
 	}
-	if cfg.ChurnReceivers {
+	if c.ChurnReceivers {
 		// Created after every session's own nodes: same bottleneck as the
 		// settled receiver, same optimum.
 		for s := range b.Receivers {
@@ -266,7 +195,7 @@ func (c *BConfig) Generate(e sim.Scheduler) (*Build, error) {
 		}
 	}
 	b.Controller = b.Sources[0]
-	return b, nil
+	return b
 }
 
 // TieredConfig parameterizes the tiered-Internet generator (Figure 2): a
@@ -279,66 +208,37 @@ type TieredConfig struct {
 	FanOut []int
 	// Bandwidth[i] is the capacity of links from tier i to tier i+1.
 	Bandwidth []float64
-	// ReceiversPerLeaf attaches receivers at the deepest tier; 0 means 1.
+	// ReceiversPerLeaf attaches receivers at the deepest tier.
 	ReceiversPerLeaf int
 	Delay            sim.Time
 	QueueLimit       int
 	Layers           int
 }
 
-// Validate implements Config.
-func (c *TieredConfig) Validate() error {
-	if len(c.FanOut) == 0 || len(c.FanOut) != len(c.Bandwidth) {
-		return fmt.Errorf("topology tiered: FanOut and Bandwidth must be non-empty and equal length (got %d, %d)", len(c.FanOut), len(c.Bandwidth))
-	}
-	for i, f := range c.FanOut {
-		if f < 1 {
-			return fmt.Errorf("topology tiered: FanOut[%d] = %d, want >= 1", i, f)
-		}
-	}
-	for i, bw := range c.Bandwidth {
-		if bw <= 0 {
-			return fmt.Errorf("topology tiered: Bandwidth[%d] = %g, want > 0", i, bw)
-		}
-	}
-	switch {
-	case c.ReceiversPerLeaf < 0:
-		return fmt.Errorf("topology tiered: ReceiversPerLeaf %d is negative", c.ReceiversPerLeaf)
-	case c.Delay < 0:
-		return fmt.Errorf("topology tiered: Delay %v is negative", c.Delay)
-	case c.QueueLimit < 0:
-		return fmt.Errorf("topology tiered: QueueLimit %d is negative", c.QueueLimit)
-	}
-	if err := validLayers(c.Layers); err != nil {
-		return fmt.Errorf("topology tiered: %w", err)
+func (c *TieredConfig) keys() []key {
+	return append([]key{
+		row(&c.Seed, "seed", 0, "bandwidth-jitter seed", seeds),
+		row(&c.FanOut, "fanout", []int{2, 3}, "':'-separated per-tier fan-out", list(counts)),
+		row(&c.Bandwidth, "bw", []float64{10e6, 600e3}, "':'-separated per-tier bandwidth", list(bitrates)),
+		row(&c.ReceiversPerLeaf, "rxleaf", 1, "receivers per deepest-tier node", counts),
+	}, linkKeys(&c.Delay, &c.QueueLimit, &c.Layers, DefaultDelay, "drop-tail")...)
+}
+
+// rules checks the one rule across tiered's keys: a bandwidth per tier.
+func (c *TieredConfig) rules() error {
+	if len(c.FanOut) != len(c.Bandwidth) {
+		return fmt.Errorf("fanout has %d tiers but bw has %d", len(c.FanOut), len(c.Bandwidth))
 	}
 	return nil
 }
 
-func (c TieredConfig) withDefaults() TieredConfig {
-	if c.ReceiversPerLeaf == 0 {
-		c.ReceiversPerLeaf = 1
-	}
-	if c.Delay == 0 {
-		c.Delay = DefaultDelay
-	}
-	if c.QueueLimit == 0 {
-		c.QueueLimit = DefaultQueueLimit
-	}
-	if c.Layers == 0 {
-		c.Layers = source.DefaultLayers
-	}
-	return c
-}
-
-// Generate constructs a random tiered topology with one session rooted at
+// generate constructs a random tiered topology with one session rooted at
 // the top tier. The optimal level of each receiver is the min bandwidth
 // along its path.
-func (c *TieredConfig) Generate(e sim.Scheduler) (*Build, error) {
-	cfg := c.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+func (c *TieredConfig) generate(e sim.Scheduler) *Build {
+	rng := rand.New(rand.NewSource(c.Seed))
 	n := netsim.New(e)
-	rates := source.Rates(cfg.Layers)
+	rates := source.Rates(c.Layers)
 	src := n.AddNode("src")
 	b := &Build{
 		Net:        n,
@@ -356,10 +256,10 @@ func (c *TieredConfig) Generate(e sim.Scheduler) (*Build, error) {
 		dom   int
 	}
 	frontier := []tiered{{node: src, minBW: FatBandwidth}}
-	for tier := 0; tier < len(cfg.FanOut); tier++ {
+	for tier := 0; tier < len(c.FanOut); tier++ {
 		var next []tiered
 		for _, parent := range frontier {
-			for k := 0; k < cfg.FanOut[tier]; k++ {
+			for k := 0; k < c.FanOut[tier]; k++ {
 				child := n.AddNode(fmt.Sprintf("t%d-%d", tier+1, len(next)))
 				dom := parent.dom
 				if tier == 0 {
@@ -367,9 +267,9 @@ func (c *TieredConfig) Generate(e sim.Scheduler) (*Build, error) {
 				}
 				b.Domains = append(b.Domains, dom)
 				// Jitter capacity ±25% around the tier's nominal value.
-				bw := cfg.Bandwidth[tier] * (0.75 + 0.5*rng.Float64())
+				bw := c.Bandwidth[tier] * (0.75 + 0.5*rng.Float64())
 				down, _ := n.Connect(parent.node, child, netsim.LinkConfig{
-					Bandwidth: bw, Delay: cfg.Delay, QueueLimit: cfg.QueueLimit,
+					Bandwidth: bw, Delay: c.Delay, QueueLimit: c.QueueLimit,
 				})
 				minBW := parent.minBW
 				if bw < minBW {
@@ -381,9 +281,9 @@ func (c *TieredConfig) Generate(e sim.Scheduler) (*Build, error) {
 		}
 		frontier = next
 	}
-	fat := netsim.LinkConfig{Bandwidth: FatBandwidth, Delay: cfg.Delay, QueueLimit: cfg.QueueLimit}
+	fat := netsim.LinkConfig{Bandwidth: FatBandwidth, Delay: c.Delay, QueueLimit: c.QueueLimit}
 	for _, leaf := range frontier {
-		for k := 0; k < cfg.ReceiversPerLeaf; k++ {
+		for k := 0; k < c.ReceiversPerLeaf; k++ {
 			rx := n.AddNode(fmt.Sprintf("%s-rx%d", leaf.node.Name, k))
 			b.Domains = append(b.Domains, leaf.dom)
 			n.Connect(leaf.node, rx, fat)
@@ -391,49 +291,5 @@ func (c *TieredConfig) Generate(e sim.Scheduler) (*Build, error) {
 			b.Optimal[0] = append(b.Optimal[0], source.LevelForBandwidth(rates, leaf.minBW))
 		}
 	}
-	return b, nil
-}
-
-func init() {
-	Register(Generator{
-		Name:  "a",
-		Title: "Topology A: two receiver sets behind different bottlenecks (paper Fig. 5)",
-		New:   func() Config { return &AConfig{} },
-		Keys: []Key{
-			key("rxset", "receivers per set (default 1)", func(c *AConfig, v string) error { return parseInt(&c.ReceiversPerSet, v) }),
-			key("bw1", "set-1 access bandwidth in bits/s (default 100e3)", func(c *AConfig, v string) error { return parseFloat(&c.Set1Bandwidth, v) }),
-			key("bw2", "set-2 access bandwidth in bits/s (default 500e3)", func(c *AConfig, v string) error { return parseFloat(&c.Set2Bandwidth, v) }),
-			key("delay", "per-link propagation delay in seconds (default 0.2)", func(c *AConfig, v string) error { return parseSeconds(&c.Delay, v) }),
-			key("queue", "drop-tail queue limit in packets (default 20)", func(c *AConfig, v string) error { return parseInt(&c.QueueLimit, v) }),
-			key("layers", "session layers (default 6)", func(c *AConfig, v string) error { return parseInt(&c.Layers, v) }),
-		},
-	})
-	Register(Generator{
-		Name:  "b",
-		Title: "Topology B: N sessions competing on one shared link (paper Fig. 5)",
-		New:   func() Config { return &BConfig{} },
-		Keys: []Key{
-			key("sessions", "competing sessions (default 1)", func(c *BConfig, v string) error { return parseInt(&c.Sessions, v) }),
-			key("persession", "shared capacity per session in bits/s (default 500e3)", func(c *BConfig, v string) error { return parseFloat(&c.PerSession, v) }),
-			key("delay", "per-link propagation delay in seconds (default 0.2)", func(c *BConfig, v string) error { return parseSeconds(&c.Delay, v) }),
-			key("queue", "per-session queue limit in packets (default 20)", func(c *BConfig, v string) error { return parseInt(&c.QueueLimit, v) }),
-			key("layers", "session layers (default 6)", func(c *BConfig, v string) error { return parseInt(&c.Layers, v) }),
-			key("churnrx", "add a second receiver per session off Y, for churn studies (default false)", func(c *BConfig, v string) error { return parseBool(&c.ChurnReceivers, v) }),
-		},
-	})
-	Register(Generator{
-		Name:  "tiered",
-		Title: "Tiered Internet: backbone fanning into slower tiers (paper Fig. 2)",
-		New:   func() Config { return &TieredConfig{FanOut: []int{2, 3}, Bandwidth: []float64{10e6, 600e3}} },
-		Keys: []Key{
-			key("seed", "bandwidth-jitter seed (default 0)", func(c *TieredConfig, v string) error { return parseInt64(&c.Seed, v) }),
-			key("fanout", "':'-separated per-tier fan-out (default 2:3)", func(c *TieredConfig, v string) error { return parseInts(&c.FanOut, v) }),
-			key("bw", "':'-separated per-tier bandwidth in bits/s (default 10e6:600e3)", func(c *TieredConfig, v string) error { return parseFloats(&c.Bandwidth, v) }),
-			key("rxleaf", "receivers per deepest-tier node (default 1)", func(c *TieredConfig, v string) error { return parseInt(&c.ReceiversPerLeaf, v) }),
-			key("delay", "per-link propagation delay in seconds (default 0.2)", func(c *TieredConfig, v string) error { return parseSeconds(&c.Delay, v) }),
-			key("queue", "drop-tail queue limit in packets (default 20)", func(c *TieredConfig, v string) error { return parseInt(&c.QueueLimit, v) }),
-			key("layers", "session layers (default 6)", func(c *TieredConfig, v string) error { return parseInt(&c.Layers, v) }),
-		},
-		Labelled: true,
-	})
+	return b
 }

@@ -2,6 +2,8 @@ package topology
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"toposense/internal/netsim"
@@ -182,45 +184,66 @@ func TestBuildsAreRoutable(t *testing.T) {
 	}
 }
 
+// describe writes down everything a build hands the experiments: nodes in
+// order, every link's capacity, delay and queue limit, the sessions'
+// sources, receivers and optima, the bottlenecks and the domain labels.
+func describe(b *Build) string {
+	var s strings.Builder
+	for _, n := range b.Net.Nodes() {
+		fmt.Fprintf(&s, "node %d %s\n", n.ID, n.Name)
+	}
+	for _, l := range b.Net.Links() {
+		fmt.Fprintf(&s, "link %d-%d %g %v %d\n", l.From, l.To, l.Bandwidth(), l.Delay, l.QueueLimit)
+	}
+	fmt.Fprintf(&s, "controller %d\n", b.Controller.ID)
+	for i, src := range b.Sources {
+		fmt.Fprintf(&s, "session %d source %d optima %v receivers", i, src.ID, b.Optimal[i])
+		for _, rx := range b.Receivers[i] {
+			fmt.Fprintf(&s, " %d", rx.ID)
+		}
+		s.WriteString("\n")
+	}
+	for _, l := range b.Bottlenecks {
+		fmt.Fprintf(&s, "bottleneck %d-%d\n", l.From, l.To)
+	}
+	fmt.Fprintf(&s, "domains %v\n", b.Domains)
+	return s.String()
+}
+
+func generateSpec(t *testing.T, spec string) string {
+	t.Helper()
+	_, cfg, err := Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return describe(MustGenerate(sim.NewEngine(1), cfg))
+}
+
 // TestBuildsDeterministic builds every registered generator at its
 // defaults, and the keys that change a family's shape, twice each and
-// demands identical node naming/ordering and optima — the property seeded
-// experiments rely on.
+// demands identical builds — the property seeded experiments rely on.
 func TestBuildsDeterministic(t *testing.T) {
-	for _, spec := range append(Names(), "b,sessions=2,churnrx=true", "lastmile,tier=1", "lastmile,tier=2") {
+	for _, spec := range append(Names(), "b,sessions=2,churnrx=true", "lastmile,tier=1", "lastmile,tier=2", "tree,jitter=0.3,seed=5") {
 		t.Run(spec, func(t *testing.T) {
-			_, cfg, err := Parse(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			snapshot := func() ([]string, []int) {
-				b := MustGenerate(sim.NewEngine(1), cfg)
-				var names []string
-				for _, n := range b.Net.Nodes() {
-					names = append(names, n.Name)
-				}
-				var opts []int
-				for _, o := range b.Optimal {
-					opts = append(opts, o...)
-				}
-				return names, opts
-			}
-			names1, opts1 := snapshot()
-			names2, opts2 := snapshot()
-			if len(names1) != len(names2) {
-				t.Fatalf("node counts differ: %d vs %d", len(names1), len(names2))
-			}
-			for i := range names1 {
-				if names1[i] != names2[i] {
-					t.Fatalf("node %d named %q then %q", i, names1[i], names2[i])
-				}
-			}
-			for i := range opts1 {
-				if opts1[i] != opts2[i] {
-					t.Fatalf("optimal %d = %d then %d", i, opts1[i], opts2[i])
-				}
+			if first, second := generateSpec(t, spec), generateSpec(t, spec); first != second {
+				t.Fatalf("two builds differ:\n%s\nvs\n%s", first, second)
 			}
 		})
+	}
+}
+
+// TestListedDefaultsApply sets every key of every family to the default
+// `-topo list` shows for it and demands the same build as leaving the key
+// out: a listed default that is not the applied one fails here.
+func TestListedDefaultsApply(t *testing.T) {
+	for _, gen := range Generators() {
+		want := generateSpec(t, gen.Name)
+		for _, k := range gen.New().keys() {
+			spec := gen.Name + "," + k.name() + "=" + k.def()
+			if got := generateSpec(t, spec); got != want {
+				t.Errorf("%s builds differently from %s:\n%s\nvs\n%s", spec, gen.Name, got, want)
+			}
+		}
 	}
 }
 
@@ -253,15 +276,33 @@ func TestParseSpecs(t *testing.T) {
 		"tree,depth",       // not key=val
 		"tree,nosuchkey=1", // unknown key
 		"tree,depth=x",     // unparseable value
-		"star,jitter=2",    // fails Validate
-		"mesh,routers=2",   // fails Validate (ring needs 3)
-		"tiered,fanout=2",  // fails Validate (bandwidth mismatch)
-		"b,churnrx=maybe",  // unparseable boolean
-		"lastmile,tier=4",  // fails Validate (three tiers)
-		"ladder,sets=5",    // fixed shape: no keys
+		"star,jitter=2",    // out of range [0, 1)
+		"mesh,routers=2",   // out of range (ring needs 3)
+		"tiered,fanout=2",  // bandwidth list length mismatch
+		"tiered,fanout=2:0",
+		"b,churnrx=maybe", // unparseable boolean
+		"lastmile,tier=4", // three tiers
+		"ladder,sets=5",   // fixed shape: no keys
+		"a,layers=63",     // more layers than the source model has
+		// An explicit zero is not "the default", and NaN, ±Inf and
+		// delays a sim.Time cannot hold are not values.
+		"tree,depth=1,branch=2,rxleaf=0",
+		"a,rxset=0,bw1=0",
+		"a,bw1=0",
+		"star,arms=2,rxarm=1,bw=NaN",
+		"tree,depth=1,branch=2,leaf=Inf",
+		"tree,backbone=-Inf",
+		"star,jitter=NaN",
+		"a,delay=NaN",
+		"a,delay=0",
+		"a,delay=1e-7",
+		"a,delay=1e20",
 	} {
-		if _, _, err := Parse(bad); err == nil {
+		_, _, err := Parse(bad)
+		if err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", bad)
+		} else if family, _, _ := strings.Cut(bad, ","); !strings.Contains(err.Error(), family) {
+			t.Errorf("Parse(%q): error %q does not name the family", bad, err)
 		}
 	}
 }
@@ -273,6 +314,7 @@ func TestValidateErrors(t *testing.T) {
 		"a-bad-layers":      &AConfig{Layers: 99},
 		"b-negative-rate":   &BConfig{PerSession: -1},
 		"star-bad-jitter":   &StarConfig{Jitter: 1.5},
+		"star-nan-bw":       &StarConfig{Bandwidth: math.NaN()},
 		"mesh-tiny-ring":    &MeshConfig{Routers: 2},
 		"tree-negative":     &TreeConfig{Depth: -1},
 		"linear-negative":   &LinearConfig{Chains: -1},

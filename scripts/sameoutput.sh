@@ -11,6 +11,7 @@
 #     churn, aggregation with explain, probe discovery, staleness, a
 #     bottleneck outage, churn on two shards -- each also writing its -obs
 #     export;
+#   - toposim -topo list, the registry's families and keys;
 #   - topobench -quick -obs -json, so every experiment's result carries
 #     its world's obs export;
 #   - make examples.
@@ -76,6 +77,7 @@ capture() {
 		# shellcheck disable=SC2086 # the spec is a flag list
 		{ (cd "$side" && ./toposim $args -obs "obs/$n.json") 2>&1 || echo "exit $?"; } | grep -v '^run: '
 	done >"$side/toposim.txt"
+	{ "$side/toposim" -topo list 2>&1 || echo "exit $?"; } >"$side/topolist.txt"
 	{ "$side/topobench" -quick -progress=false -obs -json "$side/quick.json" 2>/dev/null || echo "exit $?"; } | strip_bench >"$side/topobench.txt"
 	{ (cd "$1" && make -s --no-print-directory examples) 2>&1 || echo "exit $?"; } >"$side/examples.txt"
 	grep -v -E '"(generated_at|gomaxprocs|parallelism|wall_seconds|events_per_second|allocs_per_event|pass_mean_ms|pass_max_ms)":' \
@@ -87,13 +89,13 @@ capture "$parent" parent
 status=0
 # Each toposim hunk header names the spec it falls in.
 diff -u -F '^== toposim ' "$out/parent/toposim.txt" "$out/new/toposim.txt" || status=1
-for f in topobench.txt quick.stripped.json examples.txt; do
+for f in topolist.txt topobench.txt quick.stripped.json examples.txt; do
 	diff -u "$out/parent/$f" "$out/new/$f" || status=1
 done
 for f in "$out"/parent/obs/*.json; do
 	diff -u "$f" "$out/new/obs/${f##*/}" || status=1
 done
 if [ "$status" -eq 0 ]; then
-	echo "sameoutput OK: $(specs | wc -l) toposim runs, their obs exports, topobench -quick -obs and make examples match $parent"
+	echo "sameoutput OK: $(specs | wc -l) toposim runs, their obs exports, toposim -topo list, topobench -quick -obs and make examples match $parent"
 fi
 exit "$status"

@@ -83,10 +83,11 @@ bench-fanin:
 
 # Allocation gate for the control plane's hot paths: report merge, batched
 # suggestion fan-out, the flat report path, a flat suggestion with its
-# repeat, a join/leave cycle, a decision interval over a tree that holds
-# still and a TopoSense pass over a known tree must report 0 allocs/op at
-# steady state, a first-sight pass over a 21 111-node tree at most 64, and
-# a discovery walk of that tree after it changed at most 8.
+# repeat, a join/leave cycle, grafts reaching routers for the first time,
+# a decision interval over a tree that holds still and a TopoSense pass
+# over a known tree must report 0 allocs/op at steady state, a first-sight
+# pass over a 21 111-node tree at most 64, and a discovery walk of that
+# tree after it changed at most 8.
 fanin-gate:
 	scripts/benchdiff.sh fanin-gate
 

@@ -218,3 +218,20 @@ func firstDiff(a, b string) string {
 	}
 	return fmt.Sprintf("lengths differ: %d vs %d lines", len(al), len(bl))
 }
+
+// TestShardStateStatsMatchSerial: the forwarding state's size is a figure
+// of the trees alone. A serial and a 4-shard run of one spec report the
+// same entries and bytes, though the shards take entries and arrays from
+// the domain's pools in another order and leave other block tails unused.
+func TestShardStateStatsMatchSerial(t *testing.T) {
+	const spec = "tree,depth=2,branch=3,rxleaf=2"
+	w, _ := runShardWorld(t, spec, 1, 0, 20*sim.Second)
+	serial := w.Domain.StateStats()
+	if serial.Entries == 0 {
+		t.Fatal("serial run built no forwarding state")
+	}
+	w, _ = runShardWorld(t, spec, 1, 4, 20*sim.Second)
+	if got := w.Domain.StateStats(); got != serial {
+		t.Errorf("4 shards: %+v, serial %+v", got, serial)
+	}
+}

@@ -128,3 +128,75 @@ func BenchmarkJoinLeaveCycle(b *testing.B) {
 		b.Fatal("router still on tree after final prune")
 	}
 }
+
+// BenchmarkGraftFirstTouch measures tree maintenance where every graft
+// reaches routers for the first time: each op is a member at a fresh
+// (leaf, group) pair of a pre-built 4-ary tree joining and its graft
+// settling, so each op makes the leaf's entry, often its parent's and
+// grandparent's too, and grows rows, child tables and member lists. A
+// domain's pairs are used up leaf by leaf within a group; then the next
+// domain is built with the timer stopped. Entries and arrays come from
+// chunked pools, whose refills amortize to well under one allocation an op.
+func BenchmarkGraftFirstTouch(b *testing.B) {
+	const (
+		branch = 4
+		depth  = 3
+		groups = 16
+	)
+	var (
+		e      *sim.Engine
+		d      *Domain
+		leaves []netsim.NodeID
+		ids    []netsim.GroupID
+		pair   int
+	)
+	build := func() {
+		e = sim.NewEngine(1)
+		net := netsim.New(e)
+		cfg := netsim.LinkConfig{Bandwidth: 1e9, Delay: sim.Millisecond, QueueLimit: 64}
+		level := []*netsim.Node{net.AddNode("src")}
+		for l := 0; l < depth; l++ {
+			var next []*netsim.Node
+			for _, p := range level {
+				for c := 0; c < branch; c++ {
+					n := net.AddNode("r")
+					net.Connect(p, n, cfg)
+					next = append(next, n)
+				}
+			}
+			level = next
+		}
+		d = NewDomain(net)
+		leaves, ids = leaves[:0], ids[:0]
+		for _, n := range level {
+			leaves = append(leaves, n.ID)
+		}
+		for g := 0; g < groups; g++ {
+			ids = append(ids, d.RegisterGroup(g, 1, 0))
+		}
+		net.NextHop(leaves[0], 0) // routes, before the timer
+		pair = 0
+	}
+	m := &countMember{}
+	build()
+	entries := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if pair == len(leaves)*groups {
+			b.StopTimer()
+			entries += d.StateStats().Entries
+			build()
+			b.StartTimer()
+		}
+		d.Join(leaves[pair%len(leaves)], ids[pair/len(leaves)], m)
+		e.Run()
+		pair++
+	}
+	b.StopTimer()
+	entries += d.StateStats().Entries
+	if entries < b.N {
+		b.Fatalf("%d ops made %d entries, want at least one each", b.N, entries)
+	}
+	b.ReportMetric(float64(entries)/float64(b.N), "entries/op")
+}

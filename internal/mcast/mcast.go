@@ -17,16 +17,20 @@
 // keeps congesting the bottleneck for a while after the receiver drops it.
 // The paper calls this out as a core difficulty of layered multicast.
 //
-// Forwarding state is one group-indexed slice of entries per node, grown
-// on the control path to the highest group whose tree has crossed the node.
+// Forwarding state is one group-indexed row of entries per node, grown on
+// the control path to the highest group whose tree has crossed the node.
 // The data path does no map access and no allocation — two slice indexes —
-// and each entry caches its downstream children as a sorted slice with the
-// outgoing links resolved alongside, rebuilt only on graft and prune.
+// and each entry keeps one child table of (child, outgoing link) pairs,
+// ascending by child, changed only on graft and prune. Entries come from
+// chunked records and rows, child tables and member lists from capacity-class
+// array pools, so a tree reaching a node for the first time costs a share of
+// a pool refill, not an allocation of its own.
 package mcast
 
 import (
 	"fmt"
 	"sync/atomic"
+	"testing"
 	"unsafe"
 
 	"toposense/internal/netsim"
@@ -56,15 +60,22 @@ type groupInfo struct {
 	onTree []func() // run when the source node's entry becomes active
 }
 
+// child is one row of an entry's child table: a downstream child and the
+// outgoing link that carries traffic to it, nil while the link does not
+// exist (a child grafted over a one-way uplink) and resolved on first use.
+type child struct {
+	node netsim.NodeID
+	link *netsim.Link
+}
+
 // nodeGroupState is one router's forwarding entry for one group. The
-// children currently forwarded to are kept sorted, with the outgoing link
-// to each child cached in the parallel links slice, so the data path
-// iterates both without consulting any map.
+// children currently forwarded to sit in one table, ascending by child,
+// so the data path walks it without consulting any map. The child table
+// and the member list are arrays of the Domain's pools.
 type nodeGroupState struct {
-	children   []netsim.NodeID // downstream children, ascending
-	links      []*netsim.Link  // links[i] carries traffic to children[i]; lazily resolved
-	members    []Member        // locally attached members
-	pruneTimer *treeEvent      // pending leave-latency expiry, nil if none
+	children   []child    // downstream children with their links, ascending by node
+	members    []Member   // locally attached members
+	pruneTimer *treeEvent // pending leave-latency expiry, nil if none
 
 	// parent is the upstream node this router grafted toward, or NoNode
 	// when off-tree (or orphaned by a failure). Tree repair needs it to
@@ -77,30 +88,27 @@ func (s *nodeGroupState) active() bool {
 	return len(s.members) > 0 || len(s.children) > 0
 }
 
-// addChild inserts c in sorted position (a no-op when already present) and
-// caches the outgoing link.
-func (s *nodeGroupState) addChild(c netsim.NodeID, link *netsim.Link) {
+// addChild inserts c with its outgoing link in sorted position (a no-op
+// when already present); a full table is swapped for a larger one from
+// pool.
+func (s *nodeGroupState) addChild(pool *sim.ArrayPool[child], c netsim.NodeID, link *netsim.Link) {
 	i := 0
-	for i < len(s.children) && s.children[i] < c {
+	for i < len(s.children) && s.children[i].node < c {
 		i++
 	}
-	if i < len(s.children) && s.children[i] == c {
+	if i < len(s.children) && s.children[i].node == c {
 		return
 	}
-	s.children = append(s.children, 0)
-	s.links = append(s.links, nil)
+	s.children = append(pool.Grow(s.children, len(s.children)+1), child{})
 	copy(s.children[i+1:], s.children[i:])
-	copy(s.links[i+1:], s.links[i:])
-	s.children[i] = c
-	s.links[i] = link
+	s.children[i] = child{node: c, link: link}
 }
 
 // removeChild drops c, preserving order.
 func (s *nodeGroupState) removeChild(c netsim.NodeID) {
 	for i, have := range s.children {
-		if have == c {
+		if have.node == c {
 			s.children = append(s.children[:i], s.children[i+1:]...)
-			s.links = append(s.links[:i], s.links[i+1:]...)
 			return
 		}
 	}
@@ -145,10 +153,20 @@ type Domain struct {
 	version []atomic.Uint64
 
 	// state[node][group] is the node's forwarding entry for the group, nil
-	// (or beyond the slice) when the group's tree never crossed the node.
-	// Each node's slice grows lazily on the control path (graft/join); the
+	// (or beyond the row) when the group's tree never crossed the node.
+	// Each node's row grows lazily on the control path (graft/join); the
 	// data path only reads.
 	state [][]*nodeGroupState
+
+	// The forwarding state's storage. Entries are records, made 64 at a
+	// time and never given back (rows hold pointers, so growing a row
+	// never moves one). Rows, child tables and member lists are arrays of
+	// capacity-class pools: one that outgrows its class goes back for the
+	// next holder. All four lock, since grafts land on any shard.
+	entries  sim.FreeList[nodeGroupState]
+	rows     *sim.ArrayPool[*nodeGroupState]
+	children *sim.ArrayPool[child]
+	members  *sim.ArrayPool[Member]
 
 	// Grafts and Prunes count tree maintenance operations (for tests and
 	// reporting). Repairs counts nodes re-homed (or orphaned) by route
@@ -198,7 +216,10 @@ func NewDomain(net *netsim.Network) *Domain {
 		// Preallocate one slot per node: on a partitioned network each
 		// shard touches only its own nodes' slices, but a lazy append of
 		// the outer slice itself would race across shards.
-		state: make([][]*nodeGroupState, net.NumNodes()),
+		state:    make([][]*nodeGroupState, net.NumNodes()),
+		rows:     sim.NewArrayPool(&junkEntry, &poisonReleased),
+		children: sim.NewArrayPool(child{node: junkNode}, &poisonReleased),
+		members:  sim.NewArrayPool[Member](junkMember{}, &poisonReleased),
 	}
 	d.Install()
 	net.OnAddNode = func(n *netsim.Node) {
@@ -285,17 +306,32 @@ func (d *Domain) SessionLayer(g netsim.GroupID) (int, int) {
 // NumGroups returns how many groups are registered.
 func (d *Domain) NumGroups() int { return len(d.groups) }
 
+// rowMin is the smallest row capacity. Each growth step leaves the
+// outgrown row in the pool, where it waits for a row of its class that
+// rows growing in step (every node gaining a layer) never ask for, so a
+// step below four slots costs more than the at most three slots it saves.
+const rowMin = 4
+
+// stateOf returns n's entry for g, making it when g's tree reaches n for
+// the first time: the row grows to hold g, from the row pool when it is
+// full, and the entry is a fresh record.
 func (d *Domain) stateOf(n netsim.NodeID, g netsim.GroupID) *nodeGroupState {
 	for int(n) >= len(d.state) {
 		d.state = append(d.state, nil)
 	}
-	for int(g) >= len(d.state[n]) {
-		d.state[n] = append(d.state[n], nil)
+	row := d.state[n]
+	if have := len(row); int(g) >= have {
+		row = d.rows.Grow(row, max(int(g)+1, rowMin))[:g+1]
+		clear(row[have:])
+		d.state[n] = row
 	}
-	if d.state[n][g] == nil {
-		d.state[n][g] = &nodeGroupState{parent: netsim.NoNode}
+	st := row[g]
+	if st == nil {
+		st = d.entries.Get()
+		*st = nodeGroupState{parent: netsim.NoNode}
+		row[g] = st
 	}
-	return d.state[n][g]
+	return st
 }
 
 // lookup returns n's entry for g, or nil. Zero allocations: the data path
@@ -329,7 +365,7 @@ func (d *Domain) Join(n netsim.NodeID, g netsim.GroupID, m Member) {
 		}
 	}
 	wasActive := st.active()
-	st.members = append(st.members, m)
+	st.members = append(d.members.Grow(st.members, len(st.members)+1), m)
 	d.touch(g)
 	d.cancelPrune(n, st)
 	if !wasActive {
@@ -346,6 +382,13 @@ func (d *Domain) Join(n netsim.NodeID, g netsim.GroupID, m Member) {
 func (d *Domain) graftUpstream(n netsim.NodeID, g netsim.GroupID) {
 	st := d.stateOf(n, g)
 	up := d.upstream(n, g)
+	if st.parent != up {
+		// Still attached to a parent the route no longer leads to: n was
+		// rerouted while it sat in its leave-latency window, which repair
+		// passes over. Without the detach that parent forwards to n, and
+		// keeps n as a child after n prunes toward its new parent.
+		d.detach(n, st, g)
+	}
 	if up == netsim.NoNode {
 		st.parent = netsim.NoNode
 		return // n is the source (or disconnected)
@@ -458,7 +501,7 @@ func (ev *treeEvent) Fire() {
 		}
 		upSt := d.stateOf(up, g)
 		wasActive := upSt.active()
-		upSt.addChild(n, d.net.Node(up).LinkTo(n))
+		upSt.addChild(d.children, n, d.net.Node(up).LinkTo(n))
 		d.touch(g)
 		d.cancelPrune(up, upSt)
 		if !wasActive {
@@ -528,25 +571,32 @@ func (d *Domain) repair(n netsim.NodeID, g netsim.GroupID) {
 	}
 	atomic.AddInt64(&d.Repairs, 1)
 	d.noteTree(obs.EvRepair, n, newUp, g)
-	old := st.parent
-	st.parent = netsim.NoNode
-	if old != netsim.NoNode {
-		if link := d.net.Node(n).LinkTo(old); link != nil {
-			d.net.SchedulerBetween(n, old).After(link.Delay, d.newEvent(evDetach, n, old, g))
-		}
-	}
+	d.detach(n, st, g)
 	if newUp == netsim.NoNode {
 		return // orphaned
 	}
 	d.graftUpstream(n, g)
 }
 
+// detach clears n's parent for g and tells the old parent, one link delay
+// later (like a prune), to stop forwarding to n.
+func (d *Domain) detach(n netsim.NodeID, st *nodeGroupState, g netsim.GroupID) {
+	old := st.parent
+	st.parent = netsim.NoNode
+	if old == netsim.NoNode {
+		return
+	}
+	if link := d.net.Node(n).LinkTo(old); link != nil {
+		d.net.SchedulerBetween(n, old).After(link.Delay, d.newEvent(evDetach, n, old, g))
+	}
+}
+
 // HandleMulticast implements netsim.MulticastHandler: deliver to local
 // members and replicate onto every downstream link (never back upstream).
 // This is the hottest loop of the simulator — per packet per hop — and it
 // runs entirely on the dense state: no map lookups, no sorting, no
-// allocation. Children are kept sorted by addChild, so replication order is
-// deterministic by construction.
+// allocation. The child table is kept sorted by addChild, so replication
+// order is deterministic by construction.
 func (d *Domain) HandleMulticast(n *netsim.Node, p *netsim.Packet, from *netsim.Link) {
 	st := d.lookup(n.ID, p.Group)
 	if st == nil {
@@ -555,18 +605,19 @@ func (d *Domain) HandleMulticast(n *netsim.Node, p *netsim.Packet, from *netsim.
 	for _, m := range st.members {
 		m.RecvMulticast(p)
 	}
-	for i, c := range st.children {
-		if from != nil && c == from.From {
+	for i := range st.children {
+		c := &st.children[i]
+		if from != nil && c.node == from.From {
 			continue // never forward back where it came from
 		}
-		link := st.links[i]
+		link := c.link
 		if link == nil {
 			// The link was missing when the graft installed this child
 			// (asymmetric connectivity); re-resolve in case it exists now.
-			if link = n.LinkTo(c); link == nil {
+			if link = n.LinkTo(c.node); link == nil {
 				continue
 			}
-			st.links[i] = link
+			c.link = link
 		}
 		link.Send(p)
 	}
@@ -583,7 +634,9 @@ func (d *Domain) ForwardingChildren(n netsim.NodeID, g netsim.GroupID) []netsim.
 // without allocating a slice per node.
 func (d *Domain) AppendForwardingChildren(dst []netsim.NodeID, n netsim.NodeID, g netsim.GroupID) []netsim.NodeID {
 	if st := d.lookup(n, g); st != nil {
-		dst = append(dst, st.children...)
+		for _, c := range st.children {
+			dst = append(dst, c.node)
+		}
 	}
 	return dst
 }
@@ -622,15 +675,19 @@ func (d *Domain) TreeCost() int {
 type StateStats struct {
 	Nodes   int // nodes with a forwarding-state slot
 	Entries int // live (node, group) forwarding entries
-	Bytes   int // approximate resident bytes of all slices and entries
+	Bytes   int // resident bytes of the node table, the rows and the entries
 }
 
-// StateStats walks the forwarding state and reports its size. Control-path
-// only (reporting); cost is O(entries).
+// StateStats walks the forwarding state and reports its size: the node
+// table, each row's capacity, and each entry with the capacity of its
+// child table and member list. Pooled arrays nobody holds and the unused
+// tails of pool blocks are not counted, so the figure depends on the
+// trees alone, not on how many shards built them. Control-path only
+// (reporting); cost is O(entries).
 func (d *Domain) StateStats() StateStats {
 	const (
 		ptrSize   = int(unsafe.Sizeof((*nodeGroupState)(nil)))
-		nodeSize  = int(unsafe.Sizeof(netsim.NodeID(0)))
+		childSize = int(unsafe.Sizeof(child{}))
 		entrySize = int(unsafe.Sizeof(nodeGroupState{}))
 		ifaceSize = int(unsafe.Sizeof(Member(nil)))
 		sliceSize = int(unsafe.Sizeof([]*nodeGroupState(nil)))
@@ -643,11 +700,31 @@ func (d *Domain) StateStats() StateStats {
 				continue
 			}
 			s.Entries++
-			s.Bytes += entrySize +
-				cap(st.children)*nodeSize +
-				cap(st.links)*ptrSize +
-				cap(st.members)*ifaceSize
+			s.Bytes += entrySize + cap(st.children)*childSize + cap(st.members)*ifaceSize
 		}
 	}
 	return s
+}
+
+// poisonReleased is on in test binaries only: the pools fill every array
+// given back with junk, so a read through a row, child table or member
+// list after it was outgrown fails loudly.
+var poisonReleased = testing.Testing()
+
+// junkNode lies far outside any network: indexing by it panics.
+const junkNode = -1 << 40
+
+// junkMember is the member-list junk: delivering to it panics.
+type junkMember struct{}
+
+func (junkMember) RecvMulticast(*netsim.Packet) {
+	panic("mcast: member list read after it was outgrown")
+}
+
+// junkEntry is the row junk: a stale row read finds an entry whose member
+// panics on delivery and whose one child is junk.
+var junkEntry = nodeGroupState{
+	children: []child{{node: junkNode}},
+	members:  []Member{junkMember{}},
+	parent:   junkNode,
 }

@@ -2,6 +2,7 @@ package mcast
 
 import (
 	"testing"
+	"unsafe"
 
 	"toposense/internal/netsim"
 	"toposense/internal/sim"
@@ -85,5 +86,47 @@ func TestStateDenseContainerGrowsForNewGroups(t *testing.T) {
 	}
 	if stats := d.StateStats(); stats.Nodes != net.NumNodes() {
 		t.Errorf("Nodes = %d, want %d", stats.Nodes, net.NumNodes())
+	}
+}
+
+// TestStateStatsHandCount sizes a 4-node tree by hand: src ─ r ─< a, b,
+// with a and b joined to group 0 and b also to group 1. Bytes is the node
+// table, each row's capacity (rowMin slots), each entry, and the capacity
+// of each child table and member list; pooled arrays nobody holds are not
+// counted.
+func TestStateStatsHandCount(t *testing.T) {
+	e := sim.NewEngine(1)
+	net := netsim.New(e)
+	cfg := netsim.LinkConfig{Bandwidth: 1e6, Delay: sim.Millisecond}
+	src, r := net.AddNode("src"), net.AddNode("r")
+	a, b := net.AddNode("a"), net.AddNode("b")
+	net.Connect(src, r, cfg)
+	net.Connect(r, a, cfg)
+	net.Connect(r, b, cfg)
+	d := NewDomain(net)
+	g0, g1 := d.RegisterGroup(0, 0, src.ID), d.RegisterGroup(0, 1, src.ID)
+	d.Join(a.ID, g0, nullMember{})
+	d.Join(b.ID, g0, nullMember{})
+	d.Join(b.ID, g1, nullMember{})
+	e.RunUntil(sim.Second)
+
+	var (
+		slice = int(unsafe.Sizeof([]*nodeGroupState(nil))) // 24 on 64-bit
+		ptr   = int(unsafe.Sizeof((*nodeGroupState)(nil))) // 8
+		entry = int(unsafe.Sizeof(nodeGroupState{}))       // 64
+		kid   = int(unsafe.Sizeof(child{}))                // 16
+		mem   = int(unsafe.Sizeof(Member(nil)))            // 16
+	)
+	want := StateStats{
+		Nodes:   4,
+		Entries: 7, // src, r, a, b for group 0; src, r, b for group 1
+		Bytes: 4*slice + // the node table
+			4*rowMin*ptr + // one row per node
+			7*entry +
+			(1+2)*kid + (1+1)*kid + // group 0: src→r, r→a,b; group 1: src→r, r→b
+			3*mem, // a and b in group 0, b in group 1
+	}
+	if got := d.StateStats(); got != want {
+		t.Errorf("StateStats = %+v, hand count %+v", got, want)
 	}
 }

@@ -86,7 +86,7 @@ func NewAggregate(session int, origin netsim.NodeID) *Aggregate {
 // caller must be the last holder and reads nothing after.
 func (a *Aggregate) Release() {
 	atomic.AddInt64(&aggLive, -1)
-	a.Entries = aggArrays.release(a.Entries)
+	a.Entries = aggArrays.Release(a.Entries)
 	if poisonReleased {
 		a.Session, a.Origin, a.Sent = junkNode, junkNode, junkNode
 	}
@@ -122,7 +122,7 @@ func (a *Aggregate) entry(node netsim.NodeID) *AggEntry {
 	if lo < len(a.Entries) && a.Entries[lo].Node == node {
 		return &a.Entries[lo]
 	}
-	a.Entries = append(aggArrays.grow(a.Entries, len(a.Entries)+1), AggEntry{})
+	a.Entries = append(aggArrays.Grow(a.Entries, len(a.Entries)+1), AggEntry{})
 	copy(a.Entries[lo+1:], a.Entries[lo:])
 	a.Entries[lo] = AggEntry{Node: node}
 	return &a.Entries[lo]
@@ -169,7 +169,7 @@ func (a *Aggregate) Merge(b *Aggregate) {
 		return
 	}
 	if n == 0 {
-		a.Entries = append(aggArrays.grow(a.Entries, m), b.Entries...)
+		a.Entries = append(aggArrays.Grow(a.Entries, m), b.Entries...)
 		return
 	}
 	// Size the merged slice exactly (two-pointer duplicate count), take the
@@ -189,7 +189,7 @@ func (a *Aggregate) Merge(b *Aggregate) {
 		}
 	}
 	total := n + m - dups
-	a.Entries = aggArrays.grow(a.Entries, total)[:total]
+	a.Entries = aggArrays.Grow(a.Entries, total)[:total]
 	i, j, k := n-1, m-1, total-1
 	for j >= 0 {
 		switch {
@@ -246,7 +246,7 @@ func NewSuggestionBatch() *SuggestionBatch {
 // reads nothing after.
 func (b *SuggestionBatch) Release() {
 	atomic.AddInt64(&batchLive, -1)
-	b.Entries = sugArrays.release(b.Entries)
+	b.Entries = sugArrays.Release(b.Entries)
 	if poisonReleased {
 		b.Sent = junkNode
 	}
@@ -255,7 +255,7 @@ func (b *SuggestionBatch) Release() {
 
 // Add appends one prescription.
 func (b *SuggestionBatch) Add(node netsim.NodeID, session, level int) {
-	b.Entries = append(sugArrays.grow(b.Entries, len(b.Entries)+1), SugEntry{Node: node, Session: session, Level: level})
+	b.Entries = append(sugArrays.Grow(b.Entries, len(b.Entries)+1), SugEntry{Node: node, Session: session, Level: level})
 }
 
 // Find returns the prescribed level for (node, session). Linear scan: by the

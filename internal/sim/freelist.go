@@ -17,8 +17,9 @@ type FreeList[T any] struct {
 }
 
 // Get takes a record off the list; an empty list first makes a chunk of
-// them in one allocation, outside its lock. A record's fields hold whatever
-// its last use left; the caller sets every one it reads.
+// them in one allocation, outside its lock, and hands the chunk out in
+// address order (as ArrayPool does its blocks). A record's fields hold
+// whatever its last use left; the caller sets every one it reads.
 func (f *FreeList[T]) Get() *T {
 	f.mu.Lock()
 	if k := len(f.free); k > 0 {
@@ -29,7 +30,7 @@ func (f *FreeList[T]) Get() *T {
 	}
 	f.mu.Unlock()
 	chunk := make([]T, freeListChunk)
-	for i := 1; i < len(chunk); i++ {
+	for i := len(chunk) - 1; i > 0; i-- {
 		f.Put(&chunk[i])
 	}
 	return &chunk[0]

@@ -3,14 +3,15 @@ package sim
 import (
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 type rec struct{ n int }
 
 func (r *rec) Fire() { r.n++ }
 
-// TestFreeListRecycles: an empty list makes a chunk of records at once,
-// records come back in LIFO order, and the steady state allocates nothing —
+// TestFreeListRecycles: an empty list makes a chunk of records at once and
+// hands it out in address order, records come back in LIFO order, and the steady state allocates nothing —
 // the whole point of scheduling a record (its own Action) instead of a
 // closure.
 func TestFreeListRecycles(t *testing.T) {
@@ -18,6 +19,12 @@ func TestFreeListRecycles(t *testing.T) {
 	a := f.Get()
 	if n := len(f.free); n != freeListChunk-1 {
 		t.Fatalf("first Get left %d records on the list, want %d", n, freeListChunk-1)
+	}
+	if b, c := f.Get(), f.Get(); uintptr(unsafe.Pointer(b)) <= uintptr(unsafe.Pointer(a)) || uintptr(unsafe.Pointer(c)) <= uintptr(unsafe.Pointer(b)) {
+		t.Error("a fresh chunk is not handed out in address order")
+	} else {
+		f.Put(c)
+		f.Put(b)
 	}
 	a.Fire()
 	f.Put(a)

@@ -82,15 +82,17 @@ fanin-gate)
 	# the controller's batched suggestion fan-out, a flat report
 	# from the receiver's tick through two hops into the controller's table,
 	# a flat suggestion with its mid-interval repeat, a join/leave cycle's
-	# grafts, prunes and leave timer, a decision interval over a tree that
-	# holds still (discovery records the last walk again, the pass reads it
-	# in place), and a TopoSense pass over a tree it has seen. A pass over a
+	# grafts, prunes and leave timer, grafts that reach routers for the
+	# first time (entries and arrays come from chunked pools, whose refills
+	# amortize below one allocation an op), a decision interval over a tree
+	# that holds still (discovery records the last walk again, the pass
+	# reads it in place), and a TopoSense pass over a tree it has seen. A pass over a
 	# 21 111-node tree seen for the first time may allocate once per column,
 	# 64 times at most; a discovery walk of that tree that changed allocates
 	# the snapshot and its arrays, 8 times at most. Run those benchmarks with
 	# -benchmem and fail on anything above that.
 	[ $# -eq 0 ] || usage
-	out=$(go test -run '^$' -bench 'BenchmarkAggregate|BenchmarkSuggestionFanout|BenchmarkFlat|BenchmarkJoinLeaveCycle|BenchmarkSteadyDiscoveryPass' \
+	out=$(go test -run '^$' -bench 'BenchmarkAggregate|BenchmarkSuggestionFanout|BenchmarkFlat|BenchmarkJoinLeaveCycle|BenchmarkGraftFirstTouch|BenchmarkSteadyDiscoveryPass' \
 		-benchmem -benchtime 1000x ./internal/report ./internal/controller ./internal/mcast)
 	out="$out
 $(go test -run '^$' -bench 'BenchmarkStepTree|BenchmarkStepTopologyB/steady' \

@@ -30,7 +30,6 @@ package mcast
 import (
 	"fmt"
 	"sync/atomic"
-	"testing"
 	"unsafe"
 
 	"toposense/internal/netsim"
@@ -217,9 +216,9 @@ func NewDomain(net *netsim.Network) *Domain {
 		// shard touches only its own nodes' slices, but a lazy append of
 		// the outer slice itself would race across shards.
 		state:    make([][]*nodeGroupState, net.NumNodes()),
-		rows:     sim.NewArrayPool(&junkEntry, &poisonReleased),
-		children: sim.NewArrayPool(child{node: junkNode}, &poisonReleased),
-		members:  sim.NewArrayPool[Member](junkMember{}, &poisonReleased),
+		rows:     sim.NewArrayPool(&junkEntry),
+		children: sim.NewArrayPool(child{node: junkNode}),
+		members:  sim.NewArrayPool[Member](junkMember{}),
 	}
 	d.Install()
 	net.OnAddNode = func(n *netsim.Node) {
@@ -705,11 +704,6 @@ func (d *Domain) StateStats() StateStats {
 	}
 	return s
 }
-
-// poisonReleased is on in test binaries only: the pools fill every array
-// given back with junk, so a read through a row, child table or member
-// list after it was outgrown fails loudly.
-var poisonReleased = testing.Testing()
 
 // junkNode lies far outside any network: indexing by it panics.
 const junkNode = -1 << 40

@@ -15,16 +15,15 @@ type Network struct {
 	engine sim.Scheduler
 	nodes  []*Node
 
-	// Sharded-run state (nil / false on single-threaded networks): the
-	// engine the network was partitioned onto, the per-node domain labels,
-	// and each node's shard scheduler. See Partition.
+	// Sharded-run state, nil on single-threaded networks: the engine the
+	// network was partitioned onto, the per-node domain labels, and each
+	// node's shard scheduler. See Partition. A non-nil se is the one answer
+	// to "is this network partitioned?": it switches the packet pool to its
+	// synchronized variant, which single-threaded networks never pay for.
 	se     *sim.ShardedEngine
 	doms   []int
 	scheds []sim.Scheduler
-	// parallel switches the packet pool and the drop counters to their
-	// synchronized variants. Single-threaded networks never pay for it.
-	parallel bool
-	poolMu   sync.Mutex
+	poolMu sync.Mutex
 
 	// nextHop[src][dst] is the neighbor of src on the shortest path to dst,
 	// or NoNode. Built lazily and invalidated on topology changes.
@@ -77,12 +76,12 @@ func New(engine sim.Scheduler) *Network {
 func (n *Network) Engine() sim.Scheduler { return n.engine }
 
 // Partitioned reports whether the network executes on more than one shard.
-func (n *Network) Partitioned() bool { return n.parallel }
+func (n *Network) Partitioned() bool { return n.se != nil }
 
 // SchedulerFor returns the scheduler that owns id's events: the node's
 // shard on a partitioned network, the network's engine otherwise.
 func (n *Network) SchedulerFor(id NodeID) sim.Scheduler {
-	if n.scheds == nil {
+	if n.se == nil {
 		return n.engine
 	}
 	return n.scheds[id]
@@ -106,13 +105,13 @@ func (n *Network) SchedulerBetween(from, to NodeID) sim.Scheduler {
 // whether an event scheduled between them executes in a different shard's
 // context than the caller's, so it must not touch the caller's shard state.
 func (n *Network) CrossPartition(a, b NodeID) bool {
-	return n.parallel && n.doms[a] != n.doms[b]
+	return n.se != nil && n.doms[a] != n.doms[b]
 }
 
 // ShardOf returns the shard that runs id's events on a partitioned network,
 // and 0 otherwise.
 func (n *Network) ShardOf(id NodeID) int {
-	if n.doms == nil {
+	if n.se == nil {
 		return 0
 	}
 	return n.doms[id]
@@ -168,7 +167,6 @@ func (n *Network) Partition(se *sim.ShardedEngine, domains []int) {
 	se.SetPartitions(p, lookahead)
 	n.se = se
 	n.doms = domains
-	n.parallel = true
 	n.scheds = make([]sim.Scheduler, len(n.nodes))
 	for i := range n.nodes {
 		n.scheds[i] = se.Shard(domains[i])
@@ -198,7 +196,7 @@ func (n *Network) AttachProbe(p Probe) { n.probes = append(n.probes, p) }
 // Release; the struct is recycled once every link that accepted it has
 // delivered or dropped it.
 func (n *Network) NewPacket() *Packet {
-	if n.parallel {
+	if n.se != nil {
 		n.poolMu.Lock()
 		defer n.poolMu.Unlock()
 	}

@@ -13,7 +13,6 @@ package netsim
 import (
 	"fmt"
 	"sync/atomic"
-	"testing"
 
 	"toposense/internal/sim"
 )
@@ -104,9 +103,6 @@ type Sidecar interface {
 	Poison()
 }
 
-// poisonRecycled is on in test binaries only.
-var poisonRecycled = testing.Testing()
-
 // Sidecar returns the packet's retained payload storage, nil until set.
 func (p *Packet) Sidecar() Sidecar { return p.side }
 
@@ -117,7 +113,7 @@ func (p *Packet) SetSidecar(s Sidecar) { p.side = s }
 // leaks via the pool). The caller holds the last reference.
 func (p *Packet) recycle() {
 	side := p.side
-	if poisonRecycled && side != nil && p.Payload != nil {
+	if sim.Poison && side != nil && p.Payload != nil {
 		side.Poison()
 	}
 	*p = Packet{side: side}
@@ -153,7 +149,7 @@ func (p *Packet) ref() {
 	if p.pool == nil {
 		return
 	}
-	if p.pool.parallel {
+	if p.pool.se != nil {
 		atomic.AddInt32(&p.refs, 1)
 		return
 	}
@@ -166,7 +162,7 @@ func (p *Packet) unref() {
 	if p.pool == nil {
 		return
 	}
-	if p.pool.parallel {
+	if p.pool.se != nil {
 		switch r := atomic.AddInt32(&p.refs, -1); {
 		case r > 0:
 			return

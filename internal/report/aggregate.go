@@ -87,7 +87,7 @@ func NewAggregate(session int, origin netsim.NodeID) *Aggregate {
 func (a *Aggregate) Release() {
 	atomic.AddInt64(&aggLive, -1)
 	a.Entries = aggArrays.Release(a.Entries)
-	if poisonReleased {
+	if sim.Poison {
 		a.Session, a.Origin, a.Sent = junkNode, junkNode, junkNode
 	}
 	aggPool.Put(a)
@@ -247,7 +247,7 @@ func NewSuggestionBatch() *SuggestionBatch {
 func (b *SuggestionBatch) Release() {
 	atomic.AddInt64(&batchLive, -1)
 	b.Entries = sugArrays.Release(b.Entries)
-	if poisonReleased {
+	if sim.Poison {
 		b.Sent = junkNode
 	}
 	batchPool.Put(b)

@@ -360,8 +360,8 @@ func BenchmarkAggregateCycle(b *testing.B) {
 		}
 	}
 	// Time the production path: test binaries poison every released array.
-	defer func(on bool) { poisonReleased = on }(poisonReleased)
-	poisonReleased = false
+	defer func(on bool) { sim.Poison = on }(sim.Poison)
+	sim.Poison = false
 	cycle() // fill the pools with the working set
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -2,7 +2,6 @@ package report
 
 import (
 	"math"
-	"testing"
 
 	"toposense/internal/sim"
 )
@@ -14,19 +13,14 @@ import (
 // twice the most it has held since it was taken, whatever it held in
 // earlier lives.
 
-// poisonReleased is on in test binaries only: the pools fill every
-// released array with junk, and a released payload's Entries is junk
-// itself, so a read after Release fails loudly instead of seeing numbers.
-var poisonReleased = testing.Testing()
-
 // junkNode lies far outside any network: indexing by it panics.
 const junkNode = -1 << 40
 
 var (
 	aggArrays = sim.NewArrayPool(AggEntry{
 		Node: junkNode, Level: junkNode, Reports: math.MinInt32, LossSum: math.NaN(), Bytes: junkNode,
-	}, &poisonReleased)
-	sugArrays = sim.NewArrayPool(SugEntry{Node: junkNode, Session: junkNode, Level: junkNode}, &poisonReleased)
+	})
+	sugArrays = sim.NewArrayPool(SugEntry{Node: junkNode, Session: junkNode, Level: junkNode})
 )
 
 // AggregateArraysMade returns how many entry arrays the Aggregate pool has

@@ -5,8 +5,16 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"testing"
 	"unsafe"
 )
+
+// Poison is on in test binaries only: storage given back to a pool —
+// ArrayPool's arrays, netsim's recycled packet payloads, report's and
+// mcast's released records — is filled with junk, so a read after the
+// give-back fails loudly instead of seeing data. No production code sets
+// it; a benchmark timing the production path turns it off.
+var Poison = testing.Testing()
 
 // arrayBlockBytes is the block an empty class is refilled from: a class
 // whose arrays fit in it at least twice carves one block into as many as
@@ -27,19 +35,18 @@ type ArrayPool[T any] struct {
 	// of a slice header's footprint.
 	free [bits.UintSize][]*T
 	made int64 // arrays made because their class was empty (atomic)
-	// junk is one entry no consumer can take for data. While *poison is
+	// junk is one entry no consumer can take for data. While Poison is
 	// set, Put fills every array it files with it, so a read after the
 	// array went back fails loudly instead of seeing data. junk belongs to
 	// no class: Put never files it, and growing it (cap 1) copies instead
 	// of writing into it.
-	junk   []T
-	poison *bool
+	junk []T
 }
 
-// NewArrayPool returns an empty pool that, while *poison is set (test
-// binaries set it), fills the arrays given back to it with junk.
-func NewArrayPool[T any](junk T, poison *bool) *ArrayPool[T] {
-	return &ArrayPool[T]{junk: []T{junk}, poison: poison}
+// NewArrayPool returns an empty pool that, while Poison is set, fills the
+// arrays given back to it with junk.
+func NewArrayPool[T any](junk T) *ArrayPool[T] {
+	return &ArrayPool[T]{junk: []T{junk}}
 }
 
 // Get returns an empty array with room for n > 0 entries, from class
@@ -85,7 +92,7 @@ func (p *ArrayPool[T]) Put(a []T) {
 	if len(a) == 0 || &a[0] == &p.junk[0] {
 		return
 	}
-	if *p.poison {
+	if Poison {
 		for i := range a {
 			a[i] = p.junk[0]
 		}
@@ -100,7 +107,7 @@ func (p *ArrayPool[T]) Put(a []T) {
 // or junk while the pool poisons.
 func (p *ArrayPool[T]) Release(a []T) []T {
 	p.Put(a)
-	if *p.poison {
+	if Poison {
 		return p.junk
 	}
 	return nil

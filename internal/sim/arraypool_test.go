@@ -13,8 +13,7 @@ import (
 // appending past one's capacity copies instead of writing into its
 // neighbour. A class too large to fit a block twice makes one array.
 func TestArrayPoolCarvesBlocks(t *testing.T) {
-	off := false
-	p := NewArrayPool[int64](-1, &off)
+	p := NewArrayPool[int64](-1)
 	per := arrayBlockBytes / 8 / 2 // class 1: two int64s an array
 	var arrays [][]int64
 	if got := testing.AllocsPerRun(1, func() {
@@ -59,8 +58,7 @@ func TestArrayPoolCarvesBlocks(t *testing.T) {
 // taken, Grow keeps the contents and gives the outgrown array back, and
 // the steady state allocates nothing.
 func TestArrayPoolRecycles(t *testing.T) {
-	off := false
-	p := NewArrayPool[int64](-1, &off)
+	p := NewArrayPool[int64](-1)
 	a := p.Get(3)
 	if cap(a) != 4 {
 		t.Fatalf("Get(3): cap %d, want 4", cap(a))
@@ -85,11 +83,14 @@ func TestArrayPoolRecycles(t *testing.T) {
 	}
 }
 
-// TestArrayPoolPoisons: while poisoning, an array given back is filled
-// with junk, Release leaves junk behind, and junk itself is never filed.
+// TestArrayPoolPoisons: test binaries poison, so an array given back is
+// filled with junk, Release leaves junk behind, and junk itself is never
+// filed.
 func TestArrayPoolPoisons(t *testing.T) {
-	on := true
-	p := NewArrayPool[int64](-1, &on)
+	if !Poison {
+		t.Fatal("Poison is off in a test binary")
+	}
+	p := NewArrayPool[int64](-1)
 	a := append(p.Get(2), 1, 2)
 	kept := p.Release(a)
 	if len(kept) != 1 || kept[0] != -1 {
@@ -107,8 +108,7 @@ func TestArrayPoolPoisons(t *testing.T) {
 // TestArrayPoolConcurrent: arrays taken on one goroutine and given back on
 // another, as grafts on different shards do (run it under -race).
 func TestArrayPoolConcurrent(t *testing.T) {
-	off := false
-	p := NewArrayPool[int64](-1, &off)
+	p := NewArrayPool[int64](-1)
 	ch := make(chan []int64, 16)
 	var wg sync.WaitGroup
 	wg.Add(2)

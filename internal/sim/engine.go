@@ -92,7 +92,8 @@ func (h Handle) When() Time {
 // (time, sequence) order, with a slot free list, so the steady-state
 // schedule/fire cycle performs no allocations. Engine implements Scheduler,
 // Reserver and Runner; it is the determinism oracle the ShardedEngine is
-// validated against.
+// validated against, and each shard runs it: every shard, the global
+// barrier queue and a degenerate ShardedEngine's one queue is an Engine.
 type Engine struct {
 	now     Time
 	q       equeue

@@ -1,6 +1,9 @@
 package sim
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // freeListChunk is how many records a FreeList makes in one allocation.
 const freeListChunk = 64
@@ -17,7 +20,8 @@ type FreeList[T any] struct {
 }
 
 // Get takes a record off the list; an empty list first makes a chunk of
-// them in one allocation, outside its lock, and hands the chunk out in
+// them in one allocation, outside its lock, files the rest of the chunk
+// under one lock with the list grown once, and hands the chunk out in
 // address order (as ArrayPool does its blocks). A record's fields hold
 // whatever its last use left; the caller sets every one it reads.
 func (f *FreeList[T]) Get() *T {
@@ -30,9 +34,12 @@ func (f *FreeList[T]) Get() *T {
 	}
 	f.mu.Unlock()
 	chunk := make([]T, freeListChunk)
+	f.mu.Lock()
+	f.free = slices.Grow(f.free, len(chunk)-1)
 	for i := len(chunk) - 1; i > 0; i-- {
-		f.Put(&chunk[i])
+		f.free = append(f.free, &chunk[i])
 	}
+	f.mu.Unlock()
 	return &chunk[0]
 }
 

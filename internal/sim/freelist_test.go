@@ -46,6 +46,20 @@ func TestFreeListRecycles(t *testing.T) {
 	}
 }
 
+// TestFreeListRefillAllocs: a fresh list's first Get makes its chunk and
+// grows its free slice once for the rest of the chunk, not an append at a
+// time.
+func TestFreeListRefillAllocs(t *testing.T) {
+	lists := make([]FreeList[rec], 2) // one for the warm-up run, one measured
+	i := 0
+	if got := testing.AllocsPerRun(1, func() {
+		lists[i].Get()
+		i++
+	}); got > 3 {
+		t.Errorf("a fresh list's first Get: %v allocations, want at most 3", got)
+	}
+}
+
 // TestFreeListConcurrent: records taken on one goroutine and returned on
 // another, as a graft crossing shards does (run it under -race).
 func TestFreeListConcurrent(t *testing.T) {

@@ -10,9 +10,10 @@ import (
 )
 
 // Differential testing of the tiered event queue: a byte script is decoded
-// into Schedule/At/Cancel/RunUntil operations and executed twice, once on
-// the real Engine and once on a reference model that keeps one slice sorted
-// by (time, sequence). Fired events themselves schedule children and cancel
+// into After/At/Cancel/RunUntil operations and executed three times: on the
+// real Engine, on a degenerate (single-partition) ShardedEngine, which must
+// be that Engine, and on a reference model that keeps one slice sorted by
+// (time, sequence). Fired events themselves schedule children and cancel
 // other events, so the tiers are exercised from inside callbacks too. Burst
 // operations put many events on one instant, so the same scripts drive the
 // queue's trains: append, eviction, cancel of leader/member/tail, Stop
@@ -238,20 +239,25 @@ func (r *scriptRun) step(op []byte) {
 	}
 }
 
-// engineSys runs a script on the real Engine.
+// engineSys runs a script on a real engine: the Engine, or a degenerate
+// ShardedEngine. q is the engine's queue.
 type engineSys struct {
-	e       *Engine
+	e interface {
+		Runner
+		Reserver
+	}
+	q       *equeue
 	r       *scriptRun
 	handles []Handle
 }
 
 func (s *engineSys) now() Time { return s.e.Now() }
 func (s *engineSys) schedule(id int, delay Time, abs bool) {
-	fn := func() { s.r.onFire(id) }
+	fn := Func(func() { s.r.onFire(id) })
 	if abs {
-		s.handles = append(s.handles, s.e.At(s.e.Now()+delay, Func(fn)))
+		s.handles = append(s.handles, s.e.At(s.e.Now()+delay, fn))
 	} else {
-		s.handles = append(s.handles, s.e.Schedule(delay, fn))
+		s.handles = append(s.handles, s.e.After(delay, fn))
 	}
 }
 func (s *engineSys) insert(id int, at Time, seq uint64) {
@@ -341,71 +347,82 @@ func (s *modelSys) run() {
 }
 func (s *modelSys) stop() { s.stopped = true }
 
-// runQueueScript executes data on both systems, comparing after every
-// operation: firing order, clock, Pending, and every handle ever issued.
+// runQueueScript executes data on every system, comparing each engine with
+// the model after every operation: firing order, clock, Pending, and every
+// handle ever issued.
 func runQueueScript(t *testing.T, data []byte) {
 	t.Helper()
 	if len(data) > 4096 {
 		data = data[:4096]
 	}
-	eng := &engineSys{e: NewEngine(1)}
-	er := &scriptRun{sys: eng, stops: map[int]bool{}}
-	eng.r = er
+	plain, sharded := NewEngine(1), NewShardedEngine(1, 1)
+	engs := []*engineSys{{e: plain, q: &plain.q}, {e: sharded, q: &sharded.shards[0].q}}
+	for _, eng := range engs {
+		eng.r = &scriptRun{sys: eng, stops: map[int]bool{}}
+	}
 	model := &modelSys{}
 	mr := &scriptRun{sys: model, stops: map[int]bool{}}
 	model.r = mr
 
-	checked := 0
+	checked := make([]int, len(engs))
 	check := func(op int) {
 		t.Helper()
-		if len(er.fired) != len(mr.fired) {
-			t.Fatalf("op %d: engine fired %d events, model %d", op, len(er.fired), len(mr.fired))
-		}
-		for ; checked < len(mr.fired); checked++ {
-			if er.fired[checked] != mr.fired[checked] {
-				t.Fatalf("op %d: firing #%d is event %d, model says %d", op, checked, er.fired[checked], mr.fired[checked])
+		for i, eng := range engs {
+			er := eng.r
+			if len(er.fired) != len(mr.fired) {
+				t.Fatalf("op %d: %T fired %d events, model %d", op, eng.e, len(er.fired), len(mr.fired))
 			}
-		}
-		if eng.e.Now() != model.clock {
-			t.Fatalf("op %d: Now %v, model %v", op, eng.e.Now(), model.clock)
-		}
-		if got := eng.e.Fired(); got != uint64(len(mr.fired)) {
-			t.Fatalf("op %d: Fired %d, model %d", op, got, len(mr.fired))
-		}
-		if got := eng.e.Pending(); got != len(model.pending) {
-			t.Fatalf("op %d: Pending %d, model %d", op, got, len(model.pending))
-		}
-		// Every node advance walks is a train's queue entry on its one trip
-		// from the ring to near; a member in a bucket list would break this.
-		if entries := uint64(er.nextID) - eng.e.Stats().Chained; eng.e.q.visited > entries {
-			t.Fatalf("op %d: advance walked %d bucket nodes, only %d events ever led a train", op, eng.e.q.visited, entries)
-		}
-		for _, seq := range er.reserved {
-			for _, at := range []Time{er.doneAt - 1, er.doneAt, er.doneAt + 1} {
-				if got, want := eng.e.Passed(at, seq), er.passed(at, seq); got != want {
-					t.Fatalf("op %d: Passed(%v, %d) = %v, want %v", op, at, seq, got, want)
+			for ; checked[i] < len(mr.fired); checked[i]++ {
+				if er.fired[checked[i]] != mr.fired[checked[i]] {
+					t.Fatalf("op %d: %T's firing #%d is event %d, model says %d", op, eng.e, checked[i], er.fired[checked[i]], mr.fired[checked[i]])
 				}
 			}
-		}
-		for id, h := range eng.handles {
-			if model.state[id] == modelPending {
-				if !h.Active() || h.Cancelled() || h.When() != model.at[id] {
-					t.Fatalf("op %d: pending event %d reads Active=%v Cancelled=%v When=%v, want true false %v",
-						op, id, h.Active(), h.Cancelled(), h.When(), model.at[id])
+			if eng.e.Now() != model.clock {
+				t.Fatalf("op %d: %T Now %v, model %v", op, eng.e, eng.e.Now(), model.clock)
+			}
+			if got := eng.e.Fired(); got != uint64(len(mr.fired)) {
+				t.Fatalf("op %d: %T Fired %d, model %d", op, eng.e, got, len(mr.fired))
+			}
+			if got := eng.e.Pending(); got != len(model.pending) {
+				t.Fatalf("op %d: %T Pending %d, model %d", op, eng.e, got, len(model.pending))
+			}
+			// Every node advance walks is a train's queue entry on its one
+			// trip from the ring to near; a member in a bucket list would
+			// break this.
+			if entries := uint64(er.nextID) - eng.e.Stats().Chained; eng.q.visited > entries {
+				t.Fatalf("op %d: %T's advance walked %d bucket nodes, only %d events ever led a train", op, eng.e, eng.q.visited, entries)
+			}
+			for _, seq := range er.reserved {
+				for _, at := range []Time{er.doneAt - 1, er.doneAt, er.doneAt + 1} {
+					if got, want := eng.e.Passed(at, seq), er.passed(at, seq); got != want {
+						t.Fatalf("op %d: %T Passed(%v, %d) = %v, want %v", op, eng.e, at, seq, got, want)
+					}
 				}
-			} else if h.Active() || (h.Cancelled() && !model.everCancelled[id]) {
-				t.Fatalf("op %d: finished event %d (state %d) reads Active=%v Cancelled=%v",
-					op, id, model.state[id], h.Active(), h.Cancelled())
+			}
+			for id, h := range eng.handles {
+				if model.state[id] == modelPending {
+					if !h.Active() || h.Cancelled() || h.When() != model.at[id] {
+						t.Fatalf("op %d: %T's pending event %d reads Active=%v Cancelled=%v When=%v, want true false %v",
+							op, eng.e, id, h.Active(), h.Cancelled(), h.When(), model.at[id])
+					}
+				} else if h.Active() || (h.Cancelled() && !model.everCancelled[id]) {
+					t.Fatalf("op %d: %T's finished event %d (state %d) reads Active=%v Cancelled=%v",
+						op, eng.e, id, model.state[id], h.Active(), h.Cancelled())
+				}
 			}
 		}
 	}
 	op := 0
-	for ; len(data) >= 4 && er.nextID < maxScriptEvents; data, op = data[4:], op+1 {
-		er.step(data[:4])
+	for ; len(data) >= 4 && mr.nextID < maxScriptEvents; data, op = data[4:], op+1 {
+		for _, eng := range engs {
+			eng.r.step(data[:4])
+		}
 		mr.step(data[:4])
 		check(op)
 	}
-	eng.run()
+	for _, eng := range engs {
+		eng.run()
+	}
 	model.run()
 	check(op)
 }

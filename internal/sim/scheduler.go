@@ -64,10 +64,6 @@ var (
 
 	_ Reserver = (*Engine)(nil)
 	_ Reserver = (*ShardedEngine)(nil)
-	_ Reserver = (*shardSched)(nil)
-
-	_ Scheduler = (*shardSched)(nil)
-	_ Scheduler = (*crossSched)(nil)
 )
 
 // globalProvider is implemented by engines that distinguish a barrier-

@@ -33,21 +33,19 @@ const noEvent = Time(math.MaxInt64)
 // may read and mutate cross-shard state freely. Components reach it through
 // GlobalOf.
 //
-// With a single partition the engine degenerates to exactly the
-// single-threaded Engine semantics — one queue, one (time, sequence) order,
-// the same RNG draw sequence — so seeds reproduce byte-identically against
-// the oracle Engine.
+// Every shard and the global queue is an Engine: clock, queue, scheduling
+// and stepping are the oracle's own code. With a single partition the
+// engine is one Engine, whose Run, RunUntil, Stop and Stats it forwards to,
+// so seeds reproduce byte-identically against the plain Engine.
 //
 // The run-wide random stream (Rand) is shared, not per-shard: it may only be
 // drawn from shard 0, the global context, or while the engine is idle. The
 // topology partitioners keep every stochastic component (sources, the
 // controller) in partition 0 to honor this.
 type ShardedEngine struct {
-	rng       *rand.Rand
 	workers   int
 	shards    []*shardSched
-	gq        *shardSched // global barrier queue; nil while degenerate
-	now       Time        // committed global time (window start)
+	gq        *barrierQueue // global barrier queue (nil while degenerate); its clock is the committed global time
 	lookahead Time
 
 	stopped atomic.Bool
@@ -56,7 +54,6 @@ type ShardedEngine struct {
 	windows    uint64
 	crossTotal uint64
 	mergeBuf   crossEvents
-	finish     []int64 // scratch: per-worker finish nanos
 }
 
 // NewShardedEngine returns an engine seeded like NewEngine(seed) that will
@@ -64,14 +61,8 @@ type ShardedEngine struct {
 // called (or when it is called with a single partition) the engine is
 // degenerate: one queue with plain Engine semantics.
 func NewShardedEngine(seed int64, workers int) *ShardedEngine {
-	if workers < 1 {
-		workers = 1
-	}
-	se := &ShardedEngine{
-		rng:     rand.New(rand.NewSource(seed)),
-		workers: workers,
-	}
-	se.shards = []*shardSched{{eng: se, idx: 0}}
+	se := &ShardedEngine{workers: max(workers, 1)}
+	se.shards = []*shardSched{{Engine: Engine{rng: rand.New(rand.NewSource(seed))}}}
 	return se
 }
 
@@ -93,21 +84,18 @@ func (se *ShardedEngine) SetPartitions(p int, lookahead Time) {
 		panic("sim: SetPartitions called twice")
 	}
 	se.lookahead = lookahead
+	rng := se.Rand()
 	for len(se.shards) < p {
-		se.shards = append(se.shards, &shardSched{eng: se, idx: len(se.shards)})
+		se.shards = append(se.shards, &shardSched{Engine: Engine{rng: rng}, idx: len(se.shards)})
 	}
 	for _, s := range se.shards {
 		s.out = make([]crossEvents, p)
 	}
-	se.gq = &shardSched{eng: se, idx: -1, global: true}
-	se.finish = make([]int64, p)
+	se.gq = &barrierQueue{Engine: Engine{rng: rng}, running: &se.running}
 }
 
 // degenerate reports whether the engine runs as a single plain queue.
 func (se *ShardedEngine) degenerate() bool { return se.gq == nil }
-
-// Workers returns the configured worker-goroutine cap.
-func (se *ShardedEngine) Workers() int { return se.workers }
 
 // Shard returns partition i's scheduler. Events scheduled on it run in that
 // shard's context; it must only be invoked from that shard's own events,
@@ -118,7 +106,7 @@ func (se *ShardedEngine) Shard(i int) Scheduler { return se.shards[i] }
 // degenerate it is the single queue itself.
 func (se *ShardedEngine) Global() Scheduler { return se.global() }
 
-func (se *ShardedEngine) global() *shardSched {
+func (se *ShardedEngine) global() Reserver {
 	if se.gq == nil {
 		return se.shards[0]
 	}
@@ -140,7 +128,7 @@ func (se *ShardedEngine) Cross(src, dst int) Scheduler {
 	}
 	c := s.cross[dst]
 	if c == nil {
-		c = &crossSched{src: s, dst: dst}
+		c = &crossSched{src: s, dst: dst, lookahead: se.lookahead}
 		s.cross[dst] = c
 	}
 	return c
@@ -149,20 +137,20 @@ func (se *ShardedEngine) Cross(src, dst int) Scheduler {
 // Now returns the clock of the current sequential context: the committed
 // global time between windows, or the event time while degenerate. Code
 // running inside a shard must use its own shard scheduler's clock instead.
-func (se *ShardedEngine) Now() Time { return se.Global().Now() }
+func (se *ShardedEngine) Now() Time { return se.global().Now() }
 
 // Rand returns the engine's deterministic random stream (see the type
 // comment for the sharded-draw contract).
-func (se *ShardedEngine) Rand() *rand.Rand { return se.rng }
+func (se *ShardedEngine) Rand() *rand.Rand { return se.shards[0].Rand() }
 
 // After queues a on the global (stop-the-world) context after delay.
-func (se *ShardedEngine) After(delay Time, a Action) Handle { return se.Global().After(delay, a) }
+func (se *ShardedEngine) After(delay Time, a Action) Handle { return se.global().After(delay, a) }
 
 // At queues a on the global (stop-the-world) context at absolute time t.
-func (se *ShardedEngine) At(t Time, a Action) Handle { return se.Global().At(t, a) }
+func (se *ShardedEngine) At(t Time, a Action) Handle { return se.global().At(t, a) }
 
 // Cancel cancels a handle issued by the global context.
-func (se *ShardedEngine) Cancel(h Handle) { se.Global().Cancel(h) }
+func (se *ShardedEngine) Cancel(h Handle) { se.global().Cancel(h) }
 
 // Reserve takes sequence numbers on the global context (see Reserver).
 func (se *ShardedEngine) Reserve(n int) uint64 { return se.global().Reserve(n) }
@@ -175,9 +163,15 @@ func (se *ShardedEngine) AtReserved(t Time, seq uint64, a Action) Handle {
 // Passed reports whether (t, seq) has gone by on the global context.
 func (se *ShardedEngine) Passed(t Time, seq uint64) bool { return se.global().Passed(t, seq) }
 
-// Stop makes Run/RunUntil return at the next barrier (or after the current
-// event while degenerate).
-func (se *ShardedEngine) Stop() { se.stopped.Store(true) }
+// Stop makes Run/RunUntil return at the next barrier, or, while
+// degenerate, after the current event (Engine.Stop).
+func (se *ShardedEngine) Stop() {
+	if se.degenerate() {
+		se.shards[0].Stop()
+		return
+	}
+	se.stopped.Store(true)
+}
 
 // Fired returns the total events executed across all shards and the global
 // queue.
@@ -208,25 +202,16 @@ func (se *ShardedEngine) Pending() int {
 	return n
 }
 
-// Stats snapshots the engine's meters. Degenerate engines report exactly
-// what the equivalent plain Engine would; partitioned engines add the
-// per-shard breakdown and barrier accounting.
+// Stats snapshots the engine's meters. A degenerate engine reports its one
+// Engine's; a partitioned one adds the per-shard breakdown and barrier
+// accounting.
 func (se *ShardedEngine) Stats() EngineStats {
 	if se.degenerate() {
-		s := se.shards[0]
-		return EngineStats{
-			Now:         s.now,
-			NowSeconds:  s.now.Seconds(),
-			Fired:       s.fired,
-			Pending:     s.q.len(),
-			EventAllocs: s.q.slotAllocs,
-			EventReuses: s.q.slotReuses,
-			Chained:     s.q.chained,
-		}
+		return se.shards[0].Stats()
 	}
 	st := EngineStats{
-		Now:              se.now,
-		NowSeconds:       se.now.Seconds(),
+		Now:              se.gq.now,
+		NowSeconds:       se.gq.now.Seconds(),
 		Fired:            se.Fired(),
 		Pending:          se.Pending(),
 		LookaheadSeconds: se.lookahead.Seconds(),
@@ -258,36 +243,22 @@ func (se *ShardedEngine) Stats() EngineStats {
 // Run executes events until every queue and mailbox is empty or Stop is
 // called.
 func (se *ShardedEngine) Run() {
-	se.stopped.Store(false)
 	if se.degenerate() {
-		s := se.shards[0]
-		for !se.stopped.Load() && s.step() {
-		}
+		se.shards[0].Run()
 		return
 	}
+	se.stopped.Store(false)
 	se.runWindows(noEvent, true)
 }
 
 // RunUntil executes events with timestamps <= deadline, then sets the clock
 // to deadline. Events scheduled beyond the deadline remain queued.
 func (se *ShardedEngine) RunUntil(deadline Time) {
-	se.stopped.Store(false)
 	if se.degenerate() {
-		s := se.shards[0]
-		for !se.stopped.Load() {
-			if h := s.q.head(); h == nil || h.at > deadline {
-				break
-			}
-			s.step()
-		}
-		if !se.stopped.Load() {
-			s.q.complete(deadline)
-		}
-		if s.now < deadline {
-			s.now = deadline
-		}
+		se.shards[0].RunUntil(deadline)
 		return
 	}
+	se.stopped.Store(false)
 	se.runWindows(deadline, false)
 	if se.stopped.Load() {
 		return
@@ -319,7 +290,6 @@ func (se *ShardedEngine) earliest() Time {
 
 // syncClocks commits t as every context's current time.
 func (se *ShardedEngine) syncClocks(t Time) {
-	se.now = t
 	se.gq.now = t
 	for _, s := range se.shards {
 		s.now = t
@@ -343,13 +313,15 @@ func (se *ShardedEngine) runWindows(deadline Time, untilEmpty bool) {
 			se.syncClocks(deadline)
 			return
 		}
-		if next > se.now {
+		now := se.gq.now
+		if next > now {
 			// Idle gap: jump straight to the next event. Mailboxes are
 			// drained, so nothing can land in between.
-			se.syncClocks(next)
+			now = next
+			se.syncClocks(now)
 		}
-		tStop := se.now + se.lookahead
-		if tStop < se.now || tStop > deadline { // overflow or horizon clamp
+		tStop := now + se.lookahead
+		if tStop < now || tStop > deadline { // overflow or horizon clamp
 			tStop = deadline
 		}
 		if g := se.gq.q.head(); g != nil && g.at < tStop {
@@ -367,6 +339,8 @@ func (se *ShardedEngine) runWindows(deadline Time, untilEmpty bool) {
 }
 
 // runGlobal fires global events with timestamps <= bound, world stopped.
+// It steps the queue itself rather than calling RunUntil: the barrier
+// marks no instant complete, and Stop is the engine's flag.
 func (se *ShardedEngine) runGlobal(bound Time) {
 	g := se.gq
 	for !se.stopped.Load() {
@@ -444,16 +418,14 @@ func (se *ShardedEngine) drainMailboxes() {
 	}
 }
 
-// shardSched is one shard's execution context: an independent event queue
-// with a local clock that may lead the committed global time by up to the
-// lookahead. It implements Scheduler for events local to the shard.
+// shardSched is one shard's execution context: an Engine drawing the
+// run-wide random stream, whose clock may lead the committed global time by
+// up to the lookahead, plus what a shard adds — mailboxes for the events it
+// schedules into other shards, their order, its cached cross schedulers,
+// and its window and stall meters.
 type shardSched struct {
-	eng    *ShardedEngine
-	idx    int
-	global bool
-	q      equeue
-	now    Time
-	fired  uint64
+	Engine
+	idx int
 
 	out    []crossEvents // per-destination mailboxes for the current window
 	outSeq uint64
@@ -465,83 +437,48 @@ type shardSched struct {
 	stall   int64
 }
 
-func (s *shardSched) Now() Time { return s.now }
-
-func (s *shardSched) Rand() *rand.Rand { return s.eng.rng }
-
-func (s *shardSched) After(delay Time, a Action) Handle {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: After with negative delay %v at %v", delay, s.now))
-	}
-	return s.At(s.now+delay, a)
-}
-
-func (s *shardSched) At(t Time, a Action) Handle {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: At(%v) is in the past (now %v)", t, s.now))
-	}
-	if a == nil {
-		panic("sim: At with nil Action")
-	}
-	if s.global && s.eng.running.Load() {
-		panic("sim: global schedule from inside a shard window; use the shard or cross-shard scheduler")
-	}
-	return s.q.schedule(t, a)
-}
-
-func (s *shardSched) Cancel(h Handle) { s.q.cancel(h) }
-
-func (s *shardSched) Reserve(n int) uint64 { return s.q.reserve(n) }
-
-func (s *shardSched) AtReserved(t Time, seq uint64, a Action) Handle {
-	if s.global && s.eng.running.Load() {
-		panic("sim: global schedule from inside a shard window; use the shard or cross-shard scheduler")
-	}
-	return s.q.backdate(t, seq, a)
-}
-
-// Passed reports whether (t, seq) has gone by in this context: it sorts
-// before the event now firing, or before the end of the last window (the
-// window's bound itself included when the window was).
-func (s *shardSched) Passed(t Time, seq uint64) bool { return s.q.passed(t, seq) }
-
-// step pops and fires the earliest event (degenerate mode and the global
-// queue use plain Engine stepping).
-func (s *shardSched) step() bool {
-	ev := s.q.pop()
-	if ev == nil {
-		return false
-	}
-	s.now = ev.at
-	s.fired++
-	a := ev.act
-	s.q.release(ev)
-	a.Fire()
-	return true
-}
-
-// runWindow executes this shard's events below (or up to, when incl) tStop,
-// then parks the local clock at tStop.
+// runWindow executes this shard's events below (or up to, when incl) tStop
+// — times are integer, so below tStop is up to tStop-1 — then parks the
+// clock at tStop. Passed thus counts the window's bound as gone by only
+// when the window included it.
 func (s *shardSched) runWindow(tStop Time, incl bool) {
-	for {
-		ev := s.q.head()
-		if ev == nil || ev.at > tStop || (!incl && ev.at == tStop) {
-			break
-		}
-		s.q.pop()
-		s.now = ev.at
-		s.fired++
-		a := ev.act
-		s.q.release(ev)
-		a.Fire()
-	}
 	if incl {
-		s.q.complete(tStop)
+		s.RunUntil(tStop)
 	} else {
-		s.q.complete(tStop - 1)
+		s.RunUntil(tStop - 1)
 	}
 	s.now = tStop
 	s.windows++
+}
+
+// barrierQueue is the global queue of a partitioned engine: an Engine that
+// refuses schedules while shard windows run, since its events must only
+// ever run with every shard parked. After, At and AtReserved each check,
+// because the promoted After would reach Engine.At past an At override.
+type barrierQueue struct {
+	Engine
+	running *atomic.Bool
+}
+
+func (g *barrierQueue) guard() {
+	if g.running.Load() {
+		panic("sim: global schedule from inside a shard window; use the shard or cross-shard scheduler")
+	}
+}
+
+func (g *barrierQueue) After(delay Time, a Action) Handle {
+	g.guard()
+	return g.Engine.After(delay, a)
+}
+
+func (g *barrierQueue) At(t Time, a Action) Handle {
+	g.guard()
+	return g.Engine.At(t, a)
+}
+
+func (g *barrierQueue) AtReserved(t Time, seq uint64, a Action) Handle {
+	g.guard()
+	return g.Engine.AtReserved(t, seq, a)
 }
 
 // crossEvent is a schedule bound for another shard, parked in the source
@@ -572,13 +509,14 @@ func (c crossEvents) Less(i, j int) bool {
 // synchronization depends on it) and are not cancellable: the returned
 // Handle is zero.
 type crossSched struct {
-	src *shardSched
-	dst int
+	src       *shardSched
+	dst       int
+	lookahead Time
 }
 
 func (c *crossSched) Now() Time { return c.src.now }
 
-func (c *crossSched) Rand() *rand.Rand { return c.src.eng.rng }
+func (c *crossSched) Rand() *rand.Rand { return c.src.Rand() }
 
 func (c *crossSched) After(delay Time, a Action) Handle {
 	if delay < 0 {
@@ -589,9 +527,9 @@ func (c *crossSched) After(delay Time, a Action) Handle {
 
 func (c *crossSched) At(t Time, a Action) Handle {
 	s := c.src
-	if t-s.now < s.eng.lookahead {
+	if t-s.now < c.lookahead {
 		panic(fmt.Sprintf("sim: cross-shard At(%v) violates lookahead %v (now %v)",
-			t, s.eng.lookahead, s.now))
+			t, c.lookahead, s.now))
 	}
 	if a == nil {
 		panic("sim: At with nil Action")

@@ -12,8 +12,11 @@
 # total, the $TOP (default 15) functions with the most run-phase
 # allocations (flat and cumulative counts), and the counts of every
 # function matching $FOCUS (default: the TopoSense pass and its
-# controller). The profiles stay in $BENCH_DIR/hotallocs/ for
-# `go tool pprof -diff_base` proper. Recording every allocation makes a run
+# controller). The .start profile's own writing happens after the
+# snapshot it records, so it lands in the final profile: every count here
+# drops the samples under prof.WriteHeap. The profiles stay in
+# $BENCH_DIR/hotallocs/ for `go tool pprof -diff_base` proper (add
+# -ignore='prof\.WriteHeap' there too). Recording every allocation makes a run
 # several times slower. The profile counts the tiny allocator's 16-byte
 # blocks, not the pointer-free objects under 16 bytes packed into them, so
 # a site that makes many of those reads low against
@@ -25,12 +28,13 @@ cd "$(dirname "$0")/.."
 out=${BENCH_DIR:-bench}/hotallocs
 top=${TOP:-15}
 focus=${FOCUS:-'core\.\(\*Algorithm\)\.Step$|controller\.\(\*Controller\)\.step$'}
-pp="go tool pprof -sample_index=alloc_objects"
+pp="go tool pprof -sample_index=alloc_objects -ignore=prof\.WriteHeap"
 mkdir -p "$out"
 go build -o "$out/toposim" ./cmd/toposim
 
-# total prints the allocation count a profile holds.
-total() { $pp -top -nodecount=1 "$out/toposim" "$1" 2>/dev/null | sed -n 's/.* of \([0-9]*\) total.*/\1/p'; }
+# total prints the allocation count a profile holds. pprof's "of N total"
+# ignores -ignore, so sum every node that is left instead.
+total() { $pp -top -nodecount=1000000 -nodefraction=0 "$out/toposim" "$1" 2>/dev/null | sed -n 's/.*accounting for \([0-9]*\),.*/\1/p'; }
 
 # shellcheck disable=SC2086 # the default is a word list
 [ $# -gt 0 ] || set -- $WORKLOADS

@@ -17,20 +17,20 @@ import (
 // benchFanWorld builds a controller on a two-level tree: hops mid nodes off
 // the controller, rxPerHop receiver nodes behind each. Returns the world's
 // engine, the controller, and one suggestion per receiver node.
-func benchFanWorld(tb testing.TB, hops, rxPerHop int) (*sim.Engine, *Controller, []core.Suggestion) {
+func benchFanWorld(tb testing.TB, hops, rxPerHop int) (*sim.Engine, *Controller, []report.SugEntry) {
 	tb.Helper()
 	e := sim.NewEngine(1)
 	n := netsim.New(e)
 	ctrlNode := n.AddNode("ctrl")
 	fast := netsim.LinkConfig{Bandwidth: 1e9, Delay: sim.Millisecond, QueueLimit: 4096}
-	var sugs []core.Suggestion
+	var sugs []report.SugEntry
 	for h := 0; h < hops; h++ {
 		mid := n.AddNode(fmt.Sprintf("mid%d", h))
 		n.Connect(ctrlNode, mid, fast)
 		for i := 0; i < rxPerHop; i++ {
 			rx := n.AddNode(fmt.Sprintf("rx%d-%d", h, i))
 			n.Connect(mid, rx, fast)
-			sugs = append(sugs, core.Suggestion{Node: rx.ID, Session: 0, Level: 3})
+			sugs = append(sugs, report.SugEntry{Node: rx.ID, Session: 0, Level: 3})
 		}
 	}
 	d := mcast.NewDomain(n)
@@ -159,7 +159,8 @@ func TestBatchedFanoutDelivery(t *testing.T) {
 		c.consume(&report.Register{Node: sg.Node, Session: sg.Session, Level: 1})
 		gens[i] = c.view(sg.Session, sg.Node).gen
 	}
-	c.sendBatched(sugs, gens, false)
+	c.passSugs, c.passGens = sugs, gens
+	c.emit()
 	if c.BatchesSent != 3 {
 		t.Errorf("BatchesSent = %d, want one per mid node (3)", c.BatchesSent)
 	}
@@ -168,12 +169,12 @@ func TestBatchedFanoutDelivery(t *testing.T) {
 	}
 	e.Run()
 
-	// Recheck mode with a re-registered receiver: its stale entry is skipped.
+	// The repeat with a re-registered receiver: its stale entry is dropped.
 	c.consume(&report.Register{Node: sugs[0].Node, Session: 0, Level: 1})
 	before := c.SuggestionsSent
-	c.sendBatched(sugs, gens, true)
+	(*repeatTimer)(c).Fire()
 	if got := c.SuggestionsSent - before; got != int64(len(sugs)-1) {
-		t.Errorf("recheck resent %d suggestions, want %d", got, len(sugs)-1)
+		t.Errorf("repeat resent %d suggestions, want %d", got, len(sugs)-1)
 	}
 	e.Run()
 }
@@ -184,18 +185,18 @@ func TestBatchedFanoutDelivery(t *testing.T) {
 // batches recycle; the steady state must not allocate.
 func BenchmarkSuggestionFanout(b *testing.B) {
 	e, c, sugs := benchFanWorld(b, 8, 32)
-	gens := make([]uint64, len(sugs))
+	c.passSugs = sugs
 	// Warm the route columns, the packet and batch pools (down the whole
 	// redistribution tree) and the scratch slices: the claim under test is
 	// the steady state, not first-touch growth.
 	for i := 0; i < 64; i++ {
-		c.sendBatched(sugs, gens, false)
+		c.emit()
 		e.Run()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.sendBatched(sugs, gens, false)
+		c.emit()
 		b.StopTimer()
 		e.Run()
 		b.StartTimer()

@@ -21,13 +21,6 @@ import (
 	"toposense/internal/topodisc"
 )
 
-// fanGroup is the batched fan-out's scratch: one outgoing SuggestionBatch
-// per next hop from the controller.
-type fanGroup struct {
-	next  netsim.NodeID
-	batch *report.SuggestionBatch
-}
-
 // accum aggregates the sub-interval receiver reports that arrive between
 // two algorithm steps into the single per-interval view the algorithm
 // consumes.
@@ -46,8 +39,8 @@ type rxSlot struct {
 	session int
 	node    netsim.NodeID
 	// gen is the registration generation, 0 while unregistered. It is bumped
-	// every time the receiver (re-)registers, so a pending mid-interval
-	// resend — computed for the previous incarnation — can tell that the
+	// every time the receiver (re-)registers, so the pending mid-interval
+	// repeat — computed for the previous incarnation — can tell that the
 	// receiver it targets is not the one it was meant for, even when expiry
 	// and re-registration happen within one pass.
 	gen   uint64
@@ -59,34 +52,6 @@ type rxSlot struct {
 	// controller would.
 	last    core.ReceiverState
 	hasLast bool
-}
-
-// resend is one pending mid-interval suggestion repeat, an event record
-// (sim.FreeList) that is its own sim.Action: of one suggestion, or on the
-// batched plane of the pass.
-type resend struct {
-	c       *Controller
-	gen     uint64 // the controller's generation at the pass
-	batched bool
-	sg      core.Suggestion
-	slot    int
-	rgen    uint64 // the receiver's registration generation at the pass
-}
-
-// Fire repeats the suggestions, unless the controller stopped or — per
-// entry — the receiver expired or re-registered since the pass.
-func (r *resend) Fire() {
-	c := r.c
-	if c.ticker != nil && c.gen == r.gen {
-		if r.batched {
-			// The scratch is only rewritten by the next pass, a half
-			// interval after this fires; recheck generations per entry.
-			c.sendBatched(c.batchSugs, c.batchGens, true)
-		} else if c.slots[r.slot].gen == r.rgen {
-			c.sendSuggestion(r.sg)
-		}
-	}
-	c.resends.Put(r)
 }
 
 // staleMsg is one control message held back by Staleness, an event record
@@ -116,9 +81,6 @@ type Controller struct {
 
 	interval sim.Time
 	ticker   *sim.Ticker
-	// gen is bumped by Stop so suggestion resends scheduled before the
-	// stop recognize they are stale and do not fire.
-	gen uint64
 
 	// DisableResend suppresses the mid-interval suggestion repeat
 	// (ablation switch; the repeat protects against control loss on the
@@ -157,14 +119,19 @@ type Controller struct {
 	// pre-federation code path.
 	levelCap map[int]int
 
-	// aggregated switches the suggestion fan-out to pooled per-next-hop
-	// SuggestionBatch packets (see EnableAggregation); the batch*/fan*
-	// slices are per-pass scratch reused so the steady-state fan-out
-	// allocates nothing.
+	// passSugs is the pass's suggestion list: the algorithm's output
+	// filtered to registered receivers, with each one's registration
+	// generation at the pass in passGens. Both planes emit it at the pass
+	// and again, minus receivers that expired or re-registered since, when
+	// the repeat timer (handle repeat) fires half an interval on; the next
+	// pass overwrites it. aggregated switches its emission from
+	// per-receiver unicasts to pooled per-next-hop SuggestionBatch packets
+	// (see EnableAggregation), which split groups in reused scratch.
+	passSugs   []report.SugEntry
+	passGens   []uint64
+	repeat     sim.Handle
 	aggregated bool
-	batchSugs  []core.Suggestion
-	batchGens  []uint64
-	fanGroups  []fanGroup
+	split      report.Splitter
 
 	// topos and reports are the pass's algorithm input, reused from pass
 	// to pass.
@@ -210,9 +177,8 @@ type Controller struct {
 	lastPassFired uint64
 	lastPassMsgs  int64
 
-	// Event records: pending suggestion repeats and Staleness deferrals.
-	resends sim.FreeList[resend]
-	stale   sim.FreeList[staleMsg]
+	// Event records: Staleness deferrals.
+	stale sim.FreeList[staleMsg]
 }
 
 // New creates a controller at node using the given discovery tool and
@@ -331,8 +297,8 @@ func (c *Controller) addSlot(session int, node netsim.NodeID) int {
 // heardFrom returns the slot of (session, node) marked as heard now. Feedback
 // implies registration (the Register packet may be lost), but feedback from
 // an already-registered receiver is the same incarnation — it must not open
-// a new generation, or every report would invalidate the pending
-// mid-interval resend.
+// a new generation, or every report would drop the receiver from the
+// pending mid-interval repeat.
 func (c *Controller) heardFrom(session int, node netsim.NodeID, now sim.Time) *rxSlot {
 	s := c.slot(session, node)
 	if s.gen == 0 {
@@ -367,7 +333,7 @@ type ReceiverID struct {
 }
 
 // Unregister forgets a receiver immediately: its slot is cleared (which
-// invalidates any pending mid-interval suggestion resend through the
+// drops it from the pending mid-interval suggestion repeat through the
 // registration-generation check — generation 0 fails the recheck) and it is
 // evicted from the next algorithm pass. A later Register from the same node
 // is a fresh incarnation and opens a new generation, exactly like a
@@ -417,13 +383,13 @@ func (c *Controller) Start() {
 }
 
 // Stop halts the decision timer (the discovery tool keeps running so a
-// restart has fresh history). Pending mid-interval suggestion resends are
-// invalidated: a stopped controller must go silent immediately.
+// restart has fresh history) and cancels the pending mid-interval
+// suggestion repeat: a stopped controller must go silent immediately.
 func (c *Controller) Stop() {
 	if c.ticker != nil {
 		c.ticker.Stop()
 		c.ticker = nil
-		c.gen++
+		c.global().Cancel(c.repeat)
 	}
 }
 
@@ -461,8 +427,8 @@ func (c *Controller) consume(payload any) {
 	case *report.Register:
 		c.RegistersRecv++
 		// Every Register is a (re)start of the receiver, so it opens a new
-		// registration generation — pending resends aimed at the previous
-		// incarnation go inert.
+		// registration generation — the pending repeat drops its entry for
+		// the previous incarnation.
 		sl := c.slot(pl.Session, pl.Node)
 		c.regSeq++
 		sl.gen = c.regSeq
@@ -635,39 +601,7 @@ func (c *Controller) step() {
 			}
 		}
 	}
-	sent := 0
-	if c.aggregated {
-		// Batched fan-out: filter to registered receivers into the per-pass
-		// scratch (with registration generations for the resend recheck),
-		// then send one pooled batch per next hop — and one resend record
-		// per pass instead of one per receiver.
-		c.batchSugs = c.batchSugs[:0]
-		c.batchGens = c.batchGens[:0]
-		for _, sg := range out {
-			_, rgen := c.registration(sg.Session, sg.Node)
-			if rgen == 0 {
-				continue // never instruct an unregistered receiver
-			}
-			c.batchSugs = append(c.batchSugs, sg)
-			c.batchGens = append(c.batchGens, rgen)
-			sent++
-		}
-		c.sendBatched(c.batchSugs, c.batchGens, false)
-		if !c.DisableResend && sent > 0 {
-			r := c.newResend()
-			r.batched = true
-			c.global().After(c.interval/2, r)
-		}
-	} else {
-		for _, sg := range out {
-			slot, rgen := c.registration(sg.Session, sg.Node)
-			if rgen == 0 {
-				continue // never instruct an unregistered receiver
-			}
-			c.suggest(sg, slot, rgen)
-			sent++
-		}
-	}
+	sent := c.fanOut(out)
 	if c.obs != nil {
 		c.obs.FanIn.Observe(float64(c.CtlMsgsRecv - c.lastPassMsgs))
 		if registered > 0 {
@@ -704,89 +638,71 @@ func (c *Controller) step() {
 	}
 }
 
-// suggest instructs one registered receiver: the suggestion now and one
-// repeat half an interval on. Suggestions cross the congested links they are
-// trying to relieve and are routinely lost exactly when they matter most; a
-// single mid-interval repeat makes the control loop robust without
-// meaningful extra traffic. The repeat is dropped if the controller stopped,
-// the receiver expired, or the receiver re-registered as a new incarnation
-// (even within this same pass), in the meantime.
-func (c *Controller) suggest(sg core.Suggestion, slot int, rgen uint64) {
-	c.sendSuggestion(sg)
-	if c.DisableResend {
-		return
+// fanOut makes the pass's suggestion list from the algorithm's output —
+// registered receivers only, each with its registration generation — emits
+// it, and arms the repeat. It returns the list's length.
+func (c *Controller) fanOut(out []core.Suggestion) int {
+	c.passSugs, c.passGens = c.passSugs[:0], c.passGens[:0]
+	for _, sg := range out {
+		if _, rgen := c.registration(sg.Session, sg.Node); rgen != 0 { // never instruct an unregistered receiver
+			c.passSugs = append(c.passSugs, report.SugEntry{Node: sg.Node, Session: sg.Session, Level: sg.Level})
+			c.passGens = append(c.passGens, rgen)
+		}
 	}
-	r := c.newResend()
-	r.sg, r.slot, r.rgen = sg, slot, rgen
-	c.global().After(c.interval/2, r)
+	c.emit()
+	if !c.DisableResend && len(c.passSugs) > 0 {
+		c.repeat = c.global().After(c.interval/2, (*repeatTimer)(c))
+	}
+	return len(c.passSugs)
 }
 
-// newResend takes a resend record for the current pass.
-func (c *Controller) newResend() *resend {
-	r := c.resends.Get()
-	r.c, r.gen, r.batched = c, c.gen, false
-	return r
+// repeatTimer is the controller's mid-interval repeat, its own sim.Action:
+// half an interval after a pass it emits the pass's suggestion list again.
+// Suggestions cross the congested links they are trying to relieve and are
+// routinely lost exactly when they matter most; one repeat makes the
+// control loop robust without meaningful extra traffic. Entries whose
+// receiver expired or re-registered as a new incarnation (even within the
+// same pass) in the meantime are dropped; Stop cancels the timer.
+type repeatTimer Controller
+
+func (t *repeatTimer) Fire() {
+	c := (*Controller)(t)
+	kept := 0
+	for i, sg := range c.passSugs {
+		if _, gen := c.registration(sg.Session, sg.Node); gen == c.passGens[i] {
+			c.passSugs[kept], c.passGens[kept] = sg, gen
+			kept++
+		}
+	}
+	c.passSugs, c.passGens = c.passSugs[:kept], c.passGens[:kept]
+	c.emit()
+}
+
+// emit sends the pass's suggestion list. The flat plane unicasts one pooled
+// Suggestion per receiver. The batched plane sends receivers on the
+// controller's own node a plain Suggestion (there is no hop to batch over)
+// and then everyone else one pooled SuggestionBatch per next hop; the
+// in-network aggregation layer splits each further down the tree.
+func (c *Controller) emit() {
+	for _, sg := range c.passSugs {
+		if !c.aggregated || sg.Node == c.node.ID {
+			c.sendSuggestion(sg)
+		}
+	}
+	if c.aggregated {
+		at := c.global().Now()
+		routed, packets := c.split.Split(c.net, c.node.ID, c.passSugs, at, at)
+		c.SuggestionsSent += int64(routed)
+		c.BatchesSent += int64(packets)
+	}
 }
 
 // sendSuggestion unicasts one suggestion on a pooled packet.
-func (c *Controller) sendSuggestion(sg core.Suggestion) {
+func (c *Controller) sendSuggestion(sg report.SugEntry) {
 	at := c.global().Now()
 	pkt := report.NewSuggestionPacket(c.net, c.node.ID, sg.Node, at,
 		report.Suggestion{Node: sg.Node, Session: sg.Session, Level: sg.Level, Sent: at})
 	c.node.SendUnicast(pkt)
 	pkt.Release()
 	c.SuggestionsSent++
-}
-
-// sendBatched sends the suggestions in sugs as one pooled SuggestionBatch
-// per next hop from the controller; the in-network aggregation layer splits
-// each batch further down the tree. With recheck set (the mid-interval
-// resend) entries whose receiver expired or re-registered since the pass are
-// skipped, exactly like the per-receiver resend guard on the flat path. The
-// fan-group scratch is reused across calls, so steady-state passes allocate
-// nothing here.
-func (c *Controller) sendBatched(sugs []core.Suggestion, gens []uint64, recheck bool) {
-	at := c.global().Now()
-	groups := c.fanGroups[:0]
-	for i, sg := range sugs {
-		if recheck {
-			if _, gen := c.registration(sg.Session, sg.Node); gen != gens[i] {
-				continue
-			}
-		}
-		if sg.Node == c.node.ID {
-			// A receiver co-located with the controller: no hop to batch
-			// over, deliver the plain suggestion locally.
-			c.sendSuggestion(sg)
-			continue
-		}
-		next := c.net.NextHop(c.node.ID, sg.Node)
-		if next == netsim.NoNode {
-			continue // unreachable, as the equivalent unicast would be
-		}
-		var g *fanGroup
-		for j := range groups {
-			if groups[j].next == next {
-				g = &groups[j]
-				break
-			}
-		}
-		if g == nil {
-			groups = append(groups, fanGroup{next: next, batch: report.NewSuggestionBatch()})
-			g = &groups[len(groups)-1]
-			g.batch.Sent = at
-		}
-		g.batch.Add(sg.Node, sg.Session, sg.Level)
-		c.SuggestionsSent++
-	}
-	for i := range groups {
-		g := &groups[i]
-		pkt := report.NewPooledPacket(c.net, c.node.ID, g.next, g.batch.WireSize(), at)
-		pkt.Payload = g.batch
-		c.node.SendUnicast(pkt)
-		pkt.Release()
-		g.batch = nil
-		c.BatchesSent++
-	}
-	c.fanGroups = groups
 }

@@ -51,6 +51,23 @@ func buildChainWorld(t *testing.T, bottleneck float64, peakToMean float64) *worl
 		srcs: []*source.Source{src}, rxs: []*receiver.Receiver{rx}}
 }
 
+// planes are the two control planes the suggestion fan-out runs on.
+var planes = []struct {
+	name    string
+	batched bool
+}{{"flat", false}, {"batched", true}}
+
+// onPlane switches w to the batched plane when batched is set: the
+// controller sends per-next-hop batches, and an aggregation layer on every
+// node folds the reports going up and splits the batches coming down.
+func (w *world) onPlane(batched bool) *world {
+	if batched {
+		w.ctrl.EnableAggregation()
+		mcast.NewAggregator(w.n, w.ctrl.Node().ID, 0)
+	}
+	return w
+}
+
 func (w *world) start() {
 	for _, s := range w.srcs {
 		s.Start()
@@ -342,43 +359,51 @@ func TestNoResendAfterStop(t *testing.T) {
 	// The mid-interval suggestion repeat is scheduled at each step; stopping
 	// the controller between the step and the repeat must suppress it — a
 	// stopped controller goes silent immediately.
-	w := buildChainWorld(t, 500e3, 0)
-	w.start()
-	var sentAtStop int64
-	// Steps run every 4 s; the step at t=20s schedules its repeat for 22s.
-	w.e.Schedule(20*sim.Second+500*sim.Millisecond, func() {
-		w.ctrl.Stop()
-		sentAtStop = w.ctrl.SuggestionsSent
-	})
-	w.e.RunUntil(30 * sim.Second)
-	if sentAtStop == 0 {
-		t.Fatal("controller never sent a suggestion before the stop")
-	}
-	if w.ctrl.SuggestionsSent != sentAtStop {
-		t.Errorf("suggestions after Stop: %d -> %d", sentAtStop, w.ctrl.SuggestionsSent)
+	for _, pl := range planes {
+		t.Run(pl.name, func(t *testing.T) {
+			w := buildChainWorld(t, 500e3, 0).onPlane(pl.batched)
+			w.start()
+			var sentAtStop int64
+			// Steps run every 4 s; the step at t=20s schedules its repeat for 22s.
+			w.e.Schedule(20*sim.Second+500*sim.Millisecond, func() {
+				w.ctrl.Stop()
+				sentAtStop = w.ctrl.SuggestionsSent
+			})
+			w.e.RunUntil(30 * sim.Second)
+			if sentAtStop == 0 {
+				t.Fatal("controller never sent a suggestion before the stop")
+			}
+			if w.ctrl.SuggestionsSent != sentAtStop {
+				t.Errorf("suggestions after Stop: %d -> %d", sentAtStop, w.ctrl.SuggestionsSent)
+			}
+		})
 	}
 }
 
 func TestNoResendToExpiredReceiver(t *testing.T) {
 	// A receiver expiring between the step and the mid-interval repeat must
 	// not be instructed by the repeat.
-	w := buildChainWorld(t, 500e3, 0)
-	w.start()
-	var sentAtExpiry int64
-	// Silence the receiver right after the 20s step, then — once its
-	// in-flight reports have drained, so nothing re-registers it — drop the
-	// registration before the 22s repeat, as the expiry sweep would.
-	w.e.Schedule(20*sim.Second+200*sim.Millisecond, func() { w.rxs[0].Stop() })
-	w.e.Schedule(21*sim.Second+500*sim.Millisecond, func() {
-		w.ctrl.expire(0, w.rxs[0].Node().ID)
-		sentAtExpiry = w.ctrl.SuggestionsSent
-	})
-	w.e.RunUntil(23 * sim.Second) // past the repeat at 22s, before the next step
-	if sentAtExpiry == 0 {
-		t.Fatal("controller never sent a suggestion before the expiry")
-	}
-	if w.ctrl.SuggestionsSent != sentAtExpiry {
-		t.Errorf("repeat sent to an expired receiver: %d -> %d", sentAtExpiry, w.ctrl.SuggestionsSent)
+	for _, pl := range planes {
+		t.Run(pl.name, func(t *testing.T) {
+			w := buildChainWorld(t, 500e3, 0).onPlane(pl.batched)
+			w.start()
+			var sentAtExpiry int64
+			// Silence the receiver right after the 20s step, then — once its
+			// in-flight reports have drained, so nothing re-registers it — drop the
+			// registration before the 22s repeat, as the expiry sweep would.
+			w.e.Schedule(20*sim.Second+200*sim.Millisecond, func() { w.rxs[0].Stop() })
+			w.e.Schedule(21*sim.Second+500*sim.Millisecond, func() {
+				w.ctrl.expire(0, w.rxs[0].Node().ID)
+				sentAtExpiry = w.ctrl.SuggestionsSent
+			})
+			w.e.RunUntil(23 * sim.Second) // past the repeat at 22s, before the next step
+			if sentAtExpiry == 0 {
+				t.Fatal("controller never sent a suggestion before the expiry")
+			}
+			if w.ctrl.SuggestionsSent != sentAtExpiry {
+				t.Errorf("repeat sent to an expired receiver: %d -> %d", sentAtExpiry, w.ctrl.SuggestionsSent)
+			}
+		})
 	}
 }
 
@@ -421,25 +446,29 @@ func TestNoResendToReRegisteredReceiver(t *testing.T) {
 	// computed from the old incarnation's reports and must not fire. A
 	// plain "is it registered?" check cannot see this — the key is present
 	// again — which is exactly what the registration generation pins.
-	w := buildChainWorld(t, 500e3, 0)
-	w.start()
-	var sentAtSwap int64
-	w.e.Schedule(20*sim.Second+200*sim.Millisecond, func() { w.rxs[0].Stop() })
-	w.e.Schedule(21*sim.Second+500*sim.Millisecond, func() {
-		// Expiry sweep drops the old incarnation...
-		w.ctrl.expire(0, w.rxs[0].Node().ID)
-		// ...and a restarted receiver on the same node registers at once,
-		// before the 22s repeat fires.
-		w.ctrl.Recv(&netsim.Packet{Payload: &report.Register{
-			Node: w.rxs[0].Node().ID, Session: 0, Level: 1}})
-		sentAtSwap = w.ctrl.SuggestionsSent
-	})
-	w.e.RunUntil(23 * sim.Second) // past the repeat at 22s, before the next step
-	if sentAtSwap == 0 {
-		t.Fatal("controller never sent a suggestion before the swap")
-	}
-	if w.ctrl.SuggestionsSent != sentAtSwap {
-		t.Errorf("repeat sent to a re-registered receiver: %d -> %d", sentAtSwap, w.ctrl.SuggestionsSent)
+	for _, pl := range planes {
+		t.Run(pl.name, func(t *testing.T) {
+			w := buildChainWorld(t, 500e3, 0).onPlane(pl.batched)
+			w.start()
+			var sentAtSwap int64
+			w.e.Schedule(20*sim.Second+200*sim.Millisecond, func() { w.rxs[0].Stop() })
+			w.e.Schedule(21*sim.Second+500*sim.Millisecond, func() {
+				// Expiry sweep drops the old incarnation...
+				w.ctrl.expire(0, w.rxs[0].Node().ID)
+				// ...and a restarted receiver on the same node registers at once,
+				// before the 22s repeat fires.
+				w.ctrl.Recv(&netsim.Packet{Payload: &report.Register{
+					Node: w.rxs[0].Node().ID, Session: 0, Level: 1}})
+				sentAtSwap = w.ctrl.SuggestionsSent
+			})
+			w.e.RunUntil(23 * sim.Second) // past the repeat at 22s, before the next step
+			if sentAtSwap == 0 {
+				t.Fatal("controller never sent a suggestion before the swap")
+			}
+			if w.ctrl.SuggestionsSent != sentAtSwap {
+				t.Errorf("repeat sent to a re-registered receiver: %d -> %d", sentAtSwap, w.ctrl.SuggestionsSent)
+			}
+		})
 	}
 }
 
@@ -488,28 +517,32 @@ func TestDepartSuppressesPendingResend(t *testing.T) {
 	// Deregister packet drops the registration, and the generation check
 	// skips the pending resend. Same timing as TestNoResendToExpiredReceiver
 	// but through the real lifecycle instead of reaching into the tables.
-	w := buildChainWorld(t, 500e3, 0)
-	w.start()
-	var sentAtDepart int64
-	// Steps run every 4 s; the step at t=20s schedules its repeat for 22s.
-	// Depart at 20.2s: the Deregister crosses two 200ms hops and lands well
-	// before the sample at 21.5s.
-	w.e.Schedule(20*sim.Second+200*sim.Millisecond, func() { w.rxs[0].Depart() })
-	w.e.Schedule(21*sim.Second+500*sim.Millisecond, func() {
-		sentAtDepart = w.ctrl.SuggestionsSent
-	})
-	w.e.RunUntil(23 * sim.Second) // past the repeat at 22s, before the next step
-	if sentAtDepart == 0 {
-		t.Fatal("controller never sent a suggestion before the departure")
-	}
-	if w.ctrl.DeregistersRecv != 1 {
-		t.Fatalf("DeregistersRecv = %d, want 1", w.ctrl.DeregistersRecv)
-	}
-	if got := len(w.ctrl.RegisteredReceivers()); got != 0 {
-		t.Errorf("%d receivers still registered after Depart", got)
-	}
-	if w.ctrl.SuggestionsSent != sentAtDepart {
-		t.Errorf("repeat sent to a departed receiver: %d -> %d", sentAtDepart, w.ctrl.SuggestionsSent)
+	for _, pl := range planes {
+		t.Run(pl.name, func(t *testing.T) {
+			w := buildChainWorld(t, 500e3, 0).onPlane(pl.batched)
+			w.start()
+			var sentAtDepart int64
+			// Steps run every 4 s; the step at t=20s schedules its repeat for 22s.
+			// Depart at 20.2s: the Deregister crosses two 200ms hops and lands well
+			// before the sample at 21.5s.
+			w.e.Schedule(20*sim.Second+200*sim.Millisecond, func() { w.rxs[0].Depart() })
+			w.e.Schedule(21*sim.Second+500*sim.Millisecond, func() {
+				sentAtDepart = w.ctrl.SuggestionsSent
+			})
+			w.e.RunUntil(23 * sim.Second) // past the repeat at 22s, before the next step
+			if sentAtDepart == 0 {
+				t.Fatal("controller never sent a suggestion before the departure")
+			}
+			if w.ctrl.DeregistersRecv != 1 {
+				t.Fatalf("DeregistersRecv = %d, want 1", w.ctrl.DeregistersRecv)
+			}
+			if got := len(w.ctrl.RegisteredReceivers()); got != 0 {
+				t.Errorf("%d receivers still registered after Depart", got)
+			}
+			if w.ctrl.SuggestionsSent != sentAtDepart {
+				t.Errorf("repeat sent to a departed receiver: %d -> %d", sentAtDepart, w.ctrl.SuggestionsSent)
+			}
+		})
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"toposense/internal/mcast"
 	"toposense/internal/netsim"
 	"toposense/internal/receiver"
+	"toposense/internal/report"
 	"toposense/internal/sim"
 	"toposense/internal/source"
 	"toposense/internal/topodisc"
@@ -72,34 +73,25 @@ func BenchmarkFlatReportPath(b *testing.B) {
 	}
 }
 
-// BenchmarkFlatResend is the per-receiver fan-out: one op is one suggestion
-// on a pooled packet plus its mid-interval repeat, a pooled record that
-// fires and sends again half an interval later. A decision timer far in the
-// future keeps the repeats live without running a pass. Nothing on the path
-// may allocate.
+// BenchmarkFlatResend is the flat plane's per-pass fan-out: one op is one
+// suggestion on a pooled packet plus its share of the pass's mid-interval
+// repeat, one timer that fires half an interval later and sends the list
+// again. No pass runs, so the fan-out is driven as a pass drives it. Nothing
+// on the path may allocate.
 func BenchmarkFlatResend(b *testing.B) {
 	const rxs = 256
 	e, c, receivers := flatWorld(b, rxs)
-	c.ticker = sim.Every(e, 1000*sim.Second, func() {})
 	e.RunUntil(2 * receiver.DefaultReportInterval)
-	type tgt struct {
-		sg   core.Suggestion
-		slot int
-		gen  uint64
-	}
-	var tgts []tgt
+	var sugs []core.Suggestion
 	for _, rx := range receivers {
 		sg := core.Suggestion{Node: rx.Node().ID, Session: 0, Level: 1}
-		slot, gen := c.registration(sg.Session, sg.Node)
-		if gen == 0 {
+		if _, gen := c.registration(sg.Session, sg.Node); gen == 0 {
 			b.Fatalf("receiver at node %d never registered", sg.Node)
 		}
-		tgts = append(tgts, tgt{sg, slot, gen})
+		sugs = append(sugs, sg)
 	}
 	round := func(k int) {
-		for _, t := range tgts[:k] {
-			c.suggest(t.sg, t.slot, t.gen)
-		}
+		c.fanOut(sugs[:k])
 		e.RunUntil(e.Now() + c.interval)
 	}
 	round(rxs) // warm the pools
@@ -122,7 +114,7 @@ func TestPooledSuggestionReachesReceiver(t *testing.T) {
 	e, c, receivers := flatWorld(t, 3)
 	e.RunUntil(receiver.DefaultReportInterval)
 	rx := receivers[1]
-	c.sendSuggestion(core.Suggestion{Node: rx.Node().ID, Session: 0, Level: 2})
+	c.sendSuggestion(report.SugEntry{Node: rx.Node().ID, Session: 0, Level: 2})
 	e.RunUntil(e.Now() + 10*sim.Millisecond)
 	if rx.SuggestionsRecv != 1 || rx.Level() != 2 {
 		t.Errorf("receiver got %d suggestions, level %d; want 1, 2", rx.SuggestionsRecv, rx.Level())

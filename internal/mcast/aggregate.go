@@ -71,12 +71,6 @@ type pendingAgg struct {
 	agg     *report.Aggregate
 }
 
-// splitGroup is redistribute's scratch: one outgoing sub-batch per next hop.
-type splitGroup struct {
-	next  netsim.NodeID
-	batch *report.SuggestionBatch
-}
-
 // aggNode is the Aggregator's per-node state, and the Action of the node's
 // flush timer: a and id are set once by install, so arming allocates
 // nothing. An event may hold a copy a later install has moved (a.nodes
@@ -90,7 +84,7 @@ type aggNode struct {
 	// the next one arrives: agents attached after the Aggregator (and the
 	// local receivers) still read it during the delivery that handed it over.
 	lastBatch *report.SuggestionBatch
-	groups    []splitGroup
+	split     report.Splitter
 }
 
 // NewAggregator installs an aggregation layer for the controller at ctrl on
@@ -318,41 +312,8 @@ func (a *Aggregator) Recv(p *netsim.Packet) {
 
 func (a *Aggregator) redistribute(id netsim.NodeID, b *report.SuggestionBatch) {
 	nd := &a.nodes[id]
-	groups := nd.groups[:0]
-	for _, e := range b.Entries {
-		if e.Node == id {
-			continue // a local receiver's entry; it reads the batch itself
-		}
-		next := a.net.NextHop(id, e.Node)
-		if next == netsim.NoNode {
-			continue // unroutable, as the equivalent unicast would be
-		}
-		var g *splitGroup
-		for j := range groups {
-			if groups[j].next == next {
-				g = &groups[j]
-				break
-			}
-		}
-		if g == nil {
-			groups = append(groups, splitGroup{next: next, batch: report.NewSuggestionBatch()})
-			g = &groups[len(groups)-1]
-			g.batch.Sent = b.Sent
-		}
-		g.batch.Add(e.Node, e.Session, e.Level)
-	}
-	node := a.net.Node(id)
-	now := a.net.SchedulerFor(id).Now()
-	for i := range groups {
-		g := &groups[i]
-		pkt := report.NewPooledPacket(a.net, id, g.next, g.batch.WireSize(), now)
-		pkt.Payload = g.batch
-		node.SendUnicast(pkt)
-		pkt.Release()
-		g.batch = nil
-		atomic.AddInt64(&a.Batches, 1)
-	}
-	nd.groups = groups
+	_, packets := nd.split.Split(a.net, id, b.Entries, b.Sent, a.net.SchedulerFor(id).Now())
+	atomic.AddInt64(&a.Batches, int64(packets))
 	// Deferred hand-over: the batch just consumed stays alive until this
 	// node's next one, covering agents later in the delivery loop.
 	if nd.lastBatch != nil {

@@ -277,3 +277,61 @@ func (b *SuggestionBatch) WireSize() int {
 func (b *SuggestionBatch) String() string {
 	return fmt.Sprintf("suggestion-batch n=%d", len(b.Entries))
 }
+
+// Splitter is the downward fan-out of suggestion entries, shared by the
+// controller (its pass's list) and every aggregating hop (an arriving
+// batch): one pooled SuggestionBatch per next hop. Its zero value is ready;
+// it keeps its group scratch between calls, so a warm one allocates nothing.
+type Splitter struct {
+	groups []hopBatch
+}
+
+// hopBatch is one outgoing sub-batch: the entries routed through next.
+type hopBatch struct {
+	next  netsim.NodeID
+	batch *SuggestionBatch
+}
+
+// Split sends entries from node from as one pooled SuggestionBatch per next
+// hop, each stamped sent, on packets created at now. Groups form in the
+// order their first entry appears and keep entry order. An entry for from
+// itself (a receiver on the sending node reads its own) and an unroutable
+// one, as its unicast would be, are skipped. It returns how many entries it
+// routed and how many packets it sent.
+func (s *Splitter) Split(net *netsim.Network, from netsim.NodeID, entries []SugEntry, sent, now sim.Time) (routed, packets int) {
+	groups := s.groups[:0]
+	for _, e := range entries {
+		if e.Node == from {
+			continue
+		}
+		next := net.NextHop(from, e.Node)
+		if next == netsim.NoNode {
+			continue
+		}
+		var g *hopBatch
+		for j := range groups {
+			if groups[j].next == next {
+				g = &groups[j]
+				break
+			}
+		}
+		if g == nil {
+			groups = append(groups, hopBatch{next: next, batch: NewSuggestionBatch()})
+			g = &groups[len(groups)-1]
+			g.batch.Sent = sent
+		}
+		g.batch.Add(e.Node, e.Session, e.Level)
+		routed++
+	}
+	node := net.Node(from)
+	for i := range groups {
+		g := &groups[i]
+		pkt := NewPooledPacket(net, from, g.next, g.batch.WireSize(), now)
+		pkt.Payload = g.batch
+		node.SendUnicast(pkt)
+		pkt.Release()
+		g.batch = nil
+	}
+	s.groups = groups
+	return routed, len(groups)
+}

@@ -266,7 +266,9 @@ func (e *Engine) Run() {
 }
 
 // RunUntil executes events with timestamps <= deadline, then sets the clock
-// to deadline. Events scheduled beyond the deadline remain queued.
+// to deadline. Events scheduled beyond the deadline remain queued. After a
+// Stop the clock stays at the stopping event's time, since events before the
+// deadline may still be queued.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	for !e.stopped {
@@ -275,9 +277,10 @@ func (e *Engine) RunUntil(deadline Time) {
 		}
 		e.step()
 	}
-	if !e.stopped {
-		e.q.complete(deadline)
+	if e.stopped {
+		return
 	}
+	e.q.complete(deadline)
 	if e.now < deadline {
 		e.now = deadline
 	}

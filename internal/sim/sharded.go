@@ -355,19 +355,22 @@ func (se *ShardedEngine) runGlobal(bound Time) {
 // runShardsWindow executes every shard's events below (or, when incl, up
 // to) tStop, spreading shards across the worker pool. Shard i always runs
 // on worker i%W, alone on its goroutine, so execution inside a shard is
-// strictly sequential and ordered by its own queue.
+// strictly sequential and ordered by its own queue. The global queue refuses
+// schedules for the whole window at any worker count, so a misuse panics at
+// one worker just as it does at many.
 func (se *ShardedEngine) runShardsWindow(tStop Time, incl bool) {
 	w := se.workers
 	if w > len(se.shards) {
 		w = len(se.shards)
 	}
+	se.running.Store(true)
+	defer se.running.Store(false)
 	if w <= 1 {
 		for _, s := range se.shards {
 			s.runWindow(tStop, incl)
 		}
 		return
 	}
-	se.running.Store(true)
 	start := time.Now()
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
@@ -382,7 +385,6 @@ func (se *ShardedEngine) runShardsWindow(tStop Time, incl bool) {
 		}(i)
 	}
 	wg.Wait()
-	se.running.Store(false)
 	end := time.Since(start).Nanoseconds()
 	for _, s := range se.shards {
 		s.stall += end - s.finish

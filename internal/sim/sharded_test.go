@@ -80,60 +80,76 @@ func TestShardStatsJSONHasNoHostTime(t *testing.T) {
 
 // TestGlobalRefusedInsideWindow: global events run with every shard
 // parked, so the global queue refuses a schedule from inside a shard
-// window through each of its entry points, After, At and AtReserved.
+// window through each of its entry points, After, At and AtReserved, at
+// one worker as at two.
 func TestGlobalRefusedInsideWindow(t *testing.T) {
 	const want = "sim: global schedule from inside a shard window; use the shard or cross-shard scheduler"
-	se := NewShardedEngine(1, 2)
-	se.SetPartitions(2, Millisecond)
-	g := se.Global().(Reserver)
-	seq := g.Reserve(1)
-	nop := Func(func() {})
-	calls := []struct {
-		name string
-		call func()
-	}{
-		{"After", func() { g.After(Second, nop) }},
-		{"At", func() { g.At(Second, nop) }},
-		{"AtReserved", func() { g.AtReserved(Second, seq, nop) }},
-	}
-	got := make([]any, len(calls))
-	se.Shard(0).At(Millisecond, Func(func() {
+	for _, workers := range []int{1, 2} {
+		se := NewShardedEngine(1, workers)
+		se.SetPartitions(2, Millisecond)
+		g := se.Global().(Reserver)
+		seq := g.Reserve(1)
+		nop := Func(func() {})
+		calls := []struct {
+			name string
+			call func()
+		}{
+			{"After", func() { g.After(Second, nop) }},
+			{"At", func() { g.At(Second, nop) }},
+			{"AtReserved", func() { g.AtReserved(Second, seq, nop) }},
+		}
+		got := make([]any, len(calls))
+		se.Shard(0).At(Millisecond, Func(func() {
+			for i, c := range calls {
+				func() {
+					defer func() { got[i] = recover() }()
+					c.call()
+				}()
+			}
+		}))
+		se.Shard(1).At(Millisecond, nop)
+		se.Run()
 		for i, c := range calls {
-			func() {
-				defer func() { got[i] = recover() }()
-				c.call()
-			}()
+			if got[i] != want {
+				t.Errorf("workers %d: Global().%s inside a shard window: panic %v, want %q", workers, c.name, got[i], want)
+			}
 		}
-	}))
-	se.Shard(1).At(Millisecond, nop)
-	se.Run()
-	for i, c := range calls {
-		if got[i] != want {
-			t.Errorf("Global().%s inside a shard window: panic %v, want %q", c.name, got[i], want)
+		if se.Fired() != 2 || se.Pending() != 0 {
+			t.Errorf("workers %d: fired %d with %d pending, want the two shard events and nothing queued", workers, se.Fired(), se.Pending())
 		}
-	}
-	if se.Fired() != 2 || se.Pending() != 0 {
-		t.Errorf("fired %d with %d pending, want the two shard events and nothing queued", se.Fired(), se.Pending())
+		g.At(Second, nop) // between windows the global queue takes schedules
 	}
 }
 
 // TestDegenerateStop: a single-partition ShardedEngine is the plain
-// Engine, Stop included (the wall-clock watchdog relies on it): an event
-// that calls Stop ends RunUntil after it, leaving the other event of its
-// instant and a later one queued, and Run then finishes both.
+// Engine, Stop included (the wall-clock watchdog relies on it), and a
+// partitioned one stops the same way when the stopping event is global: an
+// event that calls Stop ends RunUntil after it, leaving the other event of
+// its instant and a later one queued and the clock at the stopping event's
+// time, so an event scheduled in between is not in the past; Run then
+// finishes the three left in time order.
 func TestDegenerateStop(t *testing.T) {
-	for _, r := range []Runner{NewEngine(1), NewShardedEngine(1, 1)} {
+	partitioned := func(workers int) Runner {
+		se := NewShardedEngine(1, workers)
+		se.SetPartitions(2, Millisecond)
+		return se
+	}
+	for i, r := range []Runner{NewEngine(1), NewShardedEngine(1, 1), partitioned(1), partitioned(2)} {
 		var log []int
 		r.At(Second, Func(func() { log = append(log, 0); r.Stop() }))
 		r.At(Second, Func(func() { log = append(log, 1) }))
 		r.At(2*Second, Func(func() { log = append(log, 2) }))
 		r.RunUntil(10 * Second)
 		if r.Fired() != 1 || r.Pending() != 2 || len(log) != 1 {
-			t.Errorf("%T: RunUntil after Stop fired %d (%v) with %d pending, want 1 and 2", r, r.Fired(), log, r.Pending())
+			t.Errorf("runner %d (%T): RunUntil after Stop fired %d (%v) with %d pending, want 1 and 2", i, r, r.Fired(), log, r.Pending())
 		}
+		if now := r.Now(); now != Second {
+			t.Errorf("runner %d (%T): clock at %v after a Stop at %v", i, r, now, Second)
+		}
+		r.At(Second+500*Millisecond, Func(func() { log = append(log, 3) }))
 		r.Run()
-		if r.Fired() != 3 || r.Pending() != 0 || fmt.Sprint(log) != "[0 1 2]" {
-			t.Errorf("%T: Run fired %d (%v) with %d pending, want all three in order", r, r.Fired(), log, r.Pending())
+		if r.Fired() != 4 || r.Pending() != 0 || fmt.Sprint(log) != "[0 1 3 2]" {
+			t.Errorf("runner %d (%T): Run fired %d (%v) with %d pending, want all four in time order", i, r, r.Fired(), log, r.Pending())
 		}
 	}
 }

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-micro hotlines hotallocs bench-json bench-scale bench-shards bench-fanin bench-federation bench-churn obs-gate fanin-gate repro repro-quick same-output cover examples clean
+.PHONY: all build test vet bench bench-micro hotlines hotallocs bench-json bench-scale bench-shards bench-fanin bench-federation bench-churn obs-gate fanin-gate alloc-ceiling repro repro-quick same-output cover examples clean
 
 all: build vet test
 
@@ -90,6 +90,12 @@ bench-fanin:
 # tree after it changed at most 8.
 fanin-gate:
 	scripts/benchdiff.sh fanin-gate
+
+# Allocation ceiling for whole runs: each benchmark workload's run-phase
+# allocation total (scripts/hotallocs.sh) must stay within 10 % of its
+# figure in DESIGN.md §5's run-phase ledger.
+alloc-ceiling:
+	scripts/benchdiff.sh alloc-ceiling
 
 # Membership churn capture: the fig_churn join/leave study (TopoSense vs
 # RLM under Poisson churn swept around the decision interval, plus a tree

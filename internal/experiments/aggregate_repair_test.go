@@ -3,7 +3,9 @@ package experiments
 import (
 	"testing"
 
+	"toposense/internal/metrics"
 	"toposense/internal/netsim"
+	"toposense/internal/receiver"
 	"toposense/internal/report"
 	"toposense/internal/sim"
 )
@@ -155,31 +157,87 @@ func TestDepartPurgePoolBalance(t *testing.T) {
 	}
 }
 
-// TestAggregatedPoolArraysSteady is the world-level guard on the payload
-// entry pools: once an aggregated world has carried three decision
-// intervals, every subtree's working set is pooled, so a further 20
-// simulated seconds of folds, merges, flushes and batch splits must take
-// every entry array from the pools and make none.
+// TestAggregatedPoolArraysSteady is the world-level guard on the run
+// phase's pools. Once an aggregated world has carried three decision
+// intervals, every subtree's payload working set is pooled, so from then
+// to the end of the run folds, merges, flushes and batch splits must take
+// every aggregate and suggestion batch entry array from the pools and make
+// none. The pools that joins and first traffic grow fill more slowly: after
+// twenty intervals the next 20 simulated seconds must take every link ring
+// array, per-node pending list and split scratch from them too. Under
+// churn (every receiver joining and leaving with an 8 s mean dwell) the
+// trees keep changing shape, so every pool is held to the twenty-interval
+// warm-up; then the same holds for the receivers' layer tables, which come
+// back from departed incarnations, and for everything else but the link
+// rings: rejoins keep pushing some link's queue or pipeline past the most
+// it ever held, so their pool still makes arrays, fewer than a tenth of
+// what the warm-up made. Traces only ever grow, so their pool keeps making
+// arrays too, fewer than the points the window adds.
 func TestAggregatedPoolArraysSteady(t *testing.T) {
-	w := assemble(t, Scenario{WorldConfig: WorldConfig{Seed: 1, Traffic: CBR, Aggregate: true},
-		Topo: "tree,depth=3,branch=8,rxleaf=2", Duration: 60})
-	warm := 3 * w.Controller.Algorithm().Config().Interval
-	w.Run(warm)
-	aggMade, batchMade := report.AggregateArraysMade(), report.BatchArraysMade()
-	merged, batches := w.Aggregator.Merged, w.Aggregator.Batches
-	w.Engine.RunUntil(warm + 20*sim.Second)
-	t.Logf("after the %v warm-up the pools had made %d aggregate and %d batch arrays; the next 20 s merged %d aggregates and split %d batches",
-		warm, aggMade, batchMade, w.Aggregator.Merged-merged, w.Aggregator.Batches-batches)
-	if w.Aggregator.Merged == merged || w.Aggregator.Batches == batches {
-		t.Fatal("no aggregates merged or batches split after the warm-up — the pools were not exercised")
+	names := []string{"aggregate entry", "suggestion batch entry", "pending list", "split scratch", "layer table", "link ring"}
+	const payload = 2 // without churn the first two pools are steady from three intervals on
+	for _, churn := range []float64{0, 8} {
+		w := assemble(t, Scenario{WorldConfig: WorldConfig{Seed: 1, Traffic: CBR, Aggregate: true},
+			Topo: "tree,depth=3,branch=8,rxleaf=2", Churn: churn, Duration: 100})
+		interval := w.Controller.Algorithm().Config().Interval
+		warm := 20 * interval
+		made := func() []int64 {
+			return []int64{report.AggregateArraysMade(), report.BatchArraysMade(), w.Aggregator.PendingArraysMade(),
+				report.SplitArraysMade(), receiver.LayerTablesMade(), w.Net.RingArraysMade()}
+		}
+		points := func() (n int) {
+			for _, trs := range w.Traces {
+				for _, tr := range trs {
+					n += len(tr.Points())
+				}
+			}
+			return n
+		}
+		w.Run(3 * interval)
+		early := made()
+		w.Engine.RunUntil(warm)
+		before, pts, traces := made(), points(), metrics.TraceArraysMade()
+		if churn == 0 {
+			copy(before[:payload], early)
+		}
+		merged, batches, joins := w.Aggregator.Merged, w.Aggregator.Batches, int64(0)
+		if w.Churn != nil {
+			joins = w.Churn.Joins
+		}
+		w.Engine.RunUntil(warm + 20*sim.Second)
+		after := made()
+		added, traceMade := points()-pts, metrics.TraceArraysMade()-traces
+		rings, ringsWarm := after[len(after)-1]-before[len(before)-1], before[len(before)-1]
+		t.Logf("churn %g: after the %v warm-up (%d ring arrays made) the next 20 s merged %d aggregates, split %d batches, "+
+			"made %d ring arrays, added %d trace points and made %d trace arrays",
+			churn, warm, ringsWarm, w.Aggregator.Merged-merged, w.Aggregator.Batches-batches, rings, added, traceMade)
+		if w.Aggregator.Merged == merged || w.Aggregator.Batches == batches {
+			t.Fatalf("churn %g: no aggregates merged or batches split after the warm-up — the pools were not exercised", churn)
+		}
+		if churn > 0 && w.Churn.Joins-joins < 500 {
+			t.Fatalf("churn %g: only %d joins after the warm-up — the layer pool was not exercised", churn, w.Churn.Joins-joins)
+		}
+		steady := len(names)
+		if churn > 0 {
+			steady-- // the rings, bounded below
+			if rings*10 >= ringsWarm {
+				t.Errorf("churn %g: the link ring pool made %d arrays after the warm-up, want fewer than a tenth of the %d before", churn, rings, ringsWarm)
+			}
+		}
+		for i, name := range names[:steady] {
+			from := warm
+			if churn == 0 && i < payload {
+				from = 3 * interval
+			}
+			if got := after[i] - before[i]; got != 0 {
+				t.Errorf("churn %g: the %s pool made %d arrays after %v, want 0", churn, name, got, from)
+			}
+		}
+		if traceMade >= int64(max(added, 1)) {
+			t.Errorf("churn %g: the trace pool made %d arrays for %d points, want fewer than the points", churn, traceMade, added)
+		}
+		w.Shutdown()
 	}
-	if got := report.AggregateArraysMade() - aggMade; got != 0 {
-		t.Errorf("aggregate entry pool made %d arrays after the warm-up, want 0", got)
-	}
-	if got := report.BatchArraysMade() - batchMade; got != 0 {
-		t.Errorf("suggestion batch entry pool made %d arrays after the warm-up, want 0", got)
-	}
-	w.Shutdown()
 }
 
 // TestShardAggregateDecisionEquivalence is the combined-flags acceptance:

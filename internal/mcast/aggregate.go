@@ -41,6 +41,9 @@ type Aggregator struct {
 	flush sim.Time
 
 	nodes []aggNode
+	// slots holds the nodes' pending arrays between uses: one grows into
+	// the class above and gives its old array back for the next node.
+	slots *sim.ArrayPool[pendingAgg]
 
 	// Stats (atomic adds; read them after the run, or via atomic loads).
 	Absorbed int64 // loss reports absorbed in-network
@@ -87,6 +90,10 @@ type aggNode struct {
 	split     report.Splitter
 }
 
+// PendingArraysMade returns how many arrays the nodes' pending lists have
+// made so far; once every node has seen its sessions it stops moving.
+func (a *Aggregator) PendingArraysMade() int64 { return a.slots.Made() }
+
 // NewAggregator installs an aggregation layer for the controller at ctrl on
 // every node of net (including nodes added later). flush <= 0 takes
 // DefaultFlushInterval. Install before Start-time traffic; one aggregator
@@ -95,7 +102,8 @@ func NewAggregator(net *netsim.Network, ctrl netsim.NodeID, flush sim.Time) *Agg
 	if flush <= 0 {
 		flush = DefaultFlushInterval
 	}
-	a := &Aggregator{net: net, ctrl: ctrl, flush: flush}
+	a := &Aggregator{net: net, ctrl: ctrl, flush: flush,
+		slots: sim.NewArrayPool(pendingAgg{session: junkNode})}
 	for _, n := range net.Nodes() {
 		a.install(n)
 	}
@@ -220,7 +228,7 @@ func (a *Aggregator) pending(id netsim.NodeID, session int) *report.Aggregate {
 			break
 		}
 	}
-	nd.pending = append(nd.pending, pendingAgg{})
+	nd.pending = append(a.slots.Grow(nd.pending, len(nd.pending)+1), pendingAgg{})
 	copy(nd.pending[i+1:], nd.pending[i:])
 	nd.pending[i] = pendingAgg{session: session, agg: report.NewAggregate(session, id)}
 	return nd.pending[i].agg

@@ -22,9 +22,24 @@ type Trace struct {
 	points []Point
 }
 
-// NewTrace starts a trace at level `initial` from time `start`.
+// pointArrays holds the arrays traces have outgrown, for the next trace to
+// grow into. Traces are kept for the life of their run, so only outgrown
+// arrays come back.
+var pointArrays = sim.NewArrayPool(Point{At: -1 << 62, Level: -1 << 40})
+
+// TraceArraysMade returns how many point arrays traces have made so far
+// across the process.
+func TraceArraysMade() int64 { return pointArrays.Made() }
+
+// NewTrace starts a trace at level `initial` from time `start`, with room
+// for its first change too: that one always adds a point (see Set).
 func NewTrace(start sim.Time, initial int) *Trace {
-	return &Trace{points: []Point{{At: start, Level: initial}}}
+	return &Trace{points: append(pointArrays.Get(2), Point{At: start, Level: initial})}
+}
+
+// add appends pt, growing the points through pointArrays.
+func (tr *Trace) add(pt Point) {
+	tr.points = append(pointArrays.Grow(tr.points, len(tr.points)+1), pt)
 }
 
 // Set records a level change at time at; time must be nondecreasing (the
@@ -41,7 +56,7 @@ func (tr *Trace) Set(at sim.Time, level int) {
 			// recorded change. Overwriting it would rewrite history (LevelAt
 			// before `at` would report the new level) and hide a real
 			// change, so record a zero-width step instead.
-			tr.points = append(tr.points, Point{At: at, Level: level})
+			tr.add(Point{At: at, Level: level})
 			return
 		}
 		// Same-instant change: overwrite rather than create a zero-width
@@ -53,7 +68,7 @@ func (tr *Trace) Set(at sim.Time, level int) {
 		}
 		return
 	}
-	tr.points = append(tr.points, Point{At: at, Level: level})
+	tr.add(Point{At: at, Level: level})
 }
 
 // LevelAt returns the level in effect at time at (the trace's initial level

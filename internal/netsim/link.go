@@ -333,7 +333,7 @@ func (l *Link) Send(p *Packet) {
 	l.stats.Enqueued++
 	p.ref()
 	l.noteEnqueue(p)
-	l.queue.push(p)
+	l.queue.push(p, l.net.rings)
 	qlen := l.QueueLen()
 	if qlen == 1 {
 		l.drainEv = l.sched.At(l.freeAt, (*linkDrain)(l))
@@ -358,10 +358,10 @@ func (l *Link) transmit(p *Packet, now sim.Time) {
 	l.stats.TxBytes += int64(p.Size)
 	if l.mu != nil {
 		l.mu.Lock()
-		l.inflight.push(p)
+		l.inflight.push(p, l.net.rings)
 		l.mu.Unlock()
 	} else {
-		l.inflight.push(p)
+		l.inflight.push(p, l.net.rings)
 	}
 	l.dsched.After(tx+l.Delay, (*linkDeliver)(l))
 }
@@ -432,22 +432,32 @@ func (l *Link) orphanDueNow() bool {
 // reused in place and doubles only when every slot is occupied, so its
 // capacity is bounded by the most packets it ever held at once. A ring may
 // start on an array its owner holds (a link's pipe); the first doubling
-// moves it to the heap.
+// moves it onto an array from the network's ring pool, and every later one
+// gives the outgrown array back to that pool. Pool arrays have at least
+// minRing slots, so a shorter one is its owner's and is never filed.
 type pktRing struct {
 	buf  []*Packet
 	head int32 // slot of the oldest packet
 	n    int32 // packets held
 }
 
+// minRing is the smallest array a ring takes from the pool.
+const minRing = 4
+
 // at returns the slot of the i-th oldest packet.
 func (r *pktRing) at(i int) **Packet { return &r.buf[(int(r.head)+i)&(len(r.buf)-1)] }
 
-func (r *pktRing) push(p *Packet) {
+// push appends p, growing the ring from pool when it is full.
+func (r *pktRing) push(p *Packet, pool *sim.ArrayPool[*Packet]) {
 	if int(r.n) == len(r.buf) {
 		// Full (or never used): unwrap into an array twice the size.
-		buf := make([]*Packet, max(4, 2*len(r.buf)))
+		c := max(minRing, 2*len(r.buf))
+		buf := pool.Get(c)[:c]
 		k := copy(buf, r.buf[r.head:])
 		copy(buf[k:], r.buf[:r.head])
+		if len(r.buf) >= minRing {
+			pool.Put(r.buf)
+		}
 		r.buf, r.head = buf, 0
 	}
 	*r.at(int(r.n)) = p

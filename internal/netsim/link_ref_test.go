@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"toposense/internal/sim"
 )
@@ -347,12 +348,15 @@ func runLinkScript(t *testing.T, data []byte) *Link {
 	endInstant()
 
 	// Real link, same filtered schedule, pooled packets so the reference
-	// counts are exercised too.
+	// counts are exercised too. Its twin in the other direction runs the
+	// same schedule on packets of its own, so the two links grow their
+	// rings from one pool and take up each other's outgrown arrays.
 	e := sim.NewEngine(1)
 	net := New(e)
 	a, b := net.AddNode("a"), net.AddNode("b")
-	l := net.ConnectAsym(a, b, LinkConfig{Bandwidth: sc.bandwidth, Delay: sc.delay, Policy: sc.policy})
-	l.QueueLimit = sc.queueLimit
+	cfg := LinkConfig{Bandwidth: sc.bandwidth, Delay: sc.delay, Policy: sc.policy}
+	l, twin := net.ConnectAsym(a, b, cfg), net.ConnectAsym(b, a, cfg)
+	l.QueueLimit, twin.QueueLimit = sc.queueLimit, sc.queueLimit
 	log := map[int64][]probeEvent{}
 	l.Attach(&FuncProbe{
 		OnEnqueue: func(l *Link, p *Packet) { log[p.Seq] = append(log[p.Seq], probeEvent{probeEnqueue, l.NowTx()}) },
@@ -371,20 +375,28 @@ func runLinkScript(t *testing.T, data []byte) *Link {
 		e.At(op.at, sim.Func(func() {
 			switch op.kind {
 			case opSend:
-				p := net.NewPacket()
-				p.Kind, p.Src, p.Dst, p.Group = Data, a.ID, b.ID, NoGroup
-				p.Size, p.Layer, p.Seq = op.size, op.layer, id
-				l.Send(p)
-				p.Release()
+				for _, k := range [...]*Link{l, twin} {
+					p := net.NewPacket()
+					p.Kind, p.Src, p.Dst, p.Group = Data, k.From, k.To, NoGroup
+					p.Size, p.Layer, p.Seq = op.size, op.layer, id
+					k.Send(p)
+					p.Release()
+				}
 			case opDown:
 				before := l.Stats().Dropped
 				l.SetDown()
+				twin.SetDown()
 				led.discarded += l.Stats().Dropped - before
 			case opUp:
 				l.SetUp()
+				twin.SetUp()
 			case opResetStats:
 				led.reset(state())
 				l.ResetStats()
+				twin.ResetStats()
+			}
+			if err := ringsApart(net, l, twin); err != nil {
+				t.Fatalf("%s: after op %d at %v: %v", desc, id, op.at, err)
 			}
 		}))
 	}
@@ -393,6 +405,12 @@ func runLinkScript(t *testing.T, data []byte) *Link {
 		got := state()
 		if got != s.st {
 			t.Fatalf("%s: end of instant %v:\n link %+v\n  ref %+v", desc, s.at, got, s.st)
+		}
+		if tw := (linkState{stats: twin.Stats(), queueLen: twin.QueueLen(), serializing: twin.Busy()}); tw != got {
+			t.Fatalf("%s: end of instant %v: twin %+v, link %+v", desc, s.at, tw, got)
+		}
+		if err := ringsApart(net, l, twin); err != nil {
+			t.Fatalf("%s: end of instant %v: %v", desc, s.at, err)
 		}
 		if err := led.check(got); err != nil {
 			t.Fatalf("%s: link at %v: %v", desc, s.at, err)
@@ -414,6 +432,70 @@ func runLinkScript(t *testing.T, data []byte) *Link {
 		t.Fatalf("%s: %d of %d pooled packets came back", desc, free, allocs)
 	}
 	return l
+}
+
+// ringsApart checks the memory behind the links' packet rings: a ring is on
+// its own link's two inline slots, on nothing, or on a pool array of at
+// least minRing slots; no two rings share a slot; and the array the pool
+// would hand out next in every class a ring could ask for (taken and given
+// straight back) holds no slot of a live ring or of a link's inline pair.
+func ringsApart(net *Network, links ...*Link) error {
+	type span struct {
+		link   int    // index into links; -1 for the pool's array
+		what   string // "inline slots", "queue ring", ...
+		lo, hi uintptr
+	}
+	const word = unsafe.Sizeof((*Packet)(nil))
+	name := func(sp span) string {
+		if sp.link < 0 {
+			return fmt.Sprintf("the pool's next %d-slot array", (sp.hi-sp.lo)/word)
+		}
+		return fmt.Sprintf("link %d's %s", sp.link, sp.what)
+	}
+	spanOf := func(link int, what string, a []*Packet) span {
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(a)))
+		return span{link, what, lo, lo + uintptr(cap(a))*word}
+	}
+	var live []span
+	top := minRing
+	for i, l := range links {
+		pipe := spanOf(i, "inline slots", l.pipe[:])
+		live = append(live, pipe)
+		for _, r := range [...]struct {
+			what string
+			ring *pktRing
+		}{{"queue ring", &l.queue}, {"pipeline ring", &l.inflight}} {
+			sp, n := spanOf(i, r.what, r.ring.buf), len(r.ring.buf)
+			switch {
+			case n == 0:
+				continue
+			case sp.lo == pipe.lo && n == len(l.pipe):
+				continue // on its own inline slots, counted above
+			case n < minRing || n&(n-1) != 0:
+				return fmt.Errorf("%s has %d slots, not a power of two from %d", name(sp), n, minRing)
+			}
+			top = max(top, n)
+			live = append(live, sp)
+		}
+	}
+	for i := range live {
+		for j := range i {
+			if live[i].lo < live[j].hi && live[j].lo < live[i].hi {
+				return fmt.Errorf("%s overlaps %s", name(live[i]), name(live[j]))
+			}
+		}
+	}
+	for c := 2; c <= 2*top; c *= 2 {
+		a := net.rings.Get(c)
+		next := spanOf(-1, "", a)
+		net.rings.Put(a)
+		for _, sp := range live {
+			if next.lo < sp.hi && sp.lo < next.hi {
+				return fmt.Errorf("%s overlaps %s", name(next), name(sp))
+			}
+		}
+	}
+	return nil
 }
 
 // saturationScript is the long-saturation script family: a full-length

@@ -20,6 +20,7 @@ func TestPktRing(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var r pktRing
+		pool := sim.NewArrayPool(junkPacket)
 		var model []*Packet
 		peak, grewWrapped := 0, false
 		for op := 0; op < 2000; op++ {
@@ -30,7 +31,7 @@ func TestPktRing(t *testing.T) {
 						grewWrapped = true
 					}
 					p := &Packet{Seq: int64(op)}
-					r.push(p)
+					r.push(p, pool)
 					model = append(model, p)
 				}
 			case k < 9:

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"toposense/internal/sim"
 )
@@ -56,17 +57,34 @@ type Network struct {
 	probes []Probe
 
 	// pktFree is the packet free list backing NewPacket; single-threaded
-	// like everything else bound to the engine, so no sync.
+	// like everything else bound to the engine, so no sync. An empty list
+	// hands out pktCarve, the rest of the last chunk of pktChunk packets
+	// made in one allocation.
 	pktFree   []*Packet
+	pktCarve  []Packet
 	pktAllocs uint64
+
+	// rings holds the arrays of the links' queue and pipeline rings
+	// (pktRing) between uses.
+	rings *sim.ArrayPool[*Packet]
 }
+
+// pktChunk is how many packets NewPacket makes in one allocation: as many
+// as fill an 8 KB size class (73 of 112 bytes), which a round 64 would
+// leave a seventh empty.
+const pktChunk = 8 << 10 / int(unsafe.Sizeof(Packet{}))
+
+// junkPacket fills the ring arrays given back to the pool while sim.Poison
+// is set: its nodes lie far outside any network, so a ring still reading an
+// array it gave back panics at the first lookup.
+var junkPacket = &Packet{Src: -1 << 40, Dst: -1 << 40, Group: -1 << 40, Size: -1 << 40}
 
 // New creates an empty network on the given scheduler. Passing the plain
 // *sim.Engine keeps the fully deterministic single-threaded semantics;
 // passing a *sim.ShardedEngine and later calling Partition runs the model
 // as a conservative parallel simulation.
 func New(engine sim.Scheduler) *Network {
-	return &Network{engine: engine}
+	return &Network{engine: engine, rings: sim.NewArrayPool(junkPacket)}
 }
 
 // Engine returns the scheduler the network was built on. On a partitioned
@@ -190,31 +208,41 @@ func (n *Network) Partition(se *sim.ShardedEngine, domains []int) {
 // the network, including links created later.
 func (n *Network) AttachProbe(p Probe) { n.probes = append(n.probes, p) }
 
-// NewPacket takes a zeroed packet from the network's pool (or allocates one
-// the first time through), holding one reference for the caller. Fill in
-// the fields, hand it to Send/SendUnicast/SendMulticastLocal, then call
-// Release; the struct is recycled once every link that accepted it has
-// delivered or dropped it.
+// NewPacket takes a zeroed packet from the network's pool (or, the first
+// time through, from the chunk the pool carves new ones from), holding one
+// reference for the caller. Fill in the fields, hand it to
+// Send/SendUnicast/SendMulticastLocal, then call Release; the struct is
+// recycled once every link that accepted it has delivered or dropped it.
 func (n *Network) NewPacket() *Packet {
 	if n.se != nil {
 		n.poolMu.Lock()
 		defer n.poolMu.Unlock()
 	}
+	var p *Packet
 	if k := len(n.pktFree); k > 0 {
-		p := n.pktFree[k-1]
+		p = n.pktFree[k-1]
 		n.pktFree[k-1] = nil
 		n.pktFree = n.pktFree[:k-1]
-		p.pool = n
-		p.refs = 1
-		return p
+	} else {
+		if len(n.pktCarve) == 0 {
+			n.pktCarve = make([]Packet, pktChunk)
+		}
+		p = &n.pktCarve[0]
+		n.pktCarve = n.pktCarve[1:]
+		n.pktAllocs++
 	}
-	n.pktAllocs++
-	return &Packet{pool: n, refs: 1}
+	p.pool = n
+	p.refs = 1
+	return p
 }
 
-// PacketAllocs returns how many packet structs the pool has ever allocated;
-// in steady state this stops growing.
+// PacketAllocs returns how many packet structs the pool has ever handed out
+// new; in steady state this stops growing.
 func (n *Network) PacketAllocs() uint64 { return n.pktAllocs }
+
+// RingArraysMade returns how many arrays the links' packet rings have made
+// so far; once every link has held its most packets it stops moving.
+func (n *Network) RingArraysMade() int64 { return n.rings.Made() }
 
 // PacketsLive returns how many pooled packets are out of the free list:
 // referenced by a producer or a link. It is zero once every agent has

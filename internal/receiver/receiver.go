@@ -9,6 +9,8 @@ package receiver
 
 import (
 	"fmt"
+	"math"
+	"sync"
 
 	"toposense/internal/mcast"
 	"toposense/internal/netsim"
@@ -61,6 +63,57 @@ type layerState struct {
 	debt     int64  // <= 0: over-receipt carried across interval boundaries
 }
 
+// layerTables holds the layer tables of stopped receivers for the next
+// ones, one free list per table length (a receiver's MaxLayers): exact
+// lengths, because an ArrayPool's power-of-two classes would give six
+// layers eight slots, a megabyte more on a 10⁴-receiver world. Shards start
+// and stop receivers concurrently, hence the lock.
+var layerTables = struct {
+	mu   sync.Mutex
+	free map[int][][]layerState
+	made int64
+}{free: map[int][][]layerState{}}
+
+// junkLayer fills a table given back while sim.Poison is set: joined and
+// far past every sequence number, so a receiver still reading its table
+// after Stop counts each packet as a duplicate.
+var junkLayer = layerState{joined: true, haveSeq: true, lastSeq: math.MaxInt64}
+
+// takeLayerTable returns a zeroed table of n layers.
+func takeLayerTable(n int) []layerState {
+	layerTables.mu.Lock()
+	defer layerTables.mu.Unlock()
+	if free := layerTables.free[n]; len(free) > 0 {
+		t := free[len(free)-1]
+		layerTables.free[n] = free[:len(free)-1]
+		clear(t)
+		return t
+	}
+	layerTables.made++
+	return make([]layerState, n)
+}
+
+// giveLayerTable files t, which nobody holds any more.
+func giveLayerTable(t []layerState) {
+	if sim.Poison {
+		for i := range t {
+			t[i] = junkLayer
+		}
+	}
+	layerTables.mu.Lock()
+	layerTables.free[len(t)] = append(layerTables.free[len(t)], t)
+	layerTables.mu.Unlock()
+}
+
+// LayerTablesMade returns how many layer tables receivers have made so far
+// across the process; under churn it stops moving once as many receivers
+// have stopped as are live at once.
+func LayerTablesMade() int64 {
+	layerTables.mu.Lock()
+	defer layerTables.mu.Unlock()
+	return layerTables.made
+}
+
 // Receiver is the receiver agent. It implements mcast.Member for data and
 // netsim.Agent for control packets.
 type Receiver struct {
@@ -69,8 +122,9 @@ type Receiver struct {
 	domain *mcast.Domain
 	node   *netsim.Node
 
-	level  int
-	layers []layerState // index 0 = layer 1
+	level int
+	// layers is index 0 = layer 1, from layerTables; nil once stopped.
+	layers []layerState
 
 	lastSuggestion sim.Time
 	// timer is the one pending report-timer event, whose Action is the
@@ -120,7 +174,7 @@ func New(net *netsim.Network, domain *mcast.Domain, node *netsim.Node, cfg Confi
 		net:    net,
 		domain: domain,
 		node:   node,
-		layers: make([]layerState, cfg.MaxLayers),
+		layers: takeLayerTable(cfg.MaxLayers),
 	}
 	node.AttachAgent(r)
 	return r
@@ -193,7 +247,8 @@ func (k *reportTimer) Fire() {
 // (they may still be in flight, or keep coming until the controller
 // notices the silence); it cannot be restarted. A Stop during the start
 // offset leaves the offset event to fire and return; a later one cancels
-// the pending tick.
+// the pending tick. The layer table goes back to its pool, so multicast
+// packets still in flight to a stopped receiver find no layer.
 func (r *Receiver) Stop() {
 	r.stopped = true
 	r.node.DetachAgent(r)
@@ -202,6 +257,10 @@ func (r *Receiver) Stop() {
 		r.ticking = false
 	}
 	r.setLevel(0)
+	if r.layers != nil {
+		giveLayerTable(r.layers)
+		r.layers = nil
+	}
 }
 
 // Depart is the full teardown: leave every subscribed layer group (Stop)

@@ -2,6 +2,7 @@ package receiver
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"toposense/internal/mcast"
@@ -442,4 +443,96 @@ func TestDepartedIncarnationsLeaveTheirNode(t *testing.T) {
 	if len(r.ctrl.registers) != 26 || len(r.ctrl.deregisters) != 25 {
 		t.Errorf("controller heard %d registers and %d deregisters, want 26 and 25", len(r.ctrl.registers), len(r.ctrl.deregisters))
 	}
+}
+
+// TestLateTrafficAfterDepart: Depart gives the layer table back to the
+// pool, so multicast packets still in flight to the departed receiver (its
+// groups forward until the leave latency runs out) and a second Stop must
+// change no counter and read nothing from the table, which the pool may
+// already have handed to the next incarnation. In test binaries a table
+// given back reads as joined and far past every sequence number, so a
+// receiver still reading it counts every late packet as a duplicate.
+func TestLateTrafficAfterDepart(t *testing.T) {
+	r := newRig(t, 10e6, Config{InitialLevel: 3})
+	r.src.Start()
+	r.rx.Start()
+	r.e.RunUntil(2 * sim.Second)
+	r.rx.Depart()
+	counters := func() [6]float64 {
+		rx := r.rx
+		return [6]float64{float64(rx.ReportsSent), float64(rx.SuggestionsRecv), float64(rx.UnilateralDrops),
+			float64(rx.Reordered), float64(rx.Duplicates), rx.LastLoss}
+	}
+	at := counters()
+	for layer := 1; layer <= 6; layer++ {
+		r.rx.RecvMulticast(&netsim.Packet{Session: 0, Layer: layer, Seq: 1 << 20, Size: 500, Group: r.d.GroupOf(0, layer)})
+	}
+	r.e.RunUntil(r.e.Now() + 500*sim.Millisecond) // past the leave latency
+	r.rx.Stop()
+	if got := counters(); got != at {
+		t.Errorf("counters after Depart moved from %v to %v", at, got)
+	}
+	if r.rx.layers != nil || r.rx.Level() != 0 {
+		t.Errorf("departed receiver holds a %d-layer table at level %d", len(r.rx.layers), r.rx.Level())
+	}
+	// The second Stop gave nothing back a second time: two tables taken now
+	// are two tables.
+	a, b := takeLayerTable(6), takeLayerTable(6)
+	if &a[0] == &b[0] {
+		t.Error("the pool handed out one layer table twice: Stop gave it back twice")
+	}
+	giveLayerTable(a)
+	giveLayerTable(b)
+}
+
+// TestLayerTablesByLength: a stopped receiver's table comes back at its own
+// length even when receivers of other MaxLayers share the process (worlds of
+// 6, 9 and 12 layers run side by side in one sweep): a table of another
+// length filed later neither hides it nor forces a new one.
+func TestLayerTablesByLength(t *testing.T) {
+	six, nine := takeLayerTable(6), takeLayerTable(9)
+	giveLayerTable(six)
+	giveLayerTable(nine)
+	made := LayerTablesMade()
+	a := takeLayerTable(6)
+	b := takeLayerTable(9)
+	if got := LayerTablesMade() - made; got != 0 {
+		t.Errorf("taking a 6- and a 9-layer table back made %d new tables, want 0", got)
+	}
+	if len(a) != 6 || len(b) != 9 || &a[0] != &six[0] || &b[0] != &nine[0] {
+		t.Errorf("got tables of %d and %d layers, not the 6- and 9-layer tables given back", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != (layerState{}) {
+			t.Fatalf("layer %d of a table taken back is %+v, want zeroed", i+1, a[i])
+		}
+	}
+	giveLayerTable(a)
+	giveLayerTable(b)
+}
+
+// TestLayerTablesConcurrent: shards start and stop receivers at once, so
+// the free lists are taken from and given to by several goroutines; each
+// table handed out must be zeroed and held by one taker only (run it under
+// -race).
+func TestLayerTablesConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(n int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				tab := takeLayerTable(n)
+				for j := range tab {
+					if tab[j] != (layerState{}) {
+						t.Errorf("a %d-layer table taken while others give back has layer %d at %+v", n, j+1, tab[j])
+						return
+					}
+					tab[j].received = int64(i + 1)
+				}
+				giveLayerTable(tab)
+			}
+		}(6 + 3*(g%2))
+	}
+	wg.Wait()
 }

@@ -281,7 +281,8 @@ func (b *SuggestionBatch) String() string {
 // Splitter is the downward fan-out of suggestion entries, shared by the
 // controller (its pass's list) and every aggregating hop (an arriving
 // batch): one pooled SuggestionBatch per next hop. Its zero value is ready;
-// it keeps its group scratch between calls, so a warm one allocates nothing.
+// it keeps its group scratch between calls, so a warm one allocates nothing,
+// and grows it through hopArrays.
 type Splitter struct {
 	groups []hopBatch
 }
@@ -316,7 +317,7 @@ func (s *Splitter) Split(net *netsim.Network, from netsim.NodeID, entries []SugE
 			}
 		}
 		if g == nil {
-			groups = append(groups, hopBatch{next: next, batch: NewSuggestionBatch()})
+			groups = append(hopArrays.Grow(groups, len(groups)+1), hopBatch{next: next, batch: NewSuggestionBatch()})
 			g = &groups[len(groups)-1]
 			g.batch.Sent = sent
 		}

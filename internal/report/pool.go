@@ -21,6 +21,8 @@ var (
 		Node: junkNode, Level: junkNode, Reports: math.MinInt32, LossSum: math.NaN(), Bytes: junkNode,
 	})
 	sugArrays = sim.NewArrayPool(SugEntry{Node: junkNode, Session: junkNode, Level: junkNode})
+	// hopArrays holds the group scratch Splitters have outgrown.
+	hopArrays = sim.NewArrayPool(hopBatch{next: junkNode})
 )
 
 // AggregateArraysMade returns how many entry arrays the Aggregate pool has
@@ -30,3 +32,6 @@ func AggregateArraysMade() int64 { return aggArrays.Made() }
 
 // BatchArraysMade is AggregateArraysMade for SuggestionBatch entries.
 func BatchArraysMade() int64 { return sugArrays.Made() }
+
+// SplitArraysMade is AggregateArraysMade for the Splitters' group scratch.
+func SplitArraysMade() int64 { return hopArrays.Made() }

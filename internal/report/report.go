@@ -162,11 +162,15 @@ func (b *body) Poison() {
 	b.dereg = Deregister{Node: junk, Session: junk}
 }
 
-// bodyOf returns p's storage, allocated the first time p carries a payload.
+// bodies carves side-cars a chunk at a time. A side-car stays with its
+// packet for good, so none is ever put back.
+var bodies sim.FreeList[body]
+
+// bodyOf returns p's storage, taken the first time p carries a payload.
 func bodyOf(p *netsim.Packet) *body {
 	b, _ := p.Sidecar().(*body)
 	if b == nil {
-		b = new(body)
+		b = bodies.Get()
 		p.SetSidecar(b)
 	}
 	return b

@@ -6,6 +6,8 @@
 #   scripts/benchdiff.sh compare OLD NEW     diff two captures
 #   scripts/benchdiff.sh obs-gate            fail if any obs benchmark allocates
 #   scripts/benchdiff.sh fanin-gate          fail if a control-plane hot path allocates
+#   scripts/benchdiff.sh alloc-ceiling       fail if a workload's run phase allocates
+#                                            10 % above DESIGN.md's ledger
 #
 # Capture before and after a change, then compare:
 #   scripts/benchdiff.sh capture base
@@ -24,7 +26,7 @@ BENCH_DIR=${BENCH_DIR:-bench}
 COUNT=${COUNT:-5}
 
 usage() {
-	sed -n '2,15p' "$0" | sed 's/^# \{0,1\}//'
+	sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//'
 	exit 2
 }
 
@@ -110,6 +112,36 @@ $(go test -run '^$' -bench 'BenchmarkSnapshotWalk' -benchmem -benchtime 20x ./in
 		exit 1
 	fi
 	echo "fanin-gate OK: every control-plane hot-path benchmark within its allocation budget" >&2
+	;;
+alloc-ceiling)
+	# The run phase's allocation contract end to end, where the gates above
+	# time one path at a time: each benchmark workload's run-phase
+	# allocation total under scripts/hotallocs.sh (which moves by a few
+	# from run to run) against its figure in DESIGN.md §5's run-phase
+	# ledger, with 10 % headroom. A change that moves a ledger figure on purpose updates
+	# the figure here with it.
+	[ $# -eq 0 ] || usage
+	out=$(TOP=5 scripts/hotallocs.sh)
+	echo "$out"
+	bad=$(echo "$out" | awk '
+		/^== / { w = $2; sub(/:$/, "", w) }
+		/run-phase allocations:/ {
+			seen++
+			n = $NF
+			if (w == "paperB16-vbr") c = 759
+			else if (w == "tree1k-agg") c = 1290
+			else if (w == "tree10k-flat") c = 1131
+			else if (w == "tree1k-churn") c = 14260
+			else { print "  " w ": no ceiling"; next }
+			if (n > c * 1.1) print "  " w ": " n " run-phase allocations, ledger " c ", at most " int(c * 1.1) " allowed"
+		}
+		END { if (seen != 4) print "  " seen + 0 " of 4 workloads measured" }')
+	if [ -n "$bad" ]; then
+		echo "alloc-ceiling FAILED: run-phase allocations above the ledger:" >&2
+		echo "$bad" >&2
+		exit 1
+	fi
+	echo "alloc-ceiling OK: every workload's run phase within 10 % of its ledger figure" >&2
 	;;
 *)
 	usage

@@ -16,11 +16,26 @@
 # snapshot it records, so it lands in the final profile: every count here
 # drops the samples under prof.WriteHeap. The profiles stay in
 # $BENCH_DIR/hotallocs/ for `go tool pprof -diff_base` proper (add
-# -ignore='prof\.WriteHeap' there too). Recording every allocation makes a run
-# several times slower. The profile counts the tiny allocator's 16-byte
-# blocks, not the pointer-free objects under 16 bytes packed into them, so
-# a site that makes many of those reads low against
-# runtime.MemStats.Mallocs (which allocs_per_pkt_hop counts).
+# -ignore='prof\.WriteHeap' -focus='^toposense/' there too). Recording
+# every allocation makes a run several times slower. The profile counts
+# the tiny allocator's 16-byte blocks, not the pointer-free objects under
+# 16 bytes packed into them, so a site that makes many of those reads low
+# against runtime.MemStats.Mallocs (which allocs_per_pkt_hop counts).
+#
+# Two runtime mechanisms would move the totals by a few allocations from
+# run to run, and both are shut out:
+#   - Whether a tiny allocation opens a new 16-byte block (the profile
+#     counts blocks) depends on which P's block it lands in and on when a
+#     GC cycle resets the blocks: toposim runs under GOMAXPROCS=1 and
+#     GOGC=off (a workload allocates under 100 MB in all).
+#   - The runtime's own goroutines allocate (runtime.acquireSudog and the
+#     like, stacks with no program frame): -focus keeps only samples with a
+#     toposense/ frame.
+# A third is not: an assertion to an interface type builds a per-call-site
+# cache at random calls (runtime.typeAssert), and the heap profile drops
+# the runtime frames above the asserting line, so no filter can tell those
+# samples apart. They move a total by up to about 5 (DESIGN.md §5 names
+# the lines).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -28,7 +43,7 @@ cd "$(dirname "$0")/.."
 out=${BENCH_DIR:-bench}/hotallocs
 top=${TOP:-15}
 focus=${FOCUS:-'core\.\(\*Algorithm\)\.Step$|controller\.\(\*Controller\)\.step$'}
-pp="go tool pprof -sample_index=alloc_objects -ignore=prof\.WriteHeap"
+pp="go tool pprof -sample_index=alloc_objects -ignore=prof\.WriteHeap -focus=^toposense/"
 mkdir -p "$out"
 go build -o "$out/toposim" ./cmd/toposim
 
@@ -41,7 +56,7 @@ total() { $pp -top -nodecount=1000000 -nodefraction=0 "$out/toposim" "$1" 2>/dev
 for w in "$@"; do
 	args=$(spec "$w")
 	# shellcheck disable=SC2086 # the spec is a flag list
-	"$out/toposim" $args -memprofile "$out/$w.pprof" | grep '^run:' | sed "s/^run:/== $w:/"
+	GOMAXPROCS=1 GOGC=off "$out/toposim" $args -memprofile "$out/$w.pprof" | grep '^run:' | sed "s/^run:/== $w:/"
 	echo "  run-phase allocations: $(($(total "$out/$w.pprof") - $(total "$out/$w.pprof.start")))"
 	# Diff mode states percentages of the base profile's total: keep counts.
 	$pp -diff_base "$out/$w.pprof.start" -top -nodecount="$top" "$out/toposim" "$out/$w.pprof" 2>/dev/null |

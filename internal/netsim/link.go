@@ -50,8 +50,10 @@ func (s LinkStats) DropRate() float64 {
 //
 // A packet offered to an idle transmitter costs one scheduler event: transmit
 // books the whole hop — serialization until freeAt, then the propagation
-// delay — and schedules the delivery at once. Only a packet that has to wait
-// behind a busy transmitter adds a second event, the drain that starts it.
+// delay — and posts the delivery at once (sim.Scheduler.Post), so the
+// deliveries a router's links post for one instant, one after another, share
+// one queue slot. Only a packet that has to wait behind a busy transmitter
+// adds a second event, the drain that starts it.
 //
 // The forwarding hot path is allocation-free: the drain and delivery events'
 // Actions are the link itself (linkDrain, linkDeliver), the waiting queue
@@ -345,9 +347,11 @@ func (l *Link) Send(p *Packet) {
 
 // transmit starts serializing p at now (the transmitter is idle) and books
 // the rest of the hop: the link is busy until freeAt, and the delivery fires
-// one propagation delay after that. The delivery event takes its tie-break
-// sequence here, when serialization starts. A packet the size of the last
-// one reuses its serialization time; only a new size pays TransmitTime.
+// one propagation delay after that. The delivery takes its tie-break
+// sequence here, when serialization starts, and is posted: nothing cancels
+// it (an outage orphans it instead, see deliverHead). A packet the size of
+// the last one reuses its serialization time; only a new size pays
+// TransmitTime.
 func (l *Link) transmit(p *Packet, now sim.Time) {
 	if p.Size != l.txSize {
 		l.txSize, l.txTime = p.Size, sim.TransmitTime(p.Size, l.bandwidth)
@@ -363,7 +367,7 @@ func (l *Link) transmit(p *Packet, now sim.Time) {
 	} else {
 		l.inflight.push(p, l.net.rings)
 	}
-	l.dsched.After(tx+l.Delay, (*linkDeliver)(l))
+	l.dsched.Post(tx+l.Delay, (*linkDeliver)(l))
 }
 
 // linkDrain is a link's drain event: it fires at freeAt while packets wait.

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -268,11 +269,48 @@ func (g *ledger) check(st linkState) error {
 	return nil
 }
 
-// runLinkScript drives the reference link and the real Link, each on its own
-// engine, through the same schedule and requires identical per-packet probe
-// times and — at the end of every instant at which the reference fires an
-// event — identical Stats(), QueueLen and serializing state, plus packet
-// conservation on both.
+// fanOut is the set of links runLinkScript's sender fans every packet onto.
+// Link 0 is the script's own link; link 1 is its twin, so while both are
+// idle their deliveries fall on one instant, one after the other, and share
+// a queue slot (sim.Engine.Post); link 2's propagation delay is longer, so
+// its deliveries land on other instants and cut the slot short; link 3
+// serializes at a quarter of the rate, so it is busy while the others are
+// idle and its queue and drain events come between their posts.
+const fanOut = 4
+
+func (sc linkScript) fanConfig(i int) (bandwidth float64, delay sim.Time) {
+	switch i {
+	case 2:
+		return sc.bandwidth, sc.delay + sim.TransmitTime(250, sc.bandwidth) + 1
+	case 3:
+		return sc.bandwidth / 4, sc.delay
+	}
+	return sc.bandwidth, sc.delay
+}
+
+// outage says which fan-out links a SetDown or SetUp operation takes down or
+// brings up: all of them, link 1 alone (one whose delivery shares link 0's
+// slot), or links 0 and 2.
+func (op linkOp) outage(i int) bool {
+	switch op.layer % 3 {
+	case 1:
+		return i == 1
+	case 2:
+		return i == 0 || i == 2
+	}
+	return true
+}
+
+// runLinkScript drives reference links and real Links through the same
+// schedule: a sender fans each packet out onto fanOut links at one instant,
+// each link with a refLink of its own. It requires identical per-packet
+// probe times on every link and — at the end of every instant at which the
+// reference fires an event — identical Stats(), QueueLen and serializing
+// state, plus packet conservation on both. The real links run twice: once
+// on an Engine, where their deliveries share queue slots, and once on one
+// whose posts never do; the order of every delivery, across links too, must
+// be the same in both, and no orphaned delivery may be left over in either.
+// It reports on the first.
 //
 // One kind of instant is kept out of the schedule, because there the two
 // links are allowed to differ: an operation in the very microsecond a
@@ -280,158 +318,257 @@ func (g *ledger) check(st linkState) error {
 // or the operation holds the earlier sequence number; the real link has a
 // rule instead (empty queue and now >= freeAt means idle), which
 // TestLinkIdleRule pins. The reference run decides which operations those
-// are (op.skip); the real link then runs the same filtered schedule.
-func runLinkScript(t *testing.T, data []byte) *Link {
+// are (op.skip); the real links then run the same filtered schedule.
+func runLinkScript(t *testing.T, data []byte) fanReport {
 	t.Helper()
 	sc, ok := parseLinkScript(data)
 	if !ok {
-		return nil
+		return fanReport{}
 	}
 	desc := fmt.Sprintf("bw %.0f delay %v qlimit %d policy %d", sc.bandwidth, sc.delay, sc.queueLimit, sc.policy)
 
 	// Reference run: filters the schedule and snapshots the end of every
 	// instant.
 	re := sim.NewEngine(1)
-	ref := &refLink{e: re, bandwidth: sc.bandwidth, delay: sc.delay, queueLimit: sc.queueLimit, policy: sc.policy}
-	refLog := map[int64][]probeEvent{}
-	ref.note = func(k probeKind, p *Packet) { refLog[p.Seq] = append(refLog[p.Seq], probeEvent{k, re.Now()}) }
-	refState := func() linkState {
-		return linkState{stats: ref.stats, queueLen: len(ref.queue), serializing: ref.txp != nil}
-	}
-	type snap struct {
-		at sim.Time
-		st linkState
-	}
 	var (
-		snaps  []snap
-		refLed ledger
-		last   sim.Time
+		refs   [fanOut]*refLink
+		refLog [fanOut]map[int64][]probeEvent
+		refLed [fanOut]ledger
 	)
-	endInstant := func() {
-		st := refState()
-		if err := refLed.check(st); err != nil {
-			t.Fatalf("%s: reference at %v: %v", desc, last, err)
-		}
-		snaps = append(snaps, snap{last, st})
+	var (
+		snaps []fanSnap
+		last  sim.Time
+	)
+	refState := func(i int) linkState {
+		r := refs[i]
+		return linkState{stats: r.stats, queueLen: len(r.queue), serializing: r.txp != nil}
 	}
-	ref.tick = func() {
+	endInstant := func() {
+		sn := fanSnap{at: last}
+		for i := range refs {
+			sn.st[i] = refState(i)
+			if err := refLed[i].check(sn.st[i]); err != nil {
+				t.Fatalf("%s: reference link %d at %v: %v", desc, i, last, err)
+			}
+		}
+		snaps = append(snaps, sn)
+	}
+	tick := func() {
 		if now := re.Now(); now != last {
 			endInstant()
 			last = now
 		}
 	}
+	for i := range refs {
+		bw, delay := sc.fanConfig(i)
+		refs[i] = &refLink{e: re, bandwidth: bw, delay: delay, queueLimit: sc.queueLimit, policy: sc.policy, tick: tick}
+		log := map[int64][]probeEvent{}
+		refLog[i] = log
+		refs[i].note = func(k probeKind, p *Packet) { log[p.Seq] = append(log[p.Seq], probeEvent{k, re.Now()}) }
+	}
 	for i := range sc.ops {
 		op := &sc.ops[i]
 		id := int64(i)
 		re.At(op.at, sim.Func(func() {
-			ref.tick()
-			if ref.busy && ref.txEnd == re.Now() {
-				op.skip = true // a serialization ends this very microsecond
-				return
+			tick()
+			for _, r := range refs {
+				if r.busy && r.txEnd == re.Now() {
+					op.skip = true // a serialization ends this very microsecond
+					return
+				}
 			}
-			switch op.kind {
-			case opSend:
-				ref.send(&Packet{Size: op.size, Layer: op.layer, Seq: id})
-			case opDown:
-				before := ref.stats.Dropped
-				ref.setDown()
-				refLed.discarded += ref.stats.Dropped - before
-			case opUp:
-				ref.down = false
-			case opResetStats:
-				refLed.reset(refState())
-				ref.stats = LinkStats{}
+			for k, r := range refs {
+				switch op.kind {
+				case opSend:
+					r.send(&Packet{Size: op.size, Layer: op.layer, Seq: id})
+				case opDown:
+					if op.outage(k) {
+						before := r.stats.Dropped
+						r.setDown()
+						refLed[k].discarded += r.stats.Dropped - before
+					}
+				case opUp:
+					if op.outage(k) {
+						r.down = false
+					}
+				case opResetStats:
+					refLed[k].reset(refState(k))
+					r.stats = LinkStats{}
+				}
 			}
 		}))
 	}
 	re.Run()
 	endInstant()
 
-	// Real link, same filtered schedule, pooled packets so the reference
-	// counts are exercised too. Its twin in the other direction runs the
-	// same schedule on packets of its own, so the two links grow their
-	// rings from one pool and take up each other's outgrown arrays.
-	e := sim.NewEngine(1)
-	net := New(e)
-	a, b := net.AddNode("a"), net.AddNode("b")
-	cfg := LinkConfig{Bandwidth: sc.bandwidth, Delay: sc.delay, Policy: sc.policy}
-	l, twin := net.ConnectAsym(a, b, cfg), net.ConnectAsym(b, a, cfg)
-	l.QueueLimit, twin.QueueLimit = sc.queueLimit, sc.queueLimit
-	log := map[int64][]probeEvent{}
-	l.Attach(&FuncProbe{
-		OnEnqueue: func(l *Link, p *Packet) { log[p.Seq] = append(log[p.Seq], probeEvent{probeEnqueue, l.NowTx()}) },
-		OnDrop:    func(l *Link, p *Packet) { log[p.Seq] = append(log[p.Seq], probeEvent{probeDrop, l.NowTx()}) },
-		OnDeliver: func(l *Link, p *Packet) { log[p.Seq] = append(log[p.Seq], probeEvent{probeDeliver, l.NowRx()}) },
-	})
-	state := func() linkState {
+	rep, order := runFanOut(t, desc, sc, sim.NewEngine(1), true, snaps, refLog)
+	_, plain := runFanOut(t, desc, sc, sim.NewEngine(1), false, snaps, refLog)
+	if len(order) != len(plain) {
+		t.Fatalf("%s: %d deliveries with posts sharing slots, %d without", desc, len(order), len(plain))
+	}
+	for i := range order {
+		if order[i] != plain[i] {
+			t.Fatalf("%s: delivery %d is %s with posts sharing slots, %s without", desc, i, order[i], plain[i])
+		}
+	}
+	return rep
+}
+
+// fanReport is what one run of a link script exercised.
+type fanReport struct {
+	l         *Link  // the script's own link
+	coalesced uint64 // deliveries that shared a queue slot
+	// outages of link 1 alone that left it deliveries to orphan while its
+	// twin, link 0, had some in flight too
+	sharedOutages int
+}
+
+// fanSnap is the reference links' state at the end of one instant.
+type fanSnap struct {
+	at sim.Time
+	st [fanOut]linkState
+}
+
+// delivery is one packet arriving over one fan-out link.
+type delivery struct {
+	link int
+	seq  int64
+	at   sim.Time
+}
+
+func (d delivery) String() string {
+	return fmt.Sprintf("packet %d over link %d at %v", d.seq, d.link, d.at)
+}
+
+// unjoined is an Engine whose posts never share a slot: Post is After.
+type unjoined struct{ *sim.Engine }
+
+func (u unjoined) Post(delay sim.Time, a sim.Action) { u.After(delay, a) }
+
+// runFanOut runs the filtered schedule on real links and checks them
+// against the reference's snapshots and probe logs. With join false the
+// network runs on unjoined, so no two deliveries share a slot. It returns
+// what the run exercised and every delivery in the order it happened.
+func runFanOut(t *testing.T, desc string, sc linkScript, e *sim.Engine, join bool, snaps []fanSnap, refLog [fanOut]map[int64][]probeEvent) (fanReport, []delivery) {
+	t.Helper()
+	var sched sim.Scheduler = e
+	if !join {
+		sched, desc = unjoined{e}, desc+" (no shared slots)"
+	}
+	// Pooled packets, so the reference counts are exercised too; the links
+	// grow their rings from one pool and take up each other's outgrown
+	// arrays.
+	net := New(sched)
+	a := net.AddNode("a")
+	var (
+		links [fanOut]*Link
+		log   [fanOut]map[int64][]probeEvent
+		led   [fanOut]ledger
+		order []delivery
+		rep   fanReport
+	)
+	for i := range links {
+		bw, delay := sc.fanConfig(i)
+		l := net.ConnectAsym(a, net.AddNode(fmt.Sprint("b", i)), LinkConfig{Bandwidth: bw, Delay: delay, Policy: sc.policy})
+		l.QueueLimit = sc.queueLimit
+		lg := map[int64][]probeEvent{}
+		links[i], log[i] = l, lg
+		l.Attach(&FuncProbe{
+			OnEnqueue: func(l *Link, p *Packet) { lg[p.Seq] = append(lg[p.Seq], probeEvent{probeEnqueue, l.NowTx()}) },
+			OnDrop:    func(l *Link, p *Packet) { lg[p.Seq] = append(lg[p.Seq], probeEvent{probeDrop, l.NowTx()}) },
+			OnDeliver: func(l *Link, p *Packet) {
+				lg[p.Seq] = append(lg[p.Seq], probeEvent{probeDeliver, l.NowRx()})
+				order = append(order, delivery{i, p.Seq, l.NowRx()})
+			},
+		})
+	}
+	state := func(l *Link) linkState {
 		return linkState{stats: l.Stats(), queueLen: l.QueueLen(), serializing: l.Busy()}
 	}
-	var led ledger
 	for i, op := range sc.ops {
 		if op.skip {
 			continue
 		}
 		op, id := op, int64(i)
 		e.At(op.at, sim.Func(func() {
-			switch op.kind {
-			case opSend:
-				for _, k := range [...]*Link{l, twin} {
-					p := net.NewPacket()
-					p.Kind, p.Src, p.Dst, p.Group = Data, k.From, k.To, NoGroup
-					p.Size, p.Layer, p.Seq = op.size, op.layer, id
-					k.Send(p)
-					p.Release()
-				}
-			case opDown:
-				before := l.Stats().Dropped
-				l.SetDown()
-				twin.SetDown()
-				led.discarded += l.Stats().Dropped - before
-			case opUp:
-				l.SetUp()
-				twin.SetUp()
-			case opResetStats:
-				led.reset(state())
-				l.ResetStats()
-				twin.ResetStats()
+			var p *Packet
+			if op.kind == opSend {
+				p = net.NewPacket()
+				p.Kind, p.Src, p.Group = Data, a.ID, NoGroup
+				p.Size, p.Layer, p.Seq = op.size, op.layer, id
 			}
-			if err := ringsApart(net, l, twin); err != nil {
+			for k, l := range links {
+				switch op.kind {
+				case opSend:
+					l.Send(p)
+				case opDown:
+					if op.outage(k) {
+						before := l.Stats().Dropped
+						l.SetDown()
+						led[k].discarded += l.Stats().Dropped - before
+						if k == 1 && l.orphans > 0 && !links[0].down && links[0].inflight.n > 0 {
+							rep.sharedOutages++
+						}
+					}
+				case opUp:
+					if op.outage(k) {
+						l.SetUp()
+					}
+				case opResetStats:
+					led[k].reset(state(l))
+					l.ResetStats()
+				}
+			}
+			if p != nil {
+				p.Release()
+			}
+			if !join {
+				return // the first run checked the rings
+			}
+			if err := ringsApart(net, links[:]...); err != nil {
 				t.Fatalf("%s: after op %d at %v: %v", desc, id, op.at, err)
 			}
 		}))
 	}
 	for _, s := range snaps {
 		e.RunUntil(s.at)
-		got := state()
-		if got != s.st {
-			t.Fatalf("%s: end of instant %v:\n link %+v\n  ref %+v", desc, s.at, got, s.st)
+		for k, l := range links {
+			if got := state(l); got != s.st[k] {
+				t.Fatalf("%s: link %d at the end of instant %v:\n link %+v\n  ref %+v", desc, k, s.at, got, s.st[k])
+			}
+			if err := led[k].check(state(l)); err != nil {
+				t.Fatalf("%s: link %d at %v: %v", desc, k, s.at, err)
+			}
 		}
-		if tw := (linkState{stats: twin.Stats(), queueLen: twin.QueueLen(), serializing: twin.Busy()}); tw != got {
-			t.Fatalf("%s: end of instant %v: twin %+v, link %+v", desc, s.at, tw, got)
+		if !join {
+			continue
 		}
-		if err := ringsApart(net, l, twin); err != nil {
+		if err := ringsApart(net, links[:]...); err != nil {
 			t.Fatalf("%s: end of instant %v: %v", desc, s.at, err)
-		}
-		if err := led.check(got); err != nil {
-			t.Fatalf("%s: link at %v: %v", desc, s.at, err)
 		}
 	}
 	// All that may be left are deliveries SetDown discarded, and they are
-	// inert.
+	// inert: each is matched and forgotten when it fires.
 	e.Run()
-	if got, want := state(), snaps[len(snaps)-1].st; got != want {
-		t.Fatalf("%s: events after the reference finished changed the link:\n link %+v\n  ref %+v", desc, got, want)
-	}
-	for i := range sc.ops {
-		id := int64(i)
-		if got, want := fmt.Sprint(log[id]), fmt.Sprint(refLog[id]); got != want {
-			t.Fatalf("%s: packet %d (%+v):\n link %s\n  ref %s", desc, id, sc.ops[i], got, want)
+	for k, l := range links {
+		if got, want := state(l), snaps[len(snaps)-1].st[k]; got != want {
+			t.Fatalf("%s: events after the reference finished changed link %d:\n link %+v\n  ref %+v", desc, k, got, want)
+		}
+		if l.orphans != 0 || l.squelch != 0 || len(l.aborted) != 0 {
+			t.Fatalf("%s: link %d has %d orphaned deliveries left (%d squelched, %d aborted)", desc, k, l.orphans, l.squelch, len(l.aborted))
+		}
+		for i := range sc.ops {
+			id := int64(i)
+			if got, want := log[k][id], refLog[k][id]; !slices.Equal(got, want) {
+				t.Fatalf("%s: link %d, packet %d (%+v):\n link %v\n  ref %v", desc, k, id, sc.ops[i], got, want)
+			}
 		}
 	}
 	if free, allocs := len(net.pktFree), net.PacketAllocs(); uint64(free) != allocs {
 		t.Fatalf("%s: %d of %d pooled packets came back", desc, free, allocs)
 	}
-	return l
+	rep.l, rep.coalesced = links[0], e.Coalesced()
+	return rep, order
 }
 
 // ringsApart checks the memory behind the links' packet rings: a ring is on
@@ -602,18 +739,28 @@ var txMemoScripts = func() [][]byte {
 // seeds: short scripts on every bandwidth/delay/queue/policy combination
 // the decoder can draw.
 func TestLinkTimingRandomScripts(t *testing.T) {
+	var coalesced uint64
+	sharedOutages := 0
 	for seed := int64(1); seed <= 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		data := make([]byte, 4+4*(10+rng.Intn(maxLinkOps)))
 		rng.Read(data)
-		runLinkScript(t, data)
+		rep := runLinkScript(t, data)
+		coalesced += rep.coalesced
+		sharedOutages += rep.sharedOutages
+	}
+	// The fan-out must put deliveries in shared slots, and outages must
+	// catch one of two twins' deliveries in flight beside the other's.
+	t.Logf("%d deliveries shared a slot, %d outages of one twin", coalesced, sharedOutages)
+	if coalesced < 10000 || sharedOutages < 20 {
+		t.Errorf("%d deliveries shared a slot and %d outages hit one twin of two in flight; want 10000 and 20", coalesced, sharedOutages)
 	}
 	for _, data := range txMemoScripts {
 		runLinkScript(t, data)
 	}
 	// The pipeline scripts leave the inline slots and end empty.
 	for i, data := range pipelineScripts {
-		if l := runLinkScript(t, data); len(l.inflight.buf) < 4 || l.inflight.n != 0 {
+		if l := runLinkScript(t, data).l; len(l.inflight.buf) < 4 || l.inflight.n != 0 {
 			t.Errorf("pipeline script %d: ring of %d slots holding %d at the end; want a spilled ring, drained", i, len(l.inflight.buf), l.inflight.n)
 		}
 	}
@@ -623,7 +770,7 @@ func TestLinkTimingRandomScripts(t *testing.T) {
 	// their first arrays, wrapped.
 	deep, full := 0, 0
 	for seed := int64(1); seed <= 100; seed++ {
-		l := runLinkScript(t, saturationScript(rand.New(rand.NewSource(seed))))
+		l := runLinkScript(t, saturationScript(rand.New(rand.NewSource(seed)))).l
 		if len(l.inflight.buf) >= 64 {
 			deep++
 		}
@@ -640,8 +787,8 @@ func TestLinkTimingRandomScripts(t *testing.T) {
 // one-event link and the two-event reference disagree.
 func FuzzLinkTiming(f *testing.F) {
 	// Byte 3 of an operation is kind<<3 | layer: kind 0 down, 1 up, 3 reset,
-	// 4 and above send.
-	const send, up, reset = 4 << 3, 1 << 3, 3 << 3
+	// 4 and above send; an outage's layer picks its links (linkOp.outage).
+	const send, down, up, reset = 4 << 3, 0, 1 << 3, 3 << 3
 	for _, seed := range [][]byte{
 		// burst into a short queue
 		{3, 3, 2, 0, 0, 0, 100, send, 0, 0, 100, send | 1, 0, 0, 100, send | 2, 0, 0, 100, send | 3, 0, 0, 100, send | 4},
@@ -653,6 +800,12 @@ func FuzzLinkTiming(f *testing.F) {
 		{0, 3, 0, 0, 0, 0, 10, send, 1, 200, 10, send, 2, 30, 0, reset, 2, 90, 10, send, 2, 3, 0, 0},
 		// 1 Gbit/s, microsecond gaps
 		{7, 1, 20, 0, 1, 1, 255, send, 1, 13, 255, send, 1, 12, 255, send, 0, 0, 1, send, 1, 2, 0, 0, 1, 0, 0, up},
+		// 10 Mbit/s, 10 ms pipe: link 1 alone (layer 1) goes down while its
+		// delivery shares a slot with its twin's, comes back up, and sends
+		// again before the orphaned delivery is due; then links 0 and 2
+		// (layer 2) go down with a packet in flight, and all come back.
+		{5, 4, 20, 0, 0, 0, 10, send, 1, 100, 0, down | 1, 1, 100, 0, up | 1, 1, 100, 10, send,
+			3, 255, 10, send, 1, 100, 0, down | 2, 3, 255, 0, up, 3, 255, 10, send},
 	} {
 		f.Add(seed)
 	}

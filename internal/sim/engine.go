@@ -32,7 +32,7 @@ type Event struct {
 	at         Time
 	seq        uint64 // tie-breaker: FIFO among events at the same timestamp
 	act        Action
-	next, prev *Event // ring-bucket list of leaders; prev is also a member's back-link (see equeue)
+	next, prev *Event // ring-bucket list of leaders (next also links the free list); prev is also a member's back-link (see equeue)
 	mem        *Event // the next event of my train, nil at its tail and out of the queue
 	index      int32  // heap position, 0 in a ring bucket, or idxMember; idxFired or idxCancelled once out of the queue
 	gen        uint32 // bumped each time the slot is acquired from the free list
@@ -129,6 +129,10 @@ func (e *Engine) EventAllocs() uint64 { return e.q.slotAllocs }
 // EventReuses returns how many schedules were served from the free list.
 func (e *Engine) EventReuses() uint64 { return e.q.slotReuses }
 
+// Coalesced returns how many posts joined the queue slot of the post before
+// them instead of taking one of their own.
+func (e *Engine) Coalesced() uint64 { return e.q.coalesced }
+
 // ShardEngineStats is one shard's slice of a ShardedEngine's meters. The
 // single-threaded Engine never emits these; on a plain engine the Shards
 // field of EngineStats is absent from JSON output entirely.
@@ -163,7 +167,8 @@ type EngineStats struct {
 	EventAllocs uint64  `json:"event_allocs"`
 	EventReuses uint64  `json:"event_reuses"`
 	// Chained counts schedules that joined a same-instant train behind an
-	// event already queued, and so never cost a queue entry of their own.
+	// event already queued, and so never cost a queue entry of their own;
+	// posts that joined a slot count here too.
 	Chained uint64 `json:"events_chained"`
 
 	// Sharded-engine extensions (zero / absent on the plain Engine).
@@ -218,6 +223,24 @@ func (e *Engine) At(t Time, a Action) Handle {
 	return e.q.schedule(t, a)
 }
 
+// Post fires a after delay, like After, but returns no handle: a post is
+// never cancelled. When the newest event in the queue is a post for the same
+// instant and nothing has been scheduled or reserved since, a joins that
+// event's queue slot and fires right after it, where its own event would
+// have fired: it takes the next sequence number all the same. A fan-out of
+// N posts to one instant thus costs one queue slot (up to postCap to a
+// slot). Fired, Pending and Chained count a joined action as its own event
+// would have counted.
+func (e *Engine) Post(delay Time, a Action) {
+	if delay < 0 {
+		panic(fmt.Sprintf("sim: Post with negative delay %v at %v", delay, e.now))
+	}
+	if a == nil {
+		panic("sim: Post with nil Action")
+	}
+	e.q.post(e.now+delay, a)
+}
+
 // Reserve takes n consecutive sequence numbers now, for events AtReserved
 // queues later, and returns the first of them.
 func (e *Engine) Reserve(n int) uint64 { return e.q.reserve(n) }
@@ -239,21 +262,33 @@ func (e *Engine) Passed(t Time, seq uint64) bool { return e.q.passed(t, seq) }
 // all of those are no-ops.
 func (e *Engine) Cancel(h Handle) { e.q.cancel(h) }
 
-// Stop makes Run/RunUntil return after the current event completes.
+// Stop makes Run/RunUntil return after the current event completes. Called
+// from an action of a slot posts share, it stops after that action; the
+// slot's unfired actions stay first in the queue.
 func (e *Engine) Stop() { e.stopped = true }
 
-// step pops and fires the earliest event. It reports false when the queue is
-// empty. The slot is recycled before the Action fires, so an Action that
-// schedules new work reuses it immediately.
+// step fires the earliest event: its Action, or, for a slot posts share,
+// its actions in a row until the last or a Stop. It reports false when the
+// queue is empty. A slot is released before its (last) Action fires, so an
+// Action that schedules new work reuses it at once.
 func (e *Engine) step() bool {
-	ev := e.q.pop()
+	ev := e.q.head()
 	if ev == nil {
 		return false
 	}
 	e.now = ev.at
-	e.fired++
+	if r, ok := ev.act.(*postRec); ok {
+		for more := true; more && !e.stopped; {
+			var a Action
+			a, more = e.q.nextPost(ev, r)
+			e.fired++
+			a.Fire()
+		}
+		return true
+	}
 	a := ev.act
-	e.q.release(ev)
+	e.q.pop(ev)
+	e.fired++
 	a.Fire()
 	return true
 }

@@ -38,6 +38,32 @@ type eventSlabMem struct {
 // 44/46/47 %, paperB16-vbr 9/12/12 %).
 const trainWays = 2
 
+// postCap is how many Actions one post record holds: the fan-out of one
+// instant that shares one queue slot. A full record starts a new slot. With
+// 8, 65.8 % of tree1k-agg's link deliveries join a slot, against about 75 %
+// with no limit (DESIGN.md §5 records the sweep).
+const postCap = 8
+
+// postChunk is how many post records the queue carves in its first
+// allocation of them; each later one carves as many as all before it, so a
+// run that needs thousands of records at once (10^4 deliveries due at one
+// instant) makes a handful of allocations.
+const postChunk = 64
+
+// postRec is the record behind a slot that posts share: their Actions in
+// post order. A slot's first post is an ordinary event whose act is that
+// post's Action; when a second joins, a record takes the Action over and
+// the event's act becomes the record, so a slot nobody joins costs no
+// record. next is the index of the Action to fire next; the slot stays
+// queued, keyed by that Action's sequence number, until the last one fires.
+type postRec struct {
+	n, next int32    // first, so they share a line with the first Actions
+	free    *postRec // the next record on the queue's free list
+	acts    [postCap]Action
+}
+
+func (*postRec) Fire() { panic("sim: a post record fired as an Action") }
+
 // equeue is the event store shared by the single-threaded Engine, each
 // shard of the ShardedEngine and its global barrier queue. Events are
 // ordered by (time, sequence) and kept in three tiers by time bucket
@@ -79,14 +105,26 @@ const trainWays = 2
 // rule above; so while a back-dated event may be queued (its instant is
 // before backEnd), pop and remove sift the promoted member. Otherwise the
 // promotion stays stores alone. The queue also keeps the key of the last
-// event it popped (or of an instant a run completed), so its owner can tell
+// action it fired (or of an instant a run completed), so its owner can tell
 // whether a reserved key has already gone by.
+//
+// A post (an uncancellable schedule) may share a slot: when the newest
+// event in the queue is a post for the same instant and nothing has taken a
+// sequence number since, the new post's Action joins that event's slot,
+// held in a postRec, under the next sequence number. Nothing else can sort
+// between the two, so firing the slot's Actions in post order from its one
+// queue entry is (time, sequence) order. nextPost hands the Actions out one
+// at a time and leaves the slot at the root, keyed by its next Action's
+// number, until the last one has been taken.
 //
 // A free list recycles fired or cancelled Event slots so the steady-state
 // schedule/fire cycle performs no allocations; slots the free list cannot
 // supply are carved from eventSlab-sized arrays, so a burst of new events
 // (a world's start-up timers) costs one allocation per slab and its slots
-// sit side by side.
+// sit side by side. The free list is intrusive, linked through Event.next
+// (a free slot is in no bucket list), so releasing never allocates. Post
+// records are carved in chunks that double and are recycled through an
+// intrusive free list of their own.
 //
 // An equeue is single-owner: exactly one goroutine may touch it at a time.
 // The Engine owns its queue outright; a shard's queue is owned by the
@@ -102,19 +140,29 @@ type equeue struct {
 		at   Time
 		tail Handle // newest event scheduled for at; a tail only while it is Active
 	}
-	free []*Event
+	free *Event  // the free list, linked through Event.next
 	slab []Event // slots of the newest slab not handed out yet
 	seq  uint64
 
-	// Every event keyed before (doneAt, doneSeq) has fired: the last popped
-	// event's key plus one, or (t, MaxUint64) once a run has completed t.
+	// posted is the newest post's slot and postEnd the sequence number
+	// after its last Action: a post may join it while posted is Active and
+	// seq is still postEnd.
+	posted   Handle
+	postEnd  uint64
+	recFree  *postRec
+	recChunk []postRec // records of the newest chunk not handed out yet
+	recMade  int       // records carved so far
+
+	// Every event keyed before (doneAt, doneSeq) has fired: the last fired
+	// action's key plus one, or (t, MaxUint64) once a run has completed t.
 	doneAt  Time
 	doneSeq uint64
 	backEnd Time // one past the latest instant a back-dated event was queued for
 
 	slotAllocs uint64 // Event structs ever handed out fresh (slots, not slabs)
 	slotReuses uint64 // acquisitions served from the free list
-	chained    uint64 // schedules that joined a train instead of a tier
+	chained    uint64 // schedules that joined a train instead of a tier, posts that joined a slot included
+	coalesced  uint64 // posts that joined a slot
 	visited    uint64 // bucket-list nodes advance has walked: leaders, never members
 }
 
@@ -145,6 +193,50 @@ func (q *equeue) schedule(t Time, a Action) Handle {
 	w.tail = h
 	q.chained++
 	return h
+}
+
+// post queues a at t like schedule, with no handle: into the newest post's
+// slot when that is for t, still queued, not full, and nothing has been
+// scheduled or reserved since. A joined Action counts as queued and as
+// chained, since schedule would have linked it behind that slot's train.
+func (q *equeue) post(t Time, a Action) {
+	if h := q.posted; q.seq == q.postEnd && h.Active() && h.ev.at == t {
+		ev := h.ev
+		r, ok := ev.act.(*postRec)
+		if !ok {
+			r = q.newRec()
+			r.acts[0], r.n, r.next = ev.act, 1, 0
+			ev.act = r
+		}
+		if r.n < postCap {
+			r.acts[r.n] = a
+			r.n++
+			q.seq++
+			q.postEnd++
+			q.n++
+			q.chained++
+			q.coalesced++
+			return
+		}
+	}
+	q.posted = q.schedule(t, a)
+	q.postEnd = q.seq
+}
+
+// newRec takes a post record off the free list, or carves one.
+func (q *equeue) newRec() *postRec {
+	if r := q.recFree; r != nil {
+		q.recFree = r.free
+		return r
+	}
+	if len(q.recChunk) == 0 {
+		n := max(postChunk, q.recMade)
+		q.recChunk = make([]postRec, n)
+		q.recMade += n
+	}
+	r := &q.recChunk[0]
+	q.recChunk = q.recChunk[1:]
+	return r
 }
 
 // reserve takes n sequence numbers for events not queued yet and returns
@@ -195,15 +287,31 @@ func (q *equeue) head() *Event {
 	return q.near[0]
 }
 
-// pop removes and returns the earliest event, or nil. A leader's first
+// nextPost takes the next Action of slot ev, the queue's head, from its
+// record. While others remain the slot stays at the root, keyed by the one
+// after it: nothing an Action does can put an event before it there, since
+// anything new for its instant takes a later sequence number and a
+// back-dated key before it has gone by. The last one pops the slot and
+// frees the record.
+func (q *equeue) nextPost(ev *Event, r *postRec) (Action, bool) {
+	a := r.acts[r.next]
+	r.acts[r.next] = nil
+	if r.next++; r.next < r.n {
+		q.n--
+		q.doneAt, q.doneSeq = ev.at, ev.seq+1
+		ev.seq++
+		return a, true
+	}
+	r.free, q.recFree = q.recFree, r
+	q.pop(ev)
+	return a, false
+}
+
+// pop removes ev, the queue's head, and releases its slot. A leader's first
 // member takes over its place at the root: it is the next event in (time,
 // sequence) order, so the rest of a train fires without touching the heap
 // (bar a sift while a back-dated event may sort before it).
-func (q *equeue) pop() *Event {
-	ev := q.head()
-	if ev == nil {
-		return nil
-	}
+func (q *equeue) pop(ev *Event) {
 	if m := ev.mem; m != nil {
 		m.prev, m.index, ev.mem = nil, 0, nil
 		q.near[0] = m
@@ -216,7 +324,7 @@ func (q *equeue) pop() *Event {
 	}
 	q.n--
 	q.doneAt, q.doneSeq = ev.at, ev.seq+1
-	return ev
+	q.release(ev)
 }
 
 // push files leader ev, whatever train hangs off it, under the tier its time
@@ -332,11 +440,9 @@ func (q *equeue) advance() bool {
 // acquire takes an event slot from the free list (bumping its generation so
 // stale handles go inert) or carves a fresh one from the current slab.
 func (q *equeue) acquire(t Time, seq uint64, a Action) *Event {
-	var ev *Event
-	if n := len(q.free); n > 0 {
-		ev = q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
+	ev := q.free
+	if ev != nil {
+		q.free, ev.next = ev.next, nil
 		ev.gen++
 		q.slotReuses++
 	} else {
@@ -357,7 +463,7 @@ func (q *equeue) acquire(t Time, seq uint64, a Action) *Event {
 // their Cancelled state until the slot is reused.
 func (q *equeue) release(ev *Event) {
 	ev.act = nil // drop the Action's reference immediately
-	q.free = append(q.free, ev)
+	ev.next, q.free = q.free, ev
 }
 
 // cancel implements the generation-checked Cancel contract on this queue.

@@ -21,17 +21,22 @@ import (
 // one bucket while one of them loses its leader or its first member. Two
 // more operations reserve sequence numbers and queue an event under one of
 // them later (a back-dated insert), which the model files by its number.
+// Bit 4 of an operation's first byte turns its schedules into posts
+// (Engine.Post), which share a queue slot while they follow each other on
+// one instant; the model numbers a post like any schedule, cancels of it
+// are no-ops, and it counts which schedules chain and which posts join.
 
 // scriptSys is the surface a queue script drives.
 type scriptSys interface {
 	now() Time
-	schedule(id int, delay Time, abs bool)
+	schedule(id int, delay Time, abs, post bool)
 	cancel(id int)
 	runUntil(t Time)
 	run()
 	stop()
 	reserve(n int)
 	insert(id int, at Time, seq uint64)
+	state() string // clock, Fired and Pending
 }
 
 // scriptRun is one execution of a script against one system. Event ids are
@@ -43,6 +48,8 @@ type scriptRun struct {
 	nextID int
 	when   []Time       // by id: the instant it was scheduled for
 	stops  map[int]bool // ids that call Stop when they fire
+	posts  []bool       // by id: scheduled with Post
+	firing int          // the id whose callback runs
 
 	// The queue's numbering, mirrored: the next sequence number, each id's,
 	// the reserved numbers not used yet, and the key every fired event
@@ -53,17 +60,31 @@ type scriptRun struct {
 	doneAt   Time
 	doneSeq  uint64
 	stopped  bool // a callback called Stop during the current run
+
+	// mid is what each Stop left behind (see op 12), checked against the
+	// model's with the rest after the operation.
+	mid []string
 }
 
 const maxScriptEvents = 4096 // bounds callback-spawned chains
 
-func (r *scriptRun) spawn(delay Time, abs bool) {
+func (r *scriptRun) spawn(delay Time, abs, post bool) {
 	id := r.nextID
 	r.nextID++
 	r.when = append(r.when, r.sys.now()+delay)
 	r.seqOf = append(r.seqOf, r.seq)
+	r.posts = append(r.posts, post)
 	r.seq++
-	r.sys.schedule(id, delay, abs)
+	r.sys.schedule(id, delay, abs, post)
+}
+
+// reserve takes n sequence numbers for later inserts.
+func (r *scriptRun) reserve(n int) {
+	for i := 0; i < n; i++ {
+		r.reserved = append(r.reserved, r.seq+uint64(i))
+	}
+	r.seq += uint64(n)
+	r.sys.reserve(n)
 }
 
 // passed mirrors equeue.passed.
@@ -88,6 +109,7 @@ func (r *scriptRun) recent(m uint16) int { return r.nextID - 1 - int(m)%min(r.ne
 // function of the id, maybe schedule a child and maybe cancel some event.
 func (r *scriptRun) onFire(id int) {
 	r.fired = append(r.fired, id)
+	r.firing = id
 	r.doneAt, r.doneSeq = r.when[id], r.seqOf[id]+1
 	if r.stops[id] {
 		delete(r.stops, id)
@@ -96,7 +118,7 @@ func (r *scriptRun) onFire(id int) {
 	}
 	h := uint64(id+1) * 0x9E3779B97F4A7C15
 	if h%4 == 0 && r.nextID < maxScriptEvents {
-		r.spawn(scriptDelay(byte(h>>8), uint16(h>>16)), h&64 != 0)
+		r.spawn(scriptDelay(byte(h>>8), uint16(h>>16)), h&64 != 0, h&128 != 0)
 	}
 	if h%5 == 0 {
 		r.sys.cancel(int(h>>32) % r.nextID)
@@ -124,19 +146,35 @@ func scriptDelay(class byte, m uint16) Time {
 // step decodes and applies one 4-byte operation.
 func (r *scriptRun) step(op []byte) {
 	class, m := op[1], uint16(op[2])|uint16(op[3])<<8
+	post := op[0]&0x10 != 0
 	switch op[0] % 16 {
 	case 8, 9:
 		// A burst on one instant, interleaved with a second instant so both
 		// remembered tails are appended to, and now and then a third so one
-		// of them is evicted mid-train.
+		// of them is evicted mid-train. As posts (a link fan-out) the burst
+		// first runs unbroken for (m&7)*postCap/4 posts, up to nearly two
+		// records' worth, and from then on meets the interruptions below
+		// too, after which the next post cannot join: a post or a schedule
+		// for another instant, an ordinary schedule for the same one, or a
+		// reserved number.
 		d := scriptDelay(class, m)
-		for i, n := 0, 2+int(m>>4)%63; i < n && r.nextID < maxScriptEvents-2; i++ {
-			r.spawn(d, false)
+		for i, n := 0, 2+int(m>>4)%63; i < n && r.nextID < maxScriptEvents-3; i++ {
+			r.spawn(d, false, post)
+			if post && i < int(m&7)*postCap/4 {
+				continue
+			}
 			if i%3 == 2 {
-				r.spawn(scriptDelay(class+1, m), i%2 == 0)
+				r.spawn(scriptDelay(class+1, m), i%2 == 0, post && i%4 != 0)
 			}
 			if i%7 == 6 {
-				r.spawn(d+1, false)
+				r.spawn(d+1, false, post)
+			}
+			if post && i%5 == 4 {
+				if m&8 != 0 {
+					r.spawn(d, true, false)
+				} else {
+					r.reserve(1)
+				}
 			}
 		}
 	case 10:
@@ -149,17 +187,19 @@ func (r *scriptRun) step(op []byte) {
 			id := r.recent(m)
 			r.sys.cancel(id)
 			if at := r.when[id]; at >= r.sys.now() {
-				r.spawn(at-r.sys.now(), true)
+				r.spawn(at-r.sys.now(), true, post)
 			}
 		}
 	case 12:
-		// Stop from inside a recent event's callback, run up to it, then
-		// finish its instant.
+		// Stop from inside a recent event's callback (a post in the middle
+		// of its slot, say), run up to it, note what is left, then finish
+		// its instant.
 		if r.nextID > 0 {
 			id := r.recent(m)
 			if at := r.when[id]; at >= r.sys.now() {
 				r.stops[id] = true
 				r.runUntil(at)
+				r.mid = append(r.mid, r.sys.state())
 				r.runUntil(at)
 			}
 		}
@@ -180,7 +220,7 @@ func (r *scriptRun) step(op []byte) {
 		}
 		base := r.nextID
 		for i := 0; i < trains*width; i++ {
-			r.spawn(d+Time(i/width), i%2 == 0)
+			r.spawn(d+Time(i/width), i%2 == 0, post)
 		}
 		j := int(m>>4) % trains
 		if what := m >> 6 % 3; what != 1 {
@@ -191,15 +231,10 @@ func (r *scriptRun) step(op []byte) {
 		} else {
 			r.sys.cancel(base + j*width + 1) // the first member: its prev is the leader
 		}
-		r.spawn(d+Time(j), true)
+		r.spawn(d+Time(j), true, post)
 	case 14:
 		// Reserve a few sequence numbers for later inserts.
-		n := 1 + int(m)%4
-		for i := 0; i < n; i++ {
-			r.reserved = append(r.reserved, r.seq+uint64(i))
-		}
-		r.seq += uint64(n)
-		r.sys.reserve(n)
+		r.reserve(1 + int(m)%4)
 	case 15:
 		// Queue an event under a reserved number: at a recent event's
 		// instant (beside a train, between its leader and its first member
@@ -225,11 +260,12 @@ func (r *scriptRun) step(op []byte) {
 		r.nextID++
 		r.when = append(r.when, at)
 		r.seqOf = append(r.seqOf, seq)
+		r.posts = append(r.posts, false)
 		r.sys.insert(id, at, seq)
 	case 0, 1, 2:
-		r.spawn(scriptDelay(class, m), false)
+		r.spawn(scriptDelay(class, m), false, post)
 	case 3:
-		r.spawn(scriptDelay(class, m), true)
+		r.spawn(scriptDelay(class, m), true, post)
 	case 4, 5:
 		if r.nextID > 0 {
 			r.sys.cancel(int(m) % r.nextID)
@@ -252,9 +288,12 @@ type engineSys struct {
 }
 
 func (s *engineSys) now() Time { return s.e.Now() }
-func (s *engineSys) schedule(id int, delay Time, abs bool) {
+func (s *engineSys) schedule(id int, delay Time, abs, post bool) {
 	fn := Func(func() { s.r.onFire(id) })
-	if abs {
+	if post {
+		s.e.Post(delay, fn)
+		s.handles = append(s.handles, Handle{})
+	} else if abs {
 		s.handles = append(s.handles, s.e.At(s.e.Now()+delay, fn))
 	} else {
 		s.handles = append(s.handles, s.e.After(delay, fn))
@@ -268,6 +307,9 @@ func (s *engineSys) cancel(id int)   { s.e.Cancel(s.handles[id]) }
 func (s *engineSys) runUntil(t Time) { s.e.RunUntil(t) }
 func (s *engineSys) run()            { s.e.Run() }
 func (s *engineSys) stop()           { s.e.Stop() }
+func (s *engineSys) state() string {
+	return fmt.Sprintf("now %v fired %d pending %d", s.e.Now(), s.e.Fired(), s.e.Pending())
+}
 
 // modelSys is the reference: pending events in one slice sorted by
 // (at, seq), numbered the way the queue numbers them.
@@ -289,15 +331,71 @@ type modelSys struct {
 	seq           uint64
 	stopped       bool
 	pending       []modelEvent
-	state         []int  // by id
+	status        []int  // by id
 	at            []Time // by id
 	everCancelled []bool // by id: Cancel reached it, before or after firing
+	post, joined  []bool // by id: scheduled with Post; and joined a slot
+
+	// The trains rule: the newest id scheduled for each of the last two
+	// instants (-1 for none), and how many schedules chained behind one.
+	tails [trainWays]struct {
+		at Time
+		id int
+	}
+	chained uint64
+	// The post rule: the newest post (-1 for none), the number after it,
+	// how many posts share its slot, and how many posts ever joined one.
+	lastPost  int
+	postEnd   uint64
+	slotSize  int
+	coalesced uint64
+	// Stops called from a post that had joined a slot.
+	joinedStops int
 }
 
+func newModelSys() *modelSys {
+	s := &modelSys{lastPost: -1}
+	for i := range s.tails {
+		s.tails[i].id = -1
+	}
+	return s
+}
+
+func (s *modelSys) queued(id int) bool { return id >= 0 && s.status[id] == modelPending }
+
 func (s *modelSys) now() Time { return s.clock }
-func (s *modelSys) schedule(id int, delay Time, _ bool) {
-	s.insert(id, s.clock+delay, s.seq)
+func (s *modelSys) schedule(id int, delay Time, _, post bool) {
+	at := s.clock + delay
+	// A post joins the newest post's slot while nothing has taken a number
+	// since, it is for the same instant, that post is still queued and the
+	// slot is not full.
+	joins := post && s.seq == s.postEnd && s.queued(s.lastPost) && s.at[s.lastPost] == at && s.slotSize < postCap
+	w := &s.tails[0]
+	if w.at != at || !s.queued(w.id) {
+		if w = &s.tails[1]; w.at != at || !s.queued(w.id) {
+			s.tails[1] = s.tails[0]
+			w = &s.tails[0]
+			w.at, w.id = at, -1
+		}
+	}
+	if w.id >= 0 {
+		s.chained++
+	} else if joins {
+		panic("model: a post joins a slot that is no train's tail")
+	}
+	w.id = id
+	s.insert(id, at, s.seq)
 	s.seq++
+	if post {
+		s.post[id], s.joined[id] = true, joins
+		s.lastPost, s.postEnd = id, s.seq
+		if joins {
+			s.coalesced++
+			s.slotSize++
+		} else {
+			s.slotSize = 1
+		}
+	}
 }
 func (s *modelSys) reserve(n int) { s.seq += uint64(n) }
 func (s *modelSys) insert(id int, at Time, seq uint64) {
@@ -308,16 +406,21 @@ func (s *modelSys) insert(id int, at Time, seq uint64) {
 	s.pending = append(s.pending, modelEvent{})
 	copy(s.pending[i+1:], s.pending[i:])
 	s.pending[i] = modelEvent{at: at, seq: seq, id: id}
-	s.state = append(s.state, modelPending)
+	s.status = append(s.status, modelPending)
 	s.at = append(s.at, at)
 	s.everCancelled = append(s.everCancelled, false)
+	s.post = append(s.post, false)
+	s.joined = append(s.joined, false)
 }
 func (s *modelSys) cancel(id int) {
+	if s.post[id] {
+		return // a post has no handle to cancel it by
+	}
 	s.everCancelled[id] = true
-	if s.state[id] != modelPending {
+	if s.status[id] != modelPending {
 		return
 	}
-	s.state[id] = modelCancelled
+	s.status[id] = modelCancelled
 	for i, ev := range s.pending {
 		if ev.id == id {
 			s.pending = append(s.pending[:i], s.pending[i+1:]...)
@@ -329,7 +432,7 @@ func (s *modelSys) fireHead() {
 	ev := s.pending[0]
 	s.pending = s.pending[1:]
 	s.clock = ev.at
-	s.state[ev.id] = modelFired
+	s.status[ev.id] = modelFired
 	s.r.onFire(ev.id)
 }
 func (s *modelSys) runUntil(t Time) {
@@ -345,12 +448,22 @@ func (s *modelSys) run() {
 		s.fireHead()
 	}
 }
-func (s *modelSys) stop() { s.stopped = true }
+func (s *modelSys) stop() {
+	s.stopped = true
+	if s.joined[s.r.firing] {
+		s.joinedStops++
+	}
+}
+func (s *modelSys) state() string {
+	return fmt.Sprintf("now %v fired %d pending %d", s.clock, len(s.r.fired), len(s.pending))
+}
 
 // runQueueScript executes data on every system, comparing each engine with
-// the model after every operation: firing order, clock, Pending, and every
-// handle ever issued.
-func runQueueScript(t *testing.T, data []byte) {
+// the model after every operation: firing order, clock, Fired, Pending,
+// Chained, Coalesced, Passed, what each Stop left queued, and every handle
+// ever issued. It returns the model, whose counters say what the script
+// exercised.
+func runQueueScript(t *testing.T, data []byte) *modelSys {
 	t.Helper()
 	if len(data) > 4096 {
 		data = data[:4096]
@@ -360,7 +473,7 @@ func runQueueScript(t *testing.T, data []byte) {
 	for _, eng := range engs {
 		eng.r = &scriptRun{sys: eng, stops: map[int]bool{}}
 	}
-	model := &modelSys{}
+	model := newModelSys()
 	mr := &scriptRun{sys: model, stops: map[int]bool{}}
 	model.r = mr
 
@@ -386,6 +499,15 @@ func runQueueScript(t *testing.T, data []byte) {
 			if got := eng.e.Pending(); got != len(model.pending) {
 				t.Fatalf("op %d: %T Pending %d, model %d", op, eng.e, got, len(model.pending))
 			}
+			if got := eng.e.Stats().Chained; got != model.chained {
+				t.Fatalf("op %d: %T Chained %d, model %d", op, eng.e, got, model.chained)
+			}
+			if got := eng.e.Coalesced(); got != model.coalesced {
+				t.Fatalf("op %d: %T Coalesced %d, model %d", op, eng.e, got, model.coalesced)
+			}
+			if fmt.Sprint(er.mid) != fmt.Sprint(mr.mid) {
+				t.Fatalf("op %d: %T after each Stop: %q, model %q", op, eng.e, er.mid, mr.mid)
+			}
 			// Every node advance walks is a train's queue entry on its one
 			// trip from the ring to near; a member in a bucket list would
 			// break this.
@@ -400,14 +522,17 @@ func runQueueScript(t *testing.T, data []byte) {
 				}
 			}
 			for id, h := range eng.handles {
-				if model.state[id] == modelPending {
+				if model.post[id] {
+					continue // no handle
+				}
+				if model.status[id] == modelPending {
 					if !h.Active() || h.Cancelled() || h.When() != model.at[id] {
 						t.Fatalf("op %d: %T's pending event %d reads Active=%v Cancelled=%v When=%v, want true false %v",
 							op, eng.e, id, h.Active(), h.Cancelled(), h.When(), model.at[id])
 					}
 				} else if h.Active() || (h.Cancelled() && !model.everCancelled[id]) {
 					t.Fatalf("op %d: %T's finished event %d (state %d) reads Active=%v Cancelled=%v",
-						op, eng.e, id, model.state[id], h.Active(), h.Cancelled())
+						op, eng.e, id, model.status[id], h.Active(), h.Cancelled())
 				}
 			}
 		}
@@ -425,14 +550,25 @@ func runQueueScript(t *testing.T, data []byte) {
 	}
 	model.run()
 	check(op)
+	return model
 }
 
 func TestQueueOrderRandomScripts(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	var coalesced uint64
+	joinedStops := 0
 	for i := 0; i < 300; i++ {
 		data := make([]byte, 4*(20+rng.Intn(300)))
 		rng.Read(data)
-		runQueueScript(t, data)
+		m := runQueueScript(t, data)
+		coalesced += m.coalesced
+		joinedStops += m.joinedStops
+	}
+	// The scripts must reach what they are there to check: posts sharing
+	// slots, and Stop from a post inside one.
+	t.Logf("%d posts joined a slot, %d Stops from one", coalesced, joinedStops)
+	if coalesced < 20000 || joinedStops < 100 {
+		t.Errorf("%d posts joined a slot and %d Stops came from one; want 20000 and 100", coalesced, joinedStops)
 	}
 }
 
@@ -485,7 +621,23 @@ func FuzzQueueOrder(f *testing.F) {
 	f.Add([]byte{0, 2, 4, 0, 14, 0, 0, 0, 0, 2, 4, 0, 15, 0, 0, 0, 10, 0, 2, 0})
 	f.Add([]byte{0, 4, 4, 0, 14, 0, 0, 0, 0, 4, 4, 0, 15, 0, 0, 0, 10, 0, 2, 0})
 	f.Add([]byte{0, 2, 4, 0, 14, 0, 0, 0, 0, 2, 4, 0, 15, 0, 0, 0, 10, 0, 0, 0})
-	f.Fuzz(runQueueScript)
+	// Posts (bit 4 of byte 0). A 22-post fan-out on one instant, unbroken
+	// for 14 (two records), then interrupted, in near, ring and far.
+	f.Add([]byte{0x18, 0, 0x47, 0x01, 6, 4, 255, 255})
+	f.Add([]byte{0x18, 2, 0x47, 0x01, 6, 4, 255, 255})
+	f.Add([]byte{0x18, 4, 0x47, 0x01, 6, 4, 255, 255})
+	// A fan-out whose every fifth post is followed by a reserved number,
+	// then an insert under one at the fan-out's instant.
+	f.Add([]byte{0x18, 2, 0x40, 0x00, 15, 0, 0, 0, 6, 4, 0, 0})
+	// A fan-out whose every fifth post is followed by an ordinary schedule
+	// for the same instant.
+	f.Add([]byte{0x18, 2, 0x48, 0x00, 6, 4, 0, 0})
+	// Stop from a post in the middle of a slot, then zero-delay posts
+	// behind it, and a post for the next microsecond.
+	f.Add([]byte{0x18, 2, 0x43, 0x00, 12, 0, 2, 0, 0x10, 0, 0, 0, 0x10, 0, 0, 0, 0x11, 1, 0, 0, 6, 4, 0, 0})
+	// A cancel aimed at a post (a no-op), then a post for its instant.
+	f.Add([]byte{0x18, 2, 0x42, 0x00, 11, 0, 0, 0, 6, 4, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) { runQueueScript(t, data) })
 }
 
 // bucketTime is the first instant of bucket b.

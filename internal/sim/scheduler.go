@@ -20,10 +20,15 @@ import "math/rand"
 //     event would race and break reproducibility.
 //   - Cancel must be called on the same Scheduler that issued the Handle.
 //     Cross-shard schedules return the zero Handle and are not cancellable.
+//   - Post is After for work nobody will cancel. On an Engine (and so on a
+//     shard) a post may share the queue slot of the post before it (see
+//     Engine.Post); cross-shard channels and the global barrier queue
+//     simply schedule it.
 type Scheduler interface {
 	Now() Time
 	After(delay Time, a Action) Handle
 	At(t Time, a Action) Handle
+	Post(delay Time, a Action)
 	Cancel(h Handle)
 	Rand() *rand.Rand
 }
@@ -55,6 +60,7 @@ type Runner interface {
 	Stop()
 	Fired() uint64
 	Pending() int
+	Coalesced() uint64
 	Stats() EngineStats
 }
 

@@ -149,6 +149,11 @@ func (se *ShardedEngine) After(delay Time, a Action) Handle { return se.global()
 // At queues a on the global (stop-the-world) context at absolute time t.
 func (se *ShardedEngine) At(t Time, a Action) Handle { return se.global().At(t, a) }
 
+// Post queues a on the global context after delay: while degenerate into
+// the one Engine, where it may share a slot (Engine.Post); else into the
+// barrier queue, as After.
+func (se *ShardedEngine) Post(delay Time, a Action) { se.global().Post(delay, a) }
+
 // Cancel cancels a handle issued by the global context.
 func (se *ShardedEngine) Cancel(h Handle) { se.global().Cancel(h) }
 
@@ -182,6 +187,15 @@ func (se *ShardedEngine) Fired() uint64 {
 	}
 	if se.gq != nil {
 		n += se.gq.fired
+	}
+	return n
+}
+
+// Coalesced returns how many posts joined a slot, summed over the shards.
+func (se *ShardedEngine) Coalesced() uint64 {
+	var n uint64
+	for _, s := range se.shards {
+		n += s.q.coalesced
 	}
 	return n
 }
@@ -455,8 +469,10 @@ func (s *shardSched) runWindow(tStop Time, incl bool) {
 
 // barrierQueue is the global queue of a partitioned engine: an Engine that
 // refuses schedules while shard windows run, since its events must only
-// ever run with every shard parked. After, At and AtReserved each check,
-// because the promoted After would reach Engine.At past an At override.
+// ever run with every shard parked. After, At, Post and AtReserved each
+// check, because the promoted After would reach Engine.At past an At
+// override. A post here is an ordinary event: nothing fans out on the
+// global queue.
 type barrierQueue struct {
 	Engine
 	running *atomic.Bool
@@ -476,6 +492,11 @@ func (g *barrierQueue) After(delay Time, a Action) Handle {
 func (g *barrierQueue) At(t Time, a Action) Handle {
 	g.guard()
 	return g.Engine.At(t, a)
+}
+
+func (g *barrierQueue) Post(delay Time, a Action) {
+	g.guard()
+	g.Engine.After(delay, a)
 }
 
 func (g *barrierQueue) AtReserved(t Time, seq uint64, a Action) Handle {
@@ -540,6 +561,9 @@ func (c *crossSched) At(t Time, a Action) Handle {
 	s.outSeq++
 	return Handle{}
 }
+
+// Post is After: a mailbox entry has no slot to share.
+func (c *crossSched) Post(delay Time, a Action) { c.After(delay, a) }
 
 func (c *crossSched) Cancel(h Handle) {
 	if !h.IsZero() {

@@ -496,3 +496,146 @@ func BenchmarkColdTrains(b *testing.B) {
 		})
 	}
 }
+
+// Posts (Engine.Post) that follow each other on one instant share one queue
+// slot: the random scripts check the contract differentially; this pins the
+// join rule on scripts short enough to read. Each case posts at instant 5
+// with something in between the posts or not, and says how many slots the
+// posts took; every case fires its posts in post order.
+func TestPostSlotJoinRule(t *testing.T) {
+	cases := []struct {
+		name    string
+		between func(e *Engine) // after the second post
+		slots   uint64          // queue slots the four posts take
+	}{
+		{"nothing between", func(*Engine) {}, 1},
+		{"a schedule for the same instant", func(e *Engine) { e.At(5, Func(func() {})) }, 2},
+		{"a schedule for another instant", func(e *Engine) { e.At(6, Func(func() {})) }, 2},
+		{"a post for another instant", func(e *Engine) { e.Post(6, Func(func() {})) }, 2},
+		{"a reserved number", func(e *Engine) { e.Reserve(1) }, 2},
+		{"a back-dated insert", func(e *Engine) { e.AtReserved(7, e.Reserve(1), Func(func() {})) }, 2},
+	}
+	for _, tc := range cases {
+		e := NewEngine(1)
+		var log []int
+		post := func(id int) { e.Post(5, Func(func() { log = append(log, id) })) }
+		post(0)
+		post(1)
+		tc.between(e)
+		allocs := e.EventAllocs()
+		post(2)
+		post(3)
+		if got := e.EventAllocs() - allocs; got != tc.slots-1 {
+			t.Errorf("%s: the last two posts took %d new slots, want %d", tc.name, got, tc.slots-1)
+		}
+		e.Run()
+		if fmt.Sprint(log) != "[0 1 2 3]" {
+			t.Errorf("%s: fired %v", tc.name, log)
+		}
+	}
+}
+
+// A full record starts a new slot; a Stop from a joined action leaves the
+// rest of the slot first in the queue, counted as pending; and a post from
+// an action of the slot that is still the newest post's joins it too.
+func TestPostSlotFullAndStop(t *testing.T) {
+	e := NewEngine(1)
+	var log []int
+	for i := 0; i <= postCap; i++ {
+		e.Post(5, Func(func() {
+			if log = append(log, i); i == 2 {
+				e.Stop()
+			}
+		}))
+	}
+	st := e.Stats()
+	if e.EventAllocs() != 2 || st.Pending != postCap+1 || st.Chained != postCap || e.Coalesced() != postCap-1 {
+		t.Fatalf("%d posts: %d slots, Pending %d, Chained %d, Coalesced %d; want 2, %d, %d, %d",
+			postCap+1, e.EventAllocs(), st.Pending, st.Chained, e.Coalesced(), postCap+1, postCap, postCap-1)
+	}
+	e.Run()
+	if fmt.Sprint(log) != "[0 1 2]" || e.Pending() != postCap-2 || e.Fired() != 3 {
+		t.Fatalf("Stop from post 2: fired %v, Pending %d, Fired %d", log, e.Pending(), e.Fired())
+	}
+	e.At(5, Func(func() { log = append(log, -1) }))
+	e.Run()
+	if got, want := fmt.Sprint(log), fmt.Sprint(append(seq(postCap+1), -1)); got != want {
+		t.Fatalf("fired %s, want %s", got, want)
+	}
+
+	e, log = NewEngine(1), nil
+	for i := 0; i < 3; i++ {
+		e.Post(5, Func(func() {
+			if log = append(log, i); i == 0 {
+				e.Post(0, Func(func() { log = append(log, 3) }))
+			}
+		}))
+	}
+	e.Run()
+	if fmt.Sprint(log) != "[0 1 2 3]" || e.EventAllocs() != 1 || e.Coalesced() != 3 {
+		t.Fatalf("a post from the slot's first action: fired %v, %d slots, Coalesced %d; want [0 1 2 3], 1, 3", log, e.EventAllocs(), e.Coalesced())
+	}
+}
+
+// seq returns 0..n-1.
+func seq(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
+}
+
+// BenchmarkFanoutPost is BenchmarkFanoutTrain's pattern with posts, the way
+// a router's links post the deliveries of one packet's copies: 64 bursts in
+// flight, each k posts on one instant, the last of which posts the next
+// burst. One op is one fired action. A burst takes one queue slot per
+// postCap posts (1/k slots an action while k <= postCap), and the cycle
+// allocates nothing.
+func BenchmarkFanoutPost(b *testing.B) {
+	for _, k := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
+			e := NewEngine(1)
+			n := 0
+			var member, last Func
+			member = func() {}
+			last = func() {
+				n++
+				d := Time(200 + n%64*97) // bursts land in different buckets
+				for i := 1; i < k; i++ {
+					e.Post(d, member)
+				}
+				e.Post(d, last)
+			}
+			for i := 0; i < 64; i++ {
+				last()
+			}
+			for e.Fired() < uint64(64*k*4) { // slots, records and heaps reach their steady size
+				e.step()
+			}
+			b.ReportAllocs()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			b.ResetTimer()
+			// A step fires a whole slot; run whole steps until b.N actions.
+			for end := e.Fired() + uint64(b.N); e.Fired() < end; {
+				e.step()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&m1)
+			if m1.Mallocs != m0.Mallocs {
+				b.Fatalf("%d allocations in steady state, want 0", m1.Mallocs-m0.Mallocs)
+			}
+			// Over everything posted since the engine was made, warm-up
+			// included, so that a one-op smoke run checks it too.
+			st := e.Stats()
+			posted := st.Fired + uint64(st.Pending)
+			slots := float64(st.EventAllocs+st.EventReuses) / float64(posted)
+			if want := float64((k+postCap-1)/postCap) / float64(k); slots > want+1e-9 {
+				b.Fatalf("%.4f queue slots per action with %d-wide bursts, want %.4f", slots, k, want)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/action")
+			b.ReportMetric(slots, "queue-slots/action")
+		})
+	}
+}

@@ -25,10 +25,11 @@ type goldenRun struct {
 }
 
 // checkGolden executes the named figure's quick sweep at seed 1 and compares
-// the deterministic subset of every result against testdata/<file>. With
-// -update it rewrites the file instead. shards selects the engine (0 = the
-// single-threaded oracle the goldens were recorded on); any shard count
-// must reproduce the same files.
+// the deterministic subset of every result against testdata/<file>. shards
+// selects the engine: 0 is the single-threaded oracle the goldens are
+// recorded on, which -update rewrites them from; any shard count must
+// reproduce the same file, less the rows' echo of the engine ("Sharded"),
+// which it reads as the oracle's.
 func checkGolden(t *testing.T, figure, file string, shards int) {
 	t.Helper()
 	ex, ok := Lookup(figure)
@@ -60,9 +61,12 @@ func checkGolden(t *testing.T, figure, file string, shards int) {
 		t.Fatal(err)
 	}
 	got := buf.Bytes()
+	if shards > 0 {
+		got = bytes.ReplaceAll(got, []byte(`"Sharded": true`), []byte(`"Sharded": false`))
+	}
 
 	path := filepath.Join("testdata", file)
-	if *updateGolden {
+	if *updateGolden && shards == 0 {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -135,46 +139,34 @@ func TestGoldenChurnDeterminism(t *testing.T) {
 	checkGolden(t, "fig_churn", "golden_churn_quick.json", 0)
 }
 
-// TestGoldenChurnShardedDeterminism is the sharded lineage of the churn
-// study: recorded with -shards 1 and verified with 4 workers, like
-// TestGoldenShardedDeterminism. The churn driver runs entirely at
-// stop-the-world barriers, so the worker count must not change a single
-// byte — serial-vs-sharded composition of churn is pinned here.
+// TestGoldenChurnShardedDeterminism runs the churn study on the sharded
+// engine with four workers against the serial golden. The churn driver runs
+// entirely at stop-the-world barriers, so serial-vs-sharded composition of
+// churn is pinned here byte for byte.
 func TestGoldenChurnShardedDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick fig_churn sweep is a few seconds of simulation")
 	}
-	if *updateGolden {
-		checkGolden(t, "fig_churn", "golden_churn_quick_sharded.json", 1)
-		return
-	}
-	checkGolden(t, "fig_churn", "golden_churn_quick_sharded.json", 4)
+	checkGolden(t, "fig_churn", "golden_churn_quick.json", 4)
 }
 
-// TestGoldenShardedDeterminism locks the sharded engine's worker-count
-// invariance on both golden figures: the *_sharded golden files are
-// recorded with -shards 1 (the sharded execution model on one worker) and
-// every higher worker count must reproduce them byte-identically — the
-// worker count is physical, the logical partitioning comes from the
-// topology. Topology A and B have no generator-emitted domain labels, so
-// this also exercises the min-cut fallback partitioner end to end.
+// TestGoldenShardedDeterminism runs both golden figures on the sharded
+// engine with four workers against the serial goldens: the worker count is
+// physical, the logical partitioning comes from the topology, and the
+// sharded execution model reproduces the single-threaded oracle byte for
+// byte. Topology A and B have no generator-emitted domain labels, so this
+// also exercises the min-cut fallback partitioner end to end.
 //
-// The sharded files differ slightly from the single-threaded goldens on
-// the longer quick runs: same-timestamp events meeting at a partition
-// boundary serialize in partition order rather than the serial engine's
-// schedule-call order, and on a saturated queue one reordered tie can
-// cascade. Both orders are valid serializations; each engine is
-// bit-reproducible against its own record.
+// Same-timestamp events meeting at a partition boundary serialize in
+// partition order rather than the serial engine's schedule-call order.
+// While links drained their queues with an event of their own, such a tie
+// between a drain and an arrival could reorder a saturated queue, and the
+// sharded engine kept golden files of its own; a link now books a packet's
+// whole hop when it accepts it, and the two orders agree on these sweeps.
 func TestGoldenShardedDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two quick figure sweeps of simulation")
 	}
-	if *updateGolden {
-		// Record with one worker; the normal run verifies with four.
-		checkGolden(t, "6", "golden_fig6_quick_sharded.json", 1)
-		checkGolden(t, "7", "golden_fig7_quick_sharded.json", 1)
-		return
-	}
-	checkGolden(t, "6", "golden_fig6_quick_sharded.json", 4)
-	checkGolden(t, "7", "golden_fig7_quick_sharded.json", 4)
+	checkGolden(t, "6", "golden_fig6_quick.json", 4)
+	checkGolden(t, "7", "golden_fig7_quick.json", 4)
 }

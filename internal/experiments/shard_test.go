@@ -142,8 +142,8 @@ func TestShardWorkerInvariance(t *testing.T) {
 // engines serialize same-timestamp partition-boundary ties differently, so
 // an engine bug (a lost event, a wrong clock, a racing RNG draw) shows up
 // here immediately, while over much longer runs a reordered tie on a
-// saturated queue can legitimately cascade (the sharded golden lineage in
-// golden_test.go covers that regime).
+// saturated queue can legitimately cascade (the sharded golden tests in
+// golden_test.go cover that regime).
 func TestShardSerialEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every family twice")

@@ -602,8 +602,9 @@ func (w *World) AllTraces() (traces []*metrics.Trace, optima []int) {
 // results. Against the single-threaded engine the sharded model executes
 // the same events with the same clocks and RNG stream; the one defined
 // difference is the serialization of same-timestamp events that meet at a
-// partition boundary (partition order instead of schedule-call order), so
-// the two engines are separate golden lineages rather than bit-equal.
+// partition boundary (partition order instead of schedule-call order). On
+// the golden sweeps that changes no output: the sharded golden tests
+// compare against the serial goldens.
 func NewRunEngine(seed int64, shards int) sim.Runner {
 	if shards >= 1 {
 		return sim.NewShardedEngine(seed, shards)

@@ -114,13 +114,13 @@ func BenchmarkChainForwardPooled(b *testing.B) {
 
 // BenchmarkSaturatedLink offers one link packets at twice its bandwidth: the
 // queue is full, the transmitter never idles, and every op is one offered
-// packet (half are drop-tailed, half cross the link on a drain and a delivery
-// event). It reports the pipeline ring's capacity and fails when that exceeds
-// the link's bandwidth-delay bound or when the steady state allocates: a
-// saturated link's memory must not depend on how long it has been saturated.
+// packet (half are drop-tailed, half cross the link on one delivery event).
+// It reports the ring's capacity and fails when that exceeds the link's
+// bound or when the steady state allocates: a saturated link's memory must
+// not depend on how long it has been saturated.
 func BenchmarkSaturatedLink(b *testing.B) {
-	_, l, offer, bound := saturatedLink(b)
-	offer(2000) // rings, packet pool and event slots reach their steady size
+	_, _, offer, peak, bound := saturatedLink(b)
+	offer(2000) // ring, packet pool and event slots reach their steady size
 	b.ReportAllocs()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -131,9 +131,8 @@ func BenchmarkSaturatedLink(b *testing.B) {
 	if perOp := (m1.TotalAlloc - m0.TotalAlloc) / uint64(b.N); perOp > 0 {
 		b.Fatalf("%d B/op on a saturated link in steady state, want 0", perOp)
 	}
-	pipeline := cap(l.inflight.buf)
-	if pipeline > bound {
-		b.Fatalf("pipeline capacity %d after %d packets, want at most %d", pipeline, 2000+b.N, bound)
+	if *peak > bound {
+		b.Fatalf("ring capacity %d after %d packets, want at most %d", *peak, 2000+b.N, bound)
 	}
-	b.ReportMetric(float64(pipeline), "pipeline-cap")
+	b.ReportMetric(float64(*peak), "ring-cap")
 }

@@ -10,10 +10,10 @@ import (
 // These pins keep a new field from splitting that prefix silently: add cold
 // state below the hot block, or move the limit knowingly.
 
-// TestLinkHotLayout: everything Send, transmit and deliverHead read on the
-// no-outage, no-full-queue path — the inline pipeline slots and the
-// serialization-time memo included — ends inside the link's first four
-// cache lines.
+// TestLinkHotLayout: everything Send, book and deliverHead read on the
+// no-outage, no-full-queue path — the waiting count, the inline ring slots
+// and the serialization-time memo included — ends inside the link's first
+// four cache lines.
 func TestLinkHotLayout(t *testing.T) {
 	var l Link
 	end := func(off, size uintptr) uintptr { return off + size }
@@ -22,7 +22,8 @@ func TestLinkHotLayout(t *testing.T) {
 		"freeAt":    end(unsafe.Offsetof(l.freeAt), unsafe.Sizeof(l.freeAt)),
 		"down":      end(unsafe.Offsetof(l.down), unsafe.Sizeof(l.down)),
 		"orphans":   end(unsafe.Offsetof(l.orphans), unsafe.Sizeof(l.orphans)),
-		"queue":     end(unsafe.Offsetof(l.queue), unsafe.Sizeof(l.queue)),
+		"nextStart": end(unsafe.Offsetof(l.nextStart), unsafe.Sizeof(l.nextStart)),
+		"waiting":   end(unsafe.Offsetof(l.waiting), unsafe.Sizeof(l.waiting)),
 		"stats":     end(unsafe.Offsetof(l.stats), unsafe.Sizeof(l.stats)),
 		"bandwidth": end(unsafe.Offsetof(l.bandwidth), unsafe.Sizeof(l.bandwidth)),
 		"Delay":     end(unsafe.Offsetof(l.Delay), unsafe.Sizeof(l.Delay)),
@@ -46,7 +47,6 @@ func TestLinkHotLayout(t *testing.T) {
 	}
 	// The cold tail must not sit in front of anything hot either.
 	for name, off := range map[string]uintptr{
-		"drainEv":   unsafe.Offsetof(l.drainEv),
 		"squelch":   unsafe.Offsetof(l.squelch),
 		"aborted":   unsafe.Offsetof(l.aborted),
 		"recvSched": unsafe.Offsetof(l.recvSched),
@@ -55,8 +55,8 @@ func TestLinkHotLayout(t *testing.T) {
 			t.Errorf("cold field Link.%s at byte %d sits inside the hot block", name, off)
 		}
 	}
-	if got := unsafe.Sizeof(l); got > 352 {
-		t.Errorf("Link is %d bytes; above 352 it moves up an allocation size class", got)
+	if got := unsafe.Sizeof(l); got > 320 {
+		t.Errorf("Link is %d bytes; above 320 it moves up an allocation size class", got)
 	}
 }
 

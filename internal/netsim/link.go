@@ -28,11 +28,11 @@ const (
 
 // LinkStats accumulates per-link counters for the lifetime of a run.
 type LinkStats struct {
-	Enqueued  int64 // packets accepted into the queue (or straight to the wire)
-	Delivered int64 // packets that finished serialization and were handed on
+	Enqueued  int64 // packets accepted (to wait, or straight to the wire)
+	Delivered int64 // packets that finished serialization
 	Dropped   int64 // packets lost to drop-tail overflow or link failure
 	TxBytes   int64 // bytes fully serialized onto the wire
-	PeakQueue int   // high-water mark of queue occupancy (excluding in-flight)
+	PeakQueue int   // high-water mark of the waiting count (excluding the one serializing)
 }
 
 // DropRate returns the fraction of offered packets lost on this link.
@@ -48,67 +48,73 @@ func (s LinkStats) DropRate() float64 {
 // (bits/s), propagation delay, and a drop-tail FIFO queue of queueLimit
 // packets. A bidirectional connection is a pair of Links.
 //
-// A packet offered to an idle transmitter costs one scheduler event: transmit
-// books the whole hop — serialization until freeAt, then the propagation
-// delay — and posts the delivery at once (sim.Scheduler.Post), so the
-// deliveries a router's links post for one instant, one after another, share
-// one queue slot. Only a packet that has to wait behind a busy transmitter
-// adds a second event, the drain that starts it.
+// Every accepted packet costs one scheduler event. A FIFO transmitter never
+// reorders or preempts, so Send books the whole hop at once, whether the
+// transmitter is idle or busy: serialization starts at max(now, freeAt),
+// freeAt moves to its end, and the delivery is posted for one propagation
+// delay after that (sim.Scheduler.Post), so the deliveries a router's links
+// post for one instant, one after another, share one queue slot. The
+// packets waiting for the transmitter are the newest entries of the one
+// in-flight ring: they run back to back and end at freeAt.
 //
-// The forwarding hot path is allocation-free: the drain and delivery events'
-// Actions are the link itself (linkDrain, linkDeliver), the waiting queue
-// and the propagation pipeline are rings that grow only when full — so a
-// link that never idles holds at most QueueLimit waiting and a
-// bandwidth-delay product in flight, however long it runs — and pooled
-// packets move through on reference counts instead of garbage. The
-// pipeline's first two slots are inside the link (pipe), so a link that
-// never has a third packet in flight owns no ring of its own.
+// The forwarding hot path is allocation-free: the delivery event's Action is
+// the link itself (linkDeliver), the in-flight ring grows only when full —
+// so a link that never idles holds at most QueueLimit waiting and a
+// bandwidth-delay product on the wire, however long it runs — and pooled
+// packets move through on reference counts instead of garbage. The ring's
+// first two slots are inside the link (pipe), and a ring that empties on a
+// pool array gives it back and returns to them, so a link with at most two
+// packets aboard owns no ring of its own.
 type Link struct {
-	// The first 256 bytes are everything Send, transmit and deliverHead read
-	// for a packet that meets no outage and no full queue, side by side so a
-	// hop touches four cache lines of its link instead of all six
+	// The first 256 bytes are everything Send, book and deliverHead read for
+	// a packet that meets no outage and no full queue, side by side so a
+	// hop touches four cache lines of its link instead of all five
 	// (TestLinkHotLayout pins it). Configuration and outage state follow.
 
-	// sched owns the transmitter side (Send/transmit/drain run in From's
-	// context); dsched carries the delivery schedule to the receiving side;
-	// recvSched is the receiving context itself (its clock is the one probes
-	// must read at delivery). All three are the network engine until
-	// Partition rebinds them, and dsched differs from recvSched only on a
-	// partition-boundary link, where it is a cross-shard channel.
+	// sched owns the transmitter side (Send and everything it books run in
+	// From's context); dsched carries the delivery schedule to the
+	// receiving side; recvSched is the receiving context itself (its clock
+	// is the one probes must read at delivery). All three are the network
+	// engine until Partition rebinds them, and dsched differs from
+	// recvSched only on a partition-boundary link, where it is a
+	// cross-shard channel.
 	sched sim.Scheduler
-	// freeAt is when the transmitter finishes the packet it is serializing
-	// (txSize bytes); the link is busy while now < freeAt. drainEv is the
-	// one event armed at freeAt while the queue is non-empty.
+	// freeAt is when the transmitter finishes the last packet booked; the
+	// link is busy while now < freeAt.
 	freeAt sim.Time
 	// down marks a failed link: everything it is asked to carry is
-	// dropped until SetUp. The delivery events of in-flight packets SetDown
+	// dropped until SetUp. The delivery events of packets SetDown
 	// discarded still fire, and deliverHead swallows them: orphans counts
 	// the ones still to come, squelch + len(aborted), so a link that never
 	// failed pays one compare.
 	down    bool
 	Policy  DropPolicy
 	orphans int32
-	// queue holds the packets waiting behind the transmitter, at most
-	// QueueLimit of them.
-	queue     pktRing
+	// waiting and nextStart cache the waiting count: as of the last Send,
+	// the ring's newest waiting entries were waiting and the oldest of them
+	// starts at nextStart. waitingAt advances it lazily. Only the sending
+	// side writes them.
+	nextStart sim.Time
+	waiting   int32
 	stats     LinkStats
 	bandwidth float64 // bits per second; fixed at Connect
 	Delay     sim.Time
-	// txSize is the size of the packet serialized last and txTime its
+	// txSize is the size of the packet booked last and txTime its
 	// serialization time, sim.TransmitTime(txSize, bandwidth): the memo
-	// transmit reuses while packet sizes repeat.
+	// book reuses while packet sizes repeat.
 	txSize int
 	txTime sim.Time
 	// mu guards inflight on partition-boundary links, where the
-	// transmitting shard pushes and the receiving shard pops concurrently.
-	// nil everywhere else: single-shard links never pay for it.
+	// transmitting shard pushes and the receiving shard pops concurrently,
+	// and the orphan state a DropPriority replacement writes there. nil
+	// everywhere else: single-shard links never pay for it.
 	mu *sync.Mutex
-	// inflight holds the packets on the link from the start of their
-	// serialization to their delivery, in delivery order (per-link delivery
-	// times are strictly increasing, so FIFO holds): at most the link's
-	// bandwidth-delay product plus the one being serialized. Its ring
-	// starts on pipe and moves to the heap the first time a third packet
-	// is in flight.
+	// inflight holds every booked packet from Send to its delivery, in
+	// delivery order (per-link delivery times are strictly increasing, so
+	// FIFO holds): at most QueueLimit waiting, the one being serialized and
+	// the link's bandwidth-delay product propagating. Its ring starts on
+	// pipe, moves to a pool array the first time a third packet is aboard,
+	// and comes back when it empties.
 	inflight pktRing
 	pipe     [2]*Packet
 	dsched   sim.Scheduler
@@ -120,12 +126,12 @@ type Link struct {
 	// reads it on every arrival.
 	From, To   NodeID
 	QueueLimit int
-	drainEv    sim.Handle
-	// squelch counts the orphaned delivery events whose packet had left the
-	// transmitter: they all fire before anything sent later can arrive.
-	// aborted holds the due times of those whose packet was still on it: a
-	// shorter packet sent after the repair overtakes them, so they are
-	// matched by time, not by count.
+	// squelch counts the orphaned delivery events whose packet had finished
+	// serializing: they all fire before anything sent later can arrive.
+	// aborted holds the due times of those whose packet was still
+	// serializing or waiting, and of deliveries a DropPriority replacement
+	// moved: a shorter packet sent after the repair overtakes them, so they
+	// are matched by time, not by count.
 	squelch   int
 	aborted   []sim.Time
 	recvSched sim.Scheduler
@@ -139,21 +145,26 @@ func (l *Link) NowTx() sim.Time { return l.sched.Now() }
 // probe callbacks must read.
 func (l *Link) NowRx() sim.Time { return l.recvSched.Now() }
 
-// Stats returns a copy of the link's counters. transmit books a packet as
-// Delivered when its serialization starts; the copy is net of the packet
-// still being serialized, so it reads as if counted when the last bit left.
+// Stats returns a copy of the link's counters. Send books a packet as
+// Delivered when it accepts it; the copy is net of every booked packet whose
+// serialization has not ended, so it reads as if counted when the last bit
+// left.
 func (l *Link) Stats() LinkStats {
 	s := l.stats
-	if l.Busy() {
-		s.Delivered--
-		s.TxBytes -= int64(l.txSize)
+	if now := l.sched.Now(); now < l.freeAt {
+		n, bytes := l.unfinished(now)
+		s.Delivered -= n
+		s.TxBytes -= bytes
 	}
 	return s
 }
 
-// QueueLen returns the number of packets waiting (not counting the one being
-// serialized).
-func (l *Link) QueueLen() int { return int(l.queue.n) }
+// QueueLen returns the number of packets waiting at now (not counting the
+// one being serialized).
+func (l *Link) QueueLen() int {
+	w, _ := l.waitingAt(l.sched.Now())
+	return int(w)
+}
 
 // Busy reports whether a packet is currently being serialized.
 func (l *Link) Busy() bool { return l.sched.Now() < l.freeAt }
@@ -170,7 +181,7 @@ func (l *Link) Down() bool { return l.down }
 func (l *Link) Reverse() *Link { return l.to.LinkTo(l.From) }
 
 // SetDown fails the link. Everything the link is asked to carry while down
-// is dropped: the waiting queue and the propagation pipeline are discarded
+// is dropped: the waiting packets and the propagation pipeline are discarded
 // immediately, the packet being serialized is aborted, and later Send calls
 // lose their packet on arrival. Unicast routing recomputes around the
 // failed link and route-change listeners (Network.OnRouteChange) are
@@ -201,45 +212,56 @@ func (l *Link) SetUp() {
 	l.net.linkStateChanged(l, false)
 }
 
-// dropCarried discards everything the link is currently carrying: queued
-// packets and the in-flight pipeline, from the packet mid-serialization to
-// those riding the propagation delay. Each loss is counted and announced
-// like a queue drop.
+// dropCarried discards everything the link is carrying: the waiting packets,
+// the one being serialized and those riding the propagation delay. Each loss
+// is counted and announced like a queue drop, the waiting packets first.
+// The discarded packets' deliveries are already posted: those that finished
+// serializing are squelched by count, the rest matched by due time.
 func (l *Link) dropCarried() {
-	for l.queue.n > 0 {
-		p := l.queue.pop()
-		l.drop(p)
-		p.unref()
+	now := l.sched.Now()
+	n := int(l.inflight.n)
+	w, _ := l.waitingAt(now)
+	for i := n - int(w); i < n; i++ {
+		l.drop(*l.inflight.at(i))
 	}
-	l.sched.Cancel(l.drainEv)
-	orphaned := int(l.inflight.n) // delivery events left to fire
-	for l.inflight.n > 0 {
+	done := n
+	if now < l.freeAt {
+		// The newest packets had not finished serializing: their bytes never
+		// made it onto the wire, and the transmitter is idle from this
+		// instant.
+		end := l.freeAt
+		for i := n - 1; i >= 0 && end > now; i-- {
+			p := *l.inflight.at(i)
+			l.stats.TxBytes -= int64(p.Size)
+			l.aborted = append(l.aborted, end+l.Delay)
+			end -= l.txOf(p.Size)
+			done--
+		}
+		l.freeAt = now
+	}
+	for i := 0; l.inflight.n > 0; i++ {
 		p := l.inflight.pop()
-		// transmit counted these Delivered; move them to Dropped so the
-		// ledger reflects that they never reached the far end.
+		// Send counted these Delivered; move them to Dropped so the ledger
+		// reflects that they never reached the far end.
 		l.stats.Delivered--
-		l.drop(p)
+		if i < n-int(w) {
+			l.drop(p)
+		}
 		p.unref()
 	}
-	if l.Busy() {
-		// The newest of them was still being serialized: its bytes never
-		// made it onto the wire, its delivery event is matched by time, and
-		// the transmitter is idle from this instant.
-		l.stats.TxBytes -= int64(l.txSize)
-		orphaned--
-		l.aborted = append(l.aborted, l.freeAt+l.Delay)
-		l.freeAt = l.sched.Now()
-	}
-	l.squelch += orphaned
+	l.giveBack()
+	l.waiting = 0
+	l.squelch += done
 	l.orphans = int32(l.squelch + len(l.aborted))
 }
 
-// ResetStats zeroes the counters (used between measurement intervals). A
-// packet mid-serialization stays booked, so it counts once it finishes.
+// ResetStats zeroes the counters (used between measurement intervals).
+// Booked packets whose serialization has not ended stay booked, so they
+// count once they finish.
 func (l *Link) ResetStats() {
 	l.stats = LinkStats{}
-	if l.Busy() {
-		l.stats.Delivered, l.stats.TxBytes = 1, int64(l.txSize)
+	if now := l.sched.Now(); now < l.freeAt {
+		l.stats.Delivered, l.stats.TxBytes = l.unfinished(now)
 	}
 }
 
@@ -248,8 +270,8 @@ func (l *Link) String() string {
 }
 
 // Bandwidth returns the link's rate in bits per second. It is fixed when
-// the link is created, which is what lets transmit keep its
-// serialization-time memo without ever revalidating it.
+// the link is created, which is what lets book keep its serialization-time
+// memo without ever revalidating it.
 func (l *Link) Bandwidth() float64 { return l.bandwidth }
 
 func (l *Link) noteEnqueue(p *Packet) {
@@ -288,76 +310,57 @@ func (l *Link) noteDeliver(p *Packet) {
 	}
 }
 
-// Send offers a packet to the link. If the transmitter is idle — nothing
-// queued and the last serialization over — the packet goes straight to the
-// wire; otherwise it queues, and when the queue is at its limit the Policy
-// picks the victim: the arrival (drop-tail) or the highest-layer packet in
-// queue (priority dropping). An accepted packet holds one reference until
-// the link delivers (or drops) it. A down link accepts nothing: the packet
-// is dropped on arrival.
+// Send offers a packet to the link. An accepted packet is booked at once:
+// it starts serializing when the transmitter frees up (now, if it is idle)
+// and its delivery is posted. When QueueLimit packets are already waiting,
+// the Policy picks the victim: the arrival (drop-tail) or the highest-layer
+// waiting packet (priority dropping). A serialization that ends at now has
+// handed the transmitter on before any Send at now, so it frees a waiting
+// place at that instant. An accepted packet holds one reference until the
+// link delivers (or drops) it. A down link accepts nothing: the packet is
+// dropped on arrival.
 func (l *Link) Send(p *Packet) {
 	if l.down {
 		l.drop(p)
 		return
 	}
-	if now := l.sched.Now(); l.QueueLen() == 0 && now >= l.freeAt {
-		l.stats.Enqueued++
-		p.ref()
-		l.noteEnqueue(p)
-		l.transmit(p, now)
-		return
-	}
-	if l.QueueLen() >= l.QueueLimit {
-		victim := p
-		if l.Policy == DropPriority {
-			// Highest layer among queued packets and the arrival loses;
-			// ties favour dropping the arrival (cheapest).
-			var slot **Packet
-			for i := 0; i < int(l.queue.n); i++ {
-				if q := l.queue.at(i); (*q).Layer > victim.Layer {
-					victim, slot = *q, q
-				}
-			}
-			if slot != nil {
-				// Replace the queued victim with the arrival; the victim's
-				// Enqueued count (and queue reference) transfer to the
-				// arrival, which delivers in its place.
-				*slot = p
-				p.ref()
-				l.drop(victim)
-				victim.unref()
-				return
-			}
+	now, start := l.sched.Now(), l.freeAt
+	w, next := int32(0), now
+	if now < start {
+		if w, next = l.waiting, l.nextStart; w > 0 && now >= next {
+			w, next = l.waitingAt(now)
 		}
-		l.drop(victim)
-		return
+		if int(w) >= l.QueueLimit {
+			l.waiting, l.nextStart = w, next
+			l.overflow(p, now)
+			return
+		}
+		if w == 0 {
+			next = start
+		}
+		if w++; int(w) > l.stats.PeakQueue {
+			l.stats.PeakQueue = int(w)
+		}
+	} else {
+		start = now
 	}
 	l.stats.Enqueued++
 	p.ref()
-	l.noteEnqueue(p)
-	l.queue.push(p, l.net.rings)
-	qlen := l.QueueLen()
-	if qlen == 1 {
-		l.drainEv = l.sched.At(l.freeAt, (*linkDrain)(l))
-	}
-	if qlen > l.stats.PeakQueue {
-		l.stats.PeakQueue = qlen
-	}
+	l.noteEnqueue(p) // before the cache counts p: probes see the depth p found
+	l.waiting, l.nextStart = w, next
+	l.book(p, start, now)
 }
 
-// transmit starts serializing p at now (the transmitter is idle) and books
-// the rest of the hop: the link is busy until freeAt, and the delivery fires
-// one propagation delay after that. The delivery takes its tie-break
-// sequence here, when serialization starts, and is posted: nothing cancels
-// it (an outage orphans it instead, see deliverHead). A packet the size of
-// the last one reuses its serialization time; only a new size pays
-// TransmitTime.
-func (l *Link) transmit(p *Packet, now sim.Time) {
+// book serializes p from start, moves freeAt to its end, and posts its
+// delivery one propagation delay later. The delivery takes its tie-break
+// sequence here and is posted: nothing cancels it (an outage orphans it
+// instead, see deliverHead). A packet the size of the last one reuses its
+// serialization time; only a new size pays TransmitTime.
+func (l *Link) book(p *Packet, start, now sim.Time) {
 	if p.Size != l.txSize {
 		l.txSize, l.txTime = p.Size, sim.TransmitTime(p.Size, l.bandwidth)
 	}
-	tx := l.txTime
-	l.freeAt = now + tx
+	l.freeAt = start + l.txTime
 	l.stats.Delivered++
 	l.stats.TxBytes += int64(p.Size)
 	if l.mu != nil {
@@ -367,21 +370,130 @@ func (l *Link) transmit(p *Packet, now sim.Time) {
 	} else {
 		l.inflight.push(p, l.net.rings)
 	}
-	l.dsched.Post(tx+l.Delay, (*linkDeliver)(l))
+	l.dsched.Post(l.freeAt+l.Delay-now, (*linkDeliver)(l))
 }
 
-// linkDrain is a link's drain event: it fires at freeAt while packets wait.
-// The transmitter has just gone idle, so the head of the queue goes on the
-// wire, and the event re-arms behind it for as long as the queue is
-// non-empty.
-type linkDrain Link
-
-func (d *linkDrain) Fire() {
-	l := (*Link)(d)
-	l.transmit(l.queue.pop(), l.freeAt)
-	if l.QueueLen() > 0 {
-		l.drainEv = l.sched.At(l.freeAt, d)
+// txOf returns the serialization time of a size-byte packet, from the memo
+// when the size matches it.
+func (l *Link) txOf(size int) sim.Time {
+	if size == l.txSize {
+		return l.txTime
 	}
+	return sim.TransmitTime(size, l.bandwidth)
+}
+
+// waitingAt returns the waiting count at now and the start of the oldest
+// waiting packet, advancing the cached pair without storing it. Waiting packets run back to back, so each one
+// that has started moves the next start on by its own serialization time.
+// Once the cached oldest packets have also been delivered (more cached than
+// the ring holds), it recounts from the tail instead.
+func (l *Link) waitingAt(now sim.Time) (int32, sim.Time) {
+	w, next := l.waiting, l.nextStart
+	if w == 0 || now < next {
+		return w, next
+	}
+	if now >= l.freeAt {
+		return 0, next
+	}
+	if l.mu != nil {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+	}
+	n := l.inflight.n
+	if w > n {
+		return l.recount(now)
+	}
+	for ; w > 0 && next <= now; w-- {
+		next += l.txOf((*l.inflight.at(int(n - w))).Size)
+	}
+	return w, next
+}
+
+// recount walks back from the newest booked packet, which ends at freeAt,
+// over the packets that start after now: each of them waited, so it starts
+// where the one before it ends.
+func (l *Link) recount(now sim.Time) (w int32, next sim.Time) {
+	next = l.freeAt
+	for i := int(l.inflight.n) - 1; i >= 0; i-- {
+		start := next - l.txOf((*l.inflight.at(i)).Size)
+		if start <= now {
+			break
+		}
+		w, next = w+1, start
+	}
+	return w, next
+}
+
+// unfinished returns how many booked packets have not finished serializing
+// at now, and their bytes: the newest entries, walked back from freeAt.
+func (l *Link) unfinished(now sim.Time) (n, bytes int64) {
+	if l.mu != nil {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+	}
+	end := l.freeAt
+	for i := int(l.inflight.n) - 1; i >= 0 && end > now; i-- {
+		p := *l.inflight.at(i)
+		n, bytes = n+1, bytes+int64(p.Size)
+		end -= l.txOf(p.Size)
+	}
+	return n, bytes
+}
+
+// overflow handles an arrival that finds QueueLimit packets waiting (the
+// cache is current). Under DropPriority the highest layer among the waiting
+// packets and the arrival loses, ties favouring the arrival (cheapest); a
+// waiting victim's place, Enqueued count and reference transfer to the
+// arrival, which is delivered in its place.
+func (l *Link) overflow(p *Packet, now sim.Time) {
+	if l.Policy == DropPriority {
+		if l.mu != nil {
+			l.mu.Lock()
+		}
+		victim, vi := p, -1
+		n := int(l.inflight.n)
+		for i := n - int(l.waiting); i < n; i++ {
+			if q := *l.inflight.at(i); q.Layer > victim.Layer {
+				victim, vi = q, i
+			}
+		}
+		if vi >= 0 && victim.Size != p.Size {
+			l.rebook(vi, p, now)
+		} else if vi >= 0 {
+			*l.inflight.at(vi) = p
+		}
+		if l.mu != nil {
+			l.mu.Unlock()
+		}
+		if vi >= 0 {
+			l.stats.TxBytes += int64(p.Size - victim.Size) // booked at Send
+			p.ref()
+			l.drop(victim)
+			victim.unref()
+			return
+		}
+	}
+	l.drop(p)
+}
+
+// rebook puts p in the waiting entry i in place of a packet of another size,
+// which shifts every later waiting packet's start: their posted deliveries
+// are orphaned by due time and posted again at the new times. The waiting
+// count and the oldest waiting start do not change.
+func (l *Link) rebook(i int, p *Packet, now sim.Time) {
+	n := int(l.inflight.n)
+	end := l.freeAt
+	for k := n - 1; k >= i; k-- {
+		l.aborted = append(l.aborted, end+l.Delay)
+		end -= l.txOf((*l.inflight.at(k)).Size)
+	}
+	*l.inflight.at(i) = p
+	for k := i; k < n; k++ {
+		end += l.txOf((*l.inflight.at(k)).Size)
+		l.dsched.Post(end+l.Delay-now, (*linkDeliver)(l))
+	}
+	l.freeAt = end
+	l.orphans = int32(l.squelch + len(l.aborted))
 }
 
 // linkDeliver is a link's delivery event: it fires deliverHead.
@@ -389,30 +501,49 @@ type linkDeliver Link
 
 func (d *linkDeliver) Fire() { (*Link)(d).deliverHead() }
 
-// deliverHead hands the oldest in-flight packet to the receiving node and
+// deliverHead hands the oldest booked packet to the receiving node and
 // drops the link's reference to it. Per-link delivery times are strictly
 // increasing (every serialization takes at least a microsecond), so
-// deliveries complete in exactly the order transmit pushed them.
+// deliveries complete in exactly the order Send booked them.
 func (l *Link) deliverHead() {
-	if l.orphans > 0 && l.orphanDueNow() {
-		return
-	}
 	var p *Packet
 	if l.mu != nil {
 		l.mu.Lock()
+		if l.orphans > 0 && l.orphanDueNow() {
+			l.mu.Unlock()
+			return
+		}
 		p = l.inflight.pop()
+		if l.inflight.n == 0 {
+			l.giveBack()
+		}
 		l.mu.Unlock()
 	} else {
+		if l.orphans > 0 && l.orphanDueNow() {
+			return
+		}
 		p = l.inflight.pop()
+		if l.inflight.n == 0 {
+			l.giveBack()
+		}
 	}
 	l.noteDeliver(p)
 	l.to.deliver(p, l)
 	p.unref()
 }
 
-// orphanDueNow reports whether this delivery firing belongs to an in-flight
-// packet a SetDown discarded, and forgets it if so: a serialization it
-// aborted, matched by due time (a live packet due the same microsecond has a
+// giveBack returns an emptied ring's pool array to the network's ring pool
+// and puts the ring back on the link's inline pair.
+func (l *Link) giveBack() {
+	if len(l.inflight.buf) >= minRing {
+		l.net.rings.Put(l.inflight.buf)
+		l.inflight.buf, l.inflight.head = l.pipe[:], 0
+	}
+}
+
+// orphanDueNow reports whether this delivery firing belongs to a packet a
+// SetDown discarded or a DropPriority replacement moved, and forgets it if
+// so: one matched by due time (a live packet due the same microsecond has a
 // firing of its own, so either may stand for it), else the oldest squelched
 // one.
 func (l *Link) orphanDueNow() bool {
@@ -437,8 +568,9 @@ func (l *Link) orphanDueNow() bool {
 // capacity is bounded by the most packets it ever held at once. A ring may
 // start on an array its owner holds (a link's pipe); the first doubling
 // moves it onto an array from the network's ring pool, and every later one
-// gives the outgrown array back to that pool. Pool arrays have at least
-// minRing slots, so a shorter one is its owner's and is never filed.
+// gives the outgrown array back to that pool (a link gives back the last one
+// too, whenever its ring empties). Pool arrays have at least minRing slots,
+// so a shorter one is its owner's and is never filed.
 type pktRing struct {
 	buf  []*Packet
 	head int32 // slot of the oldest packet

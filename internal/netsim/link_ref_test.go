@@ -11,17 +11,20 @@ import (
 )
 
 // refLink is the two-event link the one-event Link replaced, kept as the
-// reference model: every packet costs a txDone event when its serialization
-// ends and a deliver event one propagation delay later, the transmitter is a
-// busy flag, and counters move when the events fire. Send, transmit, txDone
-// and the delivery are the old link's line for line, less the reference
-// counting and the boundary-link mutex, with a probe hook in place of the
-// Probe lists. One thing is deliberately not the old code: each event carries
-// its packet and the outage epoch it was scheduled in, so setDown invalidates
-// what it discards by bumping the epoch and the transmitter is idle at once.
-// The old link counted anonymous events instead and stayed busy until the
-// aborted txDone fired (the ghost serialization
-// TestSetUpInsideAbortedSerialization pins as fixed).
+// reference model: every packet waits in a queue of its own, costs a txDone
+// event when its serialization ends and a deliver event one propagation
+// delay later, the transmitter is a busy flag, and counters move when the
+// events fire. Send, transmit, txDone and the delivery are the old link's
+// line for line, less the reference counting and the boundary-link mutex,
+// with a probe hook in place of the Probe lists. Two things are deliberately
+// not the old code. Each event carries its packet and the outage epoch it
+// was scheduled in, so setDown invalidates what it discards by bumping the
+// epoch and the transmitter is idle at once (the old link counted anonymous
+// events instead and stayed busy until the aborted txDone fired: the ghost
+// serialization TestSetUpInsideAbortedSerialization pins as fixed). And
+// settle applies the tie rule the old link left to sequence numbers: a
+// serialization that ends at t hands the transmitter on before any
+// operation at t, whatever order the instant's events fire in.
 type refLink struct {
 	e          *sim.Engine
 	bandwidth  float64
@@ -33,6 +36,7 @@ type refLink struct {
 	busy     bool
 	txp      *Packet  // packet being serialized (valid while busy)
 	txEnd    sim.Time // when its txDone fires
+	txGen    int      // bumped by every transmit: a txDone of another is stale
 	inflight []*Packet
 	down     bool
 	epoch    int // bumped by setDown
@@ -87,16 +91,29 @@ func (l *refLink) transmit(p *Packet) {
 	l.txp = p
 	tx := sim.TransmitTime(p.Size, l.bandwidth)
 	l.txEnd = l.e.Now() + tx
-	epoch := l.epoch
-	l.e.Schedule(tx, func() { l.txDone(epoch) })
+	l.txGen++
+	gen := l.txGen
+	l.e.Schedule(tx, func() { l.txDone(gen) })
 }
 
-func (l *refLink) txDone(epoch int) {
+func (l *refLink) txDone(gen int) {
 	l.tick()
-	if epoch != l.epoch {
-		return // aborted by setDown
+	if gen != l.txGen || l.txp == nil {
+		return // settled early, or aborted by setDown
 	}
-	p := l.txp
+	l.finish()
+}
+
+// settle is the tie rule: an operation at the very instant a serialization
+// ends runs after that serialization's txDone.
+func (l *refLink) settle() {
+	if l.txp != nil && l.txEnd == l.e.Now() {
+		l.finish()
+	}
+}
+
+func (l *refLink) finish() {
+	p, epoch := l.txp, l.epoch
 	l.txp = nil
 	l.stats.Delivered++
 	l.stats.TxBytes += int64(p.Size)
@@ -187,7 +204,6 @@ type linkOp struct {
 	kind  opKind
 	size  int
 	layer int
-	skip  bool // decided by the reference run; see runLinkScript
 }
 
 // linkScript is a link configuration and a timed operation schedule decoded
@@ -275,7 +291,8 @@ func (g *ledger) check(st linkState) error {
 // a queue slot (sim.Engine.Post); link 2's propagation delay is longer, so
 // its deliveries land on other instants and cut the slot short; link 3
 // serializes at a quarter of the rate, so it is busy while the others are
-// idle and its queue and drain events come between their posts.
+// idle and the deliveries it books for later instants come between their
+// posts.
 const fanOut = 4
 
 func (sc linkScript) fanConfig(i int) (bandwidth float64, delay sim.Time) {
@@ -312,13 +329,12 @@ func (op linkOp) outage(i int) bool {
 // be the same in both, and no orphaned delivery may be left over in either.
 // It reports on the first.
 //
-// One kind of instant is kept out of the schedule, because there the two
-// links are allowed to differ: an operation in the very microsecond a
-// serialization ends. The two-event link's answer depends on whether txDone
-// or the operation holds the earlier sequence number; the real link has a
-// rule instead (empty queue and now >= freeAt means idle), which
-// TestLinkIdleRule pins. The reference run decides which operations those
-// are (op.skip); the real links then run the same filtered schedule.
+// An operation in the very microsecond a serialization ends follows the tie
+// rule on both sides: the reference settles that serialization first (the
+// two-event link's own answer would depend on whether txDone or the
+// operation holds the earlier sequence number), and the real link counts a
+// packet as waiting only while its start lies ahead. TestLinkIdleRule pins
+// the rule directly.
 func runLinkScript(t *testing.T, data []byte) fanReport {
 	t.Helper()
 	sc, ok := parseLinkScript(data)
@@ -366,16 +382,12 @@ func runLinkScript(t *testing.T, data []byte) fanReport {
 		refLog[i] = log
 		refs[i].note = func(k probeKind, p *Packet) { log[p.Seq] = append(log[p.Seq], probeEvent{k, re.Now()}) }
 	}
-	for i := range sc.ops {
-		op := &sc.ops[i]
+	for i, op := range sc.ops {
 		id := int64(i)
 		re.At(op.at, sim.Func(func() {
 			tick()
 			for _, r := range refs {
-				if r.busy && r.txEnd == re.Now() {
-					op.skip = true // a serialization ends this very microsecond
-					return
-				}
+				r.settle()
 			}
 			for k, r := range refs {
 				switch op.kind {
@@ -421,6 +433,9 @@ type fanReport struct {
 	// outages of link 1 alone that left it deliveries to orphan while its
 	// twin, link 0, had some in flight too
 	sharedOutages int
+	// the largest array link 0's ring was on and the most packets it had
+	// waiting, after any operation
+	peakRing, peakWaiting int
 }
 
 // fanSnap is the reference links' state at the end of one instant.
@@ -486,10 +501,7 @@ func runFanOut(t *testing.T, desc string, sc linkScript, e *sim.Engine, join boo
 		return linkState{stats: l.Stats(), queueLen: l.QueueLen(), serializing: l.Busy()}
 	}
 	for i, op := range sc.ops {
-		if op.skip {
-			continue
-		}
-		op, id := op, int64(i)
+		id := int64(i)
 		e.At(op.at, sim.Func(func() {
 			var p *Packet
 			if op.kind == opSend {
@@ -522,6 +534,8 @@ func runFanOut(t *testing.T, desc string, sc linkScript, e *sim.Engine, join boo
 			if p != nil {
 				p.Release()
 			}
+			rep.peakRing = max(rep.peakRing, len(links[0].inflight.buf))
+			rep.peakWaiting = max(rep.peakWaiting, links[0].QueueLen())
 			if !join {
 				return // the first run checked the rings
 			}
@@ -579,7 +593,7 @@ func runFanOut(t *testing.T, desc string, sc linkScript, e *sim.Engine, join boo
 func ringsApart(net *Network, links ...*Link) error {
 	type span struct {
 		link   int    // index into links; -1 for the pool's array
-		what   string // "inline slots", "queue ring", ...
+		what   string // "inline slots" or "ring"
 		lo, hi uintptr
 	}
 	const word = unsafe.Sizeof((*Packet)(nil))
@@ -598,22 +612,17 @@ func ringsApart(net *Network, links ...*Link) error {
 	for i, l := range links {
 		pipe := spanOf(i, "inline slots", l.pipe[:])
 		live = append(live, pipe)
-		for _, r := range [...]struct {
-			what string
-			ring *pktRing
-		}{{"queue ring", &l.queue}, {"pipeline ring", &l.inflight}} {
-			sp, n := spanOf(i, r.what, r.ring.buf), len(r.ring.buf)
-			switch {
-			case n == 0:
-				continue
-			case sp.lo == pipe.lo && n == len(l.pipe):
-				continue // on its own inline slots, counted above
-			case n < minRing || n&(n-1) != 0:
-				return fmt.Errorf("%s has %d slots, not a power of two from %d", name(sp), n, minRing)
-			}
-			top = max(top, n)
-			live = append(live, sp)
+		sp, n := spanOf(i, "ring", l.inflight.buf), len(l.inflight.buf)
+		switch {
+		case n == 0:
+			continue
+		case sp.lo == pipe.lo && n == len(l.pipe):
+			continue // on its own inline slots, counted above
+		case n < minRing || n&(n-1) != 0:
+			return fmt.Errorf("%s has %d slots, not a power of two from %d", name(sp), n, minRing)
 		}
+		top = max(top, n)
+		live = append(live, sp)
 	}
 	for i := range live {
 		for j := range i {
@@ -639,8 +648,8 @@ func ringsApart(net *Network, links ...*Link) error {
 // schedule on a fast link with a 200 ms pipe that keeps the transmitter busy
 // throughout — large packets offered a third faster than they serialize, so
 // the queue fills gradually behind a moving head, then small ones, so the
-// pipeline has to hold many times more packets than it did when deliveries
-// began. Both rings therefore wrap, and grow while wrapped. Outages (some
+// link has to hold many times more packets than it did when deliveries
+// began. Its ring therefore wraps, and grows while wrapped. Outages (some
 // with the repair inside the aborted serialization), stats resets and mixed
 // layers for DropPriority are sprinkled over it.
 func saturationScript(rng *rand.Rand) []byte {
@@ -698,7 +707,7 @@ var pipelineScripts = func() [][]byte {
 	}
 }()
 
-// txMemoScripts aim at transmit's serialization-time memo, which reuses the
+// txMemoScripts aim at book's serialization-time memo, which reuses the
 // last packet's time while sizes repeat: the reference recomputes it for
 // every packet, so a memo that misses a size change shows as a late or
 // early delivery.
@@ -735,6 +744,61 @@ var txMemoScripts = func() [][]byte {
 	}
 }()
 
+// queueScripts aim at what Send books for a packet that waits: its start is
+// fixed when it is accepted, and what follows has to keep to it.
+var queueScripts = func() [][]byte {
+	const send, down, up, reset = 4 << 3, 0, 1 << 3, 3 << 3
+	op := func(mode, gap, size, kind byte) []byte { return []byte{mode, gap, size, kind} }
+	burst := func(n int, size, kind byte) (ops []byte) {
+		for i := 0; i < n; i++ {
+			ops = append(ops, op(0, 0, size, kind)...)
+		}
+		return ops
+	}
+	cat := func(parts ...[]byte) (out []byte) {
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	return [][]byte{
+		// 1 Mbit/s, 1 ms pipe, two waiting places: 250-byte packets take
+		// 2 ms, and mode 3 steps 250 µs, so gap 8 lands on a serialization
+		// end. A full queue there has room for one (the next packet has just
+		// started); a reset and a SetDown follow on serialization ends too,
+		// and a 100-byte packet after the repair overtakes the aborted one.
+		cat([]byte{3, 3, 2, 0}, burst(3, 35, send),
+			op(3, 8, 35, send), op(0, 0, 35, send),
+			op(3, 8, 0, reset), op(0, 0, 35, send),
+			op(3, 8, 0, down), op(1, 100, 0, up), op(0, 0, 10, send), op(3, 40, 35, send)),
+		// QueueLimit 0: an arrival at the serialization end goes on the wire,
+		// a second one in that microsecond is dropped.
+		cat([]byte{3, 3, 0, 0}, op(0, 0, 35, send), op(3, 8, 35, send), op(0, 0, 35, send)),
+		// Priority dropping into three waiting places, layers 2, 5, 3 behind
+		// a layer-0 packet: a smaller arrival replaces the middle victim
+		// (the packet after it moves earlier), a larger one the newest, a
+		// larger one the oldest (two move later), an arrival above them all
+		// is dropped, and one more comes at the serialization end.
+		cat([]byte{3, 3, 3, 1}, op(0, 0, 35, send), op(0, 0, 35, send|2), op(0, 0, 35, send|5), op(0, 0, 35, send|3),
+			op(1, 10, 10, send|1), op(1, 10, 100, send), op(1, 10, 60, send|1), op(0, 0, 35, send|5),
+			op(1, 200, 35, send|4), op(2, 100, 10, send|3), op(0, 0, 200, send)),
+		// 10 Mbit/s, 10 ms pipe: five 1000-byte packets, SetDown at 200 µs
+		// with one serializing and four waiting, repair 100 µs later, and
+		// 100-byte packets that arrive before any discarded packet was due;
+		// then link 1 alone goes down with packets waiting behind its twin's.
+		cat([]byte{5, 4, 20, 0}, burst(5, 160, send), op(1, 200, 0, down), op(1, 100, 0, up),
+			op(0, 0, 10, send), op(1, 100, 10, send), op(3, 255, 10, send),
+			burst(4, 160, send), op(1, 250, 0, down|1), op(1, 50, 0, up|1), op(0, 0, 10, send), op(3, 255, 10, send)),
+		// 1 Mbit/s, 50 µs pipe, six waiting places: a burst of eight fills
+		// them, then nothing is sent for 9 ms while the queue drains and its
+		// oldest packets are delivered, so the waiting count Send cached is
+		// larger than what is still aboard. Five arrivals then find two
+		// waiting: four are accepted, one dropped.
+		cat([]byte{3, 2, 6, 0}, burst(8, 35, send), op(3, 36, 35, send), burst(4, 35, send),
+			op(3, 200, 35, send)),
+	}
+}()
+
 // TestLinkTimingRandomScripts is the differential test over a table of
 // seeds: short scripts on every bandwidth/delay/queue/policy combination
 // the decoder can draw.
@@ -758,28 +822,32 @@ func TestLinkTimingRandomScripts(t *testing.T) {
 	for _, data := range txMemoScripts {
 		runLinkScript(t, data)
 	}
-	// The pipeline scripts leave the inline slots and end empty.
+	for _, data := range queueScripts {
+		runLinkScript(t, data)
+	}
+	// The pipeline scripts leave the inline slots and come back to them.
 	for i, data := range pipelineScripts {
-		if l := runLinkScript(t, data).l; len(l.inflight.buf) < 4 || l.inflight.n != 0 {
-			t.Errorf("pipeline script %d: ring of %d slots holding %d at the end; want a spilled ring, drained", i, len(l.inflight.buf), l.inflight.n)
+		if rep := runLinkScript(t, data); rep.peakRing < 4 || rep.l.inflight.n != 0 || &rep.l.inflight.buf[0] != &rep.l.pipe[0] {
+			t.Errorf("pipeline script %d: ring reached %d slots and ended on %d holding %d; want a spilled ring, drained onto the inline pair",
+				i, rep.peakRing, len(rep.l.inflight.buf), rep.l.inflight.n)
 		}
 	}
-	// Outages cut some scripts short, but in most far more packets must ride
-	// the pipe at once than it had room for when the first delivery moved
-	// its head, and the queue must fill to its limit: both rings grow past
-	// their first arrays, wrapped.
+	// Outages cut some scripts short, but in most far more packets must be
+	// aboard at once than the ring had room for when the first delivery
+	// moved its head, so it grows past its first arrays, wrapped, and the
+	// queue must fill to its limit.
 	deep, full := 0, 0
 	for seed := int64(1); seed <= 100; seed++ {
-		l := runLinkScript(t, saturationScript(rand.New(rand.NewSource(seed)))).l
-		if len(l.inflight.buf) >= 64 {
+		rep := runLinkScript(t, saturationScript(rand.New(rand.NewSource(seed))))
+		if rep.peakRing >= 64 {
 			deep++
 		}
-		if len(l.queue.buf) == nextPow2(l.QueueLimit) {
+		if rep.peakWaiting == rep.l.QueueLimit {
 			full++
 		}
 	}
 	if deep < 75 || full < 75 {
-		t.Errorf("of 100 saturation scripts %d grew the pipeline ring to 64 and %d the queue ring to its limit; want 75 each", deep, full)
+		t.Errorf("of 100 saturation scripts %d grew the ring to 64 and %d filled the queue to its limit; want 75 each", deep, full)
 	}
 }
 
@@ -818,21 +886,25 @@ func FuzzLinkTiming(f *testing.F) {
 	for _, data := range txMemoScripts {
 		f.Add(data)
 	}
+	for _, data := range queueScripts {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) { runLinkScript(t, data) })
 }
 
-// TestLinkIdleRule pins what the differential test keeps its schedules away
-// from: an arrival in the very microsecond a serialization ends. The rule is
-// "empty queue and now >= freeAt means idle", whatever order the instant's
-// events fire in. 125 B at 1 Mbit/s serialize in 1 ms; propagation is 1 ms.
+// TestLinkIdleRule pins the tie rule the differential test applies to its
+// reference: a serialization that ends at t has handed the transmitter to
+// the next waiting packet before any Send at t, so a full queue has room at
+// that instant, whatever order the instant's events were scheduled in.
+// 125 B at 1 Mbit/s serialize in 1 ms; propagation is 1 ms.
 func TestLinkIdleRule(t *testing.T) {
 	const tx, delay = sim.Millisecond, sim.Millisecond
 	cases := []struct {
 		name       string
 		queueLimit int
-		preload    int      // packets offered at t=0: one on the wire, the rest queued
+		preload    int      // packets offered at t=0: one on the wire, the rest waiting
 		at         sim.Time // the arrival under test
-		late       bool     // arrival ordered after the link's own events of that instant
+		late       bool     // arrival scheduled during the run, after everything of t=0
 		deliver    sim.Time // expected delivery; 0 = dropped
 	}{
 		{"idle link", 20, 0, 0, false, tx + delay},
@@ -840,8 +912,9 @@ func TestLinkIdleRule(t *testing.T) {
 		{"serialization ends now: on the wire at once", 20, 1, tx, false, 2*tx + delay},
 		{"QueueLimit 0, last microsecond: dropped", 0, 1, tx - 1, false, 0},
 		{"QueueLimit 0, serialization ends now: on the wire", 0, 1, tx, false, 2*tx + delay},
-		{"full queue still waiting for its drain: dropped", 1, 2, tx, false, 0},
-		{"drain already fired this instant: queues behind it", 1, 2, tx, true, 3*tx + delay},
+		{"full queue, last microsecond: dropped", 1, 2, tx - 1, false, 0},
+		{"full queue, serialization ends now: room at once", 1, 2, tx, false, 3*tx + delay},
+		{"full queue, serialization ends now, arrival scheduled late: room at once", 1, 2, tx, true, 3*tx + delay},
 	}
 	for _, tc := range cases {
 		e := sim.NewEngine(1)
@@ -871,7 +944,7 @@ func TestLinkIdleRule(t *testing.T) {
 		}
 		if tc.late {
 			// Scheduled during the run, so it takes a later sequence number
-			// than the drain armed at t=0.
+			// than anything the link scheduled at t=0.
 			e.At(tc.at-1, sim.Func(func() { e.Schedule(1, arrive) }))
 		} else {
 			e.At(tc.at, sim.Func(arrive))
@@ -886,15 +959,17 @@ func TestLinkIdleRule(t *testing.T) {
 	}
 }
 
-// TestLinkEventsPerHop pins the event budget: a packet that finds the
-// transmitter idle costs one scheduler event for the hop, and only a packet
-// that waits behind a busy transmitter costs a second (the drain that starts
-// it).
+// TestLinkEventsPerHop pins the event budget: every packet a link accepts
+// costs one scheduler event for the hop, its delivery, whether it found the
+// transmitter idle or waited; a packet the queue refuses costs none.
 func TestLinkEventsPerHop(t *testing.T) {
+	send := func(src, dst *Node) {
+		src.SendUnicast(&Packet{Kind: Control, Src: src.ID, Dst: dst.ID, Group: NoGroup, Size: 1000})
+	}
 	t.Run("idle link", func(t *testing.T) {
 		e := sim.NewEngine(1)
 		_, src, dst := benchChain(e, 1, 64)
-		src.SendUnicast(&Packet{Kind: Control, Src: src.ID, Dst: dst.ID, Group: NoGroup, Size: 1000})
+		send(src, dst)
 		e.Run()
 		if got := e.Fired(); got != 1 || dst.RecvUnicast != 1 {
 			t.Errorf("fired %d events for 1 hop (delivered %d), want 1", got, dst.RecvUnicast)
@@ -905,20 +980,43 @@ func TestLinkEventsPerHop(t *testing.T) {
 		e := sim.NewEngine(1)
 		_, src, dst := benchChain(e, 1, 64)
 		for i := 0; i < k; i++ {
-			src.SendUnicast(&Packet{Kind: Control, Src: src.ID, Dst: dst.ID, Group: NoGroup, Size: 1000})
+			send(src, dst)
 		}
 		e.Run()
-		if got := e.Fired(); got != 2*k-1 || dst.RecvUnicast != k {
-			t.Errorf("fired %d events for a burst of %d (delivered %d), want %d", got, k, dst.RecvUnicast, 2*k-1)
+		if got := e.Fired(); got != k || dst.RecvUnicast != k {
+			t.Errorf("fired %d events for a burst of %d (delivered %d), want %d", got, k, dst.RecvUnicast, k)
+		}
+	})
+	t.Run("full queue", func(t *testing.T) {
+		// 50 offered into 4 waiting places: 5 accepted, 45 dropped.
+		const k, queue = 50, 4
+		e := sim.NewEngine(1)
+		_, src, dst := benchChain(e, 1, queue)
+		for i := 0; i < k; i++ {
+			send(src, dst)
+		}
+		e.Run()
+		if got := e.Fired(); got != queue+1 || dst.RecvUnicast != queue+1 {
+			t.Errorf("fired %d events for a burst of %d into %d waiting places (delivered %d), want %d", got, k, queue, dst.RecvUnicast, queue+1)
+		}
+	})
+	t.Run("burst along a chain", func(t *testing.T) {
+		const k, hops = 10, 8
+		e := sim.NewEngine(1)
+		_, src, dst := benchChain(e, hops, 64)
+		for i := 0; i < k; i++ {
+			send(src, dst)
+		}
+		e.Run()
+		if got := e.Fired(); got != k*hops || dst.RecvUnicast != k {
+			t.Errorf("fired %d events for %d packets over %d hops (delivered %d), want %d", got, k, hops, dst.RecvUnicast, k*hops)
 		}
 	})
 	t.Run("paced chain", func(t *testing.T) {
 		const hops, n = 8, 100
 		e := sim.NewEngine(1)
 		_, src, dst := benchChain(e, hops, 64)
-		benchInjectPaced(e, n, func(int) {
-			src.SendUnicast(&Packet{Kind: Control, Src: src.ID, Dst: dst.ID, Group: NoGroup, Size: 1000})
-		})
+		benchInjectPaced(e, n, func(int) { send(src, dst) })
 		if got := linkEventsPerHop(e, n, hops); got != 1 || dst.RecvUnicast != n {
 			t.Errorf("%v link events per hop (delivered %d), want 1", got, dst.RecvUnicast)
 		}

@@ -71,10 +71,10 @@ func TestPktRing(t *testing.T) {
 
 // saturator returns a function that offers l n more size-byte packets, one
 // every gap, and returns once the last is delivered or dropped. The link
-// must be busy at every arrival but the first of a call. Everything the
-// offers need is bound here, so calls after the first allocate nothing unless
-// the link does.
-func saturator(tb testing.TB, e *sim.Engine, net *Network, l *Link, size int, gap sim.Time) func(n int) {
+// must be busy at every arrival but the first of a call. peak keeps the
+// largest array the link's ring has been on. Everything the offers need is
+// bound here, so calls after the first allocate nothing unless the link does.
+func saturator(tb testing.TB, e *sim.Engine, net *Network, l *Link, size int, gap sim.Time, peak *int) func(n int) {
 	sent, first, target := 0, 0, 0
 	var offer func()
 	offer = func() {
@@ -85,6 +85,7 @@ func saturator(tb testing.TB, e *sim.Engine, net *Network, l *Link, size int, ga
 		p.Kind, p.Src, p.Dst, p.Group, p.Size = Data, l.From, l.To, NoGroup, size
 		l.Send(p)
 		p.Release()
+		*peak = max(*peak, len(l.inflight.buf))
 		if sent++; sent < target {
 			e.Schedule(gap, offer)
 		}
@@ -98,10 +99,11 @@ func saturator(tb testing.TB, e *sim.Engine, net *Network, l *Link, size int, ga
 
 // saturatedLink is the link TestLinkMemoryBounded and BenchmarkSaturatedLink
 // share: 1000-byte packets into 10 Mbit/s with a 10 ms pipe, offered at twice
-// the bandwidth. It returns the offer function and the pipeline's bound: the
-// next power of two above the bandwidth-delay product in packets, plus the
-// one being serialized and one at the boundary instant.
-func saturatedLink(tb testing.TB) (net *Network, l *Link, offer func(n int), pipelineBound int) {
+// the bandwidth. It returns the offer function, the largest array the ring
+// has been on so far, and the ring's bound: the next power of two above the
+// bandwidth-delay product in packets, plus the one being serialized, one at
+// the boundary instant and QueueLimit waiting.
+func saturatedLink(tb testing.TB) (net *Network, l *Link, offer func(n int), peak *int, ringBound int) {
 	const (
 		size  = 1000
 		bw    = 10e6
@@ -112,35 +114,38 @@ func saturatedLink(tb testing.TB) (net *Network, l *Link, offer func(n int), pip
 	l = net.ConnectAsym(net.AddNode("a"), net.AddNode("b"), LinkConfig{Bandwidth: bw, Delay: delay})
 	tx := sim.TransmitTime(size, bw)
 	bdp := int((delay + tx - 1) / tx)
-	return net, l, saturator(tb, e, net, l, size, tx/2), nextPow2(bdp + 2)
+	peak = new(int)
+	return net, l, saturator(tb, e, net, l, size, tx/2, peak), peak, nextPow2(bdp + 2 + l.QueueLimit)
 }
 
 // TestLinkMemoryBounded offers a link 10⁵ packets at twice its bandwidth, so
-// it never idles and its queue stays full. The pipeline must end within its
-// bandwidth-delay bound and the queue ring no larger than QueueLimit rounded
-// up — not, as the head-indexed slices they replace did, as long as the run.
+// it never idles and its queue stays full. Its ring must stay within the
+// bound of what can be aboard at once — not, as the head-indexed slices the
+// rings replaced did, grow with the run — and give its array back to the
+// pool once the link drains.
 func TestLinkMemoryBounded(t *testing.T) {
 	const n = 100_000
-	net, l, offer, bound := saturatedLink(t)
+	net, l, offer, peak, bound := saturatedLink(t)
 	offer(n)
 	st := l.Stats()
 	if st.Delivered+st.Dropped != n || st.Dropped < n/3 || st.PeakQueue != DefaultQueueLimit {
 		t.Fatalf("not the saturated run intended: %+v", st)
 	}
-	if got := cap(l.inflight.buf); got > bound {
-		t.Errorf("pipeline capacity %d after %d packets, want at most %d", got, n, bound)
+	if *peak > bound {
+		t.Errorf("ring capacity %d during %d packets, want at most %d", *peak, n, bound)
 	}
-	if got, want := cap(l.queue.buf), nextPow2(DefaultQueueLimit); got > want {
-		t.Errorf("queue capacity %d, want at most %d", got, want)
+	if &l.inflight.buf[0] != &l.pipe[0] {
+		t.Errorf("drained ring on an array of %d slots, want the inline pair", len(l.inflight.buf))
 	}
 	if free, allocs := len(net.pktFree), net.PacketAllocs(); uint64(free) != allocs {
 		t.Errorf("%d of %d pooled packets came back", free, allocs)
 	}
 }
 
-// TestPipelineStartsInline: a link's first two packets in flight ride in
-// the link's own slots, and the third moves the pipeline to a 4-slot heap
-// ring. 100 B at 1 Mbit/s serialize in 800 µs; the pipe is 1 s long.
+// TestPipelineStartsInline: a link's first two packets aboard ride in the
+// link's own slots, the third moves the ring to a 4-slot pool array, and the
+// ring comes back to the inline pair when it empties. 100 B at 1 Mbit/s
+// serialize in 800 µs; the pipe is 1 s long.
 func TestPipelineStartsInline(t *testing.T) {
 	e := sim.NewEngine(1)
 	net := New(e)
@@ -160,8 +165,12 @@ func TestPipelineStartsInline(t *testing.T) {
 	if len(l.inflight.buf) != 4 {
 		t.Errorf("spilled ring has %d slots, want 4", len(l.inflight.buf))
 	}
+	spilled := l.inflight.buf
 	e.Run()
-	if l.Stats().Delivered != 3 || l.inflight.n != 0 {
-		t.Errorf("delivered %d, %d left in flight", l.Stats().Delivered, l.inflight.n)
+	if l.Stats().Delivered != 3 || l.inflight.n != 0 || !inline() {
+		t.Errorf("delivered %d, %d left in flight, inline %v; want 3, 0, true", l.Stats().Delivered, l.inflight.n, inline())
+	}
+	if got := net.rings.Get(4)[:4]; &got[0] != &spilled[0] {
+		t.Errorf("the pool's next 4-slot array is not the one the ring gave back")
 	}
 }

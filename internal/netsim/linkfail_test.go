@@ -245,7 +245,8 @@ func (a *arrivalLog) Recv(*Packet) { a.at = append(a.at, a.sched.Now()) }
 // TestBoundaryLinkDeliveryCrossesShards: on a partition-boundary link the
 // delivery event's Action — the link itself — rides the cross-shard mailbox
 // (crossEvent) into the receiving shard, while the transmitting shard keeps
-// pushing onto a pipeline spilled past its two inline slots. Both directions
+// pushing onto a ring spilled past its two inline slots, which the
+// receiving shard gives back to the pool when it empties. Both directions
 // run at once on two workers (run it under -race), and every arrival lands
 // when it does on the plain engine.
 func TestBoundaryLinkDeliveryCrossesShards(t *testing.T) {
@@ -278,9 +279,12 @@ func TestBoundaryLinkDeliveryCrossesShards(t *testing.T) {
 			}
 		}
 		eng.Run()
+		if net.RingArraysMade() == 0 {
+			t.Errorf("sharded=%v: no ring left its inline pair", sharded)
+		}
 		for _, l := range []*Link{ab, ba} {
-			if len(l.inflight.buf) < 4 || l.inflight.n != 0 {
-				t.Errorf("sharded=%v %v: pipeline ring of %d slots holding %d; want spilled and drained", sharded, l, len(l.inflight.buf), l.inflight.n)
+			if l.inflight.n != 0 || &l.inflight.buf[0] != &l.pipe[0] {
+				t.Errorf("sharded=%v %v: ring of %d slots holding %d; want drained onto the inline pair", sharded, l, len(l.inflight.buf), l.inflight.n)
 			}
 		}
 		return [2][]sim.Time{logs[0].at, logs[1].at}, se.Stats().CrossEvents

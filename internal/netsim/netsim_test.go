@@ -497,12 +497,14 @@ func TestDropPriorityProtectsBaseLayers(t *testing.T) {
 		l.Policy = policy
 		counts := map[int]int{}
 		b.AttachAgent(agentFunc(func(p *Packet) { counts[p.Layer]++ }))
-		// Offered 2x capacity: alternate layer-1 and layer-6 packets every
-		// 10 ms (each stream alone fits; together they overload).
+		// Offered 2x capacity: a packet every 5 ms, layer-1 and layer-6
+		// packets in alternating pairs (each stream alone fits; together
+		// they overload). Every other arrival meets a serialization end and
+		// takes the place it frees; pairs put both layers on those instants.
 		for i := 0; i < 200; i++ {
 			i := i
 			layer := 1
-			if i%2 == 1 {
+			if i%4 >= 2 {
 				layer = 6
 			}
 			e.Schedule(sim.Time(i)*5*sim.Millisecond, func() {

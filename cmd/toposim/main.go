@@ -236,9 +236,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprint(stdout, t)
 	fmt.Fprintf(stdout, "mean relative deviation: %.3f\n", res.MeanDev)
 	events := float64(max(result.Events, 1))
-	fmt.Fprintf(stdout, "run: %.2fs wall, %d events (%.0f events/s), %d packets forwarded, %.0f%% of events chained (%.0f%% sharing a slot), %.3fs barrier stall\n",
+	posts := float64(max(result.PostsLaned+result.PostsFellBack, 1))
+	fmt.Fprintf(stdout, "run: %.2fs wall, %d events (%.0f events/s), %d packets forwarded, %.0f%% of events chained (%.1f%% of posts laned, %d fell back), %.3fs barrier stall\n",
 		result.WallSeconds, result.Events, result.EventsPerSecond, result.Packets,
-		100*float64(result.EventsChained)/events, 100*float64(result.EventsCoalesced)/events, float64(result.BarrierStallNanos)/1e9)
+		100*float64(result.EventsChained)/events, 100*float64(result.PostsLaned)/posts, result.PostsFellBack, float64(result.BarrierStallNanos)/1e9)
 
 	if o.jsonPath != "" {
 		if err := experiments.WriteFile(o.jsonPath, export.WriteJSON); err != nil {

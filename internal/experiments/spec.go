@@ -111,10 +111,11 @@ type Result struct {
 	// EventsChained is how many of those were scheduled behind another
 	// event for the same instant and never cost a queue entry of their own.
 	EventsChained uint64 `json:"events_chained"`
-	// EventsCoalesced is how many of those were posts that shared the
-	// queue slot of the post before them (sim.Engine.Post). It stays out of
-	// the JSON: the chained count already covers them.
-	EventsCoalesced uint64 `json:"-"`
+	// PostsLaned is how many posts (sim.Engine.Post: link deliveries) rode
+	// a FIFO lane, and PostsFellBack how many no lane could take, which
+	// were scheduled as events. Both stay out of the JSON.
+	PostsLaned    uint64 `json:"-"`
+	PostsFellBack uint64 `json:"-"`
 	// Packets is the number of packets forwarded across all links of the
 	// run's observed networks.
 	Packets int64 `json:"packets_forwarded"`
@@ -187,7 +188,9 @@ func (s Spec) Execute(timeout time.Duration) Result {
 		res.Events += e.Fired()
 		st := e.Stats()
 		res.EventsChained += st.Chained
-		res.EventsCoalesced += e.Coalesced()
+		laned, fellBack := e.Posts()
+		res.PostsLaned += laned
+		res.PostsFellBack += fellBack
 		res.BarrierStallNanos += st.BarrierStall
 		res.Windows += st.Windows
 		shardNanos += float64(len(st.Shards)) * res.WallSeconds * 1e9

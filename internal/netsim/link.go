@@ -53,7 +53,8 @@ func (s LinkStats) DropRate() float64 {
 // transmitter is idle or busy: serialization starts at max(now, freeAt),
 // freeAt moves to its end, and the delivery is posted for one propagation
 // delay after that (sim.Scheduler.Post), so the deliveries a router's links
-// post for one instant, one after another, share one queue slot. The
+// post for one instant go one after another into one of the engine's FIFO
+// lanes and take no event slot. The
 // packets waiting for the transmitter are the newest entries of the one
 // in-flight ring: they run back to back and end at freeAt.
 //

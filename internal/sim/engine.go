@@ -88,12 +88,13 @@ func (h Handle) When() Time {
 // concurrent use; all model code runs inside event callbacks on the same
 // goroutine, which is what makes the simulation deterministic.
 //
-// The ready queue is an equeue: a calendar-tiered store that fires in exact
-// (time, sequence) order, with a slot free list, so the steady-state
-// schedule/fire cycle performs no allocations. Engine implements Scheduler,
-// Reserver and Runner; it is the determinism oracle the ShardedEngine is
-// validated against, and each shard runs it: every shard, the global
-// barrier queue and a degenerate ShardedEngine's one queue is an Engine.
+// The ready queue is an equeue: a calendar-tiered store merged with FIFO
+// lanes for posts, which fires in exact (time, sequence) order, with slot
+// and chunk free lists, so the steady-state schedule/fire cycle performs no
+// allocations. Engine implements Scheduler, Reserver and Runner; it is the
+// determinism oracle the ShardedEngine is validated against, and each
+// shard runs it: every shard, the global barrier queue and a degenerate
+// ShardedEngine's one queue is an Engine.
 type Engine struct {
 	now     Time
 	q       equeue
@@ -129,9 +130,9 @@ func (e *Engine) EventAllocs() uint64 { return e.q.slotAllocs }
 // EventReuses returns how many schedules were served from the free list.
 func (e *Engine) EventReuses() uint64 { return e.q.slotReuses }
 
-// Coalesced returns how many posts joined the queue slot of the post before
-// them instead of taking one of their own.
-func (e *Engine) Coalesced() uint64 { return e.q.coalesced }
+// Posts returns how many posts rode a lane and how many fell back to the
+// calendar because no lane could take them.
+func (e *Engine) Posts() (laned, fellBack uint64) { return e.q.laned, e.q.fellBack }
 
 // ShardEngineStats is one shard's slice of a ShardedEngine's meters. The
 // single-threaded Engine never emits these; on a plain engine the Shards
@@ -167,8 +168,7 @@ type EngineStats struct {
 	EventAllocs uint64  `json:"event_allocs"`
 	EventReuses uint64  `json:"event_reuses"`
 	// Chained counts schedules that joined a same-instant train behind an
-	// event already queued, and so never cost a queue entry of their own;
-	// posts that joined a slot count here too.
+	// event already queued, and so never cost a queue entry of their own.
 	Chained uint64 `json:"events_chained"`
 
 	// Sharded-engine extensions (zero / absent on the plain Engine).
@@ -224,13 +224,9 @@ func (e *Engine) At(t Time, a Action) Handle {
 }
 
 // Post fires a after delay, like After, but returns no handle: a post is
-// never cancelled. When the newest event in the queue is a post for the same
-// instant and nothing has been scheduled or reserved since, a joins that
-// event's queue slot and fires right after it, where its own event would
-// have fired: it takes the next sequence number all the same. A fan-out of
-// N posts to one instant thus costs one queue slot (up to postCap to a
-// slot). Fired, Pending and Chained count a joined action as its own event
-// would have counted.
+// never cancelled. It takes the next sequence number, like After, and waits
+// in one of the queue's FIFO lanes instead of an event slot; it fires where
+// its own event would have, and Fired, Pending and Passed count it as one.
 func (e *Engine) Post(delay Time, a Action) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: Post with negative delay %v at %v", delay, e.now))
@@ -262,32 +258,26 @@ func (e *Engine) Passed(t Time, seq uint64) bool { return e.q.passed(t, seq) }
 // all of those are no-ops.
 func (e *Engine) Cancel(h Handle) { e.q.cancel(h) }
 
-// Stop makes Run/RunUntil return after the current event completes. Called
-// from an action of a slot posts share, it stops after that action; the
-// slot's unfired actions stay first in the queue.
+// Stop makes Run/RunUntil return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// step fires the earliest event: its Action, or, for a slot posts share,
-// its actions in a row until the last or a Stop. It reports false when the
-// queue is empty. A slot is released before its (last) Action fires, so an
-// Action that schedules new work reuses it at once.
-func (e *Engine) step() bool {
-	ev := e.q.head()
-	if ev == nil {
+// step fires the earliest event if it is due by deadline, and reports
+// whether it fired one. An event's slot is released before its Action
+// fires, so an Action that schedules new work reuses it at once.
+func (e *Engine) step(deadline Time) bool {
+	at, inLane, ok := e.q.first()
+	if !ok || at > deadline {
 		return false
 	}
-	e.now = ev.at
-	if r, ok := ev.act.(*postRec); ok {
-		for more := true; more && !e.stopped; {
-			var a Action
-			a, more = e.q.nextPost(ev, r)
-			e.fired++
-			a.Fire()
-		}
-		return true
+	e.now = at
+	var a Action
+	if inLane {
+		a = e.q.popLane()
+	} else {
+		ev := e.q.near[0]
+		a = ev.act
+		e.q.pop(ev)
 	}
-	a := ev.act
-	e.q.pop(ev)
 	e.fired++
 	a.Fire()
 	return true
@@ -296,7 +286,7 @@ func (e *Engine) step() bool {
 // Run executes events until the queue is empty or Stop is called.
 func (e *Engine) Run() {
 	e.stopped = false
-	for !e.stopped && e.step() {
+	for !e.stopped && e.step(noEvent) {
 	}
 }
 
@@ -306,11 +296,7 @@ func (e *Engine) Run() {
 // deadline may still be queued.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
-	for !e.stopped {
-		if h := e.q.head(); h == nil || h.at > deadline {
-			break
-		}
-		e.step()
+	for !e.stopped && e.step(deadline) {
 	}
 	if e.stopped {
 		return

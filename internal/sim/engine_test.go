@@ -553,7 +553,7 @@ func BenchmarkScheduleFireDepth16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Schedule(17*Millisecond, fn)
-		e.step()
+		e.step(noEvent)
 	}
 }
 

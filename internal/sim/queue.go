@@ -31,38 +31,61 @@ type eventSlabMem struct {
 	slots [eventSlab]Event
 }
 
-// trainWays is how many instants schedule remembers the newest event of. Two,
-// because a fan-out burst alternates between this level's arrivals and the
-// next level's deliveries: with one way 63 % of tree1k-agg's events chain,
-// with two 94 %, with four 94 % (tree1k-churn 65/82/83 %, tree10k-flat
-// 44/46/47 %, paperB16-vbr 9/12/12 %).
+// trainWays is how many instants schedule remembers the newest event of.
+// Two, because a fan-out burst alternated between this level's arrivals and
+// the next level's deliveries while deliveries were calendar events. Link
+// deliveries ride the lanes now, and 1–4 % of the four benchmark
+// workloads' events chain (DESIGN.md §5 records what trains still save).
 const trainWays = 2
 
-// postCap is how many Actions one post record holds: the fan-out of one
-// instant that shares one queue slot. A full record starts a new slot. With
-// 8, 65.8 % of tree1k-agg's link deliveries join a slot, against about 75 %
-// with no limit (DESIGN.md §5 records the sweep).
-const postCap = 8
+// laneCap is how many FIFO lanes a queue keeps for posts; a post no lane
+// can take goes through schedule. DESIGN.md §5 records the sweep.
+const laneCap = 32
 
-// postChunk is how many post records the queue carves in its first
-// allocation of them; each later one carves as many as all before it, so a
-// run that needs thousands of records at once (10^4 deliveries due at one
-// instant) makes a handful of allocations.
-const postChunk = 64
+// laneChunkLen is how many entries one lane chunk holds: 31 entries of 32
+// bytes and the link to the next chunk fill the 1024-byte size class, with
+// the allocator's 8-byte header.
+const laneChunkLen = 31
 
-// postRec is the record behind a slot that posts share: their Actions in
-// post order. A slot's first post is an ordinary event whose act is that
-// post's Action; when a second joins, a record takes the Action over and
-// the event's act becomes the record, so a slot nobody joins costs no
-// record. next is the index of the Action to fire next; the slot stays
-// queued, keyed by that Action's sequence number, until the last one fires.
-type postRec struct {
-	n, next int32    // first, so they share a line with the first Actions
-	free    *postRec // the next record on the queue's free list
-	acts    [postCap]Action
+// The queue carves lane chunks in blocks: laneBlock in its first
+// allocation of them, then as many as all before, up to laneBlockMax, so a
+// run with 10^4 posts pending makes about twenty allocations and carves at
+// most one 32 KB block more than it needs.
+const (
+	laneBlock    = 4
+	laneBlockMax = 32
+)
+
+// laneEnt is one post waiting in a lane.
+type laneEnt struct {
+	at  Time
+	seq uint64
+	act Action
 }
 
-func (*postRec) Fire() { panic("sim: a post record fired as an Action") }
+// laneChunk is a run of a lane's entries. next links the lane's chunks
+// oldest first, or, on the queue's free list, the free chunks.
+type laneChunk struct {
+	ents [laneChunkLen]laneEnt
+	next *laneChunk
+}
+
+// lane is a FIFO of posts in (time, sequence) order: head.ents[hi] is its
+// oldest entry and tail.ents[ti-1] its newest. An empty lane keeps one chunk
+// and reads ti == 0.
+type lane struct {
+	head, tail *laneChunk
+	hi, ti     int
+}
+
+// laneKey is a non-empty lane's oldest entry's key, in the lane heap.
+type laneKey struct {
+	at   Time
+	seq  uint64
+	lane int
+}
+
+func keyLess(a, b *laneKey) bool { return a.at < b.at || a.at == b.at && a.seq < b.seq }
 
 // equeue is the event store shared by the single-threaded Engine, each
 // shard of the ShardedEngine and its global barrier queue. Events are
@@ -91,7 +114,7 @@ func (*postRec) Fire() { panic("sim: a post record fired as an Action") }
 // pop or remove takes a leader, its first member becomes the leader in its
 // place by stores alone: mem already points at the rest of the train.
 //
-// When near runs dry, head moves cur to the next non-empty bucket and pushes
+// When near runs dry, first moves cur to the next non-empty bucket and pushes
 // that bucket's list onto the near heap. The list holds leaders only, so the
 // walk never touches a member.
 //
@@ -108,22 +131,30 @@ func (*postRec) Fire() { panic("sim: a post record fired as an Action") }
 // action it fired (or of an instant a run completed), so its owner can tell
 // whether a reserved key has already gone by.
 //
-// A post (an uncancellable schedule) may share a slot: when the newest
-// event in the queue is a post for the same instant and nothing has taken a
-// sequence number since, the new post's Action joins that event's slot,
-// held in a postRec, under the next sequence number. Nothing else can sort
-// between the two, so firing the slot's Actions in post order from its one
-// queue entry is (time, sequence) order. nextPost hands the Actions out one
-// at a time and leaves the slot at the root, keyed by its next Action's
-// number, until the last one has been taken.
+// A post (an uncancellable schedule) takes no Event slot: it takes its
+// sequence number and is appended to the first of up to laneCap FIFO lanes
+// whose newest entry is not after it (first fit), so each lane is sorted by
+// (time, sequence). First fit keeps the lanes' newest times non-increasing
+// by lane index — a post skips only lanes whose newest is after it and
+// becomes the newest of a lane whose newest was not — so a bisection finds
+// the lane. A small binary heap holds each non-empty lane's oldest key, and
+// first fires the earlier of its root and near's: merging sorted lanes with
+// the calendar by key is the order of one big heap. When the popped entry's
+// successor in its lane has the same instant, no other lane can hold a key
+// between them, so the heap is not touched: from the first of the two on,
+// this lane's newest was their instant and every lane before it was later,
+// so every post for that instant numbered in between went to this lane. (A
+// calendar event may sort between them; the merge sees it.) A post no lane
+// can take — every lane's newest is after it and all laneCap are open —
+// goes through schedule.
 //
 // A free list recycles fired or cancelled Event slots so the steady-state
 // schedule/fire cycle performs no allocations; slots the free list cannot
 // supply are carved from eventSlab-sized arrays, so a burst of new events
 // (a world's start-up timers) costs one allocation per slab and its slots
 // sit side by side. The free list is intrusive, linked through Event.next
-// (a free slot is in no bucket list), so releasing never allocates. Post
-// records are carved in chunks that double and are recycled through an
+// (a free slot is in no bucket list), so releasing never allocates. Lane
+// chunks are carved in blocks that double and are recycled through an
 // intrusive free list of their own.
 //
 // An equeue is single-owner: exactly one goroutine may touch it at a time.
@@ -134,7 +165,7 @@ type equeue struct {
 	near, far eheap
 	ring      [ringSize]*Event // bucket b's list head lives in slot b&ringMask
 	ringN     int              // leaders linked in the ring
-	n         int              // events queued, leaders and members
+	n         int              // events queued: leaders, members and lane entries
 	cur       int64            // current bucket; only ever advances
 	tails     [trainWays]struct {
 		at   Time
@@ -144,14 +175,17 @@ type equeue struct {
 	slab []Event // slots of the newest slab not handed out yet
 	seq  uint64
 
-	// posted is the newest post's slot and postEnd the sequence number
-	// after its last Action: a post may join it while posted is Active and
-	// seq is still postEnd.
-	posted   Handle
-	postEnd  uint64
-	recFree  *postRec
-	recChunk []postRec // records of the newest chunk not handed out yet
-	recMade  int       // records carved so far
+	// The post lanes: lanes[:nl] are open, newest[i] is the time of the
+	// newest entry lane i ever took, and lh[:lhN] is the heap of the
+	// non-empty lanes' oldest keys.
+	lanes      [laneCap]lane
+	newest     [laneCap]Time
+	nl         int
+	lh         [laneCap]laneKey
+	lhN        int
+	chunkFree  *laneChunk
+	chunks     []laneChunk // chunks of the newest block not handed out yet
+	chunksMade int         // chunks carved so far
 
 	// Every event keyed before (doneAt, doneSeq) has fired: the last fired
 	// action's key plus one, or (t, MaxUint64) once a run has completed t.
@@ -161,8 +195,9 @@ type equeue struct {
 
 	slotAllocs uint64 // Event structs ever handed out fresh (slots, not slabs)
 	slotReuses uint64 // acquisitions served from the free list
-	chained    uint64 // schedules that joined a train instead of a tier, posts that joined a slot included
-	coalesced  uint64 // posts that joined a slot
+	chained    uint64 // schedules that joined a train instead of a tier
+	laned      uint64 // posts a lane took
+	fellBack   uint64 // posts no lane could take, scheduled instead
 	visited    uint64 // bucket-list nodes advance has walked: leaders, never members
 }
 
@@ -195,48 +230,139 @@ func (q *equeue) schedule(t Time, a Action) Handle {
 	return h
 }
 
-// post queues a at t like schedule, with no handle: into the newest post's
-// slot when that is for t, still queued, not full, and nothing has been
-// scheduled or reserved since. A joined Action counts as queued and as
-// chained, since schedule would have linked it behind that slot's train.
+// post queues a at t like schedule, with no handle: on the first lane whose
+// newest entry is not after t, opening a lane when none is and fewer than
+// laneCap are open, else through schedule.
 func (q *equeue) post(t Time, a Action) {
-	if h := q.posted; q.seq == q.postEnd && h.Active() && h.ev.at == t {
-		ev := h.ev
-		r, ok := ev.act.(*postRec)
-		if !ok {
-			r = q.newRec()
-			r.acts[0], r.n, r.next = ev.act, 1, 0
-			ev.act = r
+	i := 0
+	if q.nl == 0 || q.newest[0] > t {
+		// The first lane whose newest is not after t: newest is
+		// non-increasing, so bisect the lanes after lane 0.
+		lo, hi := min(1, q.nl), q.nl
+		for lo < hi {
+			if m := int(uint(lo+hi) >> 1); q.newest[m] <= t {
+				hi = m
+			} else {
+				lo = m + 1
+			}
 		}
-		if r.n < postCap {
-			r.acts[r.n] = a
-			r.n++
-			q.seq++
-			q.postEnd++
-			q.n++
-			q.chained++
-			q.coalesced++
-			return
+		if i = lo; i == q.nl {
+			if i == laneCap {
+				q.fellBack++
+				q.schedule(t, a)
+				return
+			}
+			c := q.newChunk()
+			q.lanes[i] = lane{head: c, tail: c}
+			q.nl++
 		}
 	}
-	q.posted = q.schedule(t, a)
-	q.postEnd = q.seq
+	l := &q.lanes[i]
+	if l.ti == 0 { // empty: the post is the lane's oldest entry
+		q.lhPush(laneKey{at: t, seq: q.seq, lane: i})
+	} else if l.ti == laneChunkLen {
+		c := q.newChunk()
+		l.tail.next = c
+		l.tail, l.ti = c, 0
+	}
+	l.tail.ents[l.ti] = laneEnt{at: t, seq: q.seq, act: a}
+	l.ti++
+	q.newest[i] = t
+	q.seq++
+	q.n++
+	q.laned++
 }
 
-// newRec takes a post record off the free list, or carves one.
-func (q *equeue) newRec() *postRec {
-	if r := q.recFree; r != nil {
-		q.recFree = r.free
-		return r
+// popLane removes the lane heap's root entry, the queue's head, and
+// returns its Action. When the lane's next entry is for the same instant
+// it stays the root without a sift: every post for that instant numbered
+// since went to this lane, so no other lane holds a key between the two.
+func (q *equeue) popLane() Action {
+	k := &q.lh[0]
+	l := &q.lanes[k.lane]
+	c := l.head
+	e := &c.ents[l.hi]
+	a := e.act
+	e.act = nil
+	q.n--
+	q.doneAt, q.doneSeq = k.at, k.seq+1
+	if l.hi++; c == l.tail && l.hi == l.ti {
+		l.hi, l.ti = 0, 0 // emptied: keep the chunk
+		q.lhPop()
+		return a
 	}
-	if len(q.recChunk) == 0 {
-		n := max(postChunk, q.recMade)
-		q.recChunk = make([]postRec, n)
-		q.recMade += n
+	if l.hi == laneChunkLen {
+		l.head, l.hi = c.next, 0
+		c.next, q.chunkFree = q.chunkFree, c
 	}
-	r := &q.recChunk[0]
-	q.recChunk = q.recChunk[1:]
-	return r
+	if nx := &l.head.ents[l.hi]; nx.at == k.at {
+		k.seq = nx.seq
+	} else {
+		k.at, k.seq = nx.at, nx.seq
+		q.lhDown()
+	}
+	return a
+}
+
+// newChunk takes a lane chunk off the free list, or carves one.
+func (q *equeue) newChunk() *laneChunk {
+	if c := q.chunkFree; c != nil {
+		q.chunkFree, c.next = c.next, nil
+		return c
+	}
+	if len(q.chunks) == 0 {
+		n := min(max(laneBlock, q.chunksMade), laneBlockMax)
+		q.chunks = make([]laneChunk, n)
+		q.chunksMade += n
+	}
+	c := &q.chunks[0]
+	q.chunks = q.chunks[1:]
+	return c
+}
+
+// lhPush adds k to the lane heap.
+func (q *equeue) lhPush(k laneKey) {
+	i := q.lhN
+	q.lhN++
+	for i > 0 {
+		p := (i - 1) >> 1
+		if !keyLess(&k, &q.lh[p]) {
+			break
+		}
+		q.lh[i] = q.lh[p]
+		i = p
+	}
+	q.lh[i] = k
+}
+
+// lhPop removes the lane heap's root.
+func (q *equeue) lhPop() {
+	q.lhN--
+	if q.lhN > 0 {
+		q.lh[0] = q.lh[q.lhN]
+		q.lhDown()
+	}
+}
+
+// lhDown moves the lane heap's root toward the leaves until neither child
+// sorts before it.
+func (q *equeue) lhDown() {
+	n, i, k := q.lhN, 0, q.lh[0]
+	for {
+		c := i<<1 + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && keyLess(&q.lh[c+1], &q.lh[c]) {
+			c++
+		}
+		if !keyLess(&q.lh[c], &k) {
+			break
+		}
+		q.lh[i] = q.lh[c]
+		i = c
+	}
+	q.lh[i] = k
 }
 
 // reserve takes n sequence numbers for events not queued yet and returns
@@ -277,34 +403,32 @@ func (q *equeue) complete(t Time) {
 	}
 }
 
-// head returns the earliest event without removing it, or nil. It may
-// advance the current bucket past an idle gap; a later push into a bucket
-// already passed simply joins the near heap.
-func (q *equeue) head() *Event {
-	if len(q.near) == 0 && !q.advance() {
-		return nil
+// first readies the queue's earliest entry and returns its time and
+// whether the lane heap's root holds it (else near's root does); ok is
+// false when nothing is queued. With near empty and a lane entry waiting,
+// the calendar advances no further than that entry's bucket, so near does
+// not fill with events the lanes fire before. Advancing may move the
+// current bucket past an idle gap; a later push into a bucket already
+// passed simply joins the near heap.
+func (q *equeue) first() (at Time, inLane, ok bool) {
+	if q.lhN == 0 {
+		if len(q.near) == 0 && !q.advance(math.MaxInt64) {
+			return 0, false, false
+		}
+		return q.near[0].at, false, true
 	}
-	return q.near[0]
-}
-
-// nextPost takes the next Action of slot ev, the queue's head, from its
-// record. While others remain the slot stays at the root, keyed by the one
-// after it: nothing an Action does can put an event before it there, since
-// anything new for its instant takes a later sequence number and a
-// back-dated key before it has gone by. The last one pops the slot and
-// frees the record.
-func (q *equeue) nextPost(ev *Event, r *postRec) (Action, bool) {
-	a := r.acts[r.next]
-	r.acts[r.next] = nil
-	if r.next++; r.next < r.n {
-		q.n--
-		q.doneAt, q.doneSeq = ev.at, ev.seq+1
-		ev.seq++
-		return a, true
+	k := &q.lh[0]
+	if len(q.near) == 0 {
+		// Every calendar event is in a bucket after cur: after k if k's
+		// bucket is not.
+		if b := int64(k.at) >> bucketShift; b <= q.cur || !q.advance(b) {
+			return k.at, true, true
+		}
 	}
-	r.free, q.recFree = q.recFree, r
-	q.pop(ev)
-	return a, false
+	if ev := q.near[0]; ev.at < k.at || ev.at == k.at && ev.seq < k.seq {
+		return ev.at, false, true
+	}
+	return k.at, true, true
 }
 
 // pop removes ev, the queue's head, and releases its slot. A leader's first
@@ -403,18 +527,20 @@ func (q *equeue) remove(ev *Event) {
 }
 
 // advance refills the empty near heap: it moves cur to the next non-empty
-// ring bucket (or, with the ring empty, jumps to far's earliest bucket),
-// pushes that bucket's leaders onto near, and pulls far events that the new
-// horizon now covers into the ring. It reports false when nothing is queued.
-func (q *equeue) advance() bool {
+// ring bucket (or, with the ring empty, jumps to far's earliest bucket), but
+// no further than bucket limit, pushes that bucket's leaders onto near, and
+// pulls far events that the new horizon now covers into the ring. It
+// reports whether near holds events now: false when nothing is queued up
+// to limit.
+func (q *equeue) advance(limit int64) bool {
 	b := q.cur + 1
 	switch {
 	case q.ringN > 0:
-		for q.ring[b&ringMask] == nil {
+		for q.ring[b&ringMask] == nil && b < limit {
 			b++
 		}
 	case len(q.far) > 0:
-		b = bucketOf(q.far[0])
+		b = min(bucketOf(q.far[0]), limit)
 	default:
 		return false
 	}
@@ -434,7 +560,7 @@ func (q *equeue) advance() bool {
 	for len(q.far) > 0 && bucketOf(q.far[0]) < b+ringSize {
 		q.push(q.far.pop())
 	}
-	return true
+	return len(q.near) > 0
 }
 
 // acquire takes an event slot from the free list (bumping its generation so

@@ -22,9 +22,12 @@ import (
 // more operations reserve sequence numbers and queue an event under one of
 // them later (a back-dated insert), which the model files by its number.
 // Bit 4 of an operation's first byte turns its schedules into posts
-// (Engine.Post), which share a queue slot while they follow each other on
-// one instant; the model numbers a post like any schedule, cancels of it
-// are no-ops, and it counts which schedules chain and which posts join.
+// (Engine.Post), which ride the queue's FIFO lanes; the model numbers a
+// post like any schedule, cancels of it are no-ops, and it mirrors the
+// first-fit rule to count which posts a lane takes, which fall back to the
+// calendar and which schedules chain. Bit 5 turns a burst into interleaved
+// monotone post streams, more than there are lanes, and a run into one
+// whose deadline is a recent event's instant or the one before it.
 
 // scriptSys is the surface a queue script drives.
 type scriptSys interface {
@@ -146,21 +149,25 @@ func scriptDelay(class byte, m uint16) Time {
 // step decodes and applies one 4-byte operation.
 func (r *scriptRun) step(op []byte) {
 	class, m := op[1], uint16(op[2])|uint16(op[3])<<8
-	post := op[0]&0x10 != 0
+	post, alt := op[0]&0x10 != 0, op[0]&0x20 != 0
 	switch op[0] % 16 {
 	case 8, 9:
+		if alt {
+			r.streams(class, m)
+			return
+		}
 		// A burst on one instant, interleaved with a second instant so both
 		// remembered tails are appended to, and now and then a third so one
 		// of them is evicted mid-train. As posts (a link fan-out) the burst
-		// first runs unbroken for (m&7)*postCap/4 posts, up to nearly two
-		// records' worth, and from then on meets the interruptions below
-		// too, after which the next post cannot join: a post or a schedule
-		// for another instant, an ordinary schedule for the same one, or a
-		// reserved number.
+		// first runs unbroken for (m&7)*2 posts, consecutive in one lane,
+		// and from then on meets the interruptions below too, which put
+		// keys between the lane's entries: a post or a schedule for another
+		// instant, an ordinary schedule for the same one (cancelled now and
+		// then), or a reserved number.
 		d := scriptDelay(class, m)
 		for i, n := 0, 2+int(m>>4)%63; i < n && r.nextID < maxScriptEvents-3; i++ {
 			r.spawn(d, false, post)
-			if post && i < int(m&7)*postCap/4 {
+			if post && i < int(m&7)*2 {
 				continue
 			}
 			if i%3 == 2 {
@@ -172,6 +179,9 @@ func (r *scriptRun) step(op []byte) {
 			if post && i%5 == 4 {
 				if m&8 != 0 {
 					r.spawn(d, true, false)
+					if i%10 == 9 {
+						r.sys.cancel(r.nextID - 1)
+					}
 				} else {
 					r.reserve(1)
 				}
@@ -191,9 +201,9 @@ func (r *scriptRun) step(op []byte) {
 			}
 		}
 	case 12:
-		// Stop from inside a recent event's callback (a post in the middle
-		// of its slot, say), run up to it, note what is left, then finish
-		// its instant.
+		// Stop from inside a recent event's callback (a post with more of
+		// its lane behind it, say), run up to it, note what is left, then
+		// finish its instant.
 		if r.nextID > 0 {
 			id := r.recent(m)
 			if at := r.when[id]; at >= r.sys.now() {
@@ -271,7 +281,30 @@ func (r *scriptRun) step(op []byte) {
 			r.sys.cancel(int(m) % r.nextID)
 		}
 	default:
+		if alt && r.nextID > 0 {
+			// A deadline on a recent event's instant or just before it:
+			// between the entries of a lane, when that event is a post.
+			if at := r.when[r.recent(m)] - Time(class&1); at >= r.sys.now() {
+				r.runUntil(at)
+			}
+			return
+		}
 		r.runUntil(r.sys.now() + scriptDelay(class, m))
+	}
+}
+
+// streams posts interleaved monotone streams, more than there are lanes: a
+// few rounds of one post per stream at decreasing instants, so first fit
+// gives each stream the next lane and the streams past the last lane fall
+// back to the calendar, and each round lands after every lane's newest
+// entry and takes the lanes again in order.
+func (r *scriptRun) streams(class byte, m uint16) {
+	n, rounds := laneCap+1+int(m)%laneCap, 2+int(m>>5)%3
+	d := scriptDelay(class, m)
+	for k := 0; k < rounds; k++ {
+		for j := 0; j < n && r.nextID < maxScriptEvents; j++ {
+			r.spawn(d+Time((k+1)*n-j), false, true)
+		}
 	}
 }
 
@@ -334,7 +367,7 @@ type modelSys struct {
 	status        []int  // by id
 	at            []Time // by id
 	everCancelled []bool // by id: Cancel reached it, before or after firing
-	post, joined  []bool // by id: scheduled with Post; and joined a slot
+	post, laned   []bool // by id: scheduled with Post; and a lane took it
 
 	// The trains rule: the newest id scheduled for each of the last two
 	// instants (-1 for none), and how many schedules chained behind one.
@@ -343,18 +376,17 @@ type modelSys struct {
 		id int
 	}
 	chained uint64
-	// The post rule: the newest post (-1 for none), the number after it,
-	// how many posts share its slot, and how many posts ever joined one.
-	lastPost  int
-	postEnd   uint64
-	slotSize  int
-	coalesced uint64
-	// Stops called from a post that had joined a slot.
-	joinedStops int
+	// The lane rule: each open lane's newest instant, and how many posts a
+	// lane took and how many fell back.
+	newest         []Time
+	lanedN, fellBk uint64
+	// Stops called from a laned post, and runs whose deadline fell between
+	// two queued lane entries.
+	lanedStops, splitRuns int
 }
 
 func newModelSys() *modelSys {
-	s := &modelSys{lastPost: -1}
+	s := &modelSys{}
 	for i := range s.tails {
 		s.tails[i].id = -1
 	}
@@ -366,10 +398,26 @@ func (s *modelSys) queued(id int) bool { return id >= 0 && s.status[id] == model
 func (s *modelSys) now() Time { return s.clock }
 func (s *modelSys) schedule(id int, delay Time, _, post bool) {
 	at := s.clock + delay
-	// A post joins the newest post's slot while nothing has taken a number
-	// since, it is for the same instant, that post is still queued and the
-	// slot is not full.
-	joins := post && s.seq == s.postEnd && s.queued(s.lastPost) && s.at[s.lastPost] == at && s.slotSize < postCap
+	if post {
+		// First fit: the first lane whose newest is not after at, else a
+		// new lane while there is room, else the calendar.
+		i := 0
+		for i < len(s.newest) && s.newest[i] > at {
+			i++
+		}
+		if i < laneCap {
+			if i == len(s.newest) {
+				s.newest = append(s.newest, at)
+			}
+			s.newest[i] = at
+			s.insert(id, at, s.seq)
+			s.seq++
+			s.post[id], s.laned[id] = true, true
+			s.lanedN++
+			return
+		}
+		s.fellBk++
+	}
 	w := &s.tails[0]
 	if w.at != at || !s.queued(w.id) {
 		if w = &s.tails[1]; w.at != at || !s.queued(w.id) {
@@ -380,22 +428,11 @@ func (s *modelSys) schedule(id int, delay Time, _, post bool) {
 	}
 	if w.id >= 0 {
 		s.chained++
-	} else if joins {
-		panic("model: a post joins a slot that is no train's tail")
 	}
 	w.id = id
 	s.insert(id, at, s.seq)
 	s.seq++
-	if post {
-		s.post[id], s.joined[id] = true, joins
-		s.lastPost, s.postEnd = id, s.seq
-		if joins {
-			s.coalesced++
-			s.slotSize++
-		} else {
-			s.slotSize = 1
-		}
-	}
+	s.post[id] = post
 }
 func (s *modelSys) reserve(n int) { s.seq += uint64(n) }
 func (s *modelSys) insert(id int, at Time, seq uint64) {
@@ -410,7 +447,7 @@ func (s *modelSys) insert(id int, at Time, seq uint64) {
 	s.at = append(s.at, at)
 	s.everCancelled = append(s.everCancelled, false)
 	s.post = append(s.post, false)
-	s.joined = append(s.joined, false)
+	s.laned = append(s.laned, false)
 }
 func (s *modelSys) cancel(id int) {
 	if s.post[id] {
@@ -436,6 +473,15 @@ func (s *modelSys) fireHead() {
 	s.r.onFire(ev.id)
 }
 func (s *modelSys) runUntil(t Time) {
+	before, after := false, false
+	for _, ev := range s.pending {
+		if s.laned[ev.id] {
+			before, after = before || ev.at <= t, after || ev.at > t
+		}
+	}
+	if before && after {
+		s.splitRuns++
+	}
 	for s.stopped = false; !s.stopped && len(s.pending) > 0 && s.pending[0].at <= t; {
 		s.fireHead()
 	}
@@ -450,8 +496,8 @@ func (s *modelSys) run() {
 }
 func (s *modelSys) stop() {
 	s.stopped = true
-	if s.joined[s.r.firing] {
-		s.joinedStops++
+	if s.laned[s.r.firing] {
+		s.lanedStops++
 	}
 }
 func (s *modelSys) state() string {
@@ -460,8 +506,8 @@ func (s *modelSys) state() string {
 
 // runQueueScript executes data on every system, comparing each engine with
 // the model after every operation: firing order, clock, Fired, Pending,
-// Chained, Coalesced, Passed, what each Stop left queued, and every handle
-// ever issued. It returns the model, whose counters say what the script
+// Chained, the laned and fallen-back posts, Passed, what each Stop left
+// queued, and every handle ever issued. It returns the model, whose counters say what the script
 // exercised.
 func runQueueScript(t *testing.T, data []byte) *modelSys {
 	t.Helper()
@@ -502,16 +548,16 @@ func runQueueScript(t *testing.T, data []byte) *modelSys {
 			if got := eng.e.Stats().Chained; got != model.chained {
 				t.Fatalf("op %d: %T Chained %d, model %d", op, eng.e, got, model.chained)
 			}
-			if got := eng.e.Coalesced(); got != model.coalesced {
-				t.Fatalf("op %d: %T Coalesced %d, model %d", op, eng.e, got, model.coalesced)
+			if laned, fellBack := eng.e.Posts(); laned != model.lanedN || fellBack != model.fellBk {
+				t.Fatalf("op %d: %T laned %d posts and fell back on %d, model %d and %d", op, eng.e, laned, fellBack, model.lanedN, model.fellBk)
 			}
 			if fmt.Sprint(er.mid) != fmt.Sprint(mr.mid) {
 				t.Fatalf("op %d: %T after each Stop: %q, model %q", op, eng.e, er.mid, mr.mid)
 			}
 			// Every node advance walks is a train's queue entry on its one
-			// trip from the ring to near; a member in a bucket list would
-			// break this.
-			if entries := uint64(er.nextID) - eng.e.Stats().Chained; eng.q.visited > entries {
+			// trip from the ring to near; a member in a bucket list, or a
+			// laned post, would break this.
+			if entries := uint64(er.nextID) - eng.e.Stats().Chained - model.lanedN; eng.q.visited > entries {
 				t.Fatalf("op %d: %T's advance walked %d bucket nodes, only %d events ever led a train", op, eng.e, eng.q.visited, entries)
 			}
 			for _, seq := range er.reserved {
@@ -555,20 +601,23 @@ func runQueueScript(t *testing.T, data []byte) *modelSys {
 
 func TestQueueOrderRandomScripts(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	var coalesced uint64
-	joinedStops := 0
+	var laned, fellBack uint64
+	stops, splits := 0, 0
 	for i := 0; i < 300; i++ {
 		data := make([]byte, 4*(20+rng.Intn(300)))
 		rng.Read(data)
 		m := runQueueScript(t, data)
-		coalesced += m.coalesced
-		joinedStops += m.joinedStops
+		laned += m.lanedN
+		fellBack += m.fellBk
+		stops += m.lanedStops
+		splits += m.splitRuns
 	}
-	// The scripts must reach what they are there to check: posts sharing
-	// slots, and Stop from a post inside one.
-	t.Logf("%d posts joined a slot, %d Stops from one", coalesced, joinedStops)
-	if coalesced < 20000 || joinedStops < 100 {
-		t.Errorf("%d posts joined a slot and %d Stops came from one; want 20000 and 100", coalesced, joinedStops)
+	// The scripts must reach what they are there to check: posts on the
+	// lanes and past the last lane, Stop from a laned post, and deadlines
+	// between two lane entries.
+	t.Logf("%d posts laned, %d fell back, %d Stops from a laned post, %d runs split a lane", laned, fellBack, stops, splits)
+	if laned < 20000 || fellBack < 1000 || stops < 100 || splits < 100 {
+		t.Errorf("%d posts laned, %d fell back, %d Stops from a laned post, %d runs split a lane; want 20000, 1000, 100 and 100", laned, fellBack, stops, splits)
 	}
 }
 
@@ -622,7 +671,7 @@ func FuzzQueueOrder(f *testing.F) {
 	f.Add([]byte{0, 4, 4, 0, 14, 0, 0, 0, 0, 4, 4, 0, 15, 0, 0, 0, 10, 0, 2, 0})
 	f.Add([]byte{0, 2, 4, 0, 14, 0, 0, 0, 0, 2, 4, 0, 15, 0, 0, 0, 10, 0, 0, 0})
 	// Posts (bit 4 of byte 0). A 22-post fan-out on one instant, unbroken
-	// for 14 (two records), then interrupted, in near, ring and far.
+	// for 14, then interrupted, in near, ring and far.
 	f.Add([]byte{0x18, 0, 0x47, 0x01, 6, 4, 255, 255})
 	f.Add([]byte{0x18, 2, 0x47, 0x01, 6, 4, 255, 255})
 	f.Add([]byte{0x18, 4, 0x47, 0x01, 6, 4, 255, 255})
@@ -632,11 +681,24 @@ func FuzzQueueOrder(f *testing.F) {
 	// A fan-out whose every fifth post is followed by an ordinary schedule
 	// for the same instant.
 	f.Add([]byte{0x18, 2, 0x48, 0x00, 6, 4, 0, 0})
-	// Stop from a post in the middle of a slot, then zero-delay posts
+	// Stop from a post in the middle of a lane, then zero-delay posts
 	// behind it, and a post for the next microsecond.
 	f.Add([]byte{0x18, 2, 0x43, 0x00, 12, 0, 2, 0, 0x10, 0, 0, 0, 0x10, 0, 0, 0, 0x11, 1, 0, 0, 6, 4, 0, 0})
 	// A cancel aimed at a post (a no-op), then a post for its instant.
 	f.Add([]byte{0x18, 2, 0x42, 0x00, 11, 0, 0, 0, 6, 4, 0, 0})
+	// Lanes (bit 5 of byte 0 on a burst): 17 interleaved monotone post
+	// streams, one more than the lanes, for two rounds in near, ring and
+	// far, so the last stream falls back each round.
+	f.Add([]byte{0x28, 0, 0x00, 0x00, 6, 4, 255, 255})
+	f.Add([]byte{0x28, 2, 0x00, 0x00, 6, 4, 255, 255})
+	f.Add([]byte{0x28, 4, 0x40, 0x00, 6, 4, 255, 255})
+	// Streams, then runs whose deadline is a recent post's instant and the
+	// one before it (bit 5 on a run), then a Stop from a laned post.
+	f.Add([]byte{0x28, 2, 0x05, 0x00, 0x26, 2, 0, 0, 0x26, 1, 3, 0, 12, 0, 1, 0, 6, 4, 255, 255})
+	// A ten-post fan-out on one instant, its every fifth post followed by
+	// an ordinary schedule for the instant, the second of which is
+	// cancelled: lane entries with calendar keys between them.
+	f.Add([]byte{0x18, 2, 0x89, 0x00, 6, 4, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) { runQueueScript(t, data) })
 }
 
@@ -812,12 +874,12 @@ func BenchmarkHold(b *testing.B) {
 				e.Schedule(delays[i&4095], fire)
 			}
 			for i := 0; i < 4*population; i++ { // settle into the steady-state spread
-				e.step()
+				e.step(noEvent)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.step()
+				e.step(noEvent)
 			}
 		})
 	}
@@ -829,13 +891,17 @@ func BenchmarkHold(b *testing.B) {
 // one per acquisition the free list could not serve. Handles to neighbouring
 // slots on either side of a slab boundary must stay independent, and a slot's
 // stale handle inert, exactly as for individually allocated slots. Every
-// slot is one 64-byte cache line of its own.
+// slot is one 64-byte cache line of its own, and a lane chunk, alone or in
+// a block, fills its size class.
 func TestEventSlabs(t *testing.T) {
 	if got := unsafe.Sizeof(Event{}); got != 64 {
 		t.Errorf("Event is %d bytes, want 64", got)
 	}
 	if got := unsafe.Sizeof(eventSlabMem{}); eventSlab != 95 || got+8 != 6144 {
 		t.Errorf("a %d-slot slab is %d bytes; want 95 slots filling the 6144-byte size class with the allocator's 8-byte header", eventSlab, got)
+	}
+	if got := unsafe.Sizeof(laneChunk{}); got+8 > 1024 || laneBlockMax*got+8 > 32768 {
+		t.Errorf("a lane chunk is %d bytes; want it and a block of %d within the 1024- and 32768-byte size classes with the allocator's 8-byte header", got, laneBlockMax)
 	}
 	e := NewEngine(1)
 	fired := 0

@@ -21,7 +21,7 @@ import "math/rand"
 //   - Cancel must be called on the same Scheduler that issued the Handle.
 //     Cross-shard schedules return the zero Handle and are not cancellable.
 //   - Post is After for work nobody will cancel. On an Engine (and so on a
-//     shard) a post may share the queue slot of the post before it (see
+//     shard) a post waits in a FIFO lane instead of an event slot (see
 //     Engine.Post); cross-shard channels and the global barrier queue
 //     simply schedule it.
 type Scheduler interface {
@@ -60,7 +60,7 @@ type Runner interface {
 	Stop()
 	Fired() uint64
 	Pending() int
-	Coalesced() uint64
+	Posts() (laned, fellBack uint64)
 	Stats() EngineStats
 }
 

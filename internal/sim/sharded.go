@@ -150,8 +150,8 @@ func (se *ShardedEngine) After(delay Time, a Action) Handle { return se.global()
 func (se *ShardedEngine) At(t Time, a Action) Handle { return se.global().At(t, a) }
 
 // Post queues a on the global context after delay: while degenerate into
-// the one Engine, where it may share a slot (Engine.Post); else into the
-// barrier queue, as After.
+// the one Engine's lanes (Engine.Post); else into the barrier queue, as
+// After.
 func (se *ShardedEngine) Post(delay Time, a Action) { se.global().Post(delay, a) }
 
 // Cancel cancels a handle issued by the global context.
@@ -191,13 +191,14 @@ func (se *ShardedEngine) Fired() uint64 {
 	return n
 }
 
-// Coalesced returns how many posts joined a slot, summed over the shards.
-func (se *ShardedEngine) Coalesced() uint64 {
-	var n uint64
+// Posts returns how many posts rode a lane and how many fell back to the
+// calendar, summed over the shards.
+func (se *ShardedEngine) Posts() (laned, fellBack uint64) {
 	for _, s := range se.shards {
-		n += s.q.coalesced
+		laned += s.q.laned
+		fellBack += s.q.fellBack
 	}
-	return n
+	return laned, fellBack
 }
 
 // Pending returns the total queued events across all shards, the global
@@ -292,12 +293,12 @@ func (se *ShardedEngine) RunUntil(deadline Time) {
 func (se *ShardedEngine) earliest() Time {
 	t := noEvent
 	for _, s := range se.shards {
-		if h := s.q.head(); h != nil && h.at < t {
-			t = h.at
+		if at, _, ok := s.q.first(); ok && at < t {
+			t = at
 		}
 	}
-	if h := se.gq.q.head(); h != nil && h.at < t {
-		t = h.at
+	if at, _, ok := se.gq.q.first(); ok && at < t {
+		t = at
 	}
 	return t
 }
@@ -338,8 +339,8 @@ func (se *ShardedEngine) runWindows(deadline Time, untilEmpty bool) {
 		if tStop < now || tStop > deadline { // overflow or horizon clamp
 			tStop = deadline
 		}
-		if g := se.gq.q.head(); g != nil && g.at < tStop {
-			tStop = g.at
+		if at, _, ok := se.gq.q.first(); ok && at < tStop {
+			tStop = at
 		}
 		se.windows++
 		se.runShardsWindow(tStop, false)
@@ -357,12 +358,7 @@ func (se *ShardedEngine) runWindows(deadline Time, untilEmpty bool) {
 // marks no instant complete, and Stop is the engine's flag.
 func (se *ShardedEngine) runGlobal(bound Time) {
 	g := se.gq
-	for !se.stopped.Load() {
-		h := g.q.head()
-		if h == nil || h.at > bound {
-			return
-		}
-		g.step()
+	for !se.stopped.Load() && g.step(bound) {
 	}
 }
 
@@ -471,7 +467,7 @@ func (s *shardSched) runWindow(tStop Time, incl bool) {
 // refuses schedules while shard windows run, since its events must only
 // ever run with every shard parked. After, At, Post and AtReserved each
 // check, because the promoted After would reach Engine.At past an At
-// override. A post here is an ordinary event: nothing fans out on the
+// override. A post here is an ordinary event: no link delivers on the
 // global queue.
 type barrierQueue struct {
 	Engine
@@ -562,7 +558,7 @@ func (c *crossSched) At(t Time, a Action) Handle {
 	return Handle{}
 }
 
-// Post is After: a mailbox entry has no slot to share.
+// Post is After: a mailbox entry is scheduled at the barrier, not laned.
 func (c *crossSched) Post(delay Time, a Action) { c.After(delay, a) }
 
 func (c *crossSched) Cancel(h Handle) {

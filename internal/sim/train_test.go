@@ -413,14 +413,14 @@ func BenchmarkFanoutTrain(b *testing.B) {
 				last()
 			}
 			for i := 0; i < 64*k*4; i++ { // slots and heaps reach their steady size
-				e.step()
+				e.step(noEvent)
 			}
 			b.ReportAllocs()
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.step()
+				e.step(noEvent)
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&m1)
@@ -473,14 +473,14 @@ func BenchmarkColdTrains(b *testing.B) {
 				if i == pending {
 					budget0, visited0, fired0 = leaders()-uint64(e.q.entries()), e.q.visited, e.Fired()
 				}
-				e.step()
+				e.step(noEvent)
 			}
 			b.ReportAllocs()
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.step()
+				e.step(noEvent)
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&m1)
@@ -497,101 +497,121 @@ func BenchmarkColdTrains(b *testing.B) {
 	}
 }
 
-// Posts (Engine.Post) that follow each other on one instant share one queue
-// slot: the random scripts check the contract differentially; this pins the
-// join rule on scripts short enough to read. Each case posts at instant 5
-// with something in between the posts or not, and says how many slots the
-// posts took; every case fires its posts in post order.
-func TestPostSlotJoinRule(t *testing.T) {
-	cases := []struct {
-		name    string
-		between func(e *Engine) // after the second post
-		slots   uint64          // queue slots the four posts take
-	}{
-		{"nothing between", func(*Engine) {}, 1},
-		{"a schedule for the same instant", func(e *Engine) { e.At(5, Func(func() {})) }, 2},
-		{"a schedule for another instant", func(e *Engine) { e.At(6, Func(func() {})) }, 2},
-		{"a post for another instant", func(e *Engine) { e.Post(6, Func(func() {})) }, 2},
-		{"a reserved number", func(e *Engine) { e.Reserve(1) }, 2},
-		{"a back-dated insert", func(e *Engine) { e.AtReserved(7, e.Reserve(1), Func(func() {})) }, 2},
+// Posts (Engine.Post) ride FIFO lanes: the random scripts check the
+// contract differentially; this pins the first-fit rule on a script short
+// enough to read. A post takes the first lane whose newest entry is not
+// after it, opens a lane when none is, and takes an event slot once every
+// lane is open and none fits; the lanes' newest instants stay
+// non-increasing, and everything fires in (time, sequence) order, lane
+// entries merged with calendar events by key.
+func TestPostLaneFirstFit(t *testing.T) {
+	e := NewEngine(1)
+	var log []string
+	post := func(at Time, name string) { e.Post(at, Func(func() { log = append(log, name) })) }
+	post(100, "a")
+	post(200, "b")
+	post(150, "c")
+	e.At(150, Func(func() { log = append(log, "at150") })) // between c and d: no lane
+	post(150, "d")
+	post(300, "e")
+	post(120, "f")
+	post(110, "g")
+	post(400, "h")
+	if got := e.q.newest[:e.q.nl]; fmt.Sprint(got) != fmt.Sprint([]Time{400, 150, 120, 110}) {
+		t.Fatalf("lanes' newest instants %v, want 400, 150, 120 and 110 µs", got)
 	}
-	for _, tc := range cases {
-		e := NewEngine(1)
-		var log []int
-		post := func(id int) { e.Post(5, Func(func() { log = append(log, id) })) }
-		post(0)
-		post(1)
-		tc.between(e)
-		allocs := e.EventAllocs()
-		post(2)
-		post(3)
-		if got := e.EventAllocs() - allocs; got != tc.slots-1 {
-			t.Errorf("%s: the last two posts took %d new slots, want %d", tc.name, got, tc.slots-1)
+	// Every lane taken: each post before all the lanes' newest opens the
+	// next lane until there are laneCap, and the one after that falls back.
+	for i := e.q.nl; i <= laneCap; i++ {
+		post(Time(100-i), fmt.Sprint("x", i))
+	}
+	for i := 1; i < e.q.nl; i++ {
+		if e.q.newest[i] > e.q.newest[i-1] {
+			t.Fatalf("lane %d's newest %v is after lane %d's %v", i, e.q.newest[i], i-1, e.q.newest[i-1])
 		}
-		e.Run()
-		if fmt.Sprint(log) != "[0 1 2 3]" {
-			t.Errorf("%s: fired %v", tc.name, log)
-		}
+	}
+	laned, fellBack := e.Posts()
+	if e.q.nl != laneCap || laned != 8+laneCap-4 || fellBack != 1 || e.EventAllocs() != 2 || e.Pending() != 10+laneCap-4 {
+		t.Fatalf("%d lanes, %d posts laned, %d fell back, %d event slots, Pending %d; want %d, %d, 1, 2, %d",
+			e.q.nl, laned, fellBack, e.EventAllocs(), e.Pending(), laneCap, 8+laneCap-4, 10+laneCap-4)
+	}
+	e.Run()
+	var want []string
+	for i := laneCap; i >= 4; i-- {
+		want = append(want, fmt.Sprint("x", i))
+	}
+	want = append(want, "a", "g", "f", "c", "at150", "d", "b", "e", "h")
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", log, want)
+	}
+	if e.q.lhN != 0 || e.Pending() != 0 {
+		t.Fatalf("drained, the lane heap holds %d lanes and Pending is %d", e.q.lhN, e.Pending())
 	}
 }
 
-// A full record starts a new slot; a Stop from a joined action leaves the
-// rest of the slot first in the queue, counted as pending; and a post from
-// an action of the slot that is still the newest post's joins it too.
-func TestPostSlotFullAndStop(t *testing.T) {
+// A Stop from a laned post stops after it: the rest of its lane stays
+// queued and counted, its key reads as passed and the next one's does not,
+// and a later run resumes in order, ahead of what was scheduled for the
+// instant since. A RunUntil whose deadline falls between a lane's entries
+// fires exactly the ones up to it. A lane's chunks go back to the queue's
+// free list as it drains, and an emptied lane keeps one, so a second burst
+// of the same size carves nothing.
+func TestPostLaneStop(t *testing.T) {
 	e := NewEngine(1)
 	var log []int
-	for i := 0; i <= postCap; i++ {
+	first := e.Reserve(0)
+	for i := 0; i < 6; i++ {
 		e.Post(5, Func(func() {
 			if log = append(log, i); i == 2 {
 				e.Stop()
 			}
 		}))
 	}
-	st := e.Stats()
-	if e.EventAllocs() != 2 || st.Pending != postCap+1 || st.Chained != postCap || e.Coalesced() != postCap-1 {
-		t.Fatalf("%d posts: %d slots, Pending %d, Chained %d, Coalesced %d; want 2, %d, %d, %d",
-			postCap+1, e.EventAllocs(), st.Pending, st.Chained, e.Coalesced(), postCap+1, postCap, postCap-1)
-	}
 	e.Run()
-	if fmt.Sprint(log) != "[0 1 2]" || e.Pending() != postCap-2 || e.Fired() != 3 {
-		t.Fatalf("Stop from post 2: fired %v, Pending %d, Fired %d", log, e.Pending(), e.Fired())
+	if fmt.Sprint(log) != "[0 1 2]" || e.Pending() != 3 || e.Fired() != 3 || e.Now() != 5 {
+		t.Fatalf("Stop from post 2: fired %v, Pending %d, Fired %d, Now %v", log, e.Pending(), e.Fired(), e.Now())
+	}
+	if !e.Passed(5, first+2) || e.Passed(5, first+3) {
+		t.Fatalf("after post 2 fired: Passed reads %v for it and %v for post 3", e.Passed(5, first+2), e.Passed(5, first+3))
 	}
 	e.At(5, Func(func() { log = append(log, -1) }))
-	e.Run()
-	if got, want := fmt.Sprint(log), fmt.Sprint(append(seq(postCap+1), -1)); got != want {
-		t.Fatalf("fired %s, want %s", got, want)
-	}
-
-	e, log = NewEngine(1), nil
-	for i := 0; i < 3; i++ {
-		e.Post(5, Func(func() {
-			if log = append(log, i); i == 0 {
-				e.Post(0, Func(func() { log = append(log, 3) }))
-			}
-		}))
+	e.Post(2, Func(func() { log = append(log, 7) }))
+	e.Post(4, Func(func() { log = append(log, 9) }))
+	e.RunUntil(8)
+	if fmt.Sprint(log) != "[0 1 2 3 4 5 -1 7]" || e.Pending() != 1 || e.Now() != 8 {
+		t.Fatalf("RunUntil(8): fired %v, Pending %d, Now %v", log, e.Pending(), e.Now())
 	}
 	e.Run()
-	if fmt.Sprint(log) != "[0 1 2 3]" || e.EventAllocs() != 1 || e.Coalesced() != 3 {
-		t.Fatalf("a post from the slot's first action: fired %v, %d slots, Coalesced %d; want [0 1 2 3], 1, 3", log, e.EventAllocs(), e.Coalesced())
-	}
-}
 
-// seq returns 0..n-1.
-func seq(n int) []int {
-	s := make([]int, n)
-	for i := range s {
-		s[i] = i
+	const burst = 4 * laneChunkLen
+	nop := Func(func() {})
+	for i := 0; i < burst; i++ {
+		e.Post(Time(i), nop)
 	}
-	return s
+	made := e.q.chunksMade
+	if made < 4 {
+		t.Fatalf("%d posts in one lane took %d chunks", burst, made)
+	}
+	e.Run()
+	if l := &e.q.lanes[0]; l.head != l.tail || l.head == nil || l.ti != 0 {
+		t.Fatal("a drained lane does not keep exactly one empty chunk")
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		for i := 0; i < burst; i++ {
+			e.Post(Time(i), nop)
+		}
+		e.Run()
+	})
+	if allocs != 0 || e.q.chunksMade != made {
+		t.Fatalf("a second burst of %d posts allocated %.0f times and carved %d chunks", burst, allocs, e.q.chunksMade-made)
+	}
 }
 
 // BenchmarkFanoutPost is BenchmarkFanoutTrain's pattern with posts, the way
 // a router's links post the deliveries of one packet's copies: 64 bursts in
 // flight, each k posts on one instant, the last of which posts the next
-// burst. One op is one fired action. A burst takes one queue slot per
-// postCap posts (1/k slots an action while k <= postCap), and the cycle
-// allocates nothing.
+// burst. One op is one fired action. Posts take lane entries, not event
+// slots, and the cycle allocates nothing.
 func BenchmarkFanoutPost(b *testing.B) {
 	for _, k := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
@@ -610,16 +630,15 @@ func BenchmarkFanoutPost(b *testing.B) {
 			for i := 0; i < 64; i++ {
 				last()
 			}
-			for e.Fired() < uint64(64*k*4) { // slots, records and heaps reach their steady size
-				e.step()
+			for e.Fired() < uint64(64*k*4) { // chunks and the lane heap reach their steady size
+				e.step(noEvent)
 			}
 			b.ReportAllocs()
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			b.ResetTimer()
-			// A step fires a whole slot; run whole steps until b.N actions.
-			for end := e.Fired() + uint64(b.N); e.Fired() < end; {
-				e.step()
+			for i := 0; i < b.N; i++ {
+				e.step(noEvent)
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&m1)
@@ -631,8 +650,8 @@ func BenchmarkFanoutPost(b *testing.B) {
 			st := e.Stats()
 			posted := st.Fired + uint64(st.Pending)
 			slots := float64(st.EventAllocs+st.EventReuses) / float64(posted)
-			if want := float64((k+postCap-1)/postCap) / float64(k); slots > want+1e-9 {
-				b.Fatalf("%.4f queue slots per action with %d-wide bursts, want %.4f", slots, k, want)
+			if laned, _ := e.Posts(); laned != posted || slots != 0 {
+				b.Fatalf("%d of %d posts laned, %.4f event slots per action; want all and 0", laned, posted, slots)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/action")
 			b.ReportMetric(slots, "queue-slots/action")

@@ -682,6 +682,7 @@ func TestVBRParkingMatchesEager(t *testing.T) {
 		rng.Read(data)
 		schedules[fmt.Sprintf("random %d", i)] = parkScript(pos, data)
 	}
+	t.Run("stop in a delivery, join between runs", func(t *testing.T) { checkStopInDelivery(t, seed, pos) })
 	for name, acts := range schedules {
 		t.Run(name, func(t *testing.T) {
 			for _, shards := range []int{0, 2} {
@@ -703,6 +704,76 @@ func TestVBRParkingMatchesEager(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// stopMember is a traceMember that stops the run when it receives one
+// packet.
+type stopMember struct {
+	*traceMember
+	run  sim.Runner
+	stop tracePoint
+}
+
+func (m stopMember) RecvMulticast(p *netsim.Packet) {
+	m.traceMember.RecvMulticast(p)
+	if p.Layer == m.stop.layer && p.Seq == m.stop.seq {
+		m.run.Stop()
+	}
+}
+
+// checkStopInDelivery stops a run from inside a link delivery — a lane
+// action, which is the last thing the engine fired — and joins at the
+// source between runs: the wake reads Passed for a parked position that
+// went by after the last calendar event (an emit or a batch draw) and
+// before the delivery, so it must count it as sent, not queue it in the
+// past.
+func checkStopInDelivery(t *testing.T, seed int64, pos []tracePoint) {
+	probe := newParkWorld(seed, 0, false)
+	probe.d.Join(probe.nodes[2].ID, probe.src.Group(1), probe.members[2])
+	probe.run.RunUntil(parkHorizon)
+	// The first delivery at b with a parked position strictly between it
+	// and the latest calendar instant before it.
+	var stop, gone tracePoint
+	for _, d := range probe.members[2].log {
+		last := (d.at - 1) / VBRInterval * VBRInterval
+		for _, p := range pos {
+			if p.layer == 1 && p.at < d.at {
+				last = max(last, p.at)
+			}
+		}
+		for _, p := range pos {
+			if p.layer > 1 && p.at > last && p.at < d.at {
+				stop, gone = d, p
+				break
+			}
+		}
+		if stop.at != 0 {
+			break
+		}
+	}
+	if stop.at == 0 {
+		t.Fatalf("no delivery at b among %d follows a parked position with no calendar event between", len(probe.members[2].log))
+	}
+	parked, eager := newParkWorld(seed, 0, false), newParkWorld(seed, 0, true)
+	for _, w := range []*parkWorld{parked, eager} {
+		w.d.Join(w.nodes[2].ID, w.src.Group(1), stopMember{w.members[2], w.run, stop})
+		w.run.RunUntil(parkHorizon)
+		if w.run.Now() != stop.at {
+			t.Fatalf("the run stopped at %v, want the delivery's %v", w.run.Now(), stop.at)
+		}
+		w.d.Join(w.nodes[0].ID, w.src.Group(gone.layer), w.members[0])
+		w.run.RunUntil(parkHorizon)
+	}
+	for i := range parked.members {
+		if got, want := parked.members[i].log, eager.members[i].log; !reflect.DeepEqual(got, want) {
+			t.Fatalf("node %d received %d packets, the eager reference %d\n%s", i, len(got), len(want), traceDiff(got, want))
+		}
+	}
+	for k := 1; k <= parkLayers; k++ {
+		if got, want := parked.src.Sent(k), eager.src.Sent(k); got != want {
+			t.Fatalf("Sent(%d) = %d, the eager reference %d", k, got, want)
+		}
 	}
 }
 

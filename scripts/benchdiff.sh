@@ -128,10 +128,10 @@ alloc-ceiling)
 		/run-phase allocations:/ {
 			seen++
 			n = $NF
-			if (w == "paperB16-vbr") c = 756
-			else if (w == "tree1k-agg") c = 1202
-			else if (w == "tree10k-flat") c = 1001
-			else if (w == "tree1k-churn") c = 14166
+			if (w == "paperB16-vbr") c = 747
+			else if (w == "tree1k-agg") c = 1187
+			else if (w == "tree10k-flat") c = 996
+			else if (w == "tree1k-churn") c = 14162
 			else { print "  " w ": no ceiling"; next }
 			if (n > c * 1.1) print "  " w ": " n " run-phase allocations, ledger " c ", at most " int(c * 1.1) " allowed"
 		}

@@ -91,9 +91,9 @@ bench-fanin:
 fanin-gate:
 	scripts/benchdiff.sh fanin-gate
 
-# Allocation ceiling for whole runs: each benchmark workload's run-phase
-# allocation total (scripts/hotallocs.sh) must stay within 10 % of its
-# figure in DESIGN.md §5's run-phase ledger.
+# Allocation ceiling for whole runs: each benchmark workload's set-up and
+# run-phase allocation totals (scripts/hotallocs.sh) must stay within 10 %
+# of their figures in DESIGN.md §5's allocation ledger.
 alloc-ceiling:
 	scripts/benchdiff.sh alloc-ceiling
 

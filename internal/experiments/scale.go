@@ -178,7 +178,7 @@ func scaleSpec(sc Scenario) Spec {
 			row := ScaleRow{
 				Topo:      sc.Topo,
 				Nodes:     b.Net.NumNodes(),
-				Links:     len(b.Net.Links()),
+				Links:     b.Net.NumLinks(),
 				Receivers: len(b.AllReceivers()),
 				Shards:    sc.Shards,
 				Aggregate: sc.Aggregate,

@@ -238,14 +238,9 @@ func AssembleWorld(e sim.Runner, b *topology.Build, cfg WorldConfig) (*World, er
 		w.Controllers = []*controller.Controller{w.Controller}
 	}
 
+	w.slots()
 	for s, nodes := range b.Receivers {
-		w.Traces = append(w.Traces, make([]*metrics.Trace, len(nodes)))
-		w.live = append(w.live, make([]Member, len(nodes)))
-		if cfg.Plane != PlaneRLM {
-			w.Receivers = append(w.Receivers, make([]*receiver.Receiver, len(nodes)))
-		}
 		for i := range nodes {
-			w.Traces[s][i] = metrics.NewTrace(0, 0)
 			w.join(s, i)
 		}
 	}
@@ -257,6 +252,36 @@ func AssembleWorld(e sim.Runner, b *topology.Build, cfg WorldConfig) (*World, er
 		w.Controller.EnableAggregation()
 	}
 	return w, nil
+}
+
+// slots makes the per-slot tables — traces, live incarnations and, on a
+// controller plane, initial receivers — one block each, every session's
+// row an exact share of it: the slots live as long as the world.
+func (w *World) slots() {
+	total := 0
+	for _, nodes := range w.Build.Receivers {
+		total += len(nodes)
+	}
+	sessions := len(w.Build.Receivers)
+	traces, tracePtrs := metrics.NewTraces(total, 0, 0), make([]*metrics.Trace, total)
+	for i := range traces {
+		tracePtrs[i] = &traces[i]
+	}
+	live := make([]Member, total)
+	var rxs []*receiver.Receiver
+	w.Traces, w.live = make([][]*metrics.Trace, sessions), make([][]Member, sessions)
+	if w.cfg.Plane != PlaneRLM {
+		rxs, w.Receivers = make([]*receiver.Receiver, total), make([][]*receiver.Receiver, sessions)
+	}
+	k := 0
+	for s, nodes := range w.Build.Receivers {
+		end := k + len(nodes)
+		w.Traces[s], w.live[s] = tracePtrs[k:end:end], live[k:end:end]
+		if rxs != nil {
+			w.Receivers[s] = rxs[k:end:end]
+		}
+		k = end
+	}
 }
 
 // NewWorld is AssembleWorld for configurations known to be valid; it panics

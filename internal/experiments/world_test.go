@@ -261,23 +261,38 @@ func TestChurnSamplingFollowsLiveIncarnation(t *testing.T) {
 	}
 }
 
-// TestWorldStartMallocs pins what setting a paper world up costs the
-// allocator: Scenario.Assemble of Topology B with 16 VBR sessions (spec
-// parse, generation, assembly) and starting the world: 1 167, with 10 %
-// headroom. The queue carves event slots from slabs, links, timers and
-// sources bind no callbacks (their events' Actions are the components
-// themselves), the receivers' first joins take forwarding entries and
-// arrays from the multicast domain's chunked pools, and the slots' traces,
-// the first packets and their side-cars come carved from pools too.
+// TestWorldStartMallocs pins what setting a world up costs the allocator:
+// Scenario.Assemble (spec parse, generation, assembly) and starting the
+// world, with 10 % headroom over the count logged, for Topology B with 16
+// VBR sessions (1 025; 1 184 while every node, link, table and trace was
+// an allocation of its own) and for the aggregated 1 024-receiver tree the
+// benchmark's tree1k-agg runs (3 788; 17 759). Nodes, links, out-link tables, agent lists and the
+// slots' traces come carved from blocks, node names from a shared buffer;
+// the queue carves event slots from slabs, links, timers and sources bind
+// no callbacks (their events' Actions are the components themselves), the
+// receivers' first joins take forwarding entries and arrays from the
+// multicast domain's chunked pools, and the first packets and their
+// side-cars come carved from pools too. What is left is mostly per
+// receiver: the receiver, its layer table and its OnChange closure.
 func TestWorldStartMallocs(t *testing.T) {
-	sc := Scenario{WorldConfig: WorldConfig{Seed: 1, Traffic: VBR3}, Topo: "b,sessions=16", Duration: 1}
-	got := testing.AllocsPerRun(5, func() {
-		assemble(t, sc).Start()
-	})
-	if got > 1284 {
-		t.Errorf("generate + assemble + start of b,sessions=16 VBR: %.0f mallocs, want at most 1284", got)
+	for _, c := range []struct {
+		name string
+		sc   Scenario
+		max  float64
+	}{
+		{"b16-vbr", Scenario{WorldConfig: WorldConfig{Seed: 1, Traffic: VBR3}, Topo: "b,sessions=16", Duration: 1}, 1127},
+		{"tree1k-agg", Scenario{WorldConfig: WorldConfig{Seed: 1, Aggregate: true}, Topo: "tree,depth=3,branch=8,rxleaf=2", Duration: 1}, 4166},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got := testing.AllocsPerRun(5, func() {
+				assemble(t, c.sc).Start()
+			})
+			if got > c.max {
+				t.Errorf("generate + assemble + start of %s: %.0f mallocs, want at most %.0f", c.sc.Topo, got, c.max)
+			}
+			t.Logf("%.0f mallocs", got)
+		})
 	}
-	t.Logf("%.0f mallocs", got)
 }
 
 // TestFlatPlaneSteadyStateMallocs pins the flat control plane's allocation

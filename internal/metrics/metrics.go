@@ -33,8 +33,16 @@ func TraceArraysMade() int64 { return pointArrays.Made() }
 
 // NewTrace starts a trace at level `initial` from time `start`, with room
 // for its first change too: that one always adds a point (see Set).
-func NewTrace(start sim.Time, initial int) *Trace {
-	return &Trace{points: append(pointArrays.Get(2), Point{At: start, Level: initial})}
+func NewTrace(start sim.Time, initial int) *Trace { return &NewTraces(1, start, initial)[0] }
+
+// NewTraces starts n traces as NewTrace does, in one block: a world's
+// receiver slots keep theirs for the whole run.
+func NewTraces(n int, start sim.Time, initial int) []Trace {
+	trs := make([]Trace, n)
+	for i := range trs {
+		trs[i].points = append(pointArrays.Get(2), Point{At: start, Level: initial})
+	}
+	return trs
 }
 
 // add appends pt, growing the points through pointArrays.

@@ -3,6 +3,8 @@ package netsim
 import (
 	"testing"
 	"unsafe"
+
+	"toposense/internal/sim"
 )
 
 // A packet-hop's cost is first touches of its link and of the node it
@@ -55,14 +57,17 @@ func TestLinkHotLayout(t *testing.T) {
 			t.Errorf("cold field Link.%s at byte %d sits inside the hot block", name, off)
 		}
 	}
-	if got := unsafe.Sizeof(l); got > 320 {
-		t.Errorf("Link is %d bytes; above 320 it moves up an allocation size class", got)
+	// Links are carved one after another from the network's blocks: at a
+	// multiple of 64 bytes each link's hot block starts where the one
+	// before it ends, on the same cache-line phase as the block's first.
+	if got := unsafe.Sizeof(l); got > 320 || got%64 != 0 {
+		t.Errorf("Link is %d bytes; want a multiple of 64, at most 320", got)
 	}
 }
 
 // TestNodeHotLayout: what deliver, route and the multicast handler read —
 // the next-hop memo included — is in the node's first cache line, and the
-// node stays in the 144-byte allocation size class. The out-link table sits
+// node stays at 144 bytes, the stride its blocks carve it at. The out-link table sits
 // below: only the memo's miss path reads it.
 func TestNodeHotLayout(t *testing.T) {
 	var n Node
@@ -80,7 +85,30 @@ func TestNodeHotLayout(t *testing.T) {
 		}
 	}
 	if got := unsafe.Sizeof(n); got > 144 {
-		t.Errorf("Node is %d bytes; above 144 it moves up an allocation size class", got)
+		t.Errorf("Node is %d bytes; above 144 every carved node grows with it", got)
+	}
+}
+
+// TestCarvedAlignment: carved links start on a cache line, so each one's
+// hot block covers four whole lines, and carved nodes sit at the phases a
+// 144-byte stride from a line boundary gives, in every block size.
+func TestCarvedAlignment(t *testing.T) {
+	n := New(sim.NewEngine(1))
+	prev := n.AddNode("root")
+	for i := 0; i < 2000; i++ { // through every block size
+		node := n.AddNode("n")
+		if p := uintptr(unsafe.Pointer(node)); p%16 != 0 {
+			t.Fatalf("node %d at %#x, off the 16-byte phases", node.ID, p)
+		}
+		ab, ba := n.Connect(prev, node, LinkConfig{Bandwidth: 1e6})
+		for _, l := range []*Link{ab, ba} {
+			if p := uintptr(unsafe.Pointer(l)); p%64 != 0 {
+				t.Fatalf("link %v at %#x is not on a cache line", l, p)
+			}
+		}
+		if i%3 == 0 {
+			prev = node
+		}
 	}
 }
 

@@ -136,6 +136,13 @@ type Link struct {
 	squelch   int
 	aborted   []sim.Time
 	recvSched sim.Scheduler
+	// nextOut chains the links added since the out-link tables were last
+	// laid out (Network.seal); nil once they are.
+	nextOut *Link
+	// The size stays a multiple of 64 (TestLinkHotLayout), so links carved
+	// one after another from a block keep their hot blocks on whole cache
+	// lines.
+	_ [8]byte
 }
 
 // NowTx returns the transmitting side's current time: the clock Send-path

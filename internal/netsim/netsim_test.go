@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"toposense/internal/sim"
@@ -302,23 +304,155 @@ func TestQueueLimitDefault(t *testing.T) {
 	}
 }
 
-// TestConnectAllocs: connecting two fresh nodes allocates the two Links and
-// each node's out-link table, nothing else — a link's events need no bound
-// callbacks, and its pipeline starts on the link's own two slots.
+// TestConnectAllocs: a Connect allocates nothing of its own once the
+// network holds a few hundred links — its two links are carved from the
+// network's link blocks (63 links each by then), and the out-link tables
+// are laid out in one array when first read — so 100 connects and the
+// layout allocate four link blocks and the layout's array and scratch:
+// about 0.06 objects per Connect, where each used to make its two links
+// and grow two tables. A link's events need no bound callbacks either,
+// and its pipeline starts on the link's own two slots.
 func TestConnectAllocs(t *testing.T) {
 	net := New(sim.NewEngine(1))
-	const runs = 100
-	nodes := make([]*Node, 2*(runs+1)) // AllocsPerRun makes one warm-up call
+	const held, runs = 600, 100
+	nodes := make([]*Node, 2*(held+runs))
 	for i := range nodes {
 		nodes[i] = net.AddNode("n")
 	}
-	i := 0
-	got := testing.AllocsPerRun(runs, func() {
-		net.Connect(nodes[i], nodes[i+1], LinkConfig{Bandwidth: 1e6, Delay: sim.Millisecond})
-		i += 2
-	})
-	if got != 4 {
-		t.Errorf("Connect allocated %v objects; want 4: two Links and two out-link tables", got)
+	cfg := LinkConfig{Bandwidth: 1e6, Delay: sim.Millisecond}
+	for i := 0; i < held; i++ {
+		net.Connect(nodes[2*i], nodes[2*i+1], cfg)
+	}
+	nodes[0].LinkTo(nodes[1].ID)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := held; i < held+runs; i++ {
+		net.Connect(nodes[2*i], nodes[2*i+1], cfg)
+	}
+	nodes[0].LinkTo(nodes[1].ID)
+	runtime.ReadMemStats(&m1)
+	got := float64(m1.Mallocs-m0.Mallocs) / runs
+	if got > 0.1 {
+		t.Errorf("Connect allocated %.2f objects amortized over %d connects and the tables' layout; want at most 0.10", got, runs)
+	}
+	t.Logf("%.2f allocations per Connect", got)
+}
+
+// TestNetworkLinksOneAlloc: Network.Links builds its answer in one
+// allocation, in (From, To) order.
+func TestNetworkLinksOneAlloc(t *testing.T) {
+	n := New(sim.NewEngine(1))
+	nodes := make([]*Node, 40)
+	for i := range nodes {
+		nodes[i] = n.AddNode("n")
+	}
+	cfg := LinkConfig{Bandwidth: 1e6}
+	for i := 1; i < len(nodes); i++ {
+		n.Connect(nodes[i], nodes[(i-1)/3], cfg) // each node's parent is below it
+	}
+	if got := testing.AllocsPerRun(10, func() { n.Links() }); got != 1 {
+		t.Errorf("Network.Links made %v allocations, want 1", got)
+	}
+	links := n.Links()
+	if len(links) != n.NumLinks() || n.NumLinks() != 2*(len(nodes)-1) {
+		t.Fatalf("Links has %d, NumLinks %d, want %d", len(links), n.NumLinks(), 2*(len(nodes)-1))
+	}
+	for i := 1; i < len(links); i++ {
+		a, b := links[i-1], links[i]
+		if a.From > b.From || (a.From == b.From && a.To >= b.To) {
+			t.Fatalf("Links not in (From, To) order at %d: %v then %v", i, a, b)
+		}
+	}
+}
+
+// TestOutLinkTablesLaidOut: out-link tables read between Connects in any
+// order — neighbours descending, a node gaining links after its table was
+// read — hold every link in neighbour order, at exactly their length, and
+// a duplicate panics whether its twin was laid out yet or not.
+func TestOutLinkTablesLaidOut(t *testing.T) {
+	n := New(sim.NewEngine(1))
+	nodes := make([]*Node, 12)
+	for i := range nodes {
+		nodes[i] = n.AddNode("n")
+	}
+	cfg := LinkConfig{Bandwidth: 1e6}
+	want := map[NodeID][]NodeID{}
+	connect := func(a, b int) {
+		n.Connect(nodes[a], nodes[b], cfg)
+		want[NodeID(a)] = append(want[NodeID(a)], NodeID(b))
+		want[NodeID(b)] = append(want[NodeID(b)], NodeID(a))
+	}
+	connect(0, 5)
+	connect(0, 9)
+	connect(0, 2) // below 0's highest neighbour: looked up, laid out
+	connect(5, 6)
+	nodes[5].Neighbors() // 5 read, then grown
+	connect(5, 11)
+	connect(3, 5)
+	connect(7, 8)
+	for id, nbs := range want {
+		slices.Sort(nbs)
+		node := n.Node(id)
+		if got := node.Neighbors(); !slices.Equal(got, nbs) {
+			t.Errorf("node %d: neighbours %v, want %v", id, got, nbs)
+		}
+		if len(node.links) != cap(node.links) {
+			t.Errorf("node %d: table of %d links in a share of %d", id, len(node.links), cap(node.links))
+		}
+		for _, nb := range nbs {
+			if l := node.LinkTo(nb); l == nil || l.From != id || l.To != nb {
+				t.Errorf("node %d: LinkTo(%d) = %v", id, nb, l)
+			}
+		}
+	}
+	for _, pair := range [][2]int{{0, 2}, {5, 3}, {8, 7}} {
+		connect(10, 11) // leaves links pending ahead of the duplicate
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("no panic on duplicate link %d->%d", pair[0], pair[1])
+				}
+			}()
+			n.ConnectAsym(nodes[pair[0]], nodes[pair[1]], cfg)
+		}()
+		nodes[10], nodes[11] = n.AddNode("n"), n.AddNode("n")
+	}
+}
+
+// TestAgentLists: agent lists are exact-length shares that keep attach
+// order; a list DetachAgent shortened takes the next agent in place.
+func TestAgentLists(t *testing.T) {
+	n := New(sim.NewEngine(1))
+	a, b := n.AddNode("a"), n.AddNode("b")
+	agents := make([]*collector, 12)
+	for i := range agents {
+		agents[i] = &collector{}
+	}
+	for i, ag := range agents {
+		a.AttachAgent(ag)
+		if i%3 == 0 {
+			b.AttachAgent(ag) // interleaved, so a's share is never the block's last
+		}
+		if len(a.agents) != cap(a.agents) || len(b.agents) != cap(b.agents) {
+			t.Fatalf("after %d attaches: shares of %d and %d for %d and %d agents",
+				i+1, cap(a.agents), cap(b.agents), len(a.agents), len(b.agents))
+		}
+	}
+	for i, ag := range a.agents {
+		if ag != agents[i] {
+			t.Fatalf("agent %d out of attach order", i)
+		}
+	}
+	b.DetachAgent(agents[3])
+	extra := &collector{}
+	if got := testing.AllocsPerRun(1, func() {
+		b.AttachAgent(extra)
+		b.DetachAgent(extra)
+	}); got != 0 {
+		t.Errorf("attach after a detach allocated %v objects, want 0", got)
+	}
+	if b.NumAgents() != 3 || b.agents[0] != agents[0] || b.agents[1] != agents[6] || b.agents[2] != agents[9] {
+		t.Errorf("b's agents after detach: %v", b.agents)
 	}
 }
 

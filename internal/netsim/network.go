@@ -67,6 +67,22 @@ type Network struct {
 	// rings holds the arrays of the links' queue and pipeline rings
 	// (pktRing) between uses.
 	rings *sim.ArrayPool[*Packet]
+
+	// Nodes, links and agent-list shares live as long as the network, so
+	// they are carved in creation order from blocks (blocks.go) instead
+	// of being allocated one at a time; these are the unused rests of the
+	// last blocks.
+	nodeBlk  []Node
+	linkBlk  []Link
+	agentBlk []Agent
+	// agentsHeld counts the agent-list entries carved so far; it sizes
+	// the next agent block.
+	agentsHeld int
+	// numLinks counts the links; pend and pendTail chain, through
+	// Link.nextOut and in creation order, the links added since the
+	// out-link tables were last laid out (see seal).
+	numLinks       int
+	pend, pendTail *Link
 }
 
 // pktChunk is how many packets NewPacket makes in one allocation: as many
@@ -255,11 +271,8 @@ func (n *Network) AddNode(name string) *Node {
 	if n.se != nil {
 		panic("netsim: AddNode on a partitioned network")
 	}
-	node := &Node{
-		ID:   NodeID(len(n.nodes)),
-		Name: name,
-		net:  n,
-	}
+	node := carve(&n.nodeBlk, len(n.nodes), nodeBlock)
+	node.ID, node.Name, node.net, node.top = NodeID(len(n.nodes)), name, n, -1
 	n.nodes = append(n.nodes, node)
 	n.invalidateRoutes()
 	if n.OnAddNode != nil {
@@ -281,6 +294,10 @@ func (n *Network) Nodes() []*Node { return n.nodes }
 
 // NumNodes returns the node count.
 func (n *Network) NumNodes() int { return len(n.nodes) }
+
+// NumLinks returns the link count, each direction of a connection counted
+// once.
+func (n *Network) NumLinks() int { return n.numLinks }
 
 // LinkConfig carries the parameters of one direction of a connection.
 type LinkConfig struct {
@@ -311,14 +328,19 @@ func (n *Network) addLink(from, to *Node, cfg LinkConfig) *Link {
 	if cfg.Delay < 0 {
 		panic("netsim: link delay must be nonnegative")
 	}
-	if from.LinkTo(to.ID) != nil {
+	// Generators connect a node's neighbours in ascending order, so a
+	// neighbour above every one it has cannot be a duplicate, and only the
+	// others pay for a lookup.
+	if int32(to.ID) <= from.top && from.LinkTo(to.ID) != nil {
 		panic(fmt.Sprintf("netsim: duplicate link %v->%v", from, to))
 	}
+	from.top = max(from.top, int32(to.ID))
 	ql := cfg.QueueLimit
 	if ql == 0 {
 		ql = DefaultQueueLimit
 	}
-	l := &Link{
+	l := carve(&n.linkBlk, n.numLinks, linkBlock)
+	*l = Link{
 		net:        n,
 		to:         to,
 		From:       from.ID,
@@ -332,9 +354,51 @@ func (n *Network) addLink(from, to *Node, cfg LinkConfig) *Link {
 	l.inflight.buf = l.pipe[:]
 	// Single-scheduler default; Partition rebinds these per shard.
 	l.sched, l.dsched, l.recvSched = n.engine, n.engine, n.engine
-	from.addLink(l)
+	n.numLinks++
+	if n.pend == nil {
+		n.pend = l
+	} else {
+		n.pendTail.nextOut = l
+	}
+	n.pendTail = l
 	n.invalidateRoutes()
 	return l
+}
+
+// seal lays the links added since the last call out in their nodes'
+// out-link tables. Each node that gained links moves its table to an
+// exact-length share of one new array, in the order the nodes first gained
+// one, and inserts them in neighbour order. Every reader of a table
+// (Node.table) calls it first, so a table is laid out once however many
+// Connects built it, and never outgrows its share.
+func (n *Network) seal() {
+	if n.pend == nil {
+		return
+	}
+	grow := make([]int32, len(n.nodes)) // links each node gains
+	total := 0
+	for l := n.pend; l != nil; l = l.nextOut {
+		if grow[l.From] == 0 {
+			total += len(n.nodes[l.From].links)
+		}
+		grow[l.From]++
+		total++
+	}
+	tables := make([]outLink, total)
+	for l := n.pend; l != nil; {
+		from := n.nodes[l.From]
+		if g := int(grow[l.From]); g > 0 {
+			k := len(from.links)
+			share := tables[: k : k+g]
+			copy(share, from.links)
+			from.links, tables, grow[l.From] = share, tables[k+g:], 0
+		}
+		from.addLink(l)
+		next := l.nextOut
+		l.nextOut = nil
+		l = next
+	}
+	n.pend, n.pendTail = nil, nil
 }
 
 // invalidateRoutes drops the routing state after a topology change; the
@@ -344,11 +408,15 @@ func (n *Network) invalidateRoutes() {
 	n.epoch++
 }
 
-// Links returns every link in the network in (From, To) order.
+// Links returns every link in the network in (From, To) order, in one
+// allocation.
 func (n *Network) Links() []*Link {
-	var out []*Link
+	n.seal()
+	out := make([]*Link, 0, n.numLinks)
 	for _, node := range n.nodes {
-		out = append(out, node.Links()...)
+		for _, ol := range node.links {
+			out = append(out, ol.link)
+		}
 	}
 	return out
 }
@@ -372,6 +440,7 @@ func (n *Network) ensureRoutes() {
 	if n.nextHop != nil || n.tree != nil {
 		return
 	}
+	n.seal()
 	if !n.denseOnly {
 		if n.tree = n.buildTreeRoutes(); n.tree != nil {
 			return
@@ -403,6 +472,7 @@ func (n *Network) OnRouteChange(fn func([]RouteChange)) {
 // reverseAdjacency builds rev[to] = list of (from) with a live link
 // from->to, in node order so BFS tie-breaks stay deterministic.
 func (n *Network) reverseAdjacency() [][]NodeID {
+	n.seal()
 	rev := make([][]NodeID, len(n.nodes))
 	for _, node := range n.nodes {
 		for _, ol := range node.links {

@@ -53,7 +53,11 @@ type Node struct {
 	transit    TransitFilter
 	routeLink  *Link
 
-	links  []outLink // outgoing links in ascending neighbor order
+	// links holds the outgoing links in ascending neighbor order, once
+	// Network.seal has laid out the ones added since; read it through
+	// table. agents is an exact-length share of the network's agent
+	// blocks until something detaches.
+	links  []outLink
 	agents []Agent
 
 	// RecvUnicast counts unicast packets delivered locally.
@@ -61,9 +65,14 @@ type Node struct {
 	Name        string
 
 	// delivering counts the local deliveries in progress (an agent may send
-	// to its own node); holes marks agent slots DetachAgent blanked meanwhile.
-	delivering int32
+	// to its own node, so they nest a few deep); holes marks agent slots
+	// DetachAgent blanked meanwhile.
+	delivering int16
 	holes      bool
+	// top is the highest neighbour the node has a link to, -1 before its
+	// first: Connect looks for a duplicate only below it. It is 32 bits,
+	// like routeDst, to fit the node's last word.
+	top int32
 }
 
 // outLink is one entry of a node's out-link table. The neighbor ID sits
@@ -76,8 +85,20 @@ type outLink struct {
 
 func (n *Node) String() string { return fmt.Sprintf("%s(#%d)", n.Name, n.ID) }
 
-// AttachAgent registers an agent for local unicast delivery.
-func (n *Node) AttachAgent(a Agent) { n.agents = append(n.agents, a) }
+// AttachAgent registers an agent for local unicast delivery. A full agent
+// list moves to a share one entry longer, carved from the network's agent
+// blocks; one that DetachAgent shortened takes the agent in place.
+func (n *Node) AttachAgent(a Agent) {
+	if len(n.agents) == cap(n.agents) {
+		old := n.agents
+		n.agents = n.net.agentShare(len(old) + 1)[:len(old)]
+		copy(n.agents, old)
+		if n.delivering == 0 { // else a delivery loop still reads it
+			clear(old)
+		}
+	}
+	n.agents = append(n.agents, a)
+}
 
 // DetachAgent ends local unicast delivery to a; the other agents keep their
 // order. Inside this node's own delivery loop it only blanks a's slot, so no
@@ -114,15 +135,16 @@ func (n *Node) SetTransitFilter(f TransitFilter) { n.transit = f }
 // 10^5 neighbors) to a window the final linear scan covers, and at router
 // degree the scan is the whole lookup.
 func (n *Node) LinkTo(neighbor NodeID) *Link {
-	lo, hi := 0, len(n.links)
+	links := n.table()
+	lo, hi := 0, len(links)
 	for hi-lo > 8 {
-		if mid := (lo + hi) / 2; n.links[mid].to <= neighbor {
+		if mid := (lo + hi) / 2; links[mid].to <= neighbor {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	for _, ol := range n.links[lo:hi] {
+	for _, ol := range links[lo:hi] {
 		if ol.to == neighbor {
 			return ol.link
 		}
@@ -130,7 +152,16 @@ func (n *Node) LinkTo(neighbor NodeID) *Link {
 	return nil
 }
 
-// addLink inserts l into the out-link table, keeping it sorted.
+// table returns the out-link table with every link added so far in it.
+func (n *Node) table() []outLink {
+	if n.net.pend != nil {
+		n.net.seal()
+	}
+	return n.links
+}
+
+// addLink inserts l into the out-link table, keeping it sorted; the
+// table's share has room for it (Network.seal).
 func (n *Node) addLink(l *Link) {
 	i := len(n.links)
 	n.links = append(n.links, outLink{})
@@ -143,8 +174,9 @@ func (n *Node) addLink(l *Link) {
 // Neighbors returns the IDs of directly connected nodes in ascending order
 // (deterministic order matters: replication order affects queueing).
 func (n *Node) Neighbors() []NodeID {
-	out := make([]NodeID, len(n.links))
-	for i, ol := range n.links {
+	links := n.table()
+	out := make([]NodeID, len(links))
+	for i, ol := range links {
 		out[i] = ol.to
 	}
 	return out
@@ -152,8 +184,9 @@ func (n *Node) Neighbors() []NodeID {
 
 // Links returns the node's outgoing links in ascending neighbor order.
 func (n *Node) Links() []*Link {
-	out := make([]*Link, len(n.links))
-	for i, ol := range n.links {
+	links := n.table()
+	out := make([]*Link, len(links))
+	for i, ol := range links {
 		out[i] = ol.link
 	}
 	return out

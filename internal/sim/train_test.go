@@ -417,8 +417,8 @@ func BenchmarkFanoutTrain(b *testing.B) {
 			}
 			b.ReportAllocs()
 			var m0, m1 runtime.MemStats
+			b.ResetTimer() // first: it may allocate the benchmark's metric map
 			runtime.ReadMemStats(&m0)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.step(noEvent)
 			}
@@ -477,8 +477,8 @@ func BenchmarkColdTrains(b *testing.B) {
 			}
 			b.ReportAllocs()
 			var m0, m1 runtime.MemStats
+			b.ResetTimer() // first: it may allocate the benchmark's metric map
 			runtime.ReadMemStats(&m0)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.step(noEvent)
 			}
@@ -612,16 +612,37 @@ func TestPostLaneStop(t *testing.T) {
 // flight, each k posts on one instant, the last of which posts the next
 // burst. One op is one fired action. Posts take lane entries, not event
 // slots, and the cycle allocates nothing.
+//
+// A burst's delay is one of spread values, and the order they come in sets
+// how many lanes first fit opens. The k cases cycle through 64 delays,
+// which opens 3 lanes and keeps 2.9 keys in the lane heap at a pop, fewer
+// than any benchmark workload (8 to 20 lanes open, 3.7 to 12.4 keys). The
+// churn case draws its 40 delays in hashed order instead, which opens 17
+// lanes and keeps about 12.5 keys, the shape of tree1k-churn, the workload
+// with the most. lanes-open and heap-keys/pop report the shape each case
+// ran.
 func BenchmarkFanoutPost(b *testing.B) {
-	for _, k := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
+	for _, c := range []struct {
+		name      string
+		k, spread int
+		shuffle   bool
+	}{
+		{"k1", 1, 64, false}, {"k8", 8, 64, false}, {"k64", 64, 64, false},
+		{"churn-k8", 8, churnSpread, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			k := c.k
 			e := NewEngine(1)
 			n := 0
 			var member, last Func
 			member = func() {}
 			last = func() {
 				n++
-				d := Time(200 + n%64*97) // bursts land in different buckets
+				pick := n
+				if c.shuffle {
+					pick = int(uint32(n) * 2654435769 >> 16) // Fibonacci hashing: no short cycle
+				}
+				d := Time(200 + pick%c.spread*97) // bursts land in different buckets
 				for i := 1; i < k; i++ {
 					e.Post(d, member)
 				}
@@ -630,13 +651,15 @@ func BenchmarkFanoutPost(b *testing.B) {
 			for i := 0; i < 64; i++ {
 				last()
 			}
-			for e.Fired() < uint64(64*k*4) { // chunks and the lane heap reach their steady size
+			// Chunks and the lane heap reach their steady size; the hashed
+			// delays take longer to than a cycle.
+			for e.Fired() < uint64(64*k*64) {
 				e.step(noEvent)
 			}
 			b.ReportAllocs()
 			var m0, m1 runtime.MemStats
+			b.ResetTimer() // first: it may allocate the benchmark's metric map
 			runtime.ReadMemStats(&m0)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.step(noEvent)
 			}
@@ -653,8 +676,21 @@ func BenchmarkFanoutPost(b *testing.B) {
 			if laned, _ := e.Posts(); laned != posted || slots != 0 {
 				b.Fatalf("%d of %d posts laned, %.4f event slots per action; want all and 0", laned, posted, slots)
 			}
+			// The heap's size at a pop, sampled untimed over as many
+			// actions as the warm-up fired.
+			keys := 0
+			for i := 0; i < 64*k*4; i++ {
+				keys += e.q.lhN
+				e.step(noEvent)
+			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/action")
 			b.ReportMetric(slots, "queue-slots/action")
+			b.ReportMetric(float64(e.q.nl), "lanes-open")
+			b.ReportMetric(float64(keys)/float64(64*k*4), "heap-keys/pop")
 		})
 	}
 }
+
+// churnSpread is how many delays BenchmarkFanoutPost's churn case draws
+// from.
+const churnSpread = 40

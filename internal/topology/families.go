@@ -13,7 +13,6 @@
 package topology
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -49,8 +48,9 @@ func (c *StarConfig) keys() []key {
 }
 
 func (c *StarConfig) generate(e sim.Scheduler) *Build {
-	rng := rand.New(rand.NewSource(c.Seed))
+	rng := jitterRand(c.Jitter, c.Seed)
 	n := netsim.New(e)
+	var nm names
 	rates := source.Rates(c.Layers)
 	fat := netsim.LinkConfig{Bandwidth: FatBandwidth, Delay: c.Delay, QueueLimit: c.QueueLimit}
 	src := n.AddNode("src")
@@ -71,13 +71,13 @@ func (c *StarConfig) generate(e sim.Scheduler) *Build {
 		if c.Jitter > 0 {
 			bw *= 1 - c.Jitter + 2*c.Jitter*rng.Float64()
 		}
-		gw := n.AddNode(fmt.Sprintf("arm%d", a))
+		gw := n.AddNode(nm.s("arm").d(a).end())
 		b.Domains = append(b.Domains, a+1)
 		down, _ := n.Connect(hub, gw, netsim.LinkConfig{Bandwidth: bw, Delay: c.Delay, QueueLimit: c.QueueLimit})
 		b.Bottlenecks = append(b.Bottlenecks, down)
 		opt := source.LevelForBandwidth(rates, bw)
 		for i := 0; i < c.ReceiversPerArm; i++ {
-			rx := n.AddNode(fmt.Sprintf("arm%d-rx%d", a, i))
+			rx := n.AddNode(nm.s("arm").d(a).s("-rx").d(i).end())
 			b.Domains = append(b.Domains, a+1)
 			n.Connect(gw, rx, fat)
 			b.Receivers[0] = append(b.Receivers[0], rx)
@@ -85,6 +85,16 @@ func (c *StarConfig) generate(e sim.Scheduler) *Build {
 		}
 	}
 	return b
+}
+
+// jitterRand returns the seeded generator a family draws its capacity
+// jitter from, or nil when there is none to draw: seeding one costs more
+// than building a small topology.
+func jitterRand(jitter float64, seed int64) *rand.Rand {
+	if jitter <= 0 {
+		return nil
+	}
+	return rand.New(rand.NewSource(seed))
 }
 
 // MeshConfig parameterizes a ring of routers with periodic cross-chords —
@@ -117,13 +127,14 @@ func (c *MeshConfig) keys() []key {
 
 func (c *MeshConfig) generate(e sim.Scheduler) *Build {
 	n := netsim.New(e)
+	var nm names
 	rates := source.Rates(c.Layers)
 	ring := netsim.LinkConfig{Bandwidth: c.Ring, Delay: c.Delay, QueueLimit: c.QueueLimit}
 	fat := netsim.LinkConfig{Bandwidth: FatBandwidth, Delay: c.Delay, QueueLimit: c.QueueLimit}
 	src := n.AddNode("src")
 	routers := make([]*netsim.Node, c.Routers)
 	for i := range routers {
-		routers[i] = n.AddNode(fmt.Sprintf("m%d", i))
+		routers[i] = n.AddNode(nm.s("m").d(i).end())
 	}
 	n.Connect(src, routers[0], ring)
 	for i := range routers {
@@ -150,11 +161,11 @@ func (c *MeshConfig) generate(e sim.Scheduler) *Build {
 	}
 	opt := source.LevelForBandwidth(rates, minBW)
 	for i, r := range routers {
-		gw := n.AddNode(fmt.Sprintf("m%d-gw", i))
+		gw := n.AddNode(nm.s("m").d(i).s("-gw").end())
 		down, _ := n.Connect(r, gw, netsim.LinkConfig{Bandwidth: c.Access, Delay: c.Delay, QueueLimit: c.QueueLimit})
 		b.Bottlenecks = append(b.Bottlenecks, down)
 		for k := 0; k < c.ReceiversPerRouter; k++ {
-			rx := n.AddNode(fmt.Sprintf("m%d-rx%d", i, k))
+			rx := n.AddNode(nm.s("m").d(i).s("-rx").d(k).end())
 			n.Connect(gw, rx, fat)
 			b.Receivers[0] = append(b.Receivers[0], rx)
 			b.Optimal[0] = append(b.Optimal[0], opt)
@@ -196,8 +207,9 @@ func (c *TreeConfig) keys() []key {
 }
 
 func (c *TreeConfig) generate(e sim.Scheduler) *Build {
-	rng := rand.New(rand.NewSource(c.Seed))
+	rng := jitterRand(c.Jitter, c.Seed)
 	n := netsim.New(e)
+	var nm names
 	rates := source.Rates(c.Layers)
 	fat := netsim.LinkConfig{Bandwidth: FatBandwidth, Delay: c.Delay, QueueLimit: c.QueueLimit}
 	src := n.AddNode("src")
@@ -220,7 +232,7 @@ func (c *TreeConfig) generate(e sim.Scheduler) *Build {
 		nextDom := make([]int, 0, cap(next))
 		for pi, parent := range frontier {
 			for k := 0; k < c.Branch; k++ {
-				child := n.AddNode(fmt.Sprintf("k%d-%d", level, len(next)))
+				child := n.AddNode(nm.s("k").d(level).s("-").d(len(next)).end())
 				dom := frontierDom[pi]
 				if level == 1 {
 					dom = k + 1
@@ -243,7 +255,7 @@ func (c *TreeConfig) generate(e sim.Scheduler) *Build {
 						opt = source.LevelForBandwidth(rates, c.Backbone)
 					}
 					for i := 0; i < c.ReceiversPerLeaf; i++ {
-						rx := n.AddNode(fmt.Sprintf("%s-rx%d", child.Name, i))
+						rx := n.AddNode(nm.s(child.Name).s("-rx").d(i).end())
 						b.Domains = append(b.Domains, dom)
 						n.Connect(child, rx, fat)
 						b.Receivers[0] = append(b.Receivers[0], rx)
@@ -287,6 +299,7 @@ func (c *LinearConfig) keys() []key {
 
 func (c *LinearConfig) generate(e sim.Scheduler) *Build {
 	n := netsim.New(e)
+	var nm names
 	rates := source.Rates(c.Layers)
 	fat := netsim.LinkConfig{Bandwidth: FatBandwidth, Delay: c.Delay, QueueLimit: c.QueueLimit}
 	chainLink := netsim.LinkConfig{Bandwidth: c.Bandwidth, Delay: c.Delay, QueueLimit: c.QueueLimit}
@@ -305,14 +318,14 @@ func (c *LinearConfig) generate(e sim.Scheduler) *Build {
 	for ch := 0; ch < c.Chains; ch++ {
 		prev := src
 		for h := 0; h < c.Length; h++ {
-			node := n.AddNode(fmt.Sprintf("c%d-%d", ch, h))
+			node := n.AddNode(nm.s("c").d(ch).s("-").d(h).end())
 			b.Domains = append(b.Domains, ch+1)
 			down, _ := n.Connect(prev, node, chainLink)
 			if h == 0 {
 				b.Bottlenecks = append(b.Bottlenecks, down)
 			}
 			for k := 0; k < c.ReceiversPerHop; k++ {
-				rx := n.AddNode(fmt.Sprintf("c%d-%d-rx%d", ch, h, k))
+				rx := n.AddNode(nm.s("c").d(ch).s("-").d(h).s("-rx").d(k).end())
 				b.Domains = append(b.Domains, ch+1)
 				n.Connect(node, rx, fat)
 				b.Receivers[0] = append(b.Receivers[0], rx)

@@ -7,8 +7,6 @@
 package topology
 
 import (
-	"fmt"
-
 	"toposense/internal/netsim"
 	"toposense/internal/sim"
 	"toposense/internal/source"
@@ -31,6 +29,7 @@ func (c *LadderConfig) keys() []key { return nil }
 
 func (c *LadderConfig) generate(e sim.Scheduler) *Build {
 	n := netsim.New(e)
+	var nm names
 	fat := netsim.LinkConfig{Bandwidth: FatBandwidth, Delay: DefaultDelay}
 	src := n.AddNode("src")
 	hub := n.AddNode("hub")
@@ -46,11 +45,11 @@ func (c *LadderConfig) generate(e sim.Scheduler) *Build {
 	}
 	for set := 1; set <= LadderSets; set++ {
 		bw := source.CumulativeRate(set) * 1.04
-		gw := n.AddNode(fmt.Sprintf("set%d", set))
+		gw := n.AddNode(nm.s("set").d(set).end())
 		down, _ := n.Connect(hub, gw, netsim.LinkConfig{Bandwidth: bw, Delay: DefaultDelay})
 		b.Bottlenecks = append(b.Bottlenecks, down)
 		for i := 0; i < LadderReceiversPerSet; i++ {
-			rx := n.AddNode(fmt.Sprintf("set%d-rx%d", set, i))
+			rx := n.AddNode(nm.s("set").d(set).s("-rx").d(i).end())
 			n.Connect(gw, rx, fat)
 			b.Receivers[0] = append(b.Receivers[0], rx)
 			b.Optimal[0] = append(b.Optimal[0], source.LevelForBandwidth(rates, bw))
@@ -85,6 +84,7 @@ func (c *LastMileConfig) keys() []key {
 func (c *LastMileConfig) generate(e sim.Scheduler) *Build {
 	tier := c.Tier
 	n := netsim.New(e)
+	var nm names
 	fat := netsim.LinkConfig{Bandwidth: FatBandwidth, Delay: DefaultDelay}
 	narrow := netsim.LinkConfig{Bandwidth: lastMileNarrow, Delay: DefaultDelay}
 	src := n.AddNode("src")
@@ -103,13 +103,13 @@ func (c *LastMileConfig) generate(e sim.Scheduler) *Build {
 	bb := n.AddNode("bb")
 	connect(src, bb, 1, 0)
 	for r := 0; r < 2; r++ {
-		reg := n.AddNode(fmt.Sprintf("reg%d", r))
+		reg := n.AddNode(nm.s("reg").d(r).end())
 		connect(bb, reg, 2, r)
 		for l := 0; l < 2; l++ {
 			gwIdx := r*2 + l
-			gw := n.AddNode(fmt.Sprintf("gw%d", gwIdx))
+			gw := n.AddNode(nm.s("gw").d(gwIdx).end())
 			connect(reg, gw, 3, gwIdx)
-			rx := n.AddNode(fmt.Sprintf("rx%d", gwIdx))
+			rx := n.AddNode(nm.s("rx").d(gwIdx).end())
 			n.Connect(gw, rx, fat)
 			b.Receivers[0] = append(b.Receivers[0], rx)
 			constrained := tier == 1 || (tier == 2 && r == 0) || (tier == 3 && gwIdx == 0)
@@ -138,6 +138,7 @@ func (c *DomainsConfig) keys() []key { return nil }
 
 func (c *DomainsConfig) generate(e sim.Scheduler) *Build {
 	n := netsim.New(e)
+	var nm names
 	fat := netsim.LinkConfig{Bandwidth: FatBandwidth, Delay: DefaultDelay}
 	src := n.AddNode("src")
 	bb := n.AddNode("backbone")
@@ -148,14 +149,14 @@ func (c *DomainsConfig) generate(e sim.Scheduler) *Build {
 		Domains: []int{0, 0},
 	}
 	for d, bandwidth := range []float64{100e3, 500e3} {
-		gw := n.AddNode(fmt.Sprintf("gw%d", d+1))
+		gw := n.AddNode(nm.s("gw").d(d + 1).end())
 		n.Connect(bb, gw, fat)
-		agg := n.AddNode(fmt.Sprintf("d%dr", d+1))
+		agg := n.AddNode(nm.s("d").d(d + 1).s("r").end())
 		down, _ := n.Connect(gw, agg, netsim.LinkConfig{Bandwidth: bandwidth, Delay: DefaultDelay})
 		b.Bottlenecks = append(b.Bottlenecks, down)
 		b.Domains = append(b.Domains, d+1, d+1)
 		for i := 0; i < domainsReceivers; i++ {
-			rx := n.AddNode(fmt.Sprintf("d%d-rx%d", d+1, i))
+			rx := n.AddNode(nm.s("d").d(d + 1).s("-rx").d(i).end())
 			n.Connect(agg, rx, fat)
 			b.Domains = append(b.Domains, d+1)
 			b.Receivers[0] = append(b.Receivers[0], rx)

@@ -101,6 +101,7 @@ func (c *AConfig) keys() []key {
 // constraints".
 func (c *AConfig) generate(e sim.Scheduler) *Build {
 	n := netsim.New(e)
+	var nm names
 	fat := netsim.LinkConfig{Bandwidth: FatBandwidth, Delay: c.Delay, QueueLimit: c.QueueLimit}
 	src := n.AddNode("src")
 	hub := n.AddNode("hub")
@@ -120,7 +121,7 @@ func (c *AConfig) generate(e sim.Scheduler) *Build {
 		b.Bottlenecks = append(b.Bottlenecks, down)
 		opt := source.LevelForBandwidth(rates, bw)
 		for i := 0; i < c.ReceiversPerSet; i++ {
-			rx := n.AddNode(fmt.Sprintf("%s-rx%d", name, i))
+			rx := n.AddNode(nm.s(name).s("-rx").d(i).end())
 			n.Connect(gw, rx, fat)
 			b.Receivers[0] = append(b.Receivers[0], rx)
 			b.Optimal[0] = append(b.Optimal[0], opt)
@@ -163,6 +164,7 @@ func (c *BConfig) keys() []key {
 // exactly as in the paper's inter-session fairness experiments.
 func (c *BConfig) generate(e sim.Scheduler) *Build {
 	n := netsim.New(e)
+	var nm names
 	fat := netsim.LinkConfig{Bandwidth: FatBandwidth, Delay: c.Delay, QueueLimit: c.QueueLimit}
 	x := n.AddNode("X")
 	y := n.AddNode("Y")
@@ -176,9 +178,9 @@ func (c *BConfig) generate(e sim.Scheduler) *Build {
 	opt := source.LevelForBandwidth(rates, c.PerSession)
 	b := &Build{Net: n, Bottlenecks: []*netsim.Link{down}}
 	for s := 0; s < c.Sessions; s++ {
-		src := n.AddNode(fmt.Sprintf("src%d", s))
+		src := n.AddNode(nm.s("src").d(s).end())
 		n.Connect(src, x, fat)
-		rx := n.AddNode(fmt.Sprintf("rx%d", s))
+		rx := n.AddNode(nm.s("rx").d(s).end())
 		n.Connect(y, rx, fat)
 		b.Sources = append(b.Sources, src)
 		b.Receivers = append(b.Receivers, []*netsim.Node{rx})
@@ -188,7 +190,7 @@ func (c *BConfig) generate(e sim.Scheduler) *Build {
 		// Created after every session's own nodes: same bottleneck as the
 		// settled receiver, same optimum.
 		for s := range b.Receivers {
-			rx := n.AddNode(fmt.Sprintf("churn%d", s))
+			rx := n.AddNode(nm.s("churn").d(s).end())
 			n.Connect(y, rx, fat)
 			b.Receivers[s] = append(b.Receivers[s], rx)
 			b.Optimal[s] = append(b.Optimal[s], opt)
@@ -238,6 +240,7 @@ func (c *TieredConfig) rules() error {
 func (c *TieredConfig) generate(e sim.Scheduler) *Build {
 	rng := rand.New(rand.NewSource(c.Seed))
 	n := netsim.New(e)
+	var nm names
 	rates := source.Rates(c.Layers)
 	src := n.AddNode("src")
 	b := &Build{
@@ -260,7 +263,7 @@ func (c *TieredConfig) generate(e sim.Scheduler) *Build {
 		var next []tiered
 		for _, parent := range frontier {
 			for k := 0; k < c.FanOut[tier]; k++ {
-				child := n.AddNode(fmt.Sprintf("t%d-%d", tier+1, len(next)))
+				child := n.AddNode(nm.s("t").d(tier + 1).s("-").d(len(next)).end())
 				dom := parent.dom
 				if tier == 0 {
 					dom = k + 1
@@ -284,7 +287,7 @@ func (c *TieredConfig) generate(e sim.Scheduler) *Build {
 	fat := netsim.LinkConfig{Bandwidth: FatBandwidth, Delay: c.Delay, QueueLimit: c.QueueLimit}
 	for _, leaf := range frontier {
 		for k := 0; k < c.ReceiversPerLeaf; k++ {
-			rx := n.AddNode(fmt.Sprintf("%s-rx%d", leaf.node.Name, k))
+			rx := n.AddNode(nm.s(leaf.node.Name).s("-rx").d(k).end())
 			b.Domains = append(b.Domains, leaf.dom)
 			n.Connect(leaf.node, rx, fat)
 			b.Receivers[0] = append(b.Receivers[0], rx)

@@ -325,3 +325,29 @@ func TestValidateErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeNames: names written through the shared buffer read exactly
+// what fmt.Sprintf would, and stay intact after the buffer they sit in is
+// left behind for the next (5 000 names cross many buffers), including a
+// name longer than the room a buffer keeps.
+func TestNodeNames(t *testing.T) {
+	var nm names
+	var got, want []string
+	long := strings.Repeat("x", 100)
+	for i := 0; i < 5000; i++ {
+		got = append(got, nm.s("k").d(i%7).s("-").d(i*7919).end())
+		want = append(want, fmt.Sprintf("k%d-%d", i%7, i*7919))
+		if i%997 == 0 {
+			got = append(got, nm.s(long).s("-rx").d(-i).end())
+			want = append(want, fmt.Sprintf("%s-rx%d", long, -i))
+		}
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("name %d reads %q, want %q", i, got[i], want[i])
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { nm.s("arm").d(12).s("-rx").d(3).end() }); n > 0.05 {
+		t.Errorf("a name costs %.2f allocations, want a share of a buffer's", n)
+	}
+}

@@ -7,9 +7,10 @@
 # The allocation twin of hotlines.sh. Runs the toposim spec behind each
 # repository-benchmark workload (scripts/workloads.sh) once with -memprofile,
 # which records every allocation and writes one heap profile right after
-# World.Start and one after the run; the difference of the two is the run
-# phase, the part `allocs_per_pkt_hop` divides by packet-hops. Prints the
-# total, the $TOP (default 15) functions with the most run-phase
+# World.Start and one after the run; the first is the set-up (building the
+# topology and the world, and starting it), the difference of the two is
+# the run phase, the part `allocs_per_pkt_hop` divides by packet-hops.
+# Prints both totals, the $TOP (default 15) functions with the most run-phase
 # allocations (flat and cumulative counts), and the counts of every
 # function matching $FOCUS (default: the TopoSense pass and its
 # controller). The .start profile's own writing happens after the
@@ -57,7 +58,9 @@ for w in "$@"; do
 	args=$(spec "$w")
 	# shellcheck disable=SC2086 # the spec is a flag list
 	GOMAXPROCS=1 GOGC=off "$out/toposim" $args -memprofile "$out/$w.pprof" | grep '^run:' | sed "s/^run:/== $w:/"
-	echo "  run-phase allocations: $(($(total "$out/$w.pprof") - $(total "$out/$w.pprof.start")))"
+	setup=$(total "$out/$w.pprof.start")
+	echo "  set-up allocations: $setup"
+	echo "  run-phase allocations: $(($(total "$out/$w.pprof") - setup))"
 	# Diff mode states percentages of the base profile's total: keep counts.
 	$pp -diff_base "$out/$w.pprof.start" -top -nodecount="$top" "$out/toposim" "$out/$w.pprof" 2>/dev/null |
 		awk '/^ *flat / || /^ *-?[0-9]/ { name = $6; for (i = 7; i <= NF; i++) name = name " " $i

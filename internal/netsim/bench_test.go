@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -135,4 +136,50 @@ func BenchmarkSaturatedLink(b *testing.B) {
 		b.Fatalf("ring capacity %d after %d packets, want at most %d", *peak, 2000+b.N, bound)
 	}
 	b.ReportMetric(float64(*peak), "ring-cap")
+}
+
+// BenchmarkColdDeliveries is link delivery with a working set no cache
+// holds, as on a 10⁴-receiver tree, where every other benchmark here keeps
+// its few links in L1: a hub fans each packet out over 20 480 links, 6.5 MB
+// of links and 2.9 MB of leaf nodes against a 2 MB L2, in an order shuffled
+// once, so consecutive deliveries read links far apart in memory. A
+// round's deliveries all fall on one instant and ride one lane, each
+// reading its link and its leaf. One op is one round, a Send on every link
+// and then every delivery; ns/delivery is the time per link. The steady
+// state allocates nothing.
+func BenchmarkColdDeliveries(b *testing.B) {
+	const links = 20480
+	e := sim.NewEngine(1)
+	net := New(e)
+	hub := net.AddNode("hub")
+	out := make([]*Link, links)
+	for i := range out {
+		out[i] = net.ConnectAsym(hub, net.AddNode("leaf"), LinkConfig{Bandwidth: 1e9, Delay: sim.Millisecond})
+	}
+	rand.New(rand.NewSource(1)).Shuffle(links, func(i, j int) { out[i], out[j] = out[j], out[i] })
+	p := net.NewPacket()
+	p.Kind, p.Src, p.Group, p.Size = Data, hub.ID, GroupID(1), 1000
+	rounds := 0
+	round := func() {
+		for _, l := range out {
+			l.Send(p)
+		}
+		e.Run()
+		rounds++
+	}
+	round() // the lane's chunks reach their steady number
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.StopTimer()
+	if allocs := testing.AllocsPerRun(2, round); allocs != 0 {
+		b.Fatalf("%.0f allocations per round of %d deliveries, want 0", allocs, links)
+	}
+	if st := out[0].Stats(); st.Delivered != int64(rounds) || st.Dropped != 0 {
+		b.Fatalf("link delivered %d packets and dropped %d over %d rounds", st.Delivered, st.Dropped, rounds)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*links), "ns/delivery")
+	p.Release()
 }

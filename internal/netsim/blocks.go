@@ -27,9 +27,10 @@ func carve[T any](blk *[]T, held int, newBlock func(held int) []T) *T {
 // allocator puts an 8-byte type header in front of every pointerful object
 // above 512 bytes, and the pad fills the rest of that line; every size
 // class a block falls in is a multiple of 64 bytes, starting from a
-// page-aligned span. A Link, 320 bytes, then has its 256-byte hot block on
-// four whole lines, and a Node, 144 bytes, its first 64 on one line in
-// every fourth node, as when each had an allocation of its own.
+// page-aligned span. A Link, 320 bytes, then has its delivery line and
+// its Send block on whole lines, and a Node, 144 bytes, its first 64 on
+// one line in every fourth node, as when each had an allocation of its
+// own.
 type lineBlock[A any] struct {
 	_    [56]byte
 	objs A
@@ -90,8 +91,15 @@ func nodeBlock(held int) []Node {
 // network's agent blocks: 8 entries while the network holds fewer than 31,
 // then 31, 63, 127 and 255 (each, with the allocator's header above 512
 // bytes, within 8 bytes of its size class). A list of more than 8 is rare
-// and made on its own.
+// and made on its own. A one-entry list is a share some node outgrew, when
+// there is one (giveAgentShare).
 func (n *Network) agentShare(k int) []Agent {
+	if k == 1 && n.agentOnes != nil {
+		s := n.agentOnes
+		n.agentOnes = (*s).(agentHole).next
+		*s = nil
+		return unsafe.Slice(s, 1)
+	}
 	if k > len(n.agentBlk) {
 		if k > 8 {
 			return make([]Agent, k)
@@ -109,3 +117,23 @@ func (n *Network) agentShare(k int) []Agent {
 	n.agentsHeld += k
 	return s
 }
+
+// giveAgentShare takes back a share AttachAgent moved a list off, which
+// nothing reads any more. A one-entry share goes on the network's list of
+// them for the next node's first agent: a world attaches its receivers,
+// then an agent on every node, so each receiver host outgrows a
+// one-entry share just before a router takes its first.
+func (n *Network) giveAgentShare(s []Agent) {
+	clear(s)
+	if cap(s) == 1 {
+		s[0] = agentHole{n.agentOnes}
+		n.agentOnes = &s[0]
+	}
+}
+
+// agentHole fills a one-entry share on the network's list of them and
+// links it to the next (Network.agentOnes). A struct of one pointer is
+// stored in an interface as is, so filing a share allocates nothing.
+type agentHole struct{ next *Agent }
+
+func (agentHole) Recv(*Packet) {}

@@ -67,49 +67,14 @@ func (s LinkStats) DropRate() float64 {
 // pool array gives it back and returns to them, so a link with at most two
 // packets aboard owns no ring of its own.
 type Link struct {
-	// The first 256 bytes are everything Send, book and deliverHead read for
-	// a packet that meets no outage and no full queue, side by side so a
-	// hop touches four cache lines of its link instead of all five
-	// (TestLinkHotLayout pins it). Configuration and outage state follow.
+	// The first cache line is everything deliverHead reads on a
+	// single-shard link, and the engine reads its first byte one event
+	// ahead (sim.Engine), so a delivery usually finds it cached. The next
+	// two lines hold what Send and book add for a packet that meets no
+	// outage and no full queue; configuration and outage state follow.
+	// Links are carved on cache lines (blocks.go) and TestLinkHotLayout
+	// pins the three blocks.
 
-	// sched owns the transmitter side (Send and everything it books run in
-	// From's context); dsched carries the delivery schedule to the
-	// receiving side; recvSched is the receiving context itself (its clock
-	// is the one probes must read at delivery). All three are the network
-	// engine until Partition rebinds them, and dsched differs from
-	// recvSched only on a partition-boundary link, where it is a
-	// cross-shard channel.
-	sched sim.Scheduler
-	// freeAt is when the transmitter finishes the last packet booked; the
-	// link is busy while now < freeAt.
-	freeAt sim.Time
-	// down marks a failed link: everything it is asked to carry is
-	// dropped until SetUp. The delivery events of packets SetDown
-	// discarded still fire, and deliverHead swallows them: orphans counts
-	// the ones still to come, squelch + len(aborted), so a link that never
-	// failed pays one compare.
-	down    bool
-	Policy  DropPolicy
-	orphans int32
-	// waiting and nextStart cache the waiting count: as of the last Send,
-	// the ring's newest waiting entries were waiting and the oldest of them
-	// starts at nextStart. waitingAt advances it lazily. Only the sending
-	// side writes them.
-	nextStart sim.Time
-	waiting   int32
-	stats     LinkStats
-	bandwidth float64 // bits per second; fixed at Connect
-	Delay     sim.Time
-	// txSize is the size of the packet booked last and txTime its
-	// serialization time, sim.TransmitTime(txSize, bandwidth): the memo
-	// book reuses while packet sizes repeat.
-	txSize int
-	txTime sim.Time
-	// mu guards inflight on partition-boundary links, where the
-	// transmitting shard pushes and the receiving shard pops concurrently,
-	// and the orphan state a DropPriority replacement writes there. nil
-	// everywhere else: single-shard links never pay for it.
-	mu *sync.Mutex
 	// inflight holds every booked packet from Send to its delivery, in
 	// delivery order (per-link delivery times are strictly increasing, so
 	// FIFO holds): at most QueueLimit waiting, the one being serialized and
@@ -118,15 +83,57 @@ type Link struct {
 	// and comes back when it empties.
 	inflight pktRing
 	pipe     [2]*Packet
-	dsched   sim.Scheduler
 	to       *Node // net.nodes[To]
-	probes   []Probe
-	net      *Network
+	// orphans counts the delivery events of packets SetDown discarded
+	// that are still to fire, squelch + len(aborted): deliverHead swallows
+	// them, so a link that never failed pays one compare.
+	orphans int32
+	// down marks a failed link: everything it is asked to carry is
+	// dropped until SetUp. locked says mu guards the ring (a
+	// partition-boundary link), and probed that a probe observes the
+	// link (Attach, or Network.AttachProbe before or after the link was
+	// made), so an unobserved link reads a flag, not two probe lists.
+	down, locked, probed bool
 
-	// From closes the hot block: the multicast handler's no-echo check
-	// reads it on every arrival.
-	From, To   NodeID
+	// sched owns the transmitter side (Send and everything it books run in
+	// From's context); dsched carries the delivery schedule to the
+	// receiving side; recvSched is the receiving context itself (its clock
+	// is the one probes must read at delivery). All three are the network
+	// engine until Partition rebinds them, and dsched differs from
+	// recvSched only on a partition-boundary link, where it is a
+	// cross-shard channel.
+	sched, dsched sim.Scheduler
+	// freeAt is when the transmitter finishes the last packet booked; the
+	// link is busy while now < freeAt.
+	freeAt sim.Time
+	// waiting and nextStart cache the waiting count: as of the last Send,
+	// the ring's newest waiting entries were waiting and the oldest of them
+	// starts at nextStart. waitingAt advances it lazily. Only the sending
+	// side writes them.
+	nextStart sim.Time
+	waiting   int32
+	// txSize is the size of the packet booked last and txTime its
+	// serialization time, sim.TransmitTime(txSize, bandwidth): the memo
+	// book reuses while packet sizes repeat.
+	txSize int32
+	txTime sim.Time
+	Delay  sim.Time
+	stats  LinkStats
+	net    *Network
+	// From closes the Send block: the multicast handler's no-echo check
+	// reads it on every arrival at a router.
+	From NodeID
+
+	To         NodeID
 	QueueLimit int
+	Policy     DropPolicy
+	// mu guards inflight on partition-boundary links (locked), where the
+	// transmitting shard pushes and the receiving shard pops concurrently,
+	// and the orphan state a DropPriority replacement writes there. nil
+	// everywhere else: single-shard links never pay for it.
+	mu        *sync.Mutex
+	probes    []Probe
+	bandwidth float64 // bits per second; fixed at Connect
 	// squelch counts the orphaned delivery events whose packet had finished
 	// serializing: they all fire before anything sent later can arrive.
 	// aborted holds the due times of those whose packet was still
@@ -140,7 +147,7 @@ type Link struct {
 	// laid out (Network.seal); nil once they are.
 	nextOut *Link
 	// The size stays a multiple of 64 (TestLinkHotLayout), so links carved
-	// one after another from a block keep their hot blocks on whole cache
+	// one after another from a block keep their blocks on whole cache
 	// lines.
 	_ [8]byte
 }
@@ -178,7 +185,10 @@ func (l *Link) QueueLen() int {
 func (l *Link) Busy() bool { return l.sched.Now() < l.freeAt }
 
 // Attach registers a probe observing this link's packet events.
-func (l *Link) Attach(p Probe) { l.probes = append(l.probes, p) }
+func (l *Link) Attach(p Probe) {
+	l.probes = append(l.probes, p)
+	l.probed = true
+}
 
 // Down reports whether the link is currently failed.
 func (l *Link) Down() bool { return l.down }
@@ -282,6 +292,8 @@ func (l *Link) String() string {
 // memo without ever revalidating it.
 func (l *Link) Bandwidth() float64 { return l.bandwidth }
 
+// noteEnqueue, noteDrop and noteDeliver show p to the link's probes and
+// the network's; callers skip them unless the link is probed.
 func (l *Link) noteEnqueue(p *Packet) {
 	for _, pr := range l.probes {
 		pr.Enqueue(l, p)
@@ -296,7 +308,9 @@ func (l *Link) noteEnqueue(p *Packet) {
 // reference, if it took one.
 func (l *Link) drop(p *Packet) {
 	l.stats.Dropped++
-	l.noteDrop(p)
+	if l.probed {
+		l.noteDrop(p)
+	}
 	p.dropped()
 }
 
@@ -354,7 +368,9 @@ func (l *Link) Send(p *Packet) {
 	}
 	l.stats.Enqueued++
 	p.ref()
-	l.noteEnqueue(p) // before the cache counts p: probes see the depth p found
+	if l.probed {
+		l.noteEnqueue(p) // before the cache counts p: probes see the depth p found
+	}
 	l.waiting, l.nextStart = w, next
 	l.book(p, start, now)
 }
@@ -363,15 +379,20 @@ func (l *Link) Send(p *Packet) {
 // delivery one propagation delay later. The delivery takes its tie-break
 // sequence here and is posted: nothing cancels it (an outage orphans it
 // instead, see deliverHead). A packet the size of the last one reuses its
-// serialization time; only a new size pays TransmitTime.
+// serialization time; only a new size pays TransmitTime, and becomes the
+// memo unless it does not fit its 32 bits.
 func (l *Link) book(p *Packet, start, now sim.Time) {
-	if p.Size != l.txSize {
-		l.txSize, l.txTime = p.Size, sim.TransmitTime(p.Size, l.bandwidth)
+	tx := l.txTime
+	if p.Size != int(l.txSize) {
+		tx = sim.TransmitTime(p.Size, l.bandwidth)
+		if s := int32(p.Size); int(s) == p.Size {
+			l.txSize, l.txTime = s, tx
+		}
 	}
-	l.freeAt = start + l.txTime
+	l.freeAt = start + tx
 	l.stats.Delivered++
 	l.stats.TxBytes += int64(p.Size)
-	if l.mu != nil {
+	if l.locked {
 		l.mu.Lock()
 		l.inflight.push(p, l.net.rings)
 		l.mu.Unlock()
@@ -384,7 +405,7 @@ func (l *Link) book(p *Packet, start, now sim.Time) {
 // txOf returns the serialization time of a size-byte packet, from the memo
 // when the size matches it.
 func (l *Link) txOf(size int) sim.Time {
-	if size == l.txSize {
+	if size == int(l.txSize) {
 		return l.txTime
 	}
 	return sim.TransmitTime(size, l.bandwidth)
@@ -403,7 +424,7 @@ func (l *Link) waitingAt(now sim.Time) (int32, sim.Time) {
 	if now >= l.freeAt {
 		return 0, next
 	}
-	if l.mu != nil {
+	if l.locked {
 		l.mu.Lock()
 		defer l.mu.Unlock()
 	}
@@ -435,7 +456,7 @@ func (l *Link) recount(now sim.Time) (w int32, next sim.Time) {
 // unfinished returns how many booked packets have not finished serializing
 // at now, and their bytes: the newest entries, walked back from freeAt.
 func (l *Link) unfinished(now sim.Time) (n, bytes int64) {
-	if l.mu != nil {
+	if l.locked {
 		l.mu.Lock()
 		defer l.mu.Unlock()
 	}
@@ -455,7 +476,7 @@ func (l *Link) unfinished(now sim.Time) (n, bytes int64) {
 // arrival, which is delivered in its place.
 func (l *Link) overflow(p *Packet, now sim.Time) {
 	if l.Policy == DropPriority {
-		if l.mu != nil {
+		if l.locked {
 			l.mu.Lock()
 		}
 		victim, vi := p, -1
@@ -470,7 +491,7 @@ func (l *Link) overflow(p *Packet, now sim.Time) {
 		} else if vi >= 0 {
 			*l.inflight.at(vi) = p
 		}
-		if l.mu != nil {
+		if l.locked {
 			l.mu.Unlock()
 		}
 		if vi >= 0 {
@@ -512,10 +533,12 @@ func (d *linkDeliver) Fire() { (*Link)(d).deliverHead() }
 // deliverHead hands the oldest booked packet to the receiving node and
 // drops the link's reference to it. Per-link delivery times are strictly
 // increasing (every serialization takes at least a microsecond), so
-// deliveries complete in exactly the order Send booked them.
+// deliveries complete in exactly the order Send booked them. On a
+// single-shard link that never failed and has no probe, it reads nothing
+// of the link beyond its first cache line.
 func (l *Link) deliverHead() {
 	var p *Packet
-	if l.mu != nil {
+	if l.locked {
 		l.mu.Lock()
 		if l.orphans > 0 && l.orphanDueNow() {
 			l.mu.Unlock()
@@ -535,7 +558,9 @@ func (l *Link) deliverHead() {
 			l.giveBack()
 		}
 	}
-	l.noteDeliver(p)
+	if l.probed {
+		l.noteDeliver(p)
+	}
 	l.to.deliver(p, l)
 	p.unref()
 }

@@ -428,6 +428,10 @@ func runLinkScript(t *testing.T, data []byte) fanReport {
 
 // fanReport is what one run of a link script exercised.
 type fanReport struct {
+	// events the mid-script probes counted on the links that had no probe
+	// before them: the solo link's own probe, and the network probe on the
+	// shared link and on the late one (see runFanOut)
+	unprobed      [3]int64
 	l             *Link  // the script's own link
 	laned, posted uint64 // deliveries a lane took, of all posted
 	// outages of link 1 alone that left it deliveries to orphan while its
@@ -455,6 +459,64 @@ func (d delivery) String() string {
 	return fmt.Sprintf("packet %d over link %d at %v", d.seq, d.link, d.at)
 }
 
+// probeSpots picks, from the script's operations, the ones at which
+// runFanOut attaches a counting probe to one link (Link.Attach) and one to
+// the whole network (Network.AttachProbe), and the one at which it makes a
+// link after the network probe.
+func probeSpots(sc linkScript) (link, network, late int) {
+	h := uint32(2166136261) // FNV-1a over the operations' times and sizes
+	for _, op := range sc.ops {
+		h = (h ^ uint32(op.at)) * 16777619
+		h = (h ^ uint32(op.size)) * 16777619
+	}
+	ops := uint32(len(sc.ops))
+	link, network = int(h%ops), int(h>>8%ops)
+	return link, network, network + int(h>>16%(ops-uint32(network)))
+}
+
+// tally is what a probe attached to a link must count from some instant
+// on: the link's Enqueued and Dropped counters, kept across ResetStats,
+// and the packets that arrived over it at its far node.
+type tally struct{ enq, drop, deliver int64 }
+
+func (a tally) sub(b tally) tally {
+	return tally{a.enq - b.enq, a.drop - b.drop, a.deliver - b.deliver}
+}
+
+func (a tally) add(b tally) tally {
+	return tally{a.enq + b.enq, a.drop + b.drop, a.deliver + b.deliver}
+}
+
+func (a tally) events() int64 { return a.enq + a.drop + a.deliver }
+
+// arrivals counts the unicast packets passing through a node, which is
+// every packet a fan-out link delivers (they are addressed back to the
+// sender, which no link leads to).
+type arrivals struct{ n int64 }
+
+func (c *arrivals) FilterTransit(*Node, *Packet) bool { c.n++; return false }
+
+// probedLink is a link of the fan-out's ledger: its ResetStats carry-over
+// and its far node's arrival counter.
+type probedLink struct {
+	l       *Link
+	carried tally
+	in      arrivals
+}
+
+func (pl *probedLink) tally() tally {
+	st := pl.l.Stats()
+	return pl.carried.add(tally{st.Enqueued, st.Dropped, pl.in.n})
+}
+
+func (pl *probedLink) resetStats() {
+	st := pl.l.Stats()
+	pl.carried = pl.carried.add(tally{enq: st.Enqueued, drop: st.Dropped})
+	pl.l.ResetStats()
+}
+
+func (c *CountingProbe) tally() tally { return tally{c.Enqueues, c.Drops, c.Delivers} }
+
 // unlaned is an Engine whose posts never ride a lane: Post is After.
 type unlaned struct{ *sim.Engine }
 
@@ -464,6 +526,14 @@ func (u unlaned) Post(delay sim.Time, a sim.Action) { u.After(delay, a) }
 // against the reference's snapshots and probe logs. With laned false the
 // network runs on unlaned, so every delivery is a calendar event. It returns
 // what the run exercised and every delivery in the order it happened.
+//
+// Three more links, configured like link 0 and carrying what it carries,
+// have no probe of their own at first: at operations probeSpots picks, the
+// first gets a counting probe (Link.Attach), the network gets one
+// (Network.AttachProbe) that the second has to reach, and the third is made
+// after it. What each probe counts, from its attachment to the end of the
+// run, must equal what the links it observes enqueued, dropped and
+// delivered meanwhile.
 func runFanOut(t *testing.T, desc string, sc linkScript, e *sim.Engine, laned bool, snaps []fanSnap, refLog [fanOut]map[int64][]probeEvent) (fanReport, []delivery) {
 	t.Helper()
 	var sched sim.Scheduler = e
@@ -482,10 +552,19 @@ func runFanOut(t *testing.T, desc string, sc linkScript, e *sim.Engine, laned bo
 		order []delivery
 		rep   fanReport
 	)
+	var ledgers []*probedLink // the fan-out links, then the extra ones
+	connect := func(name string, bw float64, delay sim.Time) *Link {
+		b := net.AddNode(name)
+		l := net.ConnectAsym(a, b, LinkConfig{Bandwidth: bw, Delay: delay, Policy: sc.policy})
+		l.QueueLimit = sc.queueLimit
+		pl := &probedLink{l: l}
+		b.SetTransitFilter(&pl.in)
+		ledgers = append(ledgers, pl)
+		return l
+	}
 	for i := range links {
 		bw, delay := sc.fanConfig(i)
-		l := net.ConnectAsym(a, net.AddNode(fmt.Sprint("b", i)), LinkConfig{Bandwidth: bw, Delay: delay, Policy: sc.policy})
-		l.QueueLimit = sc.queueLimit
+		l := connect(fmt.Sprint("b", i), bw, delay)
 		lg := map[int64][]probeEvent{}
 		links[i], log[i] = l, lg
 		l.Attach(&FuncProbe{
@@ -497,12 +576,45 @@ func runFanOut(t *testing.T, desc string, sc linkScript, e *sim.Engine, laned bo
 			},
 		})
 	}
+	bw, delay := sc.fanConfig(0)
+	connect("solo", bw, delay)
+	connect("shared", bw, delay)
+	var (
+		linkProbe, netProbe CountingProbe
+		// what the probes' links had counted when they attached
+		linkFrom, netFrom, sharedFrom tally
+	)
+	atLink, atNet, atLate := probeSpots(sc)
+	sum := func(pls []*probedLink) (t tally) {
+		for _, pl := range pls {
+			t = t.add(pl.tally())
+		}
+		return t
+	}
+	allLinks := func() []*Link {
+		out := links[:]
+		for _, pl := range ledgers[fanOut:] {
+			out = append(out, pl.l)
+		}
+		return out
+	}
 	state := func(l *Link) linkState {
 		return linkState{stats: l.Stats(), queueLen: l.QueueLen(), serializing: l.Busy()}
 	}
 	for i, op := range sc.ops {
 		id := int64(i)
 		e.At(op.at, sim.Func(func() {
+			if i == atLink {
+				ledgers[fanOut].l.Attach(&linkProbe)
+				linkFrom = ledgers[fanOut].tally()
+			}
+			if i == atNet {
+				net.AttachProbe(&netProbe)
+				netFrom, sharedFrom = sum(ledgers), ledgers[fanOut+1].tally()
+			}
+			if i == atLate {
+				connect("late", bw, delay)
+			}
 			var p *Packet
 			if op.kind == opSend {
 				p = net.NewPacket()
@@ -528,7 +640,23 @@ func runFanOut(t *testing.T, desc string, sc linkScript, e *sim.Engine, laned bo
 					}
 				case opResetStats:
 					led[k].reset(state(l))
-					l.ResetStats()
+					ledgers[k].resetStats()
+				}
+			}
+			for _, pl := range ledgers[fanOut:] { // in step with link 0
+				switch op.kind {
+				case opSend:
+					pl.l.Send(p)
+				case opDown:
+					if op.outage(0) {
+						pl.l.SetDown()
+					}
+				case opUp:
+					if op.outage(0) {
+						pl.l.SetUp()
+					}
+				case opResetStats:
+					pl.resetStats()
 				}
 			}
 			if p != nil {
@@ -539,7 +667,7 @@ func runFanOut(t *testing.T, desc string, sc linkScript, e *sim.Engine, laned bo
 			if !laned {
 				return // the first run checked the rings
 			}
-			if err := ringsApart(net, links[:]...); err != nil {
+			if err := ringsApart(net, allLinks()...); err != nil {
 				t.Fatalf("%s: after op %d at %v: %v", desc, id, op.at, err)
 			}
 		}))
@@ -578,6 +706,15 @@ func runFanOut(t *testing.T, desc string, sc linkScript, e *sim.Engine, laned bo
 			}
 		}
 	}
+	if got, want := linkProbe.tally(), ledgers[fanOut].tally().sub(linkFrom); got != want {
+		t.Fatalf("%s: a probe attached to a link at op %d counted %+v, the link %+v", desc, atLink, got, want)
+	}
+	if got, want := netProbe.tally(), sum(ledgers).sub(netFrom); got != want {
+		t.Fatalf("%s: a network probe attached at op %d (a link made at op %d) counted %+v, the links %+v", desc, atNet, atLate, got, want)
+	}
+	rep.unprobed[0] = linkProbe.tally().events()
+	rep.unprobed[1] = ledgers[fanOut+1].tally().sub(sharedFrom).events()
+	rep.unprobed[2] = ledgers[fanOut+2].tally().events()
 	if free, allocs := len(net.pktFree), net.PacketAllocs(); uint64(free) != allocs {
 		t.Fatalf("%s: %d of %d pooled packets came back", desc, free, allocs)
 	}
@@ -806,6 +943,7 @@ var queueScripts = func() [][]byte {
 func TestLinkTimingRandomScripts(t *testing.T) {
 	var laned, posted uint64
 	sharedOutages := 0
+	var unprobed [3]int64
 	for seed := int64(1); seed <= 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		data := make([]byte, 4+4*(10+rng.Intn(maxLinkOps)))
@@ -814,6 +952,17 @@ func TestLinkTimingRandomScripts(t *testing.T) {
 		laned += rep.laned
 		posted += rep.posted
 		sharedOutages += rep.sharedOutages
+		for i, n := range rep.unprobed {
+			unprobed[i] += n
+		}
+	}
+	// The probes attached mid-script must see events on links that had
+	// none before them, each way a link comes to be observed.
+	t.Logf("probes attached mid-script saw %v events on unobserved links", unprobed)
+	for i, what := range [...]string{"a link's own probe", "a network probe on a link made before it", "a network probe on a link made after it"} {
+		if unprobed[i] < 1000 {
+			t.Errorf("%s saw %d events over the scripts; want 1000", what, unprobed[i])
+		}
 	}
 	// The fan-out's deliveries must ride the lanes, and outages must catch
 	// one of two twins' deliveries in flight beside the other's.

@@ -456,6 +456,42 @@ func TestAgentLists(t *testing.T) {
 	}
 }
 
+// TestAgentShareReuse: a one-entry share a node outgrew is the next
+// node's first, so attaching an agent on every node after the receivers
+// strands no share; lists keep their agents in attach order throughout.
+func TestAgentShareReuse(t *testing.T) {
+	n := New(sim.NewEngine(1))
+	rx, all := &collector{}, &collector{}
+	var hosts []*Node
+	for i := 0; i < 4; i++ {
+		h := n.AddNode("rx")
+		h.AttachAgent(rx)
+		hosts = append(hosts, h)
+	}
+	held := n.agentsHeld
+	outgrown := map[*Agent]bool{}
+	for _, h := range hosts {
+		outgrown[&h.agents[0]] = true
+		h.AttachAgent(all)
+	}
+	for i := 0; i < 4; i++ {
+		r := n.AddNode("router")
+		r.AttachAgent(all)
+		if !outgrown[&r.agents[0]] || len(r.agents) != 1 || cap(r.agents) != 1 || r.agents[0] != Agent(all) {
+			t.Fatalf("router %d's first agent is not on an outgrown share: %v", i, r.agents)
+		}
+		delete(outgrown, &r.agents[0])
+	}
+	if n.agentOnes != nil || n.agentsHeld != held+4*2 {
+		t.Errorf("after reuse: %d entries carved past the receivers', want 8, and a list of outgrown shares left", n.agentsHeld-held)
+	}
+	for _, h := range hosts {
+		if len(h.agents) != 2 || h.agents[0] != Agent(rx) || h.agents[1] != Agent(all) {
+			t.Errorf("host %d's agents %v, want the receiver then the other", h.ID, h.agents)
+		}
+	}
+}
+
 func TestSendUnicastRejectsMulticast(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := New(e)

@@ -78,6 +78,9 @@ type Network struct {
 	// agentsHeld counts the agent-list entries carved so far; it sizes
 	// the next agent block.
 	agentsHeld int
+	// agentOnes heads the list of one-entry agent shares nodes outgrew,
+	// linked through their one slot (giveAgentShare).
+	agentOnes *Agent
 	// numLinks counts the links; pend and pendTail chain, through
 	// Link.nextOut and in creation order, the links added since the
 	// out-link tables were last laid out (see seal).
@@ -212,7 +215,7 @@ func (n *Network) Partition(se *sim.ShardedEngine, domains []int) {
 			l.recvSched = n.scheds[l.To]
 			if domains[l.From] != domains[l.To] {
 				l.dsched = se.Cross(domains[l.From], domains[l.To])
-				l.mu = &sync.Mutex{}
+				l.mu, l.locked = &sync.Mutex{}, true
 			} else {
 				l.dsched = n.scheds[l.To]
 			}
@@ -221,8 +224,16 @@ func (n *Network) Partition(se *sim.ShardedEngine, domains []int) {
 }
 
 // AttachProbe registers a probe observing packet events on every link of
-// the network, including links created later.
-func (n *Network) AttachProbe(p Probe) { n.probes = append(n.probes, p) }
+// the network, including links created later: it flags every link made so
+// far as probed, and addLink flags the later ones.
+func (n *Network) AttachProbe(p Probe) {
+	n.probes = append(n.probes, p)
+	for _, node := range n.nodes {
+		for _, ol := range node.table() {
+			ol.link.probed = true
+		}
+	}
+}
 
 // NewPacket takes a zeroed packet from the network's pool (or, the first
 // time through, from the chunk the pool carves new ones from), holding one
@@ -350,6 +361,7 @@ func (n *Network) addLink(from, to *Node, cfg LinkConfig) *Link {
 		Delay:      cfg.Delay,
 		QueueLimit: ql,
 		Policy:     cfg.Policy,
+		probed:     len(n.probes) > 0,
 	}
 	l.inflight.buf = l.pipe[:]
 	// Single-scheduler default; Partition rebinds these per shard.

@@ -87,14 +87,15 @@ func (n *Node) String() string { return fmt.Sprintf("%s(#%d)", n.Name, n.ID) }
 
 // AttachAgent registers an agent for local unicast delivery. A full agent
 // list moves to a share one entry longer, carved from the network's agent
-// blocks; one that DetachAgent shortened takes the agent in place.
+// blocks, and gives the old share back; one that DetachAgent shortened
+// takes the agent in place.
 func (n *Node) AttachAgent(a Agent) {
 	if len(n.agents) == cap(n.agents) {
 		old := n.agents
 		n.agents = n.net.agentShare(len(old) + 1)[:len(old)]
 		copy(n.agents, old)
-		if n.delivering == 0 { // else a delivery loop still reads it
-			clear(old)
+		if n.delivering == 0 && len(old) > 0 { // else a delivery loop still reads it
+			n.net.giveAgentShare(old)
 		}
 	}
 	n.agents = append(n.agents, a)

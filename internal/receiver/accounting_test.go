@@ -1,6 +1,8 @@
 package receiver
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"toposense/internal/netsim"
@@ -199,5 +201,106 @@ func TestStalePacketAfterLeaveIgnoredByAccounting(t *testing.T) {
 	}
 	if r.rx.Duplicates != 0 && r.rx.Reordered != 0 {
 		t.Errorf("stale packets moved dup/reorder counters: %d/%d", r.rx.Duplicates, r.rx.Reordered)
+	}
+}
+
+// refTick is tick's accounting walked over the full layer table, the
+// reference for tick's walk over the held layers: it closes the interval on
+// ls and returns what the report must carry.
+func refTick(ls []layerState) (loss float64, bytes int64) {
+	var lost, expected int64
+	for i := range ls {
+		l := ls[i].expected - ls[i].received + ls[i].debt
+		if l < 0 {
+			ls[i].debt, l = l, 0
+		} else {
+			ls[i].debt = 0
+		}
+		lost += l
+		expected += ls[i].expected
+		bytes += ls[i].bytes
+		ls[i].received, ls[i].expected, ls[i].bytes = 0, 0, 0
+	}
+	if expected > 0 {
+		loss = float64(lost) / float64(expected)
+	}
+	return loss, bytes
+}
+
+// TestTickHeldLayersRandomScripts is the differential test of tick's
+// held-layers walk: random scripts of joins, drops in the middle of an
+// interval, in-order packets with gaps, late, duplicate and too-old
+// packets on every layer, and interval ends that carry debt. At every tick
+// the report's loss and bytes and the whole layer table afterwards must
+// equal the full-table reference's.
+func TestTickHeldLayersRandomScripts(t *testing.T) {
+	// ticks after a drop that left counted layers above the level, and
+	// ticks that carried debt on some layer
+	skippedDrops, debts := 0, 0
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := accountingRig(t)
+		rx := r.rx
+		var next [6]int64 // per layer: the next in-order sequence number
+		var sizes = [...]int{200, 1000, 1400}
+		for op := 0; op < 300; op++ {
+			switch k := rng.Intn(20); {
+			case k == 0:
+				rx.setLevel(rng.Intn(rx.cfg.MaxLayers + 1))
+			case k == 1:
+				if rx.level > 0 {
+					rx.setLevel(rng.Intn(rx.level)) // a drop mid-interval
+				}
+			case k == 2:
+				dropped := false
+				for i := rx.level; i < len(rx.layers); i++ {
+					dropped = dropped || rx.layers[i].expected != 0 || rx.layers[i].bytes != 0
+				}
+				if dropped {
+					skippedDrops++
+				}
+				ref := slices.Clone(rx.layers)
+				loss, bytes := refTick(ref)
+				reports := len(r.ctrl.reports)
+				rx.tick()
+				r.e.Run()
+				if len(r.ctrl.reports) != reports+1 {
+					t.Fatalf("seed %d op %d: tick sent %d reports", seed, op, len(r.ctrl.reports)-reports)
+				}
+				got := r.ctrl.reports[reports]
+				if got.LossRate != loss || rx.LastLoss != loss || got.Bytes != bytes {
+					t.Fatalf("seed %d op %d: reported loss %g (LastLoss %g) and %d bytes, want %g and %d",
+						seed, op, got.LossRate, rx.LastLoss, got.Bytes, loss, bytes)
+				}
+				if !slices.Equal(rx.layers, ref) {
+					t.Fatalf("seed %d op %d: layer table after tick\n %+v\nwant\n %+v", seed, op, rx.layers, ref)
+				}
+				if slices.ContainsFunc(ref, func(ls layerState) bool { return ls.debt < 0 }) {
+					debts++
+				}
+			default:
+				l := 1 + rng.Intn(len(rx.layers))
+				seq := next[l-1]
+				switch rng.Intn(6) {
+				case 0, 1, 2: // in order, perhaps past a gap
+					seq += int64(rng.Intn(4))
+					next[l-1] = seq + 1
+				case 3: // late, within the window or beyond it
+					seq -= 1 + int64(rng.Intn(80))
+				case 4: // the newest again
+					seq--
+				case 5: // far ahead
+					seq += 60 + int64(rng.Intn(20))
+					next[l-1] = seq + 1
+				}
+				rx.RecvMulticast(&netsim.Packet{
+					Kind: netsim.Data, Session: 0, Layer: l, Seq: seq, Size: sizes[rng.Intn(len(sizes))],
+					Group: r.d.GroupOf(0, l),
+				})
+			}
+		}
+	}
+	if skippedDrops < 100 || debts < 100 {
+		t.Errorf("%d ticks followed a drop that left counts above the level and %d carried debt; want 100 each", skippedDrops, debts)
 	}
 }

@@ -123,6 +123,9 @@ type Receiver struct {
 	node   *netsim.Node
 
 	level int
+	// hi is the highest level held since the last tick: the layers above
+	// it have counted nothing since, so tick skips them.
+	hi int
 	// layers is index 0 = layer 1, from layerTables; nil once stopped.
 	layers []layerState
 
@@ -409,7 +412,7 @@ func (r *Receiver) setLevel(lvl int) {
 		r.domain.Leave(r.node.ID, g, r)
 		r.layers[l-1].joined = false
 	}
-	r.level = lvl
+	r.level, r.hi = lvl, max(r.hi, lvl)
 	if r.OnChange != nil {
 		r.OnChange(Change{At: r.sched().Now(), From: from, To: lvl})
 	}
@@ -424,10 +427,14 @@ func (r *Receiver) setLevel(lvl int) {
 // future intervals' losses, so the loss rate stays in [0, 1] every interval
 // while the cumulative reported losses still sum to exactly
 // total-expected - total-received.
+//
+// Only the layers held at some point of the interval are walked, those up
+// to hi: a layer above it received nothing, so its counters are zero, and
+// its debt, which is not positive, would stay as it is.
 func (r *Receiver) tick() {
 	e := r.sched()
 	var lost, expected, bytes int64
-	for i := range r.layers {
+	for i := range r.layers[:r.hi] {
 		ls := &r.layers[i]
 		l := ls.expected - ls.received + ls.debt
 		if l < 0 {
@@ -441,6 +448,7 @@ func (r *Receiver) tick() {
 		bytes += ls.bytes
 		ls.received, ls.expected, ls.bytes = 0, 0, 0
 	}
+	r.hi = r.level
 	loss := 0.0
 	if expected > 0 {
 		loss = float64(lost) / float64(expected)

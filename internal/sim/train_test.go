@@ -657,16 +657,30 @@ func BenchmarkFanoutPost(b *testing.B) {
 				e.step(noEvent)
 			}
 			b.ReportAllocs()
-			var m0, m1 runtime.MemStats
-			b.ResetTimer() // first: it may allocate the benchmark's metric map
-			runtime.ReadMemStats(&m0)
+			// The queue's own allocation sites are counted exactly over the
+			// timed loop: lane chunks carved, event slots handed out fresh
+			// and the near and far heaps' capacity. The process-wide malloc
+			// count would also see the testing harness's own.
+			sites := func() [4]int {
+				return [4]int{e.q.chunksMade, int(e.q.slotAllocs), cap(e.q.near), cap(e.q.far)}
+			}
+			s0 := sites()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.step(noEvent)
 			}
 			b.StopTimer()
-			runtime.ReadMemStats(&m1)
-			if m1.Mallocs != m0.Mallocs {
-				b.Fatalf("%d allocations in steady state, want 0", m1.Mallocs-m0.Mallocs)
+			if s1 := sites(); s1 != s0 {
+				b.Fatalf("the queue grew in steady state: chunks, event slots, near and far heap capacity %v -> %v", s0, s1)
+			}
+			// Anything else that allocated per action would show here, as
+			// at least one allocation per run of 64·k actions.
+			if allocs := testing.AllocsPerRun(8, func() {
+				for i := 0; i < 64*k; i++ {
+					e.step(noEvent)
+				}
+			}); allocs != 0 {
+				b.Fatalf("%.0f allocations per %d actions in steady state, want 0", allocs, 64*k)
 			}
 			// Over everything posted since the engine was made, warm-up
 			// included, so that a one-op smoke run checks it too.
